@@ -18,9 +18,11 @@
 //!   enforce.
 //! * **Between keys** ([`lookup_between`]/[`store_between`]) memoize a
 //!   whole per-part [`crate::between_set`] expansion — the ordered list
-//!   of surviving projected systems from the `(dim+1)²` lex-sandwich
-//!   loop. Exact row order again (the expansion runs projections), so a
-//!   hit replays the precise system list a cold run would produce.
+//!   of `x`-systems of the lex splits that survive. Exact row order
+//!   again (the expansion runs projections), so a hit replays the
+//!   precise system list a cold run would produce. The eliminations
+//!   inside one expansion go through no memo of their own: this one and
+//!   the whole-map memo above it already replay every repeat.
 //! * **Compound keys** ([`KeyBuilder`], [`lookup_legal`]/[`store_legal`])
 //!   frame an ordered sequence of systems plus scalar parameters — used
 //!   for verdicts that depend on several polyhedra at once, e.g. schedule
@@ -131,6 +133,8 @@ impl KeyBuilder {
 
     /// Append a full system (var count, row count, rows in stored order).
     pub fn system(&mut self, sys: &System) {
+        self.flat
+            .reserve(2 + sys.constraints().len() * (sys.n_vars() + 2));
         self.flat.push(sys.n_vars() as i64);
         self.flat.push(sys.constraints().len() as i64);
         for c in sys.constraints() {
@@ -144,9 +148,9 @@ impl KeyBuilder {
     }
 }
 
-/// Exact-order key for a per-part `between_set` expansion: the lifted
-/// sandwich dimension plus the part's rows in stored order. The
-/// expansion is a deterministic function of exactly these inputs.
+/// Exact-order key for a per-part `between_set` expansion: the schedule
+/// dimension plus the part's rows in stored order. The expansion is a
+/// deterministic function of exactly these inputs.
 pub fn between_key(sys: &System, n: usize) -> Key {
     let nv = sys.n_vars();
     let mut flat = Vec::with_capacity(2 + sys.constraints().len() * (nv + 2));

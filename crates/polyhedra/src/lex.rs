@@ -9,7 +9,7 @@
 //! one schedule tuple to another into the set of all tuples between them —
 //! is implemented by [`between_set`].
 
-use crate::constraint::Constraint;
+use crate::constraint::{Constraint, ConstraintKind};
 use crate::intern;
 use crate::linexpr::LinExpr;
 use crate::map::{BasicMap, Map};
@@ -78,11 +78,10 @@ pub fn between_set(iv: &Map, n: usize) -> Set {
     let fm_mode = intern::oracle_mode() == intern::OracleMode::Fm;
 
     for part in &iv.parts {
-        // The whole per-part expansion — the `(dim+1)²` sandwich loop
-        // below — is a deterministic function of (part rows, n), so it
-        // is memoized process-wide as the ordered list of surviving
-        // systems. A hit replays exactly what a cold run would emit;
-        // `POLYHEDRA_ORACLE=fm` bypasses the memo (legacy path).
+        // The whole per-part expansion is a deterministic function of
+        // (part rows, n), so it is memoized process-wide as the ordered
+        // list of surviving systems. A hit replays exactly what a cold
+        // run would emit; `POLYHEDRA_ORACLE=fm` bypasses the memo.
         let lives = if fm_mode {
             expand_part(&part.system, n)
         } else {
@@ -135,98 +134,96 @@ pub fn between_set_pruned(iv: &Map, n: usize) -> Set {
     result
 }
 
-/// One part's `between_set` expansion: the surviving `x`-systems of the
-/// `(dim+1)²` lex-sandwich combinations, in combination order.
-fn expand_part(part_sys: &System, n: usize) -> Vec<System> {
-    let sandwiches = sandwich_systems(n);
-    // Variables: (w, r) in the part; extend to (w, r, x).
-    let base = part_sys.insert_vars(2 * n, n);
-    // Bounds of the part alone, derived once and reused as the
-    // propagation seed for all (dim+1)² sandwich combinations below.
-    let Some((base_lo, base_hi)) = base.propagate_bounds() else {
+/// One part's `between_set` expansion: the `x`-systems of the surviving
+/// lex-split combinations `(j1, j2)` — `w <=lex x` deciding at coordinate
+/// `j1`, `x <=lex r` at `j2`, `n` meaning "equal throughout" — in
+/// combination order.
+///
+/// Split `(j1, j2)` mentions only `w_0..=w_j1` and `r_0..=r_j2`, so the
+/// trailing coordinates are projected out of the part once, in a table
+/// of prefix projections ([`prefix`]) shared by every combination,
+/// instead of once per combination. What is left per combination is
+/// `j1 + j2` unit substitutions (`w_d = x_d`, `x_d = r_d`) and at most
+/// two real eliminations (`w_j1`, `r_j2`).
+fn expand_part(part: &System, n: usize) -> Vec<System> {
+    let Some((lo, hi)) = part.propagate_bounds() else {
         return Vec::new();
     };
-    // Reused propagation buffers (seeded per sandwich below).
-    let mut lo: Vec<Option<i64>> = Vec::new();
-    let mut hi: Vec<Option<i64>> = Vec::new();
+    // `[w_d] ∩ [r_d] = ∅` on the part's own interval bounds: no split
+    // past the first such `d` can hold `w_d = x_d = r_d`.
+    let above = |l: Option<i64>, h: Option<i64>| matches!((l, h), (Some(l), Some(h)) if l > h);
+    let common = (0..n)
+        .find(|&d| above(lo[d], hi[n + d]) || above(lo[n + d], hi[d]))
+        .unwrap_or(n);
+    let mut cells = vec![None; (n + 1) * (n + 1)];
+    cells[(n + 1) * (n + 1) - 1] = Some(part.clone());
     let mut lives = Vec::new();
-    for sandwich in sandwiches.iter() {
-        // Seeded interval propagation prunes most incompatible split
-        // combinations (sound: never flags a feasible join) by
-        // propagating only the sandwich rows against the memoized
-        // base bounds — cheap enough to discard the bulk of the
-        // combinations before the joined system is even allocated.
-        lo.clear();
-        lo.extend_from_slice(&base_lo);
-        hi.clear();
-        hi.extend_from_slice(&base_hi);
-        if sandwich.propagate_seeded(&mut lo, &mut hi, 3) {
-            continue;
-        }
-        // Eliminate w and r (first 2n vars), keep x. The elimination
-        // flags whatever infeasible joins slipped past propagation.
-        let live = base.concat_rows(sandwich).eliminate_range_owned(0, 2 * n);
-        if !live.known_infeasible() {
-            lives.push(live);
+    for j1 in 0..=n {
+        for j2 in 0..=n {
+            // The first coordinate where either conjunct is strict needs
+            // `w < x = r`, `w = x < r` or `w < x < r`: room for 1 or 2.
+            let split = j1.min(j2);
+            if split > common {
+                continue;
+            }
+            let gap = if j1 == j2 { 2 } else { 1 };
+            if split < n && above(lo[split].map(|l| l.saturating_add(gap)), hi[n + split]) {
+                continue;
+            }
+            let (a, b) = ((j1 + 1).min(n), (j2 + 1).min(n));
+            // Over (w_0..w_a, r_0..r_b, x): w at `d`, r at `a + d`, x at
+            // `a + b + d`.
+            let mut sys = prefix(&mut cells, n, a, b).insert_vars(a + b, n);
+            let width = a + b + n;
+            let mut relate = |kind: ConstraintKind, plus: usize, minus: usize, constant: i64| {
+                let mut expr = LinExpr::var(width, plus);
+                expr.coeffs[minus] = -1;
+                expr.constant = constant;
+                sys.add(Constraint { kind, expr });
+            };
+            for d in 0..j1 {
+                relate(ConstraintKind::Eq, d, a + b + d, 0);
+            }
+            if j1 < n {
+                relate(ConstraintKind::GeZero, a + b + j1, j1, -1);
+            }
+            for d in 0..j2 {
+                relate(ConstraintKind::Eq, a + d, a + b + d, 0);
+            }
+            if j2 < n {
+                relate(ConstraintKind::GeZero, a + j2, a + b + j2, -1);
+            }
+            // Unmemoized: the per-part and whole-map memos above this
+            // function already replay repeats.
+            let live = sys.eliminate_range_core(0, a + b);
+            if !live.known_infeasible() {
+                lives.push(live);
+            }
         }
     }
     lives
 }
 
-/// The `(dim+1)²` lifted lex "sandwich" systems `w <=lex x ∧ x <=lex r`
-/// over variables `(w, r, x)` — one per pair of lex splits. They depend
-/// only on the dimension, and [`between_set`] runs once per array per
-/// kernel, so they are memoized process-wide.
-fn sandwich_systems(n: usize) -> std::sync::Arc<Vec<System>> {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<usize, Arc<Vec<System>>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().unwrap().get(&n) {
-        return hit.clone();
+/// Cell `(a, b)` of one interval part's table of prefix projections: the
+/// part over `(w, r)` with only `w_0..w_a` and `r_0..r_b` kept and every
+/// later coordinate projected out. Cells are built on demand, each by
+/// eliminating one variable from its neighbour `(a, b + 1)` or
+/// `(a + 1, b)`; cell `(n, n)` is the part itself.
+fn prefix(cells: &mut [Option<System>], n: usize, a: usize, b: usize) -> &System {
+    let at = a * (n + 1) + b;
+    if cells[at].is_none() {
+        // From `(n, n)`, first shorten the side that ends up shorter
+        // (`w` on a tie), along the table's edge, then the other. The
+        // splits that survive share their deciding coordinate, so their
+        // cells lie on two such paths — about 4n steps in all.
+        let cell = if b < n && (a <= b || a == n) {
+            prefix(cells, n, a, b + 1).eliminate(a + b)
+        } else {
+            prefix(cells, n, a + 1, b).eliminate(a)
+        };
+        cells[at] = Some(cell);
     }
-    let le = lex_le_map(n);
-    // Over variables (w, r, x):
-    //   wx[j1]: w <=lex x at split j1 — le is over (in, out) = (w, x);
-    //           insert r in the middle.
-    let wx: Vec<System> = le
-        .parts
-        .iter()
-        .map(|p| p.system.insert_vars(n, n))
-        .collect();
-    //   xr[j2]: x <=lex r at split j2 — remap le's (in, out) = (x, r) to
-    //           positions (2n..3n) for x and (n..2n) for r.
-    let xr: Vec<System> = le
-        .parts
-        .iter()
-        .map(|p| {
-            let mut sys = System::universe(3 * n);
-            for c in p.system.constraints() {
-                let mut coeffs = vec![0i64; 3 * n];
-                for d in 0..n {
-                    coeffs[2 * n + d] = c.expr.coeffs[d]; // x
-                    coeffs[n + d] = c.expr.coeffs[n + d]; // r
-                }
-                sys.add(Constraint {
-                    kind: c.kind,
-                    expr: LinExpr::new(&coeffs, c.expr.constant),
-                });
-            }
-            sys
-        })
-        .collect();
-    // Both lex conjuncts combined, shared across every interval part.
-    let built = Arc::new(
-        wx.iter()
-            .flat_map(|a| xr.iter().map(move |b| a.intersect(b)))
-            .collect::<Vec<System>>(),
-    );
-    cache
-        .lock()
-        .unwrap()
-        .entry(n)
-        .or_insert_with(|| built.clone())
-        .clone()
+    cells[at].as_ref().expect("cell was just filled")
 }
 
 #[cfg(test)]

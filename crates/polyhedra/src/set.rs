@@ -6,10 +6,12 @@
 //! [`crate::lex`]).
 
 use crate::constraint::Constraint;
+use crate::intern::{Key, KeyBuilder};
 use crate::linexpr::LinExpr;
 use crate::points::PointIter;
 use crate::space::Space;
 use crate::system::System;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -295,6 +297,15 @@ fn compute_projection(sys: &System) -> ProjectionCache {
     ProjectionCache { levels, bbox }
 }
 
+/// The exact-order row encoding of a feasible system: equal keys exactly
+/// when the systems are equal. Used for local dedup tables only, so the
+/// family tag is never compared against another family's.
+fn rows_key(sys: &System) -> Key {
+    let mut kb = KeyBuilder::new(0);
+    kb.system(sys);
+    kb.finish()
+}
+
 /// Whether two bounding boxes certainly share no point: some dimension
 /// has both ranges known and non-overlapping. (`None` ranges are
 /// unbounded and never separate; the canonical empty box `(1, 0)` is
@@ -465,12 +476,16 @@ impl Set {
     }
 
     /// Drop parts whose systems are already known infeasible (cheap) and
-    /// deduplicate identical parts.
+    /// deduplicate identical parts, keeping each first occurrence.
     pub fn coalesce(mut self) -> Set {
-        self.parts.retain(|p| !p.system.known_infeasible());
-        let mut kept: Vec<BasicSet> = Vec::new();
+        let mut seen: HashSet<Key> = HashSet::with_capacity(self.parts.len());
+        let mut kept: Vec<BasicSet> = Vec::with_capacity(self.parts.len());
         for p in self.parts.drain(..) {
-            if !kept.contains(&p) {
+            if p.system.known_infeasible() {
+                continue;
+            }
+            // Rows seen before: a duplicate, unless under another space.
+            if seen.insert(rows_key(&p.system)) || !kept.contains(&p) {
                 kept.push(p);
             }
         }
@@ -484,20 +499,17 @@ impl Set {
     ///
     /// Unions built by join loops (e.g. `between_set`) routinely carry
     /// structurally identical disjuncts, so each distinct system is
-    /// decided at most once per call here — repeats reuse the local
-    /// verdict without even paying the global memo's key encoding.
+    /// decided at most once per call here.
     pub fn prune_empty(mut self) -> Set {
-        let mut decided: Vec<(System, bool)> = Vec::new();
+        let mut decided: HashMap<Key, bool> = HashMap::new();
         self.parts.retain(|p| {
-            let empty = match decided.iter().find(|(s, _)| *s == p.system) {
-                Some(&(_, e)) => e,
-                None => {
-                    let e = p.is_empty();
-                    decided.push((p.system.clone(), e));
-                    e
-                }
-            };
-            !empty
+            // Not keyed: `rows_key` cannot tell "infeasible" from "no rows".
+            if p.system.known_infeasible() {
+                return false;
+            }
+            !*decided
+                .entry(rows_key(&p.system))
+                .or_insert_with(|| p.is_empty())
         });
         self
     }

@@ -163,6 +163,12 @@ impl System {
             return System::infeasible(self.n_vars - 1);
         }
 
+        // A variable that only single-variable rows mention is bounded
+        // by them and by nothing else: check `lo <= hi`, drop the rows.
+        if let Some(rest) = self.drop_boxed_var(var) {
+            return rest;
+        }
+
         // Preferred: exact substitution via an equality with coefficient ±1.
         if let Some(pos) = self
             .constraints
@@ -244,6 +250,48 @@ impl System {
         out
     }
 
+    /// [`System::eliminate`] for a variable whose every row mentions no
+    /// other variable; `None` when some row couples it to another one.
+    fn drop_boxed_var(&self, var: usize) -> Option<System> {
+        let mut lo = i64::MIN;
+        let mut hi = i64::MAX;
+        for c in &self.constraints {
+            let k = c.expr.coeffs[var];
+            if k == 0 {
+                continue;
+            }
+            // (Normalized single-variable rows have a unit coefficient.)
+            if k.abs() != 1 || c.expr.coeffs.iter().filter(|&&x| x != 0).count() > 1 {
+                return None;
+            }
+            let at = c.expr.constant.checked_mul(-k).expect("bound overflow");
+            if k > 0 || c.kind == ConstraintKind::Eq {
+                lo = lo.max(at);
+            }
+            if k < 0 || c.kind == ConstraintKind::Eq {
+                hi = hi.min(at);
+            }
+        }
+        if lo > hi {
+            return Some(System::infeasible(self.n_vars - 1));
+        }
+        let mut out = System {
+            n_vars: self.n_vars - 1,
+            constraints: self
+                .constraints
+                .iter()
+                .filter(|c| c.expr.coeffs[var] == 0)
+                .map(|c| Constraint {
+                    kind: c.kind,
+                    expr: c.expr.remove_var(var),
+                })
+                .collect(),
+            infeasible: false,
+        };
+        out.prune_redundant();
+        Some(out)
+    }
+
     /// Eliminate a contiguous range of variables `[from, from+count)`.
     ///
     /// The elimination order is chosen greedily: variables that appear in
@@ -253,40 +301,34 @@ impl System {
     /// like `a = 121i + 11j + k`) this ordering keeps the projection
     /// integer-exact: `k`, `j`, `i` are substituted through the unit
     /// coefficients instead of being paired through the large strides.
-    pub fn eliminate_range(&self, from: usize, count: usize) -> System {
-        self.clone().eliminate_range_owned(from, count)
-    }
-
-    /// [`System::eliminate_range`] consuming the system — hot callers
-    /// that build the input on the spot skip one full row-set clone.
     ///
     /// Results are memoized process-wide under an exact-row-order key
     /// (see [`crate::intern`]): identical queries are deterministic, so
     /// serving the stored projection is bit-identical to recomputing it.
     /// `POLYHEDRA_ORACLE=fm` bypasses the memo entirely (legacy path).
-    pub(crate) fn eliminate_range_owned(self, from: usize, count: usize) -> System {
+    pub fn eliminate_range(&self, from: usize, count: usize) -> System {
         if count == 0 {
-            return self;
+            return self.clone();
         }
         if self.infeasible {
             return System::infeasible(self.n_vars - count);
         }
         if intern::oracle_mode() == intern::OracleMode::Fm {
-            return self.eliminate_range_core(from, count);
+            return self.clone().eliminate_range_core(from, count);
         }
-        let key = intern::projection_key(&self, from, count);
+        let key = intern::projection_key(self, from, count);
         if let Some(memoized) = intern::lookup_projection(&key) {
             return memoized;
         }
-        let out = self.eliminate_range_core(from, count);
+        let out = self.clone().eliminate_range_core(from, count);
         intern::store_projection(key, out.clone());
         out
     }
 
-    /// The actual elimination work behind [`System::eliminate_range_owned`]
+    /// The actual elimination work behind [`System::eliminate_range`]
     /// (phase 1: batched unit-coefficient substitutions; phase 2: greedy
     /// Fourier–Motzkin pairing), with no memoization.
-    fn eliminate_range_core(self, from: usize, count: usize) -> System {
+    pub(crate) fn eliminate_range_core(self, from: usize, count: usize) -> System {
         if count == 0 {
             return self;
         }
@@ -536,59 +578,6 @@ impl System {
             return false;
         }
         self.propagate_bounds().is_none()
-    }
-
-    /// Conjunction of two systems whose rows are all already normalized
-    /// (every row of a `System` is), skipping the re-normalization and
-    /// duplicate scan of [`System::intersect`]. Duplicate rows across the
-    /// two systems are kept — harmless for feasibility tests and
-    /// elimination, which is what the hot callers do with the result.
-    pub(crate) fn concat_rows(&self, other: &System) -> System {
-        assert_eq!(self.n_vars, other.n_vars, "system arity mismatch");
-        if self.infeasible || other.infeasible {
-            return System::infeasible(self.n_vars);
-        }
-        let mut constraints = Vec::with_capacity(self.constraints.len() + other.constraints.len());
-        constraints.extend_from_slice(&self.constraints);
-        constraints.extend_from_slice(&other.constraints);
-        System {
-            n_vars: self.n_vars,
-            constraints,
-            infeasible: false,
-        }
-    }
-
-    /// Propagate this system's rows against externally seeded bounds
-    /// (typically derived from another system this one is about to be
-    /// intersected with — bounds valid for that system stay valid for
-    /// the conjunction). Returns `true` when some interval becomes
-    /// empty, i.e. the conjunction is certainly infeasible.
-    pub(crate) fn propagate_seeded(
-        &self,
-        lo: &mut [Option<i64>],
-        hi: &mut [Option<i64>],
-        rounds: usize,
-    ) -> bool {
-        if self.infeasible {
-            return true;
-        }
-        for _ in 0..rounds {
-            let mut changed = false;
-            for c in &self.constraints {
-                for sign in [1i64, -1] {
-                    if sign < 0 && c.kind != ConstraintKind::Eq {
-                        continue;
-                    }
-                    if propagate_row(&c.expr, sign, lo, hi, &mut changed) {
-                        return true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        false
     }
 
     /// Run the bounded interval propagation of [`System::quick_infeasible`]

@@ -1,6 +1,6 @@
 //! Property-based validation of the polyhedral engine against brute force.
 
-use polyhedra::{BasicSet, Constraint, LinExpr, Map, Set, Space};
+use polyhedra::{BasicMap, BasicSet, Constraint, LinExpr, Map, OracleMode, Set, Space, System};
 use proptest::prelude::*;
 
 /// Strategy: a random box over `n` dims with small bounds.
@@ -38,6 +38,66 @@ fn space(n: usize) -> Space {
     Space::named("s", n)
 }
 
+/// One interval part `[w] -> [r]` over `n`-dimensional schedule tuples,
+/// shaped like the ones liveness builds, with the box that holds all of
+/// its `(w, r)` points.
+#[derive(Debug)]
+struct IntervalPart {
+    n: usize,
+    system: System,
+    /// Inclusive range of each of the `2n` coordinates `(w, r)`.
+    ranges: Vec<(i64, i64)>,
+}
+
+/// Strategy: `n` in `1..=3`; every coordinate boxed to at most three
+/// values or (one time in four) pinned by an equality; and, where three
+/// distinct coordinates are drawn, one row-major layout row
+/// `t = stride * i + j` with `j` filling `0..stride` (so the flat range
+/// is dense, as a layout's is) and `t` bounded by the row alone.
+fn interval_part() -> impl Strategy<Value = IntervalPart> {
+    (
+        1usize..4,
+        proptest::collection::vec((-2i64..3, 0i64..3, 0u32..4), 6),
+        2i64..8,
+        proptest::collection::vec(0usize..6, 3),
+    )
+        .prop_map(|(n, coords, stride, roles)| {
+            let vars = 2 * n;
+            let mut ranges: Vec<(i64, i64)> = coords[..vars]
+                .iter()
+                .map(|&(lo, extent, _)| (lo, lo + extent))
+                .collect();
+            let mut system = System::universe(vars);
+            let (t, i, j) = (roles[0] % vars, roles[1] % vars, roles[2] % vars);
+            let layout = t != i && t != j && i != j;
+            if layout {
+                ranges[i] = (0, coords[i].1);
+                ranges[j] = (0, stride - 1);
+                ranges[t] = (0, stride * coords[i].1 + stride - 1);
+                let mut coeffs = vec![0i64; vars];
+                coeffs[t] = 1;
+                coeffs[i] = -stride;
+                coeffs[j] = -1;
+                system.add(Constraint::eq(LinExpr::new(&coeffs, 0)));
+            }
+            for v in 0..vars {
+                let (lo, hi) = ranges[v];
+                if layout && v == t {
+                    continue;
+                }
+                let (x, at) = (LinExpr::var(vars, v), |k| LinExpr::constant(vars, k));
+                if coords[v].2 == 0 {
+                    ranges[v] = (lo, lo);
+                    system.add(Constraint::eq_exprs(&x, &at(lo)));
+                } else {
+                    system.add(Constraint::ge(&x, &at(lo)));
+                    system.add(Constraint::le(&x, &at(hi)));
+                }
+            }
+            IntervalPart { n, system, ranges }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,6 +123,42 @@ proptest! {
             if projected.contains(&q) {
                 prop_assert!(shadow.contains(&q), "FM over-approximated at {q:?}");
             }
+        }
+    }
+
+    /// Eliminating one variable leaves the brute-force shadow, whichever
+    /// way `System::eliminate` takes: the variable only boxed or pinned
+    /// (bounds checked, rows dropped — crossing bounds included), or
+    /// coupled to the others by one more row (substituted or paired).
+    #[test]
+    fn eliminate_matches_bruteforce(
+        dims in proptest::collection::vec((-4i64..5, -1i64..3, proptest::bool::ANY), 3),
+        c in small_constraint(3),
+        coupled in proptest::bool::ANY,
+        var in 0usize..3,
+    ) {
+        let mut sys = System::universe(3);
+        for (v, &(lo, extent, pinned)) in dims.iter().enumerate() {
+            let x = LinExpr::var(3, v);
+            if pinned {
+                sys.add(Constraint::eq_exprs(&x, &LinExpr::constant(3, lo)));
+            } else {
+                sys.add(Constraint::ge(&x, &LinExpr::constant(3, lo)));
+                sys.add(Constraint::le(&x, &LinExpr::constant(3, lo + extent)));
+            }
+        }
+        if coupled {
+            sys.add(c);
+        }
+        let projected = sys.eliminate(var);
+        let probe = [(-5, 7); 3];
+        let shadow: Vec<Vec<i64>> = BasicSet::boxed(space(3), &probe)
+            .points()
+            .filter(|p| sys.holds(p))
+            .map(|mut p| { p.remove(var); p })
+            .collect();
+        for q in BasicSet::boxed(space(2), &probe[..2]).points() {
+            prop_assert_eq!(projected.holds(&q), shadow.contains(&q), "at {:?} of {:?}", q, sys);
         }
     }
 
@@ -224,6 +320,43 @@ proptest! {
                 );
             } else {
                 prop_assert_eq!(cached, seed, "dim {}", d);
+            }
+        }
+    }
+
+    /// `between_set` is the paper's `ge_le`: `x` is in it exactly when
+    /// some `(w, r)` of the interval relation has `w <=lex x <=lex r` —
+    /// checked against every enumerated pair and every `x` of the pairs'
+    /// box padded by one, under both oracles. The mode is process-wide
+    /// and the other properties here hold under either, so this is the
+    /// only test in the file that sets it.
+    #[test]
+    fn between_set_matches_bruteforce(part in interval_part()) {
+        let n = part.n;
+        let pairs: Vec<Vec<i64>> = BasicSet::boxed(space(2 * n), &part.ranges)
+            .points()
+            .filter(|p| part.system.holds(p))
+            .collect();
+        let iv = Map::from_basic(BasicMap {
+            in_space: Space::anon(n),
+            out_space: Space::anon(n),
+            system: part.system.clone(),
+        });
+        let padded: Vec<(i64, i64)> = (0..n)
+            .map(|d| {
+                let (w, r) = (part.ranges[d], part.ranges[n + d]);
+                (w.0.min(r.0) - 1, w.1.max(r.1) + 1)
+            })
+            .collect();
+        for mode in [OracleMode::Fm, OracleMode::Simplex] {
+            polyhedra::set_oracle_mode(mode);
+            let live = polyhedra::between_set(&iv, n);
+            for x in BasicSet::boxed(space(n), &padded).points() {
+                let between = pairs.iter().any(|p| p[..n] <= x[..] && x[..] <= p[n..]);
+                prop_assert_eq!(
+                    live.contains(&x), between,
+                    "{:?} oracle, x = {:?}, part {:?}", mode, x, part.system
+                );
             }
         }
     }

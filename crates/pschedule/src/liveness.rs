@@ -190,8 +190,9 @@ fn analyze_array(
     // inside `between_set` (w <=lex x <=lex r forces w <=lex r by
     // transitivity of the total lex order, and backward pairs
     // expand to empty parts that `prune_empty` drops), so it is
-    // omitted — it multiplied the part count by dim+1 before the
-    // expensive ge_le expansion.
+    // omitted — it multiplied the part count by dim+1, and the ge_le
+    // expansion pays per part: one table of prefix projections, then a
+    // couple of eliminations for each lex split that can hold a point.
     let p = a.reverse().compose(&b);
     let l = between_set_pruned(&p, dim);
 
@@ -308,9 +309,11 @@ mod tests {
     use teil::transform::factorize;
 
     fn setup(n: usize, factored: bool) -> (Module, KernelModel, Schedule) {
-        let typed =
-            cfdlang::check(&cfdlang::parse(&cfdlang::examples::inverse_helmholtz(n)).unwrap())
-                .unwrap();
+        setup_source(&cfdlang::examples::inverse_helmholtz(n), factored)
+    }
+
+    fn setup_source(source: &str, factored: bool) -> (Module, KernelModel, Schedule) {
+        let typed = cfdlang::check(&cfdlang::parse(source).unwrap()).unwrap();
         let mut m = lower(&typed).unwrap();
         if factored {
             m = factorize(&m);
@@ -442,5 +445,95 @@ mod tests {
         let dot = g.to_dot();
         assert!(dot.contains("cluster_iface"));
         assert!(dot.contains("t0"));
+    }
+
+    /// The `live` sets against the definition itself, with the write and
+    /// read tuples of every array element enumerated one statement
+    /// instance at a time: `x` is live when some element has a write `w`
+    /// and a read `r` with `w <=lex x <=lex r`. Every write of an element
+    /// pairs with every read of it, so per element that is
+    /// `min W <=lex x <=lex max R`. Probed at every enumerated tuple and
+    /// its one-step neighbours along each axis, which is where membership
+    /// changes.
+    #[test]
+    fn live_sets_match_enumerated_definition() {
+        use std::collections::BTreeSet;
+        use teil::ir::TensorKind::{Input, Output};
+        let ex = cfdlang::examples::inverse_helmholtz;
+        let kernels = [
+            ("inverse_helmholtz(3)", setup_source(&ex(3), false)),
+            (
+                "inverse_helmholtz(3) factorised",
+                setup_source(&ex(3), true),
+            ),
+            ("axpy(3)", setup_source(&cfdlang::examples::axpy(3), false)),
+        ];
+        for (name, (m, km, s)) in &kernels {
+            let lv = Liveness::analyze(m, km, s);
+            // Per array, per element: earliest write and latest read.
+            type Span = (Option<Vec<i64>>, Option<Vec<i64>>);
+            let mut spans: HashMap<ArrayId, Vec<Span>> = lv
+                .arrays
+                .iter()
+                .map(|&a| (a, vec![(None, None); km.layout.arrays[a.0].size]))
+                .collect();
+            let mut probes: BTreeSet<Vec<i64>> = BTreeSet::new();
+            let mut touch = |arr: ArrayId, addr: usize, tuple: &[i64], is_write: bool| {
+                let (w, r) = &mut spans.get_mut(&arr).unwrap()[addr];
+                if is_write && w.as_deref().is_none_or(|cur| tuple < cur) {
+                    *w = Some(tuple.to_vec());
+                }
+                if !is_write && r.as_deref().is_none_or(|cur| tuple > cur) {
+                    *r = Some(tuple.to_vec());
+                }
+                probes.insert(tuple.to_vec());
+            };
+            let address = |access: &Map, point: &[i64], size: usize| {
+                (0..size)
+                    .find(|&a| access.contains(point, &[a as i64]))
+                    .expect("every instance touches one element")
+            };
+            for (si, stmt) in km.stmts.iter().enumerate() {
+                for point in stmt.domain.points() {
+                    let instance: Vec<usize> = point.iter().map(|&v| v as usize).collect();
+                    let tuple = s.tuple_of(si, &instance);
+                    let size = |a: ArrayId| km.layout.arrays[a.0].size;
+                    let w = stmt.write_array;
+                    touch(w, address(&stmt.write, &point, size(w)), &tuple, true);
+                    for (ra, access) in &stmt.reads {
+                        touch(*ra, address(access, &point, size(*ra)), &tuple, false);
+                    }
+                }
+            }
+            for &arr in &lv.arrays {
+                for addr in 0..km.layout.arrays[arr.0].size {
+                    if holds_kind(m, km, arr, Input) {
+                        touch(arr, addr, &s.first_tuple(), true);
+                    }
+                    if holds_kind(m, km, arr, Output) {
+                        touch(arr, addr, &s.last_tuple(), false);
+                    }
+                }
+            }
+            for tuple in probes.clone() {
+                for d in 0..tuple.len() {
+                    for step in [-1, 1] {
+                        let mut x = tuple.clone();
+                        x[d] += step;
+                        probes.insert(x);
+                    }
+                }
+            }
+            for &arr in &lv.arrays {
+                let array = &km.layout.arrays[arr.0].name;
+                for x in &probes {
+                    let live = spans[&arr].iter().any(|span| match span {
+                        (Some(w), Some(r)) => w <= x && x <= r,
+                        _ => false,
+                    });
+                    assert_eq!(lv.live[&arr].contains(x), live, "{name}: {array} at {x:?}");
+                }
+            }
+        }
     }
 }

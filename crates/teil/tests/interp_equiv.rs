@@ -4,8 +4,8 @@
 //! allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use teil::interp::{Interpreter, Tensor};
 use teil::ir::TensorKind;
 use teil::Module;
@@ -13,11 +13,21 @@ use teil::Module;
 /// Counting wrapper around the system allocator.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: the tests below run on parallel
+    /// threads, so a process-wide count would see the neighbours' work.
+    /// `const` + no destructor, so the access inside `alloc` never
+    /// allocates or fails.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -114,14 +124,14 @@ fn tensor_element_access_does_not_allocate() {
     // Warm up (the closure and any lazy statics).
     let _ = t.offset(&idx);
     let _ = t.get(&idx);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut acc = 0.0;
     let mut off = 0usize;
     for _ in 0..10_000 {
         off = off.wrapping_add(t.offset(&idx));
         acc += t.get(&idx);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -142,9 +152,9 @@ fn flat_walk_inner_loop_does_not_allocate_per_element() {
         let inputs = random_inputs(&m, 42);
         let interp = Interpreter::new(&m);
         let _ = interp.run(&inputs).unwrap(); // warm-up
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let _ = interp.run(&inputs).unwrap();
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        allocations() - before
     };
     let small = count_run(3);
     let large = count_run(5);
