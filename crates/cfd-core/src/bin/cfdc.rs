@@ -119,8 +119,8 @@ fn usage() -> ! {
          round errors; or `7:transient=0.1,stall=0.05,corrupt=0.01,fail=2e-3,recover=4e-3`);\n\
          --retries/--backoff/--deadline set the recovery policy, and the report\n\
          grows completed/retried/shed/failed counts plus goodput vs offered load.\n\
-         --online serves through the event-loop reactor (bit-identical to the\n\
-         default scheduler until a policy is armed); --slo SECS closes batches\n\
+         --online marks the run as online serving and arms nothing (the schedule\n\
+         and report bytes change only when a policy is armed); --slo SECS closes batches\n\
          early when the oldest queued request's p99 budget is at risk and sheds\n\
          structurally hopeless requests, --shed DEPTH bounds the admission queue\n\
          (arrivals beyond it are load-shed), --priority TIERS serves tier 0\n\

@@ -197,14 +197,6 @@ fn service_probe(design: &sysgen::MultiSystemDesign) -> (f64, f64) {
         overlap_dma: true,
         seed: 0,
         execute: false,
-        // Score through the online event loop in its neutral FIFO mode:
-        // bit-identical to the offline scheduler by the differential
-        // tests, so the numbers are unchanged while the probe exercises
-        // the same code path `cfdc serve --online` runs.
-        online: runtime::OnlinePolicy {
-            event_loop: true,
-            ..runtime::OnlinePolicy::default()
-        },
         ..runtime::RuntimeOptions::default()
     };
     let requests = runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)

@@ -277,14 +277,13 @@ impl Dispatcher {
     }
 }
 
-/// Probe one board's full round cost: a single-request closed stream
-/// without overlap. The host-side round cost is fill-independent (the
-/// host always moves all `m` PLM sets), so one request prices the whole
-/// round; dividing by the fill capacity prices one request.
+/// Price one request on one board. The host-side round cost is
+/// fill-independent (the host always moves all `m` PLM sets), so one
+/// round divided by the fill capacity prices one request.
 fn probe_request_ticks(board: &FleetBoard, opts: &RuntimeOptions) -> u64 {
-    let probe = zynq::simulate_batch_stream(&board.design, &opts.sim, &[0], 1, false);
+    let round_ticks = zynq::program_round(&board.design, &opts.sim).total();
     let capacity = opts.batch.capacity(board.design.config.m).max(1);
-    (probe.makespan_ticks / capacity as u64).max(1)
+    (round_ticks / capacity as u64).max(1)
 }
 
 /// Run `serve` for every board with a non-empty request list, either on

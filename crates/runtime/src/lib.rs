@@ -18,11 +18,14 @@
 //!    frees, never wait for stragglers), `Fixed(K)` caps the fill at
 //!    `K`, `Disabled` serves one request per round — the sequential
 //!    reference the differential tests compare against.
-//! 3. **Time multiplexing** — [`zynq::simulate_batch_stream`] schedules
-//!    the rounds on the design in closed tick arithmetic, with
+//! 3. **Time multiplexing** — [`serve`] makes one call into the
+//!    scheduler, [`zynq::simulate_online_stream`], which places the
+//!    rounds on the design in exact tick arithmetic, with
 //!    double-buffered DMA overlapping the transfers of neighbouring
 //!    rounds when `overlap_dma` is set (and every stage keeps a spare
-//!    PLM set).
+//!    PLM set). The scheduler itself picks the closed-form clean fold
+//!    when no fault plan, deadline or online policy is armed and the
+//!    event core otherwise; nothing here selects a code path.
 //! 4. **Fault tolerance** — an armed [`zynq::FaultPlan`] injects
 //!    deterministic faults (DMA stalls, transient round errors, payload
 //!    corruption, hard board failure) into the schedule, and the
@@ -263,18 +266,19 @@ impl RecoveryPolicy {
     }
 }
 
-/// Online serving policy: whether `serve` runs the event-loop reactor
-/// ([`zynq::simulate_online_stream`]) and which policies it arms.
+/// Online serving policy: which of the scheduler's online policies
+/// ([`zynq::OnlineSpec`]) a `serve` call arms.
 ///
-/// The neutral policy on the event loop (`event_loop: true`, nothing
-/// armed) is tick- and bit-identical to the offline fold — the
-/// differential proptests at the workspace root pin the whole
-/// `ServiceReport` JSON byte for byte — so flipping the loop on is
-/// observable only through policy effects, never through numbers.
+/// Arming any of them (like arming a fault plan or a deadline) makes
+/// [`zynq::simulate_online_stream`] run its event core instead of the
+/// clean fold; that choice is the scheduler's, made from what is armed.
+/// `event_loop` arms nothing and selects nothing: a run with only that
+/// flag set is the offline run, and its report differs in
+/// [`ServiceReport::online`] alone (not part of the JSON or the table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlinePolicy {
-    /// Run the DES reactor even with no policy armed (differential
-    /// harness; also what DSE service probes use).
+    /// Mark the run as online serving (`cfdc serve --online`). Feeds
+    /// [`ServiceReport::online`]; no effect on the schedule.
     pub event_loop: bool,
     /// p99 latency budget (SLO), seconds: arms adaptive batching (close
     /// a round early when the oldest queued request's budget is at
@@ -301,14 +305,14 @@ impl Default for OnlinePolicy {
 }
 
 impl OnlinePolicy {
-    /// Whether `serve` routes through the event loop at all.
+    /// Whether the run counts as online serving
+    /// ([`ServiceReport::online`]).
     pub fn enabled(&self) -> bool {
         self.event_loop || self.armed()
     }
 
     /// Whether any policy deviates from FIFO capacity-fill. The report
-    /// emits its online section only when this holds, so a bare
-    /// `event_loop` run stays byte-identical to the offline scheduler.
+    /// emits its online section only when this holds.
     pub fn armed(&self) -> bool {
         self.slo_s.is_some() || self.shed_queue.is_some() || self.priority_tiers > 1
     }
@@ -378,8 +382,8 @@ pub struct RuntimeOptions {
     /// Retry/timeout policy applied when faults (or deadlines) are
     /// armed.
     pub recovery: RecoveryPolicy,
-    /// Online serving: event-loop routing, SLO batching, priority
-    /// tiers, backpressure shedding.
+    /// Online serving: SLO batching, priority tiers, backpressure
+    /// shedding.
     pub online: OnlinePolicy,
     /// Host-side cost constants (the `elements` field is unused — the
     /// stream works in requests, not elements).
@@ -550,10 +554,9 @@ pub struct ServiceReport {
     pub fault_plan: String,
     /// The recovery policy in force.
     pub recovery: RecoveryPolicy,
-    /// Whether the online event loop served this run.
+    /// Whether this was an online-serving run ([`OnlinePolicy::enabled`]).
     pub online: bool,
-    /// The online policy in force (reported only when armed — a bare
-    /// event-loop run stays byte-identical to the offline report).
+    /// The online policy in force (reported only when armed).
     pub online_policy: OnlinePolicy,
     /// Arrivals shed at admission by queue-depth backpressure.
     pub backpressure_shed: usize,
@@ -619,40 +622,31 @@ pub fn serve(
     let capacity = opts.batch.capacity(design.config.m);
     let overlap = opts.overlap_dma && opts.batch != BatchPolicy::Disabled;
     let spec = opts.recovery.to_spec();
-    let (fso, backpressure_shed, early_closed_rounds) = if opts.online.enabled() {
-        let tiers = if order.iter().any(|&i| requests[i].tier != 0) {
-            order.iter().map(|&i| requests[i].tier).collect()
-        } else {
-            Vec::new()
-        };
-        let online_spec = zynq::OnlineSpec {
-            slo_ticks: opts.online.slo_s.map(secs),
-            max_queue: opts.online.shed_queue,
-            tiers,
-        };
-        let oo = zynq::simulate_online_stream(
-            design,
-            &opts.sim,
-            &arrivals,
-            capacity,
-            overlap,
-            &opts.faults,
-            &spec,
-            &online_spec,
-        );
-        (oo.fault, oo.backpressure_shed, oo.early_closed_rounds)
+    let tiered = opts.online.priority_tiers > 1 && requests.iter().any(|r| r.tier != 0);
+    let tiers = if tiered {
+        order.iter().map(|&i| requests[i].tier).collect()
     } else {
-        let fso = zynq::simulate_faulty_stream(
-            design,
-            &opts.sim,
-            &arrivals,
-            capacity,
-            overlap,
-            &opts.faults,
-            &spec,
-        );
-        (fso, 0, 0)
+        Vec::new()
     };
+    let online_spec = zynq::OnlineSpec {
+        slo_ticks: opts.online.slo_s.map(secs),
+        max_queue: opts.online.shed_queue,
+        tiers,
+    };
+    let zynq::OnlineOutcome {
+        fault: fso,
+        backpressure_shed,
+        early_closed_rounds,
+    } = zynq::simulate_online_stream(
+        design,
+        &opts.sim,
+        &arrivals,
+        capacity,
+        overlap,
+        &opts.faults,
+        &spec,
+        &online_spec,
+    );
     let stream = &fso.stream;
 
     // Map the stream's arrival-order results back to request ids.

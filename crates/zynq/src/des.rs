@@ -1,11 +1,8 @@
-//! A small discrete-event simulation engine.
+//! The simulators' virtual clock.
 //!
-//! Time is kept in integer picoseconds to make event ordering exact and
-//! deterministic. Events carry an opaque payload; the driver (the system
-//! simulation in [`crate::sim`]) schedules and consumes them.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Time is kept in integer picoseconds so that event ordering, round
+//! arithmetic and replay are exact and deterministic; [`crate::sim`] and
+//! the stream scheduler compute in ticks and convert at the edges.
 
 /// Simulation time in picoseconds.
 pub type Time = u64;
@@ -20,128 +17,9 @@ pub fn to_secs(t: Time) -> f64 {
     t as f64 * 1e-12
 }
 
-/// The event queue.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Time, u64, EventSlot<E>)>>,
-    now: Time,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct EventSlot<E>(E);
-
-// Events are ordered by (time, insertion sequence); the payload never
-// participates in ordering.
-impl<E> PartialEq for EventSlot<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<E> Eq for EventSlot<E> {}
-impl<E> PartialOrd for EventSlot<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for EventSlot<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            now: 0,
-            seq: 0,
-        }
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at` (must not be in the past).
-    pub fn schedule_at(&mut self, at: Time, event: E) {
-        assert!(at >= self.now, "scheduling into the past");
-        self.heap.push(Reverse((at, self.seq, EventSlot(event))));
-        self.seq += 1;
-    }
-
-    /// Schedule `event` after a delay.
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Pop the next event, advancing time.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        let Reverse((t, _, slot)) = self.heap.pop()?;
-        self.now = t;
-        Some((t, slot.0))
-    }
-
-    /// Whether any events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_pop_in_time_order() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_at(30, "c");
-        q.schedule_at(10, "a");
-        q.schedule_at(20, "b");
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((20, "b")));
-        assert_eq!(q.pop(), Some((30, "c")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(5, 1);
-        q.schedule_at(5, 2);
-        q.schedule_at(5, 3);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn time_advances_with_pop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule_in(100, ());
-        assert_eq!(q.now(), 0);
-        q.pop();
-        assert_eq!(q.now(), 100);
-        q.schedule_in(50, ());
-        q.pop();
-        assert_eq!(q.now(), 150);
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduling into the past")]
-    fn past_scheduling_panics() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule_at(100, ());
-        q.pop();
-        q.schedule_at(50, ());
-    }
 
     #[test]
     fn secs_roundtrip() {

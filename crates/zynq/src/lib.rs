@@ -17,21 +17,25 @@
 //!   Figure 10,
 //! * [`dma`] — the host↔PLM transfer model (setup latency + bandwidth,
 //!   from the platform's [`sysgen::DmaSpec`]),
-//! * [`des`] — a small discrete-event engine,
+//! * [`des`] — the virtual clock: integer-picosecond [`des::Time`] and
+//!   its conversions,
 //! * [`sim`] — the system simulation executing the generated host
 //!   program: per main-loop round, transfer inputs for `m` elements,
 //!   broadcast start `m/k` times, collect done interrupts, transfer
 //!   outputs (Figure 7's architecture, including `k < m` batching),
-//! * [`stream`] — the multi-request batch-stream schedule: a queue of
-//!   independent invocations coalesced into hardware rounds and
-//!   time-multiplexed over one system with double-buffered DMA (the
-//!   `crates/runtime` service layer drives it),
-//! * [`online`] — the online serving event loop layered on the same
-//!   round arithmetic: admission, batch formation, DMA and completion
-//!   interleave on one virtual clock, with SLO-aware adaptive batching,
-//!   priority tiers, and backpressure shedding; bit-identical to
-//!   [`stream`] under the neutral policy,
-//! * [`fault`] — deterministic fault injection for that stream: a
+//! * [`online`] — the stream scheduler ([`simulate_online_stream`]): a
+//!   queue of independent invocations coalesced into hardware rounds
+//!   and time-multiplexed over one system with double-buffered DMA (the
+//!   `crates/runtime` service layer drives it). Selected by armed-ness:
+//!   unarmed input takes the clean fold, anything armed — fault plan,
+//!   deadline, SLO-aware adaptive batching, priority tiers,
+//!   backpressure shedding — takes the one event core, run serially or
+//!   double-buffered,
+//! * [`stream`] — the scheduler's outcome types, the batch and
+//!   fault-aware wrappers over it, and the clean fold: closed-form
+//!   round placement with the closed-tick fast-forward, which is also
+//!   the reference the event core is tested against,
+//! * [`fault`] — deterministic fault injection for the scheduler: a
 //!   seeded [`FaultPlan`] perturbs the schedule with DMA stalls,
 //!   transient round errors, payload corruption and hard board
 //!   failures, fully replayable per seed,

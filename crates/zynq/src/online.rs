@@ -1,17 +1,34 @@
-//! Online serving: a deterministic virtual-clock event loop in which
-//! admission, batch formation, DMA, and completion interleave.
+//! The stream scheduler: one entry point, a clean fold for unarmed
+//! input and one event core for everything else.
 //!
-//! [`crate::stream`] folds over a pre-generated request list: every
-//! request exists before the first round is formed, and the scheduler
-//! only ever looks at the head of the queue. This module replays the
-//! same virtual clock as a *reactor*: arrivals enter the system at
-//! their arrival tick, batch formation is a decision point that can
-//! wait, close early, reorder by priority, or refuse admission — and
-//! the whole thing stays exact integer-tick arithmetic, so a neutral
-//! policy reproduces the offline scheduler bit for bit.
+//! [`simulate_online_stream`] is the only place that validates the
+//! arrival list, clamps the capacity, prices the round and degrades
+//! overlap. It then looks at what is armed. With no fault plan, no
+//! deadline (or SLO) and the FIFO policy, no decision depends on
+//! anything but the arrival list, and the schedule is the closed-form
+//! fold in [`crate::stream`] — no per-request records, and a closed
+//! backlog fast-forwards by multiplication. Anything armed selects the
+//! **event core** below: a deterministic virtual-clock loop in which
+//! arrivals enter the wait queue at their arrival tick and batch
+//! formation is a decision point that can wait, close early, reorder by
+//! priority or refuse admission, and in which every round is walked
+//! individually so seeded faults land where the plan puts them. The core
+//! runs in one of two modes, `Serial` (`in → exec → out`, then the next
+//! round) or `DoubleBuffered` (DMA and accelerator chain as two
+//! serially reused resources). Both sides are exact integer-tick
+//! arithmetic over the same [`ProgramRound`], and a core run in which
+//! nothing fires (say, a deadline too far to matter) reproduces the
+//! fold's ticks — the differential suites at the workspace root and
+//! `tests/scheduler_golden.rs` hold them together.
 //!
-//! Policies layered on the loop (all per [`OnlineSpec`]):
+//! What the core carries:
 //!
+//! * **Faults and recovery** ([`FaultPlan`], [`RecoverySpec`]) — DMA
+//!   stalls, transient round errors, payload corruption, a board
+//!   outage; retries with capped backoff and per-request deadlines.
+//!   Outage semantics are defined on the serial schedule (a failure
+//!   tears down DMA and chain at one tick), so an armed outage runs the
+//!   core in `Serial` mode even when overlap was requested.
 //! * **SLO-aware adaptive batching** — with `slo_ticks` set, a round
 //!   below capacity waits for more arrivals while the oldest queued
 //!   request's budget still covers a full fault-free round, and closes
@@ -27,24 +44,17 @@
 //!   finds the wait queue at depth `max_queue` is shed at its own
 //!   arrival tick instead of joining (retries are already in the
 //!   system and bypass the gate).
-//!
-//! With every policy disabled (`OnlineSpec::fifo()`) and an unarmed
-//! fault plan, the serial loop terminates through the same closed-tick
-//! fast-forward as [`crate::stream::simulate_batch_stream`] and both
-//! loops produce tick- and bit-identical [`StreamOutcome`]s — enforced
-//! by differential proptests at the workspace root.
 
 use crate::des::Time;
 use crate::fault::{FaultPlan, RecoverySpec};
 use crate::sim::{program_round, ProgramRound, SimConfig};
 use crate::stream::{
-    drain_faulty, intervals_intersection, shed_expired, FaultAcc, FaultStreamOutcome, Pend,
+    intervals_intersection, stream_overlapped, stream_serial, FaultStreamOutcome, StreamOutcome,
     StreamStatus,
 };
-use std::collections::VecDeque;
 use sysgen::MultiSystemDesign;
 
-/// Serving policy for the online event loop.
+/// Online serving policy for the scheduler.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OnlineSpec {
     /// Per-request latency budget (p99 SLO) in ticks; also arms the
@@ -78,7 +88,7 @@ impl OnlineSpec {
     }
 }
 
-/// [`FaultStreamOutcome`] plus the online loop's policy counters.
+/// [`FaultStreamOutcome`] plus the online policy counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineOutcome {
     pub fault: FaultStreamOutcome,
@@ -89,13 +99,16 @@ pub struct OnlineOutcome {
     pub early_closed_rounds: usize,
 }
 
-/// Serve `arrivals` (sorted arrival ticks) through the online event
-/// loop under `plan`, `rec`, and the online policy `spec`.
+/// Serve `arrivals` (sorted arrival ticks) on `design` under `plan`,
+/// `rec` and the online policy `spec` — the scheduler every serving
+/// path goes through.
 ///
+/// `capacity` is clamped to `[1, m]`; `overlap` degrades to the serial
+/// schedule unless every stage keeps a spare PLM set (`m >= 2·k_i`).
 /// The effective per-request deadline is the tighter of `rec`'s
-/// deadline and the SLO budget. Like [`crate::simulate_faulty_stream`],
-/// an armed outage degrades double buffering to the serial loop (an
-/// outage tears down DMA and chain at one tick).
+/// deadline and the SLO budget. With nothing armed the outcome is the
+/// clean fold's, every request completed on its first attempt;
+/// otherwise the event core runs, serially under an armed outage.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_online_stream(
     design: &MultiSystemDesign,
@@ -118,102 +131,230 @@ pub fn simulate_online_stream(
     let capacity = capacity.clamp(1, design.config.m);
     let round = program_round(design, cfg);
     let overlap = overlap && design.config.ks.iter().all(|&k| design.config.m >= 2 * k);
-    let rec_eff = RecoverySpec {
-        deadline_ticks: match (spec.slo_ticks, rec.deadline_ticks) {
-            (Some(s), Some(d)) => Some(s.min(d)),
-            (Some(s), None) => Some(s),
-            (None, d) => d,
-        },
+    let rec = RecoverySpec {
+        deadline_ticks: spec.slo_ticks.into_iter().chain(rec.deadline_ticks).min(),
         ..*rec
     };
-    if overlap && plan.outage.is_none() {
-        online_overlapped(arrivals, capacity, &round, plan, &rec_eff, spec)
-    } else {
-        online_serial(arrivals, capacity, &round, plan, &rec_eff, spec)
-    }
-}
-
-/// Arrival/admission state shared by both loops: the not-yet-admitted
-/// arrival stream (only populated when backpressure is armed) and the
-/// policy counters.
-struct Reactor<'a> {
-    spec: &'a OnlineSpec,
-    incoming: VecDeque<Pend>,
-    backpressure_shed: usize,
-    early_closed_rounds: usize,
-}
-
-impl<'a> Reactor<'a> {
-    /// Split the arrival stream: without a queue bound every request
-    /// sits in the wait queue from the start (exactly the offline
-    /// fold's view); with one, arrivals are events that admission
-    /// processes at each decision point.
-    fn new(arrivals: &[Time], spec: &'a OnlineSpec) -> (Reactor<'a>, Vec<Pend>) {
-        let mk = |(pos, &a): (usize, &Time)| Pend {
-            pos,
-            arrival: a,
-            eligible: a,
-            attempts: 0,
-            failures: 0,
-        };
-        let (pending, incoming) = if spec.max_queue.is_some() {
-            (Vec::new(), arrivals.iter().enumerate().map(mk).collect())
+    if !plan.armed() && rec.deadline_ticks.is_none() && !spec.armed() {
+        let stream = if overlap {
+            stream_overlapped(arrivals, capacity, &round)
         } else {
-            (
-                arrivals.iter().enumerate().map(mk).collect(),
-                VecDeque::new(),
-            )
+            stream_serial(arrivals, capacity, &round)
         };
-        let st = Reactor {
-            spec,
-            incoming,
+        return OnlineOutcome {
+            fault: FaultStreamOutcome::clean(stream),
             backpressure_shed: 0,
             early_closed_rounds: 0,
         };
-        (st, pending)
+    }
+    let mode = if overlap && plan.outage.is_none() {
+        Mode::DoubleBuffered
+    } else {
+        Mode::Serial
+    };
+    event_core(arrivals, capacity, &round, plan, &rec, spec, mode)
+}
+
+/// How the event core shares the DMA engine between rounds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// A round's outputs drain right after it executes, and the next
+    /// round loads only after that.
+    Serial,
+    /// Round `r+1`'s inputs load and round `r-1`'s outputs drain while
+    /// round `r` computes.
+    DoubleBuffered,
+}
+
+/// A request in the wait queue or in flight.
+#[derive(Debug)]
+struct Pend {
+    /// Arrival-order position (the request's identity in fault draws).
+    pos: usize,
+    arrival: Time,
+    /// Earliest tick the request may join a round (arrival, then
+    /// retry-backoff or outage-recovery times).
+    eligible: Time,
+    attempts: u32,
+    failures: u32,
+}
+
+/// Per-request resolution arrays + aggregate counters.
+struct FaultAcc {
+    admitted: Vec<Time>,
+    completion: Vec<Time>,
+    resolved: Vec<Time>,
+    statuses: Vec<StreamStatus>,
+    attempts: Vec<u32>,
+    fills: Vec<usize>,
+    exec_ticks: u64,
+    transfer_ticks: u64,
+    makespan: Time,
+    dma_stalls: usize,
+    transient_faults: usize,
+    corrupt_payloads: usize,
+    outage_requeues: usize,
+}
+
+impl FaultAcc {
+    fn new(n: usize) -> FaultAcc {
+        FaultAcc {
+            admitted: vec![0; n],
+            completion: vec![0; n],
+            resolved: vec![0; n],
+            statuses: vec![StreamStatus::Completed; n],
+            attempts: vec![0; n],
+            fills: Vec::new(),
+            exec_ticks: 0,
+            transfer_ticks: 0,
+            makespan: 0,
+            dma_stalls: 0,
+            transient_faults: 0,
+            corrupt_payloads: 0,
+            outage_requeues: 0,
+        }
     }
 
+    /// Record a request's terminal state.
+    fn resolve(&mut self, p: &Pend, status: StreamStatus, at: Time) {
+        self.statuses[p.pos] = status;
+        self.attempts[p.pos] = p.attempts;
+        self.resolved[p.pos] = at;
+        self.completion[p.pos] = at;
+        self.makespan = self.makespan.max(at);
+    }
+
+    /// A failed attempt (lost round or corrupted payload) noticed at
+    /// `at`: back into the wait queue after its backoff, or `Failed`
+    /// once the retry allowance is spent. Returns whether it requeued.
+    fn retry(
+        &mut self,
+        mut p: Pend,
+        at: Time,
+        rec: &RecoverySpec,
+        pending: &mut Vec<Pend>,
+    ) -> bool {
+        p.failures += 1;
+        if p.failures > rec.max_retries {
+            self.resolve(&p, StreamStatus::Failed, at);
+            return false;
+        }
+        p.eligible = at + rec.backoff_after(p.failures);
+        pending.push(p);
+        true
+    }
+
+    fn finish(self, overlapped_ticks: u64, double_buffered: bool) -> FaultStreamOutcome {
+        FaultStreamOutcome {
+            stream: StreamOutcome {
+                admitted_ticks: self.admitted,
+                completion_ticks: self.completion,
+                round_fills: self.fills,
+                exec_ticks: self.exec_ticks,
+                transfer_ticks: self.transfer_ticks,
+                overlapped_ticks,
+                makespan_ticks: self.makespan,
+                fast_forwarded_rounds: 0,
+                double_buffered,
+            },
+            statuses: self.statuses,
+            attempts: self.attempts,
+            resolved_ticks: self.resolved,
+            dma_stalls: self.dma_stalls,
+            transient_faults: self.transient_faults,
+            corrupt_payloads: self.corrupt_payloads,
+            outage_requeues: self.outage_requeues,
+        }
+    }
+}
+
+/// Time out every eligible request whose latency budget cannot cover
+/// even a fault-free round starting at `start`. Returns true if any
+/// request was shed (the caller re-derives its round start).
+fn shed_expired(
+    pending: &mut Vec<Pend>,
+    acc: &mut FaultAcc,
+    rec: &RecoverySpec,
+    start: Time,
+    clean_latency: u64,
+) -> bool {
+    let Some(d) = rec.deadline_ticks else {
+        return false;
+    };
+    let before = pending.len();
+    pending.retain(|p| {
+        let expired = p.eligible <= start && p.arrival.saturating_add(d) < start + clean_latency;
+        if expired {
+            acc.resolve(p, StreamStatus::TimedOut, start);
+        }
+        !expired
+    });
+    pending.len() < before
+}
+
+/// Arrival/admission state: arrivals are events. A request joins the
+/// wait queue when a decision point reaches its arrival tick, so the
+/// queue holds arrived-but-unserved work only.
+struct Reactor<'a> {
+    spec: &'a OnlineSpec,
+    arrivals: &'a [Time],
+    /// Position of the first arrival not yet admitted.
+    next: usize,
+    backpressure_shed: usize,
+}
+
+impl Reactor<'_> {
     fn next_arrival(&self) -> Option<Time> {
-        self.incoming.front().map(|p| p.arrival)
+        self.arrivals.get(self.next).copied()
+    }
+
+    /// The next tick at which the wait queue can change by itself: a
+    /// queued request turning eligible or a new arrival.
+    fn next_event(&self, pending: &[Pend]) -> Option<Time> {
+        pending
+            .iter()
+            .map(|p| p.eligible)
+            .chain(self.next_arrival())
+            .min()
+    }
+
+    fn take_arrival(&mut self, arrival: Time) -> Pend {
+        self.next += 1;
+        Pend {
+            pos: self.next - 1,
+            arrival,
+            eligible: arrival,
+            attempts: 0,
+            failures: 0,
+        }
     }
 
     /// Admit every arrival up to `t` into the wait queue, shedding the
-    /// ones that find it full (at their own arrival tick).
+    /// ones that find a bounded queue full (at their own arrival tick).
+    /// `pending` stays in position order: whatever it holds arrived
+    /// before anything still to come.
     fn admit(&mut self, pending: &mut Vec<Pend>, acc: &mut FaultAcc, t: Time) {
-        let Some(q) = self.spec.max_queue else {
-            return;
-        };
-        let mut joined = false;
-        while self.incoming.front().is_some_and(|p| p.arrival <= t) {
-            let p = self.incoming.pop_front().unwrap();
-            if pending.len() >= q {
-                acc.resolve(&p, StreamStatus::Shed, p.arrival);
+        while let Some(a) = self.next_arrival().filter(|&a| a <= t) {
+            let p = self.take_arrival(a);
+            if self.spec.max_queue.is_some_and(|q| pending.len() >= q) {
+                acc.resolve(&p, StreamStatus::Shed, a);
                 self.backpressure_shed += 1;
             } else {
                 pending.push(p);
-                joined = true;
             }
-        }
-        if joined {
-            // Retries already in the queue keep their arrival priority.
-            pending.sort_by_key(|p| p.pos);
         }
     }
 
     /// Drop every unadmitted arrival (the board died with no recovery).
+    /// Under a queue bound these count as refused at the gate, each at
+    /// its own arrival tick if that is later; an unbounded queue had
+    /// already accepted them, so they shed with the queue at `at`.
     fn shed_incoming(&mut self, acc: &mut FaultAcc, at: Time) {
-        while let Some(p) = self.incoming.pop_front() {
-            let t = at.max(p.arrival);
-            acc.resolve(&p, StreamStatus::Shed, t);
-            self.backpressure_shed += 1;
-        }
-    }
-
-    fn finish(self, acc: FaultAcc, overlapped_ticks: u64, double_buffered: bool) -> OnlineOutcome {
-        OnlineOutcome {
-            fault: acc.finish(overlapped_ticks, double_buffered),
-            backpressure_shed: self.backpressure_shed,
-            early_closed_rounds: self.early_closed_rounds,
+        let bounded = self.spec.max_queue.is_some();
+        while let Some(a) = self.next_arrival() {
+            let p = self.take_arrival(a);
+            acc.resolve(&p, StreamStatus::Shed, if bounded { at.max(a) } else { at });
+            self.backpressure_shed += bounded as usize;
         }
     }
 }
@@ -288,37 +429,107 @@ fn select_fill(pending: &[Pend], spec: &OnlineSpec, start: Time, capacity: usize
     fill
 }
 
-/// The serial event loop. With every policy neutral and no faults it
-/// terminates through the same closed-tick fast-forward as the offline
-/// serial scheduler and is bit-identical to it.
-fn online_serial(
+/// Drain one finished round's outputs: checksum each payload, resolve
+/// the clean ones, requeue (or fail) the corrupted ones.
+#[allow(clippy::too_many_arguments)]
+fn drain(
+    ready: Time,
+    ents: Vec<Pend>,
+    round: &ProgramRound,
+    plan: &FaultPlan,
+    rec: &RecoverySpec,
+    acc: &mut FaultAcc,
+    pending: &mut Vec<Pend>,
+    dma_free: &mut Time,
+    dma_iv: &mut Vec<(Time, Time)>,
+) {
+    let out_start = ready.max(*dma_free);
+    let out_done = out_start + round.t_out;
+    *dma_free = out_done;
+    acc.transfer_ticks += round.t_out;
+    dma_iv.push((out_start, out_done));
+    acc.makespan = acc.makespan.max(out_done);
+    let mut requeued = false;
+    for p in ents {
+        if plan.corrupts(p.pos as u64, p.attempts) {
+            acc.corrupt_payloads += 1;
+            requeued |= acc.retry(p, out_done, rec, pending);
+        } else {
+            let status = match rec.deadline_ticks {
+                Some(d) if out_done > p.arrival.saturating_add(d) => StreamStatus::TimedOut,
+                _ => StreamStatus::Completed,
+            };
+            acc.resolve(&p, status, out_done);
+        }
+    }
+    if requeued {
+        // Requeued work keeps its original admission priority.
+        pending.sort_by_key(|p| p.pos);
+    }
+}
+
+/// The event core: one round-dispatch loop for every armed
+/// configuration. The DMA engine and the accelerator chain are two
+/// serially reused resources; each iteration is a decision point at
+/// which the core drains a finished round, idles, or forms and
+/// dispatches the next one. `rec` carries the effective deadline.
+fn event_core(
     arrivals: &[Time],
     capacity: usize,
     round: &ProgramRound,
     plan: &FaultPlan,
     rec: &RecoverySpec,
     spec: &OnlineSpec,
+    mode: Mode,
 ) -> OnlineOutcome {
-    let n = arrivals.len();
+    let serial = mode == Mode::Serial;
     let exec = round.exec();
     let rt = round.total();
-    let mut acc = FaultAcc::new(n);
-    let (mut st, mut pending) = Reactor::new(arrivals, spec);
-    let collapse_allowed = !plan.armed()
-        && rec.deadline_ticks.is_none()
-        && spec.max_queue.is_none()
-        && !spec.has_tiers();
-    let mut fast_forwarded = 0usize;
-    let mut now: Time = 0;
+    let mut acc = FaultAcc::new(arrivals.len());
+    let mut st = Reactor {
+        spec,
+        arrivals,
+        next: 0,
+        backpressure_shed: 0,
+    };
+    let mut early_closed_rounds = 0usize;
+    let mut pending: Vec<Pend> = Vec::new();
+    // Busy intervals of the two resources, for the overlap accounting.
+    let mut dma_iv: Vec<(Time, Time)> = Vec::new();
+    let mut chain_iv: Vec<(Time, Time)> = Vec::new();
+    let mut dma_free: Time = 0;
+    let mut chain_free: Time = 0;
+    // The round whose outputs still wait to drain: (exec_done, its
+    // requests).
+    let mut pending_out: Option<(Time, Vec<Pend>)> = None;
     let mut round_idx: u64 = 0;
-    while !pending.is_empty() || !st.incoming.is_empty() {
-        let t_min = pending
-            .iter()
-            .map(|p| p.eligible)
-            .chain(st.next_arrival())
-            .min()
-            .unwrap();
-        let mut start = now.max(t_min);
+    // No decision is taken before this tick: set while the batcher or an
+    // all-ineligible queue idles, overtaken by the next dispatch.
+    let mut floor: Time = 0;
+    loop {
+        let t_min = st.next_event(&pending).map(|t| t.max(floor));
+        // Drain the finished round first when the schedule is serial,
+        // when nothing is left to load, or (sparse queue) when the drain
+        // fits before the next load could even start. It may requeue
+        // corrupted requests, so re-derive afterwards.
+        if let Some((ready, ents)) = pending_out.take_if(|(ready, _)| {
+            serial || t_min.is_none_or(|t| (*ready).max(dma_free) + round.t_out <= t)
+        }) {
+            drain(
+                ready,
+                ents,
+                round,
+                plan,
+                rec,
+                &mut acc,
+                &mut pending,
+                &mut dma_free,
+                &mut dma_iv,
+            );
+            continue;
+        }
+        let Some(t_min) = t_min else { break };
+        let mut start = dma_free.max(t_min);
         // Admission pauses while the board is down; without recovery the
         // rest of the queue (admitted or not) sheds at the failure tick.
         if let Some(o) = plan.outage {
@@ -327,7 +538,7 @@ fn online_serial(
                     Some(r) if start < r => start = r,
                     Some(_) => {}
                     None => {
-                        let at = now.max(o.fail_at);
+                        let at = dma_free.max(floor).max(o.fail_at);
                         for p in std::mem::take(&mut pending) {
                             acc.resolve(&p, StreamStatus::Shed, at);
                         }
@@ -347,155 +558,70 @@ fn online_serial(
             continue;
         }
         // Backpressure can shed the very arrival that set `t_min`; idle
-        // until something in the queue becomes eligible.
+        // until the next queue eligibility or arrival.
         if pending.iter().all(|p| p.eligible > start) {
-            now = pending.iter().map(|p| p.eligible).min().unwrap();
+            floor = st.next_event(&pending).expect("pending is not empty");
             continue;
         }
-        // Once every remaining request is in the queue and eligible, the
-        // neutral policy's tail is the offline fast-forward, untouched.
-        if collapse_allowed && pending.last().is_some_and(|p| p.arrival <= start) {
-            let rounds = pending.len().div_ceil(capacity);
-            for (b, chunk) in pending.chunks(capacity).enumerate() {
-                acc.fills.push(chunk.len());
-                let adm = start + b as u64 * rt;
-                for p in chunk {
-                    acc.admitted[p.pos] = adm;
-                    let mut done = p.clone();
-                    done.attempts = 1;
-                    acc.resolve(&done, StreamStatus::Completed, adm + rt);
-                }
-            }
-            acc.exec_ticks += rounds as u64 * exec;
-            acc.transfer_ticks += rounds as u64 * (round.t_in + round.t_out);
-            fast_forwarded = rounds;
-            break;
-        }
-        match slo_gate(&pending, st.next_arrival(), start, capacity, rt, spec) {
+        let early = match slo_gate(&pending, st.next_arrival(), start, capacity, rt, spec) {
             Gate::Wait(t) => {
-                now = t;
+                floor = t;
                 continue;
             }
-            Gate::Dispatch { early } => {
-                let fill = select_fill(&pending, spec, start, capacity);
-                round_idx += 1;
-                let stalled = plan.dma_stalls(round_idx);
-                let t_in = if stalled {
-                    acc.dma_stalls += 1;
-                    2 * round.t_in
-                } else {
-                    round.t_in
-                };
-                let in_done = start + t_in;
-                let exec_done = in_done + exec;
-                let out_done = exec_done + round.t_out;
-                // Hard failure mid-round: in-flight work is lost at the
-                // failure tick; the aborted round bills nothing and does
-                // not consume an attempt.
-                if let Some(o) = plan.outage {
-                    if o.fail_at > start && o.fail_at <= out_done {
-                        acc.outage_requeues += fill.len();
-                        for &j in &fill {
-                            pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
-                        }
-                        now = o.fail_at;
-                        acc.makespan = acc.makespan.max(now);
-                        continue;
-                    }
-                }
+            Gate::Dispatch { early } => early,
+        };
+        let fill = select_fill(&pending, spec, start, capacity);
+        round_idx += 1;
+        let t_in = if plan.dma_stalls(round_idx) {
+            acc.dma_stalls += 1;
+            2 * round.t_in
+        } else {
+            round.t_in
+        };
+        let in_done = start + t_in;
+        let exec_start = in_done.max(chain_free);
+        let exec_done = exec_start + exec;
+        // Hard failure mid-round (serial: the round would have drained at
+        // `exec_done + t_out`): in-flight work is lost at the failure
+        // tick. The aborted round bills nothing (its timers died with
+        // the board) and does not consume an attempt — the requeue waits
+        // for recovery.
+        if let Some(o) = plan.outage {
+            if o.fail_at > start && o.fail_at <= exec_done + round.t_out {
+                acc.outage_requeues += fill.len();
                 for &j in &fill {
-                    let p = &mut pending[j];
-                    p.attempts += 1;
-                    acc.admitted[p.pos] = start;
+                    pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
                 }
-                acc.fills.push(fill.len());
-                if early {
-                    st.early_closed_rounds += 1;
-                }
-                if plan.round_fails(round_idx) {
-                    acc.transient_faults += 1;
-                    acc.exec_ticks += exec;
-                    acc.transfer_ticks += t_in;
-                    now = exec_done;
-                    acc.makespan = acc.makespan.max(now);
-                    for &j in fill.iter().rev() {
-                        pending[j].failures += 1;
-                        if pending[j].failures > rec.max_retries {
-                            let p = pending.remove(j);
-                            acc.resolve(&p, StreamStatus::Failed, exec_done);
-                        } else {
-                            let f = pending[j].failures;
-                            pending[j].eligible = exec_done + rec.backoff_after(f);
-                        }
-                    }
-                    continue;
-                }
-                acc.exec_ticks += exec;
-                acc.transfer_ticks += t_in + round.t_out;
-                now = out_done;
-                acc.makespan = acc.makespan.max(now);
-                for &j in fill.iter().rev() {
-                    let p = &mut pending[j];
-                    if plan.corrupts(p.pos as u64, p.attempts) {
-                        acc.corrupt_payloads += 1;
-                        p.failures += 1;
-                        if p.failures > rec.max_retries {
-                            let p = pending.remove(j);
-                            acc.resolve(&p, StreamStatus::Failed, out_done);
-                        } else {
-                            let f = p.failures;
-                            pending[j].eligible = out_done + rec.backoff_after(f);
-                        }
-                    } else {
-                        let status = match rec.deadline_ticks {
-                            Some(d) if out_done > p.arrival.saturating_add(d) => {
-                                StreamStatus::TimedOut
-                            }
-                            _ => StreamStatus::Completed,
-                        };
-                        let p = pending.remove(j);
-                        acc.resolve(&p, status, out_done);
-                    }
-                }
+                dma_free = o.fail_at;
+                acc.makespan = acc.makespan.max(o.fail_at);
+                continue;
             }
         }
-    }
-    let mut out = st.finish(acc, 0, false);
-    out.fault.stream.fast_forwarded_rounds = fast_forwarded;
-    out
-}
-
-/// The double-buffered event loop (no outage — see
-/// [`simulate_online_stream`]). With every policy neutral it is
-/// bit-identical to the offline overlapped scheduler.
-fn online_overlapped(
-    arrivals: &[Time],
-    capacity: usize,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-    spec: &OnlineSpec,
-) -> OnlineOutcome {
-    let n = arrivals.len();
-    let exec = round.exec();
-    let rt = round.total();
-    let mut acc = FaultAcc::new(n);
-    let (mut st, mut pending) = Reactor::new(arrivals, spec);
-    let mut dma_iv: Vec<(Time, Time)> = Vec::new();
-    let mut chain_iv: Vec<(Time, Time)> = Vec::new();
-    let mut dma_free: Time = 0;
-    let mut chain_free: Time = 0;
-    let mut pending_out: Option<(Time, Vec<Pend>)> = None;
-    let mut round_idx: u64 = 0;
-    // While the SLO batcher idles, the decision point is pinned forward
-    // of every already-known event; reset at each dispatch.
-    let mut wait_floor: Time = 0;
-    while !pending.is_empty() || pending_out.is_some() || !st.incoming.is_empty() {
-        if pending.is_empty() && st.incoming.is_empty() {
-            let (ready, ents) = pending_out.take().unwrap();
-            drain_faulty(
+        // Pull the round's requests out of the queue.
+        let mut ents: Vec<Pend> = Vec::with_capacity(fill.len());
+        for &j in fill.iter().rev() {
+            ents.push(pending.remove(j));
+        }
+        ents.reverse();
+        for p in &mut ents {
+            p.attempts += 1;
+            acc.admitted[p.pos] = start;
+        }
+        acc.fills.push(ents.len());
+        early_closed_rounds += early as usize;
+        // A serial schedule keeps the DMA engine out of the execution.
+        dma_free = if serial { exec_done } else { in_done };
+        chain_free = exec_done;
+        acc.transfer_ticks += t_in;
+        acc.exec_ticks += exec;
+        dma_iv.push((start, in_done));
+        chain_iv.push((exec_start, exec_done));
+        acc.makespan = acc.makespan.max(exec_done);
+        // Drain the previous round's outputs while this one executes.
+        if let Some((ready, prev)) = pending_out.take() {
+            drain(
                 ready,
-                ents,
+                prev,
                 round,
                 plan,
                 rec,
@@ -504,128 +630,28 @@ fn online_overlapped(
                 &mut dma_free,
                 &mut dma_iv,
             );
-            continue;
         }
-        let t_min = pending
-            .iter()
-            .map(|p| p.eligible)
-            .chain(st.next_arrival())
-            .min()
-            .unwrap()
-            .max(wait_floor);
-        // Sparse queue: drain a finished round if it fits before the
-        // next load could even start.
-        if let Some((ready, _)) = &pending_out {
-            let out_start = (*ready).max(dma_free);
-            if out_start + round.t_out <= t_min {
-                let (ready, ents) = pending_out.take().unwrap();
-                drain_faulty(
-                    ready,
-                    ents,
-                    round,
-                    plan,
-                    rec,
-                    &mut acc,
-                    &mut pending,
-                    &mut dma_free,
-                    &mut dma_iv,
-                );
-                continue;
+        if plan.round_fails(round_idx) {
+            // Transient error: the round aborts at the error interrupt
+            // (end of execution); outputs never drain, payloads lost.
+            acc.transient_faults += 1;
+            let mut requeued = false;
+            for p in ents {
+                requeued |= acc.retry(p, exec_done, rec, &mut pending);
             }
-        }
-        let load_at = dma_free.max(t_min);
-        st.admit(&mut pending, &mut acc, load_at);
-        if pending.is_empty() {
-            continue;
-        }
-        if shed_expired(&mut pending, &mut acc, rec, load_at, rt) {
-            continue;
-        }
-        // Backpressure can shed the arrival that set `t_min`; idle until
-        // the next queue eligibility or arrival.
-        if pending.iter().all(|p| p.eligible > load_at) {
-            let nxt = pending.iter().map(|p| p.eligible).min().unwrap();
-            wait_floor = st.next_arrival().map_or(nxt, |a| nxt.min(a));
-            continue;
-        }
-        match slo_gate(&pending, st.next_arrival(), load_at, capacity, rt, spec) {
-            Gate::Wait(t) => {
-                wait_floor = t;
-                continue;
+            if requeued {
+                pending.sort_by_key(|p| p.pos);
             }
-            Gate::Dispatch { early } => {
-                let fill = select_fill(&pending, spec, load_at, capacity);
-                let mut ents: Vec<Pend> = Vec::with_capacity(fill.len());
-                for &j in fill.iter().rev() {
-                    ents.push(pending.remove(j));
-                }
-                ents.reverse();
-                wait_floor = 0;
-                round_idx += 1;
-                let stalled = plan.dma_stalls(round_idx);
-                let t_in = if stalled {
-                    acc.dma_stalls += 1;
-                    2 * round.t_in
-                } else {
-                    round.t_in
-                };
-                let in_done = load_at + t_in;
-                dma_free = in_done;
-                acc.transfer_ticks += t_in;
-                dma_iv.push((load_at, in_done));
-                for p in &mut ents {
-                    p.attempts += 1;
-                    acc.admitted[p.pos] = load_at;
-                }
-                acc.fills.push(ents.len());
-                if early {
-                    st.early_closed_rounds += 1;
-                }
-                let exec_start = in_done.max(chain_free);
-                let exec_done = exec_start + exec;
-                chain_free = exec_done;
-                acc.exec_ticks += exec;
-                chain_iv.push((exec_start, exec_done));
-                acc.makespan = acc.makespan.max(exec_done);
-                // Drain the previous round's outputs while this one
-                // executes.
-                if let Some((ready, prev)) = pending_out.take() {
-                    drain_faulty(
-                        ready,
-                        prev,
-                        round,
-                        plan,
-                        rec,
-                        &mut acc,
-                        &mut pending,
-                        &mut dma_free,
-                        &mut dma_iv,
-                    );
-                }
-                if plan.round_fails(round_idx) {
-                    acc.transient_faults += 1;
-                    let mut requeued = false;
-                    for mut p in ents {
-                        p.failures += 1;
-                        if p.failures > rec.max_retries {
-                            acc.resolve(&p, StreamStatus::Failed, exec_done);
-                        } else {
-                            p.eligible = exec_done + rec.backoff_after(p.failures);
-                            pending.push(p);
-                            requeued = true;
-                        }
-                    }
-                    if requeued {
-                        pending.sort_by_key(|p| p.pos);
-                    }
-                } else {
-                    pending_out = Some((exec_done, ents));
-                }
-            }
+        } else {
+            pending_out = Some((exec_done, ents));
         }
     }
     let overlapped = intervals_intersection(&dma_iv, &chain_iv);
-    st.finish(acc, overlapped, true)
+    OnlineOutcome {
+        fault: acc.finish(overlapped, !serial),
+        backpressure_shed: st.backpressure_shed,
+        early_closed_rounds,
+    }
 }
 
 #[cfg(test)]
@@ -633,7 +659,6 @@ mod tests {
     use super::*;
     use crate::des::secs;
     use crate::fault::Outage;
-    use crate::stream::{simulate_batch_stream, simulate_faulty_stream};
     use sysgen::Platform;
 
     fn design() -> MultiSystemDesign {
@@ -681,63 +706,6 @@ mod tests {
         // Deterministic "bursty" arrivals: pairs arrive together, pairs
         // separated by `gap`.
         (0..n).map(|i| (i as Time / 2) * gap).collect()
-    }
-
-    #[test]
-    fn neutral_fifo_is_bit_identical_to_the_offline_scheduler() {
-        let d = design();
-        let cfg = SimConfig::default();
-        let arrivals = poisson_like(24, secs(0.0004));
-        for overlap in [false, true] {
-            for capacity in [1, 3, d.config.m] {
-                let offline = simulate_batch_stream(&d, &cfg, &arrivals, capacity, overlap);
-                let online = simulate_online_stream(
-                    &d,
-                    &cfg,
-                    &arrivals,
-                    capacity,
-                    overlap,
-                    &FaultPlan::none(),
-                    &RecoverySpec::default(),
-                    &OnlineSpec::fifo(),
-                );
-                assert_eq!(online.fault.stream, offline);
-                assert_eq!(online.backpressure_shed, 0);
-                assert_eq!(online.early_closed_rounds, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn neutral_fifo_matches_the_fault_loops_under_an_armed_plan() {
-        let d = design();
-        let cfg = SimConfig::default();
-        let arrivals = poisson_like(20, secs(0.0003));
-        let plans = [
-            FaultPlan::transient(7, 0.2),
-            FaultPlan::parse("11:transient=0.15,stall=0.3,corrupt=0.1").unwrap(),
-            FaultPlan::parse("3:fail=0.002,recover=0.004").unwrap(),
-        ];
-        let rec = RecoverySpec {
-            backoff_ticks: secs(0.0001),
-            ..RecoverySpec::default()
-        };
-        for plan in &plans {
-            for overlap in [false, true] {
-                let offline = simulate_faulty_stream(&d, &cfg, &arrivals, 4, overlap, plan, &rec);
-                let online = simulate_online_stream(
-                    &d,
-                    &cfg,
-                    &arrivals,
-                    4,
-                    overlap,
-                    plan,
-                    &rec,
-                    &OnlineSpec::fifo(),
-                );
-                assert_eq!(online.fault, offline, "plan {}", plan.label());
-            }
-        }
     }
 
     #[test]
@@ -902,6 +870,44 @@ mod tests {
             .filter(|s| **s == StreamStatus::Completed)
             .count();
         assert_eq!(completed, 2);
+    }
+
+    #[test]
+    fn arrivals_refused_by_a_full_queue_shed_at_their_own_tick_before_a_fatal_outage() {
+        // Round 1 always fails and its two requests sit out a long
+        // backoff, filling the bounded queue. The arrivals that follow
+        // are refused while nothing is eligible, and the board dies
+        // before the first retry: the refusals keep their own arrival
+        // ticks, whichever mode the outage leaves the core in.
+        let d = design();
+        let cfg = SimConfig::default();
+        let rt = program_round(&d, &cfg).total();
+        let arrivals = vec![0, 0, rt + rt / 4, rt + rt / 2, 2 * rt, 3 * rt];
+        let fail_at = 5 * rt / 2;
+        let plan = FaultPlan {
+            outage: Some(Outage {
+                fail_at,
+                recover_at: None,
+            }),
+            ..FaultPlan::transient(1, 1.0)
+        };
+        let rec = RecoverySpec {
+            backoff_ticks: 4 * rt,
+            ..RecoverySpec::default()
+        };
+        let spec = OnlineSpec {
+            max_queue: Some(2),
+            ..OnlineSpec::fifo()
+        };
+        for overlap in [false, true] {
+            let out = simulate_online_stream(&d, &cfg, &arrivals, 2, overlap, &plan, &rec, &spec);
+            assert!(out.fault.statuses.iter().all(|s| *s == StreamStatus::Shed));
+            assert_eq!(out.backpressure_shed, 4);
+            assert_eq!(out.fault.resolved_ticks[2..], arrivals[2..]);
+            // The queued retries go when the scheduler next looks: at the
+            // first arrival after the failure.
+            assert_eq!(out.fault.resolved_ticks[..2], [3 * rt, 3 * rt]);
+        }
     }
 
     #[test]

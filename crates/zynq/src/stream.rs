@@ -1,31 +1,39 @@
-//! Multi-request batch-stream simulation: one compiled accelerator
-//! system serving a queue of independent simulation requests.
+//! Multi-request batch streams: one compiled accelerator system
+//! serving a queue of independent simulation requests.
 //!
 //! [`crate::sim::simulate_program`] answers "how long does *one* job of
 //! `Ne` elements take"; a production service instead sees a stream of
 //! independent invocations of the same compiled system, each with its
-//! own input tensors. This module time-multiplexes the hardware across
+//! own input tensors. The scheduler time-multiplexes the hardware across
 //! that stream: requests are coalesced into hardware rounds (up to
 //! `capacity` requests share the `m` PLM sets of one round), rounds
 //! execute back to back, and with `overlap` set the single DMA engine
 //! double-buffers — the input transfer of round `i+1` and the output
 //! drain of round `i-1` run while round `i` computes.
 //!
-//! Round costs come from [`crate::sim::program_round`], the same
-//! closed-form tick arithmetic `simulate_program` uses, so:
+//! There is one scheduler, [`crate::online::simulate_online_stream`],
+//! with two sides selected by whether anything is armed. This module
+//! holds the outcome types, the two narrower public entry points (thin
+//! wrappers over the scheduler) and the unarmed side, the **clean
+//! fold**: with no fault plan, no deadline and no online policy every
+//! round costs the same [`crate::sim::program_round`] ticks and admission
+//! is greedy FIFO, which makes the schedule a fold over the arrival list:
 //!
 //! * with `capacity = 1` and `overlap = false` (batching disabled) the
 //!   stream is **tick-identical** to running `simulate_program` once per
 //!   request back to back, and
-//! * as in the serial simulator, nothing inside a round needs an event
-//!   queue — each round is closed tick arithmetic, and once every
-//!   remaining request has arrived the tail of the schedule collapses
-//!   into a single multiplication (**closed-tick fast-forward**; see
-//!   [`StreamOutcome::fast_forwarded_rounds`]).
+//! * nothing needs an event queue or a per-request record, and once
+//!   every remaining request has arrived the tail of the serial schedule
+//!   collapses into a single multiplication (**closed-tick
+//!   fast-forward**; see [`StreamOutcome::fast_forwarded_rounds`]).
+//!
+//! The armed side, the event core, lives in [`crate::online`]; the
+//! clean fold is also the reference it is tested against.
 
 use crate::des::Time;
 use crate::fault::{FaultPlan, RecoverySpec};
-use crate::sim::{program_round, ProgramRound, SimConfig};
+use crate::online::{simulate_online_stream, OnlineSpec};
+use crate::sim::{ProgramRound, SimConfig};
 use sysgen::MultiSystemDesign;
 
 /// Timing outcome of serving a request stream on one system.
@@ -75,7 +83,8 @@ impl StreamOutcome {
     }
 }
 
-/// Serve `arrivals` (sorted request-arrival ticks) on `design`.
+/// Serve `arrivals` (sorted request-arrival ticks) on `design`, fault
+/// free and FIFO: the scheduler with nothing armed.
 ///
 /// `capacity` is the batch policy's fill limit per hardware round,
 /// clamped to `[1, m]`; admission is greedy — a round takes every
@@ -95,28 +104,18 @@ pub fn simulate_batch_stream(
     capacity: usize,
     overlap: bool,
 ) -> StreamOutcome {
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrivals must be sorted"
-    );
-    let capacity = capacity.clamp(1, design.config.m);
-    let round = program_round(design, cfg);
-    let overlap = overlap && design.config.ks.iter().all(|&k| design.config.m >= 2 * k);
-    if overlap {
-        stream_overlapped(arrivals, capacity, &round)
-    } else {
-        stream_serial(arrivals, capacity, &round)
-    }
+    let (plan, rec) = (FaultPlan::none(), RecoverySpec::default());
+    simulate_faulty_stream(design, cfg, arrivals, capacity, overlap, &plan, &rec).stream
 }
 
 /// The serial schedule: rounds execute strictly one after another
 /// (`in → exec → out`), the hardware idling only when the queue is
 /// empty. Once the last request has arrived, the remaining rounds are
 /// identical and fast-forward by multiplication.
-fn stream_serial(
+pub(crate) fn stream_serial(
     arrivals: &[Time],
     capacity: usize,
-    round: &crate::sim::ProgramRound,
+    round: &ProgramRound,
 ) -> StreamOutcome {
     let n = arrivals.len();
     let rt = round.total();
@@ -186,10 +185,10 @@ fn stream_serial(
 /// are two serially reused resources. Round `r+1`'s inputs load and
 /// round `r-1`'s outputs drain while round `r` computes; a request
 /// completes when its round's outputs have drained.
-fn stream_overlapped(
+pub(crate) fn stream_overlapped(
     arrivals: &[Time],
     capacity: usize,
-    round: &crate::sim::ProgramRound,
+    round: &ProgramRound,
 ) -> StreamOutcome {
     let n = arrivals.len();
     let exec = round.exec();
@@ -326,7 +325,7 @@ pub struct FaultStreamOutcome {
 impl FaultStreamOutcome {
     /// Wrap a fault-free [`StreamOutcome`]: every request completed on
     /// its first attempt.
-    fn clean(stream: StreamOutcome) -> FaultStreamOutcome {
+    pub(crate) fn clean(stream: StreamOutcome) -> FaultStreamOutcome {
         let n = stream.completion_ticks.len();
         FaultStreamOutcome {
             statuses: vec![StreamStatus::Completed; n],
@@ -341,20 +340,15 @@ impl FaultStreamOutcome {
     }
 }
 
-/// Serve `arrivals` under a [`FaultPlan`] and [`RecoverySpec`].
+/// Serve `arrivals` under a [`FaultPlan`] and [`RecoverySpec`] with the
+/// FIFO online policy.
 ///
-/// With an unarmed plan and no deadline this runs *the same code* as
-/// [`simulate_batch_stream`] — fast-forward included — so the fault-free
-/// configuration is tick- and bit-identical to the plain stream by
-/// construction. An armed plan (or a deadline) switches to the
-/// fault-aware round loop, which walks every round individually: the
-/// closed-tick fast-forward is bypassed, because a fault inside a
-/// collapsed backlog would otherwise be skipped silently.
-///
-/// Board-outage semantics are defined on the serial round loop (a
-/// failure tears down DMA and chain at one tick), so an armed outage
-/// degrades double buffering to the serial schedule; the other fault
-/// classes keep the overlapped scheduler.
+/// With an unarmed plan and no deadline the scheduler selects the clean
+/// fold — fast-forward included — so the fault-free configuration is
+/// tick- and bit-identical to [`simulate_batch_stream`] by construction.
+/// An armed plan (or a deadline) selects the event core, which walks
+/// every round individually: a fault inside a collapsed backlog would
+/// otherwise be skipped silently.
 pub fn simulate_faulty_stream(
     design: &MultiSystemDesign,
     cfg: &SimConfig,
@@ -364,479 +358,8 @@ pub fn simulate_faulty_stream(
     plan: &FaultPlan,
     rec: &RecoverySpec,
 ) -> FaultStreamOutcome {
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrivals must be sorted"
-    );
-    let capacity = capacity.clamp(1, design.config.m);
-    let round = program_round(design, cfg);
-    let overlap = overlap && design.config.ks.iter().all(|&k| design.config.m >= 2 * k);
-    if !plan.armed() && rec.deadline_ticks.is_none() {
-        let stream = if overlap {
-            stream_overlapped(arrivals, capacity, &round)
-        } else {
-            stream_serial(arrivals, capacity, &round)
-        };
-        return FaultStreamOutcome::clean(stream);
-    }
-    if overlap && plan.outage.is_none() {
-        stream_faulty_overlapped(arrivals, capacity, &round, plan, rec)
-    } else {
-        stream_faulty_serial(arrivals, capacity, &round, plan, rec)
-    }
-}
-
-/// A request still waiting (or retrying) in the fault-aware scheduler.
-#[derive(Debug, Clone)]
-pub(crate) struct Pend {
-    /// Arrival-order position (the request's identity in fault draws).
-    pub(crate) pos: usize,
-    pub(crate) arrival: Time,
-    /// Earliest tick the request may join a round (arrival, then
-    /// retry-backoff or outage-recovery times).
-    pub(crate) eligible: Time,
-    pub(crate) attempts: u32,
-    pub(crate) failures: u32,
-}
-
-/// Per-request resolution arrays + aggregate counters shared by both
-/// fault-aware loops.
-pub(crate) struct FaultAcc {
-    pub(crate) admitted: Vec<Time>,
-    pub(crate) completion: Vec<Time>,
-    pub(crate) resolved: Vec<Time>,
-    pub(crate) statuses: Vec<StreamStatus>,
-    pub(crate) attempts: Vec<u32>,
-    pub(crate) fills: Vec<usize>,
-    pub(crate) exec_ticks: u64,
-    pub(crate) transfer_ticks: u64,
-    pub(crate) makespan: Time,
-    pub(crate) dma_stalls: usize,
-    pub(crate) transient_faults: usize,
-    pub(crate) corrupt_payloads: usize,
-    pub(crate) outage_requeues: usize,
-}
-
-impl FaultAcc {
-    pub(crate) fn new(n: usize) -> FaultAcc {
-        FaultAcc {
-            admitted: vec![0; n],
-            completion: vec![0; n],
-            resolved: vec![0; n],
-            statuses: vec![StreamStatus::Completed; n],
-            attempts: vec![0; n],
-            fills: Vec::new(),
-            exec_ticks: 0,
-            transfer_ticks: 0,
-            makespan: 0,
-            dma_stalls: 0,
-            transient_faults: 0,
-            corrupt_payloads: 0,
-            outage_requeues: 0,
-        }
-    }
-
-    /// Record a request's terminal state.
-    pub(crate) fn resolve(&mut self, p: &Pend, status: StreamStatus, at: Time) {
-        self.statuses[p.pos] = status;
-        self.attempts[p.pos] = p.attempts;
-        self.resolved[p.pos] = at;
-        self.completion[p.pos] = at;
-        self.makespan = self.makespan.max(at);
-    }
-
-    pub(crate) fn finish(self, overlapped_ticks: u64, double_buffered: bool) -> FaultStreamOutcome {
-        FaultStreamOutcome {
-            stream: StreamOutcome {
-                admitted_ticks: self.admitted,
-                completion_ticks: self.completion,
-                round_fills: self.fills,
-                exec_ticks: self.exec_ticks,
-                transfer_ticks: self.transfer_ticks,
-                overlapped_ticks,
-                makespan_ticks: self.makespan,
-                fast_forwarded_rounds: 0,
-                double_buffered,
-            },
-            statuses: self.statuses,
-            attempts: self.attempts,
-            resolved_ticks: self.resolved,
-            dma_stalls: self.dma_stalls,
-            transient_faults: self.transient_faults,
-            corrupt_payloads: self.corrupt_payloads,
-            outage_requeues: self.outage_requeues,
-        }
-    }
-}
-
-/// Time out every eligible request whose latency budget cannot cover
-/// even a fault-free round starting at `start`. Returns true if any
-/// request was shed (the caller re-derives its round start).
-pub(crate) fn shed_expired(
-    pending: &mut Vec<Pend>,
-    acc: &mut FaultAcc,
-    rec: &RecoverySpec,
-    start: Time,
-    clean_latency: u64,
-) -> bool {
-    let Some(d) = rec.deadline_ticks else {
-        return false;
-    };
-    let mut timed_out = false;
-    // retain() can't reach `acc`, so collect then remove.
-    let expired: Vec<usize> = pending
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.eligible <= start && p.arrival.saturating_add(d) < start + clean_latency)
-        .map(|(j, _)| j)
-        .collect();
-    for &j in expired.iter().rev() {
-        let p = pending.remove(j);
-        acc.resolve(&p, StreamStatus::TimedOut, start);
-        timed_out = true;
-    }
-    timed_out
-}
-
-/// The serial fault-aware loop: rounds strictly one after another, every
-/// round walked individually (no fast-forward), faults drawn from the
-/// plan, failed work requeued under the recovery spec.
-fn stream_faulty_serial(
-    arrivals: &[Time],
-    capacity: usize,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-) -> FaultStreamOutcome {
-    let n = arrivals.len();
-    let exec = round.exec();
-    let rt = round.total();
-    let mut acc = FaultAcc::new(n);
-    let mut pending: Vec<Pend> = arrivals
-        .iter()
-        .enumerate()
-        .map(|(pos, &a)| Pend {
-            pos,
-            arrival: a,
-            eligible: a,
-            attempts: 0,
-            failures: 0,
-        })
-        .collect();
-    let mut now: Time = 0;
-    let mut round_idx: u64 = 0;
-    while !pending.is_empty() {
-        let t_min = pending.iter().map(|p| p.eligible).min().unwrap();
-        let mut start = now.max(t_min);
-        // Admission pauses while the board is down; without recovery the
-        // rest of the queue sheds at the failure tick.
-        if let Some(o) = plan.outage {
-            if start >= o.fail_at {
-                match o.recover_at {
-                    Some(r) if start < r => start = r,
-                    Some(_) => {}
-                    None => {
-                        let at = now.max(o.fail_at);
-                        for p in std::mem::take(&mut pending) {
-                            acc.resolve(&p, StreamStatus::Shed, at);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        if shed_expired(&mut pending, &mut acc, rec, start, rt) {
-            continue;
-        }
-        // Admit up to `capacity` eligible requests, stable arrival
-        // order (requeued work keeps its original priority).
-        let fill: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.eligible <= start)
-            .map(|(j, _)| j)
-            .take(capacity)
-            .collect();
-        round_idx += 1;
-        let stalled = plan.dma_stalls(round_idx);
-        let t_in = if stalled {
-            acc.dma_stalls += 1;
-            2 * round.t_in
-        } else {
-            round.t_in
-        };
-        let in_done = start + t_in;
-        let exec_done = in_done + exec;
-        let out_done = exec_done + round.t_out;
-        // Hard failure mid-round: in-flight work is lost at the failure
-        // tick. The aborted round bills nothing (its timers died with
-        // the board) and does not consume an attempt — the requeue waits
-        // for recovery.
-        if let Some(o) = plan.outage {
-            if o.fail_at > start && o.fail_at <= out_done {
-                acc.outage_requeues += fill.len();
-                for &j in &fill {
-                    pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
-                }
-                now = o.fail_at;
-                acc.makespan = acc.makespan.max(now);
-                continue;
-            }
-        }
-        for &j in &fill {
-            let p = &mut pending[j];
-            p.attempts += 1;
-            acc.admitted[p.pos] = start;
-        }
-        acc.fills.push(fill.len());
-        if plan.round_fails(round_idx) {
-            // Transient error: the round aborts at the error interrupt
-            // (end of execution); outputs never drain, payloads lost.
-            acc.transient_faults += 1;
-            acc.exec_ticks += exec;
-            acc.transfer_ticks += t_in;
-            now = exec_done;
-            acc.makespan = acc.makespan.max(now);
-            for &j in fill.iter().rev() {
-                pending[j].failures += 1;
-                if pending[j].failures > rec.max_retries {
-                    let p = pending.remove(j);
-                    acc.resolve(&p, StreamStatus::Failed, exec_done);
-                } else {
-                    let f = pending[j].failures;
-                    pending[j].eligible = exec_done + rec.backoff_after(f);
-                }
-            }
-            continue;
-        }
-        // Round completes: outputs drain and checksums verify. A
-        // corrupted payload retries alone; everyone else resolves.
-        acc.exec_ticks += exec;
-        acc.transfer_ticks += t_in + round.t_out;
-        now = out_done;
-        acc.makespan = acc.makespan.max(now);
-        for &j in fill.iter().rev() {
-            let p = &mut pending[j];
-            if plan.corrupts(p.pos as u64, p.attempts) {
-                acc.corrupt_payloads += 1;
-                p.failures += 1;
-                if p.failures > rec.max_retries {
-                    let p = pending.remove(j);
-                    acc.resolve(&p, StreamStatus::Failed, out_done);
-                } else {
-                    let f = p.failures;
-                    pending[j].eligible = out_done + rec.backoff_after(f);
-                }
-            } else {
-                let status = match rec.deadline_ticks {
-                    Some(d) if out_done > p.arrival.saturating_add(d) => StreamStatus::TimedOut,
-                    _ => StreamStatus::Completed,
-                };
-                let p = pending.remove(j);
-                acc.resolve(&p, status, out_done);
-            }
-        }
-    }
-    acc.finish(0, false)
-}
-
-/// Drain one finished round's outputs in the overlapped fault loop:
-/// checksum each payload, resolve the clean ones, requeue (or fail) the
-/// corrupted ones.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drain_faulty(
-    ready: Time,
-    ents: Vec<Pend>,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-    acc: &mut FaultAcc,
-    pending: &mut Vec<Pend>,
-    dma_free: &mut Time,
-    dma_iv: &mut Vec<(Time, Time)>,
-) {
-    let out_start = ready.max(*dma_free);
-    let out_done = out_start + round.t_out;
-    *dma_free = out_done;
-    acc.transfer_ticks += round.t_out;
-    dma_iv.push((out_start, out_done));
-    acc.makespan = acc.makespan.max(out_done);
-    let mut requeued = false;
-    for mut p in ents {
-        if plan.corrupts(p.pos as u64, p.attempts) {
-            acc.corrupt_payloads += 1;
-            p.failures += 1;
-            if p.failures > rec.max_retries {
-                acc.resolve(&p, StreamStatus::Failed, out_done);
-            } else {
-                p.eligible = out_done + rec.backoff_after(p.failures);
-                pending.push(p);
-                requeued = true;
-            }
-        } else {
-            let status = match rec.deadline_ticks {
-                Some(d) if out_done > p.arrival.saturating_add(d) => StreamStatus::TimedOut,
-                _ => StreamStatus::Completed,
-            };
-            acc.resolve(&p, status, out_done);
-        }
-    }
-    if requeued {
-        // Requeued work keeps its original admission priority.
-        pending.sort_by_key(|p| p.pos);
-    }
-}
-
-/// The double-buffered fault-aware loop (no outage — see
-/// [`simulate_faulty_stream`]): DMA and chain as two serially reused
-/// resources, with transient errors suppressing a round's drain and
-/// corrupted payloads retrying after theirs.
-fn stream_faulty_overlapped(
-    arrivals: &[Time],
-    capacity: usize,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-) -> FaultStreamOutcome {
-    let n = arrivals.len();
-    let exec = round.exec();
-    let rt = round.total();
-    let mut acc = FaultAcc::new(n);
-    let mut pending: Vec<Pend> = arrivals
-        .iter()
-        .enumerate()
-        .map(|(pos, &a)| Pend {
-            pos,
-            arrival: a,
-            eligible: a,
-            attempts: 0,
-            failures: 0,
-        })
-        .collect();
-    let mut dma_iv: Vec<(Time, Time)> = Vec::new();
-    let mut chain_iv: Vec<(Time, Time)> = Vec::new();
-    let mut dma_free: Time = 0;
-    let mut chain_free: Time = 0;
-    // The round whose outputs still wait to drain: (exec_done, its
-    // requests).
-    let mut pending_out: Option<(Time, Vec<Pend>)> = None;
-    let mut round_idx: u64 = 0;
-    while !pending.is_empty() || pending_out.is_some() {
-        if pending.is_empty() {
-            let (ready, ents) = pending_out.take().unwrap();
-            drain_faulty(
-                ready,
-                ents,
-                round,
-                plan,
-                rec,
-                &mut acc,
-                &mut pending,
-                &mut dma_free,
-                &mut dma_iv,
-            );
-            continue;
-        }
-        let t_min = pending.iter().map(|p| p.eligible).min().unwrap();
-        // Sparse queue: drain a finished round if it fits before the
-        // next load could even start (the drain may requeue corrupted
-        // requests, so re-derive afterwards).
-        if let Some((ready, _)) = &pending_out {
-            let out_start = (*ready).max(dma_free);
-            if out_start + round.t_out <= t_min {
-                let (ready, ents) = pending_out.take().unwrap();
-                drain_faulty(
-                    ready,
-                    ents,
-                    round,
-                    plan,
-                    rec,
-                    &mut acc,
-                    &mut pending,
-                    &mut dma_free,
-                    &mut dma_iv,
-                );
-                continue;
-            }
-        }
-        let load_at = dma_free.max(t_min);
-        if shed_expired(&mut pending, &mut acc, rec, load_at, rt) {
-            continue;
-        }
-        // Admit and pull the round's requests out of the queue.
-        let fill: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.eligible <= load_at)
-            .map(|(j, _)| j)
-            .take(capacity)
-            .collect();
-        let mut ents: Vec<Pend> = Vec::with_capacity(fill.len());
-        for &j in fill.iter().rev() {
-            ents.push(pending.remove(j));
-        }
-        ents.reverse();
-        round_idx += 1;
-        let stalled = plan.dma_stalls(round_idx);
-        let t_in = if stalled {
-            acc.dma_stalls += 1;
-            2 * round.t_in
-        } else {
-            round.t_in
-        };
-        let in_done = load_at + t_in;
-        dma_free = in_done;
-        acc.transfer_ticks += t_in;
-        dma_iv.push((load_at, in_done));
-        for p in &mut ents {
-            p.attempts += 1;
-            acc.admitted[p.pos] = load_at;
-        }
-        acc.fills.push(ents.len());
-        let exec_start = in_done.max(chain_free);
-        let exec_done = exec_start + exec;
-        chain_free = exec_done;
-        acc.exec_ticks += exec;
-        chain_iv.push((exec_start, exec_done));
-        acc.makespan = acc.makespan.max(exec_done);
-        // Drain the previous round's outputs while this one executes.
-        if let Some((ready, prev)) = pending_out.take() {
-            drain_faulty(
-                ready,
-                prev,
-                round,
-                plan,
-                rec,
-                &mut acc,
-                &mut pending,
-                &mut dma_free,
-                &mut dma_iv,
-            );
-        }
-        if plan.round_fails(round_idx) {
-            // Transient error at the end of execution: no drain, the
-            // round's payloads are lost.
-            acc.transient_faults += 1;
-            let mut requeued = false;
-            for mut p in ents {
-                p.failures += 1;
-                if p.failures > rec.max_retries {
-                    acc.resolve(&p, StreamStatus::Failed, exec_done);
-                } else {
-                    p.eligible = exec_done + rec.backoff_after(p.failures);
-                    pending.push(p);
-                    requeued = true;
-                }
-            }
-            if requeued {
-                pending.sort_by_key(|p| p.pos);
-            }
-        } else {
-            pending_out = Some((exec_done, ents));
-        }
-    }
-    let overlapped = intervals_intersection(&dma_iv, &chain_iv);
-    acc.finish(overlapped, true)
+    let fifo = OnlineSpec::fifo();
+    simulate_online_stream(design, cfg, arrivals, capacity, overlap, plan, rec, &fifo).fault
 }
 
 /// Total intersection of two interval lists, each sorted by start and
@@ -864,7 +387,7 @@ pub(crate) fn intervals_intersection(a: &[(Time, Time)], b: &[(Time, Time)]) -> 
 mod tests {
     use super::*;
     use crate::des::secs;
-    use crate::sim::simulate_program;
+    use crate::sim::{program_round, simulate_program};
     use sysgen::Platform;
 
     fn design(ks: Vec<usize>, m: usize, latencies: &[u64]) -> MultiSystemDesign {
@@ -1008,31 +531,6 @@ mod tests {
         let a = simulate_batch_stream(&d, &cfg, &[0; 8], 64, false);
         let b = simulate_batch_stream(&d, &cfg, &[0; 8], 4, false);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn unarmed_plan_with_default_recovery_is_the_clean_scheduler() {
-        // The fault-free configuration runs the very same scheduler
-        // code: the whole StreamOutcome (fast-forward counter included)
-        // must be equal, under both schedules.
-        let d = design(vec![2, 2], 4, &[200_000, 200_000]);
-        let cfg = SimConfig::default();
-        for overlap in [false, true] {
-            let clean = simulate_batch_stream(&d, &cfg, &[0; 16], 4, overlap);
-            let f = simulate_faulty_stream(
-                &d,
-                &cfg,
-                &[0; 16],
-                4,
-                overlap,
-                &FaultPlan::none(),
-                &RecoverySpec::default(),
-            );
-            assert_eq!(f.stream, clean);
-            assert!(f.statuses.iter().all(|&s| s == StreamStatus::Completed));
-            assert!(f.attempts.iter().all(|&a| a == 1));
-            assert_eq!(f.resolved_ticks, clean.completion_ticks);
-        }
     }
 
     #[test]
