@@ -24,5 +24,5 @@ pub mod ir;
 
 pub use build::{build_kernel, CodegenOptions};
 pub use emit::{emit_c99, emit_c99_as};
-pub use exec::{run_kernel, ExecCounts};
+pub use exec::{kernel_counts, run_kernel, ExecCounts};
 pub use ir::{AffineAddr, ArrAccess, CExpr, CKernel, CParam, CStmt, ParamRole};

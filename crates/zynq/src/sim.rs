@@ -430,12 +430,7 @@ pub fn sw_hls_code(
     model: &crate::ArmCostModel,
     elements: usize,
 ) -> Result<SwResult, String> {
-    let mut mem = std::collections::HashMap::new();
-    for p in &kernel.params {
-        mem.insert(p.name.clone(), vec![0.0f64; p.words]);
-    }
-    let counts = cgen::run_kernel(kernel, &mut mem)?;
-    let per = model.time_hls_code(&counts);
+    let per = model.time_hls_code(&cgen::kernel_counts(kernel)?);
     Ok(SwResult {
         per_element_s: per,
         total_s: per * elements as f64,

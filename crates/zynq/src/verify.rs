@@ -101,9 +101,6 @@ pub fn run_program_chain(
     let mut out: HashMap<String, Vec<f64>> = HashMap::new();
     for ((name, module), kernel) in names.iter().zip(modules).zip(kernels) {
         let mut mem: HashMap<String, Vec<f64>> = HashMap::new();
-        for p in &kernel.params {
-            mem.insert(p.name.clone(), vec![0.0; p.words]);
-        }
         for id in module.of_kind(TensorKind::Input) {
             let n = module.name(id);
             let data = if let Some(v) = produced.get(n) {
@@ -116,13 +113,17 @@ pub fn run_program_chain(
             };
             mem.insert(n.to_string(), data);
         }
+        for p in &kernel.params {
+            if !mem.contains_key(&p.name) {
+                mem.insert(p.name.clone(), vec![0.0; p.words]);
+            }
+        }
         cgen::run_kernel(kernel, &mut mem)?;
         for id in module.of_kind(TensorKind::Output) {
             let n = module.name(id);
             let v = mem
-                .get(n)
-                .ok_or_else(|| format!("output '{n}' missing in kernel '{name}'"))?
-                .clone();
+                .remove(n)
+                .ok_or_else(|| format!("output '{n}' missing in kernel '{name}'"))?;
             out.insert(format!("{name}.{n}"), v.clone());
             produced.insert(n.to_string(), v);
         }
