@@ -35,9 +35,11 @@
 //! assert_eq!(engine.pipeline().counters().middle_end, 1);
 //! ```
 
+use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use runtime::json::{fields_len, push_fields, row_end, Val};
 use sysgen::{Platform, SystemConfig};
 use teil::TensorKind;
 use zynq::SimConfig;
@@ -300,77 +302,122 @@ impl DseReport {
         s
     }
 
-    /// Serialize the report as JSON (hand-rolled: the dependency set has
-    /// no serde_json).
+    /// Serialize the report as JSON through the `runtime::json` writer,
+    /// into one buffer reserved up front.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"evaluated\": {},\n", self.evaluated));
-        s.push_str(&format!("  \"feasible\": {},\n", self.feasible));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"elements\": {},\n", self.elements));
-        s.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
-        s.push_str(&format!(
-            "  \"shared_stages\": {{\"frontend_s\": {:.6}, \"middle_end_s\": {:.6}, \"schedule_s\": {:.6}}},\n",
-            self.shared.frontend_s, self.shared.middle_end_s, self.shared.schedule_s
-        ));
-        s.push_str(&format!(
-            "  \"stage_invocations\": {{\"frontend\": {}, \"middle_end\": {}, \"schedule\": {}, \"backend\": {}, \"system\": {}}},\n",
+        let rows = self.outcomes.iter().map(|o| o.sweep_row(row_len));
+        let mut out = String::with_capacity(HEADER_BYTES + rows.sum::<usize>());
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Append the document, trailing newline included, to `out`. The
+    /// outcome loop does not allocate.
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        write!(
+            out,
+            "{{\n  \"evaluated\": {},\n  \"feasible\": {},\n  \"jobs\": {},\n  \"elements\": {},\n  \
+             \"wall_s\": {:.6},\n  \
+             \"shared_stages\": {{\"frontend_s\": {:.6}, \"middle_end_s\": {:.6}, \"schedule_s\": {:.6}}},\n  \
+             \"stage_invocations\": {{\"frontend\": {}, \"middle_end\": {}, \"schedule\": {}, \"backend\": {}, \"system\": {}}},\n  \
+             \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}, \"compile_s\": {:.6}}},\n",
+            self.evaluated,
+            self.feasible,
+            self.jobs,
+            self.elements,
+            self.wall_s,
+            self.shared.frontend_s,
+            self.shared.middle_end_s,
+            self.shared.schedule_s,
             self.counts.frontend,
             self.counts.middle_end,
             self.counts.schedule,
             self.counts.backend,
-            self.counts.system
-        ));
-        s.push_str(&format!(
-            "  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}, \"compile_s\": {:.6}}},\n",
-            self.backend_compiles, self.backend_reuses, self.backend_s
-        ));
-        s.push_str(&format!(
-            "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
-            self.cache.hits,
-            self.cache.disk_hits,
-            self.cache.misses,
-            self.cache.stores,
-            self.cache.invalidations
-        ));
-        s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
-        s.push_str(&format!(
-            "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n",
+            self.counts.system,
+            self.backend_compiles,
+            self.backend_reuses,
+            self.backend_s,
+        )?;
+        write_caches(out, &self.cache, &self.oracle)?;
+        write!(
+            out,
+            "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n  \"outcomes\": [\n",
             self.eval_total_s, self.eval_mean_s, self.eval_max_s
-        ));
-        s.push_str("  \"outcomes\": [\n");
+        )?;
         for (i, o) in self.outcomes.iter().enumerate() {
-            let p = &o.point;
-            s.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"k\": {}, \"m\": {}, \"sharing\": {}, \"decoupled\": {}, \"partition\": {}, \
-                 \"feasible\": {}, \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \
-                 \"plm_brams\": {}, \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
-                 \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"eval_s\": {:.6}}}{}\n",
-                runtime::json_escape(&o.kernel),
-                p.k,
-                p.m,
-                p.sharing,
-                p.decoupled,
-                p.partition,
-                o.feasible,
-                o.luts,
-                o.ffs,
-                o.dsps,
-                o.brams,
-                o.plm_brams,
-                o.latency_cycles,
-                o.total_s,
-                o.throughput_eps,
-                o.service_rps,
-                o.service_p99_s,
-                o.eval_s,
-                if i + 1 == self.outcomes.len() { "" } else { "," },
-            ));
+            o.sweep_row(|parts| parts.iter().for_each(|part| push_fields(out, part)));
+            out.push_str(row_end(i, self.outcomes.len()));
         }
-        s.push_str("  ]\n}\n");
-        s
+        out.push_str("  ]\n}\n");
+        Ok(())
     }
+}
+
+/// Allowance for a DSE report's header: about 1 KB of literals and up
+/// to 30 numbers.
+const HEADER_BYTES: usize = 2_048;
+
+/// The `compile_cache` and `polyhedra` header lines of both reports.
+fn write_caches(
+    out: &mut String,
+    cache: &CacheCounters,
+    oracle: &polyhedra::OracleCounters,
+) -> fmt::Result {
+    write!(
+        out,
+        "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n  \"polyhedra\": {},\n",
+        cache.hits,
+        cache.disk_hits,
+        cache.misses,
+        cache.stores,
+        cache.invalidations,
+        oracle.json()
+    )
+}
+
+type Field<'a> = (&'static str, Val<'a>);
+
+impl DseOutcome {
+    /// `"k"` through `"service_p99_s"`, behind the kernel name's closing
+    /// quote: the fields a sweep row and a portfolio row share.
+    fn json_fields(&self) -> [Field<'_>; 16] {
+        let p = &self.point;
+        [
+            ("\", \"k\": ", Val::Int(p.k as u64)),
+            (", \"m\": ", Val::Int(p.m as u64)),
+            (", \"sharing\": ", Val::Flag(p.sharing)),
+            (", \"decoupled\": ", Val::Flag(p.decoupled)),
+            (", \"partition\": ", Val::Int(p.partition.into())),
+            (", \"feasible\": ", Val::Flag(self.feasible)),
+            (", \"luts\": ", Val::Int(self.luts as u64)),
+            (", \"ffs\": ", Val::Int(self.ffs as u64)),
+            (", \"dsps\": ", Val::Int(self.dsps as u64)),
+            (", \"brams\": ", Val::Int(self.brams as u64)),
+            (", \"plm_brams\": ", Val::Int(self.plm_brams as u64)),
+            (", \"latency_cycles\": ", Val::Int(self.latency_cycles)),
+            (", \"total_s\": ", Val::Fixed(self.total_s, 6)),
+            (", \"throughput_eps\": ", Val::Fixed(self.throughput_eps, 3)),
+            (", \"service_rps\": ", Val::Fixed(self.service_rps, 3)),
+            (", \"service_p99_s\": ", Val::Fixed(self.service_p99_s, 6)),
+        ]
+    }
+
+    /// A sweep row: the kernel name, the shared fields, the point's
+    /// evaluation time.
+    fn sweep_row<R>(&self, visit: impl FnOnce(&[&[Field<'_>]]) -> R) -> R {
+        visit(&[
+            &[("    {\"kernel\": \"", Val::Str(&self.kernel))],
+            &self.json_fields(),
+            &[(", \"eval_s\": ", Val::Fixed(self.eval_s, 6))],
+        ])
+    }
+}
+
+/// Upper bound on the bytes of a row made of `parts`, closed by
+/// [`row_end`].
+fn row_len(parts: &[&[Field<'_>]]) -> usize {
+    parts.iter().map(|part| fields_len(part)).sum::<usize>() + "},\n".len()
 }
 
 /// The exploration engine: source is compiled through the scheduling
@@ -1387,142 +1434,159 @@ impl PortfolioReport {
         s
     }
 
-    /// Serialize as JSON (hand-rolled: the dependency set has no
-    /// serde_json).
+    /// Serialize as JSON through the `runtime::json` writer, into one
+    /// buffer reserved up front: every row's own bound plus the header
+    /// allowance.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"evaluated\": {},\n", self.evaluated));
-        s.push_str(&format!("  \"feasible\": {},\n", self.feasible));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"elements\": {},\n", self.elements));
-        s.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
-        s.push_str(&format!(
-            "  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}}},\n",
-            self.backend_compiles, self.backend_reuses
-        ));
-        s.push_str(&format!(
-            "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
-            self.cache.hits,
-            self.cache.disk_hits,
-            self.cache.misses,
-            self.cache.stores,
-            self.cache.invalidations
-        ));
-        s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
-        s.push_str("  \"platforms\": [\n");
-        for (i, p) in self.summaries.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"board\": \"{}\", \"evaluated\": {}, \
-                 \"feasible\": {}, \"pareto_points\": {}, \"best_total_s\": {}}}{}\n",
-                runtime::json_escape(&p.platform),
-                runtime::json_escape(&p.board),
-                p.evaluated,
-                p.feasible,
-                p.pareto_points,
-                match p.best_total_s {
-                    Some(t) => format!("{t:.6}"),
-                    None => "null".to_string(),
-                },
-                if i + 1 == self.summaries.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        let frontier = self.pareto_frontier();
-        s.push_str("  \"pareto_frontier\": [\n");
-        for (i, o) in frontier.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
-                 \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \"utilization\": {:.4}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                p.k,
-                p.m,
-                o.outcome.total_s,
-                o.outcome.throughput_eps,
-                o.utilization,
-                if i + 1 == frontier.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n");
-        let service = self.service_frontier();
-        s.push_str("  \"service_frontier\": [\n");
-        for (i, o) in service.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
-                 \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"utilization\": {:.4}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                p.k,
-                p.m,
-                o.outcome.service_rps,
-                o.outcome.service_p99_s,
-                o.utilization,
-                if i + 1 == service.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n");
         let cost = self.cost_frontier();
-        s.push_str("  \"cost_frontier\": [\n");
-        for (i, (o, per_kluts)) in cost.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
-                 \"luts\": {}, \"service_rps\": {:.3}, \"rps_per_kluts\": {:.4}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                p.k,
-                p.m,
-                o.outcome.luts,
-                o.outcome.service_rps,
-                per_kluts,
-                if i + 1 == cost.len() { "" } else { "," },
-            ));
+        let platforms = self.summaries.iter().map(|p| row_len(&[&p.json_fields()]));
+        let pareto = self.outcomes.iter().filter(|o| o.pareto);
+        let service = self.outcomes.iter().filter(|o| o.service_pareto);
+        let frontiers = (pareto.map(|o| o.pareto_fields()))
+            .chain(service.map(|o| o.service_fields()))
+            .chain(cost.iter().map(|&(o, per_kluts)| o.cost_fields(per_kluts)))
+            .map(|fields| row_len(&[&fields]));
+        let rows = self.outcomes.iter().map(|o| o.portfolio_row(row_len));
+        let bytes = platforms.sum::<usize>() + frontiers.sum::<usize>() + rows.sum::<usize>();
+        let mut out = String::with_capacity(HEADER_BYTES + bytes);
+        self.write_json(&mut out, &cost)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Append the document, trailing newline included, to `out`. The
+    /// row loops do not allocate.
+    fn write_json(&self, out: &mut String, cost: &[(&PortfolioOutcome, f64)]) -> fmt::Result {
+        write!(
+            out,
+            "{{\n  \"evaluated\": {},\n  \"feasible\": {},\n  \"jobs\": {},\n  \"elements\": {},\n  \
+             \"wall_s\": {:.6},\n  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}}},\n",
+            self.evaluated,
+            self.feasible,
+            self.jobs,
+            self.elements,
+            self.wall_s,
+            self.backend_compiles,
+            self.backend_reuses
+        )?;
+        write_caches(out, &self.cache, &self.oracle)?;
+        out.push_str("  \"platforms\": [\n");
+        for (i, p) in self.summaries.iter().enumerate() {
+            push_fields(out, &p.json_fields());
+            out.push_str(row_end(i, self.summaries.len()));
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"outcomes\": [\n");
+        let pareto = self.outcomes.iter().filter(|o| o.pareto);
+        write_frontier(out, "pareto_frontier", pareto.map(|o| o.pareto_fields()));
+        let service = self.outcomes.iter().filter(|o| o.service_pareto);
+        write_frontier(out, "service_frontier", service.map(|o| o.service_fields()));
+        let cost = cost.iter().map(|&(o, per_kluts)| o.cost_fields(per_kluts));
+        write_frontier(out, "cost_frontier", cost);
+        out.push_str("  ],\n  \"outcomes\": [\n");
         for (i, o) in self.outcomes.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"kernel\": \"{}\", \"k\": {}, \"m\": {}, \
-                 \"sharing\": {}, \"decoupled\": {}, \"partition\": {}, \"feasible\": {}, \
-                 \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \"plm_brams\": {}, \
-                 \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
-                 \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \
-                 \"utilization\": {:.4}, \"pareto\": {}, \"service_pareto\": {}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                runtime::json_escape(&o.outcome.kernel),
-                p.k,
-                p.m,
-                p.sharing,
-                p.decoupled,
-                p.partition,
-                o.outcome.feasible,
-                o.outcome.luts,
-                o.outcome.ffs,
-                o.outcome.dsps,
-                o.outcome.brams,
-                o.outcome.plm_brams,
-                o.outcome.latency_cycles,
-                o.outcome.total_s,
-                o.outcome.throughput_eps,
-                o.outcome.service_rps,
-                o.outcome.service_p99_s,
-                o.utilization,
-                o.pareto,
-                o.service_pareto,
-                if i + 1 == self.outcomes.len() { "" } else { "," },
-            ));
+            o.portfolio_row(|parts| parts.iter().for_each(|part| push_fields(out, part)));
+            out.push_str(row_end(i, self.outcomes.len()));
         }
-        s.push_str("  ]\n}\n");
-        s
+        out.push_str("  ]\n}\n");
+        Ok(())
+    }
+}
+
+/// Close the section before and append frontier section `name`.
+fn write_frontier<'a>(out: &mut String, name: &str, rows: impl Iterator<Item = [Field<'a>; 7]>) {
+    write!(out, "  ],\n  \"{name}\": [\n").expect("writing to a String cannot fail");
+    let mut rows = rows.peekable();
+    while let Some(fields) = rows.next() {
+        push_fields(out, &fields);
+        out.push_str(if rows.peek().is_some() { "},\n" } else { "}\n" });
+    }
+}
+
+impl PlatformSummary {
+    /// The `platforms` row.
+    fn json_fields(&self) -> [Field<'_>; 6] {
+        let best = self.best_total_s;
+        [
+            ("    {\"platform\": \"", Val::Str(&self.platform)),
+            ("\", \"board\": \"", Val::Str(&self.board)),
+            ("\", \"evaluated\": ", Val::Int(self.evaluated as u64)),
+            (", \"feasible\": ", Val::Int(self.feasible as u64)),
+            (", \"pareto_points\": ", Val::Int(self.pareto_points as u64)),
+            (
+                ", \"best_total_s\": ",
+                best.map_or(Val::Lit("null"), |t| Val::Fixed(t, 6)),
+            ),
+        ]
+    }
+}
+
+impl PortfolioOutcome {
+    /// An outcome row: the point's label and kernel, the shared
+    /// [`DseOutcome`] fields, the fit and the frontier flags.
+    fn portfolio_row<R>(&self, visit: impl FnOnce(&[&[Field<'_>]]) -> R) -> R {
+        visit(&[
+            &[
+                ("    {\"platform\": \"", Val::Str(&self.platform)),
+                ("\", \"clock_mhz\": ", Val::Fixed(self.clock_mhz, 1)),
+                (", \"kernel\": \"", Val::Str(&self.outcome.kernel)),
+            ],
+            &self.outcome.json_fields(),
+            &[
+                (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
+                (", \"pareto\": ", Val::Flag(self.pareto)),
+                (", \"service_pareto\": ", Val::Flag(self.service_pareto)),
+            ],
+        ])
+    }
+
+    /// A frontier row: the point's label, `k`, `m` and the frontier's
+    /// own three fields.
+    fn frontier_fields<'a>(&'a self, own: [Field<'a>; 3]) -> [Field<'a>; 7] {
+        let [a, b, c] = own;
+        [
+            ("    {\"platform\": \"", Val::Str(&self.platform)),
+            ("\", \"clock_mhz\": ", Val::Fixed(self.clock_mhz, 1)),
+            (", \"k\": ", Val::Int(self.outcome.point.k as u64)),
+            (", \"m\": ", Val::Int(self.outcome.point.m as u64)),
+            a,
+            b,
+            c,
+        ]
+    }
+
+    fn pareto_fields(&self) -> [Field<'_>; 7] {
+        self.frontier_fields([
+            (", \"total_s\": ", Val::Fixed(self.outcome.total_s, 6)),
+            (
+                ", \"throughput_eps\": ",
+                Val::Fixed(self.outcome.throughput_eps, 3),
+            ),
+            (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
+        ])
+    }
+
+    fn service_fields(&self) -> [Field<'_>; 7] {
+        self.frontier_fields([
+            (
+                ", \"service_rps\": ",
+                Val::Fixed(self.outcome.service_rps, 3),
+            ),
+            (
+                ", \"service_p99_s\": ",
+                Val::Fixed(self.outcome.service_p99_s, 6),
+            ),
+            (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
+        ])
+    }
+
+    fn cost_fields(&self, per_kluts: f64) -> [Field<'_>; 7] {
+        self.frontier_fields([
+            (", \"luts\": ", Val::Int(self.outcome.luts as u64)),
+            (
+                ", \"service_rps\": ",
+                Val::Fixed(self.outcome.service_rps, 3),
+            ),
+            (", \"rps_per_kluts\": ", Val::Fixed(per_kluts, 4)),
+        ])
     }
 }
 
@@ -1837,5 +1901,358 @@ impl ProgramDseEngine {
             self.pipeline.cache_counters(),
             polyhedra::OracleCounters::snapshot().since(oracle_base),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl DseReport {
+        /// The emitter `to_json` replaced, verbatim: one `format!` per row.
+        fn to_json_reference(&self) -> String {
+            let mut s = String::new();
+            s.push_str("{\n");
+            s.push_str(&format!("  \"evaluated\": {},\n", self.evaluated));
+            s.push_str(&format!("  \"feasible\": {},\n", self.feasible));
+            s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
+            s.push_str(&format!("  \"elements\": {},\n", self.elements));
+            s.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
+            s.push_str(&format!(
+                "  \"shared_stages\": {{\"frontend_s\": {:.6}, \"middle_end_s\": {:.6}, \"schedule_s\": {:.6}}},\n",
+                self.shared.frontend_s, self.shared.middle_end_s, self.shared.schedule_s
+            ));
+            s.push_str(&format!(
+                "  \"stage_invocations\": {{\"frontend\": {}, \"middle_end\": {}, \"schedule\": {}, \"backend\": {}, \"system\": {}}},\n",
+                self.counts.frontend,
+                self.counts.middle_end,
+                self.counts.schedule,
+                self.counts.backend,
+                self.counts.system
+            ));
+            s.push_str(&format!(
+                "  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}, \"compile_s\": {:.6}}},\n",
+                self.backend_compiles, self.backend_reuses, self.backend_s
+            ));
+            s.push_str(&format!(
+                "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
+                self.cache.hits,
+                self.cache.disk_hits,
+                self.cache.misses,
+                self.cache.stores,
+                self.cache.invalidations
+            ));
+            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
+            s.push_str(&format!(
+                "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n",
+                self.eval_total_s, self.eval_mean_s, self.eval_max_s
+            ));
+            s.push_str("  \"outcomes\": [\n");
+            for (i, o) in self.outcomes.iter().enumerate() {
+                let p = &o.point;
+                s.push_str(&format!(
+                    "    {{\"kernel\": \"{}\", \"k\": {}, \"m\": {}, \"sharing\": {}, \"decoupled\": {}, \"partition\": {}, \
+                     \"feasible\": {}, \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \
+                     \"plm_brams\": {}, \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
+                     \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"eval_s\": {:.6}}}{}\n",
+                    runtime::json_escape(&o.kernel),
+                    p.k,
+                    p.m,
+                    p.sharing,
+                    p.decoupled,
+                    p.partition,
+                    o.feasible,
+                    o.luts,
+                    o.ffs,
+                    o.dsps,
+                    o.brams,
+                    o.plm_brams,
+                    o.latency_cycles,
+                    o.total_s,
+                    o.throughput_eps,
+                    o.service_rps,
+                    o.service_p99_s,
+                    o.eval_s,
+                    if i + 1 == self.outcomes.len() { "" } else { "," },
+                ));
+            }
+            s.push_str("  ]\n}\n");
+            s
+        }
+    }
+
+    impl PortfolioReport {
+        /// The emitter `to_json` replaced, verbatim: one `format!` per row.
+        fn to_json_reference(&self) -> String {
+            let mut s = String::new();
+            s.push_str("{\n");
+            s.push_str(&format!("  \"evaluated\": {},\n", self.evaluated));
+            s.push_str(&format!("  \"feasible\": {},\n", self.feasible));
+            s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
+            s.push_str(&format!("  \"elements\": {},\n", self.elements));
+            s.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
+            s.push_str(&format!(
+                "  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}}},\n",
+                self.backend_compiles, self.backend_reuses
+            ));
+            s.push_str(&format!(
+                "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
+                self.cache.hits,
+                self.cache.disk_hits,
+                self.cache.misses,
+                self.cache.stores,
+                self.cache.invalidations
+            ));
+            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
+            s.push_str("  \"platforms\": [\n");
+            for (i, p) in self.summaries.iter().enumerate() {
+                s.push_str(&format!(
+                    "    {{\"platform\": \"{}\", \"board\": \"{}\", \"evaluated\": {}, \
+                     \"feasible\": {}, \"pareto_points\": {}, \"best_total_s\": {}}}{}\n",
+                    runtime::json_escape(&p.platform),
+                    runtime::json_escape(&p.board),
+                    p.evaluated,
+                    p.feasible,
+                    p.pareto_points,
+                    match p.best_total_s {
+                        Some(t) => format!("{t:.6}"),
+                        None => "null".to_string(),
+                    },
+                    if i + 1 == self.summaries.len() {
+                        ""
+                    } else {
+                        ","
+                    },
+                ));
+            }
+            s.push_str("  ],\n");
+            let frontier = self.pareto_frontier();
+            s.push_str("  \"pareto_frontier\": [\n");
+            for (i, o) in frontier.iter().enumerate() {
+                let p = &o.outcome.point;
+                s.push_str(&format!(
+                    "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
+                     \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \"utilization\": {:.4}}}{}\n",
+                    runtime::json_escape(&o.platform),
+                    o.clock_mhz,
+                    p.k,
+                    p.m,
+                    o.outcome.total_s,
+                    o.outcome.throughput_eps,
+                    o.utilization,
+                    if i + 1 == frontier.len() { "" } else { "," },
+                ));
+            }
+            s.push_str("  ],\n");
+            let service = self.service_frontier();
+            s.push_str("  \"service_frontier\": [\n");
+            for (i, o) in service.iter().enumerate() {
+                let p = &o.outcome.point;
+                s.push_str(&format!(
+                    "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
+                     \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"utilization\": {:.4}}}{}\n",
+                    runtime::json_escape(&o.platform),
+                    o.clock_mhz,
+                    p.k,
+                    p.m,
+                    o.outcome.service_rps,
+                    o.outcome.service_p99_s,
+                    o.utilization,
+                    if i + 1 == service.len() { "" } else { "," },
+                ));
+            }
+            s.push_str("  ],\n");
+            let cost = self.cost_frontier();
+            s.push_str("  \"cost_frontier\": [\n");
+            for (i, (o, per_kluts)) in cost.iter().enumerate() {
+                let p = &o.outcome.point;
+                s.push_str(&format!(
+                    "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
+                     \"luts\": {}, \"service_rps\": {:.3}, \"rps_per_kluts\": {:.4}}}{}\n",
+                    runtime::json_escape(&o.platform),
+                    o.clock_mhz,
+                    p.k,
+                    p.m,
+                    o.outcome.luts,
+                    o.outcome.service_rps,
+                    per_kluts,
+                    if i + 1 == cost.len() { "" } else { "," },
+                ));
+            }
+            s.push_str("  ],\n");
+            s.push_str("  \"outcomes\": [\n");
+            for (i, o) in self.outcomes.iter().enumerate() {
+                let p = &o.outcome.point;
+                s.push_str(&format!(
+                    "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"kernel\": \"{}\", \"k\": {}, \"m\": {}, \
+                     \"sharing\": {}, \"decoupled\": {}, \"partition\": {}, \"feasible\": {}, \
+                     \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \"plm_brams\": {}, \
+                     \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
+                     \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \
+                     \"utilization\": {:.4}, \"pareto\": {}, \"service_pareto\": {}}}{}\n",
+                    runtime::json_escape(&o.platform),
+                    o.clock_mhz,
+                    runtime::json_escape(&o.outcome.kernel),
+                    p.k,
+                    p.m,
+                    p.sharing,
+                    p.decoupled,
+                    p.partition,
+                    o.outcome.feasible,
+                    o.outcome.luts,
+                    o.outcome.ffs,
+                    o.outcome.dsps,
+                    o.outcome.brams,
+                    o.outcome.plm_brams,
+                    o.outcome.latency_cycles,
+                    o.outcome.total_s,
+                    o.outcome.throughput_eps,
+                    o.outcome.service_rps,
+                    o.outcome.service_p99_s,
+                    o.utilization,
+                    o.pareto,
+                    o.service_pareto,
+                    if i + 1 == self.outcomes.len() { "" } else { "," },
+                ));
+            }
+            s.push_str("  ]\n}\n");
+            s
+        }
+    }
+
+    /// Outcome `i` of a generated sweep: every third one infeasible
+    /// (zeros), a hostile kernel name, widths that vary with `i`.
+    fn generated_outcome(i: usize) -> DseOutcome {
+        let feasible = !i.is_multiple_of(3);
+        let scale = if feasible { 1 + i % 977 } else { 0 };
+        DseOutcome {
+            point: DsePoint {
+                k: 1 << (i % 5),
+                m: 2 << (i % 7),
+                sharing: i.is_multiple_of(2),
+                decoupled: i % 4 < 2,
+                partition: 1 + (i % 3) as u32,
+            },
+            kernel: ["main", "inverse_helmholtz+axpy", "k\"\\\n\u{3}é"][i % 3].into(),
+            feasible,
+            luts: 241 * scale,
+            ffs: 1_842 * scale,
+            dsps: 3 * scale,
+            brams: scale / 2,
+            plm_brams: scale % 64,
+            latency_cycles: 106_536 * scale as u64,
+            total_s: 0.314_480_5 * scale as f64,
+            throughput_eps: 6_359.705_5 * scale as f64,
+            service_rps: 71.705_15 * scale as f64,
+            service_p99_s: 0.008_925 / (1 + scale) as f64,
+            eval_s: 1.25e-4 * (1 + i % 11) as f64,
+        }
+    }
+
+    fn generated_sweep(points: usize) -> DseReport {
+        DseReport {
+            outcomes: (0..points).map(generated_outcome).collect(),
+            evaluated: points,
+            feasible: points - points.div_ceil(3),
+            jobs: 2,
+            elements: 10_000,
+            wall_s: 0.123_456_5,
+            shared: StageTimings {
+                frontend_s: 0.001,
+                middle_end_s: 0.0625,
+                schedule_s: 1.5,
+                ..StageTimings::default()
+            },
+            counts: StageCounts {
+                frontend: 1,
+                backend: 8,
+                system: points,
+                ..StageCounts::default()
+            },
+            cache: CacheCounters {
+                hits: 3,
+                stores: points,
+                ..CacheCounters::default()
+            },
+            oracle: polyhedra::OracleCounters {
+                corner_hits: 221,
+                memo_misses: u64::MAX,
+                ..Default::default()
+            },
+            backend_compiles: 8,
+            backend_reuses: points.saturating_sub(8),
+            backend_s: 0.5,
+            eval_total_s: 2.0,
+            eval_mean_s: 0.0078125,
+            eval_max_s: 0.25,
+        }
+    }
+
+    /// A portfolio over `points` generated outcomes on three platforms
+    /// (one hostile name, one where nothing fits), flags as `assemble`
+    /// would set them.
+    fn generated_portfolio(points: usize) -> PortfolioReport {
+        let mut platforms = vec![Platform::zcu106(), Platform::zcu106(), Platform::zcu106()];
+        platforms[1].id = "pynq\"z2\\".into();
+        platforms[2].id = "empty".into();
+        let outcomes = (0..points)
+            .map(|i| PortfolioOutcome {
+                platform: platforms[i % 2].id.clone(),
+                board: platforms[i % 2].board.name.clone(),
+                clock_mhz: [100.0, 142.5, 333.25][i % 3],
+                outcome: generated_outcome(i),
+                utilization: (i % 1_000) as f64 / 999.0,
+                pareto: false,
+                service_pareto: false,
+            })
+            .collect();
+        let sweep = generated_sweep(0);
+        PortfolioReport::assemble(
+            &platforms,
+            outcomes,
+            2,
+            10_000,
+            sweep.wall_s,
+            8,
+            points,
+            sweep.cache,
+            sweep.oracle,
+        )
+    }
+
+    /// A buffer that outgrew its reservation would have doubled; one
+    /// that did not is within the header allowance and the rows' slack
+    /// (a `true`, a carried digit) of the document.
+    fn never_grew(json: &String, points: usize) -> bool {
+        json.capacity() - json.len() <= HEADER_BYTES + 8 * points
+    }
+
+    #[test]
+    fn streaming_writers_reproduce_the_reference_emitters() {
+        for points in [0, 1, 2, 7, 100] {
+            let sweep = generated_sweep(points);
+            let json = sweep.to_json();
+            assert_eq!(json, sweep.to_json_reference(), "{points} points");
+            runtime::json::validate(&json).unwrap();
+            assert!(never_grew(&json, points));
+
+            let portfolio = generated_portfolio(points);
+            assert_eq!(portfolio.summaries[2].best_total_s, None);
+            let json = portfolio.to_json();
+            assert_eq!(json, portfolio.to_json_reference(), "{points} points");
+            runtime::json::validate(&json).unwrap();
+            assert!(never_grew(&json, points));
+        }
+    }
+
+    /// The reservation is at most 5 % above the document.
+    #[test]
+    fn json_capacity_is_a_tight_upper_bound_on_a_4488_point_portfolio() {
+        let portfolio = generated_portfolio(4_488);
+        assert!(portfolio.pareto_frontier().len() > 1 && portfolio.cost_frontier().len() > 1);
+        for json in [portfolio.to_json(), generated_sweep(4_488).to_json()] {
+            assert!(never_grew(&json, 4_488));
+            assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
+        }
     }
 }

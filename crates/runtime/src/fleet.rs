@@ -50,16 +50,17 @@
 //! on the surviving boards, with the shed tick as their new arrival.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 use sysgen::MultiSystemDesign;
 use teil::ir::Module;
 use zynq::des::{secs, to_secs, Time};
 use zynq::fault::FaultPlan;
 
+use crate::json::{fields_len, push_fields, push_opt_fixed, row_end, Val};
 use crate::{
-    json::json_escape, percentile, serve, Request, RequestOutcome, RuntimeError, RuntimeOptions,
-    ServeOutcome, ServiceReport,
+    percentile, serve, Request, RequestOutcome, RuntimeError, RuntimeOptions, ServeOutcome,
+    ServiceReport,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -225,7 +226,7 @@ struct Dispatcher {
     /// Round-robin cursor.
     next: usize,
     /// Per-board estimated completion ticks of in-flight work (virtual
-    /// queues for `jsq`).
+    /// queues, kept under `jsq` only).
     queues: Vec<Vec<Time>>,
     /// Per-board estimated busy horizon (for `predictive`).
     busy_until: Vec<Time>,
@@ -272,7 +273,9 @@ impl Dispatcher {
         };
         let done = self.busy_until[pick].max(t) + self.req_ticks[pick];
         self.busy_until[pick] = done;
-        self.queues[pick].push(done);
+        if self.policy == RoutePolicy::ShortestQueue {
+            self.queues[pick].push(done);
+        }
         pick
     }
 }
@@ -439,13 +442,17 @@ pub fn serve_fleet(
             if !boards[b].faults.fatal_outage() {
                 continue;
             }
+            // (request id, caller index) by id, built once per dead
+            // board: a scan of the list per shed trace made a large
+            // outage quadratic. The stable sort keeps list order among
+            // equal ids, so the first match is the one a scan found.
+            let origins = lists[b].iter().zip(&list_origin[b]);
+            let mut origin: Vec<(usize, usize)> = origins.map(|(r, &i)| (r.id, i)).collect();
+            origin.sort_by_key(|&(id, _)| id);
             for t in &out.report.traces {
                 if t.outcome == RequestOutcome::Shed {
-                    let i = list_origin[b]
-                        .iter()
-                        .zip(&lists[b])
-                        .find(|(_, r)| r.id == t.id)
-                        .map(|(&i, _)| i)
+                    let at = origin.partition_point(|&(id, _)| id < t.id);
+                    let &(_, i) = (origin.get(at).filter(|&&(id, _)| id == t.id))
                         .expect("shed trace maps to a routed request");
                     sheds.push((t.completed_s, i));
                 }
@@ -673,91 +680,113 @@ impl FleetReport {
         s
     }
 
-    /// Serialize as JSON (hand-rolled: the dependency set has no
-    /// serde_json). Per-board reports embed the full
-    /// [`ServiceReport::to_json`] document, so a fleet-of-1 JSON carries
-    /// the byte-exact single-board report.
+    /// Serialize as JSON into one buffer reserved up front. Per-board
+    /// reports are written in place by [`ServiceReport`]'s own writer
+    /// behind a four-space pad, so a fleet-of-1 JSON carries the
+    /// byte-exact single-board report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"route\": \"{}\",\n", self.route.label()));
-        s.push_str(&format!("  \"parallel\": {},\n", self.parallel));
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!("  \"boards\": {},\n", self.boards.len()));
-        s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
-        s.push_str(&format!(
-            "  \"aggregate_rps\": {:.3},\n",
-            self.aggregate_rps
-        ));
-        s.push_str(&format!(
-            "  \"goodput_rps\": {},\n",
-            self.goodput_rps
-                .map_or_else(|| "null".to_string(), |v| format!("{v:.3}"))
-        ));
-        s.push_str(&format!(
-            "  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n",
-            self.latency_mean_s, self.latency_p50_s, self.latency_p99_s, self.latency_max_s
-        ));
-        s.push_str(&format!(
-            "  \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
-             \"shed\": {}, \"failed\": {}, \"requeued_across_boards\": {}}},\n",
-            self.completed, self.retried, self.timed_out, self.shed, self.failed, self.requeued
-        ));
-        s.push_str("  \"per_board\": [\n");
+        let mut out = String::with_capacity(self.json_capacity());
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Upper bound on the document's bytes (see
+    /// `ServiceReport::json_capacity`): the boards', their reports' and
+    /// the assignment entries' own bounds plus a flat header allowance.
+    fn json_capacity(&self) -> usize {
+        let boards = self.boards.iter().map(|b| {
+            let report = b.report.as_ref().map_or(4, |r| r.json_capacity(BOARD_PAD));
+            fields_len(&b.json_fields()) + REPORT_KEY.len() + report + "},\n".len()
+        });
+        let entries = self
+            .assignment
+            .iter()
+            .map(|&entry| "}, ".len() + fields_len(&assignment_fields(entry)));
+        1_024 + boards.sum::<usize>() + entries.sum::<usize>()
+    }
+
+    /// Append the document, trailing newline included, to `out`. The
+    /// board and assignment loops do not allocate.
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        write!(
+            out,
+            "{{\n  \"route\": \"{}\",\n  \"parallel\": {},\n  \"requests\": {},\n  \"boards\": {},\n  \
+             \"makespan_s\": {:.6},\n  \"aggregate_rps\": {:.3},\n  \"goodput_rps\": ",
+            self.route.label(),
+            self.parallel,
+            self.requests,
+            self.boards.len(),
+            self.makespan_s,
+            self.aggregate_rps,
+        )?;
+        push_opt_fixed(out, self.goodput_rps, 3);
+        write!(
+            out,
+            ",\n  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n  \
+             \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
+             \"shed\": {}, \"failed\": {}, \"requeued_across_boards\": {}}},\n  \"per_board\": [\n",
+            self.latency_mean_s,
+            self.latency_p50_s,
+            self.latency_p99_s,
+            self.latency_max_s,
+            self.completed,
+            self.retried,
+            self.timed_out,
+            self.shed,
+            self.failed,
+            self.requeued,
+        )?;
         for (k, b) in self.boards.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"platform\": \"{}\", \"board_luts\": {}, \
-                 \"assigned\": {}, \"rescued_in\": {}, \"rescued_out\": {}, \
-                 \"est_request_ticks\": {}, \
-                 \"utilization\": {:.4}, \"rps_per_kluts\": {:.4}, \"report\": {}}}{}\n",
-                json_escape(&b.name),
-                json_escape(&b.platform),
-                b.board_luts,
-                b.assigned,
-                b.rescued_in,
-                b.rescued_out,
-                b.est_request_ticks,
-                b.utilization,
-                b.rps_per_kluts,
-                match &b.report {
-                    Some(r) => indent_json(&r.to_json(), 4),
-                    None => "null".into(),
-                },
-                if k + 1 == self.boards.len() { "" } else { "," },
-            ));
+            push_fields(out, &b.json_fields());
+            out.push_str(REPORT_KEY);
+            match &b.report {
+                Some(r) => r.write_json(out, BOARD_PAD)?,
+                None => out.push_str("null"),
+            }
+            out.push_str(row_end(k, self.boards.len()));
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"assignment\": [");
-        for (k, (id, b)) in self.assignment.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"id\": {id}, \"board\": {b}}}{}",
-                if k + 1 == self.assignment.len() {
-                    ""
-                } else {
-                    ", "
-                },
-            ));
+        out.push_str("  ],\n  \"assignment\": [");
+        for (k, &entry) in self.assignment.iter().enumerate() {
+            push_fields(out, &assignment_fields(entry));
+            let last = k + 1 == self.assignment.len();
+            out.push_str(if last { "}" } else { "}, " });
         }
-        s.push_str("]\n}\n");
-        s
+        out.push_str("]\n}\n");
+        Ok(())
     }
 }
 
-/// Re-indent an embedded JSON document by `by` spaces (first line
-/// stays in place — it follows a `"key": ` prefix).
-fn indent_json(doc: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    doc.trim_end()
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            if i == 0 {
-                l.to_string()
-            } else {
-                format!("\n{pad}{l}")
-            }
-        })
-        .collect()
+/// Indentation of a board's embedded report.
+const BOARD_PAD: &str = "    ";
+const REPORT_KEY: &str = ", \"report\": ";
+
+impl BoardReport {
+    /// The `per_board` row up to `"report"`.
+    fn json_fields(&self) -> [(&'static str, Val<'_>); 9] {
+        [
+            ("    {\"name\": \"", Val::Str(&self.name)),
+            ("\", \"platform\": \"", Val::Str(&self.platform)),
+            ("\", \"board_luts\": ", Val::Int(self.board_luts as u64)),
+            (", \"assigned\": ", Val::Int(self.assigned as u64)),
+            (", \"rescued_in\": ", Val::Int(self.rescued_in as u64)),
+            (", \"rescued_out\": ", Val::Int(self.rescued_out as u64)),
+            (
+                ", \"est_request_ticks\": ",
+                Val::Int(self.est_request_ticks),
+            ),
+            (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
+            (", \"rps_per_kluts\": ", Val::Fixed(self.rps_per_kluts, 4)),
+        ]
+    }
+}
+
+/// One `(request id, board index)` entry of the `assignment` array.
+fn assignment_fields((id, board): (usize, usize)) -> [(&'static str, Val<'static>); 2] {
+    [
+        ("{\"id\": ", Val::Int(id as u64)),
+        (", \"board\": ", Val::Int(board as u64)),
+    ]
 }
 
 impl fmt::Display for FleetReport {
@@ -769,7 +798,7 @@ impl fmt::Display for FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{design, timing_requests};
+    use crate::tests::{design, generated_report, timing_requests};
     use crate::{Arrival, BatchPolicy};
     use zynq::fault::Outage;
 
@@ -1094,5 +1123,149 @@ mod tests {
         .report;
         assert_eq!(pr.requests, 24);
         assert!(pr.latency_p50_s <= pr.latency_p99_s);
+    }
+
+    impl FleetReport {
+        /// The emitter `to_json` replaced, verbatim but for the names of
+        /// the reference functions it calls.
+        fn to_json_reference(&self) -> String {
+            let mut s = String::new();
+            s.push_str("{\n");
+            s.push_str(&format!("  \"route\": \"{}\",\n", self.route.label()));
+            s.push_str(&format!("  \"parallel\": {},\n", self.parallel));
+            s.push_str(&format!("  \"requests\": {},\n", self.requests));
+            s.push_str(&format!("  \"boards\": {},\n", self.boards.len()));
+            s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
+            s.push_str(&format!(
+                "  \"aggregate_rps\": {:.3},\n",
+                self.aggregate_rps
+            ));
+            s.push_str(&format!(
+                "  \"goodput_rps\": {},\n",
+                self.goodput_rps
+                    .map_or_else(|| "null".to_string(), |v| format!("{v:.3}"))
+            ));
+            s.push_str(&format!(
+                "  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n",
+                self.latency_mean_s, self.latency_p50_s, self.latency_p99_s, self.latency_max_s
+            ));
+            s.push_str(&format!(
+                "  \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
+                 \"shed\": {}, \"failed\": {}, \"requeued_across_boards\": {}}},\n",
+                self.completed, self.retried, self.timed_out, self.shed, self.failed, self.requeued
+            ));
+            s.push_str("  \"per_board\": [\n");
+            for (k, b) in self.boards.iter().enumerate() {
+                s.push_str(&format!(
+                    "    {{\"name\": \"{}\", \"platform\": \"{}\", \"board_luts\": {}, \
+                     \"assigned\": {}, \"rescued_in\": {}, \"rescued_out\": {}, \
+                     \"est_request_ticks\": {}, \
+                     \"utilization\": {:.4}, \"rps_per_kluts\": {:.4}, \"report\": {}}}{}\n",
+                    crate::json_escape(&b.name),
+                    crate::json_escape(&b.platform),
+                    b.board_luts,
+                    b.assigned,
+                    b.rescued_in,
+                    b.rescued_out,
+                    b.est_request_ticks,
+                    b.utilization,
+                    b.rps_per_kluts,
+                    match &b.report {
+                        Some(r) => indent_json(&r.to_json_reference(), 4),
+                        None => "null".into(),
+                    },
+                    if k + 1 == self.boards.len() { "" } else { "," },
+                ));
+            }
+            s.push_str("  ],\n");
+            s.push_str("  \"assignment\": [");
+            for (k, (id, b)) in self.assignment.iter().enumerate() {
+                s.push_str(&format!(
+                    "{{\"id\": {id}, \"board\": {b}}}{}",
+                    if k + 1 == self.assignment.len() {
+                        ""
+                    } else {
+                        ", "
+                    },
+                ));
+            }
+            s.push_str("]\n}\n");
+            s
+        }
+    }
+
+    /// Re-indent an embedded JSON document by `by` spaces (first line
+    /// stays in place — it follows a `"key": ` prefix).
+    fn indent_json(doc: &str, by: usize) -> String {
+        let pad = " ".repeat(by);
+        doc.trim_end()
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                if i == 0 {
+                    l.to_string()
+                } else {
+                    format!("\n{pad}{l}")
+                }
+            })
+            .collect()
+    }
+
+    /// A fleet report over generated board reports: hostile names, a
+    /// board that never got a request, `None` goodput on odd seeds.
+    fn generated_fleet(seed: u64, boards: usize, traces: usize) -> FleetReport {
+        let per_board: Vec<BoardReport> = (0..boards as u64)
+            .map(|b| BoardReport {
+                name: format!("board\"{b}\\\n"),
+                platform: format!("zcu{b}\u{2}"),
+                board_luts: 53_200 << b,
+                assigned: traces,
+                rescued_in: b as usize,
+                rescued_out: 7 * b as usize,
+                est_request_ticks: 389_197_500 + b,
+                utilization: 0.125 * b as f64,
+                rps_per_kluts: 1234.5678 / (1 + b) as f64,
+                report: (b != 1).then(|| generated_report(seed + b, traces)),
+            })
+            .collect();
+        let r = generated_report(seed, 0);
+        FleetReport {
+            route: [RoutePolicy::RoundRobin, RoutePolicy::Predictive][seed as usize % 2],
+            parallel: seed.is_multiple_of(2),
+            requests: boards * traces,
+            completed: r.completed,
+            retried: r.retried,
+            timed_out: r.timed_out,
+            shed: r.shed,
+            failed: r.failed,
+            requeued: r.rounds,
+            makespan_ticks: 0,
+            makespan_s: r.makespan_s,
+            aggregate_rps: r.throughput_rps,
+            goodput_rps: r.goodput_rps,
+            latency_mean_s: r.latency_mean_s,
+            latency_p50_s: r.latency_p50_s,
+            latency_p99_s: r.latency_p99_s,
+            latency_max_s: r.latency_max_s,
+            assignment: (0..boards * traces).map(|i| (i * 3, i % boards)).collect(),
+            boards: per_board,
+        }
+    }
+
+    #[test]
+    fn streaming_writer_reproduces_the_reference_emitter() {
+        for (seed, boards, traces) in [(0, 1, 0), (1, 2, 1), (2, 3, 5), (3, 5, 40), (4, 0, 0)] {
+            let r = generated_fleet(seed, boards, traces);
+            let json = r.to_json();
+            assert_eq!(json, r.to_json_reference(), "seed {seed}");
+            crate::json::validate(&json).unwrap();
+            assert_eq!(json.capacity(), r.json_capacity(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn json_capacity_is_a_tight_upper_bound_on_a_five_board_fleet() {
+        let json = generated_fleet(8, 5, 4_000).to_json();
+        assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
     }
 }

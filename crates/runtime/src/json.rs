@@ -1,39 +1,193 @@
-//! Shared helpers for the hand-rolled JSON emitters.
+//! The one JSON writer behind every report in this workspace.
 //!
-//! Every report in this workspace emits JSON by string formatting, not
-//! through a serializer — the shapes are small and stable, and the
+//! Reports are emitted by appending to one caller-owned `String`, not
+//! through a serializer: the shapes are small and stable, and the
 //! byte-identical replay guarantee is easier to state over a fixed
-//! emitter. The one correctness hole in that approach is string
-//! interpolation: board names, fault-plan labels, and kernel names flow
-//! into the output verbatim, so a quote or backslash in a label would
-//! emit invalid JSON. [`json_escape`] closes that hole; every emitter
-//! routes externally influenced strings through it.
+//! emitter. A report's `to_json` reserves a tight upper bound of its
+//! document once and its `write_json` appends into that buffer; an
+//! embedded report (a fleet's boards) writes straight into its parent's
+//! buffer behind a pad. Record rows are arrays of `(literal key,
+//! [`Val`])` that [`push_fields`] appends and [`fields_len`] sizes, over
+//! three allocation-free primitives: [`push_u64`] (what `to_string`
+//! prints), [`push_fixed`] (what `format!("{v:.prec$}")` prints) and
+//! [`push_escaped`] — board names, fault-plan labels and kernel names
+//! flow into the output, so a quote or backslash in a label would
+//! otherwise emit invalid JSON.
 //!
 //! [`validate`] is a minimal JSON parser (structure only, no value
 //! tree) used by tests to prove emitted documents stay well-formed even
 //! under hostile labels.
 
-/// Escape `s` for inclusion inside a JSON string literal (between the
-/// quotes). Escapes the two mandatory characters (`"` and `\`), the
-/// common control characters by mnemonic, and the rest of the C0 range
-/// as `\u00XX`. Clean labels pass through unchanged, so adding the
-/// escape to an emitter cannot perturb existing output.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+use std::fmt::Write;
+
+/// Write `v` in decimal, zero-padded to `width` digits, into `buf` so
+/// that it ends before `at`; returns where it starts.
+fn write_digits(buf: &mut [u8; 40], mut at: usize, mut v: u64, width: usize) -> usize {
+    let stop = at - width;
+    while v > 0 || at > stop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    at
+}
+
+/// Append `v` in decimal.
+pub fn push_u64(out: &mut String, v: u64) {
+    let mut buf = [0; 40];
+    let at = write_digits(&mut buf, 40, v, 1);
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+}
+
+/// Append `v` with `prec` fractional digits, byte for byte what
+/// `format!("{v:.prec$}")` prints: the exact binary value rounded half
+/// to even at the last digit. `v = m * 2^-shift` splits into an integer
+/// part and fraction bits; the fraction bits times `10^prec` fit a
+/// `u128`, so the digits and the exact remainder come from one shift.
+/// Negative, non-finite and `>= 2^52` values and `prec > 9` — none
+/// occurs in a report — take `core::fmt`.
+pub fn push_fixed(out: &mut String, v: f64, prec: usize) {
+    let bits = v.to_bits();
+    let exp = (bits >> 52) as usize;
+    if exp >= 1075 || prec > 9 {
+        // Sign bit set (`exp >= 2048`), NaN, infinite or no fraction bits.
+        return write!(out, "{v:.prec$}").expect("writing to a String cannot fail");
+    }
+    // Subnormals (`exp == 0`) share the smallest normal exponent and
+    // lack the implicit bit. A shift past 127 leaves nothing of the
+    // 83-bit product either way, so clamping it is exact.
+    let m = (bits & ((1 << 52) - 1) | u64::from(exp > 0) << 52) as u128;
+    let shift = (1075 - exp.max(1)).min(127);
+    let pow = 10u64.pow(prec as u32);
+    let scaled = (m & ((1 << shift) - 1)) * pow as u128;
+    let (mut int, mut frac) = ((m >> shift) as u64, (scaled >> shift) as u64);
+    let (rest, half) = (scaled & ((1 << shift) - 1), 1 << (shift - 1));
+    // Parity of the whole scaled value; wrapping keeps the low bit.
+    let odd = int.wrapping_mul(pow).wrapping_add(frac) & 1 == 1;
+    if rest > half || (rest == half && odd) {
+        frac += 1;
+        if frac == pow {
+            (int, frac) = (int + 1, 0);
         }
     }
+    let mut buf = [0; 40];
+    let mut at = write_digits(&mut buf, 40, frac, prec);
+    if prec > 0 {
+        at -= 1;
+        buf[at] = b'.';
+    }
+    at = write_digits(&mut buf, at, int, 1);
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+}
+
+/// [`push_fixed`], or `null` for `None`.
+pub fn push_opt_fixed(out: &mut String, v: Option<f64>, prec: usize) {
+    match v {
+        Some(v) => push_fixed(out, v, prec),
+        None => out.push_str("null"),
+    }
+}
+
+/// Append `s` escaped for a JSON string literal (between the quotes):
+/// the two mandatory characters (`"` and `\`), the common control
+/// characters by mnemonic, and the rest of the C0 range as `\u00XX`.
+/// Clean labels pass through unchanged, one copy per clean run.
+pub fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if escaped_width(b) == 1 {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 15) as usize] as char);
+            }
+        }
+    }
+    out.push_str(&s[clean..]);
+}
+
+/// Bytes [`push_escaped`] appends for the byte `b`.
+fn escaped_width(b: u8) -> usize {
+    match b {
+        b'"' | b'\\' | b'\n' | b'\t' | b'\r' => 2,
+        0..=0x1f => 6,
+        _ => 1,
+    }
+}
+
+/// Bytes [`push_escaped`] appends for `s`.
+pub(crate) fn escaped_len(s: &str) -> usize {
+    s.bytes().map(escaped_width).sum()
+}
+
+/// [`push_escaped`] into a fresh `String`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
     out
+}
+
+/// Close row `i` of a JSON array of `len` one-line objects.
+pub fn row_end(i: usize, len: usize) -> &'static str {
+    if i + 1 == len {
+        "}\n"
+    } else {
+        "},\n"
+    }
+}
+
+/// One value of a report row, next to its literal key.
+pub enum Val<'a> {
+    Int(u64),
+    Flag(bool),
+    /// Value and fractional digits, as [`push_fixed`] takes them.
+    Fixed(f64, usize),
+    /// Escaped on the way out.
+    Str(&'a str),
+    /// A token that needs no escaping, verbatim.
+    Lit(&'a str),
+}
+
+/// Append `key value` for every field of a row. Does not allocate.
+pub fn push_fields(out: &mut String, fields: &[(&str, Val)]) {
+    for (key, val) in fields {
+        out.push_str(key);
+        match *val {
+            Val::Int(v) => push_u64(out, v),
+            Val::Flag(v) => out.push_str(if v { "true" } else { "false" }),
+            Val::Fixed(v, prec) => push_fixed(out, v, prec),
+            Val::Str(s) => push_escaped(out, s),
+            Val::Lit(s) => out.push_str(s),
+        }
+    }
+}
+
+/// Upper bound on the bytes [`push_fields`] appends, exact but for a
+/// `true` and for a `Fixed` within one of its next integer digit.
+/// Values [`push_fixed`] hands to `core::fmt` are not covered.
+pub fn fields_len(fields: &[(&str, Val)]) -> usize {
+    let digits = |v: u64| v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let width = |val: &Val| match *val {
+        Val::Int(v) => digits(v),
+        Val::Flag(_) => "false".len(),
+        // The common case (seconds, fractions) without the cast.
+        Val::Fixed(v, prec) if v < 9.0 => 2 + prec,
+        Val::Fixed(v, prec) => digits((v as u64).saturating_add(1)) + 1 + prec,
+        Val::Str(s) => escaped_len(s),
+        Val::Lit(s) => s.len(),
+    };
+    fields.iter().map(|(key, val)| key.len() + width(val)).sum()
 }
 
 /// Validate that `s` is one well-formed JSON document. Returns the
@@ -220,6 +374,88 @@ mod tests {
         let doc = format!("{{\"label\": \"{}\"}}", json_escape(nasty));
         validate(&doc).unwrap();
         assert!(!doc.contains('\n'));
+    }
+
+    /// `push_fixed` and `push_u64` against their definitions,
+    /// `format!("{v:.p$}")` and `to_string`, for every precision a
+    /// report uses and the ones around them.
+    #[test]
+    fn number_writers_print_what_core_fmt_prints() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use zynq::des::to_secs;
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_F1ED);
+        let mut floats = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.0078125,
+            0.9999995,
+            9.9999995,
+            999_999.999_999_5,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            1e15,
+            1e300,
+            f64::MAX,
+            -1.25,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut ints = vec![0, 9, 10, 99, 100, u64::MAX, u64::MAX - 1];
+        for k in 0..4_096u64 {
+            // Dyadic ties: exactly representable, exactly halfway at
+            // some precision.
+            floats.extend([k as f64 / 2.0, k as f64 / 64.0, k as f64 / 128.0]);
+            ints.push(10u64.pow((k % 20) as u32).wrapping_add(k).wrapping_sub(2));
+        }
+        for _ in 0..20_000 {
+            let bits = rng.next_u64();
+            floats.push(f64::from_bits(bits));
+            // Tick-derived seconds, every magnitude up to 10^16 ticks.
+            let ticks = rng.next_u64() % 10u64.pow(1 + (bits % 16) as u32);
+            floats.push(to_secs(ticks));
+            floats.push(rng.gen_range(0.0..1e7));
+            ints.push(bits >> (ticks % 64));
+        }
+        let mut out = String::new();
+        for &v in &floats {
+            for p in 0..=9 {
+                out.clear();
+                push_fixed(&mut out, v, p);
+                assert_eq!(
+                    out,
+                    format!("{v:.p$}"),
+                    "{v:e} ({:#x}) at .{p}",
+                    v.to_bits()
+                );
+                if v.is_sign_positive() && v < 4e15 {
+                    let bound = fields_len(&[("", Val::Fixed(v, p))]);
+                    assert!(
+                        out.len() <= bound && bound <= out.len() + 2,
+                        "{v:e} at .{p}"
+                    );
+                }
+            }
+        }
+        for &v in &ints {
+            out.clear();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+            assert_eq!(out.len(), fields_len(&[("", Val::Int(v))]));
+        }
+        out.clear();
+        push_opt_fixed(&mut out, None, 6);
+        push_opt_fixed(&mut out, Some(0.25), 3);
+        assert_eq!(out, "null0.250");
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use fleet::{
 pub use json::json_escape;
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,6 +72,8 @@ use teil::Tensor;
 use zynq::des::{secs, to_secs, Time};
 use zynq::fault::{FaultPlan, RecoverySpec};
 use zynq::{SimConfig, StreamStatus};
+
+use json::{fields_len, push_escaped, push_fields, push_opt_fixed, row_end, Val};
 
 /// Structured runtime-layer errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -842,102 +844,124 @@ impl ServiceReport {
         s
     }
 
-    /// Serialize as JSON (hand-rolled: the dependency set has no
-    /// serde_json).
+    /// Serialize as JSON: one buffer, reserved at `json_capacity`,
+    /// filled by `write_json`.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!(
-            "  \"policy\": \"{}\",\n",
-            json_escape(&self.policy.label())
-        ));
-        s.push_str(&format!(
-            "  \"arrival\": \"{}\",\n",
-            json_escape(&self.arrival.label())
-        ));
-        s.push_str(&format!("  \"capacity\": {},\n", self.capacity));
-        s.push_str(&format!("  \"overlap_dma\": {},\n", self.overlap_dma));
-        s.push_str(&format!("  \"rounds\": {},\n", self.rounds));
-        s.push_str(&format!(
-            "  \"fast_forwarded_rounds\": {},\n",
-            self.fast_forwarded_rounds
-        ));
-        s.push_str(&format!("  \"mean_fill\": {:.4},\n", self.mean_fill));
-        s.push_str(&format!(
-            "  \"throughput_rps\": {:.3},\n",
-            self.throughput_rps
-        ));
-        s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
-        s.push_str(&format!(
-            "  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n",
-            self.latency_mean_s, self.latency_p50_s, self.latency_p99_s, self.latency_max_s
-        ));
-        s.push_str(&format!(
-            "  \"dma\": {{\"exec_s\": {:.6}, \"transfer_s\": {:.6}, \"overlap_fraction\": {:.4}}},\n",
+        let mut out = String::with_capacity(self.json_capacity("") + 1);
+        self.write_json(&mut out, "")
+            .expect("writing to a String cannot fail");
+        out.push('\n');
+        out
+    }
+
+    /// Upper bound on the bytes `write_json` appends behind `pad`, tight
+    /// enough to reserve: every trace row's own bound plus a flat
+    /// allowance for the header (0.8 KB of literals, 30 numbers, four
+    /// policy labels).
+    pub(crate) fn json_capacity(&self, pad: &str) -> usize {
+        let rows = self.traces.iter().map(|t| fields_len(&t.json_fields()));
+        2_048
+            + json::escaped_len(&self.fault_plan)
+            + (20 + self.traces.len()) * (pad.len() + "\"},\n".len())
+            + rows.sum::<usize>()
+    }
+
+    /// Append the document — no trailing newline, every line after the
+    /// first behind `pad` — to `out`. The trace loop does not allocate.
+    pub(crate) fn write_json(&self, out: &mut String, pad: &str) -> fmt::Result {
+        write!(
+            out,
+            "{{\n{pad}  \"requests\": {},\n{pad}  \"policy\": \"",
+            self.requests
+        )?;
+        push_escaped(out, &self.policy.label());
+        write!(out, "\",\n{pad}  \"arrival\": \"")?;
+        push_escaped(out, &self.arrival.label());
+        write!(
+            out,
+            "\",\n{pad}  \"capacity\": {},\n{pad}  \"overlap_dma\": {},\n{pad}  \"rounds\": {},\n\
+             {pad}  \"fast_forwarded_rounds\": {},\n{pad}  \"mean_fill\": {:.4},\n\
+             {pad}  \"throughput_rps\": {:.3},\n{pad}  \"makespan_s\": {:.6},\n\
+             {pad}  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n\
+             {pad}  \"dma\": {{\"exec_s\": {:.6}, \"transfer_s\": {:.6}, \"overlap_fraction\": {:.4}}},\n\
+             {pad}  \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
+             \"shed\": {}, \"failed\": {}, \"goodput_rps\": ",
+            self.capacity,
+            self.overlap_dma,
+            self.rounds,
+            self.fast_forwarded_rounds,
+            self.mean_fill,
+            self.throughput_rps,
+            self.makespan_s,
+            self.latency_mean_s,
+            self.latency_p50_s,
+            self.latency_p99_s,
+            self.latency_max_s,
             to_secs(self.exec_ticks),
             to_secs(self.transfer_ticks),
-            self.overlap_fraction
-        ));
-        s.push_str(&format!(
-            "  \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
-             \"shed\": {}, \"failed\": {}, \"goodput_rps\": {}, \"offered_rps\": {:.3}, \
-             \"p99_completed_s\": {}}},\n",
+            self.overlap_fraction,
             self.completed,
             self.retried,
             self.timed_out,
             self.shed,
             self.failed,
-            self.goodput_rps
-                .map_or_else(|| "null".to_string(), |v| format!("{v:.3}")),
-            self.offered_rps,
-            self.latency_p99_completed_s
-                .map_or_else(|| "null".to_string(), |v| format!("{v:.6}"))
-        ));
-        s.push_str(&format!(
-            "  \"faults\": {{\"plan\": \"{}\", \"policy\": \"{}\", \"transient\": {}, \
-             \"dma_stalls\": {}, \"corrupt\": {}}},\n",
-            json_escape(&self.fault_plan),
-            json_escape(&self.recovery.label()),
-            self.transient_faults,
-            self.dma_stalls,
-            self.corrupt_payloads
-        ));
+        )?;
+        push_opt_fixed(out, self.goodput_rps, 3);
+        write!(
+            out,
+            ", \"offered_rps\": {:.3}, \"p99_completed_s\": ",
+            self.offered_rps
+        )?;
+        push_opt_fixed(out, self.latency_p99_completed_s, 6);
+        write!(out, "}},\n{pad}  \"faults\": {{\"plan\": \"")?;
+        push_escaped(out, &self.fault_plan);
+        out.push_str("\", \"policy\": \"");
+        push_escaped(out, &self.recovery.label());
+        writeln!(
+            out,
+            "\", \"transient\": {}, \"dma_stalls\": {}, \"corrupt\": {}}},",
+            self.transient_faults, self.dma_stalls, self.corrupt_payloads
+        )?;
         if self.online_policy.armed() {
-            s.push_str(&format!(
-                "  \"online\": {{\"policy\": \"{}\", \"slo_s\": {}, \"shed_queue\": {}, \
-                 \"priority_tiers\": {}, \"early_closed_rounds\": {}, \
-                 \"backpressure_shed\": {}}},\n",
-                json_escape(&self.online_policy.label()),
-                self.online_policy
-                    .slo_s
-                    .map_or_else(|| "null".to_string(), |v| format!("{v:.6}")),
-                self.online_policy
-                    .shed_queue
-                    .map_or_else(|| "null".to_string(), |v| v.to_string()),
-                self.online_policy.priority_tiers,
-                self.early_closed_rounds,
-                self.backpressure_shed
-            ));
+            write!(out, "{pad}  \"online\": {{\"policy\": \"")?;
+            push_escaped(out, &self.online_policy.label());
+            out.push_str("\", \"slo_s\": ");
+            push_opt_fixed(out, self.online_policy.slo_s, 6);
+            match self.online_policy.shed_queue {
+                Some(depth) => write!(out, ", \"shed_queue\": {depth}")?,
+                None => out.push_str(", \"shed_queue\": null"),
+            }
+            writeln!(
+                out,
+                ", \"priority_tiers\": {}, \"early_closed_rounds\": {}, \
+                 \"backpressure_shed\": {}}},",
+                self.online_policy.priority_tiers, self.early_closed_rounds, self.backpressure_shed
+            )?;
         }
-        s.push_str("  \"traces\": [\n");
+        writeln!(out, "{pad}  \"traces\": [")?;
         for (i, t) in self.traces.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": {}, \"arrival_s\": {:.6}, \"admitted_s\": {:.6}, \
-                 \"completed_s\": {:.6}, \"latency_s\": {:.6}, \"attempts\": {}, \
-                 \"outcome\": \"{}\"}}{}\n",
-                t.id,
-                t.arrival_s,
-                t.admitted_s,
-                t.completed_s,
-                t.latency_s,
-                t.attempts,
-                t.outcome.label(),
-                if i + 1 == self.traces.len() { "" } else { "," },
-            ));
+            out.push_str(pad);
+            push_fields(out, &t.json_fields());
+            out.push('"');
+            out.push_str(row_end(i, self.traces.len()));
         }
-        s.push_str("  ]\n}\n");
-        s
+        write!(out, "{pad}  ]\n{pad}}}")
+    }
+}
+
+impl RequestTrace {
+    /// The row of the report's `traces` array, up to the closing quote
+    /// of the outcome.
+    fn json_fields(&self) -> [(&'static str, Val<'static>); 7] {
+        [
+            ("    {\"id\": ", Val::Int(self.id as u64)),
+            (", \"arrival_s\": ", Val::Fixed(self.arrival_s, 6)),
+            (", \"admitted_s\": ", Val::Fixed(self.admitted_s, 6)),
+            (", \"completed_s\": ", Val::Fixed(self.completed_s, 6)),
+            (", \"latency_s\": ", Val::Fixed(self.latency_s, 6)),
+            (", \"attempts\": ", Val::Int(self.attempts.into())),
+            (", \"outcome\": \"", Val::Lit(self.outcome.label())),
+        ]
     }
 }
 
@@ -1407,5 +1431,208 @@ mod tests {
             assert!(j.contains(key), "missing {key} in {j}");
         }
         assert!(r.render_table().contains("req/s"));
+    }
+
+    impl ServiceReport {
+        /// The emitter `to_json` replaced, verbatim: one `format!` per
+        /// line. What the streaming writer must reproduce byte for byte.
+        pub(crate) fn to_json_reference(&self) -> String {
+            let mut s = String::new();
+            s.push_str("{\n");
+            s.push_str(&format!("  \"requests\": {},\n", self.requests));
+            s.push_str(&format!(
+                "  \"policy\": \"{}\",\n",
+                json_escape(&self.policy.label())
+            ));
+            s.push_str(&format!(
+                "  \"arrival\": \"{}\",\n",
+                json_escape(&self.arrival.label())
+            ));
+            s.push_str(&format!("  \"capacity\": {},\n", self.capacity));
+            s.push_str(&format!("  \"overlap_dma\": {},\n", self.overlap_dma));
+            s.push_str(&format!("  \"rounds\": {},\n", self.rounds));
+            s.push_str(&format!(
+                "  \"fast_forwarded_rounds\": {},\n",
+                self.fast_forwarded_rounds
+            ));
+            s.push_str(&format!("  \"mean_fill\": {:.4},\n", self.mean_fill));
+            s.push_str(&format!(
+                "  \"throughput_rps\": {:.3},\n",
+                self.throughput_rps
+            ));
+            s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
+            s.push_str(&format!(
+                "  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n",
+                self.latency_mean_s, self.latency_p50_s, self.latency_p99_s, self.latency_max_s
+            ));
+            s.push_str(&format!(
+                "  \"dma\": {{\"exec_s\": {:.6}, \"transfer_s\": {:.6}, \"overlap_fraction\": {:.4}}},\n",
+                to_secs(self.exec_ticks),
+                to_secs(self.transfer_ticks),
+                self.overlap_fraction
+            ));
+            s.push_str(&format!(
+                "  \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
+                 \"shed\": {}, \"failed\": {}, \"goodput_rps\": {}, \"offered_rps\": {:.3}, \
+                 \"p99_completed_s\": {}}},\n",
+                self.completed,
+                self.retried,
+                self.timed_out,
+                self.shed,
+                self.failed,
+                self.goodput_rps
+                    .map_or_else(|| "null".to_string(), |v| format!("{v:.3}")),
+                self.offered_rps,
+                self.latency_p99_completed_s
+                    .map_or_else(|| "null".to_string(), |v| format!("{v:.6}"))
+            ));
+            s.push_str(&format!(
+                "  \"faults\": {{\"plan\": \"{}\", \"policy\": \"{}\", \"transient\": {}, \
+                 \"dma_stalls\": {}, \"corrupt\": {}}},\n",
+                json_escape(&self.fault_plan),
+                json_escape(&self.recovery.label()),
+                self.transient_faults,
+                self.dma_stalls,
+                self.corrupt_payloads
+            ));
+            if self.online_policy.armed() {
+                s.push_str(&format!(
+                    "  \"online\": {{\"policy\": \"{}\", \"slo_s\": {}, \"shed_queue\": {}, \
+                     \"priority_tiers\": {}, \"early_closed_rounds\": {}, \
+                     \"backpressure_shed\": {}}},\n",
+                    json_escape(&self.online_policy.label()),
+                    self.online_policy
+                        .slo_s
+                        .map_or_else(|| "null".to_string(), |v| format!("{v:.6}")),
+                    self.online_policy
+                        .shed_queue
+                        .map_or_else(|| "null".to_string(), |v| v.to_string()),
+                    self.online_policy.priority_tiers,
+                    self.early_closed_rounds,
+                    self.backpressure_shed
+                ));
+            }
+            s.push_str("  \"traces\": [\n");
+            for (i, t) in self.traces.iter().enumerate() {
+                s.push_str(&format!(
+                    "    {{\"id\": {}, \"arrival_s\": {:.6}, \"admitted_s\": {:.6}, \
+                     \"completed_s\": {:.6}, \"latency_s\": {:.6}, \"attempts\": {}, \
+                     \"outcome\": \"{}\"}}{}\n",
+                    t.id,
+                    t.arrival_s,
+                    t.admitted_s,
+                    t.completed_s,
+                    t.latency_s,
+                    t.attempts,
+                    t.outcome.label(),
+                    if i + 1 == self.traces.len() { "" } else { "," },
+                ));
+            }
+            s.push_str("  ]\n}\n");
+            s
+        }
+    }
+
+    /// A report with every field drawn from `seed`: hostile labels,
+    /// every outcome, `None`/`Some` options, armed or bare online
+    /// policy (`seed` odd or even), `traces` rows.
+    pub(crate) fn generated_report(seed: u64, traces: usize) -> ServiceReport {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut count = |below: u64| (rng.next_u64() % below) as usize;
+        let outcomes = [
+            RequestOutcome::Completed,
+            RequestOutcome::TimedOut,
+            RequestOutcome::Shed,
+            RequestOutcome::Failed { attempts: 4 },
+        ];
+        let traces: Vec<RequestTrace> = (0..traces)
+            .map(|i| {
+                let arrival = count(1 << 40) as u64;
+                let admitted = arrival + count(1 << 36) as u64;
+                let completed = admitted + count(1 << 44) as u64;
+                RequestTrace {
+                    id: i * (1 + seed as usize % 3),
+                    arrival_s: to_secs(arrival),
+                    admitted_s: to_secs(admitted),
+                    completed_s: to_secs(completed),
+                    latency_s: to_secs(completed - arrival),
+                    attempts: count(5) as u32,
+                    outcome: outcomes[if seed.is_multiple_of(4) { 0 } else { count(4) }],
+                }
+            })
+            .collect();
+        let armed = seed % 2 == 1;
+        ServiceReport {
+            requests: traces.len(),
+            policy: [
+                BatchPolicy::Auto,
+                BatchPolicy::Fixed(3),
+                BatchPolicy::Disabled,
+            ][count(3)],
+            arrival: [Arrival::Closed, Arrival::Poisson { rate_rps: 1234.56 }][count(2)],
+            capacity: count(64),
+            overlap_dma: count(2) == 0,
+            rounds: count(1 << 20),
+            fast_forwarded_rounds: count(1 << 20),
+            mean_fill: count(1 << 20) as f64 / 1024.0,
+            exec_ticks: count(1 << 50) as u64,
+            transfer_ticks: count(1 << 50) as u64,
+            overlapped_ticks: 0,
+            makespan_ticks: 0,
+            makespan_s: to_secs(count(1 << 50) as u64),
+            throughput_rps: count(1 << 40) as f64 / 128.0,
+            latency_mean_s: to_secs(count(1 << 44) as u64),
+            latency_p50_s: to_secs(count(1 << 44) as u64),
+            latency_p99_s: to_secs(count(1 << 44) as u64),
+            latency_max_s: to_secs(count(1 << 44) as u64),
+            latency_p99_completed_s: (!seed.is_multiple_of(3))
+                .then(|| to_secs(count(1 << 44) as u64)),
+            overlap_fraction: count(1 << 20) as f64 / (1 << 20) as f64,
+            completed: count(1 << 30),
+            retried: count(1 << 30),
+            timed_out: count(100),
+            shed: count(100),
+            failed: count(100),
+            transient_faults: count(100),
+            dma_stalls: count(100),
+            corrupt_payloads: count(100),
+            offered_rps: count(1 << 40) as f64 / 64.0,
+            goodput_rps: (!seed.is_multiple_of(3)).then(|| count(1 << 40) as f64 / 64.0),
+            fault_plan: ["none", "seed=7,\"fail\"@1\\2\n\t\r\u{1}\u{1f}é"][count(2)].into(),
+            recovery: RecoveryPolicy {
+                backoff_s: 0.5 * count(2) as f64,
+                deadline_s: (count(2) == 0).then_some(0.25),
+                ..RecoveryPolicy::default()
+            },
+            online: armed,
+            online_policy: OnlinePolicy {
+                event_loop: armed,
+                slo_s: (armed && count(2) == 0).then_some(0.006),
+                shed_queue: (armed && count(2) == 0).then_some(64),
+                priority_tiers: if armed { 3 } else { 1 },
+            },
+            backpressure_shed: count(100),
+            early_closed_rounds: count(100),
+            traces,
+        }
+    }
+
+    #[test]
+    fn streaming_writer_reproduces_the_reference_emitter() {
+        for seed in 0..48 {
+            let r = generated_report(seed, [0, 1, 2, 37][seed as usize % 4]);
+            let json = r.to_json();
+            assert_eq!(json, r.to_json_reference(), "seed {seed}");
+            json::validate(&json).unwrap();
+            assert_eq!(json.capacity(), r.json_capacity("") + 1, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn json_capacity_is_a_tight_upper_bound_on_a_large_report() {
+        for seed in [0, 1, 2] {
+            let json = generated_report(seed, 10_000).to_json();
+            assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
+        }
     }
 }

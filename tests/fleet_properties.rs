@@ -17,6 +17,10 @@
 //! * **Functional identity** — completed outputs are bit-exact against
 //!   the chained reference interpreter for every request, under every
 //!   routing policy; routing shares hardware, never data.
+//!
+//! Two plain tests pin the outage drain at scale: its report hashes to
+//! the bytes the quadratic drain wrote, and (release builds) a large
+//! outage costs a small multiple of the healthy run.
 
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use proptest::prelude::*;
@@ -320,4 +324,80 @@ proptest! {
             }
         }
     }
+}
+
+/// The fleet of `cfdc serve simstep:7 --fleet all`: the program
+/// compiled for every catalog board it fits.
+fn catalog_fleet() -> (Vec<Compiled>, Vec<FleetBoard>) {
+    let source = cfdlang::examples::simulation_step(7);
+    let compiled: Vec<Compiled> = Platform::catalog()
+        .iter()
+        .map(|p| Compiled::new(&source, Some(&p.id)))
+        .filter(|c| c.art.system.is_some())
+        .collect();
+    let boards = compiled
+        .iter()
+        .map(|c| FleetBoard::healthy(c.design()))
+        .collect();
+    (compiled, boards)
+}
+
+/// `--route rr --faults 7:fail=2e-3` on that fleet: `requests` closed
+/// timing-only requests, a fatal outage 2 ms in on the first board (or
+/// no fault at all).
+fn serve_closed(
+    (compiled, boards): &(Vec<Compiled>, Vec<FleetBoard>),
+    requests: usize,
+    outage: bool,
+) -> runtime::FleetReport {
+    let mut boards = boards.clone();
+    if outage {
+        boards[0].faults = FaultPlan::parse("7:fail=2e-3").unwrap();
+    }
+    let base = RuntimeOptions {
+        requests,
+        ..Default::default()
+    };
+    let fopts = fleet_opts(RoutePolicy::RoundRobin, base);
+    compiled[0].art.serve_fleet(&boards, &fopts).unwrap().report
+}
+
+/// The report of a 4 000-request fatal-outage fleet is, byte for byte,
+/// what commit 2b1c449 wrote (its per-trace list scan and its
+/// `format!` emitter): `cfdc serve simstep:7 --requests 4000 --fleet
+/// all --route rr --faults 7:fail=2e-3 --json`, FNV-64 and length of
+/// the document without the newline `println!` adds.
+#[test]
+fn outage_report_equals_the_bytes_the_quadratic_drain_wrote() {
+    let report = serve_closed(&catalog_fleet(), 4_000, true);
+    assert_eq!(report.requeued, 796);
+    let json = report.to_json();
+    let fnv64 = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((json.len(), fnv64), (851_092, 0xaa56_1cc5_ec4b_c68f));
+}
+
+/// Draining a dead board is not quadratic in its backlog: 256 000
+/// requests with a fatal outage 2 ms in (51 196 requeued) serve within
+/// 3x the healthy fleet's time (measured 1.1x). The per-trace scan took
+/// 30x here, 6.5x on a whole `cfdc` run.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing bound: release builds only")]
+fn a_large_outage_costs_a_small_multiple_of_the_healthy_run() {
+    let fleet = catalog_fleet();
+    let timed = |outage: bool| {
+        let runs = (0..3).map(|_| {
+            let t = std::time::Instant::now();
+            let report = serve_closed(&fleet, 256_000, outage);
+            assert_eq!(report.requeued, if outage { 51_196 } else { 0 });
+            t.elapsed()
+        });
+        runs.min().unwrap()
+    };
+    let (healthy, outage) = (timed(false), timed(true));
+    assert!(
+        outage < 3 * healthy,
+        "outage {outage:?} against healthy {healthy:?}"
+    );
 }
