@@ -39,9 +39,10 @@ use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use runtime::json::{fields_len, push_fields, row_end, Val};
+use runtime::json::{fields_len, push_fields, row_end, Row, Val};
 use sysgen::{Platform, SystemConfig};
 use teil::TensorKind;
+use zynq::des::to_secs;
 use zynq::SimConfig;
 
 use crate::cache::{CacheCounters, CompileCache};
@@ -188,25 +189,36 @@ pub const SERVICE_PROBE_REQUESTS: usize = 64;
 
 /// Score a design's serving behavior: requests/sec and p99 latency of a
 /// closed backlog of [`SERVICE_PROBE_REQUESTS`] requests under the
-/// `Auto` batch policy (fill `m`) with double-buffered DMA. This is a
-/// timing-only `runtime::serve` run, so the numbers are by construction
-/// the ones `cfdc serve` would report for the same design.
+/// `Auto` batch policy (fill `m`) with double-buffered DMA. The two
+/// numbers are read straight off the scheduler's outcome — no requests,
+/// no report — and are, bit for bit, the `throughput_rps` and
+/// `latency_p99_s` a timing-only `runtime::serve` of that backlog
+/// reports (`service_probe_reads_what_serve_reports`), so the ones
+/// `cfdc serve` would print for the same design.
 fn service_probe(design: &sysgen::MultiSystemDesign) -> (f64, f64) {
-    let opts = runtime::RuntimeOptions {
-        requests: SERVICE_PROBE_REQUESTS,
-        arrival: runtime::Arrival::Closed,
-        batch: runtime::BatchPolicy::Auto,
-        overlap_dma: true,
-        seed: 0,
-        execute: false,
-        ..runtime::RuntimeOptions::default()
+    let stream = zynq::simulate_online_stream(
+        design,
+        &SimConfig::default(),
+        &[0; SERVICE_PROBE_REQUESTS],
+        design.config.m,
+        true,
+        &zynq::FaultPlan::none(),
+        &runtime::RecoveryPolicy::default().to_spec(),
+        &zynq::OnlineSpec::fifo(),
+    )
+    .fault;
+    // Everything arrived at tick 0: a request's latency is the tick it
+    // resolved at.
+    let mut latency_ticks = stream.resolved_ticks;
+    latency_ticks.sort_unstable();
+    let makespan_s = to_secs(stream.stream.makespan_ticks);
+    let throughput_rps = if makespan_s > 0.0 {
+        SERVICE_PROBE_REQUESTS as f64 / makespan_s
+    } else {
+        0.0
     };
-    let requests = runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
-        .expect("closed arrivals never fail");
-    let report = runtime::serve(design, &[], &[], &[], &requests, &opts)
-        .expect("timing-only probe always serves")
-        .report;
-    (report.throughput_rps, report.latency_p99_s)
+    let p99_s = to_secs(runtime::percentile(&latency_ticks, 0.99));
+    (throughput_rps, p99_s)
 }
 
 /// Ranked sweep results plus the evidence that the shared stages ran
@@ -1482,8 +1494,9 @@ impl PortfolioReport {
         let cost = cost.iter().map(|&(o, per_kluts)| o.cost_fields(per_kluts));
         write_frontier(out, "cost_frontier", cost);
         out.push_str("  ],\n  \"outcomes\": [\n");
+        let mut row = Row::default();
         for (i, o) in self.outcomes.iter().enumerate() {
-            o.portfolio_row(|parts| parts.iter().for_each(|part| push_fields(out, part)));
+            o.portfolio_row(|parts| parts.iter().for_each(|part| row.push(out, "", part, "")));
             out.push_str(row_end(i, self.outcomes.len()));
         }
         out.push_str("  ]\n}\n");
@@ -2225,6 +2238,58 @@ mod tests {
     /// (a `true`, a carried digit) of the document.
     fn never_grew(json: &String, points: usize) -> bool {
         json.capacity() - json.len() <= HEADER_BYTES + 8 * points
+    }
+
+    /// The probe against the run it abbreviates: a timing-only
+    /// `runtime::serve` of the same closed backlog, on the program
+    /// system of every catalog board and on single-kernel systems with
+    /// and without a spare PLM set.
+    #[test]
+    fn service_probe_reads_what_serve_reports() {
+        let opts = runtime::RuntimeOptions {
+            requests: SERVICE_PROBE_REQUESTS,
+            ..runtime::RuntimeOptions::default()
+        };
+        let requests = runtime::generate_timing_requests(opts.requests, &opts.arrival, 0).unwrap();
+        let agrees = |design: &sysgen::MultiSystemDesign| {
+            let served = runtime::serve(design, &[], &[], &[], &requests, &opts).unwrap();
+            let (rps, p99_s) = service_probe(design);
+            let report = served.report;
+            assert_eq!(
+                (rps.to_bits(), p99_s.to_bits()),
+                (
+                    report.throughput_rps.to_bits(),
+                    report.latency_p99_s.to_bits()
+                ),
+                "{} m={}: probe {rps} / {p99_s}, serve {} / {}",
+                design.platform.id,
+                design.config.m,
+                report.throughput_rps,
+                report.latency_p99_s
+            );
+        };
+        let source = cfdlang::examples::simulation_step(5);
+        let mut fitted = 0;
+        for platform in Platform::catalog() {
+            let options = crate::program::ProgramOptions {
+                flow: FlowOptions::for_platform(platform),
+                ..Default::default()
+            };
+            let art = crate::program::ProgramFlow::compile(&source, &options).unwrap();
+            fitted += art.system.iter().inspect(|design| agrees(design)).count();
+        }
+        assert!(fitted >= 3, "only {fitted} catalog boards fit the program");
+
+        for (k, m) in [(1, 1), (1, 4), (2, 2), (2, 8)] {
+            let options = FlowOptions {
+                system: Some(SystemConfig { k, m }),
+                ..FlowOptions::default()
+            };
+            let art =
+                crate::Flow::compile(&cfdlang::examples::inverse_helmholtz(5), &options).unwrap();
+            let single = art.system.expect("fits the zcu106");
+            agrees(&sysgen::MultiSystemDesign::from_single(&single));
+        }
     }
 
     #[test]

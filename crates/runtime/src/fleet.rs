@@ -36,8 +36,9 @@
 //!   request list; results are merged by board index, so the scoped
 //!   thread fan-out is bit-identical to the serial loop.
 //! * **Routing never touches data.** Policies only choose *where* a
-//!   request runs; completed outputs stay bit-exact against
-//!   `zynq::run_program_reference` under every policy.
+//!   request runs — what moves is a position in the caller's request
+//!   list, and for a requeue its shed tick — so completed outputs stay
+//!   bit-exact against `zynq::run_program_reference` under every policy.
 //!
 //! Routing happens before simulation, from a deterministic cost model:
 //! each board's full round cost is probed once with a one-request
@@ -57,10 +58,12 @@ use teil::ir::Module;
 use zynq::des::{secs, to_secs, Time};
 use zynq::fault::FaultPlan;
 
-use crate::json::{fields_len, push_fields, push_opt_fixed, row_end, Val};
+use zynq::StreamStatus;
+
+use crate::json::{fields_len, push_opt_fixed, row_end, Row, Val};
 use crate::{
-    percentile, serve, Request, RequestOutcome, RuntimeError, RuntimeOptions, ServeOutcome,
-    ServiceReport,
+    admission_order, latency_stats, serve_stream, Request, RuntimeError, RuntimeOptions,
+    ServeOutcome, ServiceReport, Stages,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -289,65 +292,54 @@ fn probe_request_ticks(board: &FleetBoard, opts: &RuntimeOptions) -> u64 {
     (round_ticks / capacity as u64).max(1)
 }
 
-/// Run `serve` for every board with a non-empty request list, either on
-/// scoped threads or serially. Results land in board-index order, so
+/// A board's share of the stream, in admission order: positions in the
+/// caller's request list and their arrival ticks on this board (a
+/// rescued request arrives at its shed tick). A run takes `arrivals`
+/// with it, so a filled `arrivals` also marks a board that has to run.
+struct Share {
+    index: Vec<u32>,
+    arrivals: Vec<Time>,
+}
+
+/// Run the serving core for every board whose share is waiting, either
+/// on scoped threads or serially. Results land in board-index order, so
 /// the merge is deterministic regardless of completion order.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn run_boards(
     boards: &[FleetBoard],
-    names: &[String],
-    modules: &[&Module],
-    kernels: &[&cgen::CKernel],
-    lists: &[Vec<Request>],
+    stages: Stages,
+    requests: &[Request],
+    shares: &mut [Share],
     opts: &FleetOptions,
-    only: Option<&[usize]>,
     results: &mut [Option<ServeOutcome>],
 ) -> Result<(), RuntimeError> {
-    let wanted: Vec<usize> = (0..boards.len())
-        .filter(|b| !lists[*b].is_empty() && only.is_none_or(|o| o.contains(b)))
+    let waiting: Vec<(usize, Vec<Time>)> = (shares.iter_mut().enumerate())
+        .filter(|(_, share)| !share.arrivals.is_empty())
+        .map(|(b, share)| (b, std::mem::take(&mut share.arrivals)))
         .collect();
-    let board_opts: Vec<RuntimeOptions> = boards
-        .iter()
-        .map(|b| RuntimeOptions {
-            faults: b.faults.clone(),
+    let shares = &*shares;
+    let run = &|(b, arrivals): (usize, Vec<Time>)| {
+        let board_opts = RuntimeOptions {
+            faults: boards[b].faults.clone(),
             ..opts.base.clone()
-        })
-        .collect();
-    let mut done: Vec<(usize, Result<ServeOutcome, RuntimeError>)> =
-        Vec::with_capacity(wanted.len());
-    if opts.parallel && wanted.len() > 1 {
+        };
+        let (design, index) = (&boards[b].design, &shares[b].index);
+        let served = serve_stream(design, stages, requests, index, arrivals, &board_opts);
+        (b, served)
+    };
+    let done: Vec<_> = if opts.parallel && waiting.len() > 1 {
         std::thread::scope(|s| {
-            let handles: Vec<_> = wanted
-                .iter()
-                .map(|&b| {
-                    let list = &lists[b];
-                    let bopts = &board_opts[b];
-                    let design = &boards[b].design;
-                    s.spawn(move || (b, serve(design, names, modules, kernels, list, bopts)))
-                })
+            let workers: Vec<_> = (waiting.into_iter())
+                .map(|share| s.spawn(move || run(share)))
                 .collect();
-            for h in handles {
-                done.push(h.join().expect("board worker panicked"));
-            }
-        });
+            (workers.into_iter())
+                .map(|worker| worker.join().expect("board worker panicked"))
+                .collect()
+        })
     } else {
-        for &b in &wanted {
-            done.push((
-                b,
-                serve(
-                    &boards[b].design,
-                    names,
-                    modules,
-                    kernels,
-                    &lists[b],
-                    &board_opts[b],
-                ),
-            ));
-        }
-    }
-    done.sort_by_key(|(b, _)| *b);
-    for (b, r) in done {
-        results[b] = Some(r?);
+        waiting.into_iter().map(run).collect()
+    };
+    for (b, served) in done {
+        results[b] = Some(served?);
     }
     Ok(())
 }
@@ -361,8 +353,9 @@ fn run_boards(
 ///
 /// `names`/`modules`/`kernels` describe the compiled program exactly as
 /// in [`crate::serve`]; the functional path (and its bit-exactness
-/// guarantees) is inherited unchanged because every board *runs*
-/// [`crate::serve`].
+/// guarantees) is inherited unchanged because every board runs the core
+/// [`crate::serve`] runs. Requests are routed as positions in
+/// `requests`, never copied.
 pub fn serve_fleet(
     boards: &[FleetBoard],
     names: &[String],
@@ -379,55 +372,51 @@ pub fn serve_fleet(
     }
     let n = requests.len();
     let nb = boards.len();
+    let stages = (names, modules, kernels);
+    // Admission order — the same total order `serve` uses, so routing
+    // is a pure function of the stream.
+    let order = admission_order(requests);
+    let id = |i: u32| requests[i as usize].id;
+    let arrival = |i: u32| secs(requests[i as usize].arrival_s);
 
-    // Admission order: arrival time, ties by id — the same total order
-    // `serve` uses, so routing is a pure function of the stream.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        requests[a]
-            .arrival_s
-            .total_cmp(&requests[b].arrival_s)
-            .then(requests[a].id.cmp(&requests[b].id))
-    });
-
-    // Phase 1: place every request.
+    // Phase 1: place every request, then cut the stream into exactly
+    // sized shares. `placement` is by caller position until the end.
     let req_ticks: Vec<u64> = boards
         .iter()
         .map(|b| probe_request_ticks(b, &opts.base))
         .collect();
     let mut dispatcher = Dispatcher::new(opts.route, req_ticks.clone());
     let all: Vec<usize> = (0..nb).collect();
-    let mut assignment: Vec<usize> = vec![0; n];
-    let mut lists: Vec<Vec<Request>> = vec![Vec::new(); nb];
-    // Caller index of each entry in a board's list, so outputs map back.
-    let mut list_origin: Vec<Vec<usize>> = vec![Vec::new(); nb];
+    let mut placement: Vec<(usize, usize)> = requests.iter().map(|r| (r.id, 0)).collect();
+    let mut assigned = vec![0usize; nb];
     for &i in &order {
-        let b = dispatcher.route(secs(requests[i].arrival_s), &all);
-        assignment[i] = b;
-        lists[b].push(requests[i].clone());
-        list_origin[b].push(i);
+        let b = dispatcher.route(arrival(i), &all);
+        placement[i as usize].1 = b;
+        assigned[b] += 1;
     }
-    let assigned: Vec<usize> = lists.iter().map(|l| l.len()).collect();
+    let mut shares: Vec<Share> = (assigned.iter())
+        .map(|&k| Share {
+            index: Vec::with_capacity(k),
+            arrivals: Vec::with_capacity(k),
+        })
+        .collect();
+    for &i in &order {
+        let share = &mut shares[placement[i as usize].1];
+        share.index.push(i);
+        share.arrivals.push(arrival(i));
+    }
 
     let mut results: Vec<Option<ServeOutcome>> = (0..nb).map(|_| None).collect();
-    run_boards(
-        boards,
-        names,
-        modules,
-        kernels,
-        &lists,
-        opts,
-        None,
-        &mut results,
-    )?;
+    run_boards(boards, stages, requests, &mut shares, opts, &mut results)?;
 
     // Phase 2: drain requests shed by a fatal outage and requeue them
     // on the surviving boards, arriving at their shed tick. `Shed` only
     // arises from an unrecovered outage, and survivors cannot shed, so
     // one wave settles the fleet. The dead board keeps its phase-1
-    // report — that stream is what physically ran before the rescue —
-    // but its drained requests leave the dispatcher's books, so the
-    // merge below takes their final outcome from the rescue board.
+    // report and share — that stream is what physically ran before the
+    // rescue — but its drained requests leave the dispatcher's books,
+    // so the merge below takes their final outcome from the rescue
+    // board.
     let survivors: Vec<usize> = (0..nb)
         .filter(|&b| !boards[b].faults.fatal_outage())
         .collect();
@@ -435,102 +424,73 @@ pub fn serve_fleet(
     let mut rescued_out = vec![0usize; nb];
     let mut requeued = 0usize;
     if !survivors.is_empty() {
-        // (shed tick, caller index), in deterministic drain order.
-        let mut sheds: Vec<(f64, usize)> = Vec::new();
-        for b in 0..nb {
-            let Some(out) = &results[b] else { continue };
-            if !boards[b].faults.fatal_outage() {
+        // (shed tick, caller position), in deterministic drain order.
+        let mut sheds: Vec<(Time, u32)> = Vec::new();
+        for (b, out) in results.iter().enumerate() {
+            let Some(out) = out.as_ref().filter(|_| boards[b].faults.fatal_outage()) else {
+                continue;
+            };
+            let traces = &out.report.traces;
+            let rows = (traces.statuses.iter().zip(&traces.resolved)).zip(&shares[b].index);
+            sheds.extend(
+                rows.filter(|((&status, _), _)| status == StreamStatus::Shed)
+                    .map(|((_, &at), &i)| (at, i)),
+            );
+        }
+        sheds.sort_by_key(|&(at, i)| (at, id(i)));
+        let mut rescued: Vec<Vec<(Time, u32)>> = vec![Vec::new(); nb];
+        for &(at, i) in &sheds {
+            let b = dispatcher.route(at, &survivors);
+            let home = &mut placement[i as usize].1;
+            rescued_out[*home] += 1;
+            *home = b;
+            rescued[b].push((at, i));
+            requeued += 1;
+        }
+        // Re-simulate only the rescue boards: their streams gained
+        // requests. Dead boards are inert after the failure tick, so
+        // their phase-1 streams stand as simulated.
+        for (b, rescued) in rescued.into_iter().enumerate() {
+            if rescued.is_empty() {
                 continue;
             }
-            // (request id, caller index) by id, built once per dead
-            // board: a scan of the list per shed trace made a large
-            // outage quadratic. The stable sort keeps list order among
-            // equal ids, so the first match is the one a scan found.
-            let origins = lists[b].iter().zip(&list_origin[b]);
-            let mut origin: Vec<(usize, usize)> = origins.map(|(r, &i)| (r.id, i)).collect();
-            origin.sort_by_key(|&(id, _)| id);
-            for t in &out.report.traces {
-                if t.outcome == RequestOutcome::Shed {
-                    let at = origin.partition_point(|&(id, _)| id < t.id);
-                    let &(_, i) = (origin.get(at).filter(|&&(id, _)| id == t.id))
-                        .expect("shed trace maps to a routed request");
-                    sheds.push((t.completed_s, i));
-                }
-            }
+            rescued_in[b] = rescued.len();
+            let share = &mut shares[b];
+            let mut stream: Vec<(Time, u32)> = (share.index.iter())
+                .map(|&i| (arrival(i), i))
+                .chain(rescued)
+                .collect();
+            stream.sort_by_key(|&(at, i)| (at, id(i)));
+            (share.arrivals, share.index) = stream.into_iter().unzip();
         }
-        sheds.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then(requests[a.1].id.cmp(&requests[b.1].id))
-        });
-        if !sheds.is_empty() {
-            let mut touched: Vec<usize> = Vec::new();
-            for &(shed_s, i) in &sheds {
-                let b = dispatcher.route(secs(shed_s), &survivors);
-                // The dead board's list stays intact (its phase-1
-                // stream and outputs stay positionally aligned); the
-                // reassignment makes the merge skip its shed entries.
-                rescued_out[assignment[i]] += 1;
-                assignment[i] = b;
-                let mut req = requests[i].clone();
-                req.arrival_s = shed_s;
-                lists[b].push(req);
-                list_origin[b].push(i);
-                rescued_in[b] += 1;
-                if !touched.contains(&b) {
-                    touched.push(b);
-                }
-                requeued += 1;
-            }
-            // Re-simulate only the rescue boards: their streams gained
-            // requests. Dead boards are inert after the failure tick,
-            // so their phase-1 streams stand as simulated.
-            run_boards(
-                boards,
-                names,
-                modules,
-                kernels,
-                &lists,
-                opts,
-                Some(&touched),
-                &mut results,
-            )?;
-        }
+        run_boards(boards, stages, requests, &mut shares, opts, &mut results)?;
     }
 
-    // Deterministic merge: per-request fleet traces keyed by caller
-    // index, latencies measured from the original arrivals. Entries a
-    // rescue moved away (`assignment[i] != b`) are skipped — their
-    // final outcome lives on the rescue board.
-    let mut completed_s: Vec<f64> = vec![0.0; n];
-    let mut outcomes: Vec<RequestOutcome> = vec![RequestOutcome::Shed; n];
+    // Deterministic merge. Row `k` of a board's columns is request
+    // `index[k]` of its share; entries a rescue moved away are skipped —
+    // their final outcome lives on the rescue board — and latencies
+    // count from the original arrivals.
+    let mut latency_ticks: Vec<u64> = Vec::with_capacity(n);
+    let (mut completed, mut timed_out, mut shed, mut failed) = (0usize, 0usize, 0usize, 0usize);
     let mut retried = 0usize;
-    for b in 0..nb {
-        let Some(out) = &results[b] else { continue };
-        let by_id: HashMap<usize, usize> = out
-            .report
-            .traces
-            .iter()
-            .enumerate()
-            .map(|(k, t)| (t.id, k))
-            .collect();
-        for (&i, req) in list_origin[b].iter().zip(&lists[b]) {
-            if assignment[i] != b {
+    for (b, out) in results.iter().enumerate() {
+        let Some(out) = out else { continue };
+        let traces = &out.report.traces;
+        for (k, &i) in shares[b].index.iter().enumerate() {
+            if placement[i as usize].1 != b {
                 continue;
             }
-            let t = &out.report.traces[by_id[&req.id]];
-            completed_s[i] = t.completed_s;
-            outcomes[i] = t.outcome;
-            if t.attempts > 1 {
-                retried += 1;
-            }
+            latency_ticks.push(traces.resolved[k].saturating_sub(arrival(i)));
+            *match traces.statuses[k] {
+                StreamStatus::Completed => &mut completed,
+                StreamStatus::TimedOut => &mut timed_out,
+                StreamStatus::Shed => &mut shed,
+                StreamStatus::Failed => &mut failed,
+            } += 1;
+            retried += usize::from(traces.attempts[k] > 1);
         }
     }
-    let mut latency_ticks: Vec<u64> = (0..n)
-        .map(|i| secs(completed_s[i]).saturating_sub(secs(requests[i].arrival_s)))
-        .collect();
-    latency_ticks.sort_unstable();
-    let count = |want: fn(&RequestOutcome) -> bool| outcomes.iter().filter(|&o| want(o)).count();
-    let completed = count(|o| matches!(o, RequestOutcome::Completed));
+    let [mean, p50, p99, max] = latency_stats(&mut latency_ticks);
     let makespan_ticks = results
         .iter()
         .flatten()
@@ -546,9 +506,19 @@ pub fn serve_fleet(
         }
     };
 
-    let board_reports: Vec<BoardReport> = (0..nb)
-        .map(|b| {
-            let report = results[b].as_ref().map(|o| o.report.clone());
+    // Every board's report moves into its row, and its outputs — in
+    // its share's order — back to the positions the caller asked in.
+    let mut outputs = vec![HashMap::new(); if opts.base.execute { n } else { 0 }];
+    let board_reports: Vec<BoardReport> = (results.into_iter().enumerate())
+        .map(|(b, result)| {
+            let report = result.map(|out| {
+                for (&i, o) in shares[b].index.iter().zip(out.outputs) {
+                    if placement[i as usize].1 == b {
+                        outputs[i as usize] = o;
+                    }
+                }
+                out.report
+            });
             let exec_ticks = report.as_ref().map_or(0, |r| r.exec_ticks);
             let board_completed = report.as_ref().map_or(0, |r| r.completed);
             let kluts = boards[b].design.platform.board.luts as f64 / 1000.0;
@@ -574,9 +544,6 @@ pub fn serve_fleet(
             }
         })
         .collect();
-
-    let mut placement: Vec<(usize, usize)> =
-        (0..n).map(|i| (requests[i].id, assignment[i])).collect();
     placement.sort_unstable();
 
     let report = FleetReport {
@@ -585,40 +552,21 @@ pub fn serve_fleet(
         requests: n,
         completed,
         retried,
-        timed_out: count(|o| matches!(o, RequestOutcome::TimedOut)),
-        shed: count(|o| matches!(o, RequestOutcome::Shed)),
-        failed: count(|o| matches!(o, RequestOutcome::Failed { .. })),
+        timed_out,
+        shed,
+        failed,
         requeued,
         makespan_ticks,
         makespan_s,
         aggregate_rps: per_s(n),
         goodput_rps: (completed > 0).then(|| per_s(completed)),
-        latency_mean_s: to_secs(latency_ticks.iter().sum::<u64>() / n as u64),
-        latency_p50_s: to_secs(percentile(&latency_ticks, 0.50)),
-        latency_p99_s: to_secs(percentile(&latency_ticks, 0.99)),
-        latency_max_s: to_secs(*latency_ticks.last().unwrap()),
+        latency_mean_s: to_secs(mean),
+        latency_p50_s: to_secs(p50),
+        latency_p99_s: to_secs(p99),
+        latency_max_s: to_secs(max),
         boards: board_reports,
         assignment: placement,
     };
-
-    // Outputs in caller order, pulled back through each board's origin
-    // map (phase-2 boards already re-ran the functional path for their
-    // final lists).
-    let outputs = if opts.base.execute {
-        let mut outs: Vec<HashMap<String, Vec<f64>>> = vec![HashMap::new(); n];
-        for b in 0..nb {
-            let Some(out) = &results[b] else { continue };
-            for (&i, o) in list_origin[b].iter().zip(&out.outputs) {
-                if assignment[i] == b {
-                    outs[i] = o.clone();
-                }
-            }
-        }
-        outs
-    } else {
-        Vec::new()
-    };
-
     Ok(FleetOutcome { report, outputs })
 }
 
@@ -737,9 +685,9 @@ impl FleetReport {
             self.failed,
             self.requeued,
         )?;
+        let mut row = Row::default();
         for (k, b) in self.boards.iter().enumerate() {
-            push_fields(out, &b.json_fields());
-            out.push_str(REPORT_KEY);
+            row.push(out, "", &b.json_fields(), REPORT_KEY);
             match &b.report {
                 Some(r) => r.write_json(out, BOARD_PAD)?,
                 None => out.push_str("null"),
@@ -748,9 +696,9 @@ impl FleetReport {
         }
         out.push_str("  ],\n  \"assignment\": [");
         for (k, &entry) in self.assignment.iter().enumerate() {
-            push_fields(out, &assignment_fields(entry));
             let last = k + 1 == self.assignment.len();
-            out.push_str(if last { "}" } else { "}, " });
+            let end = if last { "}" } else { "}, " };
+            row.push(out, "", &assignment_fields(entry), end);
         }
         out.push_str("]\n}\n");
         Ok(())
@@ -798,8 +746,11 @@ impl fmt::Display for FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{design, generated_report, timing_requests};
-    use crate::{Arrival, BatchPolicy};
+    use crate::tests::{
+        design, generated_options, generated_report, shuffled_requests, timing_requests,
+        traces_reference,
+    };
+    use crate::{serve, Arrival, BatchPolicy, RequestOutcome};
     use zynq::fault::Outage;
 
     fn boards3() -> Vec<FleetBoard> {
@@ -1004,6 +955,70 @@ mod tests {
                 fleet.requeued
             );
         }
+    }
+
+    /// Every board's traces — the dead board's, and the rescue boards'
+    /// with requeued requests arriving at their shed ticks — are the
+    /// list the old `serve` built for the same requests.
+    #[test]
+    fn board_traces_hand_out_the_reference_list_across_an_outage() {
+        let (mut permuted, mut requeued) = (0, 0);
+        for seed in 0..24 {
+            let mut boards = boards3();
+            boards[seed as usize % 3].faults = FaultPlan {
+                seed,
+                outage: Some(Outage {
+                    fail_at: secs(0.0004),
+                    recover_at: None,
+                }),
+                ..FaultPlan::none()
+            };
+            let reqs = shuffled_requests(seed, 40 + seed as usize * 5);
+            let opts = FleetOptions {
+                route: [RoutePolicy::RoundRobin, RoutePolicy::Predictive][seed as usize % 2],
+                parallel: seed % 4 == 0,
+                base: RuntimeOptions {
+                    faults: FaultPlan::none(),
+                    ..generated_options(seed)
+                },
+            };
+            let fleet = serve_fleet(&boards, &[], &[], &[], &reqs, &opts)
+                .unwrap()
+                .report;
+            requeued += fleet.requeued;
+            let mut shed_at = HashMap::new();
+            for (board, row) in boards.iter().zip(&fleet.boards) {
+                let Some(report) = &row.report else { continue };
+                // The board's stream as the old `serve` took it.
+                let stream: Vec<Request> = (report.traces.iter())
+                    .map(|t| Request {
+                        arrival_s: t.arrival_s,
+                        ..reqs.iter().find(|r| r.id == t.id).unwrap().clone()
+                    })
+                    .collect();
+                let board_opts = RuntimeOptions {
+                    faults: board.faults.clone(),
+                    ..opts.base.clone()
+                };
+                let reference = traces_reference(&board.design, &stream, &board_opts);
+                assert_eq!(report.traces.iter().collect::<Vec<_>>(), reference);
+                permuted += usize::from(!report.traces.by_id.is_empty());
+                for t in &report.traces {
+                    if t.outcome == RequestOutcome::Shed && board.faults.fatal_outage() {
+                        shed_at.insert(t.id, t.completed_s);
+                    }
+                }
+            }
+            // A rescued request arrives where its first board shed it.
+            let live = (boards.iter().zip(&fleet.boards)).filter(|(b, _)| !b.faults.fatal_outage());
+            let rescued = (live
+                .flat_map(|(_, row)| &row.report)
+                .flat_map(|r| &r.traces))
+            .filter(|t| shed_at.get(&t.id).is_some_and(|&at| at == t.arrival_s));
+            assert_eq!(rescued.count(), fleet.requeued, "seed {seed}");
+            assert_eq!(shed_at.len(), fleet.requeued, "seed {seed}");
+        }
+        assert!(permuted > 24 && requeued > 100, "{permuted} {requeued}");
     }
 
     #[test]

@@ -7,12 +7,23 @@
 //! document once and its `write_json` appends into that buffer; an
 //! embedded report (a fleet's boards) writes straight into its parent's
 //! buffer behind a pad. Record rows are arrays of `(literal key,
-//! [`Val`])` that [`push_fields`] appends and [`fields_len`] sizes, over
-//! three allocation-free primitives: [`push_u64`] (what `to_string`
-//! prints), [`push_fixed`] (what `format!("{v:.prec$}")` prints) and
-//! [`push_escaped`] — board names, fault-plan labels and kernel names
-//! flow into the output, so a quote or backslash in a label would
-//! otherwise emit invalid JSON.
+//! [`Val`])` that a [`Row`] assembles in a stack buffer and appends with
+//! one `push_str`, and that [`fields_len`] sizes. The values are
+//! integers, flags, [`push_fixed`] floats (what `format!("{v:.prec$}")`
+//! prints), escaped strings ([`push_escaped`] — board names, fault-plan
+//! labels and kernel names flow into the output, so a quote or
+//! backslash in a label would otherwise emit invalid JSON) and
+//! [`Val::Secs6`].
+//!
+//! `Secs6` is how a service report's per-request times reach the
+//! document. The report keeps every request once, as integer
+//! picosecond ticks (`runtime::Traces`); seconds exist only here, at
+//! emission. `Secs6(t)` prints what `format!("{:.6}", to_secs(t))`
+//! prints, by integer division: the microsecond count `t / 10^6`
+//! rounded on the remainder. The float's error stays under half a tick
+//! while `t < 2^51`, so the two can only disagree on an exact decimal
+//! tie (`t % 10^6 == 500 000`), where the float sits on one side or the
+//! other; ties and larger ticks go through `push_fixed(to_secs(t), 6)`.
 //!
 //! [`validate`] is a minimal JSON parser (structure only, no value
 //! tree) used by tests to prove emitted documents stay well-formed even
@@ -20,23 +31,182 @@
 
 use std::fmt::Write;
 
-/// Write `v` in decimal, zero-padded to `width` digits, into `buf` so
-/// that it ends before `at`; returns where it starts.
-fn write_digits(buf: &mut [u8; 40], mut at: usize, mut v: u64, width: usize) -> usize {
-    let stop = at - width;
-    while v > 0 || at > stop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    at
+use zynq::des::to_secs;
+
+/// Bytes a row collects on the stack between two appends.
+const ROW: usize = 256;
+/// Literals of a row — pad, keys, end — a [`Row`] remembers: the rows
+/// worth it (a trace, a fleet placement) are short.
+const LITS: usize = 12;
+
+/// A row under assembly, and what is left in the buffer of the row
+/// before it. The buffer only ever holds whole `&str`s and ASCII
+/// digits, so its bytes are UTF-8 whenever they are flushed.
+///
+/// The rows of one table repeat their literals, mostly at the same
+/// offsets, and copying them is most of what a row of numbers costs. So
+/// a row that went out in one piece leaves behind where each literal
+/// lay, as (address, length, offset), and the next row skips a literal
+/// that lands on itself: the bytes are there already. Literals are
+/// `&'static str`, so equal address and length mean equal bytes; a row
+/// is written left to right, so until it is flushed part-way nothing at
+/// or past the cursor has been touched since the row before.
+pub struct Row {
+    buf: [u8; ROW],
+    len: usize,
+    lits: [(usize, usize, usize); LITS],
+    /// Leading entries of `lits` that describe the row before.
+    kept: usize,
+    /// Whether this row has been flushed part-way.
+    spilled: bool,
 }
 
-/// Append `v` in decimal.
-pub fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0; 40];
-    let at = write_digits(&mut buf, 40, v, 1);
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+/// Decimal digits of `v`.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// `v` in decimal over the whole of `slot`, zero-padded on the left.
+fn fill(slot: &mut [u8], mut v: u64) {
+    for digit in slot.iter_mut().rev() {
+        *digit = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+}
+
+impl Default for Row {
+    fn default() -> Row {
+        Row {
+            buf: [0; ROW],
+            len: 0,
+            lits: [(0, 0, 0); LITS],
+            kept: 0,
+            spilled: false,
+        }
+    }
+}
+
+impl Row {
+    /// Append `pad`, `key value` for every field, then `end` to `out`.
+    /// Does not allocate; a row of up to [`ROW`] bytes without a `Str`
+    /// is one append.
+    pub fn push(
+        &mut self,
+        out: &mut String,
+        pad: &'static str,
+        fields: &[(&'static str, Val)],
+        end: &'static str,
+    ) {
+        self.spilled = false;
+        self.lit(out, 0, pad);
+        for (i, (key, val)) in fields.iter().enumerate() {
+            self.lit(out, i + 1, key);
+            match *val {
+                Val::Int(v) => fill(self.claim(out, digits(v)), v),
+                Val::Flag(v) => self.put(out, if v { "true" } else { "false" }),
+                Val::Fixed(v, prec) => self.put_fixed(out, v, prec),
+                Val::Secs6(ticks) => self.put_secs6(out, ticks),
+                Val::Str(s) => {
+                    self.flush(out);
+                    push_escaped(out, s);
+                }
+                Val::Lit(s) => self.put(out, s),
+            }
+        }
+        self.lit(out, fields.len() + 1, end);
+        let whole = !self.spilled;
+        self.flush(out);
+        self.kept = if whole { LITS.min(fields.len() + 2) } else { 0 };
+    }
+
+    /// Literal `i` of the row: copied, unless the row before left it here.
+    fn lit(&mut self, out: &mut String, i: usize, s: &'static str) {
+        let here = (s.as_ptr() as usize, s.len(), self.len);
+        if !self.spilled && i < self.kept && self.lits[i] == here {
+            self.len += s.len();
+        } else {
+            if let Some(lit) = self.lits.get_mut(i) {
+                *lit = here;
+            }
+            self.put(out, s);
+        }
+    }
+
+    /// Append what has collected to `out`.
+    fn flush(&mut self, out: &mut String) {
+        out.push_str(std::str::from_utf8(&self.buf[..self.len]).expect("strs and ascii digits"));
+        self.len = 0;
+        self.spilled = true;
+    }
+
+    /// The next `n <= ROW` bytes of the buffer, flushing first when they
+    /// would not fit.
+    fn claim(&mut self, out: &mut String, n: usize) -> &mut [u8] {
+        if self.len + n > ROW {
+            self.flush(out);
+        }
+        self.len += n;
+        &mut self.buf[self.len - n..self.len]
+    }
+
+    fn put(&mut self, out: &mut String, s: &str) {
+        if s.len() > ROW {
+            self.flush(out);
+            out.push_str(s);
+        } else {
+            self.claim(out, s.len()).copy_from_slice(s.as_bytes());
+        }
+    }
+
+    /// `int.frac` with `prec` fractional digits.
+    fn put_decimal(&mut self, out: &mut String, int: u64, frac: u64, prec: usize) {
+        let int_digits = digits(int);
+        let slot = self.claim(out, int_digits + usize::from(prec > 0) + prec);
+        fill(&mut slot[..int_digits], int);
+        if let [point, frac_digits @ ..] = &mut slot[int_digits..] {
+            *point = b'.';
+            fill(frac_digits, frac);
+        }
+    }
+
+    /// See [`push_fixed`].
+    fn put_fixed(&mut self, out: &mut String, v: f64, prec: usize) {
+        let bits = v.to_bits();
+        let exp = (bits >> 52) as usize;
+        if exp >= 1075 || prec > 9 {
+            // Sign bit set (`exp >= 2048`), NaN, infinite or no fraction bits.
+            self.flush(out);
+            return write!(out, "{v:.prec$}").expect("writing to a String cannot fail");
+        }
+        // Subnormals (`exp == 0`) share the smallest normal exponent and
+        // lack the implicit bit. A shift past 127 leaves nothing of the
+        // 83-bit product either way, so clamping it is exact.
+        let m = (bits & ((1 << 52) - 1) | u64::from(exp > 0) << 52) as u128;
+        let shift = (1075 - exp.max(1)).min(127);
+        let pow = 10u64.pow(prec as u32);
+        let scaled = (m & ((1 << shift) - 1)) * pow as u128;
+        let (mut int, mut frac) = ((m >> shift) as u64, (scaled >> shift) as u64);
+        let (rest, half) = (scaled & ((1 << shift) - 1), 1 << (shift - 1));
+        // Parity of the whole scaled value; wrapping keeps the low bit.
+        let odd = int.wrapping_mul(pow).wrapping_add(frac) & 1 == 1;
+        if rest > half || (rest == half && odd) {
+            frac += 1;
+            if frac == pow {
+                (int, frac) = (int + 1, 0);
+            }
+        }
+        self.put_decimal(out, int, frac, prec);
+    }
+
+    /// See [`Val::Secs6`].
+    fn put_secs6(&mut self, out: &mut String, ticks: u64) {
+        let (micros, rest) = (ticks / 1_000_000, ticks % 1_000_000);
+        if rest == 500_000 || ticks >= 1 << 51 {
+            return self.put_fixed(out, to_secs(ticks), 6);
+        }
+        let micros = micros + u64::from(rest > 500_000);
+        self.put_decimal(out, micros / 1_000_000, micros % 1_000_000, 6);
+    }
 }
 
 /// Append `v` with `prec` fractional digits, byte for byte what
@@ -47,37 +217,7 @@ pub fn push_u64(out: &mut String, v: u64) {
 /// Negative, non-finite and `>= 2^52` values and `prec > 9` — none
 /// occurs in a report — take `core::fmt`.
 pub fn push_fixed(out: &mut String, v: f64, prec: usize) {
-    let bits = v.to_bits();
-    let exp = (bits >> 52) as usize;
-    if exp >= 1075 || prec > 9 {
-        // Sign bit set (`exp >= 2048`), NaN, infinite or no fraction bits.
-        return write!(out, "{v:.prec$}").expect("writing to a String cannot fail");
-    }
-    // Subnormals (`exp == 0`) share the smallest normal exponent and
-    // lack the implicit bit. A shift past 127 leaves nothing of the
-    // 83-bit product either way, so clamping it is exact.
-    let m = (bits & ((1 << 52) - 1) | u64::from(exp > 0) << 52) as u128;
-    let shift = (1075 - exp.max(1)).min(127);
-    let pow = 10u64.pow(prec as u32);
-    let scaled = (m & ((1 << shift) - 1)) * pow as u128;
-    let (mut int, mut frac) = ((m >> shift) as u64, (scaled >> shift) as u64);
-    let (rest, half) = (scaled & ((1 << shift) - 1), 1 << (shift - 1));
-    // Parity of the whole scaled value; wrapping keeps the low bit.
-    let odd = int.wrapping_mul(pow).wrapping_add(frac) & 1 == 1;
-    if rest > half || (rest == half && odd) {
-        frac += 1;
-        if frac == pow {
-            (int, frac) = (int + 1, 0);
-        }
-    }
-    let mut buf = [0; 40];
-    let mut at = write_digits(&mut buf, 40, frac, prec);
-    if prec > 0 {
-        at -= 1;
-        buf[at] = b'.';
-    }
-    at = write_digits(&mut buf, at, int, 1);
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+    push_fields(out, &[("", Val::Fixed(v, prec))]);
 }
 
 /// [`push_fixed`], or `null` for `None`.
@@ -153,37 +293,33 @@ pub enum Val<'a> {
     Flag(bool),
     /// Value and fractional digits, as [`push_fixed`] takes them.
     Fixed(f64, usize),
+    /// Picosecond ticks, printed as seconds with six fractional digits:
+    /// byte for byte `Fixed(to_secs(ticks), 6)`, without the float.
+    Secs6(u64),
     /// Escaped on the way out.
     Str(&'a str),
     /// A token that needs no escaping, verbatim.
     Lit(&'a str),
 }
 
-/// Append `key value` for every field of a row. Does not allocate.
-pub fn push_fields(out: &mut String, fields: &[(&str, Val)]) {
-    for (key, val) in fields {
-        out.push_str(key);
-        match *val {
-            Val::Int(v) => push_u64(out, v),
-            Val::Flag(v) => out.push_str(if v { "true" } else { "false" }),
-            Val::Fixed(v, prec) => push_fixed(out, v, prec),
-            Val::Str(s) => push_escaped(out, s),
-            Val::Lit(s) => out.push_str(s),
-        }
-    }
+/// Append `key value` for every field of a part of a row.
+pub fn push_fields(out: &mut String, fields: &[(&'static str, Val)]) {
+    Row::default().push(out, "", fields, "");
 }
 
 /// Upper bound on the bytes [`push_fields`] appends, exact but for a
-/// `true` and for a `Fixed` within one of its next integer digit.
-/// Values [`push_fixed`] hands to `core::fmt` are not covered.
+/// `true`, for a `Fixed` within one of its next integer digit and for a
+/// `Secs6` within a microsecond of it. Values [`push_fixed`] hands to
+/// `core::fmt` are not covered.
 pub fn fields_len(fields: &[(&str, Val)]) -> usize {
-    let digits = |v: u64| v.checked_ilog10().map_or(1, |d| d as usize + 1);
     let width = |val: &Val| match *val {
         Val::Int(v) => digits(v),
         Val::Flag(_) => "false".len(),
         // The common case (seconds, fractions) without the cast.
         Val::Fixed(v, prec) if v < 9.0 => 2 + prec,
         Val::Fixed(v, prec) => digits((v as u64).saturating_add(1)) + 1 + prec,
+        // A microsecond on top covers the rounding, float error included.
+        Val::Secs6(ticks) => digits(ticks.saturating_add(1_000_000) / 1_000_000_000_000) + 7,
         Val::Str(s) => escaped_len(s),
         Val::Lit(s) => s.len(),
     };
@@ -376,7 +512,7 @@ mod tests {
         assert!(!doc.contains('\n'));
     }
 
-    /// `push_fixed` and `push_u64` against their definitions,
+    /// `push_fixed` and `Val::Int` against their definitions,
     /// `format!("{v:.p$}")` and `to_string`, for every precision a
     /// report uses and the ones around them.
     #[test]
@@ -448,7 +584,7 @@ mod tests {
         }
         for &v in &ints {
             out.clear();
-            push_u64(&mut out, v);
+            push_fields(&mut out, &[("", Val::Int(v))]);
             assert_eq!(out, v.to_string());
             assert_eq!(out.len(), fields_len(&[("", Val::Int(v))]));
         }
@@ -456,6 +592,117 @@ mod tests {
         push_opt_fixed(&mut out, None, 6);
         push_opt_fixed(&mut out, Some(0.25), 3);
         assert_eq!(out, "null0.250");
+    }
+
+    /// `Secs6` against its definition, `format!("{:.6}", to_secs(t))`:
+    /// ten million drawn ticks of every magnitude, every decimal tie of
+    /// the first second and a million drawn ones with both neighbours,
+    /// and the ticks either side of the `2^51` hand-over to the float.
+    #[test]
+    fn secs6_prints_what_the_float_prints() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut check = |ticks: u64| {
+            got.clear();
+            want.clear();
+            push_fields(&mut got, &[("", Val::Secs6(ticks))]);
+            write!(want, "{:.6}", to_secs(ticks)).unwrap();
+            assert_eq!(got, want, "{ticks} ticks");
+            let bound = fields_len(&[("", Val::Secs6(ticks))]);
+            assert!(
+                got.len() <= bound && bound <= got.len() + 1,
+                "{ticks} ticks"
+            );
+        };
+        let mut rng = StdRng::seed_from_u64(0x5EC5_0006);
+        for i in 0..10_000_000u64 {
+            check(rng.next_u64() >> (i % 64));
+        }
+        for i in 0..2_000_000u64 {
+            let micros = if i < 1_000_000 {
+                i
+            } else {
+                rng.next_u64() >> (21 + i % 40)
+            };
+            let tie = micros * 1_000_000 + 500_000;
+            for ticks in [tie - 1, tie, tie + 1] {
+                check(ticks);
+            }
+        }
+        for near in [1u64 << 51, (1 << 51) / 1_000_000 * 1_000_000 + 500_000] {
+            for ticks in near - 5_000..near + 5_000 {
+                check(ticks);
+            }
+        }
+        for ticks in [0, 1, 499_999, 999_999_499_999, 999_999_500_000, u64::MAX] {
+            check(ticks);
+        }
+    }
+
+    /// A `Row` reused from row to row writes what a fresh one writes:
+    /// values whose widths move the literals behind them and move them
+    /// back, tables of different shapes taking turns, rows that spill on
+    /// a string, on a `core::fmt` float and on their own length.
+    #[test]
+    fn a_reused_row_writes_what_a_fresh_row_writes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x0520_0123);
+        let long = "x".repeat(ROW - 20);
+        let (mut reused, mut got, mut want) = (Row::default(), String::new(), String::new());
+        for _ in 0..40_000 {
+            let mut value = || rng.next_u64() >> (rng.next_u64() % 64);
+            let (a, b, c) = (value(), value(), value());
+            let label = ["completed", "shed", "failed"][(a % 3) as usize];
+            let trace = [
+                ("    {\"id\": ", Val::Int(a % 1_000)),
+                (", \"arrival_s\": ", Val::Secs6(b)),
+                (", \"latency_s\": ", Val::Secs6(c % 20_000_000_000_000)),
+                (", \"outcome\": \"", Val::Lit(label)),
+            ];
+            let entry = [
+                ("{\"id\": ", Val::Int(b)),
+                (", \"board\": ", Val::Int(a % 12)),
+            ];
+            let spills = [
+                ("{\"id\": ", Val::Int(a % 100)),
+                (", \"name\": \"", Val::Str(label)),
+                ("\", \"slack\": ", Val::Fixed(-(b as f64), 3)),
+                (", \"flag\": ", Val::Flag(a % 2 == 0)),
+                (
+                    ", \"pad\": \"",
+                    Val::Lit(&long[..(c % 2) as usize * long.len()]),
+                ),
+                ("\", \"share\": ", Val::Fixed(c as f64 / 1024.0, 4)),
+            ];
+            let (pad, fields, end): (_, &[_], _) = match c % 8 {
+                0 => ("", &entry, "}, "),
+                1 => ("  ", &spills, "}\n"),
+                _ => (["", "    "][(a % 2) as usize], &trace, "\"},\n"),
+            };
+            reused.push(&mut got, pad, fields, end);
+            Row::default().push(&mut want, pad, fields, end);
+            assert_eq!(got.len(), want.len());
+        }
+        assert!(got == want, "a reused row diverged");
+        assert!(got.contains("\"arrival_s\": 0.000000, \"latency_s\": 0.000000"));
+        // A row that overwrites the row before, spills, and then brings
+        // a literal back to the offset it had: it has to be copied.
+        let table = |x, y| {
+            [
+                ("A = ", Val::Lit(x)),
+                ("B = ", Val::Lit(y)),
+                ("C = ", Val::Int(7)),
+            ]
+        };
+        let wide = "x".repeat(ROW - 3);
+        got.clear();
+        reused.push(&mut got, "", &table("", ""), "\n");
+        reused.push(&mut got, "", &table(&wide, "yyyy"), "\n");
+        assert!(got.ends_with("xxxB = yyyyC = 7\n"), "{got}");
     }
 
     #[test]

@@ -47,7 +47,10 @@
 //!    traces and outcomes, p50/p99 latency (over all requests and over
 //!    completed-only), requests/sec offered vs goodput, and the
 //!    DMA/compute overlap fraction, as a table or JSON (`cfdc serve`,
-//!    with `--faults seed:RATE --deadline T --retries N`).
+//!    with `--faults seed:RATE --deadline T --retries N`). A request's
+//!    result is kept once, in ticks: the scheduler's outcome columns
+//!    move into [`Traces`], and seconds appear in its accessors and in
+//!    the JSON row ([`json::Val::Secs6`]), nowhere in between.
 //!
 //! The typical entry point is `cfd_core::program::ProgramArtifacts::
 //! serve`, which wires compiled artifacts into this crate; `cfdc serve`
@@ -73,7 +76,7 @@ use zynq::des::{secs, to_secs, Time};
 use zynq::fault::{FaultPlan, RecoverySpec};
 use zynq::{SimConfig, StreamStatus};
 
-use json::{fields_len, push_escaped, push_fields, push_opt_fixed, row_end, Val};
+use json::{fields_len, push_escaped, push_opt_fixed, Row, Val};
 
 /// Structured runtime-layer errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -352,6 +355,16 @@ pub enum RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// The scheduler's terminal status, with the attempts a failure took.
+    fn of(status: StreamStatus, attempts: u32) -> RequestOutcome {
+        match status {
+            StreamStatus::Completed => RequestOutcome::Completed,
+            StreamStatus::TimedOut => RequestOutcome::TimedOut,
+            StreamStatus::Shed => RequestOutcome::Shed,
+            StreamStatus::Failed => RequestOutcome::Failed { attempts },
+        }
+    }
+
     /// Stable JSON/label token.
     pub fn label(&self) -> &'static str {
         match self {
@@ -476,7 +489,8 @@ pub fn generate_requests(
     Ok(requests)
 }
 
-/// Per-request service trace (all times in seconds from service start).
+/// Per-request service trace (all times in seconds from service start),
+/// as [`Traces`] hands it out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
     pub id: usize,
@@ -492,6 +506,107 @@ pub struct RequestTrace {
     /// Hardware rounds the request participated in.
     pub attempts: u32,
     pub outcome: RequestOutcome,
+}
+
+/// Every request's result, kept once and in ticks: the scheduler's
+/// outcome columns in admission order plus the request ids, read in id
+/// order through a permutation. Seconds exist only in the
+/// [`RequestTrace`]s the accessors build and in the JSON row.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Traces {
+    ids: Vec<usize>,
+    arrival: Vec<Time>,
+    admitted: Vec<Time>,
+    resolved: Vec<Time>,
+    attempts: Vec<u32>,
+    statuses: Vec<StreamStatus>,
+    /// Admission position of the request with the k-th smallest id
+    /// (ties in admission order); empty when that is `k` itself.
+    by_id: Vec<u32>,
+}
+
+impl Traces {
+    /// Take over the scheduler's columns for the requests `ids`, all in
+    /// admission order.
+    fn new(ids: Vec<usize>, arrival: Vec<Time>, fso: zynq::FaultStreamOutcome) -> Traces {
+        let mut by_id = Vec::new();
+        if !ids.is_sorted() {
+            by_id.extend(0..ids.len() as u32);
+            by_id.sort_by_key(|&p| ids[p as usize]);
+        }
+        Traces {
+            ids,
+            arrival,
+            admitted: fso.stream.admitted_ticks,
+            resolved: fso.resolved_ticks,
+            attempts: fso.attempts,
+            statuses: fso.statuses,
+            by_id,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Admission position of the `i`-th request in id order.
+    fn position(&self, i: usize) -> usize {
+        self.by_id.get(i).map_or(i, |&p| p as usize)
+    }
+
+    /// The `i`-th request in id order. Panics when `i >= len()`.
+    pub fn get(&self, i: usize) -> RequestTrace {
+        let p = self.position(i);
+        let (arrival, resolved, attempts) = (self.arrival[p], self.resolved[p], self.attempts[p]);
+        RequestTrace {
+            id: self.ids[p],
+            arrival_s: to_secs(arrival),
+            admitted_s: to_secs(self.admitted[p]),
+            completed_s: to_secs(resolved),
+            latency_s: to_secs(resolved.saturating_sub(arrival)),
+            attempts,
+            outcome: RequestOutcome::of(self.statuses[p], attempts),
+        }
+    }
+
+    /// The requests in id order.
+    pub fn iter(&self) -> TraceIter<'_> {
+        TraceIter {
+            traces: self,
+            next: 0,
+        }
+    }
+}
+
+/// Iterator over [`Traces`] in id order.
+#[derive(Debug, Clone)]
+pub struct TraceIter<'a> {
+    traces: &'a Traces,
+    next: usize,
+}
+
+impl Iterator for TraceIter<'_> {
+    type Item = RequestTrace;
+
+    fn next(&mut self) -> Option<RequestTrace> {
+        (self.next < self.traces.len()).then(|| {
+            self.next += 1;
+            self.traces.get(self.next - 1)
+        })
+    }
+}
+
+impl<'a> IntoIterator for &'a Traces {
+    type Item = RequestTrace;
+    type IntoIter = TraceIter<'a>;
+
+    fn into_iter(self) -> TraceIter<'a> {
+        self.iter()
+    }
 }
 
 /// Aggregate + per-request results of one serving run.
@@ -566,7 +681,7 @@ pub struct ServiceReport {
     /// work still on the way).
     pub early_closed_rounds: usize,
     /// Per-request traces, in request-id order.
-    pub traces: Vec<RequestTrace>,
+    pub traces: Traces,
 }
 
 /// A serving run's report plus (when `execute` was set) every request's
@@ -579,14 +694,50 @@ pub struct ServeOutcome {
     pub outputs: Vec<HashMap<String, Vec<f64>>>,
 }
 
+/// Index of the nearest-rank `q`-quantile in a sorted column of `len`.
+fn rank(len: usize, q: f64) -> usize {
+    ((q * len as f64).ceil() as usize).clamp(1, len) - 1
+}
+
 /// Nearest-rank percentile of a sorted tick slice — the one definition
 /// every latency figure (service reports, DSE probes) shares.
 pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[rank(sorted.len(), q)]
+}
+
+/// Mean (rounded down), p50, p99 and maximum of a non-empty latency
+/// column. The column is partitioned around the two ranks, not sorted:
+/// the values are the ones [`percentile`] reads off the sorted column.
+/// The mean sums in `u128` — a million 20-second latencies do not fit a
+/// `u64`.
+pub(crate) fn latency_stats(ticks: &mut [u64]) -> [u64; 4] {
+    let n = ticks.len();
+    let sum: u128 = ticks.iter().map(|&t| u128::from(t)).sum();
+    let (k50, k99) = (rank(n, 0.50), rank(n, 0.99));
+    let (below, &mut p99, above) = ticks.select_nth_unstable(k99);
+    let max = above.iter().copied().max().unwrap_or(p99);
+    let p50 = if k50 < k99 {
+        *below.select_nth_unstable(k50).1
+    } else {
+        p99
+    };
+    [(sum / n as u128) as u64, p50, p99, max]
+}
+
+/// Admission order of `requests` as caller indices: arrival time, ties
+/// by id (stable) — the one total order [`serve`] and the fleet
+/// dispatcher share.
+pub(crate) fn admission_order(requests: &[Request]) -> Vec<u32> {
+    let n = u32::try_from(requests.len()).expect("fewer than 2^32 requests");
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&requests[a as usize], &requests[b as usize]);
+        a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
+    });
+    order
 }
 
 /// Serve `requests` on `design`: schedule the batched stream (under the
@@ -609,24 +760,49 @@ pub fn serve(
     requests: &[Request],
     opts: &RuntimeOptions,
 ) -> Result<ServeOutcome, RuntimeError> {
-    if requests.is_empty() {
+    let order = admission_order(requests);
+    let arrivals = order
+        .iter()
+        .map(|&i| secs(requests[i as usize].arrival_s))
+        .collect();
+    let stages = (names, modules, kernels);
+    let mut out = serve_stream(design, stages, requests, &order, arrivals, opts)?;
+    // The core answers in admission order, the caller asked in its own.
+    let mut outputs = vec![HashMap::new(); out.outputs.len()];
+    for (&i, o) in order.iter().zip(out.outputs) {
+        outputs[i as usize] = o;
+    }
+    out.outputs = outputs;
+    Ok(out)
+}
+
+/// The compiled program's stages: `names`, `modules`, `kernels` of [`serve`].
+pub(crate) type Stages<'a> = (&'a [String], &'a [&'a Module], &'a [&'a cgen::CKernel]);
+
+/// The serving core behind [`serve`] and every fleet board. The stream
+/// is two columns in admission order: `index[k]` is the position in
+/// `requests` of the `k`-th request and `arrivals[k]` its arrival tick
+/// here (sorted; a request the fleet requeued arrives at its shed
+/// tick). `outputs`, when executing, come back in that order too.
+pub(crate) fn serve_stream(
+    design: &MultiSystemDesign,
+    (names, modules, kernels): Stages,
+    requests: &[Request],
+    index: &[u32],
+    arrivals: Vec<Time>,
+    opts: &RuntimeOptions,
+) -> Result<ServeOutcome, RuntimeError> {
+    if index.is_empty() {
         return Err(RuntimeError::NoRequests);
     }
-    // Admission order: arrival time, ties by id (stable).
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by(|&a, &b| {
-        requests[a]
-            .arrival_s
-            .total_cmp(&requests[b].arrival_s)
-            .then(requests[a].id.cmp(&requests[b].id))
-    });
-    let arrivals: Vec<Time> = order.iter().map(|&i| secs(requests[i].arrival_s)).collect();
+    let request = |k: usize| &requests[index[k] as usize];
+    let n = index.len();
     let capacity = opts.batch.capacity(design.config.m);
     let overlap = opts.overlap_dma && opts.batch != BatchPolicy::Disabled;
     let spec = opts.recovery.to_spec();
-    let tiered = opts.online.priority_tiers > 1 && requests.iter().any(|r| r.tier != 0);
+    let tiered = opts.online.priority_tiers > 1 && (0..n).any(|k| request(k).tier != 0);
     let tiers = if tiered {
-        order.iter().map(|&i| requests[i].tier).collect()
+        (0..n).map(|k| request(k).tier).collect()
     } else {
         Vec::new()
     };
@@ -649,58 +825,44 @@ pub fn serve(
         &spec,
         &online_spec,
     );
-    let stream = &fso.stream;
 
-    // Map the stream's arrival-order results back to request ids.
-    let outcome_at = |pos: usize| -> RequestOutcome {
-        match fso.statuses[pos] {
-            StreamStatus::Completed => RequestOutcome::Completed,
-            StreamStatus::TimedOut => RequestOutcome::TimedOut,
-            StreamStatus::Shed => RequestOutcome::Shed,
-            StreamStatus::Failed => RequestOutcome::Failed {
-                attempts: fso.attempts[pos],
-            },
-        }
-    };
-    let mut traces: Vec<RequestTrace> = order
-        .iter()
-        .enumerate()
-        .map(|(pos, &i)| {
-            let arrival = arrivals[pos];
-            let resolved = fso.resolved_ticks[pos];
-            RequestTrace {
-                id: requests[i].id,
-                arrival_s: to_secs(arrival),
-                admitted_s: to_secs(stream.admitted_ticks[pos]),
-                completed_s: to_secs(resolved),
-                latency_s: to_secs(resolved.saturating_sub(arrival)),
-                attempts: fso.attempts[pos],
-                outcome: outcome_at(pos),
-            }
-        })
-        .collect();
-    traces.sort_by_key(|t| t.id);
-
-    let mut latency_ticks: Vec<u64> = fso
-        .resolved_ticks
-        .iter()
-        .zip(&arrivals)
-        .map(|(c, a)| c.saturating_sub(*a))
-        .collect();
-    latency_ticks.sort_unstable();
-    let mut completed_latency_ticks: Vec<u64> = fso
-        .resolved_ticks
-        .iter()
-        .zip(&arrivals)
-        .zip(&fso.statuses)
-        .filter(|(_, &s)| s == StreamStatus::Completed)
-        .map(|((c, a), _)| c.saturating_sub(*a))
-        .collect();
-    completed_latency_ticks.sort_unstable();
+    let latencies = (fso.resolved_ticks.iter().zip(&arrivals))
+        .map(|(resolved, arrival)| resolved.saturating_sub(*arrival));
     let count = |want: StreamStatus| fso.statuses.iter().filter(|&&s| s == want).count();
     let completed = count(StreamStatus::Completed);
-    let n = requests.len();
-    let makespan_s = to_secs(stream.makespan_ticks);
+    let [mean, p50, p99, max] = latency_stats(&mut latencies.clone().collect::<Vec<u64>>());
+    // Over the completed requests alone there is no p99 when nothing
+    // completed, and the same p99 when nothing else happened.
+    let p99_completed = match completed {
+        0 => None,
+        _ if completed == n => Some(p99),
+        _ => {
+            let mut ticks: Vec<u64> = (latencies.zip(&fso.statuses))
+                .filter(|(_, &s)| s == StreamStatus::Completed)
+                .map(|(latency, _)| latency)
+                .collect();
+            Some(*ticks.select_nth_unstable(rank(completed, 0.99)).1)
+        }
+    };
+
+    // Functional path: every completed request's tensors through the
+    // generated chain, independent of the batch schedule and of how
+    // many retries it took (batching shares hardware, never data).
+    // Requests that never completed get an empty output map.
+    let mut outputs = Vec::new();
+    if opts.execute {
+        outputs.reserve_exact(n);
+        for (k, status) in fso.statuses.iter().enumerate() {
+            outputs.push(if *status == StreamStatus::Completed {
+                zynq::run_program_chain(names, modules, kernels, &request(k).inputs)
+                    .map_err(RuntimeError::Exec)?
+            } else {
+                HashMap::new()
+            });
+        }
+    }
+
+    let makespan_s = to_secs(fso.stream.makespan_ticks);
     let per_s = |k: usize| {
         if makespan_s > 0.0 {
             k as f64 / makespan_s
@@ -713,23 +875,22 @@ pub fn serve(
         policy: opts.batch,
         arrival: opts.arrival,
         capacity,
-        overlap_dma: stream.double_buffered,
-        rounds: stream.rounds(),
-        fast_forwarded_rounds: stream.fast_forwarded_rounds,
-        mean_fill: n as f64 / stream.rounds().max(1) as f64,
-        exec_ticks: stream.exec_ticks,
-        transfer_ticks: stream.transfer_ticks,
-        overlapped_ticks: stream.overlapped_ticks,
-        makespan_ticks: stream.makespan_ticks,
+        overlap_dma: fso.stream.double_buffered,
+        rounds: fso.stream.rounds(),
+        fast_forwarded_rounds: fso.stream.fast_forwarded_rounds,
+        mean_fill: n as f64 / fso.stream.rounds().max(1) as f64,
+        exec_ticks: fso.stream.exec_ticks,
+        transfer_ticks: fso.stream.transfer_ticks,
+        overlapped_ticks: fso.stream.overlapped_ticks,
+        makespan_ticks: fso.stream.makespan_ticks,
         makespan_s,
         throughput_rps: per_s(n),
-        latency_mean_s: to_secs(latency_ticks.iter().sum::<u64>() / n as u64),
-        latency_p50_s: to_secs(percentile(&latency_ticks, 0.50)),
-        latency_p99_s: to_secs(percentile(&latency_ticks, 0.99)),
-        latency_max_s: to_secs(*latency_ticks.last().unwrap()),
-        latency_p99_completed_s: (completed > 0)
-            .then(|| to_secs(percentile(&completed_latency_ticks, 0.99))),
-        overlap_fraction: stream.overlap_fraction(),
+        latency_mean_s: to_secs(mean),
+        latency_p50_s: to_secs(p50),
+        latency_p99_s: to_secs(p99),
+        latency_max_s: to_secs(max),
+        latency_p99_completed_s: p99_completed.map(to_secs),
+        overlap_fraction: fso.stream.overlap_fraction(),
         completed,
         retried: fso.attempts.iter().filter(|&&a| a > 1).count(),
         timed_out: count(StreamStatus::TimedOut),
@@ -746,38 +907,9 @@ pub fn serve(
         online_policy: opts.online.clone(),
         backpressure_shed,
         early_closed_rounds,
-        traces,
+        // Last: the scheduler's per-request columns move in.
+        traces: Traces::new((0..n).map(|k| request(k).id).collect(), arrivals, fso),
     };
-
-    // Functional path: every completed request's tensors through the
-    // generated chain, independent of the batch schedule and of how
-    // many retries it took (batching shares hardware, never data).
-    // Requests that never completed get an empty output map.
-    let outputs = if opts.execute {
-        // Inverse of `order`: caller index -> admission position. One
-        // O(n) pass instead of an O(n) `position` scan per request —
-        // the scan made large closed backlogs quadratic.
-        let mut pos_of = vec![0usize; n];
-        for (pos, &i) in order.iter().enumerate() {
-            pos_of[i] = pos;
-        }
-        let mut outs = Vec::with_capacity(n);
-        for (idx, req) in requests.iter().enumerate() {
-            let pos = pos_of[idx];
-            if fso.statuses[pos] == StreamStatus::Completed {
-                outs.push(
-                    zynq::run_program_chain(names, modules, kernels, &req.inputs)
-                        .map_err(RuntimeError::Exec)?,
-                );
-            } else {
-                outs.push(HashMap::new());
-            }
-        }
-        outs
-    } else {
-        Vec::new()
-    };
-
     Ok(ServeOutcome { report, outputs })
 }
 
@@ -855,20 +987,19 @@ impl ServiceReport {
     }
 
     /// Upper bound on the bytes `write_json` appends behind `pad`, tight
-    /// enough to reserve: every trace row's own bound plus a flat
-    /// allowance for the header (0.8 KB of literals, 30 numbers, four
-    /// policy labels).
+    /// enough to reserve: the trace rows' bound plus a flat allowance
+    /// for the header (0.8 KB of literals, 30 numbers, four policy
+    /// labels, under 20 lines behind the pad).
     pub(crate) fn json_capacity(&self, pad: &str) -> usize {
-        let rows = self.traces.iter().map(|t| fields_len(&t.json_fields()));
         2_048
             + json::escaped_len(&self.fault_plan)
-            + (20 + self.traces.len()) * (pad.len() + "\"},\n".len())
-            + rows.sum::<usize>()
+            + 20 * pad.len()
+            + self.traces.json_capacity(pad)
     }
 
     /// Append the document — no trailing newline, every line after the
     /// first behind `pad` — to `out`. The trace loop does not allocate.
-    pub(crate) fn write_json(&self, out: &mut String, pad: &str) -> fmt::Result {
+    pub(crate) fn write_json(&self, out: &mut String, pad: &'static str) -> fmt::Result {
         write!(
             out,
             "{{\n{pad}  \"requests\": {},\n{pad}  \"policy\": \"",
@@ -939,29 +1070,69 @@ impl ServiceReport {
             )?;
         }
         writeln!(out, "{pad}  \"traces\": [")?;
-        for (i, t) in self.traces.iter().enumerate() {
-            out.push_str(pad);
-            push_fields(out, &t.json_fields());
-            out.push('"');
-            out.push_str(row_end(i, self.traces.len()));
-        }
+        self.traces.write_json(out, pad);
         write!(out, "{pad}  ]\n{pad}}}")
     }
 }
 
-impl RequestTrace {
-    /// The row of the report's `traces` array, up to the closing quote
-    /// of the outcome.
-    fn json_fields(&self) -> [(&'static str, Val<'static>); 7] {
+impl Traces {
+    /// A row of the report's `traces` array, up to the closing quote of
+    /// the outcome.
+    fn json_fields(
+        [id, arrival, admitted, resolved, latency, attempts]: [u64; 6],
+        outcome: &'static str,
+    ) -> [(&'static str, Val<'static>); 7] {
         [
-            ("    {\"id\": ", Val::Int(self.id as u64)),
-            (", \"arrival_s\": ", Val::Fixed(self.arrival_s, 6)),
-            (", \"admitted_s\": ", Val::Fixed(self.admitted_s, 6)),
-            (", \"completed_s\": ", Val::Fixed(self.completed_s, 6)),
-            (", \"latency_s\": ", Val::Fixed(self.latency_s, 6)),
-            (", \"attempts\": ", Val::Int(self.attempts.into())),
-            (", \"outcome\": \"", Val::Lit(self.outcome.label())),
+            ("    {\"id\": ", Val::Int(id)),
+            (", \"arrival_s\": ", Val::Secs6(arrival)),
+            (", \"admitted_s\": ", Val::Secs6(admitted)),
+            (", \"completed_s\": ", Val::Secs6(resolved)),
+            (", \"latency_s\": ", Val::Secs6(latency)),
+            (", \"attempts\": ", Val::Int(attempts)),
+            (", \"outcome\": \"", Val::Lit(outcome)),
         ]
+    }
+
+    /// Upper bound on the bytes [`Traces::write_json`] appends: every
+    /// row as wide as the columns' maxima make one, plus the labels.
+    fn json_capacity(&self, pad: &str) -> usize {
+        let max = |column: &[Time]| column.iter().copied().max().unwrap_or(0);
+        let resolved = max(&self.resolved);
+        let widest = Traces::json_fields(
+            [
+                self.ids.iter().copied().max().unwrap_or(0) as u64,
+                max(&self.arrival),
+                max(&self.admitted),
+                resolved,
+                resolved,
+                self.attempts.iter().copied().max().unwrap_or(0).into(),
+            ],
+            "",
+        );
+        let labels = (self.statuses.iter()).map(|&s| RequestOutcome::of(s, 0).label().len());
+        self.len() * (pad.len() + fields_len(&widest) + "\"},\n".len()) + labels.sum::<usize>()
+    }
+
+    /// Append the rows of the `traces` array, in id order, each behind
+    /// `pad`. Does not allocate.
+    fn write_json(&self, out: &mut String, pad: &'static str) {
+        let mut row = Row::default();
+        for i in 0..self.len() {
+            let p = self.position(i);
+            let (arrival, resolved) = (self.arrival[p], self.resolved[p]);
+            let values = [
+                self.ids[p] as u64,
+                arrival,
+                self.admitted[p],
+                resolved,
+                resolved.saturating_sub(arrival),
+                self.attempts[p].into(),
+            ];
+            let outcome = RequestOutcome::of(self.statuses[p], 0).label();
+            let fields = Traces::json_fields(values, outcome);
+            let last = i + 1 == self.len();
+            row.push(out, pad, &fields, if last { "\"}\n" } else { "\"},\n" });
+        }
     }
 }
 
@@ -1536,34 +1707,30 @@ mod tests {
     /// A report with every field drawn from `seed`: hostile labels,
     /// every outcome, `None`/`Some` options, armed or bare online
     /// policy (`seed` odd or even), `traces` rows.
-    pub(crate) fn generated_report(seed: u64, traces: usize) -> ServiceReport {
+    pub(crate) fn generated_report(seed: u64, traces_len: usize) -> ServiceReport {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut count = |below: u64| (rng.next_u64() % below) as usize;
-        let outcomes = [
-            RequestOutcome::Completed,
-            RequestOutcome::TimedOut,
-            RequestOutcome::Shed,
-            RequestOutcome::Failed { attempts: 4 },
+        let statuses = [
+            StreamStatus::Completed,
+            StreamStatus::TimedOut,
+            StreamStatus::Shed,
+            StreamStatus::Failed,
         ];
-        let traces: Vec<RequestTrace> = (0..traces)
-            .map(|i| {
-                let arrival = count(1 << 40) as u64;
-                let admitted = arrival + count(1 << 36) as u64;
-                let completed = admitted + count(1 << 44) as u64;
-                RequestTrace {
-                    id: i * (1 + seed as usize % 3),
-                    arrival_s: to_secs(arrival),
-                    admitted_s: to_secs(admitted),
-                    completed_s: to_secs(completed),
-                    latency_s: to_secs(completed - arrival),
-                    attempts: count(5) as u32,
-                    outcome: outcomes[if seed.is_multiple_of(4) { 0 } else { count(4) }],
-                }
-            })
-            .collect();
+        let mut traces = Traces::default();
+        for i in 0..traces_len {
+            let arrival = count(1 << 40) as u64;
+            let admitted = arrival + count(1 << 36) as u64;
+            traces.ids.push(i * (1 + seed as usize % 3));
+            traces.arrival.push(arrival);
+            traces.admitted.push(admitted);
+            traces.resolved.push(admitted + count(1 << 44) as u64);
+            traces.attempts.push(count(5) as u32);
+            let status = if seed.is_multiple_of(4) { 0 } else { count(4) };
+            traces.statuses.push(statuses[status]);
+        }
         let armed = seed % 2 == 1;
         ServiceReport {
-            requests: traces.len(),
+            requests: traces_len,
             policy: [
                 BatchPolicy::Auto,
                 BatchPolicy::Fixed(3),
@@ -1633,6 +1800,229 @@ mod tests {
         for seed in [0, 1, 2] {
             let json = generated_report(seed, 10_000).to_json();
             assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
+        }
+    }
+
+    /// 65 536 Poisson arrivals at overload under an SLO, a bounded
+    /// queue, three tiers and a 5 % fault plan: every outcome occurs,
+    /// and the reserved buffer is never outgrown and barely oversized.
+    #[test]
+    fn json_capacity_holds_on_a_65536_row_online_report_with_mixed_outcomes() {
+        let d = design(vec![2], 8, &[200_000]);
+        let n = 65_536;
+        let mut reqs =
+            generate_timing_requests(n, &Arrival::Poisson { rate_rps: 2_600.0 }, 11).unwrap();
+        for r in &mut reqs {
+            r.tier = (r.id % 3) as u8;
+        }
+        let opts = RuntimeOptions {
+            faults: FaultPlan {
+                seed: 5,
+                transient_rate: 0.05,
+                corrupt_rate: 0.3,
+                ..FaultPlan::none()
+            },
+            recovery: RecoveryPolicy {
+                max_retries: 1,
+                ..RecoveryPolicy::default()
+            },
+            online: OnlinePolicy {
+                event_loop: true,
+                slo_s: Some(0.010),
+                shed_queue: Some(10),
+                priority_tiers: 3,
+            },
+            ..timing_opts(BatchPolicy::Auto, true)
+        };
+        let r = serve(&d, &[], &[], &[], &reqs, &opts).unwrap().report;
+        for outcomes in [r.completed, r.timed_out, r.shed, r.failed, r.retried] {
+            assert!(outcomes > 0, "{}", r.render_table());
+        }
+        let json = r.to_json();
+        assert_eq!(json.capacity(), r.json_capacity("") + 1, "the buffer grew");
+        // Rows are sized by the widest: a 25 s run pays a byte per time
+        // for every row of its first ten seconds.
+        assert!(json.capacity() as f64 <= 1.02 * json.len() as f64);
+        assert_eq!(json.matches("\"outcome\"").count(), n);
+        json::validate(&json).unwrap();
+    }
+
+    /// The trace list `serve` built before the tick store, verbatim:
+    /// one `RequestTrace` of float seconds per request in admission
+    /// order, sorted by id. What [`Traces`] must hand out.
+    pub(crate) fn traces_reference(
+        design: &MultiSystemDesign,
+        requests: &[Request],
+        opts: &RuntimeOptions,
+    ) -> Vec<RequestTrace> {
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by(|&a, &b| {
+            requests[a]
+                .arrival_s
+                .total_cmp(&requests[b].arrival_s)
+                .then(requests[a].id.cmp(&requests[b].id))
+        });
+        let arrivals: Vec<Time> = order.iter().map(|&i| secs(requests[i].arrival_s)).collect();
+        let tiered = opts.online.priority_tiers > 1 && requests.iter().any(|r| r.tier != 0);
+        let tiers = if tiered {
+            order.iter().map(|&i| requests[i].tier).collect()
+        } else {
+            Vec::new()
+        };
+        let fso = zynq::simulate_online_stream(
+            design,
+            &opts.sim,
+            &arrivals,
+            opts.batch.capacity(design.config.m),
+            opts.overlap_dma && opts.batch != BatchPolicy::Disabled,
+            &opts.faults,
+            &opts.recovery.to_spec(),
+            &zynq::OnlineSpec {
+                slo_ticks: opts.online.slo_s.map(secs),
+                max_queue: opts.online.shed_queue,
+                tiers,
+            },
+        )
+        .fault;
+        let outcome_at = |pos: usize| -> RequestOutcome {
+            match fso.statuses[pos] {
+                StreamStatus::Completed => RequestOutcome::Completed,
+                StreamStatus::TimedOut => RequestOutcome::TimedOut,
+                StreamStatus::Shed => RequestOutcome::Shed,
+                StreamStatus::Failed => RequestOutcome::Failed {
+                    attempts: fso.attempts[pos],
+                },
+            }
+        };
+        let mut traces: Vec<RequestTrace> = order
+            .iter()
+            .enumerate()
+            .map(|(pos, &i)| {
+                let arrival = arrivals[pos];
+                let resolved = fso.resolved_ticks[pos];
+                RequestTrace {
+                    id: requests[i].id,
+                    arrival_s: to_secs(arrival),
+                    admitted_s: to_secs(fso.stream.admitted_ticks[pos]),
+                    completed_s: to_secs(resolved),
+                    latency_s: to_secs(resolved.saturating_sub(arrival)),
+                    attempts: fso.attempts[pos],
+                    outcome: outcome_at(pos),
+                }
+            })
+            .collect();
+        traces.sort_by_key(|t| t.id);
+        traces
+    }
+
+    /// `n` timing-only requests drawn from `seed`: shuffled ids with
+    /// gaps, Poisson or closed arrivals handed over out of order, tiers.
+    pub(crate) fn shuffled_requests(seed: u64, n: usize) -> Vec<Request> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arrival = [Arrival::Closed, Arrival::Poisson { rate_rps: 2e4 }][seed as usize % 2];
+        let mut reqs = generate_timing_requests(n, &arrival, seed).unwrap();
+        // Ids at random against the arrivals, then the caller's order at
+        // random against both.
+        for k in (1..n).rev() {
+            let j = (rng.next_u64() % (k as u64 + 1)) as usize;
+            let (a, b) = (reqs[k].id, reqs[j].id);
+            (reqs[k].id, reqs[j].id) = (b, a);
+        }
+        for k in (1..n).rev() {
+            reqs.swap(k, (rng.next_u64() % (k as u64 + 1)) as usize);
+        }
+        for r in &mut reqs {
+            r.id = 3 * r.id + 1;
+            r.tier = (rng.next_u64() % 3) as u8;
+        }
+        reqs
+    }
+
+    /// Serving options drawn from `seed`: every batch policy, faults,
+    /// retries, deadlines and online policies, armed or not.
+    pub(crate) fn generated_options(seed: u64) -> RuntimeOptions {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0F_F1CE);
+        let mut pick = |below: u64| rng.next_u64() % below;
+        let online = pick(2) == 0;
+        RuntimeOptions {
+            batch: [
+                BatchPolicy::Auto,
+                BatchPolicy::Fixed(3),
+                BatchPolicy::Disabled,
+            ][pick(3) as usize],
+            overlap_dma: pick(2) == 0,
+            faults: FaultPlan {
+                seed,
+                transient_rate: [0.0, 0.15][pick(2) as usize],
+                corrupt_rate: [0.0, 0.2][pick(2) as usize],
+                ..FaultPlan::none()
+            },
+            recovery: RecoveryPolicy {
+                max_retries: pick(3) as u32,
+                deadline_s: (pick(3) == 0).then_some(0.004),
+                ..RecoveryPolicy::default()
+            },
+            online: OnlinePolicy {
+                event_loop: online,
+                slo_s: (online && pick(2) == 0).then_some(0.003),
+                shed_queue: (online && pick(2) == 0).then_some(24),
+                priority_tiers: if online { 1 + pick(3) as u8 } else { 1 },
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn traces_hand_out_the_reference_list_on_generated_runs() {
+        let d = design(vec![2, 2], 4, &[100_000, 200_000]);
+        let (mut permuted, mut unresolved) = (0, 0);
+        for seed in 0..96 {
+            let reqs = shuffled_requests(seed, 1 + (seed as usize * 7) % 150);
+            let opts = generated_options(seed);
+            let traces = serve(&d, &[], &[], &[], &reqs, &opts)
+                .unwrap()
+                .report
+                .traces;
+            let reference = traces_reference(&d, &reqs, &opts);
+            assert_eq!(traces.iter().collect::<Vec<_>>(), reference, "seed {seed}");
+            assert_eq!(traces.len(), reference.len());
+            for (i, t) in reference.iter().enumerate() {
+                assert_eq!(&traces.get(i), t, "seed {seed} row {i}");
+            }
+            permuted += usize::from(!traces.by_id.is_empty());
+            unresolved += usize::from(
+                reference
+                    .iter()
+                    .any(|t| t.outcome != RequestOutcome::Completed),
+            );
+        }
+        // Closed arrivals tie on the tick, so admission order is id order.
+        assert!(permuted >= 40 && unresolved > 16, "{permuted} {unresolved}");
+        // In id order already: the scheduler's columns are the store.
+        let sorted = timing_requests(40);
+        let traces = serve(&d, &[], &[], &[], &sorted, &generated_options(1));
+        assert!(traces.unwrap().report.traces.by_id.is_empty());
+    }
+
+    #[test]
+    fn latency_stats_are_the_sorted_columns_and_the_mean_does_not_wrap() {
+        let huge = u64::MAX / 2 - 7;
+        let [mean, p50, p99, max] = latency_stats(&mut [huge, huge + 3, huge - 3, huge]);
+        assert_eq!([mean, p50, p99, max], [huge, huge, huge + 3, huge + 3]);
+        assert_eq!(latency_stats(&mut [4, 1, 2])[0], 2, "the mean rounds down");
+        assert_eq!(latency_stats(&mut [u64::MAX; 5]), [u64::MAX; 4]);
+        let mut rng = StdRng::seed_from_u64(99);
+        for n in (1..400).chain([1_000, 4_097]) {
+            let mut ticks: Vec<u64> = (0..n).map(|_| rng.next_u64() % (1 + n / 3)).collect();
+            let [mean, p50, p99, max] = latency_stats(&mut ticks.clone());
+            ticks.sort_unstable();
+            assert_eq!(mean, ticks.iter().sum::<u64>() / n);
+            let sorted = [
+                percentile(&ticks, 0.50),
+                percentile(&ticks, 0.99),
+                ticks[ticks.len() - 1],
+            ];
+            assert_eq!([p50, p99, max], sorted, "{n} latencies");
         }
     }
 }

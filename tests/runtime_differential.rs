@@ -179,7 +179,7 @@ proptest! {
         prop_assert_eq!(r.transfer_ticks, n as u64 * secs(single.transfer_s));
         prop_assert_eq!(r.overlapped_ticks, 0);
         for (i, ticks) in expected {
-            let trace = &r.traces[i];
+            let trace = r.traces.get(i);
             prop_assert_eq!(trace.id, i);
             prop_assert_eq!(secs(trace.completed_s), ticks, "request {} completion", i);
         }
@@ -290,7 +290,7 @@ fn poisson_stream_queues_and_stays_bit_identical() {
     assert!(r.latency_p50_s <= r.latency_p99_s);
     assert!(r.latency_p99_s <= r.latency_max_s);
     // Later arrivals wait behind earlier ones at this rate.
-    assert!(r.latency_max_s > r.traces[0].latency_s);
+    assert!(r.latency_max_s > r.traces.get(0).latency_s);
     let mut outputs_by_id: HashMap<usize, &HashMap<String, Vec<f64>>> = HashMap::new();
     for (req, out) in requests.iter().zip(&served.outputs) {
         outputs_by_id.insert(req.id, out);
