@@ -4,8 +4,9 @@
 //! and memory parameters (k, m, PLM sharing, decoupling, array
 //! partitioning). With the monolithic flow each of those design points
 //! re-ran the frontend and middle end from source; here a [`DseEngine`]
-//! compiles source through [`Pipeline::schedule`] exactly once and fans
-//! the per-point backend/system stages out across a scoped worker pool.
+//! compiles source through [`Pipeline::schedule`] exactly once, compiles
+//! each distinct backend once, and **scores** the `(k, m)` points
+//! against it across a scoped worker pool.
 //!
 //! On top of the single-board sweep, [`DseEngine::run_portfolio`] (and
 //! its program twin) crosses the grid with a **platform catalog and
@@ -14,6 +15,18 @@
 //! platform's Eq. (3) budget, and the [`PortfolioReport`] marks each
 //! platform's Pareto frontier over (simulated time, resource fit) —
 //! the heterogeneous-portfolio view: pick the node that fits the job.
+//!
+//! **Invariant: a sweep row equals what `cfdc compile` + `cfdc
+//! simulate` + `cfdc serve` would report for that design.** A point is
+//! never built — no `SystemDesign`, host program or host source — but
+//! its feasibility and totals come from `sysgen::Totals::fit`, the
+//! function `SystemDesign::build` and `MultiSystemDesign::build` decide
+//! with; its simulated time from `zynq::ProgramRound::price`, which
+//! `simulate_hw`, `simulate_program` and `program_round` price their
+//! rounds with; and its service figures from the stream scheduler on
+//! that round. `score_equals_build_simulate_and_probe` holds the
+//! invariant bit for bit over every catalog platform, ladder clock and
+//! point of both engines' sweeps, infeasible rows included.
 //!
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
@@ -35,18 +48,20 @@
 //! assert_eq!(engine.pipeline().counters().middle_end, 1);
 //! ```
 
+use std::cmp::Ordering;
 use std::fmt::{self, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use mnemosyne::MemorySubsystem;
 use runtime::json::{fields_len, push_fields, row_end, Row, Val};
-use sysgen::{Platform, SystemConfig};
+use sysgen::{Platform, SystemConfig, Totals};
 use teil::TensorKind;
 use zynq::des::to_secs;
-use zynq::SimConfig;
+use zynq::{ProgramRound, SimConfig};
 
 use crate::cache::{CacheCounters, CompileCache};
 use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
+use crate::program::ProgramBuild;
 use crate::{Artifacts, FlowError, FlowOptions};
 
 /// One point of the exploration grid.
@@ -73,24 +88,36 @@ impl DsePoint {
         )
     }
 
+    /// The order of the two points' [`DsePoint::label`]s as strings
+    /// (so `"k=10 …" < "k=2 …"`), without formatting them: the label is
+    /// its fields in order, every number is followed by a space or the
+    /// end of the string — both sort before any digit — and `false` <
+    /// `true` as words and as `bool`s.
+    fn cmp_label(&self, other: &DsePoint) -> Ordering {
+        cmp_decimal_text(self.k as u64, other.k as u64)
+            .then_with(|| cmp_decimal_text(self.m as u64, other.m as u64))
+            .then_with(|| self.sharing.cmp(&other.sharing))
+            .then_with(|| self.decoupled.cmp(&other.decoupled))
+            .then_with(|| cmp_decimal_text(self.partition.into(), other.partition.into()))
+    }
+
     /// The backend-relevant subset of the point: grid axes that only
     /// differ in system-stage knobs (`k`, `m`) share one compiled
     /// backend (kernel, HLS estimate, memory subsystem).
-    fn backend_key(&self) -> BackendKey {
-        BackendKey {
-            sharing: self.sharing,
-            decoupled: self.decoupled,
-            partition: self.partition,
-        }
+    fn backend_key(&self) -> (bool, bool, u32) {
+        (self.sharing, self.decoupled, self.partition)
     }
 }
 
-/// Key identifying a unique backend compilation within a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BackendKey {
-    sharing: bool,
-    decoupled: bool,
-    partition: u32,
+/// Order of the decimal spellings of `a` and `b` as strings, where a
+/// proper prefix sorts first: pad the shorter with zeros to the longer's
+/// width, compare as numbers, and let the digit count break a tie
+/// (`"1" < "10" < "2"`).
+fn cmp_decimal_text(a: u64, b: u64) -> Ordering {
+    let digits = |n: u64| n.checked_ilog10().map_or(1, |d| d + 1);
+    let (da, db) = (digits(a), digits(b));
+    let padded = |n: u64, d: u32| u128::from(n) * 10u128.pow(da.max(db) - d);
+    padded(a, da).cmp(&padded(b, db)).then(da.cmp(&db))
 }
 
 /// The cartesian exploration grid. `m` is derived as `k · batch`, so
@@ -194,13 +221,16 @@ pub const SERVICE_PROBE_REQUESTS: usize = 64;
 /// no report — and are, bit for bit, the `throughput_rps` and
 /// `latency_p99_s` a timing-only `runtime::serve` of that backlog
 /// reports (`service_probe_reads_what_serve_reports`), so the ones
-/// `cfdc serve` would print for the same design.
-fn service_probe(design: &sysgen::MultiSystemDesign) -> (f64, f64) {
-    let stream = zynq::simulate_online_stream(
-        design,
-        &SimConfig::default(),
+/// `cfdc serve` would print for the same design. The design enters as
+/// what the scheduler reads of it: its priced round under the default
+/// [`SimConfig`], `ks` and `m`.
+fn service_probe(round: &ProgramRound, ks: &[usize], m: usize) -> (f64, f64) {
+    let stream = zynq::simulate_round_stream(
+        round,
+        ks,
+        m,
         &[0; SERVICE_PROBE_REQUESTS],
-        design.config.m,
+        m,
         true,
         &zynq::FaultPlan::none(),
         &runtime::RecoveryPolicy::default().to_spec(),
@@ -432,6 +462,169 @@ fn row_len(parts: &[&[Field<'_>]]) -> usize {
     parts.iter().map(|part| fields_len(part)).sum::<usize>() + "},\n".len()
 }
 
+/// Everything of a design point that does not depend on `(k, m)`: one
+/// backend slot's per-stage HLS reports, merged memory subsystem and
+/// external byte interface. A single kernel is a one-stage program
+/// (what `MultiSystemDesign::from_single` asserts), so both engines
+/// score through the same parts.
+struct ScoreParts {
+    stages: Vec<hls::HlsReport>,
+    /// `latency_seconds()` of each stage.
+    kernel_s: Vec<f64>,
+    memory: MemorySubsystem,
+    bytes_in_per_element: usize,
+    bytes_out_per_element: usize,
+}
+
+impl ScoreParts {
+    fn new(stages: Vec<hls::HlsReport>, memory: MemorySubsystem, bytes: (usize, usize)) -> Self {
+        ScoreParts {
+            kernel_s: stages.iter().map(|r| r.latency_seconds()).collect(),
+            stages,
+            memory,
+            bytes_in_per_element: bytes.0,
+            bytes_out_per_element: bytes.1,
+        }
+    }
+
+    /// The parts of a single-kernel backend; the kernel and its C
+    /// source are dropped here.
+    fn of_kernel(be: Backend) -> ScoreParts {
+        let bytes = sysgen::HostProgram::interface_bytes(&be.kernel);
+        ScoreParts::new(vec![be.hls_report], be.memory, bytes)
+    }
+
+    /// The parts of a program's merged build.
+    fn of_program(build: ProgramBuild) -> ScoreParts {
+        let bytes = (build.bytes_in_per_element, build.bytes_out_per_element);
+        let stages = build.stages.into_iter().map(|(_, report)| report);
+        ScoreParts::new(stages.collect(), build.memory, bytes)
+    }
+}
+
+/// What a sweep row reports of a design that fits.
+#[derive(Default)]
+struct Score {
+    totals: Totals,
+    total_s: f64,
+    service_rps: f64,
+    service_p99_s: f64,
+}
+
+/// Score `k` accelerators per stage over `m` PLM sets of `parts` on
+/// `platform` without building the design: `None` when Eq. (3) rejects
+/// it (or `(k, m)` is not a valid replication), else the totals, the
+/// simulated time for `elements` elements and the service probe — from
+/// the functions the system builders and simulators themselves call
+/// ([`Totals::fit`], [`ProgramRound::price`], the stream scheduler).
+fn score(
+    parts: &ScoreParts,
+    platform: &Platform,
+    k: usize,
+    m: usize,
+    elements: usize,
+) -> Option<Score> {
+    if !(SystemConfig { k, m }).valid() {
+        return None;
+    }
+    let stages = parts.stages.iter().map(|report| (k, report));
+    let totals = Totals::fit(platform, stages, &parts.memory, m)?;
+    let round = ProgramRound::price(
+        &zynq::DmaModel::from_platform(platform),
+        &SimConfig::default(),
+        parts.kernel_s.iter().map(|&s| (k, s)),
+        m,
+        parts.bytes_in_per_element,
+        parts.bytes_out_per_element,
+    );
+    // Uniform replication: one `k` speaks for every stage.
+    let (service_rps, service_p99_s) = service_probe(&round, &[k], m);
+    Some(Score {
+        totals,
+        total_s: to_secs(round.serial_ticks(m, elements)),
+        service_rps,
+        service_p99_s,
+    })
+}
+
+/// The sweep row of one point: its [`score`], zeros when it does not
+/// fit.
+fn outcome(
+    label: &str,
+    parts: &ScoreParts,
+    platform: &Platform,
+    point: &DsePoint,
+    elements: usize,
+    started: Instant,
+) -> DseOutcome {
+    let scored = score(parts, platform, point.k, point.m, elements);
+    let feasible = scored.is_some();
+    let s = scored.unwrap_or_default();
+    DseOutcome {
+        point: *point,
+        kernel: label.to_string(),
+        feasible,
+        luts: s.totals.luts,
+        ffs: s.totals.ffs,
+        dsps: s.totals.dsps,
+        brams: s.totals.brams,
+        plm_brams: parts.memory.brams,
+        latency_cycles: parts.stages.iter().map(|r| r.latency_cycles).sum(),
+        total_s: s.total_s,
+        throughput_eps: if s.total_s > 0.0 {
+            elements as f64 / s.total_s
+        } else {
+            0.0
+        },
+        service_rps: s.service_rps,
+        service_p99_s: s.service_p99_s,
+        eval_s: started.elapsed().as_secs_f64(),
+    }
+}
+
+/// Name of `module`'s largest input array: the target of the grid's
+/// `partition` axis.
+fn partition_target(module: &teil::Module) -> Option<String> {
+    module
+        .of_kind(TensorKind::Input)
+        .into_iter()
+        .max_by_key(|&id| module.shape(id).iter().product::<usize>())
+        .map(|id| module.name(id).to_string())
+}
+
+/// `opts` with a point's backend axes applied. A partition factor > 1
+/// overrides the partition set; factor 1 means "as the base options
+/// say", so any base partitioning is left untouched.
+fn apply_backend_axes(opts: &mut FlowOptions, point: &DsePoint, target: &Option<String>) {
+    opts.decoupled = point.decoupled;
+    opts.memory.sharing = point.sharing;
+    if point.partition > 1 {
+        if let Some(name) = target {
+            opts.hls.partition = vec![(name.clone(), point.partition)];
+        }
+    }
+}
+
+/// What the sweep driver needs of an engine; everything else of a sweep
+/// is shared ([`sweep`], [`run_grid`], [`run_catalog`]).
+trait Explorer: Sync {
+    fn pipeline(&self) -> &Pipeline;
+    /// The options the grid does not vary — a single-board sweep runs
+    /// on their platform at their HLS clock.
+    fn base(&self) -> &FlowOptions;
+    /// The kernel (or joined program-kernel) name sweep rows carry.
+    fn label(&self) -> String;
+    /// Backends one slot compiles: one per kernel.
+    fn kernels(&self) -> usize;
+    /// Wall-clock cost of the shared stages.
+    fn shared_timings(&self) -> StageTimings;
+    /// Compile the backend slot of `point`'s backend axes at
+    /// `clock_mhz`.
+    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts;
+    /// Account `points` scored points in the pipeline's stage counters.
+    fn count_scored(&self, points: usize);
+}
+
 /// The exploration engine: source is compiled through the scheduling
 /// stage exactly once at [`DseEngine::prepare`]; every design point then
 /// reuses the shared [`Scheduled`] artifacts.
@@ -488,19 +681,13 @@ impl DseEngine {
         let fe = pipeline.frontend(source)?;
         let me = pipeline.middle_end(&fe, base)?;
         let sc = pipeline.schedule(&me, base);
-        let module = &sc.middle.module;
-        let partition_target = module
-            .of_kind(TensorKind::Input)
-            .into_iter()
-            .max_by_key(|&id| module.shape(id).iter().product::<usize>())
-            .map(|id| module.name(id).to_string());
         Ok(DseEngine {
             pipeline,
             base: base.clone(),
+            partition_target: partition_target(&sc.middle.module),
             scheduled: sc,
             frontend_s: fe.elapsed_s,
             kernel_name,
-            partition_target,
         })
     }
 
@@ -532,15 +719,7 @@ impl DseEngine {
     /// with the point's backend/system axes applied.
     pub fn options_for(&self, point: &DsePoint) -> FlowOptions {
         let mut opts = self.base.clone();
-        opts.decoupled = point.decoupled;
-        opts.memory.sharing = point.sharing;
-        // A factor > 1 overrides the partition set; factor 1 means "as the
-        // base options say", so any base partitioning is left untouched.
-        if point.partition > 1 {
-            if let Some(name) = &self.partition_target {
-                opts.hls.partition = vec![(name.clone(), point.partition)];
-            }
-        }
+        apply_backend_axes(&mut opts, point, &self.partition_target);
         opts.system = Some(SystemConfig {
             k: point.k,
             m: point.m,
@@ -548,82 +727,18 @@ impl DseEngine {
         opts
     }
 
-    /// Run the backend + system stages for one point and simulate the
-    /// result. Never re-runs the shared stages. (Point-wise API: compiles
-    /// the point's backend inline; [`DseEngine::run`] memoizes backends
-    /// across the grid instead.)
-    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
-        let t = Instant::now();
-        let opts = self.options_for(point);
-        let be = self.pipeline.backend(&self.scheduled, &opts);
-        self.evaluate_with_backend(point, &opts, &be, elements, t)
+    /// The backend of `point`'s backend axes synthesized at `clock_mhz`.
+    fn backend_at(&self, clock_mhz: f64, point: &DsePoint) -> Backend {
+        let mut opts = self.options_for(point);
+        opts.hls.clock_mhz = clock_mhz;
+        self.pipeline.backend(&self.scheduled, &opts)
     }
 
-    /// System stage + simulation for one point against an
-    /// already-compiled backend.
-    fn evaluate_with_backend(
-        &self,
-        point: &DsePoint,
-        opts: &FlowOptions,
-        be: &Backend,
-        elements: usize,
-        started: Instant,
-    ) -> DseOutcome {
-        let sys = match self.pipeline.system(be, opts) {
-            Ok(sys) => sys.system,
-            // DoesNotFit (and any future system-stage error) marks the
-            // point infeasible rather than aborting the sweep.
-            Err(_) => None,
-        };
-        match sys {
-            Some(design) => {
-                let sim = zynq::simulate_hw(
-                    &design,
-                    &SimConfig {
-                        elements,
-                        ..Default::default()
-                    },
-                );
-                let (service_rps, service_p99_s) =
-                    service_probe(&sysgen::MultiSystemDesign::from_single(&design));
-                DseOutcome {
-                    point: *point,
-                    kernel: self.kernel_name.clone(),
-                    feasible: true,
-                    luts: design.luts,
-                    ffs: design.ffs,
-                    dsps: design.dsps,
-                    brams: design.brams,
-                    plm_brams: be.memory.brams,
-                    latency_cycles: be.hls_report.latency_cycles,
-                    total_s: sim.total_s,
-                    throughput_eps: if sim.total_s > 0.0 {
-                        elements as f64 / sim.total_s
-                    } else {
-                        0.0
-                    },
-                    service_rps,
-                    service_p99_s,
-                    eval_s: started.elapsed().as_secs_f64(),
-                }
-            }
-            None => DseOutcome {
-                point: *point,
-                kernel: self.kernel_name.clone(),
-                feasible: false,
-                luts: 0,
-                ffs: 0,
-                dsps: 0,
-                brams: 0,
-                plm_brams: be.memory.brams,
-                latency_cycles: be.hls_report.latency_cycles,
-                total_s: 0.0,
-                throughput_eps: 0.0,
-                service_rps: 0.0,
-                service_p99_s: 0.0,
-                eval_s: started.elapsed().as_secs_f64(),
-            },
-        }
+    /// Score one point on the base platform. Never re-runs the shared
+    /// stages. (Point-wise API: compiles the point's backend inline;
+    /// [`DseEngine::run`] memoizes backends across the grid instead.)
+    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
+        evaluate(self, point, elements)
     }
 
     /// Sweep the grid with `jobs` worker threads (0 = one per available
@@ -632,148 +747,26 @@ impl DseEngine {
     /// Backends are **memoized on the backend-relevant point subset**
     /// (sharing, decoupling, partitioning): grid points that differ only
     /// in the system-stage knobs `k`/`m` share one compiled kernel, HLS
-    /// estimate and memory subsystem. Each worker accumulates outcomes in
-    /// its own buffer — no shared lock on the hot path.
+    /// estimate and memory subsystem, and are scored against it without
+    /// building a system ([`score`]).
     pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
-        let points = grid.points();
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            jobs
-        }
-        .min(points.len().max(1));
-        let oracle_base = polyhedra::OracleCounters::snapshot();
-        let t = Instant::now();
+        run_grid(self, grid, jobs, elements)
+    }
 
-        // Unique backend configurations, first-seen order.
-        let mut keys: Vec<BackendKey> = Vec::new();
-        let mut key_of_point: Vec<usize> = Vec::with_capacity(points.len());
-        for p in &points {
-            let k = p.backend_key();
-            let idx = keys.iter().position(|&e| e == k).unwrap_or_else(|| {
-                keys.push(k);
-                keys.len() - 1
-            });
-            key_of_point.push(idx);
-        }
-        // Representative options per key (k/m axes are irrelevant to the
-        // backend stage).
-        let key_opts: Vec<FlowOptions> = keys
-            .iter()
-            .map(|k| {
-                let rep = points
-                    .iter()
-                    .find(|p| p.backend_key() == *k)
-                    .expect("key from points");
-                self.options_for(rep)
-            })
-            .collect();
-
-        // Compile the unique backends on the worker pool: worker `w`
-        // takes keys w, w+stride, ... and returns them with their index.
-        let t_backend = Instant::now();
-        let backends: Vec<Backend> = {
-            let workers = jobs.min(keys.len()).max(1);
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let key_opts = &key_opts;
-                        scope.spawn(move || {
-                            (w..key_opts.len())
-                                .step_by(workers)
-                                .map(|i| (i, self.pipeline.backend(&self.scheduled, &key_opts[i])))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, be)| be).collect()
-        };
-        let backend_s = t_backend.elapsed().as_secs_f64();
-
-        // Fan the system stage + simulation out over the points, one
-        // outcome buffer per worker.
-        let next = AtomicUsize::new(0);
-        let mut outcomes: Vec<DseOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let points = &points;
-                let key_of_point = &key_of_point;
-                let key_opts = &key_opts;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<DseOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= points.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        let ki = key_of_point[i];
-                        // The representative options only differ from the
-                        // point's in k/m — pass the point's own system
-                        // config through.
-                        let mut opts = key_opts[ki].clone();
-                        opts.system = Some(sysgen::SystemConfig {
-                            k: points[i].k,
-                            m: points[i].m,
-                        });
-                        local.push(self.evaluate_with_backend(
-                            &points[i],
-                            &opts,
-                            &backends[ki],
-                            elements,
-                            started,
-                        ));
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        outcomes.sort_by(|a, b| {
-            b.feasible
-                .cmp(&a.feasible)
-                .then(b.throughput_eps.total_cmp(&a.throughput_eps))
-                .then(a.brams.cmp(&b.brams))
-                .then(a.luts.cmp(&b.luts))
-                .then(a.point.label().cmp(&b.point.label()))
-        });
-        let feasible = outcomes.iter().filter(|o| o.feasible).count();
-        let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
-        let eval_max_s = outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max);
-        DseReport {
-            evaluated: outcomes.len(),
-            feasible,
-            jobs,
-            elements,
-            wall_s: t.elapsed().as_secs_f64(),
-            shared: self.shared_timings(),
-            counts: self.pipeline.counters(),
-            cache: self.pipeline.cache_counters(),
-            oracle: polyhedra::OracleCounters::snapshot().since(oracle_base),
-            backend_compiles: keys.len(),
-            backend_reuses: points.len() - keys.len(),
-            backend_s,
-            eval_total_s,
-            eval_mean_s: if outcomes.is_empty() {
-                0.0
-            } else {
-                eval_total_s / outcomes.len() as f64
-            },
-            eval_max_s,
-            outcomes,
-        }
+    /// Sweep the **platform × clock × (k, m, sharing, decoupling,
+    /// partition)** cross product: the multi-board portfolio view.
+    /// Frontend, middle end and scheduling stay compiled once (from
+    /// [`DseEngine::prepare`]); backends are memoized per **(clock,
+    /// backend key)** — a backend compiled at 200 MHz is reused across
+    /// every platform whose ladder contains 200 MHz and every `k`/`m`.
+    pub fn run_portfolio(
+        &self,
+        platforms: &[Platform],
+        grid: &DseGrid,
+        jobs: usize,
+        elements: usize,
+    ) -> PortfolioReport {
+        run_catalog(self, platforms, grid, jobs, elements)
     }
 
     /// Build full [`Artifacts`] for one option combination on top of the
@@ -792,14 +785,46 @@ impl DseEngine {
     }
 }
 
+impl Explorer for DseEngine {
+    fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
+    }
+
+    fn base(&self) -> &FlowOptions {
+        &self.base
+    }
+
+    fn label(&self) -> String {
+        self.kernel_name.clone()
+    }
+
+    fn kernels(&self) -> usize {
+        1
+    }
+
+    fn shared_timings(&self) -> StageTimings {
+        DseEngine::shared_timings(self)
+    }
+
+    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts {
+        ScoreParts::of_kernel(self.backend_at(clock_mhz, point))
+    }
+
+    /// `stage_invocations.system` has always read one per evaluated
+    /// point of a single-kernel sweep; scoring keeps that count.
+    fn count_scored(&self, points: usize) {
+        self.pipeline.count_systems(points);
+    }
+}
+
 /// Joint design-space exploration over a **multi-kernel program**: one
 /// grid point fixes the backend axes (sharing, decoupling, partitioning)
 /// for *every* kernel plus a uniform replication `k`/`m`, and the whole
 /// chain is costed under the shared board budget. The per-kernel shared
 /// stages (frontend, middle end, schedule, link) run once at
-/// [`ProgramDseEngine::prepare`]; backends are memoized on
-/// **(kernel, backend key)** — the existing single-kernel memoization,
-/// keyed additionally by kernel.
+/// [`ProgramDseEngine::prepare`]; backends and the merged program
+/// memory are memoized on **(kernel, backend key)** — the single-kernel
+/// memoization, keyed additionally by kernel.
 #[derive(Debug)]
 pub struct ProgramDseEngine {
     pipeline: Pipeline,
@@ -848,17 +873,6 @@ impl ProgramDseEngine {
             scheds.push(pipeline.schedule(&me, &kopts));
         }
         let link = pipeline.link(&names, &scheds)?;
-        let partition_targets: Vec<Option<String>> = scheds
-            .iter()
-            .map(|sc| {
-                let module = &sc.middle.module;
-                module
-                    .of_kind(TensorKind::Input)
-                    .into_iter()
-                    .max_by_key(|&id| module.shape(id).iter().product::<usize>())
-                    .map(|id| module.name(id).to_string())
-            })
-            .collect();
         let shared = StageTimings {
             frontend_s: fronts.iter().map(|(_, f)| f.elapsed_s).sum(),
             middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
@@ -870,9 +884,12 @@ impl ProgramDseEngine {
             pipeline,
             base: base.clone(),
             names,
+            partition_targets: scheds
+                .iter()
+                .map(|sc| partition_target(&sc.middle.module))
+                .collect(),
             scheds,
             cross: link.cross,
-            partition_targets,
             shared,
         })
     }
@@ -891,249 +908,313 @@ impl ProgramDseEngine {
         self.names.join("+")
     }
 
-    /// Per-kernel backend options for one grid point.
-    fn kernel_options_for(&self, point: &DsePoint, kernel: usize) -> FlowOptions {
-        let mut opts = self.base.flow.clone();
-        opts.system = None;
-        opts.decoupled = point.decoupled;
-        opts.memory.sharing = point.sharing;
-        if point.partition > 1 {
-            if let Some(name) = &self.partition_targets[kernel] {
-                opts.hls.partition = vec![(name.clone(), point.partition)];
-            }
-        }
-        opts
-    }
-
-    /// Evaluate one joint point against already-compiled per-kernel
-    /// backends. System costs come from the same [`ProgramBuild`]
+    /// Every kernel's backend for `point`'s backend axes at `clock_mhz`
+    /// plus the merged program memory, through the [`ProgramBuild`]
     /// construction `ProgramFlow::compile` uses, so sweep rankings
     /// always match what a real compile would build.
-    fn evaluate_with_backends(
-        &self,
-        platform: &Platform,
-        point: &DsePoint,
-        backends: &[Backend],
-        elements: usize,
-        started: Instant,
-    ) -> DseOutcome {
-        let cross_sharing = self.base.cross_sharing && point.sharing;
-        let memory_opts = {
-            let mut m = self.base.flow.memory.clone();
-            m.sharing = point.sharing;
-            m
-        };
-        let brefs: Vec<&Backend> = backends.iter().collect();
-        let build = crate::program::ProgramBuild::prepare(
-            &self.names,
-            &self.cross,
-            &brefs,
-            &memory_opts,
-            cross_sharing,
-        );
-        let cfg = sysgen::ProgramSystemConfig::uniform(point.k, point.m, self.names.len());
-        let memory_brams = build.memory.brams;
-        let design = build.design_for(platform, cfg);
-        let latency_cycles: u64 = backends.iter().map(|b| b.hls_report.latency_cycles).sum();
-        match design {
-            Some(design) => {
-                let sim = zynq::simulate_program(
-                    &design,
-                    &SimConfig {
-                        elements,
-                        ..Default::default()
-                    },
-                );
-                let (service_rps, service_p99_s) = service_probe(&design);
-                DseOutcome {
-                    point: *point,
-                    kernel: self.program_label(),
-                    feasible: true,
-                    luts: design.luts,
-                    ffs: design.ffs,
-                    dsps: design.dsps,
-                    brams: design.brams,
-                    plm_brams: memory_brams,
-                    latency_cycles,
-                    total_s: sim.total_s,
-                    throughput_eps: if sim.total_s > 0.0 {
-                        elements as f64 / sim.total_s
-                    } else {
-                        0.0
-                    },
-                    service_rps,
-                    service_p99_s,
-                    eval_s: started.elapsed().as_secs_f64(),
-                }
-            }
-            None => DseOutcome {
-                point: *point,
-                kernel: self.program_label(),
-                feasible: false,
-                luts: 0,
-                ffs: 0,
-                dsps: 0,
-                brams: 0,
-                plm_brams: memory_brams,
-                latency_cycles,
-                total_s: 0.0,
-                throughput_eps: 0.0,
-                service_rps: 0.0,
-                service_p99_s: 0.0,
-                eval_s: started.elapsed().as_secs_f64(),
-            },
-        }
-    }
-
-    /// Evaluate one joint point (compiles the point's backends inline;
-    /// [`ProgramDseEngine::run`] memoizes them across the grid).
-    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
-        let t = Instant::now();
-        let backends: Vec<Backend> = (0..self.scheds.len())
-            .map(|ki| {
-                self.pipeline
-                    .backend(&self.scheds[ki], &self.kernel_options_for(point, ki))
+    fn build_at(&self, clock_mhz: f64, point: &DsePoint) -> ProgramBuild {
+        let mut opts = self.base.flow.clone();
+        opts.system = None;
+        opts.hls.clock_mhz = clock_mhz;
+        let backends: Vec<Backend> = self
+            .scheds
+            .iter()
+            .zip(&self.partition_targets)
+            .map(|(sched, target)| {
+                let mut opts = opts.clone();
+                apply_backend_axes(&mut opts, point, target);
+                self.pipeline.backend(sched, &opts)
             })
             .collect();
-        self.evaluate_with_backends(&self.base.flow.platform, point, &backends, elements, t)
+        let memory_opts = mnemosyne::MemoryOptions {
+            sharing: point.sharing,
+            ..self.base.flow.memory.clone()
+        };
+        ProgramBuild::prepare(
+            &self.names,
+            &self.cross,
+            &backends.iter().collect::<Vec<_>>(),
+            &memory_opts,
+            self.base.cross_sharing && point.sharing,
+        )
+    }
+
+    /// Score one joint point on the base platform (compiles the point's
+    /// backends inline; [`ProgramDseEngine::run`] memoizes them across
+    /// the grid).
+    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
+        evaluate(self, point, elements)
     }
 
     /// Sweep the grid with `jobs` workers. Backends are memoized on
     /// (kernel, sharing, decoupled, partition): the default 32-point
     /// grid over a 3-kernel program compiles 12 backends.
     pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
-        let points = grid.points();
-        let nk = self.scheds.len();
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            jobs
+        run_grid(self, grid, jobs, elements)
+    }
+
+    /// The portfolio sweep for a multi-kernel program: platform × clock
+    /// × joint grid points, with backends memoized per **(kernel,
+    /// clock, backend key)**.
+    pub fn run_portfolio(
+        &self,
+        platforms: &[Platform],
+        grid: &DseGrid,
+        jobs: usize,
+        elements: usize,
+    ) -> PortfolioReport {
+        run_catalog(self, platforms, grid, jobs, elements)
+    }
+}
+
+impl Explorer for ProgramDseEngine {
+    fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
+    }
+
+    fn base(&self) -> &FlowOptions {
+        &self.base.flow
+    }
+
+    fn label(&self) -> String {
+        self.program_label()
+    }
+
+    fn kernels(&self) -> usize {
+        self.scheds.len()
+    }
+
+    fn shared_timings(&self) -> StageTimings {
+        self.shared
+    }
+
+    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts {
+        ScoreParts::of_program(self.build_at(clock_mhz, point))
+    }
+
+    /// The program system stage was never counted per point.
+    fn count_scored(&self, _points: usize) {}
+}
+
+/// `f(0), …, f(n - 1)` in index order, computed by up to `jobs` scoped
+/// workers — inline when one suffices. Each worker owns a contiguous
+/// index range and the ranges are joined in order, so element `i` is
+/// `f(i)` whatever the thread timing.
+fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let per = n.div_ceil(jobs.max(1));
+    if per >= n {
+        return (0..n).map(f).collect();
+    }
+    let mut out = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let workers: Vec<_> = (0..n)
+            .step_by(per)
+            .map(|lo| scope.spawn(move || (lo..n.min(lo + per)).map(f).collect::<Vec<T>>()))
+            .collect();
+        for worker in workers {
+            out.extend(worker.join().expect("sweep worker panicked"));
         }
-        .min(points.len().max(1));
-        let oracle_base = polyhedra::OracleCounters::snapshot();
+    });
+    out
+}
+
+/// What [`sweep`] hands the report builders.
+struct Swept<R> {
+    /// Row `i` is combination `i`'s, in platform-major combination
+    /// order.
+    rows: Vec<R>,
+    /// Platform index of each row.
+    platform_of: Vec<usize>,
+    jobs: usize,
+    backend_compiles: usize,
+    backend_uses: usize,
+    backend_s: f64,
+    started: Instant,
+    oracle_base: polyhedra::OracleCounters,
+}
+
+/// Index of the element of `seen` that `same` accepts, `new` being
+/// appended when there is none.
+fn index_of<T>(seen: &mut Vec<T>, same: impl Fn(&T) -> bool, new: T) -> usize {
+    seen.iter().position(same).unwrap_or_else(|| {
+        seen.push(new);
+        seen.len() - 1
+    })
+}
+
+/// The one sweep driver: cross `targets` (a platform and the clocks to
+/// synthesize at) with the grid, compile each distinct (clock, backend
+/// key) slot once — it is shared across platforms and `k`/`m` — score
+/// every combination against its slot and pass the outcome through
+/// `row`. Slots and rows are computed by [`fan_out`], so the result is
+/// independent of `jobs`.
+fn sweep<E: Explorer, R: Send>(
+    engine: &E,
+    targets: &[(&Platform, &[f64])],
+    grid: &DseGrid,
+    jobs: usize,
+    elements: usize,
+    row: impl Fn(&Platform, f64, DseOutcome) -> R + Sync,
+) -> Swept<R> {
+    let points = grid.points();
+    // The grid's distinct backend keys, each by the first point that
+    // has it, and the distinct clocks; slot (clock, key) is
+    // `clock * reps.len() + key`.
+    let mut reps: Vec<DsePoint> = Vec::new();
+    let key_of: Vec<usize> = points
+        .iter()
+        .map(|p| index_of(&mut reps, |r| r.backend_key() == p.backend_key(), *p))
+        .collect();
+    let mut clocks: Vec<f64> = Vec::new();
+    // Combinations are platform-major: one block of all points per
+    // (platform, clock, index of the clock).
+    let mut blocks: Vec<(usize, f64, usize)> = Vec::new();
+    for (platform, (_, ladder)) in targets.iter().enumerate() {
+        for &mhz in ladder.iter() {
+            let clock = index_of(&mut clocks, |c| c.to_bits() == mhz.to_bits(), mhz);
+            blocks.push((platform, mhz, clock));
+        }
+    }
+    let combos = blocks.len() * points.len();
+    let jobs = crate::resolve_jobs(jobs).min(combos.max(1));
+    let oracle_base = polyhedra::OracleCounters::snapshot();
+    let started = Instant::now();
+
+    let parts = fan_out(jobs, clocks.len() * reps.len(), |slot| {
+        engine.parts(clocks[slot / reps.len()], &reps[slot % reps.len()])
+    });
+    let backend_s = started.elapsed().as_secs_f64();
+
+    let label = engine.label();
+    let rows = fan_out(jobs, combos, |i| {
         let t = Instant::now();
+        let (platform, mhz, clock) = blocks[i / points.len()];
+        let point = i % points.len();
+        let parts = &parts[clock * reps.len() + key_of[point]];
+        let platform = targets[platform].0;
+        row(
+            platform,
+            mhz,
+            outcome(&label, parts, platform, &points[point], elements, t),
+        )
+    });
+    engine.count_scored(combos);
+    Swept {
+        rows,
+        platform_of: (0..combos).map(|i| blocks[i / points.len()].0).collect(),
+        jobs,
+        backend_compiles: parts.len() * engine.kernels(),
+        backend_uses: combos * engine.kernels(),
+        backend_s,
+        started,
+        oracle_base,
+    }
+}
 
-        // Unique backend keys, first-seen order.
-        let mut keys: Vec<BackendKey> = Vec::new();
-        let mut key_of_point: Vec<usize> = Vec::with_capacity(points.len());
-        for p in &points {
-            let k = p.backend_key();
-            let idx = keys.iter().position(|&e| e == k).unwrap_or_else(|| {
-                keys.push(k);
-                keys.len() - 1
-            });
-            key_of_point.push(idx);
-        }
+/// The point-wise API of both engines: compile `point`'s slot at the
+/// base clock and score it on the base platform.
+fn evaluate<E: Explorer>(engine: &E, point: &DsePoint, elements: usize) -> DseOutcome {
+    let started = Instant::now();
+    let base = engine.base();
+    let parts = engine.parts(base.hls.clock_mhz, point);
+    engine.count_scored(1);
+    let label = engine.label();
+    outcome(&label, &parts, &base.platform, point, elements, started)
+}
 
-        // Compile (key × kernel) backends on the worker pool.
-        let t_backend = Instant::now();
-        let jobs_be = jobs.min(keys.len() * nk).max(1);
-        let backends: Vec<Vec<Backend>> = {
-            let reps: Vec<DsePoint> = keys
-                .iter()
-                .map(|k| {
-                    *points
-                        .iter()
-                        .find(|p| p.backend_key() == *k)
-                        .expect("key from points")
-                })
-                .collect();
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs_be)
-                    .map(|w| {
-                        let reps = &reps;
-                        scope.spawn(move || {
-                            (w..reps.len() * nk)
-                                .step_by(jobs_be)
-                                .map(|i| {
-                                    let (key, kernel) = (i / nk, i % nk);
-                                    let opts = self.kernel_options_for(&reps[key], kernel);
-                                    (i, self.pipeline.backend(&self.scheds[kernel], &opts))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            let mut flat = indexed.into_iter().map(|(_, b)| b);
-            (0..keys.len())
-                .map(|_| (0..nk).map(|_| flat.next().expect("backend")).collect())
-                .collect()
+/// Rank of a sweep's rows: feasible first, then by throughput, BRAM and
+/// LUT cost; the label only ever breaks a full tie.
+fn sweep_order(a: &DseOutcome, b: &DseOutcome) -> Ordering {
+    b.feasible
+        .cmp(&a.feasible)
+        .then_with(|| b.throughput_eps.total_cmp(&a.throughput_eps))
+        .then_with(|| a.brams.cmp(&b.brams))
+        .then_with(|| a.luts.cmp(&b.luts))
+        .then_with(|| a.point.cmp_label(&b.point))
+}
+
+/// `run` of both engines: the grid on the base platform at the base
+/// clock, ranked feasible-first, then by throughput, BRAM and LUT cost.
+fn run_grid<E: Explorer>(engine: &E, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
+    let base = engine.base();
+    let target = (&base.platform, &[base.hls.clock_mhz][..]);
+    let swept = sweep(engine, &[target], grid, jobs, elements, |_, _, o| o);
+    let mut outcomes = swept.rows;
+    outcomes.sort_by(sweep_order);
+    let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
+    DseReport {
+        evaluated: outcomes.len(),
+        feasible: outcomes.iter().filter(|o| o.feasible).count(),
+        jobs: swept.jobs,
+        elements,
+        wall_s: swept.started.elapsed().as_secs_f64(),
+        shared: engine.shared_timings(),
+        counts: engine.pipeline().counters(),
+        cache: engine.pipeline().cache_counters(),
+        oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
+        backend_compiles: swept.backend_compiles,
+        backend_reuses: swept.backend_uses - swept.backend_compiles,
+        backend_s: swept.backend_s,
+        eval_total_s,
+        eval_mean_s: if outcomes.is_empty() {
+            0.0
+        } else {
+            eval_total_s / outcomes.len() as f64
+        },
+        eval_max_s: outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max),
+        outcomes,
+    }
+}
+
+/// `run_portfolio` of both engines: every platform's clock ladder
+/// crossed with the grid, Pareto-flagged per platform and ranked.
+fn run_catalog<E: Explorer>(
+    engine: &E,
+    platforms: &[Platform],
+    grid: &DseGrid,
+    jobs: usize,
+    elements: usize,
+) -> PortfolioReport {
+    let targets: Vec<(&Platform, &[f64])> = platforms
+        .iter()
+        .map(|p| (p, p.clock_ladder_mhz.as_slice()))
+        .collect();
+    let row = |platform: &Platform, clock_mhz: f64, outcome: DseOutcome| {
+        let totals = Totals {
+            luts: outcome.luts,
+            ffs: outcome.ffs,
+            dsps: outcome.dsps,
+            brams: outcome.brams,
         };
-        let backend_s = t_backend.elapsed().as_secs_f64();
-
-        // Fan the program system stage + chained simulation out.
-        let next = AtomicUsize::new(0);
-        let mut outcomes: Vec<DseOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let points = &points;
-                let key_of_point = &key_of_point;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<DseOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= points.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        local.push(self.evaluate_with_backends(
-                            &self.base.flow.platform,
-                            &points[i],
-                            &backends[key_of_point[i]],
-                            elements,
-                            started,
-                        ));
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        outcomes.sort_by(|a, b| {
-            b.feasible
-                .cmp(&a.feasible)
-                .then(b.throughput_eps.total_cmp(&a.throughput_eps))
-                .then(a.brams.cmp(&b.brams))
-                .then(a.luts.cmp(&b.luts))
-                .then(a.point.label().cmp(&b.point.label()))
-        });
-        let feasible = outcomes.iter().filter(|o| o.feasible).count();
-        let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
-        let eval_max_s = outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max);
-        DseReport {
-            evaluated: outcomes.len(),
-            feasible,
-            jobs,
-            elements,
-            wall_s: t.elapsed().as_secs_f64(),
-            shared: self.shared,
-            counts: self.pipeline.counters(),
-            cache: self.pipeline.cache_counters(),
-            oracle: polyhedra::OracleCounters::snapshot().since(oracle_base),
-            backend_compiles: keys.len() * nk,
-            backend_reuses: (points.len() - keys.len()) * nk,
-            backend_s,
-            eval_total_s,
-            eval_mean_s: if outcomes.is_empty() {
-                0.0
+        PortfolioOutcome {
+            platform: platform.id.clone(),
+            board: platform.board.name.clone(),
+            clock_mhz,
+            utilization: if outcome.feasible {
+                totals.utilization(&platform.board)
             } else {
-                eval_total_s / outcomes.len() as f64
+                0.0
             },
-            eval_max_s,
-            outcomes,
+            outcome,
+            pareto: false,
+            service_pareto: false,
         }
+    };
+    let swept = sweep(engine, &targets, grid, jobs, elements, row);
+    let (outcomes, summaries) = rank_portfolio(platforms, swept.rows, &swept.platform_of);
+    PortfolioReport {
+        evaluated: outcomes.len(),
+        feasible: summaries.iter().map(|s| s.feasible).sum(),
+        jobs: swept.jobs,
+        elements,
+        wall_s: swept.started.elapsed().as_secs_f64(),
+        backend_compiles: swept.backend_compiles,
+        backend_reuses: swept.backend_uses.saturating_sub(swept.backend_compiles),
+        cache: engine.pipeline().cache_counters(),
+        oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
+        summaries,
+        outcomes,
     }
 }
 
@@ -1201,144 +1282,120 @@ pub struct PortfolioReport {
     pub oracle: polyhedra::OracleCounters,
 }
 
-/// Pareto flags over (minimize time, minimize utilization) for the
-/// feasible subset; infeasible entries are never on the frontier, and
-/// of several points with *identical* objectives only the first stays
-/// (ties would otherwise all survive and clutter the frontier).
-fn pareto_flags(objectives: &[Option<(f64, f64)>]) -> Vec<bool> {
+/// Pareto flags over `N` minimized objectives (callers negate the
+/// maximized ones) for the feasible subset; infeasible entries are
+/// never on the frontier, and of several points with *identical*
+/// objectives only the first stays (ties would otherwise all survive
+/// and clutter the frontier).
+///
+/// Sort-and-sweep: whatever dominates a point — better somewhere and
+/// nowhere worse, or identical and earlier — sorts before it
+/// lexicographically (the stable sort keeps input order among
+/// identical points), and whatever is dominated is dominated by a
+/// frontier point. So walk the points in that order and keep each one
+/// that no frontier point found so far is `<=` in every objective.
+/// `pareto_flags_reference` in the tests is the quadratic definition.
+fn pareto_flags<const N: usize>(objectives: &[Option<[f64; N]>]) -> Vec<bool> {
+    // `+ 0.0` folds -0.0 into 0.0, which `<=` already treats as equal.
+    let at = |i: usize| objectives[i].expect("feasible").map(|x| x + 0.0);
+    let mut order: Vec<usize> = (0..objectives.len())
+        .filter(|&i| objectives[i].is_some())
+        .collect();
+    order.sort_by(|&a, &b| {
+        let by_axis = at(a).into_iter().zip(at(b)).map(|(x, y)| x.total_cmp(&y));
+        by_axis
+            .into_iter()
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
     let mut flags = vec![false; objectives.len()];
-    for i in 0..objectives.len() {
-        let Some((t, u)) = objectives[i] else {
-            continue;
-        };
-        let dominated = objectives.iter().enumerate().any(|(j, o)| match o {
-            Some((t2, u2)) => {
-                (*t2 <= t && *u2 <= u && (*t2 < t || *u2 < u)) || (j < i && *t2 == t && *u2 == u)
-            }
-            None => false,
-        });
-        flags[i] = !dominated;
+    let mut frontier: Vec<[f64; N]> = Vec::new();
+    for i in order {
+        let p = at(i);
+        if !frontier
+            .iter()
+            .any(|f| f.iter().zip(&p).all(|(f, p)| f <= p))
+        {
+            flags[i] = true;
+            frontier.push(p);
+        }
     }
     flags
 }
 
-/// Three-objective Pareto flags (all minimized; callers negate
-/// maximization axes). Same tie rule as [`pareto_flags`]: of identical
-/// objective triples only the first survives.
-fn pareto_flags3(objectives: &[Option<(f64, f64, f64)>]) -> Vec<bool> {
-    let mut flags = vec![false; objectives.len()];
-    for i in 0..objectives.len() {
-        let Some((a, b, c)) = objectives[i] else {
-            continue;
-        };
-        let dominated = objectives.iter().enumerate().any(|(j, o)| match o {
-            Some((a2, b2, c2)) => {
-                (*a2 <= a && *b2 <= b && *c2 <= c && (*a2 < a || *b2 < b || *c2 < c))
-                    || (j < i && *a2 == a && *b2 == b && *c2 == c)
-            }
-            None => false,
-        });
-        flags[i] = !dominated;
+/// Flag each platform's Pareto points — the latency view over
+/// (total_s, utilization) and the service view over (requests/sec ↑,
+/// p99 ↓, utilization ↓), in the order the rows arrive in — then rank
+/// the rows feasible-first by simulated time and summarize each
+/// platform. `platform_of[i]` is the index into `platforms` of row `i`.
+fn rank_portfolio(
+    platforms: &[Platform],
+    mut outcomes: Vec<PortfolioOutcome>,
+    platform_of: &[usize],
+) -> (Vec<PortfolioOutcome>, Vec<PlatformSummary>) {
+    let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); platforms.len()];
+    for (i, &p) in platform_of.iter().enumerate() {
+        rows_of[p].push(i);
     }
-    flags
+    let summaries = platforms
+        .iter()
+        .zip(&rows_of)
+        .map(|(p, rows)| {
+            let feasible = |&&i: &&usize| outcomes[i].outcome.feasible;
+            let latency = rows.iter().map(|&i| {
+                let o = &outcomes[i];
+                o.outcome
+                    .feasible
+                    .then_some([o.outcome.total_s, o.utilization])
+            });
+            let service = rows.iter().map(|&i| {
+                let o = &outcomes[i];
+                let view = [
+                    -o.outcome.service_rps,
+                    o.outcome.service_p99_s,
+                    o.utilization,
+                ];
+                o.outcome.feasible.then_some(view)
+            });
+            let pareto = pareto_flags(&latency.collect::<Vec<_>>());
+            let service_pareto = pareto_flags(&service.collect::<Vec<_>>());
+            let summary = PlatformSummary {
+                platform: p.id.clone(),
+                board: p.board.name.clone(),
+                evaluated: rows.len(),
+                feasible: rows.iter().filter(feasible).count(),
+                pareto_points: pareto.iter().filter(|&&flag| flag).count(),
+                best_total_s: rows
+                    .iter()
+                    .filter(feasible)
+                    .map(|&i| outcomes[i].outcome.total_s)
+                    .min_by(f64::total_cmp),
+            };
+            for ((&i, pareto), service_pareto) in rows.iter().zip(pareto).zip(service_pareto) {
+                outcomes[i].pareto = pareto;
+                outcomes[i].service_pareto = service_pareto;
+            }
+            summary
+        })
+        .collect();
+    outcomes.sort_by(portfolio_order);
+    (outcomes, summaries)
+}
+
+/// Rank of a portfolio's rows: feasible first, then by simulated time,
+/// fit, platform and clock; the label only ever breaks a full tie.
+fn portfolio_order(a: &PortfolioOutcome, b: &PortfolioOutcome) -> Ordering {
+    b.outcome
+        .feasible
+        .cmp(&a.outcome.feasible)
+        .then_with(|| a.outcome.total_s.total_cmp(&b.outcome.total_s))
+        .then_with(|| a.utilization.total_cmp(&b.utilization))
+        .then_with(|| a.platform.cmp(&b.platform))
+        .then_with(|| a.clock_mhz.total_cmp(&b.clock_mhz))
+        .then_with(|| a.outcome.point.cmp_label(&b.outcome.point))
 }
 
 impl PortfolioReport {
-    /// Rank, flag Pareto points per platform and summarize.
-    /// `backend_uses` is the total number of memoized-backend lookups
-    /// across all evaluations (one per kernel per combo), so
-    /// `reuses = uses - compiles` holds for programs too.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        platforms: &[Platform],
-        mut outcomes: Vec<PortfolioOutcome>,
-        jobs: usize,
-        elements: usize,
-        wall_s: f64,
-        backend_compiles: usize,
-        backend_uses: usize,
-        cache: CacheCounters,
-        oracle: polyhedra::OracleCounters,
-    ) -> PortfolioReport {
-        // Per-platform Pareto frontiers: the latency view over
-        // (total_s, utilization) and the service view over
-        // (requests/sec ↑, p99 ↓, utilization ↓).
-        for p in platforms {
-            let idx: Vec<usize> = (0..outcomes.len())
-                .filter(|&i| outcomes[i].platform == p.id)
-                .collect();
-            let objectives: Vec<Option<(f64, f64)>> = idx
-                .iter()
-                .map(|&i| {
-                    let o = &outcomes[i];
-                    o.outcome
-                        .feasible
-                        .then_some((o.outcome.total_s, o.utilization))
-                })
-                .collect();
-            for (&i, flag) in idx.iter().zip(pareto_flags(&objectives)) {
-                outcomes[i].pareto = flag;
-            }
-            let service: Vec<Option<(f64, f64, f64)>> = idx
-                .iter()
-                .map(|&i| {
-                    let o = &outcomes[i];
-                    o.outcome.feasible.then_some((
-                        -o.outcome.service_rps,
-                        o.outcome.service_p99_s,
-                        o.utilization,
-                    ))
-                })
-                .collect();
-            for (&i, flag) in idx.iter().zip(pareto_flags3(&service)) {
-                outcomes[i].service_pareto = flag;
-            }
-        }
-        outcomes.sort_by(|a, b| {
-            b.outcome
-                .feasible
-                .cmp(&a.outcome.feasible)
-                .then(a.outcome.total_s.total_cmp(&b.outcome.total_s))
-                .then(a.utilization.total_cmp(&b.utilization))
-                .then(a.platform.cmp(&b.platform))
-                .then(a.clock_mhz.total_cmp(&b.clock_mhz))
-                .then(a.outcome.point.label().cmp(&b.outcome.point.label()))
-        });
-        let summaries: Vec<PlatformSummary> = platforms
-            .iter()
-            .map(|p| {
-                let of_p: Vec<&PortfolioOutcome> =
-                    outcomes.iter().filter(|o| o.platform == p.id).collect();
-                PlatformSummary {
-                    platform: p.id.clone(),
-                    board: p.board.name.clone(),
-                    evaluated: of_p.len(),
-                    feasible: of_p.iter().filter(|o| o.outcome.feasible).count(),
-                    pareto_points: of_p.iter().filter(|o| o.pareto).count(),
-                    best_total_s: of_p
-                        .iter()
-                        .filter(|o| o.outcome.feasible)
-                        .map(|o| o.outcome.total_s)
-                        .min_by(f64::total_cmp),
-                }
-            })
-            .collect();
-        let feasible = outcomes.iter().filter(|o| o.outcome.feasible).count();
-        PortfolioReport {
-            evaluated: outcomes.len(),
-            feasible,
-            jobs,
-            elements,
-            wall_s,
-            backend_compiles,
-            backend_reuses: backend_uses.saturating_sub(backend_compiles),
-            cache,
-            oracle,
-            summaries,
-            outcomes,
-        }
-    }
-
     /// The portfolio Pareto frontier: every platform's non-dominated
     /// (time, fit) points, best time first.
     pub fn pareto_frontier(&self) -> Vec<&PortfolioOutcome> {
@@ -1367,12 +1424,12 @@ impl PortfolioReport {
     pub fn cost_frontier(&self) -> Vec<(&PortfolioOutcome, f64)> {
         let per_kluts =
             |o: &PortfolioOutcome| o.outcome.service_rps / (o.outcome.luts as f64 / 1000.0);
-        let objectives: Vec<Option<(f64, f64)>> = self
+        let objectives: Vec<Option<[f64; 2]>> = self
             .outcomes
             .iter()
             .map(|o| {
                 (o.outcome.feasible && o.outcome.luts > 0)
-                    .then(|| (-o.outcome.service_rps, -per_kluts(o)))
+                    .then(|| [-o.outcome.service_rps, -per_kluts(o)])
             })
             .collect();
         self.outcomes
@@ -1600,320 +1657,6 @@ impl PortfolioOutcome {
             ),
             (", \"rps_per_kluts\": ", Val::Fixed(per_kluts, 4)),
         ])
-    }
-}
-
-/// A (platform index, clock) × grid cross product, flattened for the
-/// worker pool. `backend` indexes the memoized (clock, backend-key)
-/// compilation shared across platforms and `k`/`m`.
-#[derive(Debug, Clone, Copy)]
-struct ComboJob {
-    platform: usize,
-    clock_mhz: f64,
-    point: usize,
-    backend: usize,
-}
-
-/// Flatten platforms × clock ladders × grid points and assign each
-/// combo its memoized backend slot. Returns the jobs plus the unique
-/// (clock, key) list in first-seen order.
-fn portfolio_jobs(
-    platforms: &[Platform],
-    points: &[DsePoint],
-) -> (Vec<ComboJob>, Vec<(f64, BackendKey)>) {
-    let mut keys: Vec<(u64, BackendKey)> = Vec::new();
-    let mut jobs = Vec::new();
-    for (pi, platform) in platforms.iter().enumerate() {
-        for &clock in &platform.clock_ladder_mhz {
-            for (qi, point) in points.iter().enumerate() {
-                let key = (clock.to_bits(), point.backend_key());
-                let bi = keys.iter().position(|&e| e == key).unwrap_or_else(|| {
-                    keys.push(key);
-                    keys.len() - 1
-                });
-                jobs.push(ComboJob {
-                    platform: pi,
-                    clock_mhz: clock,
-                    point: qi,
-                    backend: bi,
-                });
-            }
-        }
-    }
-    let keys = keys
-        .into_iter()
-        .map(|(bits, k)| (f64::from_bits(bits), k))
-        .collect();
-    (jobs, keys)
-}
-
-fn resolve_jobs(jobs: usize, len: usize) -> usize {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    jobs.min(len.max(1))
-}
-
-impl DseEngine {
-    /// Utilization of a feasible outcome against a platform's board.
-    fn outcome_utilization(platform: &Platform, o: &DseOutcome) -> f64 {
-        if !o.feasible {
-            return 0.0;
-        }
-        let b = &platform.board;
-        [
-            o.luts as f64 / b.luts as f64,
-            o.ffs as f64 / b.ffs as f64,
-            o.dsps as f64 / b.dsps as f64,
-            o.brams as f64 / b.brams as f64,
-        ]
-        .into_iter()
-        .fold(0.0, f64::max)
-    }
-
-    /// Sweep the **platform × clock × (k, m, sharing, decoupling,
-    /// partition)** cross product: the multi-board portfolio view.
-    /// Frontend, middle end and scheduling stay compiled once (from
-    /// [`DseEngine::prepare`]); backends are memoized per **(clock,
-    /// backend key)** — a backend compiled at 200 MHz is reused across
-    /// every platform whose ladder contains 200 MHz and every `k`/`m`.
-    pub fn run_portfolio(
-        &self,
-        platforms: &[Platform],
-        grid: &DseGrid,
-        jobs: usize,
-        elements: usize,
-    ) -> PortfolioReport {
-        let points = grid.points();
-        let (combos, keys) = portfolio_jobs(platforms, &points);
-        let jobs = resolve_jobs(jobs, combos.len());
-        let oracle_base = polyhedra::OracleCounters::snapshot();
-        let t = Instant::now();
-
-        // Compile the unique (clock, backend-key) backends in parallel.
-        let key_opts: Vec<FlowOptions> = keys
-            .iter()
-            .map(|&(clock, key)| {
-                let rep = points
-                    .iter()
-                    .find(|p| p.backend_key() == key)
-                    .expect("key from points");
-                let mut opts = self.options_for(rep);
-                opts.hls.clock_mhz = clock;
-                opts
-            })
-            .collect();
-        let backends: Vec<Backend> = {
-            let workers = jobs.min(keys.len()).max(1);
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let key_opts = &key_opts;
-                        scope.spawn(move || {
-                            (w..key_opts.len())
-                                .step_by(workers)
-                                .map(|i| (i, self.pipeline.backend(&self.scheduled, &key_opts[i])))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, be)| be).collect()
-        };
-
-        // Fan the per-combo system stage + simulation out.
-        let next = AtomicUsize::new(0);
-        let outcomes: Vec<PortfolioOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let combos = &combos;
-                let points = &points;
-                let key_opts = &key_opts;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<PortfolioOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= combos.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        let job = combos[i];
-                        let platform = &platforms[job.platform];
-                        let mut opts = key_opts[job.backend].clone();
-                        opts.platform = platform.clone();
-                        opts.system = Some(SystemConfig {
-                            k: points[job.point].k,
-                            m: points[job.point].m,
-                        });
-                        let outcome = self.evaluate_with_backend(
-                            &points[job.point],
-                            &opts,
-                            &backends[job.backend],
-                            elements,
-                            started,
-                        );
-                        let utilization = DseEngine::outcome_utilization(platform, &outcome);
-                        local.push(PortfolioOutcome {
-                            platform: platform.id.clone(),
-                            board: platform.board.name.clone(),
-                            clock_mhz: job.clock_mhz,
-                            outcome,
-                            utilization,
-                            pareto: false,
-                            service_pareto: false,
-                        });
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        let uses = outcomes.len();
-        PortfolioReport::assemble(
-            platforms,
-            outcomes,
-            jobs,
-            elements,
-            t.elapsed().as_secs_f64(),
-            keys.len(),
-            uses,
-            self.pipeline.cache_counters(),
-            polyhedra::OracleCounters::snapshot().since(oracle_base),
-        )
-    }
-}
-
-impl ProgramDseEngine {
-    /// The portfolio sweep for a multi-kernel program: platform × clock
-    /// × joint grid points, with backends memoized per **(kernel,
-    /// clock, backend key)**.
-    pub fn run_portfolio(
-        &self,
-        platforms: &[Platform],
-        grid: &DseGrid,
-        jobs: usize,
-        elements: usize,
-    ) -> PortfolioReport {
-        let points = grid.points();
-        let nk = self.scheds.len();
-        let (combos, keys) = portfolio_jobs(platforms, &points);
-        let jobs = resolve_jobs(jobs, combos.len());
-        let oracle_base = polyhedra::OracleCounters::snapshot();
-        let t = Instant::now();
-
-        // Compile (clock, key) × kernel backends on the worker pool.
-        let reps: Vec<(f64, DsePoint)> = keys
-            .iter()
-            .map(|&(clock, key)| {
-                (
-                    clock,
-                    *points
-                        .iter()
-                        .find(|p| p.backend_key() == key)
-                        .expect("key from points"),
-                )
-            })
-            .collect();
-        let jobs_be = jobs.min(keys.len() * nk).max(1);
-        let backends: Vec<Vec<Backend>> = {
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs_be)
-                    .map(|w| {
-                        let reps = &reps;
-                        scope.spawn(move || {
-                            (w..reps.len() * nk)
-                                .step_by(jobs_be)
-                                .map(|i| {
-                                    let (key, kernel) = (i / nk, i % nk);
-                                    let (clock, rep) = &reps[key];
-                                    let mut opts = self.kernel_options_for(rep, kernel);
-                                    opts.hls.clock_mhz = *clock;
-                                    (i, self.pipeline.backend(&self.scheds[kernel], &opts))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            let mut flat = indexed.into_iter().map(|(_, b)| b);
-            (0..keys.len())
-                .map(|_| (0..nk).map(|_| flat.next().expect("backend")).collect())
-                .collect()
-        };
-
-        let next = AtomicUsize::new(0);
-        let outcomes: Vec<PortfolioOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let combos = &combos;
-                let points = &points;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<PortfolioOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= combos.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        let job = combos[i];
-                        let platform = &platforms[job.platform];
-                        let outcome = self.evaluate_with_backends(
-                            platform,
-                            &points[job.point],
-                            &backends[job.backend],
-                            elements,
-                            started,
-                        );
-                        let utilization = DseEngine::outcome_utilization(platform, &outcome);
-                        local.push(PortfolioOutcome {
-                            platform: platform.id.clone(),
-                            board: platform.board.name.clone(),
-                            clock_mhz: job.clock_mhz,
-                            outcome,
-                            utilization,
-                            pareto: false,
-                            service_pareto: false,
-                        });
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        let uses = outcomes.len() * nk;
-        PortfolioReport::assemble(
-            platforms,
-            outcomes,
-            jobs,
-            elements,
-            t.elapsed().as_secs_f64(),
-            keys.len() * nk,
-            uses,
-            self.pipeline.cache_counters(),
-            polyhedra::OracleCounters::snapshot().since(oracle_base),
-        )
     }
 }
 
@@ -2202,8 +1945,8 @@ mod tests {
     }
 
     /// A portfolio over `points` generated outcomes on three platforms
-    /// (one hostile name, one where nothing fits), flags as `assemble`
-    /// would set them.
+    /// (one hostile name, one where nothing fits), flagged and ranked by
+    /// `rank_portfolio`.
     fn generated_portfolio(points: usize) -> PortfolioReport {
         let mut platforms = vec![Platform::zcu106(), Platform::zcu106(), Platform::zcu106()];
         platforms[1].id = "pynq\"z2\\".into();
@@ -2219,18 +1962,22 @@ mod tests {
                 service_pareto: false,
             })
             .collect();
+        let platform_of: Vec<usize> = (0..points).map(|i| i % 2).collect();
+        let (outcomes, summaries) = rank_portfolio(&platforms, outcomes, &platform_of);
         let sweep = generated_sweep(0);
-        PortfolioReport::assemble(
-            &platforms,
+        PortfolioReport {
+            evaluated: points,
+            feasible: summaries.iter().map(|s| s.feasible).sum(),
+            jobs: 2,
+            elements: 10_000,
+            wall_s: sweep.wall_s,
+            backend_compiles: 8,
+            backend_reuses: points.saturating_sub(8),
+            cache: sweep.cache,
+            oracle: sweep.oracle,
+            summaries,
             outcomes,
-            2,
-            10_000,
-            sweep.wall_s,
-            8,
-            points,
-            sweep.cache,
-            sweep.oracle,
-        )
+        }
     }
 
     /// A buffer that outgrew its reservation would have doubled; one
@@ -2253,7 +2000,8 @@ mod tests {
         let requests = runtime::generate_timing_requests(opts.requests, &opts.arrival, 0).unwrap();
         let agrees = |design: &sysgen::MultiSystemDesign| {
             let served = runtime::serve(design, &[], &[], &[], &requests, &opts).unwrap();
-            let (rps, p99_s) = service_probe(design);
+            let round = zynq::program_round(design, &SimConfig::default());
+            let (rps, p99_s) = service_probe(&round, &design.config.ks, design.config.m);
             let report = served.report;
             assert_eq!(
                 (rps.to_bits(), p99_s.to_bits()),
@@ -2290,6 +2038,381 @@ mod tests {
             let single = art.system.expect("fits the zcu106");
             agrees(&sysgen::MultiSystemDesign::from_single(&single));
         }
+    }
+
+    /// The probe of a built design, as the sweep ran it before it
+    /// scored points.
+    fn probe_of(design: &sysgen::MultiSystemDesign) -> (f64, f64) {
+        let round = zynq::program_round(design, &SimConfig::default());
+        service_probe(&round, &design.config.ks, design.config.m)
+    }
+
+    /// The row `outcome` must produce for a design that was really
+    /// built (or could not be), simulated and probed.
+    fn assert_row_matches(
+        row: &DseOutcome,
+        built: Option<(Totals, f64, (f64, f64))>,
+        plm_brams: usize,
+        latency_cycles: u64,
+        elements: usize,
+        at: &str,
+    ) {
+        let (totals, total_s, (rps, p99_s)) = built.unwrap_or_default();
+        let eps = if total_s > 0.0 {
+            elements as f64 / total_s
+        } else {
+            0.0
+        };
+        assert_eq!(row.feasible, built.is_some(), "{at}");
+        assert_eq!(
+            (row.luts, row.ffs, row.dsps, row.brams),
+            (totals.luts, totals.ffs, totals.dsps, totals.brams),
+            "{at}"
+        );
+        assert_eq!(
+            (row.plm_brams, row.latency_cycles),
+            (plm_brams, latency_cycles),
+            "{at}"
+        );
+        assert_eq!(
+            [
+                row.total_s,
+                row.throughput_eps,
+                row.service_rps,
+                row.service_p99_s
+            ]
+            .map(f64::to_bits),
+            [total_s, eps, rps, p99_s].map(f64::to_bits),
+            "{at}"
+        );
+    }
+
+    /// The module's invariant: for every catalog platform, ladder clock
+    /// and point of the dense single-kernel grid and the default
+    /// program grid, the scored row is bit for bit what building the
+    /// design (`SystemDesign::build` / `ProgramBuild::design_for`),
+    /// simulating it (`simulate_hw` / `simulate_program`) and probing
+    /// it report — rows that do not fit included.
+    #[test]
+    fn score_equals_build_simulate_and_probe() {
+        const ELEMENTS: usize = 2_000;
+        let sim = SimConfig {
+            elements: ELEMENTS,
+            ..SimConfig::default()
+        };
+        let dense = DseGrid {
+            k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
+            batch: vec![1, 2, 4],
+            sharing: vec![true, false],
+            decoupled: vec![true, false],
+            partition: vec![1, 2],
+        };
+        assert_eq!(dense.points().len(), 264);
+        let src = cfdlang::examples::inverse_helmholtz(11);
+        let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+        let (mut fit, mut unfit) = (0, 0);
+        for platform in Platform::catalog() {
+            for &clock in &platform.clock_ladder_mhz {
+                let mut slots: Vec<((bool, bool, u32), Backend, ScoreParts)> = Vec::new();
+                for point in dense.points() {
+                    let key = point.backend_key();
+                    if !slots.iter().any(|(k, ..)| *k == key) {
+                        let be = engine.backend_at(clock, &point);
+                        slots.push((key, be.clone(), ScoreParts::of_kernel(be)));
+                    }
+                    let (_, be, parts) = slots.iter().find(|(k, ..)| *k == key).unwrap();
+                    let cfg = SystemConfig {
+                        k: point.k,
+                        m: point.m,
+                    };
+                    let host = sysgen::HostProgram::from_kernel(&be.kernel, cfg);
+                    let built = sysgen::SystemDesign::build(
+                        &platform,
+                        &be.hls_report,
+                        &be.memory,
+                        cfg,
+                        host,
+                    )
+                    .map(|design| {
+                        let totals = Totals {
+                            luts: design.luts,
+                            ffs: design.ffs,
+                            dsps: design.dsps,
+                            brams: design.brams,
+                        };
+                        let probe = probe_of(&sysgen::MultiSystemDesign::from_single(&design));
+                        (totals, zynq::simulate_hw(&design, &sim).total_s, probe)
+                    });
+                    *if built.is_some() {
+                        &mut fit
+                    } else {
+                        &mut unfit
+                    } += 1;
+                    let row = outcome("main", parts, &platform, &point, ELEMENTS, Instant::now());
+                    let at = format!("{} @ {clock} MHz, {}", platform.id, point.label());
+                    assert_row_matches(
+                        &row,
+                        built,
+                        be.memory.brams,
+                        be.hls_report.latency_cycles,
+                        ELEMENTS,
+                        &at,
+                    );
+                }
+            }
+        }
+        assert!(fit > 1_000 && unfit > 500, "{fit} fit, {unfit} do not");
+
+        let src = cfdlang::examples::simulation_step(7);
+        let options = crate::program::ProgramOptions::default();
+        let engine = ProgramDseEngine::prepare(&src, &options).unwrap();
+        let (mut fit, mut unfit) = (0, 0);
+        for platform in Platform::catalog() {
+            for &clock in &platform.clock_ladder_mhz {
+                for point in DseGrid::default().points() {
+                    let build = engine.build_at(clock, &point);
+                    let cfg = sysgen::ProgramSystemConfig::uniform(point.k, point.m, 3);
+                    let built = build.design_for(&platform, cfg).map(|design| {
+                        let totals = Totals {
+                            luts: design.luts,
+                            ffs: design.ffs,
+                            dsps: design.dsps,
+                            brams: design.brams,
+                        };
+                        let total_s = zynq::simulate_program(&design, &sim).total_s;
+                        (totals, total_s, probe_of(&design))
+                    });
+                    *if built.is_some() {
+                        &mut fit
+                    } else {
+                        &mut unfit
+                    } += 1;
+                    let plm_brams = build.memory.brams;
+                    let latency = build.stages.iter().map(|(_, r)| r.latency_cycles).sum();
+                    let parts = ScoreParts::of_program(build);
+                    let row = outcome("step", &parts, &platform, &point, ELEMENTS, Instant::now());
+                    let at = format!("{} @ {clock} MHz, {}", platform.id, point.label());
+                    assert_row_matches(&row, built, plm_brams, latency, ELEMENTS, &at);
+                }
+            }
+        }
+        assert!(fit > 100 && unfit > 10, "{fit} fit, {unfit} do not");
+    }
+
+    /// A replication that is not `m = 2^j · k` scores as "does not
+    /// fit" instead of reaching the round arithmetic.
+    #[test]
+    fn invalid_replication_scores_as_infeasible() {
+        let src = cfdlang::examples::inverse_helmholtz(4);
+        let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+        for (k, m) in [(0, 0), (0, 4), (4, 2), (3, 7)] {
+            let point = DsePoint {
+                k,
+                m,
+                sharing: true,
+                decoupled: true,
+                partition: 1,
+            };
+            let row = engine.evaluate(&point, 100);
+            assert!(
+                !row.feasible && row.total_s == 0.0 && row.plm_brams > 0,
+                "k={k} m={m}"
+            );
+        }
+    }
+
+    /// Numbers whose decimal spellings collide as prefixes of each
+    /// other, around every digit-count boundary a grid can reach.
+    const TRICKY: [usize; 14] = [0, 1, 2, 9, 10, 11, 12, 19, 20, 99, 100, 101, 110, 1_000];
+
+    #[test]
+    fn label_order_is_the_string_order_of_the_labels() {
+        let mut points = Vec::new();
+        for &k in &TRICKY {
+            for &m in &TRICKY[..8] {
+                for flags in 0..4 {
+                    for partition in [1, 2, 10, 12] {
+                        points.push(DsePoint {
+                            k,
+                            m,
+                            sharing: flags & 1 == 1,
+                            decoupled: flags & 2 == 2,
+                            partition,
+                        });
+                    }
+                }
+            }
+        }
+        for a in points.iter().step_by(7) {
+            for b in &points {
+                assert_eq!(
+                    a.cmp_label(b),
+                    a.label().cmp(&b.label()),
+                    "{} vs {}",
+                    a.label(),
+                    b.label()
+                );
+            }
+        }
+        assert_eq!(
+            cmp_decimal_text(u64::MAX, 1),
+            u64::MAX.to_string().cmp(&"1".to_string())
+        );
+        assert_eq!(cmp_decimal_text(10, 2), Ordering::Less);
+    }
+
+    /// Outcomes drawn from a handful of values per ranked field, so
+    /// every prefix of either comparator's key ties for many pairs and
+    /// the label — with `k`, `m` >= 10 — decides.
+    fn tied_outcome(i: usize) -> PortfolioOutcome {
+        let pick = |salt: usize, n: usize| {
+            (i.wrapping_mul(2_654_435_761).wrapping_add(salt * 97) >> 7) % n
+        };
+        let feasible = pick(1, 4) != 0;
+        let scale = if feasible { 1 + pick(2, 2) } else { 0 };
+        PortfolioOutcome {
+            platform: ["zcu106", "u250"][pick(3, 2)].into(),
+            board: String::new(),
+            clock_mhz: [100.0, 200.0][pick(4, 2)],
+            outcome: DseOutcome {
+                point: DsePoint {
+                    k: TRICKY[pick(5, TRICKY.len())],
+                    m: TRICKY[pick(6, TRICKY.len())],
+                    sharing: pick(7, 2) == 0,
+                    decoupled: pick(8, 2) == 0,
+                    partition: [1, 2, 10][pick(9, 3)],
+                },
+                luts: 1_000 * scale,
+                brams: 16 * scale,
+                total_s: 0.25 * scale as f64,
+                throughput_eps: 4_000.0 * scale as f64,
+                feasible,
+                ..generated_outcome(0)
+            },
+            utilization: 0.5 * scale as f64,
+            pareto: false,
+            service_pareto: false,
+        }
+    }
+
+    /// The comparators `sort_by` ran before labels were compared
+    /// without being formatted: every key eager, the label a `String`.
+    #[test]
+    fn ranking_orders_equal_the_eager_label_comparators() {
+        let old_sweep = |a: &DseOutcome, b: &DseOutcome| {
+            b.feasible
+                .cmp(&a.feasible)
+                .then(b.throughput_eps.total_cmp(&a.throughput_eps))
+                .then(a.brams.cmp(&b.brams))
+                .then(a.luts.cmp(&b.luts))
+                .then(a.point.label().cmp(&b.point.label()))
+        };
+        let old_portfolio = |a: &PortfolioOutcome, b: &PortfolioOutcome| {
+            b.outcome
+                .feasible
+                .cmp(&a.outcome.feasible)
+                .then(a.outcome.total_s.total_cmp(&b.outcome.total_s))
+                .then(a.utilization.total_cmp(&b.utilization))
+                .then(a.platform.cmp(&b.platform))
+                .then(a.clock_mhz.total_cmp(&b.clock_mhz))
+                .then(a.outcome.point.label().cmp(&b.outcome.point.label()))
+        };
+        let rows: Vec<PortfolioOutcome> = (0..400).map(tied_outcome).collect();
+        let mut label_decided = 0;
+        for a in &rows {
+            for b in &rows {
+                assert_eq!(portfolio_order(a, b), old_portfolio(a, b));
+                assert_eq!(
+                    sweep_order(&a.outcome, &b.outcome),
+                    old_sweep(&a.outcome, &b.outcome)
+                );
+                let tie_but_label = a.outcome.point != b.outcome.point
+                    && old_sweep(&a.outcome, &b.outcome)
+                        == a.outcome.point.label().cmp(&b.outcome.point.label());
+                label_decided += usize::from(
+                    tie_but_label
+                        && a.outcome.brams == b.outcome.brams
+                        && a.outcome.feasible == b.outcome.feasible,
+                );
+            }
+        }
+        assert!(
+            label_decided > 1_000,
+            "only {label_decided} pairs reached the label"
+        );
+        let (mut new, mut old) = (rows.clone(), rows);
+        new.sort_by(portfolio_order);
+        old.sort_by(old_portfolio);
+        let points = |rows: &[PortfolioOutcome]| -> Vec<String> {
+            rows.iter()
+                .map(|o| format!("{} {} {}", o.platform, o.clock_mhz, o.outcome.point.label()))
+                .collect()
+        };
+        assert_eq!(points(&new), points(&old));
+    }
+
+    /// The definition `pareto_flags` sweeps for: quadratic, one
+    /// dominance test per pair.
+    fn pareto_flags_reference<const N: usize>(objectives: &[Option<[f64; N]>]) -> Vec<bool> {
+        let dominated = |i: usize, p: &[f64; N]| {
+            objectives.iter().enumerate().any(|(j, o)| match o {
+                Some(q) => {
+                    let no_worse = q.iter().zip(p).all(|(q, p)| q <= p);
+                    let better = q.iter().zip(p).any(|(q, p)| q < p);
+                    let same = q.iter().zip(p).all(|(q, p)| q == p);
+                    (no_worse && better) || (j < i && same)
+                }
+                None => false,
+            })
+        };
+        objectives
+            .iter()
+            .enumerate()
+            .map(|(i, o)| o.as_ref().is_some_and(|p| !dominated(i, p)))
+            .collect()
+    }
+
+    /// Objective sets drawn from few values: duplicates, `±0.0`,
+    /// infeasible holes and the odd NaN (which neither dominates nor is
+    /// dominated, in both forms).
+    #[test]
+    fn sort_and_sweep_pareto_equals_the_quadratic_definition() {
+        const VALUES: [f64; 8] = [-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, 3.0, f64::NAN];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut frontier_sizes = 0;
+        for round in 0..300 {
+            let n = draw(40);
+            // Rounds alternate between all eight values and the first
+            // five, where NaN never shows.
+            let span = if round % 2 == 0 { 8 } else { 5 };
+            let two: Vec<Option<[f64; 2]>> = (0..n)
+                .map(|_| (draw(5) != 0).then(|| [VALUES[draw(span)], VALUES[draw(span)]]))
+                .collect();
+            let three: Vec<Option<[f64; 3]>> = (0..n)
+                .map(|_| {
+                    (draw(5) != 0)
+                        .then(|| [VALUES[draw(span)], VALUES[draw(span)], VALUES[draw(span)]])
+                })
+                .collect();
+            let flags = pareto_flags(&two);
+            assert_eq!(flags, pareto_flags_reference(&two), "{two:?}");
+            assert_eq!(
+                pareto_flags(&three),
+                pareto_flags_reference(&three),
+                "{three:?}"
+            );
+            frontier_sizes += flags.iter().filter(|&&f| f).count();
+        }
+        assert!(frontier_sizes > 300);
+        // First of identical objectives wins, -0.0 and 0.0 being identical.
+        let tied = [None, Some([0.0, 1.0]), Some([-0.0, 1.0]), Some([0.0, 1.0])];
+        assert_eq!(pareto_flags(&tied), [false, true, false, false]);
     }
 
     #[test]

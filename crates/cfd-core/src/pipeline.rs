@@ -249,10 +249,11 @@ impl Pipeline {
         self.counters.frontend.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a system-stage invocation performed outside
-    /// [`Pipeline::system`] (the program system stage).
-    pub(crate) fn count_system(&self) {
-        self.counters.system.fetch_add(1, Ordering::Relaxed);
+    /// Count `n` system-stage invocations performed outside
+    /// [`Pipeline::system`]: the program system stage, and the design
+    /// points a single-kernel sweep scores without building them.
+    pub(crate) fn count_systems(&self, n: usize) {
+        self.counters.system.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Parse and type-check single-kernel CFDlang source. A source

@@ -479,7 +479,7 @@ impl Pipeline {
     ) -> Result<ProgramArtifacts, FlowError> {
         let names: Vec<String> = fronts.iter().map(|(n, _)| n.clone()).collect();
         let t_sys = Instant::now();
-        self.count_system();
+        self.count_systems(1);
         let cross = Arc::clone(&link.cross);
 
         // Program memory + stage reports + host byte interface (shared

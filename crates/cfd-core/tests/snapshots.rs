@@ -8,6 +8,13 @@
 //! throughputs — are free to drift. The `boards` listing is plain text
 //! and compared byte for byte.
 //!
+//! The `explore` sweeps are also compared **by value**: the
+//! `tests/golden/explore_*.json` files at the workspace root are `cfdc
+//! explore … --jobs 1 --json --elements 2000` as commit 9736267 printed
+//! it — the last commit that built every design point's system — with
+//! the wall-clock fields masked ([`mask_timings`]). A sweep must
+//! reproduce them at any `--jobs`; they are never regenerated.
+//!
 //! Regenerate after an intentional schema change with:
 //!
 //! ```sh
@@ -240,6 +247,146 @@ fn check_snapshot(name: &str, actual: &str, structural: bool) {
             "text snapshot {name} changed; regenerate with UPDATE_SNAPSHOTS=1 if intentional"
         );
     }
+}
+
+/// `line` with the number after every `"key": ` for which `masked(key)`
+/// holds replaced by `0`.
+fn mask_values(line: &str, masked: impl Fn(&str) -> bool) -> String {
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(at) = rest.find("\": ") {
+        let (head, tail) = rest.split_at(at + 3);
+        let key = head[..at].rsplit('"').next().unwrap_or("");
+        let number = tail
+            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .unwrap_or(tail.len());
+        out.push_str(head);
+        out.push_str(if number > 0 && masked(key) {
+            "0"
+        } else {
+            &tail[..number]
+        });
+        rest = &tail[number..];
+    }
+    out + rest
+}
+
+/// An `explore` report with what depends on the wall clock masked:
+/// `wall_s` and `eval_s` anywhere, every `*_s` of the `shared_stages`,
+/// `backend_cache` and `eval_timing` header lines — and, with
+/// `mask_jobs`, the worker count. The `sed` twin is in
+/// `.github/workflows/ci.yml`.
+fn mask_timings(json: &str, mask_jobs: bool) -> String {
+    const TIMED_HEADERS: [&str; 3] = [
+        "  \"shared_stages\"",
+        "  \"backend_cache\"",
+        "  \"eval_timing\"",
+    ];
+    let mut out = String::with_capacity(json.len());
+    for line in json.lines() {
+        let timed = TIMED_HEADERS.iter().any(|h| line.starts_with(h));
+        out += &mask_values(line, |key| {
+            key == "wall_s"
+                || key == "eval_s"
+                || (timed && key.ends_with("_s"))
+                || (mask_jobs && key == "jobs")
+        });
+        out.push('\n');
+    }
+    out
+}
+
+fn explore_golden(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("golden {path:?}: {e}"))
+}
+
+/// Both engines' `--grid` and `--boards all` sweeps print the values
+/// the parent commit's build-every-point sweep printed, at one worker
+/// and at eight.
+#[test]
+fn explore_reports_reproduce_the_parent_written_goldens() {
+    for (kernel, stem) in [("helmholtz:11", "helmholtz11"), ("simstep:7", "simstep7")] {
+        for (mode, what) in [
+            (&["--grid"][..], "grid"),
+            (&["--boards", "all"][..], "portfolio"),
+        ] {
+            let golden = explore_golden(&format!("explore_{what}_{stem}.json"));
+            for jobs in ["1", "8"] {
+                let mut args = vec!["explore", kernel];
+                args.extend_from_slice(mode);
+                args.extend_from_slice(&["--jobs", jobs, "--json", "--elements", "2000"]);
+                let got = mask_timings(&run_cfdc(&args), true);
+                assert!(
+                    got == mask_timings(&golden, true),
+                    "cfdc {args:?} no longer prints tests/golden/explore_{what}_{stem}.json"
+                );
+            }
+        }
+    }
+}
+
+/// A sweep's report does not depend on the worker count: rows are
+/// placed by combination index, so which of two tied points carries a
+/// Pareto flag cannot depend on thread timing.
+#[test]
+fn sweeps_are_identical_at_any_worker_count() {
+    use cfd_core::dse::{DseEngine, DseGrid, ProgramDseEngine};
+    let catalog = sysgen::Platform::catalog();
+    let grid = DseGrid::default();
+    let single = DseEngine::prepare(
+        &cfdlang::examples::inverse_helmholtz(5),
+        &cfd_core::FlowOptions::default(),
+    )
+    .unwrap();
+    let program = ProgramDseEngine::prepare(
+        &cfdlang::examples::simulation_step(4),
+        &cfd_core::ProgramOptions::default(),
+    )
+    .unwrap();
+    let reports = |jobs: usize| {
+        [
+            single.run(&grid, jobs, 500).to_json(),
+            single.run_portfolio(&catalog, &grid, jobs, 500).to_json(),
+            program.run(&grid, jobs, 500).to_json(),
+            program.run_portfolio(&catalog, &grid, jobs, 500).to_json(),
+        ]
+        .map(|json| mask_timings(&json, true))
+    };
+    let serial = reports(1);
+    for jobs in [2, 8] {
+        let parallel = reports(jobs);
+        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+            // `stage_invocations` accumulate over an engine's sweeps.
+            let stable = |s: &str| -> Vec<String> {
+                s.lines()
+                    .filter(|l| !l.starts_with("  \"stage_invocations\""))
+                    .map(str::to_string)
+                    .collect()
+            };
+            assert!(
+                stable(a) == stable(b),
+                "report {i} differs at {jobs} workers"
+            );
+        }
+    }
+}
+
+#[test]
+fn mask_timings_masks_the_wall_clock_and_nothing_else() {
+    let json = "{\n  \"jobs\": 4,\n  \"wall_s\": 0.123,\n  \
+                \"backend_cache\": {\"compiles\": 12, \"compile_s\": 0.5},\n  \
+                \"outcomes\": [\n    {\"k\": 2, \"total_s\": 0.326863, \"eval_s\": 0.000021}\n  ]\n}\n";
+    let want = "{\n  \"jobs\": 4,\n  \"wall_s\": 0,\n  \
+                \"backend_cache\": {\"compiles\": 12, \"compile_s\": 0},\n  \
+                \"outcomes\": [\n    {\"k\": 2, \"total_s\": 0.326863, \"eval_s\": 0}\n  ]\n}\n";
+    assert_eq!(mask_timings(json, false), want);
+    assert_eq!(
+        mask_timings(json, true),
+        want.replace("\"jobs\": 4", "\"jobs\": 0")
+    );
 }
 
 #[test]

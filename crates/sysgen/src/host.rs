@@ -33,24 +33,26 @@ pub struct HostProgram {
 }
 
 impl HostProgram {
+    /// The external byte interface of `kernel`: input and output bytes
+    /// per element (Σ arrays of that role × 8).
+    pub fn interface_bytes(kernel: &cgen::CKernel) -> (usize, usize) {
+        let bytes = |role| {
+            let of_role = kernel.params.iter().filter(|p| p.role == role);
+            of_role.map(|p| p.words * 8).sum()
+        };
+        (
+            bytes(cgen::ParamRole::Input),
+            bytes(cgen::ParamRole::Output),
+        )
+    }
+
     /// Build from the kernel's parameter list.
     pub fn from_kernel(kernel: &cgen::CKernel, config: SystemConfig) -> HostProgram {
-        let bytes_in: usize = kernel
-            .params
-            .iter()
-            .filter(|p| p.role == cgen::ParamRole::Input)
-            .map(|p| p.words * 8)
-            .sum();
-        let bytes_out: usize = kernel
-            .params
-            .iter()
-            .filter(|p| p.role == cgen::ParamRole::Output)
-            .map(|p| p.words * 8)
-            .sum();
+        let (bytes_in_per_element, bytes_out_per_element) = HostProgram::interface_bytes(kernel);
         HostProgram {
             config,
-            bytes_in_per_element: bytes_in,
-            bytes_out_per_element: bytes_out,
+            bytes_in_per_element,
+            bytes_out_per_element,
         }
     }
 

@@ -72,5 +72,5 @@ pub use multi::{
 pub use netlist::emit_system_verilog;
 pub use platform::{DmaSpec, HostCpuModel, Platform};
 pub use system::{
-    enumerate_configs, max_equal_config, IntegrationModel, SystemConfig, SystemDesign,
+    enumerate_configs, max_equal_config, IntegrationModel, SystemConfig, SystemDesign, Totals,
 };

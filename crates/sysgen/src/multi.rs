@@ -21,7 +21,7 @@
 
 use crate::board::BoardSpec;
 use crate::platform::Platform;
-use crate::system::{IntegrationModel, SystemConfig};
+use crate::system::{SystemConfig, Totals};
 use hls::HlsReport;
 use mnemosyne::MemorySubsystem;
 use serde::{Deserialize, Serialize};
@@ -159,25 +159,8 @@ impl MultiSystemDesign {
     ) -> Option<MultiSystemDesign> {
         assert_eq!(stages.len(), cfg.ks.len(), "one k per stage");
         assert!(cfg.valid(), "invalid program configuration {cfg:?}");
-        let board = &platform.board;
-        let im = IntegrationModel::default();
-        let mut luts = im.base_lut + cfg.m * memory.luts;
-        let mut ffs = im.base_ff + cfg.m * memory.ffs;
-        let mut dsps = 0usize;
-        let mut brams = im.base_bram + cfg.m * memory.brams;
-        for (i, (_, hlsr)) in stages.iter().enumerate() {
-            let k = cfg.ks[i];
-            luts +=
-                k * (hlsr.luts + im.glue_lut_per_kernel) + (cfg.m - k) * im.glue_lut_per_extra_plm;
-            ffs += k * (hlsr.ffs + im.glue_ff_per_kernel);
-            dsps += k * hlsr.dsps;
-            brams += k * hlsr.brams;
-        }
-        let fits =
-            luts <= board.luts && ffs <= board.ffs && dsps <= board.dsps && brams <= board.brams;
-        if !fits {
-            return None;
-        }
+        let reports = stages.iter().map(|(_, hlsr)| hlsr);
+        let t = Totals::fit(platform, cfg.ks.iter().copied().zip(reports), memory, cfg.m)?;
         Some(MultiSystemDesign {
             stages: stages
                 .iter()
@@ -191,10 +174,10 @@ impl MultiSystemDesign {
             config: cfg,
             platform: platform.clone(),
             memory: memory.clone(),
-            luts,
-            ffs,
-            dsps,
-            brams,
+            luts: t.luts,
+            ffs: t.ffs,
+            dsps: t.dsps,
+            brams: t.brams,
             host,
         })
     }
@@ -250,15 +233,13 @@ impl MultiSystemDesign {
 
     /// The largest resource-utilization fraction across LUT/FF/DSP/BRAM.
     pub fn utilization(&self) -> f64 {
-        let board = self.board();
-        [
-            self.luts as f64 / board.luts as f64,
-            self.ffs as f64 / board.ffs as f64,
-            self.dsps as f64 / board.dsps as f64,
-            self.brams as f64 / board.brams as f64,
-        ]
-        .into_iter()
-        .fold(0.0, f64::max)
+        let totals = Totals {
+            luts: self.luts,
+            ffs: self.ffs,
+            dsps: self.dsps,
+            brams: self.brams,
+        };
+        totals.utilization(self.board())
     }
 
     /// Per-round kernel-execution seconds summed over the chained

@@ -59,6 +59,64 @@ impl Default for IntegrationModel {
     }
 }
 
+/// Eq. (3) resource totals of a replicated system, integration logic
+/// included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Totals {
+    pub luts: usize,
+    pub ffs: usize,
+    pub dsps: usize,
+    pub brams: usize,
+}
+
+impl Totals {
+    /// The generalized Eq. (3), `Σ_i [H_i]·k_i + [M]·m + glue ≤ [A]`:
+    /// the totals of `stages` (replication and HLS report of each
+    /// accelerator bank) over `m` PLM sets of `memory`, or `None` when
+    /// they exceed the platform's board. Every system builder and the
+    /// design-space sweep decide feasibility here.
+    pub fn fit<'a>(
+        platform: &Platform,
+        stages: impl IntoIterator<Item = (usize, &'a HlsReport)>,
+        memory: &MemorySubsystem,
+        m: usize,
+    ) -> Option<Totals> {
+        let im = IntegrationModel::default();
+        let mut t = Totals {
+            luts: im.base_lut + m * memory.luts,
+            ffs: im.base_ff + m * memory.ffs,
+            dsps: 0,
+            brams: im.base_bram + m * memory.brams,
+        };
+        for (k, kernel) in stages {
+            t.luts +=
+                k * (kernel.luts + im.glue_lut_per_kernel) + (m - k) * im.glue_lut_per_extra_plm;
+            t.ffs += k * (kernel.ffs + im.glue_ff_per_kernel);
+            t.dsps += k * kernel.dsps;
+            t.brams += k * kernel.brams;
+        }
+        let board = &platform.board;
+        let fits = t.luts <= board.luts
+            && t.ffs <= board.ffs
+            && t.dsps <= board.dsps
+            && t.brams <= board.brams;
+        fits.then_some(t)
+    }
+
+    /// The largest resource-utilization fraction across LUT/FF/DSP/BRAM
+    /// — the "fit" axis of the portfolio Pareto frontier.
+    pub fn utilization(&self, board: &BoardSpec) -> f64 {
+        [
+            self.luts as f64 / board.luts as f64,
+            self.ffs as f64 / board.ffs as f64,
+            self.dsps as f64 / board.dsps as f64,
+            self.brams as f64 / board.brams as f64,
+        ]
+        .into_iter()
+        .fold(0.0, f64::max)
+    }
+}
+
 /// A fully elaborated system instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemDesign {
@@ -89,29 +147,16 @@ impl SystemDesign {
         host: HostProgram,
     ) -> Option<SystemDesign> {
         assert!(cfg.valid(), "invalid (k, m) = ({}, {})", cfg.k, cfg.m);
-        let board = &platform.board;
-        let im = IntegrationModel::default();
-        let luts = im.base_lut
-            + cfg.k * (kernel.luts + im.glue_lut_per_kernel)
-            + cfg.m * memory.luts
-            + (cfg.m - cfg.k) * im.glue_lut_per_extra_plm;
-        let ffs = im.base_ff + cfg.k * (kernel.ffs + im.glue_ff_per_kernel) + cfg.m * memory.ffs;
-        let dsps = cfg.k * kernel.dsps;
-        let brams = im.base_bram + cfg.k * kernel.brams + cfg.m * memory.brams;
-        let fits =
-            luts <= board.luts && ffs <= board.ffs && dsps <= board.dsps && brams <= board.brams;
-        if !fits {
-            return None;
-        }
+        let t = Totals::fit(platform, [(cfg.k, kernel)], memory, cfg.m)?;
         Some(SystemDesign {
             config: cfg,
             platform: platform.clone(),
             kernel: kernel.clone(),
             memory: memory.clone(),
-            luts,
-            ffs,
-            dsps,
-            brams,
+            luts: t.luts,
+            ffs: t.ffs,
+            dsps: t.dsps,
+            brams: t.brams,
             host,
         })
     }
@@ -132,18 +177,15 @@ impl SystemDesign {
         )
     }
 
-    /// The largest resource-utilization fraction across LUT/FF/DSP/BRAM
-    /// — the "fit" axis of the portfolio Pareto frontier.
+    /// The largest resource-utilization fraction across LUT/FF/DSP/BRAM.
     pub fn utilization(&self) -> f64 {
-        let board = self.board();
-        [
-            self.luts as f64 / board.luts as f64,
-            self.ffs as f64 / board.ffs as f64,
-            self.dsps as f64 / board.dsps as f64,
-            self.brams as f64 / board.brams as f64,
-        ]
-        .into_iter()
-        .fold(0.0, f64::max)
+        let totals = Totals {
+            luts: self.luts,
+            ffs: self.ffs,
+            dsps: self.dsps,
+            brams: self.brams,
+        };
+        totals.utilization(self.board())
     }
 }
 

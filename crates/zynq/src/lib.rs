@@ -59,7 +59,7 @@ pub mod verify;
 pub use arm::ArmCostModel;
 pub use dma::DmaModel;
 pub use fault::{FaultPlan, Outage, RecoverySpec};
-pub use online::{simulate_online_stream, OnlineOutcome, OnlineSpec};
+pub use online::{simulate_online_stream, simulate_round_stream, OnlineOutcome, OnlineSpec};
 pub use sim::{
     program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, ProgramRound,
     SimConfig,

@@ -1,9 +1,10 @@
 //! The stream scheduler: one entry point, a clean fold for unarmed
 //! input and one event core for everything else.
 //!
-//! [`simulate_online_stream`] is the only place that validates the
-//! arrival list, clamps the capacity, prices the round and degrades
-//! overlap. It then looks at what is armed. With no fault plan, no
+//! [`simulate_online_stream`] prices the design's round and hands it to
+//! [`simulate_round_stream`], the only place that validates the
+//! arrival list, clamps the capacity and degrades overlap. It then
+//! looks at what is armed. With no fault plan, no
 //! deadline (or SLO) and the FIFO policy, no decision depends on
 //! anything but the arrival list, and the schedule is the closed-form
 //! fold in [`crate::stream`] — no per-request records, and a closed
@@ -101,7 +102,28 @@ pub struct OnlineOutcome {
 
 /// Serve `arrivals` (sorted arrival ticks) on `design` under `plan`,
 /// `rec` and the online policy `spec` — the scheduler every serving
-/// path goes through.
+/// path goes through: [`simulate_round_stream`] on the design's
+/// [`program_round`].
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_online_stream(
+    design: &MultiSystemDesign,
+    cfg: &SimConfig,
+    arrivals: &[Time],
+    capacity: usize,
+    overlap: bool,
+    plan: &FaultPlan,
+    rec: &RecoverySpec,
+    spec: &OnlineSpec,
+) -> OnlineOutcome {
+    let round = program_round(design, cfg);
+    let (ks, m) = (&design.config.ks, design.config.m);
+    simulate_round_stream(&round, ks, m, arrivals, capacity, overlap, plan, rec, spec)
+}
+
+/// The scheduler on an already priced `round` of a system with `ks`
+/// accelerators per stage and `m` PLM sets — all it ever reads of a
+/// design, so a design-space sweep can ask it about a system it never
+/// built.
 ///
 /// `capacity` is clamped to `[1, m]`; `overlap` degrades to the serial
 /// schedule unless every stage keeps a spare PLM set (`m >= 2·k_i`).
@@ -110,9 +132,10 @@ pub struct OnlineOutcome {
 /// clean fold's, every request completed on its first attempt;
 /// otherwise the event core runs, serially under an armed outage.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_online_stream(
-    design: &MultiSystemDesign,
-    cfg: &SimConfig,
+pub fn simulate_round_stream(
+    round: &ProgramRound,
+    ks: &[usize],
+    m: usize,
     arrivals: &[Time],
     capacity: usize,
     overlap: bool,
@@ -128,18 +151,17 @@ pub fn simulate_online_stream(
         spec.tiers.is_empty() || spec.tiers.len() == arrivals.len(),
         "tiers must be empty or one per request"
     );
-    let capacity = capacity.clamp(1, design.config.m);
-    let round = program_round(design, cfg);
-    let overlap = overlap && design.config.ks.iter().all(|&k| design.config.m >= 2 * k);
+    let capacity = capacity.clamp(1, m);
+    let overlap = overlap && ks.iter().all(|&k| m >= 2 * k);
     let rec = RecoverySpec {
         deadline_ticks: spec.slo_ticks.into_iter().chain(rec.deadline_ticks).min(),
         ..*rec
     };
     if !plan.armed() && rec.deadline_ticks.is_none() && !spec.armed() {
         let stream = if overlap {
-            stream_overlapped(arrivals, capacity, &round)
+            stream_overlapped(arrivals, capacity, round)
         } else {
-            stream_serial(arrivals, capacity, &round)
+            stream_serial(arrivals, capacity, round)
         };
         return OnlineOutcome {
             fault: FaultStreamOutcome::clean(stream),
@@ -152,7 +174,7 @@ pub fn simulate_online_stream(
     } else {
         Mode::Serial
     };
-    event_core(arrivals, capacity, &round, plan, &rec, spec, mode)
+    event_core(arrivals, capacity, round, plan, &rec, spec, mode)
 }
 
 /// How the event core shares the DMA engine between rounds.

@@ -86,42 +86,30 @@ pub fn simulate_hw(design: &SystemDesign, cfg: &SimConfig) -> HwResult {
     if cfg.overlap_transfers && design.config.batch() >= 2 {
         return simulate_overlapped(design, cfg);
     }
-    let k = design.config.k;
     let m = design.config.m;
-    let batch = design.config.batch() as u64;
     let host = &design.host;
-    let dma = DmaModel::from_platform(&design.platform);
-    let kernel_s = design.kernel.latency_seconds();
     let rounds = host.rounds(cfg.elements);
-
-    let mut exec_ticks: u64 = 0;
-    let mut transfer_ticks: u64 = 0;
-    let mut round_ticks: u64 = 0;
-    if rounds > 0 {
-        // Input DMA: one burst per PLM instance.
-        let t_in = secs(dma.transfer_bursts_s(host.bytes_in_per_element * m, m));
-        // Each batch: the host starts each accelerator through the
-        // AXI-lite peripheral (the broadcast is serialized on the AXI
-        // bus), all k finish together, the peripheral raises the
-        // interrupt when the last accelerator signals done.
-        let per_batch =
-            secs(cfg.axi_start_s_per_kernel) * k as u64 + secs(kernel_s) + secs(cfg.irq_s);
-        let t_out = secs(dma.transfer_bursts_s(host.bytes_out_per_element * m, m));
-        exec_ticks = per_batch * batch;
-        transfer_ticks = t_in + t_out;
-        round_ticks = t_in + exec_ticks + t_out;
-    }
+    // The one-stage program round: input DMA (one burst per PLM
+    // instance), `m/k` batches, output DMA.
+    let round = ProgramRound::price(
+        &DmaModel::from_platform(&design.platform),
+        cfg,
+        [(design.config.k, design.kernel.latency_seconds())],
+        m,
+        host.bytes_in_per_element,
+        host.bytes_out_per_element,
+    );
 
     // --- Fast-forward the identical rounds. ---
     let n = rounds as u64;
     HwResult {
         elements: cfg.elements,
         rounds,
-        k,
+        k: design.config.k,
         m,
-        exec_s: to_secs(exec_ticks * n),
-        transfer_s: to_secs(transfer_ticks * n),
-        total_s: to_secs(round_ticks * n),
+        exec_s: to_secs(round.exec() * n),
+        transfer_s: to_secs((round.t_in + round.t_out) * n),
+        total_s: to_secs(round.serial_ticks(m, cfg.elements)),
     }
 }
 
@@ -169,6 +157,34 @@ pub struct ProgramRound {
 }
 
 impl ProgramRound {
+    /// Price one round from its parts: each stage's replication `k_i`
+    /// and kernel latency in seconds, the `m` PLM sets, and the
+    /// external byte interface per element. Per stage, each of the
+    /// `m/k_i` batches starts its accelerators through the AXI-lite
+    /// peripheral (the broadcast is serialized on the AXI bus), all
+    /// `k_i` finish together, and the peripheral raises the interrupt
+    /// when the last one signals done. Every simulator and the
+    /// design-space sweep price their rounds here.
+    pub fn price(
+        dma: &DmaModel,
+        cfg: &SimConfig,
+        stages: impl IntoIterator<Item = (usize, f64)>,
+        m: usize,
+        bytes_in_per_element: usize,
+        bytes_out_per_element: usize,
+    ) -> ProgramRound {
+        let stage_exec = stages.into_iter().map(|(k, kernel_s)| {
+            let per_batch =
+                secs(cfg.axi_start_s_per_kernel) * k as u64 + secs(kernel_s) + secs(cfg.irq_s);
+            per_batch * (m / k) as u64
+        });
+        ProgramRound {
+            t_in: secs(dma.transfer_bursts_s(bytes_in_per_element * m, m)),
+            stage_exec: stage_exec.collect(),
+            t_out: secs(dma.transfer_bursts_s(bytes_out_per_element * m, m)),
+        }
+    }
+
     /// Total execution ticks of the chained stages.
     pub fn exec(&self) -> u64 {
         self.stage_exec.iter().sum()
@@ -178,33 +194,28 @@ impl ProgramRound {
     pub fn total(&self) -> u64 {
         self.t_in + self.exec() + self.t_out
     }
+
+    /// End-to-end ticks of the serial schedule over `elements`
+    /// elements: `⌈elements / m⌉` identical rounds (the final partial
+    /// batch still costs a full round).
+    pub fn serial_ticks(&self, m: usize, elements: usize) -> u64 {
+        self.total() * elements.div_ceil(m) as u64
+    }
 }
 
 /// Compute the per-round tick costs of `design` under `cfg`'s host
 /// constants (`cfg.elements` is irrelevant here — a round always moves
 /// `m` elements).
 pub fn program_round(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramRound {
-    let m = design.config.m;
-    let host = &design.host;
-    let dma = DmaModel::from_platform(&design.platform);
-    let stage_exec: Vec<u64> = design
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(si, stage)| {
-            let k = design.config.ks[si];
-            let batch = design.config.batch(si) as u64;
-            let per_batch = secs(cfg.axi_start_s_per_kernel) * k as u64
-                + secs(stage.kernel.latency_seconds())
-                + secs(cfg.irq_s);
-            per_batch * batch
-        })
-        .collect();
-    ProgramRound {
-        t_in: secs(dma.transfer_bursts_s(host.bytes_in_per_element * m, m)),
-        stage_exec,
-        t_out: secs(dma.transfer_bursts_s(host.bytes_out_per_element * m, m)),
-    }
+    let stages = design.stages.iter().zip(&design.config.ks);
+    ProgramRound::price(
+        &DmaModel::from_platform(&design.platform),
+        cfg,
+        stages.map(|(stage, &k)| (k, stage.kernel.latency_seconds())),
+        design.config.m,
+        design.host.bytes_in_per_element,
+        design.host.bytes_out_per_element,
+    )
 }
 
 /// Run the simulation of a chained multi-kernel system.
@@ -232,20 +243,11 @@ pub fn simulate_program(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramH
         return simulate_program_overlapped(design, cfg);
     }
     let m = design.config.m;
-    let host = &design.host;
-    let rounds = host.rounds(cfg.elements);
-
-    let (stage_exec_ticks, transfer_ticks, round_ticks) = if rounds > 0 {
-        let round = program_round(design, cfg);
-        let transfer = round.t_in + round.t_out;
-        let total = round.total();
-        (round.stage_exec, transfer, total)
-    } else {
-        (vec![0; design.stages.len()], 0, 0)
-    };
+    let rounds = design.host.rounds(cfg.elements);
+    let round = program_round(design, cfg);
 
     let n = rounds as u64;
-    let stage_exec_s: Vec<f64> = stage_exec_ticks.iter().map(|&t| to_secs(t * n)).collect();
+    let stage_exec_s: Vec<f64> = round.stage_exec.iter().map(|&t| to_secs(t * n)).collect();
     ProgramHwResult {
         elements: cfg.elements,
         rounds,
@@ -253,8 +255,8 @@ pub fn simulate_program(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramH
         m,
         exec_s: stage_exec_s.iter().sum(),
         stage_exec_s,
-        transfer_s: to_secs(transfer_ticks * n),
-        total_s: to_secs(round_ticks * n),
+        transfer_s: to_secs((round.t_in + round.t_out) * n),
+        total_s: to_secs(round.serial_ticks(m, cfg.elements)),
     }
 }
 
@@ -265,25 +267,12 @@ pub fn simulate_program(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramH
 /// PLM sets. Requires a spare set for every stage (`m >= 2·k_i`).
 fn simulate_program_overlapped(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramHwResult {
     let m = design.config.m;
-    let host = &design.host;
-    let dma = DmaModel::from_platform(&design.platform);
-    let rounds = host.rounds(cfg.elements);
-
-    let t_in = secs(dma.transfer_bursts_s(host.bytes_in_per_element * m, m));
-    let t_out = secs(dma.transfer_bursts_s(host.bytes_out_per_element * m, m));
-    // Chain execution of one round, stage by stage.
-    let stage_exec: Vec<u64> = design
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(si, s)| {
-            let k = design.config.ks[si];
-            design.config.batch(si) as u64
-                * (secs(cfg.axi_start_s_per_kernel) * k as u64
-                    + secs(s.kernel.latency_seconds())
-                    + secs(cfg.irq_s))
-        })
-        .collect();
+    let rounds = design.host.rounds(cfg.elements);
+    let ProgramRound {
+        t_in,
+        stage_exec,
+        t_out,
+    } = program_round(design, cfg);
     let exec: u64 = stage_exec.iter().sum();
 
     let mut dma_free: u64 = 0;
