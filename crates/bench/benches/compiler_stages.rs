@@ -4,7 +4,9 @@
 //! kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pschedule::{Dependences, KernelModel, Liveness, Schedule, SchedulerOptions};
+use pschedule::{
+    CompatibilityGraph, Dependences, KernelModel, Liveness, Schedule, SchedulerOptions,
+};
 use std::hint::black_box;
 use teil::layout::LayoutPlan;
 
@@ -41,7 +43,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| pschedule::reschedule(&module, &model, &deps, &SchedulerOptions::default()))
     });
     g.bench_function("liveness", |b| {
-        b.iter(|| Liveness::analyze(&module, &model, black_box(&sched)))
+        b.iter(|| {
+            let lv = Liveness::analyze(&module, &model, black_box(&sched));
+            CompatibilityGraph::build(&model, &lv)
+        })
     });
     g.bench_function("codegen_c99", |b| {
         b.iter(|| {

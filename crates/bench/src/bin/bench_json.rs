@@ -40,7 +40,7 @@
 
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use cfd_core::{CompileCache, FleetBoard, FleetOptions, FlowOptions, RoutePolicy};
-use pschedule::{Dependences, KernelModel, Liveness, SchedulerOptions};
+use pschedule::{CompatibilityGraph, Dependences, KernelModel, Liveness, SchedulerOptions};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -350,7 +350,9 @@ fn main() {
     );
     push(
         "compiler/liveness",
-        median_ns(samples, || Liveness::analyze(&module, &model, &sched)),
+        median_ns(samples, || {
+            CompatibilityGraph::build(&model, &Liveness::analyze(&module, &model, &sched))
+        }),
         samples,
     );
     push(
@@ -457,15 +459,15 @@ fn main() {
         samples,
     );
     let program_brams = (part.memory.brams, part.per_kernel_plm_brams());
-    // Multi-kernel liveness: re-run `Liveness::analyze` over every
-    // kernel of the compiled simstep program — the cross-kernel analog
-    // of `compiler/liveness`, and the path the memoized simplex oracle
-    // accelerates hardest (the three kernels share many systems).
+    // Multi-kernel liveness: re-run `Liveness::analyze` and the
+    // compatibility graph over every kernel of the compiled simstep
+    // program — the cross-kernel analog of `compiler/liveness`.
     push(
         "compiler/liveness_simstep",
         median_ns(samples, || {
             for a in &part.kernels {
-                std::hint::black_box(Liveness::analyze(&a.module, &a.model, &a.schedule));
+                let lv = Liveness::analyze(&a.module, &a.model, &a.schedule);
+                std::hint::black_box(CompatibilityGraph::build(&a.model, &lv));
             }
         }),
         samples,

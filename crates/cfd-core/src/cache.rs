@@ -1,6 +1,6 @@
 //! Content-hashed incremental compile cache.
 //!
-//! The scheduling stage (reschedule + liveness + compatibility graph)
+//! The scheduling stage (reschedule + liveness → compatibility graph)
 //! dominates the cost of a compile; its products depend only on the
 //! canonicalized tensor IR, the scheduler options and (conservatively)
 //! the target platform and clock. [`CompileCache`] memoizes those
@@ -31,11 +31,14 @@
 //!
 //! Each entry is one whitespace-token text file
 //! `<032x-key>.cfdcache` inside the cache directory, starting with the
-//! [`SCHEMA`] line. Writes go through a temporary file in the same
-//! directory followed by an atomic rename, so a concurrent reader never
-//! observes a half-written entry. A file that fails to parse (truncated,
-//! schema mismatch, hand-edited) is **invalidated**: counted, removed,
-//! and treated as a miss.
+//! [`SCHEMA`] line and holding the schedule and the compatibility graph
+//! — the stage's only products (liveness leaves no sets behind; see
+//! [`pschedule::liveness`]). Writes go through a temporary file in the
+//! same directory followed by an atomic rename, so a concurrent reader
+//! never observes a half-written entry. A file that fails to parse
+//! (truncated, schema mismatch, hand-edited) is **invalidated**:
+//! counted, removed, and treated as a miss. An entry of an older schema
+//! sits under a key this version never computes, so it is a clean miss.
 //!
 //! ```
 //! use cfd_core::cache::{schedule_key, CompileCache};
@@ -62,8 +65,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use polyhedra::{BasicSet, Constraint, ConstraintKind, LinExpr, Set, Space, System};
-use pschedule::{CompatKind, CompatibilityGraph, Liveness, Schedule};
+use pschedule::{CompatKind, CompatibilityGraph, Schedule};
 use teil::layout::ArrayId;
 use teil::Module;
 
@@ -72,7 +74,7 @@ use crate::FlowOptions;
 /// Format version: first token of every key and every on-disk entry.
 /// Bump on any change to the serialization below — old entries then
 /// simply never match and age out.
-pub const SCHEMA: &str = "cfdfpga-cache-v2";
+pub const SCHEMA: &str = "cfdfpga-cache-v3";
 
 /// File extension of on-disk entries.
 const EXT: &str = "cfdcache";
@@ -81,7 +83,6 @@ const EXT: &str = "cfdcache";
 #[derive(Debug, Clone)]
 pub struct CachedSchedule {
     pub schedule: Arc<Schedule>,
-    pub liveness: Arc<Liveness>,
     pub compat: Arc<CompatibilityGraph>,
 }
 
@@ -290,7 +291,7 @@ impl Default for Fnv128 {
 /// exact field list.
 ///
 /// The oracle signature matters because scheduling products embed
-/// results of emptiness-driven choices (liveness sets, compatibility
+/// results of emptiness-driven choices (schedule legality, compatibility
 /// edges): a product computed under one oracle must never be served
 /// when another oracle — with possibly different verdict-order-sensitive
 /// tie-breaks — is active, even across processes via the disk store.
@@ -310,21 +311,9 @@ pub fn schedule_key(module: &Module, opts: &FlowOptions) -> u128 {
 // ---------------------------------------------------------------------------
 //
 // Whitespace-separated tokens; strings are length-prefixed (`<len> <bytes>`)
-// so tuple and dimension names survive any content. The writers below
-// double as a canonical printer: two semantically identical products
-// serialize to the same text, which the differential tests exploit.
-//
-// Two measured size levers keep disk-warm revival fast (it must stay
-// 2x under a cold compile, and the parse IS the disk overhead):
-//
-// * constraint coefficients are ~80% zeros on real schedules, so each
-//   row stores `nnz (index value)...` instead of a dense vector;
-// * the liveness maps repeat whole sets (a single-write array's `live`
-//   and `writes_at` are often identical), so each set is written once
-//   (`s <body>`) and repeats become back-references (`r <k>`) into the
-//   table of distinct sets in first-appearance order — and likewise
-//   every part of a set shares the set's space, so spaces are written
-//   once (`n <body>`) and repeats become `p <k>` references.
+// so array names survive any content. The writers below double as a
+// canonical printer: two semantically identical products serialize to
+// the same text, which the differential tests exploit.
 
 /// Serialize an entry to the on-disk text format.
 pub fn write_entry(e: &CachedSchedule) -> String {
@@ -332,7 +321,6 @@ pub fn write_entry(e: &CachedSchedule) -> String {
     s.push_str(SCHEMA);
     s.push('\n');
     w_schedule(&mut s, &e.schedule);
-    w_liveness(&mut s, &e.liveness);
     w_compat(&mut s, &e.compat);
     s.push_str("end\n");
     s
@@ -345,14 +333,12 @@ pub fn parse_entry(text: &str) -> Option<CachedSchedule> {
         return None;
     }
     let schedule = r_schedule(&mut c)?;
-    let liveness = r_liveness(&mut c)?;
     let compat = r_compat(&mut c)?;
     if c.tok()? != "end" {
         return None;
     }
     Some(CachedSchedule {
         schedule: Arc::new(schedule),
-        liveness: Arc::new(liveness),
         compat: Arc::new(compat),
     })
 }
@@ -374,82 +360,6 @@ fn w_schedule(out: &mut String, sch: &Schedule) {
     }
     for v in &sch.micro {
         let _ = write!(out, "{} ", v);
-    }
-    out.push('\n');
-}
-
-fn w_space(out: &mut String, sp: &Space) {
-    w_str(out, &sp.tuple);
-    let _ = write!(out, "{} ", sp.dims.len());
-    for d in &sp.dims {
-        w_str(out, d);
-    }
-}
-
-/// Write one space, deduplicated against `spaces` (same scheme as
-/// [`w_set`]): a repeat becomes `p <k>`, a new space `n <body>`.
-fn w_space_ref<'a>(out: &mut String, sp: &'a Space, spaces: &mut Vec<&'a Space>) {
-    if let Some(k) = spaces.iter().position(|s| *s == sp) {
-        let _ = write!(out, "p {} ", k);
-        return;
-    }
-    spaces.push(sp);
-    out.push_str("n ");
-    w_space(out, sp);
-}
-
-fn w_system(out: &mut String, sys: &System) {
-    let _ = write!(
-        out,
-        "{} {} {} ",
-        sys.n_vars(),
-        if sys.known_infeasible() { 1 } else { 0 },
-        sys.constraints().len()
-    );
-    for con in sys.constraints() {
-        let kind = match con.kind {
-            ConstraintKind::Eq => 0,
-            ConstraintKind::GeZero => 1,
-        };
-        let nnz = con.expr.coeffs.iter().filter(|&&v| v != 0).count();
-        let _ = write!(out, "{} {} ", kind, nnz);
-        for (i, &v) in con.expr.coeffs.iter().enumerate() {
-            if v != 0 {
-                let _ = write!(out, "{} {} ", i, v);
-            }
-        }
-        let _ = write!(out, "{} ", con.expr.constant);
-    }
-}
-
-/// Write one set, deduplicated against `seen` (the distinct sets
-/// already written, in first-appearance order): a repeat becomes a
-/// back-reference `r <k>`, a new set is written in full as `s <body>`.
-fn w_set<'a>(out: &mut String, set: &'a Set, seen: &mut Vec<&'a Set>, spaces: &mut Vec<&'a Space>) {
-    if let Some(k) = seen.iter().position(|s| *s == set) {
-        let _ = writeln!(out, "r {}", k);
-        return;
-    }
-    seen.push(set);
-    out.push_str("s ");
-    w_space_ref(out, &set.space, spaces);
-    let _ = write!(out, "{} ", set.parts.len());
-    for part in &set.parts {
-        w_space_ref(out, &part.space, spaces);
-        w_system(out, part.system());
-    }
-    out.push('\n');
-}
-
-fn w_liveness(out: &mut String, lv: &Liveness) {
-    let _ = writeln!(out, "liveness {} {}", lv.dim, lv.arrays.len());
-    let mut seen: Vec<&Set> = Vec::new();
-    let mut spaces: Vec<&Space> = Vec::new();
-    for &arr in &lv.arrays {
-        let _ = write!(out, "{} ", arr.0);
-        for m in [&lv.live, &lv.writes_at, &lv.reads_at] {
-            w_set(out, &m[&arr], &mut seen, &mut spaces);
-        }
     }
     out.push('\n');
 }
@@ -490,62 +400,14 @@ impl<'a> Cursor<'a> {
         (self.pos > start).then(|| &self.text[start..self.pos])
     }
 
-    /// Integer tokens are the bulk of an entry (every constraint
-    /// coefficient), so they are scanned byte-by-byte instead of going
-    /// through token slicing + `str::parse` — the disk-warm revival is
-    /// dominated by this loop.
-    fn i64(&mut self) -> Option<i64> {
-        let bytes = self.text.as_bytes();
-        while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-        let neg = self.pos < bytes.len() && bytes[self.pos] == b'-';
-        if neg {
-            self.pos += 1;
-        }
-        let start = self.pos;
-        let mut value = 0i64;
-        while self.pos < bytes.len() && bytes[self.pos].is_ascii_digit() {
-            value = value
-                .checked_mul(10)?
-                .checked_add((bytes[self.pos] - b'0') as i64)?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        // The digit run must end the token — "12x" is not an integer.
-        if self.pos < bytes.len() && !bytes[self.pos].is_ascii_whitespace() {
-            return None;
-        }
-        Some(if neg { -value } else { value })
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        let bytes = self.text.as_bytes();
-        while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-        let start = self.pos;
-        let mut value = 0usize;
-        while self.pos < bytes.len() && bytes[self.pos].is_ascii_digit() {
-            value = value
-                .checked_mul(10)?
-                .checked_add((bytes[self.pos] - b'0') as usize)?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        if self.pos < bytes.len() && !bytes[self.pos].is_ascii_whitespace() {
-            return None;
-        }
-        Some(value)
+    /// The next token as a number (`"12x"` is not one).
+    fn num<T: std::str::FromStr>(&mut self) -> Option<T> {
+        self.tok()?.parse().ok()
     }
 
     /// A length-prefixed string: `<len> <exactly len bytes>`.
     fn string(&mut self) -> Option<String> {
-        let len = self.usize()?;
+        let len = self.num()?;
         let bytes = self.text.as_bytes();
         if self.pos >= bytes.len() || bytes[self.pos] != b' ' {
             return None;
@@ -565,15 +427,15 @@ fn r_schedule(c: &mut Cursor) -> Option<Schedule> {
     if c.tok()? != "schedule" {
         return None;
     }
-    let dim = c.usize()?;
-    let n = c.usize()?;
-    let seq = (0..n).map(|_| c.i64()).collect::<Option<Vec<_>>>()?;
+    let dim = c.num()?;
+    let n = c.num()?;
+    let seq = (0..n).map(|_| c.num()).collect::<Option<Vec<_>>>()?;
     let mut perms = Vec::with_capacity(n);
     for _ in 0..n {
-        let rank = c.usize()?;
-        perms.push((0..rank).map(|_| c.usize()).collect::<Option<Vec<_>>>()?);
+        let rank = c.num()?;
+        perms.push((0..rank).map(|_| c.num()).collect::<Option<Vec<_>>>()?);
     }
-    let micro = (0..n).map(|_| c.i64()).collect::<Option<Vec<_>>>()?;
+    let micro = (0..n).map(|_| c.num()).collect::<Option<Vec<_>>>()?;
     Some(Schedule {
         dim,
         seq,
@@ -582,176 +444,25 @@ fn r_schedule(c: &mut Cursor) -> Option<Schedule> {
     })
 }
 
-fn r_space(c: &mut Cursor) -> Option<Space> {
-    let tuple = c.string()?;
-    let n = c.usize()?;
-    let dims = (0..n).map(|_| c.string()).collect::<Option<Vec<_>>>()?;
-    Some(Space { tuple, dims })
-}
-
-/// Read one space slot: `n <body>` (new, pushed onto the table) or a
-/// back-reference `p <k>` (cloned from the table).
-fn r_space_ref(c: &mut Cursor, spaces: &mut Vec<Space>) -> Option<Space> {
-    match c.tok()? {
-        "p" => {
-            let k = c.usize()?;
-            spaces.get(k).cloned()
-        }
-        "n" => {
-            let sp = r_space(c)?;
-            spaces.push(sp.clone());
-            Some(sp)
-        }
-        _ => None,
-    }
-}
-
-fn r_system(c: &mut Cursor) -> Option<System> {
-    let n_vars = c.usize()?;
-    let infeasible = c.usize()? != 0;
-    let rows = c.usize()?;
-    if infeasible {
-        // An infeasible system stores no rows.
-        return (rows == 0).then(|| System::infeasible(n_vars));
-    }
-    let mut parsed = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let kind = match c.usize()? {
-            0 => ConstraintKind::Eq,
-            1 => ConstraintKind::GeZero,
-            _ => return None,
-        };
-        // Sparse row: `nnz (index value)...` with strictly increasing
-        // indices and no explicit zeros, so the writer's output is the
-        // only text that parses back to a given row (canonical printer).
-        let nnz = c.usize()?;
-        if nnz > n_vars {
-            return None;
-        }
-        let mut coeffs = vec![0i64; n_vars];
-        let mut prev = None;
-        for _ in 0..nnz {
-            let idx = c.usize()?;
-            let v = c.i64()?;
-            if idx >= n_vars || v == 0 || prev.is_some_and(|p| idx <= p) {
-                return None;
-            }
-            coeffs[idx] = v;
-            prev = Some(idx);
-        }
-        let constant = c.i64()?;
-        parsed.push(Constraint {
-            kind,
-            expr: LinExpr { coeffs, constant },
-        });
-    }
-    // Rows were normalized and deduplicated when first added, so revive
-    // them verbatim instead of re-normalizing one row at a time — this is
-    // the disk-warm hot path (debug builds re-verify the canonical claim).
-    Some(System::from_canonical_rows(n_vars, parsed))
-}
-
-/// Read one set slot: either a new set (`s`, parsed in full and pushed
-/// onto the distinct-set table) or a back-reference (`r <k>`). Returns
-/// the slot's index into `seen`; the caller materializes owned sets at
-/// the end so each distinct set is parsed once and cloned only for its
-/// repeats.
-fn r_set(c: &mut Cursor, seen: &mut Vec<Set>, spaces: &mut Vec<Space>) -> Option<usize> {
-    match c.tok()? {
-        "r" => {
-            let k = c.usize()?;
-            (k < seen.len()).then_some(k)
-        }
-        "s" => {
-            let space = r_space_ref(c, spaces)?;
-            let nparts = c.usize()?;
-            let mut parts = Vec::with_capacity(nparts);
-            for _ in 0..nparts {
-                let psp = r_space_ref(c, spaces)?;
-                let sys = r_system(c)?;
-                parts.push(BasicSet::from_system(psp, sys));
-            }
-            seen.push(Set { space, parts });
-            Some(seen.len() - 1)
-        }
-        _ => None,
-    }
-}
-
-fn r_liveness(c: &mut Cursor) -> Option<Liveness> {
-    if c.tok()? != "liveness" {
-        return None;
-    }
-    let dim = c.usize()?;
-    let n = c.usize()?;
-    let mut arrays = Vec::with_capacity(n);
-    let mut seen: Vec<Set> = Vec::new();
-    let mut spaces: Vec<Space> = Vec::new();
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let arr = ArrayId(c.usize()?);
-        arrays.push(arr);
-        let live = r_set(c, &mut seen, &mut spaces)?;
-        let writes = r_set(c, &mut seen, &mut spaces)?;
-        let reads = r_set(c, &mut seen, &mut spaces)?;
-        slots.push((arr, [live, writes, reads]));
-    }
-    // Materialize: the last user of a table entry moves it out, earlier
-    // users clone — one parse per distinct set, one clone per repeat.
-    let mut uses = vec![0usize; seen.len()];
-    for (_, idxs) in &slots {
-        for &i in idxs {
-            uses[i] += 1;
-        }
-    }
-    let mut pool: Vec<Option<Set>> = seen.into_iter().map(Some).collect();
-    let mut take = |i: usize, uses: &mut Vec<usize>| -> Set {
-        uses[i] -= 1;
-        if uses[i] == 0 {
-            pool[i].take().expect("use counts cover every slot")
-        } else {
-            pool[i]
-                .as_ref()
-                .expect("use counts cover every slot")
-                .clone()
-        }
-    };
-    let mut live = HashMap::new();
-    let mut writes_at = HashMap::new();
-    let mut reads_at = HashMap::new();
-    for (arr, [l, w, r]) in slots {
-        live.insert(arr, take(l, &mut uses));
-        writes_at.insert(arr, take(w, &mut uses));
-        reads_at.insert(arr, take(r, &mut uses));
-    }
-    Some(Liveness {
-        dim,
-        arrays,
-        live,
-        writes_at,
-        reads_at,
-    })
-}
-
 fn r_compat(c: &mut Cursor) -> Option<CompatibilityGraph> {
     if c.tok()? != "compat" {
         return None;
     }
-    let nn = c.usize()?;
-    let ne = c.usize()?;
+    let nn = c.num()?;
+    let ne = c.num()?;
     let mut nodes = Vec::with_capacity(nn);
     for _ in 0..nn {
-        let arr = ArrayId(c.usize()?);
+        let arr = ArrayId(c.num()?);
         let name = c.string()?;
-        let words = c.usize()?;
-        let iface = c.usize()? != 0;
+        let words = c.num()?;
+        let iface = c.num::<usize>()? != 0;
         nodes.push((arr, name, words, iface));
     }
     let mut edges = Vec::with_capacity(ne);
     for _ in 0..ne {
-        let a = c.usize()?;
-        let b = c.usize()?;
-        let kind = match c.usize()? {
+        let a = c.num()?;
+        let b = c.num()?;
+        let kind = match c.num::<usize>()? {
             0 => CompatKind::AddressSpace,
             1 => CompatKind::MemoryInterface,
             _ => return None,
@@ -773,7 +484,6 @@ mod tests {
         let sc = p.schedule(&me, opts);
         CachedSchedule {
             schedule: sc.schedule,
-            liveness: sc.liveness,
             compat: sc.compat,
         }
     }

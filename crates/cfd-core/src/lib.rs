@@ -8,8 +8,8 @@
 //! MiddleEnd  typed AST ──lower/factorize/cse/dce──► tensor IR
 //!            + row-major layout + polyhedral model
 //!            (+ dependences, computed lazily on first use)
-//! Scheduled  middle end ──reschedule──► schedule + liveness
-//!            + memory-compatibility graph
+//! Scheduled  middle end ──reschedule──► schedule
+//!            + memory-compatibility graph (liveness)
 //! Backend    scheduled ──codegen──► C99 kernel + HLS report
 //!            + Mnemosyne config + memory subsystem
 //! System     backend ──Eq.(3)──► replicated design + host program
@@ -63,9 +63,7 @@ use cfdlang::{Diagnostic, TypedProgram};
 use cgen::CKernel;
 use hls::{HlsOptions, HlsReport};
 use mnemosyne::{MemoryOptions, MemorySubsystem, MnemosyneConfig};
-use pschedule::{
-    CompatibilityGraph, Dependences, KernelModel, Liveness, Schedule, SchedulerOptions,
-};
+use pschedule::{CompatibilityGraph, Dependences, KernelModel, Schedule, SchedulerOptions};
 use sysgen::{Platform, SystemConfig, SystemDesign};
 use teil::Module;
 use zynq::{ArmCostModel, SimConfig};
@@ -150,10 +148,12 @@ pub struct FlowOptions {
     pub system: Option<SystemConfig>,
     /// CFD problem size for host-program generation.
     pub elements: usize,
-    /// Compilation worker threads for the parallelizable passes
-    /// (per-kernel program stages, per-array liveness): `0` = one per
-    /// available core, `1` = fully serial. Artifacts are bit-identical
-    /// for every value — the knob trades wall clock only.
+    /// Compilation worker threads for the parallelizable passes (the
+    /// per-kernel program stages and backends; liveness is serial — it
+    /// reads box corners and expands sets only for pairs they cannot
+    /// settle): `0` = one per available core, `1` = fully serial.
+    /// Artifacts are bit-identical for every value — the knob trades
+    /// wall clock only.
     pub jobs: usize,
 }
 
@@ -211,7 +211,6 @@ pub struct Artifacts {
     /// Lazy dependence analysis — see [`Artifacts::dependences`].
     dependences: std::sync::Arc<std::sync::OnceLock<Dependences>>,
     pub schedule: std::sync::Arc<Schedule>,
-    pub liveness: std::sync::Arc<Liveness>,
     pub compat: std::sync::Arc<CompatibilityGraph>,
     pub kernel: CKernel,
     /// The generated C99 source (input to HLS).

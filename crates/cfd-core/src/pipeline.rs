@@ -12,7 +12,7 @@
 //! |-------|----------|----------|
 //! | [`Pipeline::frontend`]   | CFDlang source | [`Frontend`]: type-checked AST |
 //! | [`Pipeline::middle_end`] | [`Frontend`] + canonicalization options | [`MiddleEnd`]: tensor IR, layout, polyhedral model (dependences lazily) |
-//! | [`Pipeline::schedule`]   | [`MiddleEnd`] + scheduler options | [`Scheduled`]: schedule, liveness, compatibility graph |
+//! | [`Pipeline::schedule`]   | [`MiddleEnd`] + scheduler options | [`Scheduled`]: schedule, compatibility graph (liveness decided from schedule-box corners) |
 //! | [`Pipeline::link`]       | all kernels' [`Scheduled`] | [`LinkStage`]: inter-kernel handoffs + sequence liveness |
 //! | [`Pipeline::backend`]    | [`Scheduled`] + decoupling/memory/HLS options | [`Backend`]: C kernel, HLS report, Mnemosyne config, memory subsystem |
 //! | [`Pipeline::system`]     | [`Backend`] + board/replication options | [`SystemStage`]: replicated design + host program |
@@ -161,12 +161,12 @@ impl MiddleEnd {
 }
 
 /// Output of the scheduling stage: the rescheduled program plus the
-/// liveness and compatibility analyses every backend variant shares.
+/// memory compatibility graph every backend variant shares. The graph is
+/// the only product of liveness analysis; no live set outlives it.
 #[derive(Debug, Clone)]
 pub struct Scheduled {
     pub middle: MiddleEnd,
     pub schedule: Arc<Schedule>,
-    pub liveness: Arc<Liveness>,
     pub compat: Arc<CompatibilityGraph>,
     pub elapsed_s: f64,
 }
@@ -313,9 +313,8 @@ impl Pipeline {
         })
     }
 
-    /// Reschedule and run the liveness / compatibility analyses. The
-    /// per-array liveness expansions fan out over `opts.jobs` workers;
-    /// the result is bit-identical for every worker count.
+    /// Reschedule and build the compatibility graph from liveness
+    /// (serial; see [`pschedule::liveness`] for why it is cheap).
     ///
     /// On a pipeline built with [`Pipeline::with_cache`] the stage is
     /// memoized under the content hash of the canonicalized module and
@@ -329,7 +328,6 @@ impl Pipeline {
                 return Scheduled {
                     middle: me.clone(),
                     schedule: Arc::clone(&hit.schedule),
-                    liveness: Arc::clone(&hit.liveness),
                     compat: Arc::clone(&hit.compat),
                     elapsed_s: t.elapsed().as_secs_f64(),
                 };
@@ -338,17 +336,14 @@ impl Pipeline {
         self.counters.schedule.fetch_add(1, Ordering::Relaxed);
         let schedule =
             pschedule::reschedule(&me.module, &me.model, me.dependences(), &opts.scheduler);
-        let liveness = Liveness::analyze_jobs(&me.module, &me.model, &schedule, opts.jobs);
-        let compat = CompatibilityGraph::build(&me.model, &liveness);
+        let liveness = Liveness::analyze(&me.module, &me.model, &schedule);
+        let compat = Arc::new(CompatibilityGraph::build(&me.model, &liveness));
         let schedule = Arc::new(schedule);
-        let liveness = Arc::new(liveness);
-        let compat = Arc::new(compat);
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             cache.store(
                 key,
                 Arc::new(CachedSchedule {
                     schedule: Arc::clone(&schedule),
-                    liveness: Arc::clone(&liveness),
                     compat: Arc::clone(&compat),
                 }),
             );
@@ -356,7 +351,6 @@ impl Pipeline {
         Scheduled {
             middle: me.clone(),
             schedule,
-            liveness,
             compat,
             elapsed_s: t.elapsed().as_secs_f64(),
         }
@@ -486,9 +480,9 @@ impl Pipeline {
 impl Artifacts {
     /// Assemble the flat [`Artifacts`] record the rest of the codebase
     /// consumes from staged outputs. The immutable analysis products
-    /// (typed AST, module, model, schedule, liveness, compatibility
-    /// graph) are `Arc`-shared with the pipeline stages rather than
-    /// deep-cloned — assembly is a handful of reference-count bumps.
+    /// (typed AST, module, model, schedule, compatibility graph) are
+    /// `Arc`-shared with the pipeline stages rather than deep-cloned —
+    /// assembly is a handful of reference-count bumps.
     pub fn assemble(
         fe: &Frontend,
         sc: &Scheduled,
@@ -513,7 +507,6 @@ impl Artifacts {
             model: Arc::clone(&me.model),
             dependences: Arc::clone(&me.dependences),
             schedule: Arc::clone(&sc.schedule),
-            liveness: Arc::clone(&sc.liveness),
             compat: Arc::clone(&sc.compat),
             kernel: be.kernel,
             c_source: be.c_source,

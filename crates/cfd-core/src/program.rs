@@ -389,9 +389,9 @@ impl Pipeline {
         // The per-kernel middle end + schedule stages are independent:
         // fan them over `jobs` workers (kernel `i` goes to worker
         // `i % jobs`), then reassemble in kernel order, so the artifact
-        // stream is bit-identical to the serial compile. When several
-        // kernels fan out at once the intra-kernel liveness stays serial
-        // — one level of parallelism is enough to cover the cores.
+        // stream is bit-identical to the serial compile. This is the
+        // only parallel level: each kernel's stages, liveness included,
+        // run serially on their worker.
         let jobs = crate::resolve_jobs(opts.flow.jobs).min(fronts.len().max(1));
         let scheds: Vec<Scheduled> = if jobs <= 1 {
             let mut scheds = Vec::with_capacity(fronts.len());
@@ -401,23 +401,19 @@ impl Pipeline {
             }
             scheds
         } else {
-            let inner = FlowOptions {
-                jobs: 1,
-                ..kopts.clone()
-            };
             let mut indexed: Vec<(usize, Result<Scheduled, FlowError>)> =
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..jobs)
                         .map(|w| {
                             let fronts = &fronts;
-                            let inner = &inner;
+                            let kopts = &kopts;
                             scope.spawn(move || {
                                 (w..fronts.len())
                                     .step_by(jobs)
                                     .map(|i| {
                                         let r = self
-                                            .middle_end(&fronts[i].1, inner)
-                                            .map(|me| self.schedule(&me, inner));
+                                            .middle_end(&fronts[i].1, kopts)
+                                            .map(|me| self.schedule(&me, kopts));
                                         (i, r)
                                     })
                                     .collect::<Vec<_>>()

@@ -177,3 +177,64 @@ fn interrupted_write_leftovers_are_harmless() {
     assert!(cold.stores > 0);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A store the previous format (`cfdfpga-cache-v2`, schedule + liveness
+/// sets + graph) left behind: `fixtures/cache-v2` holds the entry the
+/// parent commit's `cfdc compile axpy:3 --cache-dir` wrote, which that
+/// commit's library serves as a disk hit for exactly this compile. Under
+/// its own key it is never looked up — a clean miss; renamed onto the
+/// current key it fails the schema check and is invalidated. Neither
+/// panics, neither is served, both recompile bit-identically.
+#[test]
+fn a_parent_written_v2_entry_is_a_clean_miss() {
+    use cfd_core::{Flow, FlowOptions};
+    let compile = |dir: &Path| {
+        let cache = Arc::new(CompileCache::with_dir(dir).unwrap());
+        Flow::compile_cached(&cfdlang::examples::axpy(3), &FlowOptions::default(), cache)
+            .expect("cached compile succeeds")
+    };
+    let reference = Flow::compile(&cfdlang::examples::axpy(3), &FlowOptions::default()).unwrap();
+    let dir = scratch("v2");
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache-v2");
+    let v2: Vec<PathBuf> = entries(&fixtures)
+        .iter()
+        .map(|p| {
+            let copy = dir.join(p.file_name().unwrap());
+            fs::copy(p, &copy).unwrap();
+            copy
+        })
+        .collect();
+    let v2_text = fs::read_to_string(&v2[0]).unwrap();
+    assert!(v2_text.starts_with("cfdfpga-cache-v2\n"));
+
+    let art = compile(&dir);
+    let c = art.timings.cache;
+    assert_eq!(
+        (c.hits, c.disk_hits, c.misses, c.invalidations),
+        (0, 0, 1, 0)
+    );
+    assert_eq!(art.c_source, reference.c_source);
+    assert_eq!(art.compat.edges, reference.compat.edges);
+    assert_eq!(
+        fs::read_to_string(&v2[0]).unwrap(),
+        v2_text,
+        "v2 entry untouched"
+    );
+
+    // The v2 text under the key this version wrote.
+    let current: Vec<PathBuf> = entries(&dir)
+        .into_iter()
+        .filter(|p| !v2.contains(p))
+        .collect();
+    assert_eq!(current.len(), 1);
+    fs::write(&current[0], &v2_text).unwrap();
+    let art = compile(&dir);
+    let c = art.timings.cache;
+    assert_eq!(
+        (c.hits, c.disk_hits, c.misses, c.invalidations),
+        (0, 0, 1, 1)
+    );
+    assert_eq!(art.c_source, reference.c_source);
+    assert!(fs::read_to_string(&current[0]).unwrap().starts_with(SCHEMA));
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -84,33 +84,6 @@ impl System {
         }
     }
 
-    /// Rebuild a system from rows that are already GCD-canonical and
-    /// deduplicated — the shape produced by [`System::constraints`] on any
-    /// live system. Skips the per-row normalization that [`System::add`]
-    /// performs, which matters on hot deserialization paths (the compile
-    /// cache revives thousands of rows per entry). Debug builds verify the
-    /// canonical-form claim against a full re-add.
-    pub fn from_canonical_rows(n: usize, rows: Vec<Constraint>) -> Self {
-        for c in &rows {
-            assert_eq!(c.n_vars(), n, "constraint arity mismatch");
-        }
-        let sys = System {
-            n_vars: n,
-            constraints: rows,
-            infeasible: false,
-        };
-        debug_assert_eq!(
-            {
-                let mut slow = System::universe(n);
-                slow.extend(sys.constraints.iter().cloned());
-                slow
-            },
-            sys,
-            "from_canonical_rows requires normalized, deduplicated rows"
-        );
-        sys
-    }
-
     /// Add all constraints from an iterator.
     pub fn extend<I: IntoIterator<Item = Constraint>>(&mut self, it: I) {
         for c in it {

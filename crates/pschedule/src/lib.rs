@@ -17,8 +17,9 @@
 //!   dependence distance and maximize RAR coincidence, validated exactly
 //!   against the dependence relations (Section IV-E),
 //! * [`liveness`] — the paper's liveness analysis (Section IV-F):
-//!   `I = (S×S)∘RAW`, `L = ge_le∘I`, address-space and memory-interface
-//!   compatibility, and the memory compatibility graph of Figure 5,
+//!   `I = (S×S)∘RAW`, `L = ge_le∘I` as the definition, and the memory
+//!   compatibility graph of Figure 5 decided from schedule-box corners,
+//!   expanding `L` only for pairs the corners cannot settle,
 //! * [`link`] — cross-kernel analysis for multi-kernel programs:
 //!   inter-kernel dependences (tensor handoffs), kernel-sequence live
 //!   intervals, and the cross-kernel compatibility rules behind
@@ -33,7 +34,7 @@ pub mod scheduler;
 
 pub use deps::{legal, Dependence, DependenceKind, Dependences};
 pub use link::{ArraySeqInfo, CrossLiveness, Handoff};
-pub use liveness::{CompatKind, CompatibilityGraph, Liveness};
+pub use liveness::{CompatKind, CompatibilityGraph, LadderCounters, LiveSets, Liveness};
 pub use model::{KernelModel, PolyStmt};
 pub use schedule::Schedule;
 pub use scheduler::{reschedule, SchedulerOptions};

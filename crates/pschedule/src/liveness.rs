@@ -1,202 +1,453 @@
 //! Liveness analysis and the memory compatibility graph (Section IV-F).
 //!
-//! For every array we build the interval relation over schedule tuples
+//! The definition: for every array the interval relation over schedule
+//! tuples
 //!
 //! ```text
 //! P = A⁻¹ ∘ B   where   A : array[i] → [write tuple]
 //!                       B : array[i] → [read tuple]
 //! ```
 //!
-//! (the paper's `I = (S×S) ∘ RAW`), restrict it to forward intervals, and
-//! expand it with `ge_le` ([`polyhedra::between_set`]) into the set `L` of
-//! schedule points at which the array holds a live value. Inputs receive
-//! a *virtual write* strictly before every statement (`first`) and
-//! outputs a *virtual read* after every statement (`last`), exactly as in
-//! the paper's modified virtual schedule.
+//! (the paper's `I = (S×S) ∘ RAW`), expanded with `ge_le`
+//! ([`polyhedra::between_set`]) into the set `L` of schedule points at
+//! which the array holds a live value. Inputs receive a *virtual write*
+//! strictly before every statement (`first`) and outputs a *virtual
+//! read* after every statement (`last`), exactly as in the paper's
+//! modified virtual schedule. [`Liveness::exact`] computes `L` (and the
+//! write and read point sets) this way.
 //!
 //! Two arrays are **address-space compatible** when their live sets are
 //! disjoint — they may then share addresses. Two arrays are
 //! **memory-interface compatible** when no schedule point writes both or
 //! reads both — they may then share physical ports. Both relations feed
-//! the Mnemosyne configuration (Figure 5 of the paper).
+//! the Mnemosyne configuration (Figure 5 of the paper), and that graph
+//! asks one yes/no question per array pair, so
+//! [`CompatibilityGraph::build`] answers the question rather than
+//! expanding the sets. Every statement's schedule image is exactly the
+//! box `[seq, extents in σ order, 0…, micro]`, and the address-space
+//! answer climbs a ladder of exact rungs:
+//!
+//! 1. **Hull.** `L` lies inside `[earliest write, latest read]`. Both ends
+//!    are box corners (a writing statement's all-zero point, a reading
+//!    statement's all-top point, `first` for inputs, `last` for outputs).
+//!    Disjoint hulls prove disjoint live sets.
+//! 2. **Witness.** Otherwise `x`, the later of the two hull starts, is
+//!    tested for membership in both live sets: `x ∈ L` iff some element
+//!    is written at a tuple `≤lex x` and read at a tuple `≥lex x`.
+//!    Walking `x`'s coordinates cuts each statement's box into at most
+//!    `rank + 1` sub-boxes on either side of `x`; each (write sub-box,
+//!    read sub-box) pair is one emptiness check of the two access
+//!    relations over one shared address (a virtual write or read touches
+//!    every address). A common live point proves a conflict.
+//! 3. **Exact.** A pair neither corner settles — overlapping hulls, yet
+//!    no common live point at `x`, as in a fused element-wise chain —
+//!    compares [`Liveness::exact`] sets, each array expanded at most once
+//!    per graph.
+//!
+//! The port question needs no ladder: an array's write (read) points are
+//! its writing (reading) statements' boxes plus the virtual point, which
+//! lies outside every box, so two arrays share a point iff two of those
+//! boxes intersect or both have the virtual point. Empty boxes
+//! contribute nothing, to either question. [`LadderCounters`] counts
+//! what each rung decided, process-wide.
 
 use crate::model::KernelModel;
 use crate::schedule::Schedule;
-use polyhedra::{between_set_pruned, BasicSet, LinExpr, Map, Set, Space};
-use std::collections::HashMap;
+use polyhedra::{between_set_pruned, BasicSet, Constraint, LinExpr, Map, Set, Space, System};
+use std::cell::OnceCell;
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use teil::ir::{Module, TensorKind};
 use teil::layout::ArrayId;
 
-/// Result of liveness analysis over a schedule.
+/// What one array contributes to the rungs.
+#[derive(Debug, Clone)]
+struct ArrayFacts {
+    /// Statements writing the array, in program order.
+    writers: Vec<usize>,
+    /// Statements reading it at least once, in program order.
+    readers: Vec<usize>,
+    /// A non-empty host-written input: virtually written at `first`.
+    input: bool,
+    /// A non-empty host-read output: virtually read at `last`.
+    output: bool,
+    /// `[earliest write, latest read]`; `None` when the live set is
+    /// empty (no write, no read, or every read before every write).
+    hull: Option<(Vec<i64>, Vec<i64>)>,
+}
+
+/// What liveness questions over one schedule need: statement boxes,
+/// per-array hulls and host flags. The sets themselves are computed
+/// only on demand ([`Liveness::exact`]).
 #[derive(Debug, Clone)]
 pub struct Liveness {
     /// Schedule-space dimensionality.
     pub dim: usize,
     /// Arrays analyzed (live arrays of the layout plan).
     pub arrays: Vec<ArrayId>,
-    /// Live schedule points per array (the paper's `range(L)`).
-    pub live: HashMap<ArrayId, Set>,
-    /// Schedule points at which each array is written.
-    pub writes_at: HashMap<ArrayId, Set>,
-    /// Schedule points at which each array is read.
-    pub reads_at: HashMap<ArrayId, Set>,
+    schedule: Schedule,
+    first: Vec<i64>,
+    last: Vec<i64>,
+    /// Per statement, the lex-first and lex-last corner of its schedule
+    /// image, which are also the box's per-coordinate bounds; `None`
+    /// for an empty domain.
+    boxes: Vec<Option<(Vec<i64>, Vec<i64>)>>,
+    /// Parallel to `arrays`.
+    facts: Vec<ArrayFacts>,
+}
+
+/// An array's exact point sets: the paper's `range(L)` and the schedule
+/// points at which the array is written and read.
+#[derive(Debug, Clone)]
+pub struct LiveSets {
+    pub live: Set,
+    pub writes_at: Set,
+    pub reads_at: Set,
 }
 
 impl Liveness {
-    /// Run the analysis for a kernel under a schedule (serial).
+    /// Record what the ladder needs for a kernel under a schedule.
     pub fn analyze(module: &Module, model: &KernelModel, sched: &Schedule) -> Liveness {
-        Liveness::analyze_jobs(module, model, sched, 1)
+        let boxes: Vec<Option<(Vec<i64>, Vec<i64>)>> = model
+            .stmts
+            .iter()
+            .enumerate()
+            .map(|(si, stmt)| {
+                let top = stmt
+                    .extents
+                    .iter()
+                    .map(|&e| e.checked_sub(1))
+                    .collect::<Option<Vec<usize>>>()?;
+                Some((
+                    sched.tuple_of(si, &vec![0; top.len()]),
+                    sched.tuple_of(si, &top),
+                ))
+            })
+            .collect();
+        let (first, last) = (sched.first_tuple(), sched.last_tuple());
+        let arrays = model.layout.live_arrays();
+        let facts = arrays
+            .iter()
+            .map(|&arr| {
+                let stmts = || model.stmts.iter().enumerate();
+                let writers: Vec<usize> = stmts()
+                    .filter(|(_, s)| s.write_array == arr)
+                    .map(|(si, _)| si)
+                    .collect();
+                let readers: Vec<usize> = stmts()
+                    .filter(|(_, s)| s.reads.iter().any(|(a, _)| *a == arr))
+                    .map(|(si, _)| si)
+                    .collect();
+                let non_empty = model.layout.arrays[arr.0].size > 0;
+                let input = non_empty && holds_kind(module, model, arr, TensorKind::Input);
+                let output = non_empty && holds_kind(module, model, arr, TensorKind::Output);
+                let start = writers
+                    .iter()
+                    .filter_map(|&si| boxes[si].as_ref().map(|(lo, _)| lo))
+                    .chain(input.then_some(&first))
+                    .min();
+                let end = readers
+                    .iter()
+                    .filter_map(|&si| boxes[si].as_ref().map(|(_, hi)| hi))
+                    .chain(output.then_some(&last))
+                    .max();
+                let hull = match (start, end) {
+                    (Some(s), Some(e)) if s <= e => Some((s.clone(), e.clone())),
+                    _ => None,
+                };
+                ArrayFacts {
+                    writers,
+                    readers,
+                    input,
+                    output,
+                    hull,
+                }
+            })
+            .collect();
+        Liveness {
+            dim: sched.dim,
+            arrays,
+            schedule: sched.clone(),
+            first,
+            last,
+            boxes,
+            facts,
+        }
     }
 
-    /// Run the analysis with up to `jobs` worker threads (`0` = one per
-    /// available core). The per-array expansions are independent, so
-    /// they stripe across a scoped thread pool; results are merged in
-    /// array order, making the outcome bit-identical for every `jobs`
-    /// value.
+    /// [`Liveness::analyze`]; `jobs` is unused. The analysis records box
+    /// corners and flags, and the graph expands sets only when the
+    /// corners cannot decide a pair, so there is nothing to fan out.
     pub fn analyze_jobs(
         module: &Module,
         model: &KernelModel,
         sched: &Schedule,
-        jobs: usize,
+        _jobs: usize,
     ) -> Liveness {
-        let dim = sched.dim;
-        let layout = &model.layout;
-        let arrays = layout.live_arrays();
-        // Per-statement schedule maps are array-independent: build once.
-        let stmt_maps: Vec<Map> = (0..model.stmts.len())
-            .map(|si| sched.stmt_map(model, si))
-            .collect();
-
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            jobs
-        }
-        .min(arrays.len().max(1));
-
-        let analyzed: Vec<(Set, Set, Set)> = if jobs <= 1 {
-            arrays
-                .iter()
-                .map(|&arr| analyze_array(module, model, sched, &stmt_maps, dim, arr))
-                .collect()
-        } else {
-            // Worker `w` takes arrays w, w+jobs, ...; reassembling by
-            // index restores declaration order exactly.
-            let mut indexed: Vec<(usize, (Set, Set, Set))> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|w| {
-                        let arrays = &arrays;
-                        let stmt_maps = &stmt_maps;
-                        scope.spawn(move || {
-                            (w..arrays.len())
-                                .step_by(jobs)
-                                .map(|i| {
-                                    (
-                                        i,
-                                        analyze_array(
-                                            module, model, sched, stmt_maps, dim, arrays[i],
-                                        ),
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("liveness worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, r)| r).collect()
-        };
-
-        let mut live = HashMap::new();
-        let mut writes_at = HashMap::new();
-        let mut reads_at = HashMap::new();
-        for (&arr, (l, w, r)) in arrays.iter().zip(analyzed) {
-            live.insert(arr, l);
-            writes_at.insert(arr, w);
-            reads_at.insert(arr, r);
-        }
-        Liveness {
-            dim,
-            arrays,
-            live,
-            writes_at,
-            reads_at,
-        }
+        Liveness::analyze(module, model, sched)
     }
 
-    /// Whether two arrays may share an address space (disjoint live
-    /// sets).
-    pub fn address_space_compatible(&self, a: ArrayId, b: ArrayId) -> bool {
-        self.live[&a].disjoint(&self.live[&b])
+    fn index(&self, arr: ArrayId) -> usize {
+        self.arrays
+            .iter()
+            .position(|&a| a == arr)
+            .expect("array is one of the analyzed arrays")
+    }
+
+    /// The definition, for one array: `A` and `B` by map composition,
+    /// `L = ge_le ∘ (A⁻¹ ∘ B)`. `model` must be the one the analysis ran
+    /// on.
+    pub fn exact(&self, model: &KernelModel, arr: ArrayId) -> LiveSets {
+        let f = &self.facts[self.index(arr)];
+        let decl = &model.layout.arrays[arr.0];
+        let arr_space = Space::set(&decl.name, &["addr"]);
+        let arr_dom = BasicSet::boxed(arr_space.clone(), &[(0, decl.size as i64 - 1)]);
+        let to_tuples =
+            |access: &Map, si: usize| access.reverse().compose(&self.schedule.stmt_map(model, si));
+
+        // A : array[addr] → write schedule tuples, plus the virtual write
+        // of host-written (input) tensors.
+        let mut a = Map::empty(arr_space.clone(), Space::anon(self.dim));
+        for &si in &f.writers {
+            a = a.union(&to_tuples(&model.stmts[si].write, si));
+        }
+        if f.input {
+            a = a.union(&const_map(&arr_space, &arr_dom, &self.first));
+        }
+        // B : array[addr] → read schedule tuples, plus the virtual read of
+        // host-read (output) tensors.
+        let mut b = Map::empty(arr_space.clone(), Space::anon(self.dim));
+        for &si in &f.readers {
+            for (ra, rm) in &model.stmts[si].reads {
+                if *ra == arr {
+                    b = b.union(&to_tuples(rm, si));
+                }
+            }
+        }
+        if f.output {
+            b = b.union(&const_map(&arr_space, &arr_dom, &self.last));
+        }
+
+        // P : write tuple → read tuple over the same element. The seed
+        // additionally intersected with `lex_le_map(dim)` to keep forward
+        // intervals only; that conjunct is implied inside `between_set`
+        // (w <=lex x <=lex r forces w <=lex r by transitivity of the
+        // total lex order, and backward pairs expand to empty parts that
+        // `prune_empty` drops), so it is omitted — it multiplied the part
+        // count by dim+1.
+        LiveSets {
+            live: between_set_pruned(&a.reverse().compose(&b), self.dim),
+            writes_at: a.range().prune_empty(),
+            reads_at: b.range().prune_empty(),
+        }
     }
 
     /// Whether two arrays may share memory ports: no schedule point
-    /// writes both, and no schedule point reads both.
+    /// writes both, and no schedule point reads both. Exact from the
+    /// statement boxes alone (see the module docs).
     pub fn memory_interface_compatible(&self, a: ArrayId, b: ArrayId) -> bool {
-        self.writes_at[&a].disjoint(&self.writes_at[&b])
-            && self.reads_at[&a].disjoint(&self.reads_at[&b])
+        let (fa, fb) = (&self.facts[self.index(a)], &self.facts[self.index(b)]);
+        !self.meet(&fa.writers, fa.input, &fb.writers, fb.input)
+            && !self.meet(&fa.readers, fa.output, &fb.readers, fb.output)
+    }
+
+    /// Whether the boxes of statements `sa` (plus the virtual point when
+    /// `va`) and those of `sb` (plus it when `vb`) share a point. The
+    /// virtual point's `seq` lies outside every statement's, so it only
+    /// meets itself.
+    fn meet(&self, sa: &[usize], va: bool, sb: &[usize], vb: bool) -> bool {
+        (va && vb)
+            || sa.iter().any(|&s| {
+                sb.iter().any(|&t| match (&self.boxes[s], &self.boxes[t]) {
+                    (Some((lo_s, hi_s)), Some((lo_t, hi_t))) => {
+                        (0..self.dim).all(|d| lo_s[d].max(lo_t[d]) <= hi_s[d].min(hi_t[d]))
+                    }
+                    _ => false,
+                })
+            })
+    }
+
+    /// Whether `x` is in the live set of the array at index `k`: some
+    /// element is written at a tuple `≤lex x` and read at one `≥lex x`.
+    fn live_at(&self, model: &KernelModel, k: usize, x: &[i64]) -> bool {
+        let (arr, f) = (self.arrays[k], &self.facts[k]);
+        // Both sides are systems over (iteration point, address); a
+        // virtual write or read is the address range alone.
+        let every_address = || {
+            let top = model.layout.arrays[arr.0].size as i64 - 1;
+            let (addr, mut sys) = (LinExpr::var(1, 0), System::universe(1));
+            sys.add(Constraint::ge(&addr, &LinExpr::constant(1, 0)));
+            sys.add(Constraint::le(&addr, &LinExpr::constant(1, top)));
+            sys
+        };
+        let mut writes = Vec::new();
+        if f.input && self.first.as_slice() <= x {
+            writes.push(every_address());
+        }
+        for &si in &f.writers {
+            let access = &model.stmts[si].write;
+            self.cut(model, si, x, Ordering::Less, access, &mut |w| {
+                writes.push(w);
+                false
+            });
+        }
+        if writes.is_empty() {
+            return false;
+        }
+        // Read sides are cut lazily: the first that meets a write decides.
+        let mut meets = |r: System| {
+            writes.iter().any(|w| {
+                let (rw, rr) = (w.n_vars() - 1, r.n_vars() - 1);
+                !w.insert_vars(rw, rr)
+                    .intersect(&r.insert_vars(0, rw))
+                    .is_empty()
+            })
+        };
+        (f.output && self.last.as_slice() >= x && meets(every_address()))
+            || f.readers.iter().any(|&si| {
+                model.stmts[si].reads.iter().any(|(ra, access)| {
+                    *ra == arr && self.cut(model, si, x, Ordering::Greater, access, &mut meets)
+                })
+            })
+    }
+
+    /// Hand `visit` statement `si`'s access relation `access` restricted
+    /// to each sub-box of its domain whose schedule tuples lie on `side`
+    /// of `x` (`Less`: `≤lex x`, `Greater`: `≥lex x`), stopping at the
+    /// first `true`, which it returns. Walking `x`'s coordinates yields
+    /// one sub-box per iteration coordinate that decides the order there,
+    /// plus the point equal to `x` if there is one.
+    fn cut(
+        &self,
+        model: &KernelModel,
+        si: usize,
+        x: &[i64],
+        side: Ordering,
+        access: &Map,
+        visit: &mut impl FnMut(System) -> bool,
+    ) -> bool {
+        if self.boxes[si].is_none() {
+            return false;
+        }
+        let extents = &model.stmts[si].extents;
+        let full: Vec<(i64, i64)> = extents.iter().map(|&e| (0, e as i64 - 1)).collect();
+        let mut found = |bx: &[(i64, i64)]| {
+            access.parts.iter().any(|part| {
+                let mut sys = part.system.clone();
+                let n = sys.n_vars();
+                for (v, (&(lo, hi), &(lo0, hi0))) in bx.iter().zip(&full).enumerate() {
+                    let xv = LinExpr::var(n, v);
+                    if lo > lo0 {
+                        sys.add(Constraint::ge(&xv, &LinExpr::constant(n, lo)));
+                    }
+                    if hi < hi0 {
+                        sys.add(Constraint::le(&xv, &LinExpr::constant(n, hi)));
+                    }
+                }
+                visit(sys)
+            })
+        };
+        let s = &self.schedule;
+        let mut bx = full.clone();
+        for (d, &xd) in x.iter().enumerate() {
+            let var = (1..self.dim - 1)
+                .contains(&d)
+                .then(|| s.perms[si].get(d - 1))
+                .flatten();
+            if let Some(&v) = var {
+                let (lo, hi) = bx[v];
+                let strict = match side {
+                    Ordering::Less => (lo, hi.min(xd - 1)),
+                    _ => (lo.max(xd + 1), hi),
+                };
+                if strict.0 <= strict.1 {
+                    bx[v] = strict;
+                    if found(&bx) {
+                        return true;
+                    }
+                }
+                if xd < lo || xd > hi {
+                    return false;
+                }
+                bx[v] = (xd, xd);
+                continue;
+            }
+            let c = match d {
+                0 => s.seq[si],
+                _ if d == self.dim - 1 => s.micro[si],
+                _ => 0,
+            };
+            match c.cmp(&xd) {
+                Ordering::Equal => {}
+                o if o == side => return found(&bx),
+                _ => return false,
+            }
+        }
+        found(&bx)
     }
 }
 
-/// One array's liveness expansion: `(live, writes_at, reads_at)`.
-fn analyze_array(
-    module: &Module,
-    model: &KernelModel,
-    sched: &Schedule,
-    stmt_maps: &[Map],
-    dim: usize,
-    arr: ArrayId,
-) -> (Set, Set, Set) {
-    let layout = &model.layout;
-    let arr_decl = &layout.arrays[arr.0];
-    let arr_space = Space::set(&arr_decl.name, &["addr"]);
-    let arr_dom = BasicSet::boxed(arr_space.clone(), &[(0, arr_decl.size as i64 - 1)]);
+/// The address-space ladder over one analysis, with what its rungs
+/// compute memoized for one graph: whether one array is live at another's
+/// hull start (rung 2) and exact live sets (rung 3).
+struct Ladder<'a> {
+    lv: &'a Liveness,
+    model: &'a KernelModel,
+    /// `live_at[k * n + m]`: whether array `m`'s hull start is live in
+    /// array `k`.
+    live_at: Vec<OnceCell<bool>>,
+    live: Vec<OnceCell<Set>>,
+}
 
-    // A : array[addr] → write schedule tuples.
-    let mut a = Map::empty(arr_space.clone(), Space::anon(dim));
-    for (si, stmt) in model.stmts.iter().enumerate() {
-        if stmt.write_array == arr {
-            a = a.union(&stmt.write.reverse().compose(&stmt_maps[si]));
+impl<'a> Ladder<'a> {
+    fn new(lv: &'a Liveness, model: &'a KernelModel) -> Ladder<'a> {
+        let n = lv.arrays.len();
+        Ladder {
+            lv,
+            model,
+            live_at: (0..n * n).map(|_| OnceCell::new()).collect(),
+            live: (0..n).map(|_| OnceCell::new()).collect(),
         }
     }
-    // Virtual write for host-written (input) tensors.
-    if holds_kind(module, model, arr, TensorKind::Input) {
-        a = a.union(&const_map(&arr_space, &arr_dom, &sched.first_tuple()));
+
+    /// Whether the arrays at indices `i` and `j` of `arrays` have
+    /// disjoint live sets.
+    fn disjoint(&self, i: usize, j: usize) -> bool {
+        self.corners(i, j)
+            .unwrap_or_else(|| self.exact_live(i).disjoint(self.exact_live(j)))
     }
 
-    // B : array[addr] → read schedule tuples.
-    let mut b = Map::empty(arr_space.clone(), Space::anon(dim));
-    for (si, stmt) in model.stmts.iter().enumerate() {
-        for (ra, rm) in &stmt.reads {
-            if *ra == arr {
-                b = b.union(&rm.reverse().compose(&stmt_maps[si]));
-            }
+    /// Rungs 1 and 2: `Some(true)` when the hulls are disjoint,
+    /// `Some(false)` when the later hull start is live in both arrays,
+    /// `None` when the corners cannot tell.
+    fn corners(&self, i: usize, j: usize) -> Option<bool> {
+        let facts = &self.lv.facts;
+        let (Some(hi), Some(hj)) = (&facts[i].hull, &facts[j].hull) else {
+            HULL_PAIRS.fetch_add(1, Relaxed);
+            return Some(true);
+        };
+        if hi.1 < hj.0 || hj.1 < hi.0 {
+            HULL_PAIRS.fetch_add(1, Relaxed);
+            return Some(true);
         }
-    }
-    // Virtual read for host-read (output) tensors.
-    if holds_kind(module, model, arr, TensorKind::Output) {
-        b = b.union(&const_map(&arr_space, &arr_dom, &sched.last_tuple()));
+        let (m, x) = if hi.0 >= hj.0 { (i, &hi.0) } else { (j, &hj.0) };
+        let live_at = |k: usize| {
+            *self.live_at[k * facts.len() + m].get_or_init(|| self.lv.live_at(self.model, k, x))
+        };
+        if live_at(i) && live_at(j) {
+            WITNESS_PAIRS.fetch_add(1, Relaxed);
+            return Some(false);
+        }
+        None
     }
 
-    // P : write tuple → read tuple over the same element. The
-    // seed additionally intersected with `lex_le_map(dim)` to
-    // keep forward intervals only; that conjunct is implied
-    // inside `between_set` (w <=lex x <=lex r forces w <=lex r by
-    // transitivity of the total lex order, and backward pairs
-    // expand to empty parts that `prune_empty` drops), so it is
-    // omitted — it multiplied the part count by dim+1, and the ge_le
-    // expansion pays per part: one table of prefix projections, then a
-    // couple of eliminations for each lex split that can hold a point.
-    let p = a.reverse().compose(&b);
-    let l = between_set_pruned(&p, dim);
-
-    (l, a.range().prune_empty(), b.range().prune_empty())
+    /// Rung 3: the array's exact live set, expanded once.
+    fn exact_live(&self, k: usize) -> &Set {
+        self.live[k].get_or_init(|| {
+            EXPANDED_ARRAYS.fetch_add(1, Relaxed);
+            self.lv.exact(self.model, self.lv.arrays[k]).live
+        })
+    }
 }
 
 fn holds_kind(module: &Module, model: &KernelModel, arr: ArrayId, kind: TensorKind) -> bool {
@@ -213,6 +464,42 @@ fn const_map(arr_space: &Space, arr_dom: &BasicSet, tuple: &[i64]) -> Map {
     let exprs: Vec<LinExpr> = tuple.iter().map(|&v| LinExpr::constant(1, v)).collect();
     Map::from_affine(arr_space.clone(), Space::anon(tuple.len()), &exprs)
         .intersect_domain(&Set::from_basic(arr_dom.clone()))
+}
+
+static HULL_PAIRS: AtomicU64 = AtomicU64::new(0);
+static WITNESS_PAIRS: AtomicU64 = AtomicU64::new(0);
+static EXPANDED_ARRAYS: AtomicU64 = AtomicU64::new(0);
+
+/// Point-in-time totals of the ladder's process-wide counters, in the
+/// style of [`polyhedra::OracleCounters`]: address-space questions
+/// decided by disjoint hulls (`hull`) and by a common live corner
+/// (`witness`), and arrays whose live set the exact rung expanded
+/// (`expanded`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LadderCounters {
+    pub hull: u64,
+    pub witness: u64,
+    pub expanded: u64,
+}
+
+impl LadderCounters {
+    /// Current process totals.
+    pub fn snapshot() -> LadderCounters {
+        LadderCounters {
+            hull: HULL_PAIRS.load(Relaxed),
+            witness: WITNESS_PAIRS.load(Relaxed),
+            expanded: EXPANDED_ARRAYS.load(Relaxed),
+        }
+    }
+
+    /// Delta since `base` (saturating).
+    pub fn since(&self, base: LadderCounters) -> LadderCounters {
+        LadderCounters {
+            hull: self.hull.saturating_sub(base.hull),
+            witness: self.witness.saturating_sub(base.witness),
+            expanded: self.expanded.saturating_sub(base.expanded),
+        }
+    }
 }
 
 /// Edge kind in the compatibility graph.
@@ -234,7 +521,9 @@ pub struct CompatibilityGraph {
 }
 
 impl CompatibilityGraph {
-    /// Build the graph from a liveness result.
+    /// Build the graph from a liveness analysis of `model`: the ladder
+    /// of the module docs per array pair, then the port question when
+    /// the address spaces conflict.
     pub fn build(model: &KernelModel, lv: &Liveness) -> CompatibilityGraph {
         let layout = &model.layout;
         let nodes: Vec<(ArrayId, String, usize, bool)> = lv
@@ -245,10 +534,11 @@ impl CompatibilityGraph {
                 (a, d.name.clone(), d.size, d.interface)
             })
             .collect();
+        let ladder = Ladder::new(lv, model);
         let mut edges = Vec::new();
         for i in 0..nodes.len() {
             for j in (i + 1)..nodes.len() {
-                if lv.address_space_compatible(nodes[i].0, nodes[j].0) {
+                if ladder.disjoint(i, j) {
                     edges.push((i, j, CompatKind::AddressSpace));
                 } else if lv.memory_interface_compatible(nodes[i].0, nodes[j].0) {
                     edges.push((i, j, CompatKind::MemoryInterface));
@@ -304,6 +594,8 @@ impl CompatibilityGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{reschedule, Dependences, SchedulerOptions};
+    use std::collections::HashMap;
     use teil::layout::LayoutPlan;
     use teil::lower::lower;
     use teil::transform::factorize;
@@ -313,101 +605,105 @@ mod tests {
     }
 
     fn setup_source(source: &str, factored: bool) -> (Module, KernelModel, Schedule) {
-        let typed = cfdlang::check(&cfdlang::parse(source).unwrap()).unwrap();
-        let mut m = lower(&typed).unwrap();
-        if factored {
-            m = factorize(&m);
-        }
-        let layout = LayoutPlan::row_major(&m);
-        let km = KernelModel::build(&m, &layout);
+        let (m, km) = kernels(source, factored).remove(0);
         let s = Schedule::reference(&km);
         (m, km, s)
+    }
+
+    /// Every kernel of `source` (a single kernel or a `kernel { .. }` set).
+    fn kernels(source: &str, factored: bool) -> Vec<(Module, KernelModel)> {
+        let set = cfdlang::check_set(&cfdlang::parse_set(source).unwrap()).unwrap();
+        set.kernels
+            .iter()
+            .map(|k| {
+                let mut m = lower(&k.typed).unwrap();
+                if factored {
+                    m = factorize(&m);
+                }
+                let km = KernelModel::build(&m, &LayoutPlan::row_major(&m));
+                (m, km)
+            })
+            .collect()
     }
 
     fn arr(m: &Module, km: &KernelModel, name: &str) -> ArrayId {
         km.layout.placement(m.find(name).unwrap()).array
     }
 
+    /// Whether the ladder's graph lets two named arrays share addresses.
+    fn shares_addresses(km: &KernelModel, lv: &Liveness, a: &str, b: &str) -> bool {
+        let g = CompatibilityGraph::build(km, lv);
+        let node = |name| g.node_by_name(name).unwrap();
+        g.compatible(node(a), node(b), CompatKind::AddressSpace)
+    }
+
     #[test]
     fn inputs_live_from_first() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let u = arr(&m, &km, "u");
+        let live = lv.exact(&km, arr(&m, &km, "u")).live;
         // u is live at the virtual first tuple and during statement 0.
-        assert!(lv.live[&u].contains(&s.first_tuple()));
-        let pt0 = s.tuple_of(0, &[0, 0, 0, 0, 0, 0]);
-        assert!(lv.live[&u].contains(&pt0));
+        assert!(live.contains(&s.first_tuple()));
+        assert!(live.contains(&s.tuple_of(0, &[0, 0, 0, 0, 0, 0])));
         // u is dead during statement 1 (Hadamard).
-        let pt1 = s.tuple_of(1, &[0, 0, 0]);
-        assert!(!lv.live[&u].contains(&pt1));
+        assert!(!live.contains(&s.tuple_of(1, &[0, 0, 0])));
     }
 
     #[test]
     fn outputs_live_to_last() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let v = arr(&m, &km, "v");
-        assert!(lv.live[&v].contains(&s.last_tuple()));
+        let live = lv.exact(&km, arr(&m, &km, "v")).live;
+        assert!(live.contains(&s.last_tuple()));
         // v is dead during statement 0.
-        assert!(!lv.live[&v].contains(&s.tuple_of(0, &[0; 6])));
+        assert!(!live.contains(&s.tuple_of(0, &[0; 6])));
     }
 
     #[test]
     fn temp_lifetime_spans_def_to_last_use() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let t = arr(&m, &km, "t");
+        let live = lv.exact(&km, arr(&m, &km, "t")).live;
         // t written in stmt 0, read in stmt 1.
-        assert!(lv.live[&t].contains(&s.tuple_of(0, &[2, 2, 2, 0, 0, 0])));
-        assert!(lv.live[&t].contains(&s.tuple_of(1, &[0, 0, 0])));
+        assert!(live.contains(&s.tuple_of(0, &[2, 2, 2, 0, 0, 0])));
+        assert!(live.contains(&s.tuple_of(1, &[0, 0, 0])));
         // Dead during stmt 2? t is read only by stmt 1.
-        assert!(!lv.live[&t].contains(&s.tuple_of(2, &[0; 6])));
+        assert!(!live.contains(&s.tuple_of(2, &[0; 6])));
     }
 
     #[test]
     fn u_and_r_are_address_space_compatible() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let u = arr(&m, &km, "u");
-        let r = arr(&m, &km, "r");
         // u dies after stmt 0; r is born at stmt 1.
-        assert!(lv.address_space_compatible(u, r));
+        assert!(shares_addresses(&km, &lv, "u", "r"));
     }
 
     #[test]
     fn t_and_r_conflict() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let t = arr(&m, &km, "t");
-        let r = arr(&m, &km, "r");
         // r is written at the points where t is still being read.
-        assert!(!lv.address_space_compatible(t, r));
+        assert!(!shares_addresses(&km, &lv, "t", "r"));
     }
 
     #[test]
     fn s_conflicts_with_everything_it_overlaps() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let s_arr = arr(&m, &km, "S");
-        let t = arr(&m, &km, "t");
-        let v = arr(&m, &km, "v");
-        assert!(!lv.address_space_compatible(s_arr, t));
-        assert!(!lv.address_space_compatible(s_arr, v));
+        assert!(!shares_addresses(&km, &lv, "S", "t"));
+        assert!(!shares_addresses(&km, &lv, "S", "v"));
     }
 
     #[test]
     fn factored_temp_chain_compatibilities() {
         let (m, km, s) = setup(3, true);
         let lv = Liveness::analyze(&m, &km, &s);
-        let t0 = arr(&m, &km, "t0");
-        let t1 = arr(&m, &km, "t1");
-        let t2 = arr(&m, &km, "t2");
-        let t = arr(&m, &km, "t");
         // Adjacent stages conflict; stages two apart are compatible.
-        assert!(!lv.address_space_compatible(t0, t1));
-        assert!(lv.address_space_compatible(t0, t));
-        assert!(lv.address_space_compatible(t0, t2));
-        assert!(lv.address_space_compatible(t1, t2));
+        assert!(!shares_addresses(&km, &lv, "t0", "t1"));
+        assert!(shares_addresses(&km, &lv, "t0", "t"));
+        assert!(shares_addresses(&km, &lv, "t0", "t2"));
+        assert!(shares_addresses(&km, &lv, "t1", "t2"));
     }
 
     #[test]
@@ -447,8 +743,134 @@ mod tests {
         assert!(dot.contains("t0"));
     }
 
-    /// The `live` sets against the definition itself, with the write and
-    /// read tuples of every array element enumerated one statement
+    /// Build the graph with the ladder and from the exact sets of every
+    /// array; both must agree node for node and edge for edge. Tallies
+    /// which rung settled each pair: `[hull, witness, exact]`.
+    fn assert_ladder_is_exact(
+        name: &str,
+        m: &Module,
+        km: &KernelModel,
+        s: &Schedule,
+        tally: &mut [usize; 3],
+    ) {
+        let lv = Liveness::analyze(m, km, s);
+        let graph = CompatibilityGraph::build(km, &lv);
+        let ladder = Ladder::new(&lv, km);
+        let sets: Vec<LiveSets> = lv.arrays.iter().map(|&a| lv.exact(km, a)).collect();
+        let nodes: Vec<(ArrayId, String, usize, bool)> = lv
+            .arrays
+            .iter()
+            .map(|&a| {
+                let d = &km.layout.arrays[a.0];
+                (a, d.name.clone(), d.size, d.interface)
+            })
+            .collect();
+        let mut edges = Vec::new();
+        for (i, a) in sets.iter().enumerate() {
+            for (j, b) in sets.iter().enumerate().skip(i + 1) {
+                tally[match ladder.corners(i, j) {
+                    Some(true) => 0,
+                    Some(false) => 1,
+                    None => 2,
+                }] += 1;
+                if a.live.disjoint(&b.live) {
+                    edges.push((i, j, CompatKind::AddressSpace));
+                } else if a.writes_at.disjoint(&b.writes_at) && a.reads_at.disjoint(&b.reads_at) {
+                    edges.push((i, j, CompatKind::MemoryInterface));
+                }
+            }
+        }
+        assert_eq!(graph.nodes, nodes, "{name}");
+        assert_eq!(graph.edges, edges, "{name} under {s:?}");
+    }
+
+    /// A schedule with random `seq` (ties fuse statements), random `micro`
+    /// and random permutations — legal or not, liveness is defined.
+    fn random_schedule(km: &KernelModel, rng: &mut u64) -> Schedule {
+        let mut next = |bound: usize| {
+            *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut s = Schedule::reference(km);
+        let n = km.stmts.len();
+        for si in 0..n {
+            s.seq[si] = next(n) as i64;
+            s.micro[si] = next(3) as i64;
+            let perm = &mut s.perms[si];
+            for k in (1..perm.len()).rev() {
+                perm.swap(k, next(k + 1));
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn ladder_equals_the_definition() {
+        use cfdlang::examples as ex;
+        let sources = [
+            ex::inverse_helmholtz(3),
+            ex::interpolation(3, 4),
+            ex::matrix_sandwich(3),
+            ex::axpy(3),
+            ex::simulation_step(3),
+            ex::axpy_chain(3),
+        ];
+        let fuse = SchedulerOptions {
+            fuse: true,
+            ..Default::default()
+        };
+        let mut tally = [0usize; 3];
+        let mut rng = 0x1AD_DE45_u64;
+        for (k, src) in sources.iter().enumerate() {
+            for factored in [false, true] {
+                for (m, km) in kernels(src, factored) {
+                    let deps = Dependences::analyze(&km);
+                    let mut schedules = vec![
+                        Schedule::reference(&km),
+                        reschedule(&m, &km, &deps, &SchedulerOptions::default()),
+                        reschedule(&m, &km, &deps, &fuse),
+                    ];
+                    schedules.extend((0..6).map(|_| random_schedule(&km, &mut rng)));
+                    for s in &schedules {
+                        let name = format!("source {k}, factored {factored}");
+                        assert_ladder_is_exact(&name, &m, &km, s, &mut tally);
+                    }
+                }
+            }
+        }
+        assert!(
+            tally.iter().all(|&t| t > 0),
+            "every rung must settle some pair: {tally:?}"
+        );
+    }
+
+    /// A fused element-wise chain — one `seq`, `micro` 0..3. `t` is live
+    /// from micro 0 to 1 of every point and `v` from 2 to 3, so their live
+    /// sets are disjoint while their hulls overlap, and `t` is dead at the
+    /// later hull start: only the exact rung can decide the pair.
+    #[test]
+    fn fused_chain_pair_needs_the_exact_rung() {
+        let src = "var input a : [4]\nvar input b : [4]\nvar output o : [4]\n\
+                   var t : [4]\nvar u : [4]\nvar v : [4]\n\
+                   t = a * b\nu = t * a\nv = b * b\no = u * v";
+        let (m, km, mut s) = setup_source(src, false);
+        s.seq = vec![0; 4];
+        s.micro = vec![0, 1, 2, 3];
+        let lv = Liveness::analyze(&m, &km, &s);
+        let index = |name| lv.index(arr(&m, &km, name));
+        assert_eq!(Ladder::new(&lv, &km).corners(index("t"), index("v")), None);
+
+        let base = LadderCounters::snapshot();
+        assert!(shares_addresses(&km, &lv, "t", "v"));
+        assert!(LadderCounters::snapshot().since(base).expanded >= 1);
+        assert_ladder_is_exact("fused chain", &m, &km, &s, &mut [0; 3]);
+    }
+
+    /// The exact `live` sets against the definition itself, with the write
+    /// and read tuples of every array element enumerated one statement
     /// instance at a time: `x` is live when some element has a write `w`
     /// and a read `r` with `w <=lex x <=lex r`. Every write of an element
     /// pairs with every read of it, so per element that is
@@ -470,6 +892,11 @@ mod tests {
         ];
         for (name, (m, km, s)) in &kernels {
             let lv = Liveness::analyze(m, km, s);
+            let live: HashMap<ArrayId, Set> = lv
+                .arrays
+                .iter()
+                .map(|&a| (a, lv.exact(km, a).live))
+                .collect();
             // Per array, per element: earliest write and latest read.
             type Span = (Option<Vec<i64>>, Option<Vec<i64>>);
             let mut spans: HashMap<ArrayId, Vec<Span>> = lv
@@ -527,11 +954,11 @@ mod tests {
             for &arr in &lv.arrays {
                 let array = &km.layout.arrays[arr.0].name;
                 for x in &probes {
-                    let live = spans[&arr].iter().any(|span| match span {
+                    let expected = spans[&arr].iter().any(|span| match span {
                         (Some(w), Some(r)) => w <= x && x <= r,
                         _ => false,
                     });
-                    assert_eq!(lv.live[&arr].contains(x), live, "{name}: {array} at {x:?}");
+                    assert_eq!(live[&arr].contains(x), expected, "{name}: {array} at {x:?}");
                 }
             }
         }

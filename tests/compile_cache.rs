@@ -20,7 +20,6 @@ use std::sync::Arc;
 fn canonical(art: &Artifacts) -> String {
     let entry = CachedSchedule {
         schedule: Arc::clone(&art.schedule),
-        liveness: Arc::clone(&art.liveness),
         compat: Arc::clone(&art.compat),
     };
     format!(

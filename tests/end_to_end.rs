@@ -168,3 +168,33 @@ fn pointwise_only_kernel_has_no_reduction_loops() {
         assert_eq!(l.ii, 1, "pointwise loops pipeline at II=1");
     }
 }
+
+/// The CLI zoo (every builtin kernel of `cfdc` at its default size),
+/// factorised or not, fused or not, compiles without expanding a single
+/// live set: the schedule-box corners settle every address-space pair.
+#[test]
+fn cli_zoo_compiles_without_expanding_live_sets() {
+    use cfdfpga::cfdlang::examples as ex;
+    use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
+    use cfdfpga::pschedule::LadderCounters;
+    let zoo = [
+        ex::inverse_helmholtz(11),
+        ex::interpolation(8, 12),
+        ex::matrix_sandwich(8),
+        ex::axpy(8),
+        ex::simulation_step(11),
+        ex::axpy_chain(8),
+    ];
+    let base = LadderCounters::snapshot();
+    for src in &zoo {
+        for (factorize, fuse) in [(true, false), (false, false), (true, true), (false, true)] {
+            let mut opts = ProgramOptions::default();
+            opts.flow.factorize = factorize;
+            opts.flow.scheduler.fuse = fuse;
+            ProgramFlow::compile(src, &opts).unwrap();
+        }
+    }
+    let ladder = LadderCounters::snapshot().since(base);
+    assert_eq!(ladder.expanded, 0, "{ladder:?}");
+    assert!(ladder.hull > 0 && ladder.witness > 0, "{ladder:?}");
+}

@@ -2,10 +2,10 @@
 //!
 //! Two obligations, both differential against the legacy pure-FM path:
 //!
-//! 1. **Corpus agreement** — on the exact systems `Liveness::analyze`
-//!    produces for the simstep program (the 64-point `simulation_step(4)`
-//!    cube), the layered oracle and the FM reference return the same
-//!    emptiness verdict, memoized or cold.
+//! 1. **Corpus agreement** — on the exact live, write and read sets
+//!    `Liveness::exact` expands for the simstep program (the 64-point
+//!    `simulation_step(4)` cube), the layered oracle and the FM reference
+//!    return the same emptiness verdict, memoized or cold.
 //! 2. **Bit-identity** — forcing the FM oracle (the `POLYHEDRA_ORACLE=fm`
 //!    escape hatch, exercised here via `set_oracle_mode`) and compiling
 //!    the same program yields bit-identical artifacts and bit-identical
@@ -17,6 +17,7 @@
 
 use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
 use cfdfpga::polyhedra::{self, OracleMode};
+use cfdfpga::pschedule::Liveness;
 use std::collections::HashMap;
 
 fn compile_simstep() -> cfdfpga::flow::program::ProgramArtifacts {
@@ -44,20 +45,18 @@ fn simstep_liveness_corpus_agrees_with_fm() {
     let prog = compile_simstep();
     let mut checked = 0usize;
     for art in &prog.kernels {
-        let lv = &art.liveness;
-        let sets = lv
-            .live
-            .values()
-            .chain(lv.writes_at.values())
-            .chain(lv.reads_at.values());
-        for set in sets {
-            for part in &set.parts {
-                let sys = part.system();
-                let fm = sys.is_empty_via_fm();
-                assert_eq!(sys.is_empty(), fm, "corpus divergence on {:?}", sys);
-                // The repeat is served from the verdict memo.
-                assert_eq!(sys.is_empty(), fm, "memoized repeat diverged on {:?}", sys);
-                checked += 1;
+        let lv = Liveness::analyze(&art.module, &art.model, &art.schedule);
+        for &arr in &lv.arrays {
+            let sets = lv.exact(&art.model, arr);
+            for set in [&sets.live, &sets.writes_at, &sets.reads_at] {
+                for part in &set.parts {
+                    let sys = part.system();
+                    let fm = sys.is_empty_via_fm();
+                    assert_eq!(sys.is_empty(), fm, "corpus divergence on {:?}", sys);
+                    // The repeat is served from the verdict memo.
+                    assert_eq!(sys.is_empty(), fm, "memoized repeat diverged on {:?}", sys);
+                    checked += 1;
+                }
             }
         }
     }
