@@ -62,7 +62,7 @@ use zynq::{ProgramRound, SimConfig};
 use crate::cache::{CacheCounters, CompileCache};
 use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
 use crate::program::ProgramBuild;
-use crate::{Artifacts, FlowError, FlowOptions};
+use crate::{FlowError, FlowOptions};
 
 /// One point of the exploration grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -767,21 +767,6 @@ impl DseEngine {
         elements: usize,
     ) -> PortfolioReport {
         run_catalog(self, platforms, grid, jobs, elements)
-    }
-
-    /// Build full [`Artifacts`] for one option combination on top of the
-    /// shared stages — the cheap replacement for `Flow::compile` when
-    /// only backend/system options differ from the engine's base (the
-    /// canonicalization and scheduler axes are taken from the base, not
-    /// from `opts`).
-    pub fn artifacts_for(&self, opts: &FlowOptions) -> Result<Artifacts, FlowError> {
-        let be = self.pipeline.backend(&self.scheduled, opts);
-        let sys = self.pipeline.system(&be, opts)?;
-        let fe = crate::pipeline::Frontend {
-            typed: std::sync::Arc::clone(&self.scheduled.middle.typed),
-            elapsed_s: self.frontend_s,
-        };
-        Ok(Artifacts::assemble(&fe, &self.scheduled, be, sys, opts))
     }
 }
 

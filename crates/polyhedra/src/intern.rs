@@ -456,8 +456,8 @@ impl OracleCounters {
     }
 
     /// The canonical JSON rendering of the counter schema, used
-    /// verbatim by `cfdc --json`, the DSE/portfolio reports and
-    /// `bench_json` so every surface agrees on field names.
+    /// verbatim by `cfdc --json` and the DSE/portfolio reports so every
+    /// surface agrees on field names.
     pub fn json(&self) -> String {
         format!(
             "{{\"quick_hits\": {}, \"corner_hits\": {}, \"memo_hits\": {}, \

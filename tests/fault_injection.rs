@@ -16,6 +16,8 @@
 //! * **Retry cap** — no request is ever attempted more than
 //!   `max_retries + 1` times, and a `Failed` request used exactly its
 //!   full allowance.
+//!
+//! One plain test pins the PR-7 goodput figure on `simulation_step(7)`.
 
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use proptest::prelude::*;
@@ -310,4 +312,37 @@ proptest! {
         let outcomes = report.completed + report.timed_out + report.shed + report.failed;
         prop_assert_eq!(outcomes, n, "every request reaches a terminal outcome");
     }
+}
+
+/// The PR-7 acceptance figure: 64 closed requests of `simulation_step(7)`
+/// at a fixed fill of 4 (so the plan draws over 16 rounds, not 4) under
+/// a seeded 10% transient plan and the stock recovery policy. Every
+/// request completes, the plan fires, and goodput stays at ≥ 0.8× the
+/// fault-free throughput of the same batch policy.
+#[test]
+fn ten_percent_transient_faults_keep_goodput_near_fault_free() {
+    let art = ProgramFlow::compile(
+        &cfdlang::examples::simulation_step(7),
+        &ProgramOptions::default(),
+    )
+    .unwrap();
+    let clean = RuntimeOptions {
+        requests: 64,
+        batch: BatchPolicy::Fixed(4),
+        ..Default::default()
+    };
+    let faulty = RuntimeOptions {
+        faults: FaultPlan::transient(7, 0.10),
+        ..clean.clone()
+    };
+    let fault_free = art.serve(&clean).unwrap().report;
+    let report = art.serve(&faulty).unwrap().report;
+    assert_eq!(report.completed, 64, "the retries recover every request");
+    assert!(report.transient_faults > 0, "the plan must fire");
+    let goodput = report.goodput_rps.expect("requests completed");
+    assert!(
+        goodput >= 0.8 * fault_free.throughput_rps,
+        "goodput {goodput:.1} req/s vs fault-free {:.1} req/s",
+        fault_free.throughput_rps
+    );
 }

@@ -18,9 +18,10 @@
 //!   the chained reference interpreter for every request, under every
 //!   routing policy; routing shares hardware, never data.
 //!
-//! Two plain tests pin the outage drain at scale: its report hashes to
-//! the bytes the quadratic drain wrote, and (release builds) a large
-//! outage costs a small multiple of the healthy run.
+//! Three plain tests pin the catalog fleet: predictive routing serves
+//! ≥ 3× one board, the outage drain's report hashes to the bytes the
+//! quadratic drain wrote, and (release builds) a large outage costs a
+//! small multiple of the healthy run.
 
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use proptest::prelude::*;
@@ -360,6 +361,40 @@ fn serve_closed(
     };
     let fopts = fleet_opts(RoutePolicy::RoundRobin, base);
     compiled[0].art.serve_fleet(&boards, &fopts).unwrap().report
+}
+
+/// The PR-9 acceptance figure: 64 requests per board that fits, routed
+/// predictively across the catalog, all complete at ≥ 3× the aggregate
+/// rate of one zcu106 serving 64.
+#[test]
+fn catalog_fleet_serves_three_times_one_board() {
+    let (compiled, boards) = catalog_fleet();
+    assert!(boards.len() >= 3, "{} boards fit", boards.len());
+    let backlog = 64 * boards.len();
+    let base = RuntimeOptions {
+        requests: backlog,
+        ..Default::default()
+    };
+    let fleet = compiled[0]
+        .art
+        .serve_fleet(&boards, &fleet_opts(RoutePolicy::Predictive, base))
+        .unwrap()
+        .report;
+    assert_eq!(fleet.completed, backlog);
+    let one = Compiled::new(&cfdlang::examples::simulation_step(7), None)
+        .art
+        .serve(&RuntimeOptions {
+            requests: 64,
+            ..Default::default()
+        })
+        .unwrap()
+        .report;
+    assert!(
+        fleet.aggregate_rps >= 3.0 * one.throughput_rps,
+        "fleet {:.1} req/s vs one board {:.1} req/s",
+        fleet.aggregate_rps,
+        one.throughput_rps
+    );
 }
 
 /// The report of a 4 000-request fatal-outage fleet is, byte for byte,

@@ -17,6 +17,10 @@
 //! * **Emitter well-formedness** — every report JSON parses under the
 //!   minimal validator, and `json_escape` keeps hostile labels inside
 //!   one string literal.
+//! * **SLO under overload** — at a 4× Poisson overload point on
+//!   `simulation_step(7)`, SLO-aware batching keeps the completed p99
+//!   inside its budget and below capacity-fill FIFO's (the PR-10
+//!   acceptance figure).
 
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use proptest::prelude::*;
@@ -253,4 +257,49 @@ fn fleet_json_survives_hostile_board_names() {
     let doc = fleet.to_json();
     json::validate(&doc).unwrap();
     assert!(doc.contains("evil\\\"board\\\\name\\n"));
+}
+
+/// 64 Poisson requests offered at 4× the closed-backlog service rate,
+/// once under capacity-fill FIFO and once under an SLO of about four
+/// round cadences: the SLO run keeps serving, and its completed p99
+/// beats FIFO's and stays within the budget.
+#[test]
+fn slo_batching_beats_capacity_fill_p99_under_overload() {
+    let c = Compiled::new(&cfdlang::examples::simulation_step(7));
+    let closed = c
+        .art
+        .serve(&RuntimeOptions {
+            requests: 64,
+            ..Default::default()
+        })
+        .unwrap()
+        .report;
+    let service_rps = closed.throughput_rps;
+    let slo_s = 4.0 * closed.capacity as f64 / service_rps;
+    let fifo_opts = RuntimeOptions {
+        requests: 64,
+        arrival: Arrival::Poisson {
+            rate_rps: 4.0 * service_rps,
+        },
+        online: OnlinePolicy {
+            event_loop: true,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let slo_opts = RuntimeOptions {
+        online: OnlinePolicy {
+            event_loop: true,
+            slo_s: Some(slo_s),
+            ..Default::default()
+        },
+        ..fifo_opts.clone()
+    };
+    let fifo = c.art.serve(&fifo_opts).unwrap().report;
+    let slo = c.art.serve(&slo_opts).unwrap().report;
+    assert!(slo.completed > 0, "the SLO policy must keep serving");
+    let fifo_p99 = fifo.latency_p99_completed_s.expect("FIFO completes");
+    let slo_p99 = slo.latency_p99_completed_s.expect("SLO completes");
+    assert!(slo_p99 < fifo_p99, "slo p99 {slo_p99} vs fifo {fifo_p99}");
+    assert!(slo_p99 <= slo_s + 1e-9, "p99 {slo_p99} over budget {slo_s}");
 }

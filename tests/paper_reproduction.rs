@@ -7,6 +7,7 @@
 //! | PLM BRAM (no share → share) | 31 → 18 | 28 → 16 (512-word BRAM) |
 //! | temporaries inside | 9 + 24 = 33 | 10 + 24 = 34 |
 //! | max kernels (no share → share) | 8 → 16 | 8 → 16 |
+//! | Table I LUT / DSP (both halves) | 11,318 … 77,235 / 15·m | ±10% / exact |
 //! | Fig. 9 accel speedup @16 | 15.76 | ±4% |
 //! | Fig. 9 total speedup @16 | 12.58 | ±4% |
 //! | Fig. 10 HW k=16 vs ARM | 8.62 | ±8% |
@@ -83,6 +84,28 @@ fn plm_brams_match_in_text_report_shape() {
 }
 
 #[test]
+fn temporaries_inside_the_accelerator_cost_more_brams() {
+    // Paper: 9 (memory subsystem) + 24 (accelerator) = 33, against an
+    // accelerator with no BRAM of its own once the PLM is decoupled.
+    let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
+    let inside = Flow::compile(
+        &src,
+        &FlowOptions {
+            decoupled: false,
+            memory: MemoryOptions {
+                sharing: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .expect("paper kernel compiles with temporaries inside");
+    let (mem, acc) = (inside.memory.brams, inside.hls_report.brams);
+    assert_eq!((mem, acc, mem + acc), (10, 24, 34));
+    assert_eq!(paper_kernel(false).hls_report.brams, 0);
+}
+
+#[test]
 fn sharing_doubles_parallel_kernels() {
     let no = paper_kernel(false).system.as_ref().unwrap().config;
     let sh = paper_kernel(true).system.as_ref().unwrap().config;
@@ -134,22 +157,31 @@ fn figure10_arm_comparison_within_tolerance() {
 
 #[test]
 fn table1_dsps_exact_and_luts_close() {
-    let art = paper_kernel(true);
     let b = Platform::zcu106();
+    // Both halves of Table I: (sharing, k = m, paper LUT).
     let paper = [
-        (1usize, 11_292usize),
-        (2, 15_572),
-        (4, 24_480),
-        (8, 42_141),
-        (16, 77_235),
+        (false, 1usize, 11_318usize),
+        (false, 2, 15_929),
+        (false, 4, 25_728),
+        (false, 8, 42_679),
+        (true, 1, 11_292),
+        (true, 2, 15_572),
+        (true, 4, 24_480),
+        (true, 8, 42_141),
+        (true, 16, 77_235),
     ];
-    for (k, plut) in paper {
+    for (sharing, k, plut) in paper {
+        let art = paper_kernel(sharing);
         let cfg = SystemConfig { k, m: k };
         let host = HostProgram::from_kernel(&art.kernel, cfg);
         let d = SystemDesign::build(&b, &art.hls_report, &art.memory, cfg, host).unwrap();
         assert_eq!(d.dsps, 15 * k);
         let rel = (d.luts as f64 - plut as f64).abs() / plut as f64;
-        assert!(rel < 0.10, "k={k}: LUT {} vs paper {plut}", d.luts);
+        assert!(
+            rel < 0.10,
+            "sharing={sharing} k={k}: LUT {} vs paper {plut}",
+            d.luts
+        );
     }
 }
 

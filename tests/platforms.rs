@@ -197,6 +197,29 @@ fn portfolio_sweep_spans_platforms_and_matches_single_board() {
     assert!(json.contains("\"pynq-z2\""));
 }
 
+/// The dense grid (11 replications × 3 batch factors × sharing ×
+/// decoupling × 2 partitions = 264 points) over every platform and clock
+/// rung of the catalog: the thousand-point sweep evaluates ≥ 4 096
+/// design points of the paper kernel.
+#[test]
+fn dense_portfolio_sweep_evaluates_four_thousand_points() {
+    use cfdfpga::flow::dse::DseGrid;
+    let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
+    let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+    let grid = DseGrid {
+        k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
+        batch: vec![1, 2, 4],
+        sharing: vec![true, false],
+        decoupled: vec![true, false],
+        partition: vec![1, 2],
+    };
+    let catalog = Platform::catalog();
+    let report = engine.run_portfolio(&catalog, &grid, 2, 2_000);
+    let rungs: usize = catalog.iter().map(|p| p.clock_ladder_mhz.len()).sum();
+    assert_eq!(report.evaluated, rungs * 264);
+    assert!(report.evaluated >= 4_096, "{} points", report.evaluated);
+}
+
 /// The joint program sweep has the same portfolio shape: per-kernel
 /// backends memoized on (kernel, clock, backend key), frontier across
 /// boards.
