@@ -23,18 +23,17 @@
 //!   precise system list a cold run would produce. The eliminations
 //!   inside one expansion go through no memo of their own: this one and
 //!   the whole-map memo above it already replay every repeat.
-//! * **Compound keys** ([`KeyBuilder`], [`lookup_legal`]/[`store_legal`])
-//!   frame an ordered sequence of systems plus scalar parameters — used
-//!   for verdicts that depend on several polyhedra at once, e.g. schedule
-//!   legality (every RAW edge's relation and statement schedule maps).
+//! * **Compound keys** ([`KeyBuilder`]) frame an ordered sequence of
+//!   systems plus scalar parameters — used for results that depend on
+//!   several polyhedra at once, e.g. the whole-map between-set memo
+//!   ([`lookup_between_set`]).
 //!
 //! Keys encode the full system (`n_vars`, then per row: kind tag,
 //! constant, coefficients) and the full key is stored in the map, so
 //! hash collisions cannot corrupt results. Both maps live behind
 //! `OnceLock<RwLock<HashMap>>` and are shared process-wide: the
-//! thousands of structurally identical pair queries a multi-kernel
-//! program generates across `dependence_analysis`, `between_set`,
-//! `Liveness::analyze`, and `reschedule` are answered once.
+//! structurally identical queries a multi-kernel program repeats across
+//! kernels are answered once.
 //!
 //! # Counters and mode
 //!
@@ -111,8 +110,8 @@ pub fn projection_key(sys: &System, from: usize, count: usize) -> Key {
 }
 
 /// Incremental builder for compound keys spanning several systems —
-/// used by queries (schedule legality) whose verdict is a deterministic
-/// function of an ordered sequence of systems plus scalar parameters.
+/// used by queries whose result is a deterministic function of an
+/// ordered sequence of systems plus scalar parameters.
 /// Every system is framed by its variable and row counts, so adjacent
 /// encodings cannot alias across frame boundaries.
 pub struct KeyBuilder {
@@ -248,47 +247,23 @@ pub fn store_between_set(key: Key, result: crate::set::Set) {
     between_set_map().write().unwrap().insert(key, result);
 }
 
-fn legal_map() -> &'static RwLock<HashMap<Key, bool>> {
-    static MAP: OnceLock<RwLock<HashMap<Key, bool>>> = OnceLock::new();
-    MAP.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Memoized compound boolean verdict (schedule legality and other
-/// [`KeyBuilder`]-keyed queries). Shares the verdict-memo hit/miss
-/// counters with [`lookup_verdict`] — both memoize yes/no answers to
-/// exactly-reproducible polyhedral questions.
-pub fn lookup_legal(key: &Key) -> Option<bool> {
-    let hit = legal_map().read().unwrap().get(key).copied();
-    match hit {
-        Some(_) => COUNTERS.memo_hits.fetch_add(1, Ordering::Relaxed),
-        None => COUNTERS.memo_misses.fetch_add(1, Ordering::Relaxed),
-    };
-    hit
-}
-
-pub fn store_legal(key: Key, verdict: bool) {
-    legal_map().write().unwrap().insert(key, verdict);
-}
-
 /// Drop every memoized entry (verdicts, projections, between-set
-/// expansions, legality verdicts). Test hook — cold-path measurements
-/// need it; production never does.
+/// expansions). Test hook — cold-path measurements need it; production
+/// never does.
 pub fn clear_memo() {
     verdict_map().write().unwrap().clear();
     projection_map().write().unwrap().clear();
     between_map().write().unwrap().clear();
     between_set_map().write().unwrap().clear();
-    legal_map().write().unwrap().clear();
 }
 
 /// Number of interned entries `(verdicts, projections, between
-/// [per-part + whole-map], legal)`.
-pub fn memo_len() -> (usize, usize, usize, usize) {
+/// [per-part + whole-map])`.
+pub fn memo_len() -> (usize, usize, usize) {
     (
         verdict_map().read().unwrap().len(),
         projection_map().read().unwrap().len(),
         between_map().read().unwrap().len() + between_set_map().read().unwrap().len(),
-        legal_map().read().unwrap().len(),
     )
 }
 

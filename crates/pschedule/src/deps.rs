@@ -10,14 +10,28 @@
 //! * **RAR** — two statements read the same element; used as an affinity
 //!   (coincidence) bonus only.
 //!
-//! Legality of a candidate schedule is checked exactly: a schedule is
-//! legal iff for every RAW dependence the writer's tuple is
-//! lexicographically before the reader's, i.e. the *violated* relation
-//! `dep ∩ { (w, r) : S(w) ≥lex S(r) }` is empty.
+//! **Existence is an emptiness question.** An edge exists when some
+//! instance of one access and some instance of the other touch one
+//! address: the two access systems, joined over a shared address, are
+//! non-empty — the question the liveness witness rung asks. The
+//! instance-wise relation `src[x] → dst[y]` is composed only on demand
+//! ([`Dependence::relation`]).
+//!
+//! **Legality is a comparison of `seq`.** A schedule is legal iff for
+//! every RAW dependence the writer's tuple is lexicographically before the
+//! reader's. A tuple's first coordinate is its statement's `seq`, so an
+//! edge with `seq[src] < seq[dst]` holds for every instance pair, and one
+//! with `seq[src] > seq[dst]` is violated by every pair — and there is a
+//! pair, because access relations are intersected with the statement
+//! domains and [`Dependences::analyze`] records only non-empty ones. Only
+//! equal `seq` (fused statements, or a statement reading its own output)
+//! needs the definition: the *violated* relation
+//! `dep ∩ { (w, r) : S(w) ≥lex S(r) }` must be empty.
 
-use crate::model::KernelModel;
+use crate::model::{share_address, KernelModel};
 use crate::schedule::Schedule;
 use polyhedra::{lex_le_map, Map};
+use std::cmp::Ordering;
 
 /// Kind of a dependence edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +43,7 @@ pub enum DependenceKind {
 }
 
 /// One dependence edge between two statements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependence {
     pub kind: DependenceKind,
     /// Source statement index (the writer for RAW).
@@ -38,9 +52,25 @@ pub struct Dependence {
     pub dst: usize,
     /// The array carrying the dependence.
     pub array: teil::layout::ArrayId,
-    /// Instance-wise relation `src[x] → dst[y]` (pairs touching the same
-    /// array element).
-    pub relation: Map,
+    /// The access of `src` carrying the edge: `None` for its write (RAW),
+    /// `Some(k)` for its `reads[k]` (RAR).
+    pub src_read: Option<usize>,
+    /// The read of `dst` carrying the edge, an index into its `reads`.
+    pub dst_read: usize,
+}
+
+impl Dependence {
+    /// Instance-wise relation `src[x] → dst[y]`: the instance pairs
+    /// touching the same array element. `model` must be the one the edge
+    /// was found in.
+    pub fn relation(&self, model: &KernelModel) -> Map {
+        let src = &model.stmts[self.src];
+        let src_access = match self.src_read {
+            None => &src.write,
+            Some(k) => &src.reads[k].1,
+        };
+        src_access.compose(&model.stmts[self.dst].reads[self.dst_read].1.reverse())
+    }
 }
 
 /// All dependences of a kernel.
@@ -52,53 +82,49 @@ pub struct Dependences {
 impl Dependences {
     /// Compute RAW and RAR dependences of a model.
     pub fn analyze(model: &KernelModel) -> Dependences {
+        let meet = |a: &Map, b: &Map| {
+            a.parts
+                .iter()
+                .any(|p| b.parts.iter().any(|q| share_address(&p.system, &q.system)))
+        };
         let mut edges = Vec::new();
         let n = model.stmts.len();
         // RAW: writer w, reader r sharing an element of the same array.
         for w in 0..n {
             let ws = &model.stmts[w];
             for r in 0..n {
-                let rs = &model.stmts[r];
-                for (arr, read) in &rs.reads {
-                    if *arr != ws.write_array {
-                        continue;
-                    }
-                    // { w_iter → r_iter : write_addr(w) = read_addr(r) }
-                    let rel = ws.write.compose(&read.reverse());
-                    if !rel.is_empty() {
+                for (k, (arr, read)) in model.stmts[r].reads.iter().enumerate() {
+                    if *arr == ws.write_array && meet(&ws.write, read) {
                         edges.push(Dependence {
                             kind: DependenceKind::Raw,
                             src: w,
                             dst: r,
                             array: *arr,
-                            relation: rel,
+                            src_read: None,
+                            dst_read: k,
                         });
                     }
                 }
             }
         }
         // RAR: reader pairs over the same array (src < dst suffices for
-        // the affinity heuristic).
+        // the affinity heuristic), at most one edge per read of `a`.
         for a in 0..n {
             for b in (a + 1)..n {
-                let sa = &model.stmts[a];
-                let sb = &model.stmts[b];
-                for (arr_a, ra) in &sa.reads {
-                    for (arr_b, rb) in &sb.reads {
-                        if arr_a != arr_b {
-                            continue;
-                        }
-                        let rel = ra.compose(&rb.reverse());
-                        if !rel.is_empty() {
-                            edges.push(Dependence {
-                                kind: DependenceKind::Rar,
-                                src: a,
-                                dst: b,
-                                array: *arr_a,
-                                relation: rel,
-                            });
-                            break; // one RAR edge per array pair is enough
-                        }
+                for (ka, (arr, ra)) in model.stmts[a].reads.iter().enumerate() {
+                    let reads_b = model.stmts[b].reads.iter().enumerate();
+                    if let Some((kb, _)) = reads_b
+                        .filter(|(_, (arr_b, _))| arr_b == arr)
+                        .find(|(_, (_, rb))| meet(ra, rb))
+                    {
+                        edges.push(Dependence {
+                            kind: DependenceKind::Rar,
+                            src: a,
+                            dst: b,
+                            array: *arr,
+                            src_read: Some(ka),
+                            dst_read: kb,
+                        });
                     }
                 }
             }
@@ -117,74 +143,37 @@ impl Dependences {
     }
 }
 
-/// Tag distinguishing legality keys from other compound-key families in
-/// the shared memo (see [`polyhedra::intern::KeyBuilder::new`]).
-const LEGAL_KEY_TAG: i64 = 1;
-
-/// Whether a schedule satisfies every RAW dependence strictly.
-///
-/// For each RAW edge, builds the out-of-order relation
-/// `O = S_src ∘ lex_ge ∘ S_dst⁻¹` (pairs whose writer is scheduled at or
-/// after the reader) and checks that `dep ∩ O` is empty.
-///
-/// The verdict is a deterministic function of the schedule dimension and
-/// the (relation, writer-map, reader-map) systems of every RAW edge, so
-/// it is memoized process-wide on exactly that content — the compose
-/// chains above dominate `reschedule`'s runtime otherwise. The forced-FM
-/// oracle mode bypasses the memo (legacy path).
+/// Whether a schedule satisfies every RAW dependence strictly: by `seq`
+/// where it differs, by the violated relation where it is equal (see the
+/// module docs). `deps` must be the analysis of `model`.
 pub fn legal(model: &KernelModel, deps: &Dependences, sched: &Schedule) -> bool {
-    use polyhedra::intern;
-    let edges: Vec<(&Dependence, Map, Map)> = deps
-        .raw()
-        .map(|d| {
-            (
-                d,
-                sched.stmt_map(model, d.src),
-                sched.stmt_map(model, d.dst),
-            )
+    deps.raw()
+        .all(|d| match sched.seq[d.src].cmp(&sched.seq[d.dst]) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => holds_by_composition(model, d, sched),
         })
-        .collect();
-    if polyhedra::intern::oracle_mode() == polyhedra::OracleMode::Fm {
-        return legal_eval(sched.dim, &edges);
-    }
-    let mut kb = intern::KeyBuilder::new(LEGAL_KEY_TAG);
-    kb.scalar(sched.dim as i64);
-    for (d, sw, sr) in &edges {
-        for m in [&d.relation, sw, sr] {
-            kb.scalar(m.parts.len() as i64);
-            for p in &m.parts {
-                kb.system(&p.system);
-            }
-        }
-    }
-    let key = kb.finish();
-    if let Some(verdict) = intern::lookup_legal(&key) {
-        return verdict;
-    }
-    let verdict = legal_eval(sched.dim, &edges);
-    intern::store_legal(key, verdict);
-    verdict
 }
 
-/// The uncached legality check over pre-built `(edge, S_src, S_dst)`
-/// triples.
-fn legal_eval(dim: usize, edges: &[(&Dependence, Map, Map)]) -> bool {
-    let lex_ge = lex_le_map(dim).reverse();
-    for (d, sw, sr) in edges {
-        // O : src[x] → dst[y] with S(src x) >=lex S(dst y).
-        let out_of_order = sw.compose(&lex_ge).compose(&sr.reverse());
-        let violated = d.relation.intersect(&out_of_order);
-        if !violated.is_empty() {
-            return false;
-        }
-    }
-    true
+/// The definition, for one RAW edge: the out-of-order relation
+/// `O = S_src ∘ lex_ge ∘ S_dst⁻¹` (pairs whose writer is scheduled at or
+/// after the reader) does not meet the edge's relation.
+fn holds_by_composition(model: &KernelModel, d: &Dependence, sched: &Schedule) -> bool {
+    let lex_ge = lex_le_map(sched.dim).reverse();
+    let out_of_order = sched
+        .stmt_map(model, d.src)
+        .compose(&lex_ge)
+        .compose(&sched.stmt_map(model, d.dst).reverse());
+    d.relation(model).intersect(&out_of_order).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teil::layout::LayoutPlan;
+    use crate::liveness::tests::random_schedule;
+    use crate::{reschedule, SchedulerOptions};
+    use std::collections::HashMap;
+    use teil::layout::{ArrayId, LayoutPlan};
     use teil::lower::lower;
     use teil::transform::factorize;
 
@@ -289,5 +278,194 @@ mod tests {
         // Putting the reduction dim *before* the shared dims fixes it...
         // but then it is no longer a per-point fusion. The legality
         // checker correctly rejects naive fusion across a reduction.
+    }
+
+    /// The analysis as it was defined before the emptiness test: compose
+    /// every same-array access pair and keep the non-empty relations, each
+    /// edge with its relation.
+    fn analyze_by_composition(model: &KernelModel) -> Vec<(Dependence, Map)> {
+        let mut edges = Vec::new();
+        let n = model.stmts.len();
+        for w in 0..n {
+            let ws = &model.stmts[w];
+            for r in 0..n {
+                for (k, (arr, read)) in model.stmts[r].reads.iter().enumerate() {
+                    if *arr != ws.write_array {
+                        continue;
+                    }
+                    let rel = ws.write.compose(&read.reverse());
+                    if !rel.is_empty() {
+                        let edge = Dependence {
+                            kind: DependenceKind::Raw,
+                            src: w,
+                            dst: r,
+                            array: *arr,
+                            src_read: None,
+                            dst_read: k,
+                        };
+                        edges.push((edge, rel));
+                    }
+                }
+            }
+        }
+        for a in 0..n {
+            for b in (a + 1)..n {
+                for (ka, (arr_a, ra)) in model.stmts[a].reads.iter().enumerate() {
+                    for (kb, (arr_b, rb)) in model.stmts[b].reads.iter().enumerate() {
+                        if arr_a != arr_b {
+                            continue;
+                        }
+                        let rel = ra.compose(&rb.reverse());
+                        if !rel.is_empty() {
+                            let edge = Dependence {
+                                kind: DependenceKind::Rar,
+                                src: a,
+                                dst: b,
+                                array: *arr_a,
+                                src_read: Some(ka),
+                                dst_read: kb,
+                            };
+                            edges.push((edge, rel));
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    /// Every kernel of the definition tests' zoo plus an element-wise
+    /// chain, which `fuse` can fold, ± factorised.
+    fn zoo() -> Vec<(String, teil::ir::Module, KernelModel)> {
+        use crate::liveness::tests::{example_sources, ELEMENTWISE_CHAIN};
+        let mut sources = example_sources().to_vec();
+        sources.push(ELEMENTWISE_CHAIN.to_string());
+        let mut out = Vec::new();
+        for (k, src) in sources.iter().enumerate() {
+            for factored in [false, true] {
+                for (m, km) in crate::liveness::tests::kernels(src, factored) {
+                    out.push((format!("source {k}, factored {factored}"), m, km));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn analyze_equals_the_composition_definition() {
+        let (mut raw, mut rar) = (0, 0);
+        for (name, _, km) in zoo() {
+            let reference = analyze_by_composition(&km);
+            let deps = Dependences::analyze(&km);
+            let expected: Vec<Dependence> = reference.iter().map(|(d, _)| d.clone()).collect();
+            assert_eq!(deps.edges, expected, "{name}");
+            for (d, rel) in &reference {
+                assert_eq!(&d.relation(&km), rel, "{name}: {d:?}");
+            }
+            raw += deps.raw().count();
+            rar += deps.rar().count();
+        }
+        assert!(
+            raw > 0 && rar > 0,
+            "both kinds must occur: {raw} RAW, {rar} RAR"
+        );
+    }
+
+    /// The instances of statement `si`, each with the address of `arr`
+    /// that `access` touches there, enumerated point by point.
+    fn touches(km: &KernelModel, si: usize, access: &Map, arr: ArrayId) -> Vec<(Vec<usize>, i64)> {
+        let size = km.layout.arrays[arr.0].size as i64;
+        km.stmts[si]
+            .domain
+            .points()
+            .map(|point| {
+                let addr = (0..size)
+                    .find(|&a| access.contains(&point, &[a]))
+                    .expect("every instance touches one element");
+                (point.iter().map(|&v| v as usize).collect(), addr)
+            })
+            .collect()
+    }
+
+    type EdgeTouches = (usize, usize, Vec<(Vec<usize>, i64)>, Vec<(Vec<usize>, i64)>);
+
+    /// The definition tuple by tuple: on every RAW edge, every write of an
+    /// element is scheduled strictly before every read of it.
+    fn legal_by_enumeration(sched: &Schedule, edges: &[EdgeTouches]) -> bool {
+        edges.iter().all(|(w, r, writes, reads)| {
+            let mut last_write: HashMap<i64, Vec<i64>> = HashMap::new();
+            for (point, addr) in writes {
+                let t = sched.tuple_of(*w, point);
+                let slot = last_write.entry(*addr).or_insert_with(|| t.clone());
+                if t > *slot {
+                    *slot = t;
+                }
+            }
+            reads.iter().all(|(point, addr)| {
+                last_write
+                    .get(addr)
+                    .is_none_or(|t| *t < sched.tuple_of(*r, point))
+            })
+        })
+    }
+
+    /// `legal` against the all-edges composition definition and the
+    /// tuple-by-tuple enumeration, over the zoo under the reference, the
+    /// rescheduled, the fused and random schedules (tied `seq`, random
+    /// permutations and `micro`). Tallies verdicts `[illegal, legal]`, and
+    /// separately those of schedules with a RAW edge inside a fused group.
+    #[test]
+    fn legal_equals_the_enumerated_definition() {
+        let fuse = SchedulerOptions {
+            fuse: true,
+            ..Default::default()
+        };
+        let (mut verdicts, mut fused_verdicts) = ([0usize; 2], [0usize; 2]);
+        let mut rng = 0x5EC_0DE5_u64;
+        for (name, m, km) in zoo() {
+            let deps = Dependences::analyze(&km);
+            let edges: Vec<EdgeTouches> = deps
+                .raw()
+                .map(|d| {
+                    let (ws, rs) = (&km.stmts[d.src], &km.stmts[d.dst]);
+                    let read = &rs.reads[d.dst_read].1;
+                    (
+                        d.src,
+                        d.dst,
+                        touches(&km, d.src, &ws.write, d.array),
+                        touches(&km, d.dst, read, d.array),
+                    )
+                })
+                .collect();
+            let mut schedules = vec![
+                Schedule::reference(&km),
+                reschedule(&m, &km, &deps, &SchedulerOptions::default()),
+                reschedule(&m, &km, &deps, &fuse),
+            ];
+            schedules.extend((0..6).map(|_| random_schedule(&km, &mut rng)));
+            for s in &schedules {
+                let verdict = legal(&km, &deps, s);
+                let definition = deps.raw().all(|d| holds_by_composition(&km, d, s));
+                assert_eq!(verdict, definition, "{name} under {s:?}");
+                assert_eq!(
+                    verdict,
+                    legal_by_enumeration(s, &edges),
+                    "{name} under {s:?}"
+                );
+                verdicts[verdict as usize] += 1;
+                if deps.raw().any(|d| s.fused(d.src, d.dst)) {
+                    fused_verdicts[verdict as usize] += 1;
+                }
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&v| v > 0),
+            "both verdicts: {verdicts:?}"
+        );
+        assert!(
+            fused_verdicts.iter().all(|&v| v > 0),
+            "the fused path must reach both verdicts: {fused_verdicts:?}"
+        );
     }
 }

@@ -10,12 +10,12 @@
 //! * [`schedule`] — affine schedules `S : stmt[...] → [...]` into a
 //!   common lexicographically-ordered schedule space; the *reference
 //!   schedule* follows program order (Section IV-C),
-//! * [`deps`] — value-based RAW/RAR dependence analysis and polyhedral
+//! * [`deps`] — value-based RAW/RAR dependence analysis and exact
 //!   legality checking of candidate schedules,
 //! * [`scheduler`] — a Pluto-like rescheduler: per-statement loop
 //!   permutation and producer–consumer fusion chosen to minimize RAW
 //!   dependence distance and maximize RAR coincidence, validated exactly
-//!   against the dependence relations (Section IV-E),
+//!   against the RAW dependences (Section IV-E),
 //! * [`liveness`] — the paper's liveness analysis (Section IV-F):
 //!   `I = (S×S)∘RAW`, `L = ge_le∘I` as the definition, and the memory
 //!   compatibility graph of Figure 5 decided from schedule-box corners,

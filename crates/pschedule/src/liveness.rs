@@ -51,7 +51,7 @@
 //! contribute nothing, to either question. [`LadderCounters`] counts
 //! what each rung decided, process-wide.
 
-use crate::model::KernelModel;
+use crate::model::{share_address, KernelModel};
 use crate::schedule::Schedule;
 use polyhedra::{between_set_pruned, BasicSet, Constraint, LinExpr, Map, Set, Space, System};
 use std::cell::OnceCell;
@@ -295,14 +295,7 @@ impl Liveness {
             return false;
         }
         // Read sides are cut lazily: the first that meets a write decides.
-        let mut meets = |r: System| {
-            writes.iter().any(|w| {
-                let (rw, rr) = (w.n_vars() - 1, r.n_vars() - 1);
-                !w.insert_vars(rw, rr)
-                    .intersect(&r.insert_vars(0, rw))
-                    .is_empty()
-            })
-        };
+        let mut meets = |r: System| writes.iter().any(|w| share_address(w, &r));
         (f.output && self.last.as_slice() >= x && meets(every_address()))
             || f.readers.iter().any(|&si| {
                 model.stmts[si].reads.iter().any(|(ra, access)| {
@@ -592,7 +585,7 @@ impl CompatibilityGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{reschedule, Dependences, SchedulerOptions};
     use std::collections::HashMap;
@@ -611,7 +604,7 @@ mod tests {
     }
 
     /// Every kernel of `source` (a single kernel or a `kernel { .. }` set).
-    fn kernels(source: &str, factored: bool) -> Vec<(Module, KernelModel)> {
+    pub(crate) fn kernels(source: &str, factored: bool) -> Vec<(Module, KernelModel)> {
         let set = cfdlang::check_set(&cfdlang::parse_set(source).unwrap()).unwrap();
         set.kernels
             .iter()
@@ -786,7 +779,7 @@ mod tests {
 
     /// A schedule with random `seq` (ties fuse statements), random `micro`
     /// and random permutations — legal or not, liveness is defined.
-    fn random_schedule(km: &KernelModel, rng: &mut u64) -> Schedule {
+    pub(crate) fn random_schedule(km: &KernelModel, rng: &mut u64) -> Schedule {
         let mut next = |bound: usize| {
             *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = *rng;
@@ -807,17 +800,29 @@ mod tests {
         s
     }
 
-    #[test]
-    fn ladder_equals_the_definition() {
+    /// The six `cfdlang::examples` at small extents: the definition
+    /// tests' zoo.
+    pub(crate) fn example_sources() -> [String; 6] {
         use cfdlang::examples as ex;
-        let sources = [
+        [
             ex::inverse_helmholtz(3),
             ex::interpolation(3, 4),
             ex::matrix_sandwich(3),
             ex::axpy(3),
             ex::simulation_step(3),
             ex::axpy_chain(3),
-        ];
+        ]
+    }
+
+    /// Four element-wise statements, each a candidate for fusion with its
+    /// neighbours.
+    pub(crate) const ELEMENTWISE_CHAIN: &str = "var input a : [4]\nvar input b : [4]\n\
+        var output o : [4]\nvar t : [4]\nvar u : [4]\nvar v : [4]\n\
+        t = a * b\nu = t * a\nv = b * b\no = u * v";
+
+    #[test]
+    fn ladder_equals_the_definition() {
+        let sources = example_sources();
         let fuse = SchedulerOptions {
             fuse: true,
             ..Default::default()
@@ -853,10 +858,7 @@ mod tests {
     /// later hull start: only the exact rung can decide the pair.
     #[test]
     fn fused_chain_pair_needs_the_exact_rung() {
-        let src = "var input a : [4]\nvar input b : [4]\nvar output o : [4]\n\
-                   var t : [4]\nvar u : [4]\nvar v : [4]\n\
-                   t = a * b\nu = t * a\nv = b * b\no = u * v";
-        let (m, km, mut s) = setup_source(src, false);
+        let (m, km, mut s) = setup_source(ELEMENTWISE_CHAIN, false);
         s.seq = vec![0; 4];
         s.micro = vec![0, 1, 2, 3];
         let lv = Liveness::analyze(&m, &km, &s);

@@ -8,7 +8,7 @@
 //! through the materialized layout (step ⓘⓘ), which is what makes all
 //! downstream analyses layout-aware.
 
-use polyhedra::{BasicMap, BasicSet, LinExpr, Map, Space};
+use polyhedra::{BasicMap, BasicSet, LinExpr, Map, Space, System};
 use teil::ir::{Module, PointExpr};
 use teil::layout::{ArrayId, LayoutPlan};
 
@@ -133,6 +133,16 @@ fn access_expr(rank: usize, index_map: &[usize], strides: &[i64], offset: i64) -
         coeffs[v] += strides[d];
     }
     LinExpr::new(&coeffs, offset)
+}
+
+/// Whether two access systems, each over (iteration point, address) of
+/// its own statement, touch a common address: joined over one shared
+/// address variable, they are non-empty.
+pub(crate) fn share_address(a: &System, b: &System) -> bool {
+    let (ra, rb) = (a.n_vars() - 1, b.n_vars() - 1);
+    !a.insert_vars(ra, rb)
+        .intersect(&b.insert_vars(0, ra))
+        .is_empty()
 }
 
 fn collect_reads(e: &PointExpr, mut f: impl FnMut(teil::ir::TensorId, &[usize])) {

@@ -13,8 +13,10 @@
 //! 2. optional producer–consumer **fusion** merges a pointwise consumer
 //!    into its producer's loop nest (same `seq`, micro-ordered) whenever
 //!    the polyhedral legality check admits it;
-//! 3. the final schedule is validated exactly against the RAW relations
-//!    ([`crate::deps::legal`]) — candidates that fail validation are
+//! 3. the final schedule is validated exactly ([`crate::deps::legal`]):
+//!    a RAW edge between statements of different `seq` is decided by
+//!    comparing their `seq`, and only an edge inside a fused group is
+//!    checked against its relation. Candidates that fail validation are
 //!    discarded in favour of the reference schedule.
 
 use crate::deps::{legal, Dependences};
@@ -296,7 +298,7 @@ fn read_read_alignment(
 
 /// Fuse pointwise consumers into their producers where legal.
 fn fuse_pointwise(module: &Module, model: &KernelModel, deps: &Dependences, sched: &mut Schedule) {
-    for e in deps.raw().cloned().collect::<Vec<_>>() {
+    for e in deps.raw() {
         let (w, r) = (e.src, e.dst);
         if sched.fused(w, r) {
             continue;
@@ -322,12 +324,10 @@ fn fuse_pointwise(module: &Module, model: &KernelModel, deps: &Dependences, sche
         let saved = (sched.seq[r], sched.micro[r]);
         sched.seq[r] = trial_seq;
         sched.micro[r] = sched.micro[w] + 1;
-        if legal(model, deps, sched) {
-            // Keep the fusion and close the sequence gap.
-            continue;
+        if !legal(model, deps, sched) {
+            sched.seq[r] = saved.0;
+            sched.micro[r] = saved.1;
         }
-        sched.seq[r] = saved.0;
-        sched.micro[r] = saved.1;
     }
 }
 
