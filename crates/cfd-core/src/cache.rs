@@ -14,15 +14,13 @@
 //!
 //! 1. the schema string [`SCHEMA`] (versioning: a format change makes
 //!    every old key unreachable),
-//! 2. the active polyhedra-oracle signature
-//!    ([`polyhedra::oracle_signature`]): scheduling products embed
-//!    emptiness-driven decisions, so a product computed under one
-//!    oracle configuration is never served under another,
-//! 3. the canonical text of the tensor IR module (**after**
+//! 2. the canonical text of the tensor IR module (**after**
 //!    canonicalization, so `factorize`/`clean` are captured by their
 //!    effect rather than their flag values),
-//! 4. the `Debug` rendering of [`SchedulerOptions`],
-//! 5. the platform id and the bit pattern of the HLS clock.
+//! 3. the `Debug` rendering of [`SchedulerOptions`],
+//! 4. the platform id and the bit pattern of the HLS clock.
+//!
+//! The emptiness oracle has one configuration, so it is not keyed.
 //!
 //! The worker count ([`FlowOptions::jobs`]) is deliberately excluded:
 //! artifacts are bit-identical for every value.
@@ -286,19 +284,11 @@ impl Default for Fnv128 {
 }
 
 /// The content key of a scheduling-stage run: canonicalized module text
-/// plus every option that (conservatively) reaches the stage, plus the
-/// active polyhedra-oracle configuration. See the module docs for the
-/// exact field list.
-///
-/// The oracle signature matters because scheduling products embed
-/// results of emptiness-driven choices (schedule legality, compatibility
-/// edges): a product computed under one oracle must never be served
-/// when another oracle — with possibly different verdict-order-sensitive
-/// tie-breaks — is active, even across processes via the disk store.
+/// plus every option that (conservatively) reaches the stage. See the
+/// module docs for the exact field list.
 pub fn schedule_key(module: &Module, opts: &FlowOptions) -> u128 {
     let mut h = Fnv128::new();
     h.update(SCHEMA.as_bytes());
-    h.update(polyhedra::oracle_signature().as_bytes());
     h.update(module.to_string().as_bytes());
     h.update(format!("{:?}", opts.scheduler).as_bytes());
     h.update(opts.platform.id.as_bytes());

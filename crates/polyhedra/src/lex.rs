@@ -10,7 +10,6 @@
 //! is implemented by [`between_set`].
 
 use crate::constraint::{Constraint, ConstraintKind};
-use crate::intern;
 use crate::linexpr::LinExpr;
 use crate::map::{BasicMap, Map};
 use crate::set::{BasicSet, Set};
@@ -70,68 +69,23 @@ pub fn lex_le_map(n: usize) -> Map {
 /// `{ x : ∃ (w, r) ∈ iv : w <=lex x <=lex r }` —
 /// the set of schedule points at which a value written at `w` and read at
 /// `r` is live.
+///
+/// Each part of `iv` expands into the lex splits that survive; the union
+/// may still carry integer-empty parts, which [`Set::prune_empty`] drops.
 pub fn between_set(iv: &Map, n: usize) -> Set {
     assert_eq!(iv.in_space.dim(), n);
     assert_eq!(iv.out_space.dim(), n);
     let space = Space::anon(n);
     let mut out = Set::empty(space.clone());
-    let fm_mode = intern::oracle_mode() == intern::OracleMode::Fm;
-
     for part in &iv.parts {
-        // The whole per-part expansion is a deterministic function of
-        // (part rows, n), so it is memoized process-wide as the ordered
-        // list of surviving systems. A hit replays exactly what a cold
-        // run would emit; `POLYHEDRA_ORACLE=fm` bypasses the memo.
-        let lives = if fm_mode {
-            expand_part(&part.system, n)
-        } else {
-            let key = intern::between_key(&part.system, n);
-            match intern::lookup_between(&key) {
-                Some(hit) => hit,
-                None => {
-                    let computed = expand_part(&part.system, n);
-                    intern::store_between(key, computed.clone());
-                    computed
-                }
-            }
-        };
-        // Push directly: `lives` holds only non-infeasible systems (the
-        // expansion filtered them), and `union_basic`'s clone-per-call
-        // would make this loop quadratic in the accumulated union.
-        for live in lives {
+        // Push directly: the expansion holds only non-infeasible systems,
+        // and `union_basic`'s clone-per-call would make this loop
+        // quadratic in the accumulated union.
+        for live in expand_part(&part.system, n) {
             out.parts.push(BasicSet::from_system(space.clone(), live));
         }
     }
     out.coalesce()
-}
-
-/// Tag distinguishing whole-map between-set keys from other compound-key
-/// families (see [`intern::KeyBuilder::new`]).
-const BETWEEN_SET_KEY_TAG: i64 = 2;
-
-/// [`between_set`] followed by [`crate::Set::prune_empty`], memoized as
-/// a unit over the whole interval map. Liveness analysis always prunes
-/// the between result, and both steps are deterministic functions of the
-/// map's parts (in order) and `n`, so a warm analysis replays the final
-/// pruned set with a single clone instead of re-expanding, re-coalescing
-/// and re-probing every part. `POLYHEDRA_ORACLE=fm` bypasses the memo.
-pub fn between_set_pruned(iv: &Map, n: usize) -> Set {
-    if intern::oracle_mode() == intern::OracleMode::Fm {
-        return between_set(iv, n).prune_empty();
-    }
-    let mut kb = intern::KeyBuilder::new(BETWEEN_SET_KEY_TAG);
-    kb.scalar(n as i64);
-    kb.scalar(iv.parts.len() as i64);
-    for p in &iv.parts {
-        kb.system(&p.system);
-    }
-    let key = kb.finish();
-    if let Some(hit) = intern::lookup_between_set(&key) {
-        return hit;
-    }
-    let result = between_set(iv, n).prune_empty();
-    intern::store_between_set(key, result.clone());
-    result
 }
 
 /// One part's `between_set` expansion: the `x`-systems of the surviving
@@ -193,9 +147,7 @@ fn expand_part(part: &System, n: usize) -> Vec<System> {
             if j2 < n {
                 relate(ConstraintKind::GeZero, a + j2, a + b + j2, -1);
             }
-            // Unmemoized: the per-part and whole-map memos above this
-            // function already replay repeats.
-            let live = sys.eliminate_range_core(0, a + b);
+            let live = sys.eliminate_range(0, a + b);
             if !live.known_infeasible() {
                 lives.push(live);
             }

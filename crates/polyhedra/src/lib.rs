@@ -15,11 +15,8 @@
 //!   dependence legality and liveness (`ge_le` expansion),
 //! * [`bounds`] — per-dimension affine loop-bound extraction for code
 //!   generation,
-//! * [`simplex`] — an exact rational phase-I simplex feasibility probe
-//!   (the fast path behind emptiness tests),
-//! * [`intern`] — process-wide hash-consed memoization of emptiness
-//!   verdicts and projections, the oracle mode toggle, and the oracle
-//!   counters surfaced in compile/DSE/bench reports.
+//! * [`OracleCounters`] — process-wide counts of which emptiness layer
+//!   settled each query, surfaced in compile/DSE/benchmark reports.
 //!
 //! # Scope and exactness
 //!
@@ -33,12 +30,12 @@
 //! makes the rational FM projection integer-exact for this constraint
 //! class.
 //!
-//! Emptiness no longer *runs* full FM by default: [`System::is_empty`]
-//! layers interval propagation, corner probing, a memo table, and the
-//! polynomial simplex probe in front of it, using FM only when the
-//! rational verdict cannot settle the integer question. The combination
-//! is verdict-identical to pure FM on every query (debug-asserted and
-//! proptested); `POLYHEDRA_ORACLE=fm` forces the legacy path.
+//! [`System::is_empty`] decides emptiness in three layers. Interval
+//! propagation proves a system empty when some variable's bounds cross;
+//! a probe of the propagated box's two corners proves it non-empty when
+//! a corner satisfies every row; FM elimination decides whatever neither
+//! quick exit settles. Both quick exits are sound over the integers, so
+//! on this constraint class every layer gives the exact answer.
 //!
 //! # Example
 //!
@@ -65,14 +62,13 @@ pub mod linexpr;
 pub mod map;
 pub mod points;
 pub mod set;
-pub mod simplex;
 pub mod space;
 pub mod system;
 
 pub use bounds::{extract_bounds, ClosedInterval, DimBounds};
 pub use constraint::{Constraint, ConstraintKind};
-pub use intern::{oracle_signature, set_oracle_mode, OracleCounters, OracleMode};
-pub use lex::{between_set, between_set_pruned, lex_le_map, lex_lt_map};
+pub use intern::OracleCounters;
+pub use lex::{between_set, lex_le_map, lex_lt_map};
 pub use linexpr::LinExpr;
 pub use map::{BasicMap, Map};
 pub use points::PointIter;

@@ -6,7 +6,6 @@
 //! [`crate::lex`]).
 
 use crate::constraint::Constraint;
-use crate::intern::{Key, KeyBuilder};
 use crate::linexpr::LinExpr;
 use crate::points::PointIter;
 use crate::space::Space;
@@ -297,15 +296,6 @@ fn compute_projection(sys: &System) -> ProjectionCache {
     ProjectionCache { levels, bbox }
 }
 
-/// The exact-order row encoding of a feasible system: equal keys exactly
-/// when the systems are equal. Used for local dedup tables only, so the
-/// family tag is never compared against another family's.
-fn rows_key(sys: &System) -> Key {
-    let mut kb = KeyBuilder::new(0);
-    kb.system(sys);
-    kb.finish()
-}
-
 /// Whether two bounding boxes certainly share no point: some dimension
 /// has both ranges known and non-overlapping. (`None` ranges are
 /// unbounded and never separate; the canonical empty box `(1, 0)` is
@@ -478,18 +468,15 @@ impl Set {
     /// Drop parts whose systems are already known infeasible (cheap) and
     /// deduplicate identical parts, keeping each first occurrence.
     pub fn coalesce(mut self) -> Set {
-        let mut seen: HashSet<Key> = HashSet::with_capacity(self.parts.len());
-        let mut kept: Vec<BasicSet> = Vec::with_capacity(self.parts.len());
-        for p in self.parts.drain(..) {
-            if p.system.known_infeasible() {
-                continue;
-            }
-            // Rows seen before: a duplicate, unless under another space.
-            if seen.insert(rows_key(&p.system)) || !kept.contains(&p) {
-                kept.push(p);
-            }
-        }
-        self.parts = kept;
+        let keep: Vec<bool> = {
+            let mut seen = HashSet::with_capacity(self.parts.len());
+            self.parts
+                .iter()
+                .map(|p| !p.system.known_infeasible() && seen.insert((&p.space, &p.system)))
+                .collect()
+        };
+        let mut keep = keep.into_iter();
+        self.parts.retain(|_| keep.next() == Some(true));
         self
     }
 
@@ -501,16 +488,15 @@ impl Set {
     /// structurally identical disjuncts, so each distinct system is
     /// decided at most once per call here.
     pub fn prune_empty(mut self) -> Set {
-        let mut decided: HashMap<Key, bool> = HashMap::new();
-        self.parts.retain(|p| {
-            // Not keyed: `rows_key` cannot tell "infeasible" from "no rows".
-            if p.system.known_infeasible() {
-                return false;
-            }
-            !*decided
-                .entry(rows_key(&p.system))
-                .or_insert_with(|| p.is_empty())
-        });
+        let keep: Vec<bool> = {
+            let mut decided = HashMap::new();
+            self.parts
+                .iter()
+                .map(|p| !*decided.entry(&p.system).or_insert_with(|| p.is_empty()))
+                .collect()
+        };
+        let mut keep = keep.into_iter();
+        self.parts.retain(|_| keep.next() == Some(true));
         self
     }
 

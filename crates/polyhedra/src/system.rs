@@ -3,17 +3,15 @@
 //! A [`System`] is a conjunction of affine constraints over `n_vars`
 //! anonymous variables. It is the computational workhorse behind sets and
 //! maps: intersection is concatenation, projection is FM elimination, and
-//! emptiness is decided by the layered oracle in [`System::is_empty`]
-//! (interval propagation → corner probe → memoized rational simplex with
-//! FM as the authoritative fallback).
+//! emptiness is decided in three layers by [`System::is_empty`]
+//! (interval propagation → corner probe → FM elimination).
 
 use crate::constraint::{Constraint, ConstraintKind, NormalizeAction};
 use crate::intern;
 use crate::linexpr::{clamp_i64, combine_skipping, LinExpr};
-use crate::simplex;
 
 /// A conjunction of affine constraints over `n_vars` variables.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct System {
     n_vars: usize,
     constraints: Vec<Constraint>,
@@ -274,36 +272,9 @@ impl System {
     /// like `a = 121i + 11j + k`) this ordering keeps the projection
     /// integer-exact: `k`, `j`, `i` are substituted through the unit
     /// coefficients instead of being paired through the large strides.
-    ///
-    /// Results are memoized process-wide under an exact-row-order key
-    /// (see [`crate::intern`]): identical queries are deterministic, so
-    /// serving the stored projection is bit-identical to recomputing it.
-    /// `POLYHEDRA_ORACLE=fm` bypasses the memo entirely (legacy path).
     pub fn eliminate_range(&self, from: usize, count: usize) -> System {
         if count == 0 {
             return self.clone();
-        }
-        if self.infeasible {
-            return System::infeasible(self.n_vars - count);
-        }
-        if intern::oracle_mode() == intern::OracleMode::Fm {
-            return self.clone().eliminate_range_core(from, count);
-        }
-        let key = intern::projection_key(self, from, count);
-        if let Some(memoized) = intern::lookup_projection(&key) {
-            return memoized;
-        }
-        let out = self.clone().eliminate_range_core(from, count);
-        intern::store_projection(key, out.clone());
-        out
-    }
-
-    /// The actual elimination work behind [`System::eliminate_range`]
-    /// (phase 1: batched unit-coefficient substitutions; phase 2: greedy
-    /// Fourier–Motzkin pairing), with no memoization.
-    pub(crate) fn eliminate_range_core(self, from: usize, count: usize) -> System {
-        if count == 0 {
-            return self;
         }
         if self.infeasible {
             return System::infeasible(self.n_vars - count);
@@ -317,7 +288,8 @@ impl System {
         // columns stay as all-zero placeholders until one final
         // compaction. `None` marks a consumed/trivial row.
         let n_vars = self.n_vars;
-        let mut rows: Vec<Option<Constraint>> = self.constraints.into_iter().map(Some).collect();
+        let mut rows: Vec<Option<Constraint>> =
+            self.constraints.iter().cloned().map(Some).collect();
         let mut remaining: Vec<usize> = (from..from + count).collect();
         let mut dead: Vec<usize> = Vec::with_capacity(count);
         'subst: loop {
@@ -400,24 +372,16 @@ impl System {
 
     /// Whether the system has no integer solutions.
     ///
-    /// Decided by a layered oracle, cheapest first, every layer agreeing
-    /// with exhaustive FM elimination on this flow's constraint class:
+    /// Decided in three layers, cheapest first:
     ///
-    /// 1. interval propagation (sound emptiness witness),
-    /// 2. box-corner probing (sound non-emptiness witness),
-    /// 3. a process-wide memo keyed on the sorted canonical rows,
-    /// 4. rational phase-I simplex ([`crate::simplex`]): a rational
-    ///    emptiness proof or an *integral* witness settles the integer
-    ///    question; a fractional vertex or arithmetic overflow falls back
-    ///    to
-    /// 5. full FM elimination with integer tightening — the authoritative
-    ///    answer, and the only oracle when `POLYHEDRA_ORACLE=fm` (or
-    ///    [`intern::set_oracle_mode`]) forces the legacy path.
+    /// 1. interval propagation (a sound emptiness witness; `quick_hits`),
+    /// 2. box-corner probing (a sound non-emptiness witness;
+    ///    `corner_hits`),
+    /// 3. full FM elimination with integer tightening (`fm_fallbacks`).
     ///
-    /// Debug builds assert simplex ≡ FM on every freshly computed
-    /// verdict. On the (near-unimodular) systems produced by the CFDlang
-    /// flow FM is exact; in general it may fail to detect emptiness of
-    /// pathological integer-only-empty systems (never produced here).
+    /// On the (near-unimodular) systems produced by the CFDlang flow FM is
+    /// exact; in general it may fail to detect emptiness of pathological
+    /// integer-only-empty systems (never produced here).
     pub fn is_empty(&self) -> bool {
         if self.infeasible {
             return true;
@@ -440,70 +404,8 @@ impl System {
             intern::count_corner_hit();
             return false;
         }
-        if intern::oracle_mode() == intern::OracleMode::Fm {
-            return self.clone().eliminate_range_core(0, self.n_vars).infeasible;
-        }
-        let key = intern::verdict_key(self);
-        if let Some(verdict) = intern::lookup_verdict(&key) {
-            return verdict;
-        }
-        let verdict = self.decide_empty_uncached();
-        intern::store_verdict(key, verdict);
-        verdict
-    }
-
-    /// The legacy emptiness oracle: quick exits plus exhaustive FM, with
-    /// no simplex probe and no memoization. Reference implementation for
-    /// the differential tests (`is_empty` must agree on every system).
-    pub fn is_empty_via_fm(&self) -> bool {
-        if self.infeasible {
-            return true;
-        }
-        let Some((lo, hi)) = self.propagate_bounds() else {
-            return true;
-        };
-        if self.n_vars > 0
-            && (self.holds_corner(&lo, &hi, true) || self.holds_corner(&lo, &hi, false))
-        {
-            return false;
-        }
-        self.clone().eliminate_range_core(0, self.n_vars).infeasible
-    }
-
-    /// Decide emptiness with the simplex probe, falling back to FM when
-    /// the rational answer does not settle the integer question. Debug
-    /// builds differentially verify each simplex verdict against FM.
-    fn decide_empty_uncached(&self) -> bool {
-        intern::count_simplex_call();
-        match simplex::feasibility(self) {
-            simplex::Verdict::Empty => {
-                // Rationally empty ⇒ integer-empty; FM (whose tightening
-                // only shrinks the rational hull) must agree.
-                intern::count_simplex_empty();
-                debug_assert!(
-                    self.clone().eliminate_range_core(0, self.n_vars).infeasible,
-                    "simplex says empty but FM disagrees"
-                );
-                true
-            }
-            simplex::Verdict::Witness(pt) => {
-                // A verified integer point ⇒ non-empty; FM never cuts
-                // integer points, so it must agree.
-                debug_assert!(self.holds(&pt));
-                debug_assert!(
-                    !self.clone().eliminate_range_core(0, self.n_vars).infeasible,
-                    "simplex found an integer witness but FM says empty"
-                );
-                false
-            }
-            simplex::Verdict::Fractional | simplex::Verdict::Overflow => {
-                // Rational feasibility does not decide integer emptiness
-                // (integer tightening can prove rationally feasible
-                // systems empty) — defer to the authoritative oracle.
-                intern::count_fm_fallback();
-                self.clone().eliminate_range_core(0, self.n_vars).infeasible
-            }
-        }
+        intern::count_fm_fallback();
+        self.eliminate_range(0, self.n_vars).infeasible
     }
 
     /// Whether the corner of the box `[lo, hi]` (low corner when

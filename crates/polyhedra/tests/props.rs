@@ -1,6 +1,6 @@
 //! Property-based validation of the polyhedral engine against brute force.
 
-use polyhedra::{BasicMap, BasicSet, Constraint, LinExpr, Map, OracleMode, Set, Space, System};
+use polyhedra::{BasicMap, BasicSet, Constraint, LinExpr, Map, Set, Space, System};
 use proptest::prelude::*;
 
 /// Strategy: a random box over `n` dims with small bounds.
@@ -162,16 +162,45 @@ proptest! {
         }
     }
 
-    /// Emptiness decided by FM agrees with brute-force point search.
+    /// Emptiness agrees with brute-force point search. Besides random
+    /// boxed systems, two inputs pin integer tightening, where the
+    /// rational relaxation is feasible but the integer question is not:
+    /// the rational-vertex family `d·x = k, lo <= x <= hi, y = x`
+    /// (integral iff `d | k`), and `{2j = i, i = 1}`, rationally feasible
+    /// at `(1, 1/2)` but integer-empty. Both go through `is_empty` and
+    /// through FM elimination alone.
     #[test]
     fn emptiness_matches_bruteforce(
         bounds in small_box(3),
         c1 in small_constraint(3),
         c2 in small_constraint(3),
+        d in 2i64..5,
+        k in -6i64..7,
+        lo in -4i64..1,
+        hi in 0i64..5,
     ) {
         let b = BasicSet::boxed(space(3), &bounds).constrain(c1).constrain(c2);
         let brute_empty = b.points().next().is_none();
         prop_assert_eq!(b.is_empty(), brute_empty);
+
+        let mut vertex = System::universe(2);
+        vertex.extend([
+            Constraint::eq(LinExpr::new(&[d, 0], -k)),
+            Constraint::ge0(LinExpr::new(&[1, 0], -lo)),
+            Constraint::ge0(LinExpr::new(&[-1, 0], hi)),
+            Constraint::eq(LinExpr::new(&[1, -1], 0)),
+        ]);
+        let mut half = System::universe(2);
+        half.extend([
+            Constraint::eq(LinExpr::new(&[-1, 2], 0)),
+            Constraint::eq(LinExpr::new(&[1, 0], -1)),
+        ]);
+        let probe = BasicSet::boxed(space(2), &[(-8, 8), (-8, 8)]);
+        for sys in [vertex, half] {
+            let brute_empty = !probe.points().any(|p| sys.holds(&p));
+            prop_assert_eq!(sys.is_empty(), brute_empty, "{:?}", sys);
+            prop_assert_eq!(sys.eliminate_range(0, 2).known_infeasible(), brute_empty, "{:?}", sys);
+        }
     }
 
     /// Intersection is commutative and sound w.r.t. membership.
@@ -327,9 +356,7 @@ proptest! {
     /// `between_set` is the paper's `ge_le`: `x` is in it exactly when
     /// some `(w, r)` of the interval relation has `w <=lex x <=lex r` —
     /// checked against every enumerated pair and every `x` of the pairs'
-    /// box padded by one, under both oracles. The mode is process-wide
-    /// and the other properties here hold under either, so this is the
-    /// only test in the file that sets it.
+    /// box padded by one.
     #[test]
     fn between_set_matches_bruteforce(part in interval_part()) {
         let n = part.n;
@@ -348,16 +375,13 @@ proptest! {
                 (w.0.min(r.0) - 1, w.1.max(r.1) + 1)
             })
             .collect();
-        for mode in [OracleMode::Fm, OracleMode::Simplex] {
-            polyhedra::set_oracle_mode(mode);
-            let live = polyhedra::between_set(&iv, n);
-            for x in BasicSet::boxed(space(n), &padded).points() {
-                let between = pairs.iter().any(|p| p[..n] <= x[..] && x[..] <= p[n..]);
-                prop_assert_eq!(
-                    live.contains(&x), between,
-                    "{:?} oracle, x = {:?}, part {:?}", mode, x, part.system
-                );
-            }
+        let live = polyhedra::between_set(&iv, n);
+        for x in BasicSet::boxed(space(n), &padded).points() {
+            let between = pairs.iter().any(|p| p[..n] <= x[..] && x[..] <= p[n..]);
+            prop_assert_eq!(
+                live.contains(&x), between,
+                "x = {:?}, part {:?}", x, part.system
+            );
         }
     }
 

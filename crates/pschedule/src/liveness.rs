@@ -53,7 +53,7 @@
 
 use crate::model::{share_address, KernelModel};
 use crate::schedule::Schedule;
-use polyhedra::{between_set_pruned, BasicSet, Constraint, LinExpr, Map, Set, Space, System};
+use polyhedra::{between_set, BasicSet, Constraint, LinExpr, Map, Set, Space, System};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -236,7 +236,7 @@ impl Liveness {
         // `prune_empty` drops), so it is omitted — it multiplied the part
         // count by dim+1.
         LiveSets {
-            live: between_set_pruned(&a.reverse().compose(&b), self.dim),
+            live: between_set(&a.reverse().compose(&b), self.dim).prune_empty(),
             writes_at: a.range().prune_empty(),
             reads_at: b.range().prune_empty(),
         }
