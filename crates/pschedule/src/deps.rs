@@ -10,12 +10,12 @@
 //! * **RAR** — two statements read the same element; used as an affinity
 //!   (coincidence) bonus only.
 //!
-//! **Existence is an emptiness question.** An edge exists when some
+//! **Existence is an intersection of images.** An edge exists when some
 //! instance of one access and some instance of the other touch one
-//! address: the two access systems, joined over a shared address, are
-//! non-empty — the question the liveness witness rung asks. The
-//! instance-wise relation `src[x] → dst[y]` is composed only on demand
-//! ([`Dependence::relation`]).
+//! address: the two accesses' [`image`]s over their domains, bitsets of
+//! the addresses each takes, share a bit. The relation `src[x] → dst[y]`
+//! is composed only on demand ([`Dependence::relation`]), or for an
+//! image too wide to hold.
 //!
 //! **Legality is a comparison of `seq`.** A schedule is legal iff for
 //! every RAW dependence the writer's tuple is lexicographically before the
@@ -28,7 +28,7 @@
 //! needs the definition: the *violated* relation
 //! `dep ∩ { (w, r) : S(w) ≥lex S(r) }` must be empty.
 
-use crate::model::{share_address, KernelModel};
+use crate::model::{image, KernelModel};
 use crate::schedule::Schedule;
 use polyhedra::{lex_le_map, Map};
 use std::cmp::Ordering;
@@ -64,12 +64,11 @@ impl Dependence {
     /// touching the same array element. `model` must be the one the edge
     /// was found in.
     pub fn relation(&self, model: &KernelModel) -> Map {
-        let src = &model.stmts[self.src];
         let src_access = match self.src_read {
-            None => &src.write,
-            Some(k) => &src.reads[k].1,
+            None => model.write_map(self.src),
+            Some(k) => model.read_map(self.src, k),
         };
-        src_access.compose(&model.stmts[self.dst].reads[self.dst_read].1.reverse())
+        src_access.compose(&model.read_map(self.dst, self.dst_read).reverse())
     }
 }
 
@@ -82,27 +81,37 @@ pub struct Dependences {
 impl Dependences {
     /// Compute RAW and RAR dependences of a model.
     pub fn analyze(model: &KernelModel) -> Dependences {
-        let meet = |a: &Map, b: &Map| {
-            a.parts
-                .iter()
-                .any(|p| b.parts.iter().any(|q| share_address(&p.system, &q.system)))
+        // Per statement, the full-domain images of its write and reads.
+        let images: Vec<Vec<_>> = (model.stmts.iter())
+            .map(|s| {
+                let bx: Vec<_> = s.extents.iter().map(|&e| (0, e as i64 - 1)).collect();
+                let accesses = std::iter::once(&s.write).chain(s.reads.iter().map(|(_, f)| f));
+                accesses.map(|f| image(f, &bx)).collect()
+            })
+            .collect();
+        let exists = |d: &Dependence| {
+            let src = &images[d.src][d.src_read.map_or(0, |k| k + 1)];
+            match (src, &images[d.dst][d.dst_read + 1]) {
+                (Some(a), Some(b)) => a.meets(b),
+                _ => !d.relation(model).is_empty(),
+            }
         };
         let mut edges = Vec::new();
         let n = model.stmts.len();
         // RAW: writer w, reader r sharing an element of the same array.
         for w in 0..n {
-            let ws = &model.stmts[w];
             for r in 0..n {
-                for (k, (arr, read)) in model.stmts[r].reads.iter().enumerate() {
-                    if *arr == ws.write_array && meet(&ws.write, read) {
-                        edges.push(Dependence {
-                            kind: DependenceKind::Raw,
-                            src: w,
-                            dst: r,
-                            array: *arr,
-                            src_read: None,
-                            dst_read: k,
-                        });
+                for (k, (arr, _)) in model.stmts[r].reads.iter().enumerate() {
+                    let edge = Dependence {
+                        kind: DependenceKind::Raw,
+                        src: w,
+                        dst: r,
+                        array: *arr,
+                        src_read: None,
+                        dst_read: k,
+                    };
+                    if *arr == model.stmts[w].write_array && exists(&edge) {
+                        edges.push(edge);
                     }
                 }
             }
@@ -111,20 +120,22 @@ impl Dependences {
         // the affinity heuristic), at most one edge per read of `a`.
         for a in 0..n {
             for b in (a + 1)..n {
-                for (ka, (arr, ra)) in model.stmts[a].reads.iter().enumerate() {
+                for (ka, (arr, _)) in model.stmts[a].reads.iter().enumerate() {
+                    let edge = |kb| Dependence {
+                        kind: DependenceKind::Rar,
+                        src: a,
+                        dst: b,
+                        array: *arr,
+                        src_read: Some(ka),
+                        dst_read: kb,
+                    };
                     let reads_b = model.stmts[b].reads.iter().enumerate();
-                    if let Some((kb, _)) = reads_b
+                    if let Some(e) = reads_b
                         .filter(|(_, (arr_b, _))| arr_b == arr)
-                        .find(|(_, (_, rb))| meet(ra, rb))
+                        .map(|(kb, _)| edge(kb))
+                        .find(|e| exists(e))
                     {
-                        edges.push(Dependence {
-                            kind: DependenceKind::Rar,
-                            src: a,
-                            dst: b,
-                            array: *arr,
-                            src_read: Some(ka),
-                            dst_read: kb,
-                        });
+                        edges.push(e);
                     }
                 }
             }
@@ -289,11 +300,11 @@ mod tests {
         for w in 0..n {
             let ws = &model.stmts[w];
             for r in 0..n {
-                for (k, (arr, read)) in model.stmts[r].reads.iter().enumerate() {
+                for (k, (arr, _)) in model.stmts[r].reads.iter().enumerate() {
                     if *arr != ws.write_array {
                         continue;
                     }
-                    let rel = ws.write.compose(&read.reverse());
+                    let rel = model.write_map(w).compose(&model.read_map(r, k).reverse());
                     if !rel.is_empty() {
                         let edge = Dependence {
                             kind: DependenceKind::Raw,
@@ -310,12 +321,14 @@ mod tests {
         }
         for a in 0..n {
             for b in (a + 1)..n {
-                for (ka, (arr_a, ra)) in model.stmts[a].reads.iter().enumerate() {
-                    for (kb, (arr_b, rb)) in model.stmts[b].reads.iter().enumerate() {
+                for (ka, (arr_a, _)) in model.stmts[a].reads.iter().enumerate() {
+                    for (kb, (arr_b, _)) in model.stmts[b].reads.iter().enumerate() {
                         if arr_a != arr_b {
                             continue;
                         }
-                        let rel = ra.compose(&rb.reverse());
+                        let rel = model
+                            .read_map(a, ka)
+                            .compose(&model.read_map(b, kb).reverse());
                         if !rel.is_empty() {
                             let edge = Dependence {
                                 kind: DependenceKind::Rar,
@@ -336,9 +349,10 @@ mod tests {
     }
 
     /// Every kernel of the definition tests' zoo plus an element-wise
-    /// chain, which `fuse` can fold, ± factorised.
+    /// chain, which `fuse` can fold, ± factorised, and a kernel under a
+    /// transposed layout.
     fn zoo() -> Vec<(String, teil::ir::Module, KernelModel)> {
-        use crate::liveness::tests::{example_sources, ELEMENTWISE_CHAIN};
+        use crate::liveness::tests::{example_sources, transposed_kernel, ELEMENTWISE_CHAIN};
         let mut sources = example_sources().to_vec();
         sources.push(ELEMENTWISE_CHAIN.to_string());
         let mut out = Vec::new();
@@ -349,6 +363,8 @@ mod tests {
                 }
             }
         }
+        let (m, km) = transposed_kernel();
+        out.push(("transposed inverse_helmholtz(3)".to_string(), m, km));
         out
     }
 
@@ -428,12 +444,11 @@ mod tests {
             let edges: Vec<EdgeTouches> = deps
                 .raw()
                 .map(|d| {
-                    let (ws, rs) = (&km.stmts[d.src], &km.stmts[d.dst]);
-                    let read = &rs.reads[d.dst_read].1;
+                    let read = km.read_map(d.dst, d.dst_read);
                     (
                         d.src,
                         d.dst,
-                        touches(&km, d.src, &ws.write, d.array),
+                        touches(&km, d.src, km.write_map(d.src), d.array),
                         touches(&km, d.dst, read, d.array),
                     )
                 })
@@ -467,5 +482,39 @@ mod tests {
             fused_verdicts.iter().all(|&v| v > 0),
             "the fused path must reach both verdicts: {fused_verdicts:?}"
         );
+    }
+
+    /// Layouts that place a tensor below its array, past it, or with a
+    /// stride too wide to image: `analyze` and the liveness ladder run
+    /// without a panic and equal their definitions, the wide one through
+    /// the composed relation and the exact rung.
+    #[test]
+    fn addresses_outside_the_array_equal_the_definitions() {
+        use crate::liveness::tests::{assert_ladder_is_exact, kernels};
+        let (m, _) = kernels(&cfdlang::examples::inverse_helmholtz(3), false).remove(0);
+        for (tensor, strides, offset) in [
+            ("t", vec![9, 3, 1], -100),
+            ("r", vec![9, 3, 1], 1000),
+            ("t", vec![1 << 30, 3, 1], 0),
+        ] {
+            let mut layout = LayoutPlan::row_major(&m);
+            layout.with_strides(m.find(tensor).unwrap(), strides.clone(), offset);
+            let km = KernelModel::build(&m, &layout);
+            let name = format!("{tensor} at {strides:?} + {offset}");
+            let deps = Dependences::analyze(&km);
+            let expected: Vec<Dependence> = analyze_by_composition(&km)
+                .into_iter()
+                .map(|(d, _)| d)
+                .collect();
+            assert_eq!(deps.edges, expected, "{name}");
+            let mut tally = [0usize; 3];
+            for s in [
+                Schedule::reference(&km),
+                reschedule(&m, &km, &deps, &SchedulerOptions::default()),
+            ] {
+                assert_ladder_is_exact(&name, &m, &km, &s, &mut tally);
+            }
+            assert_eq!(tally[2] > 0, strides[0] == 1 << 30, "{name}: {tally:?}");
+        }
     }
 }

@@ -35,10 +35,10 @@
 //!    tested for membership in both live sets: `x ∈ L` iff some element
 //!    is written at a tuple `≤lex x` and read at a tuple `≥lex x`.
 //!    Walking `x`'s coordinates cuts each statement's box into at most
-//!    `rank + 1` sub-boxes on either side of `x`; each (write sub-box,
-//!    read sub-box) pair is one emptiness check of the two access
-//!    relations over one shared address (a virtual write or read touches
-//!    every address). A common live point proves a conflict.
+//!    `rank + 1` sub-boxes on either side of `x`; `x` is live iff the
+//!    address [`image`] of some read sub-box meets that of some write
+//!    sub-box, each a bitset (a virtual write or read touches every
+//!    address). A common live point proves a conflict.
 //! 3. **Exact.** A pair neither corner settles — overlapping hulls, yet
 //!    no common live point at `x`, as in a fused element-wise chain —
 //!    compares [`Liveness::exact`] sets, each array expanded at most once
@@ -51,9 +51,9 @@
 //! contribute nothing, to either question. [`LadderCounters`] counts
 //! what each rung decided, process-wide.
 
-use crate::model::{share_address, KernelModel};
+use crate::model::{image, Image, KernelModel};
 use crate::schedule::Schedule;
-use polyhedra::{between_set, BasicSet, Constraint, LinExpr, Map, Set, Space, System};
+use polyhedra::{between_set, BasicSet, LinExpr, Map, Set, Space};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -209,7 +209,7 @@ impl Liveness {
         // of host-written (input) tensors.
         let mut a = Map::empty(arr_space.clone(), Space::anon(self.dim));
         for &si in &f.writers {
-            a = a.union(&to_tuples(&model.stmts[si].write, si));
+            a = a.union(&to_tuples(model.write_map(si), si));
         }
         if f.input {
             a = a.union(&const_map(&arr_space, &arr_dom, &self.first));
@@ -218,9 +218,9 @@ impl Liveness {
         // host-read (output) tensors.
         let mut b = Map::empty(arr_space.clone(), Space::anon(self.dim));
         for &si in &f.readers {
-            for (ra, rm) in &model.stmts[si].reads {
+            for (k, (ra, _)) in model.stmts[si].reads.iter().enumerate() {
                 if *ra == arr {
-                    b = b.union(&to_tuples(rm, si));
+                    b = b.union(&to_tuples(model.read_map(si, k), si));
                 }
             }
         }
@@ -269,79 +269,60 @@ impl Liveness {
 
     /// Whether `x` is in the live set of the array at index `k`: some
     /// element is written at a tuple `≤lex x` and read at one `≥lex x`.
+    /// An image too wide to hold counts as no address, leaving rung 3.
     fn live_at(&self, model: &KernelModel, k: usize, x: &[i64]) -> bool {
         let (arr, f) = (self.arrays[k], &self.facts[k]);
-        // Both sides are systems over (iteration point, address); a
-        // virtual write or read is the address range alone.
-        let every_address = || {
-            let top = model.layout.arrays[arr.0].size as i64 - 1;
-            let (addr, mut sys) = (LinExpr::var(1, 0), System::universe(1));
-            sys.add(Constraint::ge(&addr, &LinExpr::constant(1, 0)));
-            sys.add(Constraint::le(&addr, &LinExpr::constant(1, top)));
-            sys
-        };
+        let top = model.layout.arrays[arr.0].size as i64 - 1;
+        let every_address = || image(&LinExpr::var(1, 0), &[(0, top)]);
         let mut writes = Vec::new();
         if f.input && self.first.as_slice() <= x {
-            writes.push(every_address());
+            writes.extend(every_address());
         }
         for &si in &f.writers {
             let access = &model.stmts[si].write;
-            self.cut(model, si, x, Ordering::Less, access, &mut |w| {
-                writes.push(w);
+            self.cut(model, si, x, Ordering::Less, &mut |bx| {
+                writes.extend(image(access, bx));
                 false
             });
         }
         if writes.is_empty() {
             return false;
         }
-        // Read sides are cut lazily: the first that meets a write decides.
-        let mut meets = |r: System| writes.iter().any(|w| share_address(w, &r));
+        // Read sub-boxes are imaged lazily; the first to meet a write decides.
+        let meets = |read: Option<Image>| read.is_some_and(|r| writes.iter().any(|w| w.meets(&r)));
         (f.output && self.last.as_slice() >= x && meets(every_address()))
             || f.readers.iter().any(|&si| {
                 model.stmts[si].reads.iter().any(|(ra, access)| {
-                    *ra == arr && self.cut(model, si, x, Ordering::Greater, access, &mut meets)
+                    *ra == arr
+                        && self.cut(model, si, x, Ordering::Greater, &mut |bx| {
+                            meets(image(access, bx))
+                        })
                 })
             })
     }
 
-    /// Hand `visit` statement `si`'s access relation `access` restricted
-    /// to each sub-box of its domain whose schedule tuples lie on `side`
-    /// of `x` (`Less`: `≤lex x`, `Greater`: `≥lex x`), stopping at the
-    /// first `true`, which it returns. Walking `x`'s coordinates yields
-    /// one sub-box per iteration coordinate that decides the order there,
-    /// plus the point equal to `x` if there is one.
+    /// Hand `visit` each sub-box of statement `si`'s domain whose schedule
+    /// tuples lie on `side` of `x` (`Less`: `≤lex x`, `Greater`: `≥lex x`),
+    /// stopping at the first `true`, which it returns. Walking `x`'s
+    /// coordinates yields one sub-box per iteration coordinate that
+    /// decides the order there, plus the point equal to `x`, if any.
     fn cut(
         &self,
         model: &KernelModel,
         si: usize,
         x: &[i64],
         side: Ordering,
-        access: &Map,
-        visit: &mut impl FnMut(System) -> bool,
+        visit: &mut impl FnMut(&[(i64, i64)]) -> bool,
     ) -> bool {
         if self.boxes[si].is_none() {
             return false;
         }
-        let extents = &model.stmts[si].extents;
-        let full: Vec<(i64, i64)> = extents.iter().map(|&e| (0, e as i64 - 1)).collect();
-        let mut found = |bx: &[(i64, i64)]| {
-            access.parts.iter().any(|part| {
-                let mut sys = part.system.clone();
-                let n = sys.n_vars();
-                for (v, (&(lo, hi), &(lo0, hi0))) in bx.iter().zip(&full).enumerate() {
-                    let xv = LinExpr::var(n, v);
-                    if lo > lo0 {
-                        sys.add(Constraint::ge(&xv, &LinExpr::constant(n, lo)));
-                    }
-                    if hi < hi0 {
-                        sys.add(Constraint::le(&xv, &LinExpr::constant(n, hi)));
-                    }
-                }
-                visit(sys)
-            })
-        };
         let s = &self.schedule;
-        let mut bx = full.clone();
+        let mut bx: Vec<_> = model.stmts[si]
+            .extents
+            .iter()
+            .map(|&e| (0, e as i64 - 1))
+            .collect();
         for (d, &xd) in x.iter().enumerate() {
             let var = (1..self.dim - 1)
                 .contains(&d)
@@ -355,7 +336,7 @@ impl Liveness {
                 };
                 if strict.0 <= strict.1 {
                     bx[v] = strict;
-                    if found(&bx) {
+                    if visit(&bx) {
                         return true;
                     }
                 }
@@ -372,11 +353,11 @@ impl Liveness {
             };
             match c.cmp(&xd) {
                 Ordering::Equal => {}
-                o if o == side => return found(&bx),
+                o if o == side => return visit(&bx),
                 _ => return false,
             }
         }
-        found(&bx)
+        visit(&bx)
     }
 }
 
@@ -739,7 +720,7 @@ pub(crate) mod tests {
     /// Build the graph with the ladder and from the exact sets of every
     /// array; both must agree node for node and edge for edge. Tallies
     /// which rung settled each pair: `[hull, witness, exact]`.
-    fn assert_ladder_is_exact(
+    pub(crate) fn assert_ladder_is_exact(
         name: &str,
         m: &Module,
         km: &KernelModel,
@@ -820,30 +801,52 @@ pub(crate) mod tests {
         var output o : [4]\nvar t : [4]\nvar u : [4]\nvar v : [4]\n\
         t = a * b\nu = t * a\nv = b * b\no = u * v";
 
+    /// `inverse_helmholtz(3)` with every tensor laid out column-major
+    /// through `LayoutPlan::with_strides`: a layout reaches the rungs only
+    /// through the access images.
+    pub(crate) fn transposed_kernel() -> (Module, KernelModel) {
+        let (m, _) = kernels(&cfdlang::examples::inverse_helmholtz(3), false).remove(0);
+        let mut layout = LayoutPlan::row_major(&m);
+        for t in (0..m.tensors.len()).map(teil::ir::TensorId) {
+            let strides = (m.shape(t).iter())
+                .scan(1, |stride, &e| {
+                    Some(std::mem::replace(stride, *stride * e as i64))
+                })
+                .collect();
+            layout.with_strides(t, strides, 0);
+        }
+        let km = KernelModel::build(&m, &layout);
+        (m, km)
+    }
+
     #[test]
     fn ladder_equals_the_definition() {
-        let sources = example_sources();
         let fuse = SchedulerOptions {
             fuse: true,
             ..Default::default()
         };
-        let mut tally = [0usize; 3];
-        let mut rng = 0x1AD_DE45_u64;
-        for (k, src) in sources.iter().enumerate() {
+        let mut zoo = Vec::new();
+        for (k, src) in example_sources().iter().enumerate() {
             for factored in [false, true] {
                 for (m, km) in kernels(src, factored) {
-                    let deps = Dependences::analyze(&km);
-                    let mut schedules = vec![
-                        Schedule::reference(&km),
-                        reschedule(&m, &km, &deps, &SchedulerOptions::default()),
-                        reschedule(&m, &km, &deps, &fuse),
-                    ];
-                    schedules.extend((0..6).map(|_| random_schedule(&km, &mut rng)));
-                    for s in &schedules {
-                        let name = format!("source {k}, factored {factored}");
-                        assert_ladder_is_exact(&name, &m, &km, s, &mut tally);
-                    }
+                    zoo.push((format!("source {k}, factored {factored}"), m, km));
                 }
+            }
+        }
+        let (m, km) = transposed_kernel();
+        zoo.push(("transposed inverse_helmholtz(3)".to_string(), m, km));
+        let mut tally = [0usize; 3];
+        let mut rng = 0x1AD_DE45_u64;
+        for (name, m, km) in &zoo {
+            let deps = Dependences::analyze(km);
+            let mut schedules = vec![
+                Schedule::reference(km),
+                reschedule(m, km, &deps, &SchedulerOptions::default()),
+                reschedule(m, km, &deps, &fuse),
+            ];
+            schedules.extend((0..6).map(|_| random_schedule(km, &mut rng)));
+            for s in &schedules {
+                assert_ladder_is_exact(name, m, km, s, &mut tally);
             }
         }
         assert!(
@@ -928,8 +931,9 @@ pub(crate) mod tests {
                     let tuple = s.tuple_of(si, &instance);
                     let size = |a: ArrayId| km.layout.arrays[a.0].size;
                     let w = stmt.write_array;
-                    touch(w, address(&stmt.write, &point, size(w)), &tuple, true);
-                    for (ra, access) in &stmt.reads {
+                    touch(w, address(km.write_map(si), &point, size(w)), &tuple, true);
+                    for (k, (ra, _)) in stmt.reads.iter().enumerate() {
+                        let access = km.read_map(si, k);
                         touch(*ra, address(access, &point, size(*ra)), &tuple, false);
                     }
                 }
