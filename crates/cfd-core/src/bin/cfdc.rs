@@ -307,6 +307,11 @@ impl Parsed {
         self.kernel_count > 1
     }
 
+    /// Whether `--emit` selects the section kind `what`.
+    fn wants(&self, what: &str) -> bool {
+        self.emit == what || self.emit == "all"
+    }
+
     fn program_options(&self) -> ProgramOptions {
         let mut opts = ProgramOptions {
             flow: self.opts.clone(),
@@ -920,32 +925,25 @@ fn cmd_compile(args: &[String]) {
         return cmd_compile_program(&p);
     }
     let art = compile(&p);
-    let mut sections: Vec<(&str, String)> = Vec::new();
-    let want = |w: &str| p.emit == w || p.emit == "all";
-    if want("ir") {
-        sections.push(("kernel.ir", art.module.to_string()));
+    let mut sections: Vec<(String, String)> = Vec::new();
+    if p.wants("ir") {
+        sections.push(("kernel.ir".into(), art.module.to_string()));
     }
-    if want("c") {
-        sections.push(("kernel.c", art.c_source.clone()));
+    if p.wants("c") {
+        sections.push(("kernel.c".into(), art.c_source.clone()));
     }
-    if want("host") {
-        sections.push(("host.c", art.host_source.clone()));
+    if p.wants("host") {
+        sections.push(("host.c".into(), art.host_source.clone()));
     }
-    if want("dot") {
-        sections.push(("compat.dot", art.compat.to_dot()));
+    if p.wants("dot") {
+        sections.push(("compat.dot".into(), art.compat.to_dot()));
     }
-    if want("memory") {
-        let mut s = String::new();
-        for u in &art.memory.units {
-            s.push_str(&format!(
-                "{}: {} words, {} BRAM36, {}R{}W, members {:?}\n",
-                u.name, u.words, u.brams, u.read_ports, u.write_ports, u.members
-            ));
-        }
+    if p.wants("memory") {
+        let mut s = memory_units(&art.memory);
         s.push_str(&format!("total {} BRAMs\n", art.memory.brams));
-        sections.push(("memory.txt", s));
+        sections.push(("memory.txt".into(), s));
     }
-    if want("report") {
+    if p.wants("report") {
         let mut s = art.hls_report.to_string();
         if let Some(sys) = &art.system {
             s.push_str(&format!(
@@ -953,33 +951,9 @@ fn cmd_compile(args: &[String]) {
                 sys.config.k, sys.config.m, sys.luts, sys.ffs, sys.dsps, sys.brams
             ));
         }
-        sections.push(("report.txt", s));
+        sections.push(("report.txt".into(), s));
     }
-    if sections.is_empty() {
-        eprintln!("nothing to emit for '--emit {}'", p.emit);
-        exit(2);
-    }
-    match &p.out_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                eprintln!("cannot create '{dir}': {e}");
-                exit(1)
-            });
-            for (name, content) in &sections {
-                let path = format!("{dir}/{name}");
-                std::fs::write(&path, content).unwrap_or_else(|e| {
-                    eprintln!("cannot write '{path}': {e}");
-                    exit(1)
-                });
-                println!("wrote {path}");
-            }
-        }
-        None => {
-            for (name, content) in &sections {
-                println!("=== {name} ===\n{content}");
-            }
-        }
-    }
+    write_sections(&p, &sections);
     if p.json {
         println!("{}", timings_json(1, &art.timings));
     }
@@ -988,72 +962,80 @@ fn cmd_compile(args: &[String]) {
 fn cmd_compile_program(p: &Parsed) {
     let art = compile_program(p);
     let mut sections: Vec<(String, String)> = Vec::new();
-    let want = |w: &str| p.emit == w || p.emit == "all";
-    if want("ir") {
+    if p.wants("ir") {
         for (name, a) in art.names.iter().zip(&art.kernels) {
             sections.push((format!("{name}.ir"), a.module.to_string()));
         }
     }
-    if want("c") {
+    if p.wants("c") {
         // Program-unique symbols (`<stage>_body`) so the emitted
         // sources link into one system.
         for (i, name) in art.names.iter().enumerate() {
             sections.push((format!("{name}.c"), art.stage_c_source(i)));
         }
     }
-    if want("host") {
-        sections.push(("host.c".to_string(), art.host_source.clone()));
+    if p.wants("host") {
+        sections.push(("host.c".into(), art.host_source.clone()));
     }
-    if want("dot") {
+    if p.wants("dot") {
         for (name, a) in art.names.iter().zip(&art.kernels) {
             sections.push((format!("{name}.compat.dot"), a.compat.to_dot()));
         }
     }
-    if want("memory") {
-        let mut s = String::new();
-        for u in &art.memory.units {
-            s.push_str(&format!(
-                "{}: {} words, {} BRAM36, {}R{}W, members {:?}\n",
-                u.name, u.words, u.brams, u.read_ports, u.write_ports, u.members
-            ));
-        }
+    if p.wants("memory") {
+        let mut s = memory_units(&art.memory);
         s.push_str(&format!(
             "total {} BRAMs ({} cross-kernel units)\n",
             art.memory.brams,
             art.memory_plan.cross_kernel_units(&art.memory)
         ));
-        sections.push(("memory.txt".to_string(), s));
+        sections.push(("memory.txt".into(), s));
     }
-    if want("report") {
-        sections.push(("report.txt".to_string(), program_report(&art)));
+    if p.wants("report") {
+        sections.push(("report.txt".into(), program_report(&art)));
     }
+    write_sections(p, &sections);
+    if p.json {
+        println!("{}", timings_json(art.kernel_count(), &art.timings));
+    }
+}
+
+/// One line per PLM unit of `memory`, as `--emit memory` prints them.
+fn memory_units(memory: &mnemosyne::MemorySubsystem) -> String {
+    let mut s = String::new();
+    for u in &memory.units {
+        s.push_str(&format!(
+            "{}: {} words, {} BRAM36, {}R{}W, members {:?}\n",
+            u.name, u.words, u.brams, u.read_ports, u.write_ports, u.members
+        ));
+    }
+    s
+}
+
+/// Write each `(name, content)` section to `-o DIR/name`, or print it
+/// under a `=== name ===` header; exit 2 when `--emit` selected none.
+fn write_sections(p: &Parsed, sections: &[(String, String)]) {
     if sections.is_empty() {
         eprintln!("nothing to emit for '--emit {}'", p.emit);
         exit(2);
     }
-    match &p.out_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                eprintln!("cannot create '{dir}': {e}");
-                exit(1)
-            });
-            for (name, content) in &sections {
-                let path = format!("{dir}/{name}");
-                std::fs::write(&path, content).unwrap_or_else(|e| {
-                    eprintln!("cannot write '{path}': {e}");
-                    exit(1)
-                });
-                println!("wrote {path}");
-            }
+    let Some(dir) = &p.out_dir else {
+        for (name, content) in sections {
+            println!("=== {name} ===\n{content}");
         }
-        None => {
-            for (name, content) in &sections {
-                println!("=== {name} ===\n{content}");
-            }
-        }
-    }
-    if p.json {
-        println!("{}", timings_json(art.kernel_count(), &art.timings));
+        return;
+    };
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+        eprintln!("cannot create '{dir}': {e}");
+        exit(1)
+    });
+    for (name, content) in sections {
+        let path = format!("{dir}/{name}");
+        std::fs::write(&path, content).unwrap_or_else(|e| {
+            eprintln!("cannot write '{path}': {e}");
+            exit(1)
+        });
+        println!("wrote {path}");
     }
 }
 

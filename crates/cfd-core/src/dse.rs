@@ -62,7 +62,7 @@ use zynq::{ProgramRound, SimConfig};
 use crate::cache::{CacheCounters, CompileCache};
 use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
 use crate::program::ProgramBuild;
-use crate::{FlowError, FlowOptions};
+use crate::{fan_out, FlowError, FlowOptions};
 
 /// One point of the exploration grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -852,12 +852,8 @@ impl ProgramDseEngine {
             system: None,
             ..base.flow.clone()
         };
-        let mut scheds = Vec::with_capacity(fronts.len());
-        for (_, fe) in &fronts {
-            let me = pipeline.middle_end(fe, &kopts)?;
-            scheds.push(pipeline.schedule(&me, &kopts));
-        }
-        let link = pipeline.link(&names, &scheds)?;
+        let jobs = crate::resolve_jobs(base.flow.jobs);
+        let (scheds, link) = pipeline.schedule_program(&names, &fronts, &kopts, jobs)?;
         let shared = StageTimings {
             frontend_s: fronts.iter().map(|(_, f)| f.elapsed_s).sum(),
             middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
@@ -979,29 +975,6 @@ impl Explorer for ProgramDseEngine {
 
     /// The program system stage was never counted per point.
     fn count_scored(&self, _points: usize) {}
-}
-
-/// `f(0), …, f(n - 1)` in index order, computed by up to `jobs` scoped
-/// workers — inline when one suffices. Each worker owns a contiguous
-/// index range and the ranges are joined in order, so element `i` is
-/// `f(i)` whatever the thread timing.
-fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let per = n.div_ceil(jobs.max(1));
-    if per >= n {
-        return (0..n).map(f).collect();
-    }
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let workers: Vec<_> = (0..n)
-            .step_by(per)
-            .map(|lo| scope.spawn(move || (lo..n.min(lo + per)).map(f).collect::<Vec<T>>()))
-            .collect();
-        for worker in workers {
-            out.extend(worker.join().expect("sweep worker panicked"));
-        }
-    });
-    out
 }
 
 /// What [`sweep`] hands the report builders.

@@ -46,7 +46,7 @@ use teil::Module;
 use zynq::{ProgramHwResult, SimConfig, VerifyResult};
 
 use crate::pipeline::{Backend, Frontend, LinkStage, Pipeline, Scheduled, StageTimings};
-use crate::{Artifacts, FlowError, FlowOptions};
+use crate::{fan_out, Artifacts, FlowError, FlowOptions};
 
 /// Options for compiling a multi-kernel program. The per-kernel axes
 /// come from the embedded [`FlowOptions`] (applied uniformly to every
@@ -386,81 +386,37 @@ impl Pipeline {
             system: None,
             ..opts.flow.clone()
         };
-        // The per-kernel middle end + schedule stages are independent:
-        // fan them over `jobs` workers (kernel `i` goes to worker
-        // `i % jobs`), then reassemble in kernel order, so the artifact
-        // stream is bit-identical to the serial compile. This is the
-        // only parallel level: each kernel's stages, liveness included,
-        // run serially on their worker.
-        let jobs = crate::resolve_jobs(opts.flow.jobs).min(fronts.len().max(1));
-        let scheds: Vec<Scheduled> = if jobs <= 1 {
-            let mut scheds = Vec::with_capacity(fronts.len());
-            for (_, fe) in &fronts {
-                let me = self.middle_end(fe, &kopts)?;
-                scheds.push(self.schedule(&me, &kopts));
-            }
-            scheds
-        } else {
-            let mut indexed: Vec<(usize, Result<Scheduled, FlowError>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|w| {
-                            let fronts = &fronts;
-                            let kopts = &kopts;
-                            scope.spawn(move || {
-                                (w..fronts.len())
-                                    .step_by(jobs)
-                                    .map(|i| {
-                                        let r = self
-                                            .middle_end(&fronts[i].1, kopts)
-                                            .map(|me| self.schedule(&me, kopts));
-                                        (i, r)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("program compile worker panicked"))
-                        .collect()
-                });
-            indexed.sort_by_key(|(i, _)| *i);
-            // Deterministic error selection: the first failing kernel in
-            // program order wins, exactly as in the serial loop.
-            indexed
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect::<Result<Vec<Scheduled>, FlowError>>()?
-        };
-        let link = self.link(&names, &scheds)?;
-        let backends: Vec<Backend> = if jobs <= 1 {
-            scheds.iter().map(|sc| self.backend(sc, &kopts)).collect()
-        } else {
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|w| {
-                        let scheds = &scheds;
-                        let kopts = &kopts;
-                        scope.spawn(move || {
-                            (w..scheds.len())
-                                .step_by(jobs)
-                                .map(|i| (i, self.backend(&scheds[i], kopts)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, be)| be).collect()
-        };
+        // The per-kernel stages are independent: fan them over `jobs`
+        // workers in kernel order, so the artifact stream is
+        // bit-identical to the serial compile. This is the only parallel
+        // level: each kernel's stages, liveness included, run serially
+        // on their worker.
+        let jobs = crate::resolve_jobs(opts.flow.jobs);
+        let (scheds, link) = self.schedule_program(&names, &fronts, &kopts, jobs)?;
+        let backends = fan_out(jobs, scheds.len(), |i| self.backend(&scheds[i], &kopts));
         let mut art = self.finish_program(opts, fronts, scheds, link, backends)?;
         art.timings.oracle = polyhedra::OracleCounters::snapshot().since(oracle_base);
         Ok(art)
+    }
+
+    /// Every kernel's middle end + schedule over up to `jobs` workers,
+    /// in kernel order, then the cross-kernel link stage. When several
+    /// kernels fail, the first in program order names the error.
+    pub(crate) fn schedule_program(
+        &self,
+        names: &[String],
+        fronts: &[(String, Frontend)],
+        kopts: &FlowOptions,
+        jobs: usize,
+    ) -> Result<(Vec<Scheduled>, LinkStage), FlowError> {
+        let scheds = fan_out(jobs, fronts.len(), |i| {
+            let me = self.middle_end(&fronts[i].1, kopts);
+            me.map(|me| self.schedule(&me, kopts))
+        })
+        .into_iter()
+        .collect::<Result<Vec<Scheduled>, FlowError>>()?;
+        let link = self.link(names, &scheds)?;
+        Ok((scheds, link))
     }
 
     /// Program memory + system construction from already-compiled

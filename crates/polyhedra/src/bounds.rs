@@ -1,18 +1,11 @@
-//! Loop-bound extraction for code generation.
-//!
-//! Given a basic set and a fixed dimension order, [`extract_bounds`]
-//! computes, for every dimension `d`, affine lower and upper bounds in
-//! terms of the outer dimensions `0..d`. The code generator emits
-//! `for (xd = max(lowers); xd <= min(uppers); xd++)` from this.
-
-use crate::constraint::ConstraintKind;
-use crate::linexpr::LinExpr;
-use crate::set::BasicSet;
+//! Closed integer intervals: the one-dimensional bounds the flow reasons
+//! about outside the polyhedral machinery.
 
 /// A non-empty closed integer interval `[lo, hi]` — the 1-D constant
-/// special case of a [`BasicSet`], cheap enough for interval reasoning
-/// outside the polyhedral machinery (liveness over schedule stages,
-/// kernel-sequence live ranges, bounding-box pre-checks).
+/// special case of a [`BasicSet`](crate::BasicSet), cheap enough for
+/// interval reasoning outside the polyhedral machinery (liveness over
+/// schedule stages, kernel-sequence live ranges, bounding-box
+/// pre-checks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClosedInterval {
     pub lo: i64,
@@ -52,168 +45,6 @@ impl ClosedInterval {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
         }
-    }
-}
-
-/// Affine bounds of one dimension in terms of the outer dimensions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DimBounds {
-    /// Lower bounds (the loop starts at their maximum). Expressions range
-    /// over the outer dimensions `0..d`.
-    pub lowers: Vec<LinExpr>,
-    /// Upper bounds, inclusive (the loop runs to their minimum).
-    pub uppers: Vec<LinExpr>,
-}
-
-impl DimBounds {
-    /// Whether the bounds are plain constants.
-    pub fn is_constant(&self) -> bool {
-        self.lowers.iter().all(LinExpr::is_constant) && self.uppers.iter().all(LinExpr::is_constant)
-    }
-
-    /// If both sides are single constants, return `(lo, hi)`.
-    pub fn as_constant_range(&self) -> Option<(i64, i64)> {
-        if self.lowers.len() == 1 && self.uppers.len() == 1 {
-            let lo = &self.lowers[0];
-            let hi = &self.uppers[0];
-            if lo.is_constant() && hi.is_constant() {
-                return Some((lo.constant, hi.constant));
-            }
-        }
-        None
-    }
-}
-
-/// Extract per-dimension bounds for all dimensions of `set`, in the set's
-/// dimension order. Returns `None` if some dimension is unbounded on
-/// either side (no loop can be emitted).
-pub fn extract_bounds(set: &BasicSet) -> Option<Vec<DimBounds>> {
-    let n = set.dim();
-    // The set's memoized projection sweep provides `levels[d]` — the
-    // system with every dimension after `d` projected out. The seed
-    // recomputed the full trailing elimination per dimension; the cached
-    // chain builds each level from the previous one with a single
-    // variable elimination, shared with `PointIter`.
-    let levels = &set.projection().levels;
-    let mut out = Vec::with_capacity(n);
-    for (d, sys) in levels.iter().enumerate() {
-        // Constraints on x_d reference only x_0..x_d.
-        if sys.known_infeasible() {
-            // Empty set: emit a degenerate 1..0 loop.
-            out.push(DimBounds {
-                lowers: vec![LinExpr::constant(d, 1)],
-                uppers: vec![LinExpr::constant(d, 0)],
-            });
-            continue;
-        }
-        let mut lowers = Vec::new();
-        let mut uppers = Vec::new();
-        for c in sys.constraints() {
-            let a = c.expr.coeffs[d];
-            if a == 0 {
-                continue;
-            }
-            // Constraint: a*x_d + e(outer) (>=|=) 0.
-            let outer = LinExpr {
-                coeffs: c.expr.coeffs[..d].to_vec(),
-                constant: c.expr.constant,
-            };
-            match c.kind {
-                ConstraintKind::Eq => {
-                    // x_d = -e / a. Normalization gives |a| = 1 for the
-                    // unimodular systems we handle; reject otherwise.
-                    if a.abs() != 1 {
-                        return None;
-                    }
-                    let b = outer.scale(-a.signum());
-                    lowers.push(b.clone());
-                    uppers.push(b);
-                }
-                ConstraintKind::GeZero => {
-                    if a.abs() != 1 {
-                        // Rational bound on an integer loop would need
-                        // floor/ceil emission; normalization avoids this
-                        // for the flow's unimodular systems.
-                        return None;
-                    }
-                    if a > 0 {
-                        // x_d >= -e
-                        lowers.push(outer.scale(-1));
-                    } else {
-                        // x_d <= e
-                        uppers.push(outer);
-                    }
-                }
-            }
-        }
-        if lowers.is_empty() || uppers.is_empty() {
-            return None;
-        }
-        out.push(DimBounds { lowers, uppers });
-    }
-    Some(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::constraint::Constraint;
-    use crate::space::Space;
-
-    #[test]
-    fn box_bounds_constant() {
-        let b = BasicSet::boxed(Space::set("t", &["i", "j"]), &[(0, 10), (2, 7)]);
-        let bounds = extract_bounds(&b).unwrap();
-        assert_eq!(bounds[0].as_constant_range(), Some((0, 10)));
-        assert_eq!(bounds[1].as_constant_range(), Some((2, 7)));
-    }
-
-    #[test]
-    fn triangular_bounds_reference_outer() {
-        // { (i,j) : 0<=i<=5, 0<=j<=i }
-        let b = BasicSet::boxed(Space::set("t", &["i", "j"]), &[(0, 5), (0, 5)])
-            .constrain(Constraint::ge0(LinExpr::new(&[1, -1], 0)));
-        let bounds = extract_bounds(&b).unwrap();
-        assert_eq!(bounds[0].as_constant_range(), Some((0, 5)));
-        // j's upper bounds include i (coeff [1], const 0).
-        assert!(bounds[1]
-            .uppers
-            .iter()
-            .any(|u| u.coeffs == vec![1] && u.constant == 0));
-    }
-
-    #[test]
-    fn unbounded_dimension_rejected() {
-        let b = BasicSet::universe(Space::set("t", &["i"]));
-        assert!(extract_bounds(&b).is_none());
-    }
-
-    #[test]
-    fn equality_pins_dimension() {
-        // { (i,j) : 0<=i<=4, j = i+1 }
-        let b = BasicSet::boxed(Space::set("t", &["i", "j"]), &[(0, 4), (-100, 100)])
-            .constrain(Constraint::eq(LinExpr::new(&[1, -1], 1)));
-        let bounds = extract_bounds(&b).unwrap();
-        // j has an equality-derived bound i+1 on both sides.
-        let has = |v: &Vec<LinExpr>| v.iter().any(|e| e.coeffs == vec![1] && e.constant == 1);
-        assert!(has(&bounds[1].lowers));
-        assert!(has(&bounds[1].uppers));
-    }
-
-    #[test]
-    fn bounds_enumeration_agrees_with_points() {
-        let b = BasicSet::boxed(Space::set("t", &["i", "j"]), &[(0, 3), (0, 3)])
-            .constrain(Constraint::ge0(LinExpr::new(&[1, -1], 0)));
-        let bounds = extract_bounds(&b).unwrap();
-        // Walk the loops the way generated code would.
-        let mut count = 0;
-        let (ilo, ihi) = bounds[0].as_constant_range().unwrap();
-        for i in ilo..=ihi {
-            let lo = bounds[1].lowers.iter().map(|e| e.eval(&[i])).max().unwrap();
-            let hi = bounds[1].uppers.iter().map(|e| e.eval(&[i])).min().unwrap();
-            count += (hi - lo + 1).max(0);
-        }
-        assert_eq!(count as usize, b.points().count());
     }
 }
 

@@ -13,8 +13,8 @@
 //!   with the usual algebra (compose, reverse, apply, domain/range),
 //! * [`lex`] — lexicographic-order relations over schedule spaces, used for
 //!   dependence legality and liveness (`ge_le` expansion),
-//! * [`bounds`] — per-dimension affine loop-bound extraction for code
-//!   generation,
+//! * [`ClosedInterval`] — one-dimensional constant bounds for interval
+//!   reasoning (schedule-stage and kernel-sequence live ranges),
 //! * [`OracleCounters`] — process-wide counts of which emptiness layer
 //!   settled each query, surfaced in compile/DSE/benchmark reports.
 //!
@@ -65,7 +65,7 @@ pub mod set;
 pub mod space;
 pub mod system;
 
-pub use bounds::{extract_bounds, ClosedInterval, DimBounds};
+pub use bounds::ClosedInterval;
 pub use constraint::{Constraint, ConstraintKind};
 pub use intern::OracleCounters;
 pub use lex::{between_set, lex_le_map, lex_lt_map};

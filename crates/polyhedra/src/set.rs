@@ -207,7 +207,7 @@ impl BasicSet {
     /// by **one shared elimination sweep** — a single suffix chain of
     /// single-variable projections instead of a full Fourier–Motzkin
     /// re-projection per dimension — and memoized for reuse by
-    /// [`BasicSet::points`], bound extraction and the lex machinery.
+    /// [`BasicSet::points`] and the lex machinery.
     ///
     /// The cache snapshots the system at first call; code that mutates
     /// `self.system` in place must not call this before mutating.
@@ -216,7 +216,7 @@ impl BasicSet {
     }
 
     /// The full memoized projection sweep (suffix chain + bounding box),
-    /// shared by point enumeration and loop-bound extraction.
+    /// shared by point enumeration and the bounding box.
     pub(crate) fn projection(&self) -> &ProjectionCache {
         self.bbox.get_or_init(|| compute_projection(&self.system))
     }

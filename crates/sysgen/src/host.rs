@@ -3,24 +3,12 @@
 //! The generated host code runs the accelerator for all `Ne` elements of
 //! the CFD simulation in `Ne/m` main-loop iterations: transfer `m`
 //! elements' inputs to power-of-two aligned PLM addresses, run `m/k`
-//! start/interrupt rounds, transfer `m` outputs back. This structure is
-//! what the `zynq` full-system simulator executes.
+//! start/interrupt rounds, transfer `m` outputs back. The `zynq`
+//! simulator prices this round in closed form from the configuration
+//! and the byte interface below.
 
 use crate::system::SystemConfig;
 use serde::{Deserialize, Serialize};
-
-/// One step of the host main loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HostStep {
-    /// DMA `bytes` from DRAM into `count` PLM systems.
-    TransferIn { bytes: usize, count: usize },
-    /// Write the start command; `k` accelerators execute one batch.
-    StartRound,
-    /// Wait for the done interrupt of the round.
-    WaitDone,
-    /// DMA `bytes` of outputs back to DRAM.
-    TransferOut { bytes: usize, count: usize },
-}
 
 /// The host program skeleton for a system configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,25 +59,7 @@ impl HostProgram {
         elements.div_ceil(self.config.m)
     }
 
-    /// The step sequence of one main-loop iteration.
-    pub fn round_steps(&self) -> Vec<HostStep> {
-        let mut steps = vec![HostStep::TransferIn {
-            bytes: self.bytes_in_per_element * self.config.m,
-            count: self.config.m,
-        }];
-        for _ in 0..self.config.batch() {
-            steps.push(HostStep::StartRound);
-            steps.push(HostStep::WaitDone);
-        }
-        steps.push(HostStep::TransferOut {
-            bytes: self.bytes_out_per_element * self.config.m,
-            count: self.config.m,
-        });
-        steps
-    }
-
-    /// Generate the C host-side source skeleton (for inspection; the
-    /// simulator consumes the structured form).
+    /// Generate the C host-side source skeleton (for inspection).
     pub fn to_c(&self, elements: usize) -> String {
         let m = self.config.m;
         let k = self.config.k;
@@ -133,28 +103,6 @@ mod tests {
         assert_eq!(p.rounds(50_000), 6250);
         assert_eq!(p.rounds(50_001), 6251);
         assert_eq!(prog(16, 16).rounds(50_000), 3125);
-    }
-
-    #[test]
-    fn round_steps_structure() {
-        let p = prog(2, 8);
-        let steps = p.round_steps();
-        // transfer-in, 4 × (start, wait), transfer-out.
-        assert_eq!(steps.len(), 1 + 2 * 4 + 1);
-        assert!(matches!(steps[0], HostStep::TransferIn { bytes, count }
-            if bytes == 22_264 * 8 && count == 8));
-        assert!(matches!(steps.last(), Some(HostStep::TransferOut { .. })));
-    }
-
-    #[test]
-    fn equal_km_single_round() {
-        let p = prog(8, 8);
-        let starts = p
-            .round_steps()
-            .iter()
-            .filter(|s| matches!(s, HostStep::StartRound))
-            .count();
-        assert_eq!(starts, 1);
     }
 
     #[test]

@@ -241,16 +241,6 @@ impl MultiSystemDesign {
         };
         totals.utilization(self.board())
     }
-
-    /// Per-round kernel-execution seconds summed over the chained
-    /// stages (each stage runs `m/k_i` serial batches).
-    pub fn chain_exec_seconds(&self) -> f64 {
-        self.stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.config.batch(i) as f64 * s.kernel.latency_seconds())
-            .sum()
-    }
 }
 
 /// All feasible **uniform** program designs (`k_i = k` for all stages,
@@ -452,10 +442,6 @@ mod tests {
         .unwrap();
         assert_eq!(d.config.batch(0), 4);
         assert_eq!(d.config.batch(1), 1);
-        // Chain exec = 4×fast + 1×slow per round.
-        let hz = Platform::zcu106().fabric_hz();
-        let want = 4.0 * 100_000.0 / hz + 400_000.0 / hz;
-        assert!((d.chain_exec_seconds() - want).abs() < 1e-12);
         let (l, f, ds, br) = d.slack();
         assert!(l >= 0 && f >= 0 && ds >= 0 && br >= 0);
     }

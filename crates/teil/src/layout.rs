@@ -3,16 +3,16 @@
 //! Tensors are values; before scheduling, the compiler concretizes their
 //! memory layouts as *placements* into one-dimensional arrays. The
 //! default is the C99 row-major layout (`t[i,j,k] ↦ t[121i + 11j + k]`
-//! for the paper's running example). Placements are affine, so every
-//! placement exports a [`polyhedra::Map`] for the layout-aware dependence
-//! and liveness analyses of the `pschedule` crate.
+//! for the paper's running example). Placements are affine
+//! (`strides`, `offset`); the `pschedule` crate turns them into the
+//! address functions of its layout-aware dependence and liveness
+//! analyses.
 //!
 //! Partitioning maps (array → array) can split and merge arrays; here we
 //! provide the merge direction (explicit address-space sharing), whose
 //! legality is checked downstream by liveness analysis (Section V-A2).
 
 use crate::ir::{Module, TensorId, TensorKind};
-use polyhedra::{LinExpr, Map, Space};
 
 /// Index of an array within a [`LayoutPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -140,20 +140,6 @@ impl LayoutPlan {
             .map(|a| self.arrays[a.0].size)
             .sum()
     }
-
-    /// Export a placement as a polyhedral map
-    /// `tensor[i0..] -> array[addr]`.
-    pub fn to_map(&self, module: &Module, tensor: TensorId) -> Map {
-        let p = self.placement(tensor);
-        let decl = module.decl(tensor);
-        let rank = decl.rank();
-        let dims: Vec<String> = (0..rank).map(|d| format!("i{d}")).collect();
-        let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
-        let in_space = Space::set(&decl.name, &dim_refs);
-        let out_space = Space::set(&self.arrays[p.array.0].name, &["addr"]);
-        let expr = LinExpr::new(&p.strides, p.offset);
-        Map::from_affine(in_space, out_space, &[expr])
-    }
 }
 
 #[cfg(test)]
@@ -224,16 +210,6 @@ mod tests {
         let r = m.find("r").unwrap();
         plan.merge_arrays(plan.placement(t).array, plan.placement(r).array);
         assert_eq!(plan.total_words(), 121 + 4 * 1331);
-    }
-
-    #[test]
-    fn polyhedral_map_matches_addr() {
-        let m = helmholtz(11);
-        let plan = LayoutPlan::row_major(&m);
-        let t = m.find("t").unwrap();
-        let map = plan.to_map(&m, t);
-        assert!(map.contains(&[1, 2, 3], &[146]));
-        assert!(!map.contains(&[1, 2, 3], &[147]));
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! * [`sim`] — the system simulation executing the generated host
 //!   program: per main-loop round, transfer inputs for `m` elements,
 //!   broadcast start `m/k` times, collect done interrupts, transfer
-//!   outputs (Figure 7's architecture, including `k < m` batching),
+//!   outputs (Figure 7's architecture, including `k < m` batching). One
+//!   closed form prices a job, strictly serial like the paper's host
+//!   program; a single kernel is the one-stage program. DMA/compute
+//!   overlap is modelled only by the request stream ([`online`],
+//!   [`stream`]),
 //! * [`online`] — the stream scheduler ([`simulate_online_stream`]): a
 //!   queue of independent invocations coalesced into hardware rounds
 //!   and time-multiplexed over one system with double-buffered DMA (the

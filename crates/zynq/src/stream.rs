@@ -94,9 +94,8 @@ impl StreamOutcome {
 /// `m/k_i` batch schedule (the host program is compiled for `m`; unused
 /// slots carry don't-care data), so round cost is independent of fill.
 ///
-/// `overlap` requests double-buffered DMA; like
-/// [`crate::sim::simulate_program`] it degrades to the serial schedule
-/// unless every stage keeps a spare PLM set (`m >= 2·k_i`).
+/// `overlap` requests double-buffered DMA; it degrades to the serial
+/// schedule unless every stage keeps a spare PLM set (`m >= 2·k_i`).
 pub fn simulate_batch_stream(
     design: &MultiSystemDesign,
     cfg: &SimConfig,
