@@ -154,6 +154,11 @@ enum CliError {
         expected: &'static str,
     },
     UnknownOption(String),
+    /// `--k` or `--m` without the other.
+    Unpaired {
+        flag: &'static str,
+        partner: &'static str,
+    },
     UnknownBoard {
         name: String,
         catalog: Vec<String>,
@@ -185,6 +190,9 @@ impl std::fmt::Display for CliError {
                 expected,
             } => write!(f, "invalid value '{value}' for {flag}: expected {expected}"),
             CliError::UnknownOption(o) => write!(f, "unknown option '{o}'"),
+            CliError::Unpaired { flag, partner } => {
+                write!(f, "option '{flag}' needs '{partner}' as well")
+            }
             CliError::UnknownBoard { name, catalog } => write!(
                 f,
                 "unknown board '{name}' (catalog: {})",
@@ -214,6 +222,18 @@ fn parse_value<T: std::str::FromStr>(
         value,
         expected,
     })
+}
+
+/// Parse a count that must be at least 1.
+fn parse_positive(flag: &str, value: String) -> Result<usize, CliError> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(CliError::InvalidValue {
+            flag: flag.to_string(),
+            value,
+            expected: "a positive integer",
+        }),
+    }
 }
 
 /// Consume the value following `args[*i]`.
@@ -269,8 +289,8 @@ struct Parsed {
     /// defaults otherwise).
     elements_set: bool,
     seed: u64,
-    k: Option<usize>,
-    m: Option<usize>,
+    /// `(k, m)` from `--k`/`--m`, which come together or not at all.
+    replication: Option<(usize, usize)>,
     grid: bool,
     jobs: usize,
     json: bool,
@@ -401,11 +421,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             "--emit" => emit = take_value(args, &mut i, "--emit")?,
             "-o" => out_dir = Some(take_value(args, &mut i, "-o")?),
             "--elements" => {
-                elements = parse_value(
-                    "--elements",
-                    take_value(args, &mut i, "--elements")?,
-                    "a positive integer",
-                )?;
+                elements = parse_positive("--elements", take_value(args, &mut i, "--elements")?)?;
                 elements_set = true;
             }
             "--seed" => {
@@ -415,20 +431,8 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                     "an unsigned integer",
                 )?
             }
-            "--k" => {
-                k = Some(parse_value(
-                    "--k",
-                    take_value(args, &mut i, "--k")?,
-                    "a positive integer",
-                )?)
-            }
-            "--m" => {
-                m = Some(parse_value(
-                    "--m",
-                    take_value(args, &mut i, "--m")?,
-                    "a positive integer",
-                )?)
-            }
+            "--k" => k = Some(parse_positive("--k", take_value(args, &mut i, "--k")?)?),
+            "--m" => m = Some(parse_positive("--m", take_value(args, &mut i, "--m")?)?),
             "--grid" => grid = true,
             "--board" => board = Some(take_value(args, &mut i, "--board")?),
             "--boards" => {
@@ -452,15 +456,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             "--cache-dir" => cache_dir = Some(take_value(args, &mut i, "--cache-dir")?),
             "--no-cache" => no_cache = true,
             "--requests" => {
-                let value = take_value(args, &mut i, "--requests")?;
-                requests = parse_value("--requests", value.clone(), "a positive integer")?;
-                if requests == 0 {
-                    return Err(CliError::InvalidValue {
-                        flag: "--requests".to_string(),
-                        value,
-                        expected: "a positive integer",
-                    });
-                }
+                requests = parse_positive("--requests", take_value(args, &mut i, "--requests")?)?;
             }
             "--arrival" => arrival_spec = take_value(args, &mut i, "--arrival")?,
             "--rate" => {
@@ -590,7 +586,14 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         opts.hls.clock_mhz = platform.default_clock_mhz;
         opts.platform = platform;
     }
-    if let (Some(k), Some(m)) = (k, m) {
+    let unpaired =
+        |flag, partner| -> Result<Parsed, CliError> { Err(CliError::Unpaired { flag, partner }) };
+    let replication = match (k, m) {
+        (Some(_), None) => return unpaired("--k", "--m"),
+        (None, Some(_)) => return unpaired("--m", "--k"),
+        (k, m) => k.zip(m),
+    };
+    if let Some((k, m)) = replication {
         opts.system = Some(SystemConfig { k, m });
     }
     // --jobs drives both the compile-stage fan-out and (as before) the
@@ -625,8 +628,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         elements,
         elements_set,
         seed,
-        k,
-        m,
+        replication,
         grid,
         jobs,
         json,
@@ -761,7 +763,7 @@ fn compile(p: &Parsed) -> cfd_core::Artifacts {
 
 fn compile_program(p: &Parsed) -> ProgramArtifacts {
     let mut opts = p.program_options();
-    if let (Some(k), Some(m)) = (p.k, p.m) {
+    if let Some((k, m)) = p.replication {
         // Uniform per-kernel replication from --k/--m.
         opts.system = Some(ProgramSystemConfig::uniform(k, m, p.kernel_count));
     }
@@ -787,7 +789,7 @@ fn compile_program_for(p: &Parsed, platform: &Platform) -> Result<ProgramArtifac
     let mut opts = p.program_options();
     opts.flow.platform = platform.clone();
     opts.flow.hls.clock_mhz = platform.default_clock_mhz;
-    if let (Some(k), Some(m)) = (p.k, p.m) {
+    if let Some((k, m)) = p.replication {
         opts.system = Some(ProgramSystemConfig::uniform(k, m, p.kernel_count));
     }
     let cache = cache_or_exit(p);
@@ -1430,6 +1432,9 @@ mod tests {
             ("--k", "x"),
             ("--m", "2.5"),
             ("--elements", "lots"),
+            ("--elements", "0"),
+            ("--k", "0"),
+            ("--m", "0"),
             ("--jobs", "-1"),
             ("--seed", "0x2a"),
             ("--requests", "many"),
@@ -1448,6 +1453,34 @@ mod tests {
             let msg = e.to_string();
             assert!(msg.contains(flag) && msg.contains(bad), "{msg}");
         }
+    }
+
+    #[test]
+    fn k_without_m_is_a_structured_error() {
+        let e = parse_common(&args(&["helmholtz:5", "--k", "4"])).unwrap_err();
+        assert_eq!(
+            e,
+            CliError::Unpaired {
+                flag: "--k",
+                partner: "--m"
+            }
+        );
+        assert_eq!(e.to_string(), "option '--k' needs '--m' as well");
+        let p = parse_common(&args(&["helmholtz:5", "--k", "2", "--m", "8"])).unwrap();
+        assert_eq!(p.replication, Some((2, 8)));
+    }
+
+    #[test]
+    fn m_without_k_is_a_structured_error() {
+        let e = parse_common(&args(&["helmholtz:5", "--m", "8"])).unwrap_err();
+        assert_eq!(
+            e,
+            CliError::Unpaired {
+                flag: "--m",
+                partner: "--k"
+            }
+        );
+        assert_eq!(e.to_string(), "option '--m' needs '--k' as well");
     }
 
     #[test]

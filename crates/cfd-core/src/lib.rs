@@ -297,9 +297,11 @@ impl Artifacts {
     }
 
     /// Verify `n` random elements of the accelerator against the
-    /// reference interpreter.
+    /// reference interpreter, as the one-kernel chain.
     pub fn verify(&self, n: usize, seed: u64) -> Result<zynq::VerifyResult, FlowError> {
-        zynq::verify_elements(&self.module, &self.kernel, n, seed).map_err(FlowError::Backend)
+        let name = std::slice::from_ref(&self.kernel.name);
+        zynq::verify_program(name, &[&*self.module], &[&self.kernel], n, seed)
+            .map_err(FlowError::Backend)
     }
 
     /// Host software timings for the Figure-10 comparison, on the
@@ -335,6 +337,39 @@ mod tests {
         assert!(art.system.is_some());
         let v = art.verify(2, 1).unwrap();
         assert!(v.bitexact);
+    }
+
+    #[test]
+    fn kernel_verify_equals_the_one_kernel_program_verify() {
+        // Every kernel of the six examples, compiled alone, verifies to
+        // the same figures through the kernel flow and the program flow.
+        use crate::program::{ProgramFlow, ProgramOptions};
+        use cfdlang::examples as ex;
+        let sources = [
+            ex::inverse_helmholtz(3),
+            ex::interpolation(3, 4),
+            ex::matrix_sandwich(3),
+            ex::axpy(3),
+            ex::simulation_step(3),
+            ex::axpy_chain(3),
+        ];
+        for src in &sources {
+            for k in &cfdlang::parse_set(src).unwrap().kernels {
+                let one = cfdlang::pretty(&k.program);
+                let flow = Flow::compile(&one, &FlowOptions::default()).unwrap();
+                let program = ProgramFlow::compile(&one, &ProgramOptions::default()).unwrap();
+                for seed in [1, 42, 7777] {
+                    let a = flow.verify(3, seed).unwrap();
+                    let b = program.verify(3, seed).unwrap();
+                    assert_eq!(
+                        (a.elements, a.bitexact, a.max_rel_diff.to_bits()),
+                        (b.elements, b.bitexact, b.max_rel_diff.to_bits()),
+                        "kernel {} seed {seed}",
+                        k.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,22 +30,25 @@
 //! * [`online`] — the stream scheduler ([`simulate_online_stream`]): a
 //!   queue of independent invocations coalesced into hardware rounds
 //!   and time-multiplexed over one system with double-buffered DMA (the
-//!   `crates/runtime` service layer drives it). Selected by armed-ness:
-//!   unarmed input takes the clean fold, anything armed — fault plan,
-//!   deadline, SLO-aware adaptive batching, priority tiers,
-//!   backpressure shedding — takes the one event core, run serially or
-//!   double-buffered,
+//!   `crates/runtime` service layer drives it). Every round is placed
+//!   on one private resource model — the DMA engine and the
+//!   accelerator chain, with load, execute and drain — run serially or
+//!   double-buffered. Unarmed input takes the clean fold; anything
+//!   armed — fault plan, deadline, SLO-aware adaptive batching,
+//!   priority tiers, backpressure shedding — takes the one event core,
 //! * [`stream`] — the scheduler's outcome types, the batch and
-//!   fault-aware wrappers over it, and the clean fold: closed-form
-//!   round placement with the closed-tick fast-forward, which is also
-//!   the reference the event core is tested against,
+//!   fault-aware wrappers over it, and the clean fold: one pass over
+//!   the arrival list in either mode, with the closed-tick fast-forward
+//!   when serial, which is also the reference the event core is tested
+//!   against,
 //! * [`fault`] — deterministic fault injection for the scheduler: a
 //!   seeded [`FaultPlan`] perturbs the schedule with DMA stalls,
 //!   transient round errors, payload corruption and hard board
 //!   failures, fully replayable per seed,
 //! * [`verify`] — functional validation: sampled elements are executed
-//!   through the generated kernel and compared against the `teil`
-//!   reference interpreter.
+//!   through the generated kernel chain (a single kernel is the
+//!   one-kernel chain) and compared against the `teil` reference
+//!   interpreter.
 //!
 //! Absolute times are model outputs; the reproduction targets are the
 //! *ratios* of Figures 9 and 10, which this simulator matches (see
@@ -56,6 +59,7 @@ pub mod des;
 pub mod dma;
 pub mod fault;
 pub mod online;
+mod resources;
 pub mod sim;
 pub mod stream;
 pub mod verify;
@@ -72,6 +76,5 @@ pub use stream::{
     simulate_batch_stream, simulate_faulty_stream, FaultStreamOutcome, StreamOutcome, StreamStatus,
 };
 pub use verify::{
-    random_program_inputs, run_program_chain, run_program_reference, verify_elements,
-    verify_program, VerifyResult,
+    random_program_inputs, run_program_chain, run_program_reference, verify_program, VerifyResult,
 };

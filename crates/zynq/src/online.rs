@@ -1,25 +1,25 @@
-//! The stream scheduler: one entry point, a clean fold for unarmed
-//! input and one event core for everything else.
+//! The stream scheduler: one entry point, one resource model, a clean
+//! fold for unarmed input and one event core for everything else.
 //!
 //! [`simulate_online_stream`] prices the design's round and hands it to
 //! [`simulate_round_stream`], the only place that validates the
-//! arrival list, clamps the capacity and degrades overlap. It then
-//! looks at what is armed. With no fault plan, no
-//! deadline (or SLO) and the FIFO policy, no decision depends on
-//! anything but the arrival list, and the schedule is the closed-form
-//! fold in [`crate::stream`] — no per-request records, and a closed
-//! backlog fast-forwards by multiplication. Anything armed selects the
-//! **event core** below: a deterministic virtual-clock loop in which
-//! arrivals enter the wait queue at their arrival tick and batch
-//! formation is a decision point that can wait, close early, reorder by
-//! priority or refuse admission, and in which every round is walked
-//! individually so seeded faults land where the plan puts them. The core
-//! runs in one of two modes, `Serial` (`in → exec → out`, then the next
-//! round) or `DoubleBuffered` (DMA and accelerator chain as two
-//! serially reused resources). Both sides are exact integer-tick
-//! arithmetic over the same [`ProgramRound`], and a core run in which
-//! nothing fires (say, a deadline too far to matter) reproduces the
-//! fold's ticks — the differential suites at the workspace root and
+//! arrival list, clamps the capacity and picks the mode: double-buffered
+//! when overlap was requested, every stage keeps a spare PLM set and no
+//! outage is armed, serial otherwise. It then looks at what is armed.
+//! With no fault plan, no deadline (or SLO) and the FIFO policy, no
+//! decision depends on anything but the arrival list, and the schedule
+//! is the clean fold in [`crate::stream`] — no per-request records, and
+//! a closed serial backlog fast-forwards by multiplication. Anything
+//! armed selects the **event core** below, one `Core` value: a
+//! deterministic virtual-clock loop in which arrivals enter the wait
+//! queue at their arrival tick and batch formation is a decision point
+//! that can wait, close early, reorder by priority or refuse admission,
+//! and in which every round is walked individually so seeded faults
+//! land where the plan puts them. Fold and core place every round on
+//! the same resource model (`crate::resources`: the DMA engine and the
+//! accelerator chain, with load, execute and drain), so a core run in
+//! which nothing fires (say, a deadline too far to matter) reproduces
+//! the fold's ticks — the differential suites at the workspace root and
 //! `tests/scheduler_golden.rs` hold them together.
 //!
 //! What the core carries:
@@ -29,7 +29,9 @@
 //!   outage; retries with capped backoff and per-request deadlines.
 //!   Outage semantics are defined on the serial schedule (a failure
 //!   tears down DMA and chain at one tick), so an armed outage runs the
-//!   core in `Serial` mode even when overlap was requested.
+//!   core serially even when overlap was requested. Every terminal
+//!   state a request reaches passes through one method,
+//!   `Core::resolve`.
 //! * **SLO-aware adaptive batching** — with `slo_ticks` set, a round
 //!   below capacity waits for more arrivals while the oldest queued
 //!   request's budget still covers a full fault-free round, and closes
@@ -47,12 +49,10 @@
 //!   system and bypass the gate).
 
 use crate::des::Time;
-use crate::fault::{FaultPlan, RecoverySpec};
+use crate::fault::{FaultPlan, Outage, RecoverySpec};
+use crate::resources::{Mode, Resources};
 use crate::sim::{program_round, ProgramRound, SimConfig};
-use crate::stream::{
-    intervals_intersection, stream_overlapped, stream_serial, FaultStreamOutcome, StreamOutcome,
-    StreamStatus,
-};
+use crate::stream::{clean_fold, FaultStreamOutcome, StreamStatus};
 use sysgen::MultiSystemDesign;
 
 /// Online serving policy for the scheduler.
@@ -152,40 +152,24 @@ pub fn simulate_round_stream(
         "tiers must be empty or one per request"
     );
     let capacity = capacity.clamp(1, m);
-    let overlap = overlap && ks.iter().all(|&k| m >= 2 * k);
+    let spare_plm_sets = ks.iter().all(|&k| m >= 2 * k);
+    let mode = if overlap && spare_plm_sets && plan.outage.is_none() {
+        Mode::DoubleBuffered
+    } else {
+        Mode::Serial
+    };
     let rec = RecoverySpec {
         deadline_ticks: spec.slo_ticks.into_iter().chain(rec.deadline_ticks).min(),
         ..*rec
     };
     if !plan.armed() && rec.deadline_ticks.is_none() && !spec.armed() {
-        let stream = if overlap {
-            stream_overlapped(arrivals, capacity, round)
-        } else {
-            stream_serial(arrivals, capacity, round)
-        };
         return OnlineOutcome {
-            fault: FaultStreamOutcome::clean(stream),
+            fault: FaultStreamOutcome::clean(clean_fold(arrivals, capacity, round, mode)),
             backpressure_shed: 0,
             early_closed_rounds: 0,
         };
     }
-    let mode = if overlap && plan.outage.is_none() {
-        Mode::DoubleBuffered
-    } else {
-        Mode::Serial
-    };
-    event_core(arrivals, capacity, round, plan, &rec, spec, mode)
-}
-
-/// How the event core shares the DMA engine between rounds.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// A round's outputs drain right after it executes, and the next
-    /// round loads only after that.
-    Serial,
-    /// Round `r+1`'s inputs load and round `r-1`'s outputs drain while
-    /// round `r` computes.
-    DoubleBuffered,
+    Core::new(arrivals, capacity, round, plan, rec, spec, mode).run()
 }
 
 /// A request in the wait queue or in flight.
@@ -201,143 +185,216 @@ struct Pend {
     failures: u32,
 }
 
-/// Per-request resolution arrays + aggregate counters.
-struct FaultAcc {
+/// The event core: every armed configuration runs this one value. Each
+/// pass of [`Core::run`] is a decision point at which the core drains a
+/// finished round, idles, or forms and dispatches the next one.
+struct Core<'a> {
+    arrivals: &'a [Time],
+    capacity: usize,
+    plan: &'a FaultPlan,
+    /// Carries the effective deadline.
+    rec: RecoverySpec,
+    spec: &'a OnlineSpec,
+    res: Resources,
+    /// Position of the first arrival not yet admitted. Arrivals are
+    /// events: a request joins the wait queue when a decision point
+    /// reaches its arrival tick.
+    next: usize,
+    /// Arrived-but-unserved work and requeued retries, position order.
+    pending: Vec<Pend>,
+    /// The round whose outputs still wait to drain: (outputs ready, its
+    /// requests).
+    pending_out: Option<(Time, Vec<Pend>)>,
+    /// No decision is taken before this tick: set while the batcher or
+    /// an all-ineligible queue idles, overtaken by the next dispatch.
+    floor: Time,
+    round_idx: u64,
+    // The outcome's per-request columns (arrival order) and counters.
     admitted: Vec<Time>,
     completion: Vec<Time>,
     resolved: Vec<Time>,
     statuses: Vec<StreamStatus>,
     attempts: Vec<u32>,
     fills: Vec<usize>,
-    exec_ticks: u64,
-    transfer_ticks: u64,
-    makespan: Time,
     dma_stalls: usize,
     transient_faults: usize,
     corrupt_payloads: usize,
     outage_requeues: usize,
+    backpressure_shed: usize,
+    early_closed_rounds: usize,
 }
 
-impl FaultAcc {
-    fn new(n: usize) -> FaultAcc {
-        FaultAcc {
+/// Batch-formation verdict at one decision point.
+enum Gate {
+    /// Form the round now; `early` marks an SLO-forced below-capacity
+    /// close with more work still on the way.
+    Dispatch { early: bool },
+    /// Idle until `t` (a future arrival/eligibility or the close
+    /// budget, whichever is nearer) and re-evaluate.
+    Wait(Time),
+}
+
+impl<'a> Core<'a> {
+    fn new(
+        arrivals: &'a [Time],
+        capacity: usize,
+        round: &ProgramRound,
+        plan: &'a FaultPlan,
+        rec: RecoverySpec,
+        spec: &'a OnlineSpec,
+        mode: Mode,
+    ) -> Core<'a> {
+        let n = arrivals.len();
+        Core {
+            arrivals,
+            capacity,
+            plan,
+            rec,
+            spec,
+            res: Resources::new(mode, round),
+            next: 0,
+            pending: Vec::new(),
+            pending_out: None,
+            floor: 0,
+            round_idx: 0,
             admitted: vec![0; n],
             completion: vec![0; n],
             resolved: vec![0; n],
             statuses: vec![StreamStatus::Completed; n],
             attempts: vec![0; n],
             fills: Vec::new(),
-            exec_ticks: 0,
-            transfer_ticks: 0,
-            makespan: 0,
             dma_stalls: 0,
             transient_faults: 0,
             corrupt_payloads: 0,
             outage_requeues: 0,
+            backpressure_shed: 0,
+            early_closed_rounds: 0,
         }
     }
 
-    /// Record a request's terminal state.
-    fn resolve(&mut self, p: &Pend, status: StreamStatus, at: Time) {
-        self.statuses[p.pos] = status;
-        self.attempts[p.pos] = p.attempts;
-        self.resolved[p.pos] = at;
-        self.completion[p.pos] = at;
-        self.makespan = self.makespan.max(at);
+    fn run(mut self) -> OnlineOutcome {
+        let serial = self.res.mode == Mode::Serial;
+        loop {
+            let t_min = self.next_event().map(|t| t.max(self.floor));
+            // Drain the finished round first when the schedule is serial,
+            // when nothing is left to load, or (sparse queue) when the
+            // drain fits before the next load could even start. It may
+            // requeue corrupted requests, so re-derive afterwards.
+            let res = &self.res;
+            if let Some((ready, ents)) = self
+                .pending_out
+                .take_if(|(ready, _)| serial || t_min.is_none_or(|t| res.drain_done(*ready) <= t))
+            {
+                self.drain(ready, ents);
+                continue;
+            }
+            let Some(t_min) = t_min else { break };
+            let mut start = self.res.dma_free.max(t_min);
+            // Admission pauses while the board is down; without recovery
+            // the rest of the queue (admitted or not) sheds at the
+            // failure tick.
+            if let Some(o) = self.plan.outage.filter(|o| start >= o.fail_at) {
+                match o.recover_at {
+                    Some(r) if start < r => start = r,
+                    Some(_) => {}
+                    None => {
+                        self.shed_outage(self.res.dma_free.max(self.floor).max(o.fail_at));
+                        break;
+                    }
+                }
+            }
+            self.admit(start);
+            // Everything arrived so far may have been shed at admission
+            // (the next pass jumps to the next arrival), or just expired.
+            if self.pending.is_empty() || self.shed_expired(start) {
+                continue;
+            }
+            // Backpressure can shed the very arrival that set `t_min`;
+            // idle until the next queue eligibility or arrival.
+            if self.pending.iter().all(|p| p.eligible > start) {
+                self.floor = self.next_event().expect("pending is not empty");
+                continue;
+            }
+            match self.gate(start) {
+                Gate::Wait(t) => self.floor = t,
+                Gate::Dispatch { early } => self.dispatch(start, early),
+            }
+        }
+        self.finish()
     }
 
-    /// A failed attempt (lost round or corrupted payload) noticed at
-    /// `at`: back into the wait queue after its backoff, or `Failed`
-    /// once the retry allowance is spent. Returns whether it requeued.
-    fn retry(
-        &mut self,
-        mut p: Pend,
-        at: Time,
-        rec: &RecoverySpec,
-        pending: &mut Vec<Pend>,
-    ) -> bool {
-        p.failures += 1;
-        if p.failures > rec.max_retries {
-            self.resolve(&p, StreamStatus::Failed, at);
-            return false;
+    /// Form a round from the queue's eligible work at `start` and place
+    /// it: load, execute, and drain the previous round meanwhile.
+    fn dispatch(&mut self, start: Time, early: bool) {
+        let fill = self.select_fill(start);
+        self.round_idx += 1;
+        let t_in = if self.plan.dma_stalls(self.round_idx) {
+            self.dma_stalls += 1;
+            2 * self.res.t_in
+        } else {
+            self.res.t_in
+        };
+        // Hard failure mid-round (serial: the round would have drained
+        // at `exec_done + t_out`): in-flight work is lost at the failure
+        // tick. The aborted round bills nothing (its timers died with
+        // the board) and does not consume an attempt — the requeue waits
+        // for recovery.
+        let res = &self.res;
+        let lost = |o: &Outage| {
+            o.fail_at > start && o.fail_at <= res.drain_done(res.exec_done(start + t_in))
+        };
+        if let Some(o) = self.plan.outage.filter(lost) {
+            self.outage_requeues += fill.len();
+            for &j in &fill {
+                self.pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
+            }
+            self.res.dma_free = o.fail_at;
+            self.res.makespan = self.res.makespan.max(o.fail_at);
+            return;
         }
-        p.eligible = at + rec.backoff_after(p.failures);
-        pending.push(p);
-        true
+        // Pull the round's requests out of the queue.
+        let mut ents: Vec<Pend> = Vec::with_capacity(fill.len());
+        for &j in fill.iter().rev() {
+            ents.push(self.pending.remove(j));
+        }
+        ents.reverse();
+        for p in &mut ents {
+            p.attempts += 1;
+            self.admitted[p.pos] = start;
+        }
+        self.fills.push(ents.len());
+        self.early_closed_rounds += early as usize;
+        let in_done = self.res.load(start, t_in);
+        let ready = self.res.execute(in_done);
+        // Drain the previous round's outputs while this one executes.
+        if let Some((prev, prev_ents)) = self.pending_out.take() {
+            self.drain(prev, prev_ents);
+        }
+        if self.plan.round_fails(self.round_idx) {
+            // Transient error: the round aborts at the error interrupt
+            // (end of execution); outputs never drain, payloads lost.
+            self.transient_faults += 1;
+            let mut requeued = false;
+            for p in ents {
+                requeued |= self.retry(p, ready);
+            }
+            if requeued {
+                self.pending.sort_by_key(|p| p.pos);
+            }
+        } else {
+            self.pending_out = Some((ready, ents));
+        }
     }
 
-    fn finish(self, overlapped_ticks: u64, double_buffered: bool) -> FaultStreamOutcome {
-        FaultStreamOutcome {
-            stream: StreamOutcome {
-                admitted_ticks: self.admitted,
-                completion_ticks: self.completion,
-                round_fills: self.fills,
-                exec_ticks: self.exec_ticks,
-                transfer_ticks: self.transfer_ticks,
-                overlapped_ticks,
-                makespan_ticks: self.makespan,
-                fast_forwarded_rounds: 0,
-                double_buffered,
-            },
-            statuses: self.statuses,
-            attempts: self.attempts,
-            resolved_ticks: self.resolved,
-            dma_stalls: self.dma_stalls,
-            transient_faults: self.transient_faults,
-            corrupt_payloads: self.corrupt_payloads,
-            outage_requeues: self.outage_requeues,
-        }
-    }
-}
-
-/// Time out every eligible request whose latency budget cannot cover
-/// even a fault-free round starting at `start`. Returns true if any
-/// request was shed (the caller re-derives its round start).
-fn shed_expired(
-    pending: &mut Vec<Pend>,
-    acc: &mut FaultAcc,
-    rec: &RecoverySpec,
-    start: Time,
-    clean_latency: u64,
-) -> bool {
-    let Some(d) = rec.deadline_ticks else {
-        return false;
-    };
-    let before = pending.len();
-    pending.retain(|p| {
-        let expired = p.eligible <= start && p.arrival.saturating_add(d) < start + clean_latency;
-        if expired {
-            acc.resolve(p, StreamStatus::TimedOut, start);
-        }
-        !expired
-    });
-    pending.len() < before
-}
-
-/// Arrival/admission state: arrivals are events. A request joins the
-/// wait queue when a decision point reaches its arrival tick, so the
-/// queue holds arrived-but-unserved work only.
-struct Reactor<'a> {
-    spec: &'a OnlineSpec,
-    arrivals: &'a [Time],
-    /// Position of the first arrival not yet admitted.
-    next: usize,
-    backpressure_shed: usize,
-}
-
-impl Reactor<'_> {
     fn next_arrival(&self) -> Option<Time> {
         self.arrivals.get(self.next).copied()
     }
 
     /// The next tick at which the wait queue can change by itself: a
     /// queued request turning eligible or a new arrival.
-    fn next_event(&self, pending: &[Pend]) -> Option<Time> {
-        pending
-            .iter()
-            .map(|p| p.eligible)
-            .chain(self.next_arrival())
-            .min()
+    fn next_event(&self) -> Option<Time> {
+        let eligible = self.pending.iter().map(|p| p.eligible);
+        eligible.chain(self.next_arrival()).min()
     }
 
     fn take_arrival(&mut self, arrival: Time) -> Pend {
@@ -355,324 +412,177 @@ impl Reactor<'_> {
     /// ones that find a bounded queue full (at their own arrival tick).
     /// `pending` stays in position order: whatever it holds arrived
     /// before anything still to come.
-    fn admit(&mut self, pending: &mut Vec<Pend>, acc: &mut FaultAcc, t: Time) {
+    fn admit(&mut self, t: Time) {
         while let Some(a) = self.next_arrival().filter(|&a| a <= t) {
             let p = self.take_arrival(a);
-            if self.spec.max_queue.is_some_and(|q| pending.len() >= q) {
-                acc.resolve(&p, StreamStatus::Shed, a);
+            if self.spec.max_queue.is_some_and(|q| self.pending.len() >= q) {
+                self.resolve(&p, StreamStatus::Shed, a);
                 self.backpressure_shed += 1;
             } else {
-                pending.push(p);
+                self.pending.push(p);
             }
         }
     }
 
-    /// Drop every unadmitted arrival (the board died with no recovery).
-    /// Under a queue bound these count as refused at the gate, each at
-    /// its own arrival tick if that is later; an unbounded queue had
-    /// already accepted them, so they shed with the queue at `at`.
-    fn shed_incoming(&mut self, acc: &mut FaultAcc, at: Time) {
+    /// The board died at `at` and never recovers: the wait queue sheds
+    /// there, and so does every unadmitted arrival. Under a queue bound
+    /// those count as refused at the gate, each at its own arrival tick
+    /// if that is later; an unbounded queue had already accepted them.
+    fn shed_outage(&mut self, at: Time) {
+        for p in std::mem::take(&mut self.pending) {
+            self.resolve(&p, StreamStatus::Shed, at);
+        }
         let bounded = self.spec.max_queue.is_some();
         while let Some(a) = self.next_arrival() {
             let p = self.take_arrival(a);
-            acc.resolve(&p, StreamStatus::Shed, if bounded { at.max(a) } else { at });
+            self.resolve(&p, StreamStatus::Shed, if bounded { at.max(a) } else { at });
             self.backpressure_shed += bounded as usize;
         }
     }
-}
 
-/// Batch-formation verdict at one decision point.
-enum Gate {
-    /// Form the round now; `early` marks an SLO-forced below-capacity
-    /// close with more work still on the way.
-    Dispatch { early: bool },
-    /// Idle until `t` (a future arrival/eligibility or the close
-    /// budget, whichever is nearer) and re-evaluate.
-    Wait(Time),
-}
-
-/// The SLO batcher: a round below capacity waits while the oldest
-/// eligible request's budget still covers a full fault-free round
-/// starting later, and closes early once it no longer does.
-fn slo_gate(
-    pending: &[Pend],
-    next_arrival: Option<Time>,
-    start: Time,
-    capacity: usize,
-    rt: u64,
-    spec: &OnlineSpec,
-) -> Gate {
-    let Some(slo) = spec.slo_ticks else {
-        return Gate::Dispatch { early: false };
-    };
-    let eligible = pending.iter().filter(|p| p.eligible <= start).count();
-    if eligible >= capacity {
-        return Gate::Dispatch { early: false };
-    }
-    // The next event that could grow the batch.
-    let next_t = pending
-        .iter()
-        .filter(|p| p.eligible > start)
-        .map(|p| p.eligible)
-        .chain(next_arrival)
-        .min();
-    let Some(next_t) = next_t else {
-        // Tail of the stream: nothing else is coming, dispatch.
-        return Gate::Dispatch { early: false };
-    };
-    let oldest = pending
-        .iter()
-        .filter(|p| p.eligible <= start)
-        .map(|p| p.arrival)
-        .min()
-        .expect("gate runs only with at least one eligible request");
-    let latest_safe = oldest.saturating_add(slo).saturating_sub(rt);
-    if start >= latest_safe {
-        return Gate::Dispatch { early: true };
-    }
-    Gate::Wait(next_t.min(latest_safe))
-}
-
-/// Pick the round's requests: eligible work in `(tier, arrival)` order
-/// up to `capacity`, returned as ascending indices into `pending`.
-fn select_fill(pending: &[Pend], spec: &OnlineSpec, start: Time, capacity: usize) -> Vec<usize> {
-    let mut fill: Vec<usize> = pending
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.eligible <= start)
-        .map(|(j, _)| j)
-        .collect();
-    if spec.has_tiers() {
-        fill.sort_by_key(|&j| (spec.tier_of(pending[j].pos), pending[j].pos));
-    }
-    fill.truncate(capacity);
-    // Ascending order so reverse-removal below stays valid.
-    fill.sort_unstable();
-    fill
-}
-
-/// Drain one finished round's outputs: checksum each payload, resolve
-/// the clean ones, requeue (or fail) the corrupted ones.
-#[allow(clippy::too_many_arguments)]
-fn drain(
-    ready: Time,
-    ents: Vec<Pend>,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-    acc: &mut FaultAcc,
-    pending: &mut Vec<Pend>,
-    dma_free: &mut Time,
-    dma_iv: &mut Vec<(Time, Time)>,
-) {
-    let out_start = ready.max(*dma_free);
-    let out_done = out_start + round.t_out;
-    *dma_free = out_done;
-    acc.transfer_ticks += round.t_out;
-    dma_iv.push((out_start, out_done));
-    acc.makespan = acc.makespan.max(out_done);
-    let mut requeued = false;
-    for p in ents {
-        if plan.corrupts(p.pos as u64, p.attempts) {
-            acc.corrupt_payloads += 1;
-            requeued |= acc.retry(p, out_done, rec, pending);
-        } else {
-            let status = match rec.deadline_ticks {
-                Some(d) if out_done > p.arrival.saturating_add(d) => StreamStatus::TimedOut,
-                _ => StreamStatus::Completed,
-            };
-            acc.resolve(&p, status, out_done);
-        }
-    }
-    if requeued {
-        // Requeued work keeps its original admission priority.
-        pending.sort_by_key(|p| p.pos);
-    }
-}
-
-/// The event core: one round-dispatch loop for every armed
-/// configuration. The DMA engine and the accelerator chain are two
-/// serially reused resources; each iteration is a decision point at
-/// which the core drains a finished round, idles, or forms and
-/// dispatches the next one. `rec` carries the effective deadline.
-fn event_core(
-    arrivals: &[Time],
-    capacity: usize,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-    spec: &OnlineSpec,
-    mode: Mode,
-) -> OnlineOutcome {
-    let serial = mode == Mode::Serial;
-    let exec = round.exec();
-    let rt = round.total();
-    let mut acc = FaultAcc::new(arrivals.len());
-    let mut st = Reactor {
-        spec,
-        arrivals,
-        next: 0,
-        backpressure_shed: 0,
-    };
-    let mut early_closed_rounds = 0usize;
-    let mut pending: Vec<Pend> = Vec::new();
-    // Busy intervals of the two resources, for the overlap accounting.
-    let mut dma_iv: Vec<(Time, Time)> = Vec::new();
-    let mut chain_iv: Vec<(Time, Time)> = Vec::new();
-    let mut dma_free: Time = 0;
-    let mut chain_free: Time = 0;
-    // The round whose outputs still wait to drain: (exec_done, its
-    // requests).
-    let mut pending_out: Option<(Time, Vec<Pend>)> = None;
-    let mut round_idx: u64 = 0;
-    // No decision is taken before this tick: set while the batcher or an
-    // all-ineligible queue idles, overtaken by the next dispatch.
-    let mut floor: Time = 0;
-    loop {
-        let t_min = st.next_event(&pending).map(|t| t.max(floor));
-        // Drain the finished round first when the schedule is serial,
-        // when nothing is left to load, or (sparse queue) when the drain
-        // fits before the next load could even start. It may requeue
-        // corrupted requests, so re-derive afterwards.
-        if let Some((ready, ents)) = pending_out.take_if(|(ready, _)| {
-            serial || t_min.is_none_or(|t| (*ready).max(dma_free) + round.t_out <= t)
-        }) {
-            drain(
-                ready,
-                ents,
-                round,
-                plan,
-                rec,
-                &mut acc,
-                &mut pending,
-                &mut dma_free,
-                &mut dma_iv,
-            );
-            continue;
-        }
-        let Some(t_min) = t_min else { break };
-        let mut start = dma_free.max(t_min);
-        // Admission pauses while the board is down; without recovery the
-        // rest of the queue (admitted or not) sheds at the failure tick.
-        if let Some(o) = plan.outage {
-            if start >= o.fail_at {
-                match o.recover_at {
-                    Some(r) if start < r => start = r,
-                    Some(_) => {}
-                    None => {
-                        let at = dma_free.max(floor).max(o.fail_at);
-                        for p in std::mem::take(&mut pending) {
-                            acc.resolve(&p, StreamStatus::Shed, at);
-                        }
-                        st.shed_incoming(&mut acc, at);
-                        break;
-                    }
-                }
-            }
-        }
-        st.admit(&mut pending, &mut acc, start);
-        if pending.is_empty() {
-            // Everything arrived so far was shed at admission; the next
-            // iteration jumps to the next arrival.
-            continue;
-        }
-        if shed_expired(&mut pending, &mut acc, rec, start, rt) {
-            continue;
-        }
-        // Backpressure can shed the very arrival that set `t_min`; idle
-        // until the next queue eligibility or arrival.
-        if pending.iter().all(|p| p.eligible > start) {
-            floor = st.next_event(&pending).expect("pending is not empty");
-            continue;
-        }
-        let early = match slo_gate(&pending, st.next_arrival(), start, capacity, rt, spec) {
-            Gate::Wait(t) => {
-                floor = t;
-                continue;
-            }
-            Gate::Dispatch { early } => early,
+    /// Time out every eligible request whose latency budget cannot cover
+    /// even a fault-free round starting at `start`. Returns true if any
+    /// request was shed (the caller re-derives its round start).
+    fn shed_expired(&mut self, start: Time) -> bool {
+        let Some(d) = self.rec.deadline_ticks else {
+            return false;
         };
-        let fill = select_fill(&pending, spec, start, capacity);
-        round_idx += 1;
-        let t_in = if plan.dma_stalls(round_idx) {
-            acc.dma_stalls += 1;
-            2 * round.t_in
-        } else {
-            round.t_in
+        let rt = self.res.round_ticks();
+        let mut pending = std::mem::take(&mut self.pending);
+        let before = pending.len();
+        pending.retain(|p| {
+            let expired = p.eligible <= start && p.arrival.saturating_add(d) < start + rt;
+            if expired {
+                self.resolve(p, StreamStatus::TimedOut, start);
+            }
+            !expired
+        });
+        let shed = pending.len() < before;
+        self.pending = pending;
+        shed
+    }
+
+    /// The SLO batcher: a round below capacity waits while the oldest
+    /// eligible request's budget still covers a full fault-free round
+    /// starting later, and closes early once it no longer does.
+    fn gate(&self, start: Time) -> Gate {
+        let Some(slo) = self.spec.slo_ticks else {
+            return Gate::Dispatch { early: false };
         };
-        let in_done = start + t_in;
-        let exec_start = in_done.max(chain_free);
-        let exec_done = exec_start + exec;
-        // Hard failure mid-round (serial: the round would have drained at
-        // `exec_done + t_out`): in-flight work is lost at the failure
-        // tick. The aborted round bills nothing (its timers died with
-        // the board) and does not consume an attempt — the requeue waits
-        // for recovery.
-        if let Some(o) = plan.outage {
-            if o.fail_at > start && o.fail_at <= exec_done + round.t_out {
-                acc.outage_requeues += fill.len();
-                for &j in &fill {
-                    pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
-                }
-                dma_free = o.fail_at;
-                acc.makespan = acc.makespan.max(o.fail_at);
-                continue;
+        let pending = &self.pending;
+        let eligible = pending.iter().filter(|p| p.eligible <= start).count();
+        if eligible >= self.capacity {
+            return Gate::Dispatch { early: false };
+        }
+        // The next event that could grow the batch.
+        let next_t = pending
+            .iter()
+            .filter(|p| p.eligible > start)
+            .map(|p| p.eligible)
+            .chain(self.next_arrival())
+            .min();
+        let Some(next_t) = next_t else {
+            // Tail of the stream: nothing else is coming, dispatch.
+            return Gate::Dispatch { early: false };
+        };
+        let oldest = pending
+            .iter()
+            .filter(|p| p.eligible <= start)
+            .map(|p| p.arrival)
+            .min()
+            .expect("gate runs only with at least one eligible request");
+        let rt = self.res.round_ticks();
+        let latest_safe = oldest.saturating_add(slo).saturating_sub(rt);
+        if start >= latest_safe {
+            return Gate::Dispatch { early: true };
+        }
+        Gate::Wait(next_t.min(latest_safe))
+    }
+
+    /// Pick the round's requests: eligible work in `(tier, arrival)`
+    /// order up to `capacity`, returned as ascending indices into
+    /// `pending`.
+    fn select_fill(&self, start: Time) -> Vec<usize> {
+        let (pending, spec) = (&self.pending, self.spec);
+        let mut fill: Vec<usize> = pending
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.eligible <= start)
+            .map(|(j, _)| j)
+            .collect();
+        if spec.has_tiers() {
+            fill.sort_by_key(|&j| (spec.tier_of(pending[j].pos), pending[j].pos));
+        }
+        fill.truncate(self.capacity);
+        // Ascending order so reverse-removal stays valid.
+        fill.sort_unstable();
+        fill
+    }
+
+    /// Drain one finished round's outputs: checksum each payload, resolve
+    /// the clean ones, requeue (or fail) the corrupted ones.
+    fn drain(&mut self, ready: Time, ents: Vec<Pend>) {
+        let out_done = self.res.drain(ready);
+        let mut requeued = false;
+        for p in ents {
+            if self.plan.corrupts(p.pos as u64, p.attempts) {
+                self.corrupt_payloads += 1;
+                requeued |= self.retry(p, out_done);
+            } else {
+                let status = match self.rec.deadline_ticks {
+                    Some(d) if out_done > p.arrival.saturating_add(d) => StreamStatus::TimedOut,
+                    _ => StreamStatus::Completed,
+                };
+                self.resolve(&p, status, out_done);
             }
         }
-        // Pull the round's requests out of the queue.
-        let mut ents: Vec<Pend> = Vec::with_capacity(fill.len());
-        for &j in fill.iter().rev() {
-            ents.push(pending.remove(j));
-        }
-        ents.reverse();
-        for p in &mut ents {
-            p.attempts += 1;
-            acc.admitted[p.pos] = start;
-        }
-        acc.fills.push(ents.len());
-        early_closed_rounds += early as usize;
-        // A serial schedule keeps the DMA engine out of the execution.
-        dma_free = if serial { exec_done } else { in_done };
-        chain_free = exec_done;
-        acc.transfer_ticks += t_in;
-        acc.exec_ticks += exec;
-        dma_iv.push((start, in_done));
-        chain_iv.push((exec_start, exec_done));
-        acc.makespan = acc.makespan.max(exec_done);
-        // Drain the previous round's outputs while this one executes.
-        if let Some((ready, prev)) = pending_out.take() {
-            drain(
-                ready,
-                prev,
-                round,
-                plan,
-                rec,
-                &mut acc,
-                &mut pending,
-                &mut dma_free,
-                &mut dma_iv,
-            );
-        }
-        if plan.round_fails(round_idx) {
-            // Transient error: the round aborts at the error interrupt
-            // (end of execution); outputs never drain, payloads lost.
-            acc.transient_faults += 1;
-            let mut requeued = false;
-            for p in ents {
-                requeued |= acc.retry(p, exec_done, rec, &mut pending);
-            }
-            if requeued {
-                pending.sort_by_key(|p| p.pos);
-            }
-        } else {
-            pending_out = Some((exec_done, ents));
+        if requeued {
+            // Requeued work keeps its original admission priority.
+            self.pending.sort_by_key(|p| p.pos);
         }
     }
-    let overlapped = intervals_intersection(&dma_iv, &chain_iv);
-    OnlineOutcome {
-        fault: acc.finish(overlapped, !serial),
-        backpressure_shed: st.backpressure_shed,
-        early_closed_rounds,
+
+    /// A failed attempt (lost round or corrupted payload) noticed at
+    /// `at`: back into the wait queue after its backoff, or `Failed`
+    /// once the retry allowance is spent. Returns whether it requeued.
+    fn retry(&mut self, mut p: Pend, at: Time) -> bool {
+        p.failures += 1;
+        if p.failures > self.rec.max_retries {
+            self.resolve(&p, StreamStatus::Failed, at);
+            return false;
+        }
+        p.eligible = at + self.rec.backoff_after(p.failures);
+        self.pending.push(p);
+        true
+    }
+
+    /// Record a request's terminal state: the one place the core reports
+    /// a resolution.
+    fn resolve(&mut self, p: &Pend, status: StreamStatus, at: Time) {
+        self.statuses[p.pos] = status;
+        self.attempts[p.pos] = p.attempts;
+        self.resolved[p.pos] = at;
+        self.completion[p.pos] = at;
+        self.res.makespan = self.res.makespan.max(at);
+    }
+
+    fn finish(self) -> OnlineOutcome {
+        OnlineOutcome {
+            fault: FaultStreamOutcome {
+                stream: self
+                    .res
+                    .outcome(self.admitted, self.completion, self.fills, 0),
+                statuses: self.statuses,
+                attempts: self.attempts,
+                resolved_ticks: self.resolved,
+                dma_stalls: self.dma_stalls,
+                transient_faults: self.transient_faults,
+                corrupt_payloads: self.corrupt_payloads,
+                outage_requeues: self.outage_requeues,
+            },
+            backpressure_shed: self.backpressure_shed,
+            early_closed_rounds: self.early_closed_rounds,
+        }
     }
 }
 
@@ -680,7 +590,6 @@ fn event_core(
 mod tests {
     use super::*;
     use crate::des::secs;
-    use crate::fault::Outage;
     use sysgen::Platform;
 
     fn design() -> MultiSystemDesign {
@@ -983,5 +892,40 @@ mod tests {
         let a = simulate_online_stream(&d, &cfg, &arrivals, 3, true, &plan, &rec, &spec);
         let b = simulate_online_stream(&d, &cfg, &arrivals, 3, true, &plan, &rec, &spec);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_load_overlaps_every_chain_interval_still_open() {
+        // exec ≫ 2·t_in, double-buffered (k = 1, m = 2). A transiently
+        // failed round drains nothing, so the next loads run back to
+        // back while the chain still works through earlier rounds. With
+        // every round failing, loads 2..40 run inside the execution of
+        // rounds 1 and 2 ([30, 1030) and [1030, 2030)), and load 35,
+        // [1020, 1050), overlaps both. The expected figures are what the
+        // interval-list intersection gave for these schedules.
+        let round = ProgramRound {
+            t_in: 30,
+            stage_exec: vec![1_000],
+            t_out: 30,
+        };
+        let fifo = OnlineSpec::fifo();
+        let run = |plan: FaultPlan, max_retries: u32, n: usize| {
+            let rec = RecoverySpec {
+                max_retries,
+                ..RecoverySpec::default()
+            };
+            let arrivals = vec![0; n];
+            simulate_round_stream(&round, &[1], 2, &arrivals, 1, true, &plan, &rec, &fifo).fault
+        };
+        let all = run(FaultPlan::transient(0, 1.0), 0, 40);
+        assert!(all.stream.double_buffered);
+        assert_eq!(all.transient_faults, 40);
+        assert_eq!(all.stream.overlapped_ticks, 39 * 30);
+        assert_eq!(all.stream.makespan_ticks, 30 + 40 * 1_000);
+        // Some rounds fail, and the others drain while later ones run.
+        let mixed = run(FaultPlan::transient(1, 0.5), 3, 12);
+        assert_eq!(mixed.transient_faults, 9);
+        assert_eq!(mixed.stream.overlapped_ticks, 870);
+        assert_eq!(mixed.stream.makespan_ticks, 20_060);
     }
 }

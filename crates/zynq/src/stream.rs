@@ -12,12 +12,16 @@
 //! drain of round `i-1` run while round `i` computes.
 //!
 //! There is one scheduler, [`crate::online::simulate_online_stream`],
-//! with two sides selected by whether anything is armed. This module
-//! holds the outcome types, the two narrower public entry points (thin
-//! wrappers over the scheduler) and the unarmed side, the **clean
-//! fold**: with no fault plan, no deadline and no online policy every
-//! round costs the same [`crate::sim::program_round`] ticks and admission
-//! is greedy FIFO, which makes the schedule a fold over the arrival list:
+//! with two sides selected by whether anything is armed. Both place
+//! every round on one resource model (the DMA engine and the
+//! accelerator chain, with load, execute and drain), run serially or
+//! double-buffered. This module holds the outcome types, the two
+//! narrower public entry points (thin wrappers over the scheduler) and
+//! the unarmed side, the **clean fold**: with no fault plan, no deadline
+//! and no online policy every round costs the same
+//! [`crate::sim::program_round`] ticks and admission is greedy FIFO,
+//! which makes the schedule one pass over the arrival list, in either
+//! mode:
 //!
 //! * with `capacity = 1` and `overlap = false` (batching disabled) the
 //!   stream is **tick-identical** to running `simulate_program` once per
@@ -33,6 +37,7 @@
 use crate::des::Time;
 use crate::fault::{FaultPlan, RecoverySpec};
 use crate::online::{simulate_online_stream, OnlineSpec};
+use crate::resources::{Mode, Resources};
 use crate::sim::{ProgramRound, SimConfig};
 use sysgen::MultiSystemDesign;
 
@@ -107,178 +112,74 @@ pub fn simulate_batch_stream(
     simulate_faulty_stream(design, cfg, arrivals, capacity, overlap, &plan, &rec).stream
 }
 
-/// The serial schedule: rounds execute strictly one after another
-/// (`in → exec → out`), the hardware idling only when the queue is
-/// empty. Once the last request has arrived, the remaining rounds are
-/// identical and fast-forward by multiplication.
-pub(crate) fn stream_serial(
-    arrivals: &[Time],
-    capacity: usize,
-    round: &ProgramRound,
-) -> StreamOutcome {
-    let n = arrivals.len();
-    let rt = round.total();
-    let exec = round.exec();
-    let dma = round.t_in + round.t_out;
-    let mut admitted = vec![0u64; n];
-    let mut completion = vec![0u64; n];
-    let mut fills = Vec::new();
-    let mut exec_ticks = 0u64;
-    let mut transfer_ticks = 0u64;
-    let mut fast_forwarded = 0usize;
-    let mut now: Time = 0;
-    let mut i = 0usize;
-    while i < n {
-        if arrivals[i] > now {
-            now = arrivals[i];
-        }
-        if arrivals[n - 1] <= now {
-            // Closed-tick fast-forward: the whole backlog is queued, so
-            // the remaining rounds are identical — place them
-            // arithmetically instead of looping.
-            let remaining = n - i;
-            let rounds = remaining.div_ceil(capacity);
-            for b in 0..rounds {
-                let lo = i + b * capacity;
-                let hi = (lo + capacity).min(n);
-                fills.push(hi - lo);
-                for r in lo..hi {
-                    admitted[r] = now + b as u64 * rt;
-                    completion[r] = now + (b as u64 + 1) * rt;
-                }
-            }
-            exec_ticks += rounds as u64 * exec;
-            transfer_ticks += rounds as u64 * dma;
-            now += rounds as u64 * rt;
-            fast_forwarded += rounds;
-            break;
-        }
-        // Greedy admission: everything arrived by the round start, up to
-        // capacity (at least one — `arrivals[i] <= now` here).
-        let hi = (i + capacity).min(n);
-        let fill = arrivals[i..hi].iter().filter(|&&a| a <= now).count();
-        for r in i..i + fill {
-            admitted[r] = now;
-            completion[r] = now + rt;
-        }
-        fills.push(fill);
-        exec_ticks += exec;
-        transfer_ticks += dma;
-        now += rt;
-        i += fill;
-    }
-    StreamOutcome {
-        admitted_ticks: admitted,
-        completion_ticks: completion,
-        round_fills: fills,
-        exec_ticks,
-        transfer_ticks,
-        overlapped_ticks: 0,
-        makespan_ticks: now,
-        fast_forwarded_rounds: fast_forwarded,
-        double_buffered: false,
-    }
-}
-
-/// Double-buffered schedule: the DMA engine and the accelerator chain
-/// are two serially reused resources. Round `r+1`'s inputs load and
-/// round `r-1`'s outputs drain while round `r` computes; a request
+/// The clean fold in either mode. A round takes every request that has
+/// arrived by its load tick, up to `capacity`, and the hardware never
+/// idles while one is queued. A finished round's outputs drain before
+/// the next load when the schedule is serial, or when they can drain
+/// before the next request even arrives (the DMA must not idle on a
+/// finished round just because the queue is empty; when both are ready
+/// the input keeps priority, as filling keeps the chain busy);
+/// otherwise they drain while the next round computes. A request
 /// completes when its round's outputs have drained.
-pub(crate) fn stream_overlapped(
+pub(crate) fn clean_fold(
     arrivals: &[Time],
     capacity: usize,
     round: &ProgramRound,
+    mode: Mode,
 ) -> StreamOutcome {
     let n = arrivals.len();
-    let exec = round.exec();
+    let serial = mode == Mode::Serial;
+    let mut res = Resources::new(mode, round);
     let mut admitted = vec![0u64; n];
     let mut completion = vec![0u64; n];
     let mut fills = Vec::new();
-    let mut exec_ticks = 0u64;
-    let mut transfer_ticks = 0u64;
-    // Busy intervals of the two resources, for the overlap accounting.
-    let mut dma_iv: Vec<(Time, Time)> = Vec::new();
-    let mut chain_iv: Vec<(Time, Time)> = Vec::new();
-    let mut dma_free: Time = 0;
-    let mut chain_free: Time = 0;
-    let mut makespan: Time = 0;
-    // (exec_done, first request, one past last request) of the round
+    let mut fast_forwarded = 0usize;
+    // (outputs ready, first request, one past the last) of the round
     // whose outputs still wait to drain.
     let mut pending_out: Option<(Time, usize, usize)> = None;
     let mut i = 0usize;
     while i < n {
-        // Sparse queue: if the pending round's outputs can fully drain
-        // before the next request's input could even start loading,
-        // drain them now — the DMA must not idle on a finished round
-        // just because the queue is empty. (When both are ready the
-        // input keeps priority, as below: filling keeps the chain busy.)
-        if let Some((ready, plo, phi)) = pending_out {
-            let out_start = ready.max(dma_free);
-            if out_start + round.t_out <= arrivals[i] {
-                let out_done = out_start + round.t_out;
-                dma_free = out_done;
-                transfer_ticks += round.t_out;
-                dma_iv.push((out_start, out_done));
-                for c in &mut completion[plo..phi] {
-                    *c = out_done;
-                }
-                makespan = makespan.max(out_done);
-                pending_out = None;
-            }
+        if let Some((ready, lo, hi)) =
+            pending_out.take_if(|&mut (ready, ..)| serial || res.drain_done(ready) <= arrivals[i])
+        {
+            completion[lo..hi].fill(res.drain(ready));
         }
-        let load_at = dma_free.max(arrivals[i]);
+        let start = res.dma_free.max(arrivals[i]);
+        if serial && arrivals[n - 1] <= start {
+            // Closed-tick fast-forward: the whole backlog is queued, so
+            // the remaining rounds are identical — place them
+            // arithmetically instead of looping.
+            let rt = res.round_ticks();
+            let rounds = (n - i).div_ceil(capacity);
+            for b in 0..rounds {
+                let lo = i + b * capacity;
+                let hi = (lo + capacity).min(n);
+                fills.push(hi - lo);
+                admitted[lo..hi].fill(start + b as u64 * rt);
+                completion[lo..hi].fill(start + (b as u64 + 1) * rt);
+            }
+            res.repeat_serial(start, rounds as u64);
+            fast_forwarded = rounds;
+            break;
+        }
+        // Greedy admission: everything arrived by the load tick, up to
+        // capacity (at least one — `arrivals[i] <= start` here).
         let hi = (i + capacity).min(n);
-        let fill = arrivals[i..hi].iter().filter(|&&a| a <= load_at).count();
-        let in_done = load_at + round.t_in;
-        dma_free = in_done;
-        transfer_ticks += round.t_in;
-        dma_iv.push((load_at, in_done));
-        for a in &mut admitted[i..i + fill] {
-            *a = load_at;
-        }
-        let exec_start = in_done.max(chain_free);
-        let exec_done = exec_start + exec;
-        chain_free = exec_done;
-        exec_ticks += exec;
-        chain_iv.push((exec_start, exec_done));
-        makespan = makespan.max(exec_done);
+        let fill = arrivals[i..hi].iter().filter(|&&a| a <= start).count();
+        admitted[i..i + fill].fill(start);
+        let in_done = res.load(start, round.t_in);
+        let ready = res.execute(in_done);
         // Drain the previous round's outputs while this one executes.
-        if let Some((ready, lo, hi)) = pending_out.take() {
-            let out_start = ready.max(dma_free);
-            let out_done = out_start + round.t_out;
-            dma_free = out_done;
-            transfer_ticks += round.t_out;
-            dma_iv.push((out_start, out_done));
-            for c in &mut completion[lo..hi] {
-                *c = out_done;
-            }
-            makespan = makespan.max(out_done);
+        if let Some((prev, lo, hi)) = pending_out.replace((ready, i, i + fill)) {
+            completion[lo..hi].fill(res.drain(prev));
         }
-        pending_out = Some((exec_done, i, i + fill));
         fills.push(fill);
         i += fill;
     }
     if let Some((ready, lo, hi)) = pending_out {
-        let out_start = ready.max(dma_free);
-        let out_done = out_start + round.t_out;
-        transfer_ticks += round.t_out;
-        dma_iv.push((out_start, out_done));
-        for c in &mut completion[lo..hi] {
-            *c = out_done;
-        }
-        makespan = makespan.max(out_done);
+        completion[lo..hi].fill(res.drain(ready));
     }
-    StreamOutcome {
-        admitted_ticks: admitted,
-        completion_ticks: completion,
-        round_fills: fills,
-        exec_ticks,
-        transfer_ticks,
-        overlapped_ticks: intervals_intersection(&dma_iv, &chain_iv),
-        makespan_ticks: makespan,
-        fast_forwarded_rounds: 0,
-        double_buffered: true,
-    }
+    res.outcome(admitted, completion, fills, fast_forwarded)
 }
 
 /// Terminal status of one request under the fault-aware scheduler.
@@ -359,27 +260,6 @@ pub fn simulate_faulty_stream(
 ) -> FaultStreamOutcome {
     let fifo = OnlineSpec::fifo();
     simulate_online_stream(design, cfg, arrivals, capacity, overlap, plan, rec, &fifo).fault
-}
-
-/// Total intersection of two interval lists, each sorted by start and
-/// internally non-overlapping (each models one serially reused
-/// resource).
-pub(crate) fn intervals_intersection(a: &[(Time, Time)], b: &[(Time, Time)]) -> u64 {
-    let mut total = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo < hi {
-            total += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -802,14 +682,5 @@ mod tests {
             let b = simulate_faulty_stream(&d, &cfg, &vec![0; 32], 4, overlap, &plan, &rec);
             assert_eq!(a, b, "same (seed, plan, policy) must replay exactly");
         }
-    }
-
-    #[test]
-    fn intersection_is_symmetric_and_exact() {
-        let a = [(0u64, 10u64), (20, 30)];
-        let b = [(5u64, 25u64)];
-        assert_eq!(intervals_intersection(&a, &b), 10);
-        assert_eq!(intervals_intersection(&b, &a), 10);
-        assert_eq!(intervals_intersection(&a, &[]), 0);
     }
 }

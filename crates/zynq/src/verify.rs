@@ -2,16 +2,15 @@
 //!
 //! The simulated accelerator executes the same generated loop program
 //! that HLS would synthesize ([`cgen::run_kernel`]); this module runs a
-//! sample of CFD elements through it with randomized inputs and compares
-//! every output word against the `teil` reference interpreter. Elements
-//! are distributed across scoped worker threads — each element is
-//! independent, exactly like the accelerator replicas.
+//! sample of CFD elements through a chain of them with randomized inputs
+//! and compares every output word against the `teil` reference
+//! interpreter. A single kernel is the one-kernel chain, so
+//! [`verify_program`] is the one verifier.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Mutex;
 use teil::ir::{Module, TensorKind};
 use teil::{Interpreter, Tensor};
 
@@ -23,64 +22,6 @@ pub struct VerifyResult {
     pub max_rel_diff: f64,
     /// Whether every output matched bit-for-bit (same evaluation order).
     pub bitexact: bool,
-}
-
-/// Verify `n` elements of the kernel against the interpreter.
-pub fn verify_elements(
-    module: &Module,
-    kernel: &cgen::CKernel,
-    n: usize,
-    seed: u64,
-) -> Result<VerifyResult, String> {
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    let results = Mutex::new(Vec::<Result<(f64, bool), String>>::new());
-    // Join every worker explicitly so a panic surfaces as an `Err` to the
-    // caller instead of aborting the process out of the scope.
-    let panicked = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let results = &results;
-                scope.spawn(move || {
-                    let mut local: Vec<Result<(f64, bool), String>> = Vec::new();
-                    let mut e = t;
-                    while e < n {
-                        local.push(verify_one(module, kernel, seed.wrapping_add(e as u64)));
-                        e += threads;
-                    }
-                    results.lock().unwrap().extend(local);
-                })
-            })
-            .collect();
-        // Join ALL handles before reporting: a short-circuit would leave
-        // panicked threads for the scope to auto-join and re-panic on.
-        let mut panicked = false;
-        for h in handles {
-            panicked |= h.join().is_err();
-        }
-        panicked
-    });
-    if panicked {
-        return Err("verification worker panicked".into());
-    }
-    let mut max_rel = 0.0f64;
-    let mut bitexact = true;
-    let collected = results.into_inner().expect("no worker panicked");
-    if collected.len() != n {
-        return Err("element count mismatch".into());
-    }
-    for r in collected {
-        let (d, exact) = r?;
-        max_rel = max_rel.max(d);
-        bitexact &= exact;
-    }
-    Ok(VerifyResult {
-        elements: n,
-        max_rel_diff: max_rel,
-        bitexact,
-    })
 }
 
 /// Execute a chained multi-kernel program through the generated loop
@@ -232,48 +173,6 @@ pub fn verify_program(
     })
 }
 
-fn verify_one(module: &Module, kernel: &cgen::CKernel, seed: u64) -> Result<(f64, bool), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Random inputs for this element.
-    let mut inputs: HashMap<String, Tensor> = HashMap::new();
-    for id in module.of_kind(TensorKind::Input) {
-        let shape = module.shape(id).to_vec();
-        let t = Tensor::from_fn(&shape, |_| rng.gen_range(-1.0..1.0));
-        inputs.insert(module.name(id).to_string(), t);
-    }
-    // Reference result.
-    let ex = Interpreter::new(module).run(&inputs)?;
-    // Hardware-path result through the generated loop program.
-    let mut mem: HashMap<String, Vec<f64>> = HashMap::new();
-    for p in &kernel.params {
-        mem.insert(p.name.clone(), vec![0.0; p.words]);
-    }
-    for (name, t) in &inputs {
-        mem.insert(name.clone(), t.data.clone());
-    }
-    cgen::run_kernel(kernel, &mut mem)?;
-    let mut max_rel = 0.0f64;
-    let mut bitexact = true;
-    for id in module.of_kind(TensorKind::Output) {
-        let name = module.name(id);
-        let expect = &ex.values[id.0];
-        let got = mem
-            .get(name)
-            .ok_or_else(|| format!("output '{name}' missing"))?;
-        if got.len() != expect.data.len() {
-            return Err(format!("output '{name}' size mismatch"));
-        }
-        for (a, b) in expect.data.iter().zip(got) {
-            if a.to_bits() != b.to_bits() {
-                bitexact = false;
-            }
-            let scale = a.abs().max(b.abs()).max(1.0);
-            max_rel = max_rel.max((a - b).abs() / scale);
-        }
-    }
-    Ok((max_rel, bitexact))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,10 +197,19 @@ mod tests {
         (m, k)
     }
 
+    fn verify_kernel(
+        m: &Module,
+        k: &cgen::CKernel,
+        n: usize,
+        seed: u64,
+    ) -> Result<VerifyResult, String> {
+        verify_program(std::slice::from_ref(&k.name), &[m], &[k], n, seed)
+    }
+
     #[test]
     fn hardware_path_is_bitexact_for_reference_schedule() {
         let (m, k) = setup(5, true);
-        let r = verify_elements(&m, &k, 8, 42).unwrap();
+        let r = verify_kernel(&m, &k, 8, 42).unwrap();
         assert_eq!(r.elements, 8);
         assert!(r.bitexact, "max rel diff {}", r.max_rel_diff);
         assert_eq!(r.max_rel_diff, 0.0);
@@ -310,7 +218,7 @@ mod tests {
     #[test]
     fn unfactored_kernel_verifies_too() {
         let (m, k) = setup(4, false);
-        let r = verify_elements(&m, &k, 4, 7).unwrap();
+        let r = verify_kernel(&m, &k, 4, 7).unwrap();
         assert!(r.bitexact);
     }
 
@@ -318,7 +226,7 @@ mod tests {
     fn different_seeds_change_inputs_not_correctness() {
         let (m, k) = setup(4, true);
         for seed in [1u64, 99, 12345] {
-            let r = verify_elements(&m, &k, 2, seed).unwrap();
+            let r = verify_kernel(&m, &k, 2, seed).unwrap();
             assert!(r.bitexact, "seed {seed}");
         }
     }
@@ -440,7 +348,7 @@ mod tests {
             false
         }
         assert!(corrupt(&mut k.body));
-        let r = verify_elements(&m, &k, 2, 3).unwrap();
+        let r = verify_kernel(&m, &k, 2, 3).unwrap();
         assert!(!r.bitexact);
         assert!(r.max_rel_diff > 1e-6);
     }
