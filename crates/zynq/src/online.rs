@@ -289,7 +289,7 @@ impl<'a> Core<'a> {
                 continue;
             }
             let Some(t_min) = t_min else { break };
-            let mut start = self.res.dma_free.max(t_min);
+            let mut start = self.res.dma_free().max(t_min);
             // Admission pauses while the board is down; without recovery
             // the rest of the queue (admitted or not) sheds at the
             // failure tick.
@@ -298,7 +298,7 @@ impl<'a> Core<'a> {
                     Some(r) if start < r => start = r,
                     Some(_) => {}
                     None => {
-                        self.shed_outage(self.res.dma_free.max(self.floor).max(o.fail_at));
+                        self.shed_outage(self.res.dma_free().max(self.floor).max(o.fail_at));
                         break;
                     }
                 }
@@ -348,8 +348,7 @@ impl<'a> Core<'a> {
             for &j in &fill {
                 self.pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
             }
-            self.res.dma_free = o.fail_at;
-            self.res.makespan = self.res.makespan.max(o.fail_at);
+            self.res.abort_at(o.fail_at);
             return;
         }
         // Pull the round's requests out of the queue.
@@ -364,7 +363,7 @@ impl<'a> Core<'a> {
         }
         self.fills.push(ents.len());
         self.early_closed_rounds += early as usize;
-        let in_done = self.res.load(start, t_in);
+        let in_done = self.res.transfer(start, t_in);
         let ready = self.res.execute(in_done);
         // Drain the previous round's outputs while this one executes.
         if let Some((prev, prev_ents)) = self.pending_out.take() {
@@ -447,7 +446,7 @@ impl<'a> Core<'a> {
         let Some(d) = self.rec.deadline_ticks else {
             return false;
         };
-        let rt = self.res.round_ticks();
+        let rt = self.res.round_ticks;
         let mut pending = std::mem::take(&mut self.pending);
         let before = pending.len();
         pending.retain(|p| {
@@ -491,7 +490,7 @@ impl<'a> Core<'a> {
             .map(|p| p.arrival)
             .min()
             .expect("gate runs only with at least one eligible request");
-        let rt = self.res.round_ticks();
+        let rt = self.res.round_ticks;
         let latest_safe = oldest.saturating_add(slo).saturating_sub(rt);
         if start >= latest_safe {
             return Gate::Dispatch { early: true };
@@ -563,7 +562,7 @@ impl<'a> Core<'a> {
         self.attempts[p.pos] = p.attempts;
         self.resolved[p.pos] = at;
         self.completion[p.pos] = at;
-        self.res.makespan = self.res.makespan.max(at);
+        self.res.settle(at);
     }
 
     fn finish(self) -> OnlineOutcome {

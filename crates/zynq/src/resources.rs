@@ -23,17 +23,22 @@ pub(crate) enum Mode {
 }
 
 /// Free ticks of the two resources and the totals a stream reports.
+/// Callers read the round's constants; only the methods below change
+/// state, so transfers start in time order (`dma_free` never moves
+/// back), which the running overlap relies on.
 pub(crate) struct Resources {
     pub(crate) mode: Mode,
-    /// Fault-free input ticks of one round.
+    /// Fault-free input, execution and output ticks of one round, and
+    /// their sum ([`ProgramRound::total`]).
     pub(crate) t_in: u64,
     exec: u64,
     t_out: u64,
-    pub(crate) dma_free: Time,
+    pub(crate) round_ticks: u64,
+    dma_free: Time,
     chain_free: Time,
     exec_ticks: u64,
     transfer_ticks: u64,
-    pub(crate) makespan: Time,
+    makespan: Time,
     /// Ticks both resources were busy, summed as transfers are placed.
     overlapped_ticks: u64,
     /// Chain busy intervals that end after the last transfer started,
@@ -52,6 +57,7 @@ impl Resources {
             t_in: round.t_in,
             exec: round.exec(),
             t_out: round.t_out,
+            round_ticks: round.total(),
             dma_free: 0,
             chain_free: 0,
             exec_ticks: 0,
@@ -62,15 +68,19 @@ impl Resources {
         }
     }
 
-    /// Ticks of one fault-free serial round (`in → exec → out`).
-    pub(crate) fn round_ticks(&self) -> u64 {
-        self.t_in + self.exec + self.t_out
+    /// First tick the DMA engine is free.
+    pub(crate) fn dma_free(&self) -> Time {
+        self.dma_free
     }
 
-    /// Occupy the DMA engine for `ticks` from `start` (not before it is
-    /// free) and add the overlap with the chain. Transfers start in
-    /// time order, so the walk stays linear in the schedule's length.
-    fn transfer(&mut self, start: Time, ticks: u64) -> Time {
+    /// Occupy the DMA engine for `ticks` from `start`, or from when it
+    /// is free if that is later, and add the overlap with the chain;
+    /// returns the tick the transfer ends. This loads a round's inputs
+    /// (`ticks` doubled by a stall) and, through [`Resources::drain`],
+    /// moves its outputs out. Transfers start in time order, so the walk
+    /// stays linear in the schedule's length.
+    pub(crate) fn transfer(&mut self, start: Time, ticks: u64) -> Time {
+        let start = start.max(self.dma_free);
         let end = start + ticks;
         while self.open.front().is_some_and(|&(_, done)| done <= start) {
             self.open.pop_front();
@@ -80,13 +90,8 @@ impl Resources {
         }
         self.dma_free = end;
         self.transfer_ticks += ticks;
+        self.settle(end);
         end
-    }
-
-    /// Load a round's inputs (`ticks`: doubled by a stall) from `start`;
-    /// returns the tick they are in.
-    pub(crate) fn load(&mut self, start: Time, ticks: u64) -> Time {
-        self.transfer(start, ticks)
     }
 
     /// Tick at which a round whose inputs are in at `in_done` would
@@ -101,7 +106,7 @@ impl Resources {
         let done = self.exec_done(in_done);
         self.chain_free = done;
         self.exec_ticks += self.exec;
-        self.makespan = self.makespan.max(done);
+        self.settle(done);
         match self.mode {
             Mode::Serial => self.dma_free = done,
             Mode::DoubleBuffered => self.open.push_back((done - self.exec, done)),
@@ -116,20 +121,32 @@ impl Resources {
 
     /// Drain the outputs ready at `ready`; returns the tick they are out.
     pub(crate) fn drain(&mut self, ready: Time) -> Time {
-        let done = self.transfer(ready.max(self.dma_free), self.t_out);
-        self.makespan = self.makespan.max(done);
-        done
+        self.transfer(ready, self.t_out)
+    }
+
+    /// The board failed at `fail_at` with a round in flight: the round
+    /// bills nothing, and the DMA engine is next free at the failure.
+    pub(crate) fn abort_at(&mut self, fail_at: Time) {
+        debug_assert!(fail_at >= self.dma_free, "transfers start in time order");
+        self.dma_free = fail_at;
+        self.settle(fail_at);
+    }
+
+    /// Something was resolved at `at`: the schedule lasts at least that
+    /// long.
+    pub(crate) fn settle(&mut self, at: Time) {
+        self.makespan = self.makespan.max(at);
     }
 
     /// Place `rounds` identical serial rounds back to back from `start`
     /// by multiplication (the closed-tick fast-forward).
     pub(crate) fn repeat_serial(&mut self, start: Time, rounds: u64) {
-        let end = start + rounds * self.round_ticks();
+        let end = start + rounds * self.round_ticks;
         self.exec_ticks += rounds * self.exec;
         self.transfer_ticks += rounds * (self.t_in + self.t_out);
         self.dma_free = end;
         self.chain_free = end;
-        self.makespan = self.makespan.max(end);
+        self.settle(end);
     }
 
     pub(crate) fn outcome(

@@ -144,12 +144,12 @@ pub(crate) fn clean_fold(
         {
             completion[lo..hi].fill(res.drain(ready));
         }
-        let start = res.dma_free.max(arrivals[i]);
+        let start = res.dma_free().max(arrivals[i]);
         if serial && arrivals[n - 1] <= start {
             // Closed-tick fast-forward: the whole backlog is queued, so
             // the remaining rounds are identical — place them
             // arithmetically instead of looping.
-            let rt = res.round_ticks();
+            let rt = res.round_ticks;
             let rounds = (n - i).div_ceil(capacity);
             for b in 0..rounds {
                 let lo = i + b * capacity;
@@ -167,7 +167,7 @@ pub(crate) fn clean_fold(
         let hi = (i + capacity).min(n);
         let fill = arrivals[i..hi].iter().filter(|&&a| a <= start).count();
         admitted[i..i + fill].fill(start);
-        let in_done = res.load(start, round.t_in);
+        let in_done = res.transfer(start, round.t_in);
         let ready = res.execute(in_done);
         // Drain the previous round's outputs while this one executes.
         if let Some((prev, lo, hi)) = pending_out.replace((ready, i, i + fill)) {

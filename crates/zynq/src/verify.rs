@@ -133,7 +133,11 @@ pub fn random_program_inputs(modules: &[&Module], seed: u64) -> HashMap<String, 
 
 /// Verify `n` elements of a chained program: the generated kernels,
 /// executed with PLM handoffs, must match the chained reference
-/// interpreter on every kernel's outputs.
+/// interpreter on every kernel's outputs. Elements are independent,
+/// exactly like the accelerator replicas, so they are split into one
+/// contiguous run per available core, each folded to its largest
+/// difference without allocating; the runs are combined in order, so
+/// the first failing element reports, as in a serial loop.
 pub fn verify_program(
     names: &[String],
     modules: &[&Module],
@@ -141,36 +145,70 @@ pub fn verify_program(
     n: usize,
     seed: u64,
 ) -> Result<VerifyResult, String> {
-    let mut max_rel = 0.0f64;
-    let mut bitexact = true;
-    for e in 0..n {
-        let external = random_program_inputs(modules, seed.wrapping_add(e as u64));
-        let expect = run_program_reference(names, modules, &external)?;
-        let got = run_program_chain(names, modules, kernels, &external)?;
-        if expect.len() != got.len() {
-            return Err("program output-set mismatch".into());
-        }
-        for (key, t) in &expect {
-            let g = got
-                .get(key)
-                .ok_or_else(|| format!("output '{key}' missing from hardware path"))?;
-            if g.len() != t.data.len() {
-                return Err(format!("output '{key}' size mismatch"));
-            }
-            for (a, b) in t.data.iter().zip(g) {
-                if a.to_bits() != b.to_bits() {
-                    bitexact = false;
-                }
-                let scale = a.abs().max(b.abs()).max(1.0);
-                max_rel = max_rel.max((a - b).abs() / scale);
-            }
-        }
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |t| t.get())
+        .clamp(1, n.max(1));
+    let run = n.div_ceil(threads);
+    let verify_run = |t: usize| {
+        (t * run..n.min((t + 1) * run)).try_fold((0.0, true), |acc, e| {
+            verify_element(names, modules, kernels, seed.wrapping_add(e as u64), acc)
+        })
+    };
+    // The calling thread verifies the first run itself (on one core no
+    // thread is spawned). Every run's panic is caught or joined, so it
+    // surfaces as an `Err` instead of unwinding out of the scope.
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads)
+            .map(|t| scope.spawn(move || verify_run(t)))
+            .collect();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| verify_run(0)));
+        std::iter::once(first)
+            .chain(workers.into_iter().map(|w| w.join()))
+            .collect()
+    });
+    let (mut max_rel_diff, mut bitexact) = (0.0f64, true);
+    for run in runs {
+        let (rel, exact) = run.map_err(|_| "verification worker panicked".to_string())??;
+        max_rel_diff = max_rel_diff.max(rel);
+        bitexact &= exact;
     }
     Ok(VerifyResult {
         elements: n,
-        max_rel_diff: max_rel,
+        max_rel_diff,
         bitexact,
     })
+}
+
+/// One element on inputs drawn from `seed`, folded into the running
+/// largest relative difference over output words and whether all
+/// matched bit for bit.
+fn verify_element(
+    names: &[String],
+    modules: &[&Module],
+    kernels: &[&cgen::CKernel],
+    seed: u64,
+    (mut max_rel, mut bitexact): (f64, bool),
+) -> Result<(f64, bool), String> {
+    let external = random_program_inputs(modules, seed);
+    let expect = run_program_reference(names, modules, &external)?;
+    let got = run_program_chain(names, modules, kernels, &external)?;
+    if expect.len() != got.len() {
+        return Err("program output-set mismatch".into());
+    }
+    for (key, t) in &expect {
+        let g = got
+            .get(key)
+            .ok_or_else(|| format!("output '{key}' missing from hardware path"))?;
+        if g.len() != t.data.len() {
+            return Err(format!("output '{key}' size mismatch"));
+        }
+        for (a, b) in t.data.iter().zip(g) {
+            bitexact &= a.to_bits() == b.to_bits();
+            let scale = a.abs().max(b.abs()).max(1.0);
+            max_rel = max_rel.max((a - b).abs() / scale);
+        }
+    }
+    Ok((max_rel, bitexact))
 }
 
 #[cfg(test)]
