@@ -328,6 +328,30 @@ fn explore_reports_reproduce_the_parent_written_goldens() {
     }
 }
 
+/// `tests/golden/compile_catalog.sh` (every `--emit all` file of the
+/// builtin kernels over five flag sets and three boards, hashed)
+/// prints the manifest committed beside it.
+#[test]
+fn compile_catalog_reproduces_the_committed_manifest() {
+    let script =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/compile_catalog.sh");
+    let out = Command::new("bash")
+        .arg(&script)
+        .arg(env!("CARGO_BIN_EXE_cfdc"))
+        .output()
+        .expect("bash runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = String::from_utf8(out.stdout).expect("utf8 manifest");
+    assert!(
+        got == explore_golden("compile_catalog.sha256"),
+        "cfdc compile --emit all no longer writes tests/golden/compile_catalog.sha256"
+    );
+}
+
 /// A sweep's report does not depend on the worker count: rows are
 /// placed by combination index, so which of two tied points carries a
 /// Pareto flag cannot depend on thread timing.

@@ -7,6 +7,7 @@
 //! * every identifier must be declared before use,
 //! * inputs may not be assigned; outputs must be assigned,
 //! * each tensor is assigned at most once (pseudo-SSA),
+//! * a program (and every kernel of a set) has at least one statement,
 //! * entry-wise operators require equal shapes (scalars broadcast),
 //! * contraction pairs must reference distinct, in-range, equal-extent
 //!   dimensions of the product expression.
@@ -275,6 +276,12 @@ pub fn check(program: &Program) -> Result<TypedProgram, Diagnostic> {
             ));
         }
     }
+    if program.stmts.is_empty() {
+        return Err(Diagnostic::new(
+            Default::default(),
+            "program has no statement: there is nothing to compute".to_string(),
+        ));
+    }
 
     Ok(TypedProgram {
         program: program.clone(),
@@ -466,6 +473,24 @@ mod tests {
     fn rejects_double_assignment() {
         let e = check_src("var input a : [2]\nvar output o : [2]\no = a\no = a").unwrap_err();
         assert!(e.message.contains("assigned more than once"));
+    }
+
+    #[test]
+    fn rejects_a_program_without_statements() {
+        for src in ["", "var input a : [4]", "type v : [2]\nvar input a : v"] {
+            let e = check_src(src).unwrap_err();
+            assert_eq!(
+                e.message,
+                "program has no statement: there is nothing to compute"
+            );
+        }
+        let set = crate::parse_set("kernel a { var input x : [2] }").unwrap();
+        let e = check_set(&set).unwrap_err();
+        assert!(
+            e.message
+                .starts_with("in kernel 'a': program has no statement"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!    search minimizing a structural cost — RAW edges want the consumer
 //!    to traverse the producer's output in the order it was produced
 //!    (leading-depth alignment shortens the window between a write and
-//!    its reads), RAR edges contribute a smaller coincidence bonus;
+//!    its reads), RAR edges contribute a smaller coincidence bonus. A
+//!    candidate loop order of one statement is priced on the edges
+//!    incident to that statement plus its own reduction penalty, the
+//!    only terms of [`cost`] it moves; each rank's permutations are
+//!    enumerated once per call;
 //! 2. optional producer–consumer **fusion** merges a pointwise consumer
 //!    into its producer's loop nest (same `seq`, micro-ordered) whenever
 //!    the polyhedral legality check admits it;
@@ -76,7 +80,11 @@ pub fn reschedule(
     }
 }
 
-/// Iterative per-statement permutation search.
+/// Iterative per-statement permutation search. A candidate for
+/// statement `si` moves only the edges incident to `si` and `si`'s own
+/// reduction penalty, so it is priced on those ([`CostModel::local`]):
+/// the rest of [`CostModel::eval`] is the same for every candidate, and
+/// `c < best_cost` decides exactly as the whole-kernel sum would.
 fn optimize_permutations(
     module: &Module,
     model: &KernelModel,
@@ -85,34 +93,36 @@ fn optimize_permutations(
     opts: &SchedulerOptions,
 ) {
     let cm = CostModel::build(module, model, deps);
+    // Candidates per rank, concatenated in Heap order; ranks 0 and 1
+    // have no permutation besides the current one.
+    let mut tables: Vec<Vec<usize>> = vec![Vec::new(); cm.max_rank + 1];
+    let mut saved = Vec::new();
     for _ in 0..opts.sweeps {
         let mut changed = false;
         for si in 0..model.stmts.len() {
             let rank = model.stmts[si].rank();
-            if rank > opts.max_perm_rank {
+            if rank < 2 || rank > opts.max_perm_rank {
                 continue;
             }
-            let mut best = sched.perms[si].clone();
-            let mut best_cost = cm.eval(sched);
-            for perm in permutations(rank) {
-                if perm == sched.perms[si] {
+            if tables[rank].is_empty() {
+                tables[rank] = permutations(rank);
+            }
+            saved.clone_from(&sched.perms[si]);
+            let mut best_cost = cm.local(sched, si);
+            let mut best = None;
+            for perm in tables[rank].chunks(rank) {
+                if perm == saved.as_slice() {
                     continue;
                 }
-                let saved = std::mem::replace(&mut sched.perms[si], perm.clone());
-                let c = cm.eval(sched);
+                sched.perms[si].copy_from_slice(perm);
+                let c = cm.local(sched, si);
                 if c < best_cost {
                     best_cost = c;
-                    best = perm;
-                } else {
-                    sched.perms[si] = saved;
-                    continue;
+                    best = Some(perm);
                 }
-                sched.perms[si] = saved;
             }
-            if best != sched.perms[si] {
-                sched.perms[si] = best;
-                changed = true;
-            }
+            sched.perms[si].copy_from_slice(best.unwrap_or(&saved));
+            changed |= best.is_some();
         }
         if !changed {
             break;
@@ -143,15 +153,18 @@ struct CostEdge {
 struct CostModel {
     max_rank: usize,
     edges: Vec<CostEdge>,
-    /// `(statement, reduce_rank)` for statements with a reduction
-    /// suffix (the HLS-friendliness penalty term).
-    reductions: Vec<(usize, usize)>,
+    /// Per statement, the indices of the edges it is an end of (a
+    /// self-edge once).
+    incident: Vec<Vec<usize>>,
+    /// Per statement, the rank of its reduction suffix (the
+    /// HLS-friendliness penalty term; 0 for none).
+    reduce_ranks: Vec<usize>,
 }
 
 impl CostModel {
     fn build(module: &Module, model: &KernelModel, deps: &Dependences) -> CostModel {
         let max_rank = model.stmts.iter().map(|s| s.rank()).max().unwrap_or(0);
-        let edges = deps
+        let edges: Vec<CostEdge> = deps
             .edges
             .iter()
             .map(|e| {
@@ -192,66 +205,82 @@ impl CostModel {
                 }
             })
             .collect();
-        let reductions = module
-            .stmts
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.reduce_rank() > 0)
-            .map(|(si, s)| (si, s.reduce_rank()))
-            .collect();
+        let mut incident = vec![Vec::new(); model.stmts.len()];
+        for (ei, e) in edges.iter().enumerate() {
+            incident[e.src].push(ei);
+            if e.dst != e.src {
+                incident[e.dst].push(ei);
+            }
+        }
         CostModel {
             max_rank,
             edges,
-            reductions,
+            incident,
+            reduce_ranks: module.stmts.iter().map(|s| s.reduce_rank()).collect(),
         }
     }
 
     fn eval(&self, sched: &Schedule) -> usize {
-        let mut total = 0usize;
-        for e in &self.edges {
-            let a = match &e.raw {
-                Some((accesses, out_rank)) => {
-                    let wperm = &sched.perms[e.src];
-                    let rperm = &sched.perms[e.dst];
-                    let mut best = 0usize;
-                    for im in accesses {
-                        let mut depth = 0usize;
-                        while depth < wperm.len() && depth < rperm.len() {
-                            let j = wperm[depth];
-                            if j >= *out_rank {
-                                break;
-                            }
-                            if im.get(j) == Some(&rperm[depth]) {
-                                depth += 1;
-                            } else {
-                                break;
-                            }
+        let edges: usize = self.edges.iter().map(|e| self.edge(e, sched)).sum();
+        edges
+            + (0..self.reduce_ranks.len())
+                .map(|si| self.reduction(si, sched))
+                .sum::<usize>()
+    }
+
+    /// The terms of [`CostModel::eval`] that statement `si`'s permutation
+    /// moves: its incident edges and its reduction penalty.
+    fn local(&self, sched: &Schedule, si: usize) -> usize {
+        let edges: usize = self.incident[si]
+            .iter()
+            .map(|&ei| self.edge(&self.edges[ei], sched))
+            .sum();
+        edges + self.reduction(si, sched)
+    }
+
+    fn edge(&self, e: &CostEdge, sched: &Schedule) -> usize {
+        let a = match &e.raw {
+            Some((accesses, out_rank)) => {
+                let wperm = &sched.perms[e.src];
+                let rperm = &sched.perms[e.dst];
+                let mut best = 0usize;
+                for im in accesses {
+                    let mut depth = 0usize;
+                    while depth < wperm.len() && depth < rperm.len() {
+                        let j = wperm[depth];
+                        if j >= *out_rank {
+                            break;
                         }
-                        best = best.max(depth);
+                        if im.get(j) == Some(&rperm[depth]) {
+                            depth += 1;
+                        } else {
+                            break;
+                        }
                     }
-                    best
+                    best = best.max(depth);
                 }
-                None => {
-                    let mut best = 0usize;
-                    for (imw, imr) in &e.rar {
-                        best = best.max(read_read_alignment(sched, e.src, e.dst, imw, imr));
-                    }
-                    best
-                }
-            };
-            total += e.weight * (self.max_rank.saturating_sub(a));
-        }
-        for &(si, reduce_rank) in &self.reductions {
-            let perm = &sched.perms[si];
-            let out_rank = perm.len() - reduce_rank;
-            let suffix_ok = perm[perm.len() - reduce_rank..]
-                .iter()
-                .all(|&v| v >= out_rank);
-            if !suffix_ok {
-                total += 1000;
+                best
             }
+            None => {
+                let mut best = 0usize;
+                for (imw, imr) in &e.rar {
+                    best = best.max(read_read_alignment(sched, e.src, e.dst, imw, imr));
+                }
+                best
+            }
+        };
+        e.weight * (self.max_rank.saturating_sub(a))
+    }
+
+    fn reduction(&self, si: usize, sched: &Schedule) -> usize {
+        let perm = &sched.perms[si];
+        let out_rank = perm.len() - self.reduce_ranks[si];
+        let suffix_ok = perm[out_rank..].iter().all(|&v| v >= out_rank);
+        if suffix_ok {
+            0
+        } else {
+            1000
         }
-        total
     }
 }
 
@@ -331,17 +360,18 @@ fn fuse_pointwise(module: &Module, model: &KernelModel, deps: &Dependences, sche
     }
 }
 
-/// All permutations of `0..n` (n! — callers cap `n`).
-pub fn permutations(n: usize) -> Vec<Vec<usize>> {
+/// All permutations of `0..n` in Heap order, concatenated: `n!` runs
+/// of `n` entries (callers cap `n`).
+pub fn permutations(n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     let mut cur: Vec<usize> = (0..n).collect();
     heap_permute(&mut cur, n, &mut out);
     out
 }
 
-fn heap_permute(a: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
+fn heap_permute(a: &mut [usize], k: usize, out: &mut Vec<usize>) {
     if k <= 1 {
-        out.push(a.clone());
+        out.extend_from_slice(a);
         return;
     }
     for i in 0..k {
@@ -373,11 +403,175 @@ mod tests {
         (m, km, deps)
     }
 
+    /// `permutations(n)` split into one `Vec` per permutation.
+    fn nested(n: usize) -> Vec<Vec<usize>> {
+        match n {
+            0 => vec![vec![]],
+            _ => permutations(n).chunks(n).map(<[usize]>::to_vec).collect(),
+        }
+    }
+
     #[test]
     fn permutations_count() {
-        assert_eq!(permutations(3).len(), 6);
-        assert_eq!(permutations(4).len(), 24);
-        assert_eq!(permutations(1), vec![vec![0]]);
+        assert_eq!(nested(3).len(), 6);
+        assert_eq!(nested(4).len(), 24);
+        assert_eq!(nested(1), vec![vec![0]]);
+        assert_eq!(
+            nested(3)[..3],
+            [vec![0, 1, 2], vec![1, 0, 2], vec![2, 0, 1]]
+        );
+    }
+
+    /// The definition of [`reschedule`]: the same search, but every
+    /// candidate is scored by the whole-kernel [`CostModel::eval`].
+    fn reschedule_by_eval(
+        module: &Module,
+        model: &KernelModel,
+        deps: &Dependences,
+        opts: &SchedulerOptions,
+    ) -> Schedule {
+        let mut sched = Schedule::reference(model);
+        let cm = CostModel::build(module, model, deps);
+        for _ in 0..if opts.permute { opts.sweeps } else { 0 } {
+            let mut changed = false;
+            for si in 0..model.stmts.len() {
+                let rank = model.stmts[si].rank();
+                if rank > opts.max_perm_rank {
+                    continue;
+                }
+                let mut best = sched.perms[si].clone();
+                let mut best_cost = cm.eval(&sched);
+                for perm in nested(rank) {
+                    if perm == sched.perms[si] {
+                        continue;
+                    }
+                    let saved = std::mem::replace(&mut sched.perms[si], perm.clone());
+                    let c = cm.eval(&sched);
+                    sched.perms[si] = saved;
+                    if c < best_cost {
+                        best_cost = c;
+                        best = perm;
+                    }
+                }
+                if best != sched.perms[si] {
+                    sched.perms[si] = best;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        if opts.fuse {
+            fuse_pointwise(module, model, deps, &mut sched);
+        }
+        if legal(model, deps, &sched) {
+            sched
+        } else {
+            Schedule::reference(model)
+        }
+    }
+
+    /// A kernel of rank-5 statements (120 candidates each), one with a
+    /// reduction.
+    const RANK5: &str = "var input a : [2 3 2 3 2]\nvar input b : [2 3]\n\
+        var input d : [2 3 2 3 3]\nvar t : [2 3 2 3 3]\nvar r : [2 3 2 3 3]\n\
+        var output c : [2 3 2 3 3]\nt = a # b . [[4 5]]\nr = d * t\nc = r + t";
+
+    /// Two rank-6 statements, which `max_perm_rank` leaves alone, beside
+    /// a rank-4 contraction that is searched.
+    const RANK6: &str = "var input x : [2 2 2 2 2 2]\nvar input p : [2 2 2]\n\
+        var input s : [2 2]\nvar t : [2 2 2 2 2 2]\nvar output c : [2 2 2 2 2 2]\n\
+        var output q : [2 2 2]\nt = x * x\nc = t + x\nq = p # s . [[2 3]]";
+
+    /// A contraction that reads its own output: a RAW edge from the
+    /// statement to itself.
+    const SELF_EDGE: &str = "var input a : [3 4]\nvar input s : [4 4]\n\
+        var output c : [3 4]\nvar output o : [3 4]\nc = c # s . [[1 2]]\no = c * a";
+
+    fn zoo() -> Vec<(String, Module, KernelModel)> {
+        use crate::liveness::tests::{example_sources, kernels};
+        let mut sources = example_sources().to_vec();
+        sources.extend([RANK5, RANK6, SELF_EDGE].map(String::from));
+        let mut out = Vec::new();
+        for (k, src) in sources.iter().enumerate() {
+            for factored in [false, true] {
+                for (m, km) in kernels(src, factored) {
+                    out.push((format!("source {k}, factored {factored}"), m, km));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn zoo_covers_ranks_five_and_six_and_a_self_edge() {
+        let zoo = zoo();
+        let ranks = |r| {
+            zoo.iter()
+                .any(|(_, _, km)| km.stmts.iter().any(|s| s.rank() == r))
+        };
+        assert!(ranks(5) && ranks(6));
+        let self_edge = |(_, _, km): &(String, Module, KernelModel)| {
+            let deps = Dependences::analyze(km);
+            let found = deps.raw().any(|d| d.src == d.dst);
+            found
+        };
+        assert!(zoo.iter().any(self_edge));
+    }
+
+    #[test]
+    fn search_equals_the_whole_kernel_definition() {
+        let options = [
+            SchedulerOptions::default(),
+            SchedulerOptions {
+                fuse: true,
+                ..Default::default()
+            },
+            SchedulerOptions {
+                max_perm_rank: 4,
+                sweeps: 1,
+                ..Default::default()
+            },
+        ];
+        for (name, m, km) in zoo() {
+            let deps = Dependences::analyze(&km);
+            for opts in &options {
+                assert_eq!(
+                    reschedule(&m, &km, &deps, opts),
+                    reschedule_by_eval(&m, &km, &deps, opts),
+                    "{name}, {opts:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn local_cost_moves_with_the_whole_kernel_cost() {
+        let mut rng = 0x5C4E_D01E_u64;
+        for (name, m, km) in zoo() {
+            let deps = Dependences::analyze(&km);
+            let cm = CostModel::build(&m, &km, &deps);
+            let mut schedules = vec![
+                Schedule::reference(&km),
+                reschedule(&m, &km, &deps, &SchedulerOptions::default()),
+            ];
+            schedules
+                .extend((0..3).map(|_| crate::liveness::tests::random_schedule(&km, &mut rng)));
+            for mut s in schedules {
+                for si in (0..km.stmts.len()).filter(|&si| km.stmts[si].rank() <= 5) {
+                    let (total, local) = (cm.eval(&s), cm.local(&s, si));
+                    let saved = s.perms[si].clone();
+                    for perm in nested(km.stmts[si].rank()) {
+                        s.perms[si] = perm;
+                        let d_total = cm.eval(&s) as i64 - total as i64;
+                        let d_local = cm.local(&s, si) as i64 - local as i64;
+                        assert_eq!(d_local, d_total, "{name}, statement {si}: {s:?}");
+                    }
+                    s.perms[si] = saved;
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,10 @@
 //!
 //! * it solves Eq. (3) — `[H]·k + [M]·m ≤ [A]` with `m` a power-of-two
 //!   multiple of `k` — against the platform's board to find feasible
-//!   replication factors,
+//!   replication factors; the automatic choice ([`max_equal_config`],
+//!   [`max_equal_program_config`]) is the largest rung of the `k = m ∈
+//!   {1, 2, …, 64}` ladder that [`Totals::fit`] admits, decided without
+//!   building a design,
 //! * it instantiates `k` accelerators and `m` PLM systems plus the
 //!   integration logic: the AXI-lite peripheral that presents the `k`
 //!   accelerators to the host as a single `ap_ctrl` device, the batch
@@ -66,8 +69,8 @@ pub mod system;
 pub use board::BoardSpec;
 pub use host::HostProgram;
 pub use multi::{
-    enumerate_program_configs, enumerate_program_designs, max_equal_program_config,
-    MultiSystemDesign, ProgramHostProgram, ProgramSystemConfig, StageDesign,
+    enumerate_program_designs, max_equal_program_config, MultiSystemDesign, ProgramHostProgram,
+    ProgramSystemConfig, StageDesign,
 };
 pub use netlist::emit_system_verilog;
 pub use platform::{DmaSpec, HostCpuModel, Platform};

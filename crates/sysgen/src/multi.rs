@@ -21,7 +21,7 @@
 
 use crate::board::BoardSpec;
 use crate::platform::Platform;
-use crate::system::{SystemConfig, Totals};
+use crate::system::{SystemConfig, Totals, LADDER};
 use hls::HlsReport;
 use mnemosyne::MemorySubsystem;
 use serde::{Deserialize, Serialize};
@@ -253,44 +253,32 @@ pub fn enumerate_program_designs(
     memory: &MemorySubsystem,
 ) -> Vec<MultiSystemDesign> {
     let mut out = Vec::new();
-    let mut k = 1usize;
-    while k <= 64 {
-        let mut m = k;
-        while m <= 64 {
+    for k in LADDER {
+        for m in LADDER.into_iter().filter(|&m| m >= k) {
             let cfg = ProgramSystemConfig::uniform(k, m, stages.len());
             let host = ProgramHostProgram::placeholder(cfg.clone(), stages);
             if let Some(d) = MultiSystemDesign::build(platform, stages, memory, cfg, host) {
                 out.push(d);
             }
-            m *= 2;
         }
-        k *= 2;
     }
     out
 }
 
-/// All feasible **uniform** program configurations.
-pub fn enumerate_program_configs(
-    platform: &Platform,
-    stages: &[(String, HlsReport)],
-    memory: &MemorySubsystem,
-) -> Vec<ProgramSystemConfig> {
-    enumerate_program_designs(platform, stages, memory)
-        .into_iter()
-        .map(|d| d.config)
-        .collect()
-}
-
-/// The largest feasible uniform `k = m` program configuration.
+/// The largest feasible uniform `k = m` program configuration: the top
+/// rung of the ladder that the generalized Eq. (3) ([`Totals::fit`])
+/// admits.
 pub fn max_equal_program_config(
     platform: &Platform,
     stages: &[(String, HlsReport)],
     memory: &MemorySubsystem,
 ) -> Option<ProgramSystemConfig> {
-    enumerate_program_configs(platform, stages, memory)
-        .into_iter()
-        .filter(|c| c.ks.iter().all(|&k| k == c.m))
-        .max_by_key(|c| c.m)
+    let fits = |&k: &usize| {
+        let banks = stages.iter().map(|(_, hlsr)| (k, hlsr));
+        Totals::fit(platform, banks, memory, k).is_some()
+    };
+    let k = LADDER.into_iter().rev().find(fits)?;
+    Some(ProgramSystemConfig::uniform(k, k, stages.len()))
 }
 
 impl ProgramHostProgram {

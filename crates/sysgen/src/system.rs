@@ -189,41 +189,35 @@ impl SystemDesign {
     }
 }
 
+/// The replication rungs `k` and `m` range over: `1, 2, 4, ..., 64`.
+pub(crate) const LADDER: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+
 /// All feasible `(k, m)` pairs with `k ∈ {1, 2, 4, ...}` and
-/// `m = 2^j · k`, by checking Eq. (3) for each.
+/// `m = 2^j · k`, by checking Eq. (3) ([`Totals::fit`]) for each.
 pub fn enumerate_configs(
     platform: &Platform,
     kernel: &HlsReport,
     memory: &MemorySubsystem,
 ) -> Vec<SystemConfig> {
-    let mut out = Vec::new();
-    let mut k = 1usize;
-    while k <= 64 {
-        let mut m = k;
-        while m <= 64 {
-            let cfg = SystemConfig { k, m };
-            let host = HostProgram::placeholder(cfg);
-            if SystemDesign::build(platform, kernel, memory, cfg, host).is_some() {
-                out.push(cfg);
-            }
-            m *= 2;
-        }
-        k *= 2;
-    }
-    out
+    let pairs = LADDER
+        .iter()
+        .flat_map(|&k| LADDER.iter().map(move |&m| SystemConfig { k, m }));
+    pairs
+        .filter(|c| c.m >= c.k && Totals::fit(platform, [(c.k, kernel)], memory, c.m).is_some())
+        .collect()
 }
 
 /// The largest feasible `k = m` (power of two) — the configuration the
-/// paper uses for its main results.
+/// paper uses for its main results: the top rung of the ladder that
+/// [`Totals::fit`] admits.
 pub fn max_equal_config(
     platform: &Platform,
     kernel: &HlsReport,
     memory: &MemorySubsystem,
 ) -> Option<SystemConfig> {
-    enumerate_configs(platform, kernel, memory)
-        .into_iter()
-        .filter(|c| c.k == c.m)
-        .max_by_key(|c| c.k)
+    let fits = |&k: &usize| Totals::fit(platform, [(k, kernel)], memory, k).is_some();
+    let k = LADDER.into_iter().rev().find(fits)?;
+    Some(SystemConfig { k, m: k })
 }
 
 #[cfg(test)]

@@ -198,3 +198,28 @@ fn cli_zoo_compiles_without_expanding_live_sets() {
     assert_eq!(ladder.expanded, 0, "{ladder:?}");
     assert!(ladder.hull > 0 && ladder.witness > 0, "{ladder:?}");
 }
+
+/// A source with no statement — empty, declarations only, or a kernel
+/// block without one — is a frontend error of the kernel and the
+/// program flow, not a design that replicates nothing 64 times.
+#[test]
+fn a_program_without_statements_is_a_frontend_error() {
+    use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
+    use cfdfpga::flow::FlowError;
+    let axpy = cfdfpga::cfdlang::examples::axpy(2);
+    let set = format!("kernel axpy {{\n{axpy}}}\nkernel idle {{ var input x : [2] }}\n");
+    let kernel = |src| Flow::compile(src, &FlowOptions::default()).err();
+    let program = |src| ProgramFlow::compile(src, &ProgramOptions::default()).err();
+    let errs = ["", "var input a : [4]\n", "\n\n"]
+        .into_iter()
+        .flat_map(|src| [kernel(src), program(src)])
+        .chain([program(&set)]);
+    for e in errs {
+        match e {
+            Some(FlowError::Frontend(d)) => {
+                assert!(d.message.contains("program has no statement"), "{d}")
+            }
+            other => panic!("expected a frontend error, got {other:?}"),
+        }
+    }
+}

@@ -283,6 +283,103 @@ fn invalid_program_replication_is_a_flow_error() {
     }
 }
 
+/// The replication rungs the enumerators walk.
+const LADDER: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+
+/// The automatic replication's definition, for one kernel: build the
+/// design of every `(k, m)` pair (placeholder host), keep those that fit,
+/// filter `k = m`, take the largest.
+fn max_equal_by_building(
+    platform: &Platform,
+    kernel: &hls::HlsReport,
+    memory: &mnemosyne::MemorySubsystem,
+) -> (Vec<SystemConfig>, Option<SystemConfig>) {
+    let pairs = LADDER
+        .iter()
+        .flat_map(|&k| LADDER.map(|m| SystemConfig { k, m }));
+    let built: Vec<SystemConfig> = (pairs.filter(|c| c.m >= c.k))
+        .filter(|&c| {
+            let host = sysgen::HostProgram::placeholder(c);
+            sysgen::SystemDesign::build(platform, kernel, memory, c, host).is_some()
+        })
+        .collect();
+    let max = built
+        .iter()
+        .copied()
+        .filter(|c| c.k == c.m)
+        .max_by_key(|c| c.k);
+    (built, max)
+}
+
+/// `max_equal_config`, `enumerate_configs` and `max_equal_program_config`
+/// decide on `Totals::fit` alone; on every catalog board, over the six
+/// examples with and without sharing, they return what building every
+/// design and filtering `k = m` returns. The sweep meets a capped
+/// (`k = 64`) choice, and an oversized kernel meets `None`.
+#[test]
+fn automatic_replication_equals_the_build_and_filter_rule() {
+    use cfdfpga::cfdlang::examples as ex;
+    let sources = [
+        ex::inverse_helmholtz(11),
+        ex::interpolation(8, 12),
+        ex::matrix_sandwich(8),
+        ex::axpy(8),
+        ex::simulation_step(11),
+        ex::axpy_chain(8),
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for platform in Platform::catalog() {
+        for src in &sources {
+            for sharing in [true, false] {
+                let mut opts = program_options(platform.clone());
+                opts.flow.memory.sharing = sharing;
+                opts.cross_sharing = sharing;
+                let art = ProgramFlow::compile(src, &opts).unwrap();
+                let mut stages = Vec::new();
+                for (name, k) in art.names.iter().zip(&art.kernels) {
+                    let (built, max) = max_equal_by_building(&platform, &k.hls_report, &k.memory);
+                    let configs = sysgen::enumerate_configs(&platform, &k.hls_report, &k.memory);
+                    assert_eq!(configs, built, "{} {name}", platform.id);
+                    let chosen = sysgen::max_equal_config(&platform, &k.hls_report, &k.memory);
+                    assert_eq!(chosen, max, "{} {name} sharing {sharing}", platform.id);
+                    seen.insert(chosen.map(|c| c.k));
+                    stages.push((name.clone(), k.hls_report.renamed(name.clone())));
+                }
+                let designs = sysgen::enumerate_program_designs(&platform, &stages, &art.memory);
+                let max = (designs.into_iter().map(|d| d.config))
+                    .filter(|c| c.ks.iter().all(|&k| k == c.m))
+                    .max_by_key(|c| c.m);
+                let chosen = sysgen::max_equal_program_config(&platform, &stages, &art.memory);
+                assert_eq!(
+                    chosen, max,
+                    "{} {:?} sharing {sharing}",
+                    platform.id, art.names
+                );
+                assert_eq!(art.system.map(|d| d.config), chosen);
+                seen.insert(chosen.map(|c| c.m));
+            }
+        }
+        // A kernel as large as the board fits no rung.
+        let art = Flow::compile(&sources[0], &FlowOptions::for_platform(platform.clone())).unwrap();
+        let mut huge = art.hls_report.clone();
+        huge.luts = platform.board.luts;
+        assert_eq!(max_equal_by_building(&platform, &huge, &art.memory).1, None);
+        assert_eq!(
+            sysgen::max_equal_config(&platform, &huge, &art.memory),
+            None
+        );
+        let stages = [("huge".to_string(), huge)];
+        assert_eq!(
+            sysgen::max_equal_program_config(&platform, &stages, &art.memory),
+            None
+        );
+    }
+    assert!(
+        seen.contains(&Some(64)),
+        "no choice was capped at 64: {seen:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
