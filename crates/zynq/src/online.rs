@@ -42,7 +42,12 @@
 //! * **Priority tiers** — `tiers[pos]` classes requests (0 = highest);
 //!   batch formation takes eligible requests in `(tier, arrival)`
 //!   order, so a high tier preempts queued low-tier work at every
-//!   round boundary. Retries keep their tier.
+//!   round boundary. Retries keep their tier. The wait queue stays in
+//!   arrival order (requeues go back in at their position), so a round
+//!   is formed without a sort: under tiers one pass counts eligible
+//!   work per tier to find the cut-off tier and its quota, and one pass
+//!   moves every eligible request below the cut-off plus the first
+//!   `quota` at it into the round, in arrival order.
 //! * **Backpressure shedding** — with `max_queue` set, an arrival that
 //!   finds the wait queue at depth `max_queue` is shed at its own
 //!   arrival tick instead of joining (retries are already in the
@@ -173,7 +178,7 @@ pub fn simulate_round_stream(
 }
 
 /// A request in the wait queue or in flight.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Pend {
     /// Arrival-order position (the request's identity in fault draws).
     pos: usize,
@@ -195,6 +200,8 @@ struct Core<'a> {
     /// Carries the effective deadline.
     rec: RecoverySpec,
     spec: &'a OnlineSpec,
+    /// Whether any tier is non-zero, decided once per run.
+    tiered: bool,
     res: Resources,
     /// Position of the first arrival not yet admitted. Arrivals are
     /// events: a request joins the wait queue when a decision point
@@ -205,6 +212,8 @@ struct Core<'a> {
     /// The round whose outputs still wait to drain: (outputs ready, its
     /// requests).
     pending_out: Option<(Time, Vec<Pend>)>,
+    /// A drained round's buffer, reused by the next round.
+    spare: Vec<Pend>,
     /// No decision is taken before this tick: set while the batcher or
     /// an all-ineligible queue idles, overtaken by the next dispatch.
     floor: Time,
@@ -251,10 +260,12 @@ impl<'a> Core<'a> {
             plan,
             rec,
             spec,
+            tiered: spec.has_tiers(),
             res: Resources::new(mode, round),
             next: 0,
             pending: Vec::new(),
             pending_out: None,
+            spare: Vec::new(),
             floor: 0,
             round_idx: 0,
             admitted: vec![0; n],
@@ -326,7 +337,7 @@ impl<'a> Core<'a> {
     /// Form a round from the queue's eligible work at `start` and place
     /// it: load, execute, and drain the previous round meanwhile.
     fn dispatch(&mut self, start: Time, early: bool) {
-        let fill = self.select_fill(start);
+        let mut take = self.fill_filter(start);
         self.round_idx += 1;
         let t_in = if self.plan.dma_stalls(self.round_idx) {
             self.dma_stalls += 1;
@@ -344,19 +355,23 @@ impl<'a> Core<'a> {
             o.fail_at > start && o.fail_at <= res.drain_done(res.exec_done(start + t_in))
         };
         if let Some(o) = self.plan.outage.filter(lost) {
-            self.outage_requeues += fill.len();
-            for &j in &fill {
-                self.pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
+            for p in self.pending.iter_mut().filter(|p| take(p)) {
+                p.eligible = o.recover_at.unwrap_or(Time::MAX);
+                self.outage_requeues += 1;
             }
             self.res.abort_at(o.fail_at);
             return;
         }
-        // Pull the round's requests out of the queue.
-        let mut ents: Vec<Pend> = Vec::with_capacity(fill.len());
-        for &j in fill.iter().rev() {
-            ents.push(self.pending.remove(j));
-        }
-        ents.reverse();
+        // Move the round's requests out of the queue, in position order.
+        let mut ents = std::mem::take(&mut self.spare);
+        ents.reserve(self.capacity);
+        self.pending.retain(|p| {
+            let taken = take(p);
+            if taken {
+                ents.push(*p);
+            }
+            !taken
+        });
         for p in &mut ents {
             p.attempts += 1;
             self.admitted[p.pos] = start;
@@ -373,13 +388,10 @@ impl<'a> Core<'a> {
             // Transient error: the round aborts at the error interrupt
             // (end of execution); outputs never drain, payloads lost.
             self.transient_faults += 1;
-            let mut requeued = false;
-            for p in ents {
-                requeued |= self.retry(p, ready);
+            for p in ents.drain(..) {
+                self.retry(p, ready);
             }
-            if requeued {
-                self.pending.sort_by_key(|p| p.pos);
-            }
+            self.spare = ents;
         } else {
             self.pending_out = Some((ready, ents));
         }
@@ -498,35 +510,46 @@ impl<'a> Core<'a> {
         Gate::Wait(next_t.min(latest_safe))
     }
 
-    /// Pick the round's requests: eligible work in `(tier, arrival)`
-    /// order up to `capacity`, returned as ascending indices into
-    /// `pending`.
-    fn select_fill(&self, start: Time) -> Vec<usize> {
-        let (pending, spec) = (&self.pending, self.spec);
-        let mut fill: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.eligible <= start)
-            .map(|(j, _)| j)
-            .collect();
-        if spec.has_tiers() {
-            fill.sort_by_key(|&j| (spec.tier_of(pending[j].pos), pending[j].pos));
+    /// Which requests form the round at `start`: the first `capacity`
+    /// eligible ones in `(tier, arrival)` order. Applied in one pass over
+    /// the position-ordered queue, they are every eligible request below
+    /// the cut-off tier plus the first `quota` eligible ones at it.
+    fn fill_filter(&self, start: Time) -> impl FnMut(&Pend) -> bool + 'a {
+        let (spec, capacity) = (self.spec, self.capacity);
+        let (cut, mut quota) = if self.tiered {
+            let mut count = [0usize; 256];
+            for p in self.pending.iter().filter(|p| p.eligible <= start) {
+                count[spec.tier_of(p.pos) as usize] += 1;
+            }
+            // Fewer than `capacity` eligible: the round takes them all.
+            let (mut cut, mut below) = ((u8::MAX, usize::MAX), 0);
+            for (tier, &n) in count.iter().enumerate() {
+                if below + n >= capacity {
+                    cut = (tier as u8, capacity - below);
+                    break;
+                }
+                below += n;
+            }
+            cut
+        } else {
+            (0, capacity)
+        };
+        move |p| {
+            let tier = spec.tier_of(p.pos);
+            let take = p.eligible <= start && (tier < cut || tier == cut && quota > 0);
+            quota -= (take && tier == cut) as usize;
+            take
         }
-        fill.truncate(self.capacity);
-        // Ascending order so reverse-removal stays valid.
-        fill.sort_unstable();
-        fill
     }
 
     /// Drain one finished round's outputs: checksum each payload, resolve
     /// the clean ones, requeue (or fail) the corrupted ones.
-    fn drain(&mut self, ready: Time, ents: Vec<Pend>) {
+    fn drain(&mut self, ready: Time, mut ents: Vec<Pend>) {
         let out_done = self.res.drain(ready);
-        let mut requeued = false;
-        for p in ents {
+        for p in ents.drain(..) {
             if self.plan.corrupts(p.pos as u64, p.attempts) {
                 self.corrupt_payloads += 1;
-                requeued |= self.retry(p, out_done);
+                self.retry(p, out_done);
             } else {
                 let status = match self.rec.deadline_ticks {
                     Some(d) if out_done > p.arrival.saturating_add(d) => StreamStatus::TimedOut,
@@ -535,24 +558,22 @@ impl<'a> Core<'a> {
                 self.resolve(&p, status, out_done);
             }
         }
-        if requeued {
-            // Requeued work keeps its original admission priority.
-            self.pending.sort_by_key(|p| p.pos);
-        }
+        self.spare = ents;
     }
 
     /// A failed attempt (lost round or corrupted payload) noticed at
     /// `at`: back into the wait queue after its backoff, or `Failed`
-    /// once the retry allowance is spent. Returns whether it requeued.
-    fn retry(&mut self, mut p: Pend, at: Time) -> bool {
+    /// once the retry allowance is spent. Requeued work goes back in at
+    /// its position, so it keeps its original admission priority.
+    fn retry(&mut self, mut p: Pend, at: Time) {
         p.failures += 1;
         if p.failures > self.rec.max_retries {
             self.resolve(&p, StreamStatus::Failed, at);
-            return false;
+            return;
         }
         p.eligible = at + self.rec.backoff_after(p.failures);
-        self.pending.push(p);
-        true
+        let j = self.pending.partition_point(|q| q.pos < p.pos);
+        self.pending.insert(j, p);
     }
 
     /// Record a request's terminal state: the one place the core reports
@@ -636,6 +657,109 @@ mod tests {
         // Deterministic "bursty" arrivals: pairs arrive together, pairs
         // separated by `gap`.
         (0..n).map(|i| (i as Time / 2) * gap).collect()
+    }
+
+    /// The sort-based round selection the core used before it formed
+    /// rounds in one pass: eligible work sorted by `(tier, arrival)`,
+    /// cut at `capacity`. Returns ascending indices into `pending`.
+    fn select_fill_by_sort(core: &Core, start: Time) -> Vec<usize> {
+        let (pending, spec) = (&core.pending, core.spec);
+        let mut fill: Vec<usize> = pending
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.eligible <= start)
+            .map(|(j, _)| j)
+            .collect();
+        if spec.has_tiers() {
+            fill.sort_by_key(|&j| (spec.tier_of(pending[j].pos), pending[j].pos));
+        }
+        fill.truncate(core.capacity);
+        fill.sort_unstable();
+        fill
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn one_pass_selection_takes_what_the_sort_took() {
+        const START: Time = 1_000;
+        let round = ProgramRound {
+            t_in: 30,
+            stage_exec: vec![1_000],
+            t_out: 30,
+        };
+        let (plan, arrivals) = (FaultPlan::none(), vec![0; 400]);
+        let mut seed = 0x5E1E_C7ED;
+        let mut deep = 0;
+        for case in 0..3_000 {
+            let mut r = |n: u64| splitmix(&mut seed) % n;
+            // 1..=5 tiers drawn per request, a single non-zero tier on
+            // the last position, or no tier column at all.
+            let levels = 1 + r(5) as u8;
+            let tiers: Vec<u8> = match case % 3 {
+                0 => (0..400).map(|_| r(levels as u64) as u8).collect(),
+                1 => (0..400).map(|i| (i == 399) as u8 * levels).collect(),
+                _ => Vec::new(),
+            };
+            let spec = OnlineSpec {
+                tiers,
+                ..OnlineSpec::fifo()
+            };
+            let capacity = 1 + r(16) as usize;
+            let mut core = Core::new(
+                &arrivals,
+                capacity,
+                &round,
+                &plan,
+                RecoverySpec::default(),
+                &spec,
+                Mode::Serial,
+            );
+            // 0..=200 queued positions in arrival order (the last one
+            // included now and then), each eligible, backing off or
+            // parked by an outage.
+            let len = r(201) as usize;
+            let mut positions: Vec<usize> = (0..400).collect();
+            for i in 0..len {
+                positions.swap(i, i + r(400 - i as u64) as usize);
+            }
+            positions.truncate(len);
+            positions.sort_unstable();
+            core.pending = positions
+                .into_iter()
+                .map(|pos| Pend {
+                    pos,
+                    arrival: 0,
+                    eligible: match r(4) {
+                        0 => START + 1 + r(500),
+                        1 => Time::MAX,
+                        _ => r(START + 1),
+                    },
+                    attempts: 0,
+                    failures: 0,
+                })
+                .collect();
+            let want: Vec<usize> = select_fill_by_sort(&core, START)
+                .into_iter()
+                .map(|j| core.pending[j].pos)
+                .collect();
+            deep += (want.len() == capacity) as usize;
+            let mut take = core.fill_filter(START);
+            let got: Vec<usize> = core
+                .pending
+                .iter()
+                .filter(|p| take(p))
+                .map(|p| p.pos)
+                .collect();
+            assert_eq!(got, want, "case {case}, capacity {capacity}");
+        }
+        assert!(deep > 1_000, "most queues hold a full round: {deep}");
     }
 
     #[test]

@@ -303,3 +303,53 @@ fn slo_batching_beats_capacity_fill_p99_under_overload() {
     assert!(slo_p99 < fifo_p99, "slo p99 {slo_p99} vs fifo {fifo_p99}");
     assert!(slo_p99 <= slo_s + 1e-9, "p99 {slo_p99} over budget {slo_s}");
 }
+
+/// Forming a round does not rescan the tier column: a stream whose only
+/// non-zero tier is its last request serves 262 144 requests (queue
+/// bound 64, capacity 16, offered at 1.25x the serial service rate)
+/// within 2x the same stream with no tiers. A per-round scan of the
+/// column made it about 100x (2.6 s against 25 ms).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing bound: release builds only")]
+fn a_late_tier_costs_a_small_multiple_of_the_untiered_stream() {
+    use zynq::{simulate_round_stream, FaultPlan, OnlineSpec, ProgramRound, RecoverySpec};
+    const N: usize = 262_144;
+    let round = ProgramRound {
+        t_in: 30,
+        stage_exec: vec![1_000],
+        t_out: 30,
+    };
+    // 16 requests per 1 060-tick serial round; one arrival every 53.
+    let arrivals: Vec<u64> = (0..N as u64).map(|i| i * 53).collect();
+    let mut last_only = vec![0u8; N];
+    last_only[N - 1] = 1;
+    let timed = |tiers: &Vec<u8>| {
+        let spec = OnlineSpec {
+            max_queue: Some(64),
+            tiers: tiers.clone(),
+            ..OnlineSpec::fifo()
+        };
+        let runs = (0..3).map(|_| {
+            let t = std::time::Instant::now();
+            let out = simulate_round_stream(
+                &round,
+                &[1],
+                16,
+                &arrivals,
+                16,
+                false,
+                &FaultPlan::none(),
+                &RecoverySpec::default(),
+                &spec,
+            );
+            assert!(out.backpressure_shed > 0, "the queue must back up");
+            t.elapsed()
+        });
+        runs.min().unwrap()
+    };
+    let (untiered, late) = (timed(&Vec::new()), timed(&last_only));
+    assert!(
+        late < 2 * untiered,
+        "last-only tier {late:?} against untiered {untiered:?}"
+    );
+}

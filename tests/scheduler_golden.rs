@@ -10,7 +10,9 @@
 //!
 //! The table was written by this file's printer at commit 7085883, the
 //! last one with six separate scheduler loops; the single event core
-//! that replaced four of them has to reproduce it bit for bit.
+//! that replaced four of them has to reproduce it bit for bit. The six
+//! `deep` rows at its end were written at commit e55483d, the last one
+//! that formed rounds by sorting the wait queue.
 //! Regenerate (only for an intended schedule change) with
 //!
 //! ```sh
@@ -372,11 +374,74 @@ fn corners(rt: Time) -> Vec<Row> {
     rows
 }
 
+/// Deep-queue rows. The grid's 24 requests never back a queue up far,
+/// so these serve 4 096 Poisson arrivals offered at 1.5x the serial
+/// service rate under an SLO, a queue bound of 64 and three tiers:
+/// every round is formed from a deep, tiered queue, under transient
+/// errors, under stalls plus corrupt-payload requeues, and under an
+/// outage that parks a lost round until the board recovers.
+fn deep(d: &MultiSystemDesign, rt: Time) -> Vec<Row> {
+    const N: usize = 4_096;
+    let capacity = d.config.m;
+    let mean_gap = rt as f64 / (1.5 * capacity as f64);
+    let mut seed = 0xDEE9_0F1E_0E0E;
+    let mut t = 0;
+    let arrivals: Vec<Time> = (0..N)
+        .map(|_| {
+            let u = (splitmix(&mut seed) >> 11) as f64 / (1u64 << 53) as f64;
+            t += (-(1.0 - u).ln() * mean_gap) as Time;
+            t
+        })
+        .collect();
+    let mixed = FaultPlan {
+        stall_rate: 0.1,
+        corrupt_rate: 0.1,
+        ..FaultPlan::transient(11, 0.05)
+    };
+    let plans = [
+        ("transient", FaultPlan::transient(7, 0.05)),
+        ("mixed", mixed.clone()),
+        (
+            "outage-recover",
+            FaultPlan {
+                outage: Some(Outage {
+                    fail_at: 150 * rt + rt / 3,
+                    recover_at: Some(200 * rt),
+                }),
+                ..mixed
+            },
+        ),
+    ];
+    let mut rows = Vec::new();
+    for overlap in [false, true] {
+        for (name, plan) in &plans {
+            rows.push(Row {
+                label: format!("deep n={N} overlap={} plan={name}", overlap as u8),
+                arrivals: arrivals.clone(),
+                capacity,
+                overlap,
+                plan: plan.clone(),
+                rec: RecoverySpec {
+                    max_retries: 3,
+                    ..RecoverySpec::default()
+                },
+                spec: OnlineSpec {
+                    slo_ticks: Some(10 * rt),
+                    max_queue: Some(64),
+                    tiers: tiers(N),
+                },
+            });
+        }
+    }
+    rows
+}
+
 fn render() -> String {
     let d = design();
     let rt = program_round(&d, &SimConfig::default()).total();
     let mut rows = grid(&d, rt);
     rows.extend(corners(rt));
+    rows.extend(deep(&d, rt));
     rows.iter()
         .map(|r| format!("{} {:016x}\n", r.label, r.hash(&d)))
         .collect()
