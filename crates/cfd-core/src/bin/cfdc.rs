@@ -54,7 +54,7 @@
 //! diagnosis), mirroring the structured `FlowError::DoesNotFit`
 //! introduced for small-board compiles.
 
-use cfd_core::dse::{DseEngine, DseGrid, ProgramDseEngine};
+use cfd_core::dse::{DseEngine, DseGrid};
 use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfd_core::{
     Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, Flow, FlowOptions,
@@ -1244,39 +1244,42 @@ fn cmd_serve_fleet(p: &Parsed) {
 
 fn cmd_explore(args: &[String]) {
     let p = parse_or_exit(args);
-    if p.is_program() {
-        return cmd_explore_program(&p);
+    if p.boards.is_none() && !p.grid && p.is_program() {
+        return program_listing(&p);
     }
-    let engine = DseEngine::prepare(&p.source, &p.opts).unwrap_or_else(|e| {
+    let engine = DseEngine::prepare(&p.source, &p.program_options()).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)
     });
+    // Sweep default: small enough to keep the simulations quick.
+    let elements = if p.elements_set { p.elements } else { 10_000 };
     if let Some(platforms) = &p.boards {
-        let elements = if p.elements_set { p.elements } else { 10_000 };
         let report = engine.run_portfolio(platforms, &DseGrid::default(), p.jobs, elements);
         return print_portfolio(&report, p.json);
     }
-    if p.grid {
-        // Sweep default: small enough to keep 32 simulations quick.
-        let elements = if p.elements_set { p.elements } else { 10_000 };
-        let report = engine.run(&DseGrid::default(), p.jobs, elements);
-        if p.json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.render_table());
-            if let Some(best) = report.best() {
-                println!(
-                    "best: {} ({:.0} elements/s)",
-                    best.point.label(),
-                    best.throughput_eps
-                );
-            }
-        }
+    if !p.grid {
+        // Kernel listing: one backend pass, then Eq. (3) over all (k, m).
+        let be = engine.pipeline().backend(engine.scheduled(), &p.opts);
+        return explore_listing(&p, &be);
+    }
+    let report = engine.run(&DseGrid::default(), p.jobs, elements);
+    if p.json {
+        println!("{}", report.to_json());
         return;
     }
-    // Legacy listing: one backend pass, then Eq. (3) over all (k, m).
-    let be = engine.pipeline().backend(engine.scheduled(), &p.opts);
-    explore_listing(&p, &be);
+    print!("{}", report.render_table());
+    if let Some(best) = report.best() {
+        let program = if p.is_program() {
+            format!(", program {}", best.kernel)
+        } else {
+            String::new()
+        };
+        println!(
+            "best: {} ({:.0} elements/s{program})",
+            best.point.label(),
+            best.throughput_eps
+        );
+    }
 }
 
 /// Render a portfolio sweep (table or JSON) with its Pareto frontier.
@@ -1330,42 +1333,9 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
     }
 }
 
-/// Joint exploration of a multi-kernel program.
-fn cmd_explore_program(p: &Parsed) {
-    if let Some(platforms) = &p.boards {
-        let engine =
-            ProgramDseEngine::prepare(&p.source, &p.program_options()).unwrap_or_else(|e| {
-                eprintln!("compilation failed: {e}");
-                exit(1)
-            });
-        let elements = if p.elements_set { p.elements } else { 10_000 };
-        let report = engine.run_portfolio(platforms, &DseGrid::default(), p.jobs, elements);
-        return print_portfolio(&report, p.json);
-    }
-    if p.grid {
-        let engine =
-            ProgramDseEngine::prepare(&p.source, &p.program_options()).unwrap_or_else(|e| {
-                eprintln!("compilation failed: {e}");
-                exit(1)
-            });
-        let elements = if p.elements_set { p.elements } else { 10_000 };
-        let report = engine.run(&DseGrid::default(), p.jobs, elements);
-        if p.json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.render_table());
-            if let Some(best) = report.best() {
-                println!(
-                    "best: {} ({:.0} elements/s, program {})",
-                    best.point.label(),
-                    best.throughput_eps,
-                    best.kernel
-                );
-            }
-        }
-        return;
-    }
-    // Listing mode: compile the program once, enumerate uniform configs.
+/// The program feasibility listing: compile the program once,
+/// enumerate uniform configurations.
+fn program_listing(p: &Parsed) {
     let art = ProgramFlow::compile(&p.source, &p.program_options()).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)

@@ -17,7 +17,7 @@
 //! 2. the canonical text of the tensor IR module (**after**
 //!    canonicalization, so `factorize`/`clean` are captured by their
 //!    effect rather than their flag values),
-//! 3. the `Debug` rendering of [`SchedulerOptions`],
+//! 3. the `Debug` rendering of [`SchedulerOptions`](pschedule::SchedulerOptions),
 //! 4. the platform id and the bit pattern of the HLS clock.
 //!
 //! The emptiness oracle has one configuration, so it is not keyed.

@@ -8,13 +8,23 @@
 //! each distinct backend once, and **scores** the `(k, m)` points
 //! against it across a scoped worker pool.
 //!
-//! On top of the single-board sweep, [`DseEngine::run_portfolio`] (and
-//! its program twin) crosses the grid with a **platform catalog and
-//! each platform's fabric-clock ladder**: backends are memoized per
-//! (clock, backend options), every combination is costed under its
-//! platform's Eq. (3) budget, and the [`PortfolioReport`] marks each
-//! platform's Pareto frontier over (simulated time, resource fit) —
-//! the heterogeneous-portfolio view: pick the node that fits the job.
+//! There is one engine. A source of any kernel count is prepared as a
+//! program ([`DseEngine::prepare`] takes [`FlowOptions`] or
+//! [`ProgramOptions`]), and a single kernel is the one-kernel program.
+//! A grid point's backend slot is every kernel's backend plus the merged
+//! program memory — except that a one-kernel slot skips the merge: its
+//! merged memory and host byte interface are its backend's own
+//! (`one_kernel_slot_equals_its_merged_program` pins that), and merging
+//! would only cost allocations on the hot path of every single-kernel
+//! sweep. Every scored point counts one system-stage invocation.
+//!
+//! On top of the single-board sweep, [`DseEngine::run_portfolio`]
+//! crosses the grid with a **platform catalog and each platform's
+//! fabric-clock ladder**: backends are memoized per (clock, backend
+//! options), every combination is costed under its platform's Eq. (3)
+//! budget, and the [`PortfolioReport`] marks each platform's Pareto
+//! frontier over (simulated time, resource fit) — the
+//! heterogeneous-portfolio view: pick the node that fits the job.
 //!
 //! **Invariant: a sweep row equals what `cfdc compile` + `cfdc
 //! simulate` + `cfdc serve` would report for that design.** A point is
@@ -26,7 +36,7 @@
 //! rounds with; and its service figures from the stream scheduler on
 //! that round. `score_equals_build_simulate_and_probe` holds the
 //! invariant bit for bit over every catalog platform, ladder clock and
-//! point of both engines' sweeps, infeasible rows included.
+//! point of a kernel's and a program's sweeps, infeasible rows included.
 //!
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
@@ -50,6 +60,7 @@
 
 use std::cmp::Ordering;
 use std::fmt::{self, Write};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mnemosyne::MemorySubsystem;
@@ -61,7 +72,7 @@ use zynq::{ProgramRound, SimConfig};
 
 use crate::cache::{CacheCounters, CompileCache};
 use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
-use crate::program::ProgramBuild;
+use crate::program::{ProgramBuild, ProgramOptions};
 use crate::{fan_out, FlowError, FlowOptions};
 
 /// One point of the exploration grid.
@@ -465,8 +476,8 @@ fn row_len(parts: &[&[Field<'_>]]) -> usize {
 /// Everything of a design point that does not depend on `(k, m)`: one
 /// backend slot's per-stage HLS reports, merged memory subsystem and
 /// external byte interface. A single kernel is a one-stage program
-/// (what `MultiSystemDesign::from_single` asserts), so both engines
-/// score through the same parts.
+/// (what `MultiSystemDesign::from_single` asserts), so kernels and
+/// programs score through the same parts.
 struct ScoreParts {
     stages: Vec<hls::HlsReport>,
     /// `latency_seconds()` of each stage.
@@ -605,255 +616,64 @@ fn apply_backend_axes(opts: &mut FlowOptions, point: &DsePoint, target: &Option<
     }
 }
 
-/// What the sweep driver needs of an engine; everything else of a sweep
-/// is shared ([`sweep`], [`run_grid`], [`run_catalog`]).
-trait Explorer: Sync {
-    fn pipeline(&self) -> &Pipeline;
-    /// The options the grid does not vary — a single-board sweep runs
-    /// on their platform at their HLS clock.
-    fn base(&self) -> &FlowOptions;
-    /// The kernel (or joined program-kernel) name sweep rows carry.
-    fn label(&self) -> String;
-    /// Backends one slot compiles: one per kernel.
-    fn kernels(&self) -> usize;
-    /// Wall-clock cost of the shared stages.
-    fn shared_timings(&self) -> StageTimings;
-    /// Compile the backend slot of `point`'s backend axes at
-    /// `clock_mhz`.
-    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts;
-    /// Account `points` scored points in the pipeline's stage counters.
-    fn count_scored(&self, points: usize);
-}
-
-/// The exploration engine: source is compiled through the scheduling
-/// stage exactly once at [`DseEngine::prepare`]; every design point then
-/// reuses the shared [`Scheduled`] artifacts.
+/// The exploration engine. Every kernel's shared stages (frontend,
+/// middle end, schedule) and the cross-kernel link stage run once at
+/// [`DseEngine::prepare`]; one grid point then fixes the backend axes
+/// (sharing, decoupling, partitioning) for *every* kernel plus a
+/// uniform replication `k`/`m`, and the whole chain is costed under the
+/// shared board budget. Backends are memoized on **(kernel, backend
+/// key)**. A single kernel is the one-kernel program.
 #[derive(Debug)]
 pub struct DseEngine {
     pipeline: Pipeline,
-    base: FlowOptions,
-    scheduled: Scheduled,
-    frontend_s: f64,
-    /// Kernel name the sweep rows are labelled with.
-    kernel_name: String,
-    /// Name of the kernel's largest input array: the target for the
-    /// `partition` axis of the grid.
-    partition_target: Option<String>,
-}
-
-impl DseEngine {
-    /// Compile the shared stages (frontend → middle end → schedule) once.
-    /// `base` supplies everything the grid does not vary: scheduler and
-    /// canonicalization options, board, HLS clock, element count.
-    /// Multi-kernel sources are rejected — use [`ProgramDseEngine`].
-    pub fn prepare(source: &str, base: &FlowOptions) -> Result<DseEngine, FlowError> {
-        DseEngine::prepare_on(Pipeline::new(), source, base)
-    }
-
-    /// Like [`DseEngine::prepare`], with the shared stages memoized
-    /// through a [`CompileCache`] — a warm cache skips the scheduling
-    /// stage entirely, so repeated explorations of unchanged source pay
-    /// only frontend + middle end.
-    pub fn prepare_cached(
-        source: &str,
-        base: &FlowOptions,
-        cache: std::sync::Arc<CompileCache>,
-    ) -> Result<DseEngine, FlowError> {
-        DseEngine::prepare_on(Pipeline::with_cache(cache), source, base)
-    }
-
-    fn prepare_on(
-        pipeline: Pipeline,
-        source: &str,
-        base: &FlowOptions,
-    ) -> Result<DseEngine, FlowError> {
-        let set = cfdlang::parse_set(source)?;
-        if set.is_multi() {
-            return Err(FlowError::Backend(
-                "multi-kernel program source: use ProgramDseEngine for joint sweeps".into(),
-            ));
-        }
-        let kernel_name = set
-            .kernels
-            .first()
-            .map(|k| k.name.clone())
-            .unwrap_or_else(|| "main".to_string());
-        let fe = pipeline.frontend(source)?;
-        let me = pipeline.middle_end(&fe, base)?;
-        let sc = pipeline.schedule(&me, base);
-        Ok(DseEngine {
-            pipeline,
-            base: base.clone(),
-            partition_target: partition_target(&sc.middle.module),
-            scheduled: sc,
-            frontend_s: fe.elapsed_s,
-            kernel_name,
-        })
-    }
-
-    /// Kernel name the sweep is labelled with.
-    pub fn kernel_name(&self) -> &str {
-        &self.kernel_name
-    }
-
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    /// The shared scheduling-stage output every point starts from.
-    pub fn scheduled(&self) -> &Scheduled {
-        &self.scheduled
-    }
-
-    /// Wall-clock cost of the shared stages.
-    pub fn shared_timings(&self) -> StageTimings {
-        StageTimings {
-            frontend_s: self.frontend_s,
-            middle_end_s: self.scheduled.middle.elapsed_s,
-            schedule_s: self.scheduled.elapsed_s,
-            ..Default::default()
-        }
-    }
-
-    /// The flow options for one design point: the engine's base options
-    /// with the point's backend/system axes applied.
-    pub fn options_for(&self, point: &DsePoint) -> FlowOptions {
-        let mut opts = self.base.clone();
-        apply_backend_axes(&mut opts, point, &self.partition_target);
-        opts.system = Some(SystemConfig {
-            k: point.k,
-            m: point.m,
-        });
-        opts
-    }
-
-    /// The backend of `point`'s backend axes synthesized at `clock_mhz`.
-    fn backend_at(&self, clock_mhz: f64, point: &DsePoint) -> Backend {
-        let mut opts = self.options_for(point);
-        opts.hls.clock_mhz = clock_mhz;
-        self.pipeline.backend(&self.scheduled, &opts)
-    }
-
-    /// Score one point on the base platform. Never re-runs the shared
-    /// stages. (Point-wise API: compiles the point's backend inline;
-    /// [`DseEngine::run`] memoizes backends across the grid instead.)
-    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
-        evaluate(self, point, elements)
-    }
-
-    /// Sweep the grid with `jobs` worker threads (0 = one per available
-    /// core) and return the ranked report.
-    ///
-    /// Backends are **memoized on the backend-relevant point subset**
-    /// (sharing, decoupling, partitioning): grid points that differ only
-    /// in the system-stage knobs `k`/`m` share one compiled kernel, HLS
-    /// estimate and memory subsystem, and are scored against it without
-    /// building a system ([`score`]).
-    pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
-        run_grid(self, grid, jobs, elements)
-    }
-
-    /// Sweep the **platform × clock × (k, m, sharing, decoupling,
-    /// partition)** cross product: the multi-board portfolio view.
-    /// Frontend, middle end and scheduling stay compiled once (from
-    /// [`DseEngine::prepare`]); backends are memoized per **(clock,
-    /// backend key)** — a backend compiled at 200 MHz is reused across
-    /// every platform whose ladder contains 200 MHz and every `k`/`m`.
-    pub fn run_portfolio(
-        &self,
-        platforms: &[Platform],
-        grid: &DseGrid,
-        jobs: usize,
-        elements: usize,
-    ) -> PortfolioReport {
-        run_catalog(self, platforms, grid, jobs, elements)
-    }
-}
-
-impl Explorer for DseEngine {
-    fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    fn base(&self) -> &FlowOptions {
-        &self.base
-    }
-
-    fn label(&self) -> String {
-        self.kernel_name.clone()
-    }
-
-    fn kernels(&self) -> usize {
-        1
-    }
-
-    fn shared_timings(&self) -> StageTimings {
-        DseEngine::shared_timings(self)
-    }
-
-    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts {
-        ScoreParts::of_kernel(self.backend_at(clock_mhz, point))
-    }
-
-    /// `stage_invocations.system` has always read one per evaluated
-    /// point of a single-kernel sweep; scoring keeps that count.
-    fn count_scored(&self, points: usize) {
-        self.pipeline.count_systems(points);
-    }
-}
-
-/// Joint design-space exploration over a **multi-kernel program**: one
-/// grid point fixes the backend axes (sharing, decoupling, partitioning)
-/// for *every* kernel plus a uniform replication `k`/`m`, and the whole
-/// chain is costed under the shared board budget. The per-kernel shared
-/// stages (frontend, middle end, schedule, link) run once at
-/// [`ProgramDseEngine::prepare`]; backends and the merged program
-/// memory are memoized on **(kernel, backend key)** — the single-kernel
-/// memoization, keyed additionally by kernel.
-#[derive(Debug)]
-pub struct ProgramDseEngine {
-    pipeline: Pipeline,
-    base: crate::program::ProgramOptions,
+    base: ProgramOptions,
     names: Vec<String>,
     scheds: Vec<Scheduled>,
-    cross: std::sync::Arc<pschedule::CrossLiveness>,
+    cross: Arc<pschedule::CrossLiveness>,
     /// Largest input array per kernel (the `partition` axis target).
     partition_targets: Vec<Option<String>>,
+    /// Wall-clock cost of the shared stages.
     shared: StageTimings,
 }
 
-impl ProgramDseEngine {
+/// [`DseEngine`] under its multi-kernel name, for callers that still
+/// use it.
+pub type ProgramDseEngine = DseEngine;
+
+impl DseEngine {
     /// Compile every kernel's shared stages plus the link stage once.
-    pub fn prepare(
+    /// `base` — [`FlowOptions`] or [`ProgramOptions`] — supplies
+    /// everything the grid does not vary: scheduler and
+    /// canonicalization options, board, HLS clock, cross-kernel sharing.
+    pub fn prepare<O: Clone + Into<ProgramOptions>>(
         source: &str,
-        base: &crate::program::ProgramOptions,
-    ) -> Result<ProgramDseEngine, FlowError> {
-        ProgramDseEngine::prepare_on(Pipeline::new(), source, base)
+        base: &O,
+    ) -> Result<DseEngine, FlowError> {
+        DseEngine::prepare_on(Pipeline::new(), source, base.clone().into())
     }
 
-    /// Like [`ProgramDseEngine::prepare`], with every kernel's shared
-    /// stages memoized through a [`CompileCache`].
-    pub fn prepare_cached(
+    /// Like [`DseEngine::prepare`], with every kernel's shared stages
+    /// memoized through a [`CompileCache`] — a warm cache skips the
+    /// scheduling stage entirely, so repeated explorations of unchanged
+    /// source pay only frontend + middle end.
+    pub fn prepare_cached<O: Clone + Into<ProgramOptions>>(
         source: &str,
-        base: &crate::program::ProgramOptions,
-        cache: std::sync::Arc<CompileCache>,
-    ) -> Result<ProgramDseEngine, FlowError> {
-        ProgramDseEngine::prepare_on(Pipeline::with_cache(cache), source, base)
+        base: &O,
+        cache: Arc<CompileCache>,
+    ) -> Result<DseEngine, FlowError> {
+        DseEngine::prepare_on(Pipeline::with_cache(cache), source, base.clone().into())
     }
 
     fn prepare_on(
         pipeline: Pipeline,
         source: &str,
-        base: &crate::program::ProgramOptions,
-    ) -> Result<ProgramDseEngine, FlowError> {
+        base: ProgramOptions,
+    ) -> Result<DseEngine, FlowError> {
         let fronts = pipeline.program_frontend(source)?;
         let names: Vec<String> = fronts.iter().map(|(n, _)| n.clone()).collect();
-        let kopts = FlowOptions {
-            system: None,
-            ..base.flow.clone()
-        };
         let jobs = crate::resolve_jobs(base.flow.jobs);
-        let (scheds, link) = pipeline.schedule_program(&names, &fronts, &kopts, jobs)?;
+        // `flow.system` reaches neither the middle end nor the schedule.
+        let (scheds, link) = pipeline.schedule_program(&names, &fronts, &base.flow, jobs)?;
         let shared = StageTimings {
             frontend_s: fronts.iter().map(|(_, f)| f.elapsed_s).sum(),
             middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
@@ -861,9 +681,9 @@ impl ProgramDseEngine {
             link_s: link.elapsed_s,
             ..Default::default()
         };
-        Ok(ProgramDseEngine {
+        Ok(DseEngine {
             pipeline,
-            base: base.clone(),
+            base,
             names,
             partition_targets: scheds
                 .iter()
@@ -884,9 +704,23 @@ impl ProgramDseEngine {
         &self.names
     }
 
-    /// The joint label sweep rows carry.
-    pub fn program_label(&self) -> String {
+    /// The label sweep rows carry: the kernel names joined by `+`.
+    pub fn label(&self) -> String {
         self.names.join("+")
+    }
+
+    /// The first kernel's shared scheduling-stage output (a single
+    /// kernel's only one).
+    pub fn scheduled(&self) -> &Scheduled {
+        &self.scheds[0]
+    }
+
+    /// Kernel `i`'s backend for `point`'s backend axes at `clock_mhz`.
+    fn backend_at(&self, i: usize, clock_mhz: f64, point: &DsePoint) -> Backend {
+        let mut opts = self.base.flow.clone();
+        opts.hls.clock_mhz = clock_mhz;
+        apply_backend_axes(&mut opts, point, &self.partition_targets[i]);
+        self.pipeline.backend(&self.scheds[i], &opts)
     }
 
     /// Every kernel's backend for `point`'s backend axes at `clock_mhz`
@@ -894,18 +728,8 @@ impl ProgramDseEngine {
     /// construction `ProgramFlow::compile` uses, so sweep rankings
     /// always match what a real compile would build.
     fn build_at(&self, clock_mhz: f64, point: &DsePoint) -> ProgramBuild {
-        let mut opts = self.base.flow.clone();
-        opts.system = None;
-        opts.hls.clock_mhz = clock_mhz;
-        let backends: Vec<Backend> = self
-            .scheds
-            .iter()
-            .zip(&self.partition_targets)
-            .map(|(sched, target)| {
-                let mut opts = opts.clone();
-                apply_backend_axes(&mut opts, point, target);
-                self.pipeline.backend(sched, &opts)
-            })
+        let backends: Vec<Backend> = (0..self.scheds.len())
+            .map(|i| self.backend_at(i, clock_mhz, point))
             .collect();
         let memory_opts = mnemosyne::MemoryOptions {
             sharing: point.sharing,
@@ -920,23 +744,156 @@ impl ProgramDseEngine {
         )
     }
 
-    /// Score one joint point on the base platform (compiles the point's
-    /// backends inline; [`ProgramDseEngine::run`] memoizes them across
-    /// the grid).
+    /// The backend slot of `point`'s backend axes at `clock_mhz`. A
+    /// one-kernel slot's merged memory is its own, so it skips the
+    /// merge.
+    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts {
+        if self.scheds.len() == 1 {
+            ScoreParts::of_kernel(self.backend_at(0, clock_mhz, point))
+        } else {
+            ScoreParts::of_program(self.build_at(clock_mhz, point))
+        }
+    }
+
+    /// Score one point on the base platform at the base clock. Never
+    /// re-runs the shared stages. (Point-wise API: compiles the point's
+    /// backends inline; [`DseEngine::run`] memoizes them across the
+    /// grid instead.)
     pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
-        evaluate(self, point, elements)
+        let started = Instant::now();
+        let base = &self.base.flow;
+        let parts = self.parts(base.hls.clock_mhz, point);
+        self.pipeline.count_systems(1);
+        outcome(
+            &self.label(),
+            &parts,
+            &base.platform,
+            point,
+            elements,
+            started,
+        )
     }
 
-    /// Sweep the grid with `jobs` workers. Backends are memoized on
-    /// (kernel, sharing, decoupled, partition): the default 32-point
-    /// grid over a 3-kernel program compiles 12 backends.
+    /// The one sweep driver: cross `targets` (a platform and the clocks
+    /// to synthesize at) with the grid, compile each distinct (clock,
+    /// backend key) slot once — it is shared across platforms and
+    /// `k`/`m` — score every combination against its slot and pass the
+    /// outcome through `row`. Slots and rows are computed by
+    /// [`fan_out`], so the result is independent of `jobs`. Every scored
+    /// point counts one system-stage invocation.
+    fn sweep<R: Send>(
+        &self,
+        targets: &[(&Platform, &[f64])],
+        grid: &DseGrid,
+        jobs: usize,
+        elements: usize,
+        row: impl Fn(&Platform, f64, DseOutcome) -> R + Sync,
+    ) -> Swept<R> {
+        let points = grid.points();
+        // The grid's distinct backend keys, each by the first point that
+        // has it, and the distinct clocks; slot (clock, key) is
+        // `clock * reps.len() + key`.
+        let mut reps: Vec<DsePoint> = Vec::new();
+        let key_of: Vec<usize> = points
+            .iter()
+            .map(|p| index_of(&mut reps, |r| r.backend_key() == p.backend_key(), *p))
+            .collect();
+        let mut clocks: Vec<f64> = Vec::new();
+        // Combinations are platform-major: one block of all points per
+        // (platform, clock, index of the clock).
+        let mut blocks: Vec<(usize, f64, usize)> = Vec::new();
+        for (platform, (_, ladder)) in targets.iter().enumerate() {
+            for &mhz in ladder.iter() {
+                let clock = index_of(&mut clocks, |c| c.to_bits() == mhz.to_bits(), mhz);
+                blocks.push((platform, mhz, clock));
+            }
+        }
+        let combos = blocks.len() * points.len();
+        let jobs = crate::resolve_jobs(jobs).min(combos.max(1));
+        let oracle_base = polyhedra::OracleCounters::snapshot();
+        let started = Instant::now();
+
+        let parts = fan_out(jobs, clocks.len() * reps.len(), |slot| {
+            self.parts(clocks[slot / reps.len()], &reps[slot % reps.len()])
+        });
+        let backend_s = started.elapsed().as_secs_f64();
+
+        let label = self.label();
+        let rows = fan_out(jobs, combos, |i| {
+            let t = Instant::now();
+            let (platform, mhz, clock) = blocks[i / points.len()];
+            let point = i % points.len();
+            let parts = &parts[clock * reps.len() + key_of[point]];
+            let platform = targets[platform].0;
+            row(
+                platform,
+                mhz,
+                outcome(&label, parts, platform, &points[point], elements, t),
+            )
+        });
+        self.pipeline.count_systems(combos);
+        Swept {
+            rows,
+            platform_of: (0..combos).map(|i| blocks[i / points.len()].0).collect(),
+            jobs,
+            backend_compiles: parts.len() * self.scheds.len(),
+            backend_uses: combos * self.scheds.len(),
+            backend_s,
+            started,
+            oracle_base,
+        }
+    }
+
+    /// Sweep the grid on the base platform at the base clock with `jobs`
+    /// worker threads (0 = one per available core) and return the
+    /// report, ranked feasible-first, then by throughput, BRAM and LUT
+    /// cost.
+    ///
+    /// Backends are **memoized on the backend-relevant point subset**
+    /// (kernel, sharing, decoupling, partitioning): grid points that
+    /// differ only in the system-stage knobs `k`/`m` share one compiled
+    /// kernel, HLS estimate and memory subsystem, and are scored against
+    /// it without building a system. The default 32-point grid compiles
+    /// 4 backends per kernel.
     pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
-        run_grid(self, grid, jobs, elements)
+        let base = &self.base.flow;
+        let target = (&base.platform, &[base.hls.clock_mhz][..]);
+        let swept = self.sweep(&[target], grid, jobs, elements, |_, _, o| o);
+        let mut outcomes = swept.rows;
+        outcomes.sort_by(sweep_order);
+        let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
+        DseReport {
+            evaluated: outcomes.len(),
+            feasible: outcomes.iter().filter(|o| o.feasible).count(),
+            jobs: swept.jobs,
+            elements,
+            wall_s: swept.started.elapsed().as_secs_f64(),
+            shared: self.shared,
+            counts: self.pipeline.counters(),
+            cache: self.pipeline.cache_counters(),
+            oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
+            backend_compiles: swept.backend_compiles,
+            backend_reuses: swept.backend_uses - swept.backend_compiles,
+            backend_s: swept.backend_s,
+            eval_total_s,
+            eval_mean_s: if outcomes.is_empty() {
+                0.0
+            } else {
+                eval_total_s / outcomes.len() as f64
+            },
+            eval_max_s: outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max),
+            outcomes,
+        }
     }
 
-    /// The portfolio sweep for a multi-kernel program: platform × clock
-    /// × joint grid points, with backends memoized per **(kernel,
-    /// clock, backend key)**.
+    /// Sweep the **platform × clock × (k, m, sharing, decoupling,
+    /// partition)** cross product: the multi-board portfolio view, every
+    /// platform's clock ladder crossed with the grid, Pareto-flagged per
+    /// platform and ranked. The shared stages stay compiled once (from
+    /// [`DseEngine::prepare`]); backends are memoized per **(kernel,
+    /// clock, backend key)** — a backend compiled at 200 MHz is reused
+    /// across every platform whose ladder contains 200 MHz and every
+    /// `k`/`m`.
     pub fn run_portfolio(
         &self,
         platforms: &[Platform],
@@ -944,40 +901,50 @@ impl ProgramDseEngine {
         jobs: usize,
         elements: usize,
     ) -> PortfolioReport {
-        run_catalog(self, platforms, grid, jobs, elements)
+        let targets: Vec<(&Platform, &[f64])> = platforms
+            .iter()
+            .map(|p| (p, p.clock_ladder_mhz.as_slice()))
+            .collect();
+        let row = |platform: &Platform, clock_mhz: f64, outcome: DseOutcome| {
+            let totals = Totals {
+                luts: outcome.luts,
+                ffs: outcome.ffs,
+                dsps: outcome.dsps,
+                brams: outcome.brams,
+            };
+            PortfolioOutcome {
+                platform: platform.id.clone(),
+                board: platform.board.name.clone(),
+                clock_mhz,
+                utilization: if outcome.feasible {
+                    totals.utilization(&platform.board)
+                } else {
+                    0.0
+                },
+                outcome,
+                pareto: false,
+                service_pareto: false,
+            }
+        };
+        let swept = self.sweep(&targets, grid, jobs, elements, row);
+        let (outcomes, summaries) = rank_portfolio(platforms, swept.rows, &swept.platform_of);
+        PortfolioReport {
+            evaluated: outcomes.len(),
+            feasible: summaries.iter().map(|s| s.feasible).sum(),
+            jobs: swept.jobs,
+            elements,
+            wall_s: swept.started.elapsed().as_secs_f64(),
+            backend_compiles: swept.backend_compiles,
+            backend_reuses: swept.backend_uses.saturating_sub(swept.backend_compiles),
+            cache: self.pipeline.cache_counters(),
+            oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
+            summaries,
+            outcomes,
+        }
     }
 }
 
-impl Explorer for ProgramDseEngine {
-    fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    fn base(&self) -> &FlowOptions {
-        &self.base.flow
-    }
-
-    fn label(&self) -> String {
-        self.program_label()
-    }
-
-    fn kernels(&self) -> usize {
-        self.scheds.len()
-    }
-
-    fn shared_timings(&self) -> StageTimings {
-        self.shared
-    }
-
-    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts {
-        ScoreParts::of_program(self.build_at(clock_mhz, point))
-    }
-
-    /// The program system stage was never counted per point.
-    fn count_scored(&self, _points: usize) {}
-}
-
-/// What [`sweep`] hands the report builders.
+/// What [`DseEngine::sweep`] hands the report builders.
 struct Swept<R> {
     /// Row `i` is combination `i`'s, in platform-major combination
     /// order.
@@ -1001,86 +968,6 @@ fn index_of<T>(seen: &mut Vec<T>, same: impl Fn(&T) -> bool, new: T) -> usize {
     })
 }
 
-/// The one sweep driver: cross `targets` (a platform and the clocks to
-/// synthesize at) with the grid, compile each distinct (clock, backend
-/// key) slot once — it is shared across platforms and `k`/`m` — score
-/// every combination against its slot and pass the outcome through
-/// `row`. Slots and rows are computed by [`fan_out`], so the result is
-/// independent of `jobs`.
-fn sweep<E: Explorer, R: Send>(
-    engine: &E,
-    targets: &[(&Platform, &[f64])],
-    grid: &DseGrid,
-    jobs: usize,
-    elements: usize,
-    row: impl Fn(&Platform, f64, DseOutcome) -> R + Sync,
-) -> Swept<R> {
-    let points = grid.points();
-    // The grid's distinct backend keys, each by the first point that
-    // has it, and the distinct clocks; slot (clock, key) is
-    // `clock * reps.len() + key`.
-    let mut reps: Vec<DsePoint> = Vec::new();
-    let key_of: Vec<usize> = points
-        .iter()
-        .map(|p| index_of(&mut reps, |r| r.backend_key() == p.backend_key(), *p))
-        .collect();
-    let mut clocks: Vec<f64> = Vec::new();
-    // Combinations are platform-major: one block of all points per
-    // (platform, clock, index of the clock).
-    let mut blocks: Vec<(usize, f64, usize)> = Vec::new();
-    for (platform, (_, ladder)) in targets.iter().enumerate() {
-        for &mhz in ladder.iter() {
-            let clock = index_of(&mut clocks, |c| c.to_bits() == mhz.to_bits(), mhz);
-            blocks.push((platform, mhz, clock));
-        }
-    }
-    let combos = blocks.len() * points.len();
-    let jobs = crate::resolve_jobs(jobs).min(combos.max(1));
-    let oracle_base = polyhedra::OracleCounters::snapshot();
-    let started = Instant::now();
-
-    let parts = fan_out(jobs, clocks.len() * reps.len(), |slot| {
-        engine.parts(clocks[slot / reps.len()], &reps[slot % reps.len()])
-    });
-    let backend_s = started.elapsed().as_secs_f64();
-
-    let label = engine.label();
-    let rows = fan_out(jobs, combos, |i| {
-        let t = Instant::now();
-        let (platform, mhz, clock) = blocks[i / points.len()];
-        let point = i % points.len();
-        let parts = &parts[clock * reps.len() + key_of[point]];
-        let platform = targets[platform].0;
-        row(
-            platform,
-            mhz,
-            outcome(&label, parts, platform, &points[point], elements, t),
-        )
-    });
-    engine.count_scored(combos);
-    Swept {
-        rows,
-        platform_of: (0..combos).map(|i| blocks[i / points.len()].0).collect(),
-        jobs,
-        backend_compiles: parts.len() * engine.kernels(),
-        backend_uses: combos * engine.kernels(),
-        backend_s,
-        started,
-        oracle_base,
-    }
-}
-
-/// The point-wise API of both engines: compile `point`'s slot at the
-/// base clock and score it on the base platform.
-fn evaluate<E: Explorer>(engine: &E, point: &DsePoint, elements: usize) -> DseOutcome {
-    let started = Instant::now();
-    let base = engine.base();
-    let parts = engine.parts(base.hls.clock_mhz, point);
-    engine.count_scored(1);
-    let label = engine.label();
-    outcome(&label, &parts, &base.platform, point, elements, started)
-}
-
 /// Rank of a sweep's rows: feasible first, then by throughput, BRAM and
 /// LUT cost; the label only ever breaks a full tie.
 fn sweep_order(a: &DseOutcome, b: &DseOutcome) -> Ordering {
@@ -1090,90 +977,6 @@ fn sweep_order(a: &DseOutcome, b: &DseOutcome) -> Ordering {
         .then_with(|| a.brams.cmp(&b.brams))
         .then_with(|| a.luts.cmp(&b.luts))
         .then_with(|| a.point.cmp_label(&b.point))
-}
-
-/// `run` of both engines: the grid on the base platform at the base
-/// clock, ranked feasible-first, then by throughput, BRAM and LUT cost.
-fn run_grid<E: Explorer>(engine: &E, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
-    let base = engine.base();
-    let target = (&base.platform, &[base.hls.clock_mhz][..]);
-    let swept = sweep(engine, &[target], grid, jobs, elements, |_, _, o| o);
-    let mut outcomes = swept.rows;
-    outcomes.sort_by(sweep_order);
-    let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
-    DseReport {
-        evaluated: outcomes.len(),
-        feasible: outcomes.iter().filter(|o| o.feasible).count(),
-        jobs: swept.jobs,
-        elements,
-        wall_s: swept.started.elapsed().as_secs_f64(),
-        shared: engine.shared_timings(),
-        counts: engine.pipeline().counters(),
-        cache: engine.pipeline().cache_counters(),
-        oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
-        backend_compiles: swept.backend_compiles,
-        backend_reuses: swept.backend_uses - swept.backend_compiles,
-        backend_s: swept.backend_s,
-        eval_total_s,
-        eval_mean_s: if outcomes.is_empty() {
-            0.0
-        } else {
-            eval_total_s / outcomes.len() as f64
-        },
-        eval_max_s: outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max),
-        outcomes,
-    }
-}
-
-/// `run_portfolio` of both engines: every platform's clock ladder
-/// crossed with the grid, Pareto-flagged per platform and ranked.
-fn run_catalog<E: Explorer>(
-    engine: &E,
-    platforms: &[Platform],
-    grid: &DseGrid,
-    jobs: usize,
-    elements: usize,
-) -> PortfolioReport {
-    let targets: Vec<(&Platform, &[f64])> = platforms
-        .iter()
-        .map(|p| (p, p.clock_ladder_mhz.as_slice()))
-        .collect();
-    let row = |platform: &Platform, clock_mhz: f64, outcome: DseOutcome| {
-        let totals = Totals {
-            luts: outcome.luts,
-            ffs: outcome.ffs,
-            dsps: outcome.dsps,
-            brams: outcome.brams,
-        };
-        PortfolioOutcome {
-            platform: platform.id.clone(),
-            board: platform.board.name.clone(),
-            clock_mhz,
-            utilization: if outcome.feasible {
-                totals.utilization(&platform.board)
-            } else {
-                0.0
-            },
-            outcome,
-            pareto: false,
-            service_pareto: false,
-        }
-    };
-    let swept = sweep(engine, &targets, grid, jobs, elements, row);
-    let (outcomes, summaries) = rank_portfolio(platforms, swept.rows, &swept.platform_of);
-    PortfolioReport {
-        evaluated: outcomes.len(),
-        feasible: summaries.iter().map(|s| s.feasible).sum(),
-        jobs: swept.jobs,
-        elements,
-        wall_s: swept.started.elapsed().as_secs_f64(),
-        backend_compiles: swept.backend_compiles,
-        backend_reuses: swept.backend_uses.saturating_sub(swept.backend_compiles),
-        cache: engine.pipeline().cache_counters(),
-        oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
-        summaries,
-        outcomes,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2075,7 +1878,7 @@ mod tests {
                 for point in dense.points() {
                     let key = point.backend_key();
                     if !slots.iter().any(|(k, ..)| *k == key) {
-                        let be = engine.backend_at(clock, &point);
+                        let be = engine.backend_at(0, clock, &point);
                         slots.push((key, be.clone(), ScoreParts::of_kernel(be)));
                     }
                     let (_, be, parts) = slots.iter().find(|(k, ..)| *k == key).unwrap();
@@ -2123,7 +1926,7 @@ mod tests {
 
         let src = cfdlang::examples::simulation_step(7);
         let options = crate::program::ProgramOptions::default();
-        let engine = ProgramDseEngine::prepare(&src, &options).unwrap();
+        let engine = DseEngine::prepare(&src, &options).unwrap();
         let (mut fit, mut unfit) = (0, 0);
         for platform in Platform::catalog() {
             for &clock in &platform.clock_ladder_mhz {
@@ -2155,6 +1958,59 @@ mod tests {
             }
         }
         assert!(fit > 100 && unfit > 10, "{fit} fit, {unfit} do not");
+    }
+
+    /// The one-kernel shortcut: a one-kernel slot scores through its
+    /// backend's own memory and byte interface, and those are what the
+    /// merged one-kernel program would have — for every builtin kernel,
+    /// a `kernel` block, all eight backend keys and cross-kernel sharing
+    /// on and off.
+    #[test]
+    fn one_kernel_slot_equals_its_merged_program() {
+        use cfdlang::examples as ex;
+        let sources = [
+            ex::inverse_helmholtz(4),
+            ex::inverse_helmholtz(11),
+            ex::interpolation(8, 12),
+            ex::matrix_sandwich(8),
+            ex::axpy(8),
+            format!("kernel solo {{\n{}}}\n", ex::axpy(3)),
+        ];
+        let keys = DseGrid {
+            k: vec![1],
+            batch: vec![1],
+            sharing: vec![true, false],
+            decoupled: vec![true, false],
+            partition: vec![1, 2],
+        };
+        assert_eq!(keys.points().len(), 8);
+        for src in &sources {
+            for cross_sharing in [true, false] {
+                let options = crate::program::ProgramOptions {
+                    cross_sharing,
+                    ..Default::default()
+                };
+                let engine = DseEngine::prepare(src, &options).unwrap();
+                assert_eq!(engine.kernel_names().len(), 1);
+                let clock = options.flow.hls.clock_mhz;
+                for point in keys.points() {
+                    let kernel = ScoreParts::of_kernel(engine.backend_at(0, clock, &point));
+                    let program = ScoreParts::of_program(engine.build_at(clock, &point));
+                    let view = |p: &ScoreParts| {
+                        let latency: Vec<u64> = p.stages.iter().map(|r| r.latency_cycles).collect();
+                        let kernel_s: Vec<u64> = p.kernel_s.iter().map(|s| s.to_bits()).collect();
+                        let bytes = (p.bytes_in_per_element, p.bytes_out_per_element);
+                        (latency, kernel_s, p.memory.brams, bytes)
+                    };
+                    let at = format!(
+                        "{} cross_sharing={cross_sharing} {}",
+                        engine.label(),
+                        point.label()
+                    );
+                    assert_eq!(view(&kernel), view(&program), "{at}");
+                }
+            }
+        }
     }
 
     /// A replication that is not `m = 2^j · k` scores as "does not

@@ -64,7 +64,7 @@ use cgen::CKernel;
 use hls::{HlsOptions, HlsReport};
 use mnemosyne::{MemoryOptions, MemorySubsystem, MnemosyneConfig};
 use pschedule::{CompatibilityGraph, Dependences, KernelModel, Schedule, SchedulerOptions};
-use sysgen::{Platform, SystemConfig, SystemDesign};
+use sysgen::{MultiSystemDesign, Platform, SystemConfig, SystemDesign};
 use teil::Module;
 use zynq::{ArmCostModel, SimConfig};
 
@@ -95,6 +95,9 @@ pub enum FlowError {
     /// platform's board — the structured small-board error (callers
     /// can retry with a smaller replication or another platform).
     DoesNotFit { k: usize, m: usize, board: String },
+    /// Simulating `elements` elements runs past the simulator's clock:
+    /// `u64` picosecond ticks, about 213 days of simulated time.
+    TicksOverflow { elements: usize },
 }
 
 impl std::fmt::Display for FlowError {
@@ -108,6 +111,10 @@ impl std::fmt::Display for FlowError {
                     "configuration k={k}, m={m} exceeds the resources of {board}"
                 )
             }
+            FlowError::TicksOverflow { elements } => write!(
+                f,
+                "simulating {elements} elements runs past the simulator's 64-bit picosecond clock"
+            ),
         }
     }
 }
@@ -183,12 +190,6 @@ impl FlowOptions {
         opts.platform = platform;
         opts
     }
-
-    /// Resolve the `jobs` knob to a concrete worker count: `0` asks the
-    /// OS for the available parallelism, anything else is taken as-is.
-    pub fn resolved_jobs(&self) -> usize {
-        resolve_jobs(self.jobs)
-    }
 }
 
 /// `0` → available parallelism, otherwise the value itself (min 1).
@@ -223,6 +224,18 @@ pub(crate) fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + S
         }
     });
     out
+}
+
+/// `Err` when the serial simulation of `sim.elements` elements on
+/// `design` would count more ticks than a `u64` holds. The run's total
+/// bounds its exec and transfer products, so this one check covers all
+/// three.
+pub(crate) fn ticks_fit(design: &MultiSystemDesign, sim: &SimConfig) -> Result<(), FlowError> {
+    let rounds = design.host.rounds(sim.elements) as u64;
+    let total = zynq::program_round(design, sim).total().checked_mul(rounds);
+    total.map(|_| ()).ok_or(FlowError::TicksOverflow {
+        elements: sim.elements,
+    })
 }
 
 /// Everything the flow produces.
@@ -293,6 +306,7 @@ impl Artifacts {
             .system
             .as_ref()
             .ok_or_else(|| FlowError::Backend("no feasible system configuration".into()))?;
+        ticks_fit(&MultiSystemDesign::from_single(system), sim)?;
         Ok(zynq::simulate_hw(system, sim))
     }
 
@@ -413,6 +427,23 @@ mod tests {
             .unwrap();
         assert!(r.total_s > 0.0);
         assert!(r.exec_s > 0.0);
+    }
+
+    #[test]
+    fn simulation_past_the_tick_clock_is_an_error() {
+        use crate::program::{ProgramFlow, ProgramOptions};
+        let src = cfdlang::examples::inverse_helmholtz(4);
+        let sim = SimConfig {
+            elements: usize::MAX,
+            ..Default::default()
+        };
+        let overflow = FlowError::TicksOverflow {
+            elements: usize::MAX,
+        };
+        let art = Flow::compile(&src, &FlowOptions::default()).unwrap();
+        assert_eq!(art.simulate(&sim).unwrap_err(), overflow);
+        let art = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
+        assert_eq!(art.simulate(&sim).unwrap_err(), overflow);
     }
 
     #[test]

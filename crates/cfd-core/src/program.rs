@@ -68,8 +68,16 @@ pub struct ProgramOptions {
 
 impl Default for ProgramOptions {
     fn default() -> Self {
+        FlowOptions::default().into()
+    }
+}
+
+impl From<FlowOptions> for ProgramOptions {
+    /// A kernel's flow options as program options: cross-kernel sharing
+    /// on, the replication picked automatically.
+    fn from(flow: FlowOptions) -> Self {
         ProgramOptions {
-            flow: FlowOptions::default(),
+            flow,
             cross_sharing: true,
             system: None,
         }
@@ -134,6 +142,7 @@ impl ProgramArtifacts {
             .system
             .as_ref()
             .ok_or_else(|| FlowError::Backend("no feasible program configuration".into()))?;
+        crate::ticks_fit(system, sim)?;
         Ok(zynq::simulate_program(system, sim))
     }
 
@@ -335,7 +344,7 @@ impl ProgramFlow {
     /// Compile against a shared [`crate::CompileCache`]: every kernel's
     /// scheduling stage is memoized under its content hash. Artifacts
     /// are bit-identical to an uncached compile; the program
-    /// [`StageTimings`](crate::StageTimings) carry the cache counters.
+    /// [`StageTimings`] carry the cache counters.
     pub fn compile_cached(
         source: &str,
         opts: &ProgramOptions,
@@ -665,7 +674,7 @@ mod tests {
         let prog = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
         assert_eq!(prog.names, vec!["solo"]);
         let engine = crate::dse::DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
-        assert_eq!(engine.kernel_name(), "solo");
+        assert_eq!(engine.label(), "solo");
     }
 
     #[test]

@@ -35,3 +35,39 @@ fn a_source_without_statements_exits_one_with_one_line() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `cfdc simulate` of more elements than the simulator's `u64`
+/// picosecond clock can count (about 213 days, ~7.8e10 elements of
+/// helmholtz:11 on the ZCU106) is a one-line error with exit status 1,
+/// not a wrapped total; ten times fewer elements print a total equal to
+/// exec plus transfers.
+#[test]
+fn simulated_ticks_past_u64_exit_one_with_one_line() {
+    let simulate = |elements: &str| {
+        Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["simulate", "helmholtz:11", "--elements", elements])
+            .output()
+            .expect("cfdc runs")
+    };
+    let out = simulate("100000000000");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed a result");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("picosecond clock"), "{stderr}");
+
+    let out = simulate("10000000000");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = stdout.lines().find(|l| l.starts_with("exec ")).unwrap();
+    // "exec X s | transfers Y s | total Z s (...)"
+    let secs: Vec<f64> = line
+        .split(" s")
+        .filter_map(|part| part.rsplit(' ').next()?.parse().ok())
+        .collect();
+    let [exec, transfers, total] = secs[..] else {
+        panic!("unexpected line: {line}")
+    };
+    assert!(total > 2e6, "{line}");
+    assert!((total - (exec + transfers)).abs() <= 1e-3, "{line}");
+}

@@ -357,7 +357,7 @@ fn compile_catalog_reproduces_the_committed_manifest() {
 /// Pareto flag cannot depend on thread timing.
 #[test]
 fn sweeps_are_identical_at_any_worker_count() {
-    use cfd_core::dse::{DseEngine, DseGrid, ProgramDseEngine};
+    use cfd_core::dse::{DseEngine, DseGrid};
     let catalog = sysgen::Platform::catalog();
     let grid = DseGrid::default();
     let single = DseEngine::prepare(
@@ -365,7 +365,7 @@ fn sweeps_are_identical_at_any_worker_count() {
         &cfd_core::FlowOptions::default(),
     )
     .unwrap();
-    let program = ProgramDseEngine::prepare(
+    let program = DseEngine::prepare(
         &cfdlang::examples::simulation_step(4),
         &cfd_core::ProgramOptions::default(),
     )

@@ -185,29 +185,6 @@ impl Expr {
     }
 }
 
-impl Program {
-    /// All identifiers read anywhere in the statements.
-    pub fn read_idents(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for s in &self.stmts {
-            s.rhs.visit_idents(&mut |n| {
-                if !out.iter().any(|o| o == n) {
-                    out.push(n.to_string());
-                }
-            });
-        }
-        out
-    }
-
-    /// Find a variable declaration by name.
-    pub fn find_var(&self, name: &str) -> Option<&Decl> {
-        self.decls.iter().find(|d| match d {
-            Decl::Var { name: n, .. } => n == name,
-            Decl::TypeAlias { .. } => false,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,11 +39,6 @@ impl TypedProgram {
         self.shapes.get(name).map(|s| s.as_slice())
     }
 
-    /// Kind of a declared variable.
-    pub fn kind_of(&self, name: &str) -> Option<DeclKind> {
-        self.kinds.get(name).copied()
-    }
-
     /// Names of input tensors in declaration order.
     pub fn inputs(&self) -> Vec<&str> {
         self.order

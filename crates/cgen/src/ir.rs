@@ -162,11 +162,6 @@ impl CKernel {
             .find(|p| p.name == name)
     }
 
-    /// Total words across parameters.
-    pub fn param_words(&self) -> usize {
-        self.params.iter().map(|p| p.words).sum()
-    }
-
     /// Total words across locals.
     pub fn local_words(&self) -> usize {
         self.locals.iter().map(|p| p.words).sum()
@@ -183,14 +178,6 @@ impl CKernel {
             }
         }
         walk(&self.body, f);
-    }
-
-    /// The top-level loop nests (one per schedule group).
-    pub fn nests(&self) -> Vec<&CStmt> {
-        self.body
-            .iter()
-            .filter(|s| matches!(s, CStmt::For { .. }))
-            .collect()
     }
 }
 

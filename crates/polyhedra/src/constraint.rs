@@ -6,7 +6,7 @@
 //! makes Fourier–Motzkin projection exact on the unimodular systems the
 //! CFDlang flow produces.
 
-use crate::linexpr::{gcd, LinExpr};
+use crate::linexpr::LinExpr;
 use std::fmt;
 
 /// Equality or inequality.
@@ -168,12 +168,6 @@ impl fmt::Display for Constraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.display(&[]))
     }
-}
-
-/// GCD of the full row including constant — exposed for equality
-/// divisibility checks.
-pub fn row_gcd(e: &LinExpr) -> i64 {
-    gcd(e.coeff_gcd(), e.constant.abs())
 }
 
 #[cfg(test)]

@@ -58,18 +58,6 @@ impl LinExpr {
         self.coeffs.len()
     }
 
-    /// Whether all coefficients are zero (constant expression).
-    #[inline]
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0)
-    }
-
-    /// Coefficient of variable `i`.
-    #[inline]
-    pub fn coeff(&self, i: usize) -> i64 {
-        self.coeffs[i]
-    }
-
     /// `self + other`.
     pub fn add(&self, other: &LinExpr) -> LinExpr {
         assert_eq!(self.n_vars(), other.n_vars(), "LinExpr arity mismatch");

@@ -138,17 +138,6 @@ impl BasicMap {
         }
     }
 
-    /// Restrict the range to a basic set.
-    pub fn intersect_range(&self, rng: &BasicSet) -> BasicMap {
-        assert!(rng.space.compatible(&self.out_space));
-        let lifted = rng.system.insert_vars(0, self.n_in());
-        BasicMap {
-            in_space: self.in_space.clone(),
-            out_space: self.out_space.clone(),
-            system: self.system.intersect(&lifted),
-        }
-    }
-
     /// Relational composition `other ∘ self`: `self: A→B`, `other: B→C`,
     /// result `A→C` (`{(a,c) : ∃b. self(a,b) ∧ other(b,c)}`).
     pub fn compose(&self, other: &BasicMap) -> BasicMap {
@@ -407,24 +396,6 @@ impl Map {
                 let r = m.intersect_domain(d);
                 if !r.system.known_infeasible() {
                     parts.push(r);
-                }
-            }
-        }
-        Map {
-            in_space: self.in_space.clone(),
-            out_space: self.out_space.clone(),
-            parts,
-        }
-    }
-
-    /// Restrict ranges.
-    pub fn intersect_range(&self, rng: &Set) -> Map {
-        let mut parts = Vec::new();
-        for m in &self.parts {
-            for r in &rng.parts {
-                let x = m.intersect_range(r);
-                if !x.system.known_infeasible() {
-                    parts.push(x);
                 }
             }
         }

@@ -240,16 +240,6 @@ impl BasicSet {
                     .collect(),
             })
     }
-
-    /// Rename the space (dimensionality must match).
-    pub fn with_space(&self, space: Space) -> BasicSet {
-        assert_eq!(space.dim(), self.dim());
-        let out = BasicSet::make(space, self.system.clone());
-        if let Some(b) = self.bbox.get() {
-            let _ = out.bbox.set(b.clone());
-        }
-        out
-    }
 }
 
 /// One shared suffix sweep over a system: `levels[d]` (the system with

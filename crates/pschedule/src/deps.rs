@@ -12,7 +12,7 @@
 //!
 //! **Existence is an intersection of images.** An edge exists when some
 //! instance of one access and some instance of the other touch one
-//! address: the two accesses' [`image`]s over their domains, bitsets of
+//! address: the two accesses' `image`s over their domains, bitsets of
 //! the addresses each takes, share a bit. The relation `src[x] → dst[y]`
 //! is composed only on demand ([`Dependence::relation`]), or for an
 //! image too wide to hold.

@@ -36,7 +36,7 @@
 //!    is written at a tuple `≤lex x` and read at a tuple `≥lex x`.
 //!    Walking `x`'s coordinates cuts each statement's box into at most
 //!    `rank + 1` sub-boxes on either side of `x`; `x` is live iff the
-//!    address [`image`] of some read sub-box meets that of some write
+//!    address `image` of some read sub-box meets that of some write
 //!    sub-box, each a bitset (a virtual write or read touches every
 //!    address). A common live point proves a conflict.
 //! 3. **Exact.** A pair neither corner settles — overlapping hulls, yet

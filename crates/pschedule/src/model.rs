@@ -97,17 +97,6 @@ impl KernelModel {
         }
     }
 
-    /// All arrays written by some statement.
-    pub fn written_arrays(&self) -> Vec<ArrayId> {
-        let mut out: Vec<ArrayId> = Vec::new();
-        for s in &self.stmts {
-            if !out.contains(&s.write_array) {
-                out.push(s.write_array);
-            }
-        }
-        out
-    }
-
     /// Statement `si`'s write relation `Sk[x] → array[addr]`.
     pub fn write_map(&self, si: usize) -> &Map {
         &self.maps(si)[0]

@@ -88,7 +88,7 @@ impl Default for Row {
 
 impl Row {
     /// Append `pad`, `key value` for every field, then `end` to `out`.
-    /// Does not allocate; a row of up to [`ROW`] bytes without a `Str`
+    /// Does not allocate; a row of up to `ROW` (256) bytes without a `Str`
     /// is one append.
     pub fn push(
         &mut self,

@@ -21,7 +21,7 @@
 
 use crate::board::BoardSpec;
 use crate::platform::Platform;
-use crate::system::{SystemConfig, Totals, LADDER};
+use crate::system::{Totals, LADDER};
 use hls::HlsReport;
 use mnemosyne::MemorySubsystem;
 use serde::{Deserialize, Serialize};
@@ -54,14 +54,6 @@ impl ProgramSystemConfig {
             && self.ks.iter().all(|&k| {
                 k >= 1 && self.m >= k && self.m.is_multiple_of(k) && (self.m / k).is_power_of_two()
             })
-    }
-
-    /// The per-stage view of stage `i` (for reporting).
-    pub fn stage_config(&self, stage: usize) -> SystemConfig {
-        SystemConfig {
-            k: self.ks[stage],
-            m: self.m,
-        }
     }
 }
 
@@ -301,7 +293,7 @@ impl ProgramHostProgram {
 mod tests {
     use super::*;
     use crate::host::HostProgram;
-    use crate::system::SystemDesign;
+    use crate::system::{SystemConfig, SystemDesign};
 
     fn report(latency: u64, luts: usize) -> HlsReport {
         HlsReport {

@@ -141,22 +141,6 @@ impl PointExpr {
             PointExpr::Bin { lhs, rhs, .. } => 1 + lhs.flops() + rhs.flops(),
         }
     }
-
-    /// Remap iteration-variable indices through `f`.
-    pub fn remap_vars(&self, f: &impl Fn(usize) -> usize) -> PointExpr {
-        match self {
-            PointExpr::Access { tensor, index_map } => PointExpr::Access {
-                tensor: *tensor,
-                index_map: index_map.iter().map(|&v| f(v)).collect(),
-            },
-            PointExpr::Const(c) => PointExpr::Const(*c),
-            PointExpr::Bin { op, lhs, rhs } => PointExpr::Bin {
-                op: *op,
-                lhs: Box::new(lhs.remap_vars(f)),
-                rhs: Box::new(rhs.remap_vars(f)),
-            },
-        }
-    }
 }
 
 /// One IR statement: a perfectly-nested loop computation.

@@ -21,7 +21,7 @@
 //! The crate provides:
 //!
 //! * [`ir`] — the IR itself,
-//! * [`lower`] — CFDlang AST → IR lowering (step ⓘ of Figure 4),
+//! * [`lower`](mod@lower) — CFDlang AST → IR lowering (step ⓘ of Figure 4),
 //! * [`transform`] — canonicalization: contraction factorization via
 //!   associativity (the `t = (S ⊗ (S ⊗ (S ⊗ u)..)..)..` rewrite of
 //!   Section IV-A), dead-code elimination, duplicate-statement CSE,

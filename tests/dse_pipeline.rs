@@ -6,6 +6,8 @@
 use cfdfpga::flow::dse::{DseEngine, DseGrid, DsePoint};
 use cfdfpga::flow::pipeline::Pipeline;
 use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::mnemosyne::MemoryOptions;
+use cfdfpga::sysgen::SystemConfig;
 
 /// Composing the five stages by hand produces artifacts identical to
 /// `Flow::compile` — the pipeline refactor changed the structure of the
@@ -123,7 +125,15 @@ fn dse_point_matches_monolithic_compile() {
     let outcome = engine.evaluate(&point, 500);
     assert!(outcome.feasible);
 
-    let mono = Flow::compile(&src, &engine.options_for(&point)).unwrap();
+    let opts = FlowOptions {
+        memory: MemoryOptions {
+            sharing: false,
+            ..MemoryOptions::default()
+        },
+        system: Some(SystemConfig { k: 2, m: 4 }),
+        ..FlowOptions::default()
+    };
+    let mono = Flow::compile(&src, &opts).unwrap();
     let design = mono.system.expect("fits");
     assert_eq!(outcome.luts, design.luts);
     assert_eq!(outcome.ffs, design.ffs);

@@ -225,9 +225,9 @@ fn dense_portfolio_sweep_evaluates_four_thousand_points() {
 /// boards.
 #[test]
 fn program_portfolio_sweeps_the_catalog() {
-    use cfdfpga::flow::dse::{DseGrid, ProgramDseEngine};
+    use cfdfpga::flow::dse::{DseEngine, DseGrid};
     let src = cfdfpga::cfdlang::examples::axpy_chain(4);
-    let engine = ProgramDseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
+    let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
     let grid = DseGrid {
         k: vec![1, 4],
         batch: vec![1],
