@@ -57,8 +57,8 @@
 use cfd_core::dse::{DseEngine, DseGrid};
 use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfd_core::{
-    Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, Flow, FlowOptions,
-    OnlinePolicy, RecoveryPolicy, RoutePolicy, RuntimeOptions,
+    Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, Flow, FlowError,
+    FlowOptions, OnlinePolicy, RecoveryPolicy, RoutePolicy, RuntimeOptions,
 };
 use mnemosyne::MemoryOptions;
 use std::process::exit;
@@ -1255,6 +1255,7 @@ fn cmd_explore(args: &[String]) {
     let elements = if p.elements_set { p.elements } else { 10_000 };
     if let Some(platforms) = &p.boards {
         let report = engine.run_portfolio(platforms, &DseGrid::default(), p.jobs, elements);
+        exit_on_overflow(report.ticks_overflows, elements);
         return print_portfolio(&report, p.json);
     }
     if !p.grid {
@@ -1263,6 +1264,7 @@ fn cmd_explore(args: &[String]) {
         return explore_listing(&p, &be);
     }
     let report = engine.run(&DseGrid::default(), p.jobs, elements);
+    exit_on_overflow(report.ticks_overflows, elements);
     if p.json {
         println!("{}", report.to_json());
         return;
@@ -1279,6 +1281,19 @@ fn cmd_explore(args: &[String]) {
             best.point.label(),
             best.throughput_eps
         );
+    }
+}
+
+/// Exit 1 with [`FlowError::TicksOverflow`]'s line when `overflows`
+/// rows of a sweep over `elements` elements ran past the simulator's
+/// clock: a printed time would be wrong.
+fn exit_on_overflow(overflows: usize, elements: usize) {
+    if overflows > 0 {
+        eprintln!(
+            "exploration failed: {}",
+            FlowError::TicksOverflow { elements }
+        );
+        exit(1)
     }
 }
 

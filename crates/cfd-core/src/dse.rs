@@ -28,15 +28,20 @@
 //!
 //! **Invariant: a sweep row equals what `cfdc compile` + `cfdc
 //! simulate` + `cfdc serve` would report for that design.** A point is
-//! never built — no `SystemDesign`, host program or host source — but
+//! never built — no `SystemDesign`, host program or host source, and a
+//! backend slot emits no kernel C text ([`Backend`] carries none) — but
 //! its feasibility and totals come from `sysgen::Totals::fit`, the
 //! function `SystemDesign::build` and `MultiSystemDesign::build` decide
 //! with; its simulated time from `zynq::ProgramRound::price`, which
 //! `simulate_hw`, `simulate_program` and `program_round` price their
-//! rounds with; and its service figures from the stream scheduler on
-//! that round. `score_equals_build_simulate_and_probe` holds the
-//! invariant bit for bit over every catalog platform, ladder clock and
-//! point of a kernel's and a program's sweeps, infeasible rows included.
+//! rounds with (the serial total is a checked product: a row past the
+//! `u64` clock reads infinite, and the report counts it in
+//! `ticks_overflows`); and its service figures from the stream
+//! scheduler's clean fold on that round, reporting to a summary sink
+//! that keeps two numbers ([`zynq::summarize_round_stream`]).
+//! `score_equals_build_simulate_and_probe` holds the invariant bit for
+//! bit over every catalog platform, ladder clock and point of a
+//! kernel's and a program's sweeps, infeasible rows included.
 //!
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
@@ -206,7 +211,9 @@ pub struct DseOutcome {
     pub plm_brams: usize,
     /// Per-kernel latency estimate.
     pub latency_cycles: u64,
-    /// Simulated end-to-end time for the report's element count.
+    /// Simulated end-to-end time for the report's element count;
+    /// infinite when its ticks do not fit the simulator's `u64` clock
+    /// (the report counts those rows in `ticks_overflows`).
     pub total_s: f64,
     /// Elements per second (0 when infeasible).
     pub throughput_eps: f64,
@@ -227,39 +234,36 @@ pub const SERVICE_PROBE_REQUESTS: usize = 64;
 
 /// Score a design's serving behavior: requests/sec and p99 latency of a
 /// closed backlog of [`SERVICE_PROBE_REQUESTS`] requests under the
-/// `Auto` batch policy (fill `m`) with double-buffered DMA. The two
-/// numbers are read straight off the scheduler's outcome — no requests,
-/// no report — and are, bit for bit, the `throughput_rps` and
+/// `Auto` batch policy (fill `m`) with double-buffered DMA. The stream
+/// scheduler's clean fold reports to a summary that keeps only the
+/// makespan and the drain tick of the round holding the p99 request
+/// (`runtime::rank`'s nearest-rank position; the backlog drains in
+/// arrival order) — no requests, no columns, no sort, no report. The
+/// two numbers are, bit for bit, the `throughput_rps` and
 /// `latency_p99_s` a timing-only `runtime::serve` of that backlog
 /// reports (`service_probe_reads_what_serve_reports`), so the ones
 /// `cfdc serve` would print for the same design. The design enters as
 /// what the scheduler reads of it: its priced round under the default
 /// [`SimConfig`], `ks` and `m`.
 fn service_probe(round: &ProgramRound, ks: &[usize], m: usize) -> (f64, f64) {
-    let stream = zynq::simulate_round_stream(
+    // Everything arrives at tick 0: a request's latency is the tick it
+    // completes at.
+    let summary = zynq::summarize_round_stream(
         round,
         ks,
         m,
         &[0; SERVICE_PROBE_REQUESTS],
         m,
         true,
-        &zynq::FaultPlan::none(),
-        &runtime::RecoveryPolicy::default().to_spec(),
-        &zynq::OnlineSpec::fifo(),
-    )
-    .fault;
-    // Everything arrived at tick 0: a request's latency is the tick it
-    // resolved at.
-    let mut latency_ticks = stream.resolved_ticks;
-    latency_ticks.sort_unstable();
-    let makespan_s = to_secs(stream.stream.makespan_ticks);
+        runtime::rank(SERVICE_PROBE_REQUESTS, 0.99),
+    );
+    let makespan_s = to_secs(summary.makespan_ticks);
     let throughput_rps = if makespan_s > 0.0 {
         SERVICE_PROBE_REQUESTS as f64 / makespan_s
     } else {
         0.0
     };
-    let p99_s = to_secs(runtime::percentile(&latency_ticks, 0.99));
-    (throughput_rps, p99_s)
+    (throughput_rps, to_secs(summary.rank_ticks))
 }
 
 /// Ranked sweep results plus the evidence that the shared stages ran
@@ -298,6 +302,10 @@ pub struct DseReport {
     pub eval_mean_s: f64,
     /// Slowest single point.
     pub eval_max_s: f64,
+    /// Rows whose simulated time ran past the simulator's `u64` clock
+    /// (their `total_s` is infinite). Not printed: `cfdc explore`
+    /// refuses to print a report with any.
+    pub ticks_overflows: usize,
 }
 
 impl DseReport {
@@ -498,8 +506,8 @@ impl ScoreParts {
         }
     }
 
-    /// The parts of a single-kernel backend; the kernel and its C
-    /// source are dropped here.
+    /// The parts of a single-kernel backend; the kernel IR is dropped
+    /// here.
     fn of_kernel(be: Backend) -> ScoreParts {
         let bytes = sysgen::HostProgram::interface_bytes(&be.kernel);
         ScoreParts::new(vec![be.hls_report], be.memory, bytes)
@@ -552,7 +560,9 @@ fn score(
     let (service_rps, service_p99_s) = service_probe(&round, &[k], m);
     Some(Score {
         totals,
-        total_s: to_secs(round.serial_ticks(m, elements)),
+        total_s: round
+            .serial_ticks(m, elements)
+            .map_or(f64::INFINITY, to_secs),
         service_rps,
         service_p99_s,
     })
@@ -882,6 +892,7 @@ impl DseEngine {
                 eval_total_s / outcomes.len() as f64
             },
             eval_max_s: outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max),
+            ticks_overflows: overflows(outcomes.iter()),
             outcomes,
         }
     }
@@ -939,9 +950,15 @@ impl DseEngine {
             cache: self.pipeline.cache_counters(),
             oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
             summaries,
+            ticks_overflows: overflows(outcomes.iter().map(|o| &o.outcome)),
             outcomes,
         }
     }
+}
+
+/// Rows whose simulated time did not fit the clock.
+fn overflows<'a>(rows: impl Iterator<Item = &'a DseOutcome>) -> usize {
+    rows.filter(|o| o.total_s == f64::INFINITY).count()
 }
 
 /// What [`DseEngine::sweep`] hands the report builders.
@@ -1041,6 +1058,9 @@ pub struct PortfolioReport {
     pub cache: CacheCounters,
     /// Polyhedra-oracle counters accumulated over the sweep.
     pub oracle: polyhedra::OracleCounters,
+    /// Rows whose simulated time ran past the simulator's `u64` clock,
+    /// as in [`DseReport::ticks_overflows`].
+    pub ticks_overflows: usize,
 }
 
 /// Pareto flags over `N` minimized objectives (callers negate the
@@ -1702,6 +1722,7 @@ mod tests {
             eval_total_s: 2.0,
             eval_mean_s: 0.0078125,
             eval_max_s: 0.25,
+            ticks_overflows: 0,
         }
     }
 
@@ -1736,6 +1757,7 @@ mod tests {
             backend_reuses: points.saturating_sub(8),
             cache: sweep.cache,
             oracle: sweep.oracle,
+            ticks_overflows: 0,
             summaries,
             outcomes,
         }

@@ -231,8 +231,7 @@ pub(crate) fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + S
 /// bounds its exec and transfer products, so this one check covers all
 /// three.
 pub(crate) fn ticks_fit(design: &MultiSystemDesign, sim: &SimConfig) -> Result<(), FlowError> {
-    let rounds = design.host.rounds(sim.elements) as u64;
-    let total = zynq::program_round(design, sim).total().checked_mul(rounds);
+    let total = zynq::program_round(design, sim).serial_ticks(design.config.m, sim.elements);
     total.map(|_| ()).ok_or(FlowError::TicksOverflow {
         elements: sim.elements,
     })

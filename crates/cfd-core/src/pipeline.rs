@@ -14,7 +14,7 @@
 //! | [`Pipeline::middle_end`] | [`Frontend`] + canonicalization options | [`MiddleEnd`]: tensor IR, layout, polyhedral model (dependences lazily) |
 //! | [`Pipeline::schedule`]   | [`MiddleEnd`] + scheduler options | [`Scheduled`]: schedule, compatibility graph (liveness decided from schedule-box corners) |
 //! | [`Pipeline::link`]       | all kernels' [`Scheduled`] | [`LinkStage`]: inter-kernel handoffs + sequence liveness |
-//! | [`Pipeline::backend`]    | [`Scheduled`] + decoupling/memory/HLS options | [`Backend`]: C kernel, HLS report, Mnemosyne config, memory subsystem |
+//! | [`Pipeline::backend`]    | [`Scheduled`] + decoupling/memory/HLS options | [`Backend`]: C kernel IR, HLS report, Mnemosyne config, memory subsystem |
 //! | [`Pipeline::system`]     | [`Backend`] + board/replication options | [`SystemStage`]: replicated design + host program |
 //!
 //! (Programs replace the per-kernel system stage with one shared
@@ -40,8 +40,12 @@
 //! let me = p.middle_end(&fe, &opts).unwrap();
 //! let sc = p.schedule(&me, &opts);
 //! let be = p.backend(&sc, &opts);
+//! // The C text is emitted on demand, not by the backend stage.
+//! let c_source = cgen::emit_c99(&be.kernel);
 //! let sys = p.system(&be, &opts).unwrap();
 //! assert!(sys.system.is_some());
+//! let art = cfd_core::Artifacts::assemble(&fe, &sc, be, c_source, sys, &opts);
+//! assert!(art.c_source.contains("void kernel_body("));
 //! assert_eq!(p.counters().frontend, 1);
 //! ```
 
@@ -180,12 +184,15 @@ pub struct LinkStage {
     pub elapsed_s: f64,
 }
 
-/// Output of the backend stage: generated code, the HLS estimate and the
-/// synthesized memory subsystem for one option combination.
+/// Output of the backend stage: the generated kernel, the HLS estimate
+/// and the synthesized memory subsystem for one option combination. The
+/// kernel's C text is not part of it: a design-space sweep compiles
+/// backends by the dozen and never reads it, so the compile paths emit
+/// it themselves ([`cgen::emit_c99`]) and hand it to
+/// [`Artifacts::assemble`].
 #[derive(Debug, Clone)]
 pub struct Backend {
     pub kernel: CKernel,
-    pub c_source: String,
     pub hls_report: HlsReport,
     pub mnemosyne_config: MnemosyneConfig,
     pub memory: MemorySubsystem,
@@ -373,7 +380,7 @@ impl Pipeline {
         })
     }
 
-    /// Generate the C kernel, estimate it with the HLS model and
+    /// Build the C kernel, estimate it with the HLS model and
     /// synthesize the Mnemosyne memory subsystem. Honors `opts.decoupled`,
     /// `opts.memory` and `opts.hls`.
     pub fn backend(&self, sc: &Scheduled, opts: &FlowOptions) -> Backend {
@@ -403,12 +410,10 @@ impl Pipeline {
         };
         let kernel =
             cgen::build_kernel(&sc.middle.module, &sc.middle.model, &sc.schedule, &cg_opts);
-        let c_source = cgen::emit_c99(&kernel);
         let hls_report = hls::synthesize(&kernel, &opts.hls);
         let memory = mnemosyne::synthesize(&mnemosyne_config, &opts.memory);
         Backend {
             kernel,
-            c_source,
             hls_report,
             mnemosyne_config,
             memory,
@@ -469,8 +474,9 @@ impl Pipeline {
         let me = self.middle_end(&fe, opts)?;
         let sc = self.schedule(&me, opts);
         let be = self.backend(&sc, opts);
+        let c_source = cgen::emit_c99(&be.kernel);
         let sys = self.system(&be, opts)?;
-        let mut art = Artifacts::assemble(&fe, &sc, be, sys, opts);
+        let mut art = Artifacts::assemble(&fe, &sc, be, c_source, sys, opts);
         art.timings.cache = self.cache_counters();
         art.timings.oracle = polyhedra::OracleCounters::snapshot().since(oracle_base);
         Ok(art)
@@ -479,7 +485,8 @@ impl Pipeline {
 
 impl Artifacts {
     /// Assemble the flat [`Artifacts`] record the rest of the codebase
-    /// consumes from staged outputs. The immutable analysis products
+    /// consumes from staged outputs and the kernel's emitted C text
+    /// (`cgen::emit_c99(&be.kernel)`). The immutable analysis products
     /// (typed AST, module, model, schedule, compatibility graph) are
     /// `Arc`-shared with the pipeline stages rather than deep-cloned —
     /// assembly is a handful of reference-count bumps.
@@ -487,6 +494,7 @@ impl Artifacts {
         fe: &Frontend,
         sc: &Scheduled,
         be: Backend,
+        c_source: String,
         sys: SystemStage,
         opts: &FlowOptions,
     ) -> Artifacts {
@@ -509,7 +517,7 @@ impl Artifacts {
             schedule: Arc::clone(&sc.schedule),
             compat: Arc::clone(&sc.compat),
             kernel: be.kernel,
-            c_source: be.c_source,
+            c_source,
             hls_report: be.hls_report,
             mnemosyne_config: be.mnemosyne_config,
             memory: be.memory,

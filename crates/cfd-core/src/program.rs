@@ -402,7 +402,11 @@ impl Pipeline {
         // on their worker.
         let jobs = crate::resolve_jobs(opts.flow.jobs);
         let (scheds, link) = self.schedule_program(&names, &fronts, &kopts, jobs)?;
-        let backends = fan_out(jobs, scheds.len(), |i| self.backend(&scheds[i], &kopts));
+        let backends = fan_out(jobs, scheds.len(), |i| {
+            let be = self.backend(&scheds[i], &kopts);
+            let c_source = cgen::emit_c99(&be.kernel);
+            (be, c_source)
+        });
         let mut art = self.finish_program(opts, fronts, scheds, link, backends)?;
         art.timings.oracle = polyhedra::OracleCounters::snapshot().since(oracle_base);
         Ok(art)
@@ -429,14 +433,15 @@ impl Pipeline {
     }
 
     /// Program memory + system construction from already-compiled
-    /// per-kernel stage products (the joint-DSE entry point).
+    /// per-kernel stage products: each kernel's backend and its emitted
+    /// C text.
     pub(crate) fn finish_program(
         &self,
         opts: &ProgramOptions,
         fronts: Vec<(String, Frontend)>,
         scheds: Vec<Scheduled>,
         link: LinkStage,
-        backends: Vec<Backend>,
+        backends: Vec<(Backend, String)>,
     ) -> Result<ProgramArtifacts, FlowError> {
         let names: Vec<String> = fronts.iter().map(|(n, _)| n.clone()).collect();
         let t_sys = Instant::now();
@@ -445,7 +450,7 @@ impl Pipeline {
 
         // Program memory + stage reports + host byte interface (shared
         // with the joint DSE engine).
-        let brefs: Vec<&Backend> = backends.iter().collect();
+        let brefs: Vec<&Backend> = backends.iter().map(|(be, _)| be).collect();
         let build = ProgramBuild::prepare(
             &names,
             &cross,
@@ -510,7 +515,7 @@ impl Pipeline {
             middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
             schedule_s: scheds.iter().map(|s| s.elapsed_s).sum(),
             link_s: link.elapsed_s,
-            backend_s: backends.iter().map(|b| b.elapsed_s).sum(),
+            backend_s: backends.iter().map(|(be, _)| be.elapsed_s).sum(),
             system_s,
             cache: self.cache_counters(),
             oracle: polyhedra::OracleCounters::default(),
@@ -519,11 +524,12 @@ impl Pipeline {
             .iter()
             .zip(&scheds)
             .zip(backends)
-            .map(|(((_, fe), sc), be)| {
+            .map(|(((_, fe), sc), (be, c_source))| {
                 Artifacts::assemble(
                     fe,
                     sc,
                     be,
+                    c_source,
                     crate::pipeline::SystemStage {
                         system: None,
                         host_source: String::new(),

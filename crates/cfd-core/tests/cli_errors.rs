@@ -71,3 +71,52 @@ fn simulated_ticks_past_u64_exit_one_with_one_line() {
     assert!(total > 2e6, "{line}");
     assert!((total - (exec + transfers)).abs() <= 1e-3, "{line}");
 }
+
+/// Every `cfdc explore` mode that prints a simulated time refuses to
+/// print one past the `u64` picosecond clock: one line, exit status 1.
+/// At 1e11 elements the wrapped clock used to rank k=2 m=4 first; at
+/// 1e10 only the slow rows wrap (k=1 m=1, whose `cfdc simulate` fails
+/// the same way), which is still a wrong row. At 1e9 the sweep prints,
+/// and ranks k=8 m=8 first.
+#[test]
+fn explored_ticks_past_u64_exit_one_with_one_line() {
+    let explore = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["explore", "helmholtz:11"])
+            .args(args)
+            .output()
+            .expect("cfdc runs")
+    };
+    for (elements, modes) in [
+        (
+            "100000000000",
+            &[
+                &["--grid"][..],
+                &["--grid", "--json"],
+                &["--boards", "all"],
+                &["--boards", "all", "--json"],
+            ][..],
+        ),
+        ("10000000000", &[&["--grid"][..]]),
+    ] {
+        for mode in modes {
+            let mut args = mode.to_vec();
+            args.extend_from_slice(&["--elements", elements]);
+            let out = explore(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed a result");
+            assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+            assert!(stderr.contains("picosecond clock"), "{args:?}: {stderr}");
+        }
+    }
+
+    let out = explore(&["--grid", "--elements", "1000000000"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let best = stdout.lines().find(|l| l.starts_with("best: ")).unwrap();
+    assert!(
+        best.starts_with("best: k=8 m=8 ") && best.ends_with("(2409 elements/s)"),
+        "{best}"
+    );
+}

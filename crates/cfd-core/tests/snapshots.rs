@@ -398,6 +398,44 @@ fn sweeps_are_identical_at_any_worker_count() {
     }
 }
 
+/// 64-bit FNV-1a.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The benchmark's dense sweep — helmholtz:11 over 11 replications
+/// (3, 5, 6, 7, 10, 12 and 16 among them), batch 1, 2 and 4, sharing,
+/// decoupling and partition 1 and 2, on every catalog board and ladder
+/// clock: 4 488 rows — prints, timings masked, the bytes the parent
+/// commit's sweep printed. Only the default 32-point grid has goldens
+/// on disk; this pins the rest of the grid by hash.
+#[test]
+fn dense_portfolio_reproduces_the_parent_hash() {
+    use cfd_core::dse::{DseEngine, DseGrid};
+    let dense = DseGrid {
+        k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
+        batch: vec![1, 2, 4],
+        sharing: vec![true, false],
+        decoupled: vec![true, false],
+        partition: vec![1, 2],
+    };
+    let engine = DseEngine::prepare(
+        &cfdlang::examples::inverse_helmholtz(11),
+        &cfd_core::FlowOptions::default(),
+    )
+    .unwrap();
+    let report = engine.run_portfolio(&sysgen::Platform::catalog(), &dense, 1, 2_000);
+    assert_eq!(report.evaluated, 4_488);
+    let json = mask_timings(&report.to_json(), false);
+    assert_eq!(
+        format!("{:016x}", fnv64(json.as_bytes())),
+        "f92e7855d3591533",
+        "the dense helmholtz:11 portfolio changed"
+    );
+}
+
 #[test]
 fn mask_timings_masks_the_wall_clock_and_nothing_else() {
     let json = "{\n  \"jobs\": 4,\n  \"wall_s\": 0.123,\n  \

@@ -694,8 +694,11 @@ pub struct ServeOutcome {
     pub outputs: Vec<HashMap<String, Vec<f64>>>,
 }
 
-/// Index of the nearest-rank `q`-quantile in a sorted column of `len`.
-fn rank(len: usize, q: f64) -> usize {
+/// Index of the nearest-rank `q`-quantile in a sorted column of `len`
+/// (`len >= 1`): the one nearest-rank definition, which [`percentile`]
+/// reads a sorted column at and the DSE service probe asks the
+/// scheduler's summary for.
+pub fn rank(len: usize, q: f64) -> usize {
     ((q * len as f64).ceil() as usize).clamp(1, len) - 1
 }
 

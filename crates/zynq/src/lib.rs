@@ -40,7 +40,10 @@
 //!   fault-aware wrappers over it, and the clean fold: one pass over
 //!   the arrival list in either mode, with the closed-tick fast-forward
 //!   when serial, which is also the reference the event core is tested
-//!   against,
+//!   against. The fold reports its rounds to a sink: the per-request
+//!   columns, or the two-number summary of
+//!   [`summarize_round_stream`] (makespan and one rank's completion),
+//!   which the design-space sweep's service probe reads,
 //! * [`fault`] — deterministic fault injection for the scheduler: a
 //!   seeded [`FaultPlan`] perturbs the schedule with DMA stalls,
 //!   transient round errors, payload corruption and hard board
@@ -73,7 +76,8 @@ pub use sim::{
     SimConfig,
 };
 pub use stream::{
-    simulate_batch_stream, simulate_faulty_stream, FaultStreamOutcome, StreamOutcome, StreamStatus,
+    simulate_batch_stream, simulate_faulty_stream, summarize_round_stream, FaultStreamOutcome,
+    StreamOutcome, StreamStatus, StreamSummary,
 };
 pub use verify::{
     random_program_inputs, run_program_chain, run_program_reference, verify_program, VerifyResult,

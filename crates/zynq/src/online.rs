@@ -2,15 +2,17 @@
 //! fold for unarmed input and one event core for everything else.
 //!
 //! [`simulate_online_stream`] prices the design's round and hands it to
-//! [`simulate_round_stream`], the only place that validates the
-//! arrival list, clamps the capacity and picks the mode: double-buffered
-//! when overlap was requested, every stage keeps a spare PLM set and no
-//! outage is armed, serial otherwise. It then looks at what is armed.
-//! With no fault plan, no deadline (or SLO) and the FIFO policy, no
-//! decision depends on anything but the arrival list, and the schedule
-//! is the clean fold in [`crate::stream`] — no per-request records, and
-//! a closed serial backlog fast-forwards by multiplication. Anything
-//! armed selects the **event core** below, one `Core` value: a
+//! [`simulate_round_stream`], which validates the arrival list, clamps
+//! the capacity and picks the mode: double-buffered when overlap was
+//! requested, every stage keeps a spare PLM set and no outage is armed,
+//! serial otherwise. It then looks at what is armed. With no fault
+//! plan, no deadline (or SLO) and the FIFO policy, no decision depends
+//! on anything but the arrival list, and the schedule is the clean fold
+//! in [`crate::stream`] — no per-request records, and a closed serial
+//! backlog fast-forwards by multiplication
+//! ([`crate::summarize_round_stream`] runs the same fold, with the same
+//! checks and mode rule, into a two-number summary instead of columns).
+//! Anything armed selects the **event core** below, one `Core` value: a
 //! deterministic virtual-clock loop in which arrivals enter the wait
 //! queue at their arrival tick and batch formation is a decision point
 //! that can wait, close early, reorder by priority or refuse admission,
@@ -157,12 +159,7 @@ pub fn simulate_round_stream(
         "tiers must be empty or one per request"
     );
     let capacity = capacity.clamp(1, m);
-    let spare_plm_sets = ks.iter().all(|&k| m >= 2 * k);
-    let mode = if overlap && spare_plm_sets && plan.outage.is_none() {
-        Mode::DoubleBuffered
-    } else {
-        Mode::Serial
-    };
+    let mode = Mode::pick(overlap && plan.outage.is_none(), ks, m);
     let rec = RecoverySpec {
         deadline_ticks: spec.slo_ticks.into_iter().chain(rec.deadline_ticks).min(),
         ..*rec

@@ -22,6 +22,18 @@ pub(crate) enum Mode {
     DoubleBuffered,
 }
 
+impl Mode {
+    /// Double-buffered when `overlap` is asked for and every stage keeps
+    /// a spare PLM set (`m >= 2·k_i`), serial otherwise.
+    pub(crate) fn pick(overlap: bool, ks: &[usize], m: usize) -> Mode {
+        if overlap && ks.iter().all(|&k| m >= 2 * k) {
+            Mode::DoubleBuffered
+        } else {
+            Mode::Serial
+        }
+    }
+}
+
 /// Free ticks of the two resources and the totals a stream reports.
 /// Callers read the round's constants; only the methods below change
 /// state, so transfers start in time order (`dma_free` never moves
@@ -130,6 +142,11 @@ impl Resources {
         debug_assert!(fail_at >= self.dma_free, "transfers start in time order");
         self.dma_free = fail_at;
         self.settle(fail_at);
+    }
+
+    /// End of the last thing resolved so far.
+    pub(crate) fn makespan(&self) -> Time {
+        self.makespan
     }
 
     /// Something was resolved at `at`: the schedule lasts at least that

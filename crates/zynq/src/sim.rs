@@ -14,7 +14,7 @@
 //! ([`crate::stream`], double-buffered when every stage keeps a spare
 //! PLM set).
 
-use crate::des::{secs, to_secs};
+use crate::des::{secs, to_secs, Time};
 use crate::dma::DmaModel;
 use serde::{Deserialize, Serialize};
 use sysgen::{MultiSystemDesign, SystemDesign};
@@ -164,9 +164,10 @@ impl ProgramRound {
 
     /// End-to-end ticks of the serial schedule over `elements`
     /// elements: `⌈elements / m⌉` identical rounds (the final partial
-    /// batch still costs a full round).
-    pub fn serial_ticks(&self, m: usize, elements: usize) -> u64 {
-        self.total() * elements.div_ceil(m) as u64
+    /// batch still costs a full round). `None` when they do not fit the
+    /// `u64` clock.
+    pub fn serial_ticks(&self, m: usize, elements: usize) -> Option<Time> {
+        self.total().checked_mul(elements.div_ceil(m) as u64)
     }
 }
 
@@ -197,7 +198,9 @@ pub fn program_round(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramRoun
 /// the rest fast-forward by multiplication in integer tick space. The
 /// result is tick-identical to an event-queue formulation at `O(1)`
 /// cost. Transfers never overlap execution here; only the request
-/// stream ([`crate::stream`]) models that.
+/// stream ([`crate::stream`]) models that. The tick products are not
+/// checked: a caller whose element count may run past the `u64` clock
+/// asks [`ProgramRound::serial_ticks`] first.
 pub fn simulate_program(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramHwResult {
     let m = design.config.m;
     let rounds = design.host.rounds(cfg.elements);
@@ -213,7 +216,7 @@ pub fn simulate_program(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramH
         exec_s: stage_exec_s.iter().sum(),
         stage_exec_s,
         transfer_s: to_secs((round.t_in + round.t_out) * n),
-        total_s: to_secs(round.serial_ticks(m, cfg.elements)),
+        total_s: to_secs(round.total() * n),
     }
 }
 

@@ -15,10 +15,10 @@
 //! with two sides selected by whether anything is armed. Both place
 //! every round on one resource model (the DMA engine and the
 //! accelerator chain, with load, execute and drain), run serially or
-//! double-buffered. This module holds the outcome types, the two
-//! narrower public entry points (thin wrappers over the scheduler) and
-//! the unarmed side, the **clean fold**: with no fault plan, no deadline
-//! and no online policy every round costs the same
+//! double-buffered. This module holds the outcome types, the narrower
+//! public entry points (wrappers over the scheduler) and the unarmed
+//! side, the **clean fold**: with no fault plan, no deadline and no
+//! online policy every round costs the same
 //! [`crate::sim::program_round`] ticks and admission is greedy FIFO,
 //! which makes the schedule one pass over the arrival list, in either
 //! mode:
@@ -30,6 +30,16 @@
 //!   every remaining request has arrived the tail of the serial schedule
 //!   collapses into a single multiplication (**closed-tick
 //!   fast-forward**; see [`StreamOutcome::fast_forwarded_rounds`]).
+//!
+//! The clean fold reports each round it places to a **sink**: which
+//! requests it admitted when, and when their outputs were out. One sink
+//! writes the [`StreamOutcome`] columns that serving, the fleet and
+//! [`crate::simulate_round_stream`] read. Another keeps only the
+//! completion tick of one arrival position, which with the makespan is
+//! all a latency percentile of a closed backlog needs: rounds complete
+//! in arrival order, so that position's tick is the sorted column's
+//! entry. [`summarize_round_stream`] runs the fold over it — the
+//! design-space sweep's service probe, with no per-request allocation.
 //!
 //! The armed side, the event core, lives in [`crate::online`]; the
 //! clean fold is also the reference it is tested against.
@@ -112,15 +122,54 @@ pub fn simulate_batch_stream(
     simulate_faulty_stream(design, cfg, arrivals, capacity, overlap, &plan, &rec).stream
 }
 
-/// The clean fold in either mode. A round takes every request that has
-/// arrived by its load tick, up to `capacity`, and the hardware never
-/// idles while one is queued. A finished round's outputs drain before
-/// the next load when the schedule is serial, or when they can drain
-/// before the next request even arrives (the DMA must not idle on a
-/// finished round just because the queue is empty; when both are ready
-/// the input keeps priority, as filling keeps the chain busy);
-/// otherwise they drain while the next round computes. A request
-/// completes when its round's outputs have drained.
+/// Where the clean fold reports the rounds it places, request ranges
+/// in arrival order. The stream's per-request columns are one sink
+/// ([`Columns`]); a summary that keeps one request's completion tick
+/// ([`RankSink`]) is another.
+trait RoundSink {
+    /// Requests `lo..hi` form a round whose inputs start loading at `at`.
+    fn admit(&mut self, lo: usize, hi: usize, at: Time);
+    /// The outputs of requests `lo..hi` are out at `at`.
+    fn complete(&mut self, lo: usize, hi: usize, at: Time);
+}
+
+/// The [`StreamOutcome`] columns: every request's admission and
+/// completion tick, and every round's fill.
+struct Columns {
+    admitted: Vec<Time>,
+    completion: Vec<Time>,
+    fills: Vec<usize>,
+}
+
+impl RoundSink for Columns {
+    fn admit(&mut self, lo: usize, hi: usize, at: Time) {
+        self.admitted[lo..hi].fill(at);
+        self.fills.push(hi - lo);
+    }
+
+    fn complete(&mut self, lo: usize, hi: usize, at: Time) {
+        self.completion[lo..hi].fill(at);
+    }
+}
+
+/// The completion tick of the request at arrival position `rank`.
+struct RankSink {
+    rank: usize,
+    ticks: Time,
+}
+
+impl RoundSink for RankSink {
+    fn admit(&mut self, _: usize, _: usize, _: Time) {}
+
+    fn complete(&mut self, lo: usize, hi: usize, at: Time) {
+        if (lo..hi).contains(&self.rank) {
+            self.ticks = at;
+        }
+    }
+}
+
+/// The clean fold in either mode, reporting to the columns of a
+/// [`StreamOutcome`].
 pub(crate) fn clean_fold(
     arrivals: &[Time],
     capacity: usize,
@@ -128,12 +177,35 @@ pub(crate) fn clean_fold(
     mode: Mode,
 ) -> StreamOutcome {
     let n = arrivals.len();
+    let mut cols = Columns {
+        admitted: vec![0; n],
+        completion: vec![0; n],
+        fills: Vec::new(),
+    };
+    let (res, fast_forwarded) = fold(arrivals, capacity, round, mode, &mut cols);
+    res.outcome(cols.admitted, cols.completion, cols.fills, fast_forwarded)
+}
+
+/// The clean fold. A round takes every request that has arrived by its
+/// load tick, up to `capacity`, and the hardware never idles while one
+/// is queued. A finished round's outputs drain before the next load
+/// when the schedule is serial, or when they can drain before the next
+/// request even arrives (the DMA must not idle on a finished round just
+/// because the queue is empty; when both are ready the input keeps
+/// priority, as filling keeps the chain busy); otherwise they drain
+/// while the next round computes. A request completes when its round's
+/// outputs have drained, so rounds complete in arrival order. Returns
+/// the resources' final state and the rounds the fast-forward placed.
+fn fold(
+    arrivals: &[Time],
+    capacity: usize,
+    round: &ProgramRound,
+    mode: Mode,
+    sink: &mut impl RoundSink,
+) -> (Resources, usize) {
+    let n = arrivals.len();
     let serial = mode == Mode::Serial;
     let mut res = Resources::new(mode, round);
-    let mut admitted = vec![0u64; n];
-    let mut completion = vec![0u64; n];
-    let mut fills = Vec::new();
-    let mut fast_forwarded = 0usize;
     // (outputs ready, first request, one past the last) of the round
     // whose outputs still wait to drain.
     let mut pending_out: Option<(Time, usize, usize)> = None;
@@ -142,7 +214,7 @@ pub(crate) fn clean_fold(
         if let Some((ready, lo, hi)) =
             pending_out.take_if(|&mut (ready, ..)| serial || res.drain_done(ready) <= arrivals[i])
         {
-            completion[lo..hi].fill(res.drain(ready));
+            sink.complete(lo, hi, res.drain(ready));
         }
         let start = res.dma_free().max(arrivals[i]);
         if serial && arrivals[n - 1] <= start {
@@ -154,32 +226,73 @@ pub(crate) fn clean_fold(
             for b in 0..rounds {
                 let lo = i + b * capacity;
                 let hi = (lo + capacity).min(n);
-                fills.push(hi - lo);
-                admitted[lo..hi].fill(start + b as u64 * rt);
-                completion[lo..hi].fill(start + (b as u64 + 1) * rt);
+                sink.admit(lo, hi, start + b as u64 * rt);
+                sink.complete(lo, hi, start + (b as u64 + 1) * rt);
             }
             res.repeat_serial(start, rounds as u64);
-            fast_forwarded = rounds;
-            break;
+            return (res, rounds);
         }
         // Greedy admission: everything arrived by the load tick, up to
         // capacity (at least one — `arrivals[i] <= start` here).
         let hi = (i + capacity).min(n);
         let fill = arrivals[i..hi].iter().filter(|&&a| a <= start).count();
-        admitted[i..i + fill].fill(start);
+        sink.admit(i, i + fill, start);
         let in_done = res.transfer(start, round.t_in);
         let ready = res.execute(in_done);
         // Drain the previous round's outputs while this one executes.
         if let Some((prev, lo, hi)) = pending_out.replace((ready, i, i + fill)) {
-            completion[lo..hi].fill(res.drain(prev));
+            sink.complete(lo, hi, res.drain(prev));
         }
-        fills.push(fill);
         i += fill;
     }
     if let Some((ready, lo, hi)) = pending_out {
-        completion[lo..hi].fill(res.drain(ready));
+        sink.complete(lo, hi, res.drain(ready));
     }
-    res.outcome(admitted, completion, fills, fast_forwarded)
+    (res, 0)
+}
+
+/// What [`summarize_round_stream`] keeps of a stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamSummary {
+    /// End of the last output drain ([`StreamOutcome::makespan_ticks`]).
+    pub makespan_ticks: Time,
+    /// Completion tick of the request at the asked arrival position.
+    /// Rounds complete in arrival order, so this is the value at that
+    /// index of the sorted completion ticks.
+    pub rank_ticks: Time,
+}
+
+/// [`simulate_round_stream`](crate::simulate_round_stream) with nothing
+/// armed, keeping only the makespan and the completion tick of the
+/// request at arrival position `rank` instead of the per-request
+/// columns: no allocation per request, no sort. With every arrival at
+/// tick 0 (a closed backlog) `rank_ticks` is a latency, and `rank` from
+/// the nearest-rank definition makes it that latency percentile.
+///
+/// `arrivals` must be sorted and `rank < arrivals.len()`; `capacity`
+/// and `overlap` act as in
+/// [`simulate_round_stream`](crate::simulate_round_stream).
+pub fn summarize_round_stream(
+    round: &ProgramRound,
+    ks: &[usize],
+    m: usize,
+    arrivals: &[Time],
+    capacity: usize,
+    overlap: bool,
+    rank: usize,
+) -> StreamSummary {
+    assert!(
+        arrivals.windows(2).all(|w| w[0] <= w[1]),
+        "arrivals must be sorted"
+    );
+    assert!(rank < arrivals.len(), "rank {rank} is past the stream");
+    let mut sink = RankSink { rank, ticks: 0 };
+    let mode = Mode::pick(overlap, ks, m);
+    let (res, _) = fold(arrivals, capacity.clamp(1, m), round, mode, &mut sink);
+    StreamSummary {
+        makespan_ticks: res.makespan(),
+        rank_ticks: sink.ticks,
+    }
 }
 
 /// Terminal status of one request under the fault-aware scheduler.

@@ -24,8 +24,9 @@ fn pipeline_stages_compose_to_monolith_artifacts() {
     let me = p.middle_end(&fe, &opts).unwrap();
     let sc = p.schedule(&me, &opts);
     let be = p.backend(&sc, &opts);
+    let c_source = cfdfpga::cgen::emit_c99(&be.kernel);
     let sys = p.system(&be, &opts).unwrap();
-    let staged = cfdfpga::flow::Artifacts::assemble(&fe, &sc, be, sys, &opts);
+    let staged = cfdfpga::flow::Artifacts::assemble(&fe, &sc, be, c_source, sys, &opts);
 
     assert_eq!(staged.typed, mono.typed);
     assert_eq!(staged.module, mono.module);
