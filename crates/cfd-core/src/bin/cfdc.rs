@@ -5,10 +5,11 @@
 //! cfdc compile  <file.cfd> [--board NAME] [--no-factorize] [--no-sharing]
 //!               [--no-decouple] [--no-cross-sharing] [--kernel NAME]
 //!               [--emit c|host|ir|dot|report|memory|all] [-o DIR]
+//!               [--elements N] [--k K --m M]
 //!               [--jobs N] [--cache-dir PATH] [--no-cache] [--json]
 //! cfdc cache    stats|clear --cache-dir PATH
 //! cfdc simulate <file.cfd> [--board NAME] [--elements N] [--k K] [--m M] [--kernel NAME]
-//! cfdc verify   <file.cfd> [--elements N] [--seed S] [--kernel NAME]
+//! cfdc verify   <file.cfd> [--board NAME] [--elements N] [--seed S] [--kernel NAME]
 //! cfdc explore  <file.cfd> [--board NAME | --boards all|A,B,..] [--grid]
 //!               [--jobs N] [--json] [--elements N]
 //! cfdc serve    <file.cfd> [--board NAME] [--requests N] [--arrival closed|poisson]
@@ -43,7 +44,10 @@
 //! `compile` prints per-kernel *and* aggregate resource tables,
 //! `simulate`/`verify`/`serve` run the chained execution, `explore
 //! --grid` sweeps joint design points. `--kernel NAME` instead selects
-//! one kernel of the program and compiles it alone.
+//! one kernel of the program and compiles it alone. Every command
+//! compiles through one function ([`compile_program`]); a single-kernel
+//! source is the one-kernel program, and the kernel outputs render its
+//! one kernel slot and one-stage system.
 //!
 //! `<file.cfd>` may be a path or one of the built-in kernels:
 //! `helmholtz[:p]`, `interpolation[:n:m]`, `sandwich[:n]`, `axpy[:n]`,
@@ -57,13 +61,13 @@
 use cfd_core::dse::{DseEngine, DseGrid};
 use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfd_core::{
-    Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, Flow, FlowError,
+    Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, FlowError,
     FlowOptions, OnlinePolicy, RecoveryPolicy, RoutePolicy, RuntimeOptions,
 };
 use mnemosyne::MemoryOptions;
 use std::process::exit;
 use std::sync::Arc;
-use sysgen::{Platform, ProgramSystemConfig, SystemConfig};
+use sysgen::{Platform, ProgramSystemConfig};
 use zynq::SimConfig;
 
 fn main() {
@@ -94,10 +98,11 @@ fn usage() -> ! {
          \tcfdc boards\n\
          \tcfdc compile  <kernel> [--board NAME] [--no-factorize] [--no-sharing] [--no-decouple]\n\
          \t              [--no-cross-sharing] [--kernel NAME] [--emit WHAT] [-o DIR]\n\
+         \t              [--elements N] [--k K --m M]\n\
          \t              [--jobs N] [--cache-dir PATH] [--no-cache] [--json]\n\
          \tcfdc cache    stats|clear --cache-dir PATH\n\
          \tcfdc simulate <kernel> [--board NAME] [--elements N] [--k K] [--m M] [--kernel NAME]\n\
-         \tcfdc verify   <kernel> [--elements N] [--seed S] [--kernel NAME]\n\
+         \tcfdc verify   <kernel> [--board NAME] [--elements N] [--seed S] [--kernel NAME]\n\
          \tcfdc explore  <kernel> [--board NAME | --boards all|A,B,..] [--grid] [--jobs N]\n\
          \t              [--json] [--elements N]\n\
          \tcfdc serve    <kernel> [--board NAME] [--requests N] [--arrival closed|poisson]\n\
@@ -284,15 +289,13 @@ struct Parsed {
     kernel_count: usize,
     emit: String,
     out_dir: Option<String>,
-    elements: usize,
     /// Whether --elements was given explicitly (commands pick their own
-    /// defaults otherwise).
+    /// defaults otherwise); the count itself is `opts.elements`.
     elements_set: bool,
     seed: u64,
     /// `(k, m)` from `--k`/`--m`, which come together or not at all.
     replication: Option<(usize, usize)>,
     grid: bool,
-    jobs: usize,
     json: bool,
     /// On-disk compile-cache directory (`--cache-dir`); compiles run
     /// uncached when absent or when `--no-cache` is given.
@@ -332,14 +335,17 @@ impl Parsed {
         self.emit == what || self.emit == "all"
     }
 
+    /// The command line's program options: `--k`/`--m` is the uniform
+    /// replication of every kernel.
     fn program_options(&self) -> ProgramOptions {
-        let mut opts = ProgramOptions {
+        let system = self
+            .replication
+            .map(|(k, m)| ProgramSystemConfig::uniform(k, m, self.kernel_count));
+        ProgramOptions {
             flow: self.opts.clone(),
             cross_sharing: self.cross_sharing,
-            system: None,
-        };
-        opts.flow.system = None;
-        opts
+            system,
+        }
     }
 
     /// Build the compile cache requested by `--cache-dir` (none when
@@ -383,13 +389,11 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
     let mut kernel: Option<String> = None;
     let mut emit = "report".to_string();
     let mut out_dir = None;
-    let mut elements = 50_000usize;
     let mut elements_set = false;
     let mut seed = 42u64;
     let mut k = None;
     let mut m = None;
     let mut grid = false;
-    let mut jobs = 0usize;
     let mut json = false;
     let mut cache_dir: Option<String> = None;
     let mut no_cache = false;
@@ -421,7 +425,8 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             "--emit" => emit = take_value(args, &mut i, "--emit")?,
             "-o" => out_dir = Some(take_value(args, &mut i, "-o")?),
             "--elements" => {
-                elements = parse_positive("--elements", take_value(args, &mut i, "--elements")?)?;
+                opts.elements =
+                    parse_positive("--elements", take_value(args, &mut i, "--elements")?)?;
                 elements_set = true;
             }
             "--seed" => {
@@ -445,8 +450,10 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                         .collect::<Result<Vec<_>, _>>()?
                 });
             }
+            // --jobs drives both the compile-stage fan-out and the
+            // exploration worker pool.
             "--jobs" => {
-                jobs = parse_value(
+                opts.jobs = parse_value(
                     "--jobs",
                     take_value(args, &mut i, "--jobs")?,
                     "a worker count (0 = all cores)",
@@ -593,12 +600,6 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         (None, Some(_)) => return unpaired("--m", "--k"),
         (k, m) => k.zip(m),
     };
-    if let Some((k, m)) = replication {
-        opts.system = Some(SystemConfig { k, m });
-    }
-    // --jobs drives both the compile-stage fan-out and (as before) the
-    // exploration worker pool.
-    opts.jobs = jobs;
     // Parse once: program detection, and the --kernel NAME reduction
     // of a program source to one of its kernels. (Parse errors are
     // deferred to the command's own compile for a uniform message.)
@@ -625,12 +626,10 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         kernel_count,
         emit,
         out_dir,
-        elements,
         elements_set,
         seed,
         replication,
         grid,
-        jobs,
         json,
         cache_dir,
         no_cache,
@@ -746,58 +745,31 @@ fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
     )
 }
 
-fn compile(p: &Parsed) -> cfd_core::Artifacts {
-    let cache = cache_or_exit(p);
-    let cached = cache.is_some();
-    let art = match cache {
-        Some(c) => Flow::compile_cached(&p.source, &p.opts, c),
-        None => Flow::compile(&p.source, &p.opts),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("compilation failed: {e}");
-        exit(1)
-    });
-    report_cache(&art.timings, cached);
-    art
-}
-
-fn compile_program(p: &Parsed) -> ProgramArtifacts {
-    let mut opts = p.program_options();
-    if let Some((k, m)) = p.replication {
-        // Uniform per-kernel replication from --k/--m.
-        opts.system = Some(ProgramSystemConfig::uniform(k, m, p.kernel_count));
-    }
-    let cache = cache_or_exit(p);
-    let cached = cache.is_some();
-    let art = match cache {
-        Some(c) => ProgramFlow::compile_cached(&p.source, &opts, c),
-        None => ProgramFlow::compile(&p.source, &opts),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("compilation failed: {e}");
-        exit(1)
-    });
-    report_cache(&art.timings, cached);
-    art
-}
-
-/// Compile the program for one specific fleet platform (the platform
-/// and its default clock override whatever `--board` chose). Errors
-/// are returned, not fatal: fleet serving skips boards the program
-/// cannot target and fails only when none remain.
-fn compile_program_for(p: &Parsed, platform: &Platform) -> Result<ProgramArtifacts, String> {
-    let mut opts = p.program_options();
-    opts.flow.platform = platform.clone();
-    opts.flow.hls.clock_mhz = platform.default_clock_mhz;
-    if let Some((k, m)) = p.replication {
-        opts.system = Some(ProgramSystemConfig::uniform(k, m, p.kernel_count));
-    }
-    let cache = cache_or_exit(p);
+/// The one compile of every command: the source as a (possibly
+/// one-kernel) program under `opts`, through `cache` when given.
+fn compile_program(
+    p: &Parsed,
+    opts: &ProgramOptions,
+    cache: Option<Arc<CompileCache>>,
+) -> Result<ProgramArtifacts, FlowError> {
     match cache {
-        Some(c) => ProgramFlow::compile_cached(&p.source, &opts, c),
-        None => ProgramFlow::compile(&p.source, &opts),
+        Some(c) => ProgramFlow::compile_cached(&p.source, opts, c),
+        None => ProgramFlow::compile(&p.source, opts),
     }
-    .map_err(|e| e.to_string())
+}
+
+/// [`compile_program`] of the command line's options through the
+/// `--cache-dir` cache (its counters on stderr), or exit 1 with the
+/// compile error.
+fn compile_or_exit(p: &Parsed) -> ProgramArtifacts {
+    let cache = cache_or_exit(p);
+    let cached = cache.is_some();
+    let art = compile_program(p, &p.program_options(), cache).unwrap_or_else(|e| {
+        eprintln!("compilation failed: {e}");
+        exit(1)
+    });
+    report_cache(&art.timings, cached);
+    art
 }
 
 /// `cfdc cache stats|clear --cache-dir PATH`: inspect or empty the
@@ -923,46 +895,55 @@ fn program_report(art: &ProgramArtifacts) -> String {
 
 fn cmd_compile(args: &[String]) {
     let p = parse_or_exit(args);
-    if p.is_program() {
-        return cmd_compile_program(&p);
+    let art = compile_or_exit(&p);
+    let sections = if p.is_program() {
+        program_sections(&p, &art)
+    } else {
+        kernel_sections(&p, &art)
+    };
+    write_sections(&p, &sections);
+    if p.json {
+        println!("{}", timings_json(art.kernel_count(), &art.timings));
     }
-    let art = compile(&p);
+}
+
+/// The `--emit` sections of a kernel compile: its one kernel slot, and
+/// the one-stage system in the kernel format.
+fn kernel_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
+    let kernel = &art.kernels[0];
     let mut sections: Vec<(String, String)> = Vec::new();
     if p.wants("ir") {
-        sections.push(("kernel.ir".into(), art.module.to_string()));
+        sections.push(("kernel.ir".into(), kernel.module.to_string()));
     }
     if p.wants("c") {
-        sections.push(("kernel.c".into(), art.c_source.clone()));
+        sections.push(("kernel.c".into(), kernel.c_source.clone()));
     }
     if p.wants("host") {
-        sections.push(("host.c".into(), art.host_source.clone()));
+        sections.push(("host.c".into(), art.kernel_host_source()));
     }
     if p.wants("dot") {
-        sections.push(("compat.dot".into(), art.compat.to_dot()));
+        sections.push(("compat.dot".into(), kernel.compat.to_dot()));
     }
     if p.wants("memory") {
-        let mut s = memory_units(&art.memory);
-        s.push_str(&format!("total {} BRAMs\n", art.memory.brams));
+        let mut s = memory_units(&kernel.memory);
+        s.push_str(&format!("total {} BRAMs\n", kernel.memory.brams));
         sections.push(("memory.txt".into(), s));
     }
     if p.wants("report") {
-        let mut s = art.hls_report.to_string();
+        let mut s = kernel.hls_report.to_string();
         if let Some(sys) = &art.system {
             s.push_str(&format!(
                 "\nsystem: k={} m={} | {} LUT {} FF {} DSP {} BRAM\n",
-                sys.config.k, sys.config.m, sys.luts, sys.ffs, sys.dsps, sys.brams
+                sys.config.ks[0], sys.config.m, sys.luts, sys.ffs, sys.dsps, sys.brams
             ));
         }
         sections.push(("report.txt".into(), s));
     }
-    write_sections(&p, &sections);
-    if p.json {
-        println!("{}", timings_json(1, &art.timings));
-    }
+    sections
 }
 
-fn cmd_compile_program(p: &Parsed) {
-    let art = compile_program(p);
+/// The `--emit` sections of a multi-kernel program compile.
+fn program_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
     let mut sections: Vec<(String, String)> = Vec::new();
     if p.wants("ir") {
         for (name, a) in art.names.iter().zip(&art.kernels) {
@@ -994,12 +975,9 @@ fn cmd_compile_program(p: &Parsed) {
         sections.push(("memory.txt".into(), s));
     }
     if p.wants("report") {
-        sections.push(("report.txt".into(), program_report(&art)));
+        sections.push(("report.txt".into(), program_report(art)));
     }
-    write_sections(p, &sections);
-    if p.json {
-        println!("{}", timings_json(art.kernel_count(), &art.timings));
-    }
+    sections
 }
 
 /// One line per PLM unit of `memory`, as `--emit memory` prints them.
@@ -1043,17 +1021,18 @@ fn write_sections(p: &Parsed, sections: &[(String, String)]) {
 
 fn cmd_simulate(args: &[String]) {
     let p = parse_or_exit(args);
+    let art = compile_or_exit(&p);
+    let elements = p.opts.elements;
+    let r = art
+        .simulate(&SimConfig {
+            elements,
+            ..Default::default()
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("simulation failed: {e}");
+            exit(1)
+        });
     if p.is_program() {
-        let art = compile_program(&p);
-        let r = art
-            .simulate(&SimConfig {
-                elements: p.elements,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("simulation failed: {e}");
-                exit(1)
-            });
         let ks: Vec<String> = r.ks.iter().map(|k| k.to_string()).collect();
         println!(
             "program k=[{}] m={} | {} elements in {} rounds",
@@ -1065,29 +1044,12 @@ fn cmd_simulate(args: &[String]) {
         for (name, exec) in art.names.iter().zip(&r.stage_exec_s) {
             println!("  stage {name}: exec {exec:.4} s");
         }
+    } else {
         println!(
-            "exec {:.4} s | transfers {:.4} s | total {:.4} s ({:.2} ms/element)",
-            r.exec_s,
-            r.transfer_s,
-            r.total_s,
-            r.total_per_element_s() * 1e3
+            "k={} m={} | {} elements in {} rounds",
+            r.ks[0], r.m, r.elements, r.rounds
         );
-        return;
     }
-    let art = compile(&p);
-    let r = art
-        .simulate(&SimConfig {
-            elements: p.elements,
-            ..Default::default()
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("simulation failed: {e}");
-            exit(1)
-        });
-    println!(
-        "k={} m={} | {} elements in {} rounds",
-        r.k, r.m, r.elements, r.rounds
-    );
     println!(
         "exec {:.4} s | transfers {:.4} s | total {:.4} s ({:.2} ms/element)",
         r.exec_s,
@@ -1095,26 +1057,28 @@ fn cmd_simulate(args: &[String]) {
         r.total_s,
         r.total_per_element_s() * 1e3
     );
-    let (sw_ref, sw_hls) = art.sw_times(p.elements).unwrap();
-    println!(
-        "ARM A53: reference {:.4} s, HLS-style code {:.4} s -> HW speedup {:.2}x",
-        sw_ref.total_s,
-        sw_hls.total_s,
-        sw_ref.total_s / r.total_s
-    );
+    if !p.is_program() {
+        let (sw_ref, sw_hls) = art.kernels[0].sw_times(elements).unwrap();
+        println!(
+            "ARM A53: reference {:.4} s, HLS-style code {:.4} s -> HW speedup {:.2}x",
+            sw_ref.total_s,
+            sw_hls.total_s,
+            sw_ref.total_s / r.total_s
+        );
+    }
 }
 
 fn cmd_verify(args: &[String]) {
     let mut p = parse_or_exit(args);
     if !p.elements_set {
-        p.elements = 8; // verification default: a sample, not the full run
+        p.opts.elements = 8; // verification default: a sample, not the full run
     }
+    let art = compile_or_exit(&p);
+    let v = art.verify(p.opts.elements, p.seed).unwrap_or_else(|e| {
+        eprintln!("verification failed: {e}");
+        exit(1)
+    });
     if p.is_program() {
-        let art = compile_program(&p);
-        let v = art.verify(p.elements, p.seed).unwrap_or_else(|e| {
-            eprintln!("verification failed: {e}");
-            exit(1)
-        });
         println!(
             "verified {} chained elements ({} kernels): bitexact={}, max_rel_diff={:.3e}",
             v.elements,
@@ -1122,20 +1086,12 @@ fn cmd_verify(args: &[String]) {
             v.bitexact,
             v.max_rel_diff
         );
-        if !v.bitexact {
-            exit(1);
-        }
-        return;
+    } else {
+        println!(
+            "verified {} elements: bitexact={}, max_rel_diff={:.3e}",
+            v.elements, v.bitexact, v.max_rel_diff
+        );
     }
-    let art = compile(&p);
-    let v = art.verify(p.elements, p.seed).unwrap_or_else(|e| {
-        eprintln!("verification failed: {e}");
-        exit(1)
-    });
-    println!(
-        "verified {} elements: bitexact={}, max_rel_diff={:.3e}",
-        v.elements, v.bitexact, v.max_rel_diff
-    );
     if !v.bitexact {
         exit(1);
     }
@@ -1148,7 +1104,7 @@ fn cmd_serve(args: &[String]) {
     if p.fleet.is_some() {
         return cmd_serve_fleet(&p);
     }
-    let art = compile_program(&p);
+    let art = compile_or_exit(&p);
     let opts = p.runtime_options();
     let out = art.serve(&opts).unwrap_or_else(|e| {
         eprintln!("serving failed: {e}");
@@ -1177,7 +1133,8 @@ fn cmd_serve(args: &[String]) {
 
 /// `cfdc serve --fleet`: shard the request stream across a board set.
 /// The program is compiled once per distinct platform; boards the
-/// program cannot target are skipped with a warning. `--faults` arms
+/// program cannot target are skipped with a warning (a compile error
+/// there is not fatal; it is fatal only when no board remains). `--faults` arms
 /// board 0 only, so an outage always leaves survivors to requeue onto.
 fn cmd_serve_fleet(p: &Parsed) {
     let platforms = p.fleet.as_ref().expect("fleet platforms");
@@ -1185,7 +1142,12 @@ fn cmd_serve_fleet(p: &Parsed) {
     let mut compiled: Vec<(String, Result<ProgramArtifacts, String>)> = Vec::new();
     for platform in platforms {
         if !compiled.iter().any(|(id, _)| *id == platform.id) {
-            compiled.push((platform.id.clone(), compile_program_for(p, platform)));
+            // The platform and its default clock override `--board`.
+            let mut opts = p.program_options();
+            opts.flow.platform = platform.clone();
+            opts.flow.hls.clock_mhz = platform.default_clock_mhz;
+            let art = compile_program(p, &opts, cache_or_exit(p)).map_err(|e| e.to_string());
+            compiled.push((platform.id.clone(), art));
         }
     }
     let art_for = |id: &str| &compiled.iter().find(|(cid, _)| cid == id).unwrap().1;
@@ -1244,26 +1206,25 @@ fn cmd_serve_fleet(p: &Parsed) {
 
 fn cmd_explore(args: &[String]) {
     let p = parse_or_exit(args);
-    if p.boards.is_none() && !p.grid && p.is_program() {
-        return program_listing(&p);
+    if p.boards.is_none() && !p.grid {
+        return explore_listing(&p);
     }
     let engine = DseEngine::prepare(&p.source, &p.program_options()).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)
     });
     // Sweep default: small enough to keep the simulations quick.
-    let elements = if p.elements_set { p.elements } else { 10_000 };
+    let elements = if p.elements_set {
+        p.opts.elements
+    } else {
+        10_000
+    };
     if let Some(platforms) = &p.boards {
-        let report = engine.run_portfolio(platforms, &DseGrid::default(), p.jobs, elements);
+        let report = engine.run_portfolio(platforms, &DseGrid::default(), p.opts.jobs, elements);
         exit_on_overflow(report.ticks_overflows, elements);
         return print_portfolio(&report, p.json);
     }
-    if !p.grid {
-        // Kernel listing: one backend pass, then Eq. (3) over all (k, m).
-        let be = engine.pipeline().backend(engine.scheduled(), &p.opts);
-        return explore_listing(&p, &be);
-    }
-    let report = engine.run(&DseGrid::default(), p.jobs, elements);
+    let report = engine.run(&DseGrid::default(), p.opts.jobs, elements);
     exit_on_overflow(report.ticks_overflows, elements);
     if p.json {
         println!("{}", report.to_json());
@@ -1348,58 +1309,56 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
     }
 }
 
-/// The program feasibility listing: compile the program once,
-/// enumerate uniform configurations.
-fn program_listing(p: &Parsed) {
-    let art = ProgramFlow::compile(&p.source, &p.program_options()).unwrap_or_else(|e| {
+/// The feasibility listing: compile the (one-kernel) program once, then
+/// list every uniform replication Eq. (3) admits on the board
+/// ([`sysgen::enumerate_program_designs`]). `--k`/`--m` do not apply.
+fn explore_listing(p: &Parsed) {
+    let opts = ProgramOptions {
+        system: None,
+        ..p.program_options()
+    };
+    let art = compile_program(p, &opts, None).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)
     });
-    print!("{}", program_report(&art));
     let stages: Vec<(String, hls::HlsReport)> = art
         .names
         .iter()
         .zip(&art.kernels)
         .map(|(n, a)| (n.clone(), a.hls_report.clone()))
         .collect();
-    println!(
-        "feasible uniform configurations on {}:",
-        p.opts.platform.board.name
-    );
-    println!("   k    m     LUT   BRAM");
-    for d in sysgen::enumerate_program_designs(&p.opts.platform, &stages, &art.memory) {
-        println!(
-            "  {:>2}  {:>3}  {:>6}  {:>5}",
-            d.config.ks[0], d.config.m, d.luts, d.brams
-        );
-    }
-}
-
-/// The single-kernel feasibility listing.
-fn explore_listing(p: &Parsed, be: &cfd_core::pipeline::Backend) {
-    let platform = &p.opts.platform;
-    println!(
-        "kernel: {} LUT {} FF {} DSP | PLM {} BRAM",
-        be.hls_report.luts, be.hls_report.ffs, be.hls_report.dsps, be.memory.brams
-    );
-    println!("feasible configurations on {}:", platform.board.name);
-    println!("   k    m  batch     LUT   BRAM   slack(BRAM)");
-    for cfg in sysgen::enumerate_configs(platform, &be.hls_report, &be.memory) {
-        let host = sysgen::HostProgram::from_kernel(&be.kernel, cfg);
-        if let Some(d) =
-            sysgen::SystemDesign::build(platform, &be.hls_report, &be.memory, cfg, host)
-        {
-            let (_, _, _, sb) = d.slack();
+    let board = &p.opts.platform.board;
+    let designs = sysgen::enumerate_program_designs(&p.opts.platform, &stages, &art.memory);
+    if p.is_program() {
+        print!("{}", program_report(&art));
+        println!("feasible uniform configurations on {}:", board.name);
+        println!("   k    m     LUT   BRAM");
+        for d in &designs {
             println!(
-                "  {:>2}  {:>3}  {:>4}   {:>6}  {:>5}   {:>6}",
-                cfg.k,
-                cfg.m,
-                cfg.batch(),
-                d.luts,
-                d.brams,
-                sb
+                "  {:>2}  {:>3}  {:>6}  {:>5}",
+                d.config.ks[0], d.config.m, d.luts, d.brams
             );
         }
+        return;
+    }
+    let kernel = &art.kernels[0];
+    println!(
+        "kernel: {} LUT {} FF {} DSP | PLM {} BRAM",
+        kernel.hls_report.luts, kernel.hls_report.ffs, kernel.hls_report.dsps, kernel.memory.brams
+    );
+    println!("feasible configurations on {}:", board.name);
+    println!("   k    m  batch     LUT   BRAM   slack(BRAM)");
+    for d in &designs {
+        let (_, _, _, slack_brams) = d.slack();
+        println!(
+            "  {:>2}  {:>3}  {:>4}   {:>6}  {:>5}   {:>6}",
+            d.config.ks[0],
+            d.config.m,
+            d.config.batch(0),
+            d.luts,
+            d.brams,
+            slack_brams
+        );
     }
 }
 
@@ -1700,7 +1659,6 @@ mod tests {
     fn jobs_flag_reaches_the_flow_options() {
         let p = parse_common(&args(&["axpy:2", "--jobs", "3"])).unwrap();
         assert_eq!(p.opts.jobs, 3);
-        assert_eq!(p.jobs, 3);
         let p = parse_common(&args(&["axpy:2"])).unwrap();
         assert_eq!(p.opts.jobs, 0);
     }
@@ -1714,7 +1672,7 @@ mod tests {
         assert!(!p.overlap);
         assert_eq!(p.batch, BatchPolicy::Auto);
         assert_eq!(p.arrival, Arrival::Closed);
-        assert_eq!(p.elements, 50_000);
+        assert_eq!(p.opts.elements, 50_000);
         assert!(!p.elements_set);
     }
 }

@@ -47,7 +47,7 @@
 //! let p = Pipeline::with_cache(Arc::clone(&cache));
 //! let src = cfdlang::examples::inverse_helmholtz(4);
 //! let opts = FlowOptions::default();
-//! let fe = p.frontend(&src).unwrap();
+//! let (_, fe) = p.program_frontend(&src).unwrap().remove(0);
 //! let me = p.middle_end(&fe, &opts).unwrap();
 //! let cold = p.schedule(&me, &opts);
 //! let warm = p.schedule(&me, &opts);
@@ -469,7 +469,7 @@ mod tests {
 
     fn scheduled_products(src: &str, opts: &FlowOptions) -> CachedSchedule {
         let p = Pipeline::new();
-        let fe = p.frontend(src).unwrap();
+        let (_, fe) = p.program_frontend(src).unwrap().remove(0);
         let me = p.middle_end(&fe, opts).unwrap();
         let sc = p.schedule(&me, opts);
         CachedSchedule {
@@ -512,7 +512,7 @@ mod tests {
         let src = cfdlang::examples::inverse_helmholtz(4);
         let opts = FlowOptions::default();
         let p = Pipeline::new();
-        let fe = p.frontend(&src).unwrap();
+        let (_, fe) = p.program_frontend(&src).unwrap().remove(0);
         let me = p.middle_end(&fe, &opts).unwrap();
         let k1 = schedule_key(&me.module, &opts);
         let k2 = schedule_key(&me.module, &opts);
@@ -532,7 +532,7 @@ mod tests {
         assert_ne!(k1, schedule_key(&me.module, &other_clock));
         // Different source, different key.
         let src2 = cfdlang::examples::inverse_helmholtz(6);
-        let fe2 = p.frontend(&src2).unwrap();
+        let (_, fe2) = p.program_frontend(&src2).unwrap().remove(0);
         let me2 = p.middle_end(&fe2, &opts).unwrap();
         assert_ne!(k1, schedule_key(&me2.module, &opts));
     }

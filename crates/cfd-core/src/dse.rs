@@ -1812,14 +1812,13 @@ mod tests {
         assert!(fitted >= 3, "only {fitted} catalog boards fit the program");
 
         for (k, m) in [(1, 1), (1, 4), (2, 2), (2, 8)] {
-            let options = FlowOptions {
-                system: Some(SystemConfig { k, m }),
-                ..FlowOptions::default()
+            let options = crate::program::ProgramOptions {
+                system: Some(sysgen::ProgramSystemConfig::uniform(k, m, 1)),
+                ..Default::default()
             };
-            let art =
-                crate::Flow::compile(&cfdlang::examples::inverse_helmholtz(5), &options).unwrap();
-            let single = art.system.expect("fits the zcu106");
-            agrees(&sysgen::MultiSystemDesign::from_single(&single));
+            let source = cfdlang::examples::inverse_helmholtz(5);
+            let art = crate::program::ProgramFlow::compile(&source, &options).unwrap();
+            agrees(&art.system.expect("fits the zcu106"));
         }
     }
 

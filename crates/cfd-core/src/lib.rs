@@ -17,25 +17,33 @@
 //!
 //! Each stage is individually runnable, its products are immutable and
 //! `Arc`-shared, and per-stage wall-clock timings and invocation counts
-//! are recorded. [`Flow::compile`] is a thin composition of the five
-//! stages; the [`dse`] engine reuses the first three across a whole
-//! configuration grid and fans the rest out over worker threads.
+//! are recorded. There is one compile path, the program flow
+//! ([`ProgramFlow`]): a single-kernel source is the one-kernel program,
+//! and [`Flow::compile`] returns that program's one kernel slot. The
+//! replicated system and its host program live on the
+//! [`ProgramArtifacts`]. The [`dse`] engine reuses the first three
+//! stages across a whole configuration grid and fans the rest out over
+//! worker threads.
 //!
 //! # Quick start
 //!
 //! ```
-//! use cfd_core::{Flow, FlowOptions};
+//! use cfd_core::{Flow, FlowOptions, ProgramFlow, ProgramOptions};
 //!
 //! let src = cfdlang::examples::inverse_helmholtz(5);
 //! let art = Flow::compile(&src, &FlowOptions::default()).unwrap();
 //! assert_eq!(art.hls_report.dsps, 15);
-//! assert!(art.system.is_some());
 //! assert!(art.timings.total_s() > 0.0);
 //!
 //! // Functional check of the generated accelerator against the
 //! // reference interpreter:
 //! let v = art.verify(2, 42).unwrap();
 //! assert!(v.bitexact);
+//!
+//! // The replicated system belongs to the (one-kernel) program:
+//! let program = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
+//! assert_eq!(program.kernels[0].c_source, art.c_source);
+//! assert!(program.system.is_some());
 //! ```
 //!
 //! # Exploring a design space
@@ -64,9 +72,9 @@ use cgen::CKernel;
 use hls::{HlsOptions, HlsReport};
 use mnemosyne::{MemoryOptions, MemorySubsystem, MnemosyneConfig};
 use pschedule::{CompatibilityGraph, Dependences, KernelModel, Schedule, SchedulerOptions};
-use sysgen::{MultiSystemDesign, Platform, SystemConfig, SystemDesign};
+use sysgen::{Platform, SystemConfig};
 use teil::Module;
-use zynq::{ArmCostModel, SimConfig};
+use zynq::ArmCostModel;
 
 pub use cache::{CacheCounters, CompileCache};
 pub use pipeline::{Pipeline, StageCounts, StageTimings};
@@ -151,7 +159,9 @@ pub struct FlowOptions {
     /// Target platform: board budget, host CPU, DMA fabric and clock
     /// ladder. Defaults to the paper's ZCU106.
     pub platform: Platform,
-    /// Requested replication; `None` picks the largest feasible `k = m`.
+    /// Requested replication of the one-kernel program
+    /// ([`Flow::compile`]); `None` picks the largest feasible `k = m`.
+    /// The program flow ignores it ([`ProgramOptions::system`]).
     pub system: Option<SystemConfig>,
     /// CFD problem size for host-program generation.
     pub elements: usize,
@@ -226,18 +236,8 @@ pub(crate) fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + S
     out
 }
 
-/// `Err` when the serial simulation of `sim.elements` elements on
-/// `design` would count more ticks than a `u64` holds. The run's total
-/// bounds its exec and transfer products, so this one check covers all
-/// three.
-pub(crate) fn ticks_fit(design: &MultiSystemDesign, sim: &SimConfig) -> Result<(), FlowError> {
-    let total = zynq::program_round(design, sim).serial_ticks(design.config.m, sim.elements);
-    total.map(|_| ()).ok_or(FlowError::TicksOverflow {
-        elements: sim.elements,
-    })
-}
-
-/// Everything the flow produces.
+/// Everything the flow produces for one kernel: a slot of
+/// [`ProgramArtifacts::kernels`].
 #[derive(Debug, Clone)]
 pub struct Artifacts {
     pub typed: std::sync::Arc<TypedProgram>,
@@ -253,10 +253,8 @@ pub struct Artifacts {
     pub hls_report: HlsReport,
     pub mnemosyne_config: MnemosyneConfig,
     pub memory: MemorySubsystem,
-    /// `None` only if the requested configuration does not fit.
-    pub system: Option<SystemDesign>,
-    /// Generated host-code skeleton.
-    pub host_source: String,
+    /// The kernel's flow options (`system` is `None`: the program owns
+    /// the replication).
     pub options: FlowOptions,
     /// Wall-clock cost of each pipeline stage for this compilation.
     pub timings: StageTimings,
@@ -266,11 +264,13 @@ pub struct Artifacts {
 pub struct Flow;
 
 impl Flow {
-    /// Compile a CFDlang program through the complete flow — a thin
-    /// composition of the five [`pipeline`] stages on a fresh
-    /// [`Pipeline`].
+    /// Compile a single-kernel CFDlang source as the one-kernel program
+    /// ([`Pipeline::run_program`], with `opts.system` as its uniform
+    /// replication) and return its one kernel slot, whose
+    /// [`Artifacts::timings`] are the program's. A multi-kernel source
+    /// is an error, raised before any middle end runs.
     pub fn compile(source: &str, opts: &FlowOptions) -> Result<Artifacts, FlowError> {
-        Pipeline::new().run(source, opts)
+        Pipeline::new().run_kernel(source, opts)
     }
 
     /// Compile against a shared [`CompileCache`]: the scheduling stage
@@ -282,7 +282,7 @@ impl Flow {
         opts: &FlowOptions,
         cache: std::sync::Arc<CompileCache>,
     ) -> Result<Artifacts, FlowError> {
-        Pipeline::with_cache(cache).run(source, opts)
+        Pipeline::with_cache(cache).run_kernel(source, opts)
     }
 }
 
@@ -297,16 +297,6 @@ impl Artifacts {
     pub fn dependences(&self) -> &Dependences {
         self.dependences
             .get_or_init(|| Dependences::analyze(&self.model))
-    }
-
-    /// Run the full-system simulation (requires a fitting system).
-    pub fn simulate(&self, sim: &SimConfig) -> Result<zynq::HwResult, FlowError> {
-        let system = self
-            .system
-            .as_ref()
-            .ok_or_else(|| FlowError::Backend("no feasible system configuration".into()))?;
-        ticks_fit(&MultiSystemDesign::from_single(system), sim)?;
-        Ok(zynq::simulate_hw(system, sim))
     }
 
     /// Verify `n` random elements of the accelerator against the
@@ -330,16 +320,12 @@ impl Artifacts {
             zynq::sim::sw_hls_code(&self.kernel, &model, elements).map_err(FlowError::Backend)?;
         Ok((reference, hls_code))
     }
-
-    /// Per-kernel BRAM count of the memory subsystem.
-    pub fn plm_brams(&self) -> usize {
-        self.memory.brams
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zynq::SimConfig;
 
     #[test]
     fn small_helmholtz_end_to_end() {
@@ -347,7 +333,8 @@ mod tests {
         let art = Flow::compile(&src, &FlowOptions::default()).unwrap();
         assert_eq!(art.module.stmts.len(), 7);
         assert!(art.c_source.contains("kernel_body"));
-        assert!(art.system.is_some());
+        let program = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
+        assert!(program.system.is_some());
         let v = art.verify(2, 1).unwrap();
         assert!(v.bitexact);
     }
@@ -355,8 +342,7 @@ mod tests {
     #[test]
     fn kernel_verify_equals_the_one_kernel_program_verify() {
         // Every kernel of the six examples, compiled alone, verifies to
-        // the same figures through the kernel flow and the program flow.
-        use crate::program::{ProgramFlow, ProgramOptions};
+        // the same figures through its kernel slot and the program.
         use cfdlang::examples as ex;
         let sources = [
             ex::inverse_helmholtz(3),
@@ -417,7 +403,7 @@ mod tests {
     #[test]
     fn simulation_runs_from_artifacts() {
         let src = cfdlang::examples::inverse_helmholtz(4);
-        let art = Flow::compile(&src, &FlowOptions::default()).unwrap();
+        let art = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
         let r = art
             .simulate(&SimConfig {
                 elements: 64,
@@ -430,7 +416,6 @@ mod tests {
 
     #[test]
     fn simulation_past_the_tick_clock_is_an_error() {
-        use crate::program::{ProgramFlow, ProgramOptions};
         let src = cfdlang::examples::inverse_helmholtz(4);
         let sim = SimConfig {
             elements: usize::MAX,
@@ -439,9 +424,15 @@ mod tests {
         let overflow = FlowError::TicksOverflow {
             elements: usize::MAX,
         };
-        let art = Flow::compile(&src, &FlowOptions::default()).unwrap();
-        assert_eq!(art.simulate(&sim).unwrap_err(), overflow);
         let art = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
+        assert_eq!(art.simulate(&sim).unwrap_err(), overflow);
+        // The same with the replication requested, as `cfdc simulate
+        // --k 1 --m 1` asks for it.
+        let opts = ProgramOptions {
+            system: Some(sysgen::ProgramSystemConfig::uniform(1, 1, 1)),
+            ..Default::default()
+        };
+        let art = ProgramFlow::compile(&src, &opts).unwrap();
         assert_eq!(art.simulate(&sim).unwrap_err(), overflow);
     }
 

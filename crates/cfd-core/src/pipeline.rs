@@ -1,33 +1,33 @@
 //! Staged compilation pipeline.
 //!
-//! [`Flow::compile`](crate::Flow::compile) used to be one monolithic
-//! function, so every design point in an exploration re-ran the whole
-//! frontend and middle end from source. This module splits the flow into
-//! individually runnable stages with typed outputs. A single-kernel
-//! compile composes five of them; a multi-kernel program
-//! ([`crate::program`]) runs the per-kernel stages once per kernel plus
-//! the cross-kernel [`Pipeline::link`] stage:
+//! The flow splits into individually runnable stages with typed
+//! outputs, so a design-space exploration compiles the frontend and
+//! middle end once instead of once per design point. Every compile is a
+//! program compile ([`crate::program`]): the per-kernel stages run once
+//! per kernel, plus the cross-kernel [`Pipeline::link`] stage and the
+//! program memory + system stage; a single-kernel source is the
+//! one-kernel program.
 //!
 //! | stage | consumes | produces |
 //! |-------|----------|----------|
-//! | [`Pipeline::frontend`]   | CFDlang source | [`Frontend`]: type-checked AST |
+//! | [`Pipeline::program_frontend`] | CFDlang source | one [`Frontend`] (type-checked AST) per kernel |
 //! | [`Pipeline::middle_end`] | [`Frontend`] + canonicalization options | [`MiddleEnd`]: tensor IR, layout, polyhedral model (dependences lazily) |
 //! | [`Pipeline::schedule`]   | [`MiddleEnd`] + scheduler options | [`Scheduled`]: schedule, compatibility graph (liveness decided from schedule-box corners) |
 //! | [`Pipeline::link`]       | all kernels' [`Scheduled`] | [`LinkStage`]: inter-kernel handoffs + sequence liveness |
 //! | [`Pipeline::backend`]    | [`Scheduled`] + decoupling/memory/HLS options | [`Backend`]: C kernel IR, HLS report, Mnemosyne config, memory subsystem |
-//! | [`Pipeline::system`]     | [`Backend`] + board/replication options | [`SystemStage`]: replicated design + host program |
 //!
-//! (Programs replace the per-kernel system stage with one shared
-//! program-memory + multi-system stage — see
-//! [`ProgramFlow`](crate::program::ProgramFlow).)
+//! The program system (shared PLM sets, replicated stages, host
+//! program) is built by [`Pipeline::run_program`] and lives on
+//! [`ProgramArtifacts`](crate::ProgramArtifacts). [`Pipeline::system`]
+//! builds a single-kernel [`SystemDesign`]; no compile path calls it.
 //!
 //! The immutable middle-end products are stored behind [`Arc`], so a
 //! [`Scheduled`] stage can be cloned cheaply and shared across threads —
 //! the property the [`dse`](crate::dse) engine exploits to fan backend
-//! and system construction out over a configuration grid. Every stage
-//! records its wall-clock cost ([`StageTimings`]) and bumps a per-
-//! pipeline invocation counter ([`StageCounts`]), which lets tests assert
-//! that an exploration compiled the frontend and middle end exactly once.
+//! construction out over a configuration grid. Every stage records its
+//! wall-clock cost ([`StageTimings`]) and bumps a per-pipeline
+//! invocation counter ([`StageCounts`]), which lets tests assert that
+//! an exploration compiled the frontend and middle end exactly once.
 //!
 //! ```
 //! use cfd_core::pipeline::Pipeline;
@@ -36,15 +36,13 @@
 //! let src = cfdlang::examples::inverse_helmholtz(4);
 //! let opts = FlowOptions::default();
 //! let p = Pipeline::new();
-//! let fe = p.frontend(&src).unwrap();
+//! let (_, fe) = p.program_frontend(&src).unwrap().remove(0);
 //! let me = p.middle_end(&fe, &opts).unwrap();
 //! let sc = p.schedule(&me, &opts);
 //! let be = p.backend(&sc, &opts);
 //! // The C text is emitted on demand, not by the backend stage.
 //! let c_source = cgen::emit_c99(&be.kernel);
-//! let sys = p.system(&be, &opts).unwrap();
-//! assert!(sys.system.is_some());
-//! let art = cfd_core::Artifacts::assemble(&fe, &sc, be, c_source, sys, &opts);
+//! let art = cfd_core::Artifacts::assemble(&fe, &sc, be, c_source, &opts);
 //! assert!(art.c_source.contains("void kernel_body("));
 //! assert_eq!(p.counters().frontend, 1);
 //! ```
@@ -106,7 +104,7 @@ pub struct StageTimings {
     pub frontend_s: f64,
     pub middle_end_s: f64,
     pub schedule_s: f64,
-    /// Cross-kernel link stage (0 for single-kernel compiles).
+    /// Cross-kernel link stage (0 in a kernel slot's own timings).
     pub link_s: f64,
     pub backend_s: f64,
     pub system_s: f64,
@@ -199,8 +197,8 @@ pub struct Backend {
     pub elapsed_s: f64,
 }
 
-/// Output of the system stage: the replicated design (if it fits) and
-/// the generated host program.
+/// Output of [`Pipeline::system`]: the replicated single-kernel design
+/// (if it fits) and its host program.
 #[derive(Debug, Clone)]
 pub struct SystemStage {
     pub system: Option<SystemDesign>,
@@ -250,46 +248,34 @@ impl Pipeline {
         self.counters.snapshot()
     }
 
-    /// Count a frontend invocation performed outside [`Pipeline::frontend`]
-    /// (the program frontend parses all kernels in one pass).
-    pub(crate) fn count_frontend(&self) {
-        self.counters.frontend.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count `n` system-stage invocations performed outside
     /// [`Pipeline::system`]: the program system stage, and the design
-    /// points a single-kernel sweep scores without building them.
+    /// points a sweep scores without building them.
     pub(crate) fn count_systems(&self, n: usize) {
         self.counters.system.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Parse and type-check single-kernel CFDlang source. A source
-    /// written as one `kernel name { ... }` block is accepted as the
-    /// degenerate one-kernel program; multi-kernel sources must go
-    /// through the program flow ([`Pipeline::run_program`]).
-    pub fn frontend(&self, source: &str) -> Result<Frontend, FlowError> {
+    /// Parse and type-check a (possibly multi-kernel) source: one
+    /// [`Frontend`] per kernel, in execution order (a plain source is
+    /// the one-kernel program `main`). Counts as a single frontend
+    /// invocation.
+    pub fn program_frontend(&self, source: &str) -> Result<Vec<(String, Frontend)>, FlowError> {
         self.counters.frontend.fetch_add(1, Ordering::Relaxed);
         let t = Instant::now();
         let set = cfdlang::parse_set(source)?;
-        if set.is_multi() {
-            return Err(FlowError::Backend(
-                "multi-kernel program source: use the program flow (run_program)".into(),
-            ));
-        }
-        let ast = set
-            .kernels
-            .into_iter()
-            .next()
-            .map(|k| k.program)
-            .unwrap_or(cfdlang::Program {
-                decls: vec![],
-                stmts: vec![],
-            });
-        let typed = cfdlang::check(&ast)?;
-        Ok(Frontend {
-            typed: Arc::new(typed),
-            elapsed_s: t.elapsed().as_secs_f64(),
-        })
+        let typed = cfdlang::check_set(&set)?;
+        let elapsed = t.elapsed().as_secs_f64() / typed.kernels.len().max(1) as f64;
+        let fronts = typed.kernels.into_iter().map(|k| {
+            let typed = Arc::new(k.typed);
+            (
+                k.name,
+                Frontend {
+                    typed,
+                    elapsed_s: elapsed,
+                },
+            )
+        });
+        Ok(fronts.collect())
     }
 
     /// Lower to tensor IR, canonicalize (factorization, CSE, DCE per
@@ -422,11 +408,16 @@ impl Pipeline {
     }
 
     /// Pick / validate the replication configuration and build the
-    /// replicated system plus its host program on the target platform.
-    /// Returns [`FlowError::DoesNotFit`] only when `opts.system`
-    /// explicitly requests a configuration that exceeds the platform's
-    /// board — the automatic choice degrades to the largest feasible
-    /// replication (or no system at all) on small boards.
+    /// replicated single-kernel system plus its host program on the
+    /// target platform. Returns [`FlowError::DoesNotFit`] only when
+    /// `opts.system` explicitly requests a configuration that exceeds
+    /// the platform's board — the automatic choice degrades to the
+    /// largest feasible replication (or no system at all) on small
+    /// boards.
+    ///
+    /// No compile path calls this (a kernel's system is the one-stage
+    /// program's, which `from_single` of this design equals); it stays
+    /// for the `benchmark/` harness's `sysgen.system` probe.
     pub fn system(&self, be: &Backend, opts: &FlowOptions) -> Result<SystemStage, FlowError> {
         self.counters.system.fetch_add(1, Ordering::Relaxed);
         let t = Instant::now();
@@ -465,28 +456,11 @@ impl Pipeline {
             elapsed_s: t.elapsed().as_secs_f64(),
         })
     }
-
-    /// The complete flow as a composition of the five stages —
-    /// behaviorally identical to the old monolithic `Flow::compile`.
-    pub fn run(&self, source: &str, opts: &FlowOptions) -> Result<Artifacts, FlowError> {
-        let oracle_base = polyhedra::OracleCounters::snapshot();
-        let fe = self.frontend(source)?;
-        let me = self.middle_end(&fe, opts)?;
-        let sc = self.schedule(&me, opts);
-        let be = self.backend(&sc, opts);
-        let c_source = cgen::emit_c99(&be.kernel);
-        let sys = self.system(&be, opts)?;
-        let mut art = Artifacts::assemble(&fe, &sc, be, c_source, sys, opts);
-        art.timings.cache = self.cache_counters();
-        art.timings.oracle = polyhedra::OracleCounters::snapshot().since(oracle_base);
-        Ok(art)
-    }
 }
 
 impl Artifacts {
-    /// Assemble the flat [`Artifacts`] record the rest of the codebase
-    /// consumes from staged outputs and the kernel's emitted C text
-    /// (`cgen::emit_c99(&be.kernel)`). The immutable analysis products
+    /// Assemble one kernel's [`Artifacts`] slot from staged outputs and
+    /// the kernel's emitted C text (`cgen::emit_c99(&be.kernel)`). The immutable analysis products
     /// (typed AST, module, model, schedule, compatibility graph) are
     /// `Arc`-shared with the pipeline stages rather than deep-cloned —
     /// assembly is a handful of reference-count bumps.
@@ -495,7 +469,6 @@ impl Artifacts {
         sc: &Scheduled,
         be: Backend,
         c_source: String,
-        sys: SystemStage,
         opts: &FlowOptions,
     ) -> Artifacts {
         let me = &sc.middle;
@@ -505,7 +478,7 @@ impl Artifacts {
             schedule_s: sc.elapsed_s,
             link_s: 0.0,
             backend_s: be.elapsed_s,
-            system_s: sys.elapsed_s,
+            system_s: 0.0,
             cache: CacheCounters::default(),
             oracle: polyhedra::OracleCounters::default(),
         };
@@ -521,8 +494,6 @@ impl Artifacts {
             hls_report: be.hls_report,
             mnemosyne_config: be.mnemosyne_config,
             memory: be.memory,
-            system: sys.system,
-            host_source: sys.host_source,
             options: opts.clone(),
             timings,
         }

@@ -10,9 +10,11 @@
 //! 1. **frontend** — [`Pipeline::program_frontend`] parses and checks
 //!    the kernel blocks (a plain source is the degenerate one-kernel
 //!    program),
-//! 2. **per-kernel middle end / schedule / backend** — the existing
-//!    single-kernel stages run once per kernel, so every per-kernel
-//!    artifact is *bit-identical* to compiling that kernel alone,
+//! 2. **per-kernel middle end / schedule / backend** — the per-kernel
+//!    stages run once per kernel, over up to `jobs` workers; a
+//!    single-kernel source is the one-kernel program, and
+//!    [`Flow::compile`](crate::Flow::compile) returns its one kernel
+//!    slot ([`ProgramArtifacts::kernels`]),
 //! 3. **link** — [`Pipeline::link`] resolves the inter-kernel tensor
 //!    handoffs and kernel-sequence liveness,
 //! 4. **program memory** — `mnemosyne::merge_configs` co-locates PLM
@@ -89,8 +91,9 @@ impl From<FlowOptions> for ProgramOptions {
 pub struct ProgramArtifacts {
     /// Kernel names in execution order.
     pub names: Vec<String>,
-    /// Per-kernel artifacts, exactly as the single-kernel flow would
-    /// produce them (`system` is `None` — the program owns the system).
+    /// Per-kernel artifacts; a kernel compiled alone
+    /// ([`Flow::compile`](crate::Flow::compile)) is the one slot of its
+    /// one-kernel program.
     pub kernels: Vec<Artifacts>,
     /// Cross-kernel dependences and sequence liveness.
     pub cross: Arc<CrossLiveness>,
@@ -114,14 +117,6 @@ impl ProgramArtifacts {
         self.kernels.len()
     }
 
-    /// Per-kernel artifacts by name.
-    pub fn kernel(&self, name: &str) -> Option<&Artifacts> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| &self.kernels[i])
-    }
-
     /// Sum of the stand-alone per-kernel PLM BRAM counts — what the
     /// program would cost without cross-kernel co-location.
     pub fn per_kernel_plm_brams(&self) -> usize {
@@ -135,14 +130,42 @@ impl ProgramArtifacts {
         cgen::emit_c99_as(&self.kernels[i].kernel, &format!("{}_body", self.names[i]))
     }
 
+    /// The `host.c` of a kernel compile: the one-stage system's host
+    /// program in the kernel format ([`sysgen::HostProgram::to_c`],
+    /// "k accelerators, m PLM systems"), empty when no system fits. Of
+    /// a multi-kernel program it describes the first stage only; the
+    /// chained host skeleton is the program's `host_source` field.
+    pub fn kernel_host_source(&self) -> String {
+        let Some(sys) = &self.system else {
+            return String::new();
+        };
+        let host = sysgen::HostProgram {
+            config: sysgen::SystemConfig {
+                k: sys.config.ks[0],
+                m: sys.config.m,
+            },
+            bytes_in_per_element: sys.host.bytes_in_per_element,
+            bytes_out_per_element: sys.host.bytes_out_per_element,
+        };
+        host.to_c(self.options.flow.elements)
+    }
+
     /// Run the chained full-system simulation (requires a fitting
-    /// system).
+    /// system). Simulating more elements than the `u64` picosecond
+    /// clock counts (about 213 days) is [`FlowError::TicksOverflow`].
     pub fn simulate(&self, sim: &SimConfig) -> Result<ProgramHwResult, FlowError> {
         let system = self
             .system
             .as_ref()
             .ok_or_else(|| FlowError::Backend("no feasible program configuration".into()))?;
-        crate::ticks_fit(system, sim)?;
+        // The run's total bounds its exec and transfer products, so this
+        // one check covers all three.
+        let round = zynq::program_round(system, sim);
+        if round.serial_ticks(system.config.m, sim.elements).is_none() {
+            return Err(FlowError::TicksOverflow {
+                elements: sim.elements,
+            });
+        }
         Ok(zynq::simulate_program(system, sim))
     }
 
@@ -355,30 +378,6 @@ impl ProgramFlow {
 }
 
 impl Pipeline {
-    /// Parse and type-check a (possibly multi-kernel) source: one
-    /// [`Frontend`] per kernel, in execution order. Counts as a single
-    /// frontend invocation.
-    pub fn program_frontend(&self, source: &str) -> Result<Vec<(String, Frontend)>, FlowError> {
-        let t = Instant::now();
-        let set = cfdlang::parse_set(source)?;
-        let typed = cfdlang::check_set(&set)?;
-        self.count_frontend();
-        let elapsed = t.elapsed().as_secs_f64() / typed.kernels.len().max(1) as f64;
-        Ok(typed
-            .kernels
-            .into_iter()
-            .map(|k| {
-                (
-                    k.name,
-                    Frontend {
-                        typed: Arc::new(k.typed),
-                        elapsed_s: elapsed,
-                    },
-                )
-            })
-            .collect())
-    }
-
     /// The complete program flow: per-kernel stages, the cross-kernel
     /// link stage, program-wide memory synthesis and the multi-system
     /// stage.
@@ -387,8 +386,47 @@ impl Pipeline {
         source: &str,
         opts: &ProgramOptions,
     ) -> Result<ProgramArtifacts, FlowError> {
-        let oracle_base = polyhedra::OracleCounters::snapshot();
         let fronts = self.program_frontend(source)?;
+        self.run_fronts(fronts, opts)
+    }
+
+    /// [`Flow::compile`](crate::Flow::compile): the one-kernel program
+    /// with `opts.system` as its uniform replication, reduced to its
+    /// kernel slot carrying the program's timings. A multi-kernel
+    /// source is rejected after the frontend, before any middle end.
+    pub(crate) fn run_kernel(
+        &self,
+        source: &str,
+        opts: &FlowOptions,
+    ) -> Result<Artifacts, FlowError> {
+        let fronts = self.program_frontend(source)?;
+        if fronts.len() > 1 {
+            return Err(FlowError::Backend(
+                "multi-kernel program source: use the program flow (run_program)".into(),
+            ));
+        }
+        let system = opts
+            .system
+            .map(|c| ProgramSystemConfig::uniform(c.k, c.m, 1));
+        let popts = ProgramOptions {
+            system,
+            ..opts.clone().into()
+        };
+        let program = self.run_fronts(fronts, &popts)?;
+        let mut kernels = program.kernels.into_iter();
+        let mut kernel = kernels.next().expect("a parsed source has a kernel");
+        kernel.timings = program.timings;
+        Ok(kernel)
+    }
+
+    /// Everything after the frontend. The frontend asks the polyhedra
+    /// oracle nothing, so its counters are counted from here.
+    fn run_fronts(
+        &self,
+        fronts: Vec<(String, Frontend)>,
+        opts: &ProgramOptions,
+    ) -> Result<ProgramArtifacts, FlowError> {
+        let oracle_base = polyhedra::OracleCounters::snapshot();
         let names: Vec<String> = fronts.iter().map(|(n, _)| n.clone()).collect();
         // Per-kernel options: the program stage owns the system choice.
         let kopts = FlowOptions {
@@ -407,7 +445,7 @@ impl Pipeline {
             let c_source = cgen::emit_c99(&be.kernel);
             (be, c_source)
         });
-        let mut art = self.finish_program(opts, fronts, scheds, link, backends)?;
+        let mut art = self.finish_program(opts, &kopts, fronts, scheds, link, backends)?;
         art.timings.oracle = polyhedra::OracleCounters::snapshot().since(oracle_base);
         Ok(art)
     }
@@ -433,11 +471,12 @@ impl Pipeline {
     }
 
     /// Program memory + system construction from already-compiled
-    /// per-kernel stage products: each kernel's backend and its emitted
-    /// C text.
-    pub(crate) fn finish_program(
+    /// per-kernel stage products (compiled under `kopts`): each
+    /// kernel's backend and its emitted C text.
+    fn finish_program(
         &self,
         opts: &ProgramOptions,
+        kopts: &FlowOptions,
         fronts: Vec<(String, Frontend)>,
         scheds: Vec<Scheduled>,
         link: LinkStage,
@@ -504,12 +543,6 @@ impl Pipeline {
         } = build;
         let system_s = t_sys.elapsed().as_secs_f64();
 
-        // Per-kernel artifacts, assembled exactly like the single-kernel
-        // flow (so the no-sharing program is bit-identical per kernel).
-        let kopts = FlowOptions {
-            system: None,
-            ..opts.flow.clone()
-        };
         let timings = StageTimings {
             frontend_s: fronts.iter().map(|(_, f)| f.elapsed_s).sum(),
             middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
@@ -524,20 +557,7 @@ impl Pipeline {
             .iter()
             .zip(&scheds)
             .zip(backends)
-            .map(|(((_, fe), sc), (be, c_source))| {
-                Artifacts::assemble(
-                    fe,
-                    sc,
-                    be,
-                    c_source,
-                    crate::pipeline::SystemStage {
-                        system: None,
-                        host_source: String::new(),
-                        elapsed_s: 0.0,
-                    },
-                    &kopts,
-                )
-            })
+            .map(|(((_, fe), sc), (be, c_source))| Artifacts::assemble(fe, sc, be, c_source, kopts))
             .collect();
         Ok(ProgramArtifacts {
             names,
@@ -596,16 +616,18 @@ mod tests {
         assert_eq!(k.hls_report, single.hls_report);
         assert_eq!(k.memory, single.memory);
         // The degenerate program system picks the same k = m as the
-        // single-kernel flow.
-        let (ps, ss) = (
-            art.system.as_ref().unwrap(),
-            single.system.as_ref().unwrap(),
-        );
-        assert_eq!(ps.config.ks, vec![ss.config.k]);
-        assert_eq!(ps.config.m, ss.config.m);
+        // single-kernel Eq. (3) and costs what the single-kernel design
+        // costs.
+        let platform = &art.options.flow.platform;
+        let ss = sysgen::max_equal_config(platform, &k.hls_report, &k.memory).unwrap();
+        let host = sysgen::HostProgram::from_kernel(&k.kernel, ss);
+        let sd = sysgen::SystemDesign::build(platform, &k.hls_report, &k.memory, ss, host).unwrap();
+        let ps = art.system.as_ref().unwrap();
+        assert_eq!(ps.config.ks, vec![ss.k]);
+        assert_eq!(ps.config.m, ss.m);
         assert_eq!(
             (ps.luts, ps.ffs, ps.dsps, ps.brams),
-            (ss.luts, ss.ffs, ss.dsps, ss.brams)
+            (sd.luts, sd.ffs, sd.dsps, sd.brams)
         );
     }
 
@@ -675,12 +697,38 @@ mod tests {
         // `kernel solo { ... }` is the degenerate one-kernel set and
         // must work through the single-kernel entry points too.
         let src = format!("kernel solo {{\n{}}}\n", cfdlang::examples::axpy(3));
-        let art = crate::Flow::compile(&src, &FlowOptions::default()).unwrap();
+        let art = Flow::compile(&src, &FlowOptions::default()).unwrap();
         assert!(art.verify(1, 2).unwrap().bitexact);
         let prog = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
         assert_eq!(prog.names, vec!["solo"]);
         let engine = crate::dse::DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
         assert_eq!(engine.label(), "solo");
+    }
+
+    #[test]
+    fn flow_compile_of_a_multi_kernel_source_is_an_error() {
+        // `Flow::compile` is the one-kernel program's compile: a
+        // multi-kernel source is rejected after the frontend, before
+        // any middle end runs.
+        let src = cfdlang::examples::simulation_step(4);
+        let p = Pipeline::new();
+        match p.run_kernel(&src, &FlowOptions::default()).unwrap_err() {
+            FlowError::Backend(msg) => assert!(msg.contains("multi-kernel"), "{msg}"),
+            other => panic!("expected the multi-kernel error, got {other}"),
+        }
+        assert_eq!(p.counters().frontend, 1);
+        assert_eq!(p.counters().middle_end, 0);
+        assert_eq!(
+            Flow::compile(&src, &FlowOptions::default()).unwrap_err(),
+            FlowError::Backend(
+                "multi-kernel program source: use the program flow (run_program)".into()
+            )
+        );
+        // A one-kernel block is the one-kernel program, named or not.
+        let solo = format!("kernel solo {{\n{}}}\n", cfdlang::examples::axpy(3));
+        let art = Flow::compile(&solo, &FlowOptions::default()).unwrap();
+        let plain = Flow::compile(&cfdlang::examples::axpy(3), &FlowOptions::default()).unwrap();
+        assert_eq!(art.c_source, plain.c_source);
     }
 
     #[test]

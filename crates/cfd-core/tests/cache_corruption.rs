@@ -53,13 +53,12 @@ fn entries(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Bit-level artifact identity: the generated C, the host skeleton and
-/// the canonical IR of every kernel.
+/// Bit-level artifact identity: the generated C and the canonical IR of
+/// every kernel, and the host skeleton.
 fn assert_bit_identical(a: &ProgramArtifacts, b: &ProgramArtifacts) {
     assert_eq!(a.names, b.names);
     for (ka, kb) in a.kernels.iter().zip(&b.kernels) {
         assert_eq!(ka.c_source, kb.c_source, "generated C diverged");
-        assert_eq!(ka.host_source, kb.host_source, "host skeleton diverged");
         assert_eq!(
             ka.module.to_string(),
             kb.module.to_string(),

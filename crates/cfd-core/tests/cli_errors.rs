@@ -1,5 +1,7 @@
-//! `cfdc` turns a source without a statement into a one-line compile
-//! error with exit status 1, for every subcommand that compiles it.
+//! `cfdc`'s command-line edges: a source without a statement is a
+//! one-line compile error with exit status 1 for every subcommand that
+//! compiles it, as is a simulation past the tick clock; and
+//! `--elements` reaches every output that counts elements.
 
 use std::process::Command;
 
@@ -119,4 +121,21 @@ fn explored_ticks_past_u64_exit_one_with_one_line() {
         best.starts_with("best: k=8 m=8 ") && best.ends_with("(2409 elements/s)"),
         "{best}"
     );
+}
+
+/// `cfdc compile --elements N` sizes the host program's main loop: a
+/// kernel's `host.c` and a program's run `ceil(N / m)` rounds of the
+/// automatic replication (m = 32 for helmholtz:5, m = 16 for simstep:7
+/// on the ZCU106), not the default 50 000 elements' rounds.
+#[test]
+fn compile_elements_sizes_the_host_loop() {
+    for (kernel, rounds) in [("helmholtz:5", "i < 25;"), ("simstep:7", "i < 49;")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["compile", kernel, "--emit", "host", "--elements", "777"])
+            .output()
+            .expect("cfdc runs");
+        assert!(out.status.success(), "{kernel}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains(rounds), "{kernel}: {stdout}");
+    }
 }

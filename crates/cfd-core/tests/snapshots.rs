@@ -352,6 +352,29 @@ fn compile_catalog_reproduces_the_committed_manifest() {
     );
 }
 
+/// `tests/golden/kernel_cli.sh` (the single-kernel `explore` listing,
+/// `simulate`, `verify` and `compile --emit report|host` surfaces no
+/// other golden covers) prints the transcript committed beside it.
+#[test]
+fn kernel_cli_reproduces_the_committed_transcript() {
+    let script = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/kernel_cli.sh");
+    let out = Command::new("bash")
+        .arg(&script)
+        .arg(env!("CARGO_BIN_EXE_cfdc"))
+        .output()
+        .expect("bash runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = String::from_utf8(out.stdout).expect("utf8 transcript");
+    assert!(
+        got == explore_golden("kernel_cli.txt"),
+        "cfdc's kernel surfaces no longer print tests/golden/kernel_cli.txt"
+    );
+}
+
 /// A sweep's report does not depend on the worker count: rows are
 /// placed by combination index, so which of two tied points carries a
 /// Pareto flag cannot depend on thread timing.

@@ -10,7 +10,8 @@
 use crate::system::SystemConfig;
 use serde::{Deserialize, Serialize};
 
-/// The host program skeleton for a system configuration.
+/// The host program skeleton of a single-kernel system configuration
+/// (the simulators price the one-stage [`crate::ProgramHostProgram`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostProgram {
     pub config: SystemConfig,
@@ -34,7 +35,8 @@ impl HostProgram {
         )
     }
 
-    /// Build from the kernel's parameter list.
+    /// Build from the kernel's parameter list. No compile path calls
+    /// this; it stays for the `benchmark/` harness.
     pub fn from_kernel(kernel: &cgen::CKernel, config: SystemConfig) -> HostProgram {
         let (bytes_in_per_element, bytes_out_per_element) = HostProgram::interface_bytes(kernel);
         HostProgram {
@@ -44,22 +46,14 @@ impl HostProgram {
         }
     }
 
-    /// A placeholder for feasibility enumeration (no transfer sizes).
-    pub fn placeholder(config: SystemConfig) -> HostProgram {
-        HostProgram {
-            config,
-            bytes_in_per_element: 0,
-            bytes_out_per_element: 0,
-        }
-    }
-
     /// Main-loop iterations to process `elements` elements (the final
     /// partial batch still costs a full round).
     pub fn rounds(&self, elements: usize) -> usize {
         elements.div_ceil(self.config.m)
     }
 
-    /// Generate the C host-side source skeleton (for inspection).
+    /// Generate the C host-side source skeleton (for inspection): the
+    /// `host.c` of a kernel compile.
     pub fn to_c(&self, elements: usize) -> String {
         let m = self.config.m;
         let k = self.config.k;

@@ -40,10 +40,10 @@
 //!
 //! * it solves Eq. (3) — `[H]·k + [M]·m ≤ [A]` with `m` a power-of-two
 //!   multiple of `k` — against the platform's board to find feasible
-//!   replication factors; the automatic choice ([`max_equal_config`],
-//!   [`max_equal_program_config`]) is the largest rung of the `k = m ∈
-//!   {1, 2, …, 64}` ladder that [`Totals::fit`] admits, decided without
-//!   building a design,
+//!   replication factors ([`enumerate_program_designs`]); the automatic
+//!   choice ([`max_equal_program_config`]) is the largest rung of the
+//!   `k = m ∈ {1, 2, …, 64}` ladder that [`Totals::fit`] admits, decided
+//!   without building a design,
 //! * it instantiates `k` accelerators and `m` PLM systems plus the
 //!   integration logic: the AXI-lite peripheral that presents the `k`
 //!   accelerators to the host as a single `ap_ctrl` device, the batch
@@ -52,12 +52,17 @@
 //! * it emits the host program skeleton: `Ne/m` main-loop iterations of
 //!   input transfer → `m/k` start/wait rounds → output transfer.
 //!
+//! The flow builds one system type, [`MultiSystemDesign`] (a kernel is
+//! the one-stage program). [`SystemDesign::build`],
+//! [`HostProgram::from_kernel`] and [`max_equal_config`] stay for the
+//! `benchmark/` harness; [`HostProgram::to_c`] writes a kernel's `host.c`.
+//!
 //! A request that exceeds the selected board (e.g. the ZCU106's
 //! `k = m = 16` asked of a Pynq-Z2) is *not* an error at this layer:
-//! [`SystemDesign::build`] returns `None`, and
-//! [`max_equal_config`] degrades to the largest replication the small
-//! board admits. Callers that insist on an explicit configuration get
-//! a structured does-not-fit error from the flow above.
+//! [`MultiSystemDesign::build`] returns `None`, and
+//! [`max_equal_program_config`] degrades to the largest replication the
+//! small board admits. Callers that insist on an explicit configuration
+//! get a structured does-not-fit error from the flow above.
 
 pub mod board;
 pub mod host;
@@ -74,6 +79,4 @@ pub use multi::{
 };
 pub use netlist::emit_system_verilog;
 pub use platform::{DmaSpec, HostCpuModel, Platform};
-pub use system::{
-    enumerate_configs, max_equal_config, IntegrationModel, SystemConfig, SystemDesign, Totals,
-};
+pub use system::{max_equal_config, IntegrationModel, SystemConfig, SystemDesign, Totals};

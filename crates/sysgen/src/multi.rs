@@ -176,9 +176,8 @@ impl MultiSystemDesign {
 
     /// View a single-kernel design as the equivalent one-stage program
     /// system: same replication, same resource totals, same external
-    /// byte interface, no handoffs. This is how the single-kernel flow
-    /// plugs into program-level consumers (the batch-stream runtime, the
-    /// service-throughput DSE objective).
+    /// byte interface, no handoffs. The flow builds the one-stage program
+    /// directly; this view stays for the `benchmark/` harness.
     pub fn from_single(d: &crate::system::SystemDesign) -> MultiSystemDesign {
         let cfg = ProgramSystemConfig {
             ks: vec![d.config.k],
@@ -341,8 +340,12 @@ mod tests {
         let hlsr = report(500_000, 2_314);
         let mem = memory();
         let cfg = SystemConfig { k: 4, m: 4 };
-        let single =
-            SystemDesign::build(&board, &hlsr, &mem, cfg, HostProgram::placeholder(cfg)).unwrap();
+        let host = HostProgram {
+            config: cfg,
+            bytes_in_per_element: 0,
+            bytes_out_per_element: 0,
+        };
+        let single = SystemDesign::build(&board, &hlsr, &mem, cfg, host).unwrap();
         let pcfg = ProgramSystemConfig::uniform(4, 4, 1);
         let stages = vec![("main".to_string(), hlsr)];
         let multi = MultiSystemDesign::build(

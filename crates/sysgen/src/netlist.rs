@@ -154,7 +154,11 @@ mod tests {
             &kernel,
             &memory,
             cfg,
-            HostProgram::placeholder(cfg),
+            HostProgram {
+                config: cfg,
+                bytes_in_per_element: 0,
+                bytes_out_per_element: 0,
+            },
         )
         .unwrap()
     }

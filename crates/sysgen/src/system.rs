@@ -117,7 +117,9 @@ impl Totals {
     }
 }
 
-/// A fully elaborated system instance.
+/// A fully elaborated single-kernel system instance. The flow builds
+/// none (a kernel's system is the one-stage `MultiSystemDesign`); it
+/// stays for the `benchmark/` harness and the netlist emitter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemDesign {
     pub config: SystemConfig,
@@ -165,51 +167,15 @@ impl SystemDesign {
     pub fn board(&self) -> &BoardSpec {
         &self.platform.board
     }
-
-    /// Eq. (3) slack per resource: `[A] - ([H]·k + [M]·m)`.
-    pub fn slack(&self) -> (isize, isize, isize, isize) {
-        let board = self.board();
-        (
-            board.luts as isize - self.luts as isize,
-            board.ffs as isize - self.ffs as isize,
-            board.dsps as isize - self.dsps as isize,
-            board.brams as isize - self.brams as isize,
-        )
-    }
-
-    /// The largest resource-utilization fraction across LUT/FF/DSP/BRAM.
-    pub fn utilization(&self) -> f64 {
-        let totals = Totals {
-            luts: self.luts,
-            ffs: self.ffs,
-            dsps: self.dsps,
-            brams: self.brams,
-        };
-        totals.utilization(self.board())
-    }
 }
 
 /// The replication rungs `k` and `m` range over: `1, 2, 4, ..., 64`.
 pub(crate) const LADDER: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// All feasible `(k, m)` pairs with `k ∈ {1, 2, 4, ...}` and
-/// `m = 2^j · k`, by checking Eq. (3) ([`Totals::fit`]) for each.
-pub fn enumerate_configs(
-    platform: &Platform,
-    kernel: &HlsReport,
-    memory: &MemorySubsystem,
-) -> Vec<SystemConfig> {
-    let pairs = LADDER
-        .iter()
-        .flat_map(|&k| LADDER.iter().map(move |&m| SystemConfig { k, m }));
-    pairs
-        .filter(|c| c.m >= c.k && Totals::fit(platform, [(c.k, kernel)], memory, c.m).is_some())
-        .collect()
-}
-
 /// The largest feasible `k = m` (power of two) — the configuration the
 /// paper uses for its main results: the top rung of the ladder that
-/// [`Totals::fit`] admits.
+/// [`Totals::fit`] admits. The flow picks with
+/// [`crate::max_equal_program_config`]; this stays for `benchmark/`.
 pub fn max_equal_config(
     platform: &Platform,
     kernel: &HlsReport,
@@ -224,6 +190,15 @@ pub fn max_equal_config(
 mod tests {
     use super::*;
     use mnemosyne::{MemoryOptions, MnemosyneConfig};
+
+    /// A host program with no transfer sizes: feasibility only.
+    fn no_transfers(config: SystemConfig) -> HostProgram {
+        HostProgram {
+            config,
+            bytes_in_per_element: 0,
+            bytes_out_per_element: 0,
+        }
+    }
 
     fn kernel_report() -> HlsReport {
         HlsReport {
@@ -333,14 +308,8 @@ mod tests {
         ];
         for (k, lut_paper) in paper {
             let cfg = SystemConfig { k, m: k };
-            let d = SystemDesign::build(
-                &b,
-                &kernel_report(),
-                &mem,
-                cfg,
-                HostProgram::placeholder(cfg),
-            )
-            .unwrap();
+            let d =
+                SystemDesign::build(&b, &kernel_report(), &mem, cfg, no_transfers(cfg)).unwrap();
             let rel = (d.luts as f64 - lut_paper as f64).abs() / lut_paper as f64;
             assert!(
                 rel < 0.10,
@@ -357,27 +326,26 @@ mod tests {
         let mem = memory(true);
         for k in [1usize, 2, 4, 8, 16] {
             let cfg = SystemConfig { k, m: k };
-            let d = SystemDesign::build(
-                &b,
-                &kernel_report(),
-                &mem,
-                cfg,
-                HostProgram::placeholder(cfg),
-            )
-            .unwrap();
+            let d =
+                SystemDesign::build(&b, &kernel_report(), &mem, cfg, no_transfers(cfg)).unwrap();
             assert_eq!(d.dsps, 15 * k);
         }
     }
 
     #[test]
     fn k_less_than_m_configs_enumerate() {
+        // The feasibility listing of a kernel: its one-stage program's.
         let b = Platform::zcu106();
         let mem = memory(true);
-        let configs = enumerate_configs(&b, &kernel_report(), &mem);
-        assert!(configs.contains(&SystemConfig { k: 1, m: 1 }));
-        assert!(configs.contains(&SystemConfig { k: 2, m: 4 }));
-        assert!(configs.contains(&SystemConfig { k: 4, m: 16 }));
-        assert!(!configs.contains(&SystemConfig { k: 32, m: 32 }));
+        let stages = [("main".to_string(), kernel_report())];
+        let configs: Vec<(usize, usize)> = crate::enumerate_program_designs(&b, &stages, &mem)
+            .iter()
+            .map(|d| (d.config.ks[0], d.config.m))
+            .collect();
+        assert!(configs.contains(&(1, 1)));
+        assert!(configs.contains(&(2, 4)));
+        assert!(configs.contains(&(4, 16)));
+        assert!(!configs.contains(&(32, 32)));
     }
 
     #[test]
@@ -385,15 +353,8 @@ mod tests {
         let b = Platform::zcu106();
         let mem = memory(true);
         let cfg = SystemConfig { k: 16, m: 16 };
-        let d = SystemDesign::build(
-            &b,
-            &kernel_report(),
-            &mem,
-            cfg,
-            HostProgram::placeholder(cfg),
-        )
-        .unwrap();
-        let (l, f, ds, br) = d.slack();
+        let d = SystemDesign::build(&b, &kernel_report(), &mem, cfg, no_transfers(cfg)).unwrap();
+        let (l, f, ds, br) = crate::MultiSystemDesign::from_single(&d).slack();
         assert!(l >= 0 && f >= 0 && ds >= 0 && br >= 0);
     }
 
@@ -402,13 +363,6 @@ mod tests {
         let b = Platform::zcu106();
         let mem = memory(false);
         let cfg = SystemConfig { k: 16, m: 16 };
-        assert!(SystemDesign::build(
-            &b,
-            &kernel_report(),
-            &mem,
-            cfg,
-            HostProgram::placeholder(cfg)
-        )
-        .is_none());
+        assert!(SystemDesign::build(&b, &kernel_report(), &mem, cfg, no_transfers(cfg)).is_none());
     }
 }

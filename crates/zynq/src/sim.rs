@@ -66,7 +66,7 @@ impl HwResult {
 
 /// Run the full-system simulation: the single-kernel design is the
 /// one-stage program ([`MultiSystemDesign::from_single`]), priced by
-/// [`simulate_program`].
+/// [`simulate_program`]. It stays for the `benchmark/` harness.
 pub fn simulate_hw(design: &SystemDesign, cfg: &SimConfig) -> HwResult {
     let r = simulate_program(&MultiSystemDesign::from_single(design), cfg);
     HwResult {

@@ -8,15 +8,16 @@
 //! cargo run --release --example interpolation
 //! ```
 
-use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::flow::{ProgramFlow, ProgramOptions};
 
 fn main() {
     println!("o = (P ⊗ P ⊗ P) u : interpolate degree-n elements to m points\n");
     println!("   n -> m    kernel cycles   LUT    DSP   PLM BRAM   max k=m");
     for (n, m) in [(4usize, 8usize), (8, 8), (8, 12), (11, 11), (11, 16)] {
         let src = cfdfpga::cfdlang::examples::interpolation(n, m);
-        let art = Flow::compile(&src, &FlowOptions::default()).expect("flow");
-        let k_max = art.system.as_ref().map(|s| s.config.k).unwrap_or(0);
+        let program = ProgramFlow::compile(&src, &ProgramOptions::default()).expect("flow");
+        let k_max = program.system.as_ref().map_or(0, |s| s.config.ks[0]);
+        let art = &program.kernels[0];
         println!(
             "  {:>2} -> {:>2}    {:>10}   {:>5}   {:>3}   {:>6}      {:>3}",
             n,

@@ -7,9 +7,9 @@
 //! cargo run --release --example inverse_helmholtz
 //! ```
 
-use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::flow::{FlowOptions, ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfdfpga::mnemosyne::MemoryOptions;
-use cfdfpga::sysgen::{HostProgram, Platform, SystemConfig, SystemDesign};
+use cfdfpga::sysgen::{Platform, ProgramSystemConfig};
 use cfdfpga::zynq::{ArmCostModel, SimConfig};
 
 const ELEMENTS: usize = 50_000;
@@ -22,18 +22,21 @@ fn main() {
     );
 
     // Compile twice: with and without liveness-based memory sharing.
-    let with_sharing = Flow::compile(&source, &FlowOptions::default()).expect("flow");
-    let no_sharing = Flow::compile(
-        &source,
-        &FlowOptions {
+    // A kernel is the one-kernel program: `kernels[0]` is the kernel,
+    // `system` its replicated system.
+    let compile = |opts: ProgramOptions| ProgramFlow::compile(&source, &opts).expect("flow");
+    let shared = compile(ProgramOptions::default());
+    let unshared = compile(
+        FlowOptions {
             memory: MemoryOptions {
                 sharing: false,
                 ..Default::default()
             },
             ..Default::default()
-        },
-    )
-    .expect("flow");
+        }
+        .into(),
+    );
+    let (with_sharing, no_sharing) = (&shared.kernels[0], &unshared.kernels[0]);
 
     println!(
         "kernel: {} LUT, {} FF, {} DSP @ {} MHz, latency {:.2} ms",
@@ -47,34 +50,24 @@ fn main() {
         "PLM per kernel: {} BRAMs without sharing, {} with sharing",
         no_sharing.memory.brams, with_sharing.memory.brams
     );
-    let k_max_no = no_sharing.system.as_ref().map(|s| s.config.k).unwrap_or(0);
-    let k_max_sh = with_sharing
-        .system
-        .as_ref()
-        .map(|s| s.config.k)
-        .unwrap_or(0);
-    println!("max parallel kernels: {k_max_no} -> {k_max_sh} (the paper's 8 -> 16)\n");
+    let k_max = |art: &ProgramArtifacts| art.system.as_ref().map_or(0, |s| s.config.ks[0]);
+    println!(
+        "max parallel kernels: {} -> {} (the paper's 8 -> 16)\n",
+        k_max(&unshared),
+        k_max(&shared)
+    );
 
     // Figure 9: scale k = m and report speedups.
-    let platform = Platform::zcu106();
     let simulate = |k: usize| {
-        let cfg = SystemConfig { k, m: k };
-        let host = HostProgram::from_kernel(&with_sharing.kernel, cfg);
-        let d = SystemDesign::build(
-            &platform,
-            &with_sharing.hls_report,
-            &with_sharing.memory,
-            cfg,
-            host,
-        )
-        .expect("fits");
-        cfdfpga::zynq::simulate_hw(
-            &d,
-            &SimConfig {
-                elements: ELEMENTS,
-                ..Default::default()
-            },
-        )
+        let art = compile(ProgramOptions {
+            system: Some(ProgramSystemConfig::uniform(k, k, 1)),
+            ..Default::default()
+        });
+        art.simulate(&SimConfig {
+            elements: ELEMENTS,
+            ..Default::default()
+        })
+        .expect("fits")
     };
     let base = simulate(1);
     println!("{} elements on the simulated ZCU106:", ELEMENTS);
@@ -91,7 +84,7 @@ fn main() {
     }
 
     // Figure 10: against the platform's host CPU (the ZCU106's A53).
-    let model = ArmCostModel::from_platform(&platform);
+    let model = ArmCostModel::from_platform(&Platform::zcu106());
     let sw = cfdfpga::zynq::sim::sw_reference(&with_sharing.module, &model, ELEMENTS).expect("sw");
     println!(
         "\nARM A53 (1.2 GHz) software reference: {:.2} s total",

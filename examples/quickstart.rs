@@ -5,14 +5,17 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::flow::{ProgramFlow, ProgramOptions};
 
 fn main() {
     // A 2-D "matrix sandwich" o = Sᵀ A S — two chained contractions.
     let source = cfdfpga::cfdlang::examples::matrix_sandwich(8);
     println!("--- CFDlang source ---\n{source}");
 
-    let artifacts = Flow::compile(&source, &FlowOptions::default()).expect("flow");
+    // A single-kernel source is the one-kernel program: its one kernel
+    // slot holds the per-kernel artifacts, the program the system.
+    let program = ProgramFlow::compile(&source, &ProgramOptions::default()).expect("flow");
+    let artifacts = &program.kernels[0];
 
     println!("--- tensor IR (after canonicalization) ---");
     println!("{}", artifacts.module);
@@ -32,11 +35,11 @@ fn main() {
     }
     println!("  total: {} BRAMs", artifacts.memory.brams);
 
-    if let Some(sys) = &artifacts.system {
+    if let Some(sys) = &program.system {
         println!("\n--- system (largest k = m that fits the ZCU106) ---");
         println!(
             "  k = {}, m = {}: {} LUT, {} FF, {} DSP, {} BRAM",
-            sys.config.k, sys.config.m, sys.luts, sys.ffs, sys.dsps, sys.brams
+            sys.config.ks[0], sys.config.m, sys.luts, sys.ffs, sys.dsps, sys.brams
         );
     }
 

@@ -2,16 +2,30 @@
 //! host skeleton, the Verilog system netlist, the Mnemosyne metadata and
 //! the compatibility graph, for the paper's exact kernel.
 
-use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::flow::{Artifacts, ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfdfpga::sysgen::{emit_system_verilog, HostProgram, Platform, SystemConfig, SystemDesign};
 use std::sync::OnceLock;
 
-fn paper() -> &'static cfdfpga::flow::Artifacts {
-    static CELL: OnceLock<cfdfpga::flow::Artifacts> = OnceLock::new();
+/// The paper's kernel as the one-kernel program: it owns the system and
+/// the host program.
+fn program() -> &'static ProgramArtifacts {
+    static CELL: OnceLock<ProgramArtifacts> = OnceLock::new();
     CELL.get_or_init(|| {
         let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
-        Flow::compile(&src, &FlowOptions::default()).expect("compiles")
+        ProgramFlow::compile(&src, &ProgramOptions::default()).expect("compiles")
     })
+}
+
+/// The paper's kernel: the program's one kernel slot.
+fn paper() -> &'static Artifacts {
+    &program().kernels[0]
+}
+
+/// The single-kernel netlist input of `cfg`.
+fn design(cfg: SystemConfig) -> SystemDesign {
+    let art = paper();
+    let host = HostProgram::from_kernel(&art.kernel, cfg);
+    SystemDesign::build(&Platform::zcu106(), &art.hls_report, &art.memory, cfg, host).unwrap()
 }
 
 #[test]
@@ -36,7 +50,7 @@ fn c_kernel_matches_figure6_interface() {
 
 #[test]
 fn host_skeleton_structure() {
-    let h = &paper().host_source;
+    let h = &program().kernel_host_source();
     // k = m = 16 -> 50,000 / 16 = 3,125 rounds, batch 1.
     assert!(h.contains("16 accelerators, 16 PLM systems"), "{h}");
     assert!(h.contains("i < 3125"), "{h}");
@@ -47,8 +61,11 @@ fn host_skeleton_structure() {
 
 #[test]
 fn verilog_netlist_for_paper_system() {
-    let art = paper();
-    let v = emit_system_verilog(art.system.as_ref().unwrap());
+    let sys = program().system.as_ref().unwrap();
+    let v = emit_system_verilog(&design(SystemConfig {
+        k: sys.config.ks[0],
+        m: sys.config.m,
+    }));
     assert!(v.contains("module system_top"));
     assert!(v.contains("k = 16 accelerators, m = 16 PLM systems"));
     // All sixteen accelerators and all PLM units of each system.
@@ -62,12 +79,7 @@ fn verilog_netlist_for_paper_system() {
 
 #[test]
 fn verilog_netlist_batched_variant() {
-    let art = paper();
-    let cfg = SystemConfig { k: 4, m: 16 };
-    let host = HostProgram::from_kernel(&art.kernel, cfg);
-    let d =
-        SystemDesign::build(&Platform::zcu106(), &art.hls_report, &art.memory, cfg, host).unwrap();
-    let v = emit_system_verilog(&d);
+    let v = emit_system_verilog(&design(SystemConfig { k: 4, m: 16 }));
     assert!(v.contains("batch = 4"));
     assert!(v.contains("batch_count"));
     assert!(v.contains(".BATCH(4)"));

@@ -13,23 +13,23 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Canonical rendering of everything a compile produces. The
-/// scheduling-stage products go through the cache's own serializer
-/// (which is a canonical printer), so `HashMap` iteration order and
-/// memoization cells never leak into the comparison.
+/// Canonical rendering of everything a kernel compile produces (the
+/// system and host program are the program's: see
+/// `canonical_program`). The scheduling-stage products go through the
+/// cache's own serializer (which is a canonical printer), so `HashMap`
+/// iteration order and memoization cells never leak into the
+/// comparison.
 fn canonical(art: &Artifacts) -> String {
     let entry = CachedSchedule {
         schedule: Arc::clone(&art.schedule),
         compat: Arc::clone(&art.compat),
     };
     format!(
-        "{}\n---c---\n{}\n---host---\n{}\n---hls---\n{:?}\n---mem---\n{:?}\n---sys---\n{:?}",
+        "{}\n---c---\n{}\n---hls---\n{:?}\n---mem---\n{:?}",
         write_entry(&entry),
         art.c_source,
-        art.host_source,
         art.hls_report,
         art.memory,
-        art.system,
     )
 }
 

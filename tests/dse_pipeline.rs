@@ -1,50 +1,85 @@
 //! The staged-pipeline acceptance gate: stage composition must be
-//! artifact-identical to the monolithic facade, and a design-space sweep
+//! artifact-identical to the kernel compile, and a design-space sweep
 //! must compile the shared stages exactly once no matter how many points
 //! or worker threads it uses.
 
 use cfdfpga::flow::dse::{DseEngine, DseGrid, DsePoint};
 use cfdfpga::flow::pipeline::Pipeline;
-use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::flow::{Flow, FlowOptions, ProgramFlow, ProgramOptions};
 use cfdfpga::mnemosyne::MemoryOptions;
-use cfdfpga::sysgen::SystemConfig;
+use cfdfpga::sysgen::{MultiSystemDesign, Platform, ProgramSystemConfig};
 
-/// Composing the five stages by hand produces artifacts identical to
-/// `Flow::compile` — the pipeline refactor changed the structure of the
-/// flow, not its meaning.
+/// Composing the per-kernel stages by hand produces the kernel slot
+/// `Flow::compile` returns, for every kernel of the six examples on every
+/// catalog board; and `Pipeline::system`'s single-kernel design and host
+/// source (what the benchmark's `sysgen.system` probe times) are the
+/// one-kernel program's system and `host.c`.
 #[test]
 fn pipeline_stages_compose_to_monolith_artifacts() {
-    let src = cfdfpga::cfdlang::examples::inverse_helmholtz(5);
-    let opts = FlowOptions::default();
+    use cfdfpga::cfdlang::examples as ex;
+    let sources = [
+        ex::inverse_helmholtz(5),
+        ex::interpolation(4, 6),
+        ex::matrix_sandwich(4),
+        ex::axpy(4),
+        ex::simulation_step(4),
+        ex::axpy_chain(4),
+    ];
+    let mut fitted = 0;
+    for platform in Platform::catalog() {
+        let opts = FlowOptions::for_platform(platform.clone());
+        for src in &sources {
+            for k in &cfdfpga::cfdlang::parse_set(src).unwrap().kernels {
+                let one = cfdfpga::cfdlang::pretty(&k.program);
+                let what = format!("{} on {}", k.name, platform.id);
+                let mono = Flow::compile(&one, &opts).unwrap();
+                let program = ProgramFlow::compile(&one, &opts.clone().into()).unwrap();
 
-    let mono = Flow::compile(&src, &opts).unwrap();
+                let p = Pipeline::new();
+                let (_, fe) = p.program_frontend(&one).unwrap().remove(0);
+                let me = p.middle_end(&fe, &opts).unwrap();
+                let sc = p.schedule(&me, &opts);
+                let be = p.backend(&sc, &opts);
+                let c_source = cfdfpga::cgen::emit_c99(&be.kernel);
+                let sys = p.system(&be, &opts).unwrap();
+                let staged = cfdfpga::flow::Artifacts::assemble(&fe, &sc, be, c_source, &opts);
 
-    let p = Pipeline::new();
-    let fe = p.frontend(&src).unwrap();
-    let me = p.middle_end(&fe, &opts).unwrap();
-    let sc = p.schedule(&me, &opts);
-    let be = p.backend(&sc, &opts);
-    let c_source = cfdfpga::cgen::emit_c99(&be.kernel);
-    let sys = p.system(&be, &opts).unwrap();
-    let staged = cfdfpga::flow::Artifacts::assemble(&fe, &sc, be, c_source, sys, &opts);
+                assert_eq!(staged.typed, mono.typed, "{what}");
+                assert_eq!(staged.module, mono.module, "{what}");
+                assert_eq!(staged.schedule, mono.schedule, "{what}");
+                assert_eq!(staged.kernel, mono.kernel, "{what}");
+                assert_eq!(staged.c_source, mono.c_source, "{what}");
+                assert_eq!(staged.hls_report, mono.hls_report, "{what}");
+                assert_eq!(staged.mnemosyne_config, mono.mnemosyne_config, "{what}");
+                assert_eq!(staged.memory, mono.memory, "{what}");
+                assert_eq!(sys.host_source, program.kernel_host_source(), "{what}");
+                // The one-stage view of the single-kernel design, under
+                // the program's names: its stage name, and PLM units
+                // namespaced by the stage ("plm_main.S").
+                let name = &program.names[0];
+                let single = sys.system.as_ref().map(|d| {
+                    let mut view = MultiSystemDesign::from_single(d);
+                    view.stages[0].name = name.clone();
+                    view.stages[0].kernel = view.stages[0].kernel.renamed(name.clone());
+                    view.host.stage_names = vec![name.clone()];
+                    for (unit, named) in view.memory.units.iter_mut().zip(&program.memory.units) {
+                        unit.name = named.name.clone();
+                    }
+                    view
+                });
+                assert_eq!(single, program.system, "{what}");
+                fitted += usize::from(single.is_some());
 
-    assert_eq!(staged.typed, mono.typed);
-    assert_eq!(staged.module, mono.module);
-    assert_eq!(staged.schedule, mono.schedule);
-    assert_eq!(staged.kernel, mono.kernel);
-    assert_eq!(staged.c_source, mono.c_source);
-    assert_eq!(staged.hls_report, mono.hls_report);
-    assert_eq!(staged.mnemosyne_config, mono.mnemosyne_config);
-    assert_eq!(staged.memory, mono.memory);
-    assert_eq!(staged.host_source, mono.host_source);
-    assert_eq!(staged.system, mono.system);
-
-    // Every stage ran exactly once on this pipeline.
-    let c = p.counters();
-    assert_eq!(
-        (c.frontend, c.middle_end, c.schedule, c.backend, c.system),
-        (1, 1, 1, 1, 1)
-    );
+                // Every stage ran exactly once on this pipeline.
+                let c = p.counters();
+                assert_eq!(
+                    (c.frontend, c.middle_end, c.schedule, c.backend, c.system),
+                    (1, 1, 1, 1, 1)
+                );
+            }
+        }
+    }
+    assert!(fitted > 0, "no kernel fits any board");
 }
 
 /// The paper's evaluation sweep: ≥ 16 configurations on the paper
@@ -126,22 +161,28 @@ fn dse_point_matches_monolithic_compile() {
     let outcome = engine.evaluate(&point, 500);
     assert!(outcome.feasible);
 
-    let opts = FlowOptions {
-        memory: MemoryOptions {
-            sharing: false,
-            ..MemoryOptions::default()
-        },
-        system: Some(SystemConfig { k: 2, m: 4 }),
-        ..FlowOptions::default()
+    let opts = ProgramOptions {
+        system: Some(ProgramSystemConfig::uniform(2, 4, 1)),
+        ..FlowOptions {
+            memory: MemoryOptions {
+                sharing: false,
+                ..MemoryOptions::default()
+            },
+            ..FlowOptions::default()
+        }
+        .into()
     };
-    let mono = Flow::compile(&src, &opts).unwrap();
-    let design = mono.system.expect("fits");
+    let mono = ProgramFlow::compile(&src, &opts).unwrap();
+    let design = mono.system.as_ref().expect("fits");
     assert_eq!(outcome.luts, design.luts);
     assert_eq!(outcome.ffs, design.ffs);
     assert_eq!(outcome.dsps, design.dsps);
     assert_eq!(outcome.brams, design.brams);
-    assert_eq!(outcome.plm_brams, mono.memory.brams);
-    assert_eq!(outcome.latency_cycles, mono.hls_report.latency_cycles);
+    assert_eq!(outcome.plm_brams, mono.kernels[0].memory.brams);
+    assert_eq!(
+        outcome.latency_cycles,
+        mono.kernels[0].hls_report.latency_cycles
+    );
 }
 
 /// The JSON emitter produces structurally sound output with every

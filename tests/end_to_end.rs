@@ -1,13 +1,19 @@
 //! Cross-crate integration tests: DSL source → complete flow →
 //! functional verification, across kernels and option combinations.
 
-use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::flow::{Flow, FlowOptions, ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfdfpga::mnemosyne::MemoryOptions;
-use cfdfpga::sysgen::SystemConfig;
+use cfdfpga::sysgen::ProgramSystemConfig;
 use cfdfpga::zynq::SimConfig;
 
 fn flow(src: &str, opts: &FlowOptions) -> cfdfpga::flow::Artifacts {
     Flow::compile(src, opts).unwrap_or_else(|e| panic!("{e}\nsource:\n{src}"))
+}
+
+/// The one-kernel program of `src`: the system and host program live
+/// here.
+fn program(src: &str, opts: &ProgramOptions) -> ProgramArtifacts {
+    ProgramFlow::compile(src, opts).unwrap_or_else(|e| panic!("{e}\nsource:\n{src}"))
 }
 
 #[test]
@@ -52,17 +58,19 @@ fn every_example_kernel_compiles_and_verifies() {
 #[test]
 fn c_source_and_host_source_are_generated() {
     let src = cfdfpga::cfdlang::examples::inverse_helmholtz(4);
-    let art = flow(&src, &FlowOptions::default());
-    assert!(art.c_source.contains("void kernel_body("));
-    assert!(art.c_source.contains("restrict"));
-    assert!(art.host_source.contains("run_simulation"));
-    assert!(art.host_source.contains("wait_for_interrupt"));
+    let art = program(&src, &ProgramOptions::default());
+    let c_source = &art.kernels[0].c_source;
+    assert!(c_source.contains("void kernel_body("));
+    assert!(c_source.contains("restrict"));
+    let host_source = art.kernel_host_source();
+    assert!(host_source.contains("run_simulation"));
+    assert!(host_source.contains("wait_for_interrupt"));
 }
 
 #[test]
 fn simulation_timings_are_consistent() {
     let src = cfdfpga::cfdlang::examples::inverse_helmholtz(4);
-    let art = flow(&src, &FlowOptions::default());
+    let art = program(&src, &ProgramOptions::default());
     let r = art
         .simulate(&SimConfig {
             elements: 128,
@@ -85,15 +93,15 @@ fn simulation_timings_are_consistent() {
 #[test]
 fn explicit_system_configuration_respected() {
     let src = cfdfpga::cfdlang::examples::inverse_helmholtz(4);
-    let opts = FlowOptions {
-        system: Some(SystemConfig { k: 2, m: 4 }),
+    let opts = ProgramOptions {
+        system: Some(ProgramSystemConfig::uniform(2, 4, 1)),
         ..Default::default()
     };
-    let art = flow(&src, &opts);
+    let art = program(&src, &opts);
     let sys = art.system.as_ref().unwrap();
-    assert_eq!(sys.config.k, 2);
+    assert_eq!(sys.config.ks, [2]);
     assert_eq!(sys.config.m, 4);
-    assert_eq!(sys.config.batch(), 2);
+    assert_eq!(sys.config.batch(0), 2);
     assert_eq!(sys.host.config.m, 4);
 }
 
@@ -175,7 +183,6 @@ fn pointwise_only_kernel_has_no_reduction_loops() {
 #[test]
 fn cli_zoo_compiles_without_expanding_live_sets() {
     use cfdfpga::cfdlang::examples as ex;
-    use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
     use cfdfpga::pschedule::LadderCounters;
     let zoo = [
         ex::inverse_helmholtz(11),
@@ -204,7 +211,6 @@ fn cli_zoo_compiles_without_expanding_live_sets() {
 /// program flow, not a design that replicates nothing 64 times.
 #[test]
 fn a_program_without_statements_is_a_frontend_error() {
-    use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
     use cfdfpga::flow::FlowError;
     let axpy = cfdfpga::cfdlang::examples::axpy(2);
     let set = format!("kernel axpy {{\n{axpy}}}\nkernel idle {{ var input x : [2] }}\n");

@@ -120,7 +120,7 @@ proptest! {
         let max = cfdfpga::sysgen::max_equal_config(&board, &art.hls_report, &art.memory).unwrap();
         // The next power of two must not fit.
         let next = cfdfpga::sysgen::SystemConfig { k: max.k * 2, m: max.m * 2 };
-        let host = cfdfpga::sysgen::HostProgram::placeholder(next);
+        let host = cfdfpga::sysgen::HostProgram::from_kernel(&art.kernel, next);
         prop_assert!(cfdfpga::sysgen::SystemDesign::build(
             &board, &art.hls_report, &art.memory, next, host
         )

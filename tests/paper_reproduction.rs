@@ -12,7 +12,7 @@
 //! | Fig. 9 total speedup @16 | 12.58 | ±4% |
 //! | Fig. 10 HW k=16 vs ARM | 8.62 | ±8% |
 
-use cfdfpga::flow::{Flow, FlowOptions};
+use cfdfpga::flow::{Artifacts, Flow, FlowOptions, ProgramArtifacts, ProgramFlow};
 use cfdfpga::mnemosyne::MemoryOptions;
 use cfdfpga::sysgen::{HostProgram, Platform, SystemConfig, SystemDesign};
 use cfdfpga::zynq::{ArmCostModel, SimConfig};
@@ -20,24 +20,28 @@ use std::sync::OnceLock;
 
 const ELEMENTS: usize = 2_000; // ratios are element-count independent
 
-fn paper_kernel(sharing: bool) -> &'static cfdfpga::flow::Artifacts {
-    static SHARED: OnceLock<cfdfpga::flow::Artifacts> = OnceLock::new();
-    static UNSHARED: OnceLock<cfdfpga::flow::Artifacts> = OnceLock::new();
+/// The paper's kernel as the one-kernel program, which owns the
+/// replicated system.
+fn paper_program(sharing: bool) -> &'static ProgramArtifacts {
+    static SHARED: OnceLock<ProgramArtifacts> = OnceLock::new();
+    static UNSHARED: OnceLock<ProgramArtifacts> = OnceLock::new();
     let cell = if sharing { &SHARED } else { &UNSHARED };
     cell.get_or_init(|| {
         let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
-        Flow::compile(
-            &src,
-            &FlowOptions {
-                memory: MemoryOptions {
-                    sharing,
-                    ..Default::default()
-                },
+        let opts = FlowOptions {
+            memory: MemoryOptions {
+                sharing,
                 ..Default::default()
             },
-        )
-        .expect("paper kernel compiles")
+            ..Default::default()
+        };
+        ProgramFlow::compile(&src, &opts.into()).expect("paper kernel compiles")
     })
+}
+
+/// The paper's kernel: the one kernel slot of [`paper_program`].
+fn paper_kernel(sharing: bool) -> &'static Artifacts {
+    &paper_program(sharing).kernels[0]
 }
 
 fn simulate(k: usize, m: usize) -> cfdfpga::zynq::HwResult {
@@ -107,10 +111,10 @@ fn temporaries_inside_the_accelerator_cost_more_brams() {
 
 #[test]
 fn sharing_doubles_parallel_kernels() {
-    let no = paper_kernel(false).system.as_ref().unwrap().config;
-    let sh = paper_kernel(true).system.as_ref().unwrap().config;
-    assert_eq!((no.k, no.m), (8, 8));
-    assert_eq!((sh.k, sh.m), (16, 16));
+    let no = &paper_program(false).system.as_ref().unwrap().config;
+    let sh = &paper_program(true).system.as_ref().unwrap().config;
+    assert_eq!((no.ks[0], no.m), (8, 8));
+    assert_eq!((sh.ks[0], sh.m), (16, 16));
 }
 
 #[test]

@@ -73,9 +73,13 @@ fn simulation_step_tensors_bit_identical_on_every_platform() {
 #[test]
 fn small_board_requests_degrade_or_error_structurally() {
     let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
-    let on_zcu106 = Flow::compile(&src, &FlowOptions::default()).unwrap();
-    let big = on_zcu106.system.as_ref().expect("paper config fits").config;
-    assert_eq!((big.k, big.m), (16, 16));
+    let on_zcu106 = ProgramFlow::compile(&src, &ProgramOptions::default()).unwrap();
+    let big = &on_zcu106.system.as_ref().expect("paper config fits").config;
+    assert_eq!((big.ks[0], big.m), (16, 16));
+    let big = SystemConfig {
+        k: big.ks[0],
+        m: big.m,
+    };
 
     // Explicit oversized request: structured error, board named.
     let opts = FlowOptions {
@@ -91,9 +95,9 @@ fn small_board_requests_degrade_or_error_structurally() {
     }
 
     // Automatic choice: degrade to the largest feasible replication.
-    let auto = Flow::compile(&src, &FlowOptions::for_platform(Platform::pynq_z2())).unwrap();
-    let small = auto.system.as_ref().expect("something fits").config;
-    assert!(small.k < big.k, "degraded: {small:?} vs {big:?}");
+    let auto = ProgramFlow::compile(&src, &program_options(Platform::pynq_z2())).unwrap();
+    let small = &auto.system.as_ref().expect("something fits").config;
+    assert!(small.ks[0] < big.k, "degraded: {small:?} vs {big:?}");
     let sim = auto
         .simulate(&zynq::SimConfig {
             elements: 64,
@@ -299,7 +303,11 @@ fn max_equal_by_building(
         .flat_map(|&k| LADDER.map(|m| SystemConfig { k, m }));
     let built: Vec<SystemConfig> = (pairs.filter(|c| c.m >= c.k))
         .filter(|&c| {
-            let host = sysgen::HostProgram::placeholder(c);
+            let host = sysgen::HostProgram {
+                config: c,
+                bytes_in_per_element: 0,
+                bytes_out_per_element: 0,
+            };
             sysgen::SystemDesign::build(platform, kernel, memory, c, host).is_some()
         })
         .collect();
@@ -311,8 +319,9 @@ fn max_equal_by_building(
     (built, max)
 }
 
-/// `max_equal_config`, `enumerate_configs` and `max_equal_program_config`
-/// decide on `Totals::fit` alone; on every catalog board, over the six
+/// `max_equal_config`, the one-stage `enumerate_program_designs` (a
+/// kernel's feasibility listing) and `max_equal_program_config` decide
+/// on `Totals::fit` alone; on every catalog board, over the six
 /// examples with and without sharing, they return what building every
 /// design and filtering `k = m` returns. The sweep meets a capped
 /// (`k = 64`) choice, and an oversized kernel meets `None`.
@@ -338,7 +347,7 @@ fn automatic_replication_equals_the_build_and_filter_rule() {
                 let mut stages = Vec::new();
                 for (name, k) in art.names.iter().zip(&art.kernels) {
                     let (built, max) = max_equal_by_building(&platform, &k.hls_report, &k.memory);
-                    let configs = sysgen::enumerate_configs(&platform, &k.hls_report, &k.memory);
+                    let configs = one_stage_configs(&platform, &k.hls_report, &k.memory);
                     assert_eq!(configs, built, "{} {name}", platform.id);
                     let chosen = sysgen::max_equal_config(&platform, &k.hls_report, &k.memory);
                     assert_eq!(chosen, max, "{} {name} sharing {sharing}", platform.id);
@@ -380,11 +389,29 @@ fn automatic_replication_equals_the_build_and_filter_rule() {
     );
 }
 
+/// The `(k, m)` pairs of a kernel's feasibility listing: its one-stage
+/// program designs.
+fn one_stage_configs(
+    platform: &Platform,
+    kernel: &hls::HlsReport,
+    memory: &mnemosyne::MemorySubsystem,
+) -> Vec<SystemConfig> {
+    let stages = [("main".to_string(), kernel.clone())];
+    let designs = sysgen::enumerate_program_designs(platform, &stages, memory);
+    designs
+        .iter()
+        .map(|d| SystemConfig {
+            k: d.config.ks[0],
+            m: d.config.m,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite property: every configuration `enumerate_configs`
-    /// accepts fits its platform's resources on ALL catalog boards
+    /// Satellite property: every configuration a kernel's feasibility
+    /// listing accepts fits its platform's resources on ALL catalog boards
     /// (Eq. (3) never violated), and every power-of-two request outside
     /// the enumerated set returns the structured error instead of
     /// panicking.
@@ -403,11 +430,12 @@ proptest! {
         let k = 1usize << k_exp;
         let m = k << batch_exp;
         for platform in Platform::catalog() {
-            let configs = sysgen::enumerate_configs(&platform, &be.hls_report, &be.memory);
+            let configs = one_stage_configs(&platform, &be.hls_report, &be.memory);
             for cfg in &configs {
-                let host = sysgen::HostProgram::placeholder(*cfg);
+                let host = sysgen::HostProgram::from_kernel(&be.kernel, *cfg);
                 let d = sysgen::SystemDesign::build(&platform, &be.hls_report, &be.memory, *cfg, host)
                     .expect("enumerated config must build");
+                let d = sysgen::MultiSystemDesign::from_single(&d);
                 let (l, f, ds, br) = d.slack();
                 prop_assert!(l >= 0 && f >= 0 && ds >= 0 && br >= 0,
                     "{}: Eq. (3) violated for {:?}", platform.id, cfg);
@@ -425,7 +453,7 @@ proptest! {
                     prop_assert!(!enumerable || configs.contains(&cfg),
                         "{}: built a non-enumerated config {:?}", platform.id, cfg);
                     let d = stage.system.expect("built system present");
-                    let (l, f, ds, br) = d.slack();
+                    let (l, f, ds, br) = sysgen::MultiSystemDesign::from_single(&d).slack();
                     prop_assert!(l >= 0 && f >= 0 && ds >= 0 && br >= 0);
                 }
                 Err(FlowError::DoesNotFit { k: ek, m: em, board }) => {
