@@ -919,7 +919,8 @@ fn kernel_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> 
         sections.push(("kernel.c".into(), kernel.c_source.clone()));
     }
     if p.wants("host") {
-        sections.push(("host.c".into(), art.kernel_host_source()));
+        let host = art.kernel_host_source();
+        sections.push(("host.c".into(), host.unwrap_or_default()));
     }
     if p.wants("dot") {
         sections.push(("compat.dot".into(), kernel.compat.to_dot()));
@@ -1023,6 +1024,10 @@ fn cmd_simulate(args: &[String]) {
     let p = parse_or_exit(args);
     let art = compile_or_exit(&p);
     let elements = p.opts.elements;
+    if art.system.is_none() && !p.is_program() {
+        eprintln!("simulation failed: no feasible system configuration");
+        exit(1);
+    }
     let r = art
         .simulate(&SimConfig {
             elements,

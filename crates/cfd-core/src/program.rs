@@ -132,22 +132,18 @@ impl ProgramArtifacts {
 
     /// The `host.c` of a kernel compile: the one-stage system's host
     /// program in the kernel format ([`sysgen::HostProgram::to_c`],
-    /// "k accelerators, m PLM systems"), empty when no system fits. Of
-    /// a multi-kernel program it describes the first stage only; the
-    /// chained host skeleton is the program's `host_source` field.
-    pub fn kernel_host_source(&self) -> String {
-        let Some(sys) = &self.system else {
-            return String::new();
-        };
+    /// "k accelerators, m PLM systems"). `None` when no system fits or
+    /// the program has more than one kernel, whose chained host
+    /// skeleton is the `host_source` field.
+    pub fn kernel_host_source(&self) -> Option<String> {
+        let sys = self.system.as_ref().filter(|_| self.kernel_count() == 1)?;
+        let (k, m) = (sys.config.ks[0], sys.config.m);
         let host = sysgen::HostProgram {
-            config: sysgen::SystemConfig {
-                k: sys.config.ks[0],
-                m: sys.config.m,
-            },
+            config: sysgen::SystemConfig { k, m },
             bytes_in_per_element: sys.host.bytes_in_per_element,
             bytes_out_per_element: sys.host.bytes_out_per_element,
         };
-        host.to_c(self.options.flow.elements)
+        Some(host.to_c(self.options.flow.elements))
     }
 
     /// Run the chained full-system simulation (requires a fitting

@@ -50,7 +50,7 @@ fn c_kernel_matches_figure6_interface() {
 
 #[test]
 fn host_skeleton_structure() {
-    let h = &program().kernel_host_source();
+    let h = &program().kernel_host_source().unwrap();
     // k = m = 16 -> 50,000 / 16 = 3,125 rounds, batch 1.
     assert!(h.contains("16 accelerators, 16 PLM systems"), "{h}");
     assert!(h.contains("i < 3125"), "{h}");

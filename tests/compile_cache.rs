@@ -13,12 +13,11 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Canonical rendering of everything a kernel compile produces (the
-/// system and host program are the program's: see
-/// `canonical_program`). The scheduling-stage products go through the
-/// cache's own serializer (which is a canonical printer), so `HashMap`
-/// iteration order and memoization cells never leak into the
-/// comparison.
+/// Canonical rendering of one kernel slot (the system and host programs
+/// live on the program: see `canonical_program`). The scheduling-stage
+/// products go through the cache's own serializer (which is a canonical
+/// printer), so `HashMap` iteration order and memoization cells never
+/// leak into the comparison.
 fn canonical(art: &Artifacts) -> String {
     let entry = CachedSchedule {
         schedule: Arc::clone(&art.schedule),
@@ -33,14 +32,20 @@ fn canonical(art: &Artifacts) -> String {
     )
 }
 
+/// Canonical rendering of everything a program compile produces: every
+/// kernel slot, the chained and (of a one-kernel program) the kernel
+/// `host.c`, the program memory and the replicated system.
 fn canonical_program(art: &cfdfpga::flow::ProgramArtifacts) -> String {
     let mut s = String::new();
     for (name, k) in art.names.iter().zip(&art.kernels) {
         s.push_str(&format!("=== {name} ===\n{}\n", canonical(k)));
     }
     s.push_str(&format!(
-        "---program---\n{}\n{:?}\n{:?}",
-        art.host_source, art.memory, art.system
+        "---program---\n{}\n---host---\n{:?}\n{:?}\n{:?}",
+        art.host_source,
+        art.kernel_host_source(),
+        art.memory,
+        art.system
     ));
     s
 }
@@ -75,7 +80,9 @@ proptest! {
 
     /// Warm-cache compiles are bit-identical to cold ones for every
     /// generated (source, platform, scheduler, memory) combination, and
-    /// the cache actually served the warm run.
+    /// the cache actually served the warm run: the kernel slot
+    /// `Flow::compile` returns, and the one-kernel program's system and
+    /// host programs.
     #[test]
     fn warm_cache_compile_is_bit_identical(
         n in 3usize..6,
@@ -96,11 +103,22 @@ proptest! {
         prop_assert_eq!(warm.timings.cache.hits, 1, "second compile must hit");
         prop_assert_eq!(canonical(&cold), canonical(&first));
         prop_assert_eq!(canonical(&cold), canonical(&warm));
+
+        let popts: ProgramOptions = opts.into();
+        let cold = ProgramFlow::compile(&src, &popts).unwrap();
+        let cache = Arc::new(CompileCache::in_memory());
+        let first = ProgramFlow::compile_cached(&src, &popts, Arc::clone(&cache)).unwrap();
+        let warm = ProgramFlow::compile_cached(&src, &popts, Arc::clone(&cache)).unwrap();
+        prop_assert_eq!(first.timings.cache.misses, 1);
+        prop_assert_eq!(warm.timings.cache.hits, 1, "second compile must hit");
+        prop_assert_eq!(canonical_program(&cold), canonical_program(&first));
+        prop_assert_eq!(canonical_program(&cold), canonical_program(&warm));
     }
 
     /// On-disk entries revive across a process boundary (a fresh cache
     /// over the same directory) and still reproduce the cold artifacts
-    /// byte for byte.
+    /// byte for byte: the kernel slot, and the one-kernel program's
+    /// system and host programs.
     #[test]
     fn disk_warm_compile_is_bit_identical(
         n in 3usize..6,
@@ -120,6 +138,12 @@ proptest! {
         prop_assert_eq!(warm.timings.cache.disk_hits, 1, "must be served from disk");
         prop_assert_eq!(warm.timings.cache.misses, 0);
         prop_assert_eq!(canonical(&cold), canonical(&warm));
+
+        let popts: ProgramOptions = opts.into();
+        let cold = ProgramFlow::compile(&src, &popts).unwrap();
+        let warm = ProgramFlow::compile_cached(&src, &popts, reader).unwrap();
+        prop_assert_eq!(warm.timings.cache.misses, 0);
+        prop_assert_eq!(canonical_program(&cold), canonical_program(&warm));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

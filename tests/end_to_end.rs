@@ -62,7 +62,7 @@ fn c_source_and_host_source_are_generated() {
     let c_source = &art.kernels[0].c_source;
     assert!(c_source.contains("void kernel_body("));
     assert!(c_source.contains("restrict"));
-    let host_source = art.kernel_host_source();
+    let host_source = art.kernel_host_source().unwrap();
     assert!(host_source.contains("run_simulation"));
     assert!(host_source.contains("wait_for_interrupt"));
 }

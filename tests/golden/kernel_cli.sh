@@ -3,8 +3,8 @@
 # surfaces no other golden covers: the `explore` feasibility listing,
 # `simulate`, `verify` and `compile --emit report|host` over five
 # builtin kernels x {zcu106, pynq-z2, u250}, plus `--kernel` picks,
-# invalid, oversized and small-board replications, and the tick-clock
-# overflow. `kernel_cli.txt` next to this script is its output.
+# invalid, oversized and small-board replications, the tick-clock
+# overflow, and a kernel on a board where no replication fits. `kernel_cli.txt` next to this script is its output.
 #
 #   bash tests/golden/kernel_cli.sh target/release/cfdc > kernel_cli.txt
 #   diff kernel_cli.txt tests/golden/kernel_cli.txt
@@ -46,3 +46,9 @@ done
 
 run simulate helmholtz:11 --board pynq-z2 --no-sharing --elements 10
 run simulate helmholtz:11 --k 1 --m 1 --elements 100000000000
+
+tight=(helmholtz:20 --board pynq-z2 --no-sharing)
+run explore "${tight[@]}"
+run simulate "${tight[@]}" --elements 10
+run compile "${tight[@]}" --emit report
+run compile "${tight[@]}" --emit host
