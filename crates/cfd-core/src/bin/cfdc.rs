@@ -64,7 +64,6 @@ use cfd_core::{
     Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, FlowError,
     FlowOptions, OnlinePolicy, RecoveryPolicy, RoutePolicy, RuntimeOptions,
 };
-use mnemosyne::MemoryOptions;
 use std::process::exit;
 use std::sync::Arc;
 use sysgen::{Platform, ProgramSystemConfig};
@@ -222,23 +221,30 @@ fn parse_value<T: std::str::FromStr>(
     value: String,
     expected: &'static str,
 ) -> Result<T, CliError> {
-    value.parse().map_err(|_| CliError::InvalidValue {
-        flag: flag.to_string(),
-        value,
-        expected,
-    })
+    parse_checked(flag, value, expected, |_| true)
+}
+
+/// Parse a value that must also pass `valid`: a malformed and an
+/// out-of-range value are the same error.
+fn parse_checked<T: std::str::FromStr>(
+    flag: &str,
+    value: String,
+    expected: &'static str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    match value.parse() {
+        Ok(v) if valid(&v) => Ok(v),
+        _ => Err(CliError::InvalidValue {
+            flag: flag.to_string(),
+            value,
+            expected,
+        }),
+    }
 }
 
 /// Parse a count that must be at least 1.
 fn parse_positive(flag: &str, value: String) -> Result<usize, CliError> {
-    match value.parse() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(CliError::InvalidValue {
-            flag: flag.to_string(),
-            value,
-            expected: "a positive integer",
-        }),
-    }
+    parse_checked(flag, value, "a positive integer", |&n| n > 0)
 }
 
 /// Consume the value following `args[*i]`.
@@ -414,12 +420,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         match args[i].as_str() {
             "--no-factorize" => opts.factorize = false,
             "--no-decouple" => opts.decoupled = false,
-            "--no-sharing" => {
-                opts.memory = MemoryOptions {
-                    sharing: false,
-                    ..Default::default()
-                }
-            }
+            "--no-sharing" => opts.memory.sharing = false,
             "--no-cross-sharing" => cross_sharing = false,
             "--kernel" => kernel = Some(take_value(args, &mut i, "--kernel")?),
             "--emit" => emit = take_value(args, &mut i, "--emit")?,
@@ -493,17 +494,12 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 })?;
             }
             "--deadline" => {
-                let value = take_value(args, &mut i, "--deadline")?;
-                let d: f64 =
-                    parse_value("--deadline", value.clone(), "a latency budget in seconds")?;
-                if !(d.is_finite() && d > 0.0) {
-                    return Err(CliError::InvalidValue {
-                        flag: "--deadline".to_string(),
-                        value,
-                        expected: "a latency budget in seconds",
-                    });
-                }
-                recovery.deadline_s = Some(d);
+                recovery.deadline_s = Some(parse_checked(
+                    "--deadline",
+                    take_value(args, &mut i, "--deadline")?,
+                    "a latency budget in seconds",
+                    |&d: &f64| d.is_finite() && d > 0.0,
+                )?);
             }
             "--retries" => {
                 recovery.max_retries = parse_value(
@@ -513,16 +509,12 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 )?;
             }
             "--backoff" => {
-                let value = take_value(args, &mut i, "--backoff")?;
-                let b: f64 = parse_value("--backoff", value.clone(), "a base backoff in seconds")?;
-                if !(b.is_finite() && b >= 0.0) {
-                    return Err(CliError::InvalidValue {
-                        flag: "--backoff".to_string(),
-                        value,
-                        expected: "a base backoff in seconds",
-                    });
-                }
-                recovery.backoff_s = b;
+                recovery.backoff_s = parse_checked(
+                    "--backoff",
+                    take_value(args, &mut i, "--backoff")?,
+                    "a base backoff in seconds",
+                    |&b: &f64| b.is_finite() && b >= 0.0,
+                )?;
             }
             "--fleet" => {
                 let spec = take_value(args, &mut i, "--fleet")?;
@@ -544,40 +536,28 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             }
             "--online" => online.event_loop = true,
             "--slo" => {
-                let value = take_value(args, &mut i, "--slo")?;
-                let d: f64 = parse_value("--slo", value.clone(), "a p99 budget in seconds")?;
-                if !(d.is_finite() && d > 0.0) {
-                    return Err(CliError::InvalidValue {
-                        flag: "--slo".to_string(),
-                        value,
-                        expected: "a p99 budget in seconds",
-                    });
-                }
-                online.slo_s = Some(d);
+                online.slo_s = Some(parse_checked(
+                    "--slo",
+                    take_value(args, &mut i, "--slo")?,
+                    "a p99 budget in seconds",
+                    |&d: &f64| d.is_finite() && d > 0.0,
+                )?);
             }
             "--shed" => {
-                let value = take_value(args, &mut i, "--shed")?;
-                let depth: usize = parse_value("--shed", value.clone(), "a queue depth >= 1")?;
-                if depth == 0 {
-                    return Err(CliError::InvalidValue {
-                        flag: "--shed".to_string(),
-                        value,
-                        expected: "a queue depth >= 1",
-                    });
-                }
-                online.shed_queue = Some(depth);
+                online.shed_queue = Some(parse_checked(
+                    "--shed",
+                    take_value(args, &mut i, "--shed")?,
+                    "a queue depth >= 1",
+                    |&depth: &usize| depth > 0,
+                )?);
             }
             "--priority" => {
-                let value = take_value(args, &mut i, "--priority")?;
-                let tiers: u8 = parse_value("--priority", value.clone(), "a tier count >= 1")?;
-                if tiers == 0 {
-                    return Err(CliError::InvalidValue {
-                        flag: "--priority".to_string(),
-                        value,
-                        expected: "a tier count >= 1",
-                    });
-                }
-                online.priority_tiers = tiers;
+                online.priority_tiers = parse_checked(
+                    "--priority",
+                    take_value(args, &mut i, "--priority")?,
+                    "a tier count >= 1",
+                    |&tiers: &u8| tiers > 0,
+                )?;
             }
             other => return Err(CliError::UnknownOption(other.to_string())),
         }

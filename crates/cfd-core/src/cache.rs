@@ -2,8 +2,8 @@
 //!
 //! The scheduling stage (reschedule + liveness → compatibility graph)
 //! dominates the cost of a compile; its products depend only on the
-//! canonicalized tensor IR, the scheduler options and (conservatively)
-//! the target platform and clock. [`CompileCache`] memoizes those
+//! canonicalized tensor IR and (conservatively) the target platform and
+//! clock. [`CompileCache`] memoizes those
 //! products under a stable 128-bit FNV-1a content hash, so a re-compile
 //! of unchanged source skips the stage entirely — in process via an
 //! in-memory map, and across processes via an optional on-disk store.
@@ -17,10 +17,10 @@
 //! 2. the canonical text of the tensor IR module (**after**
 //!    canonicalization, so `factorize`/`clean` are captured by their
 //!    effect rather than their flag values),
-//! 3. the `Debug` rendering of [`SchedulerOptions`](pschedule::SchedulerOptions),
-//! 4. the platform id and the bit pattern of the HLS clock.
+//! 3. the platform id and the bit pattern of the HLS clock.
 //!
-//! The emptiness oracle has one configuration, so it is not keyed.
+//! The rescheduler and the emptiness oracle have one configuration
+//! each, so neither is keyed.
 //!
 //! The worker count ([`FlowOptions::jobs`]) is deliberately excluded:
 //! artifacts are bit-identical for every value.
@@ -290,7 +290,6 @@ pub fn schedule_key(module: &Module, opts: &FlowOptions) -> u128 {
     let mut h = Fnv128::new();
     h.update(SCHEMA.as_bytes());
     h.update(module.to_string().as_bytes());
-    h.update(format!("{:?}", opts.scheduler).as_bytes());
     h.update(opts.platform.id.as_bytes());
     h.update(&opts.hls.clock_mhz.to_bits().to_le_bytes());
     h.finish()
@@ -523,13 +522,13 @@ mod tests {
             ..opts.clone()
         };
         assert_eq!(k1, schedule_key(&me.module, &more_jobs));
-        // Scheduler options and platform are part of the key.
-        let mut sched_off = opts.clone();
-        sched_off.scheduler.permute = false;
-        assert_ne!(k1, schedule_key(&me.module, &sched_off));
+        // The clock and the platform are part of the key.
         let mut other_clock = opts.clone();
         other_clock.hls.clock_mhz = 150.0;
         assert_ne!(k1, schedule_key(&me.module, &other_clock));
+        let mut other_board = opts.clone();
+        other_board.platform = sysgen::Platform::zcu102();
+        assert_ne!(k1, schedule_key(&me.module, &other_board));
         // Different source, different key.
         let src2 = cfdlang::examples::inverse_helmholtz(6);
         let (_, fe2) = p.program_frontend(&src2).unwrap().remove(0);

@@ -743,7 +743,6 @@ impl DseEngine {
             .collect();
         let memory_opts = mnemosyne::MemoryOptions {
             sharing: point.sharing,
-            ..self.base.flow.memory.clone()
         };
         ProgramBuild::prepare(
             &self.names,

@@ -148,13 +148,14 @@ pub struct FlowOptions {
     pub factorize: bool,
     /// Run duplicate-statement CSE and dead-code elimination.
     pub clean: bool,
-    /// Rescheduling options (step ⓘⓘⓘ).
+    /// Rescheduling options (step ⓘⓘⓘ): none are left, the field is
+    /// what callers pass to `pschedule::reschedule`.
     pub scheduler: SchedulerOptions,
     /// Export temporaries to PLM units (the paper's decoupled design).
     pub decoupled: bool,
     /// Memory synthesis options (sharing on by default).
     pub memory: MemoryOptions,
-    /// HLS options (clock from the platform ladder, pipelining).
+    /// HLS options (clock from the platform ladder, array partitioning).
     pub hls: HlsOptions,
     /// Target platform: board budget, host CPU, DMA fabric and clock
     /// ladder. Defaults to the paper's ZCU106.
@@ -179,7 +180,7 @@ impl Default for FlowOptions {
         FlowOptions {
             factorize: true,
             clean: true,
-            scheduler: SchedulerOptions::default(),
+            scheduler: SchedulerOptions,
             decoupled: true,
             memory: MemoryOptions::default(),
             hls: HlsOptions::default(),

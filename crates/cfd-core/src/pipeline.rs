@@ -381,7 +381,7 @@ impl Pipeline {
         } else {
             full_config.retain_interface()
         };
-        // Propagate the HLS port demands (array partitioning / unrolling)
+        // Propagate the HLS port demands (array partitioning)
         // into the memory metadata: Mnemosyne builds multi-bank PLMs for
         // them (Section V-A1/V-A2).
         for spec in mnemosyne_config.arrays.clone() {

@@ -188,22 +188,7 @@ impl ProgramArtifacts {
             .ok_or_else(|| FlowError::Backend("no feasible program configuration".into()))?;
         let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
         let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
-        // Timing-only runs skip the input tensors entirely (same
-        // arrival stream either way, per seed).
-        let mut requests = if opts.execute {
-            runtime::generate_requests(&modules, opts.requests, &opts.arrival, opts.seed)
-        } else {
-            runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
-        }
-        .map_err(|e| FlowError::Backend(e.to_string()))?;
-        // Priority serving: requests cycle through the configured tier
-        // count in id order (tier 0 is the most urgent), the same
-        // deterministic assignment the differential tests replay.
-        if opts.online.priority_tiers > 1 {
-            for r in &mut requests {
-                r.tier = (r.id % opts.online.priority_tiers as usize) as u8;
-            }
-        }
+        let requests = requests(&modules, opts)?;
         runtime::serve(system, &self.names, &modules, &kernels, &requests, opts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }
@@ -223,13 +208,7 @@ impl ProgramArtifacts {
     ) -> Result<runtime::FleetOutcome, FlowError> {
         let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
         let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
-        let opts = &fopts.base;
-        let requests = if opts.execute {
-            runtime::generate_requests(&modules, opts.requests, &opts.arrival, opts.seed)
-        } else {
-            runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
-        }
-        .map_err(|e| FlowError::Backend(e.to_string()))?;
+        let requests = requests(&modules, &fopts.base)?;
         runtime::serve_fleet(boards, &self.names, &modules, &kernels, &requests, fopts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }
@@ -252,6 +231,30 @@ impl ProgramArtifacts {
         };
         Ok(self.serve(&seq)?.report)
     }
+}
+
+/// The request stream [`ProgramArtifacts::serve`] and
+/// [`ProgramArtifacts::serve_fleet`] schedule: per-request inputs (only
+/// when `opts.execute` is set; timing-only runs draw the same arrivals
+/// per seed) and, under priority serving, tiers that cycle through the
+/// configured count in id order (tier 0 is the most urgent).
+fn requests(
+    modules: &[&Module],
+    opts: &runtime::RuntimeOptions,
+) -> Result<Vec<runtime::Request>, FlowError> {
+    let mut requests = if opts.execute {
+        runtime::generate_requests(modules, opts.requests, &opts.arrival, opts.seed)
+    } else {
+        runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
+    }
+    .map_err(|e| FlowError::Backend(e.to_string()))?;
+    let tiers = opts.online.priority_tiers as usize;
+    if tiers > 1 {
+        for r in &mut requests {
+            r.tier = (r.id % tiers) as u8;
+        }
+    }
+    Ok(requests)
 }
 
 /// The shared program-level products derived from per-kernel backends:

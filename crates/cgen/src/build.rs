@@ -35,9 +35,13 @@ pub fn build_kernel(
 ) -> CKernel {
     let layout = &model.layout;
     let (params, locals) = build_params(module, layout, opts);
+    // One nest per statement in `(seq, micro)` order. A fused group
+    // (equal `seq`, only from hand-built schedules) runs its statements
+    // one after another, which keeps its order only when no RAW edge in
+    // it needs the statements interleaved.
     let mut body = Vec::new();
-    for group in sched.groups() {
-        body.extend(build_group(module, model, sched, &group));
+    for si in sched.groups().into_iter().flatten() {
+        body.extend(build_single_nest(module, model, sched, si));
     }
     CKernel {
         name: opts.name.clone(),
@@ -93,53 +97,11 @@ fn build_params(
     (params, locals)
 }
 
-/// Build the loop nest(s) for one schedule group (fused statements share
-/// loops when their permuted extents agree; otherwise they are emitted
-/// sequentially, which is always legal for a validated schedule).
-fn build_group(
-    module: &Module,
-    model: &KernelModel,
-    sched: &Schedule,
-    group: &[usize],
-) -> Vec<CStmt> {
-    if group.len() > 1 && fusable_shapes(module, model, sched, group) {
-        return vec![build_fused_nest(module, model, sched, group)];
-    }
-    group
-        .iter()
-        .flat_map(|&si| build_single_nest(module, model, sched, si))
-        .collect()
-}
-
-fn fusable_shapes(module: &Module, model: &KernelModel, sched: &Schedule, group: &[usize]) -> bool {
-    let first = group[0];
-    let ext0 = permuted_extents(model, sched, first);
-    group
-        .iter()
-        .all(|&si| permuted_extents(model, sched, si) == ext0 && !module.stmts[si].is_reduction())
-}
-
 fn permuted_extents(model: &KernelModel, sched: &Schedule, si: usize) -> Vec<usize> {
     sched.perms[si]
         .iter()
         .map(|&v| model.stmts[si].extents[v])
         .collect()
-}
-
-/// One fused loop nest: shared loops, bodies in micro order.
-fn build_fused_nest(
-    module: &Module,
-    model: &KernelModel,
-    sched: &Schedule,
-    group: &[usize],
-) -> CStmt {
-    let ext = permuted_extents(model, sched, group[0]);
-    let vars: Vec<String> = (0..ext.len()).map(|d| format!("i{d}")).collect();
-    let mut body: Vec<CStmt> = Vec::new();
-    for &si in group {
-        body.push(store_stmt(module, model, sched, si, &vars, ext.len()));
-    }
-    wrap_loops(&vars, &ext, body)
 }
 
 /// A single statement's loop nest. Reductions with all reduce dims
@@ -160,7 +122,7 @@ fn build_single_nest(
     let vars: Vec<String> = (0..rank).map(|d| format!("i{d}")).collect();
 
     if !stmt.is_reduction() {
-        let body = vec![store_stmt(module, model, sched, si, &vars, rank)];
+        let body = vec![store_stmt(module, model, sched, si)];
         return vec![wrap_loops(&vars, &ext, body)];
     }
 
@@ -230,14 +192,7 @@ fn build_single_nest(
 }
 
 /// Plain (non-reduction) store for a statement.
-fn store_stmt(
-    module: &Module,
-    model: &KernelModel,
-    sched: &Schedule,
-    si: usize,
-    _vars: &[String],
-    _depth: usize,
-) -> CStmt {
+fn store_stmt(module: &Module, model: &KernelModel, sched: &Schedule, si: usize) -> CStmt {
     let stmt = &module.stmts[si];
     CStmt::Store {
         target: write_access(module, model, sched, si),

@@ -451,11 +451,8 @@ mod tests {
                 let layout = LayoutPlan::row_major(&m);
                 let km = KernelModel::build(&m, &layout);
                 let s = if rescheduled {
-                    let opts = SchedulerOptions {
-                        fuse: true,
-                        ..Default::default()
-                    };
-                    pschedule::reschedule(&m, &km, &Dependences::analyze(&km), &opts)
+                    let deps = Dependences::analyze(&km);
+                    pschedule::reschedule(&m, &km, &deps, &SchedulerOptions)
                 } else {
                     Schedule::reference(&km)
                 };
@@ -913,7 +910,7 @@ mod tests {
             simulation_step(3),
             axpy_chain(3),
         ];
-        let (mut kernels, mut accumulators, mut fused) = (0, 0, 0);
+        let (mut kernels, mut accumulators) = (0, 0);
         for (i, src) in sources.iter().enumerate() {
             for variant in 0..8 {
                 let (factored, decoupled, rescheduled) =
@@ -928,19 +925,14 @@ mod tests {
                     );
                     assert_meets_definition(k, &what);
                     kernels += 1;
-                    k.visit_stmts(&mut |s| match s {
-                        CStmt::DeclScalar { .. } => accumulators += 1,
-                        CStmt::For { body, .. } if body.len() > 1 => fused += 1,
-                        _ => {}
+                    k.visit_stmts(&mut |s| {
+                        accumulators += usize::from(matches!(s, CStmt::DeclScalar { .. }))
                     });
                 }
             }
         }
         assert_eq!(kernels, 8 * (4 + 3 + 2));
-        assert!(
-            accumulators > 0 && fused > 0,
-            "both nest shapes are covered"
-        );
+        assert!(accumulators > 0, "the accumulator nest is covered");
     }
 
     #[test]

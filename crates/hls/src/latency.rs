@@ -32,8 +32,6 @@ pub struct LoopReport {
     pub ii: u64,
     /// Pipeline depth (cycles from issue to result).
     pub depth: u64,
-    /// Whether the loop was pipelined.
-    pub pipelined: bool,
     /// Total cycles for one entry of this loop.
     pub latency: u64,
     /// Per-iteration floating-point multiplies (for FU binding).
@@ -85,7 +83,7 @@ fn stmt_latency(
                 format!("{path}.{var}")
             };
             let is_leaf = !body.iter().any(|b| matches!(b, CStmt::For { .. }));
-            if is_leaf && opts.pipeline {
+            if is_leaf {
                 let rep = pipeline_leaf(&label, *extent as u64, body, opts, lib);
                 let lat = rep.latency + LOOP_OVERHEAD;
                 loops.push(rep);
@@ -145,12 +143,11 @@ fn pipeline_leaf(
         }
     }
 
-    let u = opts.unroll.max(1) as u64;
     let res_mii_reads = reads
         .iter()
         .map(|(arr, &n)| {
             let (rp, _) = opts.ports_for(arr);
-            (n as u64 * u).div_ceil(rp as u64)
+            (n as u64).div_ceil(rp as u64)
         })
         .max()
         .unwrap_or(1);
@@ -158,26 +155,24 @@ fn pipeline_leaf(
         .iter()
         .map(|(arr, &n)| {
             let (_, wp) = opts.ports_for(arr);
-            (n as u64 * u).div_ceil(wp as u64)
+            (n as u64).div_ceil(wp as u64)
         })
         .max()
         .unwrap_or(1);
     let res_mii = res_mii_reads.max(res_mii_writes);
     let ii = rec_mii.max(res_mii).max(1);
-    let eff_trips = trip.div_ceil(u);
     // (trips-1)·II issue slots, plus the last iteration's II-1 residual
     // port cycles, plus the pipeline drain.
-    let latency = depth + eff_trips.saturating_sub(1) * ii + (ii - 1);
+    let latency = depth + trip.saturating_sub(1) * ii + (ii - 1);
     LoopReport {
         label: label.to_string(),
         trip,
         ii,
         depth,
-        pipelined: true,
         latency,
-        muls_per_iter: muls * u as usize,
-        adds_per_iter: adds * u as usize,
-        divs_per_iter: divs * u as usize,
+        muls_per_iter: muls,
+        adds_per_iter: adds,
+        divs_per_iter: divs,
     }
 }
 
@@ -281,108 +276,29 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unroll_reduces_pointwise_latency_with_ports() {
-        let k = kernel(&cfdlang::examples::axpy(8), false);
-        let lib = OpLibrary::ultrascale_200mhz();
-        let base = kernel_latency(&k, &HlsOptions::default(), &lib).1;
-        let unrolled = kernel_latency(
-            &k,
-            &HlsOptions {
-                unroll: 4,
-                array_read_ports: 4,
-                array_write_ports: 4,
-                ..Default::default()
-            },
-            &lib,
-        )
-        .1;
-        assert!(unrolled < base, "unrolled {unrolled} vs base {base}");
-    }
-
-    #[test]
-    fn unroll_without_ports_is_useless() {
-        let k = kernel(&cfdlang::examples::axpy(8), false);
-        let lib = OpLibrary::ultrascale_200mhz();
-        let base = kernel_latency(&k, &HlsOptions::default(), &lib).1;
-        let unrolled = kernel_latency(
-            &k,
-            &HlsOptions {
-                unroll: 4,
-                ..Default::default()
-            },
-            &lib,
-        )
-        .1;
-        // ResMII grows with the lane count: no win.
-        assert!(unrolled as f64 > base as f64 * 0.9);
-    }
-
-    #[test]
-    fn per_array_partition_matches_global_ports() {
-        // Partitioning exactly the accessed arrays gives the same II as
-        // raising the global port count.
-        let k = kernel(&cfdlang::examples::axpy(8), false);
-        let lib = OpLibrary::ultrascale_200mhz();
-        let global = kernel_latency(
-            &k,
-            &HlsOptions {
-                unroll: 4,
-                array_read_ports: 4,
-                array_write_ports: 4,
-                ..Default::default()
-            },
-            &lib,
-        )
-        .1;
-        let targeted = kernel_latency(
-            &k,
-            &HlsOptions {
-                unroll: 4,
-                partition: vec![
-                    ("x".into(), 4),
-                    ("y".into(), 4),
-                    ("a".into(), 4),
-                    ("o".into(), 4),
-                ],
-                ..Default::default()
-            },
-            &lib,
-        )
-        .1;
-        assert_eq!(global, targeted);
-    }
-
+    /// A pointwise body reading `x` three times and `y` twice: on one
+    /// port per array, `x` bounds the II; partitioning it leaves `y` as
+    /// the bottleneck, and partitioning both reaches II 1.
     #[test]
     fn partial_partition_leaves_bottleneck() {
-        // Partitioning only one of the read arrays leaves the other as
-        // the ResMII bottleneck under unrolling.
-        let k = kernel(&cfdlang::examples::axpy(8), false);
+        let k = kernel(
+            "var input x : [8]\nvar input y : [8]\nvar output o : [8]\n\
+             o = x * x * x + y * y",
+            false,
+        );
         let lib = OpLibrary::ultrascale_200mhz();
-        let opts = HlsOptions {
-            unroll: 4,
-            partition: vec![("x".into(), 4)],
-            ..Default::default()
-        };
-        let (loops, _) = kernel_latency(&k, &opts, &lib);
-        assert!(loops.iter().any(|l| l.ii >= 4), "{loops:?}");
-    }
-
-    #[test]
-    fn no_pipeline_is_slower() {
-        let k = kernel(&cfdlang::examples::inverse_helmholtz(5), true);
-        let lib = OpLibrary::ultrascale_200mhz();
-        let on = kernel_latency(&k, &HlsOptions::default(), &lib).1;
-        let off = kernel_latency(
-            &k,
-            &HlsOptions {
-                pipeline: false,
+        let ii = |partition: &[(&str, u32)]| {
+            let opts = HlsOptions {
+                partition: partition.iter().map(|&(a, f)| (a.into(), f)).collect(),
                 ..Default::default()
-            },
-            &lib,
-        )
-        .1;
-        assert!(off > on, "pipelined {on} vs sequential {off}");
+            };
+            let (loops, _) = kernel_latency(&k, &opts, &lib);
+            assert_eq!(loops.len(), 1, "{loops:?}");
+            loops[0].ii
+        };
+        assert_eq!(ii(&[]), 3);
+        assert_eq!(ii(&[("x", 3)]), 2);
+        assert_eq!(ii(&[("x", 3), ("y", 2)]), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   memory-port pressure per PLM,
 //! * **function-level FU binding** ([`resources`]) — sequentially
 //!   executing loop nests share one floating-point unit per operator
-//!   type (per unrolled lane),
+//!   type,
 //! * **internal array mapping** — in non-decoupled mode, local arrays
 //!   map to BRAM with Vivado's power-of-two depth padding (which is why
 //!   the paper measures 24 BRAMs inside the accelerator vs 18 in
@@ -37,42 +37,24 @@ pub use resources::estimate_resources;
 
 use cgen::CKernel;
 
-/// HLS tool options (the pragmas the flow applies).
+/// HLS tool options (the pragmas the flow applies). Every innermost
+/// loop is pipelined (`#pragma HLS pipeline`) and none is unrolled.
 #[derive(Debug, Clone)]
 pub struct HlsOptions {
     /// Target clock (the paper synthesizes at 200 MHz).
     pub clock_mhz: f64,
-    /// Pipeline innermost loops (`#pragma HLS pipeline`).
-    pub pipeline: bool,
-    /// Unroll factor applied to innermost loops (`#pragma HLS unroll`).
-    pub unroll: usize,
-    /// Read/write ports available per array (PLM ports; array
-    /// partitioning raises this).
-    pub array_read_ports: u32,
-    pub array_write_ports: u32,
     /// Per-array cyclic partition factors (`#pragma HLS array_partition
-    /// cyclic factor=F variable=name`): multiplies the ports of the named
-    /// array, demanding a multi-bank PLM from the memory generator
-    /// (Section V-A1 / V-A2).
+    /// cyclic factor=F variable=name`): multiplies the one read and one
+    /// write port of the named array, demanding a multi-bank PLM from
+    /// the memory generator (Section V-A1 / V-A2).
     pub partition: Vec<(String, u32)>,
-    /// Arrays at or below this word count map to LUTRAM instead of BRAM
-    /// when kept inside the accelerator.
-    pub lutram_threshold: usize,
-    /// Words per BRAM36 (512 × 64-bit).
-    pub bram_words: usize,
 }
 
 impl Default for HlsOptions {
     fn default() -> Self {
         HlsOptions {
             clock_mhz: 200.0,
-            pipeline: true,
-            unroll: 1,
-            array_read_ports: 1,
-            array_write_ports: 1,
             partition: Vec::new(),
-            lutram_threshold: 128,
-            bram_words: 512,
         }
     }
 }
@@ -87,10 +69,7 @@ impl HlsOptions {
             .map(|(_, f)| *f)
             .unwrap_or(1)
             .max(1);
-        (
-            self.array_read_ports * factor,
-            self.array_write_ports * factor,
-        )
+        (factor, factor)
     }
 }
 
@@ -98,7 +77,7 @@ impl HlsOptions {
 pub fn synthesize(kernel: &CKernel, opts: &HlsOptions) -> HlsReport {
     let lib = OpLibrary::for_clock(opts.clock_mhz);
     let (loops, total_latency) = latency::kernel_latency(kernel, opts, &lib);
-    let res = resources::estimate_resources(kernel, opts, &lib, &loops);
+    let res = resources::estimate_resources(kernel, &lib, &loops);
     HlsReport {
         kernel: kernel.name.clone(),
         clock_mhz: opts.clock_mhz,

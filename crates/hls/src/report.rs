@@ -126,7 +126,6 @@ mod tests {
                 trip: 11,
                 ii: 5,
                 depth: 12,
-                pipelined: true,
                 latency: 62,
                 muls_per_iter: 1,
                 adds_per_iter: 1,

@@ -3,7 +3,6 @@
 
 use crate::latency::LoopReport;
 use crate::ops::OpLibrary;
-use crate::HlsOptions;
 use cgen::{CKernel, CStmt};
 use serde::{Deserialize, Serialize};
 
@@ -25,17 +24,20 @@ const CTRL_FF_PER_LOOP: usize = 40;
 const IFACE_LUT_PER_PARAM: usize = 15;
 const IFACE_FF_PER_PARAM: usize = 35;
 const ADDR_FF_PER_ACCESS: usize = 30;
+/// Internal arrays of at most this many words map to LUTRAM.
+const LUTRAM_WORDS: usize = 128;
+/// Words per BRAM36 (512 × 64-bit).
+const BRAM_WORDS: usize = 512;
 
 /// Estimate the kernel's resources.
 pub fn estimate_resources(
     kernel: &CKernel,
-    opts: &HlsOptions,
     lib: &OpLibrary,
     loops: &[LoopReport],
 ) -> ResourceEstimate {
     // Function-level FU binding: sequentially executing loops share FU
     // instances, so the kernel instantiates the *maximum* concurrent need
-    // across pipelined loops (per unrolled lane).
+    // across pipelined loops.
     let fu_muls = loops
         .iter()
         .map(|l| l.muls_per_iter)
@@ -90,11 +92,11 @@ pub fn estimate_resources(
     // power-of-two depth padding; small arrays fall into LUTRAM.
     let mut brams = 0usize;
     for l in &kernel.locals {
-        if l.words <= opts.lutram_threshold {
+        if l.words <= LUTRAM_WORDS {
             luts += l.words; // distributed RAM cost
         } else {
             let depth_p2 = l.words.next_power_of_two();
-            brams += (depth_p2.div_ceil(opts.bram_words)).max(1);
+            brams += (depth_p2.div_ceil(BRAM_WORDS)).max(1);
         }
     }
     ResourceEstimate {
@@ -203,23 +205,6 @@ mod tests {
             naive.dsps,
             fact.dsps
         );
-    }
-
-    #[test]
-    fn unrolling_multiplies_fus() {
-        let k = kernel(&cfdlang::examples::axpy(8), false, true);
-        let base = synthesize(&k, &HlsOptions::default());
-        let un = synthesize(
-            &k,
-            &HlsOptions {
-                unroll: 4,
-                array_read_ports: 4,
-                array_write_ports: 4,
-                ..Default::default()
-            },
-        );
-        assert!(un.dsps > base.dsps);
-        assert!(un.luts > base.luts);
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl MnemosyneConfig {
     }
 
     /// Override the port requirements of an array (set by the HLS tool
-    /// when loop unrolling / array partitioning raises the demand).
+    /// when array partitioning raises the demand).
     pub fn set_ports(&mut self, name: &str, read: u32, write: u32) {
         if let Some(i) = self.index_of(name) {
             self.arrays[i].read_ports = read;

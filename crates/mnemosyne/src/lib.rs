@@ -27,16 +27,16 @@ pub mod program;
 pub mod sharing;
 
 pub use config::{ArraySpec, MnemosyneConfig};
-pub use plm::{BramSpec, MemoryOptions, MemorySubsystem, PlmUnit};
+pub use plm::{MemoryOptions, MemorySubsystem, PlmUnit};
 pub use program::{merge_configs, synthesize_program, ProgramMemoryPlan};
 pub use sharing::{share_groups, SharingSolution};
 
 /// Synthesize the memory subsystem for a kernel.
 pub fn synthesize(cfg: &MnemosyneConfig, opts: &MemoryOptions) -> MemorySubsystem {
     let solution = if opts.sharing {
-        sharing::share_groups(cfg, opts.share_interface)
+        sharing::share_groups(cfg)
     } else {
         sharing::no_sharing(cfg)
     };
-    plm::build_subsystem(cfg, &solution, opts)
+    plm::build_subsystem(cfg, &solution)
 }

@@ -22,42 +22,22 @@ use crate::config::MnemosyneConfig;
 use crate::sharing::SharingSolution;
 use serde::{Deserialize, Serialize};
 
-/// BRAM device parameters (ZCU106's xczu7ev values by default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BramSpec {
-    /// 64-bit words per BRAM36 block.
-    pub words_per_bram: usize,
-    /// Ports per BRAM block (true dual port).
-    pub ports_per_bram: u32,
-}
-
-impl Default for BramSpec {
-    fn default() -> Self {
-        BramSpec {
-            words_per_bram: 512,
-            ports_per_bram: 2,
-        }
-    }
-}
+/// 64-bit words per BRAM36 block (the xczu7ev of the ZCU106).
+const WORDS_PER_BRAM: usize = 512;
+/// Ports per BRAM block (true dual port).
+const PORTS_PER_BRAM: u32 = 2;
 
 /// Options for memory synthesis.
 #[derive(Debug, Clone)]
 pub struct MemoryOptions {
     /// Apply liveness-based sharing (the paper's optimization).
+    /// Interface arrays never share: they are wired to the DMA engine.
     pub sharing: bool,
-    /// Allow interface arrays to join shared groups (off by default —
-    /// they are wired to the DMA engine).
-    pub share_interface: bool,
-    pub bram: BramSpec,
 }
 
 impl Default for MemoryOptions {
     fn default() -> Self {
-        MemoryOptions {
-            sharing: true,
-            share_interface: false,
-            bram: BramSpec::default(),
-        }
+        MemoryOptions { sharing: true }
     }
 }
 
@@ -105,11 +85,7 @@ const FF_PER_UNIT: usize = 24;
 const FF_PER_BANK: usize = 6;
 
 /// Build the subsystem for a sharing solution.
-pub fn build_subsystem(
-    cfg: &MnemosyneConfig,
-    solution: &SharingSolution,
-    opts: &MemoryOptions,
-) -> MemorySubsystem {
+pub fn build_subsystem(cfg: &MnemosyneConfig, solution: &SharingSolution) -> MemorySubsystem {
     let mut units = Vec::with_capacity(solution.groups.len());
     for (gi, group) in solution.groups.iter().enumerate() {
         let words = solution.group_words(cfg, gi);
@@ -123,8 +99,8 @@ pub fn build_subsystem(
             .map(|&a| cfg.arrays[a].write_ports)
             .max()
             .unwrap_or(1);
-        let depth_banks = words.div_ceil(opts.bram.words_per_bram);
-        let replication = (read_ports + write_ports).div_ceil(opts.bram.ports_per_bram) as usize;
+        let depth_banks = words.div_ceil(WORDS_PER_BRAM);
+        let replication = (read_ports + write_ports).div_ceil(PORTS_PER_BRAM) as usize;
         let brams = depth_banks * replication.max(1);
         let name = if group.len() == 1 {
             format!("plm_{}", cfg.arrays[group[0]].name)
@@ -284,13 +260,7 @@ mod tests {
         // Paper (Vivado mapping): 31 BRAMs. Our 512-word BRAM model: 9
         // arrays of 1331 words → 3 BRAMs each, S → 1 BRAM: 28 total.
         let cfg = helmholtz_cfg();
-        let ms = crate::synthesize(
-            &cfg,
-            &MemoryOptions {
-                sharing: false,
-                ..Default::default()
-            },
-        );
+        let ms = crate::synthesize(&cfg, &MemoryOptions { sharing: false });
         assert_eq!(ms.units.len(), 10);
         assert_eq!(ms.brams, 28);
     }
@@ -318,13 +288,7 @@ mod tests {
     fn sharing_reduction_ratio_matches_paper() {
         // Paper: 18/31 = 0.58. Ours: 16/28 = 0.57.
         let cfg = helmholtz_cfg();
-        let no = crate::synthesize(
-            &cfg,
-            &MemoryOptions {
-                sharing: false,
-                ..Default::default()
-            },
-        );
+        let no = crate::synthesize(&cfg, &MemoryOptions { sharing: false });
         let sh = crate::synthesize(&cfg, &MemoryOptions::default());
         let ratio = sh.brams as f64 / no.brams as f64;
         assert!((0.5..0.65).contains(&ratio), "ratio {ratio}");
@@ -332,11 +296,10 @@ mod tests {
 
     #[test]
     fn bank_packing_depth() {
-        let spec = BramSpec::default();
-        assert_eq!(1331usize.div_ceil(spec.words_per_bram), 3);
-        assert_eq!(121usize.div_ceil(spec.words_per_bram), 1);
-        assert_eq!(512usize.div_ceil(spec.words_per_bram), 1);
-        assert_eq!(513usize.div_ceil(spec.words_per_bram), 2);
+        assert_eq!(1331usize.div_ceil(WORDS_PER_BRAM), 3);
+        assert_eq!(121usize.div_ceil(WORDS_PER_BRAM), 1);
+        assert_eq!(512usize.div_ceil(WORDS_PER_BRAM), 1);
+        assert_eq!(513usize.div_ceil(WORDS_PER_BRAM), 2);
     }
 
     #[test]
@@ -344,13 +307,7 @@ mod tests {
         let mut cfg = helmholtz_cfg();
         // Demand 3 read ports + 1 write port on u: ceil(4/2) = 2×.
         cfg.set_ports("u", 3, 1);
-        let ms = crate::synthesize(
-            &cfg,
-            &MemoryOptions {
-                sharing: false,
-                ..Default::default()
-            },
-        );
+        let ms = crate::synthesize(&cfg, &MemoryOptions { sharing: false });
         let u = cfg.index_of("u").unwrap();
         assert_eq!(ms.unit_of(u).unwrap().brams, 6);
     }
@@ -395,13 +352,7 @@ mod tests {
         let graph = CompatibilityGraph::build(&km, &lv);
         let cfg = MnemosyneConfig::from_graph(&graph);
         let sh = crate::synthesize(&cfg, &MemoryOptions::default());
-        let no = crate::synthesize(
-            &cfg,
-            &MemoryOptions {
-                sharing: false,
-                ..Default::default()
-            },
-        );
+        let no = crate::synthesize(&cfg, &MemoryOptions { sharing: false });
         // p=4: arrays are 64 words → 1 BRAM each; S: 16 words → 1.
         assert_eq!(no.brams, 10);
         // Sharing collapses the six temporaries into two buffers.

@@ -231,8 +231,8 @@ mod tests {
         let plan = merge_configs(&parts, &cross, true);
         assert!(plan.cross_edges > 0);
         let ms = synthesize_program(&plan, &MemoryOptions::default());
-        let sol = sharing::share_groups(&plan.config, false);
-        sol.validate(&plan.config, false).unwrap();
+        let sol = sharing::share_groups(&plan.config);
+        sol.validate(&plan.config).unwrap();
         // Both ends of h land in one unit.
         let ha = plan.config.index_of("a.h").unwrap();
         let hb = plan.config.index_of("b.h").unwrap();

@@ -34,8 +34,9 @@ impl SharingSolution {
             .sum()
     }
 
-    /// Validate that every group is a clique of compatible arrays.
-    pub fn validate(&self, cfg: &MnemosyneConfig, share_interface: bool) -> Result<(), String> {
+    /// Validate that every group is a clique of compatible arrays and
+    /// that no interface array shares.
+    pub fn validate(&self, cfg: &MnemosyneConfig) -> Result<(), String> {
         let mut seen = vec![false; cfg.arrays.len()];
         for group in &self.groups {
             for (i, &a) in group.iter().enumerate() {
@@ -43,7 +44,7 @@ impl SharingSolution {
                     return Err(format!("array {a} appears twice"));
                 }
                 seen[a] = true;
-                if group.len() > 1 && cfg.arrays[a].interface && !share_interface {
+                if group.len() > 1 && cfg.arrays[a].interface {
                     return Err(format!(
                         "interface array '{}' in a shared group",
                         cfg.arrays[a].name
@@ -73,31 +74,24 @@ pub fn no_sharing(cfg: &MnemosyneConfig) -> SharingSolution {
     }
 }
 
-/// Greedy first-fit clique cover. Interface arrays stay alone unless
-/// `share_interface` is set (they are wired to the DMA engine; the paper
-/// shares only the kernel-private temporaries).
-pub fn share_groups(cfg: &MnemosyneConfig, share_interface: bool) -> SharingSolution {
+/// Greedy first-fit clique cover. Interface arrays stay alone (they are
+/// wired to the DMA engine; the paper shares only the kernel-private
+/// temporaries).
+pub fn share_groups(cfg: &MnemosyneConfig) -> SharingSolution {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     // Process big arrays first so the overlay buffer is sized once.
     let mut order: Vec<usize> = (0..cfg.arrays.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(cfg.arrays[i].words));
     for i in order {
-        let sharable = share_interface || !cfg.arrays[i].interface;
-        let mut placed = false;
-        if sharable {
-            for g in groups.iter_mut() {
-                let group_sharable = g
-                    .iter()
-                    .all(|&m| share_interface || !cfg.arrays[m].interface);
-                if group_sharable && g.iter().all(|&m| cfg.addr_compatible(i, m)) {
-                    g.push(i);
-                    placed = true;
-                    break;
-                }
-            }
-        }
-        if !placed {
-            groups.push(vec![i]);
+        let interface = cfg.arrays[i].interface;
+        let fit = groups.iter_mut().find(|g| {
+            !interface
+                && g.iter()
+                    .all(|&m| !cfg.arrays[m].interface && cfg.addr_compatible(i, m))
+        });
+        match fit {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
         }
     }
     // Stable order: by smallest member index, so group naming is
@@ -107,13 +101,14 @@ pub fn share_groups(cfg: &MnemosyneConfig, share_interface: bool) -> SharingSolu
     }
     groups.sort_by_key(|g| g[0]);
     let sol = SharingSolution { groups };
-    debug_assert_eq!(sol.validate(cfg, share_interface), Ok(()));
+    debug_assert_eq!(sol.validate(cfg), Ok(()));
     sol
 }
 
 /// Exact minimum clique cover by exhaustive search — exponential, only
-/// for validation on small instances.
-pub fn exact_min_groups(cfg: &MnemosyneConfig, share_interface: bool) -> usize {
+/// for validation on small instances. Interface arrays stay alone, as in
+/// [`share_groups`].
+pub fn exact_min_groups(cfg: &MnemosyneConfig) -> usize {
     let n = cfg.arrays.len();
     assert!(n <= 12, "exact search is exponential");
     let mut best = n;
@@ -122,7 +117,6 @@ pub fn exact_min_groups(cfg: &MnemosyneConfig, share_interface: bool) -> usize {
         i: usize,
         n: usize,
         cfg: &MnemosyneConfig,
-        share_interface: bool,
         groups: &mut Vec<Vec<usize>>,
         best: &mut usize,
     ) {
@@ -133,23 +127,23 @@ pub fn exact_min_groups(cfg: &MnemosyneConfig, share_interface: bool) -> usize {
             *best = groups.len();
             return;
         }
-        let sharable = share_interface || !cfg.arrays[i].interface;
+        let sharable = !cfg.arrays[i].interface;
         for g in 0..groups.len() {
             let ok = sharable
-                && groups[g].iter().all(|&m| {
-                    cfg.addr_compatible(i, m) && (share_interface || !cfg.arrays[m].interface)
-                });
+                && groups[g]
+                    .iter()
+                    .all(|&m| cfg.addr_compatible(i, m) && !cfg.arrays[m].interface);
             if ok {
                 groups[g].push(i);
-                rec(i + 1, n, cfg, share_interface, groups, best);
+                rec(i + 1, n, cfg, groups, best);
                 groups[g].pop();
             }
         }
         groups.push(vec![i]);
-        rec(i + 1, n, cfg, share_interface, groups, best);
+        rec(i + 1, n, cfg, groups, best);
         groups.pop();
     }
-    rec(0, n, cfg, share_interface, &mut groups, &mut best);
+    rec(0, n, cfg, &mut groups, &mut best);
     best
 }
 
@@ -188,22 +182,18 @@ mod tests {
     #[test]
     fn chain_of_six_needs_two_groups() {
         let cfg = chain(6);
-        let sol = share_groups(&cfg, false);
+        let sol = share_groups(&cfg);
         assert_eq!(sol.groups.len(), 2, "{sol:?}");
-        sol.validate(&cfg, false).unwrap();
-        assert_eq!(exact_min_groups(&cfg, false), 2);
+        sol.validate(&cfg).unwrap();
+        assert_eq!(exact_min_groups(&cfg), 2);
     }
 
     #[test]
     fn greedy_matches_exact_on_intervals() {
         for n in 2..8 {
             let cfg = chain(n);
-            let sol = share_groups(&cfg, false);
-            assert_eq!(
-                sol.groups.len(),
-                exact_min_groups(&cfg, false),
-                "chain({n})"
-            );
+            let sol = share_groups(&cfg);
+            assert_eq!(sol.groups.len(), exact_min_groups(&cfg), "chain({n})");
         }
     }
 
@@ -212,20 +202,10 @@ mod tests {
         let mut cfg = chain(4);
         cfg.arrays[0].interface = true;
         // t0 is compatible with t2, t3 but must not share.
-        let sol = share_groups(&cfg, false);
-        sol.validate(&cfg, false).unwrap();
+        let sol = share_groups(&cfg);
+        sol.validate(&cfg).unwrap();
         let g0 = sol.groups.iter().find(|g| g.contains(&0)).unwrap();
         assert_eq!(g0.len(), 1);
-    }
-
-    #[test]
-    fn share_interface_flag_allows_it() {
-        let mut cfg = chain(4);
-        cfg.arrays[0].interface = true;
-        let sol = share_groups(&cfg, true);
-        sol.validate(&cfg, true).unwrap();
-        let g0 = sol.groups.iter().find(|g| g.contains(&0)).unwrap();
-        assert!(g0.len() > 1, "{sol:?}");
     }
 
     #[test]
@@ -243,7 +223,7 @@ mod tests {
             address_space_compatible: vec![(0, 1)],
             memory_interface_compatible: vec![],
         };
-        let sol = share_groups(&cfg, false);
+        let sol = share_groups(&cfg);
         assert_eq!(sol.groups.len(), 1);
         assert_eq!(sol.total_words(&cfg), 300);
     }
@@ -254,7 +234,7 @@ mod tests {
         let bad = SharingSolution {
             groups: vec![vec![0, 1], vec![2]],
         };
-        assert!(bad.validate(&cfg, false).is_err());
+        assert!(bad.validate(&cfg).is_err());
     }
 
     #[test]
@@ -263,10 +243,10 @@ mod tests {
         let dup = SharingSolution {
             groups: vec![vec![0, 2], vec![0], vec![1]],
         };
-        assert!(dup.validate(&cfg, false).is_err());
+        assert!(dup.validate(&cfg).is_err());
         let missing = SharingSolution {
             groups: vec![vec![0, 2]],
         };
-        assert!(missing.validate(&cfg, false).is_err());
+        assert!(missing.validate(&cfg).is_err());
     }
 }

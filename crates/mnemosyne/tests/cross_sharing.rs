@@ -163,16 +163,13 @@ proptest! {
         let parts: Vec<&MnemosyneConfig> = configs.iter().collect();
         for cross_sharing in [false, true] {
             let plan = merge_configs(&parts, &cross, cross_sharing);
-            for share_interface in [false, true] {
-                let sol = share_groups(&plan.config, share_interface);
-                prop_assert_eq!(
-                    sol.validate(&plan.config, share_interface),
-                    Ok(()),
-                    "cross_sharing={} share_interface={}",
-                    cross_sharing,
-                    share_interface
-                );
-            }
+            let sol = share_groups(&plan.config);
+            prop_assert_eq!(
+                sol.validate(&plan.config),
+                Ok(()),
+                "cross_sharing={}",
+                cross_sharing
+            );
         }
     }
 

@@ -181,7 +181,7 @@ fn holds_by_composition(model: &KernelModel, d: &Dependence, sched: &Schedule) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::liveness::tests::random_schedule;
+    use crate::liveness::tests::{fused_schedule, random_schedule};
     use crate::{reschedule, SchedulerOptions};
     use std::collections::HashMap;
     use teil::layout::{ArrayId, LayoutPlan};
@@ -349,8 +349,8 @@ mod tests {
     }
 
     /// Every kernel of the definition tests' zoo plus an element-wise
-    /// chain, which `fuse` can fold, ± factorised, and a kernel under a
-    /// transposed layout.
+    /// chain, which stays legal as one fused group, ± factorised, and a
+    /// kernel under a transposed layout.
     fn zoo() -> Vec<(String, teil::ir::Module, KernelModel)> {
         use crate::liveness::tests::{example_sources, transposed_kernel, ELEMENTWISE_CHAIN};
         let mut sources = example_sources().to_vec();
@@ -428,15 +428,12 @@ mod tests {
 
     /// `legal` against the all-edges composition definition and the
     /// tuple-by-tuple enumeration, over the zoo under the reference, the
-    /// rescheduled, the fused and random schedules (tied `seq`, random
-    /// permutations and `micro`). Tallies verdicts `[illegal, legal]`, and
-    /// separately those of schedules with a RAW edge inside a fused group.
+    /// rescheduled, the whole-kernel fused and random schedules (tied
+    /// `seq`, random permutations and `micro`). Tallies verdicts
+    /// `[illegal, legal]`, and separately those of schedules with a RAW
+    /// edge inside a fused group.
     #[test]
     fn legal_equals_the_enumerated_definition() {
-        let fuse = SchedulerOptions {
-            fuse: true,
-            ..Default::default()
-        };
         let (mut verdicts, mut fused_verdicts) = ([0usize; 2], [0usize; 2]);
         let mut rng = 0x5EC_0DE5_u64;
         for (name, m, km) in zoo() {
@@ -455,8 +452,8 @@ mod tests {
                 .collect();
             let mut schedules = vec![
                 Schedule::reference(&km),
-                reschedule(&m, &km, &deps, &SchedulerOptions::default()),
-                reschedule(&m, &km, &deps, &fuse),
+                reschedule(&m, &km, &deps, &SchedulerOptions),
+                fused_schedule(&km),
             ];
             schedules.extend((0..6).map(|_| random_schedule(&km, &mut rng)));
             for s in &schedules {
@@ -510,7 +507,7 @@ mod tests {
             let mut tally = [0usize; 3];
             for s in [
                 Schedule::reference(&km),
-                reschedule(&m, &km, &deps, &SchedulerOptions::default()),
+                reschedule(&m, &km, &deps, &SchedulerOptions),
             ] {
                 assert_ladder_is_exact(&name, &m, &km, &s, &mut tally);
             }

@@ -13,9 +13,9 @@
 //! * [`deps`] — value-based RAW/RAR dependence analysis and exact
 //!   legality checking of candidate schedules,
 //! * [`scheduler`] — a Pluto-like rescheduler: per-statement loop
-//!   permutation and producer–consumer fusion chosen to minimize RAW
-//!   dependence distance and maximize RAR coincidence, validated exactly
-//!   against the RAW dependences (Section IV-E),
+//!   permutations chosen to minimize RAW dependence distance and
+//!   maximize RAR coincidence, validated exactly against the RAW
+//!   dependences (Section IV-E),
 //! * [`liveness`] — the paper's liveness analysis (Section IV-F):
 //!   `I = (S×S)∘RAW`, `L = ge_le∘I` as the definition, and the memory
 //!   compatibility graph of Figure 5 decided from schedule-box corners,

@@ -781,6 +781,17 @@ pub(crate) mod tests {
         s
     }
 
+    /// The whole kernel as one fused group: reference loop orders, one
+    /// `seq`, `micro` in program order.
+    pub(crate) fn fused_schedule(km: &KernelModel) -> Schedule {
+        let mut s = Schedule::reference(km);
+        s.seq.fill(0);
+        for (si, micro) in s.micro.iter_mut().enumerate() {
+            *micro = si as i64;
+        }
+        s
+    }
+
     /// The six `cfdlang::examples` at small extents: the definition
     /// tests' zoo.
     pub(crate) fn example_sources() -> [String; 6] {
@@ -821,10 +832,6 @@ pub(crate) mod tests {
 
     #[test]
     fn ladder_equals_the_definition() {
-        let fuse = SchedulerOptions {
-            fuse: true,
-            ..Default::default()
-        };
         let mut zoo = Vec::new();
         for (k, src) in example_sources().iter().enumerate() {
             for factored in [false, true] {
@@ -841,8 +848,8 @@ pub(crate) mod tests {
             let deps = Dependences::analyze(km);
             let mut schedules = vec![
                 Schedule::reference(km),
-                reschedule(m, km, &deps, &SchedulerOptions::default()),
-                reschedule(m, km, &deps, &fuse),
+                reschedule(m, km, &deps, &SchedulerOptions),
+                fused_schedule(km),
             ];
             schedules.extend((0..6).map(|_| random_schedule(km, &mut rng)));
             for s in &schedules {

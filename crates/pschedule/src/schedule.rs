@@ -9,7 +9,9 @@
 //! ```
 //!
 //! * `seq` — outer sequence position (statements with equal `seq` are
-//!   fused and share loops),
+//!   fused: the schedule interleaves them at every iteration point; the
+//!   rescheduler gives every statement its own `seq`, so only hand-built
+//!   schedules fuse),
 //! * `σ` — the per-statement loop permutation chosen by the rescheduler,
 //! * `micro` — trailing constant ordering fused statements within an
 //!   iteration point.

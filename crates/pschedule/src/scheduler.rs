@@ -14,45 +14,30 @@
 //!    incident to that statement plus its own reduction penalty, the
 //!    only terms of [`cost`] it moves; each rank's permutations are
 //!    enumerated once per call;
-//! 2. optional producer–consumer **fusion** merges a pointwise consumer
-//!    into its producer's loop nest (same `seq`, micro-ordered) whenever
-//!    the polyhedral legality check admits it;
-//! 3. the final schedule is validated exactly ([`crate::deps::legal`]):
-//!    a RAW edge between statements of different `seq` is decided by
-//!    comparing their `seq`, and only an edge inside a fused group is
-//!    checked against its relation. Candidates that fail validation are
-//!    discarded in favour of the reference schedule.
+//! 2. the final schedule is validated exactly ([`crate::deps::legal`]).
+//!    Every statement keeps its own `seq`, so a RAW edge between two
+//!    statements is decided by comparing their `seq`; only a statement
+//!    that reads its own output is checked against its relation. A
+//!    candidate that fails validation is discarded in favour of the
+//!    reference schedule.
 
 use crate::deps::{legal, Dependences};
 use crate::model::KernelModel;
 use crate::schedule::Schedule;
 use teil::ir::{Module, PointExpr};
 
-/// Tunables for the rescheduler.
-#[derive(Debug, Clone)]
-pub struct SchedulerOptions {
-    /// Search loop permutations (otherwise keep identity order).
-    pub permute: bool,
-    /// Attempt pointwise producer–consumer fusion.
-    pub fuse: bool,
-    /// Maximum statement rank for exhaustive permutation search; higher
-    /// ranks fall back to identity (the cost model's alignment gains are
-    /// concentrated in the leading dimensions anyway).
-    pub max_perm_rank: usize,
-    /// Local-search sweeps over all statements.
-    pub sweeps: usize,
-}
+/// Statements of a higher rank keep the identity loop order (the cost
+/// model's alignment gains are concentrated in the leading dimensions
+/// anyway).
+const MAX_PERM_RANK: usize = 5;
+/// Local-search sweeps over all statements.
+const SWEEPS: usize = 3;
 
-impl Default for SchedulerOptions {
-    fn default() -> Self {
-        SchedulerOptions {
-            permute: true,
-            fuse: false,
-            max_perm_rank: 5,
-            sweeps: 3,
-        }
-    }
-}
+/// The rescheduler's options. It has none: the search is fixed (see
+/// the module docs). The type stays as the field
+/// `FlowOptions::scheduler` that callers pass to [`reschedule`].
+#[derive(Debug, Clone, Default)]
+pub struct SchedulerOptions;
 
 /// Compute an optimized schedule. Always returns a legal schedule (falls
 /// back to the reference schedule if search produces nothing better).
@@ -60,22 +45,16 @@ pub fn reschedule(
     module: &Module,
     model: &KernelModel,
     deps: &Dependences,
-    opts: &SchedulerOptions,
+    _opts: &SchedulerOptions,
 ) -> Schedule {
     let mut sched = Schedule::reference(model);
-    if opts.permute {
-        optimize_permutations(module, model, deps, &mut sched, opts);
-    }
-    if opts.fuse {
-        fuse_pointwise(module, model, deps, &mut sched);
-    }
+    optimize_permutations(module, model, deps, &mut sched);
     if legal(model, deps, &sched) {
         sched
     } else {
-        // Defensive: the structural search should never produce an
-        // illegal schedule (permutations don't cross statement bounds and
-        // fusion is validated eagerly), but the reference schedule is the
-        // guaranteed-legal fallback.
+        // Defensive: permutations don't cross statement bounds, so the
+        // search should never produce an illegal schedule, but the
+        // reference schedule is the guaranteed-legal fallback.
         Schedule::reference(model)
     }
 }
@@ -90,18 +69,17 @@ fn optimize_permutations(
     model: &KernelModel,
     deps: &Dependences,
     sched: &mut Schedule,
-    opts: &SchedulerOptions,
 ) {
     let cm = CostModel::build(module, model, deps);
     // Candidates per rank, concatenated in Heap order; ranks 0 and 1
     // have no permutation besides the current one.
     let mut tables: Vec<Vec<usize>> = vec![Vec::new(); cm.max_rank + 1];
     let mut saved = Vec::new();
-    for _ in 0..opts.sweeps {
+    for _ in 0..SWEEPS {
         let mut changed = false;
         for si in 0..model.stmts.len() {
             let rank = model.stmts[si].rank();
-            if rank < 2 || rank > opts.max_perm_rank {
+            if !(2..=MAX_PERM_RANK).contains(&rank) {
                 continue;
             }
             if tables[rank].is_empty() {
@@ -325,41 +303,6 @@ fn read_read_alignment(
     depth
 }
 
-/// Fuse pointwise consumers into their producers where legal.
-fn fuse_pointwise(module: &Module, model: &KernelModel, deps: &Dependences, sched: &mut Schedule) {
-    for e in deps.raw() {
-        let (w, r) = (e.src, e.dst);
-        if sched.fused(w, r) {
-            continue;
-        }
-        // Candidate: consumer reads producer's output with the identity
-        // map and both statements have the producer's full output rank.
-        let out = module.stmts[w].out;
-        let identity_read = {
-            let mut ok = false;
-            module.stmts[r].expr.walk(&mut |n| {
-                if let PointExpr::Access { tensor, index_map } = n {
-                    if *tensor == out && index_map.iter().enumerate().all(|(d, &v)| d == v) {
-                        ok = true;
-                    }
-                }
-            });
-            ok
-        };
-        if !identity_read {
-            continue;
-        }
-        let trial_seq = sched.seq[w];
-        let saved = (sched.seq[r], sched.micro[r]);
-        sched.seq[r] = trial_seq;
-        sched.micro[r] = sched.micro[w] + 1;
-        if !legal(model, deps, sched) {
-            sched.seq[r] = saved.0;
-            sched.micro[r] = saved.1;
-        }
-    }
-}
-
 /// All permutations of `0..n` in Heap order, concatenated: `n!` runs
 /// of `n` entries (callers cap `n`).
 pub fn permutations(n: usize) -> Vec<usize> {
@@ -424,19 +367,14 @@ mod tests {
 
     /// The definition of [`reschedule`]: the same search, but every
     /// candidate is scored by the whole-kernel [`CostModel::eval`].
-    fn reschedule_by_eval(
-        module: &Module,
-        model: &KernelModel,
-        deps: &Dependences,
-        opts: &SchedulerOptions,
-    ) -> Schedule {
+    fn reschedule_by_eval(module: &Module, model: &KernelModel, deps: &Dependences) -> Schedule {
         let mut sched = Schedule::reference(model);
         let cm = CostModel::build(module, model, deps);
-        for _ in 0..if opts.permute { opts.sweeps } else { 0 } {
+        for _ in 0..SWEEPS {
             let mut changed = false;
             for si in 0..model.stmts.len() {
                 let rank = model.stmts[si].rank();
-                if rank > opts.max_perm_rank {
+                if rank > MAX_PERM_RANK {
                     continue;
                 }
                 let mut best = sched.perms[si].clone();
@@ -462,9 +400,6 @@ mod tests {
                 break;
             }
         }
-        if opts.fuse {
-            fuse_pointwise(module, model, deps, &mut sched);
-        }
         if legal(model, deps, &sched) {
             sched
         } else {
@@ -478,7 +413,7 @@ mod tests {
         var input d : [2 3 2 3 3]\nvar t : [2 3 2 3 3]\nvar r : [2 3 2 3 3]\n\
         var output c : [2 3 2 3 3]\nt = a # b . [[4 5]]\nr = d * t\nc = r + t";
 
-    /// Two rank-6 statements, which `max_perm_rank` leaves alone, beside
+    /// Two rank-6 statements, which `MAX_PERM_RANK` leaves alone, beside
     /// a rank-4 contraction that is searched.
     const RANK6: &str = "var input x : [2 2 2 2 2 2]\nvar input p : [2 2 2]\n\
         var input s : [2 2]\nvar t : [2 2 2 2 2 2]\nvar output c : [2 2 2 2 2 2]\n\
@@ -522,27 +457,13 @@ mod tests {
 
     #[test]
     fn search_equals_the_whole_kernel_definition() {
-        let options = [
-            SchedulerOptions::default(),
-            SchedulerOptions {
-                fuse: true,
-                ..Default::default()
-            },
-            SchedulerOptions {
-                max_perm_rank: 4,
-                sweeps: 1,
-                ..Default::default()
-            },
-        ];
         for (name, m, km) in zoo() {
             let deps = Dependences::analyze(&km);
-            for opts in &options {
-                assert_eq!(
-                    reschedule(&m, &km, &deps, opts),
-                    reschedule_by_eval(&m, &km, &deps, opts),
-                    "{name}, {opts:?}"
-                );
-            }
+            assert_eq!(
+                reschedule(&m, &km, &deps, &SchedulerOptions),
+                reschedule_by_eval(&m, &km, &deps),
+                "{name}"
+            );
         }
     }
 
@@ -554,7 +475,7 @@ mod tests {
             let cm = CostModel::build(&m, &km, &deps);
             let mut schedules = vec![
                 Schedule::reference(&km),
-                reschedule(&m, &km, &deps, &SchedulerOptions::default()),
+                reschedule(&m, &km, &deps, &SchedulerOptions),
             ];
             schedules
                 .extend((0..3).map(|_| crate::liveness::tests::random_schedule(&km, &mut rng)));
@@ -577,7 +498,7 @@ mod tests {
     #[test]
     fn rescheduled_helmholtz_is_legal() {
         let (m, km, deps) = setup(&cfdlang::examples::inverse_helmholtz(3), true);
-        let s = reschedule(&m, &km, &deps, &SchedulerOptions::default());
+        let s = reschedule(&m, &km, &deps, &SchedulerOptions);
         assert!(legal(&km, &deps, &s));
     }
 
@@ -585,36 +506,8 @@ mod tests {
     fn reschedule_does_not_worsen_cost() {
         let (m, km, deps) = setup(&cfdlang::examples::inverse_helmholtz(3), true);
         let reference = Schedule::reference(&km);
-        let tuned = reschedule(&m, &km, &deps, &SchedulerOptions::default());
+        let tuned = reschedule(&m, &km, &deps, &SchedulerOptions);
         assert!(cost(&m, &km, &deps, &tuned) <= cost(&m, &km, &deps, &reference));
-    }
-
-    #[test]
-    fn pointwise_chain_fuses() {
-        // b = a + a ; c = b * b — c reads b with the identity map and
-        // both are pointwise, so fusion is legal.
-        let src = "var input a : [4]\nvar b : [4]\nvar output c : [4]\nb = a + a\nc = b * b";
-        let (m, km, deps) = setup(src, false);
-        let opts = SchedulerOptions {
-            fuse: true,
-            ..Default::default()
-        };
-        let s = reschedule(&m, &km, &deps, &opts);
-        assert!(s.fused(0, 1), "pointwise chain should fuse: {s:?}");
-        assert!(legal(&km, &deps, &s));
-    }
-
-    #[test]
-    fn reduction_consumer_does_not_fuse() {
-        // Hadamard after a contraction cannot fuse across the reduction.
-        let (m, km, deps) = setup(&cfdlang::examples::inverse_helmholtz(3), false);
-        let opts = SchedulerOptions {
-            fuse: true,
-            ..Default::default()
-        };
-        let s = reschedule(&m, &km, &deps, &opts);
-        assert!(!s.fused(0, 1));
-        assert!(legal(&km, &deps, &s));
     }
 
     #[test]

@@ -254,13 +254,7 @@ mod tests {
                 }
             }
         }
-        mnemosyne::synthesize(
-            &cfg,
-            &MemoryOptions {
-                sharing,
-                ..Default::default()
-            },
-        )
+        mnemosyne::synthesize(&cfg, &MemoryOptions { sharing })
     }
 
     #[test]

@@ -28,10 +28,7 @@ fn main() {
     let shared = compile(ProgramOptions::default());
     let unshared = compile(
         FlowOptions {
-            memory: MemoryOptions {
-                sharing: false,
-                ..Default::default()
-            },
+            memory: MemoryOptions { sharing: false },
             ..Default::default()
         }
         .into(),

@@ -161,7 +161,6 @@ fn hls_loop_reports_cover_all_stages() {
     assert_eq!(ii1, 1, "the Hadamard pipelines at II = 1");
     for l in &r.loops {
         assert_eq!(l.trip, 11);
-        assert!(l.pipelined);
     }
 }
 

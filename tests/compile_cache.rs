@@ -51,14 +51,13 @@ fn canonical_program(art: &cfdfpga::flow::ProgramArtifacts) -> String {
 }
 
 /// An option combination drawn from the axes the cache key must cover.
-fn options_combo(board: usize, permute: bool, decoupled: bool, sharing: bool) -> FlowOptions {
+fn options_combo(board: usize, decoupled: bool, sharing: bool) -> FlowOptions {
     let catalog = Platform::catalog();
     let platform = catalog[board % catalog.len()].clone();
     let mut opts = FlowOptions {
         decoupled,
         ..FlowOptions::default()
     };
-    opts.scheduler.permute = permute;
     opts.memory.sharing = sharing;
     opts.hls.clock_mhz = platform.default_clock_mhz;
     opts.platform = platform;
@@ -79,7 +78,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Warm-cache compiles are bit-identical to cold ones for every
-    /// generated (source, platform, scheduler, memory) combination, and
+    /// generated (source, platform, decoupling, memory) combination, and
     /// the cache actually served the warm run: the kernel slot
     /// `Flow::compile` returns, and the one-kernel program's system and
     /// host programs.
@@ -87,12 +86,11 @@ proptest! {
     fn warm_cache_compile_is_bit_identical(
         n in 3usize..6,
         board in 0usize..8,
-        permute in proptest::bool::ANY,
         decoupled in proptest::bool::ANY,
         sharing in proptest::bool::ANY,
     ) {
         let src = cfdfpga::cfdlang::examples::inverse_helmholtz(n);
-        let opts = options_combo(board, permute, decoupled, sharing);
+        let opts = options_combo(board, decoupled, sharing);
         let cold = Flow::compile(&src, &opts).unwrap();
 
         let cache = Arc::new(CompileCache::in_memory());
@@ -123,10 +121,9 @@ proptest! {
     fn disk_warm_compile_is_bit_identical(
         n in 3usize..6,
         board in 0usize..8,
-        permute in proptest::bool::ANY,
     ) {
         let src = cfdfpga::cfdlang::examples::inverse_helmholtz(n);
-        let opts = options_combo(board, permute, true, true);
+        let opts = options_combo(board, true, true);
         let cold = Flow::compile(&src, &opts).unwrap();
 
         let dir = scratch_dir();
@@ -193,8 +190,8 @@ fn warm_program_compile_hits_per_kernel_and_matches() {
     assert_eq!(canonical_program(&cold), canonical_program(&warm));
 }
 
-/// Changing any keyed input (source, scheduler options, platform) must
-/// miss rather than serve a stale entry.
+/// Changing any keyed input (source, clock, platform) must miss rather
+/// than serve a stale entry.
 #[test]
 fn cache_never_serves_across_changed_inputs() {
     let cache = Arc::new(CompileCache::in_memory());
@@ -206,10 +203,10 @@ fn cache_never_serves_across_changed_inputs() {
     // Different source: miss.
     let a = Flow::compile_cached(&src6, &base, Arc::clone(&cache)).unwrap();
     assert_eq!(a.timings.cache.hits, 0);
-    // Different scheduler options: miss.
-    let mut no_permute = base.clone();
-    no_permute.scheduler.permute = false;
-    let b = Flow::compile_cached(&src5, &no_permute, Arc::clone(&cache)).unwrap();
+    // Different clock: miss.
+    let mut other_clock = base.clone();
+    other_clock.hls.clock_mhz = 150.0;
+    let b = Flow::compile_cached(&src5, &other_clock, Arc::clone(&cache)).unwrap();
     assert_eq!(b.timings.cache.hits, 0);
     // Different platform: miss.
     let mut other_board = base.clone();

@@ -165,10 +165,7 @@ fn dse_point_matches_monolithic_compile() {
     let opts = ProgramOptions {
         system: Some(ProgramSystemConfig::uniform(2, 4, 1)),
         ..FlowOptions {
-            memory: MemoryOptions {
-                sharing: false,
-                ..MemoryOptions::default()
-            },
+            memory: MemoryOptions { sharing: false },
             ..FlowOptions::default()
         }
         .into()

@@ -25,10 +25,7 @@ fn helmholtz_all_option_combinations_verify() {
                 let opts = FlowOptions {
                     factorize,
                     decoupled,
-                    memory: MemoryOptions {
-                        sharing,
-                        ..Default::default()
-                    },
+                    memory: MemoryOptions { sharing },
                     ..Default::default()
                 };
                 let art = flow(&src, &opts);
@@ -149,10 +146,7 @@ fn decoupled_vs_inside_totals_match_paper_structure() {
         &src,
         &FlowOptions {
             decoupled: false,
-            memory: MemoryOptions {
-                sharing: false,
-                ..Default::default()
-            },
+            memory: MemoryOptions { sharing: false },
             ..Default::default()
         },
     );
@@ -178,8 +172,8 @@ fn pointwise_only_kernel_has_no_reduction_loops() {
 }
 
 /// The CLI zoo (every builtin kernel of `cfdc` at its default size),
-/// factorised or not, fused or not, compiles without expanding a single
-/// live set: the schedule-box corners settle every address-space pair.
+/// factorised or not, compiles without expanding a single live set: the
+/// schedule-box corners settle every address-space pair.
 #[test]
 fn cli_zoo_compiles_without_expanding_live_sets() {
     use cfdfpga::cfdlang::examples as ex;
@@ -194,10 +188,9 @@ fn cli_zoo_compiles_without_expanding_live_sets() {
     ];
     let base = LadderCounters::snapshot();
     for src in &zoo {
-        for (factorize, fuse) in [(true, false), (false, false), (true, true), (false, true)] {
+        for factorize in [true, false] {
             let mut opts = ProgramOptions::default();
             opts.flow.factorize = factorize;
-            opts.flow.scheduler.fuse = fuse;
             ProgramFlow::compile(src, &opts).unwrap();
         }
     }

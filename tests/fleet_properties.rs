@@ -6,7 +6,8 @@
 //!
 //! * **Fleet-of-1 identity** — a fleet with one healthy board is
 //!   tick-identical AND byte-identical (report, JSON, outputs) to a
-//!   plain `runtime::serve` run, under every routing policy.
+//!   plain `runtime::serve` run, under every routing policy; through
+//!   `ProgramArtifacts` too, priority tiers included.
 //! * **Parallel ≡ serial** — the scoped-thread board fan-out produces
 //!   a bit-identical `FleetReport` and identical outputs to the serial
 //!   board loop, under every routing policy.
@@ -27,7 +28,7 @@ use cfd_core::program::{ProgramFlow, ProgramOptions};
 use proptest::prelude::*;
 use runtime::{
     generate_requests, generate_timing_requests, serve, serve_fleet, Arrival, BatchPolicy,
-    FleetBoard, FleetOptions, RoutePolicy, RuntimeOptions,
+    FleetBoard, FleetOptions, OnlinePolicy, RoutePolicy, RuntimeOptions,
 };
 use sysgen::Platform;
 use teil::ir::Module;
@@ -324,6 +325,43 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// `ProgramArtifacts::serve_fleet` on one board generates the request
+/// stream `ProgramArtifacts::serve` does, priority tiers included: the
+/// board's report is the solo report, tick for tick and byte for byte.
+#[test]
+fn program_fleet_of_one_keeps_priority_tiers() {
+    let c = Compiled::new(&cfdlang::examples::inverse_helmholtz(4), None);
+    let fifo = RuntimeOptions {
+        requests: 64,
+        ..RuntimeOptions::default()
+    };
+    let tiered = RuntimeOptions {
+        online: OnlinePolicy {
+            priority_tiers: 3,
+            ..OnlinePolicy::default()
+        },
+        ..fifo.clone()
+    };
+    let solo = c.art.serve(&tiered).unwrap().report;
+    let fifo_solo = c.art.serve(&fifo).unwrap().report;
+    assert_ne!(
+        solo.traces, fifo_solo.traces,
+        "the tiers must move completions"
+    );
+    for route in ROUTES {
+        let fleet = c
+            .art
+            .serve_fleet(
+                &[FleetBoard::healthy(c.design())],
+                &fleet_opts(route, tiered.clone()),
+            )
+            .unwrap();
+        let br = fleet.report.boards[0].report.as_ref().unwrap();
+        assert_eq!(br, &solo, "route {}: report diverged", route.label());
+        assert_eq!(br.to_json(), solo.to_json());
     }
 }
 

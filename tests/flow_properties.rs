@@ -108,10 +108,7 @@ proptest! {
         let art = Flow::compile(
             &src,
             &FlowOptions {
-                memory: cfdfpga::mnemosyne::MemoryOptions {
-                    sharing,
-                    ..Default::default()
-                },
+                memory: cfdfpga::mnemosyne::MemoryOptions { sharing },
                 ..Default::default()
             },
         )

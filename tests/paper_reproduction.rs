@@ -29,10 +29,7 @@ fn paper_program(sharing: bool) -> &'static ProgramArtifacts {
     cell.get_or_init(|| {
         let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
         let opts = FlowOptions {
-            memory: MemoryOptions {
-                sharing,
-                ..Default::default()
-            },
+            memory: MemoryOptions { sharing },
             ..Default::default()
         };
         ProgramFlow::compile(&src, &opts.into()).expect("paper kernel compiles")
@@ -96,10 +93,7 @@ fn temporaries_inside_the_accelerator_cost_more_brams() {
         &src,
         &FlowOptions {
             decoupled: false,
-            memory: MemoryOptions {
-                sharing: false,
-                ..Default::default()
-            },
+            memory: MemoryOptions { sharing: false },
             ..Default::default()
         },
     )

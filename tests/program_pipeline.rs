@@ -119,8 +119,8 @@ fn simulation_step_single_system_with_cross_sharing() {
         art.memory.brams,
         art.per_kernel_plm_brams()
     );
-    let sol = cfdfpga::mnemosyne::share_groups(&art.memory_plan.config, false);
-    sol.validate(&art.memory_plan.config, false).unwrap();
+    let sol = cfdfpga::mnemosyne::share_groups(&art.memory_plan.config);
+    sol.validate(&art.memory_plan.config).unwrap();
     assert!(art.memory_plan.cross_kernel_units(&art.memory) > 0);
     // One system for the whole solver, within the board budget.
     let sys = art.system.as_ref().expect("program fits the ZCU106");
