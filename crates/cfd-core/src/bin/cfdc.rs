@@ -62,7 +62,7 @@ use cfd_core::dse::{DseEngine, DseGrid};
 use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfd_core::{
     Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, FlowError,
-    FlowOptions, OnlinePolicy, RecoveryPolicy, RoutePolicy, RuntimeOptions,
+    RoutePolicy, RuntimeOptions,
 };
 use std::process::exit;
 use std::sync::Arc;
@@ -287,20 +287,22 @@ fn load_source(spec: &str) -> Result<String, CliError> {
 #[derive(Debug)]
 struct Parsed {
     source: String,
-    opts: FlowOptions,
-    /// Co-locate PLM groups across kernels of a program.
-    cross_sharing: bool,
+    /// Compile options: the flow flags, `--no-cross-sharing`, and the
+    /// uniform replication of every kernel from `--k`/`--m` (which
+    /// come together or not at all).
+    program: ProgramOptions,
+    /// Serving options: requests, arrivals, batching, DMA overlap,
+    /// seed, faults, recovery and online policy (the seed also drives
+    /// `verify`).
+    runtime: RuntimeOptions,
     /// Kernel count of the (possibly `--kernel`-reduced) source,
     /// parsed once in `parse_common`.
     kernel_count: usize,
     emit: String,
     out_dir: Option<String>,
     /// Whether --elements was given explicitly (commands pick their own
-    /// defaults otherwise); the count itself is `opts.elements`.
+    /// defaults otherwise); the count itself is `program.flow.elements`.
     elements_set: bool,
-    seed: u64,
-    /// `(k, m)` from `--k`/`--m`, which come together or not at all.
-    replication: Option<(usize, usize)>,
     grid: bool,
     json: bool,
     /// On-disk compile-cache directory (`--cache-dir`); compiles run
@@ -309,25 +311,11 @@ struct Parsed {
     no_cache: bool,
     /// Portfolio platforms from `--boards` (explore only).
     boards: Option<Vec<Platform>>,
-    /// Serving: request count, arrival process, batch policy, DMA
-    /// double-buffering (serve only).
-    requests: usize,
-    arrival: Arrival,
-    batch: BatchPolicy,
-    overlap: bool,
-    /// Deterministic fault plan from `--faults` (unarmed by default).
-    faults: FaultPlan,
-    /// Retry/backoff/deadline policy from `--retries`, `--backoff`,
-    /// `--deadline`.
-    recovery: RecoveryPolicy,
     /// Fleet platforms from `--fleet` (serve only): shard the request
     /// stream across this board set instead of serving one board.
     fleet: Option<Vec<Platform>>,
     /// Dispatcher routing policy from `--route` (fleet serving).
     route: RoutePolicy,
-    /// Online serving policy from `--online`, `--slo`, `--shed`,
-    /// `--priority` (serve only).
-    online: OnlinePolicy,
 }
 
 impl Parsed {
@@ -339,19 +327,6 @@ impl Parsed {
     /// Whether `--emit` selects the section kind `what`.
     fn wants(&self, what: &str) -> bool {
         self.emit == what || self.emit == "all"
-    }
-
-    /// The command line's program options: `--k`/`--m` is the uniform
-    /// replication of every kernel.
-    fn program_options(&self) -> ProgramOptions {
-        let system = self
-            .replication
-            .map(|(k, m)| ProgramSystemConfig::uniform(k, m, self.kernel_count));
-        ProgramOptions {
-            flow: self.opts.clone(),
-            cross_sharing: self.cross_sharing,
-            system,
-        }
     }
 
     /// Build the compile cache requested by `--cache-dir` (none when
@@ -368,21 +343,6 @@ impl Parsed {
             _ => Ok(None),
         }
     }
-
-    fn runtime_options(&self) -> RuntimeOptions {
-        RuntimeOptions {
-            requests: self.requests,
-            arrival: self.arrival,
-            batch: self.batch,
-            overlap_dma: self.overlap,
-            seed: self.seed,
-            execute: false,
-            sim: SimConfig::default(),
-            faults: self.faults.clone(),
-            recovery: self.recovery,
-            online: self.online.clone(),
-        }
-    }
 }
 
 fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
@@ -390,13 +350,13 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         return Err(CliError::MissingKernel);
     }
     let mut source = load_source(&args[0])?;
-    let mut opts = FlowOptions::default();
-    let mut cross_sharing = true;
+    let mut program = ProgramOptions::default();
+    let opts = &mut program.flow;
+    let mut runtime = RuntimeOptions::default();
     let mut kernel: Option<String> = None;
     let mut emit = "report".to_string();
     let mut out_dir = None;
     let mut elements_set = false;
-    let mut seed = 42u64;
     let mut k = None;
     let mut m = None;
     let mut grid = false;
@@ -405,23 +365,17 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
     let mut no_cache = false;
     let mut board: Option<String> = None;
     let mut boards: Option<Vec<Platform>> = None;
-    let mut requests = 64usize;
     let mut arrival_spec = "closed".to_string();
-    let mut rate = 0.0f64;
-    let mut batch = BatchPolicy::Auto;
-    let mut overlap = true;
-    let mut faults = FaultPlan::none();
-    let mut recovery = RecoveryPolicy::default();
+    let mut rate: Option<f64> = None;
     let mut fleet: Option<Vec<Platform>> = None;
     let mut route = RoutePolicy::RoundRobin;
-    let mut online = OnlinePolicy::default();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--no-factorize" => opts.factorize = false,
             "--no-decouple" => opts.decoupled = false,
             "--no-sharing" => opts.memory.sharing = false,
-            "--no-cross-sharing" => cross_sharing = false,
+            "--no-cross-sharing" => program.cross_sharing = false,
             "--kernel" => kernel = Some(take_value(args, &mut i, "--kernel")?),
             "--emit" => emit = take_value(args, &mut i, "--emit")?,
             "-o" => out_dir = Some(take_value(args, &mut i, "-o")?),
@@ -431,7 +385,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 elements_set = true;
             }
             "--seed" => {
-                seed = parse_value(
+                runtime.seed = parse_value(
                     "--seed",
                     take_value(args, &mut i, "--seed")?,
                     "an unsigned integer",
@@ -464,28 +418,29 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             "--cache-dir" => cache_dir = Some(take_value(args, &mut i, "--cache-dir")?),
             "--no-cache" => no_cache = true,
             "--requests" => {
-                requests = parse_positive("--requests", take_value(args, &mut i, "--requests")?)?;
+                runtime.requests =
+                    parse_positive("--requests", take_value(args, &mut i, "--requests")?)?;
             }
             "--arrival" => arrival_spec = take_value(args, &mut i, "--arrival")?,
             "--rate" => {
-                rate = parse_value(
+                rate = Some(parse_value(
                     "--rate",
                     take_value(args, &mut i, "--rate")?,
                     "requests per second (a positive number)",
-                )?
+                )?)
             }
             "--batch" => {
                 let spec = take_value(args, &mut i, "--batch")?;
-                batch = BatchPolicy::parse(&spec).map_err(|_| CliError::InvalidValue {
+                runtime.batch = BatchPolicy::parse(&spec).map_err(|_| CliError::InvalidValue {
                     flag: "--batch".to_string(),
                     value: spec,
                     expected: "auto | off | a fixed fill K >= 1",
                 })?;
             }
-            "--no-overlap" => overlap = false,
+            "--no-overlap" => runtime.overlap_dma = false,
             "--faults" => {
                 let spec = take_value(args, &mut i, "--faults")?;
-                faults = FaultPlan::parse(&spec).map_err(|_| CliError::InvalidValue {
+                runtime.faults = FaultPlan::parse(&spec).map_err(|_| CliError::InvalidValue {
                     flag: "--faults".to_string(),
                     value: spec,
                     expected:
@@ -494,7 +449,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 })?;
             }
             "--deadline" => {
-                recovery.deadline_s = Some(parse_checked(
+                runtime.recovery.deadline_s = Some(parse_checked(
                     "--deadline",
                     take_value(args, &mut i, "--deadline")?,
                     "a latency budget in seconds",
@@ -502,14 +457,14 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 )?);
             }
             "--retries" => {
-                recovery.max_retries = parse_value(
+                runtime.recovery.max_retries = parse_value(
                     "--retries",
                     take_value(args, &mut i, "--retries")?,
                     "a retry cap (0 = fail on first fault)",
                 )?;
             }
             "--backoff" => {
-                recovery.backoff_s = parse_checked(
+                runtime.recovery.backoff_s = parse_checked(
                     "--backoff",
                     take_value(args, &mut i, "--backoff")?,
                     "a base backoff in seconds",
@@ -534,9 +489,9 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                     expected: "rr | jsq | predictive",
                 })?;
             }
-            "--online" => online.event_loop = true,
+            "--online" => runtime.online.event_loop = true,
             "--slo" => {
-                online.slo_s = Some(parse_checked(
+                runtime.online.slo_s = Some(parse_checked(
                     "--slo",
                     take_value(args, &mut i, "--slo")?,
                     "a p99 budget in seconds",
@@ -544,7 +499,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 )?);
             }
             "--shed" => {
-                online.shed_queue = Some(parse_checked(
+                runtime.online.shed_queue = Some(parse_checked(
                     "--shed",
                     take_value(args, &mut i, "--shed")?,
                     "a queue depth >= 1",
@@ -552,7 +507,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 )?);
             }
             "--priority" => {
-                online.priority_tiers = parse_checked(
+                runtime.online.priority_tiers = parse_checked(
                     "--priority",
                     take_value(args, &mut i, "--priority")?,
                     "a tier count >= 1",
@@ -563,11 +518,12 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         }
         i += 1;
     }
-    let arrival = Arrival::parse(&arrival_spec, rate).map_err(|_| CliError::InvalidValue {
-        flag: "--arrival".to_string(),
-        value: arrival_spec.clone(),
-        expected: "closed, or poisson with --rate R > 0",
-    })?;
+    runtime.arrival =
+        Arrival::parse(&arrival_spec, rate.unwrap_or(0.0)).map_err(|_| CliError::InvalidValue {
+            flag: "--arrival".to_string(),
+            value: arrival_spec.clone(),
+            expected: "closed, or poisson with --rate R > 0",
+        })?;
     if let Some(name) = &board {
         let platform = lookup_platform(name)?;
         opts.hls.clock_mhz = platform.default_clock_mhz;
@@ -575,6 +531,11 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
     }
     let unpaired =
         |flag, partner| -> Result<Parsed, CliError> { Err(CliError::Unpaired { flag, partner }) };
+    // A rate only shapes Poisson arrivals; a closed backlog would
+    // silently drop it.
+    if rate.is_some() && runtime.arrival == Arrival::Closed {
+        return unpaired("--rate", "--arrival poisson");
+    }
     let replication = match (k, m) {
         (Some(_), None) => return unpaired("--k", "--m"),
         (None, Some(_)) => return unpaired("--m", "--k"),
@@ -599,30 +560,22 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             kernel_count = 1;
         }
     }
+    program.system = replication.map(|(k, m)| ProgramSystemConfig::uniform(k, m, kernel_count));
     Ok(Parsed {
         source,
-        opts,
-        cross_sharing,
+        program,
+        runtime,
         kernel_count,
         emit,
         out_dir,
         elements_set,
-        seed,
-        replication,
         grid,
         json,
         cache_dir,
         no_cache,
         boards,
-        requests,
-        arrival,
-        batch,
-        overlap,
-        faults,
-        recovery,
         fleet,
         route,
-        online,
     })
 }
 
@@ -744,7 +697,7 @@ fn compile_program(
 fn compile_or_exit(p: &Parsed) -> ProgramArtifacts {
     let cache = cache_or_exit(p);
     let cached = cache.is_some();
-    let art = compile_program(p, &p.program_options(), cache).unwrap_or_else(|e| {
+    let art = compile_program(p, &p.program, cache).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)
     });
@@ -1003,7 +956,7 @@ fn write_sections(p: &Parsed, sections: &[(String, String)]) {
 fn cmd_simulate(args: &[String]) {
     let p = parse_or_exit(args);
     let art = compile_or_exit(&p);
-    let elements = p.opts.elements;
+    let elements = p.program.flow.elements;
     if art.system.is_none() && !p.is_program() {
         eprintln!("simulation failed: no feasible system configuration");
         exit(1);
@@ -1056,13 +1009,15 @@ fn cmd_simulate(args: &[String]) {
 fn cmd_verify(args: &[String]) {
     let mut p = parse_or_exit(args);
     if !p.elements_set {
-        p.opts.elements = 8; // verification default: a sample, not the full run
+        p.program.flow.elements = 8; // verification default: a sample, not the full run
     }
     let art = compile_or_exit(&p);
-    let v = art.verify(p.opts.elements, p.seed).unwrap_or_else(|e| {
-        eprintln!("verification failed: {e}");
-        exit(1)
-    });
+    let v = art
+        .verify(p.program.flow.elements, p.runtime.seed)
+        .unwrap_or_else(|e| {
+            eprintln!("verification failed: {e}");
+            exit(1)
+        });
     if p.is_program() {
         println!(
             "verified {} chained elements ({} kernels): bitexact={}, max_rel_diff={:.3e}",
@@ -1090,8 +1045,8 @@ fn cmd_serve(args: &[String]) {
         return cmd_serve_fleet(&p);
     }
     let art = compile_or_exit(&p);
-    let opts = p.runtime_options();
-    let out = art.serve(&opts).unwrap_or_else(|e| {
+    let opts = &p.runtime;
+    let out = art.serve(opts).unwrap_or_else(|e| {
         eprintln!("serving failed: {e}");
         exit(1)
     });
@@ -1102,10 +1057,10 @@ fn cmd_serve(args: &[String]) {
     print!("{}", out.report.render_table());
     // With --batch off the run IS the sequential baseline — comparing it
     // against itself would just print a meaningless 1.00x.
-    if p.batch == BatchPolicy::Disabled {
+    if opts.batch == BatchPolicy::Disabled {
         return;
     }
-    let seq = art.serve_sequential_baseline(&opts).unwrap_or_else(|e| {
+    let seq = art.serve_sequential_baseline(opts).unwrap_or_else(|e| {
         eprintln!("serving failed: {e}");
         exit(1)
     });
@@ -1128,7 +1083,7 @@ fn cmd_serve_fleet(p: &Parsed) {
     for platform in platforms {
         if !compiled.iter().any(|(id, _)| *id == platform.id) {
             // The platform and its default clock override `--board`.
-            let mut opts = p.program_options();
+            let mut opts = p.program.clone();
             opts.flow.platform = platform.clone();
             opts.flow.hls.clock_mhz = platform.default_clock_mhz;
             let art = compile_program(p, &opts, cache_or_exit(p)).map_err(|e| e.to_string());
@@ -1165,7 +1120,7 @@ fn cmd_serve_fleet(p: &Parsed) {
             board.name = format!("{}#{}", board.name, repeats + 1);
         }
         if boards.is_empty() {
-            board.faults = p.faults.clone();
+            board.faults = p.runtime.faults.clone();
         }
         boards.push(board);
     }
@@ -1176,7 +1131,7 @@ fn cmd_serve_fleet(p: &Parsed) {
     let fopts = FleetOptions {
         route: p.route,
         parallel: true,
-        base: p.runtime_options(),
+        base: p.runtime.clone(),
     };
     let out = art.serve_fleet(&boards, &fopts).unwrap_or_else(|e| {
         eprintln!("fleet serving failed: {e}");
@@ -1194,22 +1149,27 @@ fn cmd_explore(args: &[String]) {
     if p.boards.is_none() && !p.grid {
         return explore_listing(&p);
     }
-    let engine = DseEngine::prepare(&p.source, &p.program_options()).unwrap_or_else(|e| {
+    let engine = DseEngine::prepare(&p.source, &p.program).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)
     });
     // Sweep default: small enough to keep the simulations quick.
     let elements = if p.elements_set {
-        p.opts.elements
+        p.program.flow.elements
     } else {
         10_000
     };
     if let Some(platforms) = &p.boards {
-        let report = engine.run_portfolio(platforms, &DseGrid::default(), p.opts.jobs, elements);
+        let report = engine.run_portfolio(
+            platforms,
+            &DseGrid::default(),
+            p.program.flow.jobs,
+            elements,
+        );
         exit_on_overflow(report.ticks_overflows, elements);
         return print_portfolio(&report, p.json);
     }
-    let report = engine.run(&DseGrid::default(), p.opts.jobs, elements);
+    let report = engine.run(&DseGrid::default(), p.program.flow.jobs, elements);
     exit_on_overflow(report.ticks_overflows, elements);
     if p.json {
         println!("{}", report.to_json());
@@ -1300,7 +1260,7 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
 fn explore_listing(p: &Parsed) {
     let opts = ProgramOptions {
         system: None,
-        ..p.program_options()
+        ..p.program.clone()
     };
     let art = compile_program(p, &opts, None).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
@@ -1312,11 +1272,14 @@ fn explore_listing(p: &Parsed) {
         .zip(&art.kernels)
         .map(|(n, a)| (n.clone(), a.hls_report.clone()))
         .collect();
-    let board = &p.opts.platform.board;
-    let designs = sysgen::enumerate_program_designs(&p.opts.platform, &stages, &art.memory);
+    let platform = &p.program.flow.platform;
+    let designs = sysgen::enumerate_program_designs(platform, &stages, &art.memory);
     if p.is_program() {
         print!("{}", program_report(&art));
-        println!("feasible uniform configurations on {}:", board.name);
+        println!(
+            "feasible uniform configurations on {}:",
+            platform.board.name
+        );
         println!("   k    m     LUT   BRAM");
         for d in &designs {
             println!(
@@ -1331,7 +1294,7 @@ fn explore_listing(p: &Parsed) {
         "kernel: {} LUT {} FF {} DSP | PLM {} BRAM",
         kernel.hls_report.luts, kernel.hls_report.ffs, kernel.hls_report.dsps, kernel.memory.brams
     );
-    println!("feasible configurations on {}:", board.name);
+    println!("feasible configurations on {}:", platform.board.name);
     println!("   k    m  batch     LUT   BRAM   slack(BRAM)");
     for d in &designs {
         let (_, _, _, slack_brams) = d.slack();
@@ -1396,7 +1359,10 @@ mod tests {
         );
         assert_eq!(e.to_string(), "option '--k' needs '--m' as well");
         let p = parse_common(&args(&["helmholtz:5", "--k", "2", "--m", "8"])).unwrap();
-        assert_eq!(p.replication, Some((2, 8)));
+        assert_eq!(
+            p.program.system,
+            Some(ProgramSystemConfig::uniform(2, 8, 1))
+        );
     }
 
     #[test]
@@ -1475,6 +1441,17 @@ mod tests {
         // Poisson without a positive --rate is rejected up front.
         let e = parse_common(&args(&["axpy:2", "--arrival", "poisson"])).unwrap_err();
         assert!(matches!(&e, CliError::InvalidValue { flag, .. } if flag == "--arrival"));
+        // A rate without Poisson arrivals would be silently ignored.
+        for closed in [
+            &["axpy:2", "--rate", "50"][..],
+            &["axpy:2", "--arrival", "closed", "--rate", "50"],
+        ] {
+            let e = parse_common(&args(closed)).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                "option '--rate' needs '--arrival poisson' as well"
+            );
+        }
         let p = parse_common(&args(&[
             "axpy:2",
             "--arrival",
@@ -1485,8 +1462,8 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        assert_eq!(p.arrival, Arrival::Poisson { rate_rps: 50.0 });
-        assert_eq!(p.batch, BatchPolicy::Fixed(4));
+        assert_eq!(p.runtime.arrival, Arrival::Poisson { rate_rps: 50.0 });
+        assert_eq!(p.runtime.batch, BatchPolicy::Fixed(4));
     }
 
     #[test]
@@ -1543,21 +1520,18 @@ mod tests {
             "0.5",
         ]))
         .unwrap();
-        assert!(p.faults.armed());
-        assert_eq!(p.faults.label(), "seed=7,transient=0.1,corrupt=0.05");
-        assert_eq!(p.recovery.max_retries, 5);
-        assert_eq!(p.recovery.backoff_s, 0.002);
-        assert_eq!(p.recovery.deadline_s, Some(0.5));
-        let opts = p.runtime_options();
-        assert_eq!(opts.faults, p.faults);
-        assert_eq!(opts.recovery, p.recovery);
+        let opts = &p.runtime;
+        assert!(opts.faults.armed());
+        assert_eq!(opts.faults.label(), "seed=7,transient=0.1,corrupt=0.05");
+        assert_eq!(opts.recovery.max_retries, 5);
+        assert_eq!(opts.recovery.backoff_s, 0.002);
+        assert_eq!(opts.recovery.deadline_s, Some(0.5));
         // Bare-rate shorthand: SEED:RATE arms transient errors only.
         let p = parse_common(&args(&["axpy:2", "--faults", "3:0.25"])).unwrap();
-        assert_eq!(p.faults, FaultPlan::transient(3, 0.25));
+        assert_eq!(p.runtime.faults, FaultPlan::transient(3, 0.25));
         // Defaults: no plan, stock policy.
         let p = parse_common(&args(&["axpy:2"])).unwrap();
-        assert!(!p.faults.armed());
-        assert_eq!(p.recovery, RecoveryPolicy::default());
+        assert_eq!(p.runtime, RuntimeOptions::default());
     }
 
     #[test]
@@ -1643,9 +1617,9 @@ mod tests {
     #[test]
     fn jobs_flag_reaches_the_flow_options() {
         let p = parse_common(&args(&["axpy:2", "--jobs", "3"])).unwrap();
-        assert_eq!(p.opts.jobs, 3);
+        assert_eq!(p.program.flow.jobs, 3);
         let p = parse_common(&args(&["axpy:2"])).unwrap();
-        assert_eq!(p.opts.jobs, 0);
+        assert_eq!(p.program.flow.jobs, 0);
     }
 
     #[test]
@@ -1653,11 +1627,13 @@ mod tests {
         let p = parse_common(&args(&["axpychain:3", "--requests", "16", "--no-overlap"])).unwrap();
         assert_eq!(p.kernel_count, 2);
         assert!(p.is_program());
-        assert_eq!(p.requests, 16);
-        assert!(!p.overlap);
-        assert_eq!(p.batch, BatchPolicy::Auto);
-        assert_eq!(p.arrival, Arrival::Closed);
-        assert_eq!(p.opts.elements, 50_000);
+        assert_eq!(p.runtime.requests, 16);
+        assert!(!p.runtime.overlap_dma);
+        assert_eq!(p.runtime.batch, BatchPolicy::Auto);
+        assert_eq!(p.runtime.arrival, Arrival::Closed);
+        assert_eq!(p.runtime.seed, 42);
+        assert!(p.program.cross_sharing && p.program.system.is_none());
+        assert_eq!(p.program.flow.elements, 50_000);
         assert!(!p.elements_set);
     }
 }

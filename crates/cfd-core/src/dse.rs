@@ -509,7 +509,7 @@ impl ScoreParts {
     /// The parts of a single-kernel backend; the kernel IR is dropped
     /// here.
     fn of_kernel(be: Backend) -> ScoreParts {
-        let bytes = sysgen::HostProgram::interface_bytes(&be.kernel);
+        let bytes = sysgen::HostProgram::interface_bytes([&be.kernel], |_, _| true);
         ScoreParts::new(vec![be.hls_report], be.memory, bytes)
     }
 
@@ -549,7 +549,7 @@ fn score(
     let stages = parts.stages.iter().map(|report| (k, report));
     let totals = Totals::fit(platform, stages, &parts.memory, m)?;
     let round = ProgramRound::price(
-        &zynq::DmaModel::from_platform(platform),
+        &platform.dma,
         &SimConfig::default(),
         parts.kernel_s.iter().map(|&s| (k, s)),
         m,

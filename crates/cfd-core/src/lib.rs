@@ -74,7 +74,6 @@ use mnemosyne::{MemoryOptions, MemorySubsystem, MnemosyneConfig};
 use pschedule::{CompatibilityGraph, Dependences, KernelModel, Schedule, SchedulerOptions};
 use sysgen::{Platform, SystemConfig};
 use teil::Module;
-use zynq::ArmCostModel;
 
 pub use cache::{CacheCounters, CompileCache};
 pub use pipeline::{Pipeline, StageCounts, StageTimings};
@@ -314,11 +313,11 @@ impl Artifacts {
         &self,
         elements: usize,
     ) -> Result<(zynq::sim::SwResult, zynq::sim::SwResult), FlowError> {
-        let model = ArmCostModel::from_platform(&self.options.platform);
+        let host = &self.options.platform.host;
         let reference =
-            zynq::sim::sw_reference(&self.module, &model, elements).map_err(FlowError::Backend)?;
+            zynq::sim::sw_reference(&self.module, host, elements).map_err(FlowError::Backend)?;
         let hls_code =
-            zynq::sim::sw_hls_code(&self.kernel, &model, elements).map_err(FlowError::Backend)?;
+            zynq::sim::sw_hls_code(&self.kernel, host, elements).map_err(FlowError::Backend)?;
         Ok((reference, hls_code))
     }
 }

@@ -392,7 +392,6 @@ impl Pipeline {
         }
         let cg_opts = CodegenOptions {
             decoupled: opts.decoupled,
-            ..Default::default()
         };
         let kernel =
             cgen::build_kernel(&sc.middle.module, &sc.middle.model, &sc.schedule, &cg_opts);

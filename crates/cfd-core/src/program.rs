@@ -40,7 +40,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cgen::ParamRole;
 use mnemosyne::{MemorySubsystem, ProgramMemoryPlan};
 use pschedule::CrossLiveness;
 use sysgen::{MultiSystemDesign, ProgramHostProgram, ProgramSystemConfig};
@@ -295,22 +294,10 @@ impl ProgramBuild {
         // are co-located and never cross the DMA; without it they keep
         // their stand-alone DMA wiring (mirroring `merge_configs`), so
         // the host transfers every kernel's inputs and outputs.
-        let mut bytes_in = 0usize;
-        let mut bytes_out = 0usize;
-        for (k, be) in backends.iter().enumerate() {
-            for p in &be.kernel.params {
-                let external =
-                    !cross_sharing || cross.info(k, &p.name).map(|s| s.external).unwrap_or(false);
-                if !external {
-                    continue;
-                }
-                match p.role {
-                    ParamRole::Input => bytes_in += p.words * 8,
-                    ParamRole::Output => bytes_out += p.words * 8,
-                    ParamRole::Temp => {}
-                }
-            }
-        }
+        let (bytes_in, bytes_out) =
+            sysgen::HostProgram::interface_bytes(backends.iter().map(|b| &b.kernel), |k, p| {
+                !cross_sharing || cross.info(k, &p.name).is_some_and(|s| s.external)
+            });
         ProgramBuild {
             plan,
             memory,

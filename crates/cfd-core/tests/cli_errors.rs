@@ -1,7 +1,9 @@
 //! `cfdc`'s command-line edges: a source without a statement is a
 //! one-line compile error with exit status 1 for every subcommand that
 //! compiles it, as is a simulation past the tick clock; and
-//! `--elements` reaches every output that counts elements.
+//! `--elements` reaches every output that counts elements. A serve
+//! flag that the chosen arrival process would ignore is a one-line
+//! usage error with exit status 2.
 
 use std::process::Command;
 
@@ -138,4 +140,35 @@ fn compile_elements_sizes_the_host_loop() {
         let stdout = String::from_utf8(out.stdout).unwrap();
         assert!(stdout.contains(rounds), "{kernel}: {stdout}");
     }
+}
+
+/// `cfdc serve --rate R` without `--arrival poisson` used to serve a
+/// closed backlog and drop the rate; it is now a usage error (exit 2,
+/// one line), while the Poisson run with the same rate serves.
+#[test]
+fn serve_rate_without_poisson_exits_two_with_one_line() {
+    let serve = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["serve", "axpy:2", "--requests", "8"])
+            .args(args)
+            .output()
+            .expect("cfdc runs")
+    };
+    for args in [
+        &["--rate", "50"][..],
+        &["--arrival", "closed", "--rate", "50"],
+    ] {
+        let out = serve(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        assert_eq!(
+            stderr.trim_end(),
+            "error: option '--rate' needs '--arrival poisson' as well"
+        );
+    }
+    let out = serve(&["--arrival", "poisson", "--rate", "50"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("poisson(50.0/s)"), "{stdout}");
 }

@@ -150,9 +150,8 @@ mod tests {
         assert_eq!((step.links[0].from, step.links[0].to), (0, 1));
         assert_eq!(step.links[1].name, "v");
         assert_eq!((step.links[1].from, step.links[1].to), (1, 2));
-        // Host interface: P, u0, S, D, Q are external; only w returns.
+        // Host interface: P, u0, S, D, Q are external.
         assert_eq!(step.external_inputs().len(), 5);
-        assert_eq!(step.external_outputs(), vec![(2, "w".to_string())]);
 
         let chain = check_set(&parse_set(&super::axpy_chain(5)).unwrap()).unwrap();
         assert_eq!(chain.links.len(), 1);

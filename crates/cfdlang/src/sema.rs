@@ -65,11 +65,6 @@ impl TypedProgram {
             .map(String::as_str)
             .collect()
     }
-
-    /// Total number of elements of a variable.
-    pub fn volume_of(&self, name: &str) -> Option<usize> {
-        self.shapes.get(name).map(|s| s.iter().product())
-    }
 }
 
 /// One checked kernel of a multi-kernel program.
@@ -117,23 +112,6 @@ impl TypedProgramSet {
         for (i, k) in self.kernels.iter().enumerate() {
             for n in k.typed.inputs() {
                 if self.link_into(i, n).is_none() {
-                    out.push((i, n.to_string()));
-                }
-            }
-        }
-        out
-    }
-
-    /// External outputs the host reads back: every kernel output is
-    /// host-visible (handoffs are additionally forwarded in-fabric).
-    pub fn external_outputs(&self) -> Vec<(usize, String)> {
-        let mut out = Vec::new();
-        for (i, k) in self.kernels.iter().enumerate() {
-            for n in k.typed.outputs() {
-                // Outputs consumed by a later kernel stay in the fabric;
-                // only final results travel back over DMA.
-                let consumed = self.links.iter().any(|l| l.from == i && l.name == n);
-                if !consumed {
                     out.push((i, n.to_string()));
                 }
             }
@@ -440,7 +418,6 @@ mod tests {
         assert_eq!(t.inputs(), vec!["S", "D", "u"]);
         assert_eq!(t.outputs(), vec!["v"]);
         assert_eq!(t.locals(), vec!["t", "r"]);
-        assert_eq!(t.volume_of("u"), Some(1331));
     }
 
     #[test]

@@ -8,8 +8,6 @@ use teil::layout::LayoutPlan;
 /// Codegen options.
 #[derive(Debug, Clone)]
 pub struct CodegenOptions {
-    /// Kernel function name.
-    pub name: String,
     /// Decoupled mode (the paper's contribution): temporaries are
     /// exported as parameters and implemented in PLM units. When false,
     /// temporaries stay local to the accelerator (the baseline the paper
@@ -19,14 +17,13 @@ pub struct CodegenOptions {
 
 impl Default for CodegenOptions {
     fn default() -> Self {
-        CodegenOptions {
-            name: "kernel_body".into(),
-            decoupled: true,
-        }
+        CodegenOptions { decoupled: true }
     }
 }
 
-/// Generate the loop program implementing `sched` for `module`.
+/// Generate the loop program implementing `sched` for `module`. Every
+/// kernel is named `kernel_body`; a program stage is emitted under its
+/// own symbol by [`crate::emit_c99_as`].
 pub fn build_kernel(
     module: &Module,
     model: &KernelModel,
@@ -44,7 +41,7 @@ pub fn build_kernel(
         body.extend(build_single_nest(module, model, sched, si));
     }
     CKernel {
-        name: opts.name.clone(),
+        name: "kernel_body".into(),
         params,
         locals,
         body,
@@ -310,15 +307,12 @@ mod tests {
     #[test]
     fn non_decoupled_keeps_temps_local() {
         let (m, km, s) = setup(&cfdlang::examples::inverse_helmholtz(11), true);
-        let opts = CodegenOptions {
-            decoupled: false,
-            ..Default::default()
-        };
+        let opts = CodegenOptions { decoupled: false };
         let k = build_kernel(&m, &km, &s, &opts);
         let names: Vec<&str> = k.params.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["S", "D", "u", "v"]);
         assert_eq!(k.locals.len(), 6);
-        assert_eq!(k.local_words(), 6 * 1331);
+        assert!(k.locals.iter().all(|p| p.words == 1331));
     }
 
     #[test]

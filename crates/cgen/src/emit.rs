@@ -119,10 +119,7 @@ mod tests {
         let layout = LayoutPlan::row_major(&m);
         let km = KernelModel::build(&m, &layout);
         let s = Schedule::reference(&km);
-        let opts = CodegenOptions {
-            decoupled,
-            ..Default::default()
-        };
+        let opts = CodegenOptions { decoupled };
         super::emit_c99(&build_kernel(&m, &km, &s, &opts))
     }
 

@@ -456,10 +456,7 @@ mod tests {
                 } else {
                     Schedule::reference(&km)
                 };
-                let opts = CodegenOptions {
-                    decoupled,
-                    ..Default::default()
-                };
+                let opts = CodegenOptions { decoupled };
                 let k = build_kernel(&m, &km, &s, &opts);
                 (m, k)
             })

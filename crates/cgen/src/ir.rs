@@ -162,11 +162,6 @@ impl CKernel {
             .find(|p| p.name == name)
     }
 
-    /// Total words across locals.
-    pub fn local_words(&self) -> usize {
-        self.locals.iter().map(|p| p.words).sum()
-    }
-
     /// Depth-first visit of all statements.
     pub fn visit_stmts<'a>(&'a self, f: &mut impl FnMut(&'a CStmt)) {
         fn walk<'a>(stmts: &'a [CStmt], f: &mut impl FnMut(&'a CStmt)) {

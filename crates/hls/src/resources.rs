@@ -139,15 +139,7 @@ mod tests {
         let layout = LayoutPlan::row_major(&m);
         let km = KernelModel::build(&m, &layout);
         let s = Schedule::reference(&km);
-        build_kernel(
-            &m,
-            &km,
-            &s,
-            &CodegenOptions {
-                decoupled,
-                ..Default::default()
-            },
-        )
+        build_kernel(&m, &km, &s, &CodegenOptions { decoupled })
     }
 
     #[test]

@@ -282,21 +282,6 @@ pub fn combine(a: &LinExpr, p: i64, b: &LinExpr, q: i64) -> LinExpr {
     LinExpr { coeffs, constant }
 }
 
-/// `dst = p * a + q * b` written into an existing expression, reusing its
-/// coefficient buffer (no allocation once `dst` has the right arity).
-pub fn combine_into(dst: &mut LinExpr, a: &LinExpr, p: i64, b: &LinExpr, q: i64) {
-    assert_eq!(a.n_vars(), b.n_vars(), "LinExpr arity mismatch");
-    dst.coeffs.clear();
-    dst.coeffs
-        .extend(a.coeffs.iter().zip(&b.coeffs).map(|(&ca, &cb)| {
-            let v = (ca as i128) * (p as i128) + (cb as i128) * (q as i128);
-            i64::try_from(v).expect("FM combination overflow")
-        }));
-    dst.constant =
-        i64::try_from((a.constant as i128) * (p as i128) + (b.constant as i128) * (q as i128))
-            .expect("FM combination overflow");
-}
-
 /// `p * a + q * b` with variable `skip` removed from the result — the
 /// single-allocation form of `combine(a, p, b, q).remove_var(skip)` used
 /// by Fourier–Motzkin pairing (where the combination is chosen to cancel
@@ -388,15 +373,6 @@ mod tests {
         let mut y = a.clone();
         y.scale_assign(-2);
         assert_eq!(y, a.scale(-2));
-    }
-
-    #[test]
-    fn combine_into_reuses_buffer() {
-        let a = LinExpr::new(&[1, 2, 3], 4);
-        let b = LinExpr::new(&[-1, 0, 5], 1);
-        let mut dst = LinExpr::zero(3);
-        combine_into(&mut dst, &a, 2, &b, 3);
-        assert_eq!(dst, combine(&a, 2, &b, 3));
     }
 
     #[test]

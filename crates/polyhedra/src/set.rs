@@ -183,18 +183,6 @@ impl BasicSet {
         BasicSet::make(space, system)
     }
 
-    /// Project out the leading `count` dimensions.
-    pub fn project_out_leading(&self, count: usize) -> BasicSet {
-        let n = self.dim();
-        assert!(count <= n);
-        let system = self.system.eliminate_range(0, count);
-        let space = Space {
-            tuple: self.space.tuple.clone(),
-            dims: self.space.dims[count..].to_vec(),
-        };
-        BasicSet::make(space, system)
-    }
-
     /// Iterate all integer points (small sets only; used in tests and for
     /// brute-force validation).
     pub fn points(&self) -> PointIter<'_> {
@@ -562,14 +550,6 @@ mod tests {
         let p = b.project_out_trailing(1);
         assert_eq!(p.dim(), 1);
         assert_eq!(p.points().count(), 5);
-    }
-
-    #[test]
-    fn project_out_leading_box() {
-        let b = BasicSet::boxed(sp2(), &[(0, 4), (2, 3)]);
-        let p = b.project_out_leading(1);
-        assert_eq!(p.dim(), 1);
-        assert_eq!(p.points().count(), 2);
     }
 
     #[test]

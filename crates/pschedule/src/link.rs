@@ -188,19 +188,6 @@ impl CrossLiveness {
         a.interval().disjoint(&b.interval())
     }
 
-    /// Stages that must run before stage `k` (its direct producers).
-    pub fn producers_of(&self, k: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .handoffs
-            .iter()
-            .filter(|h| h.to == k)
-            .map(|h| h.from)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Total handoff traffic per element in 64-bit words (stays inside
     /// the accelerator fabric; never crosses the DMA).
     pub fn handoff_words(&self) -> usize {
@@ -256,8 +243,6 @@ mod tests {
         assert_eq!((x.handoffs[0].from, x.handoffs[0].to), (0, 1));
         assert_eq!(x.handoffs[1].name, "v");
         assert_eq!((x.handoffs[1].from, x.handoffs[1].to), (1, 2));
-        assert_eq!(x.producers_of(1), vec![0]);
-        assert_eq!(x.producers_of(0), Vec::<usize>::new());
         // u lives [0, 1] at both ends; external inputs start at 0; the
         // final output w lives [2, 2].
         let u_out = x.info(0, "u").unwrap();

@@ -287,7 +287,7 @@ impl Dispatcher {
 /// fill-independent (the host always moves all `m` PLM sets), so one
 /// round divided by the fill capacity prices one request.
 fn probe_request_ticks(board: &FleetBoard, opts: &RuntimeOptions) -> u64 {
-    let round_ticks = zynq::program_round(&board.design, &opts.sim).total();
+    let round_ticks = zynq::program_round(&board.design, &zynq::SimConfig::default()).total();
     let capacity = opts.batch.capacity(board.design.config.m).max(1);
     (round_ticks / capacity as u64).max(1)
 }

@@ -222,10 +222,8 @@ pub struct RecoveryPolicy {
     /// `max_retries + 1` attempts per request).
     pub max_retries: u32,
     /// Base backoff after the first failure, seconds; doubles per
-    /// further failure. 0 = requeue immediately.
+    /// further failure up to 16x the base. 0 = requeue immediately.
     pub backoff_s: f64,
-    /// Cap on the exponential backoff, seconds; 0 = 16x the base.
-    pub backoff_cap_s: f64,
     /// Per-request latency budget from arrival; requests that cannot
     /// (or did not) complete inside it are timed out.
     pub deadline_s: Option<f64>,
@@ -236,7 +234,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 3,
             backoff_s: 0.0,
-            backoff_cap_s: 0.0,
             deadline_s: None,
         }
     }
@@ -249,11 +246,7 @@ impl RecoveryPolicy {
         RecoverySpec {
             max_retries: self.max_retries,
             backoff_ticks,
-            backoff_cap_ticks: if self.backoff_cap_s > 0.0 {
-                secs(self.backoff_cap_s)
-            } else {
-                backoff_ticks.saturating_mul(16)
-            },
+            backoff_cap_ticks: backoff_ticks.saturating_mul(16),
             deadline_ticks: self.deadline_s.map(secs),
         }
     }
@@ -376,7 +369,8 @@ impl RequestOutcome {
     }
 }
 
-/// Options for one serving run.
+/// Options for one serving run. Rounds are priced under
+/// [`SimConfig::default`]'s host constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeOptions {
     /// Requests to generate/serve.
@@ -400,9 +394,6 @@ pub struct RuntimeOptions {
     /// Online serving: SLO batching, priority tiers, backpressure
     /// shedding.
     pub online: OnlinePolicy,
-    /// Host-side cost constants (the `elements` field is unused — the
-    /// stream works in requests, not elements).
-    pub sim: SimConfig,
 }
 
 impl Default for RuntimeOptions {
@@ -417,7 +408,6 @@ impl Default for RuntimeOptions {
             faults: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
             online: OnlinePolicy::default(),
-            sim: SimConfig::default(),
         }
     }
 }
@@ -820,7 +810,7 @@ pub(crate) fn serve_stream(
         early_closed_rounds,
     } = zynq::simulate_online_stream(
         design,
-        &opts.sim,
+        &SimConfig::default(),
         &arrivals,
         capacity,
         overlap,
@@ -1353,6 +1343,26 @@ mod tests {
     }
 
     #[test]
+    fn backoff_cap_is_sixteen_times_the_base() {
+        let policy = RecoveryPolicy {
+            max_retries: 5,
+            backoff_s: 1e-3,
+            deadline_s: Some(0.5),
+        };
+        let spec = policy.to_spec();
+        assert_eq!(spec.max_retries, 5);
+        assert_eq!(spec.backoff_ticks, secs(1e-3));
+        assert_eq!(spec.backoff_cap_ticks, 16 * secs(1e-3));
+        assert_eq!(spec.deadline_ticks, Some(secs(0.5)));
+        assert_eq!(spec.backoff_after(5), 16 * secs(1e-3));
+        assert_eq!(spec.backoff_after(10), 16 * secs(1e-3));
+        // A zero base requeues immediately at every attempt.
+        let spec = RecoveryPolicy::default().to_spec();
+        assert_eq!((spec.backoff_ticks, spec.backoff_cap_ticks), (0, 0));
+        assert_eq!(spec.backoff_after(3), 0);
+    }
+
+    #[test]
     fn degenerate_poisson_rates_are_structured_errors() {
         // A zero or non-finite rate used to produce inf/NaN arrival
         // times (the -ln(1-u)/rate draw) that poisoned the schedule.
@@ -1874,7 +1884,7 @@ mod tests {
         };
         let fso = zynq::simulate_online_stream(
             design,
-            &opts.sim,
+            &SimConfig::default(),
             &arrivals,
             opts.batch.capacity(design.config.m),
             opts.overlap_dma && opts.batch != BatchPolicy::Disabled,

@@ -17,25 +17,3 @@ pub struct BoardSpec {
     pub dsps: usize,
     pub brams: usize,
 }
-
-impl BoardSpec {
-    /// Percentage of the board's LUTs.
-    pub fn lut_pct(&self, used: usize) -> f64 {
-        100.0 * used as f64 / self.luts as f64
-    }
-
-    /// Percentage of the board's FFs.
-    pub fn ff_pct(&self, used: usize) -> f64 {
-        100.0 * used as f64 / self.ffs as f64
-    }
-
-    /// Percentage of the board's DSPs.
-    pub fn dsp_pct(&self, used: usize) -> f64 {
-        100.0 * used as f64 / self.dsps as f64
-    }
-
-    /// Percentage of the board's BRAM36 blocks.
-    pub fn bram_pct(&self, used: usize) -> f64 {
-        100.0 * used as f64 / self.brams as f64
-    }
-}

@@ -22,23 +22,33 @@ pub struct HostProgram {
 }
 
 impl HostProgram {
-    /// The external byte interface of `kernel`: input and output bytes
-    /// per element (Σ arrays of that role × 8).
-    pub fn interface_bytes(kernel: &cgen::CKernel) -> (usize, usize) {
-        let bytes = |role| {
-            let of_role = kernel.params.iter().filter(|p| p.role == role);
-            of_role.map(|p| p.words * 8).sum()
-        };
-        (
-            bytes(cgen::ParamRole::Input),
-            bytes(cgen::ParamRole::Output),
-        )
+    /// The external byte interface of a kernel chain: input and output
+    /// bytes per element, Σ words × 8 over the parameters of that role
+    /// for which `crosses(k, param)` holds — whether kernel `k`'s
+    /// `param` crosses the DMA (a handoff co-located in the fabric does
+    /// not). The one rule for every host program.
+    pub fn interface_bytes<'a>(
+        kernels: impl IntoIterator<Item = &'a cgen::CKernel>,
+        crosses: impl Fn(usize, &cgen::CParam) -> bool,
+    ) -> (usize, usize) {
+        let (mut bytes_in, mut bytes_out) = (0, 0);
+        for (k, kernel) in kernels.into_iter().enumerate() {
+            for p in kernel.params.iter().filter(|p| crosses(k, p)) {
+                match p.role {
+                    cgen::ParamRole::Input => bytes_in += p.words * 8,
+                    cgen::ParamRole::Output => bytes_out += p.words * 8,
+                    cgen::ParamRole::Temp => {}
+                }
+            }
+        }
+        (bytes_in, bytes_out)
     }
 
     /// Build from the kernel's parameter list. No compile path calls
     /// this; it stays for the `benchmark/` harness.
     pub fn from_kernel(kernel: &cgen::CKernel, config: SystemConfig) -> HostProgram {
-        let (bytes_in_per_element, bytes_out_per_element) = HostProgram::interface_bytes(kernel);
+        let (bytes_in_per_element, bytes_out_per_element) =
+            HostProgram::interface_bytes([kernel], |_, _| true);
         HostProgram {
             config,
             bytes_in_per_element,

@@ -12,11 +12,12 @@
 //!   board is pure budget.
 //! * **[`HostCpuModel`]** — the CPU that runs the generated main loop
 //!   and the software reference: clock plus average retired-cycle
-//!   coefficients per load/store/FLOP/iteration/address-op. The
-//!   `zynq::ArmCostModel` is derived from this.
+//!   coefficients per load/store/FLOP/iteration/address-op, which
+//!   `zynq::arm`'s cost functions read directly.
 //! * **[`DmaSpec`]** — the host↔PL transfer fabric: effective
-//!   bandwidth and fixed per-burst setup latency, consumed by
-//!   `zynq::DmaModel`.
+//!   bandwidth and fixed per-burst setup latency
+//!   ([`DmaSpec::transfer_bursts_s`]), which `zynq::ProgramRound::price`
+//!   charges per round.
 //! * **clock ladder** — the fabric clocks the part realistically
 //!   closes timing at ([`Platform::clock_ladder_mhz`]), with
 //!   [`Platform::default_clock_mhz`] as the plain-compile choice. The

@@ -9,8 +9,8 @@
 //! * the host CPU ([`HostCpuModel`]) that runs the generated main loop
 //!   and the software reference (the cycle coefficients `zynq::arm`
 //!   consumes),
-//! * the host↔PL DMA fabric ([`DmaSpec`]) that the transfer model and
-//!   the full-system simulator charge per burst,
+//! * the host↔PL DMA fabric ([`DmaSpec`]), whose transfer model the
+//!   full-system simulator charges per burst,
 //! * the **achievable fabric-clock ladder**: the synthesis clocks this
 //!   part realistically closes timing at, plus the default the paper
 //!   flow uses.
@@ -59,6 +59,13 @@ impl HostCpuModel {
         }
     }
 
+    /// The ZCU106's 1.2 GHz Cortex-A53, equal to
+    /// `Platform::zcu106().host`. No compile path calls this; it stays
+    /// for the `benchmark/` harness (as `zynq::ArmCostModel::a53_1200mhz`).
+    pub fn a53_1200mhz() -> HostCpuModel {
+        Platform::zcu106().host
+    }
+
     /// The Cortex-A9 of the Zynq-7000 boards: VFP double precision is
     /// slower per FLOP and the smaller L1 costs more per access.
     pub fn cortex_a9(hz: f64) -> HostCpuModel {
@@ -96,6 +103,19 @@ impl HostCpuModel {
 pub struct DmaSpec {
     pub bytes_per_sec: f64,
     pub setup_s: f64,
+}
+
+impl DmaSpec {
+    /// Seconds to move `bytes` split into `bursts` independent bursts
+    /// (one per PLM instance; the paper transfers `m` instances of each
+    /// array to power-of-two aligned addresses): `setup` per burst plus
+    /// `bytes / bandwidth`.
+    pub fn transfer_bursts_s(&self, bytes: usize, bursts: usize) -> f64 {
+        if bytes == 0 || bursts == 0 {
+            return 0.0;
+        }
+        self.setup_s * bursts as f64 + bytes as f64 / self.bytes_per_sec
+    }
 }
 
 /// One deployment target: PL resources, host CPU, DMA fabric and the
@@ -261,18 +281,6 @@ impl Platform {
                 || aliases(&p.id).iter().any(|a| norm(a) == want)
         })
     }
-
-    /// Default fabric clock in Hz.
-    pub fn fabric_hz(&self) -> f64 {
-        self.default_clock_mhz * 1e6
-    }
-
-    /// Whether `mhz` is on this platform's achievable ladder.
-    pub fn supports_clock(&self, mhz: f64) -> bool {
-        self.clock_ladder_mhz
-            .iter()
-            .any(|&c| (c - mhz).abs() < 1e-6)
-    }
 }
 
 fn aliases(id: &str) -> &'static [&'static str] {
@@ -295,16 +303,45 @@ mod tests {
         let p = Platform::zcu106();
         assert_eq!(p.board.brams, 312);
         // Paper: 11,318 LUT = 4.9%, 9,523 FF = 2.1%, 15 DSP = 0.9%.
-        assert!((p.board.lut_pct(11_318) - 4.9).abs() < 0.05);
-        assert!((p.board.ff_pct(9_523) - 2.1).abs() < 0.05);
-        assert!((p.board.dsp_pct(15) - 0.9).abs() < 0.05);
+        let pct = |used: usize, total: usize| 100.0 * used as f64 / total as f64;
+        assert!((pct(11_318, p.board.luts) - 4.9).abs() < 0.05);
+        assert!((pct(9_523, p.board.ffs) - 2.1).abs() < 0.05);
+        assert!((pct(15, p.board.dsps) - 0.9).abs() < 0.05);
         // Clock ratio: the A53 is 6× faster than the 200 MHz fabric.
-        assert!((p.host.hz / p.fabric_hz() - 6.0).abs() < 1e-9);
-        assert!(p.supports_clock(200.0));
         assert_eq!(p.default_clock_mhz, 200.0);
+        assert!((p.host.hz / (p.default_clock_mhz * 1e6) - 6.0).abs() < 1e-9);
+        assert!(p.clock_ladder_mhz.contains(&200.0));
         // The paper's DMA calibration.
         assert_eq!(p.dma.bytes_per_sec, 0.70e9);
         assert_eq!(p.dma.setup_s, 4.0e-6);
+        assert_eq!(p.host, HostCpuModel::a53_1200mhz());
+    }
+
+    #[test]
+    fn zero_bytes_or_bursts_are_free() {
+        let dma = Platform::zcu106().dma;
+        assert_eq!(dma.transfer_bursts_s(0, 4), 0.0);
+        assert_eq!(dma.transfer_bursts_s(1 << 20, 0), 0.0);
+    }
+
+    #[test]
+    fn more_bursts_cost_more_setup() {
+        let dma = Platform::zcu106().dma;
+        let one = dma.transfer_bursts_s(1 << 20, 1);
+        let many = dma.transfer_bursts_s(1 << 20, 16);
+        assert!((many - one - 15.0 * 4e-6).abs() < 1e-12);
+        // One burst is affine in the bytes: 0.7 MB at 0.7 GB/s is 1 ms.
+        assert!((dma.transfer_bursts_s(700_000, 1) - (4e-6 + 1e-3)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn helmholtz_element_transfer_fraction() {
+        // ~33 KB per element at 0.7 GB/s ≈ 47 µs — the ~1.7% of the
+        // ~2.9 ms kernel that Figure 9's total-vs-accelerator gap implies.
+        let t = Platform::zcu106()
+            .dma
+            .transfer_bursts_s((121 + 2 * 1331 + 1331) * 8, 1);
+        assert!((40e-6..60e-6).contains(&t), "{t:.2e}");
     }
 
     #[test]
@@ -321,7 +358,7 @@ mod tests {
         for p in &cat {
             assert!(!p.clock_ladder_mhz.is_empty());
             assert!(
-                p.supports_clock(p.default_clock_mhz),
+                p.clock_ladder_mhz.contains(&p.default_clock_mhz),
                 "{}: default clock must be on the ladder",
                 p.id
             );

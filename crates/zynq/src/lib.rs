@@ -15,8 +15,9 @@
 //!   HLS-oriented generated C (flat-index loop nests with explicit
 //!   address arithmetic) — the *SW Ref.* and *SW HLS code* bars of
 //!   Figure 10,
-//! * [`dma`] — the host↔PLM transfer model (setup latency + bandwidth,
-//!   from the platform's [`sysgen::DmaSpec`]),
+//! * the host↔PLM transfer model is the platform's own
+//!   [`sysgen::DmaSpec`] (setup latency per burst + bandwidth), which
+//!   [`ProgramRound::price`] charges per round,
 //! * [`des`] — the virtual clock: integer-picosecond [`des::Time`] and
 //!   its conversions,
 //! * [`sim`] — the system simulation executing the generated host
@@ -59,7 +60,6 @@
 
 pub mod arm;
 pub mod des;
-pub mod dma;
 pub mod fault;
 pub mod online;
 mod resources;
@@ -68,7 +68,6 @@ pub mod stream;
 pub mod verify;
 
 pub use arm::ArmCostModel;
-pub use dma::DmaModel;
 pub use fault::{FaultPlan, Outage, RecoverySpec};
 pub use online::{simulate_online_stream, simulate_round_stream, OnlineOutcome, OnlineSpec};
 pub use sim::{

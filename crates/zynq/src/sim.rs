@@ -15,9 +15,8 @@
 //! PLM set).
 
 use crate::des::{secs, to_secs, Time};
-use crate::dma::DmaModel;
 use serde::{Deserialize, Serialize};
-use sysgen::{MultiSystemDesign, SystemDesign};
+use sysgen::{DmaSpec, HostCpuModel, MultiSystemDesign, SystemDesign};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -133,7 +132,7 @@ impl ProgramRound {
     /// when the last one signals done. Every simulator and the
     /// design-space sweep price their rounds here.
     pub fn price(
-        dma: &DmaModel,
+        dma: &DmaSpec,
         cfg: &SimConfig,
         stages: impl IntoIterator<Item = (usize, f64)>,
         m: usize,
@@ -177,7 +176,7 @@ impl ProgramRound {
 pub fn program_round(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramRound {
     let stages = design.stages.iter().zip(&design.config.ks);
     ProgramRound::price(
-        &DmaModel::from_platform(&design.platform),
+        &design.platform.dma,
         cfg,
         stages.map(|(stage, &k)| (k, stage.kernel.latency_seconds())),
         design.config.m,
@@ -228,10 +227,10 @@ pub struct SwResult {
     pub total_s: f64,
 }
 
-/// Time the reference implementation on the ARM model.
+/// Time the reference implementation on `host`'s cost model.
 pub fn sw_reference(
     module: &teil::Module,
-    model: &crate::ArmCostModel,
+    host: &HostCpuModel,
     elements: usize,
 ) -> Result<SwResult, String> {
     let zeros: Vec<(&str, teil::Tensor)> = module
@@ -241,20 +240,20 @@ pub fn sw_reference(
         .collect();
     let inputs = teil::interp::inputs_from(zeros);
     let ex = teil::Interpreter::new(module).run(&inputs)?;
-    let per = model.time_reference(&ex.stats);
+    let per = crate::arm::time_reference(host, &ex.stats);
     Ok(SwResult {
         per_element_s: per,
         total_s: per * elements as f64,
     })
 }
 
-/// Time the HLS-oriented generated C on the ARM model.
+/// Time the HLS-oriented generated C on `host`'s cost model.
 pub fn sw_hls_code(
     kernel: &cgen::CKernel,
-    model: &crate::ArmCostModel,
+    host: &HostCpuModel,
     elements: usize,
 ) -> Result<SwResult, String> {
-    let per = model.time_hls_code(&cgen::kernel_counts(kernel)?);
+    let per = crate::arm::time_hls_code(host, &cgen::kernel_counts(kernel)?);
     Ok(SwResult {
         per_element_s: per,
         total_s: per * elements as f64,
@@ -395,7 +394,7 @@ mod tests {
         for platform in Platform::catalog() {
             let mut kernel = paper_report("kernel_body", 571_000);
             kernel.clock_mhz = platform.default_clock_mhz;
-            let dma = DmaModel::from_platform(&platform);
+            let dma = platform.dma;
             let mut covered = 0;
             for k in (0..7).map(|j| 1usize << j) {
                 for m in [k, 2 * k, 4 * k] {
@@ -519,8 +518,7 @@ mod tests {
             cfdlang::check(&cfdlang::parse(&cfdlang::examples::inverse_helmholtz(11)).unwrap())
                 .unwrap();
         let module = teil::transform::factorize(&teil::lower::lower(&typed).unwrap());
-        let model = crate::ArmCostModel::a53_1200mhz();
-        let arm = sw_reference(&module, &model, 800).unwrap();
+        let arm = sw_reference(&module, &Platform::zcu106().host, 800).unwrap();
         for (k, paper, tol) in [(1usize, 0.69f64, 0.06), (8, 4.86, 0.06), (16, 8.62, 0.08)] {
             let hw = sim(k, k, 800);
             let s = arm.total_s / hw.total_s;

@@ -10,7 +10,7 @@
 use cfdfpga::flow::{FlowOptions, ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfdfpga::mnemosyne::MemoryOptions;
 use cfdfpga::sysgen::{Platform, ProgramSystemConfig};
-use cfdfpga::zynq::{ArmCostModel, SimConfig};
+use cfdfpga::zynq::SimConfig;
 
 const ELEMENTS: usize = 50_000;
 
@@ -81,8 +81,8 @@ fn main() {
     }
 
     // Figure 10: against the platform's host CPU (the ZCU106's A53).
-    let model = ArmCostModel::from_platform(&Platform::zcu106());
-    let sw = cfdfpga::zynq::sim::sw_reference(&with_sharing.module, &model, ELEMENTS).expect("sw");
+    let host = Platform::zcu106().host;
+    let sw = cfdfpga::zynq::sim::sw_reference(&with_sharing.module, &host, ELEMENTS).expect("sw");
     println!(
         "\nARM A53 (1.2 GHz) software reference: {:.2} s total",
         sw.total_s

@@ -244,7 +244,6 @@ proptest! {
                 max_retries: 4,
                 backoff_s: 1.0e-4,
                 deadline_s: Some(10.0),
-                ..RecoveryPolicy::default()
             },
             ..Default::default()
         };

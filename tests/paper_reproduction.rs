@@ -15,7 +15,7 @@
 use cfdfpga::flow::{Artifacts, Flow, FlowOptions, ProgramArtifacts, ProgramFlow};
 use cfdfpga::mnemosyne::MemoryOptions;
 use cfdfpga::sysgen::{HostProgram, Platform, SystemConfig, SystemDesign};
-use cfdfpga::zynq::{ArmCostModel, SimConfig};
+use cfdfpga::zynq::SimConfig;
 use std::sync::OnceLock;
 
 const ELEMENTS: usize = 2_000; // ratios are element-count independent
@@ -139,9 +139,9 @@ fn figure9_speedups_within_tolerance() {
 #[test]
 fn figure10_arm_comparison_within_tolerance() {
     let art = paper_kernel(true);
-    let model = ArmCostModel::a53_1200mhz();
-    let sw = cfdfpga::zynq::sim::sw_reference(&art.module, &model, ELEMENTS).unwrap();
-    let hls_sw = cfdfpga::zynq::sim::sw_hls_code(&art.kernel, &model, ELEMENTS).unwrap();
+    let host = Platform::zcu106().host;
+    let sw = cfdfpga::zynq::sim::sw_reference(&art.module, &host, ELEMENTS).unwrap();
+    let hls_sw = cfdfpga::zynq::sim::sw_hls_code(&art.kernel, &host, ELEMENTS).unwrap();
     // SW HLS code: paper 0.90.
     let s_hls = sw.total_s / hls_sw.total_s;
     assert!((s_hls - 0.90).abs() < 0.06, "SW HLS {s_hls:.2}");
