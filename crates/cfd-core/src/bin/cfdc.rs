@@ -158,6 +158,11 @@ enum CliError {
         expected: &'static str,
     },
     UnknownOption(String),
+    /// A known option the command never reads.
+    NotApplicable {
+        flag: String,
+        command: &'static str,
+    },
     /// `--k` or `--m` without the other.
     Unpaired {
         flag: &'static str,
@@ -194,6 +199,9 @@ impl std::fmt::Display for CliError {
                 expected,
             } => write!(f, "invalid value '{value}' for {flag}: expected {expected}"),
             CliError::UnknownOption(o) => write!(f, "unknown option '{o}'"),
+            CliError::NotApplicable { flag, command } => {
+                write!(f, "option '{flag}' does not apply to 'cfdc {command}'")
+            }
             CliError::Unpaired { flag, partner } => {
                 write!(f, "option '{flag}' needs '{partner}' as well")
             }
@@ -316,6 +324,9 @@ struct Parsed {
     fleet: Option<Vec<Platform>>,
     /// Dispatcher routing policy from `--route` (fleet serving).
     route: RoutePolicy,
+    /// Every option given, in order (checked against the command by
+    /// [`applies`]).
+    flags: Vec<String>,
 }
 
 impl Parsed {
@@ -369,8 +380,10 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
     let mut rate: Option<f64> = None;
     let mut fleet: Option<Vec<Platform>> = None;
     let mut route = RoutePolicy::RoundRobin;
+    let mut flags = Vec::new();
     let mut i = 1;
     while i < args.len() {
+        flags.push(args[i].clone());
         match args[i].as_str() {
             "--no-factorize" => opts.factorize = false,
             "--no-decouple" => opts.decoupled = false,
@@ -576,13 +589,41 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         boards,
         fleet,
         route,
+        flags,
     })
 }
 
-/// Parse or exit with the structured one-line error (usage text when no
-/// kernel was named at all).
-fn parse_or_exit(args: &[String]) -> Parsed {
-    match parse_common(args) {
+/// Whether `cfdc command` reads `flag`. Options not named here
+/// (`--board`, `--kernel`, `--jobs` and the flow switches) apply to
+/// every command.
+fn applies(command: &str, flag: &str) -> bool {
+    match flag {
+        "--emit" | "-o" => command == "compile",
+        "--seed" => matches!(command, "verify" | "serve"),
+        "--json" => matches!(command, "compile" | "explore" | "serve"),
+        "--grid" | "--boards" => command == "explore",
+        "--cache-dir" | "--no-cache" | "--k" | "--m" => command != "explore",
+        "--elements" => command != "serve",
+        "--requests" | "--arrival" | "--rate" | "--batch" | "--no-overlap" | "--faults"
+        | "--deadline" | "--retries" | "--backoff" | "--online" | "--slo" | "--shed"
+        | "--priority" | "--fleet" | "--route" => command == "serve",
+        _ => true,
+    }
+}
+
+/// Parse the arguments of `cfdc command`, or exit with the structured
+/// one-line error (usage text when no kernel was named at all): a
+/// malformed argument, or an option the command never reads.
+fn parse_or_exit(command: &'static str, args: &[String]) -> Parsed {
+    let parsed =
+        parse_common(args).and_then(|p| match p.flags.iter().find(|f| !applies(command, f)) {
+            Some(flag) => Err(CliError::NotApplicable {
+                flag: flag.clone(),
+                command,
+            }),
+            None => Ok(p),
+        });
+    match parsed {
         Ok(p) => p,
         Err(CliError::MissingKernel) => usage(),
         Err(e) => {
@@ -827,7 +868,7 @@ fn program_report(art: &ProgramArtifacts) -> String {
 }
 
 fn cmd_compile(args: &[String]) {
-    let p = parse_or_exit(args);
+    let p = parse_or_exit("compile", args);
     let art = compile_or_exit(&p);
     let sections = if p.is_program() {
         program_sections(&p, &art)
@@ -841,7 +882,7 @@ fn cmd_compile(args: &[String]) {
 }
 
 /// The `--emit` sections of a kernel compile: its one kernel slot, and
-/// the one-stage system in the kernel format.
+/// the one-stage system's `host.c`.
 fn kernel_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
     let kernel = &art.kernels[0];
     let mut sections: Vec<(String, String)> = Vec::new();
@@ -852,8 +893,7 @@ fn kernel_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> 
         sections.push(("kernel.c".into(), kernel.c_source.clone()));
     }
     if p.wants("host") {
-        let host = art.kernel_host_source();
-        sections.push(("host.c".into(), host.unwrap_or_default()));
+        host_sections(art, &mut sections);
     }
     if p.wants("dot") {
         sections.push(("compat.dot".into(), kernel.compat.to_dot()));
@@ -892,7 +932,7 @@ fn program_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)>
         }
     }
     if p.wants("host") {
-        sections.push(("host.c".into(), art.host_source.clone()));
+        host_sections(art, &mut sections);
     }
     if p.wants("dot") {
         for (name, a) in art.names.iter().zip(&art.kernels) {
@@ -912,6 +952,13 @@ fn program_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)>
         sections.push(("report.txt".into(), program_report(art)));
     }
     sections
+}
+
+/// The `--emit host` sections: `host.c` and the fixed `cfd_driver.h` it
+/// includes.
+fn host_sections(art: &ProgramArtifacts, sections: &mut Vec<(String, String)>) {
+    sections.push(("host.c".into(), art.host_source.clone()));
+    sections.push(("cfd_driver.h".into(), sysgen::CFD_DRIVER_H.into()));
 }
 
 /// One line per PLM unit of `memory`, as `--emit memory` prints them.
@@ -954,7 +1001,7 @@ fn write_sections(p: &Parsed, sections: &[(String, String)]) {
 }
 
 fn cmd_simulate(args: &[String]) {
-    let p = parse_or_exit(args);
+    let p = parse_or_exit("simulate", args);
     let art = compile_or_exit(&p);
     let elements = p.program.flow.elements;
     if art.system.is_none() && !p.is_program() {
@@ -1007,7 +1054,7 @@ fn cmd_simulate(args: &[String]) {
 }
 
 fn cmd_verify(args: &[String]) {
-    let mut p = parse_or_exit(args);
+    let mut p = parse_or_exit("verify", args);
     if !p.elements_set {
         p.program.flow.elements = 8; // verification default: a sample, not the full run
     }
@@ -1040,7 +1087,7 @@ fn cmd_verify(args: &[String]) {
 /// `cfdc serve`: batched multi-request runtime on the compiled system.
 /// Single-kernel sources serve as the degenerate one-kernel program.
 fn cmd_serve(args: &[String]) {
-    let p = parse_or_exit(args);
+    let p = parse_or_exit("serve", args);
     if p.fleet.is_some() {
         return cmd_serve_fleet(&p);
     }
@@ -1145,7 +1192,7 @@ fn cmd_serve_fleet(p: &Parsed) {
 }
 
 fn cmd_explore(args: &[String]) {
-    let p = parse_or_exit(args);
+    let p = parse_or_exit("explore", args);
     if p.boards.is_none() && !p.grid {
         return explore_listing(&p);
     }

@@ -1871,8 +1871,9 @@ mod tests {
     /// The module's invariant: for every catalog platform, ladder clock
     /// and point of the dense single-kernel grid and the default
     /// program grid, the scored row is bit for bit what building the
-    /// design (`SystemDesign::build` / `ProgramBuild::design_for`),
-    /// simulating it (`simulate_hw` / `simulate_program`) and probing
+    /// design (the kernel's one-stage `MultiSystemDesign::build` /
+    /// `ProgramBuild::design_for`), simulating it (`simulate_program`)
+    /// and probing
     /// it report — rows that do not fit included.
     #[test]
     fn score_equals_build_simulate_and_probe() {
@@ -1902,28 +1903,28 @@ mod tests {
                         slots.push((key, be.clone(), ScoreParts::of_kernel(be)));
                     }
                     let (_, be, parts) = slots.iter().find(|(k, ..)| *k == key).unwrap();
-                    let cfg = SystemConfig {
-                        k: point.k,
-                        m: point.m,
+                    // The kernel's one-stage program system.
+                    let cfg = sysgen::ProgramSystemConfig::uniform(point.k, point.m, 1);
+                    let stages = [("main".to_string(), be.hls_report.clone())];
+                    let (bytes_in, bytes_out) =
+                        sysgen::HostProgram::interface_bytes([&be.kernel], |_, _| true);
+                    let host = sysgen::ProgramHostProgram {
+                        bytes_in_per_element: bytes_in,
+                        bytes_out_per_element: bytes_out,
+                        ..sysgen::ProgramHostProgram::placeholder(cfg.clone(), &stages)
                     };
-                    let host = sysgen::HostProgram::from_kernel(&be.kernel, cfg);
-                    let built = sysgen::SystemDesign::build(
-                        &platform,
-                        &be.hls_report,
-                        &be.memory,
-                        cfg,
-                        host,
-                    )
-                    .map(|design| {
-                        let totals = Totals {
-                            luts: design.luts,
-                            ffs: design.ffs,
-                            dsps: design.dsps,
-                            brams: design.brams,
-                        };
-                        let probe = probe_of(&sysgen::MultiSystemDesign::from_single(&design));
-                        (totals, zynq::simulate_hw(&design, &sim).total_s, probe)
-                    });
+                    let built =
+                        sysgen::MultiSystemDesign::build(&platform, &stages, &be.memory, cfg, host)
+                            .map(|design| {
+                                let totals = Totals {
+                                    luts: design.luts,
+                                    ffs: design.ffs,
+                                    dsps: design.dsps,
+                                    brams: design.brams,
+                                };
+                                let total_s = zynq::simulate_program(&design, &sim).total_s;
+                                (totals, total_s, probe_of(&design))
+                            });
                     *if built.is_some() {
                         &mut fit
                     } else {

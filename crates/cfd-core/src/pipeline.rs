@@ -198,11 +198,10 @@ pub struct Backend {
 }
 
 /// Output of [`Pipeline::system`]: the replicated single-kernel design
-/// (if it fits) and its host program.
+/// (if it fits).
 #[derive(Debug, Clone)]
 pub struct SystemStage {
     pub system: Option<SystemDesign>,
-    pub host_source: String,
     pub elapsed_s: f64,
 }
 
@@ -433,10 +432,9 @@ impl Pipeline {
             Some(c) => Some(c),
             None => sysgen::max_equal_config(platform, &be.hls_report, &be.memory),
         };
-        let (system, host_source) = match cfg {
+        let system = match cfg {
             Some(c) => {
                 let host = HostProgram::from_kernel(&be.kernel, c);
-                let host_src = host.to_c(opts.elements);
                 let design = SystemDesign::build(platform, &be.hls_report, &be.memory, c, host);
                 if design.is_none() && opts.system.is_some() {
                     return Err(FlowError::DoesNotFit {
@@ -445,13 +443,12 @@ impl Pipeline {
                         board: platform.board.name.clone(),
                     });
                 }
-                (design, host_src)
+                design
             }
-            None => (None, String::new()),
+            None => None,
         };
         Ok(SystemStage {
             system,
-            host_source,
             elapsed_s: t.elapsed().as_secs_f64(),
         })
     }

@@ -103,7 +103,8 @@ pub struct ProgramArtifacts {
     pub memory: MemorySubsystem,
     /// `None` only if the requested configuration does not fit.
     pub system: Option<MultiSystemDesign>,
-    /// Generated chained host-code skeleton.
+    /// The generated `host.c` ([`ProgramHostProgram::to_c`]; a kernel
+    /// compile's is its one-stage program's). Empty when no system fits.
     pub host_source: String,
     pub options: ProgramOptions,
     /// Aggregated wall-clock stage costs (per-kernel stages summed).
@@ -127,22 +128,6 @@ impl ProgramArtifacts {
     /// own, but one system links all stages together.
     pub fn stage_c_source(&self, i: usize) -> String {
         cgen::emit_c99_as(&self.kernels[i].kernel, &format!("{}_body", self.names[i]))
-    }
-
-    /// The `host.c` of a kernel compile: the one-stage system's host
-    /// program in the kernel format ([`sysgen::HostProgram::to_c`],
-    /// "k accelerators, m PLM systems"). `None` when no system fits or
-    /// the program has more than one kernel, whose chained host
-    /// skeleton is the `host_source` field.
-    pub fn kernel_host_source(&self) -> Option<String> {
-        let sys = self.system.as_ref().filter(|_| self.kernel_count() == 1)?;
-        let (k, m) = (sys.config.ks[0], sys.config.m);
-        let host = sysgen::HostProgram {
-            config: sysgen::SystemConfig { k, m },
-            bytes_in_per_element: sys.host.bytes_in_per_element,
-            bytes_out_per_element: sys.host.bytes_out_per_element,
-        };
-        Some(host.to_c(self.options.flow.elements))
     }
 
     /// Run the chained full-system simulation (requires a fitting
@@ -606,8 +591,7 @@ mod tests {
         // costs.
         let platform = &art.options.flow.platform;
         let ss = sysgen::max_equal_config(platform, &k.hls_report, &k.memory).unwrap();
-        let host = sysgen::HostProgram::from_kernel(&k.kernel, ss);
-        let sd = sysgen::SystemDesign::build(platform, &k.hls_report, &k.memory, ss, host).unwrap();
+        let sd = sysgen::Totals::fit(platform, [(ss.k, &k.hls_report)], &k.memory, ss.m).unwrap();
         let ps = art.system.as_ref().unwrap();
         assert_eq!(ps.config.ks, vec![ss.k]);
         assert_eq!(ps.config.m, ss.m);

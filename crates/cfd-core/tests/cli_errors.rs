@@ -2,8 +2,8 @@
 //! one-line compile error with exit status 1 for every subcommand that
 //! compiles it, as is a simulation past the tick clock; and
 //! `--elements` reaches every output that counts elements. A serve
-//! flag that the chosen arrival process would ignore is a one-line
-//! usage error with exit status 2.
+//! flag that the chosen arrival process would ignore, and a flag the
+//! command never reads, are one-line usage errors with exit status 2.
 
 use std::process::Command;
 
@@ -171,4 +171,74 @@ fn serve_rate_without_poisson_exits_two_with_one_line() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("poisson(50.0/s)"), "{stdout}");
+}
+
+/// A known flag the command never reads used to be dropped silently
+/// (`cfdc verify helmholtz:4 --grid --fleet all --json` exited 0). Each
+/// row gives a command one such flag (with a valid value), after any
+/// flags it does read; the error names the first flag that does not
+/// apply.
+#[test]
+fn a_flag_its_command_never_reads_exits_two_with_one_line() {
+    let cases: &[(&str, &[&str], &str)] = &[
+        ("verify", &["--grid", "--fleet", "all", "--json"], "--grid"),
+        (
+            "explore",
+            &["--cache-dir", "/nonexistent/x", "--grid"],
+            "--cache-dir",
+        ),
+        ("simulate", &["--emit", "c"], "--emit"),
+        ("verify", &["-o", "out"], "-o"),
+        ("explore", &["--grid", "--emit", "host"], "--emit"),
+        ("compile", &["--seed", "3"], "--seed"),
+        ("simulate", &["--seed", "3"], "--seed"),
+        ("explore", &["--seed", "3"], "--seed"),
+        ("simulate", &["--json"], "--json"),
+        ("verify", &["--json"], "--json"),
+        ("compile", &["--json", "--grid"], "--grid"),
+        ("serve", &["--boards", "all"], "--boards"),
+        ("simulate", &["--boards", "zcu106"], "--boards"),
+        ("explore", &["--no-cache"], "--no-cache"),
+        ("explore", &["--k", "2", "--m", "2"], "--k"),
+        (
+            "serve",
+            &["--k", "2", "--m", "2", "--elements", "10"],
+            "--elements",
+        ),
+        ("compile", &["--requests", "4"], "--requests"),
+        ("simulate", &["--arrival", "closed"], "--arrival"),
+        (
+            "verify",
+            &["--arrival", "poisson", "--rate", "5"],
+            "--arrival",
+        ),
+        ("explore", &["--batch", "4"], "--batch"),
+        ("compile", &["--no-overlap"], "--no-overlap"),
+        ("simulate", &["--faults", "7:0.1"], "--faults"),
+        ("verify", &["--deadline", "5"], "--deadline"),
+        ("explore", &["--retries", "2"], "--retries"),
+        ("compile", &["--backoff", "0.001"], "--backoff"),
+        ("simulate", &["--online"], "--online"),
+        ("verify", &["--slo", "0.006"], "--slo"),
+        ("explore", &["--shed", "4"], "--shed"),
+        ("compile", &["--priority", "2"], "--priority"),
+        ("simulate", &["--fleet", "all"], "--fleet"),
+        ("explore", &["--route", "jsq"], "--route"),
+    ];
+    for (command, flags, first) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args([command, "axpy:2"])
+            .args(*flags)
+            .output()
+            .expect("cfdc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("cfdc {command} {flags:?}");
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        assert!(out.stdout.is_empty(), "{what} printed a result");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: option '{first}' does not apply to 'cfdc {command}'"),
+            "{what}"
+        );
+    }
 }

@@ -45,18 +45,23 @@
 //!   choice ([`max_equal_program_config`]) is the largest rung of the
 //!   `k = m ∈ {1, 2, …, 64}` ladder that [`Totals::fit`] admits, decided
 //!   without building a design,
-//! * it instantiates `k` accelerators and `m` PLM systems plus the
-//!   integration logic: the AXI-lite peripheral that presents the `k`
-//!   accelerators to the host as a single `ap_ctrl` device, the batch
+//! * it instantiates `k_i` accelerators per stage and `m` PLM systems
+//!   plus the integration logic: per stage the AXI-lite peripheral that
+//!   presents its `k_i` accelerators to the host as a single `ap_ctrl`
+//!   device, the batch
 //!   counter that steers accelerators across PLMs when `k < m`, and the
 //!   data-steering network from the DMA to the PLM instances,
-//! * it emits the host program skeleton: `Ne/m` main-loop iterations of
-//!   input transfer → `m/k` start/wait rounds → output transfer.
+//! * it emits the host program skeleton: `⌈Ne/m⌉` main-loop iterations of
+//!   input transfer → per stage `m/k_i` start/wait rounds → output
+//!   transfer.
 //!
 //! The flow builds one system type, [`MultiSystemDesign`] (a kernel is
-//! the one-stage program). [`SystemDesign::build`],
+//! the one-stage program), and every system artifact comes from it:
+//! [`ProgramHostProgram::to_c`] writes every `host.c` (against the fixed
+//! [`CFD_DRIVER_H`]) and [`emit_system_verilog`] reads the design for
+//! the Verilog top. [`SystemDesign::build`],
 //! [`HostProgram::from_kernel`] and [`max_equal_config`] stay for the
-//! `benchmark/` harness; [`HostProgram::to_c`] writes a kernel's `host.c`.
+//! `benchmark/` harness.
 //!
 //! A request that exceeds the selected board (e.g. the ZCU106's
 //! `k = m = 16` asked of a Pynq-Z2) is *not* an error at this layer:
@@ -73,7 +78,7 @@ pub mod platform;
 pub mod system;
 
 pub use board::BoardSpec;
-pub use host::HostProgram;
+pub use host::{HostProgram, CFD_DRIVER_H};
 pub use multi::{
     enumerate_program_designs, max_equal_program_config, MultiSystemDesign, ProgramHostProgram,
     ProgramSystemConfig, StageDesign,

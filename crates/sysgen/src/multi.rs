@@ -25,6 +25,7 @@ use crate::system::{Totals, LADDER};
 use hls::HlsReport;
 use mnemosyne::MemorySubsystem;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Replication choice for a program: `ks[i]` accelerators for stage `i`
 /// and `m` shared PLM sets.
@@ -82,43 +83,59 @@ pub struct ProgramHostProgram {
 }
 
 impl ProgramHostProgram {
-    /// Main-loop iterations to process `elements` elements.
+    /// Main-loop iterations to process `elements` elements (the final
+    /// partial batch still costs a full round).
     pub fn rounds(&self, elements: usize) -> usize {
         elements.div_ceil(self.config.m)
     }
 
-    /// Generate the C host-side skeleton for inspection.
+    /// Generate `host.c` for `elements` elements, against the fixed
+    /// driver interface [`crate::CFD_DRIVER_H`]. Every round moves `m`
+    /// elements, so the caller's `in` and `out` hold `rounds × m`
+    /// elements and the tail past `elements` is padding: the simulator
+    /// prices the last round as a full one, too.
     pub fn to_c(&self, elements: usize) -> String {
         let m = self.config.m;
-        let mut body = String::new();
-        for (i, name) in self.stage_names.iter().enumerate() {
-            let k = self.config.ks[i];
-            let batch = self.config.batch(i);
-            body.push_str(&format!(
-                "\t\tfor (int b = 0; b < {batch}; ++b) {{ /* stage '{name}' */\n\
-                 \t\t\taxi_lite_write(CTRL_START_{i}, 1); /* broadcast to {k} kernels */\n\
-                 \t\t\twait_for_interrupt();\n\
-                 \t\t}}\n"
-            ));
-        }
-        format!(
-            "/* generated host code: {stages}-stage program, m = {m} PLM sets */\n\
+        let rounds = self.rounds(elements);
+        let (bi, bo) = (self.bytes_in_per_element, self.bytes_out_per_element);
+        let mut c = String::new();
+        let _ = write!(
+            c,
+            "/* generated host code: {stages}-stage program, m = {m} PLM sets\n\
+             \x20* build contract: cc -std=c99, cfd_driver.h\n\
+             \x20* in/out hold {rounds} rounds x {m} = {padded} elements; the tail past {elements} is padding */\n\
+             #include \"cfd_driver.h\"\n\n\
              void run_simulation(const double *in, double *out) {{\n\
              \tfor (size_t i = 0; i < {rounds}; ++i) {{\n\
-             \t\tdma_write(in + i * {m} * {bi} / 8, {total_in});\n\
-             {body}\
-             \t\t/* handoffs ({hb} B/element) stay in the PLM fabric */\n\
-             \t\tdma_read(out + i * {m} * {bo} / 8, {total_out});\n\
-             \t}}\n\
-             }}\n",
+             \t\tdma_write(in + i * {m} * {bi} / 8, {total_in});\n",
             stages = self.stage_names.len(),
-            rounds = self.rounds(elements),
-            bi = self.bytes_in_per_element,
-            bo = self.bytes_out_per_element,
-            hb = self.handoff_bytes_per_element,
-            total_in = self.bytes_in_per_element * m,
-            total_out = self.bytes_out_per_element * m,
-        )
+            padded = rounds * m,
+            total_in = bi * m,
+        );
+        for (i, name) in self.stage_names.iter().enumerate() {
+            let _ = write!(
+                c,
+                "\t\tfor (int b = 0; b < {batch}; ++b) {{ /* stage '{name}' */\n\
+                 \t\t\taxi_lite_write(CTRL_START({i}), 1); /* broadcast to {k} kernels */\n\
+                 \t\t\twait_for_interrupt();\n\
+                 \t\t}}\n",
+                batch = self.config.batch(i),
+                k = self.config.ks[i],
+            );
+        }
+        let hb = self.handoff_bytes_per_element;
+        if hb > 0 {
+            let _ = writeln!(
+                c,
+                "\t\t/* handoffs ({hb} B/element) stay in the PLM fabric */"
+            );
+        }
+        let _ = write!(
+            c,
+            "\t\tdma_read(out + i * {m} * {bo} / 8, {total_out});\n\t}}\n}}\n",
+            total_out = bo * m,
+        );
+        c
     }
 }
 
@@ -467,11 +484,23 @@ mod tests {
             bytes_out_per_element: 400,
             handoff_bytes_per_element: 512,
         };
-        let c = host.to_c(100);
+        let c = host.to_c(99);
         assert!(c.contains("stage 'interp'"));
         assert!(c.contains("stage 'helm'"));
+        assert!(c.contains("CTRL_START(1)"));
         assert!(c.contains("broadcast to 2 kernels"));
         assert!(c.contains("512 B/element"));
-        assert_eq!(host.rounds(100), 25);
+        assert!(c.contains("#include \"cfd_driver.h\""));
+        // 25 rounds of 4: one padding element past the 99.
+        assert_eq!(host.rounds(99), 25);
+        assert_eq!((host.rounds(100), host.rounds(101)), (25, 26));
+        assert!(c.contains("25 rounds x 4 = 100 elements; the tail past 99 is padding"));
+        // No handoffs, no handoff comment.
+        let c = ProgramHostProgram {
+            handoff_bytes_per_element: 0,
+            ..host
+        }
+        .to_c(99);
+        assert!(!c.contains("handoffs"), "{c}");
     }
 }

@@ -301,9 +301,7 @@ mod tests {
             (16, 77_235),
         ];
         for (k, lut_paper) in paper {
-            let cfg = SystemConfig { k, m: k };
-            let d =
-                SystemDesign::build(&b, &kernel_report(), &mem, cfg, no_transfers(cfg)).unwrap();
+            let d = Totals::fit(&b, [(k, &kernel_report())], &mem, k).unwrap();
             let rel = (d.luts as f64 - lut_paper as f64).abs() / lut_paper as f64;
             assert!(
                 rel < 0.10,
@@ -319,9 +317,7 @@ mod tests {
         let b = Platform::zcu106();
         let mem = memory(true);
         for k in [1usize, 2, 4, 8, 16] {
-            let cfg = SystemConfig { k, m: k };
-            let d =
-                SystemDesign::build(&b, &kernel_report(), &mem, cfg, no_transfers(cfg)).unwrap();
+            let d = Totals::fit(&b, [(k, &kernel_report())], &mem, k).unwrap();
             assert_eq!(d.dsps, 15 * k);
         }
     }
@@ -356,7 +352,6 @@ mod tests {
     fn infeasible_config_rejected() {
         let b = Platform::zcu106();
         let mem = memory(false);
-        let cfg = SystemConfig { k: 16, m: 16 };
-        assert!(SystemDesign::build(&b, &kernel_report(), &mem, cfg, no_transfers(cfg)).is_none());
+        assert!(Totals::fit(&b, [(16, &kernel_report())], &mem, 16).is_none());
     }
 }

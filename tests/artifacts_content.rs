@@ -3,7 +3,7 @@
 //! the compatibility graph, for the paper's exact kernel.
 
 use cfdfpga::flow::{Artifacts, ProgramArtifacts, ProgramFlow, ProgramOptions};
-use cfdfpga::sysgen::{emit_system_verilog, HostProgram, Platform, SystemConfig, SystemDesign};
+use cfdfpga::sysgen::{emit_system_verilog, MultiSystemDesign, ProgramSystemConfig};
 use std::sync::OnceLock;
 
 /// The paper's kernel as the one-kernel program: it owns the system and
@@ -19,13 +19,6 @@ fn program() -> &'static ProgramArtifacts {
 /// The paper's kernel: the program's one kernel slot.
 fn paper() -> &'static Artifacts {
     &program().kernels[0]
-}
-
-/// The single-kernel netlist input of `cfg`.
-fn design(cfg: SystemConfig) -> SystemDesign {
-    let art = paper();
-    let host = HostProgram::from_kernel(&art.kernel, cfg);
-    SystemDesign::build(&Platform::zcu106(), &art.hls_report, &art.memory, cfg, host).unwrap()
 }
 
 #[test]
@@ -50,9 +43,10 @@ fn c_kernel_matches_figure6_interface() {
 
 #[test]
 fn host_skeleton_structure() {
-    let h = &program().kernel_host_source().unwrap();
+    let h = &program().host_source;
     // k = m = 16 -> 50,000 / 16 = 3,125 rounds, batch 1.
-    assert!(h.contains("16 accelerators, 16 PLM systems"), "{h}");
+    assert!(h.contains("m = 16 PLM sets"), "{h}");
+    assert!(h.contains("broadcast to 16 kernels"), "{h}");
     assert!(h.contains("i < 3125"), "{h}");
     assert!(h.contains("b < 1"), "{h}");
     assert!(h.contains("dma_write"));
@@ -61,28 +55,77 @@ fn host_skeleton_structure() {
 
 #[test]
 fn verilog_netlist_for_paper_system() {
-    let sys = program().system.as_ref().unwrap();
-    let v = emit_system_verilog(&design(SystemConfig {
-        k: sys.config.ks[0],
-        m: sys.config.m,
-    }));
+    let v = emit_system_verilog(program().system.as_ref().unwrap());
     assert!(v.contains("module system_top"));
-    assert!(v.contains("k = 16 accelerators, m = 16 PLM systems"));
+    assert!(v.contains("m = 16 PLM systems"), "{v}");
+    assert!(v.contains("k = 16 accelerators"), "{v}");
     // All sixteen accelerators and all PLM units of each system.
     for a in 0..16 {
         assert!(v.contains(&format!("u_acc{a} (")));
     }
-    assert!(v.contains("u_plm15_plm_S"));
+    assert!(!v.contains("u_acc16 ("));
+    assert!(v.contains("u_plm15_plm_main_S"), "{v}");
     // Equal k = m: no batch counter.
     assert!(!v.contains("batch_count"));
 }
 
 #[test]
 fn verilog_netlist_batched_variant() {
-    let v = emit_system_verilog(&design(SystemConfig { k: 4, m: 16 }));
+    // The paper system rebuilt at k = 4, m = 16.
+    let sys = program().system.as_ref().unwrap();
+    let stages: Vec<_> = (sys.stages.iter())
+        .map(|s| (s.name.clone(), s.kernel.clone()))
+        .collect();
+    let cfg = ProgramSystemConfig::uniform(4, 16, 1);
+    let host = cfdfpga::sysgen::ProgramHostProgram {
+        config: cfg.clone(),
+        ..sys.host.clone()
+    };
+    let batched = MultiSystemDesign::build(&sys.platform, &stages, &sys.memory, cfg, host);
+    let v = emit_system_verilog(&batched.unwrap());
     assert!(v.contains("batch = 4"));
     assert!(v.contains("batch_count"));
     assert!(v.contains(".BATCH(4)"));
+}
+
+/// The three-stage simulation step as one system: the netlist has one
+/// bank per stage (Σ k_i accelerators), one start register per stage —
+/// the `CTRL_START(i)` its `host.c` writes — and `m` PLM sets of the
+/// merged program memory.
+#[test]
+fn verilog_netlist_for_multi_stage_program() {
+    let src = cfdfpga::cfdlang::examples::simulation_step(4);
+    let art = ProgramFlow::compile(&src, &ProgramOptions::default()).expect("compiles");
+    let sys = art.system.as_ref().unwrap();
+    assert_eq!(sys.stages.len(), 3);
+    let v = emit_system_verilog(sys);
+    let total_k: usize = sys.config.ks.iter().sum();
+    assert_eq!(v.matches(" u_acc").count(), total_k, "{v}");
+    assert!(v.contains(&format!("u_acc{} (", total_k - 1)), "{v}");
+    assert_eq!(v.matches("axi_lite_ctrl ").count(), 3, "{v}");
+    for (i, k) in sys.config.ks.iter().enumerate() {
+        let start = format!("CTRL_START({i})");
+        assert!(art.host_source.contains(&start), "{}", art.host_source);
+        assert!(v.contains(&format!(
+            "k = {k} accelerators, batch = 1, start register {start}"
+        )));
+        assert!(
+            v.contains(&format!(".START_REG({}), .K({k})", 4 * i)),
+            "{v}"
+        );
+    }
+    assert!(!art.host_source.contains("CTRL_START(3)"));
+    // m PLM sets, each with every unit of the merged memory.
+    let m = sys.config.m;
+    assert_eq!(
+        v.matches(" u_plm").count(),
+        m * sys.memory.units.len(),
+        "{v}"
+    );
+    for u in &sys.memory.units {
+        let name = u.name.replace('.', "_");
+        assert!(v.contains(&format!("u_plm{}_{name} (", m - 1)), "{v}");
+    }
 }
 
 #[test]

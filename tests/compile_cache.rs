@@ -33,19 +33,16 @@ fn canonical(art: &Artifacts) -> String {
 }
 
 /// Canonical rendering of everything a program compile produces: every
-/// kernel slot, the chained and (of a one-kernel program) the kernel
-/// `host.c`, the program memory and the replicated system.
+/// kernel slot, the `host.c`, the program memory and the replicated
+/// system.
 fn canonical_program(art: &cfdfpga::flow::ProgramArtifacts) -> String {
     let mut s = String::new();
     for (name, k) in art.names.iter().zip(&art.kernels) {
         s.push_str(&format!("=== {name} ===\n{}\n", canonical(k)));
     }
     s.push_str(&format!(
-        "---program---\n{}\n---host---\n{:?}\n{:?}\n{:?}",
-        art.host_source,
-        art.kernel_host_source(),
-        art.memory,
-        art.system
+        "---program---\n{}\n---host---\n{:?}\n{:?}",
+        art.host_source, art.memory, art.system
     ));
     s
 }

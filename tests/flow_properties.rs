@@ -116,11 +116,9 @@ proptest! {
         let board = cfdfpga::sysgen::Platform::zcu106();
         let max = cfdfpga::sysgen::max_equal_config(&board, &art.hls_report, &art.memory).unwrap();
         // The next power of two must not fit.
-        let next = cfdfpga::sysgen::SystemConfig { k: max.k * 2, m: max.m * 2 };
-        let host = cfdfpga::sysgen::HostProgram::from_kernel(&art.kernel, next);
-        prop_assert!(cfdfpga::sysgen::SystemDesign::build(
-            &board, &art.hls_report, &art.memory, next, host
-        )
-        .is_none());
+        let next = [(max.k * 2, &art.hls_report)];
+        prop_assert!(
+            cfdfpga::sysgen::Totals::fit(&board, next, &art.memory, max.m * 2).is_none()
+        );
     }
 }

@@ -14,7 +14,7 @@
 
 use cfdfpga::flow::{Artifacts, Flow, FlowOptions, ProgramArtifacts, ProgramFlow};
 use cfdfpga::mnemosyne::MemoryOptions;
-use cfdfpga::sysgen::{HostProgram, Platform, SystemConfig, SystemDesign};
+use cfdfpga::sysgen::{MultiSystemDesign, Platform, ProgramHostProgram, ProgramSystemConfig};
 use cfdfpga::zynq::SimConfig;
 use std::sync::OnceLock;
 
@@ -41,14 +41,28 @@ fn paper_kernel(sharing: bool) -> &'static Artifacts {
     &paper_program(sharing).kernels[0]
 }
 
-fn simulate(k: usize, m: usize) -> cfdfpga::zynq::HwResult {
-    let art = paper_kernel(true);
-    let cfg = SystemConfig { k, m };
-    let host = HostProgram::from_kernel(&art.kernel, cfg);
-    let d = SystemDesign::build(&Platform::zcu106(), &art.hls_report, &art.memory, cfg, host)
-        .expect("fits");
-    cfdfpga::zynq::simulate_hw(
-        &d,
+/// The paper kernel's one-stage system rebuilt at replication `(k, m)`
+/// on the ZCU106 (the board [`paper_program`] targets); `None` when it
+/// does not fit.
+fn design(sharing: bool, k: usize, m: usize) -> Option<MultiSystemDesign> {
+    let sys = paper_program(sharing)
+        .system
+        .as_ref()
+        .expect("the paper kernel fits");
+    let stages: Vec<_> = (sys.stages.iter())
+        .map(|s| (s.name.clone(), s.kernel.clone()))
+        .collect();
+    let cfg = ProgramSystemConfig::uniform(k, m, 1);
+    let host = ProgramHostProgram {
+        config: cfg.clone(),
+        ..sys.host.clone()
+    };
+    MultiSystemDesign::build(&sys.platform, &stages, &sys.memory, cfg, host)
+}
+
+fn simulate(k: usize, m: usize) -> cfdfpga::zynq::ProgramHwResult {
+    cfdfpga::zynq::simulate_program(
+        &design(true, k, m).expect("fits"),
         &SimConfig {
             elements: ELEMENTS,
             ..Default::default()
@@ -155,7 +169,6 @@ fn figure10_arm_comparison_within_tolerance() {
 
 #[test]
 fn table1_dsps_exact_and_luts_close() {
-    let b = Platform::zcu106();
     // Both halves of Table I: (sharing, k = m, paper LUT).
     let paper = [
         (false, 1usize, 11_318usize),
@@ -169,10 +182,7 @@ fn table1_dsps_exact_and_luts_close() {
         (true, 16, 77_235),
     ];
     for (sharing, k, plut) in paper {
-        let art = paper_kernel(sharing);
-        let cfg = SystemConfig { k, m: k };
-        let host = HostProgram::from_kernel(&art.kernel, cfg);
-        let d = SystemDesign::build(&b, &art.hls_report, &art.memory, cfg, host).unwrap();
+        let d = design(sharing, k, k).unwrap();
         assert_eq!(d.dsps, 15 * k);
         let rel = (d.luts as f64 - plut as f64).abs() / plut as f64;
         assert!(

@@ -303,12 +303,10 @@ fn max_equal_by_building(
         .flat_map(|&k| LADDER.map(|m| SystemConfig { k, m }));
     let built: Vec<SystemConfig> = (pairs.filter(|c| c.m >= c.k))
         .filter(|&c| {
-            let host = sysgen::HostProgram {
-                config: c,
-                bytes_in_per_element: 0,
-                bytes_out_per_element: 0,
-            };
-            sysgen::SystemDesign::build(platform, kernel, memory, c, host).is_some()
+            let stages = [("main".to_string(), kernel.clone())];
+            let cfg = sysgen::ProgramSystemConfig::uniform(c.k, c.m, 1);
+            let host = sysgen::ProgramHostProgram::placeholder(cfg.clone(), &stages);
+            sysgen::MultiSystemDesign::build(platform, &stages, memory, cfg, host).is_some()
         })
         .collect();
     let max = built
@@ -432,10 +430,11 @@ proptest! {
         for platform in Platform::catalog() {
             let configs = one_stage_configs(&platform, &be.hls_report, &be.memory);
             for cfg in &configs {
-                let host = sysgen::HostProgram::from_kernel(&be.kernel, *cfg);
-                let d = sysgen::SystemDesign::build(&platform, &be.hls_report, &be.memory, *cfg, host)
+                let stages = [("main".to_string(), be.hls_report.clone())];
+                let pcfg = sysgen::ProgramSystemConfig::uniform(cfg.k, cfg.m, 1);
+                let host = sysgen::ProgramHostProgram::placeholder(pcfg.clone(), &stages);
+                let d = sysgen::MultiSystemDesign::build(&platform, &stages, &be.memory, pcfg, host)
                     .expect("enumerated config must build");
-                let d = sysgen::MultiSystemDesign::from_single(&d);
                 let (l, f, ds, br) = d.slack();
                 prop_assert!(l >= 0 && f >= 0 && ds >= 0 && br >= 0,
                     "{}: Eq. (3) violated for {:?}", platform.id, cfg);
