@@ -518,7 +518,7 @@ pub struct Traces {
 impl Traces {
     /// Take over the scheduler's columns for the requests `ids`, all in
     /// admission order.
-    fn new(ids: Vec<usize>, arrival: Vec<Time>, fso: zynq::FaultStreamOutcome) -> Traces {
+    fn new(ids: Vec<usize>, arrival: Vec<Time>, out: zynq::StreamOutcome) -> Traces {
         let mut by_id = Vec::new();
         if !ids.is_sorted() {
             by_id.extend(0..ids.len() as u32);
@@ -527,10 +527,10 @@ impl Traces {
         Traces {
             ids,
             arrival,
-            admitted: fso.stream.admitted_ticks,
-            resolved: fso.resolved_ticks,
-            attempts: fso.attempts,
-            statuses: fso.statuses,
+            admitted: out.admitted_ticks,
+            resolved: out.completion_ticks,
+            attempts: out.attempts,
+            statuses: out.statuses,
             by_id,
         }
     }
@@ -804,11 +804,7 @@ pub(crate) fn serve_stream(
         max_queue: opts.online.shed_queue,
         tiers,
     };
-    let zynq::OnlineOutcome {
-        fault: fso,
-        backpressure_shed,
-        early_closed_rounds,
-    } = zynq::simulate_online_stream(
+    let out = zynq::simulate_online_stream(
         design,
         &SimConfig::default(),
         &arrivals,
@@ -819,9 +815,9 @@ pub(crate) fn serve_stream(
         &online_spec,
     );
 
-    let latencies = (fso.resolved_ticks.iter().zip(&arrivals))
+    let latencies = (out.completion_ticks.iter().zip(&arrivals))
         .map(|(resolved, arrival)| resolved.saturating_sub(*arrival));
-    let count = |want: StreamStatus| fso.statuses.iter().filter(|&&s| s == want).count();
+    let count = |want: StreamStatus| out.statuses.iter().filter(|&&s| s == want).count();
     let completed = count(StreamStatus::Completed);
     let [mean, p50, p99, max] = latency_stats(&mut latencies.clone().collect::<Vec<u64>>());
     // Over the completed requests alone there is no p99 when nothing
@@ -830,7 +826,7 @@ pub(crate) fn serve_stream(
         0 => None,
         _ if completed == n => Some(p99),
         _ => {
-            let mut ticks: Vec<u64> = (latencies.zip(&fso.statuses))
+            let mut ticks: Vec<u64> = (latencies.zip(&out.statuses))
                 .filter(|(_, &s)| s == StreamStatus::Completed)
                 .map(|(latency, _)| latency)
                 .collect();
@@ -845,7 +841,7 @@ pub(crate) fn serve_stream(
     let mut outputs = Vec::new();
     if opts.execute {
         outputs.reserve_exact(n);
-        for (k, status) in fso.statuses.iter().enumerate() {
+        for (k, status) in out.statuses.iter().enumerate() {
             outputs.push(if *status == StreamStatus::Completed {
                 zynq::run_program_chain(names, modules, kernels, &request(k).inputs)
                     .map_err(RuntimeError::Exec)?
@@ -855,7 +851,7 @@ pub(crate) fn serve_stream(
         }
     }
 
-    let makespan_s = to_secs(fso.stream.makespan_ticks);
+    let makespan_s = to_secs(out.makespan_ticks);
     let per_s = |k: usize| {
         if makespan_s > 0.0 {
             k as f64 / makespan_s
@@ -868,14 +864,14 @@ pub(crate) fn serve_stream(
         policy: opts.batch,
         arrival: opts.arrival,
         capacity,
-        overlap_dma: fso.stream.double_buffered,
-        rounds: fso.stream.rounds(),
-        fast_forwarded_rounds: fso.stream.fast_forwarded_rounds,
-        mean_fill: n as f64 / fso.stream.rounds().max(1) as f64,
-        exec_ticks: fso.stream.exec_ticks,
-        transfer_ticks: fso.stream.transfer_ticks,
-        overlapped_ticks: fso.stream.overlapped_ticks,
-        makespan_ticks: fso.stream.makespan_ticks,
+        overlap_dma: out.double_buffered,
+        rounds: out.rounds(),
+        fast_forwarded_rounds: out.fast_forwarded_rounds,
+        mean_fill: n as f64 / out.rounds().max(1) as f64,
+        exec_ticks: out.exec_ticks,
+        transfer_ticks: out.transfer_ticks,
+        overlapped_ticks: out.overlapped_ticks,
+        makespan_ticks: out.makespan_ticks,
         makespan_s,
         throughput_rps: per_s(n),
         latency_mean_s: to_secs(mean),
@@ -883,25 +879,25 @@ pub(crate) fn serve_stream(
         latency_p99_s: to_secs(p99),
         latency_max_s: to_secs(max),
         latency_p99_completed_s: p99_completed.map(to_secs),
-        overlap_fraction: fso.stream.overlap_fraction(),
+        overlap_fraction: out.overlap_fraction(),
         completed,
-        retried: fso.attempts.iter().filter(|&&a| a > 1).count(),
+        retried: out.attempts.iter().filter(|&&a| a > 1).count(),
         timed_out: count(StreamStatus::TimedOut),
         shed: count(StreamStatus::Shed),
         failed: count(StreamStatus::Failed),
-        transient_faults: fso.transient_faults,
-        dma_stalls: fso.dma_stalls,
-        corrupt_payloads: fso.corrupt_payloads,
+        transient_faults: out.transient_faults,
+        dma_stalls: out.dma_stalls,
+        corrupt_payloads: out.corrupt_payloads,
         offered_rps: per_s(n),
         goodput_rps: (completed > 0).then(|| per_s(completed)),
         fault_plan: opts.faults.label(),
         recovery: opts.recovery,
         online: opts.online.enabled(),
         online_policy: opts.online.clone(),
-        backpressure_shed,
-        early_closed_rounds,
+        backpressure_shed: out.backpressure_shed,
+        early_closed_rounds: out.early_closed_rounds,
         // Last: the scheduler's per-request columns move in.
-        traces: Traces::new((0..n).map(|k| request(k).id).collect(), arrivals, fso),
+        traces: Traces::new((0..n).map(|k| request(k).id).collect(), arrivals, out),
     };
     Ok(ServeOutcome { report, outputs })
 }
@@ -1882,7 +1878,7 @@ mod tests {
         } else {
             Vec::new()
         };
-        let fso = zynq::simulate_online_stream(
+        let out = zynq::simulate_online_stream(
             design,
             &SimConfig::default(),
             &arrivals,
@@ -1895,15 +1891,14 @@ mod tests {
                 max_queue: opts.online.shed_queue,
                 tiers,
             },
-        )
-        .fault;
+        );
         let outcome_at = |pos: usize| -> RequestOutcome {
-            match fso.statuses[pos] {
+            match out.statuses[pos] {
                 StreamStatus::Completed => RequestOutcome::Completed,
                 StreamStatus::TimedOut => RequestOutcome::TimedOut,
                 StreamStatus::Shed => RequestOutcome::Shed,
                 StreamStatus::Failed => RequestOutcome::Failed {
-                    attempts: fso.attempts[pos],
+                    attempts: out.attempts[pos],
                 },
             }
         };
@@ -1912,14 +1907,14 @@ mod tests {
             .enumerate()
             .map(|(pos, &i)| {
                 let arrival = arrivals[pos];
-                let resolved = fso.resolved_ticks[pos];
+                let resolved = out.completion_ticks[pos];
                 RequestTrace {
                     id: requests[i].id,
                     arrival_s: to_secs(arrival),
-                    admitted_s: to_secs(fso.stream.admitted_ticks[pos]),
+                    admitted_s: to_secs(out.admitted_ticks[pos]),
                     completed_s: to_secs(resolved),
                     latency_s: to_secs(resolved.saturating_sub(arrival)),
-                    attempts: fso.attempts[pos],
+                    attempts: out.attempts[pos],
                     outcome: outcome_at(pos),
                 }
             })

@@ -36,8 +36,10 @@
 //!   accelerator chain, with load, execute and drain — run serially or
 //!   double-buffered. Unarmed input takes the clean fold; anything
 //!   armed — fault plan, deadline, SLO-aware adaptive batching,
-//!   priority tiers, backpressure shedding — takes the one event core,
-//! * [`stream`] — the scheduler's outcome types, the batch and
+//!   priority tiers, backpressure shedding — takes the one event core.
+//!   Every entry point answers in one type, [`StreamOutcome`]:
+//!   per-request columns, round fills, tick totals and counters,
+//! * [`stream`] — the scheduler's outcome type, the batch and
 //!   fault-aware wrappers over it, and the clean fold: one pass over
 //!   the arrival list in either mode, with the closed-tick fast-forward
 //!   when serial, which is also the reference the event core is tested
@@ -56,7 +58,7 @@
 //!
 //! Absolute times are model outputs; the reproduction targets are the
 //! *ratios* of Figures 9 and 10, which this simulator matches (see
-//! `EXPERIMENTS.md`).
+//! `tests/paper_reproduction.rs`).
 
 pub mod arm;
 pub mod des;
@@ -69,14 +71,14 @@ pub mod verify;
 
 pub use arm::ArmCostModel;
 pub use fault::{FaultPlan, Outage, RecoverySpec};
-pub use online::{simulate_online_stream, simulate_round_stream, OnlineOutcome, OnlineSpec};
+pub use online::{simulate_online_stream, simulate_round_stream, OnlineSpec};
 pub use sim::{
     program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, ProgramRound,
     SimConfig,
 };
 pub use stream::{
-    simulate_batch_stream, simulate_faulty_stream, summarize_round_stream, FaultStreamOutcome,
-    StreamOutcome, StreamStatus, StreamSummary,
+    simulate_batch_stream, simulate_faulty_stream, summarize_round_stream, StreamOutcome,
+    StreamStatus, StreamSummary,
 };
 pub use verify::{
     random_program_inputs, run_program_chain, run_program_reference, verify_program, VerifyResult,

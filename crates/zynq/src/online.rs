@@ -22,7 +22,9 @@
 //! accelerator chain, with load, execute and drain), so a core run in
 //! which nothing fires (say, a deadline too far to matter) reproduces
 //! the fold's ticks — the differential suites at the workspace root and
-//! `tests/scheduler_golden.rs` hold them together.
+//! `tests/scheduler_golden.rs` hold them together. Both answer in one
+//! [`StreamOutcome`]: the fold writes its columns as a round sink, the
+//! core as requests resolve.
 //!
 //! What the core carries:
 //!
@@ -33,7 +35,8 @@
 //!   tears down DMA and chain at one tick), so an armed outage runs the
 //!   core serially even when overlap was requested. Every terminal
 //!   state a request reaches passes through one method,
-//!   `Core::resolve`.
+//!   `Core::resolve`, which writes its status, attempts and
+//!   `completion_ticks` entry once.
 //! * **SLO-aware adaptive batching** — with `slo_ticks` set, a round
 //!   below capacity waits for more arrivals while the oldest queued
 //!   request's budget still covers a full fault-free round, and closes
@@ -59,7 +62,7 @@ use crate::des::Time;
 use crate::fault::{FaultPlan, Outage, RecoverySpec};
 use crate::resources::{Mode, Resources};
 use crate::sim::{program_round, ProgramRound, SimConfig};
-use crate::stream::{clean_fold, FaultStreamOutcome, StreamStatus};
+use crate::stream::{clean_fold, StreamOutcome, StreamStatus};
 use sysgen::MultiSystemDesign;
 
 /// Online serving policy for the scheduler.
@@ -96,17 +99,6 @@ impl OnlineSpec {
     }
 }
 
-/// [`FaultStreamOutcome`] plus the online policy counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineOutcome {
-    pub fault: FaultStreamOutcome,
-    /// Arrivals shed at admission because the wait queue was full.
-    pub backpressure_shed: usize,
-    /// Rounds dispatched below capacity because the oldest queued
-    /// request's SLO budget could no longer cover another wait.
-    pub early_closed_rounds: usize,
-}
-
 /// Serve `arrivals` (sorted arrival ticks) on `design` under `plan`,
 /// `rec` and the online policy `spec` — the scheduler every serving
 /// path goes through: [`simulate_round_stream`] on the design's
@@ -121,7 +113,7 @@ pub fn simulate_online_stream(
     plan: &FaultPlan,
     rec: &RecoverySpec,
     spec: &OnlineSpec,
-) -> OnlineOutcome {
+) -> StreamOutcome {
     let round = program_round(design, cfg);
     let (ks, m) = (&design.config.ks, design.config.m);
     simulate_round_stream(&round, ks, m, arrivals, capacity, overlap, plan, rec, spec)
@@ -149,7 +141,7 @@ pub fn simulate_round_stream(
     plan: &FaultPlan,
     rec: &RecoverySpec,
     spec: &OnlineSpec,
-) -> OnlineOutcome {
+) -> StreamOutcome {
     assert!(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrivals must be sorted"
@@ -165,11 +157,7 @@ pub fn simulate_round_stream(
         ..*rec
     };
     if !plan.armed() && rec.deadline_ticks.is_none() && !spec.armed() {
-        return OnlineOutcome {
-            fault: FaultStreamOutcome::clean(clean_fold(arrivals, capacity, round, mode)),
-            backpressure_shed: 0,
-            early_closed_rounds: 0,
-        };
+        return clean_fold(arrivals, capacity, round, mode);
     }
     Core::new(arrivals, capacity, round, plan, rec, spec, mode).run()
 }
@@ -215,19 +203,8 @@ struct Core<'a> {
     /// an all-ineligible queue idles, overtaken by the next dispatch.
     floor: Time,
     round_idx: u64,
-    // The outcome's per-request columns (arrival order) and counters.
-    admitted: Vec<Time>,
-    completion: Vec<Time>,
-    resolved: Vec<Time>,
-    statuses: Vec<StreamStatus>,
-    attempts: Vec<u32>,
-    fills: Vec<usize>,
-    dma_stalls: usize,
-    transient_faults: usize,
-    corrupt_payloads: usize,
-    outage_requeues: usize,
-    backpressure_shed: usize,
-    early_closed_rounds: usize,
+    /// The outcome's per-request columns, fills and counters.
+    out: StreamOutcome,
 }
 
 /// Batch-formation verdict at one decision point.
@@ -250,7 +227,6 @@ impl<'a> Core<'a> {
         spec: &'a OnlineSpec,
         mode: Mode,
     ) -> Core<'a> {
-        let n = arrivals.len();
         Core {
             arrivals,
             capacity,
@@ -265,22 +241,11 @@ impl<'a> Core<'a> {
             spare: Vec::new(),
             floor: 0,
             round_idx: 0,
-            admitted: vec![0; n],
-            completion: vec![0; n],
-            resolved: vec![0; n],
-            statuses: vec![StreamStatus::Completed; n],
-            attempts: vec![0; n],
-            fills: Vec::new(),
-            dma_stalls: 0,
-            transient_faults: 0,
-            corrupt_payloads: 0,
-            outage_requeues: 0,
-            backpressure_shed: 0,
-            early_closed_rounds: 0,
+            out: StreamOutcome::new(arrivals.len()),
         }
     }
 
-    fn run(mut self) -> OnlineOutcome {
+    fn run(mut self) -> StreamOutcome {
         let serial = self.res.mode == Mode::Serial;
         loop {
             let t_min = self.next_event().map(|t| t.max(self.floor));
@@ -328,7 +293,8 @@ impl<'a> Core<'a> {
                 Gate::Dispatch { early } => self.dispatch(start, early),
             }
         }
-        self.finish()
+        self.res.close(&mut self.out);
+        self.out
     }
 
     /// Form a round from the queue's eligible work at `start` and place
@@ -337,7 +303,7 @@ impl<'a> Core<'a> {
         let mut take = self.fill_filter(start);
         self.round_idx += 1;
         let t_in = if self.plan.dma_stalls(self.round_idx) {
-            self.dma_stalls += 1;
+            self.out.dma_stalls += 1;
             2 * self.res.t_in
         } else {
             self.res.t_in
@@ -354,7 +320,7 @@ impl<'a> Core<'a> {
         if let Some(o) = self.plan.outage.filter(lost) {
             for p in self.pending.iter_mut().filter(|p| take(p)) {
                 p.eligible = o.recover_at.unwrap_or(Time::MAX);
-                self.outage_requeues += 1;
+                self.out.outage_requeues += 1;
             }
             self.res.abort_at(o.fail_at);
             return;
@@ -371,10 +337,10 @@ impl<'a> Core<'a> {
         });
         for p in &mut ents {
             p.attempts += 1;
-            self.admitted[p.pos] = start;
+            self.out.admitted_ticks[p.pos] = start;
         }
-        self.fills.push(ents.len());
-        self.early_closed_rounds += early as usize;
+        self.out.round_fills.push(ents.len());
+        self.out.early_closed_rounds += early as usize;
         let in_done = self.res.transfer(start, t_in);
         let ready = self.res.execute(in_done);
         // Drain the previous round's outputs while this one executes.
@@ -384,7 +350,7 @@ impl<'a> Core<'a> {
         if self.plan.round_fails(self.round_idx) {
             // Transient error: the round aborts at the error interrupt
             // (end of execution); outputs never drain, payloads lost.
-            self.transient_faults += 1;
+            self.out.transient_faults += 1;
             for p in ents.drain(..) {
                 self.retry(p, ready);
             }
@@ -425,7 +391,7 @@ impl<'a> Core<'a> {
             let p = self.take_arrival(a);
             if self.spec.max_queue.is_some_and(|q| self.pending.len() >= q) {
                 self.resolve(&p, StreamStatus::Shed, a);
-                self.backpressure_shed += 1;
+                self.out.backpressure_shed += 1;
             } else {
                 self.pending.push(p);
             }
@@ -444,7 +410,7 @@ impl<'a> Core<'a> {
         while let Some(a) = self.next_arrival() {
             let p = self.take_arrival(a);
             self.resolve(&p, StreamStatus::Shed, if bounded { at.max(a) } else { at });
-            self.backpressure_shed += bounded as usize;
+            self.out.backpressure_shed += bounded as usize;
         }
     }
 
@@ -545,7 +511,7 @@ impl<'a> Core<'a> {
         let out_done = self.res.drain(ready);
         for p in ents.drain(..) {
             if self.plan.corrupts(p.pos as u64, p.attempts) {
-                self.corrupt_payloads += 1;
+                self.out.corrupt_payloads += 1;
                 self.retry(p, out_done);
             } else {
                 let status = match self.rec.deadline_ticks {
@@ -576,30 +542,10 @@ impl<'a> Core<'a> {
     /// Record a request's terminal state: the one place the core reports
     /// a resolution.
     fn resolve(&mut self, p: &Pend, status: StreamStatus, at: Time) {
-        self.statuses[p.pos] = status;
-        self.attempts[p.pos] = p.attempts;
-        self.resolved[p.pos] = at;
-        self.completion[p.pos] = at;
+        self.out.statuses[p.pos] = status;
+        self.out.attempts[p.pos] = p.attempts;
+        self.out.completion_ticks[p.pos] = at;
         self.res.settle(at);
-    }
-
-    fn finish(self) -> OnlineOutcome {
-        OnlineOutcome {
-            fault: FaultStreamOutcome {
-                stream: self
-                    .res
-                    .outcome(self.admitted, self.completion, self.fills, 0),
-                statuses: self.statuses,
-                attempts: self.attempts,
-                resolved_ticks: self.resolved,
-                dma_stalls: self.dma_stalls,
-                transient_faults: self.transient_faults,
-                corrupt_payloads: self.corrupt_payloads,
-                outage_requeues: self.outage_requeues,
-            },
-            backpressure_shed: self.backpressure_shed,
-            early_closed_rounds: self.early_closed_rounds,
-        }
     }
 }
 
@@ -784,11 +730,11 @@ mod tests {
         );
         let mut completed = 0;
         let mut timed_out = 0;
-        for (pos, s) in out.fault.statuses.iter().enumerate() {
+        for (pos, s) in out.statuses.iter().enumerate() {
             match s {
                 StreamStatus::Completed => {
                     completed += 1;
-                    assert!(out.fault.stream.completion_ticks[pos] <= slo);
+                    assert!(out.completion_ticks[pos] <= slo);
                 }
                 StreamStatus::TimedOut => timed_out += 1,
                 other => panic!("unexpected status {other:?}"),
@@ -821,7 +767,7 @@ mod tests {
             &RecoverySpec::default(),
             &spec,
         );
-        assert_eq!(out.fault.stream.round_fills, vec![2]);
+        assert_eq!(out.round_fills, vec![2]);
         let fifo = simulate_online_stream(
             &d,
             &cfg,
@@ -832,7 +778,7 @@ mod tests {
             &RecoverySpec::default(),
             &OnlineSpec::fifo(),
         );
-        assert_eq!(fifo.fault.stream.round_fills, vec![1, 1]);
+        assert_eq!(fifo.round_fills, vec![1, 1]);
         // A second arrival past the close budget forces an early,
         // below-capacity round; both requests still make their budgets.
         let tight = OnlineSpec {
@@ -849,13 +795,9 @@ mod tests {
             &RecoverySpec::default(),
             &tight,
         );
-        assert_eq!(out.fault.stream.round_fills, vec![1, 1]);
+        assert_eq!(out.round_fills, vec![1, 1]);
         assert!(out.early_closed_rounds >= 1);
-        assert!(out
-            .fault
-            .statuses
-            .iter()
-            .all(|s| *s == StreamStatus::Completed));
+        assert!(out.statuses.iter().all(|s| *s == StreamStatus::Completed));
     }
 
     #[test]
@@ -877,14 +819,10 @@ mod tests {
             &RecoverySpec::default(),
             &spec,
         );
-        let adm = &out.fault.stream.admitted_ticks;
+        let adm = &out.admitted_ticks;
         // Tier 0 (positions 3..6) rides the first round.
         assert!(adm[3] < adm[0] && adm[4] < adm[1] && adm[5] < adm[2]);
-        assert!(out
-            .fault
-            .statuses
-            .iter()
-            .all(|s| *s == StreamStatus::Completed));
+        assert!(out.statuses.iter().all(|s| *s == StreamStatus::Completed));
     }
 
     #[test]
@@ -908,14 +846,12 @@ mod tests {
         );
         assert_eq!(out.backpressure_shed, 8);
         let shed = out
-            .fault
             .statuses
             .iter()
             .filter(|s| **s == StreamStatus::Shed)
             .count();
         assert_eq!(shed, 8);
         let completed = out
-            .fault
             .statuses
             .iter()
             .filter(|s| **s == StreamStatus::Completed)
@@ -952,12 +888,12 @@ mod tests {
         };
         for overlap in [false, true] {
             let out = simulate_online_stream(&d, &cfg, &arrivals, 2, overlap, &plan, &rec, &spec);
-            assert!(out.fault.statuses.iter().all(|s| *s == StreamStatus::Shed));
+            assert!(out.statuses.iter().all(|s| *s == StreamStatus::Shed));
             assert_eq!(out.backpressure_shed, 4);
-            assert_eq!(out.fault.resolved_ticks[2..], arrivals[2..]);
+            assert_eq!(out.completion_ticks[2..], arrivals[2..]);
             // The queued retries go when the scheduler next looks: at the
             // first arrival after the failure.
-            assert_eq!(out.fault.resolved_ticks[..2], [3 * rt, 3 * rt]);
+            assert_eq!(out.completion_ticks[..2], [3 * rt, 3 * rt]);
         }
     }
 
@@ -987,11 +923,10 @@ mod tests {
             &RecoverySpec::default(),
             &spec,
         );
-        assert_eq!(out.fault.statuses.len(), 8);
-        assert!(out.fault.statuses.contains(&StreamStatus::Shed));
+        assert_eq!(out.statuses.len(), 8);
+        assert!(out.statuses.contains(&StreamStatus::Shed));
         // Every request resolved one way or another.
         assert!(out
-            .fault
             .statuses
             .iter()
             .all(|s| matches!(s, StreamStatus::Completed | StreamStatus::Shed)));
@@ -1035,17 +970,17 @@ mod tests {
                 ..RecoverySpec::default()
             };
             let arrivals = vec![0; n];
-            simulate_round_stream(&round, &[1], 2, &arrivals, 1, true, &plan, &rec, &fifo).fault
+            simulate_round_stream(&round, &[1], 2, &arrivals, 1, true, &plan, &rec, &fifo)
         };
         let all = run(FaultPlan::transient(0, 1.0), 0, 40);
-        assert!(all.stream.double_buffered);
+        assert!(all.double_buffered);
         assert_eq!(all.transient_faults, 40);
-        assert_eq!(all.stream.overlapped_ticks, 39 * 30);
-        assert_eq!(all.stream.makespan_ticks, 30 + 40 * 1_000);
+        assert_eq!(all.overlapped_ticks, 39 * 30);
+        assert_eq!(all.makespan_ticks, 30 + 40 * 1_000);
         // Some rounds fail, and the others drain while later ones run.
         let mixed = run(FaultPlan::transient(1, 0.5), 3, 12);
         assert_eq!(mixed.transient_faults, 9);
-        assert_eq!(mixed.stream.overlapped_ticks, 870);
-        assert_eq!(mixed.stream.makespan_ticks, 20_060);
+        assert_eq!(mixed.overlapped_ticks, 870);
+        assert_eq!(mixed.makespan_ticks, 20_060);
     }
 }

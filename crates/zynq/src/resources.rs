@@ -166,23 +166,12 @@ impl Resources {
         self.settle(end);
     }
 
-    pub(crate) fn outcome(
-        self,
-        admitted_ticks: Vec<Time>,
-        completion_ticks: Vec<Time>,
-        round_fills: Vec<usize>,
-        fast_forwarded_rounds: usize,
-    ) -> StreamOutcome {
-        StreamOutcome {
-            admitted_ticks,
-            completion_ticks,
-            round_fills,
-            exec_ticks: self.exec_ticks,
-            transfer_ticks: self.transfer_ticks,
-            overlapped_ticks: self.overlapped_ticks,
-            makespan_ticks: self.makespan,
-            fast_forwarded_rounds,
-            double_buffered: self.mode == Mode::DoubleBuffered,
-        }
+    /// Write the stream's tick totals and mode into `out`.
+    pub(crate) fn close(self, out: &mut StreamOutcome) {
+        out.exec_ticks = self.exec_ticks;
+        out.transfer_ticks = self.transfer_ticks;
+        out.overlapped_ticks = self.overlapped_ticks;
+        out.makespan_ticks = self.makespan;
+        out.double_buffered = self.mode == Mode::DoubleBuffered;
     }
 }

@@ -15,7 +15,7 @@
 //! with two sides selected by whether anything is armed. Both place
 //! every round on one resource model (the DMA engine and the
 //! accelerator chain, with load, execute and drain), run serially or
-//! double-buffered. This module holds the outcome types, the narrower
+//! double-buffered. This module holds the one outcome type, the narrower
 //! public entry points (wrappers over the scheduler) and the unarmed
 //! side, the **clean fold**: with no fault plan, no deadline and no
 //! online policy every round costs the same
@@ -33,7 +33,7 @@
 //!
 //! The clean fold reports each round it places to a **sink**: which
 //! requests it admitted when, and when their outputs were out. One sink
-//! writes the [`StreamOutcome`] columns that serving, the fleet and
+//! is the [`StreamOutcome`] itself, whose columns serving, the fleet and
 //! [`crate::simulate_round_stream`] read. Another keeps only the
 //! completion tick of one arrival position, which with the makespan is
 //! all a latency percentile of a closed backlog needs: rounds complete
@@ -51,15 +51,23 @@ use crate::resources::{Mode, Resources};
 use crate::sim::{ProgramRound, SimConfig};
 use sysgen::MultiSystemDesign;
 
-/// Timing outcome of serving a request stream on one system.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What the scheduler reports of serving a request stream on one
+/// system: per-request columns in arrival order, per-round fills, tick
+/// totals and the fault and policy counters. Every entry point returns
+/// it; with nothing armed every request completes on its first attempt
+/// and the counters read 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamOutcome {
     /// Tick at which each request's round started loading (its admission
     /// to the hardware), in arrival order.
     pub admitted_ticks: Vec<Time>,
-    /// Tick at which each request's outputs finished draining, in
-    /// arrival order.
+    /// Tick at which each request resolved, in arrival order: its
+    /// outputs finished draining, or the scheduler gave up on it.
     pub completion_ticks: Vec<Time>,
+    /// Terminal status per request, arrival order.
+    pub statuses: Vec<StreamStatus>,
+    /// Hardware rounds each request participated in, arrival order.
+    pub attempts: Vec<u32>,
     /// Requests coalesced into each hardware round, dispatch order.
     pub round_fills: Vec<usize>,
     /// Accumulated kernel-execution ticks across all rounds.
@@ -70,7 +78,7 @@ pub struct StreamOutcome {
     /// busy simultaneously (transfers hidden behind compute; 0 for the
     /// serial schedule).
     pub overlapped_ticks: u64,
-    /// End of the last output drain.
+    /// End of the last output drain or resolution.
     pub makespan_ticks: Time,
     /// Rounds resolved by the closed-tick fast-forward instead of the
     /// per-round loop.
@@ -79,9 +87,34 @@ pub struct StreamOutcome {
     /// every stage had a spare PLM set) — `overlapped_ticks` can still
     /// be 0 if rounds were too sparse to ever coincide.
     pub double_buffered: bool,
+    /// Rounds whose input DMA stalled.
+    pub dma_stalls: usize,
+    /// Rounds aborted by a transient DMA/compute error.
+    pub transient_faults: usize,
+    /// Per-request checksum failures detected at drain.
+    pub corrupt_payloads: usize,
+    /// Requests requeued because the board failed mid-round.
+    pub outage_requeues: usize,
+    /// Arrivals shed at admission because the wait queue was full.
+    pub backpressure_shed: usize,
+    /// Rounds dispatched below capacity because the oldest queued
+    /// request's SLO budget could no longer cover another wait.
+    pub early_closed_rounds: usize,
 }
 
 impl StreamOutcome {
+    /// The outcome of `n` requests before the scheduler placed anything:
+    /// every request completed on its first attempt at tick 0.
+    pub(crate) fn new(n: usize) -> StreamOutcome {
+        StreamOutcome {
+            admitted_ticks: vec![0; n],
+            completion_ticks: vec![0; n],
+            statuses: vec![StreamStatus::Completed; n],
+            attempts: vec![1; n],
+            ..StreamOutcome::default()
+        }
+    }
+
     /// Number of hardware rounds dispatched.
     pub fn rounds(&self) -> usize {
         self.round_fills.len()
@@ -119,13 +152,13 @@ pub fn simulate_batch_stream(
     overlap: bool,
 ) -> StreamOutcome {
     let (plan, rec) = (FaultPlan::none(), RecoverySpec::default());
-    simulate_faulty_stream(design, cfg, arrivals, capacity, overlap, &plan, &rec).stream
+    simulate_faulty_stream(design, cfg, arrivals, capacity, overlap, &plan, &rec)
 }
 
 /// Where the clean fold reports the rounds it places, request ranges
-/// in arrival order. The stream's per-request columns are one sink
-/// ([`Columns`]); a summary that keeps one request's completion tick
-/// ([`RankSink`]) is another.
+/// in arrival order. A [`StreamOutcome`]'s columns are one sink; a
+/// summary that keeps one request's completion tick ([`RankSink`]) is
+/// another.
 trait RoundSink {
     /// Requests `lo..hi` form a round whose inputs start loading at `at`.
     fn admit(&mut self, lo: usize, hi: usize, at: Time);
@@ -133,22 +166,14 @@ trait RoundSink {
     fn complete(&mut self, lo: usize, hi: usize, at: Time);
 }
 
-/// The [`StreamOutcome`] columns: every request's admission and
-/// completion tick, and every round's fill.
-struct Columns {
-    admitted: Vec<Time>,
-    completion: Vec<Time>,
-    fills: Vec<usize>,
-}
-
-impl RoundSink for Columns {
+impl RoundSink for StreamOutcome {
     fn admit(&mut self, lo: usize, hi: usize, at: Time) {
-        self.admitted[lo..hi].fill(at);
-        self.fills.push(hi - lo);
+        self.admitted_ticks[lo..hi].fill(at);
+        self.round_fills.push(hi - lo);
     }
 
     fn complete(&mut self, lo: usize, hi: usize, at: Time) {
-        self.completion[lo..hi].fill(at);
+        self.completion_ticks[lo..hi].fill(at);
     }
 }
 
@@ -176,14 +201,11 @@ pub(crate) fn clean_fold(
     round: &ProgramRound,
     mode: Mode,
 ) -> StreamOutcome {
-    let n = arrivals.len();
-    let mut cols = Columns {
-        admitted: vec![0; n],
-        completion: vec![0; n],
-        fills: Vec::new(),
-    };
-    let (res, fast_forwarded) = fold(arrivals, capacity, round, mode, &mut cols);
-    res.outcome(cols.admitted, cols.completion, cols.fills, fast_forwarded)
+    let mut out = StreamOutcome::new(arrivals.len());
+    let (res, fast_forwarded) = fold(arrivals, capacity, round, mode, &mut out);
+    out.fast_forwarded_rounds = fast_forwarded;
+    res.close(&mut out);
+    out
 }
 
 /// The clean fold. A round takes every request that has arrived by its
@@ -311,48 +333,6 @@ pub enum StreamStatus {
     Failed,
 }
 
-/// [`StreamOutcome`] plus per-request reliability data from the
-/// fault-aware scheduler. For requests that never completed,
-/// `completion_ticks` holds the tick the scheduler gave up
-/// (== `resolved_ticks`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultStreamOutcome {
-    pub stream: StreamOutcome,
-    /// Terminal status per request, arrival order.
-    pub statuses: Vec<StreamStatus>,
-    /// Hardware rounds each request participated in.
-    pub attempts: Vec<u32>,
-    /// Tick at which each request resolved (completion, or the moment
-    /// the scheduler gave up on it), arrival order.
-    pub resolved_ticks: Vec<Time>,
-    /// Rounds whose input DMA stalled.
-    pub dma_stalls: usize,
-    /// Rounds aborted by a transient DMA/compute error.
-    pub transient_faults: usize,
-    /// Per-request checksum failures detected at drain.
-    pub corrupt_payloads: usize,
-    /// Requests requeued because the board failed mid-round.
-    pub outage_requeues: usize,
-}
-
-impl FaultStreamOutcome {
-    /// Wrap a fault-free [`StreamOutcome`]: every request completed on
-    /// its first attempt.
-    pub(crate) fn clean(stream: StreamOutcome) -> FaultStreamOutcome {
-        let n = stream.completion_ticks.len();
-        FaultStreamOutcome {
-            statuses: vec![StreamStatus::Completed; n],
-            attempts: vec![1; n],
-            resolved_ticks: stream.completion_ticks.clone(),
-            stream,
-            dma_stalls: 0,
-            transient_faults: 0,
-            corrupt_payloads: 0,
-            outage_requeues: 0,
-        }
-    }
-}
-
 /// Serve `arrivals` under a [`FaultPlan`] and [`RecoverySpec`] with the
 /// FIFO online policy.
 ///
@@ -370,9 +350,9 @@ pub fn simulate_faulty_stream(
     overlap: bool,
     plan: &FaultPlan,
     rec: &RecoverySpec,
-) -> FaultStreamOutcome {
+) -> StreamOutcome {
     let fifo = OnlineSpec::fifo();
-    simulate_online_stream(design, cfg, arrivals, capacity, overlap, plan, rec, &fifo).fault
+    simulate_online_stream(design, cfg, arrivals, capacity, overlap, plan, rec, &fifo)
 }
 
 #[cfg(test)]
@@ -549,18 +529,12 @@ mod tests {
             &plan,
             &RecoverySpec::default(),
         );
-        assert_eq!(
-            out.stream.fast_forwarded_rounds, 0,
-            "armed plan fast-forwarded"
-        );
+        assert_eq!(out.fast_forwarded_rounds, 0, "armed plan fast-forwarded");
         assert!(out.transient_faults > 0, "mid-backlog fault never fired");
-        assert!(
-            out.stream.rounds() > 4,
-            "failed rounds must be re-dispatched"
-        );
+        assert!(out.rounds() > 4, "failed rounds must be re-dispatched");
         assert!(out.attempts.iter().any(|&a| a > 1));
         assert!(out.statuses.iter().all(|&s| s == StreamStatus::Completed));
-        assert!(out.stream.makespan_ticks > clean.makespan_ticks);
+        assert!(out.makespan_ticks > clean.makespan_ticks);
     }
 
     #[test]
@@ -592,13 +566,13 @@ mod tests {
                         &FaultPlan::none(),
                         &rec,
                     );
-                    assert_eq!(f.stream.admitted_ticks, clean.admitted_ticks);
-                    assert_eq!(f.stream.completion_ticks, clean.completion_ticks);
-                    assert_eq!(f.stream.round_fills, clean.round_fills);
-                    assert_eq!(f.stream.exec_ticks, clean.exec_ticks);
-                    assert_eq!(f.stream.transfer_ticks, clean.transfer_ticks);
-                    assert_eq!(f.stream.overlapped_ticks, clean.overlapped_ticks);
-                    assert_eq!(f.stream.makespan_ticks, clean.makespan_ticks);
+                    assert_eq!(f.admitted_ticks, clean.admitted_ticks);
+                    assert_eq!(f.completion_ticks, clean.completion_ticks);
+                    assert_eq!(f.round_fills, clean.round_fills);
+                    assert_eq!(f.exec_ticks, clean.exec_ticks);
+                    assert_eq!(f.transfer_ticks, clean.transfer_ticks);
+                    assert_eq!(f.overlapped_ticks, clean.overlapped_ticks);
+                    assert_eq!(f.makespan_ticks, clean.makespan_ticks);
                     assert!(f.statuses.iter().all(|&s| s == StreamStatus::Completed));
                 }
             }
@@ -644,7 +618,7 @@ mod tests {
         };
         let a = simulate_faulty_stream(&d, &cfg, &[0; 4], 4, false, &plan, &slow);
         let b = simulate_faulty_stream(&d, &cfg, &[0; 4], 4, false, &plan, &fast);
-        assert!(a.stream.makespan_ticks >= b.stream.makespan_ticks + 3_000_000 - 1);
+        assert!(a.makespan_ticks >= b.makespan_ticks + 3_000_000 - 1);
     }
 
     #[test]
@@ -674,7 +648,7 @@ mod tests {
         // Completed requests all made their deadline.
         for (i, &s) in out.statuses.iter().enumerate() {
             if s == StreamStatus::Completed {
-                assert!(out.resolved_ticks[i] <= rec.deadline_ticks.unwrap());
+                assert!(out.completion_ticks[i] <= rec.deadline_ticks.unwrap());
             }
         }
     }
@@ -700,7 +674,7 @@ mod tests {
             &plan,
             &RecoverySpec::default(),
         );
-        assert!(!out.stream.double_buffered);
+        assert!(!out.double_buffered);
         // Round 1 (requests 0-3) completed before the failure; round 2
         // was in flight and is lost, then shed.
         let done = out
@@ -739,8 +713,8 @@ mod tests {
             simulate_faulty_stream(&d, &cfg, &[0; 8], 4, false, &plan, &RecoverySpec::default());
         assert!(out.statuses.iter().all(|&s| s == StreamStatus::Completed));
         // The interrupted round re-runs after recovery.
-        assert!(out.stream.makespan_ticks >= recover_at + rt);
-        for (i, &c) in out.stream.completion_ticks.iter().enumerate() {
+        assert!(out.makespan_ticks >= recover_at + rt);
+        for (i, &c) in out.completion_ticks.iter().enumerate() {
             if i < 4 {
                 assert!(c < fail_at, "round 1 completed before the outage");
             } else {
@@ -763,16 +737,13 @@ mod tests {
         assert!(out.statuses.iter().all(|&s| s == StreamStatus::Completed));
         assert_eq!(out.dma_stalls, 2);
         assert_eq!(
-            out.stream.transfer_ticks,
+            out.transfer_ticks,
             2 * (2 * round.t_in + round.t_out),
             "every input transfer doubled"
         );
         let clean = simulate_batch_stream(&d, &cfg, &[0; 8], 4, false);
-        assert_eq!(out.stream.exec_ticks, clean.exec_ticks);
-        assert_eq!(
-            out.stream.makespan_ticks,
-            clean.makespan_ticks + 2 * round.t_in
-        );
+        assert_eq!(out.exec_ticks, clean.exec_ticks);
+        assert_eq!(out.makespan_ticks, clean.makespan_ticks + 2 * round.t_in);
     }
 
     #[test]

@@ -42,9 +42,7 @@ fn summary_equals_the_columns() {
                     let arrivals = vec![0; n];
                     let columns = zynq::simulate_round_stream(
                         &round, ks, m, &arrivals, capacity, true, &plan, &rec, &fifo,
-                    )
-                    .fault
-                    .stream;
+                    );
                     assert_eq!(columns.double_buffered, m >= 2 * ks[0]);
                     let mut sorted = columns.completion_ticks.clone();
                     sorted.sort_unstable();

@@ -3,10 +3,17 @@
 //! Every row runs `zynq::simulate_online_stream` on one point of a
 //! fixed grid — overlap × capacity × fault plan × recovery spec ×
 //! online spec × arrival shape, plus hand-built corner rows — and
-//! compares an FNV-64 of the outcome's `Debug` text against
+//! compares an FNV-64 of the outcome's text against
 //! `tests/golden/scheduler_golden.txt`. Rows under the FIFO spec also
 //! hash `simulate_faulty_stream`, and fully unarmed rows
 //! `simulate_batch_stream`, so all three public entry points are pinned.
+//!
+//! The text is the `Debug` text of the three nested result types the
+//! scheduler answered in when the table was written (`OnlineOutcome`
+//! around `FaultStreamOutcome` around `StreamOutcome`); [`online_text`],
+//! [`fault_text`] and [`stream_text`] print it from the one flat
+//! [`StreamOutcome`], its `resolved_ticks` field from
+//! `completion_ticks`.
 //!
 //! The table was written by this file's printer at commit 7085883, the
 //! last one with six separate scheduler loops; the single event core
@@ -24,7 +31,7 @@ use sysgen::{MultiSystemDesign, Platform};
 use zynq::des::Time;
 use zynq::{
     program_round, simulate_batch_stream, simulate_faulty_stream, simulate_online_stream,
-    FaultPlan, OnlineSpec, Outage, RecoverySpec, SimConfig,
+    FaultPlan, OnlineSpec, Outage, RecoverySpec, SimConfig, StreamOutcome,
 };
 
 const TABLE: &str = include_str!("golden/scheduler_golden.txt");
@@ -87,6 +94,53 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The `Debug` text of the old `StreamOutcome`: columns, fills and tick
+/// totals.
+fn stream_text(o: &StreamOutcome) -> String {
+    format!(
+        "StreamOutcome {{ admitted_ticks: {:?}, completion_ticks: {:?}, round_fills: {:?}, \
+         exec_ticks: {}, transfer_ticks: {}, overlapped_ticks: {}, makespan_ticks: {}, \
+         fast_forwarded_rounds: {}, double_buffered: {} }}",
+        o.admitted_ticks,
+        o.completion_ticks,
+        o.round_fills,
+        o.exec_ticks,
+        o.transfer_ticks,
+        o.overlapped_ticks,
+        o.makespan_ticks,
+        o.fast_forwarded_rounds,
+        o.double_buffered,
+    )
+}
+
+/// The `Debug` text of the old `FaultStreamOutcome`: the stream plus
+/// statuses, attempts, the resolution column and the fault counters.
+fn fault_text(o: &StreamOutcome) -> String {
+    format!(
+        "FaultStreamOutcome {{ stream: {}, statuses: {:?}, attempts: {:?}, resolved_ticks: {:?}, \
+         dma_stalls: {}, transient_faults: {}, corrupt_payloads: {}, outage_requeues: {} }}",
+        stream_text(o),
+        o.statuses,
+        o.attempts,
+        o.completion_ticks,
+        o.dma_stalls,
+        o.transient_faults,
+        o.corrupt_payloads,
+        o.outage_requeues,
+    )
+}
+
+/// The `Debug` text of the old `OnlineOutcome`: the fault outcome plus
+/// the two policy counters.
+fn online_text(o: &StreamOutcome) -> String {
+    format!(
+        "OnlineOutcome {{ fault: {}, backpressure_shed: {}, early_closed_rounds: {} }}",
+        fault_text(o),
+        o.backpressure_shed,
+        o.early_closed_rounds,
+    )
+}
+
 /// One grid point or corner case.
 struct Row {
     label: String,
@@ -112,13 +166,13 @@ impl Row {
         } = self;
         let online =
             simulate_online_stream(d, &cfg, arrivals, *capacity, *overlap, plan, rec, spec);
-        let mut text = format!("{online:?}");
+        let mut text = online_text(&online);
         if !spec.armed() {
             let faulty = simulate_faulty_stream(d, &cfg, arrivals, *capacity, *overlap, plan, rec);
-            text.push_str(&format!("{faulty:?}"));
+            text.push_str(&fault_text(&faulty));
             if !plan.armed() && rec.deadline_ticks.is_none() {
                 let batch = simulate_batch_stream(d, &cfg, arrivals, *capacity, *overlap);
-                text.push_str(&format!("{batch:?}"));
+                text.push_str(&stream_text(&batch));
             }
         }
         fnv64(&text)
@@ -436,13 +490,19 @@ fn deep(d: &MultiSystemDesign, rt: Time) -> Vec<Row> {
     rows
 }
 
+/// The grid, the corners and the deep rows, in table order.
+fn rows(d: &MultiSystemDesign) -> Vec<Row> {
+    let rt = program_round(d, &SimConfig::default()).total();
+    let mut rows = grid(d, rt);
+    rows.extend(corners(rt));
+    rows.extend(deep(d, rt));
+    rows
+}
+
 fn render() -> String {
     let d = design();
-    let rt = program_round(&d, &SimConfig::default()).total();
-    let mut rows = grid(&d, rt);
-    rows.extend(corners(rt));
-    rows.extend(deep(&d, rt));
-    rows.iter()
+    rows(&d)
+        .iter()
         .map(|r| format!("{} {:016x}\n", r.label, r.hash(&d)))
         .collect()
 }
@@ -466,6 +526,46 @@ fn scheduler_matches_the_parent_generated_table() {
         want.len(),
         bad[..bad.len().min(12)].join("\n")
     );
+}
+
+/// Every row conserves request slots: each round holds between one
+/// request and the clamped capacity, the fills add up to the attempts
+/// (a request rides one slot per round it takes part in), and every
+/// per-request column has one entry per arrival.
+#[test]
+fn every_row_conserves_request_slots() {
+    let d = design();
+    let cfg = SimConfig::default();
+    for r in rows(&d) {
+        let out = simulate_online_stream(
+            &d,
+            &cfg,
+            &r.arrivals,
+            r.capacity,
+            r.overlap,
+            &r.plan,
+            &r.rec,
+            &r.spec,
+        );
+        let (n, capacity) = (r.arrivals.len(), r.capacity.clamp(1, d.config.m));
+        let slots: usize = out.round_fills.iter().sum();
+        let attempts: u64 = out.attempts.iter().map(|&a| a as u64).sum();
+        assert_eq!(slots as u64, attempts, "{}", r.label);
+        assert!(
+            out.round_fills.iter().all(|f| (1..=capacity).contains(f)),
+            "{}: fills {:?} outside 1..={capacity}",
+            r.label,
+            out.round_fills
+        );
+        for len in [
+            out.statuses.len(),
+            out.attempts.len(),
+            out.admitted_ticks.len(),
+            out.completion_ticks.len(),
+        ] {
+            assert_eq!(len, n, "{}", r.label);
+        }
+    }
 }
 
 #[test]
