@@ -616,7 +616,8 @@ pub struct ServiceReport {
     pub rounds: usize,
     /// Rounds resolved by the closed-tick fast-forward.
     pub fast_forwarded_rounds: usize,
-    /// Mean requests per round.
+    /// Requests per dispatched round, a retry counted in each round it
+    /// rides; 0 when no round ran.
     pub mean_fill: f64,
     /// Exact tick totals (picoseconds) — the differential tests compare
     /// these, not rounded floats.
@@ -867,7 +868,10 @@ pub(crate) fn serve_stream(
         overlap_dma: out.double_buffered,
         rounds: out.rounds(),
         fast_forwarded_rounds: out.fast_forwarded_rounds,
-        mean_fill: n as f64 / out.rounds().max(1) as f64,
+        mean_fill: match out.rounds() {
+            0 => 0.0,
+            rounds => out.round_fills.iter().sum::<usize>() as f64 / rounds as f64,
+        },
         exec_ticks: out.exec_ticks,
         transfer_ticks: out.transfer_ticks,
         overlapped_ticks: out.overlapped_ticks,
@@ -1987,10 +1991,16 @@ mod tests {
         for seed in 0..96 {
             let reqs = shuffled_requests(seed, 1 + (seed as usize * 7) % 150);
             let opts = generated_options(seed);
-            let traces = serve(&d, &[], &[], &[], &reqs, &opts)
-                .unwrap()
-                .report
-                .traces;
+            let report = serve(&d, &[], &[], &[], &reqs, &opts).unwrap().report;
+            // Every attempt rides one slot of one dispatched round.
+            let slots: u32 = report.traces.iter().map(|t| t.attempts).sum();
+            let fill = match report.rounds {
+                0 => 0.0,
+                rounds => slots as f64 / rounds as f64,
+            };
+            assert_eq!(report.mean_fill, fill, "seed {seed}");
+            assert!(report.mean_fill <= report.capacity as f64, "seed {seed}");
+            let traces = report.traces;
             let reference = traces_reference(&d, &reqs, &opts);
             assert_eq!(traces.iter().collect::<Vec<_>>(), reference, "seed {seed}");
             assert_eq!(traces.len(), reference.len());
