@@ -223,6 +223,9 @@ impl std::fmt::Display for CliError {
     }
 }
 
+/// The section kinds `--emit` accepts.
+const EMIT_KINDS: [&str; 7] = ["c", "host", "ir", "dot", "report", "memory", "all"];
+
 /// Parse a flag value, naming the flag and the expectation on failure.
 fn parse_value<T: std::str::FromStr>(
     flag: &str,
@@ -335,7 +338,8 @@ impl Parsed {
         self.kernel_count > 1
     }
 
-    /// Whether `--emit` selects the section kind `what`.
+    /// Whether `--emit` selects the section kind `what` (one of
+    /// [`EMIT_KINDS`]).
     fn wants(&self, what: &str) -> bool {
         self.emit == what || self.emit == "all"
     }
@@ -390,7 +394,14 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             "--no-sharing" => opts.memory.sharing = false,
             "--no-cross-sharing" => program.cross_sharing = false,
             "--kernel" => kernel = Some(take_value(args, &mut i, "--kernel")?),
-            "--emit" => emit = take_value(args, &mut i, "--emit")?,
+            "--emit" => {
+                emit = parse_checked(
+                    "--emit",
+                    take_value(args, &mut i, "--emit")?,
+                    "c | host | ir | dot | report | memory | all",
+                    |e: &String| EMIT_KINDS.contains(&e.as_str()),
+                )?
+            }
             "-o" => out_dir = Some(take_value(args, &mut i, "-o")?),
             "--elements" => {
                 opts.elements =
@@ -974,12 +985,8 @@ fn memory_units(memory: &mnemosyne::MemorySubsystem) -> String {
 }
 
 /// Write each `(name, content)` section to `-o DIR/name`, or print it
-/// under a `=== name ===` header; exit 2 when `--emit` selected none.
+/// under a `=== name ===` header.
 fn write_sections(p: &Parsed, sections: &[(String, String)]) {
-    if sections.is_empty() {
-        eprintln!("nothing to emit for '--emit {}'", p.emit);
-        exit(2);
-    }
     let Some(dir) = &p.out_dir else {
         for (name, content) in sections {
             println!("=== {name} ===\n{content}");

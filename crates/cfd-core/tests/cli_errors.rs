@@ -3,7 +3,8 @@
 //! compiles it, as is a simulation past the tick clock; and
 //! `--elements` reaches every output that counts elements. A serve
 //! flag that the chosen arrival process would ignore, and a flag the
-//! command never reads, are one-line usage errors with exit status 2.
+//! command never reads, are one-line usage errors with exit status 2,
+//! and so is an unknown `--emit` kind, before anything compiles.
 
 use std::process::Command;
 
@@ -241,4 +242,30 @@ fn a_flag_its_command_never_reads_exits_two_with_one_line() {
             "{what}"
         );
     }
+}
+
+/// An unknown `--emit` kind used to be noticed only after the compile:
+/// `cfdc compile helmholtz:4 --emit bogus` compiled and then exited 2,
+/// and a source that fails to compile exited 1 with its compile error.
+/// The kind is now checked while the flags are parsed, before any
+/// compile: one line, exit 2, nothing on stdout, for either source.
+#[test]
+fn an_unknown_emit_kind_exits_two_before_compiling() {
+    let path = std::env::temp_dir().join(format!("cfdc-emit-bogus-{}.cfd", std::process::id()));
+    std::fs::write(&path, "").unwrap();
+    for source in ["helmholtz:4", path.to_str().unwrap()] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["compile", source, "--emit", "bogus"])
+            .output()
+            .expect("cfdc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{source}: {stderr}");
+        assert!(out.stdout.is_empty(), "{source} printed a result");
+        assert_eq!(
+            stderr.trim_end(),
+            "error: invalid value 'bogus' for --emit: expected c | host | ir | dot | report \
+             | memory | all"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
 }
