@@ -549,8 +549,8 @@ fn every_row_conserves_request_slots() {
         );
         let (n, capacity) = (r.arrivals.len(), r.capacity.clamp(1, d.config.m));
         let slots: usize = out.round_fills.iter().sum();
-        let attempts: u64 = out.attempts.iter().map(|&a| a as u64).sum();
-        assert_eq!(slots as u64, attempts, "{}", r.label);
+        let attempts: usize = out.attempts.iter().map(|&a| a as usize).sum();
+        assert_eq!(slots, attempts, "{}", r.label);
         assert!(
             out.round_fills.iter().all(|f| (1..=capacity).contains(f)),
             "{}: fills {:?} outside 1..={capacity}",
