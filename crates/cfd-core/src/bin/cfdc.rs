@@ -419,16 +419,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             "--m" => m = Some(parse_positive("--m", take_value(args, &mut i, "--m")?)?),
             "--grid" => grid = true,
             "--board" => board = Some(take_value(args, &mut i, "--board")?),
-            "--boards" => {
-                let spec = take_value(args, &mut i, "--boards")?;
-                boards = Some(if spec == "all" {
-                    Platform::catalog()
-                } else {
-                    spec.split(',')
-                        .map(lookup_platform)
-                        .collect::<Result<Vec<_>, _>>()?
-                });
-            }
+            "--boards" => boards = Some(platforms(&take_value(args, &mut i, "--boards")?)?),
             // --jobs drives both the compile-stage fan-out and the
             // exploration worker pool.
             "--jobs" => {
@@ -495,16 +486,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                     |&b: &f64| b.is_finite() && b >= 0.0,
                 )?;
             }
-            "--fleet" => {
-                let spec = take_value(args, &mut i, "--fleet")?;
-                fleet = Some(if spec == "all" {
-                    Platform::catalog()
-                } else {
-                    spec.split(',')
-                        .map(lookup_platform)
-                        .collect::<Result<Vec<_>, _>>()?
-                });
-            }
+            "--fleet" => fleet = Some(platforms(&take_value(args, &mut i, "--fleet")?)?),
             "--route" => {
                 let spec = take_value(args, &mut i, "--route")?;
                 route = RoutePolicy::parse(&spec).map_err(|_| CliError::InvalidValue {
@@ -652,6 +634,15 @@ fn lookup_platform(name: &str) -> Result<Platform, CliError> {
     })
 }
 
+/// The boards of a `--boards` / `--fleet` list: `all` (the catalog) or
+/// comma-separated ids.
+fn platforms(spec: &str) -> Result<Vec<Platform>, CliError> {
+    if spec == "all" {
+        return Ok(Platform::catalog());
+    }
+    spec.split(',').map(lookup_platform).collect()
+}
+
 /// `cfdc boards`: the platform catalog.
 fn cmd_boards() {
     println!("platform catalog (use with --board / --boards):");
@@ -711,8 +702,7 @@ fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
     format!(
         "{{\n  \"kernels\": {},\n  \"timings_s\": {{\"frontend\": {:.6}, \"middle_end\": {:.6}, \
          \"schedule\": {:.6}, \"link\": {:.6}, \"backend\": {:.6}, \"system\": {:.6}, \"total\": {:.6}}},\n  \
-         \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n  \
-         \"polyhedra\": {}\n}}",
+         \"compile_cache\": {},\n  \"polyhedra\": {}\n}}",
         kernels,
         t.frontend_s,
         t.middle_end_s,
@@ -721,11 +711,7 @@ fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
         t.backend_s,
         t.system_s,
         t.total_s(),
-        t.cache.hits,
-        t.cache.disk_hits,
-        t.cache.misses,
-        t.cache.stores,
-        t.cache.invalidations,
+        t.cache,
         t.oracle.json(),
     )
 }

@@ -107,6 +107,18 @@ impl CacheCounters {
     }
 }
 
+/// The `compile_cache` JSON object of `cfdc compile --json` and of the
+/// explore reports.
+impl std::fmt::Display for CacheCounters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}}",
+            self.hits, self.disk_hits, self.misses, self.stores, self.invalidations
+        )
+    }
+}
+
 /// A two-layer (in-memory + optional on-disk) store of scheduling-stage
 /// products, keyed by [`schedule_key`]. All methods are `&self`; the
 /// cache is shared across pipelines and threads behind an [`Arc`].

@@ -73,12 +73,12 @@ use runtime::json::{fields_len, push_fields, row_end, Row, Val};
 use sysgen::{Platform, SystemConfig, Totals};
 use teil::TensorKind;
 use zynq::des::to_secs;
-use zynq::{ProgramRound, SimConfig};
+use zynq::{fan_out, resolve_jobs, ProgramRound, SimConfig};
 
 use crate::cache::{CacheCounters, CompileCache};
 use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
 use crate::program::{ProgramBuild, ProgramOptions};
-use crate::{fan_out, FlowError, FlowOptions};
+use crate::{FlowError, FlowOptions};
 
 /// One point of the exploration grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,12 +257,7 @@ fn service_probe(round: &ProgramRound, ks: &[usize], m: usize) -> (f64, f64) {
         true,
         runtime::rank(SERVICE_PROBE_REQUESTS, 0.99),
     );
-    let makespan_s = to_secs(summary.makespan_ticks);
-    let throughput_rps = if makespan_s > 0.0 {
-        SERVICE_PROBE_REQUESTS as f64 / makespan_s
-    } else {
-        0.0
-    };
+    let throughput_rps = runtime::per_second(SERVICE_PROBE_REQUESTS, summary.makespan_ticks);
     (throughput_rps, to_secs(summary.rank_ticks))
 }
 
@@ -427,12 +422,7 @@ fn write_caches(
 ) -> fmt::Result {
     write!(
         out,
-        "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n  \"polyhedra\": {},\n",
-        cache.hits,
-        cache.disk_hits,
-        cache.misses,
-        cache.stores,
-        cache.invalidations,
+        "  \"compile_cache\": {cache},\n  \"polyhedra\": {},\n",
         oracle.json()
     )
 }
@@ -681,16 +671,10 @@ impl DseEngine {
     ) -> Result<DseEngine, FlowError> {
         let fronts = pipeline.program_frontend(source)?;
         let names: Vec<String> = fronts.iter().map(|(n, _)| n.clone()).collect();
-        let jobs = crate::resolve_jobs(base.flow.jobs);
+        let jobs = resolve_jobs(base.flow.jobs);
         // `flow.system` reaches neither the middle end nor the schedule.
         let (scheds, link) = pipeline.schedule_program(&names, &fronts, &base.flow, jobs)?;
-        let shared = StageTimings {
-            frontend_s: fronts.iter().map(|(_, f)| f.elapsed_s).sum(),
-            middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
-            schedule_s: scheds.iter().map(|s| s.elapsed_s).sum(),
-            link_s: link.elapsed_s,
-            ..Default::default()
-        };
+        let shared = StageTimings::shared(&fronts, &scheds, &link);
         Ok(DseEngine {
             pipeline,
             base,
@@ -764,25 +748,6 @@ impl DseEngine {
         }
     }
 
-    /// Score one point on the base platform at the base clock. Never
-    /// re-runs the shared stages. (Point-wise API: compiles the point's
-    /// backends inline; [`DseEngine::run`] memoizes them across the
-    /// grid instead.)
-    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
-        let started = Instant::now();
-        let base = &self.base.flow;
-        let parts = self.parts(base.hls.clock_mhz, point);
-        self.pipeline.count_systems(1);
-        outcome(
-            &self.label(),
-            &parts,
-            &base.platform,
-            point,
-            elements,
-            started,
-        )
-    }
-
     /// The one sweep driver: cross `targets` (a platform and the clocks
     /// to synthesize at) with the grid, compile each distinct (clock,
     /// backend key) slot once — it is shared across platforms and
@@ -818,7 +783,7 @@ impl DseEngine {
             }
         }
         let combos = blocks.len() * points.len();
-        let jobs = crate::resolve_jobs(jobs).min(combos.max(1));
+        let jobs = resolve_jobs(jobs).min(combos.max(1));
         let oracle_base = polyhedra::OracleCounters::snapshot();
         let started = Instant::now();
 
@@ -1188,11 +1153,6 @@ impl PortfolioReport {
     /// single-job latency.
     pub fn service_frontier(&self) -> Vec<&PortfolioOutcome> {
         self.outcomes.iter().filter(|o| o.service_pareto).collect()
-    }
-
-    /// Platforms with at least one feasible point.
-    pub fn feasible_platforms(&self) -> Vec<&PlatformSummary> {
-        self.summaries.iter().filter(|s| s.feasible > 0).collect()
     }
 
     /// The portfolio **cost-efficiency** frontier: non-dominated points
@@ -2048,7 +2008,16 @@ mod tests {
                 decoupled: true,
                 partition: 1,
             };
-            let row = engine.evaluate(&point, 100);
+            let base = &engine.base.flow;
+            let parts = engine.parts(base.hls.clock_mhz, &point);
+            let row = outcome(
+                &engine.label(),
+                &parts,
+                &base.platform,
+                &point,
+                100,
+                Instant::now(),
+            );
             assert!(
                 !row.feasible && row.total_s == 0.0 && row.plm_brams > 0,
                 "k={k} m={m}"

@@ -81,8 +81,8 @@ pub use program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 // The serving layer: request-level batching runtime over a compiled
 // system ([`ProgramArtifacts::serve`] is the artifact-level entry).
 pub use runtime::{
-    json_escape, Arrival, BatchPolicy, OnlinePolicy, RecoveryPolicy, RequestOutcome, RuntimeError,
-    RuntimeOptions, ServeOutcome, ServiceReport,
+    json_escape, Arrival, BatchPolicy, OnlinePolicy, RecoveryPolicy, RuntimeError, RuntimeOptions,
+    ServeOutcome, ServiceReport,
 };
 // The fleet layer: one request stream sharded across N boards
 // ([`ProgramArtifacts::serve_fleet`] is the artifact-level entry).
@@ -200,40 +200,6 @@ impl FlowOptions {
         opts.platform = platform;
         opts
     }
-}
-
-/// `0` → available parallelism, otherwise the value itself (min 1).
-pub(crate) fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
-/// `f(0), …, f(n - 1)` in index order, computed by up to `jobs` scoped
-/// workers — inline when one suffices. Each worker owns a contiguous
-/// index range and the ranges are joined in order, so element `i` is
-/// `f(i)` whatever the thread timing.
-pub(crate) fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let per = n.div_ceil(jobs.max(1));
-    if per >= n {
-        return (0..n).map(f).collect();
-    }
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let workers: Vec<_> = (0..n)
-            .step_by(per)
-            .map(|lo| scope.spawn(move || (lo..n.min(lo + per)).map(f).collect::<Vec<T>>()))
-            .collect();
-        for worker in workers {
-            out.extend(worker.join().expect("fan-out worker panicked"));
-        }
-    });
-    out
 }
 
 /// Everything the flow produces for one kernel: a slot of

@@ -118,6 +118,22 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// The stages a program runs once whatever its backend options: every
+    /// kernel's frontend, middle end and schedule, and the link.
+    pub(crate) fn shared(
+        fronts: &[(String, Frontend)],
+        scheds: &[Scheduled],
+        link: &LinkStage,
+    ) -> StageTimings {
+        StageTimings {
+            frontend_s: fronts.iter().map(|(_, f)| f.elapsed_s).sum(),
+            middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
+            schedule_s: scheds.iter().map(|s| s.elapsed_s).sum(),
+            link_s: link.elapsed_s,
+            ..StageTimings::default()
+        }
+    }
+
     pub fn total_s(&self) -> f64 {
         self.frontend_s
             + self.middle_end_s

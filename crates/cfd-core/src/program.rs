@@ -44,10 +44,10 @@ use mnemosyne::{MemorySubsystem, ProgramMemoryPlan};
 use pschedule::CrossLiveness;
 use sysgen::{MultiSystemDesign, ProgramHostProgram, ProgramSystemConfig};
 use teil::Module;
-use zynq::{ProgramHwResult, SimConfig, VerifyResult};
+use zynq::{fan_out, resolve_jobs, ProgramHwResult, SimConfig, VerifyResult};
 
 use crate::pipeline::{Backend, Frontend, LinkStage, Pipeline, Scheduled, StageTimings};
-use crate::{fan_out, Artifacts, FlowError, FlowOptions};
+use crate::{Artifacts, FlowError, FlowOptions};
 
 /// Options for compiling a multi-kernel program. The per-kernel axes
 /// come from the embedded [`FlowOptions`] (applied uniformly to every
@@ -409,7 +409,7 @@ impl Pipeline {
         // bit-identical to the serial compile. This is the only parallel
         // level: each kernel's stages, liveness included, run serially
         // on their worker.
-        let jobs = crate::resolve_jobs(opts.flow.jobs);
+        let jobs = resolve_jobs(opts.flow.jobs);
         let (scheds, link) = self.schedule_program(&names, &fronts, &kopts, jobs)?;
         let backends = fan_out(jobs, scheds.len(), |i| {
             let be = self.backend(&scheds[i], &kopts);
@@ -515,14 +515,10 @@ impl Pipeline {
         let system_s = t_sys.elapsed().as_secs_f64();
 
         let timings = StageTimings {
-            frontend_s: fronts.iter().map(|(_, f)| f.elapsed_s).sum(),
-            middle_end_s: scheds.iter().map(|s| s.middle.elapsed_s).sum(),
-            schedule_s: scheds.iter().map(|s| s.elapsed_s).sum(),
-            link_s: link.elapsed_s,
             backend_s: backends.iter().map(|(be, _)| be.elapsed_s).sum(),
             system_s,
             cache: self.cache_counters(),
-            oracle: polyhedra::OracleCounters::default(),
+            ..StageTimings::shared(&fronts, &scheds, &link)
         };
         let kernels: Vec<Artifacts> = fronts
             .iter()

@@ -28,7 +28,7 @@ use crate::token::{Token, TokenKind};
 /// Parse a single-kernel CFDlang source string into an AST.
 pub fn parse(src: &str) -> Result<Program, Diagnostic> {
     let tokens = lex(src)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser { tokens, pos: 0 }.program(false)
 }
 
 /// Parse a (possibly multi-kernel) source into a [`ProgramSet`].
@@ -41,7 +41,7 @@ pub fn parse_set(src: &str) -> Result<ProgramSet, Diagnostic> {
     let tokens = lex(src)?;
     let mut p = Parser { tokens, pos: 0 };
     if p.peek().kind != TokenKind::Kernel {
-        return Ok(ProgramSet::single(p.program()?));
+        return Ok(ProgramSet::single(p.program(false)?));
     }
     let mut kernels: Vec<KernelDef> = Vec::new();
     while p.peek().kind != TokenKind::Eof {
@@ -54,7 +54,7 @@ pub fn parse_set(src: &str) -> Result<ProgramSet, Diagnostic> {
             ));
         }
         p.eat(&TokenKind::LBrace)?;
-        let program = p.block_program()?;
+        let program = p.program(true)?;
         p.eat(&TokenKind::RBrace)?;
         kernels.push(KernelDef {
             name,
@@ -120,7 +120,9 @@ impl Parser {
         }
     }
 
-    fn program(&mut self) -> Result<Program, Diagnostic> {
+    /// A program body: declarations and statements up to the end of
+    /// input or, inside a `kernel { ... }` block, up to its `}`.
+    fn program(&mut self, in_block: bool) -> Result<Program, Diagnostic> {
         let mut decls = Vec::new();
         let mut stmts = Vec::new();
         loop {
@@ -129,27 +131,7 @@ impl Parser {
                 TokenKind::Type => decls.push(self.type_decl()?),
                 TokenKind::Ident(_) => stmts.push(self.stmt()?),
                 TokenKind::Eof => break,
-                ref other => {
-                    return Err(Diagnostic::new(
-                        self.peek().span,
-                        format!("expected declaration or statement, found {other}"),
-                    ))
-                }
-            }
-        }
-        Ok(Program { decls, stmts })
-    }
-
-    /// A program body inside a `kernel { ... }` block: stops at `}`.
-    fn block_program(&mut self) -> Result<Program, Diagnostic> {
-        let mut decls = Vec::new();
-        let mut stmts = Vec::new();
-        loop {
-            match self.peek().kind {
-                TokenKind::Var => decls.push(self.var_decl()?),
-                TokenKind::Type => decls.push(self.type_decl()?),
-                TokenKind::Ident(_) => stmts.push(self.stmt()?),
-                TokenKind::RBrace | TokenKind::Eof => break,
+                TokenKind::RBrace if in_block => break,
                 ref other => {
                     return Err(Diagnostic::new(
                         self.peek().span,

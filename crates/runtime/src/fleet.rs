@@ -62,8 +62,8 @@ use zynq::StreamStatus;
 
 use crate::json::{fields_len, push_opt_fixed, row_end, Row, Val};
 use crate::{
-    admission_order, latency_stats, serve_stream, Request, RuntimeError, RuntimeOptions,
-    ServeOutcome, ServiceReport, Stages,
+    admission_order, latency_stats, per_second, serve_stream, Request, RuntimeError,
+    RuntimeOptions, ServeOutcome, ServiceReport, Stages,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -191,7 +191,6 @@ pub struct FleetReport {
     /// Fleet makespan: the latest board-local makespan (all boards
     /// share the t=0 epoch).
     pub makespan_ticks: u64,
-    pub makespan_s: f64,
     /// All requests over the fleet makespan.
     pub aggregate_rps: f64,
     /// Completed requests over the fleet makespan. `None` when zero
@@ -497,14 +496,7 @@ pub fn serve_fleet(
         .map(|o| o.report.makespan_ticks)
         .max()
         .unwrap_or(0);
-    let makespan_s = to_secs(makespan_ticks);
-    let per_s = |k: usize| {
-        if makespan_s > 0.0 {
-            k as f64 / makespan_s
-        } else {
-            0.0
-        }
-    };
+    let per_s = |k: usize| per_second(k, makespan_ticks);
 
     // Every board's report moves into its row, and its outputs — in
     // its share's order — back to the positions the caller asked in.
@@ -557,7 +549,6 @@ pub fn serve_fleet(
         failed,
         requeued,
         makespan_ticks,
-        makespan_s,
         aggregate_rps: per_s(n),
         goodput_rps: (completed > 0).then(|| per_s(completed)),
         latency_mean_s: to_secs(mean),
@@ -586,7 +577,7 @@ impl FleetReport {
             self.aggregate_rps,
             self.goodput_rps
                 .map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
-            self.makespan_s,
+            to_secs(self.makespan_ticks),
         ));
         s.push_str(&format!(
             "  latency mean {:.4} s | p50 {:.4} s | p99 {:.4} s | max {:.4} s\n",
@@ -665,7 +656,7 @@ impl FleetReport {
             self.parallel,
             self.requests,
             self.boards.len(),
-            self.makespan_s,
+            to_secs(self.makespan_ticks),
             self.aggregate_rps,
         )?;
         push_opt_fixed(out, self.goodput_rps, 3);
@@ -750,7 +741,7 @@ mod tests {
         design, generated_options, generated_report, shuffled_requests, timing_requests,
         traces_reference,
     };
-    use crate::{serve, Arrival, BatchPolicy, RequestOutcome};
+    use crate::{serve, Arrival, BatchPolicy};
     use zynq::fault::Outage;
 
     fn boards3() -> Vec<FleetBoard> {
@@ -1004,7 +995,7 @@ mod tests {
                 assert_eq!(report.traces.iter().collect::<Vec<_>>(), reference);
                 permuted += usize::from(!report.traces.by_id.is_empty());
                 for t in &report.traces {
-                    if t.outcome == RequestOutcome::Shed && board.faults.fatal_outage() {
+                    if t.outcome == StreamStatus::Shed && board.faults.fatal_outage() {
                         shed_at.insert(t.id, t.completed_s);
                     }
                 }
@@ -1150,7 +1141,10 @@ mod tests {
             s.push_str(&format!("  \"parallel\": {},\n", self.parallel));
             s.push_str(&format!("  \"requests\": {},\n", self.requests));
             s.push_str(&format!("  \"boards\": {},\n", self.boards.len()));
-            s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
+            s.push_str(&format!(
+                "  \"makespan_s\": {:.6},\n",
+                to_secs(self.makespan_ticks)
+            ));
             s.push_str(&format!(
                 "  \"aggregate_rps\": {:.3},\n",
                 self.aggregate_rps
@@ -1254,8 +1248,7 @@ mod tests {
             shed: r.shed,
             failed: r.failed,
             requeued: r.rounds,
-            makespan_ticks: 0,
-            makespan_s: r.makespan_s,
+            makespan_ticks: r.makespan_ticks,
             aggregate_rps: r.throughput_rps,
             goodput_rps: r.goodput_rps,
             latency_mean_s: r.latency_mean_s,

@@ -33,7 +33,7 @@
 //!    with capped exponential backoff in tick space, per-request
 //!    deadlines that shed late work, round-level requeue after a failed
 //!    round, and drain/pause/resume degradation across a board outage.
-//!    Every request ends in a structured [`RequestOutcome`]. The empty
+//!    Every request ends in one [`StreamStatus`]. The empty
 //!    plan is tick- and bit-identical to the fault-free scheduler
 //!    (`tests/fault_injection.rs` proves it).
 //! 5. **Execution** — each completed request's tensors run through the
@@ -334,41 +334,6 @@ impl OnlinePolicy {
     }
 }
 
-/// How one request's service ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    /// Outputs drained and passed their checksum inside the deadline.
-    Completed,
-    /// The per-request deadline expired first.
-    TimedOut,
-    /// Dropped because the board died and never recovered.
-    Shed,
-    /// Every allowed attempt failed.
-    Failed { attempts: u32 },
-}
-
-impl RequestOutcome {
-    /// The scheduler's terminal status, with the attempts a failure took.
-    fn of(status: StreamStatus, attempts: u32) -> RequestOutcome {
-        match status {
-            StreamStatus::Completed => RequestOutcome::Completed,
-            StreamStatus::TimedOut => RequestOutcome::TimedOut,
-            StreamStatus::Shed => RequestOutcome::Shed,
-            StreamStatus::Failed => RequestOutcome::Failed { attempts },
-        }
-    }
-
-    /// Stable JSON/label token.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RequestOutcome::Completed => "completed",
-            RequestOutcome::TimedOut => "timed_out",
-            RequestOutcome::Shed => "shed",
-            RequestOutcome::Failed { .. } => "failed",
-        }
-    }
-}
-
 /// Options for one serving run. Rounds are priced under
 /// [`SimConfig::default`]'s host constants.
 #[derive(Debug, Clone, PartialEq)]
@@ -495,7 +460,7 @@ pub struct RequestTrace {
     pub latency_s: f64,
     /// Hardware rounds the request participated in.
     pub attempts: u32,
-    pub outcome: RequestOutcome,
+    pub outcome: StreamStatus,
 }
 
 /// Every request's result, kept once and in ticks: the scheduler's
@@ -551,15 +516,15 @@ impl Traces {
     /// The `i`-th request in id order. Panics when `i >= len()`.
     pub fn get(&self, i: usize) -> RequestTrace {
         let p = self.position(i);
-        let (arrival, resolved, attempts) = (self.arrival[p], self.resolved[p], self.attempts[p]);
+        let (arrival, resolved) = (self.arrival[p], self.resolved[p]);
         RequestTrace {
             id: self.ids[p],
             arrival_s: to_secs(arrival),
             admitted_s: to_secs(self.admitted[p]),
             completed_s: to_secs(resolved),
             latency_s: to_secs(resolved.saturating_sub(arrival)),
-            attempts,
-            outcome: RequestOutcome::of(self.statuses[p], attempts),
+            attempts: self.attempts[p],
+            outcome: self.statuses[p],
         }
     }
 
@@ -625,7 +590,7 @@ pub struct ServiceReport {
     pub transfer_ticks: u64,
     pub overlapped_ticks: u64,
     pub makespan_ticks: u64,
-    pub makespan_s: f64,
+    /// All requests over the makespan: the offered load.
     pub throughput_rps: f64,
     /// Latency statistics over *all* requests (for non-completed ones,
     /// resolution time - arrival).
@@ -652,8 +617,6 @@ pub struct ServiceReport {
     pub dma_stalls: usize,
     /// Checksum failures detected at drain.
     pub corrupt_payloads: usize,
-    /// Offered load: all requests over the makespan (== throughput).
-    pub offered_rps: f64,
     /// Goodput: completed requests over the makespan; `None` when
     /// nothing completed (same empty-set semantics as
     /// `latency_p99_completed_s`).
@@ -700,6 +663,17 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
         return 0;
     }
     sorted[rank(sorted.len(), q)]
+}
+
+/// `count` over the seconds `makespan_ticks` spans: the one rate every
+/// service report quotes (0 over an empty makespan).
+pub fn per_second(count: usize, makespan_ticks: Time) -> f64 {
+    let makespan_s = to_secs(makespan_ticks);
+    if makespan_s > 0.0 {
+        count as f64 / makespan_s
+    } else {
+        0.0
+    }
 }
 
 /// Mean (rounded down), p50, p99 and maximum of a non-empty latency
@@ -852,14 +826,7 @@ pub(crate) fn serve_stream(
         }
     }
 
-    let makespan_s = to_secs(out.makespan_ticks);
-    let per_s = |k: usize| {
-        if makespan_s > 0.0 {
-            k as f64 / makespan_s
-        } else {
-            0.0
-        }
-    };
+    let per_s = |k: usize| per_second(k, out.makespan_ticks);
     let report = ServiceReport {
         requests: n,
         policy: opts.batch,
@@ -876,7 +843,6 @@ pub(crate) fn serve_stream(
         transfer_ticks: out.transfer_ticks,
         overlapped_ticks: out.overlapped_ticks,
         makespan_ticks: out.makespan_ticks,
-        makespan_s,
         throughput_rps: per_s(n),
         latency_mean_s: to_secs(mean),
         latency_p50_s: to_secs(p50),
@@ -892,7 +858,6 @@ pub(crate) fn serve_stream(
         transient_faults: out.transient_faults,
         dma_stalls: out.dma_stalls,
         corrupt_payloads: out.corrupt_payloads,
-        offered_rps: per_s(n),
         goodput_rps: (completed > 0).then(|| per_s(completed)),
         fault_plan: opts.faults.label(),
         recovery: opts.recovery,
@@ -924,7 +889,8 @@ impl ServiceReport {
         ));
         s.push_str(&format!(
             "  throughput {:.1} req/s over {:.4} s makespan\n",
-            self.throughput_rps, self.makespan_s,
+            self.throughput_rps,
+            to_secs(self.makespan_ticks),
         ));
         s.push_str(&format!(
             "  latency mean {:.4} s | p50 {:.4} s | p99 {:.4} s | max {:.4} s\n",
@@ -944,7 +910,7 @@ impl ServiceReport {
             "  goodput {} req/s of {:.1} offered | p99 completed {} s\n",
             self.goodput_rps
                 .map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
-            self.offered_rps,
+            self.throughput_rps,
             self.latency_p99_completed_s
                 .map_or_else(|| "-".to_string(), |v| format!("{v:.4}")),
         ));
@@ -1016,7 +982,7 @@ impl ServiceReport {
             self.fast_forwarded_rounds,
             self.mean_fill,
             self.throughput_rps,
-            self.makespan_s,
+            to_secs(self.makespan_ticks),
             self.latency_mean_s,
             self.latency_p50_s,
             self.latency_p99_s,
@@ -1034,7 +1000,7 @@ impl ServiceReport {
         write!(
             out,
             ", \"offered_rps\": {:.3}, \"p99_completed_s\": ",
-            self.offered_rps
+            self.throughput_rps
         )?;
         push_opt_fixed(out, self.latency_p99_completed_s, 6);
         write!(out, "}},\n{pad}  \"faults\": {{\"plan\": \"")?;
@@ -1102,7 +1068,7 @@ impl Traces {
             ],
             "",
         );
-        let labels = (self.statuses.iter()).map(|&s| RequestOutcome::of(s, 0).label().len());
+        let labels = self.statuses.iter().map(|s| s.label().len());
         self.len() * (pad.len() + fields_len(&widest) + "\"},\n".len()) + labels.sum::<usize>()
     }
 
@@ -1121,7 +1087,7 @@ impl Traces {
                 resolved.saturating_sub(arrival),
                 self.attempts[p].into(),
             ];
-            let outcome = RequestOutcome::of(self.statuses[p], 0).label();
+            let outcome = self.statuses[p].label();
             let fields = Traces::json_fields(values, outcome);
             let last = i + 1 == self.len();
             row.push(out, pad, &fields, if last { "\"}\n" } else { "\"},\n" });
@@ -1436,7 +1402,7 @@ mod tests {
         assert_eq!(a.completed, 64, "enough retries to absorb 20% faults");
         assert!(a.retried > 0, "some rounds must have failed");
         assert!(a.transient_faults > 0);
-        assert!(a.goodput_rps.unwrap() <= a.offered_rps);
+        assert!(a.goodput_rps.unwrap() <= a.throughput_rps);
         assert!(a.fault_plan.contains("transient=0.2"));
         let json = a.to_json();
         for key in [
@@ -1486,7 +1452,7 @@ mod tests {
         assert_eq!(out.report.goodput_rps, None);
         assert_eq!(out.report.latency_p99_completed_s, None);
         for t in &out.report.traces {
-            assert_eq!(t.outcome, RequestOutcome::Failed { attempts: 2 });
+            assert_eq!(t.outcome, StreamStatus::Failed);
             assert_eq!(t.attempts, 2);
         }
         assert_eq!(out.outputs.len(), 6);
@@ -1580,7 +1546,7 @@ mod tests {
         assert!(r.backpressure_shed > 0, "32 arrivals into a 16-deep queue");
         // Every completed request made its SLO.
         for t in &r.traces {
-            if t.outcome == RequestOutcome::Completed {
+            if t.outcome == StreamStatus::Completed {
                 assert!(t.latency_s <= 0.005 + 1e-12);
             }
         }
@@ -1644,7 +1610,10 @@ mod tests {
                 "  \"throughput_rps\": {:.3},\n",
                 self.throughput_rps
             ));
-            s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
+            s.push_str(&format!(
+                "  \"makespan_s\": {:.6},\n",
+                to_secs(self.makespan_ticks)
+            ));
             s.push_str(&format!(
                 "  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n",
                 self.latency_mean_s, self.latency_p50_s, self.latency_p99_s, self.latency_max_s
@@ -1666,7 +1635,7 @@ mod tests {
                 self.failed,
                 self.goodput_rps
                     .map_or_else(|| "null".to_string(), |v| format!("{v:.3}")),
-                self.offered_rps,
+                self.throughput_rps,
                 self.latency_p99_completed_s
                     .map_or_else(|| "null".to_string(), |v| format!("{v:.6}"))
             ));
@@ -1758,8 +1727,7 @@ mod tests {
             exec_ticks: count(1 << 50) as u64,
             transfer_ticks: count(1 << 50) as u64,
             overlapped_ticks: 0,
-            makespan_ticks: 0,
-            makespan_s: to_secs(count(1 << 50) as u64),
+            makespan_ticks: count(1 << 50) as u64,
             throughput_rps: count(1 << 40) as f64 / 128.0,
             latency_mean_s: to_secs(count(1 << 44) as u64),
             latency_p50_s: to_secs(count(1 << 44) as u64),
@@ -1776,7 +1744,6 @@ mod tests {
             transient_faults: count(100),
             dma_stalls: count(100),
             corrupt_payloads: count(100),
-            offered_rps: count(1 << 40) as f64 / 64.0,
             goodput_rps: (!seed.is_multiple_of(3)).then(|| count(1 << 40) as f64 / 64.0),
             fault_plan: ["none", "seed=7,\"fail\"@1\\2\n\t\r\u{1}\u{1f}é"][count(2)].into(),
             recovery: RecoveryPolicy {
@@ -1896,16 +1863,6 @@ mod tests {
                 tiers,
             },
         );
-        let outcome_at = |pos: usize| -> RequestOutcome {
-            match out.statuses[pos] {
-                StreamStatus::Completed => RequestOutcome::Completed,
-                StreamStatus::TimedOut => RequestOutcome::TimedOut,
-                StreamStatus::Shed => RequestOutcome::Shed,
-                StreamStatus::Failed => RequestOutcome::Failed {
-                    attempts: out.attempts[pos],
-                },
-            }
-        };
         let mut traces: Vec<RequestTrace> = order
             .iter()
             .enumerate()
@@ -1919,7 +1876,7 @@ mod tests {
                     completed_s: to_secs(resolved),
                     latency_s: to_secs(resolved.saturating_sub(arrival)),
                     attempts: out.attempts[pos],
-                    outcome: outcome_at(pos),
+                    outcome: out.statuses[pos],
                 }
             })
             .collect();
@@ -2011,7 +1968,7 @@ mod tests {
             unresolved += usize::from(
                 reference
                     .iter()
-                    .any(|t| t.outcome != RequestOutcome::Completed),
+                    .any(|t| t.outcome != StreamStatus::Completed),
             );
         }
         // Closed arrivals tie on the tick, so admission order is id order.

@@ -51,6 +51,11 @@
 //!   seeded [`FaultPlan`] perturbs the schedule with DMA stalls,
 //!   transient round errors, payload corruption and hard board
 //!   failures, fully replayable per seed,
+//! * [`par`] — the one chunked fan-out ([`fan_out`], [`resolve_jobs`]):
+//!   an index map over contiguous ranges on scoped threads, the calling
+//!   thread taking the first, inline when one range suffices. The
+//!   compile flow's per-kernel stages, the design-space sweep and
+//!   [`verify_program`] all split their work through it,
 //! * [`verify`] — functional validation: sampled elements are executed
 //!   through the generated kernel chain (a single kernel is the
 //!   one-kernel chain) and compared against the `teil` reference
@@ -64,6 +69,7 @@ pub mod arm;
 pub mod des;
 pub mod fault;
 pub mod online;
+pub mod par;
 mod resources;
 pub mod sim;
 pub mod stream;
@@ -72,6 +78,7 @@ pub mod verify;
 pub use arm::ArmCostModel;
 pub use fault::{FaultPlan, Outage, RecoverySpec};
 pub use online::{simulate_online_stream, simulate_round_stream, OnlineSpec};
+pub use par::{fan_out, resolve_jobs};
 pub use sim::{
     program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, ProgramRound,
     SimConfig,

@@ -333,6 +333,18 @@ pub enum StreamStatus {
     Failed,
 }
 
+impl StreamStatus {
+    /// Stable report token: the trace JSON's `outcome` value.
+    pub fn label(self) -> &'static str {
+        match self {
+            StreamStatus::Completed => "completed",
+            StreamStatus::TimedOut => "timed_out",
+            StreamStatus::Shed => "shed",
+            StreamStatus::Failed => "failed",
+        }
+    }
+}
+
 /// Serve `arrivals` under a [`FaultPlan`] and [`RecoverySpec`] with the
 /// FIFO online policy.
 ///

@@ -135,9 +135,9 @@ pub fn random_program_inputs(modules: &[&Module], seed: u64) -> HashMap<String, 
 /// executed with PLM handoffs, must match the chained reference
 /// interpreter on every kernel's outputs. Elements are independent,
 /// exactly like the accelerator replicas, so they are split into one
-/// contiguous run per available core, each folded to its largest
-/// difference without allocating; the runs are combined in order, so
-/// the first failing element reports, as in a serial loop.
+/// contiguous run per available core ([`crate::fan_out`]), each folded
+/// to its largest difference without allocating; the runs are combined
+/// in order, so the first failing element reports, as in a serial loop.
 pub fn verify_program(
     names: &[String],
     modules: &[&Module],
@@ -145,30 +145,20 @@ pub fn verify_program(
     n: usize,
     seed: u64,
 ) -> Result<VerifyResult, String> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |t| t.get())
-        .clamp(1, n.max(1));
+    let threads = crate::resolve_jobs(0).clamp(1, n.max(1));
     let run = n.div_ceil(threads);
     let verify_run = |t: usize| {
         (t * run..n.min((t + 1) * run)).try_fold((0.0, true), |acc, e| {
             verify_element(names, modules, kernels, seed.wrapping_add(e as u64), acc)
         })
     };
-    // The calling thread verifies the first run itself (on one core no
-    // thread is spawned). Every run's panic is caught or joined, so it
-    // surfaces as an `Err` instead of unwinding out of the scope.
-    let runs: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (1..threads)
-            .map(|t| scope.spawn(move || verify_run(t)))
-            .collect();
-        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| verify_run(0)));
-        std::iter::once(first)
-            .chain(workers.into_iter().map(|w| w.join()))
-            .collect()
-    });
+    let runs = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        crate::fan_out(threads, threads, verify_run)
+    }))
+    .map_err(|_| "verification worker panicked".to_string())?;
     let (mut max_rel_diff, mut bitexact) = (0.0f64, true);
     for run in runs {
-        let (rel, exact) = run.map_err(|_| "verification worker panicked".to_string())??;
+        let (rel, exact) = run?;
         max_rel_diff = max_rel_diff.max(rel);
         bitexact &= exact;
     }

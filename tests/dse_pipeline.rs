@@ -3,7 +3,7 @@
 //! must compile the shared stages exactly once no matter how many points
 //! or worker threads it uses.
 
-use cfdfpga::flow::dse::{DseEngine, DseGrid, DsePoint};
+use cfdfpga::flow::dse::{DseEngine, DseGrid, DseOutcome, DsePoint};
 use cfdfpga::flow::pipeline::Pipeline;
 use cfdfpga::flow::{Flow, FlowOptions, ProgramFlow, ProgramOptions};
 use cfdfpga::mnemosyne::MemoryOptions;
@@ -144,6 +144,25 @@ fn dse_sweep_compiles_shared_stages_exactly_once() {
     assert!(find(true).plm_brams < find(false).plm_brams);
 }
 
+/// The row [`DseEngine::run`] scores for `point` alone: a one-point
+/// grid on the base platform at the base clock.
+fn score_point(engine: &DseEngine, point: DsePoint, elements: usize) -> DseOutcome {
+    assert!(
+        point.m.is_multiple_of(point.k),
+        "a grid point's m is k times a batch"
+    );
+    let grid = DseGrid {
+        k: vec![point.k],
+        batch: vec![point.m / point.k],
+        sharing: vec![point.sharing],
+        decoupled: vec![point.decoupled],
+        partition: vec![point.partition],
+    };
+    let mut report = engine.run(&grid, 1, elements);
+    assert_eq!(report.outcomes.len(), 1);
+    report.outcomes.remove(0)
+}
+
 /// A single evaluated point agrees with an independent monolithic
 /// compile of the same configuration.
 #[test]
@@ -157,7 +176,7 @@ fn dse_point_matches_monolithic_compile() {
         decoupled: true,
         partition: 1,
     };
-    let outcome = engine.evaluate(&point, 500);
+    let outcome = score_point(&engine, point, 500);
     assert!(outcome.feasible);
 
     let opts = ProgramOptions {
@@ -218,8 +237,8 @@ fn partition_axis_reaches_memory_subsystem() {
         partition: 3,
         ..base
     };
-    let plain = engine.evaluate(&base, 100);
-    let banked = engine.evaluate(&part, 100);
+    let plain = score_point(&engine, base, 100);
+    let banked = score_point(&engine, part, 100);
     assert!(
         banked.plm_brams > plain.plm_brams,
         "multi-port PLM must cost extra banks: {} vs {}",

@@ -21,10 +21,8 @@
 
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use proptest::prelude::*;
-use runtime::{
-    generate_requests, serve, Arrival, BatchPolicy, RecoveryPolicy, RequestOutcome, RuntimeOptions,
-};
-use zynq::FaultPlan;
+use runtime::{generate_requests, serve, Arrival, BatchPolicy, RecoveryPolicy, RuntimeOptions};
+use zynq::{FaultPlan, StreamStatus};
 
 /// Generated-kernel pool: same shapes as the runtime differential
 /// suite, sized to compile and execute in milliseconds.
@@ -120,7 +118,7 @@ proptest! {
         for (ta, tb) in a.traces.iter().zip(&b.traces) {
             prop_assert_eq!(ta.id, tb.id);
             prop_assert_eq!(ta.completed_s.to_bits(), tb.completed_s.to_bits());
-            prop_assert_eq!(tb.outcome, RequestOutcome::Completed);
+            prop_assert_eq!(tb.outcome, StreamStatus::Completed);
             prop_assert_eq!(tb.attempts, 1);
         }
         // And the functional outputs are the same bytes.
@@ -182,7 +180,7 @@ proptest! {
         prop_assert_eq!(served.outputs.len(), n);
         for (req, got) in requests.iter().zip(&served.outputs) {
             let trace = served.report.traces.iter().find(|t| t.id == req.id).unwrap();
-            if trace.outcome != RequestOutcome::Completed {
+            if trace.outcome != StreamStatus::Completed {
                 prop_assert!(got.is_empty(), "non-completed request {} has outputs", req.id);
                 continue;
             }
@@ -299,9 +297,8 @@ proptest! {
                 "request {} used {} attempts (cap {})",
                 trace.id, trace.attempts, max_retries + 1
             );
-            if let RequestOutcome::Failed { attempts } = trace.outcome {
-                prop_assert_eq!(attempts, max_retries + 1);
-                prop_assert_eq!(trace.attempts, attempts);
+            if trace.outcome == StreamStatus::Failed {
+                prop_assert_eq!(trace.attempts, max_retries + 1);
             }
             if trace.attempts > 1 {
                 retried += 1;

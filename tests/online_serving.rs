@@ -25,10 +25,10 @@
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use proptest::prelude::*;
 use runtime::{
-    generate_timing_requests, json, serve, Arrival, BatchPolicy, OnlinePolicy, RequestOutcome,
-    RuntimeOptions,
+    generate_timing_requests, json, serve, Arrival, BatchPolicy, OnlinePolicy, RuntimeOptions,
 };
 use teil::ir::Module;
+use zynq::StreamStatus;
 
 /// Small generated kernels that compile in milliseconds.
 fn source_for(choice: usize) -> String {
@@ -174,7 +174,7 @@ proptest! {
         // tiers, including the lowest.
         prop_assert_eq!(report.completed, n);
         for t in &report.traces {
-            prop_assert_eq!(&t.outcome, &RequestOutcome::Completed);
+            prop_assert_eq!(&t.outcome, &StreamStatus::Completed);
         }
         prop_assert!(json::validate(&report.to_json()).is_ok());
     }

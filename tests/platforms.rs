@@ -163,7 +163,7 @@ fn portfolio_sweep_spans_platforms_and_matches_single_board() {
 
     // Per-platform feasibility lands in the summaries, and the Pareto
     // frontier spans at least three platforms.
-    assert!(report.feasible_platforms().len() >= 3);
+    assert!(report.summaries.iter().filter(|s| s.feasible > 0).count() >= 3);
     let frontier = report.pareto_frontier();
     let mut frontier_platforms: Vec<&str> = frontier.iter().map(|o| o.platform.as_str()).collect();
     frontier_platforms.sort_unstable();
@@ -256,7 +256,7 @@ fn program_portfolio_sweeps_the_catalog() {
         report.backend_reuses,
         report.evaluated * 2 - report.backend_compiles
     );
-    assert!(report.feasible_platforms().len() >= 3);
+    assert!(report.summaries.iter().filter(|s| s.feasible > 0).count() >= 3);
     assert!(report.pareto_frontier().len() >= 3);
 }
 
