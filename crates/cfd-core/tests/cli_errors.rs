@@ -4,7 +4,9 @@
 //! `--elements` reaches every output that counts elements. A serve
 //! flag that the chosen arrival process would ignore, and a flag the
 //! command never reads, are one-line usage errors with exit status 2,
-//! and so is an unknown `--emit` kind, before anything compiles.
+//! and so is an unknown `--emit` kind, before anything compiles. A
+//! serving time past the tick clock is a one-line serving error with
+//! exit status 1.
 
 use std::process::Command;
 
@@ -172,6 +174,61 @@ fn serve_rate_without_poisson_exits_two_with_one_line() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("poisson(50.0/s)"), "{stdout}");
+}
+
+/// A serving time past the picosecond clock used to saturate: a 1e300 s
+/// backoff served the same 4 rounds as no backoff, and Poisson arrivals
+/// at 1e-9/s completed before they arrived. Each is now one
+/// `serving failed` line with exit status 1, on one board and on a
+/// fleet.
+#[test]
+fn serving_times_past_the_clock_exit_one_with_one_line() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "--requests",
+                "64",
+                "--backoff",
+                "1e300",
+                "--faults",
+                "7:0.5",
+            ],
+            "backoff of 1e300 s does not fit the picosecond clock",
+        ),
+        (
+            &[
+                "--requests",
+                "4",
+                "--arrival",
+                "poisson",
+                "--rate",
+                "1e-9",
+                "--json",
+            ],
+            "arrival of ",
+        ),
+        (
+            &["--requests", "4", "--deadline", "1e30", "--fleet", "all"],
+            "deadline of 1e30 s does not fit",
+        ),
+        (
+            &["--requests", "4", "--online", "--slo", "1e30"],
+            "SLO of 1e30 s does not fit",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["serve", "helmholtz:4"])
+            .args(args)
+            .output()
+            .expect("cfdc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("serving failed: "), "{stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }
 
 /// A known flag the command never reads used to be dropped silently

@@ -62,8 +62,8 @@ use zynq::StreamStatus;
 
 use crate::json::{fields_len, push_opt_fixed, row_end, Row, Val};
 use crate::{
-    admission_order, latency_stats, per_second, serve_stream, Request, RuntimeError,
-    RuntimeOptions, ServeOutcome, ServiceReport, Stages,
+    admission_order, check_times, latency_stats, per_second, serve_stream, ticks, Request,
+    RuntimeError, RuntimeOptions, ServeOutcome, ServiceReport, Stages,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -369,6 +369,7 @@ pub fn serve_fleet(
     if requests.is_empty() {
         return Err(RuntimeError::NoRequests);
     }
+    check_times(&opts.base)?;
     let n = requests.len();
     let nb = boards.len();
     let stages = (names, modules, kernels);
@@ -376,6 +377,7 @@ pub fn serve_fleet(
     // is a pure function of the stream.
     let order = admission_order(requests);
     let id = |i: u32| requests[i as usize].id;
+    // Exact: the routing pass below checks every arrival first.
     let arrival = |i: u32| secs(requests[i as usize].arrival_s);
 
     // Phase 1: place every request, then cut the stream into exactly
@@ -389,7 +391,7 @@ pub fn serve_fleet(
     let mut placement: Vec<(usize, usize)> = requests.iter().map(|r| (r.id, 0)).collect();
     let mut assigned = vec![0usize; nb];
     for &i in &order {
-        let b = dispatcher.route(arrival(i), &all);
+        let b = dispatcher.route(ticks("arrival", requests[i as usize].arrival_s)?, &all);
         placement[i as usize].1 = b;
         assigned[b] += 1;
     }

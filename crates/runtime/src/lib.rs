@@ -11,7 +11,10 @@
 //! 1. **Admission** — [`generate_requests`] (or caller-built
 //!    [`Request`]s) supply the queue; arrivals are either `Closed` (all
 //!    queued at t=0, the throughput benchmark) or `Poisson` (open
-//!    arrivals at a given rate, the latency benchmark).
+//!    arrivals at a given rate, the latency benchmark). Every time a
+//!    caller supplies — arrivals, backoff, deadline, SLO — must fit the
+//!    scheduler's picosecond clock; one that does not is
+//!    [`RuntimeError::TimeOutOfRange`] before anything is scheduled.
 //! 2. **Batching** — a [`BatchPolicy`] decides how many requests
 //!    coalesce into one hardware round: `Auto` fills the design's batch
 //!    factor `m` greedily (take whatever is queued when the hardware
@@ -33,9 +36,9 @@
 //!    with capped exponential backoff in tick space, per-request
 //!    deadlines that shed late work, round-level requeue after a failed
 //!    round, and drain/pause/resume degradation across a board outage.
-//!    Every request ends in one [`StreamStatus`]. The empty
-//!    plan is tick- and bit-identical to the fault-free scheduler
-//!    (`tests/fault_injection.rs` proves it).
+//!    Every request ends in one [`StreamStatus`], the scheduler's own
+//!    terminal status. The empty plan is tick- and bit-identical to the
+//!    fault-free scheduler (`tests/fault_injection.rs` proves it).
 //! 5. **Execution** — each completed request's tensors run through the
 //!    generated kernel chain ([`zynq::run_program_chain`]), so the
 //!    service path returns real outputs, not just timings. Batching and
@@ -45,9 +48,10 @@
 //!    (`tests/runtime_differential.rs` proves both).
 //! 6. **Reporting** — the [`ServiceReport`] carries per-request latency
 //!    traces and outcomes, p50/p99 latency (over all requests and over
-//!    completed-only), requests/sec offered vs goodput, and the
-//!    DMA/compute overlap fraction, as a table or JSON (`cfdc serve`,
-//!    with `--faults seed:RATE --deadline T --retries N`). A request's
+//!    completed-only), requests/sec offered vs goodput (both from
+//!    [`per_second`]), and the DMA/compute overlap fraction, as a table
+//!    or JSON (`cfdc serve`, with `--faults seed:RATE --deadline T
+//!    --retries N`). A request's
 //!    result is kept once, in ticks: the scheduler's outcome columns
 //!    move into [`Traces`], and seconds appear in its accessors and in
 //!    the JSON row ([`json::Val::Secs6`]), nowhere in between.
@@ -72,7 +76,7 @@ use rand::{Rng, SeedableRng};
 use sysgen::MultiSystemDesign;
 use teil::ir::Module;
 use teil::Tensor;
-use zynq::des::{secs, to_secs, Time};
+use zynq::des::{checked_secs, secs, to_secs, Time};
 use zynq::fault::{FaultPlan, RecoverySpec};
 use zynq::{SimConfig, StreamStatus};
 
@@ -91,6 +95,10 @@ pub enum RuntimeError {
     NoBoards,
     /// The functional execution path failed (kernel chain error).
     Exec(String),
+    /// A serving time the picosecond clock cannot hold: `what` (an
+    /// arrival, the backoff or its 16x cap, the deadline, the SLO) at
+    /// `seconds`.
+    TimeOutOfRange { what: &'static str, seconds: f64 },
 }
 
 impl fmt::Display for RuntimeError {
@@ -106,6 +114,11 @@ impl fmt::Display for RuntimeError {
             RuntimeError::NoRequests => write!(f, "no requests to serve"),
             RuntimeError::NoBoards => write!(f, "fleet serving needs at least one board"),
             RuntimeError::Exec(e) => write!(f, "request execution failed: {e}"),
+            RuntimeError::TimeOutOfRange { what, seconds } => write!(
+                f,
+                "{what} of {seconds:e} s does not fit the picosecond clock (0 to {:.0} s)",
+                to_secs(Time::MAX)
+            ),
         }
     }
 }
@@ -708,6 +721,30 @@ pub(crate) fn admission_order(requests: &[Request]) -> Vec<u32> {
     order
 }
 
+/// `seconds` on the picosecond clock, or [`RuntimeError::TimeOutOfRange`]
+/// naming `what`: the conversion of every caller-supplied serving time.
+pub(crate) fn ticks(what: &'static str, seconds: f64) -> Result<Time, RuntimeError> {
+    checked_secs(seconds).ok_or(RuntimeError::TimeOutOfRange { what, seconds })
+}
+
+/// Refuse a policy time the picosecond clock cannot hold — the backoff
+/// or the 16x cap it doubles up to, the deadline, the SLO — before
+/// anything is scheduled, so the policies' later [`secs`] are exact.
+/// Arrivals go through [`ticks`] where they are first converted.
+pub(crate) fn check_times(opts: &RuntimeOptions) -> Result<(), RuntimeError> {
+    let backoff_s = opts.recovery.backoff_s.max(0.0);
+    ticks("backoff", backoff_s)?;
+    ticks("backoff cap", 16.0 * backoff_s)?;
+    let budgets = [
+        ("deadline", opts.recovery.deadline_s),
+        ("SLO", opts.online.slo_s),
+    ];
+    for (what, seconds) in budgets {
+        seconds.map(|s| ticks(what, s)).transpose()?;
+    }
+    Ok(())
+}
+
 /// Serve `requests` on `design`: schedule the batched stream (under the
 /// fault plan and recovery policy in `opts`), compute the service
 /// statistics and (when `opts.execute`) run every completed request
@@ -728,11 +765,12 @@ pub fn serve(
     requests: &[Request],
     opts: &RuntimeOptions,
 ) -> Result<ServeOutcome, RuntimeError> {
+    check_times(opts)?;
     let order = admission_order(requests);
-    let arrivals = order
-        .iter()
-        .map(|&i| secs(requests[i as usize].arrival_s))
-        .collect();
+    let mut arrivals = Vec::with_capacity(order.len());
+    for &i in &order {
+        arrivals.push(ticks("arrival", requests[i as usize].arrival_s)?);
+    }
     let stages = (names, modules, kernels);
     let mut out = serve_stream(design, stages, requests, &order, arrivals, opts)?;
     // The core answers in admission order, the caller asked in its own.
@@ -1350,6 +1388,72 @@ mod tests {
         // The error renders a one-line diagnosis for the CLI.
         let msg = RuntimeError::InvalidRate { rate_rps: 0.0 }.to_string();
         assert!(msg.contains("positive finite rate"), "{msg}");
+    }
+
+    #[test]
+    fn serving_times_past_the_clock_are_structured_errors() {
+        let d = design(vec![2], 8, &[200_000]);
+        let fleet = [crate::FleetBoard::healthy(d.clone())];
+        let late = |s: f64| {
+            let mut reqs = timing_requests(4);
+            reqs[2].arrival_s = s;
+            reqs
+        };
+        let mut backoff = RuntimeOptions::default();
+        backoff.recovery.backoff_s = 1e300;
+        let mut cap = RuntimeOptions::default();
+        cap.recovery.backoff_s = 1.5e6;
+        let mut deadline = RuntimeOptions::default();
+        deadline.recovery.deadline_s = Some(1e9);
+        let mut slo = RuntimeOptions::default();
+        slo.online.slo_s = Some(-1.0);
+        let cases = [
+            (late(1e9), RuntimeOptions::default(), "arrival", 1e9),
+            (
+                late(f64::NAN),
+                RuntimeOptions::default(),
+                "arrival",
+                f64::NAN,
+            ),
+            (timing_requests(4), backoff, "backoff", 1e300),
+            (timing_requests(4), cap, "backoff cap", 2.4e7),
+            (timing_requests(4), deadline, "deadline", 1e9),
+            (timing_requests(4), slo, "SLO", -1.0),
+        ];
+        for (reqs, opts, what, seconds) in cases {
+            let want = RuntimeError::TimeOutOfRange { what, seconds };
+            let served = serve(&d, &[], &[], &[], &reqs, &opts).map(|_| ());
+            let base = FleetOptions {
+                base: opts,
+                ..FleetOptions::default()
+            };
+            let fleet_served = serve_fleet(&fleet, &[], &[], &[], &reqs, &base).map(|_| ());
+            for got in [served, fleet_served] {
+                match got {
+                    Err(RuntimeError::TimeOutOfRange {
+                        what: w,
+                        seconds: s,
+                    }) if w == what && s.total_cmp(&seconds).is_eq() => {}
+                    other => panic!("{what}: expected {want:?}, got {other:?}"),
+                }
+            }
+        }
+        // Times near the end of the clock are served.
+        let mut fits = RuntimeOptions::default();
+        fits.recovery.backoff_s = 1.1e6;
+        fits.recovery.deadline_s = Some(1.8e7);
+        assert!(serve(&d, &[], &[], &[], &timing_requests(4), &fits).is_ok());
+        let opts = RuntimeOptions::default();
+        assert!(serve(&d, &[], &[], &[], &late(1.8e7), &opts).is_ok());
+        let msg = RuntimeError::TimeOutOfRange {
+            what: "arrival",
+            seconds: 1e9,
+        }
+        .to_string();
+        assert_eq!(
+            msg,
+            "arrival of 1e9 s does not fit the picosecond clock (0 to 18446744 s)"
+        );
     }
 
     #[test]

@@ -70,10 +70,4 @@ mod tests {
             assert_eq!(message, &format!("element {bad} failed"));
         }
     }
-
-    #[test]
-    fn resolve_jobs_keeps_an_explicit_count() {
-        assert_eq!(resolve_jobs(3), 3);
-        assert!(resolve_jobs(0) >= 1);
-    }
 }
