@@ -58,6 +58,8 @@
 //! diagnosis), mirroring the structured `FlowError::DoesNotFit`
 //! introduced for small-board compiles.
 
+#![forbid(unsafe_code)]
+
 use cfd_core::dse::{DseEngine, DseGrid};
 use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfd_core::{
@@ -475,7 +477,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 runtime.recovery.max_retries = parse_value(
                     "--retries",
                     take_value(args, &mut i, "--retries")?,
-                    "a retry cap (0 = fail on first fault)",
+                    "a retry cap in 0..=4294967295 (0 = fail on first fault)",
                 )?;
             }
             "--backoff" => {
@@ -516,7 +518,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
                 runtime.online.priority_tiers = parse_checked(
                     "--priority",
                     take_value(args, &mut i, "--priority")?,
-                    "a tier count >= 1",
+                    "a tier count in 1..=255",
                     |&tiers: &u8| tiers > 0,
                 )?;
             }
@@ -712,7 +714,7 @@ fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
         t.system_s,
         t.total_s(),
         t.cache,
-        t.oracle.json(),
+        t.oracle,
     )
 }
 

@@ -69,7 +69,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mnemosyne::MemorySubsystem;
-use runtime::json::{fields_len, push_fields, row_end, Row, Val};
+use runtime::json::{self, row_end, Line, Sink};
 use sysgen::{Platform, SystemConfig, Totals};
 use teil::TensorKind;
 use zynq::des::to_secs;
@@ -361,7 +361,7 @@ impl DseReport {
     /// Serialize the report as JSON through the `runtime::json` writer,
     /// into one buffer reserved up front.
     pub fn to_json(&self) -> String {
-        let rows = self.outcomes.iter().map(|o| o.sweep_row(row_len));
+        let rows = (self.outcomes.iter()).map(|o| json::width(|w| o.sweep_row(w, "},\n")));
         let mut out = String::with_capacity(HEADER_BYTES + rows.sum::<usize>());
         self.write_json(&mut out)
             .expect("writing to a String cannot fail");
@@ -401,9 +401,10 @@ impl DseReport {
             "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n  \"outcomes\": [\n",
             self.eval_total_s, self.eval_mean_s, self.eval_max_s
         )?;
+        let mut line = Line::new(out);
         for (i, o) in self.outcomes.iter().enumerate() {
-            o.sweep_row(|parts| parts.iter().for_each(|part| push_fields(out, part)));
-            out.push_str(row_end(i, self.outcomes.len()));
+            o.sweep_row(&mut line, row_end(i, self.outcomes.len()));
+            line.flush();
         }
         out.push_str("  ]\n}\n");
         Ok(())
@@ -422,53 +423,61 @@ fn write_caches(
 ) -> fmt::Result {
     write!(
         out,
-        "  \"compile_cache\": {cache},\n  \"polyhedra\": {},\n",
-        oracle.json()
+        "  \"compile_cache\": {cache},\n  \"polyhedra\": {oracle},\n"
     )
 }
 
-type Field<'a> = (&'static str, Val<'a>);
-
 impl DseOutcome {
-    /// `"k"` through `"service_p99_s"`, behind the kernel name's closing
-    /// quote: the fields a sweep row and a portfolio row share.
-    fn json_fields(&self) -> [Field<'_>; 16] {
+    /// `"k"` through `"service_p99_s"`, behind the kernel name: the
+    /// fields a sweep row and a portfolio row share.
+    #[inline]
+    fn json_fields<S: Sink>(&self, s: &mut S) {
         let p = &self.point;
-        [
-            ("\", \"k\": ", Val::Int(p.k as u64)),
-            (", \"m\": ", Val::Int(p.m as u64)),
-            (", \"sharing\": ", Val::Flag(p.sharing)),
-            (", \"decoupled\": ", Val::Flag(p.decoupled)),
-            (", \"partition\": ", Val::Int(p.partition.into())),
-            (", \"feasible\": ", Val::Flag(self.feasible)),
-            (", \"luts\": ", Val::Int(self.luts as u64)),
-            (", \"ffs\": ", Val::Int(self.ffs as u64)),
-            (", \"dsps\": ", Val::Int(self.dsps as u64)),
-            (", \"brams\": ", Val::Int(self.brams as u64)),
-            (", \"plm_brams\": ", Val::Int(self.plm_brams as u64)),
-            (", \"latency_cycles\": ", Val::Int(self.latency_cycles)),
-            (", \"total_s\": ", Val::Fixed(self.total_s, 6)),
-            (", \"throughput_eps\": ", Val::Fixed(self.throughput_eps, 3)),
-            (", \"service_rps\": ", Val::Fixed(self.service_rps, 3)),
-            (", \"service_p99_s\": ", Val::Fixed(self.service_p99_s, 6)),
-        ]
+        s.lit("\", \"k\": ");
+        s.int(p.k as u64);
+        s.lit(", \"m\": ");
+        s.int(p.m as u64);
+        s.lit(", \"sharing\": ");
+        s.flag(p.sharing);
+        s.lit(", \"decoupled\": ");
+        s.flag(p.decoupled);
+        s.lit(", \"partition\": ");
+        s.int(p.partition.into());
+        s.lit(", \"feasible\": ");
+        s.flag(self.feasible);
+        s.lit(", \"luts\": ");
+        s.int(self.luts as u64);
+        s.lit(", \"ffs\": ");
+        s.int(self.ffs as u64);
+        s.lit(", \"dsps\": ");
+        s.int(self.dsps as u64);
+        s.lit(", \"brams\": ");
+        s.int(self.brams as u64);
+        s.lit(", \"plm_brams\": ");
+        s.int(self.plm_brams as u64);
+        s.lit(", \"latency_cycles\": ");
+        s.int(self.latency_cycles);
+        s.lit(", \"total_s\": ");
+        s.fixed(self.total_s, 6);
+        s.lit(", \"throughput_eps\": ");
+        s.fixed(self.throughput_eps, 3);
+        s.lit(", \"service_rps\": ");
+        s.fixed(self.service_rps, 3);
+        s.lit(", \"service_p99_s\": ");
+        s.fixed(self.service_p99_s, 6);
     }
 
     /// A sweep row: the kernel name, the shared fields, the point's
-    /// evaluation time.
-    fn sweep_row<R>(&self, visit: impl FnOnce(&[&[Field<'_>]]) -> R) -> R {
-        visit(&[
-            &[("    {\"kernel\": \"", Val::Str(&self.kernel))],
-            &self.json_fields(),
-            &[(", \"eval_s\": ", Val::Fixed(self.eval_s, 6))],
-        ])
+    /// evaluation time, closed by `end`.
+    #[inline]
+    fn sweep_row<S: Sink>(&self, s: &mut S, end: &str) {
+        s.lit("    {\"kernel\": \"");
+        s.str(&self.kernel);
+        self.json_fields(s);
+        s.lit(", \"eval_s\": ");
+        s.fixed(self.eval_s, 6);
+        s.lit(end);
     }
-}
-
-/// Upper bound on the bytes of a row made of `parts`, closed by
-/// [`row_end`].
-fn row_len(parts: &[&[Field<'_>]]) -> usize {
-    parts.iter().map(|part| fields_len(part)).sum::<usize>() + "},\n".len()
 }
 
 /// Everything of a design point that does not depend on `(k, m)`: one
@@ -899,6 +908,7 @@ impl DseEngine {
                 outcome,
                 pareto: false,
                 service_pareto: false,
+                cost_pareto: false,
             }
         };
         let swept = self.sweep(&targets, grid, jobs, elements, row);
@@ -987,6 +997,9 @@ pub struct PortfolioOutcome {
     /// and utilization (the throughput objective: pick the node that
     /// serves the most traffic per resource).
     pub service_pareto: bool,
+    /// Whether this point sits on the portfolio's **cost-efficiency**
+    /// frontier ([`PortfolioReport::cost_frontier`]).
+    pub cost_pareto: bool,
 }
 
 /// Per-platform feasibility summary of a portfolio sweep.
@@ -1124,6 +1137,15 @@ fn rank_portfolio(
         })
         .collect();
     outcomes.sort_by(portfolio_order);
+    let cost: Vec<_> = (outcomes.iter())
+        .map(|o| {
+            (o.outcome.feasible && o.outcome.luts > 0)
+                .then(|| [-o.outcome.service_rps, -o.rps_per_kluts()])
+        })
+        .collect();
+    for (o, flag) in outcomes.iter_mut().zip(pareto_flags(&cost)) {
+        o.cost_pareto = flag;
+    }
     (outcomes, summaries)
 }
 
@@ -1144,7 +1166,7 @@ impl PortfolioReport {
     /// The portfolio Pareto frontier: every platform's non-dominated
     /// (time, fit) points, best time first.
     pub fn pareto_frontier(&self) -> Vec<&PortfolioOutcome> {
-        self.outcomes.iter().filter(|o| o.pareto).collect()
+        self.frontier(Frontier::Pareto).collect()
     }
 
     /// The portfolio **service** frontier: every platform's
@@ -1152,7 +1174,7 @@ impl PortfolioReport {
     /// points — where to place traffic for throughput rather than
     /// single-job latency.
     pub fn service_frontier(&self) -> Vec<&PortfolioOutcome> {
-        self.outcomes.iter().filter(|o| o.service_pareto).collect()
+        self.frontier(Frontier::Service).collect()
     }
 
     /// The portfolio **cost-efficiency** frontier: non-dominated points
@@ -1162,22 +1184,17 @@ impl PortfolioReport {
     /// req/s-per-kLUT figure, best throughput first (the ranking order
     /// of `outcomes`).
     pub fn cost_frontier(&self) -> Vec<(&PortfolioOutcome, f64)> {
-        let per_kluts =
-            |o: &PortfolioOutcome| o.outcome.service_rps / (o.outcome.luts as f64 / 1000.0);
-        let objectives: Vec<Option<[f64; 2]>> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                (o.outcome.feasible && o.outcome.luts > 0)
-                    .then(|| [-o.outcome.service_rps, -per_kluts(o)])
-            })
-            .collect();
-        self.outcomes
-            .iter()
-            .zip(pareto_flags(&objectives))
-            .filter(|(_, flag)| *flag)
-            .map(|(o, _)| (o, per_kluts(o)))
-            .collect()
+        let cost = self.frontier(Frontier::Cost);
+        cost.map(|o| (o, o.rps_per_kluts())).collect()
+    }
+
+    /// The rows of frontier `frontier`, in ranking order.
+    fn frontier(&self, frontier: Frontier) -> impl Iterator<Item = &PortfolioOutcome> {
+        self.outcomes.iter().filter(move |o| match frontier {
+            Frontier::Pareto => o.pareto,
+            Frontier::Service => o.service_pareto,
+            Frontier::Cost => o.cost_pareto,
+        })
     }
 
     /// Render as an aligned text table (Pareto rows marked `*`).
@@ -1247,25 +1264,22 @@ impl PortfolioReport {
     /// buffer reserved up front: every row's own bound plus the header
     /// allowance.
     pub fn to_json(&self) -> String {
-        let cost = self.cost_frontier();
-        let platforms = self.summaries.iter().map(|p| row_len(&[&p.json_fields()]));
-        let pareto = self.outcomes.iter().filter(|o| o.pareto);
-        let service = self.outcomes.iter().filter(|o| o.service_pareto);
-        let frontiers = (pareto.map(|o| o.pareto_fields()))
-            .chain(service.map(|o| o.service_fields()))
-            .chain(cost.iter().map(|&(o, per_kluts)| o.cost_fields(per_kluts)))
-            .map(|fields| row_len(&[&fields]));
-        let rows = self.outcomes.iter().map(|o| o.portfolio_row(row_len));
+        let platforms = (self.summaries.iter()).map(|p| json::width(|w| p.json_row(w, "},\n")));
+        let frontiers = FRONTIERS.iter().flat_map(|&(frontier, _)| {
+            (self.frontier(frontier))
+                .map(move |o| json::width(|w| o.frontier_row(w, frontier, "},\n")))
+        });
+        let rows = (self.outcomes.iter()).map(|o| json::width(|w| o.portfolio_row(w, "},\n")));
         let bytes = platforms.sum::<usize>() + frontiers.sum::<usize>() + rows.sum::<usize>();
         let mut out = String::with_capacity(HEADER_BYTES + bytes);
-        self.write_json(&mut out, &cost)
+        self.write_json(&mut out)
             .expect("writing to a String cannot fail");
         out
     }
 
     /// Append the document, trailing newline included, to `out`. The
     /// row loops do not allocate.
-    fn write_json(&self, out: &mut String, cost: &[(&PortfolioOutcome, f64)]) -> fmt::Result {
+    fn write_json(&self, out: &mut String) -> fmt::Result {
         write!(
             out,
             "{{\n  \"evaluated\": {},\n  \"feasible\": {},\n  \"jobs\": {},\n  \"elements\": {},\n  \
@@ -1280,123 +1294,135 @@ impl PortfolioReport {
         )?;
         write_caches(out, &self.cache, &self.oracle)?;
         out.push_str("  \"platforms\": [\n");
+        let mut line = Line::new(out);
         for (i, p) in self.summaries.iter().enumerate() {
-            push_fields(out, &p.json_fields());
-            out.push_str(row_end(i, self.summaries.len()));
+            p.json_row(&mut line, row_end(i, self.summaries.len()));
+            line.flush();
         }
-        let pareto = self.outcomes.iter().filter(|o| o.pareto);
-        write_frontier(out, "pareto_frontier", pareto.map(|o| o.pareto_fields()));
-        let service = self.outcomes.iter().filter(|o| o.service_pareto);
-        write_frontier(out, "service_frontier", service.map(|o| o.service_fields()));
-        let cost = cost.iter().map(|&(o, per_kluts)| o.cost_fields(per_kluts));
-        write_frontier(out, "cost_frontier", cost);
+        for (frontier, name) in FRONTIERS {
+            write!(out, "  ],\n  \"{name}\": [\n")?;
+            let mut line = Line::new(out);
+            let mut rows = self.frontier(frontier).peekable();
+            while let Some(o) = rows.next() {
+                let end = if rows.peek().is_some() { "},\n" } else { "}\n" };
+                o.frontier_row(&mut line, frontier, end);
+                line.flush();
+            }
+        }
         out.push_str("  ],\n  \"outcomes\": [\n");
-        let mut row = Row::default();
+        let mut line = Line::new(out);
         for (i, o) in self.outcomes.iter().enumerate() {
-            o.portfolio_row(|parts| parts.iter().for_each(|part| row.push(out, "", part, "")));
-            out.push_str(row_end(i, self.outcomes.len()));
+            o.portfolio_row(&mut line, row_end(i, self.outcomes.len()));
+            line.flush();
         }
         out.push_str("  ]\n}\n");
         Ok(())
     }
 }
 
-/// Close the section before and append frontier section `name`.
-fn write_frontier<'a>(out: &mut String, name: &str, rows: impl Iterator<Item = [Field<'a>; 7]>) {
-    write!(out, "  ],\n  \"{name}\": [\n").expect("writing to a String cannot fail");
-    let mut rows = rows.peekable();
-    while let Some(fields) = rows.next() {
-        push_fields(out, &fields);
-        out.push_str(if rows.peek().is_some() { "},\n" } else { "}\n" });
-    }
+/// A portfolio frontier, which picks a frontier row's own three fields.
+#[derive(Clone, Copy)]
+enum Frontier {
+    Pareto,
+    Service,
+    Cost,
 }
 
+/// The frontier sections of a portfolio document, in order.
+const FRONTIERS: [(Frontier, &str); 3] = [
+    (Frontier::Pareto, "pareto_frontier"),
+    (Frontier::Service, "service_frontier"),
+    (Frontier::Cost, "cost_frontier"),
+];
+
 impl PlatformSummary {
-    /// The `platforms` row.
-    fn json_fields(&self) -> [Field<'_>; 6] {
-        let best = self.best_total_s;
-        [
-            ("    {\"platform\": \"", Val::Str(&self.platform)),
-            ("\", \"board\": \"", Val::Str(&self.board)),
-            ("\", \"evaluated\": ", Val::Int(self.evaluated as u64)),
-            (", \"feasible\": ", Val::Int(self.feasible as u64)),
-            (", \"pareto_points\": ", Val::Int(self.pareto_points as u64)),
-            (
-                ", \"best_total_s\": ",
-                best.map_or(Val::Lit("null"), |t| Val::Fixed(t, 6)),
-            ),
-        ]
+    /// The `platforms` row, closed by `end`.
+    fn json_row<S: Sink>(&self, s: &mut S, end: &str) {
+        s.lit("    {\"platform\": \"");
+        s.str(&self.platform);
+        s.lit("\", \"board\": \"");
+        s.str(&self.board);
+        s.lit("\", \"evaluated\": ");
+        s.int(self.evaluated as u64);
+        s.lit(", \"feasible\": ");
+        s.int(self.feasible as u64);
+        s.lit(", \"pareto_points\": ");
+        s.int(self.pareto_points as u64);
+        s.lit(", \"best_total_s\": ");
+        match self.best_total_s {
+            Some(t) => s.fixed(t, 6),
+            None => s.lit("null"),
+        }
+        s.lit(end);
     }
 }
 
 impl PortfolioOutcome {
+    /// Requests per second per thousand design LUTs.
+    fn rps_per_kluts(&self) -> f64 {
+        self.outcome.service_rps / (self.outcome.luts as f64 / 1000.0)
+    }
+
     /// An outcome row: the point's label and kernel, the shared
-    /// [`DseOutcome`] fields, the fit and the frontier flags.
-    fn portfolio_row<R>(&self, visit: impl FnOnce(&[&[Field<'_>]]) -> R) -> R {
-        visit(&[
-            &[
-                ("    {\"platform\": \"", Val::Str(&self.platform)),
-                ("\", \"clock_mhz\": ", Val::Fixed(self.clock_mhz, 1)),
-                (", \"kernel\": \"", Val::Str(&self.outcome.kernel)),
-            ],
-            &self.outcome.json_fields(),
-            &[
-                (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
-                (", \"pareto\": ", Val::Flag(self.pareto)),
-                (", \"service_pareto\": ", Val::Flag(self.service_pareto)),
-            ],
-        ])
+    /// [`DseOutcome`] fields, the fit and the frontier flags, closed by
+    /// `end`.
+    #[inline]
+    fn portfolio_row<S: Sink>(&self, s: &mut S, end: &str) {
+        s.lit("    {\"platform\": \"");
+        s.str(&self.platform);
+        s.lit("\", \"clock_mhz\": ");
+        s.fixed(self.clock_mhz, 1);
+        s.lit(", \"kernel\": \"");
+        s.str(&self.outcome.kernel);
+        self.outcome.json_fields(s);
+        s.lit(", \"utilization\": ");
+        s.fixed(self.utilization, 4);
+        s.lit(", \"pareto\": ");
+        s.flag(self.pareto);
+        s.lit(", \"service_pareto\": ");
+        s.flag(self.service_pareto);
+        s.lit(end);
     }
 
     /// A frontier row: the point's label, `k`, `m` and the frontier's
-    /// own three fields.
-    fn frontier_fields<'a>(&'a self, own: [Field<'a>; 3]) -> [Field<'a>; 7] {
-        let [a, b, c] = own;
-        [
-            ("    {\"platform\": \"", Val::Str(&self.platform)),
-            ("\", \"clock_mhz\": ", Val::Fixed(self.clock_mhz, 1)),
-            (", \"k\": ", Val::Int(self.outcome.point.k as u64)),
-            (", \"m\": ", Val::Int(self.outcome.point.m as u64)),
-            a,
-            b,
-            c,
-        ]
-    }
-
-    fn pareto_fields(&self) -> [Field<'_>; 7] {
-        self.frontier_fields([
-            (", \"total_s\": ", Val::Fixed(self.outcome.total_s, 6)),
-            (
-                ", \"throughput_eps\": ",
-                Val::Fixed(self.outcome.throughput_eps, 3),
-            ),
-            (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
-        ])
-    }
-
-    fn service_fields(&self) -> [Field<'_>; 7] {
-        self.frontier_fields([
-            (
-                ", \"service_rps\": ",
-                Val::Fixed(self.outcome.service_rps, 3),
-            ),
-            (
-                ", \"service_p99_s\": ",
-                Val::Fixed(self.outcome.service_p99_s, 6),
-            ),
-            (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
-        ])
-    }
-
-    fn cost_fields(&self, per_kluts: f64) -> [Field<'_>; 7] {
-        self.frontier_fields([
-            (", \"luts\": ", Val::Int(self.outcome.luts as u64)),
-            (
-                ", \"service_rps\": ",
-                Val::Fixed(self.outcome.service_rps, 3),
-            ),
-            (", \"rps_per_kluts\": ", Val::Fixed(per_kluts, 4)),
-        ])
+    /// own three fields, closed by `end`.
+    fn frontier_row<S: Sink>(&self, s: &mut S, frontier: Frontier, end: &str) {
+        let o = &self.outcome;
+        s.lit("    {\"platform\": \"");
+        s.str(&self.platform);
+        s.lit("\", \"clock_mhz\": ");
+        s.fixed(self.clock_mhz, 1);
+        s.lit(", \"k\": ");
+        s.int(o.point.k as u64);
+        s.lit(", \"m\": ");
+        s.int(o.point.m as u64);
+        match frontier {
+            Frontier::Pareto => {
+                s.lit(", \"total_s\": ");
+                s.fixed(o.total_s, 6);
+                s.lit(", \"throughput_eps\": ");
+                s.fixed(o.throughput_eps, 3);
+                s.lit(", \"utilization\": ");
+                s.fixed(self.utilization, 4);
+            }
+            Frontier::Service => {
+                s.lit(", \"service_rps\": ");
+                s.fixed(o.service_rps, 3);
+                s.lit(", \"service_p99_s\": ");
+                s.fixed(o.service_p99_s, 6);
+                s.lit(", \"utilization\": ");
+                s.fixed(self.utilization, 4);
+            }
+            Frontier::Cost => {
+                s.lit(", \"luts\": ");
+                s.int(o.luts as u64);
+                s.lit(", \"service_rps\": ");
+                s.fixed(o.service_rps, 3);
+                s.lit(", \"rps_per_kluts\": ");
+                s.fixed(self.rps_per_kluts(), 4);
+            }
+        }
+        s.lit(end);
     }
 }
 
@@ -1438,7 +1464,7 @@ mod tests {
                 self.cache.stores,
                 self.cache.invalidations
             ));
-            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
+            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle));
             s.push_str(&format!(
                 "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n",
                 self.eval_total_s, self.eval_mean_s, self.eval_max_s
@@ -1499,7 +1525,7 @@ mod tests {
                 self.cache.stores,
                 self.cache.invalidations
             ));
-            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
+            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle));
             s.push_str("  \"platforms\": [\n");
             for (i, p) in self.summaries.iter().enumerate() {
                 s.push_str(&format!(
@@ -1698,9 +1724,16 @@ mod tests {
                 board: platforms[i % 2].board.name.clone(),
                 clock_mhz: [100.0, 142.5, 333.25][i % 3],
                 outcome: generated_outcome(i),
-                utilization: (i % 1_000) as f64 / 999.0,
+                // Every fourth an odd multiple of 2^-5: a dyadic tie at
+                // the four digits `utilization` prints.
+                utilization: if i % 4 == 3 {
+                    (i % 32) as f64 / 32.0
+                } else {
+                    (i % 1_000) as f64 / 999.0
+                },
                 pareto: false,
                 service_pareto: false,
+                cost_pareto: false,
             })
             .collect();
         let platform_of: Vec<usize> = (0..points).map(|i| i % 2).collect();
@@ -2096,6 +2129,7 @@ mod tests {
             utilization: 0.5 * scale as f64,
             pareto: false,
             service_pareto: false,
+            cost_pareto: false,
         }
     }
 

@@ -62,6 +62,8 @@
 //! assert!(best.feasible && best.throughput_eps > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod dse;
 pub mod pipeline;

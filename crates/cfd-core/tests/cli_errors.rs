@@ -4,7 +4,8 @@
 //! `--elements` reaches every output that counts elements. A serve
 //! flag that the chosen arrival process would ignore, and a flag the
 //! command never reads, are one-line usage errors with exit status 2,
-//! and so is an unknown `--emit` kind, before anything compiles. A
+//! and so is an unknown `--emit` kind, before anything compiles, or a
+//! count past its integer type, whose message names the range. A
 //! serving time past the tick clock is a one-line serving error with
 //! exit status 1.
 
@@ -325,4 +326,32 @@ fn an_unknown_emit_kind_exits_two_before_compiling() {
         );
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// `--priority 300` said "expected a tier count >= 1", though 300 is one;
+/// the limit is the `u8` tier index. A count past its type now names
+/// the range it must lie in, for `--priority` and `--retries` (`u32`).
+#[test]
+fn a_count_past_its_type_names_the_range() {
+    for (flag, value, expected) in [
+        ("--priority", "300", "a tier count in 1..=255"),
+        ("--priority", "0", "a tier count in 1..=255"),
+        (
+            "--retries",
+            "4294967296",
+            "a retry cap in 0..=4294967295 (0 = fail on first fault)",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["serve", "axpy:2", "--requests", "8", flag, value])
+            .output()
+            .expect("cfdc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value} printed a result");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: invalid value '{value}' for {flag}: expected {expected}")
+        );
+    }
 }

@@ -50,6 +50,8 @@
 //! assert_eq!(set.links.len(), 2); // u and v hand off between kernels
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod diag;
 pub mod examples;

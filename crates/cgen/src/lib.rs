@@ -17,6 +17,8 @@
 //! (HLS-friendly: the recurrence stays in a register); other schedules
 //! fall back to zero-init plus in-memory accumulation.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod emit;
 pub mod exec;

@@ -25,6 +25,8 @@
 //!   the paper measures 24 BRAMs inside the accelerator vs 18 in
 //!   Mnemosyne PLMs for the same data).
 
+#![forbid(unsafe_code)]
+
 pub mod latency;
 pub mod ops;
 pub mod report;

@@ -21,6 +21,8 @@
 //! Vivado's mapping) to 16 (sharing; paper: 18) — a ~43% reduction that
 //! doubles the number of kernel instances that fit on the board.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod plm;
 pub mod program;

@@ -5,6 +5,7 @@
 //! [`OracleCounters::snapshot`]/[`OracleCounters::since`] let callers
 //! (pipeline stages, DSE, the benchmark) report per-phase deltas.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static QUICK_HITS: AtomicU64 = AtomicU64::new(0);
@@ -36,9 +37,10 @@ pub fn clear_memo() {}
 /// `simplex_empty`, `proj_hits`, `proj_misses`, `between_hits`,
 /// `between_misses`) read 0 by construction: the verdict, projection and
 /// between-set memos and the simplex probe they counted are gone. They
-/// stay so that [`OracleCounters::json`] — read by `cfdc --json`, the
-/// DSE and portfolio reports, their golden files and the benchmark —
-/// keeps its schema until the benchmark's re-baseline retires them.
+/// stay so that the JSON object the counters display as — read by `cfdc
+/// --json`, the DSE and portfolio reports, their golden files and the
+/// benchmark — keeps its schema until the benchmark's re-baseline
+/// retires them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleCounters {
     pub quick_hits: u64,
@@ -75,12 +77,15 @@ impl OracleCounters {
             ..OracleCounters::default()
         }
     }
+}
 
-    /// The canonical JSON rendering of the counter schema, used
-    /// verbatim by `cfdc --json` and the DSE/portfolio reports so every
-    /// surface agrees on field names.
-    pub fn json(&self) -> String {
-        format!(
+/// The canonical JSON rendering of the counter schema, used verbatim by
+/// `cfdc --json` and the DSE/portfolio reports so every surface agrees
+/// on field names. Written in place, it allocates nothing.
+impl fmt::Display for OracleCounters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "{{\"quick_hits\": {}, \"corner_hits\": {}, \"memo_hits\": {}, \
              \"memo_misses\": {}, \"simplex_calls\": {}, \"simplex_empty\": {}, \
              \"fm_fallbacks\": {}, \"proj_hits\": {}, \"proj_misses\": {}, \

@@ -54,6 +54,8 @@
 //! assert_eq!(d.points().count(), 11);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod constraint;
 pub mod intern;

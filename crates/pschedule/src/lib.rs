@@ -25,6 +25,8 @@
 //!   intervals, and the cross-kernel compatibility rules behind
 //!   program-wide PLM sharing.
 
+#![forbid(unsafe_code)]
+
 pub mod deps;
 pub mod link;
 pub mod liveness;

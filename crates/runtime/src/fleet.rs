@@ -60,7 +60,7 @@ use zynq::fault::FaultPlan;
 
 use zynq::StreamStatus;
 
-use crate::json::{fields_len, push_opt_fixed, row_end, Row, Val};
+use crate::json::{self, push_opt_fixed, row_end, Line, Sink};
 use crate::{
     admission_order, check_times, latency_stats, per_second, serve_stream, ticks, Request,
     RuntimeError, RuntimeOptions, ServeOutcome, ServiceReport, Stages,
@@ -638,12 +638,12 @@ impl FleetReport {
     fn json_capacity(&self) -> usize {
         let boards = self.boards.iter().map(|b| {
             let report = b.report.as_ref().map_or(4, |r| r.json_capacity(BOARD_PAD));
-            fields_len(&b.json_fields()) + REPORT_KEY.len() + report + "},\n".len()
+            json::width(|w| b.json_row(w)) + report + "},\n".len()
         });
         let entries = self
             .assignment
             .iter()
-            .map(|&entry| "}, ".len() + fields_len(&assignment_fields(entry)));
+            .map(|&entry| json::width(|w| assignment_row(w, entry, "}, ")));
         1_024 + boards.sum::<usize>() + entries.sum::<usize>()
     }
 
@@ -678,9 +678,8 @@ impl FleetReport {
             self.failed,
             self.requeued,
         )?;
-        let mut row = Row::default();
         for (k, b) in self.boards.iter().enumerate() {
-            row.push(out, "", &b.json_fields(), REPORT_KEY);
+            json::write_row(out, |line| b.json_row(line));
             match &b.report {
                 Some(r) => r.write_json(out, BOARD_PAD)?,
                 None => out.push_str("null"),
@@ -688,10 +687,11 @@ impl FleetReport {
             out.push_str(row_end(k, self.boards.len()));
         }
         out.push_str("  ],\n  \"assignment\": [");
+        let mut line = Line::new(out);
         for (k, &entry) in self.assignment.iter().enumerate() {
             let last = k + 1 == self.assignment.len();
-            let end = if last { "}" } else { "}, " };
-            row.push(out, "", &assignment_fields(entry), end);
+            assignment_row(&mut line, entry, if last { "}" } else { "}, " });
+            line.flush();
         }
         out.push_str("]\n}\n");
         Ok(())
@@ -700,34 +700,41 @@ impl FleetReport {
 
 /// Indentation of a board's embedded report.
 const BOARD_PAD: &str = "    ";
-const REPORT_KEY: &str = ", \"report\": ";
 
 impl BoardReport {
-    /// The `per_board` row up to `"report"`.
-    fn json_fields(&self) -> [(&'static str, Val<'_>); 9] {
-        [
-            ("    {\"name\": \"", Val::Str(&self.name)),
-            ("\", \"platform\": \"", Val::Str(&self.platform)),
-            ("\", \"board_luts\": ", Val::Int(self.board_luts as u64)),
-            (", \"assigned\": ", Val::Int(self.assigned as u64)),
-            (", \"rescued_in\": ", Val::Int(self.rescued_in as u64)),
-            (", \"rescued_out\": ", Val::Int(self.rescued_out as u64)),
-            (
-                ", \"est_request_ticks\": ",
-                Val::Int(self.est_request_ticks),
-            ),
-            (", \"utilization\": ", Val::Fixed(self.utilization, 4)),
-            (", \"rps_per_kluts\": ", Val::Fixed(self.rps_per_kluts, 4)),
-        ]
+    /// The `per_board` row up to the value of `"report"`.
+    fn json_row<S: Sink>(&self, s: &mut S) {
+        s.lit("    {\"name\": \"");
+        s.str(&self.name);
+        s.lit("\", \"platform\": \"");
+        s.str(&self.platform);
+        s.lit("\", \"board_luts\": ");
+        s.int(self.board_luts as u64);
+        s.lit(", \"assigned\": ");
+        s.int(self.assigned as u64);
+        s.lit(", \"rescued_in\": ");
+        s.int(self.rescued_in as u64);
+        s.lit(", \"rescued_out\": ");
+        s.int(self.rescued_out as u64);
+        s.lit(", \"est_request_ticks\": ");
+        s.int(self.est_request_ticks);
+        s.lit(", \"utilization\": ");
+        s.fixed(self.utilization, 4);
+        s.lit(", \"rps_per_kluts\": ");
+        s.fixed(self.rps_per_kluts, 4);
+        s.lit(", \"report\": ");
     }
 }
 
-/// One `(request id, board index)` entry of the `assignment` array.
-fn assignment_fields((id, board): (usize, usize)) -> [(&'static str, Val<'static>); 2] {
-    [
-        ("{\"id\": ", Val::Int(id as u64)),
-        (", \"board\": ", Val::Int(board as u64)),
-    ]
+/// One `(request id, board index)` entry of the `assignment` array,
+/// closed by `end`.
+#[inline]
+fn assignment_row<S: Sink>(s: &mut S, (id, board): (usize, usize), end: &str) {
+    s.lit("{\"id\": ");
+    s.int(id as u64);
+    s.lit(", \"board\": ");
+    s.int(board as u64);
+    s.lit(end);
 }
 
 impl fmt::Display for FleetReport {
@@ -740,8 +747,8 @@ impl fmt::Display for FleetReport {
 mod tests {
     use super::*;
     use crate::tests::{
-        design, generated_options, generated_report, shuffled_requests, timing_requests,
-        traces_reference,
+        design, generated_options, generated_report, onto_secs6_edges, shuffled_requests,
+        timing_requests, traces_reference,
     };
     use crate::{serve, Arrival, BatchPolicy};
     use zynq::fault::Outage;
@@ -1265,7 +1272,12 @@ mod tests {
     #[test]
     fn streaming_writer_reproduces_the_reference_emitter() {
         for (seed, boards, traces) in [(0, 1, 0), (1, 2, 1), (2, 3, 5), (3, 5, 40), (4, 0, 0)] {
-            let r = generated_fleet(seed, boards, traces);
+            let mut r = generated_fleet(seed, boards, traces);
+            // The first board's report stays as drawn.
+            let reports = r.boards.iter_mut().filter_map(|b| b.report.as_mut());
+            for report in reports.skip(1) {
+                onto_secs6_edges(&mut report.traces);
+            }
             let json = r.to_json();
             assert_eq!(json, r.to_json_reference(), "seed {seed}");
             crate::json::validate(&json).unwrap();

@@ -6,24 +6,31 @@
 //! emitter. A report's `to_json` reserves a tight upper bound of its
 //! document once and its `write_json` appends into that buffer; an
 //! embedded report (a fleet's boards) writes straight into its parent's
-//! buffer behind a pad. Record rows are arrays of `(literal key,
-//! [`Val`])` that a [`Row`] assembles in a stack buffer and appends with
-//! one `push_str`, and that [`fields_len`] sizes. The values are
-//! integers, flags, [`push_fixed`] floats (what `format!("{v:.prec$}")`
-//! prints), escaped strings ([`push_escaped`] — board names, fault-plan
-//! labels and kernel names flow into the output, so a quote or
-//! backslash in a label would otherwise emit invalid JSON) and
-//! [`Val::Secs6`].
+//! buffer behind a pad.
 //!
-//! `Secs6` is how a service report's per-request times reach the
+//! Each table has one row definition: a function generic over [`Sink`]
+//! that makes the row's typed appends in order — literal keys
+//! ([`Sink::lit`]), integers, flags, [`Sink::fixed`] floats (what
+//! `format!("{v:.prec$}")` prints), escaped strings ([`Sink::str`] —
+//! board names, fault-plan labels and kernel names flow into the
+//! output, so a quote or backslash in a label would otherwise emit
+//! invalid JSON) and [`Sink::secs6`] times. Run on a [`Line`], the
+//! definition writes the row into a 256-byte stack buffer that reaches
+//! the document in one `push_str`; run on a [`Width`], it adds up an
+//! upper bound on the same row's bytes, which `to_json` reserves. So
+//! one definition sizes and writes its row, and the two cannot drift
+//! apart. Digits come from a two-digit table; nothing on the row path
+//! allocates.
+//!
+//! `secs6` is how a service report's per-request times reach the
 //! document. The report keeps every request once, as integer
 //! picosecond ticks (`runtime::Traces`); seconds exist only here, at
-//! emission. `Secs6(t)` prints what `format!("{:.6}", to_secs(t))`
+//! emission. `secs6(t)` prints what `format!("{:.6}", to_secs(t))`
 //! prints, by integer division: the microsecond count `t / 10^6`
 //! rounded on the remainder. The float's error stays under half a tick
 //! while `t < 2^51`, so the two can only disagree on an exact decimal
 //! tie (`t % 10^6 == 500 000`), where the float sits on one side or the
-//! other; ties and larger ticks go through `push_fixed(to_secs(t), 6)`.
+//! other; ties and larger ticks go through `fixed(to_secs(t), 6)`.
 //!
 //! [`validate`] is a minimal JSON parser (structure only, no value
 //! tree) used by tests to prove emitted documents stay well-formed even
@@ -33,191 +40,297 @@ use std::fmt::Write;
 
 use zynq::des::to_secs;
 
-/// Bytes a row collects on the stack between two appends.
+/// Bytes a [`Line`] collects on the stack between two appends to the
+/// document.
 const ROW: usize = 256;
-/// Literals of a row — pad, keys, end — a [`Row`] remembers: the rows
-/// worth it (a trace, a fleet placement) are short.
-const LITS: usize = 12;
 
-/// A row under assembly, and what is left in the buffer of the row
-/// before it. The buffer only ever holds whole `&str`s and ASCII
-/// digits, so its bytes are UTF-8 whenever they are flushed.
-///
-/// The rows of one table repeat their literals, mostly at the same
-/// offsets, and copying them is most of what a row of numbers costs. So
-/// a row that went out in one piece leaves behind where each literal
-/// lay, as (address, length, offset), and the next row skips a literal
-/// that lands on itself: the bytes are there already. Literals are
-/// `&'static str`, so equal address and length mean equal bytes; a row
-/// is written left to right, so until it is flushed part-way nothing at
-/// or past the cursor has been touched since the row before.
-pub struct Row {
+/// The typed appends a row is made of, in the order they print.
+pub trait Sink {
+    /// A token that needs no escaping (a key, a pad, a label), verbatim.
+    fn lit(&mut self, s: &str);
+    /// `v` in decimal.
+    fn int(&mut self, v: u64);
+    /// `true` or `false`.
+    fn flag(&mut self, v: bool);
+    /// `v` with `prec` fractional digits, as [`push_fixed`] prints it.
+    fn fixed(&mut self, v: f64, prec: usize);
+    /// Picosecond ticks as seconds with six fractional digits: byte for
+    /// byte `fixed(to_secs(ticks), 6)`, without the float.
+    fn secs6(&mut self, ticks: u64);
+    /// `s` escaped for a JSON string literal, as [`push_escaped`] does.
+    fn str(&mut self, s: &str);
+}
+
+/// The [`Sink`] that writes: appends collect in a stack buffer, and
+/// [`Line::flush`] — once per row, or when the buffer is full — appends
+/// them to the document. The buffer only ever holds whole `&str`s and
+/// ASCII, so its bytes are UTF-8 whenever they are flushed.
+pub struct Line<'a> {
+    out: &'a mut String,
     buf: [u8; ROW],
     len: usize,
-    lits: [(usize, usize, usize); LITS],
-    /// Leading entries of `lits` that describe the row before.
-    kept: usize,
-    /// Whether this row has been flushed part-way.
-    spilled: bool,
 }
+
+/// `00` to `99`.
+const PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0; 2]; 100];
+    let mut i = 0;
+    while i < 100 {
+        pairs[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
+        i += 1;
+    }
+    pairs
+};
 
 /// Decimal digits of `v`.
 fn digits(v: u64) -> usize {
     v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-/// `v` in decimal over the whole of `slot`, zero-padded on the left.
+/// `v` in decimal over the whole of `slot`, zero-padded on the left,
+/// two digits at a time.
 fn fill(slot: &mut [u8], mut v: u64) {
-    for digit in slot.iter_mut().rev() {
+    let mut pairs = slot.rchunks_exact_mut(2);
+    for pair in &mut pairs {
+        pair.copy_from_slice(&PAIRS[(v % 100) as usize]);
+        v /= 100;
+    }
+    if let [digit] = pairs.into_remainder() {
         *digit = b'0' + (v % 10) as u8;
-        v /= 10;
     }
 }
 
-impl Default for Row {
-    fn default() -> Row {
-        Row {
+/// `v` as the integer and fractional digits of its `prec`-digit decimal
+/// expansion, rounded half to even on the exact binary value: `v = m *
+/// 2^-shift` splits into an integer part and fraction bits, and the
+/// fraction bits times `10^prec` fit a `u128`, so the digits and the
+/// exact remainder come from one shift. `None` for what `core::fmt`
+/// prints instead: negative, non-finite and `>= 2^52` values and
+/// `prec > 9`, none of which occurs in a report.
+fn split_fixed(v: f64, prec: usize) -> Option<(u64, u64)> {
+    let bits = v.to_bits();
+    let exp = (bits >> 52) as usize;
+    if exp >= 1075 || prec > 9 {
+        // Sign bit set (`exp >= 2048`), NaN, infinite or no fraction bits.
+        return None;
+    }
+    // Subnormals (`exp == 0`) share the smallest normal exponent and
+    // lack the implicit bit. A shift past 127 leaves nothing of the
+    // 83-bit product either way, so clamping it is exact.
+    let m = (bits & ((1 << 52) - 1) | u64::from(exp > 0) << 52) as u128;
+    let shift = (1075 - exp.max(1)).min(127);
+    let pow = 10u64.pow(prec as u32);
+    let scaled = (m & ((1 << shift) - 1)) * pow as u128;
+    let (mut int, mut frac) = ((m >> shift) as u64, (scaled >> shift) as u64);
+    let (rest, half) = (scaled & ((1 << shift) - 1), 1 << (shift - 1));
+    // Parity of the whole scaled value; wrapping keeps the low bit.
+    let odd = int.wrapping_mul(pow).wrapping_add(frac) & 1 == 1;
+    if rest > half || (rest == half && odd) {
+        frac += 1;
+        if frac == pow {
+            (int, frac) = (int + 1, 0);
+        }
+    }
+    Some((int, frac))
+}
+
+impl<'a> Line<'a> {
+    /// A line that appends to `out`.
+    pub fn new(out: &'a mut String) -> Line<'a> {
+        Line {
+            out,
             buf: [0; ROW],
             len: 0,
-            lits: [(0, 0, 0); LITS],
-            kept: 0,
-            spilled: false,
-        }
-    }
-}
-
-impl Row {
-    /// Append `pad`, `key value` for every field, then `end` to `out`.
-    /// Does not allocate; a row of up to `ROW` (256) bytes without a `Str`
-    /// is one append.
-    pub fn push(
-        &mut self,
-        out: &mut String,
-        pad: &'static str,
-        fields: &[(&'static str, Val)],
-        end: &'static str,
-    ) {
-        self.spilled = false;
-        self.lit(out, 0, pad);
-        for (i, (key, val)) in fields.iter().enumerate() {
-            self.lit(out, i + 1, key);
-            match *val {
-                Val::Int(v) => fill(self.claim(out, digits(v)), v),
-                Val::Flag(v) => self.put(out, if v { "true" } else { "false" }),
-                Val::Fixed(v, prec) => self.put_fixed(out, v, prec),
-                Val::Secs6(ticks) => self.put_secs6(out, ticks),
-                Val::Str(s) => {
-                    self.flush(out);
-                    push_escaped(out, s);
-                }
-                Val::Lit(s) => self.put(out, s),
-            }
-        }
-        self.lit(out, fields.len() + 1, end);
-        let whole = !self.spilled;
-        self.flush(out);
-        self.kept = if whole { LITS.min(fields.len() + 2) } else { 0 };
-    }
-
-    /// Literal `i` of the row: copied, unless the row before left it here.
-    fn lit(&mut self, out: &mut String, i: usize, s: &'static str) {
-        let here = (s.as_ptr() as usize, s.len(), self.len);
-        if !self.spilled && i < self.kept && self.lits[i] == here {
-            self.len += s.len();
-        } else {
-            if let Some(lit) = self.lits.get_mut(i) {
-                *lit = here;
-            }
-            self.put(out, s);
         }
     }
 
-    /// Append what has collected to `out`.
-    fn flush(&mut self, out: &mut String) {
-        out.push_str(std::str::from_utf8(&self.buf[..self.len]).expect("strs and ascii digits"));
+    /// Append what has collected to the document.
+    #[inline]
+    pub fn flush(&mut self) {
+        let row = std::str::from_utf8(&self.buf[..self.len]).expect("strs and ascii digits");
+        self.out.push_str(row);
         self.len = 0;
-        self.spilled = true;
     }
 
     /// The next `n <= ROW` bytes of the buffer, flushing first when they
     /// would not fit.
-    fn claim(&mut self, out: &mut String, n: usize) -> &mut [u8] {
+    #[inline(always)]
+    fn claim(&mut self, n: usize) -> &mut [u8] {
         if self.len + n > ROW {
-            self.flush(out);
+            self.spill();
         }
         self.len += n;
         &mut self.buf[self.len - n..self.len]
     }
 
-    fn put(&mut self, out: &mut String, s: &str) {
-        if s.len() > ROW {
-            self.flush(out);
-            out.push_str(s);
+    /// [`Line::flush`] inside a row, off the path of rows that fit.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self) {
+        self.flush();
+    }
+
+    /// A literal longer than the buffer, or a string that needs
+    /// escaping: straight to the document.
+    #[cold]
+    #[inline(never)]
+    fn spill_str(&mut self, s: &str, escape: bool) {
+        self.flush();
+        if escape {
+            push_escaped(self.out, s);
         } else {
-            self.claim(out, s.len()).copy_from_slice(s.as_bytes());
+            self.out.push_str(s);
         }
     }
 
-    /// `int.frac` with `prec` fractional digits.
-    fn put_decimal(&mut self, out: &mut String, int: u64, frac: u64, prec: usize) {
+    /// What `core::fmt` prints of `v`, straight to the document.
+    #[cold]
+    #[inline(never)]
+    fn spill_fmt(&mut self, v: f64, prec: usize) {
+        self.flush();
+        write!(self.out, "{v:.prec$}").expect("writing to a String cannot fail");
+    }
+
+    /// `secs6` of a decimal tie or of a tick count past `2^51`.
+    #[cold]
+    #[inline(never)]
+    fn secs6_by_float(&mut self, ticks: u64) {
+        self.fixed(to_secs(ticks), 6);
+    }
+
+    /// `int.frac` with `prec <= 9` fractional digits.
+    #[inline(always)]
+    fn decimal(&mut self, int: u64, frac: u64, prec: usize) {
         let int_digits = digits(int);
-        let slot = self.claim(out, int_digits + usize::from(prec > 0) + prec);
-        fill(&mut slot[..int_digits], int);
-        if let [point, frac_digits @ ..] = &mut slot[int_digits..] {
+        let slot = self.claim(int_digits + usize::from(prec > 0) + prec);
+        let (int_slot, rest) = slot.split_at_mut(int_digits);
+        fill(int_slot, int);
+        if let [point, frac_digits @ ..] = rest {
             *point = b'.';
             fill(frac_digits, frac);
         }
     }
+}
 
-    /// See [`push_fixed`].
-    fn put_fixed(&mut self, out: &mut String, v: f64, prec: usize) {
-        let bits = v.to_bits();
-        let exp = (bits >> 52) as usize;
-        if exp >= 1075 || prec > 9 {
-            // Sign bit set (`exp >= 2048`), NaN, infinite or no fraction bits.
-            self.flush(out);
-            return write!(out, "{v:.prec$}").expect("writing to a String cannot fail");
+// The common appends inline into each row definition, so that a
+// literal is a fixed-size copy and a row compiles to straight-line code;
+// what a row seldom needs (a spill, a float for `core::fmt`, a tie)
+// stays out of line. As plain calls, the appends cost the trace row
+// about as much as the field-array loop they replaced.
+impl Sink for Line<'_> {
+    #[inline(always)]
+    fn lit(&mut self, s: &str) {
+        if s.len() > ROW {
+            self.spill_str(s, false);
+        } else {
+            self.claim(s.len()).copy_from_slice(s.as_bytes());
         }
-        // Subnormals (`exp == 0`) share the smallest normal exponent and
-        // lack the implicit bit. A shift past 127 leaves nothing of the
-        // 83-bit product either way, so clamping it is exact.
-        let m = (bits & ((1 << 52) - 1) | u64::from(exp > 0) << 52) as u128;
-        let shift = (1075 - exp.max(1)).min(127);
-        let pow = 10u64.pow(prec as u32);
-        let scaled = (m & ((1 << shift) - 1)) * pow as u128;
-        let (mut int, mut frac) = ((m >> shift) as u64, (scaled >> shift) as u64);
-        let (rest, half) = (scaled & ((1 << shift) - 1), 1 << (shift - 1));
-        // Parity of the whole scaled value; wrapping keeps the low bit.
-        let odd = int.wrapping_mul(pow).wrapping_add(frac) & 1 == 1;
-        if rest > half || (rest == half && odd) {
-            frac += 1;
-            if frac == pow {
-                (int, frac) = (int + 1, 0);
-            }
-        }
-        self.put_decimal(out, int, frac, prec);
     }
 
-    /// See [`Val::Secs6`].
-    fn put_secs6(&mut self, out: &mut String, ticks: u64) {
+    #[inline(always)]
+    fn int(&mut self, v: u64) {
+        fill(self.claim(digits(v)), v);
+    }
+
+    #[inline(always)]
+    fn flag(&mut self, v: bool) {
+        self.lit(if v { "true" } else { "false" });
+    }
+
+    #[inline]
+    fn fixed(&mut self, v: f64, prec: usize) {
+        match split_fixed(v, prec) {
+            Some((int, frac)) => self.decimal(int, frac, prec),
+            None => self.spill_fmt(v, prec),
+        }
+    }
+
+    #[inline(always)]
+    fn secs6(&mut self, ticks: u64) {
         let (micros, rest) = (ticks / 1_000_000, ticks % 1_000_000);
         if rest == 500_000 || ticks >= 1 << 51 {
-            return self.put_fixed(out, to_secs(ticks), 6);
+            return self.secs6_by_float(ticks);
         }
         let micros = micros + u64::from(rest > 500_000);
-        self.put_decimal(out, micros / 1_000_000, micros % 1_000_000, 6);
+        self.decimal(micros / 1_000_000, micros % 1_000_000, 6);
     }
+
+    #[inline]
+    fn str(&mut self, s: &str) {
+        if s.bytes().all(|b| escaped_width(b) == 1) {
+            self.lit(s);
+        } else {
+            self.spill_str(s, true);
+        }
+    }
+}
+
+/// The [`Sink`] that counts: an upper bound on the bytes a [`Line`]
+/// appends for the same calls, exact but for a `true`, for a `fixed`
+/// within one of its next integer digit and for a `secs6` within a
+/// microsecond of it. Values `fixed` hands to `core::fmt` are not
+/// covered.
+#[derive(Default)]
+pub struct Width(usize);
+
+impl Sink for Width {
+    #[inline]
+    fn lit(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    #[inline]
+    fn int(&mut self, v: u64) {
+        self.0 += digits(v);
+    }
+
+    #[inline]
+    fn flag(&mut self, _: bool) {
+        self.0 += "false".len();
+    }
+
+    #[inline]
+    fn fixed(&mut self, v: f64, prec: usize) {
+        // The common case (seconds, fractions) without the cast.
+        self.0 += if v < 9.0 {
+            2 + prec
+        } else {
+            digits((v as u64).saturating_add(1)) + 1 + prec
+        };
+    }
+
+    #[inline]
+    fn secs6(&mut self, ticks: u64) {
+        // A microsecond on top covers the rounding, float error included.
+        self.0 += digits(ticks.saturating_add(1_000_000) / 1_000_000_000_000) + 7;
+    }
+
+    #[inline]
+    fn str(&mut self, s: &str) {
+        self.0 += escaped_len(s);
+    }
+}
+
+/// Append the row `row` makes to `out`, in one flush when it fits the
+/// stack buffer.
+pub fn write_row(out: &mut String, row: impl FnOnce(&mut Line)) {
+    let mut line = Line::new(out);
+    row(&mut line);
+    line.flush();
+}
+
+/// Upper bound on the bytes of the row `row` makes (see [`Width`]).
+pub fn width(row: impl FnOnce(&mut Width)) -> usize {
+    let mut width = Width::default();
+    row(&mut width);
+    width.0
 }
 
 /// Append `v` with `prec` fractional digits, byte for byte what
 /// `format!("{v:.prec$}")` prints: the exact binary value rounded half
-/// to even at the last digit. `v = m * 2^-shift` splits into an integer
-/// part and fraction bits; the fraction bits times `10^prec` fit a
-/// `u128`, so the digits and the exact remainder come from one shift.
-/// Negative, non-finite and `>= 2^52` values and `prec > 9` — none
-/// occurs in a report — take `core::fmt`.
+/// to even at the last digit.
 pub fn push_fixed(out: &mut String, v: f64, prec: usize) {
-    push_fields(out, &[("", Val::Fixed(v, prec))]);
+    write_row(out, |line| line.fixed(v, prec));
 }
 
 /// [`push_fixed`], or `null` for `None`.
@@ -285,45 +398,6 @@ pub fn row_end(i: usize, len: usize) -> &'static str {
     } else {
         "},\n"
     }
-}
-
-/// One value of a report row, next to its literal key.
-pub enum Val<'a> {
-    Int(u64),
-    Flag(bool),
-    /// Value and fractional digits, as [`push_fixed`] takes them.
-    Fixed(f64, usize),
-    /// Picosecond ticks, printed as seconds with six fractional digits:
-    /// byte for byte `Fixed(to_secs(ticks), 6)`, without the float.
-    Secs6(u64),
-    /// Escaped on the way out.
-    Str(&'a str),
-    /// A token that needs no escaping, verbatim.
-    Lit(&'a str),
-}
-
-/// Append `key value` for every field of a part of a row.
-pub fn push_fields(out: &mut String, fields: &[(&'static str, Val)]) {
-    Row::default().push(out, "", fields, "");
-}
-
-/// Upper bound on the bytes [`push_fields`] appends, exact but for a
-/// `true`, for a `Fixed` within one of its next integer digit and for a
-/// `Secs6` within a microsecond of it. Values [`push_fixed`] hands to
-/// `core::fmt` are not covered.
-pub fn fields_len(fields: &[(&str, Val)]) -> usize {
-    let width = |val: &Val| match *val {
-        Val::Int(v) => digits(v),
-        Val::Flag(_) => "false".len(),
-        // The common case (seconds, fractions) without the cast.
-        Val::Fixed(v, prec) if v < 9.0 => 2 + prec,
-        Val::Fixed(v, prec) => digits((v as u64).saturating_add(1)) + 1 + prec,
-        // A microsecond on top covers the rounding, float error included.
-        Val::Secs6(ticks) => digits(ticks.saturating_add(1_000_000) / 1_000_000_000_000) + 7,
-        Val::Str(s) => escaped_len(s),
-        Val::Lit(s) => s.len(),
-    };
-    fields.iter().map(|(key, val)| key.len() + width(val)).sum()
 }
 
 /// Validate that `s` is one well-formed JSON document. Returns the
@@ -512,9 +586,9 @@ mod tests {
         assert!(!doc.contains('\n'));
     }
 
-    /// `push_fixed` and `Val::Int` against their definitions,
-    /// `format!("{v:.p$}")` and `to_string`, for every precision a
-    /// report uses and the ones around them.
+    /// `fixed` and `int` against their definitions, `format!("{v:.p$}")`
+    /// and `to_string`, for every precision a report uses and the ones
+    /// around them, with `Width` bounding what they print.
     #[test]
     fn number_writers_print_what_core_fmt_prints() {
         use rand::rngs::StdRng;
@@ -574,7 +648,7 @@ mod tests {
                     v.to_bits()
                 );
                 if v.is_sign_positive() && v < 4e15 {
-                    let bound = fields_len(&[("", Val::Fixed(v, p))]);
+                    let bound = width(|w| w.fixed(v, p));
                     assert!(
                         out.len() <= bound && bound <= out.len() + 2,
                         "{v:e} at .{p}"
@@ -584,9 +658,9 @@ mod tests {
         }
         for &v in &ints {
             out.clear();
-            push_fields(&mut out, &[("", Val::Int(v))]);
+            write_row(&mut out, |line| line.int(v));
             assert_eq!(out, v.to_string());
-            assert_eq!(out.len(), fields_len(&[("", Val::Int(v))]));
+            assert_eq!(out.len(), width(|w| w.int(v)));
         }
         out.clear();
         push_opt_fixed(&mut out, None, 6);
@@ -594,7 +668,7 @@ mod tests {
         assert_eq!(out, "null0.250");
     }
 
-    /// `Secs6` against its definition, `format!("{:.6}", to_secs(t))`:
+    /// `secs6` against its definition, `format!("{:.6}", to_secs(t))`:
     /// ten million drawn ticks of every magnitude, every decimal tie of
     /// the first second and a million drawn ones with both neighbours,
     /// and the ticks either side of the `2^51` hand-over to the float.
@@ -607,10 +681,10 @@ mod tests {
         let mut check = |ticks: u64| {
             got.clear();
             want.clear();
-            push_fields(&mut got, &[("", Val::Secs6(ticks))]);
+            write_row(&mut got, |line| line.secs6(ticks));
             write!(want, "{:.6}", to_secs(ticks)).unwrap();
             assert_eq!(got, want, "{ticks} ticks");
-            let bound = fields_len(&[("", Val::Secs6(ticks))]);
+            let bound = width(|w| w.secs6(ticks));
             assert!(
                 got.len() <= bound && bound <= got.len() + 1,
                 "{ticks} ticks"
@@ -641,68 +715,64 @@ mod tests {
         }
     }
 
-    /// A `Row` reused from row to row writes what a fresh one writes:
-    /// values whose widths move the literals behind them and move them
-    /// back, tables of different shapes taking turns, rows that spill on
-    /// a string, on a `core::fmt` float and on their own length.
+    /// A `Line` writes what its appends print one by one, and `Width`
+    /// bounds it, for rows that spill: on an escaped string, on a
+    /// `core::fmt` float, on a literal longer than the buffer and on
+    /// their own length, and rows reusing the line after any of these.
     #[test]
-    fn a_reused_row_writes_what_a_fresh_row_writes() {
+    fn a_line_writes_what_its_appends_print() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        let mut rng = StdRng::seed_from_u64(0x0520_0123);
-        let long = "x".repeat(ROW - 20);
-        let (mut reused, mut got, mut want) = (Row::default(), String::new(), String::new());
-        for _ in 0..40_000 {
-            let mut value = || rng.next_u64() >> (rng.next_u64() % 64);
-            let (a, b, c) = (value(), value(), value());
-            let label = ["completed", "shed", "failed"][(a % 3) as usize];
-            let trace = [
-                ("    {\"id\": ", Val::Int(a % 1_000)),
-                (", \"arrival_s\": ", Val::Secs6(b)),
-                (", \"latency_s\": ", Val::Secs6(c % 20_000_000_000_000)),
-                (", \"outcome\": \"", Val::Lit(label)),
-            ];
-            let entry = [
-                ("{\"id\": ", Val::Int(b)),
-                (", \"board\": ", Val::Int(a % 12)),
-            ];
-            let spills = [
-                ("{\"id\": ", Val::Int(a % 100)),
-                (", \"name\": \"", Val::Str(label)),
-                ("\", \"slack\": ", Val::Fixed(-(b as f64), 3)),
-                (", \"flag\": ", Val::Flag(a % 2 == 0)),
-                (
-                    ", \"pad\": \"",
-                    Val::Lit(&long[..(c % 2) as usize * long.len()]),
-                ),
-                ("\", \"share\": ", Val::Fixed(c as f64 / 1024.0, 4)),
-            ];
-            let (pad, fields, end): (_, &[_], _) = match c % 8 {
-                0 => ("", &entry, "}, "),
-                1 => ("  ", &spills, "}\n"),
-                _ => (["", "    "][(a % 2) as usize], &trace, "\"},\n"),
-            };
-            reused.push(&mut got, pad, fields, end);
-            Row::default().push(&mut want, pad, fields, end);
-            assert_eq!(got.len(), want.len());
+        fn row<S: Sink>(s: &mut S, [a, b, c]: [u64; 3], slack: f64, label: &str, long: &str) {
+            s.lit("  {\"id\": ");
+            s.int(a);
+            s.lit(", \"name\": \"");
+            s.str(label);
+            s.lit("\", \"at\": ");
+            s.secs6(b);
+            s.lit(", \"slack\": ");
+            s.fixed(slack, 3);
+            s.lit(", \"ok\": ");
+            s.flag(a % 2 == 0);
+            s.lit(", \"pad\": \"");
+            s.lit(&long[..(c % 3) as usize * long.len() / 2]);
+            s.lit("\", \"share\": ");
+            s.fixed(c as f64 / 1024.0, 4);
+            s.lit("}\n");
         }
-        assert!(got == want, "a reused row diverged");
-        assert!(got.contains("\"arrival_s\": 0.000000, \"latency_s\": 0.000000"));
-        // A row that overwrites the row before, spills, and then brings
-        // a literal back to the offset it had: it has to be copied.
-        let table = |x, y| {
-            [
-                ("A = ", Val::Lit(x)),
-                ("B = ", Val::Lit(y)),
-                ("C = ", Val::Int(7)),
-            ]
-        };
-        let wide = "x".repeat(ROW - 3);
-        got.clear();
-        reused.push(&mut got, "", &table("", ""), "\n");
-        reused.push(&mut got, "", &table(&wide, "yyyy"), "\n");
-        assert!(got.ends_with("xxxB = yyyyC = 7\n"), "{got}");
+
+        let mut rng = StdRng::seed_from_u64(0x0520_0123);
+        let long = "x".repeat(2 * ROW + 2);
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut line = Line::new(&mut got);
+        for _ in 0..20_000 {
+            let mut value = || rng.next_u64() >> (rng.next_u64() % 64);
+            let values = [value(), value(), value()];
+            let [a, b, c] = values;
+            let label = ["zcu106", "a\"b\\c\n\u{1}", ""][(a % 3) as usize];
+            // Negative, and so printed by `core::fmt`, every fourth row.
+            let slack = if a % 4 == 0 { -(b as f64) } else { to_secs(b) };
+            row(&mut line, values, slack, label, &long);
+            line.flush();
+            let start = want.len();
+            writeln!(
+                want,
+                "  {{\"id\": {a}, \"name\": \"{}\", \"at\": {:.6}, \"slack\": {slack:.3}, \
+                 \"ok\": {}, \"pad\": \"{}\", \"share\": {:.4}}}",
+                json_escape(label),
+                to_secs(b),
+                a % 2 == 0,
+                &long[..(c % 3) as usize * long.len() / 2],
+                c as f64 / 1024.0,
+            )
+            .unwrap();
+            if slack.is_sign_positive() {
+                let bound = width(|w| row(w, values, slack, label, &long));
+                assert!(want.len() - start <= bound, "{}", &want[start..]);
+            }
+        }
+        assert!(got == want, "a line diverged");
     }
 
     #[test]

@@ -70,6 +70,8 @@
 //! small board admits. Callers that insist on an explicit configuration
 //! get a structured does-not-fit error from the flow above.
 
+#![forbid(unsafe_code)]
+
 pub mod board;
 pub mod host;
 pub mod multi;

@@ -46,6 +46,8 @@
 //! assert_eq!(factored.stmts.len(), 7); // 3 + 1 + 3
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod interp;
 pub mod ir;
 pub mod layout;

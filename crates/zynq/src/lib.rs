@@ -65,6 +65,8 @@
 //! *ratios* of Figures 9 and 10, which this simulator matches (see
 //! `tests/paper_reproduction.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod arm;
 pub mod des;
 pub mod fault;
