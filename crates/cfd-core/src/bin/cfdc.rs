@@ -1,57 +1,17 @@
 //! `cfdc` — command-line driver for the CFDlang-to-FPGA flow.
 //!
-//! ```text
-//! cfdc boards
-//! cfdc compile  <file.cfd> [--board NAME] [--no-factorize] [--no-sharing]
-//!               [--no-decouple] [--no-cross-sharing] [--kernel NAME]
-//!               [--emit c|host|ir|dot|report|memory|all] [-o DIR]
-//!               [--elements N] [--k K --m M]
-//!               [--jobs N] [--cache-dir PATH] [--no-cache] [--json]
-//! cfdc cache    stats|clear --cache-dir PATH
-//! cfdc simulate <file.cfd> [--board NAME] [--elements N] [--k K] [--m M] [--kernel NAME]
-//! cfdc verify   <file.cfd> [--board NAME] [--elements N] [--seed S] [--kernel NAME]
-//! cfdc explore  <file.cfd> [--board NAME | --boards all|A,B,..] [--grid]
-//!               [--jobs N] [--json] [--elements N]
-//! cfdc serve    <file.cfd> [--board NAME] [--requests N] [--arrival closed|poisson]
-//!               [--rate R] [--batch auto|off|K] [--no-overlap] [--seed S] [--json]
-//!               [--online] [--slo SECS] [--shed DEPTH] [--priority TIERS]
-//!               [--fleet all|A,B,..] [--route rr|jsq|predictive]
-//! ```
+//! `cfdc --help` lists the commands and every option. Each option is
+//! declared once, in [`FLAGS`]: its name, its value, the commands that
+//! read it, its parser with the range it accepts, and its help line.
+//! Parsing, the "does not apply" error and the help text derive from
+//! that table, and a test holds README's option table to it.
 //!
-//! Every command targets one platform from the catalog (`cfdc boards`
-//! lists it; default ZCU106). `explore` lists feasible replications;
-//! with `--grid` it runs the full parallel design-space sweep
-//! (k × batch × sharing × decoupling) on the staged pipeline — the
-//! frontend and middle end compile once, the per-point backend/system
-//! stages fan out over `--jobs` workers. With `--boards all` (or a
-//! comma-separated list) it sweeps the **platform × clock × grid**
-//! portfolio and reports the Pareto frontier of simulated time vs.
-//! resource fit across boards, plus the service frontier (requests/sec
-//! vs. p99 latency vs. fit).
-//!
-//! `serve` runs the batched multi-request runtime: a queue of
-//! `--requests` independent invocations of the compiled system is
-//! coalesced into hardware rounds (`--batch auto` fills the design's
-//! `m`, `--batch K` caps the fill, `--batch off` is the sequential
-//! reference), time-multiplexed with double-buffered DMA, and reported
-//! as requests/sec, p50/p99 latency and DMA/compute overlap. With
-//! `--fleet` the same stream is sharded across a whole board set by a
-//! deterministic dispatcher (`--route rr|jsq|predictive`) and reported
-//! as fleet-aggregate req/s plus per-board utilization.
-//!
-//! **Multi-kernel programs** (sources with `kernel name { ... }` blocks)
-//! compile as a whole into one shared-memory accelerator system —
-//! `compile` prints per-kernel *and* aggregate resource tables,
-//! `simulate`/`verify`/`serve` run the chained execution, `explore
-//! --grid` sweeps joint design points. `--kernel NAME` instead selects
-//! one kernel of the program and compiles it alone. Every command
-//! compiles through one function ([`compile_program`]); a single-kernel
-//! source is the one-kernel program, and the kernel outputs render its
-//! one kernel slot and one-stage system.
-//!
-//! `<file.cfd>` may be a path or one of the built-in kernels:
-//! `helmholtz[:p]`, `interpolation[:n:m]`, `sandwich[:n]`, `axpy[:n]`,
-//! or the built-in programs `simstep[:p]`, `axpychain[:n]`.
+//! Every source compiles as a program through one function
+//! ([`compile_program`]), and every command prints the program format:
+//! a single-kernel source is the one-kernel program whose one stage is
+//! `main` (`--emit all` writes `main.c`, defining `main_body`).
+//! `simulate` prints the ARM A53 software baseline of every source, the
+//! sum of its stages' times.
 //!
 //! Malformed arguments never panic: every flag value routes through the
 //! structured [`CliError`] path (exit code 2 with a one-line
@@ -73,74 +33,61 @@ use zynq::SimConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    match args[0].as_str() {
-        "compile" => cmd_compile(&args[1..]),
-        "simulate" => cmd_simulate(&args[1..]),
-        "verify" => cmd_verify(&args[1..]),
-        "explore" => cmd_explore(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "boards" => cmd_boards(),
-        "cache" => cmd_cache(&args[1..]),
-        "--help" | "-h" | "help" => usage(),
+    let Some(command) = args.first() else {
+        usage_error()
+    };
+    let rest = &args[1..];
+    match command.as_str() {
+        "compile" => cmd_compile(rest),
+        "simulate" => cmd_simulate(rest),
+        "verify" => cmd_verify(rest),
+        "explore" => cmd_explore(rest),
+        "serve" => cmd_serve(rest),
+        "boards" => cmd_boards(rest),
+        "cache" => cmd_cache(rest),
+        "--help" | "-h" | "help" => print!("{}", usage()),
         other => {
             eprintln!("unknown command '{other}'");
-            usage();
+            usage_error()
         }
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
+/// The `--help` text: the commands, the sources, and every option of
+/// [`FLAGS`] with the commands that read it.
+fn usage() -> String {
+    let mut s = String::from(
         "cfdc — CFDlang-to-FPGA flow\n\n\
          USAGE:\n\
-         \tcfdc boards\n\
-         \tcfdc compile  <kernel> [--board NAME] [--no-factorize] [--no-sharing] [--no-decouple]\n\
-         \t              [--no-cross-sharing] [--kernel NAME] [--emit WHAT] [-o DIR]\n\
-         \t              [--elements N] [--k K --m M]\n\
-         \t              [--jobs N] [--cache-dir PATH] [--no-cache] [--json]\n\
-         \tcfdc cache    stats|clear --cache-dir PATH\n\
-         \tcfdc simulate <kernel> [--board NAME] [--elements N] [--k K] [--m M] [--kernel NAME]\n\
-         \tcfdc verify   <kernel> [--board NAME] [--elements N] [--seed S] [--kernel NAME]\n\
-         \tcfdc explore  <kernel> [--board NAME | --boards all|A,B,..] [--grid] [--jobs N]\n\
-         \t              [--json] [--elements N]\n\
-         \tcfdc serve    <kernel> [--board NAME] [--requests N] [--arrival closed|poisson]\n\
-         \t              [--rate R] [--batch auto|off|K] [--no-overlap] [--seed S] [--json]\n\
-         \t              [--faults SEED:SPEC] [--deadline SECS] [--retries N] [--backoff SECS]\n\
-         \t              [--online] [--slo SECS] [--shed DEPTH] [--priority TIERS]\n\
-         \t              [--fleet all|A,B,..] [--route rr|jsq|predictive]\n\n\
-         KERNEL: a .cfd file path, a kernel helmholtz[:p] | interpolation[:n:m] | sandwich[:n] | axpy[:n],\n\
-         \tor a multi-kernel program simstep[:p] | axpychain[:n]\n\
-         EMIT:   c | host | ir | dot | report | memory | all (default: report)\n\
-         BOARD:  a catalog platform (see `cfdc boards`); default zcu106\n\n\
-         Multi-kernel sources compile into ONE shared-memory accelerator system;\n\
-         --kernel NAME selects a single kernel of the program instead.\n\
-         `explore --boards all` sweeps the platform x clock x (k, m) portfolio and\n\
-         reports the Pareto frontier (simulated time vs. resource fit) per board.\n\
-         `serve` batches a queue of independent requests onto one compiled system\n\
-         and reports requests/sec, p50/p99 latency and DMA/compute overlap.\n\
-         --faults arms a deterministic fault plan (`7:0.1` = seed 7, 10% transient\n\
-         round errors; or `7:transient=0.1,stall=0.05,corrupt=0.01,fail=2e-3,recover=4e-3`);\n\
-         --retries/--backoff/--deadline set the recovery policy, and the report\n\
-         grows completed/retried/shed/failed counts plus goodput vs offered load.\n\
-         --online marks the run as online serving and arms nothing (the schedule\n\
-         and report bytes change only when a policy is armed); --slo SECS closes batches\n\
-         early when the oldest queued request's p99 budget is at risk and sheds\n\
-         structurally hopeless requests, --shed DEPTH bounds the admission queue\n\
-         (arrivals beyond it are load-shed), --priority TIERS serves tier 0\n\
-         first with preemption at round boundaries (requests cycle tiers by id).\n\
-         `serve --fleet` shards ONE request stream across a board set (compiled\n\
-         once per platform; boards that cannot fit the program are skipped) and\n\
-         reports fleet-aggregate req/s, goodput, p99 and per-board utilization;\n\
-         --route picks the dispatcher (rr round-robin | jsq join-shortest-queue |\n\
-         predictive via each board's cost model), and --faults arms board 0 only\n\
-         so a board outage drains and requeues onto the survivors.\n\
-         --cache-dir PATH persists the scheduling-stage products under a content\n\
-         hash: a re-compile of unchanged source reports cache hits and emits\n\
-         bit-identical output (`cfdc cache stats|clear` inspects the store)."
+         \tcfdc compile  <source> [OPTIONS]    emit C, host code, IR, memory plan and reports\n\
+         \tcfdc simulate <source> [OPTIONS]    simulate the system against the ARM A53 baseline\n\
+         \tcfdc verify   <source> [OPTIONS]    run the kernels bit-exact against the reference\n\
+         \tcfdc explore  <source> [OPTIONS]    list feasible replications, or sweep designs\n\
+         \tcfdc serve    <source> [OPTIONS]    serve a request stream on one board or a fleet\n\
+         \tcfdc cache    stats|clear OPTIONS   inspect or empty an on-disk compile cache\n\
+         \tcfdc boards                        list the platform catalog\n\n\
+         SOURCE: a .cfd file path, a kernel helmholtz[:p] | interpolation[:n:m] | sandwich[:n]\n\
+         \t| axpy[:n], or a multi-kernel program simstep[:p] | axpychain[:n]. Every source\n\
+         \tcompiles into ONE shared-memory accelerator system; a kernel is the one-kernel\n\
+         \tprogram whose stage is `main`.\n\n\
+         OPTIONS:\n",
     );
+    for f in FLAGS {
+        s.push_str(&format!(
+            "\t{:<26} {}\n\t{:<26} read by: {}\n",
+            f.synopsis(),
+            f.help,
+            "",
+            f.commands.join(" ")
+        ));
+    }
+    s
+}
+
+/// The usage text on stderr with exit status 2: no command, an unknown
+/// one, or no source.
+fn usage_error() -> ! {
+    eprint!("{}", usage());
     exit(2)
 }
 
@@ -154,6 +101,8 @@ enum CliError {
     MissingValue {
         flag: String,
     },
+    /// A required option was not given; names it with its value.
+    MissingOption(String),
     InvalidValue {
         flag: String,
         value: String,
@@ -195,6 +144,7 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::MissingKernel => write!(f, "missing kernel argument"),
             CliError::MissingValue { flag } => write!(f, "option '{flag}' needs a value"),
+            CliError::MissingOption(synopsis) => write!(f, "missing required option '{synopsis}'"),
             CliError::InvalidValue {
                 flag,
                 value,
@@ -225,48 +175,375 @@ impl std::fmt::Display for CliError {
     }
 }
 
-/// The section kinds `--emit` accepts.
-const EMIT_KINDS: [&str; 7] = ["c", "host", "ir", "dot", "report", "memory", "all"];
-
-/// Parse a flag value, naming the flag and the expectation on failure.
-fn parse_value<T: std::str::FromStr>(
-    flag: &str,
-    value: String,
-    expected: &'static str,
-) -> Result<T, CliError> {
-    parse_checked(flag, value, expected, |_| true)
+/// Print the one-line usage error and exit 2.
+fn fail(e: CliError) -> ! {
+    eprintln!("error: {e}");
+    exit(2)
 }
 
-/// Parse a value that must also pass `valid`: a malformed and an
-/// out-of-range value are the same error.
-fn parse_checked<T: std::str::FromStr>(
-    flag: &str,
-    value: String,
-    expected: &'static str,
-    valid: impl Fn(&T) -> bool,
-) -> Result<T, CliError> {
-    match value.parse() {
-        Ok(v) if valid(&v) => Ok(v),
-        _ => Err(CliError::InvalidValue {
-            flag: flag.to_string(),
-            value,
-            expected,
-        }),
+/// The value of `result`, or exit 1 with `"{what} failed: {error}"`.
+fn or_exit<T>(what: &str, result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what} failed: {e}");
+        exit(1)
+    })
+}
+
+/// One option of the command line.
+#[derive(Debug)]
+struct Flag {
+    name: &'static str,
+    /// The commands that read it; any other command rejects it.
+    commands: &'static [&'static str],
+    help: &'static str,
+    takes: Takes,
+}
+
+/// What an option takes, and where it puts it.
+#[derive(Debug)]
+enum Takes {
+    /// No value.
+    Switch(fn(&mut Parsed)),
+    /// A value (named by the placeholder) stored as written.
+    Text(&'static str, fn(&mut Parsed, String)),
+    /// A value (named by the placeholder) that must parse.
+    Parse(&'static str, fn(&mut Parsed, Given) -> Result<(), CliError>),
+}
+use Takes::{Parse, Switch, Text};
+
+impl Flag {
+    /// The option as the help text writes it: `--k K`, `--json`.
+    fn synopsis(&self) -> String {
+        match self.takes {
+            Switch(_) => self.name.to_string(),
+            Text(value, _) | Parse(value, _) => format!("{} {value}", self.name),
+        }
     }
 }
 
-/// Parse a count that must be at least 1.
-fn parse_positive(flag: &str, value: String) -> Result<usize, CliError> {
-    parse_checked(flag, value, "a positive integer", |&n| n > 0)
+/// A value given to the option `flag`.
+struct Given {
+    flag: &'static str,
+    value: String,
 }
 
-/// Consume the value following `args[*i]`.
-fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, CliError> {
-    *i += 1;
-    args.get(*i).cloned().ok_or_else(|| CliError::MissingValue {
-        flag: flag.to_string(),
-    })
+impl Given {
+    /// Parse the value, which must also pass `valid`: a malformed and
+    /// an out-of-range value are the same error, naming `expected`.
+    fn parse<T: std::str::FromStr>(
+        self,
+        expected: &'static str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<T, CliError> {
+        match self.value.parse() {
+            Ok(v) if valid(&v) => Ok(v),
+            _ => Err(self.invalid(expected)),
+        }
+    }
+
+    /// A count that must be at least 1.
+    fn positive(self) -> Result<usize, CliError> {
+        self.parse("a positive integer", |&n| n > 0)
+    }
+
+    /// A value a library parser checks.
+    fn spec<T>(
+        self,
+        parse: fn(&str) -> Result<T, String>,
+        expected: &'static str,
+    ) -> Result<T, CliError> {
+        parse(&self.value).map_err(|_| self.invalid(expected))
+    }
+
+    fn invalid(self, expected: &'static str) -> CliError {
+        CliError::InvalidValue {
+            flag: self.flag.to_string(),
+            value: self.value,
+            expected,
+        }
+    }
 }
+
+/// The section kinds `--emit` accepts.
+const EMIT_KINDS: [&str; 7] = ["c", "host", "ir", "dot", "report", "memory", "all"];
+
+/// The commands that compile a source.
+const SOURCE: &[&str] = &["compile", "simulate", "verify", "explore", "serve"];
+/// The commands that build one system (`explore` lists or sweeps them).
+const BUILT: &[&str] = &["compile", "simulate", "verify", "serve"];
+const SERVE: &[&str] = &["serve"];
+
+/// Options that other checks name.
+const K: &str = "--k";
+const M: &str = "--m";
+const RATE: &str = "--rate";
+const ARRIVAL: &str = "--arrival";
+const CACHE_DIR: &str = "--cache-dir";
+
+/// Every option of every command, in help order.
+static FLAGS: &[Flag] = &[
+    Flag {
+        name: "--board",
+        commands: SOURCE,
+        help: "target a catalog platform at its default clock (default zcu106)",
+        takes: Text("NAME", |p, v| p.board = Some(v)),
+    },
+    Flag {
+        name: "--kernel",
+        commands: SOURCE,
+        help: "compile one kernel of a multi-kernel program alone",
+        takes: Text("NAME", |p, v| p.kernel = Some(v)),
+    },
+    Flag {
+        name: "--no-factorize",
+        commands: SOURCE,
+        help: "skip the contraction factorization (Section IV-A)",
+        takes: Switch(|p| p.program.flow.factorize = false),
+    },
+    Flag {
+        name: "--no-sharing",
+        commands: SOURCE,
+        help: "give every array its own PLM: no address-space sharing",
+        takes: Switch(|p| p.program.flow.memory.sharing = false),
+    },
+    Flag {
+        name: "--no-decouple",
+        commands: SOURCE,
+        help: "keep temporaries in the kernel instead of exporting them to PLM units",
+        takes: Switch(|p| p.program.flow.decoupled = false),
+    },
+    Flag {
+        name: "--no-cross-sharing",
+        commands: SOURCE,
+        help: "concatenate the kernels' PLMs: no co-location across a program",
+        takes: Switch(|p| p.program.cross_sharing = false),
+    },
+    Flag {
+        name: "--jobs",
+        commands: SOURCE,
+        help: "workers for the compile stages and the sweeps (default 0 = all cores)",
+        takes: Parse("N", |p, v| {
+            v.parse("a worker count (0 = all cores)", |_| true)
+                .map(|jobs| p.program.flow.jobs = jobs)
+        }),
+    },
+    Flag {
+        name: "--elements",
+        commands: &["compile", "simulate", "verify", "explore"],
+        help: "element count (default 50000; verify 8, explore sweeps 10000)",
+        takes: Parse("N", |p, v| {
+            p.program.flow.elements = v.positive()?;
+            p.elements_set = true;
+            Ok(())
+        }),
+    },
+    Flag {
+        name: K,
+        commands: BUILT,
+        help: "replicate every kernel K times (default: the largest feasible k = m)",
+        takes: Parse("K", |p, v| v.positive().map(|k| p.k = Some(k))),
+    },
+    Flag {
+        name: M,
+        commands: BUILT,
+        help: "instantiate M PLM sets, a power-of-two multiple of K",
+        takes: Parse("M", |p, v| v.positive().map(|m| p.m = Some(m))),
+    },
+    Flag {
+        name: "--emit",
+        commands: &["compile"],
+        help: "c | host | ir | dot | report | memory | all (default report)",
+        takes: Parse("WHAT", |p, v| {
+            v.parse(
+                "c | host | ir | dot | report | memory | all",
+                |e: &String| EMIT_KINDS.contains(&e.as_str()),
+            )
+            .map(|emit| p.emit = emit)
+        }),
+    },
+    Flag {
+        name: "-o",
+        commands: &["compile"],
+        help: "write each emitted file into DIR instead of printing it",
+        takes: Text("DIR", |p, v| p.out_dir = Some(v)),
+    },
+    Flag {
+        name: "--json",
+        commands: &["compile", "explore", "serve"],
+        help: "print the report as JSON (compile: stage timings and counters)",
+        takes: Switch(|p| p.json = true),
+    },
+    Flag {
+        name: CACHE_DIR,
+        commands: &["compile", "simulate", "verify", "serve", "cache"],
+        help: "keep scheduling products in an on-disk compile cache (cache needs it)",
+        takes: Text("PATH", |p, v| p.cache_dir = Some(v)),
+    },
+    Flag {
+        name: "--no-cache",
+        commands: BUILT,
+        help: "compile uncached even when a cache directory is named",
+        takes: Switch(|p| p.no_cache = true),
+    },
+    Flag {
+        name: "--seed",
+        commands: &["verify", "serve"],
+        help: "seed of the verified inputs and of the request stream (default 42)",
+        takes: Parse("S", |p, v| {
+            v.parse("an unsigned integer", |_| true)
+                .map(|seed| p.runtime.seed = seed)
+        }),
+    },
+    Flag {
+        name: "--grid",
+        commands: &["explore"],
+        help: "sweep k x batch x sharing x decoupling on the staged pipeline",
+        takes: Switch(|p| p.grid = true),
+    },
+    Flag {
+        name: "--boards",
+        commands: &["explore"],
+        help: "sweep the platform x clock x (k, m) portfolio and its Pareto frontiers",
+        takes: Parse("all|A,B,..", |p, v| {
+            platforms(&v.value).map(|b| p.boards = Some(b))
+        }),
+    },
+    Flag {
+        name: "--requests",
+        commands: SERVE,
+        help: "requests in the stream (default 64)",
+        takes: Parse("N", |p, v| v.positive().map(|n| p.runtime.requests = n)),
+    },
+    Flag {
+        name: ARRIVAL,
+        commands: SERVE,
+        help: "a closed backlog, or Poisson arrivals at the rate R (default closed)",
+        takes: Text("closed|poisson", |p, v| p.arrival = v),
+    },
+    Flag {
+        name: RATE,
+        commands: SERVE,
+        help: "Poisson arrival rate in requests per second",
+        takes: Parse("R", |p, v| {
+            v.parse("requests per second (a positive number)", |_| true)
+                .map(|rate| p.rate = Some(rate))
+        }),
+    },
+    Flag {
+        name: "--batch",
+        commands: SERVE,
+        help: "round fill: the design's m, sequential, or at most K (default auto)",
+        takes: Parse("auto|off|K", |p, v| {
+            v.spec(BatchPolicy::parse, "auto | off | a fixed fill K >= 1")
+                .map(|batch| p.runtime.batch = batch)
+        }),
+    },
+    Flag {
+        name: "--no-overlap",
+        commands: SERVE,
+        help: "serialise DMA and compute: no double buffering",
+        takes: Switch(|p| p.runtime.overlap_dma = false),
+    },
+    Flag {
+        name: "--faults",
+        commands: SERVE,
+        help: "seeded faults, 7:0.1 or 7:transient=..,stall=..,corrupt=..,fail=..,recover=..",
+        takes: Parse("SEED:SPEC", |p, v| {
+            v.spec(
+                FaultPlan::parse,
+                "SEED:RATE, or SEED:transient=..,stall=..,corrupt=..,fail=..,recover=.. \
+                 (rates in [0,1], fail/recover in seconds with recover > fail)",
+            )
+            .map(|faults| p.runtime.faults = faults)
+        }),
+    },
+    Flag {
+        name: "--deadline",
+        commands: SERVE,
+        help: "per-request latency budget from arrival",
+        takes: Parse("SECS", |p, v| {
+            v.parse("a latency budget in seconds", |&d: &f64| {
+                d.is_finite() && d > 0.0
+            })
+            .map(|d| p.runtime.recovery.deadline_s = Some(d))
+        }),
+    },
+    Flag {
+        name: "--retries",
+        commands: SERVE,
+        help: "retries per request after a fault (default 3)",
+        takes: Parse("N", |p, v| {
+            v.parse(
+                "a retry cap in 0..=4294967295 (0 = fail on first fault)",
+                |_| true,
+            )
+            .map(|n| p.runtime.recovery.max_retries = n)
+        }),
+    },
+    Flag {
+        name: "--backoff",
+        commands: SERVE,
+        help: "base retry backoff, doubling per failure up to 16x (default 0)",
+        takes: Parse("SECS", |p, v| {
+            v.parse("a base backoff in seconds", |&b: &f64| {
+                b.is_finite() && b >= 0.0
+            })
+            .map(|b| p.runtime.recovery.backoff_s = b)
+        }),
+    },
+    Flag {
+        name: "--online",
+        commands: SERVE,
+        help: "mark the run as online serving; arms no policy by itself",
+        takes: Switch(|p| p.runtime.online.event_loop = true),
+    },
+    Flag {
+        name: "--slo",
+        commands: SERVE,
+        help: "close batches early for the p99 budget and shed hopeless requests",
+        takes: Parse("SECS", |p, v| {
+            v.parse("a p99 budget in seconds", |&d: &f64| {
+                d.is_finite() && d > 0.0
+            })
+            .map(|d| p.runtime.online.slo_s = Some(d))
+        }),
+    },
+    Flag {
+        name: "--shed",
+        commands: SERVE,
+        help: "bound the admission queue; arrivals beyond it are load-shed",
+        takes: Parse("DEPTH", |p, v| {
+            v.parse("a queue depth >= 1", |&depth: &usize| depth > 0)
+                .map(|depth| p.runtime.online.shed_queue = Some(depth))
+        }),
+    },
+    Flag {
+        name: "--priority",
+        commands: SERVE,
+        help: "serve tier 0 first, preempting at rounds (requests cycle tiers by id)",
+        takes: Parse("TIERS", |p, v| {
+            v.parse("a tier count in 1..=255", |&tiers: &u8| tiers > 0)
+                .map(|tiers| p.runtime.online.priority_tiers = tiers)
+        }),
+    },
+    Flag {
+        name: "--fleet",
+        commands: SERVE,
+        help: "shard the stream across a board set; boards that cannot fit are skipped",
+        takes: Parse("all|A,B,..", |p, v| {
+            platforms(&v.value).map(|f| p.fleet = Some(f))
+        }),
+    },
+    Flag {
+        name: "--route",
+        commands: SERVE,
+        help: "fleet dispatcher: round-robin, join-shortest-queue or cost model (default rr)",
+        takes: Parse("rr|jsq|predictive", |p, v| {
+            v.spec(RoutePolicy::parse, "rr | jsq | predictive")
+                .map(|route| p.route = route)
+        }),
+    },
+];
 
 fn load_source(spec: &str) -> Result<String, CliError> {
     let mut parts = spec.split(':');
@@ -297,7 +574,7 @@ fn load_source(spec: &str) -> Result<String, CliError> {
     })
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Parsed {
     source: String,
     /// Compile options: the flow flags, `--no-cross-sharing`, and the
@@ -308,9 +585,6 @@ struct Parsed {
     /// seed, faults, recovery and online policy (the seed also drives
     /// `verify`).
     runtime: RuntimeOptions,
-    /// Kernel count of the (possibly `--kernel`-reduced) source,
-    /// parsed once in `parse_common`.
-    kernel_count: usize,
     emit: String,
     out_dir: Option<String>,
     /// Whether --elements was given explicitly (commands pick their own
@@ -329,17 +603,20 @@ struct Parsed {
     fleet: Option<Vec<Platform>>,
     /// Dispatcher routing policy from `--route` (fleet serving).
     route: RoutePolicy,
+    /// The values [`parse_common`] resolves once every option is read:
+    /// `--kernel`, `--board`, `--k`, `--m`, `--arrival` and `--rate`.
+    kernel: Option<String>,
+    board: Option<String>,
+    k: Option<usize>,
+    m: Option<usize>,
+    arrival: String,
+    rate: Option<f64>,
     /// Every option given, in order (checked against the command by
-    /// [`applies`]).
-    flags: Vec<String>,
+    /// [`checked_or_exit`]).
+    flags: Vec<&'static Flag>,
 }
 
 impl Parsed {
-    /// Whether the source is a multi-kernel program.
-    fn is_program(&self) -> bool {
-        self.kernel_count > 1
-    }
-
     /// Whether `--emit` selects the section kind `what` (one of
     /// [`EMIT_KINDS`]).
     fn wants(&self, what: &str) -> bool {
@@ -362,202 +639,80 @@ impl Parsed {
     }
 }
 
-fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
-    if args.is_empty() {
-        return Err(CliError::MissingKernel);
-    }
-    let mut source = load_source(&args[0])?;
-    let mut program = ProgramOptions::default();
-    let opts = &mut program.flow;
-    let mut runtime = RuntimeOptions::default();
-    let mut kernel: Option<String> = None;
-    let mut emit = "report".to_string();
-    let mut out_dir = None;
-    let mut elements_set = false;
-    let mut k = None;
-    let mut m = None;
-    let mut grid = false;
-    let mut json = false;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut board: Option<String> = None;
-    let mut boards: Option<Vec<Platform>> = None;
-    let mut arrival_spec = "closed".to_string();
-    let mut rate: Option<f64> = None;
-    let mut fleet: Option<Vec<Platform>> = None;
-    let mut route = RoutePolicy::RoundRobin;
-    let mut flags = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        flags.push(args[i].clone());
-        match args[i].as_str() {
-            "--no-factorize" => opts.factorize = false,
-            "--no-decouple" => opts.decoupled = false,
-            "--no-sharing" => opts.memory.sharing = false,
-            "--no-cross-sharing" => program.cross_sharing = false,
-            "--kernel" => kernel = Some(take_value(args, &mut i, "--kernel")?),
-            "--emit" => {
-                emit = parse_checked(
-                    "--emit",
-                    take_value(args, &mut i, "--emit")?,
-                    "c | host | ir | dot | report | memory | all",
-                    |e: &String| EMIT_KINDS.contains(&e.as_str()),
-                )?
-            }
-            "-o" => out_dir = Some(take_value(args, &mut i, "-o")?),
-            "--elements" => {
-                opts.elements =
-                    parse_positive("--elements", take_value(args, &mut i, "--elements")?)?;
-                elements_set = true;
-            }
-            "--seed" => {
-                runtime.seed = parse_value(
-                    "--seed",
-                    take_value(args, &mut i, "--seed")?,
-                    "an unsigned integer",
-                )?
-            }
-            "--k" => k = Some(parse_positive("--k", take_value(args, &mut i, "--k")?)?),
-            "--m" => m = Some(parse_positive("--m", take_value(args, &mut i, "--m")?)?),
-            "--grid" => grid = true,
-            "--board" => board = Some(take_value(args, &mut i, "--board")?),
-            "--boards" => boards = Some(platforms(&take_value(args, &mut i, "--boards")?)?),
-            // --jobs drives both the compile-stage fan-out and the
-            // exploration worker pool.
-            "--jobs" => {
-                opts.jobs = parse_value(
-                    "--jobs",
-                    take_value(args, &mut i, "--jobs")?,
-                    "a worker count (0 = all cores)",
-                )?
-            }
-            "--json" => json = true,
-            "--cache-dir" => cache_dir = Some(take_value(args, &mut i, "--cache-dir")?),
-            "--no-cache" => no_cache = true,
-            "--requests" => {
-                runtime.requests =
-                    parse_positive("--requests", take_value(args, &mut i, "--requests")?)?;
-            }
-            "--arrival" => arrival_spec = take_value(args, &mut i, "--arrival")?,
-            "--rate" => {
-                rate = Some(parse_value(
-                    "--rate",
-                    take_value(args, &mut i, "--rate")?,
-                    "requests per second (a positive number)",
-                )?)
-            }
-            "--batch" => {
-                let spec = take_value(args, &mut i, "--batch")?;
-                runtime.batch = BatchPolicy::parse(&spec).map_err(|_| CliError::InvalidValue {
-                    flag: "--batch".to_string(),
-                    value: spec,
-                    expected: "auto | off | a fixed fill K >= 1",
-                })?;
-            }
-            "--no-overlap" => runtime.overlap_dma = false,
-            "--faults" => {
-                let spec = take_value(args, &mut i, "--faults")?;
-                runtime.faults = FaultPlan::parse(&spec).map_err(|_| CliError::InvalidValue {
-                    flag: "--faults".to_string(),
-                    value: spec,
-                    expected:
-                        "SEED:RATE, or SEED:transient=..,stall=..,corrupt=..,fail=..,recover=.. \
-                               (rates in [0,1], fail/recover in seconds with recover > fail)",
-                })?;
-            }
-            "--deadline" => {
-                runtime.recovery.deadline_s = Some(parse_checked(
-                    "--deadline",
-                    take_value(args, &mut i, "--deadline")?,
-                    "a latency budget in seconds",
-                    |&d: &f64| d.is_finite() && d > 0.0,
-                )?);
-            }
-            "--retries" => {
-                runtime.recovery.max_retries = parse_value(
-                    "--retries",
-                    take_value(args, &mut i, "--retries")?,
-                    "a retry cap in 0..=4294967295 (0 = fail on first fault)",
-                )?;
-            }
-            "--backoff" => {
-                runtime.recovery.backoff_s = parse_checked(
-                    "--backoff",
-                    take_value(args, &mut i, "--backoff")?,
-                    "a base backoff in seconds",
-                    |&b: &f64| b.is_finite() && b >= 0.0,
-                )?;
-            }
-            "--fleet" => fleet = Some(platforms(&take_value(args, &mut i, "--fleet")?)?),
-            "--route" => {
-                let spec = take_value(args, &mut i, "--route")?;
-                route = RoutePolicy::parse(&spec).map_err(|_| CliError::InvalidValue {
-                    flag: "--route".to_string(),
-                    value: spec,
-                    expected: "rr | jsq | predictive",
-                })?;
-            }
-            "--online" => runtime.online.event_loop = true,
-            "--slo" => {
-                runtime.online.slo_s = Some(parse_checked(
-                    "--slo",
-                    take_value(args, &mut i, "--slo")?,
-                    "a p99 budget in seconds",
-                    |&d: &f64| d.is_finite() && d > 0.0,
-                )?);
-            }
-            "--shed" => {
-                runtime.online.shed_queue = Some(parse_checked(
-                    "--shed",
-                    take_value(args, &mut i, "--shed")?,
-                    "a queue depth >= 1",
-                    |&depth: &usize| depth > 0,
-                )?);
-            }
-            "--priority" => {
-                runtime.online.priority_tiers = parse_checked(
-                    "--priority",
-                    take_value(args, &mut i, "--priority")?,
-                    "a tier count in 1..=255",
-                    |&tiers: &u8| tiers > 0,
-                )?;
-            }
-            other => return Err(CliError::UnknownOption(other.to_string())),
+/// Read `args` as options through [`FLAGS`]: an unknown option, a
+/// missing value or a malformed one is the first error.
+fn parse_options(args: &[String]) -> Result<Parsed, CliError> {
+    let mut p = Parsed {
+        emit: "report".to_string(),
+        arrival: "closed".to_string(),
+        ..Parsed::default()
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+            return Err(CliError::UnknownOption(arg.clone()));
+        };
+        p.flags.push(flag);
+        let mut value = || {
+            args.next().cloned().ok_or_else(|| CliError::MissingValue {
+                flag: flag.name.to_string(),
+            })
+        };
+        match flag.takes {
+            Switch(set) => set(&mut p),
+            Text(_, set) => set(&mut p, value()?),
+            Parse(_, set) => set(
+                &mut p,
+                Given {
+                    flag: flag.name,
+                    value: value()?,
+                },
+            )?,
         }
-        i += 1;
     }
-    runtime.arrival =
-        Arrival::parse(&arrival_spec, rate.unwrap_or(0.0)).map_err(|_| CliError::InvalidValue {
-            flag: "--arrival".to_string(),
-            value: arrival_spec.clone(),
+    Ok(p)
+}
+
+/// Read the source `args[0]` and its options, then resolve the options
+/// that depend on each other or on the source.
+fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
+    let Some(spec) = args.first() else {
+        return Err(CliError::MissingKernel);
+    };
+    let source = load_source(spec)?;
+    let mut p = parse_options(&args[1..])?;
+    p.source = source;
+    p.runtime.arrival =
+        Arrival::parse(&p.arrival, p.rate.unwrap_or(0.0)).map_err(|_| CliError::InvalidValue {
+            flag: ARRIVAL.to_string(),
+            value: p.arrival.clone(),
             expected: "closed, or poisson with --rate R > 0",
         })?;
-    if let Some(name) = &board {
+    if let Some(name) = &p.board {
         let platform = lookup_platform(name)?;
-        opts.hls.clock_mhz = platform.default_clock_mhz;
-        opts.platform = platform;
+        p.program.flow.hls.clock_mhz = platform.default_clock_mhz;
+        p.program.flow.platform = platform;
     }
-    let unpaired =
-        |flag, partner| -> Result<Parsed, CliError> { Err(CliError::Unpaired { flag, partner }) };
+    let unpaired = |flag, partner| Err(CliError::Unpaired { flag, partner });
     // A rate only shapes Poisson arrivals; a closed backlog would
     // silently drop it.
-    if rate.is_some() && runtime.arrival == Arrival::Closed {
-        return unpaired("--rate", "--arrival poisson");
+    if p.rate.is_some() && p.runtime.arrival == Arrival::Closed {
+        return unpaired(RATE, "--arrival poisson");
     }
-    let replication = match (k, m) {
-        (Some(_), None) => return unpaired("--k", "--m"),
-        (None, Some(_)) => return unpaired("--m", "--k"),
+    let replication = match (p.k, p.m) {
+        (Some(_), None) => return unpaired(K, M),
+        (None, Some(_)) => return unpaired(M, K),
         (k, m) => k.zip(m),
     };
-    // Parse once: program detection, and the --kernel NAME reduction
+    // Parse once: the kernel count, and the --kernel NAME reduction
     // of a program source to one of its kernels. (Parse errors are
     // deferred to the command's own compile for a uniform message.)
     let mut kernel_count = 1;
-    if let Ok(set) = cfdlang::parse_set(&source) {
+    if let Ok(set) = cfdlang::parse_set(&p.source) {
         kernel_count = set.kernels.len();
-        if let Some(name) = &kernel {
+        if let Some(name) = &p.kernel {
             match set.find_kernel(name) {
-                Some(k) => source = cfdlang::pretty(&k.program),
+                Some(k) => p.source = cfdlang::pretty(&k.program),
                 None => {
                     return Err(CliError::UnknownKernel {
                         name: name.clone(),
@@ -568,64 +723,26 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
             kernel_count = 1;
         }
     }
-    program.system = replication.map(|(k, m)| ProgramSystemConfig::uniform(k, m, kernel_count));
-    Ok(Parsed {
-        source,
-        program,
-        runtime,
-        kernel_count,
-        emit,
-        out_dir,
-        elements_set,
-        grid,
-        json,
-        cache_dir,
-        no_cache,
-        boards,
-        fleet,
-        route,
-        flags,
-    })
+    p.program.system = replication.map(|(k, m)| ProgramSystemConfig::uniform(k, m, kernel_count));
+    Ok(p)
 }
 
-/// Whether `cfdc command` reads `flag`. Options not named here
-/// (`--board`, `--kernel`, `--jobs` and the flow switches) apply to
-/// every command.
-fn applies(command: &str, flag: &str) -> bool {
-    match flag {
-        "--emit" | "-o" => command == "compile",
-        "--seed" => matches!(command, "verify" | "serve"),
-        "--json" => matches!(command, "compile" | "explore" | "serve"),
-        "--grid" | "--boards" => command == "explore",
-        "--cache-dir" | "--no-cache" | "--k" | "--m" => command != "explore",
-        "--elements" => command != "serve",
-        "--requests" | "--arrival" | "--rate" | "--batch" | "--no-overlap" | "--faults"
-        | "--deadline" | "--retries" | "--backoff" | "--online" | "--slo" | "--shed"
-        | "--priority" | "--fleet" | "--route" => command == "serve",
-        _ => true,
-    }
-}
-
-/// Parse the arguments of `cfdc command`, or exit with the structured
-/// one-line error (usage text when no kernel was named at all): a
+/// The parsed options of `cfdc command`, or exit with the structured
+/// one-line error (usage text when no source was named at all): a
 /// malformed argument, or an option the command never reads.
-fn parse_or_exit(command: &'static str, args: &[String]) -> Parsed {
-    let parsed =
-        parse_common(args).and_then(|p| match p.flags.iter().find(|f| !applies(command, f)) {
-            Some(flag) => Err(CliError::NotApplicable {
-                flag: flag.clone(),
-                command,
-            }),
-            None => Ok(p),
-        });
-    match parsed {
+fn checked_or_exit(command: &'static str, parsed: Result<Parsed, CliError>) -> Parsed {
+    let p = match parsed {
         Ok(p) => p,
-        Err(CliError::MissingKernel) => usage(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(2)
-        }
+        Err(CliError::MissingKernel) => usage_error(),
+        Err(e) => fail(e),
+    };
+    if let Some(flag) = p.flags.iter().find(|f| !f.commands.contains(&command)) {
+        fail(CliError::NotApplicable {
+            flag: flag.name.to_string(),
+            command,
+        })
     }
+    p
 }
 
 /// Resolve a `--board`/`--boards` name against the platform catalog.
@@ -645,8 +762,9 @@ fn platforms(spec: &str) -> Result<Vec<Platform>, CliError> {
     spec.split(',').map(lookup_platform).collect()
 }
 
-/// `cfdc boards`: the platform catalog.
-fn cmd_boards() {
+/// `cfdc boards`: the platform catalog. It reads no option.
+fn cmd_boards(args: &[String]) {
+    checked_or_exit("boards", parse_options(args));
     println!("platform catalog (use with --board / --boards):");
     println!(
         "  id          board                       LUT        FF    DSP  BRAM36  host CPU                fabric clocks (MHz)"
@@ -680,10 +798,7 @@ fn cmd_boards() {
 
 /// Build the `--cache-dir` cache or exit with the structured error.
 fn cache_or_exit(p: &Parsed) -> Option<Arc<CompileCache>> {
-    p.cache().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(2)
-    })
+    p.cache().unwrap_or_else(|e| fail(e))
 }
 
 /// One-line cache summary on stderr — stdout stays bit-identical
@@ -737,10 +852,7 @@ fn compile_program(
 fn compile_or_exit(p: &Parsed) -> ProgramArtifacts {
     let cache = cache_or_exit(p);
     let cached = cache.is_some();
-    let art = compile_program(p, &p.program, cache).unwrap_or_else(|e| {
-        eprintln!("compilation failed: {e}");
-        exit(1)
-    });
+    let art = or_exit("compilation", compile_program(p, &p.program, cache));
     report_cache(&art.timings, cached);
     art
 }
@@ -748,65 +860,47 @@ fn compile_or_exit(p: &Parsed) -> ProgramArtifacts {
 /// `cfdc cache stats|clear --cache-dir PATH`: inspect or empty the
 /// on-disk compile cache without running a compile.
 fn cmd_cache(args: &[String]) {
-    let err = |e: CliError| -> ! {
-        eprintln!("error: {e}");
-        exit(2)
-    };
     let sub = match args.first().map(String::as_str) {
         Some(s @ ("stats" | "clear")) => s,
-        Some(other) => err(CliError::InvalidValue {
+        other => fail(CliError::InvalidValue {
             flag: "cache".to_string(),
-            value: other.to_string(),
-            expected: "stats | clear",
-        }),
-        None => err(CliError::InvalidValue {
-            flag: "cache".to_string(),
-            value: String::new(),
+            value: other.unwrap_or_default().to_string(),
             expected: "stats | clear",
         }),
     };
-    let mut dir: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cache-dir" => {
-                dir = Some(take_value(args, &mut i, "--cache-dir").unwrap_or_else(|e| err(e)))
-            }
-            other => err(CliError::UnknownOption(other.to_string())),
-        }
-        i += 1;
-    }
-    let dir = dir.unwrap_or_else(|| {
-        err(CliError::MissingValue {
-            flag: "--cache-dir".to_string(),
-        })
-    });
-    let path = std::path::Path::new(&dir);
+    let p = checked_or_exit("cache", parse_options(&args[1..]));
+    let Some(dir) = &p.cache_dir else {
+        let flag = FLAGS.iter().find(|f| f.name == CACHE_DIR);
+        let flag = flag.expect("the cache directory option is in FLAGS");
+        fail(CliError::MissingOption(flag.synopsis()))
+    };
+    let path = std::path::Path::new(dir);
     let cache_err = |e: std::io::Error| -> ! {
-        err(CliError::CacheDir {
+        fail(CliError::CacheDir {
             path: dir.clone(),
             error: e.to_string(),
         })
     };
-    match sub {
-        "stats" => {
-            let (entries, bytes) = CompileCache::disk_stats(path).unwrap_or_else(|e| cache_err(e));
-            println!("cache at {dir}: {entries} entries, {bytes} bytes");
-        }
-        "clear" => {
-            let removed = CompileCache::clear_disk(path).unwrap_or_else(|e| cache_err(e));
-            println!("cache at {dir}: removed {removed} entries");
-        }
-        _ => unreachable!(),
+    if sub == "stats" {
+        let (entries, bytes) = CompileCache::disk_stats(path).unwrap_or_else(|e| cache_err(e));
+        println!("cache at {dir}: {entries} entries, {bytes} bytes");
+    } else {
+        let removed = CompileCache::clear_disk(path).unwrap_or_else(|e| cache_err(e));
+        println!("cache at {dir}: removed {removed} entries");
     }
+}
+
+/// `n kernel(s)`.
+fn kernels(n: usize) -> String {
+    format!("{n} kernel{}", if n == 1 { "" } else { "s" })
 }
 
 /// Per-kernel + aggregate resource tables of a compiled program.
 fn program_report(art: &ProgramArtifacts) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "program: {} kernels, {} handoffs, cross-kernel PLM edges: {}\n",
-        art.kernel_count(),
+        "program: {}, {} handoffs, cross-kernel PLM edges: {}\n",
+        kernels(art.kernel_count()),
         art.cross.handoffs.len(),
         art.memory_plan.cross_edges,
     ));
@@ -867,79 +961,49 @@ fn program_report(art: &ProgramArtifacts) -> String {
 }
 
 fn cmd_compile(args: &[String]) {
-    let p = parse_or_exit("compile", args);
+    let p = checked_or_exit("compile", parse_common(args));
     let art = compile_or_exit(&p);
-    let sections = if p.is_program() {
-        program_sections(&p, &art)
-    } else {
-        kernel_sections(&p, &art)
-    };
-    write_sections(&p, &sections);
+    write_sections(&p, &sections(&p, &art));
     if p.json {
         println!("{}", timings_json(art.kernel_count(), &art.timings));
     }
 }
 
-/// The `--emit` sections of a kernel compile: its one kernel slot, and
-/// the one-stage system's `host.c`.
-fn kernel_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
-    let kernel = &art.kernels[0];
+/// The `--emit` sections of a compile: per stage its IR, its C under
+/// the program-unique symbol `<stage>_body` (so the sources link into
+/// one system) and its compatibility graph; `host.c` with the fixed
+/// `cfd_driver.h` it includes; the shared PLM units; and the report,
+/// the program tables followed by each stage's HLS report.
+fn sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
+    let stages = || art.names.iter().zip(&art.kernels);
     let mut sections: Vec<(String, String)> = Vec::new();
     if p.wants("ir") {
-        sections.push(("kernel.ir".into(), kernel.module.to_string()));
-    }
-    if p.wants("c") {
-        sections.push(("kernel.c".into(), kernel.c_source.clone()));
-    }
-    if p.wants("host") {
-        host_sections(art, &mut sections);
-    }
-    if p.wants("dot") {
-        sections.push(("compat.dot".into(), kernel.compat.to_dot()));
-    }
-    if p.wants("memory") {
-        let mut s = memory_units(&kernel.memory);
-        s.push_str(&format!("total {} BRAMs\n", kernel.memory.brams));
-        sections.push(("memory.txt".into(), s));
-    }
-    if p.wants("report") {
-        let mut s = kernel.hls_report.to_string();
-        if let Some(sys) = &art.system {
-            s.push_str(&format!(
-                "\nsystem: k={} m={} | {} LUT {} FF {} DSP {} BRAM\n",
-                sys.config.ks[0], sys.config.m, sys.luts, sys.ffs, sys.dsps, sys.brams
-            ));
-        }
-        sections.push(("report.txt".into(), s));
-    }
-    sections
-}
-
-/// The `--emit` sections of a multi-kernel program compile.
-fn program_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
-    let mut sections: Vec<(String, String)> = Vec::new();
-    if p.wants("ir") {
-        for (name, a) in art.names.iter().zip(&art.kernels) {
+        for (name, a) in stages() {
             sections.push((format!("{name}.ir"), a.module.to_string()));
         }
     }
     if p.wants("c") {
-        // Program-unique symbols (`<stage>_body`) so the emitted
-        // sources link into one system.
         for (i, name) in art.names.iter().enumerate() {
             sections.push((format!("{name}.c"), art.stage_c_source(i)));
         }
     }
     if p.wants("host") {
-        host_sections(art, &mut sections);
+        sections.push(("host.c".into(), art.host_source.clone()));
+        sections.push(("cfd_driver.h".into(), sysgen::CFD_DRIVER_H.into()));
     }
     if p.wants("dot") {
-        for (name, a) in art.names.iter().zip(&art.kernels) {
+        for (name, a) in stages() {
             sections.push((format!("{name}.compat.dot"), a.compat.to_dot()));
         }
     }
     if p.wants("memory") {
-        let mut s = memory_units(&art.memory);
+        let mut s = String::new();
+        for u in &art.memory.units {
+            s.push_str(&format!(
+                "{}: {} words, {} BRAM36, {}R{}W, members {:?}\n",
+                u.name, u.words, u.brams, u.read_ports, u.write_ports, u.members
+            ));
+        }
         s.push_str(&format!(
             "total {} BRAMs ({} cross-kernel units)\n",
             art.memory.brams,
@@ -948,28 +1012,13 @@ fn program_sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)>
         sections.push(("memory.txt".into(), s));
     }
     if p.wants("report") {
-        sections.push(("report.txt".into(), program_report(art)));
+        let mut s = program_report(art);
+        for (name, a) in stages() {
+            s.push_str(&format!("\n{}", a.hls_report.renamed(name.clone())));
+        }
+        sections.push(("report.txt".into(), s));
     }
     sections
-}
-
-/// The `--emit host` sections: `host.c` and the fixed `cfd_driver.h` it
-/// includes.
-fn host_sections(art: &ProgramArtifacts, sections: &mut Vec<(String, String)>) {
-    sections.push(("host.c".into(), art.host_source.clone()));
-    sections.push(("cfd_driver.h".into(), sysgen::CFD_DRIVER_H.into()));
-}
-
-/// One line per PLM unit of `memory`, as `--emit memory` prints them.
-fn memory_units(memory: &mnemosyne::MemorySubsystem) -> String {
-    let mut s = String::new();
-    for u in &memory.units {
-        s.push_str(&format!(
-            "{}: {} words, {} BRAM36, {}R{}W, members {:?}\n",
-            u.name, u.words, u.brams, u.read_ports, u.write_ports, u.members
-        ));
-    }
-    s
 }
 
 /// Write each `(name, content)` section to `-o DIR/name`, or print it
@@ -996,39 +1045,34 @@ fn write_sections(p: &Parsed, sections: &[(String, String)]) {
 }
 
 fn cmd_simulate(args: &[String]) {
-    let p = parse_or_exit("simulate", args);
+    let p = checked_or_exit("simulate", parse_common(args));
     let art = compile_or_exit(&p);
     let elements = p.program.flow.elements;
-    if art.system.is_none() && !p.is_program() {
-        eprintln!("simulation failed: no feasible system configuration");
-        exit(1);
-    }
-    let r = art
-        .simulate(&SimConfig {
+    let r = or_exit(
+        "simulation",
+        art.simulate(&SimConfig {
             elements,
             ..Default::default()
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("simulation failed: {e}");
-            exit(1)
-        });
-    if p.is_program() {
-        let ks: Vec<String> = r.ks.iter().map(|k| k.to_string()).collect();
-        println!(
-            "program k=[{}] m={} | {} elements in {} rounds",
-            ks.join(","),
-            r.m,
-            r.elements,
-            r.rounds
-        );
-        for (name, exec) in art.names.iter().zip(&r.stage_exec_s) {
-            println!("  stage {name}: exec {exec:.4} s");
-        }
-    } else {
-        println!(
-            "k={} m={} | {} elements in {} rounds",
-            r.ks[0], r.m, r.elements, r.rounds
-        );
+        }),
+    );
+    // The software baseline of a program runs its stages one after
+    // another on the host CPU.
+    let (mut sw_ref, mut sw_hls) = (0.0, 0.0);
+    for a in &art.kernels {
+        let (reference, hls_code) = or_exit("simulation", a.sw_times(elements));
+        sw_ref += reference.total_s;
+        sw_hls += hls_code.total_s;
+    }
+    let ks: Vec<String> = r.ks.iter().map(|k| k.to_string()).collect();
+    println!(
+        "program k=[{}] m={} | {} elements in {} rounds",
+        ks.join(","),
+        r.m,
+        r.elements,
+        r.rounds
+    );
+    for (name, exec) in art.names.iter().zip(&r.stage_exec_s) {
+        println!("  stage {name}: exec {exec:.4} s");
     }
     println!(
         "exec {:.4} s | transfers {:.4} s | total {:.4} s ({:.2} ms/element)",
@@ -1037,61 +1081,43 @@ fn cmd_simulate(args: &[String]) {
         r.total_s,
         r.total_per_element_s() * 1e3
     );
-    if !p.is_program() {
-        let (sw_ref, sw_hls) = art.kernels[0].sw_times(elements).unwrap();
-        println!(
-            "ARM A53: reference {:.4} s, HLS-style code {:.4} s -> HW speedup {:.2}x",
-            sw_ref.total_s,
-            sw_hls.total_s,
-            sw_ref.total_s / r.total_s
-        );
-    }
+    println!(
+        "ARM A53: reference {sw_ref:.4} s, HLS-style code {sw_hls:.4} s -> HW speedup {:.2}x",
+        sw_ref / r.total_s
+    );
 }
 
 fn cmd_verify(args: &[String]) {
-    let mut p = parse_or_exit("verify", args);
+    let mut p = checked_or_exit("verify", parse_common(args));
     if !p.elements_set {
         p.program.flow.elements = 8; // verification default: a sample, not the full run
     }
     let art = compile_or_exit(&p);
-    let v = art
-        .verify(p.program.flow.elements, p.runtime.seed)
-        .unwrap_or_else(|e| {
-            eprintln!("verification failed: {e}");
-            exit(1)
-        });
-    if p.is_program() {
-        println!(
-            "verified {} chained elements ({} kernels): bitexact={}, max_rel_diff={:.3e}",
-            v.elements,
-            art.kernel_count(),
-            v.bitexact,
-            v.max_rel_diff
-        );
-    } else {
-        println!(
-            "verified {} elements: bitexact={}, max_rel_diff={:.3e}",
-            v.elements, v.bitexact, v.max_rel_diff
-        );
-    }
+    let v = or_exit(
+        "verification",
+        art.verify(p.program.flow.elements, p.runtime.seed),
+    );
+    println!(
+        "verified {} chained elements ({}): bitexact={}, max_rel_diff={:.3e}",
+        v.elements,
+        kernels(art.kernel_count()),
+        v.bitexact,
+        v.max_rel_diff
+    );
     if !v.bitexact {
         exit(1);
     }
 }
 
 /// `cfdc serve`: batched multi-request runtime on the compiled system.
-/// Single-kernel sources serve as the degenerate one-kernel program.
 fn cmd_serve(args: &[String]) {
-    let p = parse_or_exit("serve", args);
+    let p = checked_or_exit("serve", parse_common(args));
     if p.fleet.is_some() {
         return cmd_serve_fleet(&p);
     }
     let art = compile_or_exit(&p);
     let opts = &p.runtime;
-    let out = art.serve(opts).unwrap_or_else(|e| {
-        eprintln!("serving failed: {e}");
-        exit(1)
-    });
+    let out = or_exit("serving", art.serve(opts));
     if p.json {
         println!("{}", out.report.to_json());
         return;
@@ -1102,10 +1128,7 @@ fn cmd_serve(args: &[String]) {
     if opts.batch == BatchPolicy::Disabled {
         return;
     }
-    let seq = art.serve_sequential_baseline(opts).unwrap_or_else(|e| {
-        eprintln!("serving failed: {e}");
-        exit(1)
-    });
+    let seq = or_exit("serving", art.serve_sequential_baseline(opts));
     println!(
         "sequential baseline: {:.1} req/s -> batching speedup {:.2}x",
         seq.throughput_rps,
@@ -1175,10 +1198,7 @@ fn cmd_serve_fleet(p: &Parsed) {
         parallel: true,
         base: p.runtime.clone(),
     };
-    let out = art.serve_fleet(&boards, &fopts).unwrap_or_else(|e| {
-        eprintln!("fleet serving failed: {e}");
-        exit(1)
-    });
+    let out = or_exit("fleet serving", art.serve_fleet(&boards, &fopts));
     if p.json {
         println!("{}", out.report.to_json());
         return;
@@ -1187,14 +1207,11 @@ fn cmd_serve_fleet(p: &Parsed) {
 }
 
 fn cmd_explore(args: &[String]) {
-    let p = parse_or_exit("explore", args);
+    let p = checked_or_exit("explore", parse_common(args));
     if p.boards.is_none() && !p.grid {
         return explore_listing(&p);
     }
-    let engine = DseEngine::prepare(&p.source, &p.program).unwrap_or_else(|e| {
-        eprintln!("compilation failed: {e}");
-        exit(1)
-    });
+    let engine = or_exit("compilation", DseEngine::prepare(&p.source, &p.program));
     // Sweep default: small enough to keep the simulations quick.
     let elements = if p.elements_set {
         p.program.flow.elements
@@ -1219,13 +1236,9 @@ fn cmd_explore(args: &[String]) {
     }
     print!("{}", report.render_table());
     if let Some(best) = report.best() {
-        let program = if p.is_program() {
-            format!(", program {}", best.kernel)
-        } else {
-            String::new()
-        };
+        // Every row of the table names the program in its first column.
         println!(
-            "best: {} ({:.0} elements/s{program})",
+            "best: {} ({:.0} elements/s)",
             best.point.label(),
             best.throughput_eps
         );
@@ -1237,11 +1250,7 @@ fn cmd_explore(args: &[String]) {
 /// clock: a printed time would be wrong.
 fn exit_on_overflow(overflows: usize, elements: usize) {
     if overflows > 0 {
-        eprintln!(
-            "exploration failed: {}",
-            FlowError::TicksOverflow { elements }
-        );
-        exit(1)
+        or_exit("exploration", Err(FlowError::TicksOverflow { elements }))
     }
 }
 
@@ -1296,18 +1305,11 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
     }
 }
 
-/// The feasibility listing: compile the (one-kernel) program once, then
-/// list every uniform replication Eq. (3) admits on the board
+/// The feasibility listing: compile the program once, then list every
+/// uniform replication Eq. (3) admits on the board
 /// ([`sysgen::enumerate_program_designs`]). `--k`/`--m` do not apply.
 fn explore_listing(p: &Parsed) {
-    let opts = ProgramOptions {
-        system: None,
-        ..p.program.clone()
-    };
-    let art = compile_program(p, &opts, None).unwrap_or_else(|e| {
-        eprintln!("compilation failed: {e}");
-        exit(1)
-    });
+    let art = or_exit("compilation", compile_program(p, &p.program, None));
     let stages: Vec<(String, hls::HlsReport)> = art
         .names
         .iter()
@@ -1316,27 +1318,11 @@ fn explore_listing(p: &Parsed) {
         .collect();
     let platform = &p.program.flow.platform;
     let designs = sysgen::enumerate_program_designs(platform, &stages, &art.memory);
-    if p.is_program() {
-        print!("{}", program_report(&art));
-        println!(
-            "feasible uniform configurations on {}:",
-            platform.board.name
-        );
-        println!("   k    m     LUT   BRAM");
-        for d in &designs {
-            println!(
-                "  {:>2}  {:>3}  {:>6}  {:>5}",
-                d.config.ks[0], d.config.m, d.luts, d.brams
-            );
-        }
-        return;
-    }
-    let kernel = &art.kernels[0];
+    print!("{}", program_report(&art));
     println!(
-        "kernel: {} LUT {} FF {} DSP | PLM {} BRAM",
-        kernel.hls_report.luts, kernel.hls_report.ffs, kernel.hls_report.dsps, kernel.memory.brams
+        "feasible uniform configurations on {}:",
+        platform.board.name
     );
-    println!("feasible configurations on {}:", platform.board.name);
     println!("   k    m  batch     LUT   BRAM   slack(BRAM)");
     for d in &designs {
         let (_, _, _, slack_brams) = d.slack();
@@ -1667,8 +1653,7 @@ mod tests {
     #[test]
     fn wellformed_args_parse_with_defaults() {
         let p = parse_common(&args(&["axpychain:3", "--requests", "16", "--no-overlap"])).unwrap();
-        assert_eq!(p.kernel_count, 2);
-        assert!(p.is_program());
+        assert_eq!(p.flags.len(), 2);
         assert_eq!(p.runtime.requests, 16);
         assert!(!p.runtime.overlap_dma);
         assert_eq!(p.runtime.batch, BatchPolicy::Auto);
@@ -1677,5 +1662,38 @@ mod tests {
         assert!(p.program.cross_sharing && p.program.system.is_none());
         assert_eq!(p.program.flow.elements, 50_000);
         assert!(!p.elements_set);
+        // --k/--m replicate every kernel of the source.
+        let p = parse_common(&args(&["axpychain:3", "--k", "2", "--m", "4"])).unwrap();
+        assert_eq!(
+            p.program.system,
+            Some(ProgramSystemConfig::uniform(2, 4, 2))
+        );
+    }
+
+    /// Each option is declared once, and README's option list and the
+    /// `--help` text both name it with its value.
+    #[test]
+    fn every_flag_is_declared_once_and_documented() {
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .expect("README.md");
+        let help = usage();
+        for (i, f) in FLAGS.iter().enumerate() {
+            assert!(
+                FLAGS[..i].iter().all(|g| g.name != f.name),
+                "{} is declared twice",
+                f.name
+            );
+            let synopsis = f.synopsis();
+            assert!(
+                readme.contains(&format!("`{synopsis}`")),
+                "README.md does not document `{synopsis}`"
+            );
+            assert!(
+                help.contains(&format!("\t{synopsis} ")),
+                "--help omits {synopsis}"
+            );
+            assert!(!f.commands.is_empty() && !f.help.is_empty(), "{}", f.name);
+        }
     }
 }

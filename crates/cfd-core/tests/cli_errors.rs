@@ -7,7 +7,10 @@
 //! and so is an unknown `--emit` kind, before anything compiles, or a
 //! count past its integer type, whose message names the range. A
 //! serving time past the tick clock is a one-line serving error with
-//! exit status 1.
+//! exit status 1. `cfdc boards` reads no option, and `cfdc cache`
+//! without its directory names the missing option. `cfdc --help`
+//! prints the usage on stdout with exit status 0; a missing or unknown
+//! command, or a missing source, prints it on stderr with exit status 2.
 
 use std::process::Command;
 
@@ -353,5 +356,101 @@ fn a_count_past_its_type_names_the_range() {
             stderr.trim_end(),
             format!("error: invalid value '{value}' for {flag}: expected {expected}")
         );
+    }
+}
+
+/// Run `cfdc args` and return (exit status, stdout, stderr).
+fn cfdc(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+        .args(args)
+        .output()
+        .expect("cfdc runs");
+    (
+        out.status.code(),
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+    )
+}
+
+/// `cfdc boards --bogus` and `cfdc boards extra` used to print the
+/// catalog and exit 0. `boards` reads no option, so any argument is the
+/// usual one-line error with exit status 2.
+#[test]
+fn boards_arguments_exit_two_with_one_line() {
+    for (args, message) in [
+        (
+            &["boards", "--bogus"][..],
+            "error: unknown option '--bogus'",
+        ),
+        (&["boards", "extra"], "error: unknown option 'extra'"),
+        (
+            &["boards", "--board", "zcu106"],
+            "error: option '--board' does not apply to 'cfdc boards'",
+        ),
+    ] {
+        let (status, stdout, stderr) = cfdc(args);
+        assert_eq!(status, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed the catalog");
+        assert_eq!(stderr.trim_end(), message, "{args:?}");
+    }
+    let (status, stdout, _) = cfdc(&["boards"]);
+    assert_eq!(status, Some(0));
+    assert!(stdout.starts_with("platform catalog"), "{stdout}");
+}
+
+/// `cfdc cache stats` without `--cache-dir` said "option '--cache-dir'
+/// needs a value", though the option was never given. It is now a
+/// missing required option, named with its value; a given option
+/// without its value keeps the old message.
+#[test]
+fn cache_without_its_directory_names_the_missing_option() {
+    for sub in ["stats", "clear"] {
+        let (status, stdout, stderr) = cfdc(&["cache", sub]);
+        assert_eq!(status, Some(2), "{sub}: {stderr}");
+        assert!(stdout.is_empty(), "{sub} printed a result");
+        assert_eq!(
+            stderr.trim_end(),
+            "error: missing required option '--cache-dir PATH'"
+        );
+    }
+    let (status, _, stderr) = cfdc(&["cache", "stats", "--cache-dir"]);
+    assert_eq!(status, Some(2));
+    assert_eq!(
+        stderr.trim_end(),
+        "error: option '--cache-dir' needs a value"
+    );
+    let (status, _, stderr) = cfdc(&["cache", "stats", "--json"]);
+    assert_eq!(status, Some(2));
+    assert_eq!(
+        stderr.trim_end(),
+        "error: option '--json' does not apply to 'cfdc cache'"
+    );
+}
+
+/// `cfdc --help`, `-h` and `help` used to print the usage on stderr
+/// and exit 2. Asked for, it goes to stdout with exit status 0. A
+/// missing or unknown command, or a command without its source, still
+/// prints it on stderr with exit status 2.
+#[test]
+fn help_goes_to_stdout_and_usage_errors_to_stderr() {
+    let (status, help, stderr) = cfdc(&["--help"]);
+    assert_eq!(status, Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert!(help.starts_with("cfdc — CFDlang-to-FPGA flow\n"), "{help}");
+    assert!(help.contains("--cache-dir PATH"), "{help}");
+    for asked in ["-h", "help"] {
+        assert_eq!(cfdc(&[asked]), (Some(0), help.clone(), String::new()));
+    }
+    for (args, first_line) in [
+        (&[][..], "cfdc — CFDlang-to-FPGA flow"),
+        (&["bogus"], "unknown command 'bogus'"),
+        (&["compile"], "cfdc — CFDlang-to-FPGA flow"),
+        (&["serve"], "cfdc — CFDlang-to-FPGA flow"),
+    ] {
+        let (status, stdout, stderr) = cfdc(args);
+        assert_eq!(status, Some(2), "{args:?}");
+        assert!(stdout.is_empty(), "{args:?} printed on stdout");
+        assert_eq!(stderr.lines().next(), Some(first_line), "{args:?}");
+        assert!(stderr.ends_with(&help), "{args:?}: {stderr}");
     }
 }

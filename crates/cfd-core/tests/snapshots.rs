@@ -352,9 +352,10 @@ fn compile_catalog_reproduces_the_committed_manifest() {
     );
 }
 
-/// `tests/golden/kernel_cli.sh` (the single-kernel `explore` listing,
-/// `simulate`, `verify` and `compile --emit report|host` surfaces no
-/// other golden covers) prints the transcript committed beside it.
+/// `tests/golden/kernel_cli.sh` (the `explore` listing, `simulate`,
+/// `verify` and `compile --emit report|host` of single-kernel sources,
+/// which print as their one-kernel programs) prints the transcript
+/// committed beside it.
 #[test]
 fn kernel_cli_reproduces_the_committed_transcript() {
     let script = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/kernel_cli.sh");
@@ -371,7 +372,7 @@ fn kernel_cli_reproduces_the_committed_transcript() {
     let got = String::from_utf8(out.stdout).expect("utf8 transcript");
     assert!(
         got == explore_golden("kernel_cli.txt"),
-        "cfdc's kernel surfaces no longer print tests/golden/kernel_cli.txt"
+        "cfdc's single-kernel runs no longer print tests/golden/kernel_cli.txt"
     );
 }
 

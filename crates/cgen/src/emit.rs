@@ -16,10 +16,14 @@ pub fn emit_c99(k: &CKernel) -> String {
 /// Render a kernel as C99 under an explicit function symbol. Every
 /// kernel compiles to `kernel_body` on its own, but the stages of a
 /// multi-kernel program link into **one** accelerator system — their
-/// sources need distinct symbols (`<stage>_body`).
+/// sources need distinct symbols (`<stage>_body`). The header comment
+/// names the build contract, `cc -std=c99 -ffp-contract=off`: without
+/// contraction into fused multiply-adds the C computes the reference
+/// interpreter's doubles bit for bit.
 pub fn emit_c99_as(k: &CKernel, symbol: &str) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "/* generated by cfdfpga — CFDlang kernel */");
+    let _ = writeln!(out, "/* generated by cfdfpga — CFDlang kernel");
+    let _ = writeln!(out, " * build contract: cc -std=c99 -ffp-contract=off */");
     let _ = writeln!(out, "#include <stddef.h>");
     let _ = writeln!(out);
     let params: Vec<String> = k

@@ -67,10 +67,11 @@ use crate::{
 };
 
 /// How the dispatcher picks a board for each admitted request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePolicy {
     /// Admission order modulo board count — the zero-knowledge
-    /// baseline.
+    /// baseline, and the default.
+    #[default]
     RoundRobin,
     /// Join-shortest-queue over the dispatcher's virtual queues
     /// (entries expire at their estimated completion tick).

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Prints stdout, stderr and exit status of the single-kernel `cfdc`
-# surfaces no other golden covers: the `explore` feasibility listing,
+# Prints stdout, stderr and exit status of `cfdc` runs of single-kernel
+# sources that no other golden covers. A kernel prints as its one-kernel
+# program (stage `main`). The runs: the `explore` feasibility listing,
 # `simulate`, `verify` and `compile --emit report|host` over five
 # builtin kernels x {zcu106, pynq-z2, u250}, plus `--kernel` picks,
 # invalid, oversized and small-board replications, the tick-clock
-# overflow, and a kernel on a board where no replication fits. `kernel_cli.txt` next to this script is its output.
+# overflow, and a kernel on a board where no replication fits.
+# `kernel_cli.txt` next to this script is its output.
 #
 #   bash tests/golden/kernel_cli.sh target/release/cfdc > kernel_cli.txt
 #   diff kernel_cli.txt tests/golden/kernel_cli.txt

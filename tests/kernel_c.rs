@@ -3,13 +3,14 @@
 //! (`ProgramArtifacts::stage_c_source`) of the six example programs,
 //! under the default flow and `--no-factorize`, compiles under the
 //! kernel `.c` flag contract, `cc -std=c99 -O2 -ffp-contract=off -Wall
-//! -Wextra -Werror`. A generated `main.c` then marshals the parameters
-//! exactly as `zynq::run_program_chain` does: every kernel input is the
-//! latest earlier kernel's output of that name, else the external
-//! tensor; every other parameter starts at zero. Its outputs must equal
-//! `run_program_reference` bit for bit on three seeds, once through the
-//! stage objects and once through the kernel objects. A missing `cc`
-//! fails the test.
+//! -Wextra -Werror`, whose `cc -std=c99 -ffp-contract=off` each source
+//! names in its header comment. A generated `main.c` then marshals the
+//! parameters exactly as `zynq::run_program_chain` does: every kernel
+//! input is the latest earlier kernel's output of that name, else the
+//! external tensor; every other parameter starts at zero. Its outputs
+//! must equal `run_program_reference` bit for bit on three seeds, once
+//! through the stage objects and once through the kernel objects. A
+//! missing `cc` fails the test.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -191,8 +192,14 @@ fn check_program(root: &Path, what: &str, art: &ProgramArtifacts) {
     let mut stage_syms = Vec::new();
     let mut kernel_syms = Vec::new();
     for (i, k) in art.kernels.iter().enumerate() {
+        // Each source names the contract it is built under here.
+        let source = art.stage_c_source(i);
+        assert!(
+            source.contains(" * build contract: cc -std=c99 -ffp-contract=off */"),
+            "{what}: stage {i} does not name its build contract"
+        );
         let stage = format!("stage{i}.c");
-        std::fs::write(dir.join(&stage), art.stage_c_source(i)).unwrap();
+        std::fs::write(dir.join(&stage), source).unwrap();
         cc(&dir, &["-c", &stage]);
         stage_objs.push(format!("stage{i}.o"));
         stage_syms.push(format!("{}_body", art.names[i]));
