@@ -142,7 +142,7 @@ pub struct FleetOptions {
 impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
-            route: RoutePolicy::RoundRobin,
+            route: RoutePolicy::default(),
             parallel: true,
             base: RuntimeOptions::default(),
         }
