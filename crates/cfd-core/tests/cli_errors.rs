@@ -7,10 +7,7 @@
 //! and so is an unknown `--emit` kind, before anything compiles, or a
 //! count past its integer type, whose message names the range. A
 //! serving time past the tick clock is a one-line serving error with
-//! exit status 1. `cfdc boards` reads no option, and `cfdc cache`
-//! without its directory names the missing option. `cfdc --help`
-//! prints the usage on stdout with exit status 0; a missing or unknown
-//! command, or a missing source, prints it on stderr with exit status 2.
+//! exit status 1.
 
 use std::process::Command;
 
