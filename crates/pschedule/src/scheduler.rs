@@ -13,7 +13,10 @@
 //!    candidate loop order of one statement is priced on the edges
 //!    incident to that statement plus its own reduction penalty, the
 //!    only terms of [`cost`] it moves; each rank's permutations are
-//!    enumerated once per call;
+//!    enumerated once per call. A candidate must keep the statement's
+//!    reduction loops in their order (`sums_in_order`): floating-point
+//!    addition is not associative, so only the IR's summation order
+//!    rounds as the reference interpreter does;
 //! 2. the final schedule is validated exactly ([`crate::deps::legal`]).
 //!    Every statement keeps its own `seq`, so a RAW edge between two
 //!    statements is decided by comparing their `seq`; only a statement
@@ -88,8 +91,9 @@ fn optimize_permutations(
             saved.clone_from(&sched.perms[si]);
             let mut best_cost = cm.local(sched, si);
             let mut best = None;
+            let out_rank = rank - cm.reduce_ranks[si];
             for perm in tables[rank].chunks(rank) {
-                if perm == saved.as_slice() {
+                if perm == saved.as_slice() || !sums_in_order(perm, out_rank) {
                     continue;
                 }
                 sched.perms[si].copy_from_slice(perm);
@@ -106,6 +110,13 @@ fn optimize_permutations(
             break;
         }
     }
+}
+
+/// Whether `perm` visits the reduction loops of a statement with
+/// `out_rank` output dimensions (loop indices `out_rank..`) in their
+/// order. Reordering them reassociates the sum.
+fn sums_in_order(perm: &[usize], out_rank: usize) -> bool {
+    perm.iter().filter(|&&v| v >= out_rank).is_sorted()
 }
 
 /// One dependence edge's schedule-independent access structure: which
@@ -379,8 +390,9 @@ mod tests {
                 }
                 let mut best = sched.perms[si].clone();
                 let mut best_cost = cm.eval(&sched);
+                let out_rank = rank - module.stmts[si].reduce_rank();
                 for perm in nested(rank) {
-                    if perm == sched.perms[si] {
+                    if perm == sched.perms[si] || !sums_in_order(&perm, out_rank) {
                         continue;
                     }
                     let saved = std::mem::replace(&mut sched.perms[si], perm.clone());
@@ -424,10 +436,18 @@ mod tests {
     const SELF_EDGE: &str = "var input a : [3 4]\nvar input s : [4 4]\n\
         var output c : [3 4]\nvar output o : [3 4]\nc = c # s . [[1 2]]\no = c * a";
 
+    /// Two contractions read `x` in different orders, and the read-read
+    /// alignment pulls `t`'s loops towards `o`'s order of `x`: once that
+    /// swapped `t`'s two sums and rounded differently from the reference
+    /// interpreter (a generated program, minimised).
+    const REASSOCIATE: &str = "var input h : [9 12]\nvar input x : [12 9 2]\n\
+        var input y : [12]\nvar output t : [2]\nvar output o : [9 2]\n\
+        t = h # x . [[1 2] [0 3]]\no = x # y . [[0 3]]";
+
     fn zoo() -> Vec<(String, Module, KernelModel)> {
         use crate::liveness::tests::{example_sources, kernels};
         let mut sources = example_sources().to_vec();
-        sources.extend([RANK5, RANK6, SELF_EDGE].map(String::from));
+        sources.extend([RANK5, RANK6, SELF_EDGE, REASSOCIATE].map(String::from));
         let mut out = Vec::new();
         for (k, src) in sources.iter().enumerate() {
             for factored in [false, true] {
@@ -491,6 +511,21 @@ mod tests {
                     }
                     s.perms[si] = saved;
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn reschedule_keeps_every_sum_in_order() {
+        for (name, m, km) in zoo() {
+            let deps = Dependences::analyze(&km);
+            let s = reschedule(&m, &km, &deps, &SchedulerOptions);
+            for (si, stmt) in m.stmts.iter().enumerate() {
+                let out_rank = km.stmts[si].rank() - stmt.reduce_rank();
+                assert!(
+                    sums_in_order(&s.perms[si], out_rank),
+                    "{name}, statement {si}"
+                );
             }
         }
     }

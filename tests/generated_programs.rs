@@ -2,7 +2,8 @@
 //! writes cfdlang sources the six examples never reach: one to three
 //! kernels chained through name-matched handoffs; tensors of rank 1 to
 //! 4 with extents 1 to 12 (extent 1 gives degenerate loops);
-//! contractions across two or three operands and within one (a trace);
+//! contractions across two or three operands (one of them possibly
+//! twice, as `S` in `S # S # u`) and within one (a trace);
 //! element-wise chains over tensors, scalars and literals; and a
 //! statement that reads its own output (`c = x + c # s . [[1 2]]`).
 //!
@@ -64,6 +65,7 @@ struct Coverage {
     unit_extents: usize,
     contractions: usize,
     three_operand_products: usize,
+    repeated_operands: usize,
     traces: usize,
     elementwise: usize,
     self_reads: usize,
@@ -243,15 +245,21 @@ fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Ve
                 }
             }
             // The operand's dimensions: the contracted extents plus up
-            // to two free ones, in a random order.
+            // to two free ones, in a random order. A square operand
+            // (`S` of `S # S # u`) has one of each, of equal extent.
+            let square = contracted == 1 && rng.chance(30);
             let mut own: Vec<Option<usize>> = sources.iter().map(|&d| Some(d)).collect();
-            for _ in 0..rng.range(0, 2) {
+            for _ in 0..if square { 1 } else { rng.range(0, 2) } {
                 own.push(None);
             }
             for i in (1..own.len()).rev() {
                 own.swap(i, rng.range(0, i));
             }
-            let free = shape(rng, own.iter().filter(|o| o.is_none()).count());
+            let free = if square {
+                vec![dims[sources[0]]]
+            } else {
+                shape(rng, own.iter().filter(|o| o.is_none()).count())
+            };
             let mut free = free.into_iter();
             let b_shape: Vec<usize> = own
                 .iter()
@@ -268,7 +276,20 @@ fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Ve
                 }
             }
             dims.extend(&b_shape);
-            names.push(k.input(&b_shape));
+            // Usually reuse a tensor of that shape, so that one operand
+            // can appear twice in a product.
+            let same: Vec<String> = k
+                .readable
+                .iter()
+                .filter(|(_, s)| *s == b_shape)
+                .map(|(n, _)| n.clone())
+                .collect();
+            let b = if !same.is_empty() && rng.chance(60) {
+                rng.pick(&same).clone()
+            } else {
+                k.input(&b_shape)
+            };
+            names.push(b);
         }
         let result: Vec<usize> = (0..dims.len())
             .filter(|&d| !paired[d])
@@ -285,6 +306,9 @@ fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Ve
         }
         if names.len() == 3 {
             cov.three_operand_products += 1;
+        }
+        if (1..names.len()).any(|i| names[..i].contains(&names[i])) {
+            cov.repeated_operands += 1;
         }
         let pairs: Vec<String> = pairs.iter().map(|(a, b)| format!("[{a} {b}]")).collect();
         return (
@@ -476,6 +500,7 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
         cov.unit_extents > 0
             && cov.contractions > 0
             && cov.three_operand_products > 0
+            && cov.repeated_operands > 0
             && cov.traces > 0
             && cov.elementwise > 0
             && cov.self_reads > 0,
