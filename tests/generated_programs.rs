@@ -3,9 +3,12 @@
 //! kernels chained through name-matched handoffs; tensors of rank 1 to
 //! 4 with extents 1 to 12 (extent 1 gives degenerate loops);
 //! contractions across two or three operands (one of them possibly
-//! twice, as `S` in `S # S # u`) and within one (a trace);
-//! element-wise chains over tensors, scalars and literals; and a
-//! statement that reads its own output (`c = x + c # s . [[1 2]]`).
+//! twice, as `S` in `S # S # u`, the first possibly a parenthesised
+//! element-wise expression) and within one (a trace), sometimes
+//! contracted again (`A # B . [[1 2]] . [[0 1]]`), down to a scalar, or
+//! inside an element-wise term; element-wise chains over tensors,
+//! scalars and literals; and a statement that reads its own output
+//! (`c = x + c # s . [[1 2]]`).
 //!
 //! Every program compiles with and without factorization, multi-kernel
 //! programs also without cross-kernel sharing, on every catalog board.
@@ -66,6 +69,10 @@ struct Coverage {
     contractions: usize,
     three_operand_products: usize,
     repeated_operands: usize,
+    parenthesized_operands: usize,
+    chained_contractions: usize,
+    scalar_results: usize,
+    mixed_statements: usize,
     traces: usize,
     elementwise: usize,
     self_reads: usize,
@@ -180,7 +187,7 @@ fn elementwise(k: &mut Kernel, rng: &mut Rng, shape: &[usize], cov: &mut Coverag
 
 /// A contraction and its result shape: two or three operands whose
 /// paired dimensions have equal extents, or one operand with a traced
-/// pair. The result has rank 1 to 4.
+/// pair, sometimes contracted again. The result has rank 0 to 4.
 fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Vec<usize>) {
     if rng.chance(15) {
         // A trace: `T . [[i j]]` over two equal-extent dimensions.
@@ -225,6 +232,17 @@ fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Ve
                 let s = shape(rng, rank);
                 (k.input(&s), s)
             }
+        };
+        // Sometimes an element-wise sum or product of it instead.
+        let a = if rng.chance(15) {
+            let b = if rng.chance(50) {
+                k.operand(rng, &a_shape)
+            } else {
+                k.operand(rng, &[])
+            };
+            format!("({a} {} {b})", rng.pick(&["+", "-", "*"]))
+        } else {
+            a
         };
         let mut names = vec![a];
         let mut dims = a_shape.clone();
@@ -291,13 +309,13 @@ fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Ve
             };
             names.push(b);
         }
-        let result: Vec<usize> = (0..dims.len())
+        let mut result: Vec<usize> = (0..dims.len())
             .filter(|&d| !paired[d])
             .map(|d| dims[d])
             .collect();
         let points = words(&dims) / pairs.iter().map(|&(a, _)| dims[a]).product::<usize>();
         if pairs.is_empty()
-            || result.is_empty()
+            || (result.is_empty() && !rng.chance(20))
             || result.len() > 4
             || words(&result) > MAX_WORDS
             || points > MAX_POINTS
@@ -310,11 +328,25 @@ fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Ve
         if (1..names.len()).any(|i| names[..i].contains(&names[i])) {
             cov.repeated_operands += 1;
         }
+        if names[0].starts_with('(') {
+            cov.parenthesized_operands += 1;
+        }
         let pairs: Vec<String> = pairs.iter().map(|(a, b)| format!("[{a} {b}]")).collect();
-        return (
-            format!("{} . [{}]", names.join(" # "), pairs.join(" ")),
-            result,
-        );
+        let mut expr = format!("{} . [{}]", names.join(" # "), pairs.join(" "));
+        // A second contraction of the result over two equal extents.
+        let equal = (0..result.len())
+            .flat_map(|i| (i + 1..result.len()).map(move |j| (i, j)))
+            .find(|&(i, j)| result[i] == result[j]);
+        if let Some((i, j)) = equal.filter(|_| rng.chance(50)) {
+            cov.chained_contractions += 1;
+            expr = format!("{expr} . [[{i} {j}]]");
+            result.remove(j);
+            result.remove(i);
+        }
+        if result.is_empty() {
+            cov.scalar_results += 1;
+        }
+        return (expr, result);
     }
 }
 
@@ -374,7 +406,14 @@ fn kernel(
         } else if rng.chance(55) {
             let (expr, shape) = contraction(&mut k, rng, cov);
             out_shape = shape;
-            expr
+            if rng.chance(25) {
+                // The contraction as a term of an element-wise expression.
+                cov.mixed_statements += 1;
+                let term = k.operand(rng, &out_shape);
+                format!("{term} {} ({expr})", rng.pick(&["+", "-", "*"]))
+            } else {
+                expr
+            }
         } else {
             let target = match &k.last {
                 Some((_, s)) if !s.is_empty() && rng.chance(75) => s.clone(),
@@ -501,6 +540,10 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
             && cov.contractions > 0
             && cov.three_operand_products > 0
             && cov.repeated_operands > 0
+            && cov.parenthesized_operands > 0
+            && cov.chained_contractions > 0
+            && cov.scalar_results > 0
+            && cov.mixed_statements > 0
             && cov.traces > 0
             && cov.elementwise > 0
             && cov.self_reads > 0,
