@@ -437,9 +437,9 @@ mod tests {
         var output c : [3 4]\nvar output o : [3 4]\nc = c # s . [[1 2]]\no = c * a";
 
     /// Two contractions read `x` in different orders, and the read-read
-    /// alignment pulls `t`'s loops towards `o`'s order of `x`: once that
-    /// swapped `t`'s two sums and rounded differently from the reference
-    /// interpreter (a generated program, minimised).
+    /// alignment pulls `t`'s loops towards `o`'s order of `x`, which
+    /// would swap `t`'s two sums and round differently from the
+    /// reference interpreter (a minimised generated program).
     const REASSOCIATE: &str = "var input h : [9 12]\nvar input x : [12 9 2]\n\
         var input y : [12]\nvar output t : [2]\nvar output o : [9 2]\n\
         t = h # x . [[1 2] [0 3]]\no = x # y . [[0 3]]";
