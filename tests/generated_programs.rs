@@ -375,8 +375,8 @@ fn kernel(
     }
     let statements = rng.range(1, 4);
     let mut out_shape = Vec::new();
-    for s in 0..statements {
-        let last = s + 1 == statements;
+    for i in 0..statements {
+        let last = i + 1 == statements;
         let name = if last {
             output.to_string()
         } else {
@@ -385,7 +385,7 @@ fn kernel(
         };
         let rhs = if rng.chance(20) {
             // A statement that reads its own output: `c = x + c # s .
-            // [[r-1 r]]`, where s is square over c's last extent.
+            // [[r-1 r]]`, where `s` is square over c's last extent.
             cov.self_reads += 1;
             let c_shape = match &k.last {
                 Some((_, s)) if (1..=3).contains(&s.len()) && rng.chance(60) => s.clone(),
@@ -396,13 +396,13 @@ fn kernel(
             };
             let rank = c_shape.len();
             let m = c_shape[rank - 1];
-            let s = k.input(&[m, m]);
+            let square = k.input(&[m, m]);
             let x = match &k.last {
-                Some((name, s)) if *s == c_shape => name.clone(),
+                Some((last, shape)) if *shape == c_shape => last.clone(),
                 _ => k.operand(rng, &c_shape),
             };
             out_shape = c_shape;
-            format!("{x} + {name} # {s} . [[{} {rank}]]", rank - 1)
+            format!("{x} + {name} # {square} . [[{} {rank}]]", rank - 1)
         } else if rng.chance(55) {
             let (expr, shape) = contraction(&mut k, rng, cov);
             out_shape = shape;
