@@ -158,10 +158,12 @@ impl ProgramArtifacts {
     }
 
     /// Serve a stream of `opts.requests` independent requests on the
-    /// compiled system: generate per-request inputs and arrivals,
-    /// schedule the batched stream (`runtime::serve`) and return the
-    /// [`runtime::ServiceReport`] plus, when `opts.execute` is set,
-    /// every request's output tensors.
+    /// compiled system: draw per-request arrivals (and, when
+    /// `opts.execute` is set, inputs; under priority serving, tiers that
+    /// cycle through the configured count in id order, tier 0 the most
+    /// urgent), schedule the batched stream (`runtime::serve_generated`)
+    /// and return the [`runtime::ServiceReport`] plus, when
+    /// `opts.execute` is set, every request's output tensors.
     pub fn serve(
         &self,
         opts: &runtime::RuntimeOptions,
@@ -172,19 +174,17 @@ impl ProgramArtifacts {
             .ok_or_else(|| FlowError::Backend("no feasible program configuration".into()))?;
         let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
         let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
-        let requests = requests(&modules, opts)?;
-        runtime::serve(system, &self.names, &modules, &kernels, &requests, opts)
+        runtime::serve_generated(system, &self.names, &modules, &kernels, opts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }
 
     /// Serve one request stream across a fleet of boards
-    /// (`runtime::serve_fleet`): generate per-request inputs and
-    /// arrivals exactly as [`ProgramArtifacts::serve`] would, then let
-    /// the dispatcher shard them over `boards`. The functional stages
-    /// come from *this* artifact — the kernel chain is
-    /// platform-independent, so heterogeneous boards share one set of
-    /// modules and kernels while each board keeps its own compiled
-    /// system and cost model.
+    /// (`runtime::serve_fleet_generated`): draw the stream exactly as
+    /// [`ProgramArtifacts::serve`] would, then let the dispatcher shard
+    /// it over `boards`. The functional stages come from *this* artifact
+    /// — the kernel chain is platform-independent, so heterogeneous
+    /// boards share one set of modules and kernels while each board
+    /// keeps its own compiled system and cost model.
     pub fn serve_fleet(
         &self,
         boards: &[runtime::FleetBoard],
@@ -192,8 +192,7 @@ impl ProgramArtifacts {
     ) -> Result<runtime::FleetOutcome, FlowError> {
         let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
         let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
-        let requests = requests(&modules, &fopts.base)?;
-        runtime::serve_fleet(boards, &self.names, &modules, &kernels, &requests, fopts)
+        runtime::serve_fleet_generated(boards, &self.names, &modules, &kernels, fopts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }
 
@@ -215,30 +214,6 @@ impl ProgramArtifacts {
         };
         Ok(self.serve(&seq)?.report)
     }
-}
-
-/// The request stream [`ProgramArtifacts::serve`] and
-/// [`ProgramArtifacts::serve_fleet`] schedule: per-request inputs (only
-/// when `opts.execute` is set; timing-only runs draw the same arrivals
-/// per seed) and, under priority serving, tiers that cycle through the
-/// configured count in id order (tier 0 is the most urgent).
-fn requests(
-    modules: &[&Module],
-    opts: &runtime::RuntimeOptions,
-) -> Result<Vec<runtime::Request>, FlowError> {
-    let mut requests = if opts.execute {
-        runtime::generate_requests(modules, opts.requests, &opts.arrival, opts.seed)
-    } else {
-        runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
-    }
-    .map_err(|e| FlowError::Backend(e.to_string()))?;
-    let tiers = opts.online.priority_tiers as usize;
-    if tiers > 1 {
-        for r in &mut requests {
-            r.tier = (r.id % tiers) as u8;
-        }
-    }
-    Ok(requests)
 }
 
 /// The shared program-level products derived from per-kernel backends:

@@ -50,20 +50,20 @@
 //! those requests and requeues them — same policy, continued state —
 //! on the surviving boards, with the shed tick as their new arrival.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write};
 
 use sysgen::MultiSystemDesign;
 use teil::ir::Module;
-use zynq::des::{secs, to_secs, Time};
+use zynq::des::{to_secs, Time};
 use zynq::fault::FaultPlan;
 
 use zynq::StreamStatus;
 
 use crate::json::{self, push_opt_fixed, row_end, Line, Sink};
 use crate::{
-    admission_order, check_times, latency_stats, per_second, serve_stream, ticks, Request,
-    RuntimeError, RuntimeOptions, ServeOutcome, ServiceReport, Stages,
+    check_times, latency_stats, per_second, serve_stream, Request, RuntimeError, RuntimeOptions,
+    ServeOutcome, ServiceReport, Stages, Stream,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -73,8 +73,9 @@ pub enum RoutePolicy {
     /// baseline, and the default.
     #[default]
     RoundRobin,
-    /// Join-shortest-queue over the dispatcher's virtual queues
-    /// (entries expire at their estimated completion tick).
+    /// Join-shortest-queue over the dispatcher's virtual queues: the
+    /// board with the fewest routed requests whose estimated completion
+    /// lies after the arrival.
     ShortestQueue,
     /// Earliest estimated completion using each board's probed cost
     /// model — heterogeneity-aware.
@@ -229,12 +230,17 @@ struct Dispatcher {
     /// Round-robin cursor.
     next: usize,
     /// Per-board estimated completion ticks of in-flight work (virtual
-    /// queues, kept under `jsq` only).
-    queues: Vec<Vec<Time>>,
+    /// queues, kept under `jsq` only). A board's estimates never
+    /// decrease, so the ones a request's arrival has passed are always
+    /// at the front.
+    queues: Vec<VecDeque<Time>>,
     /// Per-board estimated busy horizon (for `predictive`).
     busy_until: Vec<Time>,
     /// Per-board estimated service ticks per request.
     req_ticks: Vec<u64>,
+    /// Virtual-queue entries examined.
+    #[cfg(test)]
+    visits: usize,
 }
 
 impl Dispatcher {
@@ -243,9 +249,11 @@ impl Dispatcher {
         Dispatcher {
             policy,
             next: 0,
-            queues: vec![Vec::new(); n],
+            queues: vec![VecDeque::new(); n],
             busy_until: vec![0; n],
             req_ticks,
+            #[cfg(test)]
+            visits: 0,
         }
     }
 
@@ -262,7 +270,13 @@ impl Dispatcher {
             }
             RoutePolicy::ShortestQueue => {
                 for &b in live {
-                    self.queues[b].retain(|&done| done > t);
+                    let queue = &mut self.queues[b];
+                    let passed = queue.iter().take_while(|&&done| done <= t).count();
+                    queue.drain(..passed);
+                    #[cfg(test)]
+                    {
+                        self.visits += passed + 1;
+                    }
                 }
                 *live
                     .iter()
@@ -277,7 +291,7 @@ impl Dispatcher {
         let done = self.busy_until[pick].max(t) + self.req_ticks[pick];
         self.busy_until[pick] = done;
         if self.policy == RoutePolicy::ShortestQueue {
-            self.queues[pick].push(done);
+            self.queues[pick].push_back(done);
         }
         pick
     }
@@ -307,7 +321,7 @@ struct Share {
 fn run_boards(
     boards: &[FleetBoard],
     stages: Stages,
-    requests: &[Request],
+    stream: &Stream,
     shares: &mut [Share],
     opts: &FleetOptions,
     results: &mut [Option<ServeOutcome>],
@@ -323,7 +337,7 @@ fn run_boards(
             ..opts.base.clone()
         };
         let (design, index) = (&boards[b].design, &shares[b].index);
-        let served = serve_stream(design, stages, requests, index, arrivals, &board_opts);
+        let served = serve_stream(design, stages, stream, index, arrivals, &board_opts);
         (b, served)
     };
     let done: Vec<_> = if opts.parallel && waiting.len() > 1 {
@@ -364,36 +378,72 @@ pub fn serve_fleet(
     requests: &[Request],
     opts: &FleetOptions,
 ) -> Result<FleetOutcome, RuntimeError> {
+    check_fleet(boards, requests.len(), opts)?;
+    let stream = Stream::of_requests(requests)?;
+    serve_fleet_columns(boards, (names, modules, kernels), &stream, opts)
+}
+
+/// [`serve_fleet`] of the stream `opts.base` describes, drawn straight
+/// into columns as [`crate::serve_generated`] draws it. A degenerate
+/// rate is reported first, then what [`serve_fleet`] reports.
+pub fn serve_fleet_generated(
+    boards: &[FleetBoard],
+    names: &[String],
+    modules: &[&Module],
+    kernels: &[&cgen::CKernel],
+    opts: &FleetOptions,
+) -> Result<FleetOutcome, RuntimeError> {
+    opts.base.arrival.validate()?;
+    check_fleet(boards, opts.base.requests, opts)?;
+    let stream = Stream::draw(modules, &opts.base)?;
+    serve_fleet_columns(boards, (names, modules, kernels), &stream, opts)
+}
+
+/// What a fleet run refuses before it looks at an arrival: no board, no
+/// request, then a policy time past the clock.
+fn check_fleet(
+    boards: &[FleetBoard],
+    requests: usize,
+    opts: &FleetOptions,
+) -> Result<(), RuntimeError> {
     if boards.is_empty() {
         return Err(RuntimeError::NoBoards);
     }
-    if requests.is_empty() {
+    if requests == 0 {
         return Err(RuntimeError::NoRequests);
     }
-    check_times(&opts.base)?;
-    let n = requests.len();
-    let nb = boards.len();
-    let stages = (names, modules, kernels);
-    // Admission order — the same total order `serve` uses, so routing
-    // is a pure function of the stream.
-    let order = admission_order(requests);
-    let id = |i: u32| requests[i as usize].id;
-    // Exact: the routing pass below checks every arrival first.
-    let arrival = |i: u32| secs(requests[i as usize].arrival_s);
+    check_times(&opts.base)
+}
 
-    // Phase 1: place every request, then cut the stream into exactly
-    // sized shares. `placement` is by caller position until the end.
+/// The fleet over a stream's columns: route, run the boards, requeue,
+/// merge.
+fn serve_fleet_columns(
+    boards: &[FleetBoard],
+    stages: Stages,
+    stream: &Stream,
+    opts: &FleetOptions,
+) -> Result<FleetOutcome, RuntimeError> {
+    let n = stream.len();
+    let nb = boards.len();
+    let arrivals = &stream.arrivals;
+    let id = |i: u32| stream.id(i as usize);
+
+    // Phase 1: place every request in admission order — the same total
+    // order `serve` uses, so routing is a pure function of the stream —
+    // then cut the stream into exactly sized shares. `placement` is by
+    // caller position until the end.
     let req_ticks: Vec<u64> = boards
         .iter()
         .map(|b| probe_request_ticks(b, &opts.base))
         .collect();
     let mut dispatcher = Dispatcher::new(opts.route, req_ticks.clone());
     let all: Vec<usize> = (0..nb).collect();
-    let mut placement: Vec<(usize, usize)> = requests.iter().map(|r| (r.id, 0)).collect();
+    let mut placement: Vec<(usize, usize)> = (0..n).map(|i| (stream.id(i), 0)).collect();
     let mut assigned = vec![0usize; nb];
-    for &i in &order {
-        let b = dispatcher.route(ticks("arrival", requests[i as usize].arrival_s)?, &all);
-        placement[i as usize].1 = b;
+    for k in 0..n {
+        let i = stream.admitted(k);
+        let b = dispatcher.route(arrivals[i], &all);
+        placement[i].1 = b;
         assigned[b] += 1;
     }
     let mut shares: Vec<Share> = (assigned.iter())
@@ -402,14 +452,15 @@ pub fn serve_fleet(
             arrivals: Vec::with_capacity(k),
         })
         .collect();
-    for &i in &order {
-        let share = &mut shares[placement[i as usize].1];
-        share.index.push(i);
-        share.arrivals.push(arrival(i));
+    for k in 0..n {
+        let i = stream.admitted(k);
+        let share = &mut shares[placement[i].1];
+        share.index.push(i as u32);
+        share.arrivals.push(arrivals[i]);
     }
 
     let mut results: Vec<Option<ServeOutcome>> = (0..nb).map(|_| None).collect();
-    run_boards(boards, stages, requests, &mut shares, opts, &mut results)?;
+    run_boards(boards, stages, stream, &mut shares, opts, &mut results)?;
 
     // Phase 2: drain requests shed by a fatal outage and requeue them
     // on the surviving boards, arriving at their shed tick. `Shed` only
@@ -458,14 +509,14 @@ pub fn serve_fleet(
             }
             rescued_in[b] = rescued.len();
             let share = &mut shares[b];
-            let mut stream: Vec<(Time, u32)> = (share.index.iter())
-                .map(|&i| (arrival(i), i))
+            let mut merged: Vec<(Time, u32)> = (share.index.iter())
+                .map(|&i| (arrivals[i as usize], i))
                 .chain(rescued)
                 .collect();
-            stream.sort_by_key(|&(at, i)| (at, id(i)));
-            (share.arrivals, share.index) = stream.into_iter().unzip();
+            merged.sort_by_key(|&(at, i)| (at, id(i)));
+            (share.arrivals, share.index) = merged.into_iter().unzip();
         }
-        run_boards(boards, stages, requests, &mut shares, opts, &mut results)?;
+        run_boards(boards, stages, stream, &mut shares, opts, &mut results)?;
     }
 
     // Deterministic merge. Row `k` of a board's columns is request
@@ -482,7 +533,7 @@ pub fn serve_fleet(
             if placement[i as usize].1 != b {
                 continue;
             }
-            latency_ticks.push(traces.resolved[k].saturating_sub(arrival(i)));
+            latency_ticks.push(traces.resolved[k].saturating_sub(arrivals[i as usize]));
             *match traces.statuses[k] {
                 StreamStatus::Completed => &mut completed,
                 StreamStatus::TimedOut => &mut timed_out,
@@ -752,6 +803,7 @@ mod tests {
         timing_requests, traces_reference,
     };
     use crate::{serve, Arrival, BatchPolicy};
+    use zynq::des::secs;
     use zynq::fault::Outage;
 
     fn boards3() -> Vec<FleetBoard> {
@@ -773,6 +825,94 @@ mod tests {
                 execute: false,
                 ..Default::default()
             },
+        }
+    }
+
+    /// The `jsq` virtual queues as the dispatcher first kept them: at
+    /// every decision each live board's list drops the estimates the
+    /// arrival has passed, wherever they sit. The definition the head
+    /// index routes by.
+    struct RetainQueues {
+        queues: Vec<Vec<Time>>,
+        busy_until: Vec<Time>,
+        req_ticks: Vec<u64>,
+    }
+
+    impl RetainQueues {
+        fn route(&mut self, t: Time, live: &[usize]) -> usize {
+            for &b in live {
+                self.queues[b].retain(|&done| done > t);
+            }
+            let pick = *live
+                .iter()
+                .min_by_key(|&&b| (self.queues[b].len(), b))
+                .unwrap();
+            let done = self.busy_until[pick].max(t) + self.req_ticks[pick];
+            self.busy_until[pick] = done;
+            self.queues[pick].push(done);
+            pick
+        }
+    }
+
+    /// Closed, Poisson and outage-requeue streams route the same through
+    /// the head index as through `retain`, and each decision examines a
+    /// bounded number of queue entries per board.
+    #[test]
+    fn jsq_head_index_routes_as_retain_did() {
+        let req_ticks = vec![
+            389_197_500,
+            700_000_001,
+            150_000_000,
+            150_000_000,
+            90_000_007,
+        ];
+        let nb = req_ticks.len();
+        let all: Vec<usize> = (0..nb).collect();
+        let survivors = [0, 2, 4];
+        let ticks = |arrival: Arrival, n: usize| -> Vec<Time> {
+            let reqs = crate::generate_timing_requests(n, &arrival, 5).unwrap();
+            reqs.iter().map(|r| secs(r.arrival_s)).collect()
+        };
+        let closed = ticks(Arrival::Closed, 3_000);
+        let poisson = ticks(Arrival::Poisson { rate_rps: 60_000.0 }, 6_000);
+        // A requeue wave arrives at shed ticks inside the first phase's
+        // span, on the survivors only.
+        let mut wave: Vec<Time> = poisson.iter().step_by(3).map(|t| t / 2).collect();
+        wave.sort_unstable();
+        // Arrivals on a grid the estimates of boards 2 and 3 land on: an
+        // estimate equal to the arrival has passed.
+        let grid: Vec<Time> = (0..4_000).map(|k| k * 25_000_000).collect();
+        let streams = [
+            ("closed", &closed, &[][..]),
+            ("poisson", &poisson, &[][..]),
+            ("requeue", &poisson, &wave[..]),
+            ("grid", &grid, &[][..]),
+        ];
+        for (name, placed, requeued) in streams {
+            let calls = (placed.iter().map(|&t| (t, &all[..])))
+                .chain(requeued.iter().map(|&t| (t, &survivors[..])));
+            let mut head = Dispatcher::new(RoutePolicy::ShortestQueue, req_ticks.clone());
+            let mut reference = RetainQueues {
+                queues: vec![Vec::new(); nb],
+                busy_until: vec![0; nb],
+                req_ticks: req_ticks.clone(),
+            };
+            let mut deepest = 0;
+            for (k, (t, live)) in calls.enumerate() {
+                let want = reference.route(t, live);
+                assert_eq!(head.route(t, live), want, "{name}: request {k}");
+                deepest = deepest.max(reference.queues[want].len());
+            }
+            assert!(
+                deepest >= 20,
+                "{name}: the queues stayed shallow ({deepest})"
+            );
+            let routed = placed.len() + requeued.len();
+            assert!(
+                head.visits <= 2 * nb * routed,
+                "{name}: {} entries examined for {routed} requests",
+                head.visits,
+            );
         }
     }
 

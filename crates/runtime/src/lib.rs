@@ -66,7 +66,8 @@ pub mod fleet;
 pub mod json;
 
 pub use fleet::{
-    serve_fleet, BoardReport, FleetBoard, FleetOptions, FleetOutcome, FleetReport, RoutePolicy,
+    serve_fleet, serve_fleet_generated, BoardReport, FleetBoard, FleetOptions, FleetOutcome,
+    FleetReport, RoutePolicy,
 };
 pub use json::json_escape;
 
@@ -404,7 +405,10 @@ impl Default for RuntimeOptions {
 }
 
 /// One simulation request: an independent invocation of the compiled
-/// program with its own external input tensors.
+/// program with its own external input tensors. This is the adapter
+/// type: [`serve`] and [`serve_fleet`] read a caller's list of them into
+/// the columns [`serve_generated`] and [`serve_fleet_generated`] draw
+/// directly, and schedule those.
 #[derive(Debug, Clone)]
 pub struct Request {
     pub id: usize,
@@ -416,6 +420,22 @@ pub struct Request {
     /// External inputs by tensor name (program-global, as in
     /// [`zynq::run_program_chain`]).
     pub inputs: HashMap<String, Tensor>,
+}
+
+/// The arrival times `arrival` draws per `seed`, in seconds, one per
+/// request in id order: all 0 for a closed backlog, exponential gaps
+/// for Poisson arrivals.
+fn arrival_draws(arrival: Arrival, seed: u64) -> impl Iterator<Item = f64> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_A881_0CA7_F00Du64);
+    let mut t = 0.0f64;
+    std::iter::repeat_with(move || match arrival {
+        Arrival::Closed => 0.0,
+        Arrival::Poisson { rate_rps } => {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            t += -(1.0 - u).ln() / rate_rps;
+            t
+        }
+    })
 }
 
 /// Generate `n` timing-only requests (empty inputs) with arrival times
@@ -432,24 +452,13 @@ pub fn generate_timing_requests(
     seed: u64,
 ) -> Result<Vec<Request>, RuntimeError> {
     arrival.validate()?;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_A881_0CA7_F00Du64);
-    let mut t = 0.0f64;
-    Ok((0..n)
-        .map(|id| {
-            let arrival_s = match arrival {
-                Arrival::Closed => 0.0,
-                Arrival::Poisson { rate_rps } => {
-                    let u: f64 = rng.gen_range(0.0..1.0);
-                    t += -(1.0 - u).ln() / rate_rps;
-                    t
-                }
-            };
-            Request {
-                id,
-                arrival_s,
-                tier: 0,
-                inputs: HashMap::new(),
-            }
+    let draws = arrival_draws(*arrival, seed).take(n).enumerate();
+    Ok(draws
+        .map(|(id, arrival_s)| Request {
+            id,
+            arrival_s,
+            tier: 0,
+            inputs: HashMap::new(),
         })
         .collect())
 }
@@ -465,9 +474,126 @@ pub fn generate_requests(
 ) -> Result<Vec<Request>, RuntimeError> {
     let mut requests = generate_timing_requests(n, arrival, seed)?;
     for req in &mut requests {
-        req.inputs = zynq::random_program_inputs(modules, seed.wrapping_add(req.id as u64));
+        req.inputs = request_inputs(modules, seed, req.id);
     }
     Ok(requests)
+}
+
+/// The input tensors of request `id` in a stream drawn from `seed`.
+fn request_inputs(modules: &[&Module], seed: u64, id: usize) -> HashMap<String, Tensor> {
+    zynq::random_program_inputs(modules, seed.wrapping_add(id as u64))
+}
+
+/// A request stream as columns, in the caller's order: what the serving
+/// core schedules. Arrivals are converted to ticks and checked once, and
+/// the admission order — arrival, ties by id — is the caller's own
+/// whenever the stream arrives sorted, which takes one pass to see.
+pub(crate) struct Stream<'a> {
+    /// Arrival ticks, caller order.
+    pub(crate) arrivals: Vec<Time>,
+    /// Admission order as caller positions; empty when it is the
+    /// caller's order.
+    order: Vec<u32>,
+    /// Where ids, tiers and inputs come from.
+    source: Source<'a>,
+}
+
+/// Entry `k` of a list of positions, where an empty list stands for the
+/// positions themselves.
+fn position(index: &[u32], k: usize) -> usize {
+    index.get(k).map_or(k, |&i| i as usize)
+}
+
+/// The rest of a [`Stream`]'s columns.
+enum Source<'a> {
+    /// A caller's request list, read in place.
+    Requests(&'a [Request]),
+    /// A drawn stream: ids are positions, tiers cycle through `tiers`
+    /// levels with the id, and `inputs` are drawn only under `execute`.
+    Drawn {
+        tiers: usize,
+        inputs: Vec<HashMap<String, Tensor>>,
+    },
+}
+
+impl<'a> Stream<'a> {
+    /// The stream `opts` describes, drawn straight into columns: the
+    /// arrivals [`generate_timing_requests`] draws, as ticks; under
+    /// priority serving, tiers that cycle through the configured count
+    /// in id order (tier 0 is the most urgent); and only under
+    /// `execute`, the inputs [`generate_requests`] draws. Poisson
+    /// arrivals only move forward, so the stream is in admission order.
+    fn draw(modules: &[&Module], opts: &RuntimeOptions) -> Result<Stream<'static>, RuntimeError> {
+        let (n, seed) = (opts.requests, opts.seed);
+        let arrivals = match opts.arrival {
+            Arrival::Closed => vec![0; n],
+            arrival => {
+                let mut arrivals = Vec::with_capacity(n);
+                for s in arrival_draws(arrival, seed).take(n) {
+                    arrivals.push(ticks("arrival", s)?);
+                }
+                arrivals
+            }
+        };
+        debug_assert!(arrivals.is_sorted());
+        let inputs = match opts.execute {
+            true => (0..n).map(|id| request_inputs(modules, seed, id)).collect(),
+            false => Vec::new(),
+        };
+        let tiers = usize::from(opts.online.priority_tiers).max(1);
+        Ok(Stream {
+            arrivals,
+            order: Vec::new(),
+            source: Source::Drawn { tiers, inputs },
+        })
+    }
+
+    /// A caller's request list as a stream: its arrivals converted in
+    /// admission order, so the first one past the clock is the one
+    /// reported.
+    fn of_requests(requests: &'a [Request]) -> Result<Stream<'a>, RuntimeError> {
+        let order = admission_order(requests);
+        let mut arrivals = vec![0; requests.len()];
+        for k in 0..requests.len() {
+            let i = position(&order, k);
+            arrivals[i] = ticks("arrival", requests[i].arrival_s)?;
+        }
+        Ok(Stream {
+            arrivals,
+            order,
+            source: Source::Requests(requests),
+        })
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// Caller position of the `k`-th request in admission order.
+    pub(crate) fn admitted(&self, k: usize) -> usize {
+        position(&self.order, k)
+    }
+
+    pub(crate) fn id(&self, i: usize) -> usize {
+        match &self.source {
+            Source::Requests(requests) => requests[i].id,
+            Source::Drawn { .. } => i,
+        }
+    }
+
+    fn tier(&self, i: usize) -> u8 {
+        match &self.source {
+            Source::Requests(requests) => requests[i].tier,
+            Source::Drawn { tiers, .. } => (i % tiers) as u8,
+        }
+    }
+
+    fn inputs(&self, i: usize) -> &HashMap<String, Tensor> {
+        match &self.source {
+            Source::Requests(requests) => &requests[i].inputs,
+            Source::Drawn { inputs, .. } => &inputs[i],
+        }
+    }
 }
 
 /// Per-request service trace (all times in seconds from service start),
@@ -495,6 +621,9 @@ pub struct RequestTrace {
 /// [`RequestTrace`]s the accessors build and in the JSON row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Traces {
+    /// Request ids in admission order; empty when every id is its
+    /// admission position (the only form such a store takes, so equal
+    /// stores compare equal).
     ids: Vec<usize>,
     arrival: Vec<Time>,
     admitted: Vec<Time>,
@@ -508,8 +637,17 @@ pub struct Traces {
 
 impl Traces {
     /// Take over the scheduler's columns for the requests `ids`, all in
-    /// admission order.
-    fn new(ids: Vec<usize>, arrival: Vec<Time>, out: zynq::StreamOutcome) -> Traces {
+    /// admission order; ids that are their positions keep no column.
+    fn new(
+        ids: impl ExactSizeIterator<Item = usize> + Clone,
+        arrival: Vec<Time>,
+        out: zynq::StreamOutcome,
+    ) -> Traces {
+        let mut positions = ids.clone().enumerate();
+        let ids: Vec<usize> = match positions.all(|(k, id)| id == k) {
+            true => Vec::new(),
+            false => ids.collect(),
+        };
         let mut by_id = Vec::new();
         if !ids.is_sorted() {
             by_id.extend(0..ids.len() as u32);
@@ -527,11 +665,11 @@ impl Traces {
     }
 
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.arrival.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.arrival.is_empty()
     }
 
     /// Admission position of the `i`-th request in id order.
@@ -539,12 +677,17 @@ impl Traces {
         self.by_id.get(i).map_or(i, |&p| p as usize)
     }
 
+    /// Id of the request at admission position `p`.
+    fn id(&self, p: usize) -> usize {
+        self.ids.get(p).copied().unwrap_or(p)
+    }
+
     /// The `i`-th request in id order. Panics when `i >= len()`.
     pub fn get(&self, i: usize) -> RequestTrace {
         let p = self.position(i);
         let (arrival, resolved) = (self.arrival[p], self.resolved[p]);
         RequestTrace {
-            id: self.ids[p],
+            id: self.id(p),
             arrival_s: to_secs(arrival),
             admitted_s: to_secs(self.admitted[p]),
             completed_s: to_secs(resolved),
@@ -723,14 +866,16 @@ pub(crate) fn latency_stats(ticks: &mut [u64]) -> [u64; 4] {
 
 /// Admission order of `requests` as caller indices: arrival time, ties
 /// by id (stable) — the one total order [`serve`] and the fleet
-/// dispatcher share.
+/// dispatcher share. Empty when that is the caller's order, which one
+/// pass over the list tells.
 pub(crate) fn admission_order(requests: &[Request]) -> Vec<u32> {
+    let cmp = |a: &Request, b: &Request| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id));
+    if requests.is_sorted_by(|a, b| cmp(a, b).is_le()) {
+        return Vec::new();
+    }
     let n = u32::try_from(requests.len()).expect("fewer than 2^32 requests");
     let mut order: Vec<u32> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let (a, b) = (&requests[a as usize], &requests[b as usize]);
-        a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
-    });
+    order.sort_by(|&a, &b| cmp(&requests[a as usize], &requests[b as usize]));
     order
 }
 
@@ -779,13 +924,48 @@ pub fn serve(
     opts: &RuntimeOptions,
 ) -> Result<ServeOutcome, RuntimeError> {
     check_times(opts)?;
-    let order = admission_order(requests);
-    let mut arrivals = Vec::with_capacity(order.len());
-    for &i in &order {
-        arrivals.push(ticks("arrival", requests[i as usize].arrival_s)?);
+    let stream = Stream::of_requests(requests)?;
+    serve_columns(design, (names, modules, kernels), stream, opts)
+}
+
+/// [`serve`] of the stream `opts` describes — `opts.requests` requests
+/// as [`generate_timing_requests`] (or, under `opts.execute`,
+/// [`generate_requests`]) draws them per `opts.seed`, with tiers that
+/// cycle through `opts.online.priority_tiers` in id order — drawn
+/// straight into columns, with no [`Request`] built. A degenerate rate
+/// is reported first, then a policy time past the clock, then an
+/// arrival, as the two calls in turn would.
+pub fn serve_generated(
+    design: &MultiSystemDesign,
+    names: &[String],
+    modules: &[&Module],
+    kernels: &[&cgen::CKernel],
+    opts: &RuntimeOptions,
+) -> Result<ServeOutcome, RuntimeError> {
+    opts.arrival.validate()?;
+    check_times(opts)?;
+    let stream = Stream::draw(modules, opts)?;
+    serve_columns(design, (names, modules, kernels), stream, opts)
+}
+
+/// The compiled program's stages: `names`, `modules`, `kernels` of [`serve`].
+pub(crate) type Stages<'a> = (&'a [String], &'a [&'a Module], &'a [&'a cgen::CKernel]);
+
+/// The serving core on one board over a whole stream, its outputs back
+/// in the caller's order.
+fn serve_columns(
+    design: &MultiSystemDesign,
+    stages: Stages,
+    mut stream: Stream,
+    opts: &RuntimeOptions,
+) -> Result<ServeOutcome, RuntimeError> {
+    if stream.order.is_empty() {
+        let arrivals = std::mem::take(&mut stream.arrivals);
+        return serve_stream(design, stages, &stream, &[], arrivals, opts);
     }
-    let stages = (names, modules, kernels);
-    let mut out = serve_stream(design, stages, requests, &order, arrivals, opts)?;
+    let order = &stream.order;
+    let arrivals = order.iter().map(|&i| stream.arrivals[i as usize]).collect();
+    let mut out = serve_stream(design, stages, &stream, order, arrivals, opts)?;
     // The core answers in admission order, the caller asked in its own.
     let mut outputs = vec![HashMap::new(); out.outputs.len()];
     for (&i, o) in order.iter().zip(out.outputs) {
@@ -795,33 +975,32 @@ pub fn serve(
     Ok(out)
 }
 
-/// The compiled program's stages: `names`, `modules`, `kernels` of [`serve`].
-pub(crate) type Stages<'a> = (&'a [String], &'a [&'a Module], &'a [&'a cgen::CKernel]);
-
-/// The serving core behind [`serve`] and every fleet board. The stream
-/// is two columns in admission order: `index[k]` is the position in
-/// `requests` of the `k`-th request and `arrivals[k]` its arrival tick
-/// here (sorted; a request the fleet requeued arrives at its shed
-/// tick). `outputs`, when executing, come back in that order too.
+/// The serving core behind [`serve`] and every fleet board. The board's
+/// stream is two columns in admission order: `index[k]` is the position
+/// in `stream` of the `k`-th request (`index` empty: the `k`-th itself)
+/// and `arrivals[k]` its arrival tick here (sorted; a request the fleet
+/// requeued arrives at its shed tick). `outputs`, when executing, come
+/// back in that order too.
 pub(crate) fn serve_stream(
     design: &MultiSystemDesign,
     (names, modules, kernels): Stages,
-    requests: &[Request],
+    stream: &Stream,
     index: &[u32],
     arrivals: Vec<Time>,
     opts: &RuntimeOptions,
 ) -> Result<ServeOutcome, RuntimeError> {
-    if index.is_empty() {
+    if arrivals.is_empty() {
         return Err(RuntimeError::NoRequests);
     }
-    let request = |k: usize| &requests[index[k] as usize];
-    let n = index.len();
+    let position = |k: usize| position(index, k);
+    let n = arrivals.len();
     let capacity = opts.batch.capacity(design.config.m);
     let overlap = opts.overlap_dma && opts.batch != BatchPolicy::Disabled;
     let spec = opts.recovery.to_spec();
-    let tiered = opts.online.priority_tiers > 1 && (0..n).any(|k| request(k).tier != 0);
+    let tier = |k: usize| stream.tier(position(k));
+    let tiered = opts.online.priority_tiers > 1 && (0..n).any(|k| tier(k) != 0);
     let tiers = if tiered {
-        (0..n).map(|k| request(k).tier).collect()
+        (0..n).map(tier).collect()
     } else {
         Vec::new()
     };
@@ -869,7 +1048,7 @@ pub(crate) fn serve_stream(
         outputs.reserve_exact(n);
         for (k, status) in out.statuses.iter().enumerate() {
             outputs.push(if *status == StreamStatus::Completed {
-                zynq::run_program_chain(names, modules, kernels, &request(k).inputs)
+                zynq::run_program_chain(names, modules, kernels, stream.inputs(position(k)))
                     .map_err(RuntimeError::Exec)?
             } else {
                 HashMap::new()
@@ -917,7 +1096,7 @@ pub(crate) fn serve_stream(
         backpressure_shed: out.backpressure_shed,
         early_closed_rounds: out.early_closed_rounds,
         // Last: the scheduler's per-request columns move in.
-        traces: Traces::new((0..n).map(|k| request(k).id).collect(), arrivals, out),
+        traces: Traces::new((0..n).map(|k| stream.id(position(k))), arrivals, out),
     };
     Ok(ServeOutcome { report, outputs })
 }
@@ -1119,8 +1298,9 @@ impl Traces {
     fn json_capacity(&self, pad: &str) -> usize {
         let max = |column: &[Time]| column.iter().copied().max().unwrap_or(0);
         let resolved = max(&self.resolved);
+        let last = self.len().saturating_sub(1);
         let widest = [
-            self.ids.iter().copied().max().unwrap_or(0) as u64,
+            self.ids.iter().copied().max().unwrap_or(last) as u64,
             max(&self.arrival),
             max(&self.admitted),
             resolved,
@@ -1140,7 +1320,7 @@ impl Traces {
             let p = self.position(i);
             let (arrival, resolved) = (self.arrival[p], self.resolved[p]);
             let values = [
-                self.ids[p] as u64,
+                self.id(p) as u64,
                 arrival,
                 self.admitted[p],
                 resolved,
@@ -2138,10 +2318,50 @@ mod tests {
         }
         // Closed arrivals tie on the tick, so admission order is id order.
         assert!(permuted >= 40 && unresolved > 16, "{permuted} {unresolved}");
-        // In id order already: the scheduler's columns are the store.
+        // In id order already: the scheduler's columns are the store,
+        // and ids that are positions keep no column.
         let sorted = timing_requests(40);
         let traces = serve(&d, &[], &[], &[], &sorted, &generated_options(1));
-        assert!(traces.unwrap().report.traces.by_id.is_empty());
+        let traces = traces.unwrap().report.traces;
+        assert!(traces.by_id.is_empty() && traces.ids.is_empty());
+    }
+
+    /// A list handed over out of admission order serves as the same list
+    /// sorted into that order, on one board and on a fleet: the adapter's
+    /// admission sort against the identity order it keeps for a sorted
+    /// list.
+    #[test]
+    fn a_shuffled_list_serves_as_its_admission_sorted_copy() {
+        let d = design(vec![2, 2], 4, &[100_000, 200_000]);
+        let boards = [
+            crate::FleetBoard::healthy(d.clone()),
+            crate::FleetBoard::healthy(design(vec![2], 8, &[300_000])),
+        ];
+        for seed in 0..48 {
+            let reqs = shuffled_requests(seed, 2 + (seed as usize * 11) % 120);
+            let mut sorted = reqs.clone();
+            sorted.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
+            assert!(!admission_order(&reqs).is_empty(), "seed {seed}");
+            assert!(admission_order(&sorted).is_empty(), "seed {seed}");
+            let opts = generated_options(seed);
+            let shuffled = serve(&d, &[], &[], &[], &reqs, &opts).unwrap().report;
+            let in_order = serve(&d, &[], &[], &[], &sorted, &opts).unwrap().report;
+            assert_eq!(shuffled, in_order, "seed {seed}");
+            assert_eq!(shuffled.to_json(), in_order.to_json());
+            let fopts = FleetOptions {
+                route: [
+                    crate::RoutePolicy::RoundRobin,
+                    crate::RoutePolicy::ShortestQueue,
+                    crate::RoutePolicy::Predictive,
+                ][seed as usize % 3],
+                parallel: false,
+                base: opts,
+            };
+            let shuffled = serve_fleet(&boards, &[], &[], &[], &reqs, &fopts).unwrap();
+            let in_order = serve_fleet(&boards, &[], &[], &[], &sorted, &fopts).unwrap();
+            assert_eq!(shuffled.report, in_order.report, "seed {seed}");
+            assert_eq!(shuffled.report.to_json(), in_order.report.to_json());
+        }
     }
 
     #[test]

@@ -47,16 +47,25 @@
 //! * **Priority tiers** — `tiers[pos]` classes requests (0 = highest);
 //!   batch formation takes eligible requests in `(tier, arrival)`
 //!   order, so a high tier preempts queued low-tier work at every
-//!   round boundary. Retries keep their tier. The wait queue stays in
-//!   arrival order (requeues go back in at their position), so a round
-//!   is formed without a sort: under tiers one pass counts eligible
-//!   work per tier to find the cut-off tier and its quota, and one pass
-//!   moves every eligible request below the cut-off plus the first
-//!   `quota` at it into the round, in arrival order.
+//!   round boundary. Retries keep their tier and their position.
 //! * **Backpressure shedding** — with `max_queue` set, an arrival that
 //!   finds the wait queue at depth `max_queue` is shed at its own
 //!   arrival tick instead of joining (retries are already in the
 //!   system and bypass the gate).
+//!
+//! No decision walks the wait queue. It is kept as what a decision point
+//! asks of it (`Queue`): the eligible work per tier, each a min-heap on
+//! position, and the work not yet eligible (a retry's backoff, an
+//! outage's park) in a min-heap on the tick it turns eligible, promoted
+//! when a decision point reaches that tick. Positions are arrival order,
+//! so a round pops the tiers in turn, the SLO batcher reads each tier's
+//! oldest request at its heap's top, and the requests a deadline has
+//! passed are a prefix of every tier. A round costs O(fill + tiers + log
+//! queue), and a deep closed backlog serves in linear time under every
+//! policy.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::des::Time;
 use crate::fault::{FaultPlan, Outage, RecoverySpec};
@@ -92,10 +101,6 @@ impl OnlineSpec {
 
     fn has_tiers(&self) -> bool {
         self.tiers.iter().any(|&t| t != 0)
-    }
-
-    fn tier_of(&self, pos: usize) -> u8 {
-        self.tiers.get(pos).copied().unwrap_or(0)
     }
 }
 
@@ -152,18 +157,17 @@ pub fn simulate_round_stream(
     );
     let capacity = capacity.clamp(1, m);
     let mode = Mode::pick(overlap && plan.outage.is_none(), ks, m);
-    let rec = RecoverySpec {
-        deadline_ticks: spec.slo_ticks.into_iter().chain(rec.deadline_ticks).min(),
-        ..*rec
-    };
     if !plan.armed() && rec.deadline_ticks.is_none() && !spec.armed() {
         return clean_fold(arrivals, capacity, round, mode);
     }
-    Core::new(arrivals, capacity, round, plan, rec, spec, mode).run()
+    let mut core = Core::new(arrivals, capacity, round, plan, *rec, spec, mode);
+    core.run();
+    core.finish()
 }
 
-/// A request in the wait queue or in flight.
-#[derive(Debug, Clone, Copy)]
+/// A request in the wait queue or in flight. Ordered by position first,
+/// which is arrival order (positions are unique).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Pend {
     /// Arrival-order position (the request's identity in fault draws).
     pos: usize,
@@ -173,6 +177,157 @@ struct Pend {
     eligible: Time,
     attempts: u32,
     failures: u32,
+}
+
+/// The wait queue — arrived-but-unserved work and requeued retries —
+/// kept in the structures a decision point asks about, so no question
+/// walks it:
+///
+/// * `ready` holds the work eligible at the last decision point, one
+///   min-heap on position per tier. Positions are arrival order, so a
+///   round's `(tier, arrival)` pick pops the tiers in turn, each tier's
+///   oldest request is its heap's top, and the requests too old for
+///   their deadline are a prefix of every heap.
+/// * `waiting` holds the work not yet eligible (backing off after a
+///   failure, or parked by an outage until recovery), a min-heap on the
+///   tick it turns eligible. Each decision point first promotes what
+///   has turned eligible by its tick.
+struct Queue<'a> {
+    /// Priority tier per position; empty = one tier.
+    tiers: &'a [u8],
+    ready: Vec<BinaryHeap<Reverse<Pend>>>,
+    /// Requests over all of `ready`.
+    ready_len: usize,
+    waiting: BinaryHeap<Reverse<(Time, Pend)>>,
+    /// The last promotion's tick: every ready request was eligible by
+    /// then.
+    now: Time,
+    /// Queue entries touched: pushed, popped, or read.
+    #[cfg(test)]
+    visits: std::cell::Cell<usize>,
+}
+
+impl<'a> Queue<'a> {
+    /// An empty queue over `levels` tiers, sized for `bound` ready
+    /// requests per tier and `capacity` waiting ones.
+    fn new(tiers: &'a [u8], levels: usize, bound: usize, capacity: usize) -> Queue<'a> {
+        Queue {
+            tiers,
+            ready: (0..levels)
+                .map(|_| BinaryHeap::with_capacity(bound))
+                .collect(),
+            ready_len: 0,
+            waiting: BinaryHeap::with_capacity(capacity),
+            now: 0,
+            #[cfg(test)]
+            visits: std::cell::Cell::new(0),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ready_len + self.waiting.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Count `_n` entries touched.
+    #[inline]
+    fn visit(&self, _n: usize) {
+        #[cfg(test)]
+        self.visits.set(self.visits.get() + _n);
+    }
+
+    /// Queue a request eligible by the last promotion.
+    fn push_ready(&mut self, p: Pend) {
+        self.visit(1);
+        let tier = self.tiers.get(p.pos).map_or(0, |&t| t as usize);
+        self.ready[tier].push(Reverse(p));
+        self.ready_len += 1;
+    }
+
+    /// Queue a request that turns eligible at `p.eligible`.
+    fn park(&mut self, p: Pend) {
+        self.visit(1);
+        self.waiting.push(Reverse((p.eligible, p)));
+    }
+
+    /// Move the waiting work that is eligible by `t` into `ready`.
+    fn promote(&mut self, t: Time) {
+        debug_assert!(t >= self.now, "decision points move forward");
+        loop {
+            let Some(top) = self.waiting.peek_mut().filter(|top| top.0 .0 <= t) else {
+                break;
+            };
+            let Reverse((_, p)) = PeekMut::pop(top);
+            self.push_ready(p);
+        }
+        self.now = t;
+    }
+
+    /// The tick the earliest waiting request turns eligible.
+    fn next_waiting(&self) -> Option<Time> {
+        self.waiting.peek().map(|Reverse((eligible, _))| *eligible)
+    }
+
+    /// The earliest eligibility tick in the queue. Ready work counts at
+    /// the last promotion's tick, or, when `exact`, at its own.
+    fn next_eligible(&self, exact: bool) -> Option<Time> {
+        let ready = match self.ready_len {
+            0 => None,
+            _ if exact => {
+                self.visit(self.ready_len);
+                (self.ready.iter().flatten())
+                    .map(|Reverse(p)| p.eligible)
+                    .min()
+            }
+            _ => Some(self.now),
+        };
+        ready.into_iter().chain(self.next_waiting()).min()
+    }
+
+    /// Arrival tick of the oldest ready request.
+    fn oldest_ready(&self) -> Option<Time> {
+        self.visit(self.ready.len());
+        let tops = self.ready.iter().filter_map(|heap| heap.peek());
+        tops.map(|Reverse(p)| p.arrival).min()
+    }
+
+    /// Take the oldest ready request of the first tier whose oldest
+    /// satisfies `expired`.
+    fn pop_ready_if(&mut self, expired: impl Fn(&Pend) -> bool) -> Option<Pend> {
+        self.visit(self.ready.len());
+        let heap =
+            (self.ready.iter_mut()).find(|heap| heap.peek().is_some_and(|p| expired(&p.0)))?;
+        self.ready_len -= 1;
+        heap.pop().map(|Reverse(p)| p)
+    }
+
+    /// Move the first `capacity` ready requests in `(tier, arrival)`
+    /// order into the empty `round`.
+    fn take_round(&mut self, capacity: usize, round: &mut Vec<Pend>) {
+        for heap in &mut self.ready {
+            let quota = capacity - round.len();
+            round.extend(
+                std::iter::from_fn(|| heap.pop())
+                    .take(quota)
+                    .map(|Reverse(p)| p),
+            );
+        }
+        self.ready_len -= round.len();
+        self.visit(round.len());
+    }
+
+    /// Take any queued request, ready or waiting.
+    fn pop_any(&mut self) -> Option<Pend> {
+        if let Some(Reverse((_, p))) = self.waiting.pop() {
+            return Some(p);
+        }
+        let Reverse(p) = self.ready.iter_mut().find_map(|heap| heap.pop())?;
+        self.ready_len -= 1;
+        Some(p)
+    }
 }
 
 /// The event core: every armed configuration runs this one value. Each
@@ -185,15 +340,17 @@ struct Core<'a> {
     /// Carries the effective deadline.
     rec: RecoverySpec,
     spec: &'a OnlineSpec,
-    /// Whether any tier is non-zero, decided once per run.
-    tiered: bool,
     res: Resources,
+    /// Whether a round executes and drains in zero ticks. Only then can
+    /// a finished round fall due to drain at the tick of the decision
+    /// point that last promoted, and only then does the next event need
+    /// the eligibility ticks of the ready work instead of that tick.
+    exact_ready: bool,
     /// Position of the first arrival not yet admitted. Arrivals are
     /// events: a request joins the wait queue when a decision point
     /// reaches its arrival tick.
     next: usize,
-    /// Arrived-but-unserved work and requeued retries, position order.
-    pending: Vec<Pend>,
+    queue: Queue<'a>,
     /// The round whose outputs still wait to drain: (outputs ready, its
     /// requests).
     pending_out: Option<(Time, Vec<Pend>)>,
@@ -205,6 +362,9 @@ struct Core<'a> {
     round_idx: u64,
     /// The outcome's per-request columns, fills and counters.
     out: StreamOutcome,
+    /// Passes of [`Core::run`].
+    #[cfg(test)]
+    decisions: usize,
 }
 
 /// Batch-formation verdict at one decision point.
@@ -218,6 +378,9 @@ enum Gate {
 }
 
 impl<'a> Core<'a> {
+    /// The core over `arrivals`; the effective deadline is the tighter
+    /// of `rec`'s and the SLO budget. The queue is sized from the queue
+    /// bound and the capacity.
     fn new(
         arrivals: &'a [Time],
         capacity: usize,
@@ -227,27 +390,39 @@ impl<'a> Core<'a> {
         spec: &'a OnlineSpec,
         mode: Mode,
     ) -> Core<'a> {
+        let levels = spec.tiers.iter().max().map_or(1, |&t| usize::from(t) + 1);
+        let bound = spec.max_queue.unwrap_or(0).min(arrivals.len());
         Core {
             arrivals,
             capacity,
             plan,
-            rec,
+            rec: RecoverySpec {
+                deadline_ticks: spec.slo_ticks.into_iter().chain(rec.deadline_ticks).min(),
+                ..rec
+            },
             spec,
-            tiered: spec.has_tiers(),
             res: Resources::new(mode, round),
+            exact_ready: round.exec() == 0 && round.t_out == 0,
             next: 0,
-            pending: Vec::new(),
+            queue: Queue::new(&spec.tiers, levels, bound, capacity),
             pending_out: None,
             spare: Vec::new(),
             floor: 0,
             round_idx: 0,
             out: StreamOutcome::new(arrivals.len()),
+            #[cfg(test)]
+            decisions: 0,
         }
     }
 
-    fn run(mut self) -> StreamOutcome {
+    /// Run the stream to its end.
+    fn run(&mut self) {
         let serial = self.res.mode == Mode::Serial;
         loop {
+            #[cfg(test)]
+            {
+                self.decisions += 1;
+            }
             let t_min = self.next_event().map(|t| t.max(self.floor));
             // Drain the finished round first when the schedule is serial,
             // when nothing is left to load, or (sparse queue) when the
@@ -279,13 +454,13 @@ impl<'a> Core<'a> {
             self.admit(start);
             // Everything arrived so far may have been shed at admission
             // (the next pass jumps to the next arrival), or just expired.
-            if self.pending.is_empty() || self.shed_expired(start) {
+            if self.queue.is_empty() || self.shed_expired(start) {
                 continue;
             }
             // Backpressure can shed the very arrival that set `t_min`;
             // idle until the next queue eligibility or arrival.
-            if self.pending.iter().all(|p| p.eligible > start) {
-                self.floor = self.next_event().expect("pending is not empty");
+            if self.queue.ready_len == 0 {
+                self.floor = self.next_event().expect("the queue is not empty");
                 continue;
             }
             match self.gate(start) {
@@ -293,6 +468,10 @@ impl<'a> Core<'a> {
                 Gate::Dispatch { early } => self.dispatch(start, early),
             }
         }
+    }
+
+    /// The outcome, once [`Core::run`] has returned.
+    fn finish(mut self) -> StreamOutcome {
         self.res.close(&mut self.out);
         self.out
     }
@@ -300,7 +479,9 @@ impl<'a> Core<'a> {
     /// Form a round from the queue's eligible work at `start` and place
     /// it: load, execute, and drain the previous round meanwhile.
     fn dispatch(&mut self, start: Time, early: bool) {
-        let mut take = self.fill_filter(start);
+        let mut ents = std::mem::take(&mut self.spare);
+        ents.reserve(self.capacity);
+        self.queue.take_round(self.capacity, &mut ents);
         self.round_idx += 1;
         let t_in = if self.plan.dma_stalls(self.round_idx) {
             self.out.dma_stalls += 1;
@@ -318,23 +499,15 @@ impl<'a> Core<'a> {
             o.fail_at > start && o.fail_at <= res.drain_done(res.exec_done(start + t_in))
         };
         if let Some(o) = self.plan.outage.filter(lost) {
-            for p in self.pending.iter_mut().filter(|p| take(p)) {
+            for mut p in ents.drain(..) {
                 p.eligible = o.recover_at.unwrap_or(Time::MAX);
                 self.out.outage_requeues += 1;
+                self.queue.park(p);
             }
+            self.spare = ents;
             self.res.abort_at(o.fail_at);
             return;
         }
-        // Move the round's requests out of the queue, in position order.
-        let mut ents = std::mem::take(&mut self.spare);
-        ents.reserve(self.capacity);
-        self.pending.retain(|p| {
-            let taken = take(p);
-            if taken {
-                ents.push(*p);
-            }
-            !taken
-        });
         for p in &mut ents {
             p.attempts += 1;
             self.out.admitted_ticks[p.pos] = start;
@@ -365,10 +538,13 @@ impl<'a> Core<'a> {
     }
 
     /// The next tick at which the wait queue can change by itself: a
-    /// queued request turning eligible or a new arrival.
+    /// queued request turning eligible or a new arrival. Work already
+    /// eligible counts at the last decision point's tick: decision
+    /// points never move back, so a pass starts there or later either
+    /// way (see `exact_ready` for the one exception).
     fn next_event(&self) -> Option<Time> {
-        let eligible = self.pending.iter().map(|p| p.eligible);
-        eligible.chain(self.next_arrival()).min()
+        let queued = self.queue.next_eligible(self.exact_ready);
+        queued.into_iter().chain(self.next_arrival()).min()
     }
 
     fn take_arrival(&mut self, arrival: Time) -> Pend {
@@ -382,18 +558,18 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Admit every arrival up to `t` into the wait queue, shedding the
-    /// ones that find a bounded queue full (at their own arrival tick).
-    /// `pending` stays in position order: whatever it holds arrived
-    /// before anything still to come.
+    /// Promote the queued work eligible by `t`, then admit every arrival
+    /// up to `t`, shedding the ones that find a bounded queue full (at
+    /// their own arrival tick).
     fn admit(&mut self, t: Time) {
+        self.queue.promote(t);
         while let Some(a) = self.next_arrival().filter(|&a| a <= t) {
             let p = self.take_arrival(a);
-            if self.spec.max_queue.is_some_and(|q| self.pending.len() >= q) {
+            if self.spec.max_queue.is_some_and(|q| self.queue.len() >= q) {
                 self.resolve(&p, StreamStatus::Shed, a);
                 self.out.backpressure_shed += 1;
             } else {
-                self.pending.push(p);
+                self.queue.push_ready(p);
             }
         }
     }
@@ -403,7 +579,7 @@ impl<'a> Core<'a> {
     /// those count as refused at the gate, each at its own arrival tick
     /// if that is later; an unbounded queue had already accepted them.
     fn shed_outage(&mut self, at: Time) {
-        for p in std::mem::take(&mut self.pending) {
+        while let Some(p) = self.queue.pop_any() {
             self.resolve(&p, StreamStatus::Shed, at);
         }
         let bounded = self.spec.max_queue.is_some();
@@ -421,18 +597,15 @@ impl<'a> Core<'a> {
         let Some(d) = self.rec.deadline_ticks else {
             return false;
         };
-        let rt = self.res.round_ticks;
-        let mut pending = std::mem::take(&mut self.pending);
-        let before = pending.len();
-        pending.retain(|p| {
-            let expired = p.eligible <= start && p.arrival.saturating_add(d) < start + rt;
-            if expired {
-                self.resolve(p, StreamStatus::TimedOut, start);
-            }
-            !expired
-        });
-        let shed = pending.len() < before;
-        self.pending = pending;
+        let late = start + self.res.round_ticks;
+        let mut shed = false;
+        while let Some(p) = self
+            .queue
+            .pop_ready_if(|p| p.arrival.saturating_add(d) < late)
+        {
+            self.resolve(&p, StreamStatus::TimedOut, start);
+            shed = true;
+        }
         shed
     }
 
@@ -443,66 +616,28 @@ impl<'a> Core<'a> {
         let Some(slo) = self.spec.slo_ticks else {
             return Gate::Dispatch { early: false };
         };
-        let pending = &self.pending;
-        let eligible = pending.iter().filter(|p| p.eligible <= start).count();
-        if eligible >= self.capacity {
+        if self.queue.ready_len >= self.capacity {
             return Gate::Dispatch { early: false };
         }
         // The next event that could grow the batch.
-        let next_t = pending
-            .iter()
-            .filter(|p| p.eligible > start)
-            .map(|p| p.eligible)
+        let next_t = self
+            .queue
+            .next_waiting()
+            .into_iter()
             .chain(self.next_arrival())
             .min();
         let Some(next_t) = next_t else {
             // Tail of the stream: nothing else is coming, dispatch.
             return Gate::Dispatch { early: false };
         };
-        let oldest = pending
-            .iter()
-            .filter(|p| p.eligible <= start)
-            .map(|p| p.arrival)
-            .min()
-            .expect("gate runs only with at least one eligible request");
+        let oldest =
+            (self.queue.oldest_ready()).expect("gate runs only with at least one eligible request");
         let rt = self.res.round_ticks;
         let latest_safe = oldest.saturating_add(slo).saturating_sub(rt);
         if start >= latest_safe {
             return Gate::Dispatch { early: true };
         }
         Gate::Wait(next_t.min(latest_safe))
-    }
-
-    /// Which requests form the round at `start`: the first `capacity`
-    /// eligible ones in `(tier, arrival)` order. Applied in one pass over
-    /// the position-ordered queue, they are every eligible request below
-    /// the cut-off tier plus the first `quota` eligible ones at it.
-    fn fill_filter(&self, start: Time) -> impl FnMut(&Pend) -> bool + 'a {
-        let (spec, capacity) = (self.spec, self.capacity);
-        let (cut, mut quota) = if self.tiered {
-            let mut count = [0usize; 256];
-            for p in self.pending.iter().filter(|p| p.eligible <= start) {
-                count[spec.tier_of(p.pos) as usize] += 1;
-            }
-            // Fewer than `capacity` eligible: the round takes them all.
-            let (mut cut, mut below) = ((u8::MAX, usize::MAX), 0);
-            for (tier, &n) in count.iter().enumerate() {
-                if below + n >= capacity {
-                    cut = (tier as u8, capacity - below);
-                    break;
-                }
-                below += n;
-            }
-            cut
-        } else {
-            (0, capacity)
-        };
-        move |p| {
-            let tier = spec.tier_of(p.pos);
-            let take = p.eligible <= start && (tier < cut || tier == cut && quota > 0);
-            quota -= (take && tier == cut) as usize;
-            take
-        }
     }
 
     /// Drain one finished round's outputs: checksum each payload, resolve
@@ -526,8 +661,8 @@ impl<'a> Core<'a> {
 
     /// A failed attempt (lost round or corrupted payload) noticed at
     /// `at`: back into the wait queue after its backoff, or `Failed`
-    /// once the retry allowance is spent. Requeued work goes back in at
-    /// its position, so it keeps its original admission priority.
+    /// once the retry allowance is spent. It keeps its position, so it
+    /// keeps its original admission priority once eligible.
     fn retry(&mut self, mut p: Pend, at: Time) {
         p.failures += 1;
         if p.failures > self.rec.max_retries {
@@ -535,8 +670,7 @@ impl<'a> Core<'a> {
             return;
         }
         p.eligible = at + self.rec.backoff_after(p.failures);
-        let j = self.pending.partition_point(|q| q.pos < p.pos);
-        self.pending.insert(j, p);
+        self.queue.park(p);
     }
 
     /// Record a request's terminal state: the one place the core reports
@@ -602,11 +736,16 @@ mod tests {
         (0..n).map(|i| (i as Time / 2) * gap).collect()
     }
 
-    /// The sort-based round selection the core used before it formed
-    /// rounds in one pass: eligible work sorted by `(tier, arrival)`,
-    /// cut at `capacity`. Returns ascending indices into `pending`.
-    fn select_fill_by_sort(core: &Core, start: Time) -> Vec<usize> {
-        let (pending, spec) = (&core.pending, core.spec);
+    /// The sort-based round selection, the definition the queue's pick
+    /// meets: eligible work sorted by `(tier, arrival)`, cut at
+    /// `capacity`. Returns ascending indices into `pending`.
+    fn select_fill_by_sort(
+        pending: &[Pend],
+        spec: &OnlineSpec,
+        capacity: usize,
+        start: Time,
+    ) -> Vec<usize> {
+        let tier_of = |pos: usize| spec.tiers.get(pos).copied().unwrap_or(0);
         let mut fill: Vec<usize> = pending
             .iter()
             .enumerate()
@@ -614,9 +753,9 @@ mod tests {
             .map(|(j, _)| j)
             .collect();
         if spec.has_tiers() {
-            fill.sort_by_key(|&j| (spec.tier_of(pending[j].pos), pending[j].pos));
+            fill.sort_by_key(|&j| (tier_of(pending[j].pos), pending[j].pos));
         }
-        fill.truncate(core.capacity);
+        fill.truncate(capacity);
         fill.sort_unstable();
         fill
     }
@@ -674,7 +813,7 @@ mod tests {
             }
             positions.truncate(len);
             positions.sort_unstable();
-            core.pending = positions
+            let pending: Vec<Pend> = positions
                 .into_iter()
                 .map(|pos| Pend {
                     pos,
@@ -688,21 +827,148 @@ mod tests {
                     failures: 0,
                 })
                 .collect();
-            let want: Vec<usize> = select_fill_by_sort(&core, START)
+            let want: Vec<usize> = select_fill_by_sort(&pending, &spec, capacity, START)
                 .into_iter()
-                .map(|j| core.pending[j].pos)
+                .map(|j| pending[j].pos)
                 .collect();
             deep += (want.len() == capacity) as usize;
-            let mut take = core.fill_filter(START);
-            let got: Vec<usize> = core
-                .pending
-                .iter()
-                .filter(|p| take(p))
-                .map(|p| p.pos)
-                .collect();
+            // The queue takes every entry as waiting work and promotes
+            // what is eligible at the decision point.
+            for &p in &pending {
+                core.queue.park(p);
+            }
+            core.queue.promote(START);
+            let mut round = Vec::new();
+            core.queue.take_round(capacity, &mut round);
+            let mut got: Vec<usize> = round.iter().map(|p| p.pos).collect();
+            got.sort_unstable();
             assert_eq!(got, want, "case {case}, capacity {capacity}");
         }
         assert!(deep > 1_000, "most queues hold a full round: {deep}");
+    }
+
+    /// No decision point walks the wait queue: on a closed backlog that
+    /// queues every request at once, the entries the core touches stay
+    /// within a constant times the capacity per decision point, under
+    /// each armed policy.
+    #[test]
+    fn decision_points_visit_a_bounded_share_of_a_deep_queue() {
+        const N: usize = 65_536;
+        let round = ProgramRound {
+            t_in: 30,
+            stage_exec: vec![1_000],
+            t_out: 30,
+        };
+        let rt = round.total();
+        let arrivals = vec![0; N];
+        let fifo = OnlineSpec::fifo();
+        let none = FaultPlan::none();
+        let faults = FaultPlan::transient(7, 0.2);
+        let outage = FaultPlan {
+            outage: Some(Outage {
+                fail_at: 2_000 * rt,
+                recover_at: Some(2_500 * rt),
+            }),
+            ..FaultPlan::parse("3:transient=0.05,corrupt=0.05").unwrap()
+        };
+        let tiers = OnlineSpec {
+            tiers: (0..N).map(|i| (i % 3) as u8).collect(),
+            ..OnlineSpec::fifo()
+        };
+        let slo = OnlineSpec {
+            slo_ticks: Some(4_000 * rt),
+            ..OnlineSpec::fifo()
+        };
+        let shed = OnlineSpec {
+            max_queue: Some(64),
+            ..OnlineSpec::fifo()
+        };
+        let deadline = RecoverySpec {
+            deadline_ticks: Some(3_000 * rt),
+            ..RecoverySpec::default()
+        };
+        let backoff = RecoverySpec {
+            backoff_ticks: rt,
+            backoff_cap_ticks: 16 * rt,
+            ..RecoverySpec::default()
+        };
+        let cases = [
+            ("faults", &faults, backoff, &fifo),
+            ("tiers", &faults, RecoverySpec::default(), &tiers),
+            ("slo", &none, RecoverySpec::default(), &slo),
+            ("deadline", &none, deadline, &fifo),
+            ("shed", &faults, RecoverySpec::default(), &shed),
+            ("outage", &outage, RecoverySpec::default(), &fifo),
+        ];
+        for (name, plan, rec, spec) in cases {
+            // Double-buffered with capacity 8, serial under the outage.
+            let mode = Mode::pick(plan.outage.is_none(), &[1], 8);
+            let mut core = Core::new(&arrivals, 8, &round, plan, rec, spec, mode);
+            core.run();
+            let (visits, decisions) = (core.queue.visits.get(), core.decisions);
+            let out = core.finish();
+            assert_eq!(out.statuses.len(), N);
+            let timed_out = out.statuses.contains(&StreamStatus::TimedOut);
+            let fired = out.transient_faults + out.backpressure_shed + out.outage_requeues;
+            assert!(fired > 0 || timed_out, "{name}: the policy never fired");
+            // The whole backlog is admitted at the first decision point,
+            // and a deadline times much of it out at a few: those are
+            // one visit per request, here at most 42 per decision point.
+            assert!(
+                visits <= 8 * 8 * decisions,
+                "{name}: {visits} entries visited in {decisions} decision points"
+            );
+        }
+    }
+
+    /// Ready work counts in the next event at the last decision point's
+    /// tick; the exact scan of its eligibility ticks, which only rounds
+    /// that execute and drain in no time need, schedules the same.
+    #[test]
+    fn the_ready_shortcut_schedules_what_the_exact_scan_does() {
+        let mut seed = 0xEA5E_D0E5;
+        for case in 0..400 {
+            let mut r = |n: u64| splitmix(&mut seed) % n;
+            let round = ProgramRound {
+                t_in: r(3) * 20,
+                stage_exec: vec![r(3) * 500],
+                t_out: 1 + r(2) * 30,
+            };
+            let rt = round.total().max(1);
+            let n = 1 + r(60) as usize;
+            let mut arrivals: Vec<Time> = (0..n).map(|_| r(rt * n as u64 / 4 + 1)).collect();
+            arrivals.sort_unstable();
+            let plan = FaultPlan {
+                outage: (r(4) == 0).then(|| Outage {
+                    fail_at: r(rt * n as u64 / 4 + 1),
+                    recover_at: (r(2) == 0).then_some(rt * n as u64 / 3),
+                }),
+                ..FaultPlan::parse(&format!("{case}:transient=0.2,corrupt=0.1,stall=0.1")).unwrap()
+            };
+            let rec = RecoverySpec {
+                max_retries: r(3) as u32,
+                backoff_ticks: r(2) * rt,
+                backoff_cap_ticks: r(2) * 4 * rt,
+                deadline_ticks: (r(3) == 0).then(|| r(4 * rt)),
+            };
+            let spec = OnlineSpec {
+                slo_ticks: (r(3) == 0).then(|| rt + r(4 * rt)),
+                max_queue: (r(3) == 0).then(|| 1 + r(8) as usize),
+                tiers: match r(2) {
+                    0 => (0..n).map(|_| r(3) as u8).collect(),
+                    _ => Vec::new(),
+                },
+            };
+            let capacity = 1 + r(4) as usize;
+            let mode = Mode::pick(r(2) == 0 && plan.outage.is_none(), &[1], 4);
+            let outcomes = [false, true].map(|exact| {
+                let mut core = Core::new(&arrivals, capacity, &round, &plan, rec, &spec, mode);
+                core.exact_ready = exact;
+                core.run();
+                core.finish()
+            });
+            assert_eq!(outcomes[0], outcomes[1], "case {case}");
+        }
     }
 
     #[test]
