@@ -16,7 +16,9 @@
 //! Malformed arguments never panic: every flag value routes through the
 //! structured [`CliError`] path (exit code 2 with a one-line
 //! diagnosis), mirroring the structured `FlowError::DoesNotFit`
-//! introduced for small-board compiles.
+//! introduced for small-board compiles. Nor does a closed stdout:
+//! every command prints through [`write_out`], and a reader that stops
+//! early (`cfdc ... | head`) ends the process quietly with status 0.
 
 #![forbid(unsafe_code)]
 
@@ -26,10 +28,34 @@ use cfd_core::{
     Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, FlowError,
     RoutePolicy, RuntimeOptions,
 };
+use std::io::{ErrorKind, Write};
 use std::process::exit;
 use std::sync::Arc;
 use sysgen::{Platform, ProgramSystemConfig};
 use zynq::SimConfig;
+
+/// Write to stdout through [`write_out`]: `print!`'s arguments.
+macro_rules! out {
+    ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
+}
+
+/// [`out!`] with a newline: `println!`'s arguments.
+macro_rules! outln {
+    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// The one writer of everything a command prints. A reader that closed
+/// its end early (`cfdc ... | head`) ends the process quietly with
+/// status 0; any other write error is a one-line error with status 1.
+fn write_out(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0)
+        }
+        eprintln!("error: cannot write output: {e}");
+        exit(1)
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +71,7 @@ fn main() {
         "serve" => cmd_serve(rest),
         "boards" => cmd_boards(rest),
         "cache" => cmd_cache(rest),
-        "--help" | "-h" | "help" => print!("{}", usage()),
+        "--help" | "-h" | "help" => out!("{}", usage()),
         other => {
             eprintln!("unknown command '{other}'");
             usage_error()
@@ -765,8 +791,8 @@ fn platforms(spec: &str) -> Result<Vec<Platform>, CliError> {
 /// `cfdc boards`: the platform catalog. It reads no option.
 fn cmd_boards(args: &[String]) {
     checked_or_exit("boards", parse_options(args));
-    println!("platform catalog (use with --board / --boards):");
-    println!(
+    outln!("platform catalog (use with --board / --boards):");
+    outln!(
         "  id          board                       LUT        FF    DSP  BRAM36  host CPU                fabric clocks (MHz)"
     );
     for p in Platform::catalog() {
@@ -781,7 +807,7 @@ fn cmd_boards(args: &[String]) {
                 }
             })
             .collect();
-        println!(
+        outln!(
             "  {:<10}  {:<22}  {:>9}  {:>8}  {:>5}  {:>6}  {:<22}  {}",
             p.id,
             p.board.name,
@@ -793,7 +819,7 @@ fn cmd_boards(args: &[String]) {
             clocks.join(" "),
         );
     }
-    println!("  (default clock bracketed; default board: zcu106)");
+    outln!("  (default clock bracketed; default board: zcu106)");
 }
 
 /// Build the `--cache-dir` cache or exit with the structured error.
@@ -883,10 +909,10 @@ fn cmd_cache(args: &[String]) {
     };
     if sub == "stats" {
         let (entries, bytes) = CompileCache::disk_stats(path).unwrap_or_else(|e| cache_err(e));
-        println!("cache at {dir}: {entries} entries, {bytes} bytes");
+        outln!("cache at {dir}: {entries} entries, {bytes} bytes");
     } else {
         let removed = CompileCache::clear_disk(path).unwrap_or_else(|e| cache_err(e));
-        println!("cache at {dir}: removed {removed} entries");
+        outln!("cache at {dir}: removed {removed} entries");
     }
 }
 
@@ -965,7 +991,7 @@ fn cmd_compile(args: &[String]) {
     let art = compile_or_exit(&p);
     write_sections(&p, &sections(&p, &art));
     if p.json {
-        println!("{}", timings_json(art.kernel_count(), &art.timings));
+        outln!("{}", timings_json(art.kernel_count(), &art.timings));
     }
 }
 
@@ -1026,7 +1052,7 @@ fn sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
 fn write_sections(p: &Parsed, sections: &[(String, String)]) {
     let Some(dir) = &p.out_dir else {
         for (name, content) in sections {
-            println!("=== {name} ===\n{content}");
+            outln!("=== {name} ===\n{content}");
         }
         return;
     };
@@ -1040,7 +1066,7 @@ fn write_sections(p: &Parsed, sections: &[(String, String)]) {
             eprintln!("cannot write '{path}': {e}");
             exit(1)
         });
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
 }
 
@@ -1064,7 +1090,7 @@ fn cmd_simulate(args: &[String]) {
         sw_hls += hls_code.total_s;
     }
     let ks: Vec<String> = r.ks.iter().map(|k| k.to_string()).collect();
-    println!(
+    outln!(
         "program k=[{}] m={} | {} elements in {} rounds",
         ks.join(","),
         r.m,
@@ -1072,16 +1098,16 @@ fn cmd_simulate(args: &[String]) {
         r.rounds
     );
     for (name, exec) in art.names.iter().zip(&r.stage_exec_s) {
-        println!("  stage {name}: exec {exec:.4} s");
+        outln!("  stage {name}: exec {exec:.4} s");
     }
-    println!(
+    outln!(
         "exec {:.4} s | transfers {:.4} s | total {:.4} s ({:.2} ms/element)",
         r.exec_s,
         r.transfer_s,
         r.total_s,
         r.total_per_element_s() * 1e3
     );
-    println!(
+    outln!(
         "ARM A53: reference {sw_ref:.4} s, HLS-style code {sw_hls:.4} s -> HW speedup {:.2}x",
         sw_ref / r.total_s
     );
@@ -1097,7 +1123,7 @@ fn cmd_verify(args: &[String]) {
         "verification",
         art.verify(p.program.flow.elements, p.runtime.seed),
     );
-    println!(
+    outln!(
         "verified {} chained elements ({}): bitexact={}, max_rel_diff={:.3e}",
         v.elements,
         kernels(art.kernel_count()),
@@ -1119,17 +1145,17 @@ fn cmd_serve(args: &[String]) {
     let opts = &p.runtime;
     let out = or_exit("serving", art.serve(opts));
     if p.json {
-        println!("{}", out.report.to_json());
+        outln!("{}", out.report.to_json());
         return;
     }
-    print!("{}", out.report.render_table());
+    out!("{}", out.report.render_table());
     // With --batch off the run IS the sequential baseline — comparing it
     // against itself would just print a meaningless 1.00x.
     if opts.batch == BatchPolicy::Disabled {
         return;
     }
     let seq = or_exit("serving", art.serve_sequential_baseline(opts));
-    println!(
+    outln!(
         "sequential baseline: {:.1} req/s -> batching speedup {:.2}x",
         seq.throughput_rps,
         out.report.throughput_rps / seq.throughput_rps
@@ -1200,10 +1226,10 @@ fn cmd_serve_fleet(p: &Parsed) {
     };
     let out = or_exit("fleet serving", art.serve_fleet(&boards, &fopts));
     if p.json {
-        println!("{}", out.report.to_json());
+        outln!("{}", out.report.to_json());
         return;
     }
-    print!("{}", out.report.render_table());
+    out!("{}", out.report.render_table());
 }
 
 fn cmd_explore(args: &[String]) {
@@ -1231,13 +1257,13 @@ fn cmd_explore(args: &[String]) {
     let report = engine.run(&DseGrid::default(), p.program.flow.jobs, elements);
     exit_on_overflow(report.ticks_overflows, elements);
     if p.json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
         return;
     }
-    print!("{}", report.render_table());
+    out!("{}", report.render_table());
     if let Some(best) = report.best() {
         // Every row of the table names the program in its first column.
-        println!(
+        outln!(
             "best: {} ({:.0} elements/s)",
             best.point.label(),
             best.throughput_eps
@@ -1257,14 +1283,14 @@ fn exit_on_overflow(overflows: usize, elements: usize) {
 /// Render a portfolio sweep (table or JSON) with its Pareto frontier.
 fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
     if json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
         return;
     }
-    print!("{}", report.render_table());
+    out!("{}", report.render_table());
     let frontier = report.pareto_frontier();
-    println!("pareto frontier ({} points):", frontier.len());
+    outln!("pareto frontier ({} points):", frontier.len());
     for o in frontier {
-        println!(
+        outln!(
             "  {} @ {:.0} MHz: k={} m={} -> {:.4} s ({:.0} el/s) at {:.1}% fit",
             o.platform,
             o.clock_mhz,
@@ -1276,9 +1302,9 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
         );
     }
     let service = report.service_frontier();
-    println!("service frontier ({} points):", service.len());
+    outln!("service frontier ({} points):", service.len());
     for o in service {
-        println!(
+        outln!(
             "  {} @ {:.0} MHz: k={} m={} -> {:.0} req/s at p99 {:.4} s, {:.1}% fit",
             o.platform,
             o.clock_mhz,
@@ -1290,9 +1316,9 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
         );
     }
     let cost = report.cost_frontier();
-    println!("cost-efficiency frontier ({} points):", cost.len());
+    outln!("cost-efficiency frontier ({} points):", cost.len());
     for (o, per_kluts) in cost {
-        println!(
+        outln!(
             "  {} @ {:.0} MHz: k={} m={} -> {:.0} req/s, {:.1} req/s per kLUT ({} LUTs)",
             o.platform,
             o.clock_mhz,
@@ -1318,15 +1344,15 @@ fn explore_listing(p: &Parsed) {
         .collect();
     let platform = &p.program.flow.platform;
     let designs = sysgen::enumerate_program_designs(platform, &stages, &art.memory);
-    print!("{}", program_report(&art));
-    println!(
+    out!("{}", program_report(&art));
+    outln!(
         "feasible uniform configurations on {}:",
         platform.board.name
     );
-    println!("   k    m  batch     LUT   BRAM   slack(BRAM)");
+    outln!("   k    m  batch     LUT   BRAM   slack(BRAM)");
     for d in &designs {
         let (_, _, _, slack_brams) = d.slack();
-        println!(
+        outln!(
             "  {:>2}  {:>3}  {:>4}   {:>6}  {:>5}   {:>6}",
             d.config.ks[0],
             d.config.m,

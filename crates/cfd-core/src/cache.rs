@@ -1,12 +1,21 @@
 //! Content-hashed incremental compile cache.
 //!
 //! The scheduling stage (reschedule + liveness → compatibility graph)
-//! dominates the cost of a compile; its products depend only on the
-//! canonicalized tensor IR and (conservatively) the target platform and
-//! clock. [`CompileCache`] memoizes those
-//! products under a stable 128-bit FNV-1a content hash, so a re-compile
-//! of unchanged source skips the stage entirely — in process via an
-//! in-memory map, and across processes via an optional on-disk store.
+//! dominated the cost of a compile when this cache was added; its
+//! products depend only on the canonicalized tensor IR and
+//! (conservatively) the target platform and clock. [`CompileCache`]
+//! memoizes those products under a stable 128-bit FNV-1a content hash,
+//! so a re-compile of unchanged source skips the stage — in process via
+//! an in-memory map, and across processes via an optional on-disk
+//! store.
+//!
+//! The stage is cheap now, and the cache saves little. At the ROADMAP's
+//! item 9 anchor run, the stages a hit skips summed to about 71 cal-µs
+//! per kernel of a whole one-kernel compile of about 213 cal-µs
+//! (`compile_cold`), while a store cost about 436 cal-µs and a disk
+//! revive about 66 cal-µs per program (`explore_warm`, helmholtz:11):
+//! a store costs about twice a whole compile. Item 9 retires the cache
+//! once the benchmark re-baseline (item 5) confirms those figures.
 //!
 //! ## Cache key
 //!

@@ -4,23 +4,41 @@
 //! and memory parameters (k, m, PLM sharing, decoupling, array
 //! partitioning). With the monolithic flow each of those design points
 //! re-ran the frontend and middle end from source; here a [`DseEngine`]
-//! compiles source through [`Pipeline::schedule`] exactly once, compiles
-//! each distinct backend once, and **scores** the `(k, m)` points
-//! against it across a scoped worker pool.
+//! compiles source through [`Pipeline::schedule`] exactly once, builds
+//! each backend piece once per the axes it reads, and **scores** the
+//! `(k, m)` points against them across a scoped worker pool.
 //!
 //! There is one engine. A source of any kernel count is prepared as a
-//! program ([`DseEngine::prepare`] takes [`FlowOptions`] or
+//! program ([`DseEngine::prepare`] takes [`FlowOptions`](crate::FlowOptions) or
 //! [`ProgramOptions`]), and a single kernel is the one-kernel program.
 //! A grid point's backend slot is every kernel's backend plus the merged
 //! program memory — except that a one-kernel slot skips the merge: its
 //! merged memory and host byte interface are its backend's own
 //! (`one_kernel_slot_equals_its_merged_program` pins that), and merging
 //! would only cost allocations on the hot path of every single-kernel
-//! sweep. Every scored point counts one system-stage invocation.
+//! sweep.
+//!
+//! **Piece staging.** A slot is not built whole. The paper optimises
+//! memory (Mnemosyne) and logic (HLS) separately, and each piece of a
+//! backend reads only some of the axes: the kernel IR reads decoupling;
+//! the Mnemosyne configuration decoupling and partitioning; the HLS
+//! report the IR, the clock and partitioning; the memory (for a
+//! program, the `merge_configs` + `synthesize_program` merge, with the
+//! host byte interface) the configurations and sharing. So a sweep
+//! builds the IR once per (kernel, decoupling), the configuration once
+//! per (kernel, decoupling, partition), the HLS report once per
+//! (kernel, clock, decoupling, partition) and the memory once per
+//! backend key, through the functions [`Pipeline::backend`] composes,
+//! and assembles each (clock, backend key) slot from borrowed pieces.
+//! `portfolio_rows_equal_the_per_slot_definition` holds every row to
+//! the slot built whole. The counters keep their meaning: every
+//! (kernel, slot) pair counts one backend-stage invocation and one
+//! `backend_compiles`, and every scored point one system-stage
+//! invocation.
 //!
 //! On top of the single-board sweep, [`DseEngine::run_portfolio`]
 //! crosses the grid with a **platform catalog and each platform's
-//! fabric-clock ladder**: backends are memoized per (clock, backend
+//! fabric-clock ladder**: slots are shared per (clock, backend
 //! options), every combination is costed under its platform's Eq. (3)
 //! budget, and the [`PortfolioReport`] marks each platform's Pareto
 //! frontier over (simulated time, resource fit) — the
@@ -29,7 +47,8 @@
 //! **Invariant: a sweep row equals what `cfdc compile` + `cfdc
 //! simulate` + `cfdc serve` would report for that design.** A point is
 //! never built — no `SystemDesign`, host program or host source, and a
-//! backend slot emits no kernel C text ([`Backend`] carries none) — but
+//! backend slot emits no kernel C text
+//! ([`Backend`](crate::pipeline::Backend) carries none) — but
 //! its feasibility and totals come from `sysgen::Totals::fit`, the
 //! function `SystemDesign::build` and `MultiSystemDesign::build` decide
 //! with; its simulated time from `zynq::ProgramRound::price`, which
@@ -65,9 +84,11 @@
 
 use std::cmp::Ordering;
 use std::fmt::{self, Write};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
+use hls::HlsOptions;
 use mnemosyne::MemorySubsystem;
 use runtime::json::{self, row_end, Line, Sink};
 use sysgen::{Platform, SystemConfig, Totals};
@@ -76,9 +97,9 @@ use zynq::des::to_secs;
 use zynq::{fan_out, resolve_jobs, ProgramRound, SimConfig};
 
 use crate::cache::{CacheCounters, CompileCache};
-use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
-use crate::program::{ProgramBuild, ProgramOptions};
-use crate::{FlowError, FlowOptions};
+use crate::pipeline::{Pipeline, Scheduled, StageCounts, StageTimings};
+use crate::program::{MergedMemory, ProgramOptions};
+use crate::FlowError;
 
 /// One point of the exploration grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,11 +305,16 @@ pub struct DseReport {
     /// Polyhedra-oracle counters accumulated over the sweep (delta of
     /// the process totals across `run`).
     pub oracle: polyhedra::OracleCounters,
-    /// Unique backend configurations compiled during the sweep.
+    /// Backend slots of the sweep, one per (kernel, distinct backend
+    /// key): what compiling each slot whole would cost. The engine
+    /// builds fewer pieces than that (see the module doc's piece
+    /// staging); the count is the slots, not the pieces.
     pub backend_compiles: usize,
-    /// Points that reused a memoized backend instead of recompiling.
+    /// (Kernel, point) evaluations beyond the first of each slot: the
+    /// evaluations that shared a slot instead of compiling their own.
     pub backend_reuses: usize,
-    /// Wall-clock seconds spent compiling the unique backends.
+    /// Wall-clock seconds spent building the backend pieces and
+    /// assembling the slots.
     pub backend_s: f64,
     /// Sum of per-point evaluation times (system stage + simulation)
     /// across all workers — CPU time, not wall-clock.
@@ -481,21 +507,26 @@ impl DseOutcome {
 }
 
 /// Everything of a design point that does not depend on `(k, m)`: one
-/// backend slot's per-stage HLS reports, merged memory subsystem and
-/// external byte interface. A single kernel is a one-stage program
-/// (what `MultiSystemDesign::from_single` asserts), so kernels and
-/// programs score through the same parts.
-struct ScoreParts {
-    stages: Vec<hls::HlsReport>,
+/// backend slot's per-stage HLS reports, its memory subsystem and
+/// external byte interface, borrowed from the pieces they were built as.
+/// A single kernel is a one-stage program (what
+/// `MultiSystemDesign::from_single` asserts), so kernels and programs
+/// score through the same parts.
+struct ScoreParts<'a> {
+    stages: Vec<&'a hls::HlsReport>,
     /// `latency_seconds()` of each stage.
     kernel_s: Vec<f64>,
-    memory: MemorySubsystem,
+    memory: &'a MemorySubsystem,
     bytes_in_per_element: usize,
     bytes_out_per_element: usize,
 }
 
-impl ScoreParts {
-    fn new(stages: Vec<hls::HlsReport>, memory: MemorySubsystem, bytes: (usize, usize)) -> Self {
+impl<'a> ScoreParts<'a> {
+    fn new(
+        stages: Vec<&'a hls::HlsReport>,
+        memory: &'a MemorySubsystem,
+        bytes: (usize, usize),
+    ) -> Self {
         ScoreParts {
             kernel_s: stages.iter().map(|r| r.latency_seconds()).collect(),
             stages,
@@ -504,19 +535,45 @@ impl ScoreParts {
             bytes_out_per_element: bytes.1,
         }
     }
+}
 
-    /// The parts of a single-kernel backend; the kernel IR is dropped
-    /// here.
-    fn of_kernel(be: Backend) -> ScoreParts {
-        let bytes = sysgen::HostProgram::interface_bytes([&be.kernel], |_, _| true);
-        ScoreParts::new(vec![be.hls_report], be.memory, bytes)
-    }
+/// The memory piece of one backend key: the PLM subsystem of one set
+/// and the host's external `(in, out)` bytes per element. A program's
+/// is its [`MergedMemory`] without the plan; a one-kernel program's is
+/// its kernel's own subsystem and interface, which is what the merge
+/// would give (`one_kernel_slot_equals_its_merged_program`), so it
+/// skips the merge.
+struct KeyMemory {
+    memory: MemorySubsystem,
+    bytes: (usize, usize),
+}
 
-    /// The parts of a program's merged build.
-    fn of_program(build: ProgramBuild) -> ScoreParts {
-        let bytes = (build.bytes_in_per_element, build.bytes_out_per_element);
-        let stages = build.stages.into_iter().map(|(_, report)| report);
-        ScoreParts::new(stages.collect(), build.memory, bytes)
+/// The backend pieces of a sweep over `clocks` × backend keys, each
+/// built once per the axes it reads: an HLS report per (kernel, clock,
+/// decoupling, partition) and a memory per backend key. The kernel IR
+/// and Mnemosyne configurations they were built from are dropped
+/// before any point is scored.
+struct Pieces {
+    /// Kernel `i`'s report at clock `c` under pair `dp`: entry
+    /// `(i * clocks + c) * pairs + dp`.
+    hls: Vec<hls::HlsReport>,
+    clocks: usize,
+    /// Distinct (decoupled, partition) pairs among the keys.
+    pairs: usize,
+    /// Pair of each backend key.
+    pair_of: Vec<usize>,
+    /// One per backend key.
+    memories: Vec<KeyMemory>,
+}
+
+impl Pieces {
+    /// The parts of slot (`clock`, `key`): every kernel's report at the
+    /// clock under the key's pair, and the key's memory.
+    fn parts(&self, clock: usize, key: usize) -> ScoreParts<'_> {
+        let kernels = self.hls.len() / (self.clocks * self.pairs);
+        let at = |i: usize| &self.hls[(i * self.clocks + clock) * self.pairs + self.pair_of[key]];
+        let memory = &self.memories[key];
+        ScoreParts::new((0..kernels).map(at).collect(), &memory.memory, memory.bytes)
     }
 }
 
@@ -536,7 +593,7 @@ struct Score {
 /// the functions the system builders and simulators themselves call
 /// ([`Totals::fit`], [`ProgramRound::price`], the stream scheduler).
 fn score(
-    parts: &ScoreParts,
+    parts: &ScoreParts<'_>,
     platform: &Platform,
     k: usize,
     m: usize,
@@ -545,8 +602,8 @@ fn score(
     if !(SystemConfig { k, m }).valid() {
         return None;
     }
-    let stages = parts.stages.iter().map(|report| (k, report));
-    let totals = Totals::fit(platform, stages, &parts.memory, m)?;
+    let stages = parts.stages.iter().map(|&report| (k, report));
+    let totals = Totals::fit(platform, stages, parts.memory, m)?;
     let round = ProgramRound::price(
         &platform.dma,
         &SimConfig::default(),
@@ -571,7 +628,7 @@ fn score(
 /// fit.
 fn outcome(
     label: &str,
-    parts: &ScoreParts,
+    parts: &ScoreParts<'_>,
     platform: &Platform,
     point: &DsePoint,
     elements: usize,
@@ -612,26 +669,14 @@ fn partition_target(module: &teil::Module) -> Option<String> {
         .map(|id| module.name(id).to_string())
 }
 
-/// `opts` with a point's backend axes applied. A partition factor > 1
-/// overrides the partition set; factor 1 means "as the base options
-/// say", so any base partitioning is left untouched.
-fn apply_backend_axes(opts: &mut FlowOptions, point: &DsePoint, target: &Option<String>) {
-    opts.decoupled = point.decoupled;
-    opts.memory.sharing = point.sharing;
-    if point.partition > 1 {
-        if let Some(name) = target {
-            opts.hls.partition = vec![(name.clone(), point.partition)];
-        }
-    }
-}
-
 /// The exploration engine. Every kernel's shared stages (frontend,
 /// middle end, schedule) and the cross-kernel link stage run once at
 /// [`DseEngine::prepare`]; one grid point then fixes the backend axes
 /// (sharing, decoupling, partitioning) for *every* kernel plus a
 /// uniform replication `k`/`m`, and the whole chain is costed under the
-/// shared board budget. Backends are memoized on **(kernel, backend
-/// key)**. A single kernel is the one-kernel program.
+/// shared board budget. Backend pieces are built once per the axes they
+/// read (the module doc's piece staging). A single kernel is the
+/// one-kernel program.
 #[derive(Debug)]
 pub struct DseEngine {
     pipeline: Pipeline,
@@ -643,6 +688,10 @@ pub struct DseEngine {
     partition_targets: Vec<Option<String>>,
     /// Wall-clock cost of the shared stages.
     shared: StageTimings,
+    /// Kernel IRs, Mnemosyne configurations, HLS reports and memories
+    /// the engine's sweeps built: what the piece tests count. The
+    /// reports count (kernel, slot) pairs instead.
+    built: [AtomicUsize; 4],
 }
 
 /// [`DseEngine`] under its multi-kernel name, for callers that still
@@ -651,7 +700,7 @@ pub type ProgramDseEngine = DseEngine;
 
 impl DseEngine {
     /// Compile every kernel's shared stages plus the link stage once.
-    /// `base` — [`FlowOptions`] or [`ProgramOptions`] — supplies
+    /// `base` — [`FlowOptions`](crate::FlowOptions) or [`ProgramOptions`] — supplies
     /// everything the grid does not vary: scheduler and
     /// canonicalization options, board, HLS clock, cross-kernel sharing.
     pub fn prepare<O: Clone + Into<ProgramOptions>>(
@@ -695,6 +744,7 @@ impl DseEngine {
             scheds,
             cross: link.cross,
             shared,
+            built: Default::default(),
         })
     }
 
@@ -718,52 +768,97 @@ impl DseEngine {
         &self.scheds[0]
     }
 
-    /// Kernel `i`'s backend for `point`'s backend axes at `clock_mhz`.
-    fn backend_at(&self, i: usize, clock_mhz: f64, point: &DsePoint) -> Backend {
-        let mut opts = self.base.flow.clone();
-        opts.hls.clock_mhz = clock_mhz;
-        apply_backend_axes(&mut opts, point, &self.partition_targets[i]);
-        self.pipeline.backend(&self.scheds[i], &opts)
+    /// Kernel `i`'s HLS options at `clock_mhz` under the `partition`
+    /// axis: a factor > 1 partitions the kernel's largest input array
+    /// and overrides the base partition set; factor 1 means "as the base
+    /// options say", so any base partitioning is left untouched.
+    fn hls_at(&self, i: usize, clock_mhz: f64, partition: u32) -> HlsOptions {
+        let mut hls = self.base.flow.hls.clone();
+        hls.clock_mhz = clock_mhz;
+        if partition > 1 {
+            if let Some(name) = &self.partition_targets[i] {
+                hls.partition = vec![(name.clone(), partition)];
+            }
+        }
+        hls
     }
 
-    /// Every kernel's backend for `point`'s backend axes at `clock_mhz`
-    /// plus the merged program memory, through the [`ProgramBuild`]
-    /// construction `ProgramFlow::compile` uses, so sweep rankings
-    /// always match what a real compile would build.
-    fn build_at(&self, clock_mhz: f64, point: &DsePoint) -> ProgramBuild {
-        let backends: Vec<Backend> = (0..self.scheds.len())
-            .map(|i| self.backend_at(i, clock_mhz, point))
+    /// The backend pieces of `clocks` × the backend keys `reps`, each
+    /// computed by [`fan_out`] once per the axes it reads: the kernel
+    /// IR per (kernel, decoupling), the Mnemosyne configuration per
+    /// (kernel, decoupling, partition), the HLS report per (kernel,
+    /// clock, decoupling, partition) and the memory per backend key —
+    /// through the functions [`Pipeline::backend`] composes and the
+    /// merge `ProgramBuild::prepare` makes.
+    fn pieces(&self, clocks: &[f64], reps: &[DsePoint], jobs: usize) -> Pieces {
+        let n = self.scheds.len();
+        let mut pairs: Vec<(bool, u32)> = Vec::new();
+        let pair_of: Vec<usize> = (reps.iter())
+            .map(|r| (r.decoupled, r.partition))
+            .map(|pair| index_of(&mut pairs, |&p| p == pair, pair))
             .collect();
-        let memory_opts = mnemosyne::MemoryOptions {
-            sharing: point.sharing,
-        };
-        ProgramBuild::prepare(
-            &self.names,
-            &self.cross,
-            &backends.iter().collect::<Vec<_>>(),
-            &memory_opts,
-            self.base.cross_sharing && point.sharing,
-        )
-    }
-
-    /// The backend slot of `point`'s backend axes at `clock_mhz`. A
-    /// one-kernel slot's merged memory is its own, so it skips the
-    /// merge.
-    fn parts(&self, clock_mhz: f64, point: &DsePoint) -> ScoreParts {
-        if self.scheds.len() == 1 {
-            ScoreParts::of_kernel(self.backend_at(0, clock_mhz, point))
-        } else {
-            ScoreParts::of_program(self.build_at(clock_mhz, point))
+        let mut decs: Vec<bool> = Vec::new();
+        let dec_of: Vec<usize> = (pairs.iter())
+            .map(|&(d, _)| index_of(&mut decs, |&x| x == d, d))
+            .collect();
+        let (np, nc) = (pairs.len(), clocks.len());
+        let kernels = fan_out(jobs, n * decs.len(), |j| {
+            self.scheds[j / decs.len()].kernel_ir(decs[j % decs.len()])
+        });
+        let kernel = |i: usize, pair: usize| &kernels[i * decs.len() + dec_of[pair]];
+        let configs = fan_out(jobs, n * np, |j| {
+            let (i, (decoupled, partition)) = (j / np, pairs[j % np]);
+            let hls = self.hls_at(i, self.base.flow.hls.clock_mhz, partition);
+            self.scheds[i].memory_config(decoupled, &hls)
+        });
+        let hls = fan_out(jobs, n * nc * np, |j| {
+            let (i, clock, pair) = (j / (nc * np), j / np % nc, j % np);
+            hls::synthesize(
+                kernel(i, pair),
+                &self.hls_at(i, clocks[clock], pairs[pair].1),
+            )
+        });
+        let memories = fan_out(jobs, reps.len(), |key| {
+            let pair = pair_of[key];
+            let opts = mnemosyne::MemoryOptions {
+                sharing: reps[key].sharing,
+            };
+            if n == 1 {
+                let memory = mnemosyne::synthesize(&configs[pair], &opts);
+                let bytes = sysgen::HostProgram::interface_bytes([kernel(0, pair)], |_, _| true);
+                return KeyMemory { memory, bytes };
+            }
+            let configs: Vec<_> = (0..n).map(|i| &configs[i * np + pair]).collect();
+            let kernels = (0..n).map(|i| kernel(i, pair));
+            let cross_sharing = self.base.cross_sharing && reps[key].sharing;
+            let merged = MergedMemory::merge(&self.cross, &configs, kernels, &opts, cross_sharing);
+            KeyMemory {
+                memory: merged.memory,
+                bytes: (merged.bytes_in_per_element, merged.bytes_out_per_element),
+            }
+        });
+        let counts = [kernels.len(), configs.len(), hls.len(), memories.len()];
+        for (built, n) in self.built.iter().zip(counts) {
+            built.fetch_add(n, Relaxed);
+        }
+        Pieces {
+            hls,
+            clocks: nc,
+            pairs: np,
+            pair_of,
+            memories,
         }
     }
 
     /// The one sweep driver: cross `targets` (a platform and the clocks
-    /// to synthesize at) with the grid, compile each distinct (clock,
-    /// backend key) slot once — it is shared across platforms and
-    /// `k`/`m` — score every combination against its slot and pass the
-    /// outcome through `row`. Slots and rows are computed by
-    /// [`fan_out`], so the result is independent of `jobs`. Every scored
-    /// point counts one system-stage invocation.
+    /// to synthesize at) with the grid, assemble each distinct (clock,
+    /// backend key) slot once from the sweep's [`DseEngine::pieces`] —
+    /// a slot is shared across platforms and `k`/`m` — score every
+    /// combination against its slot and pass the outcome through
+    /// `row`. Pieces and rows are computed by [`fan_out`], so the
+    /// result is independent of `jobs`. Every (kernel, slot) pair counts
+    /// one backend-stage invocation and every scored point one
+    /// system-stage invocation.
     fn sweep<R: Send>(
         &self,
         targets: &[(&Platform, &[f64])],
@@ -796,9 +891,10 @@ impl DseEngine {
         let oracle_base = polyhedra::OracleCounters::snapshot();
         let started = Instant::now();
 
-        let parts = fan_out(jobs, clocks.len() * reps.len(), |slot| {
-            self.parts(clocks[slot / reps.len()], &reps[slot % reps.len()])
-        });
+        let pieces = self.pieces(&clocks, &reps, jobs);
+        let slots: Vec<ScoreParts> = (0..clocks.len() * reps.len())
+            .map(|slot| pieces.parts(slot / reps.len(), slot % reps.len()))
+            .collect();
         let backend_s = started.elapsed().as_secs_f64();
 
         let label = self.label();
@@ -806,7 +902,7 @@ impl DseEngine {
             let t = Instant::now();
             let (platform, mhz, clock) = blocks[i / points.len()];
             let point = i % points.len();
-            let parts = &parts[clock * reps.len() + key_of[point]];
+            let parts = &slots[clock * reps.len() + key_of[point]];
             let platform = targets[platform].0;
             row(
                 platform,
@@ -814,12 +910,14 @@ impl DseEngine {
                 outcome(&label, parts, platform, &points[point], elements, t),
             )
         });
+        let backend_compiles = slots.len() * self.scheds.len();
+        self.pipeline.count_backends(backend_compiles);
         self.pipeline.count_systems(combos);
         Swept {
             rows,
             platform_of: (0..combos).map(|i| blocks[i / points.len()].0).collect(),
             jobs,
-            backend_compiles: parts.len() * self.scheds.len(),
+            backend_compiles,
             backend_uses: combos * self.scheds.len(),
             backend_s,
             started,
@@ -832,12 +930,14 @@ impl DseEngine {
     /// report, ranked feasible-first, then by throughput, BRAM and LUT
     /// cost.
     ///
-    /// Backends are **memoized on the backend-relevant point subset**
-    /// (kernel, sharing, decoupling, partitioning): grid points that
-    /// differ only in the system-stage knobs `k`/`m` share one compiled
-    /// kernel, HLS estimate and memory subsystem, and are scored against
-    /// it without building a system. The default 32-point grid compiles
-    /// 4 backends per kernel.
+    /// Grid points that differ only in the system-stage knobs `k`/`m`
+    /// share one backend slot (kernel, sharing, decoupling,
+    /// partitioning) and are scored against it without building a
+    /// system. The slot's pieces are built once per the axes they read:
+    /// the default 32-point grid has 4 slots, counted as 4
+    /// `backend_compiles` per kernel, but builds per kernel 2 kernel
+    /// IRs, 2 Mnemosyne configurations and 2 HLS reports, and 4
+    /// memories in all.
     pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
         let base = &self.base.flow;
         let target = (&base.platform, &[base.hls.clock_mhz][..]);
@@ -874,10 +974,11 @@ impl DseEngine {
     /// partition)** cross product: the multi-board portfolio view, every
     /// platform's clock ladder crossed with the grid, Pareto-flagged per
     /// platform and ranked. The shared stages stay compiled once (from
-    /// [`DseEngine::prepare`]); backends are memoized per **(kernel,
-    /// clock, backend key)** — a backend compiled at 200 MHz is reused
-    /// across every platform whose ladder contains 200 MHz and every
-    /// `k`/`m`.
+    /// [`DseEngine::prepare`]); a backend slot is one **(kernel, clock,
+    /// backend key)** — a slot at 200 MHz is shared by every platform
+    /// whose ladder contains 200 MHz and every `k`/`m` — and its pieces
+    /// are shared further: the kernel IR, Mnemosyne configuration and
+    /// memory across clocks, the HLS report across sharing.
     pub fn run_portfolio(
         &self,
         platforms: &[Platform],
@@ -1027,9 +1128,12 @@ pub struct PortfolioReport {
     pub jobs: usize,
     pub elements: usize,
     pub wall_s: f64,
-    /// Unique (clock, backend-option) combinations compiled.
+    /// Backend slots of the sweep, one per (kernel, clock, distinct
+    /// backend key), as in [`DseReport::backend_compiles`]: slots, not
+    /// the pieces they were assembled from.
     pub backend_compiles: usize,
-    /// Evaluations that reused a memoized backend.
+    /// (Kernel, combination) evaluations beyond the first of each
+    /// slot.
     pub backend_reuses: usize,
     /// Compile-cache counters (all zero for an uncached engine).
     pub cache: CacheCounters,
@@ -1429,6 +1533,95 @@ impl PortfolioOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Backend;
+    use crate::program::ProgramBuild;
+    use crate::FlowOptions;
+
+    /// A backend slot as the sweep assembled it before it shared
+    /// pieces: every kernel's whole backend, plus the merged program
+    /// memory when there is more than one kernel.
+    enum Slot {
+        Kernel(Backend),
+        Program(ProgramBuild),
+    }
+
+    impl Slot {
+        fn parts(&self) -> ScoreParts<'_> {
+            match self {
+                Slot::Kernel(be) => ScoreParts::of_kernel(be),
+                Slot::Program(build) => ScoreParts::of_program(build),
+            }
+        }
+    }
+
+    impl<'a> ScoreParts<'a> {
+        /// The parts of a single-kernel backend.
+        fn of_kernel(be: &'a Backend) -> Self {
+            let bytes = sysgen::HostProgram::interface_bytes([&be.kernel], |_, _| true);
+            ScoreParts::new(vec![&be.hls_report], &be.memory, bytes)
+        }
+
+        /// The parts of a program's merged build.
+        fn of_program(build: &'a ProgramBuild) -> Self {
+            let merged = &build.merged;
+            let bytes = (merged.bytes_in_per_element, merged.bytes_out_per_element);
+            let stages = build.stages.iter().map(|(_, report)| report);
+            ScoreParts::new(stages.collect(), &merged.memory, bytes)
+        }
+    }
+
+    /// The per-slot definitions the sweep's pieces must reproduce.
+    impl DseEngine {
+        /// Kernel `i`'s whole backend for `point`'s backend axes at
+        /// `clock_mhz`.
+        fn backend_at(&self, i: usize, clock_mhz: f64, point: &DsePoint) -> Backend {
+            let opts = FlowOptions {
+                decoupled: point.decoupled,
+                memory: mnemosyne::MemoryOptions {
+                    sharing: point.sharing,
+                },
+                hls: self.hls_at(i, clock_mhz, point.partition),
+                ..self.base.flow.clone()
+            };
+            self.pipeline.backend(&self.scheds[i], &opts)
+        }
+
+        /// Every kernel's backend for `point`'s backend axes at
+        /// `clock_mhz` plus the merged program memory, through the
+        /// [`ProgramBuild`] construction `ProgramFlow::compile` uses.
+        fn build_at(&self, clock_mhz: f64, point: &DsePoint) -> ProgramBuild {
+            let backends: Vec<Backend> = (0..self.scheds.len())
+                .map(|i| self.backend_at(i, clock_mhz, point))
+                .collect();
+            let memory_opts = mnemosyne::MemoryOptions {
+                sharing: point.sharing,
+            };
+            ProgramBuild::prepare(
+                &self.names,
+                &self.cross,
+                &backends.iter().collect::<Vec<_>>(),
+                &memory_opts,
+                self.base.cross_sharing && point.sharing,
+            )
+        }
+
+        /// The backend slot of `point`'s backend axes at `clock_mhz`. A
+        /// one-kernel slot's merged memory is its own, so it skips the
+        /// merge.
+        fn parts(&self, clock_mhz: f64, point: &DsePoint) -> Slot {
+            if self.scheds.len() == 1 {
+                Slot::Kernel(self.backend_at(0, clock_mhz, point))
+            } else {
+                Slot::Program(self.build_at(clock_mhz, point))
+            }
+        }
+
+        /// The pieces built so far: kernel IRs, Mnemosyne
+        /// configurations, HLS reports, memories.
+        fn piece_counts(&self) -> [usize; 4] {
+            self.built.each_ref().map(|c| c.load(Relaxed))
+        }
+    }
 
     impl DseReport {
         /// The emitter `to_json` replaced, verbatim: one `format!` per row.
@@ -1861,6 +2054,88 @@ mod tests {
         );
     }
 
+    /// The benchmark's dense helmholtz:11 grid: 11 replications × 3
+    /// batch factors × sharing × decoupling × 2 partitions.
+    fn dense_grid() -> DseGrid {
+        DseGrid {
+            k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
+            batch: vec![1, 2, 4],
+            sharing: vec![true, false],
+            decoupled: vec![true, false],
+            partition: vec![1, 2],
+        }
+    }
+
+    /// The sweep's shared pieces: for helmholtz:11's dense grid and
+    /// simstep:7's default grid over every catalog platform and ladder
+    /// clock, at 1 and 3 jobs, every `run_portfolio` row is the
+    /// `outcome` of its point on the per-slot definition's parts
+    /// (`eval_s` aside), the report still counts one backend per
+    /// (kernel, slot), and the sweep built each piece once per the
+    /// axes it reads: kernel IR per (kernel, decoupling), Mnemosyne
+    /// configuration per (kernel, decoupling, partition), HLS report
+    /// per (kernel, clock, decoupling, partition), memory per backend
+    /// key.
+    #[test]
+    fn portfolio_rows_equal_the_per_slot_definition() {
+        const ELEMENTS: usize = 2_000;
+        let catalog = Platform::catalog();
+        let cases = [
+            // 6 clocks × 8 keys = 48 slots of 1 kernel.
+            (
+                cfdlang::examples::inverse_helmholtz(11),
+                dense_grid(),
+                48,
+                [2, 4, 24, 8],
+            ),
+            // 6 clocks × 4 keys = 24 slots of 3 kernels.
+            (
+                cfdlang::examples::simulation_step(7),
+                DseGrid::default(),
+                72,
+                [6, 6, 36, 4],
+            ),
+        ];
+        for (src, grid, backends, pieces) in cases {
+            for jobs in [1, 3] {
+                let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
+                let report = engine.run_portfolio(&catalog, &grid, jobs, ELEMENTS);
+                assert_eq!(engine.piece_counts(), pieces, "{}", engine.label());
+                assert_eq!(report.backend_compiles, backends);
+                assert_eq!(engine.pipeline().counters().backend, backends);
+                let mut slots: Vec<(_, Slot)> = Vec::new();
+                for row in &report.outcomes {
+                    let point = row.outcome.point;
+                    let key = (row.clock_mhz.to_bits(), point.backend_key());
+                    if !slots.iter().any(|(k, _)| *k == key) {
+                        slots.push((key, engine.parts(row.clock_mhz, &point)));
+                    }
+                    let slot = &slots.iter().find(|(k, _)| *k == key).unwrap().1;
+                    let platform = catalog.iter().find(|p| p.id == row.platform).unwrap();
+                    let label = engine.label();
+                    let mut want = outcome(
+                        &label,
+                        &slot.parts(),
+                        platform,
+                        &point,
+                        ELEMENTS,
+                        Instant::now(),
+                    );
+                    want.eval_s = row.outcome.eval_s;
+                    assert_eq!(
+                        format!("{want:?}"),
+                        format!("{:?}", row.outcome),
+                        "{label} jobs={jobs} {} @ {} MHz, {}",
+                        row.platform,
+                        row.clock_mhz,
+                        point.label()
+                    );
+                }
+                assert_eq!(slots.len() * engine.kernel_names().len(), backends);
+            }
+        }
+    }
+
     /// The module's invariant: for every catalog platform, ladder clock
     /// and point of the dense single-kernel grid and the default
     /// program grid, the scored row is bit for bit what building the
@@ -1875,27 +2150,21 @@ mod tests {
             elements: ELEMENTS,
             ..SimConfig::default()
         };
-        let dense = DseGrid {
-            k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
-            batch: vec![1, 2, 4],
-            sharing: vec![true, false],
-            decoupled: vec![true, false],
-            partition: vec![1, 2],
-        };
+        let dense = dense_grid();
         assert_eq!(dense.points().len(), 264);
         let src = cfdlang::examples::inverse_helmholtz(11);
         let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
         let (mut fit, mut unfit) = (0, 0);
         for platform in Platform::catalog() {
             for &clock in &platform.clock_ladder_mhz {
-                let mut slots: Vec<((bool, bool, u32), Backend, ScoreParts)> = Vec::new();
+                let mut slots: Vec<((bool, bool, u32), Backend)> = Vec::new();
                 for point in dense.points() {
                     let key = point.backend_key();
                     if !slots.iter().any(|(k, ..)| *k == key) {
-                        let be = engine.backend_at(0, clock, &point);
-                        slots.push((key, be.clone(), ScoreParts::of_kernel(be)));
+                        slots.push((key, engine.backend_at(0, clock, &point)));
                     }
-                    let (_, be, parts) = slots.iter().find(|(k, ..)| *k == key).unwrap();
+                    let (_, be) = slots.iter().find(|(k, ..)| *k == key).unwrap();
+                    let parts = &ScoreParts::of_kernel(be);
                     // The kernel's one-stage program system.
                     let cfg = sysgen::ProgramSystemConfig::uniform(point.k, point.m, 1);
                     let stages = [("main".to_string(), be.hls_report.clone())];
@@ -1962,9 +2231,9 @@ mod tests {
                     } else {
                         &mut unfit
                     } += 1;
-                    let plm_brams = build.memory.brams;
+                    let plm_brams = build.merged.memory.brams;
                     let latency = build.stages.iter().map(|(_, r)| r.latency_cycles).sum();
-                    let parts = ScoreParts::of_program(build);
+                    let parts = ScoreParts::of_program(&build);
                     let row = outcome("step", &parts, &platform, &point, ELEMENTS, Instant::now());
                     let at = format!("{} @ {clock} MHz, {}", platform.id, point.label());
                     assert_row_matches(&row, built, plm_brams, latency, ELEMENTS, &at);
@@ -2008,8 +2277,10 @@ mod tests {
                 assert_eq!(engine.kernel_names().len(), 1);
                 let clock = options.flow.hls.clock_mhz;
                 for point in keys.points() {
-                    let kernel = ScoreParts::of_kernel(engine.backend_at(0, clock, &point));
-                    let program = ScoreParts::of_program(engine.build_at(clock, &point));
+                    let backend = engine.backend_at(0, clock, &point);
+                    let build = engine.build_at(clock, &point);
+                    let kernel = ScoreParts::of_kernel(&backend);
+                    let program = ScoreParts::of_program(&build);
                     let view = |p: &ScoreParts| {
                         let latency: Vec<u64> = p.stages.iter().map(|r| r.latency_cycles).collect();
                         let kernel_s: Vec<u64> = p.kernel_s.iter().map(|s| s.to_bits()).collect();
@@ -2042,10 +2313,10 @@ mod tests {
                 partition: 1,
             };
             let base = &engine.base.flow;
-            let parts = engine.parts(base.hls.clock_mhz, &point);
+            let slot = engine.parts(base.hls.clock_mhz, &point);
             let row = outcome(
                 &engine.label(),
-                &parts,
+                &slot.parts(),
                 &base.platform,
                 &point,
                 100,

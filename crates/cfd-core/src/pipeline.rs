@@ -53,7 +53,7 @@ use std::time::Instant;
 
 use cfdlang::TypedProgram;
 use cgen::{CKernel, CodegenOptions};
-use hls::HlsReport;
+use hls::{HlsOptions, HlsReport};
 use mnemosyne::{MemorySubsystem, MnemosyneConfig};
 use pschedule::{CompatibilityGraph, Dependences, KernelModel, Liveness, Schedule};
 use sysgen::{HostProgram, SystemDesign};
@@ -71,7 +71,13 @@ pub struct StageCounts {
     pub schedule: usize,
     /// Cross-kernel link-stage invocations (multi-kernel programs).
     pub link: usize,
+    /// Backend-stage invocations: every [`Pipeline::backend`] call,
+    /// plus one per (kernel, backend slot) pair a sweep assembles from
+    /// shared pieces instead (see [`crate::dse`]).
     pub backend: usize,
+    /// System-stage invocations: every [`Pipeline::system`] call and
+    /// program system stage, plus one per design point a sweep scores
+    /// without building it.
     pub system: usize,
 }
 
@@ -189,6 +195,43 @@ pub struct Scheduled {
     pub elapsed_s: f64,
 }
 
+impl Scheduled {
+    /// The backend's C kernel IR: reads `decoupled` and no other option.
+    pub fn kernel_ir(&self, decoupled: bool) -> CKernel {
+        let me = &self.middle;
+        cgen::build_kernel(
+            &me.module,
+            &me.model,
+            &self.schedule,
+            &CodegenOptions { decoupled },
+        )
+    }
+
+    /// The backend's Mnemosyne configuration: reads `decoupled` and the
+    /// partition factors of `hls`, not its clock.
+    pub fn memory_config(&self, decoupled: bool, hls: &HlsOptions) -> MnemosyneConfig {
+        // Liveness → compatibility graph → Mnemosyne configuration. In
+        // non-decoupled mode the temporaries stay inside the accelerator,
+        // so the external memory subsystem only holds interface arrays.
+        let full_config = MnemosyneConfig::from_graph(&self.compat);
+        let mut mnemosyne_config = if decoupled {
+            full_config
+        } else {
+            full_config.retain_interface()
+        };
+        // Propagate the HLS port demands (array partitioning)
+        // into the memory metadata: Mnemosyne builds multi-bank PLMs for
+        // them (Section V-A1/V-A2).
+        for spec in mnemosyne_config.arrays.clone() {
+            let (r, w) = hls.ports_for(&spec.name);
+            if (r, w) != (1, 1) {
+                mnemosyne_config.set_ports(&spec.name, r, w);
+            }
+        }
+        mnemosyne_config
+    }
+}
+
 /// Output of the cross-kernel link stage of a multi-kernel program:
 /// inter-kernel dependences (tensor handoffs) and kernel-sequence
 /// liveness, the inputs to program-wide PLM sharing.
@@ -268,6 +311,13 @@ impl Pipeline {
     /// points a sweep scores without building them.
     pub(crate) fn count_systems(&self, n: usize) {
         self.counters.system.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` backend-stage invocations performed outside
+    /// [`Pipeline::backend`]: the (kernel, backend slot) pairs a sweep
+    /// assembles from shared pieces.
+    pub(crate) fn count_backends(&self, n: usize) {
+        self.counters.backend.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Parse and type-check a (possibly multi-kernel) source: one
@@ -384,32 +434,19 @@ impl Pipeline {
     /// Build the C kernel, estimate it with the HLS model and
     /// synthesize the Mnemosyne memory subsystem. Honors `opts.decoupled`,
     /// `opts.memory` and `opts.hls`.
+    ///
+    /// The stage is the composition of four pieces, each reading only
+    /// its own options — [`Scheduled::memory_config`] (decoupling,
+    /// partitioning), [`Scheduled::kernel_ir`] (decoupling),
+    /// [`hls::synthesize`] (the IR, clock, partitioning) and
+    /// [`mnemosyne::synthesize`] (the configuration, sharing) — which
+    /// is what lets a [`dse`](crate::dse) sweep build each piece once
+    /// per the axes it reads.
     pub fn backend(&self, sc: &Scheduled, opts: &FlowOptions) -> Backend {
         self.counters.backend.fetch_add(1, Ordering::Relaxed);
         let t = Instant::now();
-        // Liveness → compatibility graph → Mnemosyne configuration. In
-        // non-decoupled mode the temporaries stay inside the accelerator,
-        // so the external memory subsystem only holds interface arrays.
-        let full_config = MnemosyneConfig::from_graph(&sc.compat);
-        let mut mnemosyne_config = if opts.decoupled {
-            full_config
-        } else {
-            full_config.retain_interface()
-        };
-        // Propagate the HLS port demands (array partitioning)
-        // into the memory metadata: Mnemosyne builds multi-bank PLMs for
-        // them (Section V-A1/V-A2).
-        for spec in mnemosyne_config.arrays.clone() {
-            let (r, w) = opts.hls.ports_for(&spec.name);
-            if (r, w) != (1, 1) {
-                mnemosyne_config.set_ports(&spec.name, r, w);
-            }
-        }
-        let cg_opts = CodegenOptions {
-            decoupled: opts.decoupled,
-        };
-        let kernel =
-            cgen::build_kernel(&sc.middle.module, &sc.middle.model, &sc.schedule, &cg_opts);
+        let mnemosyne_config = sc.memory_config(opts.decoupled, &opts.hls);
+        let kernel = sc.kernel_ir(opts.decoupled);
         let hls_report = hls::synthesize(&kernel, &opts.hls);
         let memory = mnemosyne::synthesize(&mnemosyne_config, &opts.memory);
         Backend {

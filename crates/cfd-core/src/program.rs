@@ -216,19 +216,64 @@ impl ProgramArtifacts {
     }
 }
 
-/// The shared program-level products derived from per-kernel backends:
-/// merged PLM plan, synthesized shared memory, stage-labelled HLS
-/// reports and the host byte interface. Both [`Pipeline::run_program`]
-/// and the joint DSE engine build systems from this one struct, so
-/// sweep costs can never diverge from what `ProgramFlow` produces.
+/// The program memory of one backend combination: the merged PLM plan,
+/// its synthesized shared subsystem and the host's external byte
+/// interface. It reads every kernel's Mnemosyne configuration and C
+/// kernel IR, memory sharing and cross-kernel sharing, and no HLS
+/// option — so a sweep merges once per backend key, whatever the
+/// clock.
 #[derive(Debug, Clone)]
-pub(crate) struct ProgramBuild {
+pub(crate) struct MergedMemory {
     pub plan: ProgramMemoryPlan,
     pub memory: MemorySubsystem,
-    pub stages: Vec<(String, hls::HlsReport)>,
     pub bytes_in_per_element: usize,
     pub bytes_out_per_element: usize,
     pub handoff_bytes_per_element: usize,
+}
+
+impl MergedMemory {
+    /// Merge `configs` (kernel order) under one BRAM budget and account
+    /// the external bytes of `kernels` (the same order).
+    pub fn merge<'a>(
+        cross: &CrossLiveness,
+        configs: &[&mnemosyne::MnemosyneConfig],
+        kernels: impl IntoIterator<Item = &'a cgen::CKernel>,
+        memory_opts: &mnemosyne::MemoryOptions,
+        cross_sharing: bool,
+    ) -> MergedMemory {
+        let plan = mnemosyne::merge_configs(configs, cross, cross_sharing);
+        let memory = mnemosyne::synthesize_program(&plan, memory_opts);
+        // Host interface. Under cross-kernel sharing handoff buffers
+        // are co-located and never cross the DMA; without it they keep
+        // their stand-alone DMA wiring (mirroring `merge_configs`), so
+        // the host transfers every kernel's inputs and outputs.
+        let (bytes_in, bytes_out) = sysgen::HostProgram::interface_bytes(kernels, |k, p| {
+            !cross_sharing || cross.info(k, &p.name).is_some_and(|s| s.external)
+        });
+        MergedMemory {
+            plan,
+            memory,
+            bytes_in_per_element: bytes_in,
+            bytes_out_per_element: bytes_out,
+            handoff_bytes_per_element: if cross_sharing {
+                cross.handoff_words() * 8
+            } else {
+                0
+            },
+        }
+    }
+}
+
+/// The shared program-level products derived from per-kernel backends:
+/// the [`MergedMemory`] and the stage-labelled HLS reports. Both
+/// [`Pipeline::run_program`] and the DSE engine's per-slot definition
+/// build systems from this one struct, and the sweep's pieces go
+/// through the same [`MergedMemory::merge`], so sweep costs can never
+/// diverge from what `ProgramFlow` produces.
+#[derive(Debug, Clone)]
+pub(crate) struct ProgramBuild {
+    pub merged: MergedMemory,
+    pub stages: Vec<(String, hls::HlsReport)>,
 }
 
 impl ProgramBuild {
@@ -243,33 +288,14 @@ impl ProgramBuild {
     ) -> ProgramBuild {
         let configs: Vec<&mnemosyne::MnemosyneConfig> =
             backends.iter().map(|b| &b.mnemosyne_config).collect();
-        let plan = mnemosyne::merge_configs(&configs, cross, cross_sharing);
-        let memory = mnemosyne::synthesize_program(&plan, memory_opts);
+        let kernels = backends.iter().map(|b| &b.kernel);
+        let merged = MergedMemory::merge(cross, &configs, kernels, memory_opts, cross_sharing);
         let stages: Vec<(String, hls::HlsReport)> = names
             .iter()
             .zip(backends)
             .map(|(n, b)| (n.clone(), b.hls_report.renamed(n.clone())))
             .collect();
-        // Host interface. Under cross-kernel sharing handoff buffers
-        // are co-located and never cross the DMA; without it they keep
-        // their stand-alone DMA wiring (mirroring `merge_configs`), so
-        // the host transfers every kernel's inputs and outputs.
-        let (bytes_in, bytes_out) =
-            sysgen::HostProgram::interface_bytes(backends.iter().map(|b| &b.kernel), |k, p| {
-                !cross_sharing || cross.info(k, &p.name).is_some_and(|s| s.external)
-            });
-        ProgramBuild {
-            plan,
-            memory,
-            stages,
-            bytes_in_per_element: bytes_in,
-            bytes_out_per_element: bytes_out,
-            handoff_bytes_per_element: if cross_sharing {
-                cross.handoff_words() * 8
-            } else {
-                0
-            },
-        }
+        ProgramBuild { merged, stages }
     }
 
     /// The host program for one replication choice.
@@ -277,9 +303,9 @@ impl ProgramBuild {
         ProgramHostProgram {
             config: cfg,
             stage_names: self.stages.iter().map(|(n, _)| n.clone()).collect(),
-            bytes_in_per_element: self.bytes_in_per_element,
-            bytes_out_per_element: self.bytes_out_per_element,
-            handoff_bytes_per_element: self.handoff_bytes_per_element,
+            bytes_in_per_element: self.merged.bytes_in_per_element,
+            bytes_out_per_element: self.merged.bytes_out_per_element,
+            handoff_bytes_per_element: self.merged.handoff_bytes_per_element,
         }
     }
 
@@ -293,7 +319,7 @@ impl ProgramBuild {
         MultiSystemDesign::build(
             platform,
             &self.stages,
-            &self.memory,
+            &self.merged.memory,
             cfg.clone(),
             self.host_for(cfg),
         )
@@ -464,7 +490,8 @@ impl Pipeline {
         let cfg = match &opts.system {
             Some(c) => Some(c.clone()),
             None => {
-                sysgen::max_equal_program_config(&opts.flow.platform, &build.stages, &build.memory)
+                let memory = &build.merged.memory;
+                sysgen::max_equal_program_config(&opts.flow.platform, &build.stages, memory)
             }
         };
         let (system, host_source) = match cfg {
@@ -482,11 +509,11 @@ impl Pipeline {
             }
             None => (None, String::new()),
         };
-        let ProgramBuild {
+        let MergedMemory {
             plan: memory_plan,
             memory,
             ..
-        } = build;
+        } = build.merged;
         let system_s = t_sys.elapsed().as_secs_f64();
 
         let timings = StageTimings {

@@ -7,9 +7,11 @@
 //! and so is an unknown `--emit` kind, before anything compiles, or a
 //! count past its integer type, whose message names the range. A
 //! serving time past the tick clock is a one-line serving error with
-//! exit status 1.
+//! exit status 1. A reader that closes `cfdc`'s stdout early ends it
+//! quietly, without a panic.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 #[test]
 fn a_source_without_statements_exits_one_with_one_line() {
@@ -450,4 +452,27 @@ fn help_goes_to_stdout_and_usage_errors_to_stderr() {
         assert_eq!(stderr.lines().next(), Some(first_line), "{args:?}");
         assert!(stderr.ends_with(&help), "{args:?}: {stderr}");
     }
+}
+
+/// `cfdc serve ... --json | head -1`: the report (about 3 MB, far past
+/// a 64 KiB pipe buffer) meets a closed pipe after its first line.
+/// `cfdc` used to panic there (`failed printing to stdout`, exit 101);
+/// it now ends quietly.
+#[test]
+fn a_closed_stdout_ends_cfdc_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+        .args(["serve", "helmholtz:4", "--requests", "20000", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cfdc runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert_eq!(first, "{\n");
+    drop(stdout);
+    let out = child.wait_with_output().expect("cfdc exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

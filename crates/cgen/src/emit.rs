@@ -36,11 +36,41 @@ pub fn emit_c99_as(k: &CKernel, symbol: &str) -> String {
     for l in &k.locals {
         let _ = writeln!(out, "  static double {}[{}];", l.name, l.words);
     }
+    // A parameter no statement touches (a handoff input the kernel
+    // never reads) is still part of the interface; casting it to void
+    // keeps `-Wextra -Werror` quiet about it.
+    for p in k.params.iter().filter(|p| !touches(k, &p.name)) {
+        let _ = writeln!(out, "  (void){};", p.name);
+    }
     for s in &k.body {
         emit_stmt(&mut out, s, 1);
     }
     let _ = writeln!(out, "}}");
     out
+}
+
+/// Whether a statement of `k` reads or writes array `name`.
+fn touches(k: &CKernel, name: &str) -> bool {
+    let mut touched = false;
+    k.visit_stmts(&mut |s| {
+        touched |= match s {
+            CStmt::For { .. } | CStmt::DeclScalar { .. } => false,
+            CStmt::AccumScalar { expr, .. } => reads(expr, name),
+            CStmt::Store { target, expr } | CStmt::StoreAccum { target, expr } => {
+                target.array == name || reads(expr, name)
+            }
+        }
+    });
+    touched
+}
+
+/// Whether `e` loads from array `name`.
+fn reads(e: &CExpr, name: &str) -> bool {
+    match e {
+        CExpr::Load(a) => a.array == name,
+        CExpr::Const(_) | CExpr::Var(_) => false,
+        CExpr::Bin { lhs, rhs, .. } => reads(lhs, name) || reads(rhs, name),
+    }
 }
 
 fn indent(out: &mut String, depth: usize) {

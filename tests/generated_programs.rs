@@ -1,479 +1,103 @@
-//! Generated programs as the correctness engine. A seeded generator
-//! writes cfdlang sources the six examples never reach: one to three
-//! kernels chained through name-matched handoffs; tensors of rank 1 to
-//! 4 with extents 1 to 12 (extent 1 gives degenerate loops);
-//! contractions across two or three operands (one of them possibly
-//! twice, as `S` in `S # S # u`, the first possibly a parenthesised
-//! element-wise expression) and within one (a trace), sometimes
-//! contracted again (`A # B . [[1 2]] . [[0 1]]`), down to a scalar, or
-//! inside an element-wise term; element-wise chains over tensors,
-//! scalars and literals; and a statement that reads its own output
-//! (`c = x + c # s . [[1 2]]`).
+//! Generated programs as the correctness engine: the seeded generator
+//! of `common/` writes cfdlang sources the six examples never reach.
 //!
 //! Every program compiles with and without factorization, multi-kernel
 //! programs also without cross-kernel sharing, on every catalog board.
 //! Wherever a system fits, the compiled kernels must verify bit-exact
-//! against the reference interpreter. `CFD_GENERATED_PROGRAMS` sets the
-//! program count (default 200). A failure prints the seed and the
+//! against the reference interpreter. Every tenth program also goes
+//! through the portfolio sweep, which must not depend on its worker
+//! count and must rank first on each board a design that compiles to
+//! the row's totals and simulated time. `CFD_GENERATED_PROGRAMS` sets
+//! the program count (default 200). A failure prints the seed and the
 //! program's `pretty_set` source.
 
-use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
-use cfdfpga::sysgen::Platform;
+mod common;
 
-/// Words a generated tensor holds at most, and iteration points a
-/// statement spans at most: small enough that a debug build compiles
-/// a program on five boards in milliseconds.
-const MAX_WORDS: usize = 1728;
-const MAX_POINTS: usize = 20_000;
+use cfdfpga::flow::dse::{DseEngine, DseGrid};
+use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
+use cfdfpga::sysgen::{Platform, ProgramSystemConfig};
+use cfdfpga::zynq::SimConfig;
+use common::{program, program_count, Coverage};
 
 /// Elements each verification runs.
 const ELEMENTS: usize = 2;
 
-/// splitmix64: a seeded, dependency-free stream.
-struct Rng(u64);
+/// Elements each swept point is simulated with.
+const SWEPT_ELEMENTS: usize = 2_000;
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..=hi`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi - lo + 1) as u64) as usize
-    }
-
-    /// True with probability `percent` / 100.
-    fn chance(&mut self, percent: u64) -> bool {
-        self.next() % 100 < percent
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.range(0, items.len() - 1)]
-    }
+/// A portfolio's JSON without the two lines that may differ between
+/// worker counts: the wall clock and the worker count itself.
+fn without_jobs_and_wall_clock(json: &str) -> String {
+    (json.lines())
+        .filter(|l| !l.starts_with("  \"wall_s\": ") && !l.starts_with("  \"jobs\": "))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
-fn words(shape: &[usize]) -> usize {
-    shape.iter().product()
-}
-
-/// What the generated programs covered, so a weakened generator fails.
-#[derive(Default, Debug)]
-struct Coverage {
-    kernels: [usize; 4],
-    ranks: [usize; 5],
-    unit_extents: usize,
-    contractions: usize,
-    three_operand_products: usize,
-    repeated_operands: usize,
-    parenthesized_operands: usize,
-    chained_contractions: usize,
-    scalar_results: usize,
-    mixed_statements: usize,
-    traces: usize,
-    elementwise: usize,
-    self_reads: usize,
-}
-
-/// One kernel under construction.
-struct Kernel {
-    /// Kernel index: it prefixes every input so that only handoffs link.
-    index: usize,
-    decls: Vec<String>,
-    stmts: Vec<String>,
-    /// Tensors a statement may read: the handoff, inputs and results.
-    readable: Vec<(String, Vec<usize>)>,
-    /// The previous statement's result (at first, the handoff): the
-    /// next statement usually reads it, so that few results are dead.
-    last: Option<(String, Vec<usize>)>,
-    inputs: usize,
-    temps: usize,
-}
-
-impl Kernel {
-    fn shape_text(shape: &[usize]) -> String {
-        let dims: Vec<String> = shape.iter().map(|e| e.to_string()).collect();
-        format!("[{}]", dims.join(" "))
-    }
-
-    /// Declare a fresh external input of `shape`.
-    fn input(&mut self, shape: &[usize]) -> String {
-        let name = format!("x{}_{}", self.index, self.inputs);
-        self.inputs += 1;
-        self.decls
-            .push(format!("var input {name} : {}", Self::shape_text(shape)));
-        self.readable.push((name.clone(), shape.to_vec()));
-        name
-    }
-
-    /// A tensor of `shape` to read: an existing one when there is one
-    /// (usually), else a fresh input.
-    fn operand(&mut self, rng: &mut Rng, shape: &[usize]) -> String {
-        let existing: Vec<String> = self
-            .readable
-            .iter()
-            .filter(|(_, s)| s == shape)
-            .map(|(n, _)| n.clone())
-            .collect();
-        if !existing.is_empty() && rng.chance(70) {
-            return rng.pick(&existing).clone();
-        }
-        self.input(shape)
-    }
-
-    /// Declare the statement target `name` of `shape`, an output or a
-    /// local.
-    fn target(&mut self, name: &str, shape: &[usize], output: bool) {
-        let kind = if output { "var output" } else { "var" };
-        self.decls
-            .push(format!("{kind} {name} : {}", Self::shape_text(shape)));
-    }
-}
-
-/// A random shape of rank `rank` holding at most `MAX_WORDS` words;
-/// about one extent in seven is 1.
-fn shape(rng: &mut Rng, rank: usize) -> Vec<usize> {
-    let mut shape: Vec<usize> = (0..rank)
-        .map(|_| if rng.chance(15) { 1 } else { rng.range(2, 12) })
-        .collect();
-    while words(&shape) > MAX_WORDS {
-        let largest = (0..rank).max_by_key(|&d| shape[d]).unwrap();
-        shape[largest] = (shape[largest] / 2).max(1);
-    }
-    shape
-}
-
-/// An element-wise expression of `shape`: two to four terms joined by
-/// `+ - *`, some of them scalars or literals, at least one a tensor of
-/// `shape`, with an occasional literal division and parentheses.
-fn elementwise(k: &mut Kernel, rng: &mut Rng, shape: &[usize], cov: &mut Coverage) -> String {
-    cov.elementwise += 1;
-    let terms = rng.range(2, 4);
-    let tensor_at = rng.range(0, terms - 1);
-    let mut expr = String::new();
-    for t in 0..terms {
-        let term = if t == tensor_at {
-            match &k.last {
-                Some((name, s)) if s == shape => name.clone(),
-                _ => k.operand(rng, shape),
-            }
-        } else if rng.chance(60) {
-            k.operand(rng, shape)
-        } else if rng.chance(50) {
-            k.operand(rng, &[])
-        } else {
-            rng.range(1, 9).to_string()
-        };
-        let term = if rng.chance(15) {
-            format!("{term} / {}", rng.range(2, 7))
-        } else {
-            term
-        };
-        if t == 0 {
-            expr = term;
-        } else {
-            let op = rng.pick(&["+", "-", "*"]);
-            expr = format!("{expr} {op} {term}");
-            if t + 1 < terms && rng.chance(30) {
-                expr = format!("({expr})");
-            }
-        }
-    }
-    expr
-}
-
-/// A contraction and its result shape: two or three operands whose
-/// paired dimensions have equal extents, or one operand with a traced
-/// pair, sometimes contracted again. The result has rank 0 to 4.
-fn contraction(k: &mut Kernel, rng: &mut Rng, cov: &mut Coverage) -> (String, Vec<usize>) {
-    if rng.chance(15) {
-        // A trace: `T . [[i j]]` over two equal-extent dimensions.
-        cov.traces += 1;
-        let rank = rng.range(1, 2);
-        let mut t_shape = shape(rng, rank);
-        let mut e = rng.range(1, 12);
-        while words(&t_shape) * e * e > MAX_WORDS {
-            e = (e / 2).max(1);
-            t_shape.iter_mut().for_each(|d| *d = (*d / 2).max(1));
-        }
-        let (i, j) = (rng.range(0, t_shape.len()), rng.range(0, t_shape.len()));
-        let (i, j) = (i.min(j), i.max(j) + 1);
-        t_shape.insert(i, e);
-        t_shape.insert(j, e);
-        let t = k.input(&t_shape);
-        let result: Vec<usize> = (0..t_shape.len())
-            .filter(|&d| d != i && d != j)
-            .map(|d| t_shape[d])
-            .collect();
-        return (format!("{t} . [[{i} {j}]]"), result);
-    }
-    cov.contractions += 1;
-    let (decls, readable, inputs) = (k.decls.len(), k.readable.len(), k.inputs);
-    loop {
-        // Start over from this statement's first draw.
-        k.decls.truncate(decls);
-        k.readable.truncate(readable);
-        k.inputs = inputs;
-        // The first operand: any readable tensor of rank >= 1, or fresh.
-        let first: Vec<(String, Vec<usize>)> = k
-            .readable
-            .iter()
-            .filter(|(_, s)| !s.is_empty())
-            .cloned()
-            .collect();
-        let (a, a_shape) = match &k.last {
-            Some((name, s)) if !s.is_empty() && rng.chance(75) => (name.clone(), s.clone()),
-            _ if !first.is_empty() && rng.chance(50) => rng.pick(&first).clone(),
-            _ => {
-                let rank = rng.range(1, 4);
-                let s = shape(rng, rank);
-                (k.input(&s), s)
-            }
-        };
-        // Sometimes an element-wise sum or product of it instead.
-        let a = if rng.chance(15) {
-            let b = if rng.chance(50) {
-                k.operand(rng, &a_shape)
-            } else {
-                k.operand(rng, &[])
-            };
-            format!("({a} {} {b})", rng.pick(&["+", "-", "*"]))
-        } else {
-            a
-        };
-        let mut names = vec![a];
-        let mut dims = a_shape.clone();
-        let mut paired = vec![false; dims.len()];
-        let mut pairs = Vec::new();
-        let operands = if rng.chance(25) { 3 } else { 2 };
-        for _ in 1..operands {
-            let open: Vec<usize> = (0..dims.len()).filter(|&d| !paired[d]).collect();
-            if open.is_empty() {
-                break;
-            }
-            let contracted = rng.range(1, open.len().min(2));
-            let mut sources: Vec<usize> = Vec::new();
-            while sources.len() < contracted {
-                let d = *rng.pick(&open);
-                if !sources.contains(&d) {
-                    sources.push(d);
-                }
-            }
-            // The operand's dimensions: the contracted extents plus up
-            // to two free ones, in a random order. A square operand
-            // (`S` of `S # S # u`) has one of each, of equal extent.
-            let square = contracted == 1 && rng.chance(30);
-            let mut own: Vec<Option<usize>> = sources.iter().map(|&d| Some(d)).collect();
-            for _ in 0..if square { 1 } else { rng.range(0, 2) } {
-                own.push(None);
-            }
-            for i in (1..own.len()).rev() {
-                own.swap(i, rng.range(0, i));
-            }
-            let free = if square {
-                vec![dims[sources[0]]]
-            } else {
-                shape(rng, own.iter().filter(|o| o.is_none()).count())
-            };
-            let mut free = free.into_iter();
-            let b_shape: Vec<usize> = own
-                .iter()
-                .map(|o| match o {
-                    Some(d) => dims[*d],
-                    None => free.next().unwrap(),
-                })
-                .collect();
-            for (offset, o) in own.iter().enumerate() {
-                paired.push(o.is_some());
-                if let Some(d) = o {
-                    paired[*d] = true;
-                    pairs.push((*d, dims.len() + offset));
-                }
-            }
-            dims.extend(&b_shape);
-            // Usually reuse a tensor of that shape, so that one operand
-            // can appear twice in a product.
-            let same: Vec<String> = k
-                .readable
-                .iter()
-                .filter(|(_, s)| *s == b_shape)
-                .map(|(n, _)| n.clone())
-                .collect();
-            let b = if !same.is_empty() && rng.chance(60) {
-                rng.pick(&same).clone()
-            } else {
-                k.input(&b_shape)
-            };
-            names.push(b);
-        }
-        let mut result: Vec<usize> = (0..dims.len())
-            .filter(|&d| !paired[d])
-            .map(|d| dims[d])
-            .collect();
-        let points = words(&dims) / pairs.iter().map(|&(a, _)| dims[a]).product::<usize>();
-        if pairs.is_empty()
-            || (result.is_empty() && !rng.chance(20))
-            || result.len() > 4
-            || words(&result) > MAX_WORDS
-            || points > MAX_POINTS
-        {
-            continue;
-        }
-        if names.len() == 3 {
-            cov.three_operand_products += 1;
-        }
-        if (1..names.len()).any(|i| names[..i].contains(&names[i])) {
-            cov.repeated_operands += 1;
-        }
-        if names[0].starts_with('(') {
-            cov.parenthesized_operands += 1;
-        }
-        let pairs: Vec<String> = pairs.iter().map(|(a, b)| format!("[{a} {b}]")).collect();
-        let mut expr = format!("{} . [{}]", names.join(" # "), pairs.join(" "));
-        // A second contraction of the result over two equal extents.
-        let equal = (0..result.len())
-            .flat_map(|i| (i + 1..result.len()).map(move |j| (i, j)))
-            .find(|&(i, j)| result[i] == result[j]);
-        if let Some((i, j)) = equal.filter(|_| rng.chance(50)) {
-            cov.chained_contractions += 1;
-            expr = format!("{expr} . [[{i} {j}]]");
-            result.remove(j);
-            result.remove(i);
-        }
-        if result.is_empty() {
-            cov.scalar_results += 1;
-        }
-        return (expr, result);
-    }
-}
-
-/// One kernel reading `handoff` (the previous kernel's output) and
-/// writing `output`; returns its source and the output's shape.
-fn kernel(
-    index: usize,
-    handoff: Option<&(String, Vec<usize>)>,
-    output: &str,
-    rng: &mut Rng,
-    cov: &mut Coverage,
-) -> (Vec<String>, Vec<usize>) {
-    let mut k = Kernel {
-        index,
-        decls: Vec::new(),
-        stmts: Vec::new(),
-        readable: Vec::new(),
-        last: handoff.cloned(),
-        inputs: 0,
-        temps: 0,
+/// Sweep the `source` of `seed` (`kernels` kernels) over every
+/// catalog board and clock on a 16-point grid, at 1 and 3 workers,
+/// which must print the same report. Each board's best feasible row must be what compiling
+/// that design reports: LUT and BRAM totals, PLM BRAMs and the
+/// simulated time, bit for bit. Returns the rows checked.
+fn check_sweep(seed: u64, source: &str, kernels: usize, boards: &[Platform]) -> usize {
+    let grid = DseGrid {
+        k: vec![1, 2],
+        batch: vec![1, 2],
+        sharing: vec![true, false],
+        decoupled: vec![true, false],
+        partition: vec![1],
     };
-    if let Some((name, shape)) = handoff {
-        k.decls
-            .push(format!("var input {name} : {}", Kernel::shape_text(shape)));
-        k.readable.push((name.clone(), shape.clone()));
-    }
-    let statements = rng.range(1, 4);
-    let mut out_shape = Vec::new();
-    for i in 0..statements {
-        let last = i + 1 == statements;
-        let name = if last {
-            output.to_string()
-        } else {
-            k.temps += 1;
-            format!("t{}", k.temps - 1)
+    let engine = DseEngine::prepare(source, &ProgramOptions::default())
+        .unwrap_or_else(|e| panic!("seed {seed}: prepare failed: {e}\n{source}"));
+    let report = engine.run_portfolio(boards, &grid, 1, SWEPT_ELEMENTS);
+    let threaded = engine.run_portfolio(boards, &grid, 3, SWEPT_ELEMENTS);
+    assert_eq!(
+        without_jobs_and_wall_clock(&report.to_json()),
+        without_jobs_and_wall_clock(&threaded.to_json()),
+        "seed {seed}: the sweep depends on its worker count\n{source}"
+    );
+    let mut checked = 0;
+    for platform in boards {
+        let Some(best) =
+            (report.outcomes.iter()).find(|o| o.platform == platform.id && o.outcome.feasible)
+        else {
+            continue;
         };
-        let rhs = if rng.chance(20) {
-            // A statement that reads its own output: `c = x + c # s .
-            // [[r-1 r]]`, where `s` is square over c's last extent.
-            cov.self_reads += 1;
-            let c_shape = match &k.last {
-                Some((_, s)) if (1..=3).contains(&s.len()) && rng.chance(60) => s.clone(),
-                _ => {
-                    let rank = rng.range(1, 3);
-                    shape(rng, rank)
-                }
-            };
-            let rank = c_shape.len();
-            let m = c_shape[rank - 1];
-            let square = k.input(&[m, m]);
-            let x = match &k.last {
-                Some((last, shape)) if *shape == c_shape => last.clone(),
-                _ => k.operand(rng, &c_shape),
-            };
-            out_shape = c_shape;
-            format!("{x} + {name} # {square} . [[{} {rank}]]", rank - 1)
-        } else if rng.chance(55) {
-            let (expr, shape) = contraction(&mut k, rng, cov);
-            out_shape = shape;
-            if rng.chance(25) {
-                // The contraction as a term of an element-wise expression.
-                cov.mixed_statements += 1;
-                let term = k.operand(rng, &out_shape);
-                format!("{term} {} ({expr})", rng.pick(&["+", "-", "*"]))
-            } else {
-                expr
-            }
-        } else {
-            let target = match &k.last {
-                Some((_, s)) if !s.is_empty() && rng.chance(75) => s.clone(),
-                _ => {
-                    let rank = rng.range(1, 4);
-                    shape(rng, rank)
-                }
-            };
-            out_shape = target.clone();
-            elementwise(&mut k, rng, &target, cov)
+        let (row, point) = (&best.outcome, best.outcome.point);
+        let at = format!(
+            "seed {seed}, {} @ {} MHz, {}",
+            platform.id,
+            best.clock_mhz,
+            point.label()
+        );
+        let mut opts = ProgramOptions::default();
+        opts.flow.platform = platform.clone();
+        opts.flow.hls.clock_mhz = best.clock_mhz;
+        opts.flow.decoupled = point.decoupled;
+        opts.flow.memory.sharing = point.sharing;
+        opts.flow.jobs = 1;
+        opts.system = Some(ProgramSystemConfig::uniform(point.k, point.m, kernels));
+        let art = ProgramFlow::compile(source, &opts)
+            .unwrap_or_else(|e| panic!("{at}: compile failed: {e}\n{source}"));
+        let system = art.system.as_ref().expect("the swept design fits");
+        assert_eq!(
+            (system.luts, system.brams, art.memory.brams),
+            (row.luts, row.brams, row.plm_brams),
+            "{at}: LUTs, BRAMs, PLM BRAMs\n{source}"
+        );
+        let sim = SimConfig {
+            elements: SWEPT_ELEMENTS,
+            ..SimConfig::default()
         };
-        k.target(&name, &out_shape, last || rng.chance(20));
-        k.stmts.push(format!("{name} = {rhs}"));
-        k.readable.push((name.clone(), out_shape.clone()));
-        k.last = Some((name, out_shape.clone()));
+        let total_s = art.simulate(&sim).unwrap().total_s;
+        assert_eq!(
+            total_s.to_bits(),
+            row.total_s.to_bits(),
+            "{at}: {total_s} s\n{source}"
+        );
+        checked += 1;
     }
-    for (_, shape) in &k.readable {
-        cov.ranks[shape.len()] += 1;
-        cov.unit_extents += shape.iter().filter(|&&e| e == 1).count();
-    }
-    let mut lines = k.decls;
-    lines.extend(k.stmts);
-    (lines, out_shape)
-}
-
-/// The program of `seed`: one to three kernels, kernel `i` reading
-/// kernel `i - 1`'s output `h{i-1}`. A one-kernel program is written
-/// as a plain source half the time.
-fn program(seed: u64, cov: &mut Coverage) -> (String, usize) {
-    let mut rng = Rng(seed);
-    let count = rng.range(1, 3);
-    cov.kernels[count] += 1;
-    let plain = count == 1 && rng.chance(50);
-    let mut source = String::new();
-    let mut handoff: Option<(String, Vec<usize>)> = None;
-    for i in 0..count {
-        let output = format!("h{i}");
-        let (lines, shape) = kernel(i, handoff.as_ref(), &output, &mut rng, cov);
-        if plain {
-            for line in lines {
-                source.push_str(&format!("{line}\n"));
-            }
-        } else {
-            source.push_str(&format!("kernel k{i} {{\n"));
-            for line in lines {
-                source.push_str(&format!("\t{line}\n"));
-            }
-            source.push_str("}\n");
-        }
-        handoff = Some((output, shape));
-    }
-    (source, count)
-}
-
-/// The program count: `CFD_GENERATED_PROGRAMS`, default 200.
-fn program_count() -> u64 {
-    std::env::var("CFD_GENERATED_PROGRAMS")
-        .ok()
-        .map(|n| n.parse().expect("CFD_GENERATED_PROGRAMS is a count"))
-        .unwrap_or(200)
+    checked
 }
 
 #[test]
@@ -481,6 +105,7 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
     let mut cov = Coverage::default();
     let mut verified = 0;
     let mut unfit = 0;
+    let mut swept = 0;
     let boards = Platform::catalog();
     for seed in 0..program_count() {
         let (source, kernels) = program(seed, &mut cov);
@@ -488,6 +113,9 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
             Ok(set) => cfdfpga::cfdlang::pretty_set(&set),
             Err(_) => source.clone(),
         };
+        if seed % 10 == 0 {
+            swept += check_sweep(seed, &source, kernels, &boards);
+        }
         for factorize in [true, false] {
             let cross = if kernels > 1 {
                 &[true, false][..]
@@ -530,6 +158,7 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
     // of fewer than 100 programs checks nothing but bit-exactness).
     let n = program_count() as usize;
     assert!(verified >= n, "{verified} verified, {unfit} unfit");
+    assert!(swept >= n.div_ceil(10), "{swept} swept rows checked");
     if n < 100 {
         return;
     }

@@ -9,8 +9,12 @@
 //! input is the latest earlier kernel's output of that name, else the
 //! external tensor; every other parameter starts at zero. Its outputs
 //! must equal `run_program_reference` bit for bit on three seeds, once
-//! through the stage objects and once through the kernel objects. A
-//! missing `cc` fails the test.
+//! through the stage objects and once through the kernel objects. The
+//! same holds for the first tenth of the generated programs of
+//! `common/` (`CFD_GENERATED_PROGRAMS / 10`, 20 by default) under the
+//! default flow. A missing `cc` fails the test.
+
+mod common;
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -255,4 +259,20 @@ fn emitted_kernel_c_runs_bit_exact_against_the_reference() {
     // simstep has three stages and axpychain two.
     assert_eq!(checked, 2 * (1 + 1 + 1 + 1 + 3 + 2));
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn generated_programs_kernel_c_runs_bit_exact_against_the_reference() {
+    let root = std::env::temp_dir().join(format!("cfdfpga-kernel-c-gen-{}", std::process::id()));
+    let mut cov = common::Coverage::default();
+    let count = common::program_count() / 10;
+    for seed in 0..count {
+        let (source, _) = common::program(seed, &mut cov);
+        let art = ProgramFlow::compile(&source, &ProgramOptions::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}\n{source}"));
+        check_program(&root, &format!("generated {seed}"), &art);
+    }
+    if count > 0 {
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
