@@ -5,7 +5,7 @@
 //! hardware interface of Figure 6), `restrict`-qualified since CFDlang
 //! tensors never alias.
 
-use crate::ir::{CExpr, CKernel, CStmt};
+use crate::ir::{CExpr, CKernel, CParam, CStmt, ParamRole};
 use std::fmt::Write;
 
 /// Render a kernel as C99.
@@ -36,10 +36,12 @@ pub fn emit_c99_as(k: &CKernel, symbol: &str) -> String {
     for l in &k.locals {
         let _ = writeln!(out, "  static double {}[{}];", l.name, l.words);
     }
-    // A parameter no statement touches (a handoff input the kernel
-    // never reads) is still part of the interface; casting it to void
-    // keeps `-Wextra -Werror` quiet about it.
-    for p in k.params.iter().filter(|p| !touches(k, &p.name)) {
+    // An input no statement reads (a handoff the kernel never uses) is
+    // still part of the interface; casting it to void keeps `-Wextra
+    // -Werror` quiet about it. Every other parameter is written: the
+    // frontend rejects an output that is never assigned.
+    let unread = |p: &&CParam| p.role == ParamRole::Input && !reads_array(&k.body, &p.name);
+    for p in k.params.iter().filter(unread) {
         let _ = writeln!(out, "  (void){};", p.name);
     }
     for s in &k.body {
@@ -49,19 +51,15 @@ pub fn emit_c99_as(k: &CKernel, symbol: &str) -> String {
     out
 }
 
-/// Whether a statement of `k` reads or writes array `name`.
-fn touches(k: &CKernel, name: &str) -> bool {
-    let mut touched = false;
-    k.visit_stmts(&mut |s| {
-        touched |= match s {
-            CStmt::For { .. } | CStmt::DeclScalar { .. } => false,
-            CStmt::AccumScalar { expr, .. } => reads(expr, name),
-            CStmt::Store { target, expr } | CStmt::StoreAccum { target, expr } => {
-                target.array == name || reads(expr, name)
-            }
-        }
-    });
-    touched
+/// Whether a statement of `body` reads array `name`.
+fn reads_array(body: &[CStmt], name: &str) -> bool {
+    body.iter().any(|s| match s {
+        CStmt::For { body, .. } => reads_array(body, name),
+        CStmt::DeclScalar { .. } => false,
+        CStmt::AccumScalar { expr, .. }
+        | CStmt::Store { expr, .. }
+        | CStmt::StoreAccum { expr, .. } => reads(expr, name),
+    })
 }
 
 /// Whether `e` loads from array `name`.
