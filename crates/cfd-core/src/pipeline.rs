@@ -222,10 +222,10 @@ impl Scheduled {
         // Propagate the HLS port demands (array partitioning)
         // into the memory metadata: Mnemosyne builds multi-bank PLMs for
         // them (Section V-A1/V-A2).
-        for spec in mnemosyne_config.arrays.clone() {
+        for spec in &mut mnemosyne_config.arrays {
             let (r, w) = hls.ports_for(&spec.name);
             if (r, w) != (1, 1) {
-                mnemosyne_config.set_ports(&spec.name, r, w);
+                (spec.read_ports, spec.write_ports) = (r, w);
             }
         }
         mnemosyne_config

@@ -20,8 +20,21 @@
 //!   extents are, and a scalar is declared before use iff it is in
 //!   program order, because control flow does not depend on data. A loop
 //!   of extent zero is dropped with its body, which is never evaluated.
+//!   A loop whose body is one accumulation or store (a *leaf loop*; in
+//!   every paper kernel `acc += A[..] * B[..]` over one contraction
+//!   index) is marked to run a lane at a time, unless its expression
+//!   reads the scalar it accumulates or the array it stores to.
 //! * **walk** runs the resolved program. It cannot fail, allocates
-//!   nothing and sees no name.
+//!   nothing and sees no name. A marked leaf loop runs through the
+//!   [`teil::lane`] kernel: each expression node over the whole loop (in
+//!   chunks of [`teil::lane::W`] instances), a load a strided gather from
+//!   the access's offset by the loop's step, a constant or scalar a
+//!   broadcast, an operator element-wise; then the lane is added to the
+//!   accumulator in instance order, or written (or added) along the
+//!   store's step. Every instance does the same operations on the same
+//!   operands in the same order, and no instance reads what another
+//!   wrote — the condition the mark checks — so the values are those of
+//!   running the loop instance by instance, which every other loop does.
 //!
 //! [`ExecCounts`] come from the resolve phase in closed form: what one
 //! visit of a statement costs times the product of the enclosing extents.
@@ -30,6 +43,7 @@
 use crate::ir::{ArrAccess, CExpr, CKernel, CParam, CStmt};
 use cfdlang::BinOp;
 use std::collections::HashMap;
+use teil::lane;
 
 /// Operation counts of one kernel execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,6 +117,9 @@ enum Op {
         first: usize,
         last: usize,
         steps: usize,
+        /// A leaf loop (its body is one accumulation or store) that runs
+        /// a lane at a time.
+        lanes: bool,
     },
     Decl {
         scalar: usize,
@@ -204,21 +221,26 @@ impl<'k> Resolver<'k> {
                     // The header goes before the body; where the body's
                     // ops, accesses and steps end is known after it.
                     let (header, first) = (self.plan.ops.len(), self.coeffs.len());
-                    let for_op = |end, last, steps| Op::For {
+                    let nodes = self.plan.nodes.len();
+                    let for_op = |end, last, steps, lanes| Op::For {
                         extent: *extent,
                         end,
                         first,
                         last,
                         steps,
+                        lanes,
                     };
-                    self.plan.ops.push(for_op(0, 0, 0));
+                    self.plan.ops.push(for_op(0, 0, 0, false));
                     self.extents.push(*extent);
                     self.stmts(body, trips)?;
                     self.extents.pop();
+                    let lanes = self.plan.ops.len() == header + 2
+                        && lane_safe(self.plan.ops[header + 1], &self.plan.nodes[nodes..]);
                     self.plan.ops[header] = for_op(
                         self.plan.ops.len(),
                         self.coeffs.len(),
                         self.plan.steps.len(),
+                        lanes,
                     );
                     let depth = self.extents.len();
                     self.plan.steps.extend(
@@ -347,6 +369,22 @@ impl<'k> Resolver<'k> {
     }
 }
 
+/// Whether `op`, the one statement of a loop whose expression is
+/// `nodes`, gives the same values a lane at a time: a lane evaluates
+/// every instance's expression before the first result lands, so the
+/// expression must not read what the statement writes.
+fn lane_safe(op: Op, nodes: &[Node]) -> bool {
+    match op {
+        Op::Accum { scalar, .. } => {
+            !(nodes.iter()).any(|n| matches!(n, Node::Scalar(s) if *s == scalar))
+        }
+        Op::Store { array, .. } => {
+            !(nodes.iter()).any(|n| matches!(n, Node::Load { array: a, .. } if *a == array))
+        }
+        Op::For { .. } | Op::Decl { .. } => false,
+    }
+}
+
 /// The mutable state of one execution of a [`Plan`].
 struct Walk<'p> {
     plan: &'p Plan<'p>,
@@ -366,11 +404,17 @@ impl Walk<'_> {
                     first,
                     last,
                     steps,
+                    lanes,
                 } => {
+                    let steps = &self.plan.steps[steps..steps + (last - first)];
+                    if lanes {
+                        self.run_lanes(pc + 1, extent, first, steps);
+                        pc = body_end;
+                        continue;
+                    }
                     // Offsets wrap: past the last iteration an offset may
                     // leave the array (even go below zero) until the
                     // rewind brings it back; it is not read in between.
-                    let steps = &self.plan.steps[steps..steps + (last - first)];
                     for _ in 0..extent {
                         self.run(pc + 1, body_end);
                         for (o, s) in self.offsets[first..last].iter_mut().zip(steps) {
@@ -404,6 +448,48 @@ impl Walk<'_> {
         }
     }
 
+    /// Run the leaf loop whose statement is `ops[pc]` a lane at a time;
+    /// `steps[a - first]` is what one iteration adds to access `a`'s
+    /// offset.
+    fn run_lanes(&mut self, pc: usize, extent: usize, first: usize, steps: &[usize]) {
+        match self.plan.ops[pc] {
+            Op::Accum { scalar, expr } => {
+                let leaf = Leaf {
+                    walk: self,
+                    first,
+                    steps,
+                };
+                let mut acc = self.scalars[scalar];
+                lane::for_each(&leaf, expr, extent, |_, l| acc = lane::sum(acc, l));
+                self.scalars[scalar] = acc;
+            }
+            Op::Store {
+                array,
+                access,
+                expr,
+                accumulate,
+            } => {
+                // The expression does not read the target (`lane_safe`),
+                // so the target is set aside while the lanes are written.
+                let mut target = std::mem::take(&mut self.arrays[array]);
+                let (off, step) = (self.offsets[access], steps[access - first]);
+                let leaf = Leaf {
+                    walk: self,
+                    first,
+                    steps,
+                };
+                lane::for_each(&leaf, expr, extent, |start, l| {
+                    let off = off.wrapping_add(step.wrapping_mul(start));
+                    lane::scatter(&mut target, off, step, l, accumulate)
+                });
+                self.arrays[array] = target;
+            }
+            Op::For { .. } | Op::Decl { .. } => {
+                unreachable!("a leaf is an accumulation or a store")
+            }
+        }
+    }
+
     fn eval(&self, node: usize) -> f64 {
         match self.plan.nodes[node] {
             Node::Const(c) => c,
@@ -418,6 +504,32 @@ impl Walk<'_> {
                     BinOp::Div => a / b,
                 }
             }
+        }
+    }
+}
+
+/// A leaf loop's statement at the walk's current offsets, as the lane
+/// kernel sees it.
+struct Leaf<'w> {
+    walk: &'w Walk<'w>,
+    first: usize,
+    steps: &'w [usize],
+}
+
+impl lane::Lanes for Leaf<'_> {
+    type Node = usize;
+
+    fn term(&self, node: usize) -> lane::Term<'_, usize> {
+        let w = self.walk;
+        match w.plan.nodes[node] {
+            Node::Const(c) => lane::Term::Splat(c),
+            Node::Scalar(scalar) => lane::Term::Splat(w.scalars[scalar]),
+            Node::Load { array, access } => lane::Term::Gather {
+                data: &w.arrays[array],
+                off: w.offsets[access],
+                step: self.steps[access - self.first],
+            },
+            Node::Bin { op, lhs, rhs } => lane::Term::Bin(op, lhs, rhs),
         }
     }
 }
@@ -930,6 +1042,142 @@ mod tests {
         }
         assert_eq!(kernels, 8 * (4 + 3 + 2));
         assert!(accumulators > 0, "the accumulator nest is covered");
+    }
+
+    /// Leaf loops of `k` that run a lane at a time.
+    fn lane_loops(k: &CKernel) -> usize {
+        let plan = resolve(k).unwrap();
+        (plan.ops.iter())
+            .filter(|op| matches!(op, Op::For { lanes: true, .. }))
+            .count()
+    }
+
+    #[test]
+    fn leaf_loops_meet_the_definition_a_lane_at_a_time() {
+        // `x` is an input of 80 words next to the hand-built `a`.
+        let with_x = |words, body| {
+            let mut k = kernel(words, body);
+            k.params.push(CParam {
+                name: "x".into(),
+                words: 80,
+                role: crate::ir::ParamRole::Input,
+            });
+            k
+        };
+        let load = |array, coeffs: &[i64], constant| CExpr::Load(at(array, coeffs, constant));
+        let bin = |op, lhs, rhs| CExpr::Bin {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+        let decl = || CStmt::DeclScalar {
+            name: "acc".into(),
+            init: 0.5,
+        };
+        let accum = |expr| CStmt::AccumScalar {
+            name: "acc".into(),
+            expr,
+        };
+        let acc = || CExpr::Var("acc".into());
+        let cases = [
+            (
+                "a store reading its own target one instance behind",
+                with_x(
+                    8,
+                    vec![nest(
+                        &[7],
+                        vec![store(
+                            at("a", &[1], 1),
+                            bin(BinOp::Mul, load("a", &[1], 0), CExpr::Const(2.0)),
+                        )],
+                    )],
+                ),
+                0,
+            ),
+            (
+                "an accumulation reading its accumulator",
+                with_x(
+                    2,
+                    vec![
+                        decl(),
+                        nest(
+                            &[5],
+                            vec![accum(bin(BinOp::Mul, acc(), load("x", &[1], 0)))],
+                        ),
+                        store(at("a", &[], 1), acc()),
+                    ],
+                ),
+                0,
+            ),
+            (
+                "leaves of extent one",
+                with_x(
+                    3,
+                    vec![
+                        decl(),
+                        nest(
+                            &[3, 1],
+                            vec![CStmt::StoreAccum {
+                                target: at("a", &[1, 1], 0),
+                                expr: bin(BinOp::Div, load("x", &[1, 1], 2), acc()),
+                            }],
+                        ),
+                        nest(&[1], vec![accum(load("x", &[5], 7))]),
+                        store(at("a", &[], 2), acc()),
+                    ],
+                ),
+                2,
+            ),
+            (
+                "leaves longer than a lane",
+                with_x(
+                    40,
+                    vec![
+                        nest(
+                            &[40],
+                            vec![store(
+                                at("a", &[1], 0),
+                                bin(BinOp::Add, load("x", &[1], 0), load("x", &[1], 40)),
+                            )],
+                        ),
+                        nest(
+                            &[2],
+                            vec![
+                                decl(),
+                                nest(
+                                    &[37],
+                                    vec![accum(bin(
+                                        BinOp::Mul,
+                                        load("x", &[40, 1], 3),
+                                        load("a", &[0, 1], 0),
+                                    ))],
+                                ),
+                                store(at("a", &[1], 38), acc()),
+                            ],
+                        ),
+                    ],
+                ),
+                2,
+            ),
+            (
+                "negative steps",
+                with_x(
+                    20,
+                    vec![nest(
+                        &[2, 20],
+                        vec![CStmt::StoreAccum {
+                            target: at("a", &[0, -1], 19),
+                            expr: bin(BinOp::Sub, load("x", &[40, -2], 39), load("x", &[0, 1], 0)),
+                        }],
+                    )],
+                ),
+                1,
+            ),
+        ];
+        for (what, k, lanes) in cases {
+            assert_eq!(lane_loops(&k), lanes, "{what}: leaves run lane-wise");
+            assert_meets_definition(&k, what);
+        }
     }
 
     #[test]

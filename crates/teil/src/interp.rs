@@ -8,17 +8,24 @@
 //!
 //! # Execution strategy
 //!
-//! [`Interpreter::run`] walks each statement's iteration space with a
-//! **flat counter and pre-resolved affine offsets**: every tensor access
-//! is compiled once per statement into per-iteration-variable stride
-//! weights, and the odometer advance updates one flat offset per access
-//! by a precomputed delta — the element access path performs no
-//! multi-index arithmetic and **zero heap allocations**. The seed
-//! multi-index walk is kept as [`Interpreter::run_reference`]; the two
-//! are bit-identical in results and operation counts (enforced by
-//! `tests/interp_equiv.rs`).
+//! [`Interpreter::run`] compiles each statement once: every tensor access
+//! becomes per-iteration-variable stride weights over one flat offset.
+//! The innermost iteration digit then runs a **lane** at a time through
+//! the [`lane`] kernel — each expression node over the whole digit (in
+//! chunks of [`lane::W`]), a reduction summed into its accumulator in
+//! instance order — and an odometer over the other digits moves every
+//! offset by a precomputed delta at each lane boundary. The element path performs no multi-index arithmetic and
+//! **no heap allocation**. Results go to a fresh tensor, so no instance
+//! can read what another wrote.
+//!
+//! Operation counts come in closed form ([`Interpreter::counts`]): what
+//! one iteration point costs times the iteration volume, per statement.
+//! The seed multi-index walk, which counts at every point, is kept as
+//! [`Interpreter::run_reference`]; the two are bit-identical in results
+//! and operation counts (enforced by `tests/interp_equiv.rs`).
 
 use crate::ir::{Module, PointExpr, Stmt, TensorKind};
+use crate::lane;
 use cfdlang::BinOp;
 use std::collections::HashMap;
 
@@ -186,17 +193,46 @@ impl<'m> Interpreter<'m> {
     /// Execute the module on the given inputs (by tensor name). Every
     /// input tensor must be provided with the declared shape.
     ///
-    /// Uses the flat-walk engine: per statement, accesses are compiled to
-    /// flat affine offsets updated by delta strides as the iteration
-    /// odometer advances. Results and operation counts are bit-identical
-    /// to [`Interpreter::run_reference`].
+    /// Uses the lane walk (see the module docs). Results are bit-identical
+    /// to [`Interpreter::run_reference`]; the operation counts are
+    /// [`Interpreter::counts`], which equal the reference walk's.
     pub fn run(&self, inputs: &HashMap<String, Tensor>) -> Result<Execution, String> {
         let mut values = self.bind_inputs(inputs)?;
-        let mut stats = ExecStats::default();
         for stmt in &self.module.stmts {
-            self.exec_stmt_flat(stmt, &mut values, &mut stats)?;
+            values[stmt.out.0] = self.exec_stmt_lanes(stmt, &values);
         }
-        Ok(Execution { values, stats })
+        Ok(Execution {
+            values,
+            stats: self.counts(),
+        })
+    }
+
+    /// The operation counts of executing the module, whatever the inputs:
+    /// per statement, what one iteration point costs times the iteration
+    /// volume, plus one store per output element.
+    pub fn counts(&self) -> ExecStats {
+        let mut total = ExecStats::default();
+        for stmt in &self.module.stmts {
+            let out_vol = self.module.shape(stmt.out).iter().product::<usize>() as u64;
+            let points = out_vol * stmt.reduce_extents.iter().product::<usize>().max(1) as u64;
+            // One add per point folds a reduction into its accumulator.
+            let mut point = ExecStats {
+                fp_add: u64::from(stmt.is_reduction()),
+                iters: 1,
+                ..ExecStats::default()
+            };
+            count_point(&stmt.expr, &mut point);
+            total = total.merge(&ExecStats {
+                fp_add: point.fp_add * points,
+                fp_sub: point.fp_sub * points,
+                fp_mul: point.fp_mul * points,
+                fp_div: point.fp_div * points,
+                loads: point.loads * points,
+                stores: out_vol,
+                iters: points,
+            });
+        }
+        total
     }
 
     /// Execute with the seed multi-index walk (`advance` + per-access
@@ -234,27 +270,25 @@ impl<'m> Interpreter<'m> {
         Ok(values)
     }
 
-    /// Flat-walk execution of one statement: the expression tree is
+    /// Lane-walk execution of one statement: the expression tree is
     /// compiled once (index maps → per-iteration-variable stride
-    /// weights), and the walk advances one flat offset per access by a
-    /// precomputed delta per odometer step — the inner loop does no
-    /// index-vector arithmetic and no allocation.
-    fn exec_stmt_flat(
-        &self,
-        stmt: &Stmt,
-        values: &mut [Tensor],
-        stats: &mut ExecStats,
-    ) -> Result<(), String> {
+    /// weights), the innermost iteration digit runs a lane at a time, and
+    /// the odometer over the other digits advances one flat offset per
+    /// access by a precomputed delta at each lane boundary.
+    fn exec_stmt_lanes(&self, stmt: &Stmt, values: &[Tensor]) -> Tensor {
         let m = self.module;
-        let out_shape = m.shape(stmt.out).to_vec();
-        let out_rank = out_shape.len();
+        let out_rank = m.shape(stmt.out).len();
         let ext = m.iter_extents(stmt);
         let rank = ext.len();
-        let out_vol: usize = out_shape.iter().product();
-        let red_vol: usize = stmt.reduce_extents.iter().product();
+        // The innermost digit (none for a scalar assignment: one point)
+        // runs lane-wise; the odometer walks digits `..outer`.
+        let inner = ext.last().copied().unwrap_or(1).max(1);
+        let outer = rank.saturating_sub(1);
 
-        let mut plans: Vec<AccessPlan> = Vec::new();
-        let cexpr = compile_expr(&stmt.expr, values, &ext, &mut plans);
+        // Sized once: a grown vector would leave a spare half behind.
+        let (n_nodes, n_plans) = expr_size(&stmt.expr);
+        let (mut plans, mut nodes) = (Vec::with_capacity(n_plans), Vec::with_capacity(n_nodes));
+        let root = compile_expr(&stmt.expr, values, &ext, &mut plans, &mut nodes);
         // Per-plan rollover sums: rs[j] = Σ_{w ≥ j} (ext[w]-1)·weight[w],
         // so the delta of incrementing digit j (digits j+1..end rolling
         // to zero) is weight[j] - (rs[j+1] - rs[end]).
@@ -264,34 +298,44 @@ impl<'m> Interpreter<'m> {
                 rs[j] = rs[j + 1] + (ext[j] as i64 - 1) * p.weights[j];
             }
             p.roll_sums = rs;
+            p.step = p.weights.get(outer).map_or(0, |&w| w as usize);
         }
 
-        let mut result = Tensor::zeros(&out_shape);
+        let mut result = Tensor::zeros(m.shape(stmt.out));
         let mut idx = vec![0usize; rank];
         let mut offs: Vec<usize> = vec![0; plans.len()];
-        let is_reduction = stmt.is_reduction();
-        for o in 0..out_vol {
-            let mut acc = 0.0f64;
-            for _ in 0..red_vol.max(1) {
-                let v = eval_flat(&cexpr, &offs, values, stats);
-                if is_reduction {
-                    acc += v;
-                    stats.fp_add += 1;
-                } else {
-                    acc = v;
+        // The innermost digit at offsets `offs`, a chunk at a time.
+        let lanes = |offs: &[usize], take: &mut dyn FnMut(usize, &[f64])| {
+            let view = StmtLanes {
+                nodes: &nodes,
+                plans: &plans,
+                offs,
+                values,
+            };
+            lane::for_each(&view, root, inner, take)
+        };
+        if stmt.is_reduction() {
+            let rows = stmt.reduce_extents.iter().product::<usize>() / inner;
+            for o in 0..result.data.len() {
+                let mut acc = 0.0f64;
+                for _ in 0..rows {
+                    lanes(&offs, &mut |_, l| acc = lane::sum(acc, l));
+                    // Advance the outer reduction digits.
+                    advance_region(&mut idx, &ext, out_rank, outer, &plans, &mut offs);
                 }
-                stats.iters += 1;
-                // Advance the reduction part of the odometer, sliding
-                // every access offset by its delta.
-                advance_region(&mut idx, &ext, out_rank, rank, &plans, &mut offs);
+                result.data[o] = acc;
+                // Advance the output part (reduction digits are all zero).
+                advance_region(&mut idx, &ext, 0, out_rank, &plans, &mut offs);
             }
-            result.data[o] = acc;
-            stats.stores += 1;
-            // Advance the output part (reduction digits are all zero).
-            advance_region(&mut idx, &ext, 0, out_rank, &plans, &mut offs);
+        } else {
+            for row in result.data.chunks_mut(inner) {
+                lanes(&offs, &mut |start, l| {
+                    row[start..start + l.len()].copy_from_slice(l)
+                });
+                advance_region(&mut idx, &ext, 0, outer, &plans, &mut offs);
+            }
         }
-        values[stmt.out.0] = result;
-        Ok(())
+        result
     }
 
     fn exec_stmt(
@@ -381,56 +425,67 @@ struct AccessPlan {
     /// their strides).
     weights: Vec<i64>,
     /// Suffix rollover sums over the full iteration rank (see
-    /// `exec_stmt_flat`).
+    /// `exec_stmt_lanes`).
     roll_sums: Vec<i64>,
+    /// What one instance of the innermost digit adds to the offset.
+    step: usize,
 }
 
-/// Expression tree with accesses resolved to offset slots.
-#[derive(Debug)]
-enum FlatExpr {
+/// One node of a compiled expression; operands precede their operator.
+#[derive(Debug, Clone, Copy)]
+enum FlatNode {
     Const(f64),
-    Access {
-        tensor: usize,
-        slot: usize,
-    },
-    Bin {
-        op: BinOp,
-        lhs: Box<FlatExpr>,
-        rhs: Box<FlatExpr>,
-    },
+    Access { tensor: usize, slot: usize },
+    Bin { op: BinOp, lhs: usize, rhs: usize },
 }
 
-/// Compile a [`PointExpr`] tree: each access gets an [`AccessPlan`] (in
-/// evaluation order) and a slot into the shared offset vector.
+/// Compile a [`PointExpr`] tree into `nodes`: each access gets an
+/// [`AccessPlan`] (in evaluation order) and a slot into the shared offset
+/// vector. Returns the root node.
 fn compile_expr(
     e: &PointExpr,
     values: &[Tensor],
     ext: &[usize],
     plans: &mut Vec<AccessPlan>,
-) -> FlatExpr {
-    match e {
-        PointExpr::Const(c) => FlatExpr::Const(*c),
+    nodes: &mut Vec<FlatNode>,
+) -> usize {
+    let node = match e {
+        PointExpr::Const(c) => FlatNode::Const(*c),
         PointExpr::Access { tensor, index_map } => {
             let strides = row_major_strides(&values[tensor.0].shape);
             let mut weights = vec![0i64; ext.len()];
             for (d, &v) in index_map.iter().enumerate() {
                 weights[v] += strides[d] as i64;
             }
-            let slot = plans.len();
             plans.push(AccessPlan {
                 weights,
                 roll_sums: Vec::new(),
+                step: 0,
             });
-            FlatExpr::Access {
+            FlatNode::Access {
                 tensor: tensor.0,
-                slot,
+                slot: plans.len() - 1,
             }
         }
-        PointExpr::Bin { op, lhs, rhs } => FlatExpr::Bin {
+        PointExpr::Bin { op, lhs, rhs } => FlatNode::Bin {
             op: *op,
-            lhs: Box::new(compile_expr(lhs, values, ext, plans)),
-            rhs: Box::new(compile_expr(rhs, values, ext, plans)),
+            lhs: compile_expr(lhs, values, ext, plans, nodes),
+            rhs: compile_expr(rhs, values, ext, plans, nodes),
         },
+    };
+    nodes.push(node);
+    nodes.len() - 1
+}
+
+/// Nodes and accesses of `e`.
+fn expr_size(e: &PointExpr) -> (usize, usize) {
+    match e {
+        PointExpr::Const(_) => (1, 0),
+        PointExpr::Access { .. } => (1, 1),
+        PointExpr::Bin { lhs, rhs, .. } => {
+            let ((ln, la), (rn, ra)) = (expr_size(lhs), expr_size(rhs));
+            (1 + ln + rn, la + ra)
+        }
     }
 }
 
@@ -466,37 +521,46 @@ fn advance_region(
     }
 }
 
-/// Evaluate a compiled expression at the current offsets. Mirrors `eval`
-/// exactly (same traversal order, same operation counting), but every
-/// access is a single indexed load.
-fn eval_flat(e: &FlatExpr, offs: &[usize], values: &[Tensor], stats: &mut ExecStats) -> f64 {
-    match e {
-        FlatExpr::Const(c) => *c,
-        FlatExpr::Access { tensor, slot } => {
-            stats.loads += 1;
-            values[*tensor].data[offs[*slot]]
+/// A compiled statement at the current odometer offsets, as the lane
+/// kernel sees it.
+struct StmtLanes<'a> {
+    nodes: &'a [FlatNode],
+    plans: &'a [AccessPlan],
+    offs: &'a [usize],
+    values: &'a [Tensor],
+}
+
+impl lane::Lanes for StmtLanes<'_> {
+    type Node = usize;
+
+    fn term(&self, node: usize) -> lane::Term<'_, usize> {
+        match self.nodes[node] {
+            FlatNode::Const(c) => lane::Term::Splat(c),
+            FlatNode::Access { tensor, slot } => lane::Term::Gather {
+                data: &self.values[tensor].data,
+                off: self.offs[slot],
+                step: self.plans[slot].step,
+            },
+            FlatNode::Bin { op, lhs, rhs } => lane::Term::Bin(op, lhs, rhs),
         }
-        FlatExpr::Bin { op, lhs, rhs } => {
-            let a = eval_flat(lhs, offs, values, stats);
-            let b = eval_flat(rhs, offs, values, stats);
-            match op {
-                BinOp::Add => {
-                    stats.fp_add += 1;
-                    a + b
-                }
-                BinOp::Sub => {
-                    stats.fp_sub += 1;
-                    a - b
-                }
-                BinOp::Mul => {
-                    stats.fp_mul += 1;
-                    a * b
-                }
-                BinOp::Div => {
-                    stats.fp_div += 1;
-                    a / b
-                }
-            }
+    }
+}
+
+/// Add what one evaluation of `e` costs to `stats`: a load per access,
+/// an operation per operator.
+fn count_point(e: &PointExpr, stats: &mut ExecStats) {
+    match e {
+        PointExpr::Const(_) => {}
+        PointExpr::Access { .. } => stats.loads += 1,
+        PointExpr::Bin { op, lhs, rhs } => {
+            count_point(lhs, stats);
+            count_point(rhs, stats);
+            *match op {
+                BinOp::Add => &mut stats.fp_add,
+                BinOp::Sub => &mut stats.fp_sub,
+                BinOp::Mul => &mut stats.fp_mul,
+                BinOp::Div => &mut stats.fp_div,
+            } += 1;
         }
     }
 }
@@ -614,6 +678,44 @@ mod tests {
         assert_eq!(ex.stats.fp_add, (2 * n.pow(6)) as u64);
         // Stores: each statement writes its whole output once.
         assert_eq!(ex.stats.stores, (3 * n.pow(3)) as u64);
+    }
+
+    #[test]
+    fn closed_form_counts_meet_the_reference_walk_on_every_example() {
+        use cfdlang::examples::*;
+        let sources = [
+            inverse_helmholtz(4),
+            interpolation(3, 5),
+            matrix_sandwich(4),
+            axpy(3),
+            simulation_step(3),
+            axpy_chain(3),
+        ];
+        let mut kernels = 0;
+        for src in &sources {
+            let set = cfdlang::check_set(&cfdlang::parse_set(src).unwrap()).unwrap();
+            for k in &set.kernels {
+                for factored in [false, true] {
+                    let mut m = lower(&k.typed).unwrap();
+                    if factored {
+                        m = factorize(&m);
+                    }
+                    let inputs: HashMap<String, Tensor> = (m.of_kind(TensorKind::Input))
+                        .into_iter()
+                        .map(|id| {
+                            let t =
+                                Tensor::from_fn(m.shape(id), |i| i.iter().sum::<usize>() as f64);
+                            (m.name(id).to_string(), t)
+                        })
+                        .collect();
+                    let interp = Interpreter::new(&m);
+                    let reference = interp.run_reference(&inputs).unwrap().stats;
+                    assert_eq!(interp.counts(), reference, "{src} factored={factored}");
+                    kernels += 1;
+                }
+            }
+        }
+        assert_eq!(kernels, 2 * (4 + 3 + 2));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   placements with row-major defaults and explicit address-space
 //!   sharing,
 //! * [`interp`] — a reference interpreter with operation counting, used
-//!   for functional validation and as the ARM software cost-model input.
+//!   for functional validation and as the ARM software cost-model input,
+//! * [`lane`] — the lane kernel both executors run innermost loops with.
 //!
 //! # Example
 //!
@@ -50,6 +51,7 @@
 
 pub mod interp;
 pub mod ir;
+pub mod lane;
 pub mod layout;
 pub mod lower;
 pub mod transform;

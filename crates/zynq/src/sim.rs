@@ -227,20 +227,16 @@ pub struct SwResult {
     pub total_s: f64,
 }
 
-/// Time the reference implementation on `host`'s cost model.
+/// Time the reference implementation on `host`'s cost model: its
+/// operation counts ([`teil::Interpreter::counts`]) do not depend on the
+/// data, so nothing is executed. Never fails; it returns a `Result`
+/// like [`sw_hls_code`].
 pub fn sw_reference(
     module: &teil::Module,
     host: &HostCpuModel,
     elements: usize,
 ) -> Result<SwResult, String> {
-    let zeros: Vec<(&str, teil::Tensor)> = module
-        .of_kind(teil::TensorKind::Input)
-        .iter()
-        .map(|&id| (module.name(id), teil::Tensor::zeros(module.shape(id))))
-        .collect();
-    let inputs = teil::interp::inputs_from(zeros);
-    let ex = teil::Interpreter::new(module).run(&inputs)?;
-    let per = crate::arm::time_reference(host, &ex.stats);
+    let per = crate::arm::time_reference(host, &teil::Interpreter::new(module).counts());
     Ok(SwResult {
         per_element_s: per,
         total_s: per * elements as f64,

@@ -4,7 +4,9 @@
 //! Every program compiles with and without factorization, multi-kernel
 //! programs also without cross-kernel sharing, on every catalog board.
 //! Wherever a system fits, the compiled kernels must verify bit-exact
-//! against the reference interpreter. Every tenth program also goes
+//! against the reference interpreter. Every stage's interpreter lane
+//! walk must also meet the multi-index walk it replaced, which this
+//! compares with nothing else. Every tenth program also goes
 //! through the portfolio sweep, which must not depend on its worker
 //! count and must rank first on each board a design that compiles to
 //! the row's totals and simulated time. `CFD_GENERATED_PROGRAMS` sets
@@ -14,8 +16,9 @@
 mod common;
 
 use cfdfpga::flow::dse::{DseEngine, DseGrid};
-use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
+use cfdfpga::flow::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfdfpga::sysgen::{Platform, ProgramSystemConfig};
+use cfdfpga::teil::Interpreter;
 use cfdfpga::zynq::SimConfig;
 use common::{program, program_count, Coverage};
 
@@ -100,12 +103,39 @@ fn check_sweep(seed: u64, source: &str, kernels: usize, boards: &[Platform]) -> 
     checked
 }
 
+/// Every stage of `art` through [`Interpreter::run`] (the lane walk) and
+/// [`Interpreter::run_reference`] (the multi-index walk) on random
+/// inputs: equal operation counts, every tensor equal bit for bit. The
+/// bit-exact verification alone would pass if the generated-program
+/// executor and the lane walk shared a bug. Returns the stages checked.
+fn check_lane_walk(what: &str, art: &ProgramArtifacts, seed: u64) -> usize {
+    for (name, stage) in art.names.iter().zip(&art.kernels) {
+        let m = &stage.module;
+        let inputs = cfdfpga::zynq::random_program_inputs(&[m], seed);
+        let interp = Interpreter::new(m);
+        let lanes = interp.run(&inputs).unwrap();
+        let reference = interp.run_reference(&inputs).unwrap();
+        assert_eq!(lanes.stats, reference.stats, "{what}, stage {name}: counts");
+        for (id, (a, b)) in lanes.values.iter().zip(&reference.values).enumerate() {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(a.shape, b.shape, "{what}, stage {name}: tensor {id}");
+            assert_eq!(
+                bits(&a.data),
+                bits(&b.data),
+                "{what}, stage {name}: tensor {id}"
+            );
+        }
+    }
+    art.kernels.len()
+}
+
 #[test]
 fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
     let mut cov = Coverage::default();
     let mut verified = 0;
     let mut unfit = 0;
     let mut swept = 0;
+    let mut lane_checked = 0;
     let boards = Platform::catalog();
     for seed in 0..program_count() {
         let (source, kernels) = program(seed, &mut cov);
@@ -136,6 +166,10 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
                     );
                     let art = ProgramFlow::compile(&source, &opts)
                         .unwrap_or_else(|e| panic!("{what}: compile failed: {e}\n{}", pretty()));
+                    // The stages do not depend on the board or on sharing.
+                    if cross_sharing && platform.id == boards[0].id {
+                        lane_checked += check_lane_walk(&what, &art, seed);
+                    }
                     if art.system.is_none() {
                         unfit += 1;
                         continue;
@@ -159,6 +193,10 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
     let n = program_count() as usize;
     assert!(verified >= n, "{verified} verified, {unfit} unfit");
     assert!(swept >= n.div_ceil(10), "{swept} swept rows checked");
+    assert!(
+        lane_checked >= 2 * n,
+        "{lane_checked} stages through both walks"
+    );
     if n < 100 {
         return;
     }
