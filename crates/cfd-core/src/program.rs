@@ -149,11 +149,16 @@ impl ProgramArtifacts {
         Ok(zynq::simulate_program(system, sim))
     }
 
+    /// Every stage's module and generated kernel, in chain order.
+    fn stages(&self) -> (Vec<&Module>, Vec<&cgen::CKernel>) {
+        let modules = self.kernels.iter().map(|a| &*a.module).collect();
+        (modules, self.kernels.iter().map(|a| &a.kernel).collect())
+    }
+
     /// Verify `n` chained elements against the chained reference
     /// interpreter.
     pub fn verify(&self, n: usize, seed: u64) -> Result<VerifyResult, FlowError> {
-        let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
-        let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
+        let (modules, kernels) = self.stages();
         zynq::verify_program(&self.names, &modules, &kernels, n, seed).map_err(FlowError::Backend)
     }
 
@@ -172,8 +177,7 @@ impl ProgramArtifacts {
             .system
             .as_ref()
             .ok_or_else(|| FlowError::Backend("no feasible program configuration".into()))?;
-        let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
-        let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
+        let (modules, kernels) = self.stages();
         runtime::serve_generated(system, &self.names, &modules, &kernels, opts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }
@@ -190,8 +194,7 @@ impl ProgramArtifacts {
         boards: &[runtime::FleetBoard],
         fopts: &runtime::FleetOptions,
     ) -> Result<runtime::FleetOutcome, FlowError> {
-        let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
-        let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
+        let (modules, kernels) = self.stages();
         runtime::serve_fleet_generated(boards, &self.names, &modules, &kernels, fopts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }

@@ -37,8 +37,10 @@
 //!   thread fan-out is bit-identical to the serial loop.
 //! * **Routing never touches data.** Policies only choose *where* a
 //!   request runs — what moves is a position in the caller's request
-//!   list, and for a requeue its shed tick — so completed outputs stay
-//!   bit-exact against `zynq::run_program_reference` under every policy.
+//!   list, and for a requeue its shed tick. Boards only schedule; each
+//!   request that completed in the final placement then runs its kernel
+//!   chain once, so completed outputs stay bit-exact against
+//!   `zynq::run_program_reference` under every policy.
 //!
 //! Routing happens before simulation, from a deterministic cost model:
 //! each board's full round cost is probed once with a one-request
@@ -63,7 +65,7 @@ use zynq::StreamStatus;
 use crate::json::{self, push_opt_fixed, row_end, Line, Sink};
 use crate::{
     check_times, latency_stats, per_second, serve_stream, Request, RuntimeError, RuntimeOptions,
-    ServeOutcome, ServiceReport, Stages, Stream,
+    ServiceReport, Stages, Stream,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -214,8 +216,9 @@ pub struct FleetReport {
 }
 
 /// A fleet run's report plus (when `execute` was set) every request's
-/// output tensors; `outputs[i]` belongs to `requests[i]` of the
-/// [`serve_fleet`] call, matching by position like [`crate::ServeOutcome`].
+/// output tensors, run once per request completed in the final placement
+/// (an empty map for any other); `outputs[i]` belongs to `requests[i]` of
+/// the [`serve_fleet`] call, matching by position like [`crate::ServeOutcome`].
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
     pub report: FleetReport,
@@ -315,16 +318,15 @@ struct Share {
     arrivals: Vec<Time>,
 }
 
-/// Run the serving core for every board whose share is waiting, either
-/// on scoped threads or serially. Results land in board-index order, so
-/// the merge is deterministic regardless of completion order.
+/// Schedule every board whose share is waiting, either on scoped
+/// threads or serially. Reports land in board-index order, so the merge
+/// is deterministic regardless of completion order.
 fn run_boards(
     boards: &[FleetBoard],
-    stages: Stages,
     stream: &Stream,
     shares: &mut [Share],
     opts: &FleetOptions,
-    results: &mut [Option<ServeOutcome>],
+    results: &mut [Option<ServiceReport>],
 ) -> Result<(), RuntimeError> {
     let waiting: Vec<(usize, Vec<Time>)> = (shares.iter_mut().enumerate())
         .filter(|(_, share)| !share.arrivals.is_empty())
@@ -337,7 +339,7 @@ fn run_boards(
             ..opts.base.clone()
         };
         let (design, index) = (&boards[b].design, &shares[b].index);
-        let served = serve_stream(design, stages, stream, index, arrivals, &board_opts);
+        let served = serve_stream(design, stream, index, arrivals, &board_opts);
         (b, served)
     };
     let done: Vec<_> = if opts.parallel && waiting.len() > 1 {
@@ -366,10 +368,9 @@ fn run_boards(
 /// latency percentiles, per-board utilization and cost efficiency.
 ///
 /// `names`/`modules`/`kernels` describe the compiled program exactly as
-/// in [`crate::serve`]; the functional path (and its bit-exactness
-/// guarantees) is inherited unchanged because every board runs the core
-/// [`crate::serve`] runs. Requests are routed as positions in
-/// `requests`, never copied.
+/// in [`crate::serve`]: every board runs its scheduling core, then each
+/// request that completed in the final placement runs the chain once.
+/// Requests are routed as positions in `requests`, never copied.
 pub fn serve_fleet(
     boards: &[FleetBoard],
     names: &[String],
@@ -395,7 +396,7 @@ pub fn serve_fleet_generated(
 ) -> Result<FleetOutcome, RuntimeError> {
     opts.base.arrival.validate()?;
     check_fleet(boards, opts.base.requests, opts)?;
-    let stream = Stream::draw(modules, &opts.base)?;
+    let stream = Stream::draw(&opts.base)?;
     serve_fleet_columns(boards, (names, modules, kernels), &stream, opts)
 }
 
@@ -459,8 +460,8 @@ fn serve_fleet_columns(
         share.arrivals.push(arrivals[i]);
     }
 
-    let mut results: Vec<Option<ServeOutcome>> = (0..nb).map(|_| None).collect();
-    run_boards(boards, stages, stream, &mut shares, opts, &mut results)?;
+    let mut results: Vec<Option<ServiceReport>> = (0..nb).map(|_| None).collect();
+    run_boards(boards, stream, &mut shares, opts, &mut results)?;
 
     // Phase 2: drain requests shed by a fatal outage and requeue them
     // on the surviving boards, arriving at their shed tick. `Shed` only
@@ -479,11 +480,11 @@ fn serve_fleet_columns(
     if !survivors.is_empty() {
         // (shed tick, caller position), in deterministic drain order.
         let mut sheds: Vec<(Time, u32)> = Vec::new();
-        for (b, out) in results.iter().enumerate() {
-            let Some(out) = out.as_ref().filter(|_| boards[b].faults.fatal_outage()) else {
+        for (b, report) in results.iter().enumerate() {
+            let Some(report) = report.as_ref().filter(|_| boards[b].faults.fatal_outage()) else {
                 continue;
             };
-            let traces = &out.report.traces;
+            let traces = &report.traces;
             let rows = (traces.statuses.iter().zip(&traces.resolved)).zip(&shares[b].index);
             sheds.extend(
                 rows.filter(|((&status, _), _)| status == StreamStatus::Shed)
@@ -516,22 +517,26 @@ fn serve_fleet_columns(
             merged.sort_by_key(|&(at, i)| (at, id(i)));
             (share.arrivals, share.index) = merged.into_iter().unzip();
         }
-        run_boards(boards, stages, stream, &mut shares, opts, &mut results)?;
+        run_boards(boards, stream, &mut shares, opts, &mut results)?;
     }
 
     // Deterministic merge. Row `k` of a board's columns is request
     // `index[k]` of its share; entries a rescue moved away are skipped —
     // their final outcome lives on the rescue board — and latencies
-    // count from the original arrivals.
+    // count from the original arrivals. `done` collects what to execute.
     let mut latency_ticks: Vec<u64> = Vec::with_capacity(n);
     let (mut completed, mut timed_out, mut shed, mut failed) = (0usize, 0usize, 0usize, 0usize);
     let mut retried = 0usize;
-    for (b, out) in results.iter().enumerate() {
-        let Some(out) = out else { continue };
-        let traces = &out.report.traces;
+    let mut done: Vec<usize> = Vec::new();
+    for (b, report) in results.iter().enumerate() {
+        let Some(report) = report else { continue };
+        let traces = &report.traces;
         for (k, &i) in shares[b].index.iter().enumerate() {
             if placement[i as usize].1 != b {
                 continue;
+            }
+            if opts.base.execute && traces.statuses[k] == StreamStatus::Completed {
+                done.push(i as usize);
             }
             latency_ticks.push(traces.resolved[k].saturating_sub(arrivals[i as usize]));
             *match traces.statuses[k] {
@@ -547,24 +552,13 @@ fn serve_fleet_columns(
     let makespan_ticks = results
         .iter()
         .flatten()
-        .map(|o| o.report.makespan_ticks)
+        .map(|r| r.makespan_ticks)
         .max()
         .unwrap_or(0);
     let per_s = |k: usize| per_second(k, makespan_ticks);
 
-    // Every board's report moves into its row, and its outputs — in
-    // its share's order — back to the positions the caller asked in.
-    let mut outputs = vec![HashMap::new(); if opts.base.execute { n } else { 0 }];
     let board_reports: Vec<BoardReport> = (results.into_iter().enumerate())
-        .map(|(b, result)| {
-            let report = result.map(|out| {
-                for (&i, o) in shares[b].index.iter().zip(out.outputs) {
-                    if placement[i as usize].1 == b {
-                        outputs[i as usize] = o;
-                    }
-                }
-                out.report
-            });
+        .map(|(b, report)| {
             let exec_ticks = report.as_ref().map_or(0, |r| r.exec_ticks);
             let board_completed = report.as_ref().map_or(0, |r| r.completed);
             let kluts = boards[b].design.platform.board.luts as f64 / 1000.0;
@@ -612,6 +606,7 @@ fn serve_fleet_columns(
         boards: board_reports,
         assignment: placement,
     };
+    let outputs = stream.execute(stages, n, done, &opts.base)?;
     Ok(FleetOutcome { report, outputs })
 }
 
@@ -1160,6 +1155,44 @@ mod tests {
             assert_eq!(shed_at.len(), fleet.requeued, "seed {seed}");
         }
         assert!(permuted > 24 && requeued > 100, "{permuted} {requeued}");
+    }
+
+    /// Under an outage with rescues, every request that completed in the
+    /// final placement runs its kernel chain exactly once: a rescue board
+    /// is scheduled again over its whole share, and scheduling runs no
+    /// tensor.
+    #[test]
+    fn each_completed_request_runs_its_chain_once_through_a_rescue() {
+        let (module, kernel) = crate::tests::axpy_stage();
+        let names = ["main".to_string()];
+        let (modules, kernels) = ([&module], [&kernel]);
+        let mut boards = boards3();
+        boards[0].faults = FaultPlan {
+            seed: 3,
+            outage: Some(Outage {
+                fail_at: secs(0.0001),
+                recover_at: None,
+            }),
+            ..FaultPlan::none()
+        };
+        let reqs = crate::generate_requests(&modules, 48, &Arrival::Closed, 9).unwrap();
+        for route in [RoutePolicy::RoundRobin, RoutePolicy::Predictive] {
+            let mut opts = fleet_opts(route);
+            opts.parallel = true;
+            opts.base.execute = true;
+            let stream = Stream::of_requests(&reqs).unwrap();
+            let stages = (&names[..], &modules[..], &kernels[..]);
+            let out = serve_fleet_columns(&boards, stages, &stream, &opts).unwrap();
+            let report = &out.report;
+            assert!(report.requeued > 0, "route {}", route.label());
+            let rescue_ran_phase1 =
+                (report.boards.iter().skip(1)).any(|b| b.rescued_in > 0 && b.assigned > 0);
+            assert!(rescue_ran_phase1, "route {}", route.label());
+            let runs = stream.chain_runs.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(runs, report.completed, "route {}", route.label());
+            let executed = out.outputs.iter().filter(|o| !o.is_empty()).count();
+            assert_eq!(executed, report.completed, "route {}", route.label());
+        }
     }
 
     #[test]

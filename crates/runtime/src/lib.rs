@@ -39,9 +39,9 @@
 //!    Every request ends in one [`StreamStatus`], the scheduler's own
 //!    terminal status. The empty plan is tick- and bit-identical to the
 //!    fault-free scheduler (`tests/fault_injection.rs` proves it).
-//! 5. **Execution** — each completed request's tensors run through the
-//!    generated kernel chain ([`zynq::run_program_chain`]), so the
-//!    service path returns real outputs, not just timings. Batching and
+//! 5. **Execution** — after the final schedule, each completed request's
+//!    tensors run once through the generated kernel chain
+//!    ([`zynq::run_program_chain`]): real outputs, not just timings. Batching and
 //!    retries never change results: outputs are bit-identical to
 //!    running every request alone, and with batching disabled the tick
 //!    schedule is exactly the sequential one
@@ -71,6 +71,7 @@ pub use fleet::{
 };
 pub use json::json_escape;
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 
@@ -496,6 +497,8 @@ pub(crate) struct Stream<'a> {
     order: Vec<u32>,
     /// Where ids, tiers and inputs come from.
     source: Source<'a>,
+    #[cfg(test)]
+    pub(crate) chain_runs: std::sync::atomic::AtomicUsize,
 }
 
 /// Entry `k` of a list of positions, where an empty list stands for the
@@ -509,21 +512,17 @@ enum Source<'a> {
     /// A caller's request list, read in place.
     Requests(&'a [Request]),
     /// A drawn stream: ids are positions, tiers cycle through `tiers`
-    /// levels with the id, and `inputs` are drawn only under `execute`.
-    Drawn {
-        tiers: usize,
-        inputs: Vec<HashMap<String, Tensor>>,
-    },
+    /// levels with the id, and inputs are drawn from `seed` on demand.
+    Drawn { tiers: usize, seed: u64 },
 }
 
 impl<'a> Stream<'a> {
     /// The stream `opts` describes, drawn straight into columns: the
     /// arrivals [`generate_timing_requests`] draws, as ticks; under
     /// priority serving, tiers that cycle through the configured count
-    /// in id order (tier 0 is the most urgent); and only under
-    /// `execute`, the inputs [`generate_requests`] draws. Poisson
-    /// arrivals only move forward, so the stream is in admission order.
-    fn draw(modules: &[&Module], opts: &RuntimeOptions) -> Result<Stream<'static>, RuntimeError> {
+    /// in id order (tier 0 is the most urgent). Poisson arrivals only
+    /// move forward, so the stream is in admission order.
+    fn draw(opts: &RuntimeOptions) -> Result<Stream<'static>, RuntimeError> {
         let (n, seed) = (opts.requests, opts.seed);
         let arrivals = match opts.arrival {
             Arrival::Closed => vec![0; n],
@@ -536,15 +535,13 @@ impl<'a> Stream<'a> {
             }
         };
         debug_assert!(arrivals.is_sorted());
-        let inputs = match opts.execute {
-            true => (0..n).map(|id| request_inputs(modules, seed, id)).collect(),
-            false => Vec::new(),
-        };
         let tiers = usize::from(opts.online.priority_tiers).max(1);
         Ok(Stream {
             arrivals,
             order: Vec::new(),
-            source: Source::Drawn { tiers, inputs },
+            source: Source::Drawn { tiers, seed },
+            #[cfg(test)]
+            chain_runs: Default::default(),
         })
     }
 
@@ -562,6 +559,8 @@ impl<'a> Stream<'a> {
             arrivals,
             order,
             source: Source::Requests(requests),
+            #[cfg(test)]
+            chain_runs: Default::default(),
         })
     }
 
@@ -588,11 +587,38 @@ impl<'a> Stream<'a> {
         }
     }
 
-    fn inputs(&self, i: usize) -> &HashMap<String, Tensor> {
+    /// Request `i`'s inputs: the caller's, or the ones
+    /// [`generate_requests`] draws for it.
+    fn inputs(&self, modules: &[&Module], i: usize) -> Cow<'_, HashMap<String, Tensor>> {
         match &self.source {
-            Source::Requests(requests) => &requests[i].inputs,
-            Source::Drawn { inputs, .. } => &inputs[i],
+            Source::Requests(requests) => Cow::Borrowed(&requests[i].inputs),
+            Source::Drawn { seed, .. } => Cow::Owned(request_inputs(modules, *seed, i)),
         }
+    }
+
+    /// The functional path, after the final schedule: under `execute`,
+    /// each caller position in `completed` runs through the generated
+    /// chain once, its outputs landing at that position of `n`; every
+    /// other request gets an empty map. Without `execute`, no outputs.
+    pub(crate) fn execute(
+        &self,
+        (names, modules, kernels): Stages,
+        n: usize,
+        completed: impl IntoIterator<Item = usize>,
+        opts: &RuntimeOptions,
+    ) -> Result<Vec<HashMap<String, Vec<f64>>>, RuntimeError> {
+        if !opts.execute {
+            return Ok(Vec::new());
+        }
+        let mut outputs = vec![HashMap::new(); n];
+        for i in completed {
+            #[cfg(test)]
+            self.chain_runs
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            outputs[i] = zynq::run_program_chain(names, modules, kernels, &self.inputs(modules, i))
+                .map_err(RuntimeError::Exec)?;
+        }
+        Ok(outputs)
     }
 }
 
@@ -808,9 +834,9 @@ pub struct ServiceReport {
 }
 
 /// A serving run's report plus (when `execute` was set) every request's
-/// output tensors, `"kernel.tensor"` → values. `outputs[i]` belongs to
-/// `requests[i]` of the [`serve`] call (caller order), matching each
-/// request by position, not by id.
+/// output tensors, `"kernel.tensor"` → values, run once per completed
+/// request after the schedule (an empty map for any other). `outputs[i]`
+/// belongs to `requests[i]` of the [`serve`] call, by position, not id.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     pub report: ServiceReport,
@@ -905,16 +931,16 @@ pub(crate) fn check_times(opts: &RuntimeOptions) -> Result<(), RuntimeError> {
 
 /// Serve `requests` on `design`: schedule the batched stream (under the
 /// fault plan and recovery policy in `opts`), compute the service
-/// statistics and (when `opts.execute`) run every completed request
-/// through the generated kernel chain. `names`/`modules`/`kernels` are
+/// statistics, then (when `opts.execute`) run every request that completed
+/// once through the generated kernel chain. `names`/`modules`/`kernels` are
 /// the compiled program's stages in chain order (as in
 /// [`zynq::run_program_chain`]); `kernels` may be empty when
 /// `opts.execute` is off.
 ///
 /// With `FaultPlan::none()` and no deadline the schedule is tick- and
 /// bit-identical to the fault-free stream; retries never change
-/// completed outputs (the functional path runs each request's own
-/// tensors, batching and retries share hardware, never data).
+/// completed outputs (execution follows the schedule and runs each
+/// request's own tensors; batching shares hardware, never data).
 pub fn serve(
     design: &MultiSystemDesign,
     names: &[String],
@@ -944,51 +970,47 @@ pub fn serve_generated(
 ) -> Result<ServeOutcome, RuntimeError> {
     opts.arrival.validate()?;
     check_times(opts)?;
-    let stream = Stream::draw(modules, opts)?;
+    let stream = Stream::draw(opts)?;
     serve_columns(design, (names, modules, kernels), stream, opts)
 }
 
 /// The compiled program's stages: `names`, `modules`, `kernels` of [`serve`].
 pub(crate) type Stages<'a> = (&'a [String], &'a [&'a Module], &'a [&'a cgen::CKernel]);
 
-/// The serving core on one board over a whole stream, its outputs back
-/// in the caller's order.
+/// The serving core on one board over a whole stream: schedule it, then
+/// (under `execute`) run every completed request once.
 fn serve_columns(
     design: &MultiSystemDesign,
     stages: Stages,
     mut stream: Stream,
     opts: &RuntimeOptions,
 ) -> Result<ServeOutcome, RuntimeError> {
-    if stream.order.is_empty() {
-        let arrivals = std::mem::take(&mut stream.arrivals);
-        return serve_stream(design, stages, &stream, &[], arrivals, opts);
-    }
-    let order = &stream.order;
-    let arrivals = order.iter().map(|&i| stream.arrivals[i as usize]).collect();
-    let mut out = serve_stream(design, stages, &stream, order, arrivals, opts)?;
-    // The core answers in admission order, the caller asked in its own.
-    let mut outputs = vec![HashMap::new(); out.outputs.len()];
-    for (&i, o) in order.iter().zip(out.outputs) {
-        outputs[i as usize] = o;
-    }
-    out.outputs = outputs;
-    Ok(out)
+    let arrivals = match stream.order.is_empty() {
+        true => std::mem::take(&mut stream.arrivals),
+        false => (stream.order.iter())
+            .map(|&i| stream.arrivals[i as usize])
+            .collect(),
+    };
+    let n = arrivals.len();
+    let report = serve_stream(design, &stream, &stream.order, arrivals, opts)?;
+    let statuses = &report.traces.statuses;
+    let completed = (0..n).filter(|&k| statuses[k] == StreamStatus::Completed);
+    let outputs = stream.execute(stages, n, completed.map(|k| stream.admitted(k)), opts)?;
+    Ok(ServeOutcome { report, outputs })
 }
 
-/// The serving core behind [`serve`] and every fleet board. The board's
-/// stream is two columns in admission order: `index[k]` is the position
-/// in `stream` of the `k`-th request (`index` empty: the `k`-th itself)
-/// and `arrivals[k]` its arrival tick here (sorted; a request the fleet
-/// requeued arrives at its shed tick). `outputs`, when executing, come
-/// back in that order too.
+/// The scheduling core behind [`serve`] and every fleet board: it runs
+/// no tensor. The board's stream is two columns in admission order:
+/// `index[k]` is the position in `stream` of the `k`-th request (`index`
+/// empty: the `k`-th itself) and `arrivals[k]` its arrival tick here
+/// (sorted; a request the fleet requeued arrives at its shed tick).
 pub(crate) fn serve_stream(
     design: &MultiSystemDesign,
-    (names, modules, kernels): Stages,
     stream: &Stream,
     index: &[u32],
     arrivals: Vec<Time>,
     opts: &RuntimeOptions,
-) -> Result<ServeOutcome, RuntimeError> {
+) -> Result<ServiceReport, RuntimeError> {
     if arrivals.is_empty() {
         return Err(RuntimeError::NoRequests);
     }
@@ -1039,25 +1061,8 @@ pub(crate) fn serve_stream(
         }
     };
 
-    // Functional path: every completed request's tensors through the
-    // generated chain, independent of the batch schedule and of how
-    // many retries it took (batching shares hardware, never data).
-    // Requests that never completed get an empty output map.
-    let mut outputs = Vec::new();
-    if opts.execute {
-        outputs.reserve_exact(n);
-        for (k, status) in out.statuses.iter().enumerate() {
-            outputs.push(if *status == StreamStatus::Completed {
-                zynq::run_program_chain(names, modules, kernels, stream.inputs(position(k)))
-                    .map_err(RuntimeError::Exec)?
-            } else {
-                HashMap::new()
-            });
-        }
-    }
-
     let per_s = |k: usize| per_second(k, out.makespan_ticks);
-    let report = ServiceReport {
+    Ok(ServiceReport {
         requests: n,
         policy: opts.batch,
         arrival: opts.arrival,
@@ -1097,8 +1102,7 @@ pub(crate) fn serve_stream(
         early_closed_rounds: out.early_closed_rounds,
         // Last: the scheduler's per-request columns move in.
         traces: Traces::new((0..n).map(|k| stream.id(position(k))), arrivals, out),
-    };
-    Ok(ServeOutcome { report, outputs })
+    })
 }
 
 impl ServiceReport {
@@ -1510,8 +1514,9 @@ mod tests {
         assert!(t.iter().all(|r| r.inputs.is_empty()));
     }
 
-    #[test]
-    fn executed_outputs_match_standalone_chain() {
+    /// The one stage of `axpy(3)`, lowered, factorised and generated
+    /// under the reference schedule: a program small enough to execute.
+    pub(crate) fn axpy_stage() -> (Module, cgen::CKernel) {
         let src = cfdlang::examples::axpy(3);
         let typed = cfdlang::check(&cfdlang::parse(&src).unwrap()).unwrap();
         let module = factorize(&lower(&typed).unwrap());
@@ -1519,6 +1524,12 @@ mod tests {
         let km = KernelModel::build(&module, &layout);
         let sched = Schedule::reference(&km);
         let kernel = build_kernel(&module, &km, &sched, &CodegenOptions::default());
+        (module, kernel)
+    }
+
+    #[test]
+    fn executed_outputs_match_standalone_chain() {
+        let (module, kernel) = axpy_stage();
         let names = vec!["main".to_string()];
         let modules = vec![&module];
         let kernels = vec![&kernel];
@@ -1730,13 +1741,7 @@ mod tests {
 
     #[test]
     fn failed_requests_get_structured_outcomes_and_empty_outputs() {
-        let src = cfdlang::examples::axpy(3);
-        let typed = cfdlang::check(&cfdlang::parse(&src).unwrap()).unwrap();
-        let module = factorize(&lower(&typed).unwrap());
-        let layout = LayoutPlan::row_major(&module);
-        let km = KernelModel::build(&module, &layout);
-        let sched = Schedule::reference(&km);
-        let kernel = build_kernel(&module, &km, &sched, &CodegenOptions::default());
+        let (module, kernel) = axpy_stage();
         let names = vec!["main".to_string()];
         let modules = vec![&module];
         let kernels = vec![&kernel];

@@ -5,13 +5,15 @@
 //! sample of CFD elements through a chain of them with randomized inputs
 //! and compares every output word against the `teil` reference
 //! interpreter. A single kernel is the one-kernel chain, so
-//! [`verify_program`] is the one verifier.
+//! [`verify_program`] is the one verifier. Both runners and the input
+//! draw are one chain walk; serving runs [`run_program_chain`] once per
+//! completed request, after the final schedule.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use teil::ir::{Module, TensorKind};
+use teil::ir::{Module, TensorDecl, TensorKind};
 use teil::{Interpreter, Tensor};
 
 /// Result of verifying `elements` random elements.
@@ -22,6 +24,49 @@ pub struct VerifyResult {
     pub max_rel_diff: f64,
     /// Whether every output matched bit-for-bit (same evaluation order).
     pub bitexact: bool,
+}
+
+/// The one chain walk. Stage `s` binds each input to the latest earlier
+/// stage's output of that name, else to `external(decl)`, and
+/// `stage(s, bound)` leaves its outputs in `bound`. A handoff is lent to
+/// its consumer and taken back after it (unchanged: the frontend rejects
+/// any assignment to an input), so each output is stored once. Yields
+/// every output in chain order, keyed `"kernel.tensor"` by `names`.
+fn walk_chain<'m, V: 'm>(
+    names: &'m [String],
+    modules: &[&'m Module],
+    mut external: impl FnMut(&'m TensorDecl) -> Option<V>,
+    mut stage: impl FnMut(usize, &mut HashMap<String, V>) -> Result<(), String>,
+) -> Result<impl Iterator<Item = (String, V)> + 'm, String> {
+    let mut outputs: Vec<(usize, &'m str, Option<V>)> = Vec::new();
+    for (s, module) in modules.iter().enumerate() {
+        let mut bound = HashMap::new();
+        for d in decls(module, TensorKind::Input) {
+            let n = &d.name;
+            let value = match outputs.iter_mut().rev().find(|(_, p, _)| p == n) {
+                Some((.., lent)) => lent.take().expect("a lent handoff is taken back"),
+                None => external(d).ok_or_else(|| {
+                    format!("missing external input '{n}' for kernel '{}'", names[s])
+                })?,
+            };
+            bound.insert(n.clone(), value);
+        }
+        stage(s, &mut bound)?;
+        for (_, n, lent) in outputs.iter_mut().filter(|(.., v)| v.is_none()) {
+            *lent = bound.remove(*n);
+        }
+        for d in decls(module, TensorKind::Output) {
+            let missing = || format!("output '{}' missing in kernel '{}'", d.name, names[s]);
+            outputs.push((s, &d.name, Some(bound.remove(&d.name).ok_or_else(missing)?)));
+        }
+    }
+    let key = move |(s, n, v): (usize, &str, Option<V>)| (format!("{}.{n}", names[s]), v);
+    Ok((outputs.into_iter().map(key)).map(|(k, v)| (k, v.expect("a lent handoff is taken back"))))
+}
+
+/// The declarations of `kind` in `module`, in declaration order.
+fn decls(module: &Module, kind: TensorKind) -> impl Iterator<Item = &TensorDecl> {
+    module.tensors.iter().filter(move |d| d.kind == kind)
 }
 
 /// Execute a chained multi-kernel program through the generated loop
@@ -37,39 +82,16 @@ pub fn run_program_chain(
     external: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Vec<f64>>, String> {
     assert_eq!(modules.len(), kernels.len());
-    // Latest produced value per tensor name (the handoff buffers).
-    let mut produced: HashMap<String, Vec<f64>> = HashMap::new();
-    let mut out: HashMap<String, Vec<f64>> = HashMap::new();
-    for ((name, module), kernel) in names.iter().zip(modules).zip(kernels) {
-        let mut mem: HashMap<String, Vec<f64>> = HashMap::new();
-        for id in module.of_kind(TensorKind::Input) {
-            let n = module.name(id);
-            let data = if let Some(v) = produced.get(n) {
-                v.clone()
-            } else {
-                external
-                    .get(n)
-                    .map(|t| t.data.clone())
-                    .ok_or_else(|| format!("missing external input '{n}' for kernel '{name}'"))?
-            };
-            mem.insert(n.to_string(), data);
-        }
-        for p in &kernel.params {
+    let host = |d: &TensorDecl| external.get(&d.name).map(|t| t.data.clone());
+    let outputs = walk_chain(names, modules, host, |s, mem| {
+        for p in &kernels[s].params {
             if !mem.contains_key(&p.name) {
                 mem.insert(p.name.clone(), vec![0.0; p.words]);
             }
         }
-        cgen::run_kernel(kernel, &mut mem)?;
-        for id in module.of_kind(TensorKind::Output) {
-            let n = module.name(id);
-            let v = mem
-                .remove(n)
-                .ok_or_else(|| format!("output '{n}' missing in kernel '{name}'"))?;
-            out.insert(format!("{name}.{n}"), v.clone());
-            produced.insert(n.to_string(), v);
-        }
-    }
-    Ok(out)
+        cgen::run_kernel(kernels[s], mem).map(drop)
+    });
+    Ok(outputs?.collect())
 }
 
 /// Run the reference interpreter over the chained program. Same handoff
@@ -79,55 +101,37 @@ pub fn run_program_reference(
     modules: &[&Module],
     external: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Tensor>, String> {
-    let mut produced: HashMap<String, Tensor> = HashMap::new();
-    let mut out: HashMap<String, Tensor> = HashMap::new();
-    for (name, module) in names.iter().zip(modules) {
-        let mut inputs: HashMap<String, Tensor> = HashMap::new();
-        for id in module.of_kind(TensorKind::Input) {
-            let n = module.name(id);
-            let t = if let Some(v) = produced.get(n) {
-                v.clone()
-            } else {
-                external
-                    .get(n)
-                    .cloned()
-                    .ok_or_else(|| format!("missing external input '{n}' for kernel '{name}'"))?
-            };
-            inputs.insert(n.to_string(), t);
+    let host = |d: &TensorDecl| external.get(&d.name).cloned();
+    let outputs = walk_chain(names, modules, host, |s, bound| {
+        let values = Interpreter::new(modules[s]).run(bound)?.values;
+        for (t, d) in values.into_iter().zip(&modules[s].tensors) {
+            if d.kind == TensorKind::Output {
+                bound.insert(d.name.clone(), t);
+            }
         }
-        let ex = Interpreter::new(module).run(&inputs)?;
-        for id in module.of_kind(TensorKind::Output) {
-            let n = module.name(id);
-            let t = ex.values[id.0].clone();
-            out.insert(format!("{name}.{n}"), t.clone());
-            produced.insert(n.to_string(), t);
-        }
-    }
-    Ok(out)
+        Ok(())
+    });
+    Ok(outputs?.collect())
 }
 
 /// Random external inputs for a chained program: one tensor per
-/// distinct external input name (program-global), drawn in chain order.
+/// distinct external input name (program-global), drawn in chain order
+/// as the walk binds them.
 pub fn random_program_inputs(modules: &[&Module], seed: u64) -> HashMap<String, Tensor> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut external: HashMap<String, Tensor> = HashMap::new();
-    let mut produced: Vec<String> = Vec::new();
-    for module in modules {
-        for id in module.of_kind(TensorKind::Input) {
-            let n = module.name(id);
-            if produced.iter().any(|p| p == n) || external.contains_key(n) {
-                continue;
-            }
-            let shape = module.shape(id).to_vec();
-            external.insert(
-                n.to_string(),
-                Tensor::from_fn(&shape, |_| rng.gen_range(-1.0..1.0)),
-            );
+    let draw = |d: &TensorDecl| {
+        if !external.contains_key(&d.name) {
+            let t = Tensor::from_fn(&d.shape, |_| rng.gen_range(-1.0..1.0));
+            external.insert(d.name.clone(), t);
         }
-        for id in module.of_kind(TensorKind::Output) {
-            produced.push(module.name(id).to_string());
-        }
-    }
+        Some(())
+    };
+    // No kernel names: only an error or a consumed output would read them.
+    drop(walk_chain(&[], modules, draw, |s, bound| {
+        bound.extend(decls(modules[s], TensorKind::Output).map(|d| (d.name.clone(), ())));
+        Ok(())
+    }));
     external
 }
 
@@ -182,13 +186,9 @@ fn verify_element(
     let external = random_program_inputs(modules, seed);
     let expect = run_program_reference(names, modules, &external)?;
     let got = run_program_chain(names, modules, kernels, &external)?;
-    if expect.len() != got.len() {
-        return Err("program output-set mismatch".into());
-    }
+    // Both runners key the walk's outputs, so the key sets are equal.
     for (key, t) in &expect {
-        let g = got
-            .get(key)
-            .ok_or_else(|| format!("output '{key}' missing from hardware path"))?;
+        let g = &got[key];
         if g.len() != t.data.len() {
             return Err(format!("output '{key}' size mismatch"));
         }
@@ -260,10 +260,11 @@ mod tests {
     }
 
     fn setup_program(n: usize) -> (Vec<String>, Vec<Module>, Vec<cgen::CKernel>) {
-        let set = cfdlang::check_set(
-            &cfdlang::parse_set(&cfdlang::examples::simulation_step(n)).unwrap(),
-        )
-        .unwrap();
+        compile_program(&cfdlang::examples::simulation_step(n))
+    }
+
+    fn compile_program(src: &str) -> (Vec<String>, Vec<Module>, Vec<cgen::CKernel>) {
+        let set = cfdlang::check_set(&cfdlang::parse_set(src).unwrap()).unwrap();
         let mut names = Vec::new();
         let mut modules = Vec::new();
         let mut kernels = Vec::new();
@@ -350,6 +351,66 @@ mod tests {
                 produced.insert(n.to_string(), v);
             }
         }
+    }
+
+    /// Kernel `k0`'s output `y` is lent to both `k1` and `k2`, and the
+    /// external `A` is read by `k0` and `k2`: the walk takes each handoff
+    /// back after its consumer, and the draw binds each external once.
+    #[test]
+    fn a_handoff_lent_to_two_consumers_comes_back_to_each() {
+        let src = "kernel k0 {\n\
+                   \tvar input A : [3 3]\n\
+                   \tvar input x : [3 3 3]\n\
+                   \tvar output y : [3 3 3]\n\
+                   \ty = A # A # A # x . [[1 6] [3 7] [5 8]]\n\
+                   }\n\
+                   kernel k1 {\n\
+                   \tvar input D : [3 3 3]\n\
+                   \tvar input y : [3 3 3]\n\
+                   \tvar output z : [3 3 3]\n\
+                   \tz = D * y\n\
+                   }\n\
+                   kernel k2 {\n\
+                   \tvar input y : [3 3 3]\n\
+                   \tvar input A : [3 3]\n\
+                   \tvar output w : [3 3 3]\n\
+                   \tw = A # A # A # y . [[0 6] [2 7] [4 8]]\n\
+                   }\n";
+        let (names, modules, kernels) = compile_program(src);
+        let mrefs: Vec<&Module> = modules.iter().collect();
+        let krefs: Vec<&cgen::CKernel> = kernels.iter().collect();
+        for seed in [3u64, 17] {
+            // Each external name drawn once, in the order the chain
+            // first binds it: A and x by k0, then D by k1.
+            let external = random_program_inputs(&mrefs, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = |shape: &[usize]| Tensor::from_fn(shape, |_| rng.gen_range(-1.0..1.0));
+            let expect = [
+                ("A", draw(&[3, 3])),
+                ("x", draw(&[3; 3])),
+                ("D", draw(&[3; 3])),
+            ];
+            assert_eq!(external.len(), expect.len());
+            for (n, t) in &expect {
+                assert_eq!(&external[*n], t, "external '{n}'");
+            }
+
+            let got = run_program_chain(&names, &mrefs, &krefs, &external).unwrap();
+            let want = run_program_reference(&names, &mrefs, &external).unwrap();
+            let keys = ["k0.y", "k1.z", "k2.w"];
+            assert_eq!(got.len(), keys.len());
+            assert_eq!(want.len(), keys.len());
+            for key in keys {
+                let (g, w) = (&got[key], &want[key].data);
+                assert_eq!(g.len(), w.len(), "{key}");
+                assert!(
+                    g.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{key}"
+                );
+            }
+        }
+        let r = verify_program(&names, &mrefs, &krefs, 4, 5).unwrap();
+        assert!(r.bitexact, "max rel diff {}", r.max_rel_diff);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   rescued-in/rescued-out books balance.
 //! * **Functional identity** — completed outputs are bit-exact against
 //!   the chained reference interpreter for every request, under every
-//!   routing policy; routing shares hardware, never data.
+//!   routing policy and through an outage's rescue; routing shares
+//!   hardware, never data.
 //!
 //! Three plain tests pin the catalog fleet: predictive routing serves
 //! ≥ 3× one board, the outage drain's report hashes to the bytes the
@@ -34,6 +35,7 @@ use sysgen::Platform;
 use teil::ir::Module;
 use zynq::des::secs;
 use zynq::fault::{FaultPlan, Outage};
+use zynq::StreamStatus;
 
 /// The generated-kernel pool the properties draw from (same pool as
 /// `runtime_differential`): small enough that every case compiles and
@@ -280,7 +282,10 @@ proptest! {
 
     /// Completed outputs are bit-exact against the chained reference
     /// interpreter for every request under every routing policy on a
-    /// heterogeneous fleet: the dispatcher moves work, never data.
+    /// heterogeneous fleet, healthy and with board 0 dead from a
+    /// seed-drawn tick on (its shed work rescued by the survivors): the
+    /// dispatcher moves work, never data. A request that did not
+    /// complete gets an empty map.
     #[test]
     fn fleet_outputs_bit_exact_vs_reference_under_every_policy(
         choice in 0usize..5,
@@ -289,7 +294,16 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let src = source_for(choice, size);
-        let (main, boards) = boards_het(&src);
+        let (main, healthy) = boards_het(&src);
+        let mut dead0 = healthy.clone();
+        dead0[0].faults = FaultPlan {
+            seed,
+            outage: Some(Outage {
+                fail_at: secs((seed % 500) as f64 * 1e-6),
+                recover_at: None,
+            }),
+            ..FaultPlan::none()
+        };
         let modules = main.modules();
         let kernels = main.kernels();
         let requests = generate_requests(&modules, n, &Arrival::Closed, seed).unwrap();
@@ -301,26 +315,44 @@ proptest! {
             seed,
             ..Default::default()
         };
-        for route in ROUTES {
-            let fleet = serve_fleet(
-                &boards, &main.art.names, &modules, &kernels, &requests,
-                &fleet_opts(route, base.clone()),
-            )
-            .unwrap();
-            prop_assert_eq!(fleet.outputs.len(), n);
-            for (req, got) in requests.iter().zip(&fleet.outputs) {
-                let reference =
-                    zynq::run_program_reference(&main.art.names, &modules, &req.inputs).unwrap();
-                prop_assert_eq!(reference.len(), got.len());
-                for (key, tensor) in &reference {
-                    let g = &got[key];
-                    prop_assert_eq!(tensor.data.len(), g.len());
-                    for (a, b) in tensor.data.iter().zip(g) {
-                        prop_assert!(
-                            a.to_bits() == b.to_bits(),
-                            "request {} output '{}' diverged under {}",
-                            req.id, key, route.label()
-                        );
+        for (boards, fleet_name) in [(&healthy, "healthy"), (&dead0, "board 0 dead")] {
+            for route in ROUTES {
+                let fleet = serve_fleet(
+                    boards, &main.art.names, &modules, &kernels, &requests,
+                    &fleet_opts(route, base.clone()),
+                )
+                .unwrap();
+                let label = format!("{fleet_name}, {}", route.label());
+                prop_assert_eq!(fleet.outputs.len(), n);
+                if fleet_name == "healthy" {
+                    prop_assert_eq!(fleet.report.completed, n, "{}", label);
+                }
+                let executed = fleet.outputs.iter().filter(|o| !o.is_empty()).count();
+                prop_assert_eq!(executed, fleet.report.completed, "{}", label);
+                for (req, got) in requests.iter().zip(&fleet.outputs) {
+                    // The request's final outcome is on the board it was
+                    // last placed on.
+                    let (_, b) = fleet.report.assignment[req.id];
+                    let report = fleet.report.boards[b].report.as_ref().unwrap();
+                    let trace = report.traces.iter().find(|t| t.id == req.id).unwrap();
+                    if trace.outcome != StreamStatus::Completed {
+                        prop_assert!(got.is_empty(), "request {} under {}", req.id, label);
+                        continue;
+                    }
+                    let reference =
+                        zynq::run_program_reference(&main.art.names, &modules, &req.inputs)
+                            .unwrap();
+                    prop_assert_eq!(reference.len(), got.len());
+                    for (key, tensor) in &reference {
+                        let g = &got[key];
+                        prop_assert_eq!(tensor.data.len(), g.len());
+                        for (a, b) in tensor.data.iter().zip(g) {
+                            prop_assert!(
+                                a.to_bits() == b.to_bits(),
+                                "request {} output '{}' diverged under {}",
+                                req.id, key, label
+                            );
+                        }
                     }
                 }
             }
