@@ -839,13 +839,12 @@ fn report_cache(t: &cfd_core::StageTimings, enabled: bool) {
     }
 }
 
-/// The `--json` compile summary: stage timings plus cache and
-/// polyhedra-oracle counters.
+/// The `--json` compile summary: stage timings plus cache counters.
 fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
     format!(
         "{{\n  \"kernels\": {},\n  \"timings_s\": {{\"frontend\": {:.6}, \"middle_end\": {:.6}, \
          \"schedule\": {:.6}, \"link\": {:.6}, \"backend\": {:.6}, \"system\": {:.6}, \"total\": {:.6}}},\n  \
-         \"compile_cache\": {},\n  \"polyhedra\": {}\n}}",
+         \"compile_cache\": {}\n}}",
         kernels,
         t.frontend_s,
         t.middle_end_s,
@@ -855,7 +854,6 @@ fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
         t.system_s,
         t.total_s(),
         t.cache,
-        t.oracle,
     )
 }
 
@@ -1119,10 +1117,12 @@ fn cmd_verify(args: &[String]) {
         p.program.flow.elements = 8; // verification default: a sample, not the full run
     }
     let art = compile_or_exit(&p);
-    let v = or_exit(
+    let mut v = or_exit(
         "verification",
         art.verify(p.program.flow.elements, p.runtime.seed),
     );
+    // The first element also holds the interpreter to its definition.
+    v.bitexact &= or_exit("verification", art.matches_the_definition(p.runtime.seed));
     outln!(
         "verified {} chained elements ({}): bitexact={}, max_rel_diff={:.3e}",
         v.elements,

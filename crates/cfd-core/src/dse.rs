@@ -302,9 +302,6 @@ pub struct DseReport {
     pub counts: StageCounts,
     /// Compile-cache counters (all zero for an uncached engine).
     pub cache: CacheCounters,
-    /// Polyhedra-oracle counters accumulated over the sweep (delta of
-    /// the process totals across `run`).
-    pub oracle: polyhedra::OracleCounters,
     /// Backend slots of the sweep, one per (kernel, distinct backend
     /// key): what compiling each slot whole would cost. The engine
     /// builds fewer pieces than that (see the module doc's piece
@@ -421,7 +418,7 @@ impl DseReport {
             self.backend_reuses,
             self.backend_s,
         )?;
-        write_caches(out, &self.cache, &self.oracle)?;
+        writeln!(out, "  \"compile_cache\": {},", self.cache)?;
         write!(
             out,
             "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n  \"outcomes\": [\n",
@@ -440,18 +437,6 @@ impl DseReport {
 /// Allowance for a DSE report's header: about 1 KB of literals and up
 /// to 30 numbers.
 const HEADER_BYTES: usize = 2_048;
-
-/// The `compile_cache` and `polyhedra` header lines of both reports.
-fn write_caches(
-    out: &mut String,
-    cache: &CacheCounters,
-    oracle: &polyhedra::OracleCounters,
-) -> fmt::Result {
-    write!(
-        out,
-        "  \"compile_cache\": {cache},\n  \"polyhedra\": {oracle},\n"
-    )
-}
 
 impl DseOutcome {
     /// `"k"` through `"service_p99_s"`, behind the kernel name: the
@@ -888,7 +873,6 @@ impl DseEngine {
         }
         let combos = blocks.len() * points.len();
         let jobs = resolve_jobs(jobs).min(combos.max(1));
-        let oracle_base = polyhedra::OracleCounters::snapshot();
         let started = Instant::now();
 
         let pieces = self.pieces(&clocks, &reps, jobs);
@@ -921,7 +905,6 @@ impl DseEngine {
             backend_uses: combos * self.scheds.len(),
             backend_s,
             started,
-            oracle_base,
         }
     }
 
@@ -954,7 +937,6 @@ impl DseEngine {
             shared: self.shared,
             counts: self.pipeline.counters(),
             cache: self.pipeline.cache_counters(),
-            oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
             backend_compiles: swept.backend_compiles,
             backend_reuses: swept.backend_uses - swept.backend_compiles,
             backend_s: swept.backend_s,
@@ -1023,7 +1005,6 @@ impl DseEngine {
             backend_compiles: swept.backend_compiles,
             backend_reuses: swept.backend_uses.saturating_sub(swept.backend_compiles),
             cache: self.pipeline.cache_counters(),
-            oracle: polyhedra::OracleCounters::snapshot().since(swept.oracle_base),
             summaries,
             ticks_overflows: overflows(outcomes.iter().map(|o| &o.outcome)),
             outcomes,
@@ -1048,7 +1029,6 @@ struct Swept<R> {
     backend_uses: usize,
     backend_s: f64,
     started: Instant,
-    oracle_base: polyhedra::OracleCounters,
 }
 
 /// Index of the element of `seen` that `same` accepts, `new` being
@@ -1137,8 +1117,6 @@ pub struct PortfolioReport {
     pub backend_reuses: usize,
     /// Compile-cache counters (all zero for an uncached engine).
     pub cache: CacheCounters,
-    /// Polyhedra-oracle counters accumulated over the sweep.
-    pub oracle: polyhedra::OracleCounters,
     /// Rows whose simulated time ran past the simulator's `u64` clock,
     /// as in [`DseReport::ticks_overflows`].
     pub ticks_overflows: usize,
@@ -1396,7 +1374,7 @@ impl PortfolioReport {
             self.backend_compiles,
             self.backend_reuses
         )?;
-        write_caches(out, &self.cache, &self.oracle)?;
+        writeln!(out, "  \"compile_cache\": {},", self.cache)?;
         out.push_str("  \"platforms\": [\n");
         let mut line = Line::new(out);
         for (i, p) in self.summaries.iter().enumerate() {
@@ -1657,7 +1635,6 @@ mod tests {
                 self.cache.stores,
                 self.cache.invalidations
             ));
-            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle));
             s.push_str(&format!(
                 "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n",
                 self.eval_total_s, self.eval_mean_s, self.eval_max_s
@@ -1718,7 +1695,6 @@ mod tests {
                 self.cache.stores,
                 self.cache.invalidations
             ));
-            s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle));
             s.push_str("  \"platforms\": [\n");
             for (i, p) in self.summaries.iter().enumerate() {
                 s.push_str(&format!(
@@ -1889,11 +1865,6 @@ mod tests {
                 stores: points,
                 ..CacheCounters::default()
             },
-            oracle: polyhedra::OracleCounters {
-                corner_hits: 221,
-                memo_misses: u64::MAX,
-                ..Default::default()
-            },
             backend_compiles: 8,
             backend_reuses: points.saturating_sub(8),
             backend_s: 0.5,
@@ -1941,7 +1912,6 @@ mod tests {
             backend_compiles: 8,
             backend_reuses: points.saturating_sub(8),
             cache: sweep.cache,
-            oracle: sweep.oracle,
             ticks_overflows: 0,
             summaries,
             outcomes,

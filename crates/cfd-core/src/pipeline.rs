@@ -11,8 +11,8 @@
 //! | stage | consumes | produces |
 //! |-------|----------|----------|
 //! | [`Pipeline::program_frontend`] | CFDlang source | one [`Frontend`] (type-checked AST) per kernel |
-//! | [`Pipeline::middle_end`] | [`Frontend`] + canonicalization options | [`MiddleEnd`]: tensor IR, layout, polyhedral model (dependences lazily) |
-//! | [`Pipeline::schedule`]   | [`MiddleEnd`] + scheduler options | [`Scheduled`]: schedule, compatibility graph (liveness decided from schedule-box corners) |
+//! | [`Pipeline::middle_end`] | [`Frontend`] + canonicalization options | [`MiddleEnd`]: tensor IR, layout (an array past 2^24 words is an error), kernel model of box domains and address functions (dependences lazily, from address images) |
+//! | [`Pipeline::schedule`]   | [`MiddleEnd`] + scheduler options | [`Scheduled`]: schedule (fused legality by a capped box walk), compatibility graph (liveness decided from schedule-box corners, a capped box walk past them) |
 //! | [`Pipeline::link`]       | all kernels' [`Scheduled`] | [`LinkStage`]: inter-kernel handoffs + sequence liveness |
 //! | [`Pipeline::backend`]    | [`Scheduled`] + decoupling/memory/HLS options | [`Backend`]: C kernel IR, HLS report, Mnemosyne config, memory subsystem |
 //!
@@ -117,10 +117,6 @@ pub struct StageTimings {
     /// Compile-cache counters for this compilation (all zero when the
     /// pipeline ran uncached).
     pub cache: CacheCounters,
-    /// Polyhedra-oracle counters for this compilation (delta of the
-    /// process-wide totals across the run; see
-    /// [`polyhedra::OracleCounters`]).
-    pub oracle: polyhedra::OracleCounters,
 }
 
 impl StageTimings {
@@ -348,6 +344,11 @@ impl Pipeline {
     /// polyhedral model. Dependence analysis is deferred to first use —
     /// only a schedule-cache miss (or an explicit legality check) pays
     /// for it.
+    ///
+    /// An array wider than [`pschedule::model::MAX_SPAN`] words is an
+    /// error naming it: no catalog PLM holds one (the u250 holds about
+    /// 1.4 M words), and the analyses image addresses only up to that
+    /// span.
     pub fn middle_end(&self, fe: &Frontend, opts: &FlowOptions) -> Result<MiddleEnd, FlowError> {
         self.counters.middle_end.fetch_add(1, Ordering::Relaxed);
         let t = Instant::now();
@@ -360,6 +361,13 @@ impl Pipeline {
             module = teil::transform::dce(&module);
         }
         let layout = LayoutPlan::row_major(&module);
+        let span = pschedule::model::MAX_SPAN as usize;
+        if let Some(a) = layout.arrays.iter().find(|a| a.size > span) {
+            return Err(FlowError::Backend(format!(
+                "array '{}' holds {} words, more than the {span} a kernel array may hold",
+                a.name, a.size
+            )));
+        }
         let model = KernelModel::build(&module, &layout);
         Ok(MiddleEnd {
             typed: Arc::clone(&fe.typed),
@@ -529,7 +537,6 @@ impl Artifacts {
             backend_s: be.elapsed_s,
             system_s: 0.0,
             cache: CacheCounters::default(),
-            oracle: polyhedra::OracleCounters::default(),
         };
         Artifacts {
             typed: Arc::clone(&me.typed),

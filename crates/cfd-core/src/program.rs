@@ -162,6 +162,14 @@ impl ProgramArtifacts {
         zynq::verify_program(&self.names, &modules, &kernels, n, seed).map_err(FlowError::Backend)
     }
 
+    /// Whether the chained interpreter equals its multi-index walk, the
+    /// definition [`ProgramArtifacts::verify`] trusts, bit for bit on the
+    /// element `seed` draws (see [`zynq::matches_the_definition`]).
+    pub fn matches_the_definition(&self, seed: u64) -> Result<bool, FlowError> {
+        let (modules, _) = self.stages();
+        zynq::matches_the_definition(&self.names, &modules, seed).map_err(FlowError::Backend)
+    }
+
     /// Serve a stream of `opts.requests` independent requests on the
     /// compiled system: draw per-request arrivals (and, when
     /// `opts.execute` is set, inputs; under priority serving, tiers that
@@ -394,14 +402,12 @@ impl Pipeline {
         Ok(kernel)
     }
 
-    /// Everything after the frontend. The frontend asks the polyhedra
-    /// oracle nothing, so its counters are counted from here.
+    /// Everything after the frontend.
     fn run_fronts(
         &self,
         fronts: Vec<(String, Frontend)>,
         opts: &ProgramOptions,
     ) -> Result<ProgramArtifacts, FlowError> {
-        let oracle_base = polyhedra::OracleCounters::snapshot();
         let names: Vec<String> = fronts.iter().map(|(n, _)| n.clone()).collect();
         // Per-kernel options: the program stage owns the system choice.
         let kopts = FlowOptions {
@@ -420,9 +426,7 @@ impl Pipeline {
             let c_source = cgen::emit_c99(&be.kernel);
             (be, c_source)
         });
-        let mut art = self.finish_program(opts, &kopts, fronts, scheds, link, backends)?;
-        art.timings.oracle = polyhedra::OracleCounters::snapshot().since(oracle_base);
-        Ok(art)
+        self.finish_program(opts, &kopts, fronts, scheds, link, backends)
     }
 
     /// Every kernel's middle end + schedule over up to `jobs` workers,

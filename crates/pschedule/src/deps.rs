@@ -13,25 +13,33 @@
 //! **Existence is an intersection of images.** An edge exists when some
 //! instance of one access and some instance of the other touch one
 //! address: the two accesses' `image`s over their domains, bitsets of
-//! the addresses each takes, share a bit. The relation `src[x] → dst[y]`
-//! is composed only on demand ([`Dependence::relation`]), or for an
-//! image too wide to hold.
+//! the addresses each takes, share a bit. An image wider than
+//! [`MAX_SPAN`](crate::model::MAX_SPAN) counts as an edge. That is sound:
+//! a spurious RAW edge only rejects schedules and a RAR edge is only an
+//! affinity. The program flow rejects such arrays before scheduling.
 //!
 //! **Legality is a comparison of `seq`.** A schedule is legal iff for
 //! every RAW dependence the writer's tuple is lexicographically before the
 //! reader's. A tuple's first coordinate is its statement's `seq`, so an
 //! edge with `seq[src] < seq[dst]` holds for every instance pair, and one
 //! with `seq[src] > seq[dst]` is violated by every pair — and there is a
-//! pair, because access relations are intersected with the statement
-//! domains and [`Dependences::analyze`] records only non-empty ones. Only
-//! equal `seq` (fused statements, or a statement reading its own output)
-//! needs the definition: the *violated* relation
-//! `dep ∩ { (w, r) : S(w) ≥lex S(r) }` must be empty.
+//! pair, because [`Dependences::analyze`] records only edges some
+//! instance pair carries. Only equal `seq` (fused statements, or a
+//! statement reading its own output) needs the instances: a walk of both
+//! statements' boxes checks that every read of an address comes strictly
+//! after its latest write, capped at [`WALK_CAP`] instances (past the
+//! cap the edge counts as violated, and the rescheduler keeps the
+//! reference schedule).
+//!
+//! The definition is the polyhedral one, in the tests: the relation
+//! `src[x] → dst[y]` composed from the access maps must be non-empty for
+//! an edge, and must not meet the out-of-order relation
+//! `S_src ∘ lex_ge ∘ S_dst⁻¹` for a legal one.
 
-use crate::model::{image, KernelModel};
+use crate::model::{image, KernelModel, WALK_CAP};
 use crate::schedule::Schedule;
-use polyhedra::{lex_le_map, Map};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Kind of a dependence edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,19 +67,6 @@ pub struct Dependence {
     pub dst_read: usize,
 }
 
-impl Dependence {
-    /// Instance-wise relation `src[x] → dst[y]`: the instance pairs
-    /// touching the same array element. `model` must be the one the edge
-    /// was found in.
-    pub fn relation(&self, model: &KernelModel) -> Map {
-        let src_access = match self.src_read {
-            None => model.write_map(self.src),
-            Some(k) => model.read_map(self.src, k),
-        };
-        src_access.compose(&model.read_map(self.dst, self.dst_read).reverse())
-    }
-}
-
 /// All dependences of a kernel.
 #[derive(Debug, Clone, Default)]
 pub struct Dependences {
@@ -93,7 +88,7 @@ impl Dependences {
             let src = &images[d.src][d.src_read.map_or(0, |k| k + 1)];
             match (src, &images[d.dst][d.dst_read + 1]) {
                 (Some(a), Some(b)) => a.meets(b),
-                _ => !d.relation(model).is_empty(),
+                _ => true,
             }
         };
         let mut edges = Vec::new();
@@ -155,38 +150,79 @@ impl Dependences {
 }
 
 /// Whether a schedule satisfies every RAW dependence strictly: by `seq`
-/// where it differs, by the violated relation where it is equal (see the
+/// where it differs, by walking the instances where it is equal (see the
 /// module docs). `deps` must be the analysis of `model`.
 pub fn legal(model: &KernelModel, deps: &Dependences, sched: &Schedule) -> bool {
     deps.raw()
         .all(|d| match sched.seq[d.src].cmp(&sched.seq[d.dst]) {
             Ordering::Less => true,
             Ordering::Greater => false,
-            Ordering::Equal => holds_by_composition(model, d, sched),
+            Ordering::Equal => holds_by_walk(model, d, sched),
         })
 }
 
-/// The definition, for one RAW edge: the out-of-order relation
-/// `O = S_src ∘ lex_ge ∘ S_dst⁻¹` (pairs whose writer is scheduled at or
-/// after the reader) does not meet the edge's relation.
-fn holds_by_composition(model: &KernelModel, d: &Dependence, sched: &Schedule) -> bool {
-    let lex_ge = lex_le_map(sched.dim).reverse();
-    let out_of_order = sched
-        .stmt_map(model, d.src)
-        .compose(&lex_ge)
-        .compose(&sched.stmt_map(model, d.dst).reverse());
-    d.relation(model).intersect(&out_of_order).is_empty()
+/// The enumerated definition, for one RAW edge: walk the writer's
+/// instances keeping each address's latest write tuple, then require
+/// every read of that address by the reader to come strictly after it.
+/// `false` without walking when the two statements have more than
+/// [`WALK_CAP`] instances between them.
+fn holds_by_walk(model: &KernelModel, d: &Dependence, sched: &Schedule) -> bool {
+    let (w, r) = (&model.stmts[d.src], &model.stmts[d.dst]);
+    if w.instances().saturating_add(r.instances()) > WALK_CAP {
+        return false;
+    }
+    let mut latest: HashMap<i128, Vec<i64>> = HashMap::new();
+    w.walk(|point| {
+        let t = sched.tuple_of(d.src, point);
+        let slot = latest.entry(w.write.at(point)).or_default();
+        if t > *slot {
+            *slot = t;
+        }
+        false
+    });
+    let read = &r.reads[d.dst_read].1;
+    !r.walk(|point| {
+        (latest.get(&read.at(point))).is_some_and(|t| *t >= sched.tuple_of(d.dst, point))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::liveness::tests::{fused_schedule, random_schedule};
+    use crate::model::tests::{domain, read_map, write_map};
+    use crate::schedule::tests::stmt_map;
     use crate::{reschedule, SchedulerOptions};
-    use std::collections::HashMap;
+    use polyhedra::{lex_le_map, Map};
     use teil::layout::{ArrayId, LayoutPlan};
     use teil::lower::lower;
     use teil::transform::factorize;
+
+    /// Instance-wise relation `src[x] → dst[y]` of an edge: the instance
+    /// pairs touching the same array element. `model` must be the one the
+    /// edge was found in.
+    pub(crate) fn relation(d: &Dependence, model: &KernelModel) -> Map {
+        let src_access = match d.src_read {
+            None => write_map(model, d.src),
+            Some(k) => read_map(model, d.src, k),
+        };
+        src_access.compose(&read_map(model, d.dst, d.dst_read).reverse())
+    }
+
+    /// The definition, for one RAW edge: the out-of-order relation
+    /// `O = S_src ∘ lex_ge ∘ S_dst⁻¹` (pairs whose writer is scheduled at
+    /// or after the reader) does not meet the edge's relation.
+    pub(crate) fn holds_by_composition(
+        model: &KernelModel,
+        d: &Dependence,
+        sched: &Schedule,
+    ) -> bool {
+        let lex_ge = lex_le_map(sched.dim).reverse();
+        let out_of_order = stmt_map(sched, model, d.src)
+            .compose(&lex_ge)
+            .compose(&stmt_map(sched, model, d.dst).reverse());
+        relation(d, model).intersect(&out_of_order).is_empty()
+    }
 
     fn model(n: usize, factored: bool) -> KernelModel {
         let typed =
@@ -304,7 +340,7 @@ mod tests {
                     if *arr != ws.write_array {
                         continue;
                     }
-                    let rel = model.write_map(w).compose(&model.read_map(r, k).reverse());
+                    let rel = write_map(model, w).compose(&read_map(model, r, k).reverse());
                     if !rel.is_empty() {
                         let edge = Dependence {
                             kind: DependenceKind::Raw,
@@ -326,9 +362,7 @@ mod tests {
                         if arr_a != arr_b {
                             continue;
                         }
-                        let rel = model
-                            .read_map(a, ka)
-                            .compose(&model.read_map(b, kb).reverse());
+                        let rel = read_map(model, a, ka).compose(&read_map(model, b, kb).reverse());
                         if !rel.is_empty() {
                             let edge = Dependence {
                                 kind: DependenceKind::Rar,
@@ -377,7 +411,7 @@ mod tests {
             let expected: Vec<Dependence> = reference.iter().map(|(d, _)| d.clone()).collect();
             assert_eq!(deps.edges, expected, "{name}");
             for (d, rel) in &reference {
-                assert_eq!(&d.relation(&km), rel, "{name}: {d:?}");
+                assert_eq!(&relation(d, &km), rel, "{name}: {d:?}");
             }
             raw += deps.raw().count();
             rar += deps.rar().count();
@@ -392,8 +426,7 @@ mod tests {
     /// that `access` touches there, enumerated point by point.
     fn touches(km: &KernelModel, si: usize, access: &Map, arr: ArrayId) -> Vec<(Vec<usize>, i64)> {
         let size = km.layout.arrays[arr.0].size as i64;
-        km.stmts[si]
-            .domain
+        domain(km, si)
             .points()
             .map(|point| {
                 let addr = (0..size)
@@ -441,12 +474,12 @@ mod tests {
             let edges: Vec<EdgeTouches> = deps
                 .raw()
                 .map(|d| {
-                    let read = km.read_map(d.dst, d.dst_read);
+                    let read = read_map(&km, d.dst, d.dst_read);
                     (
                         d.src,
                         d.dst,
-                        touches(&km, d.src, km.write_map(d.src), d.array),
-                        touches(&km, d.dst, read, d.array),
+                        touches(&km, d.src, &write_map(&km, d.src), d.array),
+                        touches(&km, d.dst, &read, d.array),
                     )
                 })
                 .collect();
@@ -483,8 +516,8 @@ mod tests {
 
     /// Layouts that place a tensor below its array, past it, or with a
     /// stride too wide to image: `analyze` and the liveness ladder run
-    /// without a panic and equal their definitions, the wide one through
-    /// the composed relation and the exact rung.
+    /// without a panic and equal their definitions. The wide image counts
+    /// as an edge (here a real one), and its pairs reach the exact rung.
     #[test]
     fn addresses_outside_the_array_equal_the_definitions() {
         use crate::liveness::tests::{assert_ladder_is_exact, kernels};
@@ -512,6 +545,54 @@ mod tests {
                 assert_ladder_is_exact(&name, &m, &km, &s, &mut tally);
             }
             assert_eq!(tally[2] > 0, strides[0] == 1 << 30, "{name}: {tally:?}");
+        }
+    }
+
+    /// `analyze` and the equal-`seq` walk against the compositions on
+    /// every generated kernel, the walk under the reference and the
+    /// compiled schedule. The generator's pure self-contraction
+    /// `c = c # s . [[r-1 r]]` is a statement reading its own output, so
+    /// it reaches the walk.
+    #[test]
+    fn generated_equal_seq_walks_equal_the_composition() {
+        let mut checked = 0;
+        for (name, m, km) in crate::liveness::tests::generated_kernels() {
+            let deps = Dependences::analyze(&km);
+            let expected: Vec<Dependence> = (analyze_by_composition(&km).into_iter())
+                .map(|(d, _)| d)
+                .collect();
+            assert_eq!(deps.edges, expected, "{name}");
+            let compiled = reschedule(&m, &km, &deps, &SchedulerOptions);
+            for s in [Schedule::reference(&km), compiled] {
+                for d in deps.raw().filter(|d| s.seq[d.src] == s.seq[d.dst]) {
+                    let walk = holds_by_walk(&km, d, &s);
+                    assert_eq!(walk, holds_by_composition(&km, d, &s), "{name}: {d:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0, "no generated edge has equal seq");
+    }
+
+    /// Two fused element-wise statements over 600 000 elements: the walk
+    /// holds the edge at four elements, and past [`WALK_CAP`] instances
+    /// it answers "not legal" without walking.
+    #[test]
+    fn legality_past_the_walk_cap_answers_not_legal() {
+        use crate::liveness::tests::kernels;
+        let chain = "var input a : [4]\nvar input b : [4]\nvar t : [4]\n\
+            var output o : [4]\nt = a * b\no = t * a";
+        for (words, legal_verdict) in [("4", true), ("600000", false)] {
+            let (_, km) = kernels(&chain.replace('4', words), false).remove(0);
+            let deps = Dependences::analyze(&km);
+            let mut s = Schedule::reference(&km);
+            s.seq = vec![0, 0];
+            s.micro = vec![0, 1];
+            let d = deps.raw().find(|d| (d.src, d.dst) == (0, 1)).unwrap();
+            let past = 2 * km.stmts[0].instances() > WALK_CAP;
+            assert_eq!(past, !legal_verdict, "{words} words");
+            assert_eq!(holds_by_walk(&km, d, &s), legal_verdict, "{words} words");
+            assert_eq!(legal(&km, &deps, &s), legal_verdict, "{words} words");
         }
     }
 }

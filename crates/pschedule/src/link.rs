@@ -61,14 +61,6 @@ pub struct ArraySeqInfo {
     pub handoff: Option<usize>,
 }
 
-impl ArraySeqInfo {
-    /// The live interval as a closed integer interval over stage
-    /// indices.
-    pub fn interval(&self) -> polyhedra::ClosedInterval {
-        polyhedra::ClosedInterval::new(self.start as i64, self.end as i64)
-    }
-}
-
 /// The cross-kernel analysis result: handoffs plus per-kernel,
 /// per-array sequence intervals.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,7 +177,7 @@ impl CrossLiveness {
                 return true;
             }
         }
-        a.interval().disjoint(&b.interval())
+        a.end < b.start || b.end < a.start
     }
 
     /// Total handoff traffic per element in 64-bit words (stays inside

@@ -8,13 +8,12 @@
 //!                       B : array[i] → [read tuple]
 //! ```
 //!
-//! (the paper's `I = (S×S) ∘ RAW`), expanded with `ge_le`
-//! ([`polyhedra::between_set`]) into the set `L` of schedule points at
-//! which the array holds a live value. Inputs receive a *virtual write*
-//! strictly before every statement (`first`) and outputs a *virtual
-//! read* after every statement (`last`), exactly as in the paper's
-//! modified virtual schedule. [`Liveness::exact`] computes `L` (and the
-//! write and read point sets) this way.
+//! (the paper's `I = (S×S) ∘ RAW`), expanded with `ge_le` into the set `L`
+//! of schedule points at which the array holds a live value. Inputs
+//! receive a *virtual write* strictly before every statement (`first`)
+//! and outputs a *virtual read* after every statement (`last`), exactly
+//! as in the paper's modified virtual schedule. The tests build `L` this
+//! way, with the `polyhedra` library, and hold every answer here to it.
 //!
 //! Two arrays are **address-space compatible** when their live sets are
 //! disjoint — they may then share addresses. Two arrays are
@@ -39,10 +38,15 @@
 //!    address `image` of some read sub-box meets that of some write
 //!    sub-box, each a bitset (a virtual write or read touches every
 //!    address). A common live point proves a conflict.
-//! 3. **Exact.** A pair neither corner settles — overlapping hulls, yet
+//! 3. **Walk.** A pair neither corner settles — overlapping hulls, yet
 //!    no common live point at `x`, as in a fused element-wise chain —
-//!    compares [`Liveness::exact`] sets, each array expanded at most once
-//!    per graph.
+//!    compares the live sets element by element. Every write and read
+//!    instance of the array is walked (the virtual points touch every
+//!    element), each element is live on `[min W, max R]` in lex order,
+//!    and two arrays conflict iff their merged interval lists overlap.
+//!    Each array is walked at most once per graph; one with more than
+//!    [`WALK_CAP`] instances is not walked and conflicts with every
+//!    array, so it is simply not shared.
 //!
 //! The port question needs no ladder: an array's write (read) points are
 //! its writing (reading) statements' boxes plus the virtual point, which
@@ -51,11 +55,11 @@
 //! contribute nothing, to either question. [`LadderCounters`] counts
 //! what each rung decided, process-wide.
 
-use crate::model::{image, Image, KernelModel};
+use crate::model::{image, Image, KernelModel, LinExpr, WALK_CAP};
 use crate::schedule::Schedule;
-use polyhedra::{between_set, BasicSet, LinExpr, Map, Set, Space};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use teil::ir::{Module, TensorKind};
 use teil::layout::ArrayId;
@@ -77,8 +81,8 @@ struct ArrayFacts {
 }
 
 /// What liveness questions over one schedule need: statement boxes,
-/// per-array hulls and host flags. The sets themselves are computed
-/// only on demand ([`Liveness::exact`]).
+/// per-array hulls and host flags. No live set is ever built: the rungs
+/// answer each question from these (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Liveness {
     /// Schedule-space dimensionality.
@@ -94,15 +98,6 @@ pub struct Liveness {
     boxes: Vec<Option<(Vec<i64>, Vec<i64>)>>,
     /// Parallel to `arrays`.
     facts: Vec<ArrayFacts>,
-}
-
-/// An array's exact point sets: the paper's `range(L)` and the schedule
-/// points at which the array is written and read.
-#[derive(Debug, Clone)]
-pub struct LiveSets {
-    pub live: Set,
-    pub writes_at: Set,
-    pub reads_at: Set,
 }
 
 impl Liveness {
@@ -194,54 +189,6 @@ impl Liveness {
             .expect("array is one of the analyzed arrays")
     }
 
-    /// The definition, for one array: `A` and `B` by map composition,
-    /// `L = ge_le ∘ (A⁻¹ ∘ B)`. `model` must be the one the analysis ran
-    /// on.
-    pub fn exact(&self, model: &KernelModel, arr: ArrayId) -> LiveSets {
-        let f = &self.facts[self.index(arr)];
-        let decl = &model.layout.arrays[arr.0];
-        let arr_space = Space::set(&decl.name, &["addr"]);
-        let arr_dom = BasicSet::boxed(arr_space.clone(), &[(0, decl.size as i64 - 1)]);
-        let to_tuples =
-            |access: &Map, si: usize| access.reverse().compose(&self.schedule.stmt_map(model, si));
-
-        // A : array[addr] → write schedule tuples, plus the virtual write
-        // of host-written (input) tensors.
-        let mut a = Map::empty(arr_space.clone(), Space::anon(self.dim));
-        for &si in &f.writers {
-            a = a.union(&to_tuples(model.write_map(si), si));
-        }
-        if f.input {
-            a = a.union(&const_map(&arr_space, &arr_dom, &self.first));
-        }
-        // B : array[addr] → read schedule tuples, plus the virtual read of
-        // host-read (output) tensors.
-        let mut b = Map::empty(arr_space.clone(), Space::anon(self.dim));
-        for &si in &f.readers {
-            for (k, (ra, _)) in model.stmts[si].reads.iter().enumerate() {
-                if *ra == arr {
-                    b = b.union(&to_tuples(model.read_map(si, k), si));
-                }
-            }
-        }
-        if f.output {
-            b = b.union(&const_map(&arr_space, &arr_dom, &self.last));
-        }
-
-        // P : write tuple → read tuple over the same element. The seed
-        // additionally intersected with `lex_le_map(dim)` to keep forward
-        // intervals only; that conjunct is implied inside `between_set`
-        // (w <=lex x <=lex r forces w <=lex r by transitivity of the
-        // total lex order, and backward pairs expand to empty parts that
-        // `prune_empty` drops), so it is omitted — it multiplied the part
-        // count by dim+1.
-        LiveSets {
-            live: between_set(&a.reverse().compose(&b), self.dim).prune_empty(),
-            writes_at: a.range().prune_empty(),
-            reads_at: b.range().prune_empty(),
-        }
-    }
-
     /// Whether two arrays may share memory ports: no schedule point
     /// writes both, and no schedule point reads both. Exact from the
     /// statement boxes alone (see the module docs).
@@ -273,7 +220,7 @@ impl Liveness {
     fn live_at(&self, model: &KernelModel, k: usize, x: &[i64]) -> bool {
         let (arr, f) = (self.arrays[k], &self.facts[k]);
         let top = model.layout.arrays[arr.0].size as i64 - 1;
-        let every_address = || image(&LinExpr::var(1, 0), &[(0, top)]);
+        let every_address = || image(&LinExpr::new(&[1], 0), &[(0, top)]);
         let mut writes = Vec::new();
         if f.input && self.first.as_slice() <= x {
             writes.extend(every_address());
@@ -359,18 +306,104 @@ impl Liveness {
         }
         visit(&bx)
     }
+
+    /// Rung 3, the per-element definition for the array at index `k`:
+    /// each element is live on `[min W, max R]`, its earliest write and
+    /// latest read tuple, walked over every instance of the array's
+    /// accesses (the virtual `first` write and `last` read touch every
+    /// element). Returns the merged intervals in lex order, or `None`
+    /// without walking when that is more than [`WALK_CAP`] instances.
+    fn live_intervals(&self, model: &KernelModel, k: usize) -> Option<Vec<Interval>> {
+        let (arr, f) = (self.arrays[k], &self.facts[k]);
+        let size = model.layout.arrays[arr.0].size;
+        let writes = (f.writers.iter()).map(|&si| (si, &model.stmts[si].write, true));
+        let reads = (f.readers.iter()).flat_map(|&si| {
+            let reads = model.stmts[si].reads.iter().filter(move |(a, _)| *a == arr);
+            reads.map(move |(_, g)| (si, g, false))
+        });
+        let accesses: Vec<(usize, &LinExpr, bool)> = writes.chain(reads).collect();
+        let virtual_points = size as u64 * (f.input as u64 + f.output as u64);
+        let instances = (accesses.iter())
+            .map(|&(si, ..)| model.stmts[si].instances())
+            .fold(virtual_points, u64::saturating_add);
+        if instances > WALK_CAP {
+            return None;
+        }
+        // Per element: the earliest write and the latest read tuple.
+        let mut spans: HashMap<i128, (Option<Tuple>, Option<Tuple>)> = HashMap::new();
+        let mut touch = |addr: i128, t: Vec<i64>, write: bool| {
+            let (w, r) = spans.entry(addr).or_default();
+            if write && w.as_ref().is_none_or(|cur| t < *cur) {
+                *w = Some(t);
+            } else if !write && r.as_ref().is_none_or(|cur| t > *cur) {
+                *r = Some(t);
+            }
+        };
+        for addr in 0..size as i128 {
+            if f.input {
+                touch(addr, self.first.clone(), true);
+            }
+            if f.output {
+                touch(addr, self.last.clone(), false);
+            }
+        }
+        for (si, g, write) in accesses {
+            model.stmts[si].walk(|point| {
+                touch(g.at(point), self.schedule.tuple_of(si, point), write);
+                false
+            });
+        }
+        let mut live: Vec<Interval> = (spans.into_values())
+            .filter_map(|span| match span {
+                (Some(w), Some(r)) if w <= r => Some((w, r)),
+                _ => None,
+            })
+            .collect();
+        live.sort_unstable();
+        let mut merged: Vec<Interval> = Vec::with_capacity(live.len());
+        for (start, end) in live {
+            match merged.last_mut() {
+                Some(last) if start <= last.1 => last.1 = end.max(std::mem::take(&mut last.1)),
+                _ => merged.push((start, end)),
+            }
+        }
+        Some(merged)
+    }
+}
+
+/// A schedule tuple.
+type Tuple = Vec<i64>;
+
+/// A closed interval `[start, end]` of schedule tuples in lex order.
+type Interval = (Tuple, Tuple);
+
+/// Whether two lists of disjoint intervals, each sorted by start, share a
+/// tuple.
+fn overlap(a: &[Interval], b: &[Interval]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i].1 < b[j].0 {
+            i += 1;
+        } else if b[j].1 < a[i].0 {
+            j += 1;
+        } else {
+            return true;
+        }
+    }
+    false
 }
 
 /// The address-space ladder over one analysis, with what its rungs
 /// compute memoized for one graph: whether one array is live at another's
-/// hull start (rung 2) and exact live sets (rung 3).
+/// hull start (rung 2) and each array's walked live intervals (rung 3).
 struct Ladder<'a> {
     lv: &'a Liveness,
     model: &'a KernelModel,
     /// `live_at[k * n + m]`: whether array `m`'s hull start is live in
     /// array `k`.
     live_at: Vec<OnceCell<bool>>,
-    live: Vec<OnceCell<Set>>,
+    /// `None` for an array past the walk cap.
+    live: Vec<OnceCell<Option<Vec<Interval>>>>,
 }
 
 impl<'a> Ladder<'a> {
@@ -388,7 +421,10 @@ impl<'a> Ladder<'a> {
     /// disjoint live sets.
     fn disjoint(&self, i: usize, j: usize) -> bool {
         self.corners(i, j)
-            .unwrap_or_else(|| self.exact_live(i).disjoint(self.exact_live(j)))
+            .unwrap_or_else(|| match (self.walked(i), self.walked(j)) {
+                (Some(a), Some(b)) => !overlap(a, b),
+                _ => false,
+            })
     }
 
     /// Rungs 1 and 2: `Some(true)` when the hulls are disjoint,
@@ -415,12 +451,14 @@ impl<'a> Ladder<'a> {
         None
     }
 
-    /// Rung 3: the array's exact live set, expanded once.
-    fn exact_live(&self, k: usize) -> &Set {
-        self.live[k].get_or_init(|| {
-            EXPANDED_ARRAYS.fetch_add(1, Relaxed);
-            self.lv.exact(self.model, self.lv.arrays[k]).live
-        })
+    /// Rung 3: the array's live intervals, walked once.
+    fn walked(&self, k: usize) -> Option<&Vec<Interval>> {
+        let walk = || {
+            let live = self.lv.live_intervals(self.model, k);
+            EXPANDED_ARRAYS.fetch_add(live.is_some() as u64, Relaxed);
+            live
+        };
+        self.live[k].get_or_init(walk).as_ref()
     }
 }
 
@@ -432,23 +470,14 @@ fn holds_kind(module: &Module, model: &KernelModel, arr: ArrayId, kind: TensorKi
         .any(|p| p.array == arr && module.decl(p.tensor).kind == kind)
 }
 
-/// The constant map `{ array[addr] → tuple }` restricted to the array
-/// domain.
-fn const_map(arr_space: &Space, arr_dom: &BasicSet, tuple: &[i64]) -> Map {
-    let exprs: Vec<LinExpr> = tuple.iter().map(|&v| LinExpr::constant(1, v)).collect();
-    Map::from_affine(arr_space.clone(), Space::anon(tuple.len()), &exprs)
-        .intersect_domain(&Set::from_basic(arr_dom.clone()))
-}
-
 static HULL_PAIRS: AtomicU64 = AtomicU64::new(0);
 static WITNESS_PAIRS: AtomicU64 = AtomicU64::new(0);
 static EXPANDED_ARRAYS: AtomicU64 = AtomicU64::new(0);
 
-/// Point-in-time totals of the ladder's process-wide counters, in the
-/// style of [`polyhedra::OracleCounters`]: address-space questions
-/// decided by disjoint hulls (`hull`) and by a common live corner
-/// (`witness`), and arrays whose live set the exact rung expanded
-/// (`expanded`).
+/// Point-in-time totals of the ladder's process-wide counters:
+/// address-space questions decided by disjoint hulls (`hull`) and by a
+/// common live corner (`witness`), and arrays whose live intervals the
+/// third rung walked (`expanded`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LadderCounters {
     pub hull: u64,
@@ -568,11 +597,74 @@ impl CompatibilityGraph {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::model::tests::{domain, read_map, write_map};
+    use crate::schedule::tests::stmt_map;
     use crate::{reschedule, Dependences, SchedulerOptions};
-    use std::collections::HashMap;
+    use polyhedra::{between_set, BasicSet, Map, Set, Space};
     use teil::layout::LayoutPlan;
     use teil::lower::lower;
     use teil::transform::factorize;
+
+    /// An array's exact point sets: the paper's `range(L)` and the schedule
+    /// points at which the array is written and read.
+    pub(crate) struct LiveSets {
+        pub live: Set,
+        pub writes_at: Set,
+        pub reads_at: Set,
+    }
+
+    /// The definition, for one array: `A` and `B` by map composition,
+    /// `L = ge_le ∘ (A⁻¹ ∘ B)`. `model` must be the one `lv` analysed.
+    pub(crate) fn exact(lv: &Liveness, model: &KernelModel, arr: ArrayId) -> LiveSets {
+        let f = &lv.facts[lv.index(arr)];
+        let decl = &model.layout.arrays[arr.0];
+        let arr_space = Space::set(&decl.name, &["addr"]);
+        let arr_dom = BasicSet::boxed(arr_space.clone(), &[(0, decl.size as i64 - 1)]);
+        let to_tuples =
+            |access: Map, si: usize| access.reverse().compose(&stmt_map(&lv.schedule, model, si));
+
+        // A : array[addr] → write schedule tuples, plus the virtual write
+        // of host-written (input) tensors.
+        let mut a = Map::empty(arr_space.clone(), Space::anon(lv.dim));
+        for &si in &f.writers {
+            a = a.union(&to_tuples(write_map(model, si), si));
+        }
+        if f.input {
+            a = a.union(&const_map(&arr_space, &arr_dom, &lv.first));
+        }
+        // B : array[addr] → read schedule tuples, plus the virtual read of
+        // host-read (output) tensors.
+        let mut b = Map::empty(arr_space.clone(), Space::anon(lv.dim));
+        for &si in &f.readers {
+            for (k, (ra, _)) in model.stmts[si].reads.iter().enumerate() {
+                if *ra == arr {
+                    b = b.union(&to_tuples(read_map(model, si, k), si));
+                }
+            }
+        }
+        if f.output {
+            b = b.union(&const_map(&arr_space, &arr_dom, &lv.last));
+        }
+
+        // P : write tuple → read tuple over the same element. `between_set`
+        // implies `w <=lex r` (the lex order is total), so no `lex_le_map`
+        // conjunct is needed.
+        LiveSets {
+            live: between_set(&a.reverse().compose(&b), lv.dim).prune_empty(),
+            writes_at: a.range().prune_empty(),
+            reads_at: b.range().prune_empty(),
+        }
+    }
+
+    /// The constant map `{ array[addr] → tuple }` restricted to the array
+    /// domain.
+    fn const_map(arr_space: &Space, arr_dom: &BasicSet, tuple: &[i64]) -> Map {
+        let exprs: Vec<polyhedra::LinExpr> = (tuple.iter())
+            .map(|&v| polyhedra::LinExpr::constant(1, v))
+            .collect();
+        Map::from_affine(arr_space.clone(), Space::anon(tuple.len()), &exprs)
+            .intersect_domain(&Set::from_basic(arr_dom.clone()))
+    }
 
     fn setup(n: usize, factored: bool) -> (Module, KernelModel, Schedule) {
         setup_source(&cfdlang::examples::inverse_helmholtz(n), factored)
@@ -582,6 +674,34 @@ pub(crate) mod tests {
         let (m, km) = kernels(source, factored).remove(0);
         let s = Schedule::reference(&km);
         (m, km, s)
+    }
+
+    /// Every kernel of the generated programs (`CFD_GENERATED_PROGRAMS`,
+    /// default 200), with and without factorisation, modelled as the
+    /// compile flow models it (CSE and DCE included).
+    pub(crate) fn generated_kernels() -> Vec<(String, Module, KernelModel)> {
+        use crate::generator;
+        use teil::transform::{cse, dce};
+        let mut cov = generator::Coverage::default();
+        let mut out = Vec::new();
+        for seed in 0..generator::program_count() {
+            let (source, _) = generator::program(seed, &mut cov);
+            let set = cfdlang::check_set(&cfdlang::parse_set(&source).unwrap()).unwrap();
+            for factored in [false, true] {
+                for k in &set.kernels {
+                    let mut m = lower(&k.typed).unwrap();
+                    if factored {
+                        m = factorize(&m);
+                    }
+                    let m = dce(&cse(&m));
+                    let km = KernelModel::build(&m, &LayoutPlan::row_major(&m));
+                    let name = format!("seed {seed}, kernel {}, factored {factored}", k.name);
+                    out.push((name, m, km));
+                }
+            }
+        }
+        assert!(cov.pure_self_reads > 0, "{cov:?}");
+        out
     }
 
     /// Every kernel of `source` (a single kernel or a `kernel { .. }` set).
@@ -615,7 +735,7 @@ pub(crate) mod tests {
     fn inputs_live_from_first() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let live = lv.exact(&km, arr(&m, &km, "u")).live;
+        let live = exact(&lv, &km, arr(&m, &km, "u")).live;
         // u is live at the virtual first tuple and during statement 0.
         assert!(live.contains(&s.first_tuple()));
         assert!(live.contains(&s.tuple_of(0, &[0, 0, 0, 0, 0, 0])));
@@ -627,7 +747,7 @@ pub(crate) mod tests {
     fn outputs_live_to_last() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let live = lv.exact(&km, arr(&m, &km, "v")).live;
+        let live = exact(&lv, &km, arr(&m, &km, "v")).live;
         assert!(live.contains(&s.last_tuple()));
         // v is dead during statement 0.
         assert!(!live.contains(&s.tuple_of(0, &[0; 6])));
@@ -637,7 +757,7 @@ pub(crate) mod tests {
     fn temp_lifetime_spans_def_to_last_use() {
         let (m, km, s) = setup(3, false);
         let lv = Liveness::analyze(&m, &km, &s);
-        let live = lv.exact(&km, arr(&m, &km, "t")).live;
+        let live = exact(&lv, &km, arr(&m, &km, "t")).live;
         // t written in stmt 0, read in stmt 1.
         assert!(live.contains(&s.tuple_of(0, &[2, 2, 2, 0, 0, 0])));
         assert!(live.contains(&s.tuple_of(1, &[0, 0, 0])));
@@ -730,7 +850,7 @@ pub(crate) mod tests {
         let lv = Liveness::analyze(m, km, s);
         let graph = CompatibilityGraph::build(km, &lv);
         let ladder = Ladder::new(&lv, km);
-        let sets: Vec<LiveSets> = lv.arrays.iter().map(|&a| lv.exact(km, a)).collect();
+        let sets: Vec<LiveSets> = lv.arrays.iter().map(|&a| exact(&lv, km, a)).collect();
         let nodes: Vec<(ArrayId, String, usize, bool)> = lv
             .arrays
             .iter()
@@ -907,7 +1027,7 @@ pub(crate) mod tests {
             let live: HashMap<ArrayId, Set> = lv
                 .arrays
                 .iter()
-                .map(|&a| (a, lv.exact(km, a).live))
+                .map(|&a| (a, exact(&lv, km, a).live))
                 .collect();
             // Per array, per element: earliest write and latest read.
             type Span = (Option<Vec<i64>>, Option<Vec<i64>>);
@@ -933,15 +1053,20 @@ pub(crate) mod tests {
                     .expect("every instance touches one element")
             };
             for (si, stmt) in km.stmts.iter().enumerate() {
-                for point in stmt.domain.points() {
+                for point in domain(km, si).points() {
                     let instance: Vec<usize> = point.iter().map(|&v| v as usize).collect();
                     let tuple = s.tuple_of(si, &instance);
                     let size = |a: ArrayId| km.layout.arrays[a.0].size;
                     let w = stmt.write_array;
-                    touch(w, address(km.write_map(si), &point, size(w)), &tuple, true);
+                    touch(
+                        w,
+                        address(&write_map(km, si), &point, size(w)),
+                        &tuple,
+                        true,
+                    );
                     for (k, (ra, _)) in stmt.reads.iter().enumerate() {
-                        let access = km.read_map(si, k);
-                        touch(*ra, address(access, &point, size(*ra)), &tuple, false);
+                        let access = read_map(km, si, k);
+                        touch(*ra, address(&access, &point, size(*ra)), &tuple, false);
                     }
                 }
             }
@@ -964,16 +1089,74 @@ pub(crate) mod tests {
                     }
                 }
             }
-            for &arr in &lv.arrays {
+            for (k, &arr) in lv.arrays.iter().enumerate() {
                 let array = &km.layout.arrays[arr.0].name;
+                let walked = lv.live_intervals(km, k).expect("a small array is walked");
                 for x in &probes {
                     let expected = spans[&arr].iter().any(|span| match span {
                         (Some(w), Some(r)) => w <= x && x <= r,
                         _ => false,
                     });
                     assert_eq!(live[&arr].contains(x), expected, "{name}: {array} at {x:?}");
+                    let in_walk = walked.iter().any(|(w, r)| w <= x && x <= r);
+                    assert_eq!(in_walk, expected, "{name}: {array} walked, at {x:?}");
                 }
             }
         }
+    }
+
+    /// Rung 3 on every generated kernel under the reference and the
+    /// compiled schedule: for every array pair, the walked live intervals
+    /// overlap iff the exact live sets meet.
+    #[test]
+    fn generated_walks_equal_the_exact_sets() {
+        let mut pairs = [0usize; 2];
+        for (name, m, km) in generated_kernels() {
+            let deps = Dependences::analyze(&km);
+            let compiled = reschedule(&m, &km, &deps, &SchedulerOptions);
+            for s in [Schedule::reference(&km), compiled] {
+                let lv = Liveness::analyze(&m, &km, &s);
+                let walked: Vec<Vec<Interval>> = (0..lv.arrays.len())
+                    .map(|k| {
+                        lv.live_intervals(&km, k)
+                            .expect("a generated array is walked")
+                    })
+                    .collect();
+                let live: Vec<Set> = (lv.arrays.iter())
+                    .map(|&a| exact(&lv, &km, a).live)
+                    .collect();
+                for i in 0..live.len() {
+                    for j in i + 1..live.len() {
+                        let meet = overlap(&walked[i], &walked[j]);
+                        assert_eq!(
+                            meet,
+                            !live[i].disjoint(&live[j]),
+                            "{name}: {i}, {j} under {s:?}"
+                        );
+                        pairs[meet as usize] += 1;
+                    }
+                }
+            }
+        }
+        assert!(pairs.iter().all(|&p| p > 0), "{pairs:?}");
+    }
+
+    /// A fused element-wise chain over 600 000 elements: each statement
+    /// is under [`WALK_CAP`], but `t`'s and `v`'s accesses together are
+    /// past it. The pair the exact rung shares at four elements
+    /// (`fused_chain_pair_needs_the_exact_rung`) conflicts here, with
+    /// nothing walked.
+    #[test]
+    fn arrays_past_the_walk_cap_conflict_without_a_walk() {
+        let source = ELEMENTWISE_CHAIN.replace("[4]", "[600000]");
+        let (m, km, mut s) = setup_source(&source, false);
+        assert!(km.stmts.iter().all(|st| st.instances() <= WALK_CAP));
+        s.seq = vec![0; 4];
+        s.micro = vec![0, 1, 2, 3];
+        let lv = Liveness::analyze(&m, &km, &s);
+        let index = |name| lv.index(arr(&m, &km, name));
+        assert_eq!(Ladder::new(&lv, &km).corners(index("t"), index("v")), None);
+        assert_eq!(lv.live_intervals(&km, index("t")), None);
+        assert!(!shares_addresses(&km, &lv, "t", "v"));
     }
 }

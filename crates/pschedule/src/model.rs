@@ -1,28 +1,63 @@
-//! Polyhedral statement model: iteration domains and layout-aware access
-//! functions.
+//! Kernel model: iteration boxes and layout-aware access functions.
 //!
 //! Every IR statement is promoted to a polyhedral statement (Section
 //! IV-C: "we promote every assignment to a statement"). Its iteration
-//! domain is the rectangular set of output × reduction indices; each
-//! access is an address function `addr = c·x + off` through the
-//! materialized layout (step ⓘⓘ), which makes all downstream analyses
-//! layout-aware, and is a map only on demand ([`KernelModel::write_map`]).
+//! domain is the box of output × reduction indices
+//! ([`PolyStmt::extents`]); each access is an affine address function
+//! `addr = c·x + off` ([`LinExpr`]) through the materialized layout (step
+//! ⓘⓘ), which makes all downstream analyses layout-aware.
+//!
+//! The analyses decide from these boxes alone: box corners, the address
+//! `image` of a box as a bitset, and, where neither settles a question,
+//! a walk of the instances themselves, capped at [`WALK_CAP`] instances.
+//! The polyhedral relations of the paper (access maps, their
+//! compositions, `ge_le`) are the tests' definition: the test code
+//! builds them from these public fields with the `polyhedra` library
+//! and holds every answer to them.
 
-use polyhedra::{BasicMap, BasicSet, LinExpr, Map, Space};
-use std::sync::OnceLock;
 use teil::ir::{Module, PointExpr};
 use teil::layout::{ArrayId, LayoutPlan};
+
+/// An affine expression `coeffs · x + constant` over the iteration
+/// variables of one statement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinExpr {
+    /// Coefficient per iteration variable.
+    pub coeffs: Vec<i64>,
+    /// Constant term.
+    pub constant: i64,
+}
+
+impl LinExpr {
+    /// Build from a slice of coefficients and a constant.
+    pub fn new(coeffs: &[i64], constant: i64) -> LinExpr {
+        LinExpr {
+            coeffs: coeffs.to_vec(),
+            constant,
+        }
+    }
+
+    /// The value at `point`, in `i128`: no layout's address overflows it.
+    pub(crate) fn at(&self, point: &[usize]) -> i128 {
+        let terms = self.coeffs.iter().zip(point);
+        (terms.map(|(&c, &x)| c as i128 * x as i128)).sum::<i128>() + self.constant as i128
+    }
+}
+
+/// Instances a box walk visits at most: the equal-`seq` legality walk
+/// ([`crate::deps::legal`]) and the third liveness rung
+/// ([`crate::CompatibilityGraph::build`]) count them from the extents
+/// first and, past this cap, answer conservatively without walking
+/// ("not legal", "conflict").
+pub const WALK_CAP: u64 = 1 << 20;
 
 /// A statement promoted into the polyhedral model.
 #[derive(Debug, Clone)]
 pub struct PolyStmt {
     /// Index of the underlying IR statement in the module.
     pub stmt_idx: usize,
-    /// Statement space `Sk[x0..x_{r-1}]`.
-    pub space: Space,
-    /// Rectangular iteration domain (output dims then reduction dims).
-    pub domain: BasicSet,
-    /// Extents of the iteration variables.
+    /// Extents of the iteration variables (output dims then reduction
+    /// dims): the domain is the box `0 ≤ x_d < extents[d]`.
     pub extents: Vec<usize>,
     /// Rank of the output tensor (leading iteration variables).
     pub out_rank: usize,
@@ -31,14 +66,36 @@ pub struct PolyStmt {
     pub write_array: ArrayId,
     /// Read accesses: (array, iteration point → flat address).
     pub reads: Vec<(ArrayId, LinExpr)>,
-    /// The write map, then one map per read, once asked for.
-    maps: OnceLock<Vec<Map>>,
 }
 
 impl PolyStmt {
     /// Number of iteration variables.
     pub fn rank(&self) -> usize {
         self.extents.len()
+    }
+
+    /// Number of instances (points of the domain), saturating.
+    pub(crate) fn instances(&self) -> u64 {
+        (self.extents.iter()).fold(1, |n, &e| n.saturating_mul(e as u64))
+    }
+
+    /// Hand `visit` every instance in lexicographic order, stopping at the
+    /// first `true`, which it returns.
+    pub(crate) fn walk(&self, mut visit: impl FnMut(&[usize]) -> bool) -> bool {
+        if self.extents.contains(&0) {
+            return false;
+        }
+        let mut point = vec![0; self.rank()];
+        loop {
+            if visit(&point) {
+                return true;
+            }
+            let Some(d) = (0..point.len()).rfind(|&d| point[d] + 1 < self.extents[d]) else {
+                return false;
+            };
+            point[d] += 1;
+            point[d + 1..].fill(0);
+        }
     }
 }
 
@@ -60,11 +117,6 @@ impl KernelModel {
             .map(|(i, stmt)| {
                 let extents = module.iter_extents(stmt);
                 let rank = extents.len();
-                let dims: Vec<String> = (0..rank).map(|d| format!("x{d}")).collect();
-                let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
-                let space = Space::set(&format!("S{i}"), &dim_refs);
-                let bounds: Vec<(i64, i64)> = extents.iter().map(|&e| (0, e as i64 - 1)).collect();
-                let domain = BasicSet::boxed(space.clone(), &bounds);
                 let out_rank = module.shape(stmt.out).len();
 
                 // Write access: out[x0..x_{out_rank-1}] through layout.
@@ -80,14 +132,11 @@ impl KernelModel {
 
                 PolyStmt {
                     stmt_idx: i,
-                    space,
-                    domain,
                     extents,
                     out_rank,
                     write,
                     write_array: wp.array,
                     reads,
-                    maps: OnceLock::new(),
                 }
             })
             .collect();
@@ -95,30 +144,6 @@ impl KernelModel {
             stmts,
             layout: layout.clone(),
         }
-    }
-
-    /// Statement `si`'s write relation `Sk[x] → array[addr]`.
-    pub fn write_map(&self, si: usize) -> &Map {
-        &self.maps(si)[0]
-    }
-
-    /// Statement `si`'s relation for `reads[k]`.
-    pub fn read_map(&self, si: usize, k: usize) -> &Map {
-        &self.maps(si)[k + 1]
-    }
-
-    fn maps(&self, si: usize) -> &[Map] {
-        let s = &self.stmts[si];
-        s.maps.get_or_init(|| {
-            let accesses = std::iter::once((s.write_array, &s.write))
-                .chain(s.reads.iter().map(|(a, f)| (*a, f)));
-            let map = |(arr, f): (ArrayId, &LinExpr)| {
-                let range = Space::set(&self.layout.arrays[arr.0].name, &["addr"]);
-                let bm = BasicMap::from_affine(s.space.clone(), range, std::slice::from_ref(f));
-                Map::from_basic(bm.intersect_domain(&s.domain))
-            };
-            accesses.map(map).collect()
-        })
     }
 }
 
@@ -132,8 +157,10 @@ fn access_expr(rank: usize, index_map: &[usize], strides: &[i64], offset: i64) -
     LinExpr::new(&coeffs, offset)
 }
 
-/// Widest span, in addresses, that an [`Image`] holds.
-const MAX_SPAN: i64 = 1 << 24;
+/// Widest span, in addresses, that an address `image` holds. The program flow
+/// rejects a layout array wider than this before scheduling, so a
+/// compile never asks for a wider image.
+pub const MAX_SPAN: i64 = 1 << 24;
 
 /// A set of addresses as a bitset: bit `i` is address `lo + i`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -201,12 +228,51 @@ fn collect_reads(e: &PointExpr, mut f: impl FnMut(teil::ir::TensorId, &[usize]))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use polyhedra::System;
+    use polyhedra::{BasicMap, BasicSet, Map, Space, System};
     use std::collections::BTreeSet;
     use teil::lower::lower;
     use teil::transform::factorize;
+
+    /// `f` as a `polyhedra` expression.
+    pub(crate) fn poly(f: &LinExpr) -> polyhedra::LinExpr {
+        polyhedra::LinExpr::new(&f.coeffs, f.constant)
+    }
+
+    /// Statement `si`'s space `Ssi[x0..x_{r-1}]`.
+    pub(crate) fn space(km: &KernelModel, si: usize) -> Space {
+        let dims: Vec<String> = (0..km.stmts[si].rank()).map(|d| format!("x{d}")).collect();
+        let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
+        Space::set(&format!("S{si}"), &dim_refs)
+    }
+
+    /// Statement `si`'s iteration domain, the box of its extents.
+    pub(crate) fn domain(km: &KernelModel, si: usize) -> BasicSet {
+        let bounds: Vec<(i64, i64)> = (km.stmts[si].extents.iter())
+            .map(|&e| (0, e as i64 - 1))
+            .collect();
+        BasicSet::boxed(space(km, si), &bounds)
+    }
+
+    /// The relation `Ssi[x] → arr[f(x)]` over statement `si`'s domain.
+    fn access_map(km: &KernelModel, si: usize, arr: ArrayId, f: &LinExpr) -> Map {
+        let range = Space::set(&km.layout.arrays[arr.0].name, &["addr"]);
+        let bm = BasicMap::from_affine(space(km, si), range, &[poly(f)]);
+        Map::from_basic(bm.intersect_domain(&domain(km, si)))
+    }
+
+    /// Statement `si`'s write relation `Ssi[x] → array[addr]`.
+    pub(crate) fn write_map(km: &KernelModel, si: usize) -> Map {
+        let s = &km.stmts[si];
+        access_map(km, si, s.write_array, &s.write)
+    }
+
+    /// Statement `si`'s relation for `reads[k]`.
+    pub(crate) fn read_map(km: &KernelModel, si: usize, k: usize) -> Map {
+        let (arr, f) = &km.stmts[si].reads[k];
+        access_map(km, si, *arr, f)
+    }
 
     fn model(n: usize, factor: bool) -> (Module, KernelModel) {
         let typed =
@@ -237,7 +303,7 @@ mod tests {
     fn write_access_is_row_major() {
         let (_m, km) = model(4, false);
         // t[x0,x1,x2] -> addr 16*x0 + 4*x1 + x2.
-        let w = km.write_map(0);
+        let w = write_map(&km, 0);
         assert!(w.contains(&[1, 2, 3, 0, 0, 0], &[16 + 8 + 3]));
         assert!(!w.contains(&[1, 2, 3, 0, 0, 0], &[0]));
     }
@@ -263,7 +329,7 @@ mod tests {
             .iter()
             .position(|(a, _)| *a == ua)
             .expect("u read");
-        let um = km.read_map(0, k);
+        let um = read_map(&km, 0, k);
         assert!(um.contains(&[0, 0, 0, 1, 2, 3], &[16 + 8 + 3]));
         assert!(!um.contains(&[1, 2, 3, 0, 0, 0], &[16 + 8 + 3]));
     }
@@ -277,10 +343,40 @@ mod tests {
         }
     }
 
+    /// `walk` visits exactly the domain's points, in lexicographic order,
+    /// `instances` of them, and `LinExpr::at` is the access relation.
+    #[test]
+    fn walk_visits_the_domain_in_lex_order() {
+        for factored in [false, true] {
+            let (_m, km) = model(3, factored);
+            for (si, s) in km.stmts.iter().enumerate() {
+                let mut walked = Vec::new();
+                assert!(!s.walk(|p| {
+                    walked.push(p.iter().map(|&x| x as i64).collect::<Vec<_>>());
+                    false
+                }));
+                let mut points: Vec<Vec<i64>> = domain(&km, si).points().collect();
+                points.sort();
+                assert_eq!(walked, points, "statement {si}");
+                assert_eq!(s.instances(), walked.len() as u64);
+                let w = write_map(&km, si);
+                for p in walked.iter().step_by(7) {
+                    let x: Vec<usize> = p.iter().map(|&v| v as usize).collect();
+                    assert!(w.contains(p, &[s.write.at(&x) as i64]));
+                }
+                let mut stops = 0;
+                assert!(s.walk(|_| {
+                    stops += 1;
+                    stops == 2
+                }));
+            }
+        }
+    }
+
     #[test]
     fn access_outside_domain_rejected() {
         let (_m, km) = model(4, false);
-        let w = km.write_map(0);
+        let w = write_map(&km, 0);
         // Iteration point outside the 0..=3 box is not in the relation.
         assert!(!w.contains(&[4, 0, 0, 0, 0, 0], &[64]));
     }
@@ -320,7 +416,7 @@ mod tests {
     fn access_system(f: &LinExpr, bx: &[(i64, i64)]) -> System {
         let space = Space::named("S", bx.len());
         let range = Space::set("A", &["addr"]);
-        BasicMap::from_affine(space.clone(), range, std::slice::from_ref(f))
+        BasicMap::from_affine(space.clone(), range, &[poly(f)])
             .intersect_domain(&BasicSet::boxed(space, bx))
             .system
     }

@@ -21,7 +21,6 @@
 //! baseline every rescheduling is validated against.
 
 use crate::model::KernelModel;
-use polyhedra::{LinExpr, Map, Space};
 
 /// An affine schedule for all statements of a kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,25 +50,6 @@ impl Schedule {
                 .collect(),
             micro: vec![0; model.stmts.len()],
         }
-    }
-
-    /// The affine map `stmt[x...] → [seq, x_{σ(0)}, ..., 0.., micro]` for
-    /// one statement.
-    pub fn stmt_map(&self, model: &KernelModel, si: usize) -> Map {
-        let stmt = &model.stmts[si];
-        let rank = stmt.rank();
-        let mut exprs: Vec<LinExpr> = Vec::with_capacity(self.dim);
-        exprs.push(LinExpr::constant(rank, self.seq[si]));
-        for d in 0..self.dim - 2 {
-            if d < self.perms[si].len() {
-                exprs.push(LinExpr::var(rank, self.perms[si][d]));
-            } else {
-                exprs.push(LinExpr::constant(rank, 0));
-            }
-        }
-        exprs.push(LinExpr::constant(rank, self.micro[si]));
-        Map::from_affine(stmt.space.clone(), Space::anon(self.dim), &exprs)
-            .intersect_domain(&polyhedra::Set::from_basic(stmt.domain.clone()))
     }
 
     /// Schedule tuple of a concrete iteration point of a statement.
@@ -125,10 +105,30 @@ impl Schedule {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::model::tests::{domain, space};
+    use polyhedra::{LinExpr, Map, Set, Space};
     use teil::layout::LayoutPlan;
     use teil::lower::lower;
+
+    /// The affine map `stmt[x...] → [seq, x_{σ(0)}, ..., 0.., micro]` of
+    /// statement `si` under `sched`, over its domain.
+    pub(crate) fn stmt_map(sched: &Schedule, model: &KernelModel, si: usize) -> Map {
+        let rank = model.stmts[si].rank();
+        let mut exprs: Vec<LinExpr> = Vec::with_capacity(sched.dim);
+        exprs.push(LinExpr::constant(rank, sched.seq[si]));
+        for d in 0..sched.dim - 2 {
+            if d < sched.perms[si].len() {
+                exprs.push(LinExpr::var(rank, sched.perms[si][d]));
+            } else {
+                exprs.push(LinExpr::constant(rank, 0));
+            }
+        }
+        exprs.push(LinExpr::constant(rank, sched.micro[si]));
+        Map::from_affine(space(model, si), Space::anon(sched.dim), &exprs)
+            .intersect_domain(&Set::from_basic(domain(model, si)))
+    }
 
     fn model(n: usize) -> KernelModel {
         let typed =
@@ -152,7 +152,7 @@ mod tests {
     fn tuple_of_matches_map() {
         let km = model(4);
         let s = Schedule::reference(&km);
-        let map = s.stmt_map(&km, 0);
+        let map = stmt_map(&s, &km, 0);
         let pt = [1usize, 2, 3, 0, 1, 2];
         let tup = s.tuple_of(0, &pt);
         let pt_i: Vec<i64> = pt.iter().map(|&x| x as i64).collect();

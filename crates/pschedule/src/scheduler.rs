@@ -20,9 +20,9 @@
 //! 2. the final schedule is validated exactly ([`crate::deps::legal`]).
 //!    Every statement keeps its own `seq`, so a RAW edge between two
 //!    statements is decided by comparing their `seq`; only a statement
-//!    that reads its own output is checked against its relation. A
-//!    candidate that fails validation is discarded in favour of the
-//!    reference schedule.
+//!    that reads its own output is checked by walking its instances
+//!    (capped; past the cap the check fails). A candidate that fails
+//!    validation is discarded in favour of the reference schedule.
 
 use crate::deps::{legal, Dependences};
 use crate::model::KernelModel;

@@ -90,5 +90,6 @@ pub use stream::{
     StreamStatus, StreamSummary,
 };
 pub use verify::{
-    random_program_inputs, run_program_chain, run_program_reference, verify_program, VerifyResult,
+    matches_the_definition, random_program_inputs, run_program_chain, run_program_reference,
+    verify_program, VerifyResult,
 };

@@ -5,14 +5,18 @@
 //! sample of CFD elements through a chain of them with randomized inputs
 //! and compares every output word against the `teil` reference
 //! interpreter. A single kernel is the one-kernel chain, so
-//! [`verify_program`] is the one verifier. Both runners and the input
-//! draw are one chain walk; serving runs [`run_program_chain`] once per
-//! completed request, after the final schedule.
+//! [`verify_program`] is the one verifier. [`matches_the_definition`]
+//! holds the interpreter itself to its multi-index walk
+//! ([`Interpreter::run_reference`]), the definition both lane executors
+//! are built against; `cfdc verify` runs it on its first element. Both
+//! runners are one chain walk; serving runs [`run_program_chain`] once
+//! per completed request, after the final schedule.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use teil::interp::Execution;
 use teil::ir::{Module, TensorDecl, TensorKind};
 use teil::{Interpreter, Tensor};
 
@@ -101,9 +105,20 @@ pub fn run_program_reference(
     modules: &[&Module],
     external: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Tensor>, String> {
+    interpret_chain(names, modules, external, |i, bound| i.run(bound))
+}
+
+/// The interpreter over the chained program, each stage run by `walk`
+/// ([`Interpreter::run`] or [`Interpreter::run_reference`]).
+fn interpret_chain(
+    names: &[String],
+    modules: &[&Module],
+    external: &HashMap<String, Tensor>,
+    walk: impl Fn(&Interpreter, &HashMap<String, Tensor>) -> Result<Execution, String>,
+) -> Result<HashMap<String, Tensor>, String> {
     let host = |d: &TensorDecl| external.get(&d.name).cloned();
     let outputs = walk_chain(names, modules, host, |s, bound| {
-        let values = Interpreter::new(modules[s]).run(bound)?.values;
+        let values = walk(&Interpreter::new(modules[s]), bound)?.values;
         for (t, d) in values.into_iter().zip(&modules[s].tensors) {
             if d.kind == TensorKind::Output {
                 bound.insert(d.name.clone(), t);
@@ -116,23 +131,38 @@ pub fn run_program_reference(
 
 /// Random external inputs for a chained program: one tensor per
 /// distinct external input name (program-global), drawn in chain order
-/// as the walk binds them.
+/// as the walk binds them: each stage's inputs in declaration order,
+/// except the names an earlier stage outputs (its handoffs).
 pub fn random_program_inputs(modules: &[&Module], seed: u64) -> HashMap<String, Tensor> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut external: HashMap<String, Tensor> = HashMap::new();
-    let draw = |d: &TensorDecl| {
-        if !external.contains_key(&d.name) {
-            let t = Tensor::from_fn(&d.shape, |_| rng.gen_range(-1.0..1.0));
-            external.insert(d.name.clone(), t);
+    let mut produced: Vec<&str> = Vec::new();
+    for module in modules {
+        for d in decls(module, TensorKind::Input) {
+            if !produced.contains(&d.name.as_str()) && !external.contains_key(&d.name) {
+                let t = Tensor::from_fn(&d.shape, |_| rng.gen_range(-1.0..1.0));
+                external.insert(d.name.clone(), t);
+            }
         }
-        Some(())
-    };
-    // No kernel names: only an error or a consumed output would read them.
-    drop(walk_chain(&[], modules, draw, |s, bound| {
-        bound.extend(decls(modules[s], TensorKind::Output).map(|d| (d.name.clone(), ())));
-        Ok(())
-    }));
+        produced.extend(decls(module, TensorKind::Output).map(|d| d.name.as_str()));
+    }
     external
+}
+
+/// Whether the chained interpreter ([`run_program_reference`], a lane
+/// at a time) equals its multi-index walk ([`Interpreter::run_reference`])
+/// bit for bit on the inputs `seed` draws. The walk costs about ten
+/// interpreter runs, so [`verify_program`], which compiles and set-up
+/// checks call per design, leaves it to the caller.
+pub fn matches_the_definition(
+    names: &[String],
+    modules: &[&Module],
+    seed: u64,
+) -> Result<bool, String> {
+    let external = random_program_inputs(modules, seed);
+    let lanes = run_program_reference(names, modules, &external)?;
+    let walked = interpret_chain(names, modules, &external, |i, b| i.run_reference(b))?;
+    Ok(compare(&walked, |key| &lanes[key].data, (0.0, true))?.1)
 }
 
 /// Verify `n` elements of a chained program: the generated kernels,
@@ -181,14 +211,24 @@ fn verify_element(
     modules: &[&Module],
     kernels: &[&cgen::CKernel],
     seed: u64,
-    (mut max_rel, mut bitexact): (f64, bool),
+    acc: (f64, bool),
 ) -> Result<(f64, bool), String> {
     let external = random_program_inputs(modules, seed);
     let expect = run_program_reference(names, modules, &external)?;
     let got = run_program_chain(names, modules, kernels, &external)?;
-    // Both runners key the walk's outputs, so the key sets are equal.
-    for (key, t) in &expect {
-        let g = &got[key];
+    compare(&expect, |key| &got[key], acc)
+}
+
+/// Fold `expect` against `got` (keyed alike: every runner keys the chain
+/// walk's outputs) into the running largest relative difference and
+/// whether every word matched bit for bit.
+fn compare<'a>(
+    expect: &HashMap<String, Tensor>,
+    got: impl Fn(&str) -> &'a [f64],
+    (mut max_rel, mut bitexact): (f64, bool),
+) -> Result<(f64, bool), String> {
+    for (key, t) in expect {
+        let g = got(key);
         if g.len() != t.data.len() {
             return Err(format!("output '{key}' size mismatch"));
         }
@@ -411,6 +451,41 @@ mod tests {
         }
         let r = verify_program(&names, &mrefs, &krefs, 4, 5).unwrap();
         assert!(r.bitexact, "max rel diff {}", r.max_rel_diff);
+    }
+
+    /// `matches_the_definition`: the chained interpreter meets its
+    /// multi-index walk bit for bit, on stages longer than one lane and on
+    /// a three-stage chain, and `compare` flags a word that differs in its
+    /// last bit.
+    #[test]
+    fn the_interpreter_chain_meets_its_multi_index_walk() {
+        let sources = [
+            cfdlang::examples::inverse_helmholtz(18),
+            cfdlang::examples::simulation_step(5),
+        ];
+        for src in &sources {
+            let (names, modules, kernels) = compile_program(src);
+            let mrefs: Vec<&Module> = modules.iter().collect();
+            let external = random_program_inputs(&mrefs, 23);
+            let lanes = run_program_reference(&names, &mrefs, &external).unwrap();
+            let walked =
+                interpret_chain(&names, &mrefs, &external, |i, b| i.run_reference(b)).unwrap();
+            assert_eq!(
+                compare(&walked, |k| &lanes[k].data, (0.0, true)),
+                Ok((0.0, true))
+            );
+            let mut off = lanes.clone();
+            let word = &mut off.values_mut().next().unwrap().data[0];
+            *word = f64::from_bits(word.to_bits() ^ 1);
+            assert!(!compare(&walked, |k| &off[k].data, (0.0, true)).unwrap().1);
+            assert_eq!(matches_the_definition(&names, &mrefs, 23), Ok(true));
+            let krefs: Vec<&cgen::CKernel> = kernels.iter().collect();
+            assert!(
+                verify_program(&names, &mrefs, &krefs, 2, 23)
+                    .unwrap()
+                    .bitexact
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! contracted again (`A # B . [[1 2]] . [[0 1]]`), down to a scalar, or
 //! inside an element-wise term; element-wise chains over tensors,
 //! scalars and literals; and a statement that reads its own output
-//! (`c = x + c # s . [[1 2]]`). [`Coverage`] counts what it wrote, so a
-//! weakened generator fails its test.
+//! (`c = x + c # s . [[1 2]]`, or `c = c # s . [[1 2]]` alone).
+//! [`Coverage`] counts what it wrote, so a weakened generator fails its
+//! test.
 
 // Each test crate that includes this module uses part of it.
 #![allow(dead_code)]
@@ -67,6 +68,7 @@ pub struct Coverage {
     pub traces: usize,
     pub elementwise: usize,
     pub self_reads: usize,
+    pub pure_self_reads: usize,
 }
 
 /// One kernel under construction.
@@ -376,7 +378,9 @@ fn kernel(
         };
         let rhs = if rng.chance(20) {
             // A statement that reads its own output: `c = x + c # s .
-            // [[r-1 r]]`, where `s` is square over c's last extent.
+            // [[r-1 r]]`, where `s` is square over c's last extent, or
+            // the pure self-contraction `c = c # s . [[r-1 r]]`, which
+            // alone lowers to one statement reading what it writes.
             cov.self_reads += 1;
             let c_shape = match &k.last {
                 Some((_, s)) if (1..=3).contains(&s.len()) && rng.chance(60) => s.clone(),
@@ -388,12 +392,19 @@ fn kernel(
             let rank = c_shape.len();
             let m = c_shape[rank - 1];
             let square = k.input(&[m, m]);
-            let x = match &k.last {
-                Some((last, shape)) if *shape == c_shape => last.clone(),
-                _ => k.operand(rng, &c_shape),
+            let own = format!("{name} # {square} . [[{} {rank}]]", rank - 1);
+            let rhs = if rng.chance(40) {
+                cov.pure_self_reads += 1;
+                own
+            } else {
+                let x = match &k.last {
+                    Some((last, shape)) if *shape == c_shape => last.clone(),
+                    _ => k.operand(rng, &c_shape),
+                };
+                format!("{x} + {own}")
             };
             out_shape = c_shape;
-            format!("{x} + {name} # {square} . [[{} {rank}]]", rank - 1)
+            rhs
         } else if rng.chance(55) {
             let (expr, shape) = contraction(&mut k, rng, cov);
             out_shape = shape;

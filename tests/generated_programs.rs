@@ -17,6 +17,7 @@ mod common;
 
 use cfdfpga::flow::dse::{DseEngine, DseGrid};
 use cfdfpga::flow::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
+use cfdfpga::pschedule::LadderCounters;
 use cfdfpga::sysgen::{Platform, ProgramSystemConfig};
 use cfdfpga::teil::Interpreter;
 use cfdfpga::zynq::SimConfig;
@@ -213,7 +214,41 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
             && cov.mixed_statements > 0
             && cov.traces > 0
             && cov.elementwise > 0
-            && cov.self_reads > 0,
+            && cov.self_reads > 0
+            && cov.pure_self_reads > 0,
         "{cov:?}"
     );
+}
+
+/// What the compiler's polyhedral questions come to on the generated
+/// zoo, compiled with and without factorisation: every address-space
+/// question is settled by schedule-box corners (disjoint hulls or a
+/// common live point), no array's live set is walked, and some RAW edge
+/// joins statements of equal `seq` (a pure self-contraction reading its
+/// own output), which only the capped legality walk decides.
+#[test]
+fn generated_programs_settle_liveness_at_the_corners() {
+    let mut cov = Coverage::default();
+    let base = LadderCounters::snapshot();
+    let mut equal_seq = 0;
+    for seed in 0..program_count() {
+        let (source, _) = program(seed, &mut cov);
+        for factorize in [true, false] {
+            let mut opts = ProgramOptions::default();
+            opts.flow.factorize = factorize;
+            opts.flow.jobs = 1;
+            let art = ProgramFlow::compile(&source, &opts)
+                .unwrap_or_else(|e| panic!("seed {seed}, factorize {factorize}: {e}\n{source}"));
+            for k in &art.kernels {
+                let seq = &k.schedule.seq;
+                equal_seq += (k.dependences().raw())
+                    .filter(|d| seq[d.src] == seq[d.dst])
+                    .count();
+            }
+        }
+    }
+    let counts = LadderCounters::snapshot().since(base);
+    assert_eq!(counts.expanded, 0, "{counts:?}");
+    assert!(counts.hull > 0 && counts.witness > 0, "{counts:?}");
+    assert!(equal_seq > 0, "no RAW edge of equal seq");
 }

@@ -5,7 +5,8 @@
 //! temporary `String`. Checked on the reports the benchmark serializes:
 //! a 65 536-request online `ServiceReport`, a five-board `FleetReport`,
 //! the dense 4 488-point helmholtz:11 `PortfolioReport` and a
-//! `DseReport`.
+//! `DseReport`. A compile that rejects an array too wide to analyse
+//! makes no allocation near the array's size.
 //!
 //! The counting allocator counts per thread, so tests running beside
 //! each other on other threads do not disturb a count.
@@ -24,33 +25,36 @@ use zynq::fault::FaultPlan;
 thread_local! {
     /// Allocations and reallocations made on this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest of them, in bytes.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(bytes: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    LARGEST.with(|n| n.set(n.get().max(bytes)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which meets the `GlobalAlloc` contract; counting touches only a
-// const-initialised thread-local `Cell` without a destructor, which
+// const-initialised thread-local `Cell`s without a destructor, which
 // neither allocates nor can be gone while the thread runs.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: the caller guarantees `ptr` came from this allocator,
         // that is from `System`, with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -166,4 +170,24 @@ fn dse_reports_allocate_once() {
     let (json, allocs) = allocations(|| sweep.to_json());
     assert_eq!(allocs, 1, "{} bytes", json.len());
     runtime::json::validate(&json).unwrap();
+}
+
+/// A `[4097 4097]` array, 16 785 409 words, is wider than the compiler
+/// images addresses: the compile is a structured error naming the array,
+/// raised before any stage sizes anything by it, so no allocation on the
+/// way reaches a megabyte.
+#[test]
+fn an_array_too_wide_to_analyse_fails_without_a_large_allocation() {
+    let source = "var input a : [4097 4097]\nvar input s : [4097 4097]\n\
+                  var output c : [4097 4097]\nc = a * s\n";
+    let mut opts = ProgramOptions::default();
+    opts.flow.jobs = 1;
+    LARGEST.with(|n| n.set(0));
+    let err = ProgramFlow::compile(source, &opts).expect_err("a 2^24-word array is rejected");
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        matches!(&err, cfd_core::FlowError::Backend(m) if m.contains("array 'a'")),
+        "{err}"
+    );
+    assert!(largest < 1 << 20, "{largest} bytes allocated at once");
 }
