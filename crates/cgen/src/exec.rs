@@ -6,7 +6,7 @@
 //! and the operation counts that parameterize the ARM cost model for the
 //! paper's *SW HLS code* measurement (Figure 10).
 //!
-//! Execution has two phases, both run once per call:
+//! Execution has three phases, all run once per call:
 //!
 //! * **resolve** walks the [`CKernel`] in program order and turns every
 //!   name into a slot: arrays into positions of a `Vec<Vec<f64>>`,
@@ -20,21 +20,28 @@
 //!   extents are, and a scalar is declared before use iff it is in
 //!   program order, because control flow does not depend on data. A loop
 //!   of extent zero is dropped with its body, which is never evaluated.
-//!   A loop whose body is one accumulation or store (a *leaf loop*; in
-//!   every paper kernel `acc += A[..] * B[..]` over one contraction
-//!   index) is marked to run a lane at a time, unless its expression
-//!   reads the scalar it accumulates or the array it stores to.
+//! * **plan lanes** marks the loop nests that run a lane at a time
+//!   through the one lane planner, [`teil::lane`]: a perfect nest around
+//!   one store (the lane spans the whole nest and is written along the
+//!   target), around one accumulation (the lane spans the nest and is
+//!   summed into the scalar), or the accumulator nest `s = init; for r…
+//!   { s += e } X[..] = s` inside a perfect nest of output loops (the
+//!   lane runs across the output points, each element with its own
+//!   accumulator, and the reduction loops are walked inside it, in
+//!   order, unless [`teil::lane::across`] finds the reduction fuller —
+//!   then only the reduction nest runs lane-wise). A nest qualifies only
+//!   if its expression reads neither the scalar it accumulates nor the
+//!   array it stores to. [`kernel_counts`] skips this phase.
 //! * **walk** runs the resolved program. It cannot fail, allocates
-//!   nothing and sees no name. A marked leaf loop runs through the
-//!   [`teil::lane`] kernel: each expression node over the whole loop (in
-//!   chunks of [`teil::lane::W`] instances), a load a strided gather from
-//!   the access's offset by the loop's step, a constant or scalar a
-//!   broadcast, an operator element-wise; then the lane is added to the
-//!   accumulator in instance order, or written (or added) along the
-//!   store's step. Every instance does the same operations on the same
-//!   operands in the same order, and no instance reads what another
-//!   wrote — the condition the mark checks — so the values are those of
-//!   running the loop instance by instance, which every other loop does.
+//!   nothing and sees no name. A marked nest runs through
+//!   [`teil::lane::run`]: each expression node over up to
+//!   [`teil::lane::W`] consecutive points of the lane box, a load a
+//!   gather at each point's own offset, a constant or scalar a broadcast,
+//!   an operator element-wise. Every point does the same operations on
+//!   the same operands, every sum keeps its order, and no point reads
+//!   what another wrote — the condition the planning checks — so the
+//!   values are those of running the nest point by point, which every
+//!   other loop does.
 //!
 //! [`ExecCounts`] come from the resolve phase in closed form: what one
 //! visit of a statement costs times the product of the enclosing extents.
@@ -77,6 +84,7 @@ pub fn run_kernel(k: &CKernel, mem: &mut HashMap<String, Vec<f64>>) -> Result<Ex
         }
     }
     let mut plan = resolve(k)?;
+    let most = plan_lanes(&mut plan);
     let offsets = std::mem::take(&mut plan.offsets);
     // The caller's arrays are taken out of the map for the walk and put
     // back after it; nothing in between can fail.
@@ -90,6 +98,7 @@ pub fn run_kernel(k: &CKernel, mem: &mut HashMap<String, Vec<f64>>) -> Result<Ex
             .collect(),
         offsets,
         scalars: vec![0.0; plan.scalars],
+        places: vec![lane::Place::new(0); most],
     };
     walk.run(0, plan.ops.len());
     for (p, a) in caller.iter().zip(walk.arrays) {
@@ -117,9 +126,8 @@ enum Op {
         first: usize,
         last: usize,
         steps: usize,
-        /// A leaf loop (its body is one accumulation or store) that runs
-        /// a lane at a time.
-        lanes: bool,
+        /// The outermost loop of a nest that runs a lane at a time.
+        nest: Option<Nest>,
     },
     Decl {
         scalar: usize,
@@ -135,6 +143,15 @@ enum Op {
         expr: usize,
         accumulate: bool,
     },
+}
+
+/// A loop nest that runs a lane at a time ([`lane::run`]): the `lane`
+/// loops from its header on, and, in an accumulator nest, the `inner`
+/// reduction loops after the declaration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Nest {
+    lane: usize,
+    inner: usize,
 }
 
 /// One expression node; operands precede their operator in [`Plan::nodes`].
@@ -221,26 +238,22 @@ impl<'k> Resolver<'k> {
                     // The header goes before the body; where the body's
                     // ops, accesses and steps end is known after it.
                     let (header, first) = (self.plan.ops.len(), self.coeffs.len());
-                    let nodes = self.plan.nodes.len();
-                    let for_op = |end, last, steps, lanes| Op::For {
+                    let for_op = |end, last, steps| Op::For {
                         extent: *extent,
                         end,
                         first,
                         last,
                         steps,
-                        lanes,
+                        nest: None,
                     };
-                    self.plan.ops.push(for_op(0, 0, 0, false));
+                    self.plan.ops.push(for_op(0, 0, 0));
                     self.extents.push(*extent);
                     self.stmts(body, trips)?;
                     self.extents.pop();
-                    let lanes = self.plan.ops.len() == header + 2
-                        && lane_safe(self.plan.ops[header + 1], &self.plan.nodes[nodes..]);
                     self.plan.ops[header] = for_op(
                         self.plan.ops.len(),
                         self.coeffs.len(),
                         self.plan.steps.len(),
-                        lanes,
                     );
                     let depth = self.extents.len();
                     self.plan.steps.extend(
@@ -369,20 +382,109 @@ impl<'k> Resolver<'k> {
     }
 }
 
-/// Whether `op`, the one statement of a loop whose expression is
-/// `nodes`, gives the same values a lane at a time: a lane evaluates
-/// every instance's expression before the first result lands, so the
-/// expression must not read what the statement writes.
-fn lane_safe(op: Op, nodes: &[Node]) -> bool {
-    match op {
-        Op::Accum { scalar, .. } => {
-            !(nodes.iter()).any(|n| matches!(n, Node::Scalar(s) if *s == scalar))
+/// Mark every loop nest of `plan` that runs a lane at a time, outermost
+/// first ([`nest_at`]); returns the most accesses one of them has. Only
+/// [`run_kernel`] plans lanes: [`kernel_counts`] never pays for it.
+fn plan_lanes(plan: &mut Plan) -> usize {
+    let (mut most, mut pc) = (0, 0);
+    while pc < plan.ops.len() {
+        match (nest_at(&plan.ops, &plan.nodes, pc), &mut plan.ops[pc]) {
+            (
+                Some(found),
+                Op::For {
+                    end,
+                    first,
+                    last,
+                    nest,
+                    ..
+                },
+            ) => {
+                *nest = Some(found);
+                most = most.max(*last - *first);
+                pc = *end;
+            }
+            _ => pc += 1,
         }
-        Op::Store { array, .. } => {
-            !(nodes.iter()).any(|n| matches!(n, Node::Load { array: a, .. } if *a == array))
-        }
-        Op::For { .. } | Op::Decl { .. } => false,
     }
+    most
+}
+
+/// The nest whose outermost loop is `ops[pc]`, if it runs a lane at a
+/// time: a perfect nest of loops around
+/// - one store or `+=` store whose expression does not read its array
+///   (the lane spans the nest and is written along the target),
+/// - one accumulation whose expression does not read its scalar (the
+///   lane spans the nest and is summed into the scalar), or
+/// - an accumulator nest `s = init; for … { s += e } X[..] = s` whose
+///   expression reads neither `s` nor `X`, where [`lane::across`] holds:
+///   the lane spans the outer loops, one accumulator per point, and the
+///   reduction loops are walked inside it.
+///
+/// A lane evaluates several points' expressions before the first result
+/// lands, hence the conditions on what the expression reads.
+fn nest_at(ops: &[Op], nodes: &[Node], pc: usize) -> Option<Nest> {
+    let (lane, points, end) = chain(ops, pc);
+    let body = pc + lane;
+    if lane == 0 || body == end {
+        return None;
+    }
+    let reads = |expr, hit: &dyn Fn(Node) -> bool| reads(nodes, expr, hit);
+    match ops[body] {
+        Op::Store { array, expr, .. } if end == body + 1 => {
+            let own = |n| matches!(n, Node::Load { array: a, .. } if a == array);
+            (!reads(expr, &own)).then_some(Nest { lane, inner: 0 })
+        }
+        Op::Accum { scalar, expr } if end == body + 1 => {
+            let own = |n| matches!(n, Node::Scalar(s) if s == scalar);
+            (!reads(expr, &own)).then_some(Nest { lane, inner: 0 })
+        }
+        Op::Decl { scalar, .. } => {
+            let (inner, red, inner_end) = chain(ops, body + 1);
+            let (Op::Accum { scalar: s, expr }, Op::Store { array, expr: x, .. }) =
+                (ops[inner_end - 1], *ops.get(inner_end)?)
+            else {
+                return None;
+            };
+            let own = |n| {
+                matches!(n, Node::Scalar(s) if s == scalar)
+                    || matches!(n, Node::Load { array: a, .. } if a == array)
+            };
+            let holds = inner > 0
+                && inner_end == body + inner + 2
+                && end == inner_end + 1
+                && s == scalar
+                && matches!(nodes[x], Node::Scalar(s) if s == scalar)
+                && !reads(expr, &own)
+                && lane::across(points, red);
+            holds.then_some(Nest { lane, inner })
+        }
+        _ => None,
+    }
+}
+
+/// The perfect nest of loops from `ops[pc]` on: how many loops, their
+/// points, and where the outermost one ends (`pc` and one point if there
+/// is no loop at `pc`).
+fn chain(ops: &[Op], pc: usize) -> (usize, usize, usize) {
+    let Some(&Op::For { end, .. }) = ops.get(pc) else {
+        return (0, 1, pc);
+    };
+    let (mut loops, mut points) = (0, 1);
+    while let Some(&Op::For { extent, end: e, .. }) = ops.get(pc + loops) {
+        if e != end {
+            break;
+        }
+        (loops, points) = (loops + 1, points * extent);
+    }
+    (loops, points, end)
+}
+
+/// Whether the expression rooted at `node` has a node for which `hit`
+/// holds.
+fn reads(nodes: &[Node], node: usize, hit: &dyn Fn(Node) -> bool) -> bool {
+    let n = nodes[node];
+    hit(n)
+        || matches!(n, Node::Bin { lhs, rhs, .. } if reads(nodes, lhs, hit) || reads(nodes, rhs, hit))
 }
 
 /// The mutable state of one execution of a [`Plan`].
@@ -392,6 +494,8 @@ struct Walk<'p> {
     /// Current offset of every access.
     offsets: Vec<usize>,
     scalars: Vec<f64>,
+    /// Room for every access of the largest lane nest.
+    places: Vec<lane::Place>,
 }
 
 impl Walk<'_> {
@@ -404,14 +508,14 @@ impl Walk<'_> {
                     first,
                     last,
                     steps,
-                    lanes,
+                    nest,
                 } => {
-                    let steps = &self.plan.steps[steps..steps + (last - first)];
-                    if lanes {
-                        self.run_lanes(pc + 1, extent, first, steps);
+                    if let Some(nest) = nest {
+                        self.run_nest(pc, nest);
                         pc = body_end;
                         continue;
                     }
+                    let steps = &self.plan.steps[steps..steps + (last - first)];
                     // Offsets wrap: past the last iteration an offset may
                     // leave the array (even go below zero) until the
                     // rewind brings it back; it is not read in between.
@@ -448,45 +552,82 @@ impl Walk<'_> {
         }
     }
 
-    /// Run the leaf loop whose statement is `ops[pc]` a lane at a time;
-    /// `steps[a - first]` is what one iteration adds to access `a`'s
-    /// offset.
-    fn run_lanes(&mut self, pc: usize, extent: usize, first: usize, steps: &[usize]) {
-        match self.plan.ops[pc] {
-            Op::Accum { scalar, expr } => {
-                let leaf = Leaf {
-                    walk: self,
-                    first,
-                    steps,
-                };
-                let mut acc = self.scalars[scalar];
-                lane::for_each(&leaf, expr, extent, |_, l| acc = lane::sum(acc, l));
-                self.scalars[scalar] = acc;
-            }
+    /// Run the nest whose outermost loop is `ops[pc]` a lane at a time
+    /// (see [`nest_at`] for its three shapes).
+    fn run_nest(&mut self, pc: usize, nest: Nest) {
+        let ops = &self.plan.ops;
+        let Op::For { first, last, .. } = ops[pc] else {
+            unreachable!("a nest starts at a loop")
+        };
+        let mut places = std::mem::take(&mut self.places);
+        for (p, &o) in places.iter_mut().zip(&self.offsets[first..last]) {
+            *p = lane::Place::new(o);
+        }
+        // What the nest evaluates, from what each point's accumulator
+        // starts, the scalar it leaves, and the store it makes.
+        let body = pc + nest.lane + 1 + nest.inner;
+        let (expr, init, scalar, store) = match ops[pc + nest.lane] {
+            Op::Accum { scalar, expr } => (expr, 0.0, Some(scalar), None),
             Op::Store {
                 array,
                 access,
                 expr,
                 accumulate,
-            } => {
-                // The expression does not read the target (`lane_safe`),
-                // so the target is set aside while the lanes are written.
-                let mut target = std::mem::take(&mut self.arrays[array]);
-                let (off, step) = (self.offsets[access], steps[access - first]);
-                let leaf = Leaf {
-                    walk: self,
-                    first,
-                    steps,
-                };
-                lane::for_each(&leaf, expr, extent, |start, l| {
-                    let off = off.wrapping_add(step.wrapping_mul(start));
-                    lane::scatter(&mut target, off, step, l, accumulate)
-                });
-                self.arrays[array] = target;
+            } => (expr, 0.0, None, Some((array, access, accumulate))),
+            Op::Decl { scalar, init } => match (ops[body], ops[body + 1]) {
+                (
+                    Op::Accum { expr, .. },
+                    Op::Store {
+                        array,
+                        access,
+                        accumulate,
+                        ..
+                    },
+                ) => (expr, init, Some(scalar), Some((array, access, accumulate))),
+                _ => unreachable!("an accumulator nest accumulates and stores"),
+            },
+            Op::For { .. } => unreachable!("a nest's loops end in a statement"),
+        };
+        // A store's target is set aside while the lanes are written: the
+        // expression does not read it.
+        let mut target = store.map(|(array, ..)| std::mem::take(&mut self.arrays[array]));
+        let mut value = scalar.map_or(0.0, |s| self.scalars[s]);
+        let view = self.view(pc, nest, first);
+        let take = |_: usize, l: &[f64], at: &[lane::Place]| match (&mut target, store) {
+            (Some(target), Some((_, access, accumulate))) => {
+                lane::scatter(target, &at[access - first], l, accumulate);
+                // An accumulator ends as the last point left it.
+                value = l[l.len() - 1];
             }
-            Op::For { .. } | Op::Decl { .. } => {
-                unreachable!("a leaf is an accumulation or a store")
-            }
+            _ => value = lane::sum(value, l),
+        };
+        let places_of_nest = &mut places[..last - first];
+        lane::run(
+            &view,
+            expr,
+            nest.lane,
+            nest.inner,
+            places_of_nest,
+            init,
+            take,
+        );
+        if let Some(scalar) = scalar {
+            self.scalars[scalar] = value;
+        }
+        if let (Some((array, ..)), Some(target)) = (store, target) {
+            self.arrays[array] = target;
+        }
+        self.places = places;
+    }
+
+    /// The nest whose outermost loop is `ops[pc]` and whose accesses
+    /// start at `first`, as the lane kernel sees it.
+    fn view(&self, pc: usize, nest: Nest, first: usize) -> NestLanes<'_> {
+        NestLanes {
+            walk: self,
+            pc,
+            nest,
+            first,
         }
     }
 
@@ -508,15 +649,34 @@ impl Walk<'_> {
     }
 }
 
-/// A leaf loop's statement at the walk's current offsets, as the lane
-/// kernel sees it.
-struct Leaf<'w> {
+/// A lane nest at the walk's current offsets, as the lane kernel sees it:
+/// digit `d` is the nest's `d`-th loop, skipping an accumulator's
+/// declaration; access `a` is the plan's access `first + a`.
+struct NestLanes<'w> {
     walk: &'w Walk<'w>,
+    pc: usize,
+    nest: Nest,
     first: usize,
-    steps: &'w [usize],
 }
 
-impl lane::Lanes for Leaf<'_> {
+impl NestLanes<'_> {
+    /// The loop of digit `d`: its extent, the accesses its body makes and
+    /// where their steps start.
+    fn digit(&self, d: usize) -> (usize, usize, usize) {
+        let pc = self.pc + d + usize::from(d >= self.nest.lane);
+        match self.walk.plan.ops[pc] {
+            Op::For {
+                extent,
+                last,
+                steps,
+                ..
+            } => (extent, last, steps),
+            _ => unreachable!("a nest's digits are loops"),
+        }
+    }
+}
+
+impl lane::Lanes for NestLanes<'_> {
     type Node = usize;
 
     fn term(&self, node: usize) -> lane::Term<'_, usize> {
@@ -526,10 +686,23 @@ impl lane::Lanes for Leaf<'_> {
             Node::Scalar(scalar) => lane::Term::Splat(w.scalars[scalar]),
             Node::Load { array, access } => lane::Term::Gather {
                 data: &w.arrays[array],
-                off: w.offsets[access],
-                step: self.steps[access - self.first],
+                access: access - self.first,
             },
             Node::Bin { op, lhs, rhs } => lane::Term::Bin(op, lhs, rhs),
+        }
+    }
+
+    fn extent(&self, d: usize) -> usize {
+        self.digit(d).0
+    }
+
+    fn stride(&self, a: usize, d: usize) -> usize {
+        // A reduction loop does not contain the write-back after it.
+        let (_, last, steps) = self.digit(d);
+        if self.first + a < last {
+            self.walk.plan.steps[steps + a]
+        } else {
+            0
         }
     }
 }
@@ -543,12 +716,14 @@ mod tests {
     use teil::interp::{inputs_from, Interpreter, Tensor};
     use teil::layout::LayoutPlan;
     use teil::lower::lower;
-    use teil::transform::factorize;
+    use teil::transform::{cse, dce, factorize};
 
-    /// Every kernel of `src` (a single kernel or a `kernel { .. }` set).
-    fn setup_all(
+    /// Every kernel of `src` (a single kernel or a `kernel { .. }` set),
+    /// cleaned up as the compile flow does it or not.
+    fn setup_flow(
         src: &str,
         factored: bool,
+        clean: bool,
         decoupled: bool,
         rescheduled: bool,
     ) -> Vec<(teil::ir::Module, CKernel)> {
@@ -559,6 +734,9 @@ mod tests {
                 let mut m = lower(&tk.typed).unwrap();
                 if factored {
                     m = factorize(&m);
+                }
+                if clean {
+                    m = dce(&cse(&m));
                 }
                 let layout = LayoutPlan::row_major(&m);
                 let km = KernelModel::build(&m, &layout);
@@ -573,6 +751,16 @@ mod tests {
                 (m, k)
             })
             .collect()
+    }
+
+    /// Every kernel of `src` as lowered, without the clean-up.
+    fn setup_all(
+        src: &str,
+        factored: bool,
+        decoupled: bool,
+        rescheduled: bool,
+    ) -> Vec<(teil::ir::Module, CKernel)> {
+        setup_flow(src, factored, false, decoupled, rescheduled)
     }
 
     fn setup(src: &str, factored: bool, decoupled: bool) -> (teil::ir::Module, CKernel) {
@@ -1044,12 +1232,66 @@ mod tests {
         assert!(accumulators > 0, "the accumulator nest is covered");
     }
 
-    /// Leaf loops of `k` that run a lane at a time.
-    fn lane_loops(k: &CKernel) -> usize {
-        let plan = resolve(k).unwrap();
+    #[test]
+    fn executor_meets_the_definition_on_generated_kernels() {
+        // Every stage of the generated programs, with and without
+        // factorisation, under the reference and the compiled schedule.
+        let mut cov = crate::generator::Coverage::default();
+        let (mut kernels, mut across) = (0, 0);
+        for seed in 0..crate::generator::program_count() {
+            let (source, _) = crate::generator::program(seed, &mut cov);
+            for variant in 0..4 {
+                let (factored, rescheduled) = (variant & 1 != 0, variant & 2 != 0);
+                for (j, (_m, k)) in setup_flow(&source, factored, true, true, rescheduled)
+                    .iter()
+                    .enumerate()
+                {
+                    let what = format!(
+                        "seed {seed} kernel {j} factored={factored} rescheduled={rescheduled}\n{source}"
+                    );
+                    assert_meets_definition(k, &what);
+                    kernels += 1;
+                    across += lane_nests(k).iter().filter(|n| n.inner > 0).count();
+                }
+            }
+        }
+        let n = crate::generator::program_count() as usize;
+        assert!(kernels >= 4 * n, "{kernels} kernels");
+        // Nests whose lane runs across output points, each element with
+        // its own accumulator, ran: the check is not vacuous.
+        assert!(across >= n, "{across} accumulator nests across outputs");
+    }
+
+    #[test]
+    fn simulation_step_runs_its_contractions_across_outputs() {
+        // The served program, compiled: every factorised contraction is
+        // an accumulator nest whose lane runs across its 343 outputs
+        // (3 + 6 + 3), and the Hadamard product a store nest over 7 × 7 × 7.
+        let mut nests = Vec::new();
+        for (_m, k) in setup_flow(
+            &cfdlang::examples::simulation_step(7),
+            true,
+            true,
+            true,
+            true,
+        ) {
+            assert_meets_definition(&k, "simulation_step(7)");
+            nests.extend(lane_nests(&k));
+        }
+        let count = |lane, inner| nests.iter().filter(|n| **n == Nest { lane, inner }).count();
+        assert_eq!((count(3, 1), count(3, 0), nests.len()), (12, 1, 13));
+    }
+
+    /// The nests of `k` that run a lane at a time, in program order.
+    fn lane_nests(k: &CKernel) -> Vec<Nest> {
+        let mut plan = resolve(k).unwrap();
+        plan_lanes(&mut plan);
         (plan.ops.iter())
-            .filter(|op| matches!(op, Op::For { lanes: true, .. }))
-            .count()
+            .filter_map(|op| match op {
+                Op::For { nest, .. } => *nest,
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1092,7 +1334,7 @@ mod tests {
                         )],
                     )],
                 ),
-                0,
+                &[][..],
             ),
             (
                 "an accumulation reading its accumulator",
@@ -1107,7 +1349,7 @@ mod tests {
                         store(at("a", &[], 1), acc()),
                     ],
                 ),
-                0,
+                &[],
             ),
             (
                 "leaves of extent one",
@@ -1126,7 +1368,7 @@ mod tests {
                         store(at("a", &[], 2), acc()),
                     ],
                 ),
-                2,
+                &[(2, 0), (1, 0)],
             ),
             (
                 "leaves longer than a lane",
@@ -1157,7 +1399,9 @@ mod tests {
                         ),
                     ],
                 ),
-                2,
+                // The accumulator nest reads the array it stores (`a`),
+                // so only its reduction runs a lane at a time.
+                &[(1, 0), (1, 0)],
             ),
             (
                 "negative steps",
@@ -1171,11 +1415,157 @@ mod tests {
                         }],
                     )],
                 ),
-                1,
+                &[(2, 0)],
+            ),
+            (
+                "an accumulator nest reading the array it stores",
+                with_x(
+                    8,
+                    vec![nest(
+                        &[6],
+                        vec![
+                            decl(),
+                            nest(
+                                &[5],
+                                vec![accum(bin(
+                                    BinOp::Mul,
+                                    load("x", &[5, 1], 0),
+                                    load("a", &[0, 1], 0),
+                                ))],
+                            ),
+                            store(at("a", &[1], 0), acc()),
+                        ],
+                    )],
+                ),
+                &[(1, 0)],
+            ),
+            (
+                "an unfactorised contraction with three reduction digits",
+                with_x(
+                    20,
+                    vec![nest(
+                        &[4, 5],
+                        vec![
+                            decl(),
+                            nest(
+                                &[2, 3, 2],
+                                vec![accum(bin(
+                                    BinOp::Mul,
+                                    load("x", &[12, 1, 6, 2, 1], 0),
+                                    load("x", &[0, 2, 20, 3, 7], 9),
+                                ))],
+                            ),
+                            store(at("a", &[5, 1], 0), acc()),
+                        ],
+                    )],
+                ),
+                &[(2, 3)],
+            ),
+            (
+                "chunks across output-digit carries, 3 × 5 and 5 × 5 × 5",
+                with_x(
+                    125,
+                    vec![
+                        nest(
+                            &[3, 5],
+                            vec![store(
+                                at("a", &[5, 1], 0),
+                                bin(BinOp::Add, load("x", &[1, 7], 2), load("x", &[0, 1], 60)),
+                            )],
+                        ),
+                        nest(
+                            &[5, 5, 5],
+                            vec![
+                                decl(),
+                                nest(
+                                    &[2],
+                                    vec![accum(bin(
+                                        BinOp::Div,
+                                        load("x", &[0, 5, 1, 40], 0),
+                                        load("x", &[3, 0, 2, 1], 50),
+                                    ))],
+                                ),
+                                store(at("a", &[25, 5, 1], 0), acc()),
+                            ],
+                        ),
+                    ],
+                ),
+                &[(2, 0), (3, 1)],
+            ),
+            (
+                "an accumulator nest with digits of extent one",
+                with_x(
+                    12,
+                    vec![nest(
+                        &[3, 1, 4],
+                        vec![
+                            decl(),
+                            nest(
+                                &[1, 5],
+                                vec![accum(bin(
+                                    BinOp::Sub,
+                                    load("x", &[20, 9, 1, 7, 3], 1),
+                                    load("x", &[1, 1, 4, 1, 13], 0),
+                                ))],
+                            ),
+                            store(at("a", &[4, 3, 1], 0), acc()),
+                        ],
+                    )],
+                ),
+                &[(3, 2)],
+            ),
+            (
+                "an accumulator nest with negative steps",
+                with_x(
+                    16,
+                    vec![nest(
+                        &[4, 4],
+                        vec![
+                            decl(),
+                            nest(
+                                &[3],
+                                vec![accum(bin(
+                                    BinOp::Mul,
+                                    load("x", &[-4, -1, 20], 15),
+                                    load("x", &[1, -5, -1], 22),
+                                ))],
+                            ),
+                            store(at("a", &[-4, -1], 15), acc()),
+                        ],
+                    )],
+                ),
+                &[(2, 1)],
+            ),
+            (
+                "a kernel ending in a loop around a lone declaration",
+                with_x(1, vec![nest(&[2], vec![decl()])]),
+                &[],
+            ),
+            (
+                "store nests whose lane points alias one target element",
+                with_x(
+                    3,
+                    vec![
+                        nest(
+                            &[3, 6],
+                            vec![CStmt::StoreAccum {
+                                target: at("a", &[1, 0], 0),
+                                expr: load("x", &[6, 1], 0),
+                            }],
+                        ),
+                        nest(
+                            &[2, 5],
+                            vec![store(at("a", &[0, 0], 2), load("x", &[5, 1], 30))],
+                        ),
+                    ],
+                ),
+                &[(2, 0), (2, 0)],
             ),
         ];
-        for (what, k, lanes) in cases {
-            assert_eq!(lane_loops(&k), lanes, "{what}: leaves run lane-wise");
+        for (what, k, nests) in cases {
+            let shapes: Vec<(usize, usize)> =
+                lane_nests(&k).iter().map(|n| (n.lane, n.inner)).collect();
+            assert_eq!(shapes, nests, "{what}: nests run lane-wise");
             assert_meets_definition(&k, what);
         }
     }

@@ -28,3 +28,9 @@ pub use build::{build_kernel, CodegenOptions};
 pub use emit::{emit_c99, emit_c99_as};
 pub use exec::{kernel_counts, run_kernel, ExecCounts};
 pub use ir::{AffineAddr, ArrAccess, CExpr, CKernel, CParam, CStmt, ParamRole};
+
+/// The seeded program generator of the repository's integration tests,
+/// which the executor's definition tests also run on.
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod generator;

@@ -9,14 +9,25 @@
 //! # Execution strategy
 //!
 //! [`Interpreter::run`] compiles each statement once: every tensor access
-//! becomes per-iteration-variable stride weights over one flat offset.
-//! The innermost iteration digit then runs a **lane** at a time through
-//! the [`lane`] kernel — each expression node over the whole digit (in
-//! chunks of [`lane::W`]), a reduction summed into its accumulator in
-//! instance order — and an odometer over the other digits moves every
-//! offset by a precomputed delta at each lane boundary. The element path performs no multi-index arithmetic and
-//! **no heap allocation**. Results go to a fresh tensor, so no instance
-//! can read what another wrote.
+//! becomes per-iteration-variable strides over one flat offset. The
+//! statement then runs through the one lane planner, [`lane::run`], a
+//! **box lane** of up to [`lane::W`] consecutive points at a time:
+//! - a reduction runs its lane across its output points, each element
+//!   with its own accumulator, and walks its reduction digits inside
+//!   each chunk in iteration order, so every sum is still
+//!   `0 + e(r0) + e(r1) + …`;
+//! - an element-wise statement runs its lane over its whole box;
+//! - a reduction whose output is smaller than a lane and than its
+//!   reduction ([`lane::across`] is false, a scalar result for example)
+//!   runs its lane over the whole box instead, and folds each lane into
+//!   the output points it covers, in point order.
+//!
+//! Each chunk's lanes land in the result in place. The element path
+//! performs no multi-index arithmetic and **no heap allocation**: the
+//! places live in one buffer per run. Inputs are borrowed, never copied
+//! ([`Interpreter::run_computed`] hands back only what the module
+//! computes), and results go to a fresh tensor, so no point can read
+//! what another wrote.
 //!
 //! Operation counts come in closed form ([`Interpreter::counts`]): what
 //! one iteration point costs times the iteration volume, per statement.
@@ -27,6 +38,7 @@
 use crate::ir::{Module, PointExpr, Stmt, TensorKind};
 use crate::lane;
 use cfdlang::BinOp;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A dense row-major tensor of `f64`.
@@ -197,14 +209,41 @@ impl<'m> Interpreter<'m> {
     /// to [`Interpreter::run_reference`]; the operation counts are
     /// [`Interpreter::counts`], which equal the reference walk's.
     pub fn run(&self, inputs: &HashMap<String, Tensor>) -> Result<Execution, String> {
-        let mut values = self.bind_inputs(inputs)?;
-        for stmt in &self.module.stmts {
-            values[stmt.out.0] = self.exec_stmt_lanes(stmt, &values);
-        }
         Ok(Execution {
-            values,
+            values: owned(self.run_lanes(inputs)?),
             stats: self.counts(),
         })
+    }
+
+    /// [`Interpreter::run`]'s values without a copy of any input: the
+    /// value of every tensor the module does not take as an input
+    /// (indexed by `TensorId`), `None` for an input.
+    pub fn run_computed(
+        &self,
+        inputs: &HashMap<String, Tensor>,
+    ) -> Result<Vec<Option<Tensor>>, String> {
+        let values = self.run_lanes(inputs)?;
+        Ok((values.into_iter())
+            .map(|v| match v {
+                Cow::Owned(t) => Some(t),
+                Cow::Borrowed(_) => None,
+            })
+            .collect())
+    }
+
+    /// The lane walk over the inputs as bound, every input borrowed.
+    fn run_lanes<'i>(
+        &self,
+        inputs: &'i HashMap<String, Tensor>,
+    ) -> Result<Vec<Cow<'i, Tensor>>, String> {
+        let mut values = self.bind_inputs(inputs)?;
+        let accesses = self.module.stmts.iter().map(|s| expr_size(&s.expr).1);
+        let mut places = vec![lane::Place::new(0); accesses.max().unwrap_or(0)];
+        for stmt in &self.module.stmts {
+            let result = self.exec_stmt_lanes(stmt, &values, &mut places);
+            values[stmt.out.0] = Cow::Owned(result);
+        }
+        Ok(values)
     }
 
     /// The operation counts of executing the module, whatever the inputs:
@@ -244,12 +283,20 @@ impl<'m> Interpreter<'m> {
         for stmt in &self.module.stmts {
             self.exec_stmt(stmt, &mut values, &mut stats)?;
         }
-        Ok(Execution { values, stats })
+        Ok(Execution {
+            values: owned(values),
+            stats,
+        })
     }
 
-    fn bind_inputs(&self, inputs: &HashMap<String, Tensor>) -> Result<Vec<Tensor>, String> {
+    /// Every tensor's value before the first statement: each input
+    /// borrowed from `inputs`, everything else zero.
+    fn bind_inputs<'i>(
+        &self,
+        inputs: &'i HashMap<String, Tensor>,
+    ) -> Result<Vec<Cow<'i, Tensor>>, String> {
         let m = self.module;
-        let mut values: Vec<Tensor> = Vec::with_capacity(m.tensors.len());
+        let mut values = Vec::with_capacity(m.tensors.len());
         for decl in &m.tensors {
             match decl.kind {
                 TensorKind::Input => {
@@ -262,78 +309,65 @@ impl<'m> Interpreter<'m> {
                             decl.name, t.shape, decl.shape
                         ));
                     }
-                    values.push(t.clone());
+                    values.push(Cow::Borrowed(t));
                 }
-                _ => values.push(Tensor::zeros(&decl.shape)),
+                _ => values.push(Cow::Owned(Tensor::zeros(&decl.shape))),
             }
         }
         Ok(values)
     }
 
     /// Lane-walk execution of one statement: the expression tree is
-    /// compiled once (index maps → per-iteration-variable stride
-    /// weights), the innermost iteration digit runs a lane at a time, and
-    /// the odometer over the other digits advances one flat offset per
-    /// access by a precomputed delta at each lane boundary.
-    fn exec_stmt_lanes(&self, stmt: &Stmt, values: &[Tensor]) -> Tensor {
+    /// compiled once (index maps → per-iteration-variable strides) and
+    /// run through [`lane::run`] as the module docs describe. `places`
+    /// has room for every access of the statement.
+    fn exec_stmt_lanes(
+        &self,
+        stmt: &Stmt,
+        values: &[Cow<'_, Tensor>],
+        places: &mut [lane::Place],
+    ) -> Tensor {
         let m = self.module;
-        let out_rank = m.shape(stmt.out).len();
         let ext = m.iter_extents(stmt);
-        let rank = ext.len();
-        // The innermost digit (none for a scalar assignment: one point)
-        // runs lane-wise; the odometer walks digits `..outer`.
-        let inner = ext.last().copied().unwrap_or(1).max(1);
-        let outer = rank.saturating_sub(1);
-
+        let (rank, out_rank) = (ext.len(), m.shape(stmt.out).len());
         // Sized once: a grown vector would leave a spare half behind.
-        let (n_nodes, n_plans) = expr_size(&stmt.expr);
-        let (mut plans, mut nodes) = (Vec::with_capacity(n_plans), Vec::with_capacity(n_nodes));
-        let root = compile_expr(&stmt.expr, values, &ext, &mut plans, &mut nodes);
-        // Per-plan rollover sums: rs[j] = Σ_{w ≥ j} (ext[w]-1)·weight[w],
-        // so the delta of incrementing digit j (digits j+1..end rolling
-        // to zero) is weight[j] - (rs[j+1] - rs[end]).
-        for p in &mut plans {
-            let mut rs = vec![0i64; rank + 1];
-            for j in (0..rank).rev() {
-                rs[j] = rs[j + 1] + (ext[j] as i64 - 1) * p.weights[j];
-            }
-            p.roll_sums = rs;
-            p.step = p.weights.get(outer).map_or(0, |&w| w as usize);
-        }
+        let (n_nodes, n_access) = expr_size(&stmt.expr);
+        let mut nodes = Vec::with_capacity(n_nodes);
+        let mut strides = Vec::with_capacity(n_access * rank);
+        let root = compile_expr(&stmt.expr, values, rank, &mut strides, &mut nodes);
+        let places = &mut places[..n_access];
+        places.fill(lane::Place::new(0));
+        let view = StmtLanes {
+            nodes: &nodes,
+            values,
+            ext: &ext,
+            strides: &strides,
+        };
 
         let mut result = Tensor::zeros(m.shape(stmt.out));
-        let mut idx = vec![0usize; rank];
-        let mut offs: Vec<usize> = vec![0; plans.len()];
-        // The innermost digit at offsets `offs`, a chunk at a time.
-        let lanes = |offs: &[usize], take: &mut dyn FnMut(usize, &[f64])| {
-            let view = StmtLanes {
-                nodes: &nodes,
-                plans: &plans,
-                offs,
-                values,
-            };
-            lane::for_each(&view, root, inner, take)
+        let out = &mut result.data;
+        let red: usize = stmt.reduce_extents.iter().product();
+        let across = lane::across(out.len(), red);
+        let copy = |start: usize, l: &[f64], _: &[lane::Place]| {
+            out[start..start + l.len()].copy_from_slice(l)
         };
-        if stmt.is_reduction() {
-            let rows = stmt.reduce_extents.iter().product::<usize>() / inner;
-            for o in 0..result.data.len() {
-                let mut acc = 0.0f64;
-                for _ in 0..rows {
-                    lanes(&offs, &mut |_, l| acc = lane::sum(acc, l));
-                    // Advance the outer reduction digits.
-                    advance_region(&mut idx, &ext, out_rank, outer, &plans, &mut offs);
-                }
-                result.data[o] = acc;
-                // Advance the output part (reduction digits are all zero).
-                advance_region(&mut idx, &ext, 0, out_rank, &plans, &mut offs);
-            }
+        if !stmt.is_reduction() {
+            lane::run(&view, root, rank, 0, places, 0.0, copy);
+        } else if across {
+            lane::run(&view, root, out_rank, rank - out_rank, places, 0.0, copy);
         } else {
-            for row in result.data.chunks_mut(inner) {
-                lanes(&offs, &mut |start, l| {
-                    row[start..start + l.len()].copy_from_slice(l)
-                });
-                advance_region(&mut idx, &ext, 0, outer, &plans, &mut offs);
-            }
+            // Along the reduction: the whole box in point order, each
+            // lane folded into the output points it covers.
+            let (mut o, mut left) = (0, red);
+            lane::run(&view, root, rank, 0, places, 0.0, |_, l, _| {
+                for v in l {
+                    out[o] += v;
+                    left -= 1;
+                    if left == 0 {
+                        (o, left) = (o + 1, red);
+                    }
+                }
+            });
         }
         result
     }
@@ -341,7 +375,7 @@ impl<'m> Interpreter<'m> {
     fn exec_stmt(
         &self,
         stmt: &Stmt,
-        values: &mut [Tensor],
+        values: &mut [Cow<'_, Tensor>],
         stats: &mut ExecStats,
     ) -> Result<(), String> {
         let m = self.module;
@@ -371,13 +405,24 @@ impl<'m> Interpreter<'m> {
             stats.stores += 1;
             advance(&mut idx[..out_rank], &ext[..out_rank]);
         }
-        values[stmt.out.0] = result;
+        values[stmt.out.0] = Cow::Owned(result);
         Ok(())
     }
 }
 
+/// Every value owned, an input by a copy.
+fn owned(values: Vec<Cow<'_, Tensor>>) -> Vec<Tensor> {
+    values.into_iter().map(Cow::into_owned).collect()
+}
+
 #[allow(clippy::only_used_in_recursion)]
-fn eval(m: &Module, e: &PointExpr, idx: &[usize], values: &[Tensor], stats: &mut ExecStats) -> f64 {
+fn eval(
+    m: &Module,
+    e: &PointExpr,
+    idx: &[usize],
+    values: &[Cow<'_, Tensor>],
+    stats: &mut ExecStats,
+) -> f64 {
     match e {
         PointExpr::Const(c) => *c,
         PointExpr::Access { tensor, index_map } => {
@@ -415,62 +460,58 @@ fn eval(m: &Module, e: &PointExpr, idx: &[usize], values: &[Tensor], stats: &mut
     }
 }
 
-/// One compiled tensor access: the flat affine image of the iteration
-/// vector under the access's index map and the operand's row-major
-/// layout.
-#[derive(Debug)]
-struct AccessPlan {
-    /// `weights[v]` — stride contribution of iteration variable `v` to
-    /// the flat offset (a variable indexing several operand dims sums
-    /// their strides).
-    weights: Vec<i64>,
-    /// Suffix rollover sums over the full iteration rank (see
-    /// `exec_stmt_lanes`).
-    roll_sums: Vec<i64>,
-    /// What one instance of the innermost digit adds to the offset.
-    step: usize,
-}
-
 /// One node of a compiled expression; operands precede their operator.
 #[derive(Debug, Clone, Copy)]
 enum FlatNode {
     Const(f64),
-    Access { tensor: usize, slot: usize },
-    Bin { op: BinOp, lhs: usize, rhs: usize },
+    /// A load of `tensor`; `slot` numbers the access (evaluation order).
+    Access {
+        tensor: usize,
+        slot: usize,
+    },
+    Bin {
+        op: BinOp,
+        lhs: usize,
+        rhs: usize,
+    },
 }
 
-/// Compile a [`PointExpr`] tree into `nodes`: each access gets an
-/// [`AccessPlan`] (in evaluation order) and a slot into the shared offset
-/// vector. Returns the root node.
+/// Compile a [`PointExpr`] tree into `nodes`: each access gets a slot and
+/// `rank` entries of `strides`, what a step of each iteration variable
+/// adds to its flat offset under the operand's row-major layout (a
+/// variable indexing several operand dims sums their strides). Returns
+/// the root node.
 fn compile_expr(
     e: &PointExpr,
-    values: &[Tensor],
-    ext: &[usize],
-    plans: &mut Vec<AccessPlan>,
+    values: &[Cow<'_, Tensor>],
+    rank: usize,
+    strides: &mut Vec<usize>,
     nodes: &mut Vec<FlatNode>,
 ) -> usize {
     let node = match e {
         PointExpr::Const(c) => FlatNode::Const(*c),
         PointExpr::Access { tensor, index_map } => {
-            let strides = row_major_strides(&values[tensor.0].shape);
-            let mut weights = vec![0i64; ext.len()];
-            for (d, &v) in index_map.iter().enumerate() {
-                weights[v] += strides[d] as i64;
+            let slot = nodes
+                .iter()
+                .filter(|n| matches!(n, FlatNode::Access { .. }))
+                .count();
+            let first = slot * rank;
+            strides.resize(first + rank, 0);
+            let mut stride = 1;
+            let shape = &values[tensor.0].shape;
+            for (&v, &extent) in index_map.iter().zip(shape).rev() {
+                strides[first + v] += stride;
+                stride *= extent;
             }
-            plans.push(AccessPlan {
-                weights,
-                roll_sums: Vec::new(),
-                step: 0,
-            });
             FlatNode::Access {
                 tensor: tensor.0,
-                slot: plans.len() - 1,
+                slot,
             }
         }
         PointExpr::Bin { op, lhs, rhs } => FlatNode::Bin {
             op: *op,
-            lhs: compile_expr(lhs, values, ext, plans, nodes),
-            rhs: compile_expr(rhs, values, ext, plans, nodes),
+            lhs: compile_expr(lhs, values, rank, strides, nodes),
+            rhs: compile_expr(rhs, values, rank, strides, nodes),
         },
     };
     nodes.push(node);
@@ -489,45 +530,15 @@ fn expr_size(e: &PointExpr) -> (usize, usize) {
     }
 }
 
-/// Odometer advance over digits `[base, end)` of `idx`, applying each
-/// access's offset delta for the digit that increments (and the digits
-/// that roll over). Wrapping the whole region subtracts the full region
-/// roll sum — offsets return to the region's all-zero state exactly.
-#[inline]
-fn advance_region(
-    idx: &mut [usize],
-    ext: &[usize],
-    base: usize,
-    end: usize,
-    plans: &[AccessPlan],
-    offs: &mut [usize],
-) {
-    let mut d = end;
-    while d > base {
-        d -= 1;
-        idx[d] += 1;
-        if idx[d] < ext[d] {
-            for (p, o) in plans.iter().zip(offs.iter_mut()) {
-                let delta = p.weights[d] - (p.roll_sums[d + 1] - p.roll_sums[end]);
-                *o = (*o as i64 + delta) as usize;
-            }
-            return;
-        }
-        idx[d] = 0;
-    }
-    // Full wrap of the region.
-    for (p, o) in plans.iter().zip(offs.iter_mut()) {
-        *o = (*o as i64 - (p.roll_sums[base] - p.roll_sums[end])) as usize;
-    }
-}
-
-/// A compiled statement at the current odometer offsets, as the lane
-/// kernel sees it.
+/// A compiled statement as the lane kernel sees it: its iteration
+/// digits, outermost first, and its accesses by slot.
 struct StmtLanes<'a> {
     nodes: &'a [FlatNode],
-    plans: &'a [AccessPlan],
-    offs: &'a [usize],
-    values: &'a [Tensor],
+    values: &'a [Cow<'a, Tensor>],
+    ext: &'a [usize],
+    /// `strides[slot · rank + d]`: what a step of digit `d` adds to the
+    /// offset of access `slot`.
+    strides: &'a [usize],
 }
 
 impl lane::Lanes for StmtLanes<'_> {
@@ -538,11 +549,18 @@ impl lane::Lanes for StmtLanes<'_> {
             FlatNode::Const(c) => lane::Term::Splat(c),
             FlatNode::Access { tensor, slot } => lane::Term::Gather {
                 data: &self.values[tensor].data,
-                off: self.offs[slot],
-                step: self.plans[slot].step,
+                access: slot,
             },
             FlatNode::Bin { op, lhs, rhs } => lane::Term::Bin(op, lhs, rhs),
         }
+    }
+
+    fn extent(&self, d: usize) -> usize {
+        self.ext[d]
+    }
+
+    fn stride(&self, a: usize, d: usize) -> usize {
+        self.strides[a * self.ext.len() + d]
     }
 }
 

@@ -16,7 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use teil::interp::Execution;
 use teil::ir::{Module, TensorDecl, TensorKind};
 use teil::{Interpreter, Tensor};
 
@@ -105,28 +104,42 @@ pub fn run_program_reference(
     modules: &[&Module],
     external: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Tensor>, String> {
-    interpret_chain(names, modules, external, |i, bound| i.run(bound))
+    interpret_chain(names, modules, external, |i, bound| i.run_computed(bound))
 }
 
 /// The interpreter over the chained program, each stage run by `walk`
-/// ([`Interpreter::run`] or [`Interpreter::run_reference`]).
+/// ([`Interpreter::run_computed`], or [`Interpreter::run_reference`] as
+/// its values), which borrows the bound inputs.
 fn interpret_chain(
     names: &[String],
     modules: &[&Module],
     external: &HashMap<String, Tensor>,
-    walk: impl Fn(&Interpreter, &HashMap<String, Tensor>) -> Result<Execution, String>,
+    walk: impl Fn(&Interpreter, &HashMap<String, Tensor>) -> Result<Vec<Option<Tensor>>, String>,
 ) -> Result<HashMap<String, Tensor>, String> {
     let host = |d: &TensorDecl| external.get(&d.name).cloned();
     let outputs = walk_chain(names, modules, host, |s, bound| {
-        let values = walk(&Interpreter::new(modules[s]), bound)?.values;
+        let values = walk(&Interpreter::new(modules[s]), bound)?;
         for (t, d) in values.into_iter().zip(&modules[s].tensors) {
             if d.kind == TensorKind::Output {
-                bound.insert(d.name.clone(), t);
+                bound.insert(d.name.clone(), t.expect("an output is computed"));
             }
         }
         Ok(())
     });
     Ok(outputs?.collect())
+}
+
+/// [`Interpreter::run_reference`]'s values as [`interpret_chain`] takes
+/// them.
+fn reference_walk(
+    i: &Interpreter,
+    inputs: &HashMap<String, Tensor>,
+) -> Result<Vec<Option<Tensor>>, String> {
+    Ok(i.run_reference(inputs)?
+        .values
+        .into_iter()
+        .map(Some)
+        .collect())
 }
 
 /// Random external inputs for a chained program: one tensor per
@@ -161,7 +174,7 @@ pub fn matches_the_definition(
 ) -> Result<bool, String> {
     let external = random_program_inputs(modules, seed);
     let lanes = run_program_reference(names, modules, &external)?;
-    let walked = interpret_chain(names, modules, &external, |i, b| i.run_reference(b))?;
+    let walked = interpret_chain(names, modules, &external, reference_walk)?;
     Ok(compare(&walked, |key| &lanes[key].data, (0.0, true))?.1)
 }
 
@@ -468,8 +481,7 @@ mod tests {
             let mrefs: Vec<&Module> = modules.iter().collect();
             let external = random_program_inputs(&mrefs, 23);
             let lanes = run_program_reference(&names, &mrefs, &external).unwrap();
-            let walked =
-                interpret_chain(&names, &mrefs, &external, |i, b| i.run_reference(b)).unwrap();
+            let walked = interpret_chain(&names, &mrefs, &external, reference_walk).unwrap();
             assert_eq!(
                 compare(&walked, |k| &lanes[k].data, (0.0, true)),
                 Ok((0.0, true))
