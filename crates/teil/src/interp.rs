@@ -35,7 +35,7 @@
 //! [`Interpreter::run_reference`]; the two are bit-identical in results
 //! and operation counts (enforced by `tests/interp_equiv.rs`).
 
-use crate::ir::{Module, PointExpr, Stmt, TensorKind};
+use crate::ir::{Module, PointExpr, Stmt, TensorId, TensorKind};
 use crate::lane;
 use cfdlang::BinOp;
 use std::borrow::Cow;
@@ -290,7 +290,9 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Every tensor's value before the first statement: each input
-    /// borrowed from `inputs`, everything else zero.
+    /// borrowed from `inputs`, a tensor read before its first write (or
+    /// never written) zero, and any other one empty, since the
+    /// statement that writes it first replaces it whole.
     fn bind_inputs<'i>(
         &self,
         inputs: &'i HashMap<String, Tensor>,
@@ -311,7 +313,13 @@ impl<'m> Interpreter<'m> {
                     }
                     values.push(Cow::Borrowed(t));
                 }
-                _ => values.push(Cow::Owned(Tensor::zeros(&decl.shape))),
+                _ if read_before_written(m, TensorId(values.len())) => {
+                    values.push(Cow::Owned(Tensor::zeros(&decl.shape)))
+                }
+                _ => values.push(Cow::Owned(Tensor {
+                    shape: Vec::new(),
+                    data: Vec::new(),
+                })),
             }
         }
         Ok(values)
@@ -408,6 +416,20 @@ impl<'m> Interpreter<'m> {
         values[stmt.out.0] = Cow::Owned(result);
         Ok(())
     }
+}
+
+/// Whether a statement of `m` reads `t` before (or in) the first one
+/// that writes it, or none writes it.
+fn read_before_written(m: &Module, t: TensorId) -> bool {
+    for stmt in &m.stmts {
+        let mut reads = false;
+        stmt.expr
+            .walk(&mut |e| reads |= matches!(e, PointExpr::Access { tensor, .. } if *tensor == t));
+        if reads || stmt.out == t {
+            return reads;
+        }
+    }
+    true
 }
 
 /// Every value owned, an input by a copy.
