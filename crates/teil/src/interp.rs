@@ -355,14 +355,18 @@ impl<'m> Interpreter<'m> {
         let mut result = Tensor::zeros(m.shape(stmt.out));
         let out = &mut result.data;
         let red: usize = stmt.reduce_extents.iter().product();
-        let across = lane::across(out.len(), red);
-        let copy = |start: usize, l: &[f64], _: &[lane::Place]| {
-            out[start..start + l.len()].copy_from_slice(l)
-        };
-        if !stmt.is_reduction() {
-            lane::run(&view, root, rank, 0, places, 0.0, copy);
-        } else if across {
-            lane::run(&view, root, out_rank, rank - out_rank, places, 0.0, copy);
+        // An element-wise statement has no reduction digit: its lane
+        // runs across its outputs, which are its whole box.
+        if lane::across(out.len(), red) {
+            lane::run(
+                &view,
+                root,
+                out_rank,
+                rank - out_rank,
+                places,
+                0.0,
+                |start, l, _| out[start..start + l.len()].copy_from_slice(l),
+            );
         } else {
             // Along the reduction: the whole box in point order, each
             // lane folded into the output points it covers.
