@@ -1525,7 +1525,7 @@ mod tests {
                             nest(
                                 &[3],
                                 vec![accum(bin(
-                                    BinOp::Mul,
+                                    BinOp::Add,
                                     load("x", &[-4, -1, 20], 15),
                                     load("x", &[1, -5, -1], 22),
                                 ))],

@@ -287,9 +287,10 @@ pub fn scatter(data: &mut [f64], place: &Place, lane: &[f64], accumulate: bool) 
 mod tests {
     use super::*;
 
-    /// `x0 · 3 − x1` over a hand-built nest: access `a` reads `data` at
-    /// `origin[a] + Σ digit_d · strides[a][d]`.
+    /// `(x0 · 3) op x1` over a hand-built nest: access `a` reads `data`
+    /// at `origin[a] + Σ digit_d · strides[a][d]`.
     struct Example<'a> {
+        op: BinOp,
         data: &'a [f64],
         extents: &'a [usize],
         origin: [usize; 2],
@@ -300,7 +301,7 @@ mod tests {
         type Node = usize;
         fn term(&self, node: usize) -> Term<'_, usize> {
             match node {
-                0 => Term::Bin(BinOp::Sub, 1, 4),
+                0 => Term::Bin(self.op, 1, 4),
                 1 => Term::Bin(BinOp::Mul, 2, 3),
                 2 => Term::Gather {
                     data: self.data,
@@ -329,7 +330,13 @@ mod tests {
                     .fold(self.origin[a] as isize, |o, (&i, &s)| o + i as isize * s);
                 self.data[off as usize]
             };
-            load(0) * 3.0 - load(1)
+            let (x, y) = (load(0) * 3.0, load(1));
+            match self.op {
+                BinOp::Add => x + y,
+                BinOp::Sub => x - y,
+                BinOp::Mul => x * y,
+                BinOp::Div => x / y,
+            }
         }
 
         /// Every lane point's value by the definition: the expression,
@@ -362,7 +369,7 @@ mod tests {
 
     #[test]
     fn box_lanes_meet_the_point_by_point_values() {
-        let data: Vec<f64> = (0..400).map(|i| 1.0 / (3 + i % 37) as f64 - 0.1).collect();
+        let data: Vec<f64> = (0..400).map(|i| 1.0 / (3 + i % 37) as f64 - 0.13).collect();
         let cases: [Case; 7] = [
             (
                 "a chunk across two carries of 3 × 5",
@@ -414,8 +421,13 @@ mod tests {
                 [&[40, 2], &[0, -1]],
             ),
         ];
-        for (what, extents, lane, origin, strides) in cases {
+        let ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+        for ((what, extents, lane, origin, strides), op) in
+            cases.iter().flat_map(|c| ops.map(|op| (c, op)))
+        {
+            let (extents, lane, origin, strides) = (*extents, *lane, *origin, *strides);
             let e = Example {
+                op,
                 data: &data,
                 extents,
                 origin,
@@ -436,7 +448,11 @@ mod tests {
                 },
             );
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&e.definition(lane, 0.25)), "{what}");
+            assert_eq!(
+                bits(&got),
+                bits(&e.definition(lane, 0.25)),
+                "{what}, {op:?}"
+            );
             let bases = places.map(|p| p.base);
             assert_eq!(bases, origin, "{what}: the places end where they started");
         }
@@ -448,6 +464,7 @@ mod tests {
         // Both accesses alias in the second digit: the first reads one
         // element per row, the target is that element too.
         let e = Example {
+            op: BinOp::Sub,
             data: &data,
             extents: &[3, 6],
             origin: [0, 40],
