@@ -366,7 +366,7 @@ static FLAGS: &[Flag] = &[
     Flag {
         name: K,
         commands: BUILT,
-        help: "replicate every kernel K times (default: the largest feasible k = m)",
+        help: "replicate every kernel K times (default: one k per kernel, the cheapest design that fits)",
         takes: Parse("K", |p, v| v.positive().map(|k| p.k = Some(k))),
     },
     Flag {
@@ -984,6 +984,20 @@ fn program_report(art: &ProgramArtifacts) -> String {
     s
 }
 
+/// What stops each stage's next doubling ([`sysgen::next_doubling`]),
+/// one line; empty when no system fits.
+fn next_doublings(art: &ProgramArtifacts) -> String {
+    let Some(sys) = &art.system else {
+        return String::new();
+    };
+    let sim = SimConfig::default();
+    let cost = zynq::RoundPricer::of(sys, &sim);
+    let stages: Vec<String> = (art.names.iter().enumerate())
+        .map(|(i, name)| format!("{name} {}", sysgen::next_doubling(sys, i, &cost)))
+        .collect();
+    format!("next doubling: {}\n", stages.join(", "))
+}
+
 fn cmd_compile(args: &[String]) {
     let p = checked_or_exit("compile", parse_common(args));
     let art = compile_or_exit(&p);
@@ -1037,6 +1051,7 @@ fn sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
     }
     if p.wants("report") {
         let mut s = program_report(art);
+        s.push_str(&next_doublings(art));
         for (name, a) in stages() {
             s.push_str(&format!("\n{}", a.hls_report.renamed(name.clone())));
         }

@@ -22,7 +22,10 @@
 //!    alias, dead-between-kernels buffers overlay),
 //! 5. **program system** — `sysgen::MultiSystemDesign` replicates each
 //!    kernel (`ks[i]` accelerators) against `m` shared PLM sets and
-//!    checks the generalized Eq. (3) over the union,
+//!    checks the generalized Eq. (3) over the union; unless the options
+//!    fix the replication, `sysgen::best_program_config` picks one
+//!    `ks[i]` per kernel, the cheapest round per element the board
+//!    admits,
 //! 6. **simulation / verification** — `zynq::simulate_program` executes
 //!    the chained host schedule; `zynq::verify_program` checks the
 //!    chain bit-exactly against the chained reference interpreter.
@@ -62,8 +65,9 @@ pub struct ProgramOptions {
     /// of buffers dead between kernels). With this off the program
     /// memory is the plain concatenation of the per-kernel subsystems.
     pub cross_sharing: bool,
-    /// Requested program replication; `None` picks the largest feasible
-    /// uniform `k = m`.
+    /// Requested program replication; `None` picks one `k_i` per stage
+    /// by the exact search over Eq. (3)
+    /// ([`sysgen::best_program_config`]).
     pub system: Option<ProgramSystemConfig>,
 }
 
@@ -320,6 +324,20 @@ impl ProgramBuild {
         }
     }
 
+    /// The automatic replication on `platform`: the cheapest design per
+    /// element ([`sysgen::best_program_config`]), priced with the
+    /// simulator's default host constants.
+    pub fn pick(&self, platform: &sysgen::Platform) -> Option<ProgramSystemConfig> {
+        let sim = SimConfig::default();
+        let cost = zynq::RoundPricer {
+            dma: &platform.dma,
+            cfg: &sim,
+            bytes_in_per_element: self.merged.bytes_in_per_element,
+            bytes_out_per_element: self.merged.bytes_out_per_element,
+        };
+        sysgen::best_program_config(platform, &self.stages, &self.merged.memory, &cost)
+    }
+
     /// Build the system for one replication choice (`None` when it
     /// exceeds the platform's board).
     pub fn design_for(
@@ -477,8 +495,9 @@ impl Pipeline {
             opts.cross_sharing,
         );
 
-        // Replication: the requested configuration or the largest
-        // feasible uniform k = m.
+        // Replication: the requested configuration, or one `k_i` per
+        // stage by the exact search over Eq. (3), priced as the simulator
+        // prices rounds (`sysgen::replicate`).
         if let Some(c) = &opts.system {
             if c.ks.len() != names.len() {
                 return Err(FlowError::Backend(format!(
@@ -496,10 +515,7 @@ impl Pipeline {
         }
         let cfg = match &opts.system {
             Some(c) => Some(c.clone()),
-            None => {
-                let memory = &build.merged.memory;
-                sysgen::max_equal_program_config(&opts.flow.platform, &build.stages, memory)
-            }
+            None => build.pick(&opts.flow.platform),
         };
         let (system, host_source) = match cfg {
             Some(c) => {
@@ -769,5 +785,67 @@ mod tests {
         // External inputs: P, u0, S, D, Q; external output: w only.
         assert_eq!(host.bytes_in_per_element, (16 + 64 + 16 + 64 + 16) * 8);
         assert_eq!(host.bytes_out_per_element, 64 * 8);
+    }
+
+    #[test]
+    fn a_stage_near_the_tick_limit_keeps_the_uniform_pick_or_fails_structurally() {
+        // One stage of a compiled simstep:4 slowed to within reach of the
+        // u64 picosecond clock: the automatic replication never chooses a
+        // round past the clock, replaces the uniform pick only with a
+        // strictly cheaper priced design, and simulating the result is
+        // Ok or `TicksOverflow`, neither wrapped nor panicked.
+        let art = ProgramFlow::compile(
+            &cfdlang::examples::simulation_step(4),
+            &ProgramOptions::default(),
+        )
+        .unwrap();
+        let sys = art.system.as_ref().unwrap();
+        let platform = &sys.platform;
+        // One round: whether it fits the clock is the question.
+        let sim = SimConfig {
+            elements: 1,
+            ..SimConfig::default()
+        };
+        let mut outcomes = (0, 0);
+        for ticks in [1u64 << 60, 1 << 62, u64::MAX - (1 << 10), u64::MAX] {
+            for stage in 0..sys.stages.len() {
+                let mut build = ProgramBuild {
+                    merged: MergedMemory {
+                        plan: art.memory_plan.clone(),
+                        memory: art.memory.clone(),
+                        bytes_in_per_element: sys.host.bytes_in_per_element,
+                        bytes_out_per_element: sys.host.bytes_out_per_element,
+                        handoff_bytes_per_element: sys.host.handoff_bytes_per_element,
+                    },
+                    stages: (sys.stages.iter())
+                        .map(|s| (s.name.clone(), s.kernel.clone()))
+                        .collect(),
+                };
+                let report = &mut build.stages[stage].1;
+                report.latency_cycles = (ticks as f64 * 1e-12 * report.clock_mhz * 1e6) as u64;
+                let uniform =
+                    sysgen::max_equal_program_config(platform, &build.stages, &art.memory).unwrap();
+                let pick = build.pick(platform).unwrap();
+                let round = |c: &ProgramSystemConfig| {
+                    let design = build.design_for(platform, c.clone()).unwrap();
+                    zynq::program_round(&design, &sim).serial_ticks(c.m, c.m)
+                };
+                if pick != uniform {
+                    let (t, u) = (round(&pick).unwrap(), round(&uniform).unwrap());
+                    assert!(sysgen::replicate::cheaper(t, pick.m, u, uniform.m));
+                }
+                let system = build.design_for(platform, pick);
+                let slowed = ProgramArtifacts {
+                    system,
+                    ..art.clone()
+                };
+                match slowed.simulate(&sim) {
+                    Ok(_) => outcomes.0 += 1,
+                    Err(FlowError::TicksOverflow { elements: 1 }) => outcomes.1 += 1,
+                    Err(e) => panic!("stage {stage} at {ticks} ticks: {e}"),
+                }
+            }
+        }
+        assert!(outcomes.0 > 0 && outcomes.1 > 0, "{outcomes:?}");
     }
 }

@@ -40,11 +40,18 @@
 //! replicated architecture of Figure 7:
 //!
 //! * it solves Eq. (3) — `[H]·k + [M]·m ≤ [A]` with `m` a power-of-two
-//!   multiple of `k` — against the platform's board to find feasible
-//!   replication factors ([`enumerate_program_designs`]); the automatic
-//!   choice ([`max_equal_program_config`]) is the largest rung of the
-//!   `k = m ∈ {1, 2, …, 64}` ladder that [`Totals::fit`] admits, decided
-//!   without building a design,
+//!   multiple of `k`, generalised to `Σ_i [H_i]·k_i + [M]·m + glue ≤
+//!   [A]` over a program's stages — against the platform's board to find
+//!   feasible replication factors ([`enumerate_program_designs`] lists
+//!   the uniform ones). The automatic choice ([`best_program_config`],
+//!   module [`replicate`]) picks one `k_i` per stage: an exact branch and
+//!   bound over the ladder `1, 2, …, 64` with `m = max k_i`, minimising
+//!   a round's ticks per element as the simulator prices them
+//!   ([`RoundCost`]), starting from the largest uniform `k = m` that
+//!   [`Totals::fit`] admits ([`max_equal_program_config`]) and leaving
+//!   it only for a strictly cheaper design. A single kernel keeps its
+//!   uniform pick; a program's slow stages get more accelerators than
+//!   its fast ones. Nothing is built while searching,
 //! * it instantiates `k_i` accelerators per stage and `m` PLM systems
 //!   plus the integration logic: per stage the AXI-lite peripheral that
 //!   presents its `k_i` accelerators to the host as a single `ap_ctrl`
@@ -65,9 +72,11 @@
 //!
 //! A request that exceeds the selected board (e.g. the ZCU106's
 //! `k = m = 16` asked of a Pynq-Z2) is *not* an error at this layer:
-//! [`MultiSystemDesign::build`] returns `None`, and
-//! [`max_equal_program_config`] degrades to the largest replication the
-//! small board admits. Callers that insist on an explicit configuration
+//! [`MultiSystemDesign::build`] returns `None`, and the automatic choice
+//! degrades to the largest replication the small board admits.
+//! [`next_doubling`] says, per stage of a design, what stops its next
+//! doubling: the Eq. (3) term it would break, no gain, or the ladder's
+//! top. Callers that insist on an explicit configuration
 //! get a structured does-not-fit error from the flow above.
 
 #![forbid(unsafe_code)]
@@ -77,6 +86,7 @@ pub mod host;
 pub mod multi;
 pub mod netlist;
 pub mod platform;
+pub mod replicate;
 pub mod system;
 
 pub use board::BoardSpec;
@@ -87,4 +97,5 @@ pub use multi::{
 };
 pub use netlist::emit_system_verilog;
 pub use platform::{DmaSpec, HostCpuModel, Platform};
+pub use replicate::{best_program_config, next_doubling, Doubling, RoundCost, SEARCH_CAP};
 pub use system::{max_equal_config, IntegrationModel, SystemConfig, SystemDesign, Totals};

@@ -18,6 +18,12 @@
 //! `m/k_i` start/wait batches in chain order (handoffs stay inside the
 //! PLM fabric — co-located buffers make them free), then transfer the
 //! external outputs back.
+//!
+//! A round therefore costs `Σ_i (m/k_i)·lat_i` plus its transfers, and
+//! the stages need not share one `k`: the program flow picks `ks` with
+//! the search of [`crate::replicate`], which starts from the uniform
+//! [`max_equal_program_config`] and gives a slow stage more accelerators
+//! where Eq. (3) leaves room.
 
 use crate::board::BoardSpec;
 use crate::platform::Platform;
@@ -275,18 +281,28 @@ pub fn enumerate_program_designs(
 
 /// The largest feasible uniform `k = m` program configuration: the top
 /// rung of the ladder that the generalized Eq. (3) ([`Totals::fit`])
-/// admits.
+/// admits. The program flow starts its replication search
+/// ([`crate::best_program_config`]) from this pick.
 pub fn max_equal_program_config(
     platform: &Platform,
     stages: &[(String, HlsReport)],
     memory: &MemorySubsystem,
 ) -> Option<ProgramSystemConfig> {
+    let k = max_equal_k(platform, stages, memory)?;
+    Some(ProgramSystemConfig::uniform(k, k, stages.len()))
+}
+
+/// The `k` of [`max_equal_program_config`], without its `ks`.
+pub(crate) fn max_equal_k(
+    platform: &Platform,
+    stages: &[(String, HlsReport)],
+    memory: &MemorySubsystem,
+) -> Option<usize> {
     let fits = |&k: &usize| {
         let banks = stages.iter().map(|(_, hlsr)| (k, hlsr));
         Totals::fit(platform, banks, memory, k).is_some()
     };
-    let k = LADDER.into_iter().rev().find(fits)?;
-    Some(ProgramSystemConfig::uniform(k, k, stages.len()))
+    LADDER.into_iter().rev().find(fits)
 }
 
 impl ProgramHostProgram {

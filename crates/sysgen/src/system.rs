@@ -73,34 +73,86 @@ impl Totals {
     /// The generalized Eq. (3), `Σ_i [H_i]·k_i + [M]·m + glue ≤ [A]`:
     /// the totals of `stages` (replication and HLS report of each
     /// accelerator bank) over `m` PLM sets of `memory`, or `None` when
-    /// they exceed the platform's board. Every system builder and the
-    /// design-space sweep decide feasibility here.
+    /// they exceed the platform's board. Every system builder, the
+    /// design-space sweep and the replication search decide feasibility
+    /// here or on the same terms ([`Totals::base`] plus one
+    /// [`Totals::stage`] per bank).
     pub fn fit<'a>(
         platform: &Platform,
         stages: impl IntoIterator<Item = (usize, &'a HlsReport)>,
         memory: &MemorySubsystem,
         m: usize,
     ) -> Option<Totals> {
+        let t = (stages.into_iter()).fold(Totals::base(memory, m), |t, (k, kernel)| {
+            t.plus(Totals::stage(k, kernel, m))
+        });
+        t.within(&platform.board).then_some(t)
+    }
+
+    /// The terms no accelerator bank adds: the integration base and `m`
+    /// PLM sets of `memory`.
+    pub fn base(memory: &MemorySubsystem, m: usize) -> Totals {
         let im = IntegrationModel::default();
-        let mut t = Totals {
+        Totals {
             luts: im.base_lut + m * memory.luts,
             ffs: im.base_ff + m * memory.ffs,
             dsps: 0,
             brams: im.base_bram + m * memory.brams,
-        };
-        for (k, kernel) in stages {
-            t.luts +=
-                k * (kernel.luts + im.glue_lut_per_kernel) + (m - k) * im.glue_lut_per_extra_plm;
-            t.ffs += k * (kernel.ffs + im.glue_ff_per_kernel);
-            t.dsps += k * kernel.dsps;
-            t.brams += k * kernel.brams;
         }
-        let board = &platform.board;
-        let fits = t.luts <= board.luts
-            && t.ffs <= board.ffs
-            && t.dsps <= board.dsps
-            && t.brams <= board.brams;
-        fits.then_some(t)
+    }
+
+    /// One bank's terms: `k` accelerators of `kernel` with their glue,
+    /// steering `m` PLM sets. Every term grows with `k`.
+    pub fn stage(k: usize, kernel: &HlsReport, m: usize) -> Totals {
+        let im = IntegrationModel::default();
+        Totals {
+            luts: k * (kernel.luts + im.glue_lut_per_kernel) + (m - k) * im.glue_lut_per_extra_plm,
+            ffs: k * (kernel.ffs + im.glue_ff_per_kernel),
+            dsps: k * kernel.dsps,
+            brams: k * kernel.brams,
+        }
+    }
+
+    /// The term-wise sum.
+    pub fn plus(self, o: Totals) -> Totals {
+        Totals {
+            luts: self.luts + o.luts,
+            ffs: self.ffs + o.ffs,
+            dsps: self.dsps + o.dsps,
+            brams: self.brams + o.brams,
+        }
+    }
+
+    /// The term-wise difference; `o` must be part of `self`.
+    pub(crate) fn minus(self, o: Totals) -> Totals {
+        Totals {
+            luts: self.luts - o.luts,
+            ffs: self.ffs - o.ffs,
+            dsps: self.dsps - o.dsps,
+            brams: self.brams - o.brams,
+        }
+    }
+
+    /// Whether every term fits `board`.
+    pub fn within(&self, board: &BoardSpec) -> bool {
+        self.luts <= board.luts
+            && self.ffs <= board.ffs
+            && self.dsps <= board.dsps
+            && self.brams <= board.brams
+    }
+
+    /// The names (`LUT`, `FF`, `DSP`, `BRAM`) of the terms that exceed
+    /// `board`, in that order.
+    pub fn exceeded<'a>(&'a self, board: &'a BoardSpec) -> impl Iterator<Item = &'static str> + 'a {
+        [
+            ("LUT", self.luts, board.luts),
+            ("FF", self.ffs, board.ffs),
+            ("DSP", self.dsps, board.dsps),
+            ("BRAM", self.brams, board.brams),
+        ]
+        .into_iter()
+        .filter(|&(_, used, budget)| used > budget)
+        .map(|(name, _, _)| name)
     }
 
     /// The largest resource-utilization fraction across LUT/FF/DSP/BRAM
@@ -175,7 +227,7 @@ pub(crate) const LADDER: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// The largest feasible `k = m` (power of two) — the configuration the
 /// paper uses for its main results: the top rung of the ladder that
 /// [`Totals::fit`] admits. The flow picks with
-/// [`crate::max_equal_program_config`]; this stays for `benchmark/`.
+/// [`crate::best_program_config`]; this stays for `benchmark/`.
 pub fn max_equal_config(
     platform: &Platform,
     kernel: &HlsReport,

@@ -25,7 +25,9 @@
 //!   broadcast start `m/k` times, collect done interrupts, transfer
 //!   outputs (Figure 7's architecture, including `k < m` batching). One
 //!   closed form prices a job, strictly serial like the paper's host
-//!   program; a single kernel is the one-stage program. DMA/compute
+//!   program; a single kernel is the one-stage program. Its per-stage
+//!   and transfer tick formulas also price the compiler's replication
+//!   search ([`RoundPricer`]). DMA/compute
 //!   overlap is modelled only by the request stream ([`online`],
 //!   [`stream`]),
 //! * [`online`] — the stream scheduler ([`simulate_online_stream`]): a
@@ -83,7 +85,7 @@ pub use online::{simulate_online_stream, simulate_round_stream, OnlineSpec};
 pub use par::{fan_out, resolve_jobs};
 pub use sim::{
     program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, ProgramRound,
-    SimConfig,
+    RoundPricer, SimConfig,
 };
 pub use stream::{
     simulate_batch_stream, simulate_faulty_stream, summarize_round_stream, StreamOutcome,

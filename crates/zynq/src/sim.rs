@@ -125,12 +125,12 @@ pub struct ProgramRound {
 impl ProgramRound {
     /// Price one round from its parts: each stage's replication `k_i`
     /// and kernel latency in seconds, the `m` PLM sets, and the
-    /// external byte interface per element. Per stage, each of the
-    /// `m/k_i` batches starts its accelerators through the AXI-lite
-    /// peripheral (the broadcast is serialized on the AXI bus), all
-    /// `k_i` finish together, and the peripheral raises the interrupt
-    /// when the last one signals done. Every simulator and the
-    /// design-space sweep price their rounds here.
+    /// external byte interface per element. Each stage costs
+    /// [`stage_ticks`]; a stage past the `u64` clock prices at its last
+    /// tick, and [`ProgramRound::serial_ticks`] then reports the
+    /// overflow. Every simulator and the design-space sweep price their
+    /// rounds here, and the replication search ([`RoundPricer`]) prices
+    /// its candidates with the same two formulas.
     pub fn price(
         dma: &DmaSpec,
         cfg: &SimConfig,
@@ -139,15 +139,12 @@ impl ProgramRound {
         bytes_in_per_element: usize,
         bytes_out_per_element: usize,
     ) -> ProgramRound {
-        let stage_exec = stages.into_iter().map(|(k, kernel_s)| {
-            let per_batch =
-                secs(cfg.axi_start_s_per_kernel) * k as u64 + secs(kernel_s) + secs(cfg.irq_s);
-            per_batch * (m / k) as u64
-        });
+        let stage_exec = (stages.into_iter())
+            .map(|(k, kernel_s)| stage_ticks(cfg, k, kernel_s, m).unwrap_or(Time::MAX));
         ProgramRound {
-            t_in: secs(dma.transfer_bursts_s(bytes_in_per_element * m, m)),
+            t_in: transfer_ticks(dma, bytes_in_per_element, m),
             stage_exec: stage_exec.collect(),
-            t_out: secs(dma.transfer_bursts_s(bytes_out_per_element * m, m)),
+            t_out: transfer_ticks(dma, bytes_out_per_element, m),
         }
     }
 
@@ -163,10 +160,69 @@ impl ProgramRound {
 
     /// End-to-end ticks of the serial schedule over `elements`
     /// elements: `⌈elements / m⌉` identical rounds (the final partial
-    /// batch still costs a full round). `None` when they do not fit the
-    /// `u64` clock.
+    /// batch still costs a full round). `None` when a round or the run
+    /// does not fit the `u64` clock.
     pub fn serial_ticks(&self, m: usize, elements: usize) -> Option<Time> {
-        self.total().checked_mul(elements.div_ceil(m) as u64)
+        let round = (self.stage_exec.iter())
+            .try_fold(self.t_in.checked_add(self.t_out)?, |t, &s| t.checked_add(s))?;
+        round.checked_mul(elements.div_ceil(m) as u64)
+    }
+}
+
+/// Ticks of one stage per round: `m/k` serial batches of its `k`
+/// accelerators. Each batch starts its accelerators through the AXI-lite
+/// peripheral (the broadcast is serialized on the AXI bus), all `k`
+/// finish together after `kernel_s`, and the peripheral raises the
+/// interrupt when the last one signals done. `None` past the `u64`
+/// clock.
+pub fn stage_ticks(cfg: &SimConfig, k: usize, kernel_s: f64, m: usize) -> Option<Time> {
+    let per_batch = (secs(cfg.axi_start_s_per_kernel).checked_mul(k as u64)?)
+        .checked_add(secs(kernel_s))?
+        .checked_add(secs(cfg.irq_s))?;
+    per_batch.checked_mul((m / k) as u64)
+}
+
+/// Ticks of one round's transfer of `bytes_per_element` bytes for each of
+/// `m` elements, one burst per PLM set.
+pub fn transfer_ticks(dma: &DmaSpec, bytes_per_element: usize, m: usize) -> Time {
+    secs(dma.transfer_bursts_s(bytes_per_element * m, m))
+}
+
+/// The replication search's price ([`sysgen::RoundCost`]): a round on
+/// `dma` under `cfg`'s host constants, with the external byte interface
+/// per element, priced by [`stage_ticks`] and [`transfer_ticks`] as
+/// [`ProgramRound::price`] prices it.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundPricer<'a> {
+    pub dma: &'a DmaSpec,
+    pub cfg: &'a SimConfig,
+    pub bytes_in_per_element: usize,
+    pub bytes_out_per_element: usize,
+}
+
+impl<'a> RoundPricer<'a> {
+    /// The price of `design`'s rounds under `cfg`.
+    pub fn of(design: &'a MultiSystemDesign, cfg: &'a SimConfig) -> RoundPricer<'a> {
+        RoundPricer {
+            dma: &design.platform.dma,
+            cfg,
+            bytes_in_per_element: design.host.bytes_in_per_element,
+            bytes_out_per_element: design.host.bytes_out_per_element,
+        }
+    }
+}
+
+impl sysgen::RoundCost for RoundPricer<'_> {
+    fn stage(&self, k: usize, kernel_s: f64, m: usize) -> Option<u64> {
+        stage_ticks(self.cfg, k, kernel_s, m)
+    }
+
+    fn transfers(&self, m: usize) -> Option<u64> {
+        transfer_ticks(self.dma, self.bytes_in_per_element, m).checked_add(transfer_ticks(
+            self.dma,
+            self.bytes_out_per_element,
+            m,
+        ))
     }
 }
 

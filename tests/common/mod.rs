@@ -470,6 +470,36 @@ pub fn program(seed: u64, cov: &mut Coverage) -> (String, usize) {
     (source, count)
 }
 
+/// A single-edit mutant of the ASCII `source`: one character deleted,
+/// swapped with the next or replaced, one line dropped or repeated, or a
+/// `0` inserted. `seed` picks the edit and where it lands.
+pub fn mutant(source: &str, seed: u64) -> String {
+    const ALPHABET: &[u8] = b"0123456789 \t\n[]{}()#.,=+-*/:_acdehikrstuvx";
+    let mut rng = Rng(seed);
+    let mut bytes = source.as_bytes().to_vec();
+    let at = rng.range(0, bytes.len() - 1);
+    match rng.range(0, 5) {
+        0 => {
+            bytes.remove(at);
+        }
+        1 => bytes.swap(at, (at + 1).min(source.len() - 1)),
+        2 => bytes[at] = *rng.pick(ALPHABET),
+        3 | 4 => {
+            let mut lines: Vec<&str> = source.lines().collect();
+            let line = rng.range(0, lines.len() - 1);
+            if rng.chance(50) {
+                lines.remove(line);
+            } else {
+                let repeated = lines[line];
+                lines.insert(line, repeated);
+            }
+            bytes = format!("{}\n", lines.join("\n")).into_bytes();
+        }
+        _ => bytes.insert(at, b'0'),
+    }
+    String::from_utf8(bytes).expect("an ASCII edit of an ASCII source")
+}
+
 /// The program count: `CFD_GENERATED_PROGRAMS`, default 200.
 pub fn program_count() -> u64 {
     std::env::var("CFD_GENERATED_PROGRAMS")

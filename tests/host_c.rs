@@ -8,7 +8,7 @@
 //! `cc` fails the test.
 
 use cfdfpga::flow::{ProgramFlow, ProgramOptions};
-use cfdfpga::sysgen::ProgramSystemConfig;
+use cfdfpga::sysgen::{Platform, ProgramSystemConfig};
 use cfdfpga::zynq::SimConfig;
 use std::path::Path;
 use std::process::Command;
@@ -96,25 +96,40 @@ fn host_c_compiles_and_runs_the_simulated_rounds() {
     use cfdfpga::cfdlang::examples as ex;
     const ELEMENTS: usize = 1_001;
     let root = std::env::temp_dir().join(format!("cfdfpga-host-c-{}", std::process::id()));
-    // The automatic replications (k = m), and one with k < m batches.
+    // The automatic replications on the zcu106 (k = m), one with k < m
+    // batches, and the zcu102's per-stage pick for simstep:7, whose
+    // middle stage runs two batches a round.
     let batched = ProgramSystemConfig::uniform(2, 8, 3);
-    for (what, src, system) in [
-        ("helmholtz:4", ex::inverse_helmholtz(4), None),
-        ("simstep:4", ex::simulation_step(4), None),
-        ("axpychain:4", ex::axpy_chain(4), None),
+    let (zcu106, zcu102) = (Platform::zcu106(), Platform::zcu102());
+    for (what, src, system, platform) in [
+        ("helmholtz:4", ex::inverse_helmholtz(4), None, &zcu106),
+        ("simstep:4", ex::simulation_step(4), None, &zcu106),
+        ("axpychain:4", ex::axpy_chain(4), None, &zcu106),
         (
             "simstep:4 --k 2 --m 8",
             ex::simulation_step(4),
             Some(batched),
+            &zcu106,
+        ),
+        (
+            "simstep:7 --board zcu102",
+            ex::simulation_step(7),
+            None,
+            &zcu102,
         ),
     ] {
         let mut opts = ProgramOptions {
             system,
             ..ProgramOptions::default()
         };
+        opts.flow.platform = platform.clone();
+        opts.flow.hls.clock_mhz = platform.default_clock_mhz;
         opts.flow.elements = ELEMENTS;
         let art = ProgramFlow::compile(&src, &opts).unwrap();
         let sys = art.system.as_ref().expect("a system fits");
+        if platform == &zcu102 {
+            assert_eq!(sys.config.ks, [32, 16, 32], "{what}");
+        }
         let (m, host) = (sys.config.m, &sys.host);
         assert_ne!(ELEMENTS % m, 0, "{what}: the last round must be partial");
         let sim = SimConfig {

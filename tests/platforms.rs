@@ -321,8 +321,10 @@ fn max_equal_by_building(
 /// kernel's feasibility listing) and `max_equal_program_config` decide
 /// on `Totals::fit` alone; on every catalog board, over the six
 /// examples with and without sharing, they return what building every
-/// design and filtering `k = m` returns. The sweep meets a capped
-/// (`k = 64`) choice, and an oversized kernel meets `None`.
+/// design and filtering `k = m` returns, and the flow's design is the
+/// replication search's pick (`tests/replication.rs` holds the search to
+/// its definition). The sweep meets a capped (`k = 64`) choice, and an
+/// oversized kernel meets `None`.
 #[test]
 fn automatic_replication_equals_the_build_and_filter_rule() {
     use cfdfpga::cfdlang::examples as ex;
@@ -362,7 +364,16 @@ fn automatic_replication_equals_the_build_and_filter_rule() {
                     "{} {:?} sharing {sharing}",
                     platform.id, art.names
                 );
-                assert_eq!(art.system.map(|d| d.config), chosen);
+                // The flow starts its replication search from that pick
+                // and picks what the search picks on the same price.
+                let design = art.system.as_ref();
+                let sim = zynq::SimConfig::default();
+                let searched = design.and_then(|d| {
+                    let cost = zynq::RoundPricer::of(d, &sim);
+                    sysgen::best_program_config(&platform, &stages, &art.memory, &cost)
+                });
+                assert_eq!(design.map(|d| d.config.clone()), searched);
+                assert_eq!(searched.is_some(), chosen.is_some());
                 seen.insert(chosen.map(|c| c.m));
             }
         }
