@@ -26,17 +26,11 @@
 //!   cheaper designs of equal price the smaller `Σ k_i` wins, then the
 //!   lexicographically smaller `ks`. When the incumbent's own round
 //!   passes the clock it is kept, and the simulator reports the overflow.
-//! * **Method.** Branch and bound. Rung by rung of `m`, a rung is skipped
-//!   when its cheapest design (every stage at `k = m`) cannot beat the
-//!   best so far, and the walk stops at the first rung whose base and `m`
-//!   PLM sets alone exceed the board. Inside a rung it goes depth-first
-//!   over the stages, largest `k` first, and prunes a branch when its
-//!   partial Eq. (3) totals plus the cheapest completion (every later
-//!   stage at `k = 1`) exceed the board, or its partial ticks plus the
-//!   cheapest completion in ticks (every later stage at `k = m`) cannot
-//!   beat the best. At most [`SEARCH_CAP`] nodes are visited; past the
-//!   cap the best design found so far stands, which is never worse than
-//!   the incumbent.
+//! * **Method.** Enumeration: every `ks` in lexicographic order, each
+//!   checked against [`Totals::fit`] and priced. Every program the flow
+//!   compiles has at most three stages, so at most 7³ = 343 designs. At
+//!   most [`SEARCH_CAP`] designs are priced; past the cap the best design
+//!   found so far stands, which is never worse than the incumbent.
 //!
 //! Greedy doubling from the uniform pick is not exact: on
 //! `simulation_step(3)` on the zcu102 it stops at `[16, 32, 16]`, while
@@ -45,8 +39,8 @@
 //! The search prices through [`RoundCost`], which `zynq::RoundPricer`
 //! implements with the tick formulas `zynq::ProgramRound::price` charges,
 //! so the search and the simulator agree by construction. It allocates
-//! only the `ks` it returns: the current path lives in the recursion's
-//! frames.
+//! two `ks`, the one it walks and the one it returns, and nothing per
+//! design.
 //!
 //! [`next_doubling`] explains a design after the fact: for each stage,
 //! what stops its next doubling.
@@ -55,21 +49,21 @@
 
 use std::fmt;
 
-use crate::board::BoardSpec;
 use crate::multi::{max_equal_k, MultiSystemDesign, ProgramSystemConfig};
 use crate::platform::Platform;
 use crate::system::{Totals, LADDER};
 use hls::HlsReport;
 use mnemosyne::MemorySubsystem;
 
-/// The most search nodes (one stage's choice of `k` on a path) one
-/// [`best_program_config`] visits. Programs of up to three stages need at
-/// most `7 · (7 + 7² + 7³)` = 2 793.
+/// The most designs one [`best_program_config`] prices. Programs of up to
+/// three stages have at most 7³ = 343.
 pub const SEARCH_CAP: usize = 1 << 16;
 
+/// The top of the replication ladder.
+const TOP: usize = LADDER[LADDER.len() - 1];
+
 /// The price of a main-loop round in simulator ticks, as the replication
-/// search reads it. At a fixed `m`, [`RoundCost::stage`] must not fall
-/// as `k` falls: the search's bounds rely on it.
+/// search reads it.
 pub trait RoundCost {
     /// Ticks of one stage per round: `k` accelerators of `kernel_s`
     /// seconds each over `m` PLM sets. `None` past the `u64` clock.
@@ -110,7 +104,7 @@ pub fn best_program_config(
     search(platform, stages, memory, cost).map(|(cfg, _)| cfg)
 }
 
-/// [`best_program_config`] with the number of nodes it visited.
+/// [`best_program_config`] with the number of designs it priced.
 pub(crate) fn search(
     platform: &Platform,
     stages: &[(String, HlsReport)],
@@ -118,182 +112,51 @@ pub(crate) fn search(
     cost: &impl RoundCost,
 ) -> Option<(ProgramSystemConfig, usize)> {
     let k = max_equal_k(platform, stages, memory)?;
-    let ks = vec![k; stages.len()];
-    let incumbent = round_ticks(cost, stages.iter().map(|(_, r)| (k, r)), k);
+    let mut best = ProgramSystemConfig {
+        ks: vec![k; stages.len()],
+        m: k,
+    };
     // With no stage, or an incumbent past the clock (which the simulator
     // reports), the uniform pick stands.
-    let (Some(t), false) = (incumbent, stages.is_empty()) else {
-        return Some((ProgramSystemConfig { ks, m: k }, 0));
+    let Some(mut t_best) =
+        round_ticks(cost, banks(&best.ks, stages), k).filter(|_| !stages.is_empty())
+    else {
+        return Some((best, 0));
     };
-    let mut s = Search {
-        board: &platform.board,
-        stages,
-        cost,
-        ks,
-        t,
-        m: k,
-        sum: k * stages.len(),
-        incumbent: true,
-        nodes: 0,
-    };
-    for m in LADDER {
-        let base = Totals::base(memory, m);
-        if !base.within(s.board) {
-            break;
-        }
-        let floor = (stages.iter()).try_fold(0u64, |t, (_, r)| {
-            t.checked_add(cost.stage(m, r.latency_seconds(), m)?)
-        });
-        let Some(floor) = floor else {
-            continue;
+    // The incumbent enters with `Σ k = 0`, so a tie never replaces it.
+    let mut sum_best = 0;
+    let mut ks = vec![1; stages.len()];
+    let mut designs = 0;
+    while designs < SEARCH_CAP {
+        designs += 1;
+        let m = ks.iter().copied().max().unwrap_or(1);
+        let t = Totals::fit(platform, banks(&ks, stages), memory, m)
+            .and_then(|_| round_ticks(cost, banks(&ks, stages), m));
+        let sum: usize = ks.iter().sum();
+        // Designs come in lexicographic order: of two equal in price and
+        // `Σ k`, the first stands.
+        let wins = |&t: &u64| {
+            cheaper(t, m, t_best, best.m) || (!cheaper(t_best, best.m, t, m) && sum < sum_best)
         };
-        let Some(x) = cost.transfers(m) else {
-            continue;
-        };
-        if !(x.checked_add(floor)).is_some_and(|lb| s.admits(lb, m)) {
-            continue;
+        if let Some(t) = t.filter(wins) {
+            best.ks.copy_from_slice(&ks);
+            (t_best, best.m, sum_best) = (t, m, sum);
         }
-        let rest = (stages.iter()).fold(Totals::default(), |t, (_, r)| {
-            t.plus(Totals::stage(1, r, m))
-        });
-        if base.plus(rest).within(s.board) {
-            s.descend(m, 0, None, base, rest, x, floor, 0, false);
-        }
-        if s.nodes == SEARCH_CAP {
+        let Some(i) = ks.iter().rposition(|&k| k < TOP) else {
             break;
-        }
+        };
+        ks[i] *= 2;
+        ks[i + 1..].fill(1);
     }
-    let Search { ks, m, nodes, .. } = s;
-    Some((ProgramSystemConfig { ks, m }, nodes))
+    Some((best, designs))
 }
 
-/// One stage's `k` on the current search path, linked to the stage
-/// before it.
-struct Step<'a> {
-    k: usize,
-    prev: Option<&'a Step<'a>>,
-}
-
-/// The branch and bound's state: the best design so far (`ks`, its round
-/// ticks `t` over `m`, its `Σ k_i`, and whether it is still the
-/// incumbent) and the nodes visited.
-struct Search<'a, C> {
-    board: &'a BoardSpec,
+/// Each stage's replication and HLS report.
+fn banks<'a>(
+    ks: &'a [usize],
     stages: &'a [(String, HlsReport)],
-    cost: &'a C,
-    ks: Vec<usize>,
-    t: u64,
-    m: usize,
-    sum: usize,
-    incumbent: bool,
-    nodes: usize,
-}
-
-impl<C: RoundCost> Search<'_, C> {
-    /// Whether a design of `t` ticks over `m` could still replace the
-    /// best: strictly cheaper, or as cheap when the best is no longer the
-    /// incumbent (the tie rules decide).
-    fn admits(&self, t: u64, m: usize) -> bool {
-        cheaper(t, m, self.t, self.m) || (!self.incumbent && !cheaper(self.t, self.m, t, m))
-    }
-
-    /// Choose stage `i`'s `k` on rung `m` below `path`. `used` holds the
-    /// Eq. (3) totals of the base and the stages before `i`, `rest` the
-    /// totals of stages `i..` at `k = 1`; `ticks` the round's ticks so
-    /// far, `floor` those of stages `i..` at `k = m`; `sum` the `Σ k` so
-    /// far; `top` whether some stage before `i` has `k = m`.
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &mut self,
-        m: usize,
-        i: usize,
-        path: Option<&Step<'_>>,
-        used: Totals,
-        rest: Totals,
-        ticks: u64,
-        floor: u64,
-        sum: usize,
-        top: bool,
-    ) {
-        let kernel = &self.stages[i].1;
-        let kernel_s = kernel.latency_seconds();
-        let last = i + 1 == self.stages.len();
-        let rest = rest.minus(Totals::stage(1, kernel, m));
-        // The rung's floor was summed from these same terms.
-        let floor = floor - self.cost.stage(m, kernel_s, m).unwrap_or(0);
-        for k in LADDER.into_iter().rev().filter(|&k| k <= m) {
-            if (last && !top && k < m) || self.nodes == SEARCH_CAP {
-                return;
-            }
-            self.nodes += 1;
-            // Fewer accelerators only cost more ticks: once a `k` cannot
-            // win, no smaller one can.
-            let Some(t) = (self.cost.stage(k, kernel_s, m)).and_then(|c| ticks.checked_add(c))
-            else {
-                return;
-            };
-            if !(t.checked_add(floor)).is_some_and(|lb| self.admits(lb, m)) {
-                return;
-            }
-            // More accelerators only cost more resources: a smaller `k`
-            // may still fit.
-            let used = used.plus(Totals::stage(k, kernel, m));
-            if !used.plus(rest).within(self.board) {
-                continue;
-            }
-            let step = Step { k, prev: path };
-            if last {
-                self.offer(&step, t, m, sum + k);
-            } else {
-                self.descend(
-                    m,
-                    i + 1,
-                    Some(&step),
-                    used,
-                    rest,
-                    t,
-                    floor,
-                    sum + k,
-                    top || k == m,
-                );
-            }
-        }
-    }
-
-    /// A complete design (`leaf` ends its path): keep it if it beats the
-    /// best under the objective and the tie rules.
-    fn offer(&mut self, leaf: &Step<'_>, t: u64, m: usize, sum: usize) {
-        let wins = cheaper(t, m, self.t, self.m)
-            || (!self.incumbent
-                && !cheaper(self.t, self.m, t, m)
-                && (sum < self.sum || (sum == self.sum && self.precedes(leaf))));
-        if !wins {
-            return;
-        }
-        let mut at = Some(leaf);
-        for slot in self.ks.iter_mut().rev() {
-            let step = at.expect("a leaf's path holds one step per stage");
-            *slot = step.k;
-            at = step.prev;
-        }
-        (self.t, self.m, self.sum, self.incumbent) = (t, m, sum, false);
-    }
-
-    /// Whether the path ending in `leaf` is lexicographically smaller
-    /// than the best `ks`. The path runs backwards, so the last
-    /// difference met is the first in stage order.
-    fn precedes(&self, leaf: &Step<'_>) -> bool {
-        let mut first = false;
-        let mut at = Some(leaf);
-        for &best in self.ks.iter().rev() {
-            let Some(step) = at else { break };
-            if step.k != best {
-                first = step.k < best;
-            }
-            at = step.prev;
-        }
-        first
-    }
+) -> impl Iterator<Item = (usize, &'a HlsReport)> + 'a {
+    (ks.iter().copied()).zip(stages.iter().map(|(_, r)| r))
 }
 
 /// What stops one stage of a design from doubling its accelerators.
@@ -338,9 +201,7 @@ pub fn next_doubling(design: &MultiSystemDesign, stage: usize, cost: &impl Round
         let ks = ks.map(move |(i, &ki)| if i == stage { 2 * k } else { ki });
         ks.zip(&design.stages).map(|(k, s)| (k, &s.kernel))
     };
-    let totals = (doubled()).fold(Totals::base(&design.memory, m), |t, (k, r)| {
-        t.plus(Totals::stage(k, r, m))
-    });
+    let totals = Totals::of(doubled(), &design.memory, m);
     let over: Vec<&'static str> = totals.exceeded(design.board()).collect();
     if !over.is_empty() {
         return Doubling::Exceeds(over);
@@ -413,20 +274,14 @@ mod tests {
     /// A platform whose board is exactly the totals of `ks` over `m`.
     fn tight(stages: &[(String, HlsReport)], ks: &[usize], m: usize) -> Platform {
         let mut platform = Platform::zcu106();
-        let t = (ks.iter().zip(stages)).fold(Totals::base(&memory(), m), |t, (&k, (_, r))| {
-            t.plus(Totals::stage(k, r, m))
-        });
+        let t = Totals::of(banks(ks, stages), &memory(), m);
         (platform.board.luts, platform.board.ffs) = (t.luts, t.ffs);
         (platform.board.dsps, platform.board.brams) = (t.dsps, t.brams);
         platform
     }
 
     fn price(stages: &[(String, HlsReport)], cfg: &ProgramSystemConfig) -> Option<u64> {
-        round_ticks(
-            &Shaped,
-            cfg.ks.iter().zip(stages).map(|(&k, (_, r))| (k, r)),
-            cfg.m,
-        )
+        round_ticks(&Shaped, banks(&cfg.ks, stages), cfg.m)
     }
 
     #[test]
@@ -487,22 +342,22 @@ mod tests {
     }
 
     #[test]
-    fn the_node_cap_holds_on_twelve_stages() {
+    fn the_design_cap_holds_on_twelve_stages() {
         let latencies: Vec<u64> = (0..12).map(|i| 20_000 + 37_000 * (i * 7 % 12)).collect();
         let stages = stages(&latencies);
         let platform = tight(&stages, &[16; 12], 16);
-        // A third more logic, and PLM sets to spare: rung 32 opens, and
-        // the 12 stages share its replicas in many ways.
+        // A third more logic, and PLM sets to spare: rung 32 opens. The
+        // 7^12 designs end at the cap, and the pick still fits and is not
+        // slower than uniform.
         let mut roomy = platform.clone();
         let b = &mut roomy.board;
         (b.luts, b.ffs, b.dsps) = (b.luts * 4 / 3, b.ffs * 4 / 3, b.dsps * 4 / 3);
         b.brams *= 4;
         let uniform = max_equal_program_config(&roomy, &stages, &memory()).unwrap();
-        let (best, nodes) = search(&roomy, &stages, &memory(), &Shaped).unwrap();
-        assert_eq!(nodes, SEARCH_CAP, "the search should reach its cap");
+        let (best, designs) = search(&roomy, &stages, &memory(), &Shaped).unwrap();
+        assert_eq!(designs, SEARCH_CAP, "the search should reach its cap");
         assert!(best.valid() && best.m >= uniform.m, "{best:?}");
-        let ks = best.ks.iter().copied().zip(stages.iter().map(|(_, r)| r));
-        assert!(Totals::fit(&roomy, ks, &memory(), best.m).is_some());
+        assert!(Totals::fit(&roomy, banks(&best.ks, &stages), &memory(), best.m).is_some());
         let (t_best, t_uniform) = (
             price(&stages, &best).unwrap(),
             price(&stages, &uniform).unwrap(),

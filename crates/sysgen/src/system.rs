@@ -75,70 +75,39 @@ impl Totals {
     /// accelerator bank) over `m` PLM sets of `memory`, or `None` when
     /// they exceed the platform's board. Every system builder, the
     /// design-space sweep and the replication search decide feasibility
-    /// here or on the same terms ([`Totals::base`] plus one
-    /// [`Totals::stage`] per bank).
+    /// here.
     pub fn fit<'a>(
         platform: &Platform,
         stages: impl IntoIterator<Item = (usize, &'a HlsReport)>,
         memory: &MemorySubsystem,
         m: usize,
     ) -> Option<Totals> {
-        let t = (stages.into_iter()).fold(Totals::base(memory, m), |t, (k, kernel)| {
-            t.plus(Totals::stage(k, kernel, m))
-        });
-        t.within(&platform.board).then_some(t)
+        let t = Totals::of(stages, memory, m);
+        let fits = t.exceeded(&platform.board).next().is_none();
+        fits.then_some(t)
     }
 
-    /// The terms no accelerator bank adds: the integration base and `m`
-    /// PLM sets of `memory`.
-    pub fn base(memory: &MemorySubsystem, m: usize) -> Totals {
+    /// The left-hand side of [`Totals::fit`], whether or not it fits.
+    pub fn of<'a>(
+        stages: impl IntoIterator<Item = (usize, &'a HlsReport)>,
+        memory: &MemorySubsystem,
+        m: usize,
+    ) -> Totals {
         let im = IntegrationModel::default();
-        Totals {
+        let mut t = Totals {
             luts: im.base_lut + m * memory.luts,
             ffs: im.base_ff + m * memory.ffs,
             dsps: 0,
             brams: im.base_bram + m * memory.brams,
+        };
+        for (k, kernel) in stages {
+            t.luts +=
+                k * (kernel.luts + im.glue_lut_per_kernel) + (m - k) * im.glue_lut_per_extra_plm;
+            t.ffs += k * (kernel.ffs + im.glue_ff_per_kernel);
+            t.dsps += k * kernel.dsps;
+            t.brams += k * kernel.brams;
         }
-    }
-
-    /// One bank's terms: `k` accelerators of `kernel` with their glue,
-    /// steering `m` PLM sets. Every term grows with `k`.
-    pub fn stage(k: usize, kernel: &HlsReport, m: usize) -> Totals {
-        let im = IntegrationModel::default();
-        Totals {
-            luts: k * (kernel.luts + im.glue_lut_per_kernel) + (m - k) * im.glue_lut_per_extra_plm,
-            ffs: k * (kernel.ffs + im.glue_ff_per_kernel),
-            dsps: k * kernel.dsps,
-            brams: k * kernel.brams,
-        }
-    }
-
-    /// The term-wise sum.
-    pub fn plus(self, o: Totals) -> Totals {
-        Totals {
-            luts: self.luts + o.luts,
-            ffs: self.ffs + o.ffs,
-            dsps: self.dsps + o.dsps,
-            brams: self.brams + o.brams,
-        }
-    }
-
-    /// The term-wise difference; `o` must be part of `self`.
-    pub(crate) fn minus(self, o: Totals) -> Totals {
-        Totals {
-            luts: self.luts - o.luts,
-            ffs: self.ffs - o.ffs,
-            dsps: self.dsps - o.dsps,
-            brams: self.brams - o.brams,
-        }
-    }
-
-    /// Whether every term fits `board`.
-    pub fn within(&self, board: &BoardSpec) -> bool {
-        self.luts <= board.luts
-            && self.ffs <= board.ffs
-            && self.dsps <= board.dsps
-            && self.brams <= board.brams
+        t
     }
 
     /// The names (`LUT`, `FF`, `DSP`, `BRAM`) of the terms that exceed

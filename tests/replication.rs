@@ -1,8 +1,9 @@
 //! The program flow's automatic replication against its definition.
 //!
-//! `sysgen::best_program_config` is a branch and bound over Eq. (3).
-//! Here every compiled program's design is compared with the exhaustive
-//! enumeration of every `ks` on the ladder (`m = max k_i`) that
+//! `sysgen::best_program_config` enumerates the designs of Eq. (3) up to
+//! a cap and prices them through `zynq::RoundPricer`. Here every compiled
+//! program's design is compared with the definition, written without
+//! either: every `ks` on the ladder (`m = max k_i`) that
 //! `Totals::fit` admits, each priced one round through
 //! `zynq::ProgramRound::price`: the cheapest per element among the
 //! designs strictly cheaper than the uniform pick, ties to the smaller
