@@ -286,10 +286,20 @@ impl Dispatcher {
                     .min_by_key(|&&b| (self.queues[b].len(), b))
                     .unwrap()
             }
-            RoutePolicy::Predictive => *live
-                .iter()
-                .min_by_key(|&&b| (self.busy_until[b].max(t) + self.req_ticks[b], b))
-                .unwrap(),
+            // The first board of the soonest estimated completion. A
+            // plain scan costs the same per request however the stream
+            // splits across the boards; `min_by_key` on `(done, b)` cost
+            // more when a faster board took a larger share.
+            RoutePolicy::Predictive => {
+                let (mut pick, mut soonest) = (live[0], Time::MAX);
+                for &b in live {
+                    let done = self.busy_until[b].max(t) + self.req_ticks[b];
+                    if done < soonest {
+                        (pick, soonest) = (b, done);
+                    }
+                }
+                pick
+            }
         };
         let done = self.busy_until[pick].max(t) + self.req_ticks[pick];
         self.busy_until[pick] = done;
