@@ -39,8 +39,7 @@
 //! The search prices through [`RoundCost`], which `zynq::RoundPricer`
 //! implements with the tick formulas `zynq::ProgramRound::price` charges,
 //! so the search and the simulator agree by construction. It allocates
-//! two `ks`, the one it walks and the one it returns, and nothing per
-//! design.
+//! only the `ks` it returns.
 //!
 //! [`next_doubling`] explains a design after the fact: for each stage,
 //! what stops its next doubling.
@@ -59,8 +58,8 @@ use mnemosyne::MemorySubsystem;
 /// three stages have at most 7³ = 343.
 pub const SEARCH_CAP: usize = 1 << 16;
 
-/// The top of the replication ladder.
-const TOP: usize = LADDER[LADDER.len() - 1];
+/// The rungs of the replication ladder.
+const RUNGS: usize = LADDER.len();
 
 /// The price of a main-loop round in simulator ticks, as the replication
 /// search reads it.
@@ -119,44 +118,49 @@ pub(crate) fn search(
     // With no stage, or an incumbent past the clock (which the simulator
     // reports), the uniform pick stands.
     let Some(mut t_best) =
-        round_ticks(cost, banks(&best.ks, stages), k).filter(|_| !stages.is_empty())
+        round_ticks(cost, banks(best.ks.iter().copied(), stages), k).filter(|_| !stages.is_empty())
     else {
         return Some((best, 0));
     };
     // The incumbent enters with `Σ k = 0`, so a tie never replaces it.
     let mut sum_best = 0;
-    let mut ks = vec![1; stages.len()];
-    let mut designs = 0;
-    while designs < SEARCH_CAP {
-        designs += 1;
-        let m = ks.iter().copied().max().unwrap_or(1);
-        let t = Totals::fit(platform, banks(&ks, stages), memory, m)
-            .and_then(|_| round_ticks(cost, banks(&ks, stages), m));
-        let sum: usize = ks.iter().sum();
+    let n = stages.len();
+    let designs = (RUNGS.checked_pow(n as u32)).map_or(SEARCH_CAP, |d| d.min(SEARCH_CAP));
+    for code in 0..designs {
+        let ks = design(code, n);
+        let m = ks.clone().max().unwrap_or(1);
+        let t = Totals::fit(platform, banks(ks.clone(), stages), memory, m)
+            .and_then(|_| round_ticks(cost, banks(ks.clone(), stages), m));
+        let sum: usize = ks.clone().sum();
         // Designs come in lexicographic order: of two equal in price and
         // `Σ k`, the first stands.
         let wins = |&t: &u64| {
             cheaper(t, m, t_best, best.m) || (!cheaper(t_best, best.m, t, m) && sum < sum_best)
         };
         if let Some(t) = t.filter(wins) {
-            best.ks.copy_from_slice(&ks);
+            best.ks.iter_mut().zip(ks).for_each(|(slot, k)| *slot = k);
             (t_best, best.m, sum_best) = (t, m, sum);
         }
-        let Some(i) = ks.iter().rposition(|&k| k < TOP) else {
-            break;
-        };
-        ks[i] *= 2;
-        ks[i + 1..].fill(1);
     }
     Some((best, designs))
 }
 
+/// The `ks` of design `code` of a program of `n` stages: `code` in base
+/// [`RUNGS`], stage 0 the most significant digit, so the codes run
+/// through the designs in lexicographic order of `ks`.
+fn design(code: usize, n: usize) -> impl Iterator<Item = usize> + Clone {
+    (0..n).map(move |i| {
+        let place = RUNGS.checked_pow((n - 1 - i) as u32);
+        LADDER[place.map_or(0, |p| code / p % RUNGS)]
+    })
+}
+
 /// Each stage's replication and HLS report.
 fn banks<'a>(
-    ks: &'a [usize],
+    ks: impl IntoIterator<Item = usize> + 'a,
     stages: &'a [(String, HlsReport)],
 ) -> impl Iterator<Item = (usize, &'a HlsReport)> + 'a {
-    (ks.iter().copied()).zip(stages.iter().map(|(_, r)| r))
+    ks.into_iter().zip(stages.iter().map(|(_, r)| r))
 }
 
 /// What stops one stage of a design from doubling its accelerators.
@@ -274,14 +278,14 @@ mod tests {
     /// A platform whose board is exactly the totals of `ks` over `m`.
     fn tight(stages: &[(String, HlsReport)], ks: &[usize], m: usize) -> Platform {
         let mut platform = Platform::zcu106();
-        let t = Totals::of(banks(ks, stages), &memory(), m);
+        let t = Totals::of(banks(ks.iter().copied(), stages), &memory(), m);
         (platform.board.luts, platform.board.ffs) = (t.luts, t.ffs);
         (platform.board.dsps, platform.board.brams) = (t.dsps, t.brams);
         platform
     }
 
     fn price(stages: &[(String, HlsReport)], cfg: &ProgramSystemConfig) -> Option<u64> {
-        round_ticks(&Shaped, banks(&cfg.ks, stages), cfg.m)
+        round_ticks(&Shaped, banks(cfg.ks.iter().copied(), stages), cfg.m)
     }
 
     #[test]
@@ -357,7 +361,13 @@ mod tests {
         let (best, designs) = search(&roomy, &stages, &memory(), &Shaped).unwrap();
         assert_eq!(designs, SEARCH_CAP, "the search should reach its cap");
         assert!(best.valid() && best.m >= uniform.m, "{best:?}");
-        assert!(Totals::fit(&roomy, banks(&best.ks, &stages), &memory(), best.m).is_some());
+        assert!(Totals::fit(
+            &roomy,
+            banks(best.ks.iter().copied(), &stages),
+            &memory(),
+            best.m
+        )
+        .is_some());
         let (t_best, t_uniform) = (
             price(&stages, &best).unwrap(),
             price(&stages, &uniform).unwrap(),
