@@ -26,11 +26,15 @@
 //!   cheaper designs of equal price the smaller `Σ k_i` wins, then the
 //!   lexicographically smaller `ks`. When the incumbent's own round
 //!   passes the clock it is kept, and the simulator reports the overflow.
-//! * **Method.** Enumeration: every `ks` in lexicographic order, each
-//!   checked against [`Totals::fit`] and priced. Every program the flow
-//!   compiles has at most three stages, so at most 7³ = 343 designs. At
-//!   most [`SEARCH_CAP`] designs are priced; past the cap the best design
-//!   found so far stands, which is never worse than the incumbent.
+//! * **Method.** Enumeration, rung by rung of `m`. A rung is skipped
+//!   when every stage at `k = 1` does not fit (then no design of the rung
+//!   fits) or every stage at `k = m` cannot beat the best so far (then
+//!   none is cheaper). Otherwise every `ks` of the rung is checked
+//!   against [`Totals::fit`] and priced, in lexicographic order. Every
+//!   program the flow compiles has at most three stages, so at most
+//!   7³ = 343 designs. At most [`SEARCH_CAP`] designs are priced; past
+//!   the cap the best design found so far stands, which is never worse
+//!   than the incumbent.
 //!
 //! Greedy doubling from the uniform pick is not exact: on
 //! `simulation_step(3)` on the zcu102 it stops at `[16, 32, 16]`, while
@@ -47,6 +51,7 @@
 //! [`max_equal_program_config`]: crate::max_equal_program_config
 
 use std::fmt;
+use std::iter::repeat_n;
 
 use crate::multi::{max_equal_k, MultiSystemDesign, ProgramSystemConfig};
 use crate::platform::Platform;
@@ -58,11 +63,9 @@ use mnemosyne::MemorySubsystem;
 /// three stages have at most 7³ = 343.
 pub const SEARCH_CAP: usize = 1 << 16;
 
-/// The rungs of the replication ladder.
-const RUNGS: usize = LADDER.len();
-
 /// The price of a main-loop round in simulator ticks, as the replication
-/// search reads it.
+/// search reads it. At a fixed `m`, [`RoundCost::stage`] must not rise
+/// as `k` rises: the search's rung skip relies on it.
 pub trait RoundCost {
     /// Ticks of one stage per round: `k` accelerators of `kernel_s`
     /// seconds each over `m` PLM sets. `None` past the `u64` clock.
@@ -125,33 +128,54 @@ pub(crate) fn search(
     // The incumbent enters with `Σ k = 0`, so a tie never replaces it.
     let mut sum_best = 0;
     let n = stages.len();
-    let designs = (RUNGS.checked_pow(n as u32)).map_or(SEARCH_CAP, |d| d.min(SEARCH_CAP));
-    for code in 0..designs {
-        let ks = design(code, n);
-        let m = ks.clone().max().unwrap_or(1);
-        let t = Totals::fit(platform, banks(ks.clone(), stages), memory, m)
-            .and_then(|_| round_ticks(cost, banks(ks.clone(), stages), m));
-        let sum: usize = ks.clone().sum();
-        // Designs come in lexicographic order: of two equal in price and
-        // `Σ k`, the first stands.
-        let wins = |&t: &u64| {
-            cheaper(t, m, t_best, best.m) || (!cheaper(t_best, best.m, t, m) && sum < sum_best)
+    let mut designs = 0;
+    for (rung, m) in LADDER.into_iter().enumerate() {
+        // Rung `m` holds the designs whose widest stage has `k = m`. None
+        // of them fits if every stage at `k = 1` does not, and none costs
+        // less than every stage at `k = m` or has `Σ k` below `m + n - 1`.
+        let least = Totals::fit(platform, banks(repeat_n(1, n), stages), memory, m);
+        let fastest = round_ticks(cost, banks(repeat_n(m, n), stages), m);
+        let open = |&t: &u64| {
+            cheaper(t, m, t_best, best.m)
+                || (!cheaper(t_best, best.m, t, m) && m + n - 1 <= sum_best)
         };
-        if let Some(t) = t.filter(wins) {
-            best.ks.iter_mut().zip(ks).for_each(|(slot, k)| *slot = k);
-            (t_best, best.m, sum_best) = (t, m, sum);
+        if least.is_none() || fastest.filter(open).is_none() {
+            continue;
+        }
+        let codes = (rung + 1).checked_pow(n as u32).unwrap_or(usize::MAX);
+        for code in 0..codes {
+            let ks = design(code, rung + 1, n);
+            if ks.clone().max() != Some(m) {
+                continue;
+            }
+            if designs == SEARCH_CAP {
+                return Some((best, designs));
+            }
+            designs += 1;
+            let t = Totals::fit(platform, banks(ks.clone(), stages), memory, m)
+                .and_then(|_| round_ticks(cost, banks(ks.clone(), stages), m));
+            let sum: usize = ks.clone().sum();
+            let wins = |&t: &u64| {
+                let first =
+                    sum < sum_best || (sum == sum_best && ks.clone().lt(best.ks.iter().copied()));
+                cheaper(t, m, t_best, best.m) || (!cheaper(t_best, best.m, t, m) && first)
+            };
+            if let Some(t) = t.filter(wins) {
+                best.ks.iter_mut().zip(ks).for_each(|(slot, k)| *slot = k);
+                (t_best, best.m, sum_best) = (t, m, sum);
+            }
         }
     }
     Some((best, designs))
 }
 
-/// The `ks` of design `code` of a program of `n` stages: `code` in base
-/// [`RUNGS`], stage 0 the most significant digit, so the codes run
-/// through the designs in lexicographic order of `ks`.
-fn design(code: usize, n: usize) -> impl Iterator<Item = usize> + Clone {
+/// The `ks` of design `code` of a program of `n` stages on the lowest
+/// `rungs` rungs of the ladder: `code` in base `rungs`, stage 0 the most
+/// significant digit.
+fn design(code: usize, rungs: usize, n: usize) -> impl Iterator<Item = usize> + Clone {
     (0..n).map(move |i| {
-        let place = RUNGS.checked_pow((n - 1 - i) as u32);
-        LADDER[place.map_or(0, |p| code / p % RUNGS)]
+        let place = rungs.checked_pow((n - 1 - i) as u32);
+        LADDER[place.map_or(0, |p| code / p % rungs)]
     })
 }
 
