@@ -286,10 +286,10 @@ impl Dispatcher {
                     .min_by_key(|&&b| (self.queues[b].len(), b))
                     .unwrap()
             }
-            // The first board of the soonest estimated completion. A
-            // plain scan costs the same per request however the stream
-            // splits across the boards; `min_by_key` on `(done, b)` cost
-            // more when a faster board took a larger share.
+            // The first board of the soonest estimated completion, by a
+            // plain scan: its cost per request does not depend on how the
+            // stream splits across the boards (`min_by_key` on
+            // `(done, b)` does).
             RoutePolicy::Predictive => {
                 let (mut pick, mut soonest) = (live[0], Time::MAX);
                 for &b in live {

@@ -44,8 +44,9 @@
 //!   [A]` over a program's stages — against the platform's board to find
 //!   feasible replication factors ([`enumerate_program_designs`] lists
 //!   the uniform ones). The automatic choice ([`best_program_config`],
-//!   module [`replicate`]) picks one `k_i` per stage: an enumeration of
-//!   every `ks` on the ladder `1, 2, …, 64` with `m = max k_i`, minimising
+//!   module [`replicate`]) picks one `k_i` per stage: an enumeration,
+//!   rung by rung of `m`, of every `ks` on the ladder `1, 2, …, 64` with
+//!   `m = max k_i`, minimising
 //!   a round's ticks per element as the simulator prices them
 //!   ([`RoundCost`]), starting from the largest uniform `k = m` that
 //!   [`Totals::fit`] admits ([`max_equal_program_config`]) and leaving

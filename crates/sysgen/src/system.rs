@@ -83,11 +83,16 @@ impl Totals {
         m: usize,
     ) -> Option<Totals> {
         let t = Totals::of(stages, memory, m);
-        let fits = t.exceeded(&platform.board).next().is_none();
+        let board = &platform.board;
+        let fits = t.luts <= board.luts
+            && t.ffs <= board.ffs
+            && t.dsps <= board.dsps
+            && t.brams <= board.brams;
         fits.then_some(t)
     }
 
-    /// The left-hand side of [`Totals::fit`], whether or not it fits.
+    /// The left-hand side of [`Totals::fit`], whether or not it fits. At
+    /// a fixed `m`, every term grows with each stage's `k`.
     pub fn of<'a>(
         stages: impl IntoIterator<Item = (usize, &'a HlsReport)>,
         memory: &MemorySubsystem,
