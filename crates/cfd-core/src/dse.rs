@@ -44,6 +44,11 @@
 //! frontier over (simulated time, resource fit) — the
 //! heterogeneous-portfolio view: pick the node that fits the job.
 //!
+//! **Rows.** A sweep row holds its point and score (in a portfolio also
+//! its platform id, clock and flags), never a string all rows share:
+//! the kernel names are the report's `label`, and a board's display
+//! name is its [`PlatformSummary`]'s.
+//!
 //! **Invariant: a sweep row equals what `cfdc compile` + `cfdc
 //! simulate` + `cfdc serve` would report for that design.** A point is
 //! never built — no `SystemDesign`, host program or host source, and a
@@ -214,13 +219,10 @@ impl DseGrid {
     }
 }
 
-/// Evaluation result for one design point.
+/// One design point and its score; its kernels are the report's [`DseReport::label`].
 #[derive(Debug, Clone)]
 pub struct DseOutcome {
     pub point: DsePoint,
-    /// Kernel (or joined program-kernel) name the point was evaluated
-    /// on — sweep rows are labelled by name, not bare grid index.
-    pub kernel: String,
     /// Whether the configuration fits the board (Eq. 3).
     pub feasible: bool,
     /// System totals including integration logic (0 when infeasible).
@@ -286,6 +288,9 @@ fn service_probe(round: &ProgramRound, ks: &[usize], m: usize) -> (f64, f64) {
 /// only once.
 #[derive(Debug, Clone)]
 pub struct DseReport {
+    /// The kernel names every row ran on, joined by `+` ([`DseEngine::label`]):
+    /// each JSON row's `"kernel"` and the table's first column.
+    pub label: String,
     /// Outcomes ranked best-first: feasible before infeasible, then by
     /// throughput, then by BRAM and LUT cost.
     pub outcomes: Vec<DseOutcome>,
@@ -348,13 +353,7 @@ impl DseReport {
             self.eval_total_s,
             self.eval_mean_s,
         ));
-        let name_w = self
-            .outcomes
-            .iter()
-            .map(|o| o.kernel.len())
-            .max()
-            .unwrap_or(6)
-            .max(6);
+        let name_w = self.label.len().max(6);
         s.push_str(&format!(
             "  {:<name_w$}   k    m  share  decouple  part      LUT      FF   DSP   BRAM    el/s   req/s  feasible\n",
             "kernel"
@@ -363,7 +362,7 @@ impl DseReport {
             let p = &o.point;
             s.push_str(&format!(
                 "  {:<name_w$}  {:>2}  {:>3}  {:>5}  {:>8}  {:>4}  {:>7}  {:>6}  {:>4}  {:>5}  {:>6.0}  {:>6.0}  {}\n",
-                o.kernel,
+                self.label,
                 p.k,
                 p.m,
                 p.sharing,
@@ -384,7 +383,8 @@ impl DseReport {
     /// Serialize the report as JSON through the `runtime::json` writer,
     /// into one buffer reserved up front.
     pub fn to_json(&self) -> String {
-        let rows = (self.outcomes.iter()).map(|o| json::width(|w| o.sweep_row(w, "},\n")));
+        let rows =
+            (self.outcomes.iter()).map(|o| json::width(|w| o.sweep_row(&self.label, w, "},\n")));
         let mut out = String::with_capacity(HEADER_BYTES + rows.sum::<usize>());
         self.write_json(&mut out)
             .expect("writing to a String cannot fail");
@@ -426,7 +426,7 @@ impl DseReport {
         )?;
         let mut line = Line::new(out);
         for (i, o) in self.outcomes.iter().enumerate() {
-            o.sweep_row(&mut line, row_end(i, self.outcomes.len()));
+            o.sweep_row(&self.label, &mut line, row_end(i, self.outcomes.len()));
             line.flush();
         }
         out.push_str("  ]\n}\n");
@@ -478,12 +478,12 @@ impl DseOutcome {
         s.fixed(self.service_p99_s, 6);
     }
 
-    /// A sweep row: the kernel name, the shared fields, the point's
-    /// evaluation time, closed by `end`.
+    /// A sweep row: the report's `label`, the shared fields, the
+    /// point's evaluation time, closed by `end`.
     #[inline]
-    fn sweep_row<S: Sink>(&self, s: &mut S, end: &str) {
+    fn sweep_row<S: Sink>(&self, label: &str, s: &mut S, end: &str) {
         s.lit("    {\"kernel\": \"");
-        s.str(&self.kernel);
+        s.str(label);
         self.json_fields(s);
         s.lit(", \"eval_s\": ");
         s.fixed(self.eval_s, 6);
@@ -612,7 +612,6 @@ fn score(
 /// The sweep row of one point: its [`score`], zeros when it does not
 /// fit.
 fn outcome(
-    label: &str,
     parts: &ScoreParts<'_>,
     platform: &Platform,
     point: &DsePoint,
@@ -624,7 +623,6 @@ fn outcome(
     let s = scored.unwrap_or_default();
     DseOutcome {
         point: *point,
-        kernel: label.to_string(),
         feasible,
         luts: s.totals.luts,
         ffs: s.totals.ffs,
@@ -742,7 +740,8 @@ impl DseEngine {
         &self.names
     }
 
-    /// The label sweep rows carry: the kernel names joined by `+`.
+    /// The label of this engine's sweep reports
+    /// ([`DseReport::label`]): the kernel names joined by `+`.
     pub fn label(&self) -> String {
         self.names.join("+")
     }
@@ -881,7 +880,6 @@ impl DseEngine {
             .collect();
         let backend_s = started.elapsed().as_secs_f64();
 
-        let label = self.label();
         let rows = fan_out(jobs, combos, |i| {
             let t = Instant::now();
             let (platform, mhz, clock) = blocks[i / points.len()];
@@ -891,7 +889,7 @@ impl DseEngine {
             row(
                 platform,
                 mhz,
-                outcome(&label, parts, platform, &points[point], elements, t),
+                outcome(parts, platform, &points[point], elements, t),
             )
         });
         let backend_compiles = slots.len() * self.scheds.len();
@@ -929,6 +927,7 @@ impl DseEngine {
         outcomes.sort_by(sweep_order);
         let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
         DseReport {
+            label: self.label(),
             evaluated: outcomes.len(),
             feasible: outcomes.iter().filter(|o| o.feasible).count(),
             jobs: swept.jobs,
@@ -981,7 +980,6 @@ impl DseEngine {
             };
             PortfolioOutcome {
                 platform: platform.id.clone(),
-                board: platform.board.name.clone(),
                 clock_mhz,
                 utilization: if outcome.feasible {
                     totals.utilization(&platform.board)
@@ -997,6 +995,7 @@ impl DseEngine {
         let swept = self.sweep(&targets, grid, jobs, elements, row);
         let (outcomes, summaries) = rank_portfolio(platforms, swept.rows, &swept.platform_of);
         PortfolioReport {
+            label: self.label(),
             evaluated: outcomes.len(),
             feasible: summaries.iter().map(|s| s.feasible).sum(),
             jobs: swept.jobs,
@@ -1060,8 +1059,6 @@ fn sweep_order(a: &DseOutcome, b: &DseOutcome) -> Ordering {
 pub struct PortfolioOutcome {
     /// Catalog id of the platform (`zcu106`, `pynq-z2`, ...).
     pub platform: String,
-    /// Display name of the board.
-    pub board: String,
     /// Fabric clock the kernel was synthesized at (from the platform's
     /// achievable ladder).
     pub clock_mhz: f64,
@@ -1100,6 +1097,8 @@ pub struct PlatformSummary {
 /// Ranked results of a platform × clock × (k, m) portfolio sweep.
 #[derive(Debug, Clone)]
 pub struct PortfolioReport {
+    /// The kernel names every row ran on, as [`DseReport::label`].
+    pub label: String,
     /// Outcomes ranked feasible-first, then by simulated time.
     pub outcomes: Vec<PortfolioOutcome>,
     pub summaries: Vec<PlatformSummary>,
@@ -1351,7 +1350,8 @@ impl PortfolioReport {
             (self.frontier(frontier))
                 .map(move |o| json::width(|w| o.frontier_row(w, frontier, "},\n")))
         });
-        let rows = (self.outcomes.iter()).map(|o| json::width(|w| o.portfolio_row(w, "},\n")));
+        let rows = (self.outcomes.iter())
+            .map(|o| json::width(|w| o.portfolio_row(&self.label, w, "},\n")));
         let bytes = platforms.sum::<usize>() + frontiers.sum::<usize>() + rows.sum::<usize>();
         let mut out = String::with_capacity(HEADER_BYTES + bytes);
         self.write_json(&mut out)
@@ -1394,7 +1394,7 @@ impl PortfolioReport {
         out.push_str("  ],\n  \"outcomes\": [\n");
         let mut line = Line::new(out);
         for (i, o) in self.outcomes.iter().enumerate() {
-            o.portfolio_row(&mut line, row_end(i, self.outcomes.len()));
+            o.portfolio_row(&self.label, &mut line, row_end(i, self.outcomes.len()));
             line.flush();
         }
         out.push_str("  ]\n}\n");
@@ -1445,17 +1445,17 @@ impl PortfolioOutcome {
         self.outcome.service_rps / (self.outcome.luts as f64 / 1000.0)
     }
 
-    /// An outcome row: the point's label and kernel, the shared
-    /// [`DseOutcome`] fields, the fit and the frontier flags, closed by
-    /// `end`.
+    /// An outcome row: the platform, clock and the report's `label`,
+    /// the shared [`DseOutcome`] fields, the fit and the frontier flags,
+    /// closed by `end`.
     #[inline]
-    fn portfolio_row<S: Sink>(&self, s: &mut S, end: &str) {
+    fn portfolio_row<S: Sink>(&self, label: &str, s: &mut S, end: &str) {
         s.lit("    {\"platform\": \"");
         s.str(&self.platform);
         s.lit("\", \"clock_mhz\": ");
         s.fixed(self.clock_mhz, 1);
         s.lit(", \"kernel\": \"");
-        s.str(&self.outcome.kernel);
+        s.str(label);
         self.outcome.json_fields(s);
         s.lit(", \"utilization\": ");
         s.fixed(self.utilization, 4);
@@ -1647,7 +1647,7 @@ mod tests {
                      \"feasible\": {}, \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \
                      \"plm_brams\": {}, \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
                      \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"eval_s\": {:.6}}}{}\n",
-                    runtime::json_escape(&o.kernel),
+                    runtime::json_escape(&self.label),
                     p.k,
                     p.m,
                     p.sharing,
@@ -1783,7 +1783,7 @@ mod tests {
                      \"utilization\": {:.4}, \"pareto\": {}, \"service_pareto\": {}}}{}\n",
                     runtime::json_escape(&o.platform),
                     o.clock_mhz,
-                    runtime::json_escape(&o.outcome.kernel),
+                    runtime::json_escape(&self.label),
                     p.k,
                     p.m,
                     p.sharing,
@@ -1811,8 +1811,12 @@ mod tests {
         }
     }
 
+    /// Labels of generated reports: one a builtin's, one a program's,
+    /// one hostile.
+    const LABELS: [&str; 3] = ["main", "inverse_helmholtz+axpy", "k\"\\\n\u{3}é"];
+
     /// Outcome `i` of a generated sweep: every third one infeasible
-    /// (zeros), a hostile kernel name, widths that vary with `i`.
+    /// (zeros), widths that vary with `i`.
     fn generated_outcome(i: usize) -> DseOutcome {
         let feasible = !i.is_multiple_of(3);
         let scale = if feasible { 1 + i % 977 } else { 0 };
@@ -1824,7 +1828,6 @@ mod tests {
                 decoupled: i % 4 < 2,
                 partition: 1 + (i % 3) as u32,
             },
-            kernel: ["main", "inverse_helmholtz+axpy", "k\"\\\n\u{3}é"][i % 3].into(),
             feasible,
             luts: 241 * scale,
             ffs: 1_842 * scale,
@@ -1840,8 +1843,9 @@ mod tests {
         }
     }
 
-    fn generated_sweep(points: usize) -> DseReport {
+    fn generated_sweep(label: &str, points: usize) -> DseReport {
         DseReport {
+            label: label.into(),
             outcomes: (0..points).map(generated_outcome).collect(),
             evaluated: points,
             feasible: points - points.div_ceil(3),
@@ -1878,14 +1882,13 @@ mod tests {
     /// A portfolio over `points` generated outcomes on three platforms
     /// (one hostile name, one where nothing fits), flagged and ranked by
     /// `rank_portfolio`.
-    fn generated_portfolio(points: usize) -> PortfolioReport {
+    fn generated_portfolio(label: &str, points: usize) -> PortfolioReport {
         let mut platforms = vec![Platform::zcu106(), Platform::zcu106(), Platform::zcu106()];
         platforms[1].id = "pynq\"z2\\".into();
         platforms[2].id = "empty".into();
         let outcomes = (0..points)
             .map(|i| PortfolioOutcome {
                 platform: platforms[i % 2].id.clone(),
-                board: platforms[i % 2].board.name.clone(),
                 clock_mhz: [100.0, 142.5, 333.25][i % 3],
                 outcome: generated_outcome(i),
                 // Every fourth an odd multiple of 2^-5: a dyadic tie at
@@ -1902,8 +1905,9 @@ mod tests {
             .collect();
         let platform_of: Vec<usize> = (0..points).map(|i| i % 2).collect();
         let (outcomes, summaries) = rank_portfolio(&platforms, outcomes, &platform_of);
-        let sweep = generated_sweep(0);
+        let sweep = generated_sweep(label, 0);
         PortfolioReport {
+            label: sweep.label,
             evaluated: points,
             feasible: summaries.iter().map(|s| s.feasible).sum(),
             jobs: 2,
@@ -2083,14 +2087,8 @@ mod tests {
                     let slot = &slots.iter().find(|(k, _)| *k == key).unwrap().1;
                     let platform = catalog.iter().find(|p| p.id == row.platform).unwrap();
                     let label = engine.label();
-                    let mut want = outcome(
-                        &label,
-                        &slot.parts(),
-                        platform,
-                        &point,
-                        ELEMENTS,
-                        Instant::now(),
-                    );
+                    let mut want =
+                        outcome(&slot.parts(), platform, &point, ELEMENTS, Instant::now());
                     want.eval_s = row.outcome.eval_s;
                     assert_eq!(
                         format!("{want:?}"),
@@ -2162,7 +2160,7 @@ mod tests {
                     } else {
                         &mut unfit
                     } += 1;
-                    let row = outcome("main", parts, &platform, &point, ELEMENTS, Instant::now());
+                    let row = outcome(parts, &platform, &point, ELEMENTS, Instant::now());
                     let at = format!("{} @ {clock} MHz, {}", platform.id, point.label());
                     assert_row_matches(
                         &row,
@@ -2204,7 +2202,7 @@ mod tests {
                     let plm_brams = build.merged.memory.brams;
                     let latency = build.stages.iter().map(|(_, r)| r.latency_cycles).sum();
                     let parts = ScoreParts::of_program(&build);
-                    let row = outcome("step", &parts, &platform, &point, ELEMENTS, Instant::now());
+                    let row = outcome(&parts, &platform, &point, ELEMENTS, Instant::now());
                     let at = format!("{} @ {clock} MHz, {}", platform.id, point.label());
                     assert_row_matches(&row, built, plm_brams, latency, ELEMENTS, &at);
                 }
@@ -2284,14 +2282,7 @@ mod tests {
             };
             let base = &engine.base.flow;
             let slot = engine.parts(base.hls.clock_mhz, &point);
-            let row = outcome(
-                &engine.label(),
-                &slot.parts(),
-                &base.platform,
-                &point,
-                100,
-                Instant::now(),
-            );
+            let row = outcome(&slot.parts(), &base.platform, &point, 100, Instant::now());
             assert!(
                 !row.feasible && row.total_s == 0.0 && row.plm_brams > 0,
                 "k={k} m={m}"
@@ -2350,7 +2341,6 @@ mod tests {
         let scale = if feasible { 1 + pick(2, 2) } else { 0 };
         PortfolioOutcome {
             platform: ["zcu106", "u250"][pick(3, 2)].into(),
-            board: String::new(),
             clock_mhz: [100.0, 200.0][pick(4, 2)],
             outcome: DseOutcome {
                 point: DsePoint {
@@ -2496,17 +2486,24 @@ mod tests {
 
     #[test]
     fn streaming_writers_reproduce_the_reference_emitters() {
-        for points in [0, 1, 2, 7, 100] {
-            let sweep = generated_sweep(points);
+        for (label, points) in LABELS
+            .iter()
+            .flat_map(|l| [0, 1, 2, 7, 100].map(|n| (l, n)))
+        {
+            let sweep = generated_sweep(label, points);
             let json = sweep.to_json();
-            assert_eq!(json, sweep.to_json_reference(), "{points} points");
+            assert_eq!(json, sweep.to_json_reference(), "{label} {points} points");
             runtime::json::validate(&json).unwrap();
             assert!(never_grew(&json, points));
 
-            let portfolio = generated_portfolio(points);
+            let portfolio = generated_portfolio(label, points);
             assert_eq!(portfolio.summaries[2].best_total_s, None);
             let json = portfolio.to_json();
-            assert_eq!(json, portfolio.to_json_reference(), "{points} points");
+            assert_eq!(
+                json,
+                portfolio.to_json_reference(),
+                "{label} {points} points"
+            );
             runtime::json::validate(&json).unwrap();
             assert!(never_grew(&json, points));
         }
@@ -2515,9 +2512,12 @@ mod tests {
     /// The reservation is at most 5 % above the document.
     #[test]
     fn json_capacity_is_a_tight_upper_bound_on_a_4488_point_portfolio() {
-        let portfolio = generated_portfolio(4_488);
+        let portfolio = generated_portfolio(LABELS[2], 4_488);
         assert!(portfolio.pareto_frontier().len() > 1 && portfolio.cost_frontier().len() > 1);
-        for json in [portfolio.to_json(), generated_sweep(4_488).to_json()] {
+        for json in [
+            portfolio.to_json(),
+            generated_sweep(LABELS[2], 4_488).to_json(),
+        ] {
             assert!(never_grew(&json, 4_488));
             assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
         }

@@ -18,11 +18,10 @@
 use crate::ops::OpLibrary;
 use crate::HlsOptions;
 use cgen::{CExpr, CKernel, CStmt};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-loop scheduling report (one entry per pipelined leaf loop).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopReport {
     /// Loop label: dotted path of loop variables, e.g. `i0.i1.i2.i3`.
     pub label: String,

@@ -7,10 +7,9 @@
 //! (2,314 LUT / 2,999 FF / 15 DSP).
 
 use cfdlang::BinOp;
-use serde::{Deserialize, Serialize};
 
 /// Cost/latency entry for one operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpSpec {
     /// Pipeline latency in cycles.
     pub latency: u64,
@@ -20,7 +19,7 @@ pub struct OpSpec {
 }
 
 /// The operator library.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpLibrary {
     pub dadd: OpSpec,
     pub dmul: OpSpec,

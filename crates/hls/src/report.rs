@@ -1,11 +1,10 @@
 //! The synthesis report (the artifact the system generator consumes).
 
 use crate::latency::LoopReport;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Vivado-style synthesis summary for one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HlsReport {
     pub kernel: String,
     pub clock_mhz: f64,

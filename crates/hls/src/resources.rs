@@ -4,10 +4,9 @@
 use crate::latency::LoopReport;
 use crate::ops::OpLibrary;
 use cgen::{CKernel, CStmt};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated resource estimate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceEstimate {
     pub luts: usize,
     pub ffs: usize,

@@ -20,7 +20,6 @@
 
 use crate::config::MnemosyneConfig;
 use crate::sharing::SharingSolution;
-use serde::{Deserialize, Serialize};
 
 /// 64-bit words per BRAM36 block (the xczu7ev of the ZCU106).
 const WORDS_PER_BRAM: usize = 512;
@@ -42,7 +41,7 @@ impl Default for MemoryOptions {
 }
 
 /// One generated PLM unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlmUnit {
     pub name: String,
     /// Arrays overlaid in this unit (indices into the config).
@@ -60,7 +59,7 @@ pub struct PlmUnit {
 }
 
 /// The memory subsystem of one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemorySubsystem {
     pub units: Vec<PlmUnit>,
     pub brams: usize,

@@ -6,10 +6,8 @@
 //! are looked up through the platform catalog, never constructed ad
 //! hoc.
 
-use serde::{Deserialize, Serialize};
-
 /// Programmable-logic resources of a target device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoardSpec {
     pub name: String,
     pub luts: usize,

@@ -10,7 +10,6 @@
 //! fixed driver interface [`CFD_DRIVER_H`].
 
 use crate::system::SystemConfig;
-use serde::{Deserialize, Serialize};
 
 /// The `cfd_driver.h` every `host.c` includes: the platform driver calls
 /// it makes and the control-register map of the AXI-lite peripheral
@@ -43,7 +42,7 @@ void run_simulation(const double *in, double *out);
 
 /// The byte interface of a single-kernel system configuration (the
 /// simulators price the one-stage [`crate::ProgramHostProgram`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostProgram {
     pub config: SystemConfig,
     /// Input bytes per element (Σ input arrays × 8).

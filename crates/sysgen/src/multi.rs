@@ -30,12 +30,11 @@ use crate::platform::Platform;
 use crate::system::{Totals, LADDER};
 use hls::HlsReport;
 use mnemosyne::MemorySubsystem;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// Replication choice for a program: `ks[i]` accelerators for stage `i`
 /// and `m` shared PLM sets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramSystemConfig {
     pub ks: Vec<usize>,
     pub m: usize,
@@ -65,7 +64,7 @@ impl ProgramSystemConfig {
 }
 
 /// One kernel stage of the program system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageDesign {
     pub name: String,
     /// Accelerator instances of this stage.
@@ -75,7 +74,7 @@ pub struct StageDesign {
 }
 
 /// Host program for a chained multi-kernel system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramHostProgram {
     pub config: ProgramSystemConfig,
     pub stage_names: Vec<String>,
@@ -146,7 +145,7 @@ impl ProgramHostProgram {
 }
 
 /// A fully elaborated multi-kernel system instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiSystemDesign {
     pub config: ProgramSystemConfig,
     /// The target the design was built for.

@@ -23,11 +23,10 @@
 //! across the refactor.
 
 use crate::board::BoardSpec;
-use serde::{Deserialize, Serialize};
 
 /// Host CPU description: clock plus average retired-cycle costs per
 /// dynamic operation (the coefficients of the software cost model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostCpuModel {
     pub name: String,
     /// Core clock in Hz.
@@ -99,7 +98,7 @@ impl HostCpuModel {
 
 /// Host↔PL DMA fabric description: effective bandwidth and the fixed
 /// setup latency per transfer burst.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaSpec {
     pub bytes_per_sec: f64,
     pub setup_s: f64,
@@ -120,7 +119,7 @@ impl DmaSpec {
 
 /// One deployment target: PL resources, host CPU, DMA fabric and the
 /// achievable fabric-clock ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Catalog key (`--board` accepts it case-insensitively).
     pub id: String,

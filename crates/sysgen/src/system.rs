@@ -5,12 +5,11 @@ use crate::host::HostProgram;
 use crate::platform::Platform;
 use hls::HlsReport;
 use mnemosyne::MemorySubsystem;
-use serde::{Deserialize, Serialize};
 
 /// A replication choice: `k` accelerators and `m` PLM systems with
 /// `m = 2^j · k` (the paper's power-of-two constraint keeps the steering
 /// logic trivial).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemConfig {
     pub k: usize,
     pub m: usize,
@@ -35,7 +34,7 @@ impl SystemConfig {
 /// fixed infrastructure (AXI DMA, AXI-lite peripheral, timers, reset/
 /// clock) plus per-replica steering (data mux/demux, start broadcast,
 /// done collection, batch counter slice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntegrationModel {
     pub base_lut: usize,
     pub base_ff: usize,
@@ -146,7 +145,7 @@ impl Totals {
 /// A fully elaborated single-kernel system instance. The flow builds
 /// none (a kernel's system is the one-stage `MultiSystemDesign`); it
 /// stays for the `benchmark/` harness and the netlist emitter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemDesign {
     pub config: SystemConfig,
     /// The target the design was built for (board budget, DMA fabric,

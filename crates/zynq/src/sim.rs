@@ -15,11 +15,10 @@
 //! PLM set).
 
 use crate::des::{secs, to_secs, Time};
-use serde::{Deserialize, Serialize};
 use sysgen::{DmaSpec, HostCpuModel, MultiSystemDesign, SystemDesign};
 
 /// Simulation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of spectral elements in the CFD simulation (the paper runs
     /// 50,000).
@@ -42,7 +41,7 @@ impl Default for SimConfig {
 }
 
 /// Simulated hardware measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwResult {
     pub elements: usize,
     pub rounds: usize,
@@ -80,7 +79,7 @@ pub fn simulate_hw(design: &SystemDesign, cfg: &SimConfig) -> HwResult {
 }
 
 /// Simulated measurements of a chained multi-kernel program run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramHwResult {
     pub elements: usize,
     pub rounds: usize,
@@ -277,7 +276,7 @@ pub fn simulate_program(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramH
 
 /// Software execution time (pure cost-model application; the functional
 /// result comes from the interpreter / loop evaluator separately).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwResult {
     pub per_element_s: f64,
     pub total_s: f64,

@@ -14,13 +14,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use teil::ir::{Module, TensorDecl, TensorKind};
 use teil::{Interpreter, Tensor};
 
 /// Result of verifying `elements` random elements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerifyResult {
     pub elements: usize,
     /// Maximum relative difference across all outputs and elements.

@@ -12,7 +12,6 @@ pub use cfdlang;
 pub use cgen;
 pub use hls;
 pub use mnemosyne;
-pub use polyhedra;
 pub use pschedule;
 pub use sysgen;
 pub use teil;

@@ -13,7 +13,9 @@
 //! the program count (default 200). A failure prints the seed and the
 //! program's `pretty_set` source. Apart from that count, 1 000
 //! single-edit mutants of generated sources must compile or fail with a
-//! structured error on every board, never panic.
+//! structured error on every board, never panic, and so must a short
+//! simulation, verification and serving run of every mutant that
+//! compiles to a system.
 
 mod common;
 
@@ -222,16 +224,45 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
     );
 }
 
+/// What a compiled system answers beyond its compile: a 16-element
+/// simulation, a one-element verification and 8 served requests. Each
+/// call ends in `Ok` or a structured `Err`; counts the calls that ended
+/// in `Ok`, or names the first that panicked.
+fn run_a_system(art: &ProgramArtifacts, seed: u64) -> Result<usize, &'static str> {
+    let sim = SimConfig {
+        elements: 16,
+        ..SimConfig::default()
+    };
+    let serve = runtime::RuntimeOptions {
+        requests: 8,
+        ..runtime::RuntimeOptions::default()
+    };
+    let calls: [(&str, &dyn Fn() -> bool); 3] = [
+        ("simulate", &|| art.simulate(&sim).is_ok()),
+        ("verify", &|| art.verify(1, seed).is_ok()),
+        ("serve", &|| art.serve(&serve).is_ok()),
+    ];
+    let mut ok = 0;
+    for (name, call) in calls {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
+            Ok(done) => ok += usize::from(done),
+            Err(_) => return Err(name),
+        }
+    }
+    Ok(ok)
+}
+
 /// Never a panic from source text: 1 000 single-edit mutants of
 /// generated sources (`common::mutant`), each compiled on every catalog
 /// board, end in `Ok` or a structured `Err`. The mutants that compile
-/// run the replication search as well.
+/// run the replication search as well, and every one that compiles to
+/// a system is simulated, verified and served ([`run_a_system`]).
 #[test]
 fn mutated_sources_compile_or_fail_without_a_panic() {
     const MUTANTS: u64 = 1_000;
     let boards = Platform::catalog();
     let mut cov = Coverage::default();
-    let (mut systems, mut errors) = (0, 0);
+    let (mut systems, mut errors, mut ran) = (0, 0, 0);
     for seed in 0..MUTANTS {
         let (source, _) = program(seed, &mut cov);
         let mutant = common::mutant(&source, seed);
@@ -242,7 +273,13 @@ fn mutated_sources_compile_or_fail_without_a_panic() {
             opts.flow.jobs = 1;
             let compile = || ProgramFlow::compile(&mutant, &opts);
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)) {
-                Ok(Ok(art)) => systems += art.system.is_some() as usize,
+                Ok(Ok(art)) if art.system.is_some() => {
+                    systems += 1;
+                    ran += run_a_system(&art, seed).unwrap_or_else(|call| {
+                        panic!("seed {seed} on {}: {call} panicked\n{mutant}", platform.id)
+                    });
+                }
+                Ok(Ok(_)) => {}
                 Ok(Err(_)) => errors += 1,
                 Err(_) => panic!(
                     "seed {seed} on {}: the compile panicked\n{mutant}",
@@ -252,8 +289,8 @@ fn mutated_sources_compile_or_fail_without_a_panic() {
         }
     }
     assert!(
-        systems > 0 && errors > 0,
-        "{systems} systems, {errors} errors"
+        systems > 0 && errors > 0 && ran > 0,
+        "{systems} systems, {errors} errors, {ran} calls ended in Ok"
     );
 }
 

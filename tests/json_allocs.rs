@@ -2,11 +2,14 @@
 //! reserves up front, which no row outgrows. Rows are written through a
 //! stack line, and nothing on that path — not a decimal tie, a tick
 //! count past `2^51` nor a label that needs escaping — formats into a
-//! temporary `String`. Checked on the reports the benchmark serializes:
-//! a 65 536-request online `ServiceReport`, a five-board `FleetReport`,
-//! the dense 4 488-point helmholtz:11 `PortfolioReport` and a
-//! `DseReport`. A compile that rejects an array too wide to analyse
-//! makes no allocation near the array's size.
+//! temporary `String`. Checked on the reports the benchmark serializes
+//! (a 65 536-request online `ServiceReport`, a five-board `FleetReport`
+//! and the dense 4 488-point helmholtz:11 `PortfolioReport`) and on a
+//! `DseReport` of the same grid, which `cfdc explore --grid` prints.
+//! The portfolio sweep itself copies no string per row: a row holds its
+//! point and its score, and the label and board names live once on the
+//! report. A compile that rejects an array too wide to analyse makes no
+//! allocation near the array's size.
 //!
 //! The counting allocator counts per thread, so tests running beside
 //! each other on other threads do not disturb a count.
@@ -69,11 +72,28 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// The document `to_json` returns and the allocations it made.
-fn allocations(to_json: impl FnOnce() -> String) -> (String, u64) {
+/// What `f` returns and the allocations it made on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
-    let json = to_json();
-    (json, ALLOCS.with(Cell::get) - before)
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The benchmark's dense grid: 4 488 points over the catalog's clock
+/// ladders for helmholtz:11.
+fn dense_grid() -> DseGrid {
+    DseGrid {
+        k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
+        batch: vec![1, 2, 4],
+        sharing: vec![true, false],
+        decoupled: vec![true, false],
+        partition: vec![1, 2],
+    }
+}
+
+fn helmholtz11() -> DseEngine {
+    let source = cfdlang::examples::inverse_helmholtz(11);
+    DseEngine::prepare(&source, &cfd_core::FlowOptions::default()).unwrap()
 }
 
 /// `simulation_step(7)` compiled for `platform` (the default board for
@@ -147,18 +167,8 @@ fn a_five_board_fleet_report_allocates_once() {
 /// a sweep of the same grid on the default board.
 #[test]
 fn dse_reports_allocate_once() {
-    let dense = DseGrid {
-        k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
-        batch: vec![1, 2, 4],
-        sharing: vec![true, false],
-        decoupled: vec![true, false],
-        partition: vec![1, 2],
-    };
-    let engine = DseEngine::prepare(
-        &cfdlang::examples::inverse_helmholtz(11),
-        &cfd_core::FlowOptions::default(),
-    )
-    .unwrap();
+    let dense = dense_grid();
+    let engine = helmholtz11();
     let portfolio = engine.run_portfolio(&Platform::catalog(), &dense, 1, 2_000);
     assert_eq!(portfolio.evaluated, 4_488);
     let (json, allocs) = allocations(|| portfolio.to_json());
@@ -170,6 +180,21 @@ fn dse_reports_allocate_once() {
     let (json, allocs) = allocations(|| sweep.to_json());
     assert_eq!(allocs, 1, "{} bytes", json.len());
     runtime::json::validate(&json).unwrap();
+}
+
+/// The dense portfolio sweep at one job, so that `fan_out` scores every
+/// row on this thread. It makes 12 336 allocations, 2.75 per row, for
+/// the backend pieces, the service probes and the ranking. A row that
+/// copied the engine's label and its board's name into itself would
+/// add two per row (4.75).
+#[test]
+fn a_portfolio_sweep_copies_no_string_per_row() {
+    let engine = helmholtz11();
+    let (portfolio, allocs) =
+        allocations(|| engine.run_portfolio(&Platform::catalog(), &dense_grid(), 1, 2_000));
+    assert_eq!(portfolio.evaluated, 4_488);
+    let per_row = allocs as f64 / portfolio.evaluated as f64;
+    assert!(per_row < 3.0, "{allocs} allocations, {per_row:.4} per row");
 }
 
 /// A `[4097 4097]` array, 16 785 409 words, is wider than the compiler

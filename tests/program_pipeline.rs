@@ -161,9 +161,7 @@ fn joint_program_sweep_memoizes_per_kernel_backends() {
     assert_eq!(c.backend, 12);
     assert_eq!(report.backend_reuses, (32 - 4) * 3);
     // Rows are labelled by kernel names, not bare grid indices.
-    for o in &report.outcomes {
-        assert_eq!(o.kernel, "interpolate+inverse_helmholtz+project");
-    }
+    assert_eq!(report.label, "interpolate+inverse_helmholtz+project");
     let json = report.to_json();
     assert!(json.contains("\"kernel\": \"interpolate+inverse_helmholtz+project\""));
     assert!(report.render_table().contains("kernel"));
