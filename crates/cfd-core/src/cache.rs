@@ -28,8 +28,7 @@
 //!    effect rather than their flag values),
 //! 3. the platform id and the bit pattern of the HLS clock.
 //!
-//! The rescheduler and the emptiness oracle have one configuration
-//! each, so neither is keyed.
+//! The rescheduler has one configuration, so it is not keyed.
 //!
 //! The worker count ([`FlowOptions::jobs`]) is deliberately excluded:
 //! artifacts are bit-identical for every value.

@@ -31,10 +31,10 @@
 //! cap the edge counts as violated, and the rescheduler keeps the
 //! reference schedule).
 //!
-//! The definition is the polyhedral one, in the tests: the relation
-//! `src[x] → dst[y]` composed from the access maps must be non-empty for
-//! an edge, and must not meet the out-of-order relation
-//! `S_src ∘ lex_ge ∘ S_dst⁻¹` for a legal one.
+//! The tests define both by enumerating statement instances: an edge
+//! exists iff the two accesses' address sets meet, and a RAW edge holds
+//! iff, at every address, the latest write tuple of the source comes
+//! strictly before every read tuple of the destination.
 
 use crate::model::{image, KernelModel, WALK_CAP};
 use crate::schedule::Schedule;
@@ -190,38 +190,36 @@ fn holds_by_walk(model: &KernelModel, d: &Dependence, sched: &Schedule) -> bool 
 mod tests {
     use super::*;
     use crate::liveness::tests::{fused_schedule, random_schedule};
-    use crate::model::tests::{domain, read_map, write_map};
+    use crate::model::tests::{address_set, read_map, write_map};
+    use crate::model::LinExpr;
     use crate::schedule::tests::stmt_map;
     use crate::{reschedule, SchedulerOptions};
-    use polyhedra::{lex_le_map, Map};
-    use teil::layout::{ArrayId, LayoutPlan};
+    use std::collections::BTreeSet;
+    use teil::layout::LayoutPlan;
     use teil::lower::lower;
     use teil::transform::factorize;
 
-    /// Instance-wise relation `src[x] → dst[y]` of an edge: the instance
-    /// pairs touching the same array element. `model` must be the one the
-    /// edge was found in.
-    pub(crate) fn relation(d: &Dependence, model: &KernelModel) -> Map {
-        let src_access = match d.src_read {
-            None => write_map(model, d.src),
-            Some(k) => read_map(model, d.src, k),
-        };
-        src_access.compose(&read_map(model, d.dst, d.dst_read).reverse())
+    /// The addresses `f` takes over statement `si`'s domain.
+    fn addresses(model: &KernelModel, si: usize, f: &LinExpr) -> BTreeSet<i64> {
+        let extents = model.stmts[si].extents.iter();
+        address_set(f, &Vec::from_iter(extents.map(|&e| (0, e as i64 - 1))))
     }
 
-    /// The definition, for one RAW edge: the out-of-order relation
-    /// `O = S_src ∘ lex_ge ∘ S_dst⁻¹` (pairs whose writer is scheduled at
-    /// or after the reader) does not meet the edge's relation.
-    pub(crate) fn holds_by_composition(
-        model: &KernelModel,
-        d: &Dependence,
-        sched: &Schedule,
-    ) -> bool {
-        let lex_ge = lex_le_map(sched.dim).reverse();
-        let out_of_order = stmt_map(sched, model, d.src)
-            .compose(&lex_ge)
-            .compose(&stmt_map(sched, model, d.dst).reverse());
-        relation(d, model).intersect(&out_of_order).is_empty()
+    /// The definition, for one RAW edge: at every address, the latest
+    /// write tuple of the source comes strictly before every read tuple
+    /// of the destination.
+    fn holds_by_enumeration(model: &KernelModel, d: &Dependence, sched: &Schedule) -> bool {
+        let mut latest: HashMap<i64, Vec<i64>> = HashMap::new();
+        for (point, addr) in write_map(model, d.src) {
+            let t = stmt_map(sched, d.src, &point);
+            let slot = latest.entry(addr).or_insert_with(|| t.clone());
+            if t > *slot {
+                *slot = t;
+            }
+        }
+        (read_map(model, d.dst, d.dst_read).iter()).all(|(point, addr)| {
+            (latest.get(addr)).is_none_or(|w| *w < stmt_map(sched, d.dst, point))
+        })
     }
 
     fn model(n: usize, factored: bool) -> KernelModel {
@@ -327,54 +325,50 @@ mod tests {
         // checker correctly rejects naive fusion across a reduction.
     }
 
-    /// The analysis as it was defined before the emptiness test: compose
-    /// every same-array access pair and keep the non-empty relations, each
-    /// edge with its relation.
-    fn analyze_by_composition(model: &KernelModel) -> Vec<(Dependence, Map)> {
+    /// The definition of the analysis: an edge exists iff its two
+    /// accesses' address sets meet. RAW pairs every write with every read
+    /// of its array; RAR keeps, per read of `a`, the first read of `b`
+    /// that meets it.
+    fn analyze_by_enumeration(model: &KernelModel) -> Vec<Dependence> {
+        let reads: Vec<Vec<_>> = (model.stmts.iter().enumerate())
+            .map(|(si, s)| {
+                (s.reads.iter())
+                    .map(|(arr, f)| (*arr, addresses(model, si, f)))
+                    .collect()
+            })
+            .collect();
         let mut edges = Vec::new();
-        let n = model.stmts.len();
-        for w in 0..n {
-            let ws = &model.stmts[w];
-            for r in 0..n {
-                for (k, (arr, _)) in model.stmts[r].reads.iter().enumerate() {
-                    if *arr != ws.write_array {
-                        continue;
-                    }
-                    let rel = write_map(model, w).compose(&read_map(model, r, k).reverse());
-                    if !rel.is_empty() {
-                        let edge = Dependence {
+        for (w, ws) in model.stmts.iter().enumerate() {
+            let writes = addresses(model, w, &ws.write);
+            for (r, reads_r) in reads.iter().enumerate() {
+                for (k, (arr, addrs)) in reads_r.iter().enumerate() {
+                    if *arr == ws.write_array && !writes.is_disjoint(addrs) {
+                        edges.push(Dependence {
                             kind: DependenceKind::Raw,
                             src: w,
                             dst: r,
                             array: *arr,
                             src_read: None,
                             dst_read: k,
-                        };
-                        edges.push((edge, rel));
+                        });
                     }
                 }
             }
         }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                for (ka, (arr_a, _)) in model.stmts[a].reads.iter().enumerate() {
-                    for (kb, (arr_b, _)) in model.stmts[b].reads.iter().enumerate() {
-                        if arr_a != arr_b {
-                            continue;
-                        }
-                        let rel = read_map(model, a, ka).compose(&read_map(model, b, kb).reverse());
-                        if !rel.is_empty() {
-                            let edge = Dependence {
-                                kind: DependenceKind::Rar,
-                                src: a,
-                                dst: b,
-                                array: *arr_a,
-                                src_read: Some(ka),
-                                dst_read: kb,
-                            };
-                            edges.push((edge, rel));
-                            break;
-                        }
+        for (a, reads_a) in reads.iter().enumerate() {
+            for (b, reads_b) in reads.iter().enumerate().skip(a + 1) {
+                for (ka, (arr, addrs)) in reads_a.iter().enumerate() {
+                    let first = (reads_b.iter())
+                        .position(|(arr_b, addrs_b)| arr_b == arr && !addrs.is_disjoint(addrs_b));
+                    if let Some(kb) = first {
+                        edges.push(Dependence {
+                            kind: DependenceKind::Rar,
+                            src: a,
+                            dst: b,
+                            array: *arr,
+                            src_read: Some(ka),
+                            dst_read: kb,
+                        });
                     }
                 }
             }
@@ -403,16 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn analyze_equals_the_composition_definition() {
+    fn analyze_equals_the_enumerated_definition() {
         let (mut raw, mut rar) = (0, 0);
         for (name, _, km) in zoo() {
-            let reference = analyze_by_composition(&km);
             let deps = Dependences::analyze(&km);
-            let expected: Vec<Dependence> = reference.iter().map(|(d, _)| d.clone()).collect();
-            assert_eq!(deps.edges, expected, "{name}");
-            for (d, rel) in &reference {
-                assert_eq!(&relation(d, &km), rel, "{name}: {d:?}");
-            }
+            assert_eq!(deps.edges, analyze_by_enumeration(&km), "{name}");
             raw += deps.raw().count();
             rar += deps.rar().count();
         }
@@ -422,45 +411,8 @@ mod tests {
         );
     }
 
-    /// The instances of statement `si`, each with the address of `arr`
-    /// that `access` touches there, enumerated point by point.
-    fn touches(km: &KernelModel, si: usize, access: &Map, arr: ArrayId) -> Vec<(Vec<usize>, i64)> {
-        let size = km.layout.arrays[arr.0].size as i64;
-        domain(km, si)
-            .points()
-            .map(|point| {
-                let addr = (0..size)
-                    .find(|&a| access.contains(&point, &[a]))
-                    .expect("every instance touches one element");
-                (point.iter().map(|&v| v as usize).collect(), addr)
-            })
-            .collect()
-    }
-
-    type EdgeTouches = (usize, usize, Vec<(Vec<usize>, i64)>, Vec<(Vec<usize>, i64)>);
-
-    /// The definition tuple by tuple: on every RAW edge, every write of an
-    /// element is scheduled strictly before every read of it.
-    fn legal_by_enumeration(sched: &Schedule, edges: &[EdgeTouches]) -> bool {
-        edges.iter().all(|(w, r, writes, reads)| {
-            let mut last_write: HashMap<i64, Vec<i64>> = HashMap::new();
-            for (point, addr) in writes {
-                let t = sched.tuple_of(*w, point);
-                let slot = last_write.entry(*addr).or_insert_with(|| t.clone());
-                if t > *slot {
-                    *slot = t;
-                }
-            }
-            reads.iter().all(|(point, addr)| {
-                last_write
-                    .get(addr)
-                    .is_none_or(|t| *t < sched.tuple_of(*r, point))
-            })
-        })
-    }
-
-    /// `legal` against the all-edges composition definition and the
-    /// tuple-by-tuple enumeration, over the zoo under the reference, the
+    /// `legal` against the tuple-by-tuple definition on every RAW edge,
+    /// over the zoo under the reference, the
     /// rescheduled, the whole-kernel fused and random schedules (tied
     /// `seq`, random permutations and `micro`). Tallies verdicts
     /// `[illegal, legal]`, and separately those of schedules with a RAW
@@ -471,18 +423,6 @@ mod tests {
         let mut rng = 0x5EC_0DE5_u64;
         for (name, m, km) in zoo() {
             let deps = Dependences::analyze(&km);
-            let edges: Vec<EdgeTouches> = deps
-                .raw()
-                .map(|d| {
-                    let read = read_map(&km, d.dst, d.dst_read);
-                    (
-                        d.src,
-                        d.dst,
-                        touches(&km, d.src, &write_map(&km, d.src), d.array),
-                        touches(&km, d.dst, &read, d.array),
-                    )
-                })
-                .collect();
             let mut schedules = vec![
                 Schedule::reference(&km),
                 reschedule(&m, &km, &deps, &SchedulerOptions),
@@ -491,13 +431,8 @@ mod tests {
             schedules.extend((0..6).map(|_| random_schedule(&km, &mut rng)));
             for s in &schedules {
                 let verdict = legal(&km, &deps, s);
-                let definition = deps.raw().all(|d| holds_by_composition(&km, d, s));
+                let definition = deps.raw().all(|d| holds_by_enumeration(&km, d, s));
                 assert_eq!(verdict, definition, "{name} under {s:?}");
-                assert_eq!(
-                    verdict,
-                    legal_by_enumeration(s, &edges),
-                    "{name} under {s:?}"
-                );
                 verdicts[verdict as usize] += 1;
                 if deps.raw().any(|d| s.fused(d.src, d.dst)) {
                     fused_verdicts[verdict as usize] += 1;
@@ -532,11 +467,7 @@ mod tests {
             let km = KernelModel::build(&m, &layout);
             let name = format!("{tensor} at {strides:?} + {offset}");
             let deps = Dependences::analyze(&km);
-            let expected: Vec<Dependence> = analyze_by_composition(&km)
-                .into_iter()
-                .map(|(d, _)| d)
-                .collect();
-            assert_eq!(deps.edges, expected, "{name}");
+            assert_eq!(deps.edges, analyze_by_enumeration(&km), "{name}");
             let mut tally = [0usize; 3];
             for s in [
                 Schedule::reference(&km),
@@ -548,25 +479,22 @@ mod tests {
         }
     }
 
-    /// `analyze` and the equal-`seq` walk against the compositions on
+    /// `analyze` and the equal-`seq` walk against their definitions on
     /// every generated kernel, the walk under the reference and the
     /// compiled schedule. The generator's pure self-contraction
     /// `c = c # s . [[r-1 r]]` is a statement reading its own output, so
     /// it reaches the walk.
     #[test]
-    fn generated_equal_seq_walks_equal_the_composition() {
+    fn generated_equal_seq_walks_equal_the_enumeration() {
         let mut checked = 0;
         for (name, m, km) in crate::liveness::tests::generated_kernels() {
             let deps = Dependences::analyze(&km);
-            let expected: Vec<Dependence> = (analyze_by_composition(&km).into_iter())
-                .map(|(d, _)| d)
-                .collect();
-            assert_eq!(deps.edges, expected, "{name}");
+            assert_eq!(deps.edges, analyze_by_enumeration(&km), "{name}");
             let compiled = reschedule(&m, &km, &deps, &SchedulerOptions);
             for s in [Schedule::reference(&km), compiled] {
                 for d in deps.raw().filter(|d| s.seq[d.src] == s.seq[d.dst]) {
                     let walk = holds_by_walk(&km, d, &s);
-                    assert_eq!(walk, holds_by_composition(&km, d, &s), "{name}: {d:?}");
+                    assert_eq!(walk, holds_by_enumeration(&km, d, &s), "{name}: {d:?}");
                     checked += 1;
                 }
             }

@@ -29,10 +29,9 @@
 //!   intervals, and the cross-kernel compatibility rules behind
 //!   program-wide PLM sharing.
 //!
-//! The polyhedral definitions — access relations, their compositions,
-//! `I = (S×S)∘RAW` and `L = ge_le∘I` — live in the test code, built with
-//! the `polyhedra` library (a dev-dependency only), and every answer the
-//! crate gives is tested against them.
+//! The definitions live in the test code, as plain-loop enumerations over
+//! statement instances, and every answer the crate gives is tested
+//! against them.
 
 #![forbid(unsafe_code)]
 

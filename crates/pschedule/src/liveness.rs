@@ -12,8 +12,10 @@
 //! of schedule points at which the array holds a live value. Inputs
 //! receive a *virtual write* strictly before every statement (`first`)
 //! and outputs a *virtual read* after every statement (`last`), exactly
-//! as in the paper's modified virtual schedule. The tests build `L` this
-//! way, with the `polyhedra` library, and hold every answer here to it.
+//! as in the paper's modified virtual schedule. The tests enumerate `L`
+//! as the union over the array's elements of `[min W, max R]`, each
+//! element's earliest write and latest read tuple, and hold every answer
+//! here to it.
 //!
 //! Two arrays are **address-space compatible** when their live sets are
 //! disjoint — they may then share addresses. Two arrays are
@@ -597,73 +599,105 @@ impl CompatibilityGraph {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::model::tests::{domain, read_map, write_map};
+    use crate::model::tests::{read_map, write_map};
     use crate::schedule::tests::stmt_map;
     use crate::{reschedule, Dependences, SchedulerOptions};
-    use polyhedra::{between_set, BasicSet, Map, Set, Space};
+    use std::collections::{BTreeMap, BTreeSet};
+    use teil::ir::TensorKind::{Input, Output};
     use teil::layout::LayoutPlan;
     use teil::lower::lower;
     use teil::transform::factorize;
 
-    /// An array's exact point sets: the paper's `range(L)` and the schedule
-    /// points at which the array is written and read.
+    /// An array's point sets under a schedule, by enumeration.
     pub(crate) struct LiveSets {
-        pub live: Set,
-        pub writes_at: Set,
-        pub reads_at: Set,
+        /// The union over its elements of `[min W, max R]`, merged into
+        /// disjoint intervals sorted by start.
+        pub live: Vec<Interval>,
+        /// The tuples at which it is written.
+        pub writes_at: BTreeSet<Tuple>,
+        /// The tuples at which it is read.
+        pub reads_at: BTreeSet<Tuple>,
     }
 
-    /// The definition, for one array: `A` and `B` by map composition,
-    /// `L = ge_le ∘ (A⁻¹ ∘ B)`. `model` must be the one `lv` analysed.
-    pub(crate) fn exact(lv: &Liveness, model: &KernelModel, arr: ArrayId) -> LiveSets {
-        let f = &lv.facts[lv.index(arr)];
-        let decl = &model.layout.arrays[arr.0];
-        let arr_space = Space::set(&decl.name, &["addr"]);
-        let arr_dom = BasicSet::boxed(arr_space.clone(), &[(0, decl.size as i64 - 1)]);
-        let to_tuples =
-            |access: Map, si: usize| access.reverse().compose(&stmt_map(&lv.schedule, model, si));
-
-        // A : array[addr] → write schedule tuples, plus the virtual write
-        // of host-written (input) tensors.
-        let mut a = Map::empty(arr_space.clone(), Space::anon(lv.dim));
-        for &si in &f.writers {
-            a = a.union(&to_tuples(write_map(model, si), si));
-        }
-        if f.input {
-            a = a.union(&const_map(&arr_space, &arr_dom, &lv.first));
-        }
-        // B : array[addr] → read schedule tuples, plus the virtual read of
-        // host-read (output) tensors.
-        let mut b = Map::empty(arr_space.clone(), Space::anon(lv.dim));
-        for &si in &f.readers {
-            for (k, (ra, _)) in model.stmts[si].reads.iter().enumerate() {
+    /// The definition, for one array: every instance of every access to it
+    /// with its address and tuple, plus a virtual write of every element at
+    /// `first` for an input and a virtual read at `last` for an output.
+    /// Each element is live on `[min W, max R]`, or nowhere when
+    /// `min W >lex max R`.
+    pub(crate) fn exact(m: &Module, km: &KernelModel, s: &Schedule, arr: ArrayId) -> LiveSets {
+        let (mut writes, mut reads) = (Vec::new(), Vec::new());
+        for (si, stmt) in km.stmts.iter().enumerate() {
+            let tuples = |access: Vec<(Vec<usize>, i64)>| {
+                (access.into_iter()).map(move |(point, addr)| (addr, stmt_map(s, si, &point)))
+            };
+            if stmt.write_array == arr {
+                writes.extend(tuples(write_map(km, si)));
+            }
+            for (k, (ra, _)) in stmt.reads.iter().enumerate() {
                 if *ra == arr {
-                    b = b.union(&to_tuples(read_map(model, si, k), si));
+                    reads.extend(tuples(read_map(km, si, k)));
                 }
             }
         }
-        if f.output {
-            b = b.union(&const_map(&arr_space, &arr_dom, &lv.last));
+        let elements = 0..km.layout.arrays[arr.0].size as i64;
+        if holds_kind(m, km, arr, Input) {
+            writes.extend(elements.clone().map(|addr| (addr, s.first_tuple())));
         }
-
-        // P : write tuple → read tuple over the same element. `between_set`
-        // implies `w <=lex r` (the lex order is total), so no `lex_le_map`
-        // conjunct is needed.
+        if holds_kind(m, km, arr, Output) {
+            reads.extend(elements.map(|addr| (addr, s.last_tuple())));
+        }
+        // Per element, its earliest write and latest read.
+        let mut spans: BTreeMap<i64, (Option<&Tuple>, Option<&Tuple>)> = BTreeMap::new();
+        for (addr, t) in &writes {
+            let w = &mut spans.entry(*addr).or_default().0;
+            *w = Some(w.map_or(t, |cur| cur.min(t)));
+        }
+        for (addr, t) in &reads {
+            let r = &mut spans.entry(*addr).or_default().1;
+            *r = Some(r.map_or(t, |cur| cur.max(t)));
+        }
+        let mut live: Vec<Interval> = (spans.into_values())
+            .filter_map(|span| match span {
+                (Some(w), Some(r)) if w <= r => Some((w.clone(), r.clone())),
+                _ => None,
+            })
+            .collect();
+        live.sort();
+        let mut merged: Vec<Interval> = Vec::new();
+        for (w, r) in live {
+            match merged.last_mut() {
+                Some(last) if w <= last.1 => {
+                    if r > last.1 {
+                        last.1 = r;
+                    }
+                }
+                _ => merged.push((w, r)),
+            }
+        }
+        let at = |events: Vec<(i64, Tuple)>| events.into_iter().map(|(_, t)| t).collect();
         LiveSets {
-            live: between_set(&a.reverse().compose(&b), lv.dim).prune_empty(),
-            writes_at: a.range().prune_empty(),
-            reads_at: b.range().prune_empty(),
+            live: merged,
+            writes_at: at(writes),
+            reads_at: at(reads),
         }
     }
 
-    /// The constant map `{ array[addr] → tuple }` restricted to the array
-    /// domain.
-    fn const_map(arr_space: &Space, arr_dom: &BasicSet, tuple: &[i64]) -> Map {
-        let exprs: Vec<polyhedra::LinExpr> = (tuple.iter())
-            .map(|&v| polyhedra::LinExpr::constant(1, v))
+    /// Whether `x` lies in a live set.
+    fn contains(live: &[Interval], x: &[i64]) -> bool {
+        live.iter()
+            .any(|(w, r)| w.as_slice() <= x && x <= r.as_slice())
+    }
+
+    /// Whether two live sets share a tuple. Each set's intervals are
+    /// disjoint, so with the intervals of both sorted by start, the sets
+    /// meet iff some interval starts inside its predecessor from the
+    /// other set.
+    fn live_sets_meet(a: &[Interval], b: &[Interval]) -> bool {
+        let mut all: Vec<(&Interval, bool)> = (a.iter().map(|i| (i, false)))
+            .chain(b.iter().map(|i| (i, true)))
             .collect();
-        Map::from_affine(arr_space.clone(), Space::anon(tuple.len()), &exprs)
-            .intersect_domain(&Set::from_basic(arr_dom.clone()))
+        all.sort();
+        (all.windows(2)).any(|p| p[0].1 != p[1].1 && p[1].0 .0 <= p[0].0 .1)
     }
 
     fn setup(n: usize, factored: bool) -> (Module, KernelModel, Schedule) {
@@ -734,35 +768,32 @@ pub(crate) mod tests {
     #[test]
     fn inputs_live_from_first() {
         let (m, km, s) = setup(3, false);
-        let lv = Liveness::analyze(&m, &km, &s);
-        let live = exact(&lv, &km, arr(&m, &km, "u")).live;
+        let live = exact(&m, &km, &s, arr(&m, &km, "u")).live;
         // u is live at the virtual first tuple and during statement 0.
-        assert!(live.contains(&s.first_tuple()));
-        assert!(live.contains(&s.tuple_of(0, &[0, 0, 0, 0, 0, 0])));
+        assert!(contains(&live, &s.first_tuple()));
+        assert!(contains(&live, &s.tuple_of(0, &[0, 0, 0, 0, 0, 0])));
         // u is dead during statement 1 (Hadamard).
-        assert!(!live.contains(&s.tuple_of(1, &[0, 0, 0])));
+        assert!(!contains(&live, &s.tuple_of(1, &[0, 0, 0])));
     }
 
     #[test]
     fn outputs_live_to_last() {
         let (m, km, s) = setup(3, false);
-        let lv = Liveness::analyze(&m, &km, &s);
-        let live = exact(&lv, &km, arr(&m, &km, "v")).live;
-        assert!(live.contains(&s.last_tuple()));
+        let live = exact(&m, &km, &s, arr(&m, &km, "v")).live;
+        assert!(contains(&live, &s.last_tuple()));
         // v is dead during statement 0.
-        assert!(!live.contains(&s.tuple_of(0, &[0; 6])));
+        assert!(!contains(&live, &s.tuple_of(0, &[0; 6])));
     }
 
     #[test]
     fn temp_lifetime_spans_def_to_last_use() {
         let (m, km, s) = setup(3, false);
-        let lv = Liveness::analyze(&m, &km, &s);
-        let live = exact(&lv, &km, arr(&m, &km, "t")).live;
+        let live = exact(&m, &km, &s, arr(&m, &km, "t")).live;
         // t written in stmt 0, read in stmt 1.
-        assert!(live.contains(&s.tuple_of(0, &[2, 2, 2, 0, 0, 0])));
-        assert!(live.contains(&s.tuple_of(1, &[0, 0, 0])));
+        assert!(contains(&live, &s.tuple_of(0, &[2, 2, 2, 0, 0, 0])));
+        assert!(contains(&live, &s.tuple_of(1, &[0, 0, 0])));
         // Dead during stmt 2? t is read only by stmt 1.
-        assert!(!live.contains(&s.tuple_of(2, &[0; 6])));
+        assert!(!contains(&live, &s.tuple_of(2, &[0; 6])));
     }
 
     #[test]
@@ -837,8 +868,8 @@ pub(crate) mod tests {
         assert!(dot.contains("t0"));
     }
 
-    /// Build the graph with the ladder and from the exact sets of every
-    /// array; both must agree node for node and edge for edge. Tallies
+    /// Build the graph with the ladder and from the enumerated sets of
+    /// every array; both must agree node for node and edge for edge. Tallies
     /// which rung settled each pair: `[hull, witness, exact]`.
     pub(crate) fn assert_ladder_is_exact(
         name: &str,
@@ -850,7 +881,7 @@ pub(crate) mod tests {
         let lv = Liveness::analyze(m, km, s);
         let graph = CompatibilityGraph::build(km, &lv);
         let ladder = Ladder::new(&lv, km);
-        let sets: Vec<LiveSets> = lv.arrays.iter().map(|&a| exact(&lv, km, a)).collect();
+        let sets: Vec<LiveSets> = lv.arrays.iter().map(|&a| exact(m, km, s, a)).collect();
         let nodes: Vec<(ArrayId, String, usize, bool)> = lv
             .arrays
             .iter()
@@ -867,9 +898,11 @@ pub(crate) mod tests {
                     Some(false) => 1,
                     None => 2,
                 }] += 1;
-                if a.live.disjoint(&b.live) {
+                if !live_sets_meet(&a.live, &b.live) {
                     edges.push((i, j, CompatKind::AddressSpace));
-                } else if a.writes_at.disjoint(&b.writes_at) && a.reads_at.disjoint(&b.reads_at) {
+                } else if a.writes_at.is_disjoint(&b.writes_at)
+                    && a.reads_at.is_disjoint(&b.reads_at)
+                {
                     edges.push((i, j, CompatKind::MemoryInterface));
                 }
             }
@@ -1001,18 +1034,17 @@ pub(crate) mod tests {
         assert_ladder_is_exact("fused chain", &m, &km, &s, &mut [0; 3]);
     }
 
-    /// The exact `live` sets against the definition itself, with the write
-    /// and read tuples of every array element enumerated one statement
-    /// instance at a time: `x` is live when some element has a write `w`
-    /// and a read `r` with `w <=lex x <=lex r`. Every write of an element
-    /// pairs with every read of it, so per element that is
+    /// The merged `live` intervals of `exact` and rung 3's walked ones
+    /// against the definition per element, with the write and read tuples
+    /// of every array element enumerated one statement instance at a
+    /// time: `x` is live when some element has a write `w` and a read `r`
+    /// with `w <=lex x <=lex r`. Every write of an element pairs with
+    /// every read of it, so per element that is
     /// `min W <=lex x <=lex max R`. Probed at every enumerated tuple and
     /// its one-step neighbours along each axis, which is where membership
     /// changes.
     #[test]
     fn live_sets_match_enumerated_definition() {
-        use std::collections::BTreeSet;
-        use teil::ir::TensorKind::{Input, Output};
         let ex = cfdlang::examples::inverse_helmholtz;
         let kernels = [
             ("inverse_helmholtz(3)", setup_source(&ex(3), false)),
@@ -1024,10 +1056,10 @@ pub(crate) mod tests {
         ];
         for (name, (m, km, s)) in &kernels {
             let lv = Liveness::analyze(m, km, s);
-            let live: HashMap<ArrayId, Set> = lv
+            let live: HashMap<ArrayId, Vec<Interval>> = lv
                 .arrays
                 .iter()
-                .map(|&a| (a, exact(&lv, km, a).live))
+                .map(|&a| (a, exact(m, km, s, a).live))
                 .collect();
             // Per array, per element: earliest write and latest read.
             type Span = (Option<Vec<i64>>, Option<Vec<i64>>);
@@ -1037,8 +1069,8 @@ pub(crate) mod tests {
                 .map(|&a| (a, vec![(None, None); km.layout.arrays[a.0].size]))
                 .collect();
             let mut probes: BTreeSet<Vec<i64>> = BTreeSet::new();
-            let mut touch = |arr: ArrayId, addr: usize, tuple: &[i64], is_write: bool| {
-                let (w, r) = &mut spans.get_mut(&arr).unwrap()[addr];
+            let mut touch = |arr: ArrayId, addr: i64, tuple: &[i64], is_write: bool| {
+                let (w, r) = &mut spans.get_mut(&arr).unwrap()[addr as usize];
                 if is_write && w.as_deref().is_none_or(|cur| tuple < cur) {
                     *w = Some(tuple.to_vec());
                 }
@@ -1047,31 +1079,18 @@ pub(crate) mod tests {
                 }
                 probes.insert(tuple.to_vec());
             };
-            let address = |access: &Map, point: &[i64], size: usize| {
-                (0..size)
-                    .find(|&a| access.contains(point, &[a as i64]))
-                    .expect("every instance touches one element")
-            };
             for (si, stmt) in km.stmts.iter().enumerate() {
-                for point in domain(km, si).points() {
-                    let instance: Vec<usize> = point.iter().map(|&v| v as usize).collect();
-                    let tuple = s.tuple_of(si, &instance);
-                    let size = |a: ArrayId| km.layout.arrays[a.0].size;
-                    let w = stmt.write_array;
-                    touch(
-                        w,
-                        address(&write_map(km, si), &point, size(w)),
-                        &tuple,
-                        true,
-                    );
-                    for (k, (ra, _)) in stmt.reads.iter().enumerate() {
-                        let access = read_map(km, si, k);
-                        touch(*ra, address(&access, &point, size(*ra)), &tuple, false);
+                for (point, addr) in write_map(km, si) {
+                    touch(stmt.write_array, addr, &s.tuple_of(si, &point), true);
+                }
+                for (k, (ra, _)) in stmt.reads.iter().enumerate() {
+                    for (point, addr) in read_map(km, si, k) {
+                        touch(*ra, addr, &s.tuple_of(si, &point), false);
                     }
                 }
             }
             for &arr in &lv.arrays {
-                for addr in 0..km.layout.arrays[arr.0].size {
+                for addr in 0..km.layout.arrays[arr.0].size as i64 {
                     if holds_kind(m, km, arr, Input) {
                         touch(arr, addr, &s.first_tuple(), true);
                     }
@@ -1097,7 +1116,11 @@ pub(crate) mod tests {
                         (Some(w), Some(r)) => w <= x && x <= r,
                         _ => false,
                     });
-                    assert_eq!(live[&arr].contains(x), expected, "{name}: {array} at {x:?}");
+                    assert_eq!(
+                        contains(&live[&arr], x),
+                        expected,
+                        "{name}: {array} at {x:?}"
+                    );
                     let in_walk = walked.iter().any(|(w, r)| w <= x && x <= r);
                     assert_eq!(in_walk, expected, "{name}: {array} walked, at {x:?}");
                 }
@@ -1107,9 +1130,9 @@ pub(crate) mod tests {
 
     /// Rung 3 on every generated kernel under the reference and the
     /// compiled schedule: for every array pair, the walked live intervals
-    /// overlap iff the exact live sets meet.
+    /// overlap iff the enumerated live sets meet.
     #[test]
-    fn generated_walks_equal_the_exact_sets() {
+    fn generated_walks_equal_the_enumeration() {
         let mut pairs = [0usize; 2];
         for (name, m, km) in generated_kernels() {
             let deps = Dependences::analyze(&km);
@@ -1122,15 +1145,15 @@ pub(crate) mod tests {
                             .expect("a generated array is walked")
                     })
                     .collect();
-                let live: Vec<Set> = (lv.arrays.iter())
-                    .map(|&a| exact(&lv, &km, a).live)
+                let live: Vec<Vec<Interval>> = (lv.arrays.iter())
+                    .map(|&a| exact(&m, &km, &s, a).live)
                     .collect();
                 for i in 0..live.len() {
                     for j in i + 1..live.len() {
                         let meet = overlap(&walked[i], &walked[j]);
                         assert_eq!(
                             meet,
-                            !live[i].disjoint(&live[j]),
+                            live_sets_meet(&live[i], &live[j]),
                             "{name}: {i}, {j} under {s:?}"
                         );
                         pairs[meet as usize] += 1;

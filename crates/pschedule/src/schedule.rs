@@ -107,27 +107,20 @@ impl Schedule {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::model::tests::{domain, space};
-    use polyhedra::{LinExpr, Map, Set, Space};
+    use crate::model::tests::domain;
     use teil::layout::LayoutPlan;
     use teil::lower::lower;
 
-    /// The affine map `stmt[x...] → [seq, x_{σ(0)}, ..., 0.., micro]` of
-    /// statement `si` under `sched`, over its domain.
-    pub(crate) fn stmt_map(sched: &Schedule, model: &KernelModel, si: usize) -> Map {
-        let rank = model.stmts[si].rank();
-        let mut exprs: Vec<LinExpr> = Vec::with_capacity(sched.dim);
-        exprs.push(LinExpr::constant(rank, sched.seq[si]));
-        for d in 0..sched.dim - 2 {
-            if d < sched.perms[si].len() {
-                exprs.push(LinExpr::var(rank, sched.perms[si][d]));
-            } else {
-                exprs.push(LinExpr::constant(rank, 0));
-            }
+    /// The tuple `[seq, x_{σ(0)}, …, 0…, micro]` that `sched` gives
+    /// statement `si`'s instance `point`.
+    pub(crate) fn stmt_map(sched: &Schedule, si: usize, point: &[usize]) -> Vec<i64> {
+        let mut tuple = vec![0; sched.dim];
+        tuple[0] = sched.seq[si];
+        for (depth, &var) in sched.perms[si].iter().enumerate() {
+            tuple[1 + depth] = point[var] as i64;
         }
-        exprs.push(LinExpr::constant(rank, sched.micro[si]));
-        Map::from_affine(space(model, si), Space::anon(sched.dim), &exprs)
-            .intersect_domain(&Set::from_basic(domain(model, si)))
+        tuple[sched.dim - 1] = sched.micro[si];
+        tuple
     }
 
     fn model(n: usize) -> KernelModel {
@@ -150,13 +143,15 @@ pub(crate) mod tests {
 
     #[test]
     fn tuple_of_matches_map() {
-        let km = model(4);
-        let s = Schedule::reference(&km);
-        let map = stmt_map(&s, &km, 0);
-        let pt = [1usize, 2, 3, 0, 1, 2];
-        let tup = s.tuple_of(0, &pt);
-        let pt_i: Vec<i64> = pt.iter().map(|&x| x as i64).collect();
-        assert!(map.contains(&pt_i, &tup));
+        let km = model(3);
+        let mut s = Schedule::reference(&km);
+        s.perms[0] = vec![5, 3, 1, 0, 2, 4];
+        s.perms[1] = vec![2, 0, 1];
+        for si in 0..km.stmts.len() {
+            for point in domain(&km, si) {
+                assert_eq!(s.tuple_of(si, &point), stmt_map(&s, si, &point));
+            }
+        }
     }
 
     #[test]
@@ -165,11 +160,9 @@ pub(crate) mod tests {
         let s = Schedule::reference(&km);
         let first = s.first_tuple();
         let last = s.last_tuple();
-        let lt = polyhedra::lex_lt_map(s.dim);
         for si in 0..km.stmts.len() {
             let t = s.tuple_of(si, &vec![0; km.stmts[si].rank()]);
-            assert!(lt.contains(&first, &t));
-            assert!(lt.contains(&t, &last));
+            assert!(first < t && t < last);
         }
     }
 

@@ -8,9 +8,9 @@
 //! address functions of its layout-aware dependence and liveness
 //! analyses.
 //!
-//! Partitioning maps (array → array) can split and merge arrays; here we
-//! provide the merge direction (explicit address-space sharing), whose
-//! legality is checked downstream by liveness analysis (Section V-A2).
+//! Each tensor gets its own array here. Address-space sharing between
+//! arrays is decided later, from the liveness analysis, by the memory
+//! generator (Section V-A2).
 
 use crate::ir::{Module, TensorId, TensorKind};
 
@@ -96,27 +96,6 @@ impl LayoutPlan {
         p.offset = offset;
     }
 
-    /// Merge array `b` into array `a` (explicit address-space sharing):
-    /// all placements into `b` are redirected into `a`, and `a` grows to
-    /// cover both. Legality (non-overlapping lifetimes) is the caller's
-    /// obligation, checked by liveness analysis downstream.
-    pub fn merge_arrays(&mut self, a: ArrayId, b: ArrayId) {
-        assert_ne!(a, b, "cannot merge an array into itself");
-        let b_size = self.arrays[b.0].size;
-        if b_size > self.arrays[a.0].size {
-            self.arrays[a.0].size = b_size;
-        }
-        self.arrays[a.0].interface |= self.arrays[b.0].interface;
-        for p in &mut self.placements {
-            if p.array == b {
-                p.array = a;
-            }
-        }
-        // The dropped array keeps its slot (ids stay stable) but becomes
-        // zero-sized and unreferenced.
-        self.arrays[b.0].size = 0;
-    }
-
     /// Arrays that still hold at least one tensor.
     pub fn live_arrays(&self) -> Vec<ArrayId> {
         let mut seen: Vec<ArrayId> = Vec::new();
@@ -131,14 +110,6 @@ impl LayoutPlan {
     /// Placement of a tensor.
     pub fn placement(&self, tensor: TensorId) -> &Placement {
         &self.placements[tensor.0]
-    }
-
-    /// Total words across live arrays.
-    pub fn total_words(&self) -> usize {
-        self.live_arrays()
-            .iter()
-            .map(|a| self.arrays[a.0].size)
-            .sum()
     }
 }
 
@@ -173,43 +144,6 @@ mod tests {
         let t = m.find("t").unwrap();
         assert!(plan.arrays[plan.placement(s).array.0].interface);
         assert!(!plan.arrays[plan.placement(t).array.0].interface);
-    }
-
-    #[test]
-    fn merge_redirects_placements() {
-        let m = helmholtz(4);
-        let mut plan = LayoutPlan::row_major(&m);
-        let t = m.find("t").unwrap();
-        let r = m.find("r").unwrap();
-        let (at, ar) = (plan.placement(t).array, plan.placement(r).array);
-        let before = plan.live_arrays().len();
-        plan.merge_arrays(at, ar);
-        assert_eq!(plan.placement(r).array, at);
-        assert_eq!(plan.live_arrays().len(), before - 1);
-    }
-
-    #[test]
-    fn merge_grows_target() {
-        let mut module = Module::default();
-        let x = module.declare("x", vec![2], crate::ir::TensorKind::Temp);
-        let y = module.declare("y", vec![9], crate::ir::TensorKind::Temp);
-        let mut plan = LayoutPlan::row_major(&module);
-        let (ax, ay) = (plan.placement(x).array, plan.placement(y).array);
-        plan.merge_arrays(ax, ay);
-        assert_eq!(plan.arrays[ax.0].size, 9);
-    }
-
-    #[test]
-    fn total_words_counts_live_only() {
-        let m = helmholtz(11);
-        let mut plan = LayoutPlan::row_major(&m);
-        let total = plan.total_words();
-        // S=121, five 1331-word arrays (D,u,v,t,r).
-        assert_eq!(total, 121 + 5 * 1331);
-        let t = m.find("t").unwrap();
-        let r = m.find("r").unwrap();
-        plan.merge_arrays(plan.placement(t).array, plan.placement(r).array);
-        assert_eq!(plan.total_words(), 121 + 4 * 1331);
     }
 
     #[test]
