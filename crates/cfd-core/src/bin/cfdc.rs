@@ -775,7 +775,10 @@ fn checked_or_exit(command: &'static str, parsed: Result<Parsed, CliError>) -> P
 fn lookup_platform(name: &str) -> Result<Platform, CliError> {
     Platform::by_name(name).ok_or_else(|| CliError::UnknownBoard {
         name: name.to_string(),
-        catalog: Platform::catalog().into_iter().map(|p| p.id).collect(),
+        catalog: Platform::catalog()
+            .into_iter()
+            .map(|p| p.id.to_string())
+            .collect(),
     })
 }
 
@@ -1185,7 +1188,7 @@ fn cmd_serve(args: &[String]) {
 fn cmd_serve_fleet(p: &Parsed) {
     let platforms = p.fleet.as_ref().expect("fleet platforms");
     // One compile per distinct platform id — repeated boards share it.
-    let mut compiled: Vec<(String, Result<ProgramArtifacts, String>)> = Vec::new();
+    let mut compiled: Vec<(&str, Result<ProgramArtifacts, String>)> = Vec::new();
     for platform in platforms {
         if !compiled.iter().any(|(id, _)| *id == platform.id) {
             // The platform and its default clock override `--board`.
@@ -1193,16 +1196,16 @@ fn cmd_serve_fleet(p: &Parsed) {
             opts.flow.platform = platform.clone();
             opts.flow.hls.clock_mhz = platform.default_clock_mhz;
             let art = compile_program(p, &opts, cache_or_exit(p)).map_err(|e| e.to_string());
-            compiled.push((platform.id.clone(), art));
+            compiled.push((platform.id, art));
         }
     }
-    let art_for = |id: &str| &compiled.iter().find(|(cid, _)| cid == id).unwrap().1;
+    let art_for = |id: &str| &compiled.iter().find(|(cid, _)| *cid == id).unwrap().1;
     // Board list in catalog order, with repeats of one platform named
     // id#2, id#3, ... and --faults armed on the first board only.
     let mut boards: Vec<FleetBoard> = Vec::new();
     let mut reference: Option<&ProgramArtifacts> = None;
     for platform in platforms {
-        let art = match art_for(&platform.id) {
+        let art = match art_for(platform.id) {
             Ok(art) => art,
             Err(e) => {
                 eprintln!("warning: skipping {}: {e}", platform.id);
@@ -1553,13 +1556,7 @@ mod tests {
             "predictive",
         ]))
         .unwrap();
-        let ids: Vec<&str> = p
-            .fleet
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|pl| pl.id.as_str())
-            .collect();
+        let ids: Vec<&str> = p.fleet.as_ref().unwrap().iter().map(|pl| pl.id).collect();
         assert_eq!(ids, ["zcu106", "pynq-z2", "zcu106"]);
         assert_eq!(p.route, RoutePolicy::Predictive);
         // jsq parses; unknown policies and boards are structured errors.

@@ -46,8 +46,23 @@
 //!
 //! **Rows.** A sweep row holds its point and score (in a portfolio also
 //! its platform id, clock and flags), never a string all rows share:
-//! the kernel names are the report's `label`, and a board's display
-//! name is its [`PlatformSummary`]'s.
+//! the kernel names are the report's `label`, a board's display name is
+//! its [`PlatformSummary`]'s, and its id is the catalog's `&'static
+//! str`. A row pays for Eq. (3) and its priced round and allocates
+//! nothing: the round is priced as three tick sums ([`RoundTicks`]),
+//! not collected per stage, and a portfolio row reads no clock (its
+//! `eval_s` is 0; only [`DseEngine::run`] times its rows). A portfolio
+//! is ranked by sorting compact keys — (simulated time, fit) as
+//! `total_cmp`-ordered bits and the row index — and the rows move once,
+//! along the permutation's cycles.
+//!
+//! **Probes.** The service probe reads only a round's input, summed
+//! execution and output ticks, `k` and `m` (its key). A sweep
+//! scores every row first, numbers the distinct keys of the rows that
+//! fit in row order, probes each once through [`fan_out`] and copies
+//! the figures back: the dense 4 488-point helmholtz:11 portfolio
+//! probes 359 keys for its 3 206 rows that fit. Workers share no map
+//! and take no lock, and the figures do not depend on `jobs`.
 //!
 //! **Invariant: a sweep row equals what `cfdc compile` + `cfdc
 //! simulate` + `cfdc serve` would report for that design.** A point is
@@ -56,16 +71,20 @@
 //! ([`Backend`](crate::pipeline::Backend) carries none) — but
 //! its feasibility and totals come from `sysgen::Totals::fit`, the
 //! function `SystemDesign::build` and `MultiSystemDesign::build` decide
-//! with; its simulated time from `zynq::ProgramRound::price`, which
+//! with; its simulated time from [`RoundTicks::price`], the sum of what
+//! `zynq::ProgramRound::price` charges per stage, with which
 //! `simulate_hw`, `simulate_program` and `program_round` price their
-//! rounds with (the serial total is a checked product: a row past the
-//! `u64` clock reads infinite, and the report counts it in
+//! rounds (the serial total is a checked product: a row past the `u64`
+//! clock reads infinite, and the report counts it in
 //! `ticks_overflows`); and its service figures from the stream
-//! scheduler's clean fold on that round, reporting to a summary sink
-//! that keeps two numbers ([`zynq::summarize_round_stream`]).
+//! scheduler's clean fold on a round of those ticks, reporting to a
+//! summary sink that keeps two numbers
+//! ([`zynq::summarize_round_stream`]).
 //! `score_equals_build_simulate_and_probe` holds the invariant bit for
 //! bit over every catalog platform, ladder clock and point of a
-//! kernel's and a program's sweeps, infeasible rows included.
+//! kernel's and a program's sweeps, infeasible rows included, and
+//! `portfolio_rows_equal_the_per_slot_definition` holds every row's
+//! shared probe to a probe of its own per-stage round.
 //!
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
@@ -88,6 +107,7 @@
 //! ```
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -99,7 +119,7 @@ use runtime::json::{self, row_end, Line, Sink};
 use sysgen::{Platform, SystemConfig, Totals};
 use teil::TensorKind;
 use zynq::des::to_secs;
-use zynq::{fan_out, resolve_jobs, ProgramRound, SimConfig};
+use zynq::{fan_out, resolve_jobs, ProgramRound, RoundTicks, SimConfig};
 
 use crate::cache::{CacheCounters, CompileCache};
 use crate::pipeline::{Pipeline, Scheduled, StageCounts, StageTimings};
@@ -247,7 +267,11 @@ pub struct DseOutcome {
     pub service_rps: f64,
     /// p99 request latency of the same probe (0 when infeasible).
     pub service_p99_s: f64,
-    /// Wall-clock seconds spent evaluating this point.
+    /// Wall-clock seconds [`DseEngine::run`] spent scoring this point:
+    /// Eq. (3) and its priced round. The service probe is not in it; a
+    /// sweep probes each distinct round once, for every point that
+    /// shares it. 0 in a portfolio, whose rows are not timed (no
+    /// portfolio document prints it).
     pub eval_s: f64,
 }
 
@@ -282,6 +306,46 @@ fn service_probe(round: &ProgramRound, ks: &[usize], m: usize) -> (f64, f64) {
     );
     let throughput_rps = runtime::per_second(SERVICE_PROBE_REQUESTS, summary.makespan_ticks);
     (throughput_rps, to_secs(summary.rank_ticks))
+}
+
+/// What [`service_probe`] reads of a design that fits: its round's
+/// input, summed execution and output ticks (the stream scheduler's
+/// fold and resource model read nothing else of a round), `k` and `m`.
+/// Designs with equal keys probe alike, so a sweep probes each
+/// distinct key once.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct ProbeKey {
+    t_in: u64,
+    exec: u64,
+    t_out: u64,
+    k: usize,
+    m: usize,
+}
+
+impl ProbeKey {
+    /// The key of a design priced at `round`; `None` when its execution
+    /// alone passes the `u64` clock (such a row reads infinite time, and
+    /// no probe can place it).
+    fn of(round: &RoundTicks, k: usize, m: usize) -> Option<ProbeKey> {
+        Some(ProbeKey {
+            t_in: round.t_in,
+            exec: round.exec?,
+            t_out: round.t_out,
+            k,
+            m,
+        })
+    }
+
+    /// The service probe of every design with this key, on the round
+    /// whose one stage executes for the key's summed ticks.
+    fn probe(&self) -> (f64, f64) {
+        let round = ProgramRound {
+            t_in: self.t_in,
+            stage_exec: vec![self.exec],
+            t_out: self.t_out,
+        };
+        service_probe(&round, &[self.k], self.m)
+    }
 }
 
 /// Ranked sweep results plus the evidence that the shared stages ran
@@ -507,6 +571,19 @@ struct ScoreParts<'a> {
 }
 
 impl<'a> ScoreParts<'a> {
+    /// The round of `k` accelerators per stage over `m` PLM sets on
+    /// `platform`, priced as the simulators price it.
+    fn round(&self, platform: &Platform, k: usize, m: usize) -> RoundTicks {
+        RoundTicks::price(
+            &platform.dma,
+            &SimConfig::default(),
+            self.kernel_s.iter().map(|&s| (k, s)),
+            m,
+            self.bytes_in_per_element,
+            self.bytes_out_per_element,
+        )
+    }
+
     fn new(
         stages: Vec<&'a hls::HlsReport>,
         memory: &'a MemorySubsystem,
@@ -562,83 +639,77 @@ impl Pieces {
     }
 }
 
-/// What a sweep row reports of a design that fits.
-#[derive(Default)]
-struct Score {
-    totals: Totals,
-    total_s: f64,
-    service_rps: f64,
-    service_p99_s: f64,
-}
-
 /// Score `k` accelerators per stage over `m` PLM sets of `parts` on
 /// `platform` without building the design: `None` when Eq. (3) rejects
-/// it (or `(k, m)` is not a valid replication), else the totals, the
-/// simulated time for `elements` elements and the service probe — from
-/// the functions the system builders and simulators themselves call
-/// ([`Totals::fit`], [`ProgramRound::price`], the stream scheduler).
+/// it (or `(k, m)` is not a valid replication), else the totals and the
+/// simulated time for `elements` elements — from the functions the
+/// system builders and simulators themselves call ([`Totals::fit`], and
+/// [`RoundTicks::price`], which sums what [`ProgramRound::price`]
+/// prices per stage).
 fn score(
     parts: &ScoreParts<'_>,
     platform: &Platform,
     k: usize,
     m: usize,
     elements: usize,
-) -> Option<Score> {
+) -> Option<(Totals, f64)> {
     if !(SystemConfig { k, m }).valid() {
         return None;
     }
     let stages = parts.stages.iter().map(|&report| (k, report));
     let totals = Totals::fit(platform, stages, parts.memory, m)?;
-    let round = ProgramRound::price(
-        &platform.dma,
-        &SimConfig::default(),
-        parts.kernel_s.iter().map(|&s| (k, s)),
-        m,
-        parts.bytes_in_per_element,
-        parts.bytes_out_per_element,
-    );
     // Uniform replication: one `k` speaks for every stage.
-    let (service_rps, service_p99_s) = service_probe(&round, &[k], m);
-    Some(Score {
-        totals,
-        total_s: round
-            .serial_ticks(m, elements)
-            .map_or(f64::INFINITY, to_secs),
-        service_rps,
-        service_p99_s,
-    })
+    let round = parts.round(platform, k, m);
+    let total_s = (round.serial_ticks(m, elements)).map_or(f64::INFINITY, to_secs);
+    Some((totals, total_s))
 }
 
 /// The sweep row of one point: its [`score`], zeros when it does not
-/// fit.
+/// fit. The service figures stay 0: the sweep fills them in from its
+/// probes.
 fn outcome(
     parts: &ScoreParts<'_>,
     platform: &Platform,
     point: &DsePoint,
     elements: usize,
-    started: Instant,
 ) -> DseOutcome {
     let scored = score(parts, platform, point.k, point.m, elements);
-    let feasible = scored.is_some();
-    let s = scored.unwrap_or_default();
+    let (totals, total_s) = scored.unwrap_or_default();
     DseOutcome {
         point: *point,
-        feasible,
-        luts: s.totals.luts,
-        ffs: s.totals.ffs,
-        dsps: s.totals.dsps,
-        brams: s.totals.brams,
+        feasible: scored.is_some(),
+        luts: totals.luts,
+        ffs: totals.ffs,
+        dsps: totals.dsps,
+        brams: totals.brams,
         plm_brams: parts.memory.brams,
         latency_cycles: parts.stages.iter().map(|r| r.latency_cycles).sum(),
-        total_s: s.total_s,
-        throughput_eps: if s.total_s > 0.0 {
-            elements as f64 / s.total_s
+        total_s,
+        throughput_eps: if total_s > 0.0 {
+            elements as f64 / total_s
         } else {
             0.0
         },
-        service_rps: s.service_rps,
-        service_p99_s: s.service_p99_s,
-        eval_s: started.elapsed().as_secs_f64(),
+        service_rps: 0.0,
+        service_p99_s: 0.0,
+        eval_s: 0.0,
+    }
+}
+
+/// A sweep row: the [`DseOutcome`] its service probe completes.
+trait SweepRow {
+    fn outcome_mut(&mut self) -> &mut DseOutcome;
+}
+
+impl SweepRow for DseOutcome {
+    fn outcome_mut(&mut self) -> &mut DseOutcome {
+        self
+    }
+}
+
+impl SweepRow for PortfolioOutcome {
+    fn outcome_mut(&mut self) -> &mut DseOutcome {
+        &mut self.outcome
     }
 }
 
@@ -839,16 +910,20 @@ impl DseEngine {
     /// backend key) slot once from the sweep's [`DseEngine::pieces`] —
     /// a slot is shared across platforms and `k`/`m` — score every
     /// combination against its slot and pass the outcome through
-    /// `row`. Pieces and rows are computed by [`fan_out`], so the
+    /// `row`, timing each score when `timed`. Then probe each distinct
+    /// [`ProbeKey`] of the rows that fit once and give every such row
+    /// its key's service figures. Pieces, rows and probes are computed
+    /// by [`fan_out`] and the keys are numbered in row order, so the
     /// result is independent of `jobs`. Every (kernel, slot) pair counts
     /// one backend-stage invocation and every scored point one
     /// system-stage invocation.
-    fn sweep<R: Send>(
+    fn sweep<R: Send + SweepRow>(
         &self,
         targets: &[(&Platform, &[f64])],
         grid: &DseGrid,
         jobs: usize,
         elements: usize,
+        timed: bool,
         row: impl Fn(&Platform, f64, DseOutcome) -> R + Sync,
     ) -> Swept<R> {
         let points = grid.points();
@@ -880,24 +955,59 @@ impl DseEngine {
             .collect();
         let backend_s = started.elapsed().as_secs_f64();
 
-        let rows = fan_out(jobs, combos, |i| {
-            let t = Instant::now();
+        // Combination `i`: its platform, clock, slot and point.
+        let combo = |i: usize| {
             let (platform, mhz, clock) = blocks[i / points.len()];
             let point = i % points.len();
             let parts = &slots[clock * reps.len() + key_of[point]];
-            let platform = targets[platform].0;
-            row(
-                platform,
-                mhz,
-                outcome(parts, platform, &points[point], elements, t),
-            )
+            (targets[platform].0, mhz, parts, &points[point])
+        };
+        let mut rows = fan_out(jobs, combos, |i| {
+            let t = timed.then(Instant::now);
+            let (platform, mhz, parts, point) = combo(i);
+            let mut outcome = outcome(parts, platform, point, elements);
+            if let Some(t) = t {
+                outcome.eval_s = t.elapsed().as_secs_f64();
+            }
+            row(platform, mhz, outcome)
         });
+
+        // Number the distinct probe keys in row order; row `i` reads
+        // probe `probe_of[i]`, none when it does not fit.
+        let mut numbers: HashMap<ProbeKey, u32> = HashMap::new();
+        let mut keys: Vec<ProbeKey> = Vec::new();
+        let probe_of: Vec<u32> = (rows.iter_mut().enumerate())
+            .map(|(i, row)| {
+                let (platform, _, parts, point) = combo(i);
+                let fits = row.outcome_mut().feasible;
+                let key = fits.then(|| {
+                    ProbeKey::of(&parts.round(platform, point.k, point.m), point.k, point.m)
+                });
+                let Some(key) = key.flatten() else {
+                    return UNPROBED;
+                };
+                *numbers.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    u32::try_from(keys.len() - 1).expect("fewer probe keys than rows")
+                })
+            })
+            .collect();
+        let probes = fan_out(jobs, keys.len(), |j| keys[j].probe());
+        for (row, &j) in rows.iter_mut().zip(&probe_of) {
+            if let Some(&(rps, p99_s)) = probes.get(j as usize) {
+                let outcome = row.outcome_mut();
+                (outcome.service_rps, outcome.service_p99_s) = (rps, p99_s);
+            }
+        }
+
         let backend_compiles = slots.len() * self.scheds.len();
         self.pipeline.count_backends(backend_compiles);
         self.pipeline.count_systems(combos);
         Swept {
             rows,
-            platform_of: (0..combos).map(|i| blocks[i / points.len()].0).collect(),
+            per_platform: (targets.iter())
+                .map(|(_, ladder)| ladder.len() * points.len())
+                .collect(),
             jobs,
             backend_compiles,
             backend_uses: combos * self.scheds.len(),
@@ -922,7 +1032,7 @@ impl DseEngine {
     pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
         let base = &self.base.flow;
         let target = (&base.platform, &[base.hls.clock_mhz][..]);
-        let swept = self.sweep(&[target], grid, jobs, elements, |_, _, o| o);
+        let swept = self.sweep(&[target], grid, jobs, elements, true, |_, _, o| o);
         let mut outcomes = swept.rows;
         outcomes.sort_by(sweep_order);
         let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
@@ -979,7 +1089,7 @@ impl DseEngine {
                 brams: outcome.brams,
             };
             PortfolioOutcome {
-                platform: platform.id.clone(),
+                platform: platform.id,
                 clock_mhz,
                 utilization: if outcome.feasible {
                     totals.utilization(&platform.board)
@@ -992,8 +1102,8 @@ impl DseEngine {
                 cost_pareto: false,
             }
         };
-        let swept = self.sweep(&targets, grid, jobs, elements, row);
-        let (outcomes, summaries) = rank_portfolio(platforms, swept.rows, &swept.platform_of);
+        let swept = self.sweep(&targets, grid, jobs, elements, false, row);
+        let (outcomes, summaries) = rank_portfolio(platforms, swept.rows, &swept.per_platform);
         PortfolioReport {
             label: self.label(),
             evaluated: outcomes.len(),
@@ -1016,13 +1126,16 @@ fn overflows<'a>(rows: impl Iterator<Item = &'a DseOutcome>) -> usize {
     rows.filter(|o| o.total_s == f64::INFINITY).count()
 }
 
+/// `probe_of` entry of a row that does not fit.
+const UNPROBED: u32 = u32::MAX;
+
 /// What [`DseEngine::sweep`] hands the report builders.
 struct Swept<R> {
     /// Row `i` is combination `i`'s, in platform-major combination
     /// order.
     rows: Vec<R>,
-    /// Platform index of each row.
-    platform_of: Vec<usize>,
+    /// Rows of each target, in target order.
+    per_platform: Vec<usize>,
     jobs: usize,
     backend_compiles: usize,
     backend_uses: usize,
@@ -1058,7 +1171,7 @@ fn sweep_order(a: &DseOutcome, b: &DseOutcome) -> Ordering {
 #[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// Catalog id of the platform (`zcu106`, `pynq-z2`, ...).
-    pub platform: String,
+    pub platform: &'static str,
     /// Fabric clock the kernel was synthesized at (from the platform's
     /// achievable ladder).
     pub clock_mhz: f64,
@@ -1083,7 +1196,7 @@ pub struct PortfolioOutcome {
 /// Per-platform feasibility summary of a portfolio sweep.
 #[derive(Debug, Clone)]
 pub struct PlatformSummary {
-    pub platform: String,
+    pub platform: &'static str,
     pub board: String,
     /// Grid × clock combinations evaluated on this platform.
     pub evaluated: usize,
@@ -1129,28 +1242,29 @@ pub struct PortfolioReport {
 ///
 /// Sort-and-sweep: whatever dominates a point — better somewhere and
 /// nowhere worse, or identical and earlier — sorts before it
-/// lexicographically (the stable sort keeps input order among
-/// identical points), and whatever is dominated is dominated by a
-/// frontier point. So walk the points in that order and keep each one
-/// that no frontier point found so far is `<=` in every objective.
+/// lexicographically, the entry index breaking ties among identical
+/// points, and whatever is dominated is dominated by a frontier point.
+/// So walk the points in that order and keep each one that no frontier
+/// point found so far is `<=` in every objective. The sort moves
+/// (objectives, index) pairs, so it never looks an entry up.
 /// `pareto_flags_reference` in the tests is the quadratic definition.
-fn pareto_flags<const N: usize>(objectives: &[Option<[f64; N]>]) -> Vec<bool> {
-    // `+ 0.0` folds -0.0 into 0.0, which `<=` already treats as equal.
-    let at = |i: usize| objectives[i].expect("feasible").map(|x| x + 0.0);
-    let mut order: Vec<usize> = (0..objectives.len())
-        .filter(|&i| objectives[i].is_some())
-        .collect();
-    order.sort_by(|&a, &b| {
-        let by_axis = at(a).into_iter().zip(at(b)).map(|(x, y)| x.total_cmp(&y));
-        by_axis
-            .into_iter()
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    });
+fn pareto_flags<const N: usize>(
+    objectives: impl ExactSizeIterator<Item = Option<[f64; N]>>,
+) -> Vec<bool> {
     let mut flags = vec![false; objectives.len()];
+    let mut points = Vec::with_capacity(objectives.len());
+    for (i, o) in objectives.enumerate() {
+        // `+ 0.0` folds -0.0 into 0.0, which `<=` already treats as equal.
+        points.extend(o.map(|p| (p.map(|x| x + 0.0), i)));
+    }
+    points.sort_unstable_by(|(a, i), (b, j)| {
+        let mut by_axis = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
+        (by_axis.find(|o| o.is_ne()))
+            .unwrap_or(Ordering::Equal)
+            .then(i.cmp(j))
+    });
     let mut frontier: Vec<[f64; N]> = Vec::new();
-    for i in order {
-        let p = at(i);
+    for (p, i) in points {
         if !frontier
             .iter()
             .any(|f| f.iter().zip(&p).all(|(f, p)| f <= p))
@@ -1165,69 +1279,106 @@ fn pareto_flags<const N: usize>(objectives: &[Option<[f64; N]>]) -> Vec<bool> {
 /// Flag each platform's Pareto points — the latency view over
 /// (total_s, utilization) and the service view over (requests/sec ↑,
 /// p99 ↓, utilization ↓), in the order the rows arrive in — then rank
-/// the rows feasible-first by simulated time and summarize each
-/// platform. `platform_of[i]` is the index into `platforms` of row `i`.
+/// the rows feasible-first by simulated time ([`rank`]) and summarize
+/// each platform. The rows come platform by platform, `per_platform[p]`
+/// of them for `platforms[p]`.
 fn rank_portfolio(
     platforms: &[Platform],
     mut outcomes: Vec<PortfolioOutcome>,
-    platform_of: &[usize],
+    per_platform: &[usize],
 ) -> (Vec<PortfolioOutcome>, Vec<PlatformSummary>) {
-    let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); platforms.len()];
-    for (i, &p) in platform_of.iter().enumerate() {
-        rows_of[p].push(i);
+    let mut summaries = Vec::with_capacity(platforms.len());
+    let mut start = 0;
+    for (p, &n) in platforms.iter().zip(per_platform) {
+        let rows = &mut outcomes[start..start + n];
+        start += n;
+        let latency = (rows.iter())
+            .map(|o| (o.outcome.feasible).then_some([o.outcome.total_s, o.utilization]));
+        let service = rows.iter().map(|o| {
+            let view = [
+                -o.outcome.service_rps,
+                o.outcome.service_p99_s,
+                o.utilization,
+            ];
+            o.outcome.feasible.then_some(view)
+        });
+        let (pareto, service_pareto) = (pareto_flags(latency), pareto_flags(service));
+        for ((o, pareto), service_pareto) in rows.iter_mut().zip(pareto).zip(service_pareto) {
+            (o.pareto, o.service_pareto) = (pareto, service_pareto);
+        }
+        let feasible = || rows.iter().filter(|o| o.outcome.feasible);
+        summaries.push(PlatformSummary {
+            platform: p.id,
+            board: p.board.name.clone(),
+            evaluated: n,
+            feasible: feasible().count(),
+            pareto_points: rows.iter().filter(|o| o.pareto).count(),
+            best_total_s: feasible().map(|o| o.outcome.total_s).min_by(f64::total_cmp),
+        });
     }
-    let summaries = platforms
-        .iter()
-        .zip(&rows_of)
-        .map(|(p, rows)| {
-            let feasible = |&&i: &&usize| outcomes[i].outcome.feasible;
-            let latency = rows.iter().map(|&i| {
-                let o = &outcomes[i];
-                o.outcome
-                    .feasible
-                    .then_some([o.outcome.total_s, o.utilization])
-            });
-            let service = rows.iter().map(|&i| {
-                let o = &outcomes[i];
-                let view = [
-                    -o.outcome.service_rps,
-                    o.outcome.service_p99_s,
-                    o.utilization,
-                ];
-                o.outcome.feasible.then_some(view)
-            });
-            let pareto = pareto_flags(&latency.collect::<Vec<_>>());
-            let service_pareto = pareto_flags(&service.collect::<Vec<_>>());
-            let summary = PlatformSummary {
-                platform: p.id.clone(),
-                board: p.board.name.clone(),
-                evaluated: rows.len(),
-                feasible: rows.iter().filter(feasible).count(),
-                pareto_points: pareto.iter().filter(|&&flag| flag).count(),
-                best_total_s: rows
-                    .iter()
-                    .filter(feasible)
-                    .map(|&i| outcomes[i].outcome.total_s)
-                    .min_by(f64::total_cmp),
-            };
-            for ((&i, pareto), service_pareto) in rows.iter().zip(pareto).zip(service_pareto) {
-                outcomes[i].pareto = pareto;
-                outcomes[i].service_pareto = service_pareto;
-            }
-            summary
-        })
-        .collect();
-    outcomes.sort_by(portfolio_order);
-    let cost: Vec<_> = (outcomes.iter())
-        .map(|o| {
-            (o.outcome.feasible && o.outcome.luts > 0)
-                .then(|| [-o.outcome.service_rps, -o.rps_per_kluts()])
-        })
-        .collect();
-    for (o, flag) in outcomes.iter_mut().zip(pareto_flags(&cost)) {
+    rank(&mut outcomes);
+    let cost = outcomes.iter().map(|o| {
+        (o.outcome.feasible && o.outcome.luts > 0)
+            .then(|| [-o.outcome.service_rps, -o.rps_per_kluts()])
+    });
+    let cost_pareto = pareto_flags(cost);
+    for (o, flag) in outcomes.iter_mut().zip(cost_pareto) {
         o.cost_pareto = flag;
     }
     (outcomes, summaries)
+}
+
+/// Sort `rows` by [`portfolio_order`], keeping the input order among
+/// rows it ties. The sort moves compact keys, not rows: each row's
+/// infeasibility, simulated time and fit — the first three fields
+/// [`portfolio_order`] compares, the two numbers as
+/// [`total_order_bits`] — and its index. Only rows whose keys tie go to
+/// [`portfolio_order`], so the platform and label are compared only on
+/// a full tie. The rows then move once, along the cycles of the
+/// permutation.
+fn rank(rows: &mut [PortfolioOutcome]) {
+    let index = |i: usize| u32::try_from(i).expect("fewer rows than u32::MAX");
+    let mut keys: Vec<(bool, u64, u64, u32)> = (rows.iter().enumerate())
+        .map(|(i, o)| {
+            let (time, fit) = (o.outcome.total_s, o.utilization);
+            (
+                !o.outcome.feasible,
+                total_order_bits(time),
+                total_order_bits(fit),
+                index(i),
+            )
+        })
+        .collect();
+    keys.sort_unstable_by(|a, b| {
+        ((a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)))
+            .then_with(|| portfolio_order(&rows[a.3 as usize], &rows[b.3 as usize]))
+            .then(a.3.cmp(&b.3))
+    });
+    // Position `at` takes the row at `keys[at].3`; a position done
+    // points at itself.
+    for start in 0..rows.len() {
+        let mut at = start;
+        loop {
+            let from = std::mem::replace(&mut keys[at].3, index(at)) as usize;
+            if from == start {
+                break;
+            }
+            rows.swap(at, from);
+            at = from;
+        }
+    }
+}
+
+/// `x`'s bits as a key whose unsigned order is [`f64::total_cmp`]'s:
+/// a negative number (sign bit set) flips every bit, anything else sets
+/// the sign bit.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// Rank of a portfolio's rows: feasible first, then by simulated time,
@@ -1238,7 +1389,7 @@ fn portfolio_order(a: &PortfolioOutcome, b: &PortfolioOutcome) -> Ordering {
         .cmp(&a.outcome.feasible)
         .then_with(|| a.outcome.total_s.total_cmp(&b.outcome.total_s))
         .then_with(|| a.utilization.total_cmp(&b.utilization))
-        .then_with(|| a.platform.cmp(&b.platform))
+        .then_with(|| a.platform.cmp(b.platform))
         .then_with(|| a.clock_mhz.total_cmp(&b.clock_mhz))
         .then_with(|| a.outcome.point.cmp_label(&b.outcome.point))
 }
@@ -1421,7 +1572,7 @@ impl PlatformSummary {
     /// The `platforms` row, closed by `end`.
     fn json_row<S: Sink>(&self, s: &mut S, end: &str) {
         s.lit("    {\"platform\": \"");
-        s.str(&self.platform);
+        s.str(self.platform);
         s.lit("\", \"board\": \"");
         s.str(&self.board);
         s.lit("\", \"evaluated\": ");
@@ -1451,7 +1602,7 @@ impl PortfolioOutcome {
     #[inline]
     fn portfolio_row<S: Sink>(&self, label: &str, s: &mut S, end: &str) {
         s.lit("    {\"platform\": \"");
-        s.str(&self.platform);
+        s.str(self.platform);
         s.lit("\", \"clock_mhz\": ");
         s.fixed(self.clock_mhz, 1);
         s.lit(", \"kernel\": \"");
@@ -1471,7 +1622,7 @@ impl PortfolioOutcome {
     fn frontier_row<S: Sink>(&self, s: &mut S, frontier: Frontier, end: &str) {
         let o = &self.outcome;
         s.lit("    {\"platform\": \"");
-        s.str(&self.platform);
+        s.str(self.platform);
         s.lit("\", \"clock_mhz\": ");
         s.fixed(self.clock_mhz, 1);
         s.lit(", \"k\": ");
@@ -1700,7 +1851,7 @@ mod tests {
                 s.push_str(&format!(
                     "    {{\"platform\": \"{}\", \"board\": \"{}\", \"evaluated\": {}, \
                      \"feasible\": {}, \"pareto_points\": {}, \"best_total_s\": {}}}{}\n",
-                    runtime::json_escape(&p.platform),
+                    runtime::json_escape(p.platform),
                     runtime::json_escape(&p.board),
                     p.evaluated,
                     p.feasible,
@@ -1724,7 +1875,7 @@ mod tests {
                 s.push_str(&format!(
                     "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
                      \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \"utilization\": {:.4}}}{}\n",
-                    runtime::json_escape(&o.platform),
+                    runtime::json_escape(o.platform),
                     o.clock_mhz,
                     p.k,
                     p.m,
@@ -1742,7 +1893,7 @@ mod tests {
                 s.push_str(&format!(
                     "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
                      \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"utilization\": {:.4}}}{}\n",
-                    runtime::json_escape(&o.platform),
+                    runtime::json_escape(o.platform),
                     o.clock_mhz,
                     p.k,
                     p.m,
@@ -1760,7 +1911,7 @@ mod tests {
                 s.push_str(&format!(
                     "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
                      \"luts\": {}, \"service_rps\": {:.3}, \"rps_per_kluts\": {:.4}}}{}\n",
-                    runtime::json_escape(&o.platform),
+                    runtime::json_escape(o.platform),
                     o.clock_mhz,
                     p.k,
                     p.m,
@@ -1781,7 +1932,7 @@ mod tests {
                      \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
                      \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \
                      \"utilization\": {:.4}, \"pareto\": {}, \"service_pareto\": {}}}{}\n",
-                    runtime::json_escape(&o.platform),
+                    runtime::json_escape(o.platform),
                     o.clock_mhz,
                     runtime::json_escape(&self.label),
                     p.k,
@@ -1880,15 +2031,16 @@ mod tests {
     }
 
     /// A portfolio over `points` generated outcomes on three platforms
-    /// (one hostile name, one where nothing fits), flagged and ranked by
-    /// `rank_portfolio`.
+    /// (one hostile name, one where nothing fits; the first half of the
+    /// rows on the first), flagged and ranked by `rank_portfolio`.
     fn generated_portfolio(label: &str, points: usize) -> PortfolioReport {
         let mut platforms = vec![Platform::zcu106(), Platform::zcu106(), Platform::zcu106()];
-        platforms[1].id = "pynq\"z2\\".into();
-        platforms[2].id = "empty".into();
+        platforms[1].id = "pynq\"z2\\";
+        platforms[2].id = "empty";
+        let half = points.div_ceil(2);
         let outcomes = (0..points)
             .map(|i| PortfolioOutcome {
-                platform: platforms[i % 2].id.clone(),
+                platform: platforms[usize::from(i >= half)].id,
                 clock_mhz: [100.0, 142.5, 333.25][i % 3],
                 outcome: generated_outcome(i),
                 // Every fourth an odd multiple of 2^-5: a dyadic tie at
@@ -1903,8 +2055,7 @@ mod tests {
                 cost_pareto: false,
             })
             .collect();
-        let platform_of: Vec<usize> = (0..points).map(|i| i % 2).collect();
-        let (outcomes, summaries) = rank_portfolio(&platforms, outcomes, &platform_of);
+        let (outcomes, summaries) = rank_portfolio(&platforms, outcomes, &[half, points - half, 0]);
         let sweep = generated_sweep(label, 0);
         PortfolioReport {
             label: sweep.label,
@@ -2040,16 +2191,74 @@ mod tests {
         }
     }
 
-    /// The sweep's shared pieces: for helmholtz:11's dense grid and
-    /// simstep:7's default grid over every catalog platform and ladder
-    /// clock, at 1 and 3 jobs, every `run_portfolio` row is the
-    /// `outcome` of its point on the per-slot definition's parts
-    /// (`eval_s` aside), the report still counts one backend per
-    /// (kernel, slot), and the sweep built each piece once per the
-    /// axes it reads: kernel IR per (kernel, decoupling), Mnemosyne
-    /// configuration per (kernel, decoupling, partition), HLS report
-    /// per (kernel, clock, decoupling, partition), memory per backend
-    /// key.
+    /// A row as the sweep scored it before it shared its probes: the
+    /// [`outcome`] of the point, and when it fits, the service probe of
+    /// its own round, priced stage by stage by [`ProgramRound::price`].
+    fn outcome_probed(
+        parts: &ScoreParts<'_>,
+        platform: &Platform,
+        point: &DsePoint,
+        elements: usize,
+    ) -> DseOutcome {
+        let mut row = outcome(parts, platform, point, elements);
+        if row.feasible {
+            let (k, m) = (point.k, point.m);
+            let round = ProgramRound::price(
+                &platform.dma,
+                &SimConfig::default(),
+                parts.kernel_s.iter().map(|&s| (k, s)),
+                m,
+                parts.bytes_in_per_element,
+                parts.bytes_out_per_element,
+            );
+            (row.service_rps, row.service_p99_s) = service_probe(&round, &[k], m);
+        }
+        row
+    }
+
+    /// Seed 5 of the generated-program tests' generator: three kernels,
+    /// scalars, a trace and a statement that reads its own output.
+    const GENERATED_SEED_5: &str = "kernel k0 {
+        var input x0_0 : [8 2 7 2]
+        var input x0_1 : [2 7]
+        var input x0_2 : [6 2 8]
+        var output h0 : [6]
+        h0 = x0_0 # x0_1 # x0_2 . [[3 4] [2 5] [1 7] [0 8]]
+    }
+    kernel k1 {
+        var input h0 : [6]
+        var input x1_0 : []
+        var output t0 : [6]
+        var input x1_1 : [3 1 7]
+        var input x1_2 : [1 9 3]
+        var input x1_3 : [7 9]
+        var t1 : [7 9]
+        var input x1_4 : [8 7 9 4]
+        var output h1 : [8 4]
+        t0 = h0 + h0 / 4 - x1_0
+        t1 = x1_3 + (x1_1 # x1_2 . [[1 3] [0 5]])
+        h1 = t1 # x1_4 . [[0 3] [1 4]]
+    }
+    kernel k2 {
+        var input h1 : [8 4]
+        var input x2_0 : [6 6]
+        var input x2_1 : [7 6]
+        var output h2 : [7 6]
+        h2 = x2_1 + h2 # x2_0 . [[1 2]]
+    }
+    ";
+
+    /// The sweep's shared pieces and probes: for helmholtz:11's dense
+    /// grid, and simstep:7's and a generated program's default grid,
+    /// over every catalog platform and ladder clock, at 1 and 4 jobs,
+    /// every `run_portfolio` row is its point's [`outcome_probed`] on
+    /// the per-slot definition's parts — its service figures those of
+    /// a probe of its own round, not of the one its key shared — the
+    /// report still counts one backend per (kernel, slot), and the
+    /// sweep built each piece once per the axes it reads: kernel IR
+    /// per (kernel, decoupling), Mnemosyne configuration per (kernel,
+    /// decoupling, partition), HLS report per (kernel, clock,
+    /// decoupling, partition), memory per backend key.
     #[test]
     fn portfolio_rows_equal_the_per_slot_definition() {
         const ELEMENTS: usize = 2_000;
@@ -2069,9 +2278,15 @@ mod tests {
                 72,
                 [6, 6, 36, 4],
             ),
+            (
+                GENERATED_SEED_5.to_string(),
+                DseGrid::default(),
+                72,
+                [6, 6, 36, 4],
+            ),
         ];
         for (src, grid, backends, pieces) in cases {
-            for jobs in [1, 3] {
+            for jobs in [1, 4] {
                 let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
                 let report = engine.run_portfolio(&catalog, &grid, jobs, ELEMENTS);
                 assert_eq!(engine.piece_counts(), pieces, "{}", engine.label());
@@ -2087,9 +2302,7 @@ mod tests {
                     let slot = &slots.iter().find(|(k, _)| *k == key).unwrap().1;
                     let platform = catalog.iter().find(|p| p.id == row.platform).unwrap();
                     let label = engine.label();
-                    let mut want =
-                        outcome(&slot.parts(), platform, &point, ELEMENTS, Instant::now());
-                    want.eval_s = row.outcome.eval_s;
+                    let want = outcome_probed(&slot.parts(), platform, &point, ELEMENTS);
                     assert_eq!(
                         format!("{want:?}"),
                         format!("{:?}", row.outcome),
@@ -2160,7 +2373,7 @@ mod tests {
                     } else {
                         &mut unfit
                     } += 1;
-                    let row = outcome(parts, &platform, &point, ELEMENTS, Instant::now());
+                    let row = outcome_probed(parts, &platform, &point, ELEMENTS);
                     let at = format!("{} @ {clock} MHz, {}", platform.id, point.label());
                     assert_row_matches(
                         &row,
@@ -2202,7 +2415,7 @@ mod tests {
                     let plm_brams = build.merged.memory.brams;
                     let latency = build.stages.iter().map(|(_, r)| r.latency_cycles).sum();
                     let parts = ScoreParts::of_program(&build);
-                    let row = outcome(&parts, &platform, &point, ELEMENTS, Instant::now());
+                    let row = outcome_probed(&parts, &platform, &point, ELEMENTS);
                     let at = format!("{} @ {clock} MHz, {}", platform.id, point.label());
                     assert_row_matches(&row, built, plm_brams, latency, ELEMENTS, &at);
                 }
@@ -2282,7 +2495,7 @@ mod tests {
             };
             let base = &engine.base.flow;
             let slot = engine.parts(base.hls.clock_mhz, &point);
-            let row = outcome(&slot.parts(), &base.platform, &point, 100, Instant::now());
+            let row = outcome(&slot.parts(), &base.platform, &point, 100);
             assert!(
                 !row.feasible && row.total_s == 0.0 && row.plm_brams > 0,
                 "k={k} m={m}"
@@ -2340,7 +2553,7 @@ mod tests {
         let feasible = pick(1, 4) != 0;
         let scale = if feasible { 1 + pick(2, 2) } else { 0 };
         PortfolioOutcome {
-            platform: ["zcu106", "u250"][pick(3, 2)].into(),
+            platform: ["zcu106", "u250"][pick(3, 2)],
             clock_mhz: [100.0, 200.0][pick(4, 2)],
             outcome: DseOutcome {
                 point: DsePoint {
@@ -2382,7 +2595,7 @@ mod tests {
                 .cmp(&a.outcome.feasible)
                 .then(a.outcome.total_s.total_cmp(&b.outcome.total_s))
                 .then(a.utilization.total_cmp(&b.utilization))
-                .then(a.platform.cmp(&b.platform))
+                .then(a.platform.cmp(b.platform))
                 .then(a.clock_mhz.total_cmp(&b.clock_mhz))
                 .then(a.outcome.point.label().cmp(&b.outcome.point.label()))
         };
@@ -2418,6 +2631,78 @@ mod tests {
                 .collect()
         };
         assert_eq!(points(&new), points(&old));
+
+        // The key-sorted rank is the stable sort by `portfolio_order`, on
+        // tied portfolios of every size up to 400 and on one whose rows
+        // are all equal (the input order decides); the rows carry their
+        // input position in `eval_s`, which no comparator reads.
+        let numbered = |i: usize| {
+            let mut row = tied_outcome(i);
+            row.outcome.eval_s = i as f64;
+            row
+        };
+        let same = |i: usize| {
+            let mut row = tied_outcome(7);
+            row.outcome.eval_s = i as f64;
+            row
+        };
+        let positions = |rows: &[PortfolioOutcome]| -> Vec<u64> {
+            rows.iter().map(|o| o.outcome.eval_s.to_bits()).collect()
+        };
+        let portfolios = (0..=400)
+            .step_by(19)
+            .map(|n| (0..n).map(numbered).collect());
+        for rows in portfolios.chain([(0..50).map(same).collect::<Vec<_>>()]) {
+            let (mut keyed, mut stable) = (rows.clone(), rows);
+            rank(&mut keyed);
+            stable.sort_by(portfolio_order);
+            assert_eq!(
+                positions(&keyed),
+                positions(&stable),
+                "{} rows",
+                keyed.len()
+            );
+        }
+    }
+
+    /// The rank key orders as `total_cmp` over both zeros, both
+    /// infinities, subnormals, extremes and NaNs of either sign and any
+    /// payload.
+    #[test]
+    fn total_order_bits_orders_as_total_cmp() {
+        let values = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            1.0,
+            -1.0,
+            0.314_480_5,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(u64::MAX),
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a:e} ({:#x}) vs {b:e} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
     }
 
     /// The definition `pareto_flags` sweeps for: quadratic, one
@@ -2469,10 +2754,10 @@ mod tests {
                         .then(|| [VALUES[draw(span)], VALUES[draw(span)], VALUES[draw(span)]])
                 })
                 .collect();
-            let flags = pareto_flags(&two);
+            let flags = pareto_flags(two.iter().copied());
             assert_eq!(flags, pareto_flags_reference(&two), "{two:?}");
             assert_eq!(
-                pareto_flags(&three),
+                pareto_flags(three.iter().copied()),
                 pareto_flags_reference(&three),
                 "{three:?}"
             );
@@ -2481,7 +2766,7 @@ mod tests {
         assert!(frontier_sizes > 300);
         // First of identical objectives wins, -0.0 and 0.0 being identical.
         let tied = [None, Some([0.0, 1.0]), Some([-0.0, 1.0]), Some([0.0, 1.0])];
-        assert_eq!(pareto_flags(&tied), [false, true, false, false]);
+        assert_eq!(pareto_flags(tied.into_iter()), [false, true, false, false]);
     }
 
     #[test]

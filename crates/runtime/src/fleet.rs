@@ -123,7 +123,7 @@ impl FleetBoard {
     /// A healthy board named after its platform.
     pub fn healthy(design: MultiSystemDesign) -> FleetBoard {
         FleetBoard {
-            name: design.platform.id.clone(),
+            name: design.platform.id.to_string(),
             design,
             faults: FaultPlan::none(),
         }
@@ -574,7 +574,7 @@ fn serve_fleet_columns(
             let kluts = boards[b].design.platform.board.luts as f64 / 1000.0;
             BoardReport {
                 name: boards[b].name.clone(),
-                platform: boards[b].design.platform.id.clone(),
+                platform: boards[b].design.platform.id.to_string(),
                 board_luts: boards[b].design.platform.board.luts,
                 assigned: assigned[b],
                 rescued_in: rescued_in[b],

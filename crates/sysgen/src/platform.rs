@@ -121,8 +121,10 @@ impl DmaSpec {
 /// achievable fabric-clock ladder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
-    /// Catalog key (`--board` accepts it case-insensitively).
-    pub id: String,
+    /// Catalog key (`--board` accepts it case-insensitively). Every
+    /// platform comes from a catalog constructor, so the key is a
+    /// literal that reports and sweep rows borrow instead of copying.
+    pub id: &'static str,
     /// Programmable-logic resources — the `[A]` vector of Eq. (3).
     pub board: BoardSpec,
     pub host: HostCpuModel,
@@ -141,7 +143,7 @@ impl Platform {
     /// Figures 9/10 (~0.7 GB/s effective on the HP ports).
     pub fn zcu106() -> Platform {
         Platform {
-            id: "zcu106".into(),
+            id: "zcu106",
             board: BoardSpec {
                 name: "ZCU106 (xczu7ev)".into(),
                 luts: 230_400,
@@ -164,7 +166,7 @@ impl Platform {
     /// ports.
     pub fn zcu102() -> Platform {
         Platform {
-            id: "zcu102".into(),
+            id: "zcu102",
             board: BoardSpec {
                 name: "ZCU102 (xczu9eg)".into(),
                 luts: 274_080,
@@ -186,7 +188,7 @@ impl Platform {
     /// clock ladder), dual Cortex-A9 at 800 MHz, slower HP-port DMA.
     pub fn zc706() -> Platform {
         Platform {
-            id: "zc706".into(),
+            id: "zc706",
             board: BoardSpec {
                 name: "ZC706 (xc7z045)".into(),
                 luts: 218_600,
@@ -209,7 +211,7 @@ impl Platform {
     /// replications here or report infeasible.
     pub fn pynq_z2() -> Platform {
         Platform {
-            id: "pynq-z2".into(),
+            id: "pynq-z2",
             board: BoardSpec {
                 name: "Pynq-Z2 (xc7z020)".into(),
                 luts: 53_200,
@@ -232,7 +234,7 @@ impl Platform {
     /// round-trip.
     pub fn u250() -> Platform {
         Platform {
-            id: "u250".into(),
+            id: "u250",
             board: BoardSpec {
                 name: "Alveo U250 (xcu250)".into(),
                 luts: 1_728_000,
@@ -275,9 +277,9 @@ impl Platform {
             return None;
         }
         Platform::catalog().into_iter().find(|p| {
-            norm(&p.id) == want
+            norm(p.id) == want
                 || norm(&p.board.name) == want
-                || aliases(&p.id).iter().any(|a| norm(a) == want)
+                || aliases(p.id).iter().any(|a| norm(a) == want)
         })
     }
 }

@@ -42,8 +42,9 @@
 //!
 //! The search prices through [`RoundCost`], which `zynq::RoundPricer`
 //! implements with the tick formulas `zynq::ProgramRound::price` charges,
-//! so the search and the simulator agree by construction. It allocates
-//! only the `ks` it returns.
+//! so the search and the simulator agree by construction. It decodes
+//! each design's `ks` once, into a stack array, and allocates only the
+//! `ks` it returns (and one scratch `ks` past 16 stages).
 //!
 //! [`next_doubling`] explains a design after the fact: for each stage,
 //! what stops its next doubling.
@@ -129,6 +130,16 @@ pub(crate) fn search(
     let mut sum_best = 0;
     let n = stages.len();
     let mut designs = 0;
+    // Each design's `ks`, decoded once: on the stack for the programs
+    // the flow compiles, on the heap past `STACK_STAGES` stages.
+    let mut stack = [0; STACK_STAGES];
+    let mut heap = Vec::new();
+    let ks: &mut [usize] = if n <= STACK_STAGES {
+        &mut stack[..n]
+    } else {
+        heap.resize(n, 0);
+        &mut heap
+    };
     for (rung, m) in LADDER.into_iter().enumerate() {
         // Rung `m` holds the designs whose widest stage has `k = m`. None
         // of them fits if every stage at `k = 1` does not, and none costs
@@ -144,24 +155,23 @@ pub(crate) fn search(
         }
         let codes = (rung + 1).checked_pow(n as u32).unwrap_or(usize::MAX);
         for code in 0..codes {
-            let ks = design(code, rung + 1, n);
-            if ks.clone().max() != Some(m) {
+            design(code, rung + 1, ks);
+            if ks.iter().max() != Some(&m) {
                 continue;
             }
             if designs == SEARCH_CAP {
                 return Some((best, designs));
             }
             designs += 1;
-            let t = Totals::fit(platform, banks(ks.clone(), stages), memory, m)
-                .and_then(|_| round_ticks(cost, banks(ks.clone(), stages), m));
-            let sum: usize = ks.clone().sum();
+            let t = Totals::fit(platform, banks(ks.iter().copied(), stages), memory, m)
+                .and_then(|_| round_ticks(cost, banks(ks.iter().copied(), stages), m));
+            let sum: usize = ks.iter().sum();
             let wins = |&t: &u64| {
-                let first =
-                    sum < sum_best || (sum == sum_best && ks.clone().lt(best.ks.iter().copied()));
+                let first = sum < sum_best || (sum == sum_best && *ks < *best.ks);
                 cheaper(t, m, t_best, best.m) || (!cheaper(t_best, best.m, t, m) && first)
             };
             if let Some(t) = t.filter(wins) {
-                best.ks.iter_mut().zip(ks).for_each(|(slot, k)| *slot = k);
+                best.ks.copy_from_slice(ks);
                 (t_best, best.m, sum_best) = (t, m, sum);
             }
         }
@@ -169,14 +179,18 @@ pub(crate) fn search(
     Some((best, designs))
 }
 
-/// The `ks` of design `code` of a program of `n` stages on the lowest
-/// `rungs` rungs of the ladder: `code` in base `rungs`, stage 0 the most
-/// significant digit.
-fn design(code: usize, rungs: usize, n: usize) -> impl Iterator<Item = usize> + Clone {
-    (0..n).map(move |i| {
-        let place = rungs.checked_pow((n - 1 - i) as u32);
-        LADDER[place.map_or(0, |p| code / p % rungs)]
-    })
+/// Stages whose `ks` [`search`] decodes on the stack.
+const STACK_STAGES: usize = 16;
+
+/// Write into `ks` the replication of each stage in design `code` of a
+/// program of `ks.len()` stages on the lowest `rungs` rungs of the
+/// ladder: `code` in base `rungs`, stage 0 the most significant digit
+/// (a digit past `usize` is 0).
+fn design(mut code: usize, rungs: usize, ks: &mut [usize]) {
+    for k in ks.iter_mut().rev() {
+        *k = LADDER[code % rungs];
+        code /= rungs;
+    }
 }
 
 /// Each stage's replication and HLS report.

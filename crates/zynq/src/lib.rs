@@ -85,7 +85,7 @@ pub use online::{simulate_online_stream, simulate_round_stream, OnlineSpec};
 pub use par::{fan_out, resolve_jobs};
 pub use sim::{
     program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, ProgramRound,
-    RoundPricer, SimConfig,
+    RoundPricer, RoundTicks, SimConfig,
 };
 pub use stream::{
     simulate_batch_stream, simulate_faulty_stream, summarize_round_stream, StreamOutcome,

@@ -138,8 +138,7 @@ impl ProgramRound {
         bytes_in_per_element: usize,
         bytes_out_per_element: usize,
     ) -> ProgramRound {
-        let stage_exec = (stages.into_iter())
-            .map(|(k, kernel_s)| stage_ticks(cfg, k, kernel_s, m).unwrap_or(Time::MAX));
+        let stage_exec = (stages.into_iter()).map(|(k, kernel_s)| stage_price(cfg, k, kernel_s, m));
         ProgramRound {
             t_in: transfer_ticks(dma, bytes_in_per_element, m),
             stage_exec: stage_exec.collect(),
@@ -162,10 +161,63 @@ impl ProgramRound {
     /// batch still costs a full round). `None` when a round or the run
     /// does not fit the `u64` clock.
     pub fn serial_ticks(&self, m: usize, elements: usize) -> Option<Time> {
-        let round = (self.stage_exec.iter())
-            .try_fold(self.t_in.checked_add(self.t_out)?, |t, &s| t.checked_add(s))?;
+        let exec = (self.stage_exec.iter()).try_fold(0, |t: Time, &s| t.checked_add(s));
+        RoundTicks {
+            t_in: self.t_in,
+            exec,
+            t_out: self.t_out,
+        }
+        .serial_ticks(m, elements)
+    }
+}
+
+/// A round priced as [`ProgramRound::price`] prices it, without the
+/// per-stage split: the input, summed execution and output ticks, all
+/// that the stream schedule reads of a round. The design-space sweep
+/// prices thousands of rounds per sweep and keys its service probes by
+/// these three numbers, so it prices here and collects nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RoundTicks {
+    /// External-input DMA ticks.
+    pub t_in: u64,
+    /// [`ProgramRound::exec`], or `None` when the stages' sum passes the
+    /// `u64` clock.
+    pub exec: Option<u64>,
+    /// External-output DMA ticks.
+    pub t_out: u64,
+}
+
+impl RoundTicks {
+    /// [`ProgramRound::price`] with the stages summed as they are priced.
+    pub fn price(
+        dma: &DmaSpec,
+        cfg: &SimConfig,
+        stages: impl IntoIterator<Item = (usize, f64)>,
+        m: usize,
+        bytes_in_per_element: usize,
+        bytes_out_per_element: usize,
+    ) -> RoundTicks {
+        let exec = (stages.into_iter()).try_fold(0, |t: Time, (k, kernel_s)| {
+            t.checked_add(stage_price(cfg, k, kernel_s, m))
+        });
+        RoundTicks {
+            t_in: transfer_ticks(dma, bytes_in_per_element, m),
+            exec,
+            t_out: transfer_ticks(dma, bytes_out_per_element, m),
+        }
+    }
+
+    /// [`ProgramRound::serial_ticks`] of the round these ticks sum.
+    pub fn serial_ticks(&self, m: usize, elements: usize) -> Option<Time> {
+        let round = (self.t_in.checked_add(self.t_out)?).checked_add(self.exec?)?;
         round.checked_mul(elements.div_ceil(m) as u64)
     }
+}
+
+/// [`stage_ticks`] as a round charges it: a stage past the `u64` clock
+/// at its last tick.
+fn stage_price(cfg: &SimConfig, k: usize, kernel_s: f64, m: usize) -> Time {
+    stage_ticks(cfg, k, kernel_s, m).unwrap_or(Time::MAX)
 }
 
 /// Ticks of one stage per round: `m/k` serial batches of its `k`
@@ -552,6 +604,52 @@ mod tests {
         assert_eq!(wide.stage_exec_s[0], narrow.stage_exec_s[0]);
         let ratio = narrow.stage_exec_s[1] / wide.stage_exec_s[1];
         assert!((3.5..4.5).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// The summed price against the per-stage one, on every catalog DMA,
+    /// one to three stages, ordinary and overflowing kernels (a stage
+    /// past the clock, and stages that pass it only together) and
+    /// element counts whose runs do and do not fit.
+    #[test]
+    fn round_ticks_sum_the_per_stage_price() {
+        let cfg = SimConfig::default();
+        let huge = 3.0e6; // seconds: one batch fits the clock, 64 do not
+        let kernels: [&[f64]; 5] = [
+            &[1.0e-3],
+            &[2.0e-4, 7.0e-3, 5.0e-5],
+            &[huge, 1.0e-3],
+            &[huge, huge, huge],
+            &[],
+        ];
+        for platform in Platform::catalog() {
+            for stages in kernels {
+                for (k, m) in [(1, 1), (1, 4), (2, 8), (4, 64)] {
+                    let priced = || stages.iter().map(|&s| (k, s));
+                    let (dma, bytes) = (&platform.dma, (21_296, 10_648));
+                    let round = ProgramRound::price(dma, &cfg, priced(), m, bytes.0, bytes.1);
+                    let ticks = RoundTicks::price(dma, &cfg, priced(), m, bytes.0, bytes.1);
+                    let at = format!("{} {stages:?} k={k} m={m}", platform.id);
+                    assert_eq!((ticks.t_in, ticks.t_out), (round.t_in, round.t_out), "{at}");
+                    let exec = round
+                        .stage_exec
+                        .iter()
+                        .try_fold(0u64, |t, &s| t.checked_add(s));
+                    assert_eq!(ticks.exec, exec, "{at}");
+                    // The serial schedule as a stage-by-stage checked sum.
+                    let serial = |elements: usize| {
+                        let first = round.t_in.checked_add(round.t_out)?;
+                        let r =
+                            (round.stage_exec.iter()).try_fold(first, |t, &s| t.checked_add(s))?;
+                        r.checked_mul(elements.div_ceil(m) as u64)
+                    };
+                    for elements in [1, 1_000, 50_000, usize::MAX] {
+                        let want = serial(elements);
+                        assert_eq!(ticks.serial_ticks(m, elements), want, "{at} {elements}");
+                        assert_eq!(round.serial_ticks(m, elements), want, "{at} {elements}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

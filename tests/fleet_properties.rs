@@ -403,7 +403,7 @@ fn catalog_fleet() -> (Vec<Compiled>, Vec<FleetBoard>) {
     let source = cfdlang::examples::simulation_step(7);
     let compiled: Vec<Compiled> = Platform::catalog()
         .iter()
-        .map(|p| Compiled::new(&source, Some(&p.id)))
+        .map(|p| Compiled::new(&source, Some(p.id)))
         .filter(|c| c.art.system.is_some())
         .collect();
     let boards = compiled

@@ -6,9 +6,10 @@
 //! (a 65 536-request online `ServiceReport`, a five-board `FleetReport`
 //! and the dense 4 488-point helmholtz:11 `PortfolioReport`) and on a
 //! `DseReport` of the same grid, which `cfdc explore --grid` prints.
-//! The portfolio sweep itself copies no string per row: a row holds its
-//! point and its score, and the label and board names live once on the
-//! report. A compile that rejects an array too wide to analyse makes no
+//! The portfolio sweep itself allocates nothing per row: a row holds its
+//! point and its score, the label and board names live once on the
+//! report, a round is priced without collecting its stages, and each
+//! distinct round is probed once. A compile that rejects an array too wide to analyse makes no
 //! allocation near the array's size.
 //!
 //! The counting allocator counts per thread, so tests running beside
@@ -183,18 +184,19 @@ fn dse_reports_allocate_once() {
 }
 
 /// The dense portfolio sweep at one job, so that `fan_out` scores every
-/// row on this thread. It makes 12 336 allocations, 2.75 per row, for
-/// the backend pieces, the service probes and the ranking. A row that
-/// copied the engine's label and its board's name into itself would
-/// add two per row (4.75).
+/// row on this thread. It makes 3 124 allocations, 0.70 per row, none of
+/// them a row's own: the backend pieces, one service probe per distinct
+/// round (359 of the 3 206 rows that fit) and the ranking. A row that
+/// copied its board's name, collected its round's stage ticks or
+/// probed its own round would add about one allocation per row each.
 #[test]
-fn a_portfolio_sweep_copies_no_string_per_row() {
+fn a_portfolio_sweep_allocates_nothing_per_row() {
     let engine = helmholtz11();
     let (portfolio, allocs) =
         allocations(|| engine.run_portfolio(&Platform::catalog(), &dense_grid(), 1, 2_000));
     assert_eq!(portfolio.evaluated, 4_488);
     let per_row = allocs as f64 / portfolio.evaluated as f64;
-    assert!(per_row < 3.0, "{allocs} allocations, {per_row:.4} per row");
+    assert!(per_row < 1.0, "{allocs} allocations, {per_row:.4} per row");
 }
 
 /// A `[4097 4097]` array, 16 785 409 words, is wider than the compiler

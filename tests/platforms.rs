@@ -41,7 +41,7 @@ fn simulation_step_tensors_bit_identical_on_every_platform() {
 
     let mut clocks_seen = Vec::new();
     for platform in Platform::catalog() {
-        let id = platform.id.clone();
+        let id = platform.id;
         let art = ProgramFlow::compile(&src, &program_options(platform)).unwrap();
         let modules: Vec<&Module> = art.kernels.iter().map(|a| &*a.module).collect();
         let kernels: Vec<&cgen::CKernel> = art.kernels.iter().map(|a| &a.kernel).collect();
@@ -165,7 +165,7 @@ fn portfolio_sweep_spans_platforms_and_matches_single_board() {
     // frontier spans at least three platforms.
     assert!(report.summaries.iter().filter(|s| s.feasible > 0).count() >= 3);
     let frontier = report.pareto_frontier();
-    let mut frontier_platforms: Vec<&str> = frontier.iter().map(|o| o.platform.as_str()).collect();
+    let mut frontier_platforms: Vec<&str> = frontier.iter().map(|o| o.platform).collect();
     frontier_platforms.sort_unstable();
     frontier_platforms.dedup();
     assert!(
