@@ -158,7 +158,7 @@ pub fn simulate_round_stream(
     let capacity = capacity.clamp(1, m);
     let mode = Mode::pick(overlap && plan.outage.is_none(), ks, m);
     if !plan.armed() && rec.deadline_ticks.is_none() && !spec.armed() {
-        return clean_fold(arrivals, capacity, round, mode);
+        return clean_fold(arrivals, capacity, round.ticks(), mode);
     }
     let mut core = Core::new(arrivals, capacity, round, plan, *rec, spec, mode);
     core.run();
@@ -401,7 +401,7 @@ impl<'a> Core<'a> {
                 ..rec
             },
             spec,
-            res: Resources::new(mode, round),
+            res: Resources::new(mode, round.ticks()),
             exact_ready: round.exec() == 0 && round.t_out == 0,
             next: 0,
             queue: Queue::new(&spec.tiers, levels, bound, capacity),

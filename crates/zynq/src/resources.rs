@@ -6,7 +6,6 @@
 //! drain, never in what a step costs.
 
 use crate::des::Time;
-use crate::sim::ProgramRound;
 use crate::stream::StreamOutcome;
 use std::collections::VecDeque;
 
@@ -41,7 +40,7 @@ impl Mode {
 pub(crate) struct Resources {
     pub(crate) mode: Mode,
     /// Fault-free input, execution and output ticks of one round, and
-    /// their sum ([`ProgramRound::total`]).
+    /// their sum ([`ProgramRound::total`](crate::ProgramRound::total)).
     pub(crate) t_in: u64,
     exec: u64,
     t_out: u64,
@@ -63,13 +62,16 @@ pub(crate) struct Resources {
 }
 
 impl Resources {
-    pub(crate) fn new(mode: Mode, round: &ProgramRound) -> Resources {
+    /// Free resources for rounds of `(t_in, exec, t_out)` ticks
+    /// ([`ProgramRound::ticks`](crate::ProgramRound::ticks)), all that
+    /// a schedule reads of a round.
+    pub(crate) fn new(mode: Mode, (t_in, exec, t_out): (Time, Time, Time)) -> Resources {
         Resources {
             mode,
-            t_in: round.t_in,
-            exec: round.exec(),
-            t_out: round.t_out,
-            round_ticks: round.total(),
+            t_in,
+            exec,
+            t_out,
+            round_ticks: t_in + exec + t_out,
             dma_free: 0,
             chain_free: 0,
             exec_ticks: 0,

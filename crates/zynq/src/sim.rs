@@ -151,6 +151,12 @@ impl ProgramRound {
         self.stage_exec.iter().sum()
     }
 
+    /// The round's input, summed execution and output ticks: all that
+    /// the stream schedule reads of it.
+    pub fn ticks(&self) -> (Time, Time, Time) {
+        (self.t_in, self.exec(), self.t_out)
+    }
+
     /// Total ticks of one serial round (`t_in + exec + t_out`).
     pub fn total(&self) -> u64 {
         self.t_in + self.exec() + self.t_out

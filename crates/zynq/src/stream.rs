@@ -48,7 +48,7 @@ use crate::des::Time;
 use crate::fault::{FaultPlan, RecoverySpec};
 use crate::online::{simulate_online_stream, OnlineSpec};
 use crate::resources::{Mode, Resources};
-use crate::sim::{ProgramRound, SimConfig};
+use crate::sim::SimConfig;
 use sysgen::MultiSystemDesign;
 
 /// What the scheduler reports of serving a request stream on one
@@ -198,11 +198,11 @@ impl RoundSink for RankSink {
 pub(crate) fn clean_fold(
     arrivals: &[Time],
     capacity: usize,
-    round: &ProgramRound,
+    ticks: (Time, Time, Time),
     mode: Mode,
 ) -> StreamOutcome {
     let mut out = StreamOutcome::new(arrivals.len());
-    let (res, fast_forwarded) = fold(arrivals, capacity, round, mode, &mut out);
+    let (res, fast_forwarded) = fold(arrivals, capacity, ticks, mode, &mut out);
     out.fast_forwarded_rounds = fast_forwarded;
     res.close(&mut out);
     out
@@ -218,16 +218,17 @@ pub(crate) fn clean_fold(
 /// while the next round computes. A request completes when its round's
 /// outputs have drained, so rounds complete in arrival order. Returns
 /// the resources' final state and the rounds the fast-forward placed.
+/// A round enters as its `(t_in, exec, t_out)` ticks.
 fn fold(
     arrivals: &[Time],
     capacity: usize,
-    round: &ProgramRound,
+    ticks: (Time, Time, Time),
     mode: Mode,
     sink: &mut impl RoundSink,
 ) -> (Resources, usize) {
     let n = arrivals.len();
     let serial = mode == Mode::Serial;
-    let mut res = Resources::new(mode, round);
+    let mut res = Resources::new(mode, ticks);
     // (outputs ready, first request, one past the last) of the round
     // whose outputs still wait to drain.
     let mut pending_out: Option<(Time, usize, usize)> = None;
@@ -259,7 +260,7 @@ fn fold(
         let hi = (i + capacity).min(n);
         let fill = arrivals[i..hi].iter().filter(|&&a| a <= start).count();
         sink.admit(i, i + fill, start);
-        let in_done = res.transfer(start, round.t_in);
+        let in_done = res.transfer(start, res.t_in);
         let ready = res.execute(in_done);
         // Drain the previous round's outputs while this one executes.
         if let Some((prev, lo, hi)) = pending_out.replace((ready, i, i + fill)) {
@@ -287,15 +288,18 @@ pub struct StreamSummary {
 /// [`simulate_round_stream`](crate::simulate_round_stream) with nothing
 /// armed, keeping only the makespan and the completion tick of the
 /// request at arrival position `rank` instead of the per-request
-/// columns: no allocation per request, no sort. With every arrival at
-/// tick 0 (a closed backlog) `rank_ticks` is a latency, and `rank` from
-/// the nearest-rank definition makes it that latency percentile.
+/// columns: no allocation per request, no sort. The round enters as its
+/// `(t_in, exec, t_out)` ticks ([`ProgramRound::ticks`](crate::ProgramRound::ticks)),
+/// so a caller that priced only those three builds no round. With every
+/// arrival at tick 0 (a closed backlog) `rank_ticks` is a latency, and
+/// `rank` from the nearest-rank definition makes it that latency
+/// percentile.
 ///
 /// `arrivals` must be sorted and `rank < arrivals.len()`; `capacity`
 /// and `overlap` act as in
 /// [`simulate_round_stream`](crate::simulate_round_stream).
 pub fn summarize_round_stream(
-    round: &ProgramRound,
+    ticks: (Time, Time, Time),
     ks: &[usize],
     m: usize,
     arrivals: &[Time],
@@ -310,7 +314,7 @@ pub fn summarize_round_stream(
     assert!(rank < arrivals.len(), "rank {rank} is past the stream");
     let mut sink = RankSink { rank, ticks: 0 };
     let mode = Mode::pick(overlap, ks, m);
-    let (res, _) = fold(arrivals, capacity.clamp(1, m), round, mode, &mut sink);
+    let (res, _) = fold(arrivals, capacity.clamp(1, m), ticks, mode, &mut sink);
     StreamSummary {
         makespan_ticks: res.makespan(),
         rank_ticks: sink.ticks,

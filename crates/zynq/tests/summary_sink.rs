@@ -48,7 +48,7 @@ fn summary_equals_the_columns() {
                     sorted.sort_unstable();
                     for q in [0.5, 0.99, 1.0] {
                         let summary = zynq::summarize_round_stream(
-                            &round,
+                            round.ticks(),
                             ks,
                             m,
                             &arrivals,

@@ -6,10 +6,11 @@
 //! (a 65 536-request online `ServiceReport`, a five-board `FleetReport`
 //! and the dense 4 488-point helmholtz:11 `PortfolioReport`) and on a
 //! `DseReport` of the same grid, which `cfdc explore --grid` prints.
-//! The portfolio sweep itself allocates nothing per row: a row holds its
-//! point and its score, the label and board names live once on the
-//! report, a round is priced without collecting its stages, and each
-//! distinct round is probed once. A compile that rejects an array too wide to analyse makes no
+//! The portfolio sweep itself allocates nothing per row, and a bounded
+//! number of bytes per row: a row holds its point and its score, the
+//! label and board names live once on the report, a round is priced
+//! without collecting its stages, and each distinct round is probed
+//! once. A compile that rejects an array too wide to analyse makes no
 //! allocation near the array's size.
 //!
 //! The counting allocator counts per thread, so tests running beside
@@ -29,6 +30,8 @@ use zynq::fault::FaultPlan;
 thread_local! {
     /// Allocations and reallocations made on this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The bytes they asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     /// The largest of them, in bytes.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
@@ -37,6 +40,7 @@ struct Counting;
 
 fn count(bytes: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
     LARGEST.with(|n| n.set(n.get().max(bytes)));
 }
 
@@ -75,9 +79,17 @@ static COUNTING: Counting = Counting;
 
 /// What `f` returns and the allocations it made on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
+    let (out, allocs, _) = allocations_and_bytes(f);
+    (out, allocs)
+}
+
+/// What `f` returns, the allocations it made on this thread and the
+/// bytes they asked for.
+fn allocations_and_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    let after = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    (out, after.0 - before.0, after.1 - before.1)
 }
 
 /// The benchmark's dense grid: 4 488 points over the catalog's clock
@@ -184,19 +196,28 @@ fn dse_reports_allocate_once() {
 }
 
 /// The dense portfolio sweep at one job, so that `fan_out` scores every
-/// row on this thread. It makes 3 124 allocations, 0.70 per row, none of
-/// them a row's own: the backend pieces, one service probe per distinct
-/// round (359 of the 3 206 rows that fit) and the ranking. A row that
-/// copied its board's name, collected its round's stage ticks or
-/// probed its own round would add about one allocation per row each.
+/// row on this thread. It makes 2 760 allocations, 0.615 per row, none
+/// of them a row's own: the backend pieces, the service probes of the
+/// 359 distinct rounds of the 3 206 rows that fit (a probe builds no
+/// round) and the ranking. A row that copied its board's name,
+/// collected its round's stage ticks or probed its own round would add
+/// about one allocation per row each. It asks for 1 444 968 bytes,
+/// 322.0 per row, most of them the rows and their scores: a wider rank
+/// key or another table per row would show here first.
 #[test]
 fn a_portfolio_sweep_allocates_nothing_per_row() {
     let engine = helmholtz11();
-    let (portfolio, allocs) =
-        allocations(|| engine.run_portfolio(&Platform::catalog(), &dense_grid(), 1, 2_000));
+    let (portfolio, allocs, bytes) = allocations_and_bytes(|| {
+        engine.run_portfolio(&Platform::catalog(), &dense_grid(), 1, 2_000)
+    });
     assert_eq!(portfolio.evaluated, 4_488);
     let per_row = allocs as f64 / portfolio.evaluated as f64;
-    assert!(per_row < 1.0, "{allocs} allocations, {per_row:.4} per row");
+    assert!(per_row < 0.62, "{allocs} allocations, {per_row:.4} per row");
+    let bytes_per_row = bytes as f64 / portfolio.evaluated as f64;
+    assert!(
+        bytes_per_row <= 322.0,
+        "{bytes} bytes, {bytes_per_row:.1} per row"
+    );
 }
 
 /// A `[4097 4097]` array, 16 785 409 words, is wider than the compiler
