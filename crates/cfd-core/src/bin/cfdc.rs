@@ -423,7 +423,7 @@ static FLAGS: &[Flag] = &[
     Flag {
         name: "--grid",
         commands: &["explore"],
-        help: "sweep k x batch x sharing x decoupling on the staged pipeline",
+        help: "sweep k x batch x sharing x decoupling on --board at its default clock",
         takes: Switch(|p| p.grid = true),
     },
     Flag {
@@ -1250,9 +1250,24 @@ fn cmd_serve_fleet(p: &Parsed) {
     out!("{}", out.report.render_table());
 }
 
+/// `cfdc explore`: the feasible-design listing, or a sweep of the
+/// default grid — over the `--boards` portfolio, or with `--grid` on
+/// the `--board` platform at its one default clock.
 fn cmd_explore(args: &[String]) {
     let p = checked_or_exit("explore", parse_common(args));
-    if p.boards.is_none() && !p.grid {
+    if p.boards.is_some() {
+        // The portfolio sets its own boards and clocks.
+        let sweep = p
+            .flags
+            .iter()
+            .find(|f| ["--grid", "--board"].contains(&f.name));
+        if let Some(flag) = sweep {
+            fail(CliError::NotApplicable {
+                flag: flag.name.to_string(),
+                command: "explore --boards",
+            })
+        }
+    } else if !p.grid {
         return explore_listing(&p);
     }
     let engine = or_exit("compilation", DseEngine::prepare(&p.source, &p.program));
@@ -1262,40 +1277,18 @@ fn cmd_explore(args: &[String]) {
     } else {
         10_000
     };
-    if let Some(platforms) = &p.boards {
-        let report = engine.run_portfolio(
-            platforms,
-            &DseGrid::default(),
-            p.program.flow.jobs,
-            elements,
-        );
-        exit_on_overflow(report.ticks_overflows, elements);
-        return print_portfolio(&report, p.json);
-    }
-    let report = engine.run(&DseGrid::default(), p.program.flow.jobs, elements);
-    exit_on_overflow(report.ticks_overflows, elements);
-    if p.json {
-        outln!("{}", report.to_json());
-        return;
-    }
-    out!("{}", report.render_table());
-    if let Some(best) = report.best() {
-        // Every row of the table names the program in its first column.
-        outln!(
-            "best: {} ({:.0} elements/s)",
-            best.point.label(),
-            best.throughput_eps
-        );
-    }
-}
-
-/// Exit 1 with [`FlowError::TicksOverflow`]'s line when `overflows`
-/// rows of a sweep over `elements` elements ran past the simulator's
-/// clock: a printed time would be wrong.
-fn exit_on_overflow(overflows: usize, elements: usize) {
-    if overflows > 0 {
+    let flow = &p.program.flow;
+    let board = [Platform {
+        clock_ladder_mhz: vec![flow.hls.clock_mhz],
+        ..flow.platform.clone()
+    }];
+    let platforms = p.boards.as_deref().unwrap_or(&board);
+    let report = engine.run_portfolio(platforms, &DseGrid::default(), flow.jobs, elements);
+    // A time past the simulator's clock would print wrong: exit 1.
+    if report.ticks_overflows > 0 {
         or_exit("exploration", Err(FlowError::TicksOverflow { elements }))
     }
+    print_portfolio(&report, p.json);
 }
 
 /// Render a portfolio sweep (table or JSON) with its Pareto frontier.

@@ -36,23 +36,23 @@
 //! `backend_compiles`, and every scored point one system-stage
 //! invocation.
 //!
-//! On top of the single-board sweep, [`DseEngine::run_portfolio`]
-//! crosses the grid with a **platform catalog and each platform's
-//! fabric-clock ladder**: slots are shared per (clock, backend
-//! options), every combination is costed under its platform's Eq. (3)
-//! budget, and the [`PortfolioReport`] marks each platform's Pareto
-//! frontier over (simulated time, resource fit) — the
-//! heterogeneous-portfolio view: pick the node that fits the job.
+//! [`DseEngine::run_portfolio`] crosses the grid with a **platform
+//! catalog and each platform's fabric-clock ladder**: slots are shared
+//! per (clock, backend options), every combination is costed under its
+//! platform's Eq. (3) budget, and the [`PortfolioReport`] marks each
+//! platform's Pareto frontier over (simulated time, resource fit) — the
+//! heterogeneous-portfolio view: pick the node that fits the job. A
+//! sweep on one board at one clock — what `cfdc explore --grid` prints —
+//! is the portfolio of a one-platform catalog whose ladder is that one
+//! clock.
 //!
-//! **Rows.** A sweep row holds its point and score (in a portfolio also
-//! its platform id, clock and flags), never a string all rows share:
-//! the kernel names are the report's `label`, a board's display name is
-//! its [`PlatformSummary`]'s, and its id is the catalog's `&'static
-//! str`. A row pays for Eq. (3) and its priced round and allocates
-//! nothing: the round is priced once, as three tick sums
-//! ([`RoundTicks`]), not collected per stage, and a portfolio row reads
-//! no clock (its `eval_s` is 0; only [`DseEngine::run`] times its
-//! rows).
+//! **Rows.** A sweep row holds its point, score, platform id, clock and
+//! flags, never a string all rows share: the kernel names are the
+//! report's `label`, a board's display name is its
+//! [`PlatformSummary`]'s, and its id is the catalog's `&'static str`.
+//! A row pays for Eq. (3) and its priced round, allocates nothing and
+//! reads no clock: the round is priced once, as three tick sums
+//! ([`RoundTicks`]), not collected per stage.
 //!
 //! **Probes.** The service probe reads only a round's input, summed
 //! execution and output ticks, `k` and `m` (its key). A sweep scores
@@ -107,9 +107,11 @@
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
 //! use cfd_core::FlowOptions;
+//! use sysgen::Platform;
 //!
 //! let src = cfdlang::examples::inverse_helmholtz(4);
-//! let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+//! let opts = FlowOptions::default();
+//! let engine = DseEngine::prepare(&src, &opts).unwrap();
 //! let grid = DseGrid {
 //!     k: vec![1, 2],
 //!     batch: vec![1],
@@ -117,7 +119,12 @@
 //!     decoupled: vec![true, false],
 //!     partition: vec![1],
 //! };
-//! let report = engine.run(&grid, 2, 1_000);
+//! // The base board at its one clock.
+//! let board = Platform {
+//!     clock_ladder_mhz: vec![opts.hls.clock_mhz],
+//!     ..opts.platform.clone()
+//! };
+//! let report = engine.run_portfolio(&[board], &grid, 2, 1_000);
 //! assert_eq!(report.outcomes.len(), 4);
 //! // The shared stages ran once, regardless of grid size or jobs.
 //! assert_eq!(engine.pipeline().counters().frontend, 1);
@@ -141,7 +148,7 @@ use zynq::des::to_secs;
 use zynq::{fan_out, resolve_jobs, RoundTicks, SimConfig};
 
 use crate::cache::{CacheCounters, CompileCache};
-use crate::pipeline::{Pipeline, Scheduled, StageCounts, StageTimings};
+use crate::pipeline::{Pipeline, Scheduled};
 use crate::program::{MergedMemory, ProgramOptions};
 use crate::FlowError;
 
@@ -167,13 +174,6 @@ impl DsePoint {
             "k={} m={} sharing={} decoupled={} partition={}",
             self.k, self.m, self.sharing, self.decoupled, self.partition
         )
-    }
-
-    /// The order of the two points' [`DsePoint::label`]s as strings
-    /// (so `"k=10 …" < "k=2 …"`), without formatting them: the order of
-    /// their [`DsePoint::label_key`]s.
-    fn cmp_label(&self, other: &DsePoint) -> Ordering {
-        self.label_key().cmp(&other.label_key())
     }
 
     /// A key that orders as the point's [`DsePoint::label`] string: the
@@ -265,7 +265,7 @@ impl DseGrid {
     }
 }
 
-/// One design point and its score; its kernels are the report's [`DseReport::label`].
+/// One design point and its score; its kernels are the report's [`PortfolioReport::label`].
 #[derive(Debug, Clone)]
 pub struct DseOutcome {
     pub point: DsePoint,
@@ -293,12 +293,6 @@ pub struct DseOutcome {
     pub service_rps: f64,
     /// p99 request latency of the same probe (0 when infeasible).
     pub service_p99_s: f64,
-    /// Wall-clock seconds [`DseEngine::run`] spent scoring this point:
-    /// Eq. (3) and its priced round. The service probe is not in it; a
-    /// sweep probes each distinct round once, for every point that
-    /// shares it. 0 in a portfolio, whose rows are not timed (no
-    /// portfolio document prints it).
-    pub eval_s: f64,
 }
 
 /// Closed-backlog size of the serving probe every feasible design is
@@ -397,212 +391,9 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Ranked sweep results plus the evidence that the shared stages ran
-/// only once.
-#[derive(Debug, Clone)]
-pub struct DseReport {
-    /// The kernel names every row ran on, joined by `+` ([`DseEngine::label`]):
-    /// each JSON row's `"kernel"` and the table's first column.
-    pub label: String,
-    /// Outcomes ranked best-first: feasible before infeasible, then by
-    /// throughput, then by BRAM and LUT cost.
-    pub outcomes: Vec<DseOutcome>,
-    pub evaluated: usize,
-    pub feasible: usize,
-    pub jobs: usize,
-    /// Element count every point was simulated with.
-    pub elements: usize,
-    /// Wall-clock seconds for the whole sweep (excluding `prepare`).
-    pub wall_s: f64,
-    /// Cost of the shared frontend/middle-end/schedule stages.
-    pub shared: StageTimings,
-    /// Stage-invocation counters after the sweep.
-    pub counts: StageCounts,
-    /// Compile-cache counters (all zero for an uncached engine).
-    pub cache: CacheCounters,
-    /// Backend slots of the sweep, one per (kernel, distinct backend
-    /// key): what compiling each slot whole would cost. The engine
-    /// builds fewer pieces than that (see the module doc's piece
-    /// staging); the count is the slots, not the pieces.
-    pub backend_compiles: usize,
-    /// (Kernel, point) evaluations beyond the first of each slot: the
-    /// evaluations that shared a slot instead of compiling their own.
-    pub backend_reuses: usize,
-    /// Wall-clock seconds spent building the backend pieces and
-    /// assembling the slots.
-    pub backend_s: f64,
-    /// Sum of per-point evaluation times (system stage + simulation)
-    /// across all workers — CPU time, not wall-clock.
-    pub eval_total_s: f64,
-    /// Mean per-point evaluation time.
-    pub eval_mean_s: f64,
-    /// Slowest single point.
-    pub eval_max_s: f64,
-    /// Rows whose simulated time ran past the simulator's `u64` clock
-    /// (their `total_s` is infinite). Not printed: `cfdc explore`
-    /// refuses to print a report with any.
-    pub ticks_overflows: usize,
-}
-
-impl DseReport {
-    /// The best-ranked feasible outcome, if any.
-    pub fn best(&self) -> Option<&DseOutcome> {
-        self.outcomes.first().filter(|o| o.feasible)
-    }
-
-    /// Render as an aligned text table.
-    pub fn render_table(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{} configurations ({} feasible), {} jobs, sweep {:.3} s, shared stages {:.3} s, \
-             {} backends compiled ({} reused), point eval {:.3} s total / {:.4} s mean\n",
-            self.evaluated,
-            self.feasible,
-            self.jobs,
-            self.wall_s,
-            self.shared.total_s(),
-            self.backend_compiles,
-            self.backend_reuses,
-            self.eval_total_s,
-            self.eval_mean_s,
-        ));
-        let name_w = self.label.len().max(6);
-        s.push_str(&format!(
-            "  {:<name_w$}   k    m  share  decouple  part      LUT      FF   DSP   BRAM    el/s   req/s  feasible\n",
-            "kernel"
-        ));
-        for o in &self.outcomes {
-            let p = &o.point;
-            s.push_str(&format!(
-                "  {:<name_w$}  {:>2}  {:>3}  {:>5}  {:>8}  {:>4}  {:>7}  {:>6}  {:>4}  {:>5}  {:>6.0}  {:>6.0}  {}\n",
-                self.label,
-                p.k,
-                p.m,
-                p.sharing,
-                p.decoupled,
-                p.partition,
-                o.luts,
-                o.ffs,
-                o.dsps,
-                o.brams,
-                o.throughput_eps,
-                o.service_rps,
-                if o.feasible { "yes" } else { "no" },
-            ));
-        }
-        s
-    }
-
-    /// Serialize the report as JSON through the `runtime::json` writer,
-    /// into one buffer reserved up front.
-    pub fn to_json(&self) -> String {
-        let rows =
-            (self.outcomes.iter()).map(|o| json::width(|w| o.sweep_row(&self.label, w, "},\n")));
-        let mut out = String::with_capacity(HEADER_BYTES + rows.sum::<usize>());
-        self.write_json(&mut out)
-            .expect("writing to a String cannot fail");
-        out
-    }
-
-    /// Append the document, trailing newline included, to `out`. The
-    /// outcome loop does not allocate.
-    fn write_json(&self, out: &mut String) -> fmt::Result {
-        write!(
-            out,
-            "{{\n  \"evaluated\": {},\n  \"feasible\": {},\n  \"jobs\": {},\n  \"elements\": {},\n  \
-             \"wall_s\": {:.6},\n  \
-             \"shared_stages\": {{\"frontend_s\": {:.6}, \"middle_end_s\": {:.6}, \"schedule_s\": {:.6}}},\n  \
-             \"stage_invocations\": {{\"frontend\": {}, \"middle_end\": {}, \"schedule\": {}, \"backend\": {}, \"system\": {}}},\n  \
-             \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}, \"compile_s\": {:.6}}},\n",
-            self.evaluated,
-            self.feasible,
-            self.jobs,
-            self.elements,
-            self.wall_s,
-            self.shared.frontend_s,
-            self.shared.middle_end_s,
-            self.shared.schedule_s,
-            self.counts.frontend,
-            self.counts.middle_end,
-            self.counts.schedule,
-            self.counts.backend,
-            self.counts.system,
-            self.backend_compiles,
-            self.backend_reuses,
-            self.backend_s,
-        )?;
-        writeln!(out, "  \"compile_cache\": {},", self.cache)?;
-        write!(
-            out,
-            "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n  \"outcomes\": [\n",
-            self.eval_total_s, self.eval_mean_s, self.eval_max_s
-        )?;
-        let mut line = Line::new(out);
-        for (i, o) in self.outcomes.iter().enumerate() {
-            o.sweep_row(&self.label, &mut line, row_end(i, self.outcomes.len()));
-            line.flush();
-        }
-        out.push_str("  ]\n}\n");
-        Ok(())
-    }
-}
-
-/// Allowance for a DSE report's header: about 1 KB of literals and up
-/// to 30 numbers.
+/// Allowance for a portfolio report's header: about 1 KB of literals
+/// and up to 30 numbers.
 const HEADER_BYTES: usize = 2_048;
-
-impl DseOutcome {
-    /// `"k"` through `"service_p99_s"`, behind the kernel name: the
-    /// fields a sweep row and a portfolio row share.
-    #[inline]
-    fn json_fields<S: Sink>(&self, s: &mut S) {
-        let p = &self.point;
-        s.lit("\", \"k\": ");
-        s.int(p.k as u64);
-        s.lit(", \"m\": ");
-        s.int(p.m as u64);
-        s.lit(", \"sharing\": ");
-        s.flag(p.sharing);
-        s.lit(", \"decoupled\": ");
-        s.flag(p.decoupled);
-        s.lit(", \"partition\": ");
-        s.int(p.partition.into());
-        s.lit(", \"feasible\": ");
-        s.flag(self.feasible);
-        s.lit(", \"luts\": ");
-        s.int(self.luts as u64);
-        s.lit(", \"ffs\": ");
-        s.int(self.ffs as u64);
-        s.lit(", \"dsps\": ");
-        s.int(self.dsps as u64);
-        s.lit(", \"brams\": ");
-        s.int(self.brams as u64);
-        s.lit(", \"plm_brams\": ");
-        s.int(self.plm_brams as u64);
-        s.lit(", \"latency_cycles\": ");
-        s.int(self.latency_cycles);
-        s.lit(", \"total_s\": ");
-        s.fixed(self.total_s, 6);
-        s.lit(", \"throughput_eps\": ");
-        s.fixed(self.throughput_eps, 3);
-        s.lit(", \"service_rps\": ");
-        s.fixed(self.service_rps, 3);
-        s.lit(", \"service_p99_s\": ");
-        s.fixed(self.service_p99_s, 6);
-    }
-
-    /// A sweep row: the report's `label`, the shared fields, the
-    /// point's evaluation time, closed by `end`.
-    #[inline]
-    fn sweep_row<S: Sink>(&self, label: &str, s: &mut S, end: &str) {
-        s.lit("    {\"kernel\": \"");
-        s.str(label);
-        self.json_fields(s);
-        s.lit(", \"eval_s\": ");
-        s.fixed(self.eval_s, 6);
-        s.lit(end);
-    }
-}
 
 /// Everything of a design point that does not depend on `(k, m)`: one
 /// backend slot's per-stage HLS reports, its memory subsystem and
@@ -742,24 +533,6 @@ fn outcome(
         },
         service_rps: 0.0,
         service_p99_s: 0.0,
-        eval_s: 0.0,
-    }
-}
-
-/// A sweep row: the [`DseOutcome`] its service probe completes.
-trait SweepRow {
-    fn outcome_mut(&mut self) -> &mut DseOutcome;
-}
-
-impl SweepRow for DseOutcome {
-    fn outcome_mut(&mut self) -> &mut DseOutcome {
-        self
-    }
-}
-
-impl SweepRow for PortfolioOutcome {
-    fn outcome_mut(&mut self) -> &mut DseOutcome {
-        &mut self.outcome
     }
 }
 
@@ -790,8 +563,6 @@ pub struct DseEngine {
     cross: Arc<pschedule::CrossLiveness>,
     /// Largest input array per kernel (the `partition` axis target).
     partition_targets: Vec<Option<String>>,
-    /// Wall-clock cost of the shared stages.
-    shared: StageTimings,
     /// Kernel IRs, Mnemosyne configurations, HLS reports and memories
     /// the engine's sweeps built: what the piece tests count. The
     /// reports count (kernel, slot) pairs instead.
@@ -836,7 +607,6 @@ impl DseEngine {
         let jobs = resolve_jobs(base.flow.jobs);
         // `flow.system` reaches neither the middle end nor the schedule.
         let (scheds, link) = pipeline.schedule_program(&names, &fronts, &base.flow, jobs)?;
-        let shared = StageTimings::shared(&fronts, &scheds, &link);
         Ok(DseEngine {
             pipeline,
             base,
@@ -847,7 +617,6 @@ impl DseEngine {
                 .collect(),
             scheds,
             cross: link.cross,
-            shared,
             built: Default::default(),
         })
     }
@@ -862,7 +631,7 @@ impl DseEngine {
     }
 
     /// The label of this engine's sweep reports
-    /// ([`DseReport::label`]): the kernel names joined by `+`.
+    /// ([`PortfolioReport::label`]): the kernel names joined by `+`.
     pub fn label(&self) -> String {
         self.names.join("+")
     }
@@ -955,13 +724,12 @@ impl DseEngine {
         }
     }
 
-    /// The one sweep driver: cross `targets` (a platform and the clocks
-    /// to synthesize at) with the grid, assemble each distinct (clock,
-    /// backend key) slot once from the sweep's [`DseEngine::pieces`] —
-    /// a slot is shared across platforms and `k`/`m` — and [`score`]
-    /// every combination against its slot, timing each score when
-    /// `timed`. Then build the rows in combination order, passing each
-    /// [`outcome`] through `row`, number the distinct [`ProbeKey`]s of
+    /// The sweep driver: cross every platform's clock ladder with the
+    /// grid, assemble each distinct (clock, backend key) slot once from
+    /// the sweep's [`DseEngine::pieces`] — a slot is shared across
+    /// platforms and `k`/`m` — and [`score`] every combination against
+    /// its slot. Then build the unflagged
+    /// rows in combination order, number the distinct [`ProbeKey`]s of
     /// the rows that fit as they come (the scores carry the priced
     /// rounds), probe each key once and give every such row its key's
     /// service figures. Pieces, scores and probes are computed by
@@ -969,15 +737,7 @@ impl DseEngine {
     /// is independent of `jobs`. Every (kernel, slot) pair counts one
     /// backend-stage invocation and every scored point one system-stage
     /// invocation.
-    fn sweep<R: Send + SweepRow>(
-        &self,
-        targets: &[(&Platform, &[f64])],
-        grid: &DseGrid,
-        jobs: usize,
-        elements: usize,
-        timed: bool,
-        row: impl Fn(&Platform, f64, DseOutcome) -> R + Sync,
-    ) -> Swept<R> {
+    fn sweep(&self, platforms: &[Platform], grid: &DseGrid, jobs: usize, elements: usize) -> Swept {
         let points = grid.points();
         // The grid's distinct backend keys, each by the first point that
         // has it, and the distinct clocks; slot (clock, key) is
@@ -990,8 +750,8 @@ impl DseEngine {
         let mut clocks: Vec<f64> = Vec::new();
         let mut clock_of: Vec<usize> = Vec::new();
         let mut blocks: Vec<(usize, f64)> = Vec::new();
-        for (platform, (_, ladder)) in targets.iter().enumerate() {
-            for &mhz in ladder.iter() {
+        for (platform, p) in platforms.iter().enumerate() {
+            for &mhz in &p.clock_ladder_mhz {
                 clock_of.push(index_of(&mut clocks, |c| c.to_bits() == mhz.to_bits(), mhz));
                 blocks.push((platform, mhz));
             }
@@ -1004,7 +764,6 @@ impl DseEngine {
         let slots: Vec<ScoreParts> = (0..clocks.len() * reps.len())
             .map(|slot| pieces.parts(slot / reps.len(), slot % reps.len()))
             .collect();
-        let backend_s = started.elapsed().as_secs_f64();
 
         // Combination `i`: its platform, clock, slot and point.
         let combo = |i: usize| {
@@ -1012,29 +771,25 @@ impl DseEngine {
             let (platform, mhz) = blocks[block];
             let point = i % points.len();
             let parts = &slots[clock_of[block] * reps.len() + key_of[point]];
-            (targets[platform].0, mhz, parts, &points[point])
+            (&platforms[platform], mhz, parts, &points[point])
         };
         let scores = fan_out(jobs, combos, |i| {
-            let t = timed.then(Instant::now);
             let (platform, _, parts, point) = combo(i);
-            let scored = score(parts, platform, point.k, point.m);
-            (scored, t.map_or(0.0, |t| t.elapsed().as_secs_f64()))
+            score(parts, platform, point.k, point.m)
         });
 
         // Row `i` reads probe `probe_of[i]`, none when it does not fit.
         let mut numbers: HashMap<ProbeKey, u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
         let mut probe_of: Vec<u32> = Vec::with_capacity(combos);
-        let mut rows: Vec<R> = (scores.into_iter().enumerate())
-            .map(|(i, (scored, eval_s))| {
+        let mut rows: Vec<PortfolioOutcome> = (scores.into_iter().enumerate())
+            .map(|(i, scored)| {
                 let (platform, mhz, parts, point) = combo(i);
                 let key = scored.and_then(|(_, round)| ProbeKey::of(&round, point.k, point.m));
                 probe_of.push(key.map_or(UNPROBED, |key| {
                     let next = u32::try_from(numbers.len()).expect("fewer probe keys than rows");
                     *numbers.entry(key).or_insert(next)
                 }));
-                let mut outcome = outcome(parts, point, scored, elements);
-                outcome.eval_s = eval_s;
-                row(platform, mhz, outcome)
+                PortfolioOutcome::of(platform, mhz, outcome(parts, point, scored, elements))
             })
             .collect();
         // The keys in number order, in one allocation of their size.
@@ -1045,8 +800,7 @@ impl DseEngine {
         let probes = fan_out(jobs, keys.len(), |j| keys[j].probe());
         for (row, &j) in rows.iter_mut().zip(&probe_of) {
             if let Some(&(rps, p99_s)) = probes.get(j as usize) {
-                let outcome = row.outcome_mut();
-                (outcome.service_rps, outcome.service_p99_s) = (rps, p99_s);
+                (row.outcome.service_rps, row.outcome.service_p99_s) = (rps, p99_s);
             }
         }
 
@@ -1060,53 +814,7 @@ impl DseEngine {
             jobs,
             backend_compiles,
             backend_uses: combos * self.scheds.len(),
-            backend_s,
             started,
-        }
-    }
-
-    /// Sweep the grid on the base platform at the base clock with `jobs`
-    /// worker threads (0 = one per available core) and return the
-    /// report, ranked feasible-first, then by throughput, BRAM and LUT
-    /// cost.
-    ///
-    /// Grid points that differ only in the system-stage knobs `k`/`m`
-    /// share one backend slot (kernel, sharing, decoupling,
-    /// partitioning) and are scored against it without building a
-    /// system. The slot's pieces are built once per the axes they read:
-    /// the default 32-point grid has 4 slots, counted as 4
-    /// `backend_compiles` per kernel, but builds per kernel 2 kernel
-    /// IRs, 2 Mnemosyne configurations and 2 HLS reports, and 4
-    /// memories in all.
-    pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
-        let base = &self.base.flow;
-        let target = (&base.platform, &[base.hls.clock_mhz][..]);
-        let swept = self.sweep(&[target], grid, jobs, elements, true, |_, _, o| o);
-        let mut outcomes = swept.rows;
-        outcomes.sort_by(sweep_order);
-        let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
-        DseReport {
-            label: self.label(),
-            evaluated: outcomes.len(),
-            feasible: outcomes.iter().filter(|o| o.feasible).count(),
-            jobs: swept.jobs,
-            elements,
-            wall_s: swept.started.elapsed().as_secs_f64(),
-            shared: self.shared,
-            counts: self.pipeline.counters(),
-            cache: self.pipeline.cache_counters(),
-            backend_compiles: swept.backend_compiles,
-            backend_reuses: swept.backend_uses - swept.backend_compiles,
-            backend_s: swept.backend_s,
-            eval_total_s,
-            eval_mean_s: if outcomes.is_empty() {
-                0.0
-            } else {
-                eval_total_s / outcomes.len() as f64
-            },
-            eval_max_s: outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max),
-            ticks_overflows: overflows(outcomes.iter()),
-            outcomes,
         }
     }
 
@@ -1118,7 +826,11 @@ impl DseEngine {
     /// backend key)** — a slot at 200 MHz is shared by every platform
     /// whose ladder contains 200 MHz and every `k`/`m` — and its pieces
     /// are shared further: the kernel IR, Mnemosyne configuration and
-    /// memory across clocks, the HLS report across sharing.
+    /// memory across clocks, the HLS report across sharing. So the
+    /// default 32-point grid on one board at one clock has 4 slots, counted as 4
+    /// `backend_compiles` per kernel, but builds per kernel 2 kernel
+    /// IRs, 2 Mnemosyne configurations and 2 HLS reports, and 4
+    /// memories in all.
     pub fn run_portfolio(
         &self,
         platforms: &[Platform],
@@ -1126,11 +838,7 @@ impl DseEngine {
         jobs: usize,
         elements: usize,
     ) -> PortfolioReport {
-        let targets: Vec<(&Platform, &[f64])> = platforms
-            .iter()
-            .map(|p| (p, p.clock_ladder_mhz.as_slice()))
-            .collect();
-        let mut swept = self.sweep(&targets, grid, jobs, elements, false, PortfolioOutcome::of);
+        let mut swept = self.sweep(platforms, grid, jobs, elements);
         let summaries = rank_portfolio(platforms, &mut swept.rows, &swept.layout, &swept.probe_of);
         let outcomes = swept.rows;
         PortfolioReport {
@@ -1144,24 +852,21 @@ impl DseEngine {
             backend_reuses: swept.backend_uses.saturating_sub(swept.backend_compiles),
             cache: self.pipeline.cache_counters(),
             summaries,
-            ticks_overflows: overflows(outcomes.iter().map(|o| &o.outcome)),
+            ticks_overflows: (outcomes.iter())
+                .filter(|o| o.outcome.total_s == f64::INFINITY)
+                .count(),
             outcomes,
         }
     }
 }
 
-/// Rows whose simulated time did not fit the clock.
-fn overflows<'a>(rows: impl Iterator<Item = &'a DseOutcome>) -> usize {
-    rows.filter(|o| o.total_s == f64::INFINITY).count()
-}
-
 /// `probe_of` entry of a row that does not fit.
 const UNPROBED: u32 = u32::MAX;
 
-/// What [`DseEngine::sweep`] hands the report builders.
-struct Swept<R> {
+/// What [`DseEngine::sweep`] hands the report builder.
+struct Swept {
     /// Row `i` is combination `i`'s, laid out as `layout` says.
-    rows: Vec<R>,
+    rows: Vec<PortfolioOutcome>,
     layout: Layout,
     /// Row `i`'s probe number in row order; [`UNPROBED`] when it does
     /// not fit or no probe can place it.
@@ -1169,15 +874,14 @@ struct Swept<R> {
     jobs: usize,
     backend_compiles: usize,
     backend_uses: usize,
-    backend_s: f64,
     started: Instant,
 }
 
-/// How a sweep lays out its rows: one block per (target, ladder clock),
-/// target by target, each holding one row per grid point — row
+/// How a sweep lays out its rows: one block per (platform, ladder clock),
+/// platform by platform, each holding one row per grid point — row
 /// `b * points.len() + q` is point `q` in block `b`.
 struct Layout {
-    /// Target index and clock (MHz) of each block.
+    /// Platform index and clock (MHz) of each block.
     blocks: Vec<(usize, f64)>,
     points: Vec<DsePoint>,
 }
@@ -1190,21 +894,6 @@ fn index_of<T>(seen: &mut Vec<T>, same: impl Fn(&T) -> bool, new: T) -> usize {
         seen.len() - 1
     })
 }
-
-/// Rank of a sweep's rows: feasible first, then by throughput, BRAM and
-/// LUT cost; the label only ever breaks a full tie.
-fn sweep_order(a: &DseOutcome, b: &DseOutcome) -> Ordering {
-    b.feasible
-        .cmp(&a.feasible)
-        .then_with(|| b.throughput_eps.total_cmp(&a.throughput_eps))
-        .then_with(|| a.brams.cmp(&b.brams))
-        .then_with(|| a.luts.cmp(&b.luts))
-        .then_with(|| a.point.cmp_label(&b.point))
-}
-
-// ---------------------------------------------------------------------
-// Multi-board portfolio exploration
-// ---------------------------------------------------------------------
 
 /// One platform × clock × grid-point outcome of a portfolio sweep.
 #[derive(Debug, Clone)]
@@ -1249,7 +938,8 @@ pub struct PlatformSummary {
 /// Ranked results of a platform × clock × (k, m) portfolio sweep.
 #[derive(Debug, Clone)]
 pub struct PortfolioReport {
-    /// The kernel names every row ran on, as [`DseReport::label`].
+    /// The kernel names every row ran on, joined by `+`
+    /// ([`DseEngine::label`]): each JSON row's `"kernel"`.
     pub label: String,
     /// Outcomes ranked feasible-first, then by simulated time.
     pub outcomes: Vec<PortfolioOutcome>,
@@ -1260,16 +950,18 @@ pub struct PortfolioReport {
     pub elements: usize,
     pub wall_s: f64,
     /// Backend slots of the sweep, one per (kernel, clock, distinct
-    /// backend key), as in [`DseReport::backend_compiles`]: slots, not
-    /// the pieces they were assembled from.
+    /// backend key): what compiling each slot whole would cost. The
+    /// engine builds fewer pieces than that (see the module doc's piece
+    /// staging); the count is the slots, not the pieces.
     pub backend_compiles: usize,
     /// (Kernel, combination) evaluations beyond the first of each
     /// slot.
     pub backend_reuses: usize,
     /// Compile-cache counters (all zero for an uncached engine).
     pub cache: CacheCounters,
-    /// Rows whose simulated time ran past the simulator's `u64` clock,
-    /// as in [`DseReport::ticks_overflows`].
+    /// Rows whose simulated time ran past the simulator's `u64` clock
+    /// (their `total_s` is infinite). Not printed: `cfdc explore`
+    /// refuses to print a report with any.
     pub ticks_overflows: usize,
 }
 
@@ -1510,7 +1202,7 @@ fn flag_service(
 
 /// The rows of `layout` in the order that settles a tie on
 /// (feasibility, time, fit): by platform id, clock (`total_cmp`), label
-/// ([`DsePoint::cmp_label`]) and row index — the rest of
+/// ([`DsePoint::label_key`]) and row index — the rest of
 /// `portfolio_order`'s key. It sorts the blocks by (platform id,
 /// clock) and the points by label, not the rows: row `b * points + q`
 /// comes among the rows of the blocks that tie with `b` and the points
@@ -1845,17 +1537,49 @@ impl PortfolioOutcome {
     }
 
     /// An outcome row: the platform, clock and the report's `label`,
-    /// the shared [`DseOutcome`] fields, the fit and the frontier flags,
-    /// closed by `end`.
+    /// the [`DseOutcome`] fields, the fit and the frontier flags, closed
+    /// by `end`.
     #[inline]
     fn portfolio_row<S: Sink>(&self, label: &str, s: &mut S, end: &str) {
+        let (o, p) = (&self.outcome, &self.outcome.point);
         s.lit("    {\"platform\": \"");
         s.str(self.platform);
         s.lit("\", \"clock_mhz\": ");
         s.fixed(self.clock_mhz, 1);
         s.lit(", \"kernel\": \"");
         s.str(label);
-        self.outcome.json_fields(s);
+        s.lit("\", \"k\": ");
+        s.int(p.k as u64);
+        s.lit(", \"m\": ");
+        s.int(p.m as u64);
+        s.lit(", \"sharing\": ");
+        s.flag(p.sharing);
+        s.lit(", \"decoupled\": ");
+        s.flag(p.decoupled);
+        s.lit(", \"partition\": ");
+        s.int(p.partition.into());
+        s.lit(", \"feasible\": ");
+        s.flag(o.feasible);
+        s.lit(", \"luts\": ");
+        s.int(o.luts as u64);
+        s.lit(", \"ffs\": ");
+        s.int(o.ffs as u64);
+        s.lit(", \"dsps\": ");
+        s.int(o.dsps as u64);
+        s.lit(", \"brams\": ");
+        s.int(o.brams as u64);
+        s.lit(", \"plm_brams\": ");
+        s.int(o.plm_brams as u64);
+        s.lit(", \"latency_cycles\": ");
+        s.int(o.latency_cycles);
+        s.lit(", \"total_s\": ");
+        s.fixed(o.total_s, 6);
+        s.lit(", \"throughput_eps\": ");
+        s.fixed(o.throughput_eps, 3);
+        s.lit(", \"service_rps\": ");
+        s.fixed(o.service_rps, 3);
+        s.lit(", \"service_p99_s\": ");
+        s.fixed(o.service_p99_s, 6);
         s.lit(", \"utilization\": ");
         s.fixed(self.utilization, 4);
         s.lit(", \"pareto\": ");
@@ -2001,75 +1725,12 @@ mod tests {
         }
     }
 
-    impl DseReport {
-        /// The emitter `to_json` replaced, verbatim: one `format!` per row.
-        fn to_json_reference(&self) -> String {
-            let mut s = String::new();
-            s.push_str("{\n");
-            s.push_str(&format!("  \"evaluated\": {},\n", self.evaluated));
-            s.push_str(&format!("  \"feasible\": {},\n", self.feasible));
-            s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-            s.push_str(&format!("  \"elements\": {},\n", self.elements));
-            s.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
-            s.push_str(&format!(
-                "  \"shared_stages\": {{\"frontend_s\": {:.6}, \"middle_end_s\": {:.6}, \"schedule_s\": {:.6}}},\n",
-                self.shared.frontend_s, self.shared.middle_end_s, self.shared.schedule_s
-            ));
-            s.push_str(&format!(
-                "  \"stage_invocations\": {{\"frontend\": {}, \"middle_end\": {}, \"schedule\": {}, \"backend\": {}, \"system\": {}}},\n",
-                self.counts.frontend,
-                self.counts.middle_end,
-                self.counts.schedule,
-                self.counts.backend,
-                self.counts.system
-            ));
-            s.push_str(&format!(
-                "  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}, \"compile_s\": {:.6}}},\n",
-                self.backend_compiles, self.backend_reuses, self.backend_s
-            ));
-            s.push_str(&format!(
-                "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
-                self.cache.hits,
-                self.cache.disk_hits,
-                self.cache.misses,
-                self.cache.stores,
-                self.cache.invalidations
-            ));
-            s.push_str(&format!(
-                "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n",
-                self.eval_total_s, self.eval_mean_s, self.eval_max_s
-            ));
-            s.push_str("  \"outcomes\": [\n");
-            for (i, o) in self.outcomes.iter().enumerate() {
-                let p = &o.point;
-                s.push_str(&format!(
-                    "    {{\"kernel\": \"{}\", \"k\": {}, \"m\": {}, \"sharing\": {}, \"decoupled\": {}, \"partition\": {}, \
-                     \"feasible\": {}, \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \
-                     \"plm_brams\": {}, \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
-                     \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"eval_s\": {:.6}}}{}\n",
-                    runtime::json_escape(&self.label),
-                    p.k,
-                    p.m,
-                    p.sharing,
-                    p.decoupled,
-                    p.partition,
-                    o.feasible,
-                    o.luts,
-                    o.ffs,
-                    o.dsps,
-                    o.brams,
-                    o.plm_brams,
-                    o.latency_cycles,
-                    o.total_s,
-                    o.throughput_eps,
-                    o.service_rps,
-                    o.service_p99_s,
-                    o.eval_s,
-                    if i + 1 == self.outcomes.len() { "" } else { "," },
-                ));
-            }
-            s.push_str("  ]\n}\n");
-            s
+    impl DsePoint {
+        /// The order of the two points' [`DsePoint::label`]s as strings
+        /// (so `"k=10 …" < "k=2 …"`), without formatting them: the order
+        /// of their [`DsePoint::label_key`]s.
+        fn cmp_label(&self, other: &DsePoint) -> Ordering {
+            self.label_key().cmp(&other.label_key())
         }
     }
 
@@ -2239,43 +1900,6 @@ mod tests {
             throughput_eps: 6_359.705_5 * scale as f64,
             service_rps: 71.705_15 * scale as f64,
             service_p99_s: 0.008_925 / (1 + scale) as f64,
-            eval_s: 1.25e-4 * (1 + i % 11) as f64,
-        }
-    }
-
-    fn generated_sweep(label: &str, points: usize) -> DseReport {
-        DseReport {
-            label: label.into(),
-            outcomes: (0..points).map(generated_outcome).collect(),
-            evaluated: points,
-            feasible: points - points.div_ceil(3),
-            jobs: 2,
-            elements: 10_000,
-            wall_s: 0.123_456_5,
-            shared: StageTimings {
-                frontend_s: 0.001,
-                middle_end_s: 0.0625,
-                schedule_s: 1.5,
-                ..StageTimings::default()
-            },
-            counts: StageCounts {
-                frontend: 1,
-                backend: 8,
-                system: points,
-                ..StageCounts::default()
-            },
-            cache: CacheCounters {
-                hits: 3,
-                stores: points,
-                ..CacheCounters::default()
-            },
-            backend_compiles: 8,
-            backend_reuses: points.saturating_sub(8),
-            backend_s: 0.5,
-            eval_total_s: 2.0,
-            eval_mean_s: 0.0078125,
-            eval_max_s: 0.25,
-            ticks_overflows: 0,
         }
     }
 
@@ -2329,17 +1953,20 @@ mod tests {
             })
             .collect();
         let summaries = rank_portfolio(&platforms, &mut outcomes, &layout, &probe_of);
-        let sweep = generated_sweep(label, 0);
         PortfolioReport {
-            label: sweep.label,
+            label: label.into(),
             evaluated: outcomes.len(),
             feasible: summaries.iter().map(|s| s.feasible).sum(),
             jobs: 2,
             elements: 10_000,
-            wall_s: sweep.wall_s,
+            wall_s: 0.123_456_5,
             backend_compiles: 8,
             backend_reuses: outcomes.len().saturating_sub(8),
-            cache: sweep.cache,
+            cache: CacheCounters {
+                hits: 3,
+                stores: outcomes.len(),
+                ..CacheCounters::default()
+            },
             ticks_overflows: 0,
             summaries,
             outcomes,
@@ -2885,10 +2512,10 @@ mod tests {
             .then_with(|| a.outcome.point.cmp_label(&b.outcome.point))
     }
 
-    /// [`rank_order`] and [`permute`] on rows in no layout: the tie
-    /// order the sweep derives from its blocks and points, here by a
-    /// stable sort of the rows on (platform, clock, label).
-    fn rank(rows: &mut [PortfolioOutcome]) {
+    /// [`rank_order`] of rows in no layout: the tie order the sweep
+    /// derives from its blocks and points, here by a stable sort of the
+    /// rows on (platform, clock, label).
+    fn rank(rows: &[PortfolioOutcome]) -> Vec<u32> {
         let mut tie: Vec<u32> = (0..rows.len() as u32).collect();
         tie.sort_by(|&a, &b| {
             let (a, b) = (&rows[a as usize], &rows[b as usize]);
@@ -2896,22 +2523,13 @@ mod tests {
                 .then(a.clock_mhz.total_cmp(&b.clock_mhz))
                 .then(a.outcome.point.cmp_label(&b.outcome.point))
         });
-        let order = rank_order(rows, tie);
-        permute(rows, order);
+        rank_order(rows, tie)
     }
 
     /// The comparators `sort_by` ran before labels were compared
     /// without being formatted: every key eager, the label a `String`.
     #[test]
     fn ranking_orders_equal_the_eager_label_comparators() {
-        let old_sweep = |a: &DseOutcome, b: &DseOutcome| {
-            b.feasible
-                .cmp(&a.feasible)
-                .then(b.throughput_eps.total_cmp(&a.throughput_eps))
-                .then(a.brams.cmp(&b.brams))
-                .then(a.luts.cmp(&b.luts))
-                .then(a.point.label().cmp(&b.point.label()))
-        };
         let old_portfolio = |a: &PortfolioOutcome, b: &PortfolioOutcome| {
             b.outcome
                 .feasible
@@ -2922,22 +2540,18 @@ mod tests {
                 .then(a.clock_mhz.total_cmp(&b.clock_mhz))
                 .then(a.outcome.point.label().cmp(&b.outcome.point.label()))
         };
+        // Everything `portfolio_order` reads before the label.
+        let before_label = |o: &PortfolioOutcome| {
+            let bits = [o.outcome.total_s, o.utilization, o.clock_mhz].map(f64::to_bits);
+            (o.outcome.feasible, bits, o.platform)
+        };
         let rows: Vec<PortfolioOutcome> = (0..400).map(tied_outcome).collect();
         let mut label_decided = 0;
         for a in &rows {
             for b in &rows {
                 assert_eq!(portfolio_order(a, b), old_portfolio(a, b));
-                assert_eq!(
-                    sweep_order(&a.outcome, &b.outcome),
-                    old_sweep(&a.outcome, &b.outcome)
-                );
-                let tie_but_label = a.outcome.point != b.outcome.point
-                    && old_sweep(&a.outcome, &b.outcome)
-                        == a.outcome.point.label().cmp(&b.outcome.point.label());
                 label_decided += usize::from(
-                    tie_but_label
-                        && a.outcome.brams == b.outcome.brams
-                        && a.outcome.feasible == b.outcome.feasible,
+                    a.outcome.point != b.outcome.point && before_label(a) == before_label(b),
                 );
             }
         }
@@ -2957,34 +2571,15 @@ mod tests {
 
         // The key-sorted rank is the stable sort by `portfolio_order`, on
         // tied portfolios of every size up to 400 and on one whose rows
-        // are all equal (the input order decides); the rows carry their
-        // input position in `eval_s`, which no comparator reads.
-        let numbered = |i: usize| {
-            let mut row = tied_outcome(i);
-            row.outcome.eval_s = i as f64;
-            row
-        };
-        let same = |i: usize| {
-            let mut row = tied_outcome(7);
-            row.outcome.eval_s = i as f64;
-            row
-        };
-        let positions = |rows: &[PortfolioOutcome]| -> Vec<u64> {
-            rows.iter().map(|o| o.outcome.eval_s.to_bits()).collect()
-        };
+        // are all equal (the input order decides): both as the input
+        // positions of the ranked rows.
         let portfolios = (0..=400)
             .step_by(19)
-            .map(|n| (0..n).map(numbered).collect());
-        for rows in portfolios.chain([(0..50).map(same).collect::<Vec<_>>()]) {
-            let (mut keyed, mut stable) = (rows.clone(), rows);
-            rank(&mut keyed);
-            stable.sort_by(portfolio_order);
-            assert_eq!(
-                positions(&keyed),
-                positions(&stable),
-                "{} rows",
-                keyed.len()
-            );
+            .map(|n| (0..n).map(tied_outcome).collect());
+        for rows in portfolios.chain([vec![tied_outcome(7); 50]]) {
+            let mut stable: Vec<u32> = (0..rows.len() as u32).collect();
+            stable.sort_by(|&a, &b| portfolio_order(&rows[a as usize], &rows[b as usize]));
+            assert_eq!(rank(&rows), stable, "{} rows", rows.len());
         }
     }
 
@@ -3182,8 +2777,7 @@ mod tests {
     /// `grid`'s points, and `groups` probe groups, each one (req/s, p99)
     /// pair, with pairs shared between groups. Of the rows that fit,
     /// about one in ten fits unprobed (0 req/s, 0 p99, infinite time, as
-    /// a round past the clock scores). A row carries its index in
-    /// `eval_s`, which no rank or frontier reads.
+    /// a round past the clock scores).
     fn drawn_portfolio(
         seed: u64,
         grid: &DseGrid,
@@ -3224,7 +2818,6 @@ mod tests {
         let mut probe_of = Vec::new();
         for &(p, clock_mhz) in &layout.blocks {
             for point in &layout.points {
-                let i = rows.len();
                 let feasible = draw(4) != 0;
                 let probe = (feasible && draw(10) != 0).then(|| draw(groups));
                 let (rps, p99) = probe.map_or((0.0, 0.0), |g| figures[g]);
@@ -3247,7 +2840,6 @@ mod tests {
                         total_s: time,
                         service_rps: rps,
                         service_p99_s: p99,
-                        eval_s: i as f64,
                         ..generated_outcome(0)
                     },
                     utilization: if feasible {
@@ -3299,9 +2891,6 @@ mod tests {
             );
         }
         let catalog = Platform::catalog();
-        let targets: Vec<(&Platform, &[f64])> = (catalog.iter())
-            .map(|p| (p, p.clock_ladder_mhz.as_slice()))
-            .collect();
         let sources = [
             (cfdlang::examples::inverse_helmholtz(11), dense_grid()),
             (cfdlang::examples::simulation_step(7), DseGrid::default()),
@@ -3309,7 +2898,7 @@ mod tests {
         for (src, grid) in sources {
             let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
             for jobs in [1, 4] {
-                let swept = engine.sweep(&targets, &grid, jobs, 2_000, false, PortfolioOutcome::of);
+                let swept = engine.sweep(&catalog, &grid, jobs, 2_000);
                 let at = format!("{} jobs={jobs}", engine.label());
                 assert_ranks_as_defined(&catalog, swept.rows, &swept.layout, &swept.probe_of, &at);
             }
@@ -3349,12 +2938,6 @@ mod tests {
             .iter()
             .flat_map(|l| [0, 1, 2, 7, 100].map(|n| (l, n)))
         {
-            let sweep = generated_sweep(label, points);
-            let json = sweep.to_json();
-            assert_eq!(json, sweep.to_json_reference(), "{label} {points} points");
-            runtime::json::validate(&json).unwrap();
-            assert!(never_grew(&json, points));
-
             let portfolio = generated_portfolio(label, points);
             assert_eq!(portfolio.summaries[2].best_total_s, None);
             let json = portfolio.to_json();
@@ -3373,12 +2956,8 @@ mod tests {
     fn json_capacity_is_a_tight_upper_bound_on_a_4488_point_portfolio() {
         let portfolio = generated_portfolio(LABELS[2], 4_488);
         assert!(portfolio.pareto_frontier().len() > 1 && portfolio.cost_frontier().len() > 1);
-        for json in [
-            portfolio.to_json(),
-            generated_sweep(LABELS[2], 4_488).to_json(),
-        ] {
-            assert!(never_grew(&json, 4_488));
-            assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
-        }
+        let json = portfolio.to_json();
+        assert!(never_grew(&json, 4_488));
+        assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
     }
 }

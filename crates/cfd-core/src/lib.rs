@@ -51,14 +51,17 @@
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
 //! use cfd_core::FlowOptions;
+//! use sysgen::Platform;
 //!
 //! let src = cfdlang::examples::inverse_helmholtz(4);
 //! // Frontend, middle end and scheduling run once here ...
 //! let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
-//! // ... and every grid point reuses them, in parallel.
-//! let report = engine.run(&DseGrid::default(), 4, 1_000);
+//! // ... and every grid point on every board and clock reuses them, in
+//! // parallel.
+//! let report = engine.run_portfolio(&Platform::catalog(), &DseGrid::default(), 4, 1_000);
 //! assert!(report.evaluated >= 16);
-//! let best = report.best().unwrap();
+//! // Ranked fastest first.
+//! let best = &report.outcomes[0].outcome;
 //! assert!(best.feasible && best.throughput_eps > 0.0);
 //! ```
 

@@ -87,7 +87,7 @@ fn simulated_ticks_past_u64_exit_one_with_one_line() {
 /// At 1e11 elements the wrapped clock used to rank k=2 m=4 first; at
 /// 1e10 only the slow rows wrap (k=1 m=1, whose `cfdc simulate` fails
 /// the same way), which is still a wrong row. At 1e9 the sweep prints,
-/// and ranks k=8 m=8 first.
+/// and ranks k=8 m=8 first, at 2409 elements/s.
 #[test]
 fn explored_ticks_past_u64_exit_one_with_one_line() {
     let explore = |args: &[&str]| {
@@ -124,11 +124,55 @@ fn explored_ticks_past_u64_exit_one_with_one_line() {
     let out = explore(&["--grid", "--elements", "1000000000"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    let best = stdout.lines().find(|l| l.starts_with("best: ")).unwrap();
-    assert!(
-        best.starts_with("best: k=8 m=8 ") && best.ends_with("(2409 elements/s)"),
+    // The first ranked row follows the table's column header; its
+    // columns, bar a leading `*` (on the Pareto frontier), are the
+    // header's.
+    let mut lines = stdout.lines();
+    lines.find(|l| l.trim_start().starts_with("platform "));
+    let best = lines.next().unwrap();
+    let columns: Vec<&str> = best.split_whitespace().filter(|&c| c != "*").collect();
+    assert_eq!(
+        (columns[2], columns[3], columns[10]),
+        ("8", "8", "2409"),
         "{best}"
     );
+}
+
+/// `cfdc explore --boards` sweeps the boards it names, each at every
+/// clock of its ladder, so `--grid` (one board at one clock) and
+/// `--board` do not apply to it. Both used to be dropped silently:
+/// `--grid --boards` and `--board pynq-z2 --boards zcu106,u250` printed
+/// the portfolio of the `--boards` alone and exited 0. Each is one line,
+/// exit 2, naming the first of the two given.
+#[test]
+fn explore_boards_refuses_grid_and_board_with_one_line() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--grid", "--boards", "all"], "--grid"),
+        (&["--boards", "zcu106", "--grid", "--json"], "--grid"),
+        (
+            &["--board", "pynq-z2", "--boards", "zcu106,u250"],
+            "--board",
+        ),
+        (
+            &["--boards", "all", "--board", "zcu106", "--grid"],
+            "--board",
+        ),
+    ];
+    for (flags, first) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(["explore", "axpy:2"])
+            .args(*flags)
+            .output()
+            .expect("cfdc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a result");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: option '{first}' does not apply to 'cfdc explore --boards'"),
+            "{flags:?}"
+        );
+    }
 }
 
 /// `cfdc compile --elements N` sizes the host program's main loop: a

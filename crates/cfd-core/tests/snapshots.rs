@@ -271,26 +271,13 @@ fn mask_values(line: &str, masked: impl Fn(&str) -> bool) -> String {
     out + rest
 }
 
-/// An `explore` report with what depends on the wall clock masked:
-/// `wall_s` and `eval_s` anywhere, every `*_s` of the `shared_stages`,
-/// `backend_cache` and `eval_timing` header lines — and, with
-/// `mask_jobs`, the worker count. The `sed` twin is in
-/// `.github/workflows/ci.yml`.
+/// An `explore` report with what depends on the wall clock masked —
+/// `wall_s` — and, with `mask_jobs`, the worker count. The `sed` twin
+/// is in `.github/workflows/ci.yml`.
 fn mask_timings(json: &str, mask_jobs: bool) -> String {
-    const TIMED_HEADERS: [&str; 3] = [
-        "  \"shared_stages\"",
-        "  \"backend_cache\"",
-        "  \"eval_timing\"",
-    ];
     let mut out = String::with_capacity(json.len());
     for line in json.lines() {
-        let timed = TIMED_HEADERS.iter().any(|h| line.starts_with(h));
-        out += &mask_values(line, |key| {
-            key == "wall_s"
-                || key == "eval_s"
-                || (timed && key.ends_with("_s"))
-                || (mask_jobs && key == "jobs")
-        });
+        out += &mask_values(line, |key| key == "wall_s" || (mask_jobs && key == "jobs"));
         out.push('\n');
     }
     out
@@ -303,9 +290,11 @@ fn explore_golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("golden {path:?}: {e}"))
 }
 
-/// Both engines' `--grid` and `--boards all` sweeps print the values
-/// the parent commit's build-every-point sweep printed, at one worker
-/// and at eight.
+/// A kernel's and a program's `--grid` and `--boards all` sweeps print
+/// the values the build-every-point sweep printed, at one worker and at
+/// eight. The `--grid` goldens are in the portfolio format since
+/// `--grid` became the one-board, one-clock portfolio; every row's `k`
+/// … `service_p99_s` fields are the build-every-point sweep's.
 #[test]
 fn explore_reports_reproduce_the_parent_written_goldens() {
     for (kernel, stem) in [("helmholtz:11", "helmholtz11"), ("simstep:7", "simstep7")] {
@@ -394,11 +383,18 @@ fn sweeps_are_identical_at_any_worker_count() {
         &cfd_core::ProgramOptions::default(),
     )
     .unwrap();
+    // What `cfdc explore --grid` sweeps: the default board at its one
+    // default clock.
+    let zcu106 = sysgen::Platform::zcu106();
+    let board = [sysgen::Platform {
+        clock_ladder_mhz: vec![zcu106.default_clock_mhz],
+        ..zcu106
+    }];
     let reports = |jobs: usize| {
         [
-            single.run(&grid, jobs, 500).to_json(),
+            single.run_portfolio(&board, &grid, jobs, 500).to_json(),
             single.run_portfolio(&catalog, &grid, jobs, 500).to_json(),
-            program.run(&grid, jobs, 500).to_json(),
+            program.run_portfolio(&board, &grid, jobs, 500).to_json(),
             program.run_portfolio(&catalog, &grid, jobs, 500).to_json(),
         ]
         .map(|json| mask_timings(&json, true))
@@ -407,17 +403,7 @@ fn sweeps_are_identical_at_any_worker_count() {
     for jobs in [2, 8] {
         let parallel = reports(jobs);
         for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            // `stage_invocations` accumulate over an engine's sweeps.
-            let stable = |s: &str| -> Vec<String> {
-                s.lines()
-                    .filter(|l| !l.starts_with("  \"stage_invocations\""))
-                    .map(str::to_string)
-                    .collect()
-            };
-            assert!(
-                stable(a) == stable(b),
-                "report {i} differs at {jobs} workers"
-            );
+            assert!(a == b, "report {i} differs at {jobs} workers");
         }
     }
 }
@@ -464,11 +450,9 @@ fn dense_portfolio_reproduces_the_parent_hash() {
 #[test]
 fn mask_timings_masks_the_wall_clock_and_nothing_else() {
     let json = "{\n  \"jobs\": 4,\n  \"wall_s\": 0.123,\n  \
-                \"backend_cache\": {\"compiles\": 12, \"compile_s\": 0.5},\n  \
-                \"outcomes\": [\n    {\"k\": 2, \"total_s\": 0.326863, \"eval_s\": 0.000021}\n  ]\n}\n";
-    let want = "{\n  \"jobs\": 4,\n  \"wall_s\": 0,\n  \
-                \"backend_cache\": {\"compiles\": 12, \"compile_s\": 0},\n  \
-                \"outcomes\": [\n    {\"k\": 2, \"total_s\": 0.326863, \"eval_s\": 0}\n  ]\n}\n";
+                \"backend_cache\": {\"compiles\": 12, \"reuses\": 20},\n  \
+                \"outcomes\": [\n    {\"k\": 2, \"total_s\": 0.326863, \"service_p99_s\": 0.000021}\n  ]\n}\n";
+    let want = json.replace("\"wall_s\": 0.123", "\"wall_s\": 0");
     assert_eq!(mask_timings(json, false), want);
     assert_eq!(
         mask_timings(json, true),

@@ -81,60 +81,65 @@ fn pipeline_stages_compose_to_monolith_artifacts() {
     assert!(fitted > 0, "no kernel fits any board");
 }
 
+/// The base board of `opts` at its one clock: what `cfdc explore
+/// --grid` sweeps.
+fn base_board(opts: &FlowOptions) -> [Platform; 1] {
+    [Platform {
+        clock_ladder_mhz: vec![opts.hls.clock_mhz],
+        ..opts.platform.clone()
+    }]
+}
+
 /// The paper's evaluation sweep: ≥ 16 configurations on the paper
 /// kernel, frontend/middle end compiled exactly once (the acceptance
 /// check behind `cfdc explore helmholtz:11 --grid --jobs 4`).
 #[test]
 fn dse_sweep_compiles_shared_stages_exactly_once() {
     let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
-    let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
-    let report = engine.run(&DseGrid::default(), 4, 2_000);
+    let opts = FlowOptions::default();
+    let engine = DseEngine::prepare(&src, &opts).unwrap();
+    let report = engine.run_portfolio(&base_board(&opts), &DseGrid::default(), 4, 2_000);
 
     assert!(
         report.evaluated >= 16,
         "grid must sweep at least 16 configurations, got {}",
         report.evaluated
     );
-    assert_eq!(report.counts.frontend, 1, "frontend must compile once");
-    assert_eq!(report.counts.middle_end, 1, "middle end must compile once");
-    assert_eq!(report.counts.schedule, 1, "scheduler must run once");
+    let counts = engine.pipeline().counters();
+    assert_eq!(counts.frontend, 1, "frontend must compile once");
+    assert_eq!(counts.middle_end, 1, "middle end must compile once");
+    assert_eq!(counts.schedule, 1, "scheduler must run once");
     // Backends are memoized on (sharing, decoupled, partition): the
     // default grid's 32 points need only 4 backend compilations.
-    assert_eq!(report.counts.backend, report.backend_compiles);
+    assert_eq!(counts.backend, report.backend_compiles);
     assert_eq!(report.backend_compiles, 4);
     assert_eq!(
         report.backend_reuses,
         report.evaluated - report.backend_compiles
     );
-    assert_eq!(report.counts.system, report.evaluated);
-    // Per-point timing is tracked for the perf baseline.
-    assert!(report.eval_total_s > 0.0);
-    assert!(report.eval_max_s >= report.eval_mean_s);
+    assert_eq!(counts.system, report.evaluated);
 
     // Paper headline: with sharing the 16-kernel configuration fits.
     assert!(report.feasible >= 16);
-    let best = report.best().expect("some configuration fits");
+    let best = &report.outcomes[0].outcome;
     assert!(best.feasible && best.throughput_eps > 0.0);
 
     // Ranking: feasible outcomes precede infeasible ones and are sorted
-    // by throughput.
-    let first_infeasible = report
-        .outcomes
+    // by time, so by throughput.
+    let outcomes: Vec<&DseOutcome> = report.outcomes.iter().map(|o| &o.outcome).collect();
+    let first_infeasible = outcomes
         .iter()
         .position(|o| !o.feasible)
-        .unwrap_or(report.outcomes.len());
-    assert!(report.outcomes[..first_infeasible]
+        .unwrap_or(outcomes.len());
+    assert!(outcomes[..first_infeasible]
         .windows(2)
         .all(|w| w[0].throughput_eps >= w[1].throughput_eps));
-    assert!(report.outcomes[first_infeasible..]
-        .iter()
-        .all(|o| !o.feasible));
+    assert!(outcomes[first_infeasible..].iter().all(|o| !o.feasible));
 
     // The sharing axis really reaches Mnemosyne: at equal (k, m,
     // decoupled) the shared PLM subsystem must be smaller.
     let find = |sharing: bool| {
-        report
-            .outcomes
+        outcomes
             .iter()
             .find(|o| {
                 o.point.k == 1 && o.point.m == 1 && o.point.decoupled && o.point.sharing == sharing
@@ -144,8 +149,8 @@ fn dse_sweep_compiles_shared_stages_exactly_once() {
     assert!(find(true).plm_brams < find(false).plm_brams);
 }
 
-/// The row [`DseEngine::run`] scores for `point` alone: a one-point
-/// grid on the base platform at the base clock.
+/// The row the sweep scores for `point` alone: a one-point grid on the
+/// default board at its default clock.
 fn score_point(engine: &DseEngine, point: DsePoint, elements: usize) -> DseOutcome {
     assert!(
         point.m.is_multiple_of(point.k),
@@ -158,9 +163,10 @@ fn score_point(engine: &DseEngine, point: DsePoint, elements: usize) -> DseOutco
         decoupled: vec![point.decoupled],
         partition: vec![point.partition],
     };
-    let mut report = engine.run(&grid, 1, elements);
+    let board = base_board(&FlowOptions::default());
+    let mut report = engine.run_portfolio(&board, &grid, 1, elements);
     assert_eq!(report.outcomes.len(), 1);
-    report.outcomes.remove(0)
+    report.outcomes.remove(0).outcome
 }
 
 /// A single evaluated point agrees with an independent monolithic
@@ -205,7 +211,8 @@ fn dse_point_matches_monolithic_compile() {
 #[test]
 fn dse_json_is_well_formed() {
     let src = cfdfpga::cfdlang::examples::inverse_helmholtz(4);
-    let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+    let opts = FlowOptions::default();
+    let engine = DseEngine::prepare(&src, &opts).unwrap();
     let grid = DseGrid {
         k: vec![1, 2],
         batch: vec![1, 2],
@@ -213,11 +220,12 @@ fn dse_json_is_well_formed() {
         decoupled: vec![true],
         partition: vec![1],
     };
-    let report = engine.run(&grid, 2, 200);
+    let report = engine.run_portfolio(&base_board(&opts), &grid, 2, 200);
     let json = report.to_json();
-    assert_eq!(json.matches("\"k\":").count(), report.evaluated);
+    assert_eq!(json.matches("\"kernel\":").count(), report.evaluated);
     assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert!(json.contains("\"stage_invocations\": {\"frontend\": 1, \"middle_end\": 1"));
+    let counts = engine.pipeline().counters();
+    assert_eq!((counts.frontend, counts.middle_end), (1, 1));
 }
 
 /// Partitioning through the DSE axis reaches the memory generator, as

@@ -9,7 +9,9 @@
 //!   board comes back as [`FlowError::DoesNotFit`], never a panic, and
 //!   the automatic choice degrades to a smaller feasible system.
 
-use cfdfpga::flow::dse::DseEngine;
+use std::collections::HashMap;
+
+use cfdfpga::flow::dse::{DseEngine, DseGrid, PortfolioOutcome};
 use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
 use cfdfpga::flow::{Flow, FlowError, FlowOptions};
 use cfdfpga::sysgen::{self, Platform, SystemConfig};
@@ -122,13 +124,52 @@ fn invalid_replication_shape_is_a_flow_error() {
     }
 }
 
+/// Every row of `engine`'s sweep of `grid` over the catalog at `jobs`
+/// workers equals, bar its three frontier flags, the same point's row
+/// in the sweep of its board alone at its clock alone — what `cfdc
+/// explore --grid` prints for that board and clock.
+fn assert_one_clock_rows_match(engine: &DseEngine, grid: &DseGrid, jobs: usize, elements: usize) {
+    let catalog = Platform::catalog();
+    let full = engine.run_portfolio(&catalog, grid, jobs, elements);
+    let key = |o: &PortfolioOutcome| (o.platform, o.clock_mhz.to_bits(), o.outcome.point.label());
+    let rows: HashMap<_, _> = full.outcomes.iter().map(|o| (key(o), o)).collect();
+    assert_eq!(rows.len(), full.evaluated, "a grid point repeats");
+    // Debug text tells `-0.0` from `0.0` and prints every digit.
+    let unflagged = |o: &PortfolioOutcome| {
+        let o = PortfolioOutcome {
+            pareto: false,
+            service_pareto: false,
+            cost_pareto: false,
+            ..o.clone()
+        };
+        format!("{o:?}")
+    };
+    let mut compared = 0;
+    for platform in &catalog {
+        for &clock in &platform.clock_ladder_mhz {
+            let board = Platform {
+                clock_ladder_mhz: vec![clock],
+                ..platform.clone()
+            };
+            let one = engine.run_portfolio(&[board], grid, jobs, elements);
+            assert_eq!(one.evaluated, grid.points().len());
+            for o in &one.outcomes {
+                let twin = rows[&key(o)];
+                let at = format!("{} @ {clock} MHz, {}", o.platform, o.outcome.point.label());
+                assert_eq!(unflagged(o), unflagged(twin), "jobs={jobs} {at}");
+            }
+            compared += one.evaluated;
+        }
+    }
+    assert_eq!(compared, full.evaluated);
+}
+
 /// Tentpole acceptance: the portfolio sweep spans the catalog, its
 /// Pareto frontier covers ≥3 platforms, backends are memoized per
-/// (clock, backend key), and the ZCU106 rows at the default clock are
-/// bit-identical to the plain single-board sweep.
+/// (clock, backend key), and every row equals the single-board,
+/// single-clock sweep's row of its point.
 #[test]
 fn portfolio_sweep_spans_platforms_and_matches_single_board() {
-    use cfdfpga::flow::dse::DseGrid;
     let src = cfdfpga::cfdlang::examples::inverse_helmholtz(5);
     let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
     let grid = DseGrid {
@@ -176,23 +217,7 @@ fn portfolio_sweep_spans_platforms_and_matches_single_board() {
         assert!(o.outcome.feasible && o.utilization > 0.0 && o.utilization <= 1.0);
     }
 
-    // ZCU106 @ 200 MHz rows are bit-identical to the plain sweep.
-    let single = engine.run(&grid, 2, 2_000);
-    for o in &report.outcomes {
-        if o.platform != "zcu106" || o.clock_mhz != 200.0 {
-            continue;
-        }
-        let twin = single
-            .outcomes
-            .iter()
-            .find(|s| s.point == o.outcome.point)
-            .expect("same grid");
-        assert_eq!(twin.feasible, o.outcome.feasible);
-        assert_eq!(twin.luts, o.outcome.luts);
-        assert_eq!(twin.brams, o.outcome.brams);
-        assert_eq!(twin.latency_cycles, o.outcome.latency_cycles);
-        assert_eq!(twin.total_s.to_bits(), o.outcome.total_s.to_bits());
-    }
+    assert_one_clock_rows_match(&engine, &grid, 2, 2_000);
 
     // JSON carries the frontier and the per-platform feasibility.
     let json = report.to_json();
@@ -201,24 +226,52 @@ fn portfolio_sweep_spans_platforms_and_matches_single_board() {
     assert!(json.contains("\"pynq-z2\""));
 }
 
-/// The dense grid (11 replications × 3 batch factors × sharing ×
-/// decoupling × 2 partitions = 264 points) over every platform and clock
-/// rung of the catalog: the thousand-point sweep evaluates ≥ 4 096
-/// design points of the paper kernel.
+/// A one-board, one-clock sweep — `cfdc explore --grid` — is the
+/// catalog sweep's rows of that board at that clock, bar the frontier
+/// flags: on every catalog board and rung of its ladder, for
+/// helmholtz:11's dense grid and simstep:7's default grid, at 1 and 4
+/// jobs.
 #[test]
-fn dense_portfolio_sweep_evaluates_four_thousand_points() {
-    use cfdfpga::flow::dse::DseGrid;
-    let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
-    let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
-    let grid = DseGrid {
+fn a_one_clock_portfolio_equals_the_full_ladder_at_that_clock() {
+    let cases = [
+        (
+            cfdfpga::cfdlang::examples::inverse_helmholtz(11),
+            dense_grid(),
+        ),
+        (
+            cfdfpga::cfdlang::examples::simulation_step(7),
+            DseGrid::default(),
+        ),
+    ];
+    for (src, grid) in cases {
+        let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
+        for jobs in [1, 4] {
+            assert_one_clock_rows_match(&engine, &grid, jobs, 2_000);
+        }
+    }
+}
+
+/// The dense grid: 11 replications × 3 batch factors × sharing ×
+/// decoupling × 2 partitions = 264 points.
+fn dense_grid() -> DseGrid {
+    DseGrid {
         k: vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16],
         batch: vec![1, 2, 4],
         sharing: vec![true, false],
         decoupled: vec![true, false],
         partition: vec![1, 2],
-    };
+    }
+}
+
+/// The dense grid over every platform and clock rung of the catalog:
+/// the thousand-point sweep evaluates ≥ 4 096 design points of the
+/// paper kernel.
+#[test]
+fn dense_portfolio_sweep_evaluates_four_thousand_points() {
+    let src = cfdfpga::cfdlang::examples::inverse_helmholtz(11);
+    let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
     let catalog = Platform::catalog();
-    let report = engine.run_portfolio(&catalog, &grid, 2, 2_000);
+    let report = engine.run_portfolio(&catalog, &dense_grid(), 2, 2_000);
     let rungs: usize = catalog.iter().map(|p| p.clock_ladder_mhz.len()).sum();
     assert_eq!(report.evaluated, rungs * 264);
     assert!(report.evaluated >= 4_096, "{} points", report.evaluated);
@@ -229,7 +282,6 @@ fn dense_portfolio_sweep_evaluates_four_thousand_points() {
 /// boards.
 #[test]
 fn program_portfolio_sweeps_the_catalog() {
-    use cfdfpga::flow::dse::{DseEngine, DseGrid};
     let src = cfdfpga::cfdlang::examples::axpy_chain(4);
     let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
     let grid = DseGrid {

@@ -8,7 +8,7 @@
 use cfdfpga::flow::dse::{DseEngine, DseGrid};
 use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
 use cfdfpga::flow::{Flow, FlowOptions};
-use cfdfpga::sysgen::ProgramSystemConfig;
+use cfdfpga::sysgen::{Platform, ProgramSystemConfig};
 use cfdfpga::zynq::SimConfig;
 use std::collections::HashMap;
 
@@ -147,10 +147,16 @@ fn simulation_step_single_system_with_cross_sharing() {
 #[test]
 fn joint_program_sweep_memoizes_per_kernel_backends() {
     let src = cfdfpga::cfdlang::examples::simulation_step(4);
-    let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
-    let report = engine.run(&DseGrid::default(), 4, 1_000);
+    let opts = ProgramOptions::default();
+    let engine = DseEngine::prepare(&src, &opts).unwrap();
+    // The default board at its one clock, as `cfdc explore --grid`.
+    let board = Platform {
+        clock_ladder_mhz: vec![opts.flow.hls.clock_mhz],
+        ..opts.flow.platform.clone()
+    };
+    let report = engine.run_portfolio(&[board], &DseGrid::default(), 4, 1_000);
     assert_eq!(report.evaluated, 32);
-    let c = report.counts;
+    let c = engine.pipeline().counters();
     assert_eq!(c.frontend, 1, "one program frontend pass");
     assert_eq!(c.middle_end, 3, "one middle end per kernel");
     assert_eq!(c.schedule, 3);
@@ -164,19 +170,17 @@ fn joint_program_sweep_memoizes_per_kernel_backends() {
     assert_eq!(report.label, "interpolate+inverse_helmholtz+project");
     let json = report.to_json();
     assert!(json.contains("\"kernel\": \"interpolate+inverse_helmholtz+project\""));
-    assert!(report.render_table().contains("kernel"));
     // Sharing axis reaches the merged program memory.
     let find = |sharing: bool| {
-        report
-            .outcomes
-            .iter()
+        (report.outcomes.iter())
+            .map(|o| &o.outcome)
             .find(|o| {
                 o.point.k == 1 && o.point.m == 1 && o.point.decoupled && o.point.sharing == sharing
             })
             .expect("grid covers sharing at k=m=1")
     };
     assert!(find(true).plm_brams < find(false).plm_brams);
-    assert!(report.best().is_some());
+    assert!(report.outcomes[0].outcome.feasible);
 }
 
 /// A requested program configuration that exceeds the union budget must
