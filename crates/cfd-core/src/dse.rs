@@ -82,6 +82,22 @@
 //! holds the order, the three frontiers and the summaries to a stable
 //! sort by the full comparator and the quadratic Pareto definition.
 //!
+//! **Document.** Ranked rows come in runs: rows that tie on (simulated
+//! time, fit) follow each other in the (platform, clock, label) tie
+//! order, and rows of one round share its figures. So an outcome row
+//! mostly prints the previous row's text up to `"k"` (same platform
+//! and clock: 4 133 of the dense portfolio's 4 488 rows) and its
+//! `"total_s"` … `"service_p99_s"` span (same four figures: 3 882
+//! rows). The one row definition keys those two segments — platform id
+//! and clock bits; the four figures' bits, since `-0.0` and `0.0`
+//! compare equal but print apart — and where the previous row's key is
+//! the same it appends that row's segment again ([`json::Sink::repeat`]):
+//! a copy out of the document on a `Line`, the segment's width on the
+//! `Width` that sizes the reservation, which so stays the sum of the
+//! full rows' widths. Nothing outlives the call.
+//! `portfolio_json_equals_the_format_reference` holds the document to
+//! the `format!`-per-row emitter it replaced.
+//!
 //! **Invariant: a sweep row equals what `cfdc compile` + `cfdc
 //! simulate` + `cfdc serve` would report for that design.** A point is
 //! never built — no `SystemDesign`, host program or host source, and a
@@ -135,6 +151,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
@@ -1349,10 +1366,11 @@ impl PortfolioReport {
     /// Render as an aligned text table (Pareto rows marked `*`).
     pub fn render_table(&self) -> String {
         let mut s = String::new();
+        let platforms = self.summaries.len();
         s.push_str(&format!(
-            "portfolio: {} platforms, {} combinations ({} feasible), {} jobs, {:.3} s, \
+            "portfolio: {platforms} platform{}, {} combinations ({} feasible), {} jobs, {:.3} s, \
              {} backends compiled ({} reused)\n",
-            self.summaries.len(),
+            if platforms == 1 { "" } else { "s" },
             self.evaluated,
             self.feasible,
             self.jobs,
@@ -1418,9 +1436,13 @@ impl PortfolioReport {
             (self.frontier(frontier))
                 .map(move |o| json::width(|w| o.frontier_row(w, frontier, "},\n")))
         });
-        let rows = (self.outcomes.iter())
-            .map(|o| json::width(|w| o.portfolio_row(&self.label, w, "},\n")));
-        let bytes = platforms.sum::<usize>() + frontiers.sum::<usize>() + rows.sum::<usize>();
+        let rows = json::width(|w| {
+            let mut last = LastRow::default();
+            for o in &self.outcomes {
+                o.portfolio_row(&self.label, w, "},\n", &mut last);
+            }
+        });
+        let bytes = platforms.sum::<usize>() + frontiers.sum::<usize>() + rows;
         let mut out = String::with_capacity(HEADER_BYTES + bytes);
         self.write_json(&mut out)
             .expect("writing to a String cannot fail");
@@ -1460,9 +1482,10 @@ impl PortfolioReport {
             }
         }
         out.push_str("  ],\n  \"outcomes\": [\n");
-        let mut line = Line::new(out);
+        let (mut line, mut last) = (Line::new(out), LastRow::default());
         for (i, o) in self.outcomes.iter().enumerate() {
-            o.portfolio_row(&self.label, &mut line, row_end(i, self.outcomes.len()));
+            let end = row_end(i, self.outcomes.len());
+            o.portfolio_row(&self.label, &mut line, end, &mut last);
             line.flush();
         }
         out.push_str("  ]\n}\n");
@@ -1484,6 +1507,38 @@ const FRONTIERS: [(Frontier, &str); 3] = [
     (Frontier::Service, "service_frontier"),
     (Frontier::Cost, "cost_frontier"),
 ];
+
+/// The keyed segments of the outcome row a sink wrote last
+/// ([`PortfolioOutcome::portfolio_row`]): the text up to `"k"`, keyed by
+/// platform id and clock bits, and the `"total_s"` … `"service_p99_s"`
+/// span, keyed by its four figures' bits. Its marks belong to the one
+/// sink that wrote the row, so each pass over the rows starts a fresh
+/// one.
+#[derive(Default)]
+struct LastRow {
+    prefix: Segment<(&'static str, u64)>,
+    span: Segment<[u64; 4]>,
+}
+
+/// A segment's key and the sink's marks around it, once written.
+#[derive(Default)]
+struct Segment<K>(Option<(K, Range<usize>)>);
+
+impl<K: PartialEq> Segment<K> {
+    /// Repeat the segment when it was written for `key`, or make it with
+    /// `write` and remember where it went.
+    #[inline(always)]
+    fn write<S: Sink>(&mut self, s: &mut S, key: K, write: impl FnOnce(&mut S)) {
+        if let Some((last, at)) = &self.0 {
+            if *last == key && s.repeat(at.clone()) {
+                return;
+            }
+        }
+        let start = s.mark();
+        write(s);
+        self.0 = Some((key, start..s.mark()));
+    }
+}
 
 impl PlatformSummary {
     /// The `platforms` row, closed by `end`.
@@ -1538,17 +1593,23 @@ impl PortfolioOutcome {
 
     /// An outcome row: the platform, clock and the report's `label`,
     /// the [`DseOutcome`] fields, the fit and the frontier flags, closed
-    /// by `end`.
+    /// by `end`. The text up to `"k"` and the `"total_s"` …
+    /// `"service_p99_s"` span are keyed segments: where `last` (the
+    /// previous row's, on the same sink) has the same key, the row
+    /// repeats that segment instead of writing it.
     #[inline]
-    fn portfolio_row<S: Sink>(&self, label: &str, s: &mut S, end: &str) {
+    fn portfolio_row<S: Sink>(&self, label: &str, s: &mut S, end: &str, last: &mut LastRow) {
         let (o, p) = (&self.outcome, &self.outcome.point);
-        s.lit("    {\"platform\": \"");
-        s.str(self.platform);
-        s.lit("\", \"clock_mhz\": ");
-        s.fixed(self.clock_mhz, 1);
-        s.lit(", \"kernel\": \"");
-        s.str(label);
-        s.lit("\", \"k\": ");
+        let place = (self.platform, self.clock_mhz.to_bits());
+        last.prefix.write(s, place, |s| {
+            s.lit("    {\"platform\": \"");
+            s.str(self.platform);
+            s.lit("\", \"clock_mhz\": ");
+            s.fixed(self.clock_mhz, 1);
+            s.lit(", \"kernel\": \"");
+            s.str(label);
+            s.lit("\", \"k\": ");
+        });
         s.int(p.k as u64);
         s.lit(", \"m\": ");
         s.int(p.m as u64);
@@ -1572,14 +1633,17 @@ impl PortfolioOutcome {
         s.int(o.plm_brams as u64);
         s.lit(", \"latency_cycles\": ");
         s.int(o.latency_cycles);
-        s.lit(", \"total_s\": ");
-        s.fixed(o.total_s, 6);
-        s.lit(", \"throughput_eps\": ");
-        s.fixed(o.throughput_eps, 3);
-        s.lit(", \"service_rps\": ");
-        s.fixed(o.service_rps, 3);
-        s.lit(", \"service_p99_s\": ");
-        s.fixed(o.service_p99_s, 6);
+        let figures = [o.total_s, o.throughput_eps, o.service_rps, o.service_p99_s];
+        last.span.write(s, figures.map(f64::to_bits), |s| {
+            s.lit(", \"total_s\": ");
+            s.fixed(o.total_s, 6);
+            s.lit(", \"throughput_eps\": ");
+            s.fixed(o.throughput_eps, 3);
+            s.lit(", \"service_rps\": ");
+            s.fixed(o.service_rps, 3);
+            s.lit(", \"service_p99_s\": ");
+            s.fixed(o.service_p99_s, 6);
+        });
         s.lit(", \"utilization\": ");
         s.fixed(self.utilization, 4);
         s.lit(", \"pareto\": ");
@@ -1919,7 +1983,7 @@ mod tests {
                 .collect(),
         };
         let per_block = layout.points.len();
-        let mut outcomes: Vec<PortfolioOutcome> = (0..2 * per_block)
+        let outcomes: Vec<PortfolioOutcome> = (0..2 * per_block)
             .map(|i| {
                 let (block, q) = (i / per_block, i % per_block);
                 let outcome = DseOutcome {
@@ -1952,7 +2016,19 @@ mod tests {
                 }
             })
             .collect();
-        let summaries = rank_portfolio(&platforms, &mut outcomes, &layout, &probe_of);
+        report_of(label, &platforms, outcomes, &layout, &probe_of)
+    }
+
+    /// The report of `rows` (laid out by `layout`, probed as `probe_of`
+    /// says), ranked by `rank_portfolio`.
+    fn report_of(
+        label: &str,
+        platforms: &[Platform],
+        mut outcomes: Vec<PortfolioOutcome>,
+        layout: &Layout,
+        probe_of: &[u32],
+    ) -> PortfolioReport {
+        let summaries = rank_portfolio(platforms, &mut outcomes, layout, probe_of);
         PortfolioReport {
             label: label.into(),
             evaluated: outcomes.len(),
@@ -2905,20 +2981,24 @@ mod tests {
         }
     }
 
+    /// 3 328 points, `k = 2` twice: 19 968 rows of a drawn portfolio.
+    fn large_grid() -> DseGrid {
+        DseGrid {
+            k: (1..=25).chain([2]).collect(),
+            batch: vec![1, 2, 4, 8],
+            sharing: vec![true, false],
+            decoupled: vec![true, false],
+            partition: vec![1, 2, 3, 4, 6, 8, 12, 16],
+        }
+    }
+
     /// [`rank_portfolio_equals_the_sorted_quadratic_definition`] on
     /// drawn portfolios of about 20 000 rows with few distinct service
     /// outcomes (CI runs it in release).
     #[test]
     #[ignore = "about 20 000 rows per portfolio; run with --release --include-ignored"]
     fn rank_portfolio_equals_the_definition_on_large_portfolios() {
-        // 3 328 points, `k = 2` twice.
-        let grid = DseGrid {
-            k: (1..=25).chain([2]).collect(),
-            batch: vec![1, 2, 4, 8],
-            sharing: vec![true, false],
-            decoupled: vec![true, false],
-            partition: vec![1, 2, 3, 4, 6, 8, 12, 16],
-        };
+        let grid = large_grid();
         for (seed, groups) in [(1, 4), (2, 50), (3, 359)] {
             let (platforms, rows, layout, probe_of) = drawn_portfolio(seed, &grid, groups, false);
             assert_eq!(rows.len(), 19_968);
@@ -2951,7 +3031,8 @@ mod tests {
         }
     }
 
-    /// The reservation is at most 5 % above the document.
+    /// The reservation is at most 5 % above the document, and it is the
+    /// header allowance plus every row's own full width.
     #[test]
     fn json_capacity_is_a_tight_upper_bound_on_a_4488_point_portfolio() {
         let portfolio = generated_portfolio(LABELS[2], 4_488);
@@ -2959,5 +3040,159 @@ mod tests {
         let json = portfolio.to_json();
         assert!(never_grew(&json, 4_488));
         assert!(json.capacity() as f64 <= 1.05 * json.len() as f64);
+        assert_eq!(json.capacity(), full_row_reservation(&portfolio));
+    }
+
+    /// What `to_json` reserves, summed row by row with nothing repeated:
+    /// the header allowance plus the [`json::width`] of every platform,
+    /// frontier and outcome row on its own.
+    fn full_row_reservation(report: &PortfolioReport) -> usize {
+        let platforms = (report.summaries.iter()).map(|p| json::width(|w| p.json_row(w, "},\n")));
+        let frontiers = FRONTIERS.iter().flat_map(|&(frontier, _)| {
+            (report.frontier(frontier))
+                .map(move |o| json::width(|w| o.frontier_row(w, frontier, "},\n")))
+        });
+        let rows = report.outcomes.iter().map(|o| {
+            json::width(|w| o.portfolio_row(&report.label, w, "},\n", &mut LastRow::default()))
+        });
+        HEADER_BYTES + platforms.sum::<usize>() + frontiers.sum::<usize>() + rows.sum::<usize>()
+    }
+
+    /// `to_json` of `report` is the `format!`-per-row reference, in the
+    /// full-row reservation; returns it.
+    fn assert_json_as_defined(report: &PortfolioReport, at: &str) -> String {
+        let json = report.to_json();
+        assert!(json == report.to_json_reference(), "{at}");
+        assert_eq!(json.capacity(), full_row_reservation(report), "{at}");
+        json
+    }
+
+    /// A drawn portfolio ([`drawn_portfolio`]) whose ranked rows repeat
+    /// each other's text in runs, with the cases a repeat could miss: the
+    /// clocks 200 and 100 MHz become `-0.0` and `0.0`, which compare
+    /// equal but print apart, and every seventh row's throughput differs
+    /// from the others', so that spans equal but for one figure meet.
+    fn json_portfolio(seed: u64, grid: &DseGrid, groups: usize, label: &str) -> PortfolioReport {
+        let (platforms, mut rows, mut layout, probe_of) =
+            drawn_portfolio(seed, grid, groups, seed % 3 == 2);
+        let signed = |clock: f64| match clock {
+            200.0 => -0.0,
+            100.0 => 0.0,
+            clock => clock,
+        };
+        for block in &mut layout.blocks {
+            block.1 = signed(block.1);
+        }
+        for (i, o) in rows.iter_mut().enumerate() {
+            o.clock_mhz = signed(o.clock_mhz);
+            o.outcome.throughput_eps = if i % 7 == 0 { 2.5 } else { 4_000.0 };
+        }
+        report_of(label, &platforms, rows, &layout, &probe_of)
+    }
+
+    /// Adjacent ranked rows whose keyed segments are (equal, equal but
+    /// for `-0.0` against `0.0` or one figure): how often a repeat is
+    /// taken, and how often a wrong key would take one.
+    fn runs(report: &PortfolioReport) -> [usize; 4] {
+        let span = |o: &PortfolioOutcome| {
+            let o = &o.outcome;
+            [o.total_s, o.throughput_eps, o.service_rps, o.service_p99_s].map(f64::to_bits)
+        };
+        let mut counts = [0; 4];
+        for pair in report.outcomes.windows(2) {
+            let [a, b] = [&pair[0], &pair[1]];
+            let same_place = a.platform == b.platform;
+            counts[0] += usize::from(same_place && a.clock_mhz.to_bits() == b.clock_mhz.to_bits());
+            counts[1] += usize::from(
+                same_place
+                    && a.clock_mhz.to_bits() != b.clock_mhz.to_bits()
+                    && a.clock_mhz == b.clock_mhz,
+            );
+            let (a, b) = (span(a), span(b));
+            counts[2] += usize::from(a == b);
+            counts[3] += usize::from((0..4).filter(|&i| a[i] != b[i]).count() == 1);
+        }
+        counts
+    }
+
+    /// Labels of the writer's edge cases: the generated ones, a clean
+    /// one longer than the row buffer and a long one that needs escaping.
+    fn json_labels() -> Vec<String> {
+        let long = "k".repeat(json::ROW + 1);
+        let mut labels: Vec<String> = LABELS.iter().map(|l| l.to_string()).collect();
+        labels.extend([long.clone(), format!("{long}\"{long}")]);
+        labels
+    }
+
+    /// `to_json`, which repeats a row's prefix and service span where
+    /// the previous row printed the same, is the `format!`-per-row
+    /// reference: on drawn portfolios with long runs (one probe group)
+    /// to short ones, NaNs, `±0.0`, `∞` and unprobed rows, under every
+    /// edge-case label, and on helmholtz:11's dense and simstep:7's
+    /// default catalog sweeps at 1 and 4 jobs.
+    #[test]
+    fn portfolio_json_equals_the_format_reference() {
+        let mut counts = [0; 4];
+        for (i, label) in json_labels().iter().enumerate() {
+            for seed in 0..12 {
+                let groups = [1, 2, 3, 8, 40][seed as usize % 5];
+                let report =
+                    json_portfolio(seed + 100 * i as u64, &repeating_grid(), groups, label);
+                let at = format!("label {i}, seed {seed}");
+                assert_json_as_defined(&report, &at);
+                for (count, n) in counts.iter_mut().zip(runs(&report)) {
+                    *count += n;
+                }
+            }
+        }
+        assert!(counts.iter().all(|&n| n > 1_000), "{counts:?}");
+        let catalog = Platform::catalog();
+        let sources = [
+            (cfdlang::examples::inverse_helmholtz(11), dense_grid()),
+            (cfdlang::examples::simulation_step(7), DseGrid::default()),
+        ];
+        for (src, grid) in sources {
+            let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
+            for jobs in [1, 4] {
+                let report = engine.run_portfolio(&catalog, &grid, jobs, 2_000);
+                let json =
+                    assert_json_as_defined(&report, &format!("{} jobs={jobs}", report.label));
+                runtime::json::validate(&json).unwrap();
+            }
+        }
+    }
+
+    /// [`portfolio_json_equals_the_format_reference`] on drawn portfolios
+    /// of about 20 000 rows (CI runs it in release).
+    #[test]
+    #[ignore = "about 20 000 rows per portfolio; run with --release --include-ignored"]
+    fn portfolio_json_equals_the_reference_on_large_portfolios() {
+        let grid = large_grid();
+        for (seed, groups) in [(1, 4), (2, 50), (3, 359)] {
+            let report = json_portfolio(seed, &grid, groups, LABELS[1]);
+            assert_eq!(report.evaluated, 19_968);
+            assert_json_as_defined(&report, &format!("seed {seed}"));
+        }
+    }
+
+    /// A one-board sweep's table says "1 platform"; a catalog's counts
+    /// its platforms.
+    #[test]
+    fn a_one_board_table_names_one_platform() {
+        let src = cfdlang::examples::inverse_helmholtz(4);
+        let engine = DseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
+        let board = Platform {
+            clock_ladder_mhz: vec![200.0],
+            ..Platform::zcu106()
+        };
+        let header = |platforms: &[Platform]| {
+            let report = engine.run_portfolio(platforms, &repeating_grid(), 1, 1_000);
+            let table = report.render_table();
+            table.lines().next().unwrap().to_string()
+        };
+        assert!(header(&[board]).starts_with("portfolio: 1 platform, 32 combinations ("));
+        let catalog = Platform::catalog();
+        let many = format!("portfolio: {} platforms, ", catalog.len());
+        assert!(header(&catalog).starts_with(&many));
     }
 }

@@ -15,12 +15,23 @@
 //! board names, fault-plan labels and kernel names flow into the
 //! output, so a quote or backslash in a label would otherwise emit
 //! invalid JSON) and [`Sink::secs6`] times. Run on a [`Line`], the
-//! definition writes the row into a 256-byte stack buffer that reaches
-//! the document in one `push_str`; run on a [`Width`], it adds up an
-//! upper bound on the same row's bytes, which `to_json` reserves. So
-//! one definition sizes and writes its row, and the two cannot drift
-//! apart. Digits come from a two-digit table; nothing on the row path
-//! allocates.
+//! definition writes the row into a [`ROW`]-byte stack buffer that
+//! reaches the document in one `push_str` (512 bytes: a portfolio row
+//! is about 420); run on a [`Width`], it adds up an upper bound on the
+//! same row's bytes, which `to_json` reserves. So one definition sizes
+//! and writes its row, and the two cannot drift apart. Digits come from
+//! a two-digit table; nothing on the row path allocates.
+//!
+//! A row may also repeat text an earlier row wrote. [`Sink::mark`] is
+//! where the next append lands — a `Line`'s position in the document, a
+//! `Width`'s count so far — so two marks taken around some appends
+//! bound what they appended, and [`Sink::repeat`] appends it again: a
+//! `Line` copies those bytes of the document into its buffer (one
+//! `memcpy` instead of the appends, flushing first when they are not in
+//! the document yet), a `Width` adds their count. A `Line` declines a
+//! range longer than its buffer, and the row then makes the appends
+//! afresh. Ranges are the same whether or not the appends spilled, since
+//! a spill only moves bytes to the document earlier.
 //!
 //! `secs6` is how a service report's per-request times reach the
 //! document. The report keeps every request once, as integer
@@ -37,12 +48,13 @@
 //! under hostile labels.
 
 use std::fmt::Write;
+use std::ops::Range;
 
 use zynq::des::to_secs;
 
 /// Bytes a [`Line`] collects on the stack between two appends to the
 /// document.
-const ROW: usize = 256;
+pub const ROW: usize = 512;
 
 /// The typed appends a row is made of, in the order they print.
 pub trait Sink {
@@ -59,12 +71,20 @@ pub trait Sink {
     fn secs6(&mut self, ticks: u64);
     /// `s` escaped for a JSON string literal, as [`push_escaped`] does.
     fn str(&mut self, s: &str);
+    /// Where the next append lands (see the module doc).
+    fn mark(&self) -> usize;
+    /// Append again what was appended between the marks `from..to`
+    /// taken earlier on this sink, and return `true`; or append nothing
+    /// and return `false`, which a [`Line`] does for a range longer than
+    /// [`ROW`].
+    fn repeat(&mut self, from_to: Range<usize>) -> bool;
 }
 
 /// The [`Sink`] that writes: appends collect in a stack buffer, and
 /// [`Line::flush`] — once per row, or when the buffer is full — appends
-/// them to the document. The buffer only ever holds whole `&str`s and
-/// ASCII, so its bytes are UTF-8 whenever they are flushed.
+/// them to the document. The buffer only ever holds whole `&str`s, ASCII
+/// and repeats of what appends between two marks wrote, so its bytes
+/// are UTF-8 whenever they are flushed.
 pub struct Line<'a> {
     out: &'a mut String,
     buf: [u8; ROW],
@@ -263,6 +283,25 @@ impl Sink for Line<'_> {
             self.spill_str(s, true);
         }
     }
+
+    #[inline(always)]
+    fn mark(&self) -> usize {
+        self.out.len() + self.len
+    }
+
+    #[inline]
+    fn repeat(&mut self, from_to: Range<usize>) -> bool {
+        let n = from_to.len();
+        if n > ROW {
+            return false;
+        }
+        if from_to.end > self.out.len() || self.len + n > ROW {
+            self.spill();
+        }
+        self.buf[self.len..self.len + n].copy_from_slice(&self.out.as_bytes()[from_to]);
+        self.len += n;
+        true
+    }
 }
 
 /// The [`Sink`] that counts: an upper bound on the bytes a [`Line`]
@@ -308,6 +347,17 @@ impl Sink for Width {
     #[inline]
     fn str(&mut self, s: &str) {
         self.0 += escaped_len(s);
+    }
+
+    #[inline]
+    fn mark(&self) -> usize {
+        self.0
+    }
+
+    #[inline]
+    fn repeat(&mut self, from_to: Range<usize>) -> bool {
+        self.0 += from_to.len();
+        true
     }
 }
 
@@ -773,6 +823,87 @@ mod tests {
             }
         }
         assert!(got == want, "a line diverged");
+    }
+
+    /// A `Line` that repeats a range of marks prints what making the
+    /// range's appends afresh prints, and a `Width` counts the same: on
+    /// ranges that hold a spilled escape, `core::fmt` float or long
+    /// literal, on copies that cross the buffer's end, on ranges not yet
+    /// flushed and on ranges longer than the buffer, which a `Line`
+    /// declines.
+    #[test]
+    fn a_repeat_prints_what_its_appends_print() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn pick(rng: &mut StdRng, n: usize) -> usize {
+            (rng.next_u64() % n as u64) as usize
+        }
+
+        fn segment<S: Sink>(s: &mut S, [a, b]: [u64; 2], pads: &[String; 4]) {
+            s.lit(", \"id\": ");
+            s.int(a);
+            s.lit(", \"name\": \"");
+            s.str(["zcu106", "a\"b\\c\n\u{1}", "é"][(a % 3) as usize]);
+            s.lit("\", \"slack\": ");
+            // Negative, and so printed by `core::fmt`, every fourth one.
+            s.fixed(if a % 4 == 0 { -(b as f64) } else { to_secs(b) }, 3);
+            s.lit(&pads[(b % 4) as usize]);
+        }
+
+        let pads = [0, ROW / 3, ROW - 40, ROW + 1].map(|n| "y".repeat(n));
+        let mut rng = StdRng::seed_from_u64(0x0600_0123);
+        let (mut got, mut want) = (String::new(), String::new());
+        let (mut line, mut fresh) = (Line::new(&mut got), Line::new(&mut want));
+        let (mut width, mut fresh_width) = (Width::default(), Width::default());
+        // Whether making a segment goes straight to the document: an
+        // escaped label, a negative float or the longest pad.
+        let spills = |[a, b]: [u64; 2]| a % 3 == 1 || a % 4 == 0 || b % 4 == 3;
+        // Recent segments: their values and marks on `line` and `width`.
+        let mut made: Vec<([u64; 2], Range<usize>, Range<usize>)> = Vec::new();
+        // Repeats of a spilled segment, across the buffer's end, of an
+        // unflushed range, and declined.
+        let mut seen = [0; 4];
+        for _ in 0..20_000 {
+            for _ in 0..1 + pick(&mut rng, 3) {
+                let repeat = !made.is_empty() && pick(&mut rng, 5) < 3;
+                let values = if repeat {
+                    // The last one, often in this row, a third of the time.
+                    let back = [0, pick(&mut rng, made.len())][pick(&mut rng, 3).min(1)];
+                    let (values, at, width_at) = made[made.len() - 1 - back].clone();
+                    seen[0] += usize::from(spills(values));
+                    seen[1] += usize::from(line.len + at.len() > ROW);
+                    seen[2] += usize::from(at.end > line.out.len());
+                    let repeated = line.repeat(at.clone());
+                    assert_eq!(repeated, at.len() <= ROW);
+                    if !repeated {
+                        seen[3] += 1;
+                        segment(&mut line, values, &pads);
+                    }
+                    assert!(width.repeat(width_at));
+                    values
+                } else {
+                    let values = [rng.next_u64() >> pick(&mut rng, 64), rng.next_u64() >> 20];
+                    let (start, width_start) = (line.mark(), width.mark());
+                    segment(&mut line, values, &pads);
+                    segment(&mut width, values, &pads);
+                    made.push((values, start..line.mark(), width_start..width.mark()));
+                    values
+                };
+                segment(&mut fresh, values, &pads);
+                segment(&mut fresh_width, values, &pads);
+            }
+            line.lit("\n");
+            fresh.lit("\n");
+            line.flush();
+            fresh.flush();
+            if made.len() > 64 {
+                made.drain(..32);
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 500), "{seen:?}");
+        assert_eq!(width.0, fresh_width.0);
+        assert!(got == want, "a repeat diverged");
     }
 
     #[test]
