@@ -51,8 +51,9 @@
 //! report's `label`, a board's display name is its
 //! [`PlatformSummary`]'s, and its id is the catalog's `&'static str`.
 //! A row pays for Eq. (3) and its priced round, allocates nothing and
-//! reads no clock: the round is priced once, as three tick sums
-//! ([`RoundTicks`]), not collected per stage.
+//! reads no clock: the round is priced once, by the one round price
+//! ([`RoundPricer`]) into three tick sums ([`RoundTicks`]), not
+//! collected per stage.
 //!
 //! **Probes.** The service probe reads only a round's input, summed
 //! execution and output ticks, `k` and `m` (its key). A sweep scores
@@ -105,20 +106,25 @@
 //! ([`Backend`](crate::pipeline::Backend) carries none) — but
 //! its feasibility and totals come from `sysgen::Totals::fit`, the
 //! function `SystemDesign::build` and `MultiSystemDesign::build` decide
-//! with; its simulated time from [`RoundTicks::price`], the sum of what
-//! `zynq::ProgramRound::price` charges per stage, with which
-//! `simulate_hw`, `simulate_program` and `program_round` price their
-//! rounds (the serial total is a checked product: a row past the `u64`
-//! clock reads infinite, and the report counts it in
-//! `ticks_overflows`); and its service figures from the stream
+//! with; its simulated time from the one round price,
+//! [`zynq::RoundPricer`], with which `simulate_hw`, `simulate_program`
+//! and `program_round` price their rounds and the replication search
+//! (`sysgen::best_program_config`) its candidates (the serial total is
+//! a checked product: a row past the `u64` clock reads infinite, and
+//! the report counts it in `ticks_overflows`); and its service figures
+//! from the stream
 //! scheduler's clean fold on a round of those ticks, reporting to a
 //! summary sink that keeps two numbers
 //! ([`zynq::summarize_round_stream`]).
+//! `score` takes one `k_i` per stage, as the search does; a grid row
+//! is uniform, `point.k` for every stage.
 //! `score_equals_build_simulate_and_probe` holds the invariant bit for
 //! bit over every catalog platform, ladder clock and point of a
-//! kernel's and a program's sweeps, infeasible rows included, and
-//! `portfolio_rows_equal_the_per_slot_definition` holds every row's
-//! shared probe to a probe of its own per-stage round.
+//! kernel's and a program's sweeps, infeasible rows included;
+//! `score_prices_compiles_own_pick` holds the score of compile's own
+//! per-stage pick to its built design on every builtin × catalog
+//! board; and `portfolio_rows_equal_the_per_slot_definition` holds
+//! every row's shared probe to a probe of its own round.
 //!
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
@@ -151,6 +157,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::iter::repeat_n;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -159,10 +166,10 @@ use std::time::Instant;
 use hls::HlsOptions;
 use mnemosyne::MemorySubsystem;
 use runtime::json::{self, row_end, Line, Sink};
-use sysgen::{Platform, SystemConfig, Totals};
+use sysgen::{Platform, RoundCost, RoundTicks, SystemConfig, Totals};
 use teil::TensorKind;
 use zynq::des::to_secs;
-use zynq::{fan_out, resolve_jobs, RoundTicks, SimConfig};
+use zynq::{fan_out, resolve_jobs, RoundPricer, SimConfig};
 
 use crate::cache::{CacheCounters, CompileCache};
 use crate::pipeline::{Pipeline, Scheduled};
@@ -328,7 +335,7 @@ pub const SERVICE_PROBE_REQUESTS: usize = 64;
 /// reports (`service_probe_reads_what_serve_reports`), so the ones
 /// `cfdc serve` would print for the same design. The design enters as
 /// what the scheduler reads of it: its round's `(t_in, exec, t_out)`
-/// ticks under the default [`SimConfig`] ([`zynq::ProgramRound::ticks`]),
+/// ticks under the default [`SimConfig`] ([`RoundTicks::ticks`]),
 /// `ks` and `m`.
 fn service_probe(ticks: (u64, u64, u64), ks: &[usize], m: usize) -> (f64, f64) {
     // Everything arrives at tick 0: a request's latency is the tick it
@@ -420,34 +427,18 @@ const HEADER_BYTES: usize = 2_048;
 /// score through the same parts.
 struct ScoreParts<'a> {
     stages: Vec<&'a hls::HlsReport>,
-    /// `latency_seconds()` of each stage.
-    kernel_s: Vec<f64>,
     memory: &'a MemorySubsystem,
     bytes_in_per_element: usize,
     bytes_out_per_element: usize,
 }
 
 impl<'a> ScoreParts<'a> {
-    /// The round of `k` accelerators per stage over `m` PLM sets on
-    /// `platform`, priced as the simulators price it.
-    fn round(&self, platform: &Platform, k: usize, m: usize) -> RoundTicks {
-        RoundTicks::price(
-            &platform.dma,
-            &SimConfig::default(),
-            self.kernel_s.iter().map(|&s| (k, s)),
-            m,
-            self.bytes_in_per_element,
-            self.bytes_out_per_element,
-        )
-    }
-
     fn new(
         stages: Vec<&'a hls::HlsReport>,
         memory: &'a MemorySubsystem,
         bytes: (usize, usize),
     ) -> Self {
         ScoreParts {
-            kernel_s: stages.iter().map(|r| r.latency_seconds()).collect(),
             stages,
             memory,
             bytes_in_per_element: bytes.0,
@@ -496,26 +487,33 @@ impl Pieces {
     }
 }
 
-/// Score `k` accelerators per stage over `m` PLM sets of `parts` on
-/// `platform` without building the design: `None` when Eq. (3) rejects
-/// it (or `(k, m)` is not a valid replication), else the totals and the
-/// priced round — from the functions the system builders and
-/// simulators themselves call ([`Totals::fit`], and
-/// [`RoundTicks::price`], which sums what [`zynq::ProgramRound::price`]
-/// prices per stage).
+/// Score `ks` accelerators per stage (one `k_i` per stage, in chain
+/// order) over `m` PLM sets of `parts` on `platform` without building
+/// the design: `None` when Eq. (3) rejects it (or some `(k_i, m)` is
+/// not a valid replication), else the totals and the priced round. It
+/// makes the calls the replication search makes
+/// (`sysgen::best_program_config`), on the same `(k_i, report)` banks:
+/// [`Totals::fit`], which the system builders decide with, and the one
+/// round price, [`RoundPricer`], which the simulators price with.
 fn score(
     parts: &ScoreParts<'_>,
     platform: &Platform,
-    k: usize,
+    ks: impl Iterator<Item = usize> + Clone,
     m: usize,
 ) -> Option<(Totals, RoundTicks)> {
-    if !(SystemConfig { k, m }).valid() {
+    if !ks.clone().all(|k| (SystemConfig { k, m }).valid()) {
         return None;
     }
-    let stages = parts.stages.iter().map(|&report| (k, report));
-    let totals = Totals::fit(platform, stages, parts.memory, m)?;
-    // Uniform replication: one `k` speaks for every stage.
-    Some((totals, parts.round(platform, k, m)))
+    let banks = ks.zip(parts.stages.iter().copied());
+    let totals = Totals::fit(platform, banks.clone(), parts.memory, m)?;
+    let sim = SimConfig::default();
+    let cost = RoundPricer {
+        dma: &platform.dma,
+        cfg: &sim,
+        bytes_in_per_element: parts.bytes_in_per_element,
+        bytes_out_per_element: parts.bytes_out_per_element,
+    };
+    Some((totals, cost.round(banks, m)))
 }
 
 /// The sweep row of `point` on `parts` given its [`score`]: zeros when
@@ -792,7 +790,9 @@ impl DseEngine {
         };
         let scores = fan_out(jobs, combos, |i| {
             let (platform, _, parts, point) = combo(i);
-            score(parts, platform, point.k, point.m)
+            // A grid row is uniform: `point.k` for every stage.
+            let ks = repeat_n(point.k, parts.stages.len());
+            score(parts, platform, ks, point.m)
         });
 
         // Row `i` reads probe `probe_of[i]`, none when it does not fit.
@@ -1701,7 +1701,6 @@ mod tests {
     use crate::pipeline::Backend;
     use crate::program::ProgramBuild;
     use crate::FlowOptions;
-    use zynq::ProgramRound;
 
     /// A backend slot as the sweep assembled it before it shared
     /// pieces: every kernel's whole backend, plus the merged program
@@ -2167,42 +2166,21 @@ mod tests {
         }
     }
 
-    /// The [`outcome`] of `point` on its own [`score`].
-    fn scored_outcome(
-        parts: &ScoreParts<'_>,
-        platform: &Platform,
-        point: &DsePoint,
-        elements: usize,
-    ) -> DseOutcome {
-        outcome(
-            parts,
-            point,
-            score(parts, platform, point.k, point.m),
-            elements,
-        )
-    }
-
     /// A row as the sweep scored it before it shared its probes: the
     /// [`outcome`] of the point, and when it fits, the service probe of
-    /// its own round, priced stage by stage by [`ProgramRound::price`].
+    /// its own round as [`score`] priced it.
     fn outcome_probed(
         parts: &ScoreParts<'_>,
         platform: &Platform,
         point: &DsePoint,
         elements: usize,
     ) -> DseOutcome {
-        let mut row = scored_outcome(parts, platform, point, elements);
-        if row.feasible {
-            let (k, m) = (point.k, point.m);
-            let round = ProgramRound::price(
-                &platform.dma,
-                &SimConfig::default(),
-                parts.kernel_s.iter().map(|&s| (k, s)),
-                m,
-                parts.bytes_in_per_element,
-                parts.bytes_out_per_element,
-            );
-            (row.service_rps, row.service_p99_s) = service_probe(round.ticks(), &[k], m);
+        let ks = repeat_n(point.k, parts.stages.len());
+        let scored = score(parts, platform, ks, point.m);
+        let mut row = outcome(parts, point, scored, elements);
+        if let Some((_, round)) = scored {
+            (row.service_rps, row.service_p99_s) =
+                service_probe(round.ticks(), &[point.k], point.m);
         }
         row
     }
@@ -2415,6 +2393,84 @@ mod tests {
         assert!(fit > 100 && unfit > 10, "{fit} fit, {unfit} do not");
     }
 
+    /// The sweep prices the design compile picks: for every builtin
+    /// program × catalog board at the board's default clock, the
+    /// [`score`] of compile's pick `(ks, m)` on the slot of the flow's
+    /// own backend options is the built design bit for bit — its
+    /// totals, its `simulate_program` time and its service probe — and
+    /// some pick gives its stages different `k`s (simstep:7 on the
+    /// zcu102 picks `k=[32,16,32] m=32`).
+    #[test]
+    fn score_prices_compiles_own_pick() {
+        use cfdlang::examples as ex;
+        const ELEMENTS: usize = 2_000;
+        let sim = SimConfig {
+            elements: ELEMENTS,
+            ..SimConfig::default()
+        };
+        let sources = [
+            ex::inverse_helmholtz(4),
+            ex::inverse_helmholtz(7),
+            ex::inverse_helmholtz(11),
+            ex::simulation_step(7),
+            ex::simulation_step(11),
+            ex::interpolation(8, 12),
+            ex::matrix_sandwich(8),
+            ex::axpy(8),
+            ex::axpy_chain(8),
+        ];
+        let (mut picks, mut per_stage) = (0, Vec::new());
+        for src in &sources {
+            for platform in Platform::catalog() {
+                let options = ProgramOptions {
+                    flow: FlowOptions::for_platform(platform.clone()),
+                    ..Default::default()
+                };
+                let art = crate::program::ProgramFlow::compile(src, &options).unwrap();
+                let engine = DseEngine::prepare(src, &options).unwrap();
+                let Some(design) = &art.system else {
+                    continue;
+                };
+                let point = DsePoint {
+                    k: 1,
+                    m: 1,
+                    sharing: options.flow.memory.sharing,
+                    decoupled: options.flow.decoupled,
+                    partition: 1,
+                };
+                let slot = engine.parts(platform.default_clock_mhz, &point);
+                let cfg = &design.config;
+                let at = format!("{} on {}: {cfg:?}", engine.label(), platform.id);
+                let (totals, round) =
+                    score(&slot.parts(), &platform, cfg.ks.iter().copied(), cfg.m)
+                        .unwrap_or_else(|| panic!("{at}: compile's pick does not score"));
+                assert_eq!(
+                    (totals.luts, totals.ffs, totals.dsps, totals.brams),
+                    (design.luts, design.ffs, design.dsps, design.brams),
+                    "{at}"
+                );
+                let total_s = round
+                    .serial_ticks(cfg.m, ELEMENTS)
+                    .map_or(f64::INFINITY, to_secs);
+                let simulated = zynq::simulate_program(design, &sim).total_s;
+                assert_eq!(total_s.to_bits(), simulated.to_bits(), "{at}");
+                let (rps, p99_s) = service_probe(round.ticks(), &cfg.ks, cfg.m);
+                let (want_rps, want_p99_s) = probe_of(design);
+                assert_eq!(
+                    (rps.to_bits(), p99_s.to_bits()),
+                    (want_rps.to_bits(), want_p99_s.to_bits()),
+                    "{at}"
+                );
+                picks += 1;
+                if cfg.ks.iter().any(|&k| k != cfg.ks[0]) {
+                    per_stage.push(at);
+                }
+            }
+        }
+        assert!(picks >= 40, "only {picks} picks fit");
+        assert!(!per_stage.is_empty(), "every pick is uniform");
+    }
+
     /// The one-kernel shortcut: a one-kernel slot scores through its
     /// backend's own memory and byte interface, and those are what the
     /// merged one-kernel program would have — for every builtin kernel,
@@ -2455,7 +2511,11 @@ mod tests {
                     let program = ScoreParts::of_program(&build);
                     let view = |p: &ScoreParts| {
                         let latency: Vec<u64> = p.stages.iter().map(|r| r.latency_cycles).collect();
-                        let kernel_s: Vec<u64> = p.kernel_s.iter().map(|s| s.to_bits()).collect();
+                        let kernel_s: Vec<u64> = p
+                            .stages
+                            .iter()
+                            .map(|r| r.latency_seconds().to_bits())
+                            .collect();
                         let bytes = (p.bytes_in_per_element, p.bytes_out_per_element);
                         (latency, kernel_s, p.memory.brams, bytes)
                     };
@@ -2486,7 +2546,7 @@ mod tests {
             };
             let base = &engine.base.flow;
             let slot = engine.parts(base.hls.clock_mhz, &point);
-            let row = scored_outcome(&slot.parts(), &base.platform, &point, 100);
+            let row = outcome_probed(&slot.parts(), &base.platform, &point, 100);
             assert!(
                 !row.feasible && row.total_s == 0.0 && row.plm_brams > 0,
                 "k={k} m={m}"

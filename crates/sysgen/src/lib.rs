@@ -16,8 +16,8 @@
 //!   `zynq::arm`'s cost functions read directly.
 //! * **[`DmaSpec`]** — the host↔PL transfer fabric: effective
 //!   bandwidth and fixed per-burst setup latency
-//!   ([`DmaSpec::transfer_bursts_s`]), which `zynq::ProgramRound::price`
-//!   charges per round.
+//!   ([`DmaSpec::transfer_bursts_s`]), which `zynq::RoundPricer`, the
+//!   one [`RoundCost`], charges per round.
 //! * **clock ladder** — the fabric clocks the part realistically
 //!   closes timing at ([`Platform::clock_ladder_mhz`]), with
 //!   [`Platform::default_clock_mhz`] as the plain-compile choice. The
@@ -48,7 +48,9 @@
 //!   rung by rung of `m`, of every `ks` on the ladder `1, 2, …, 64` with
 //!   `m = max k_i`, minimising
 //!   a round's ticks per element as the simulator prices them
-//!   ([`RoundCost`]), starting from the largest uniform `k = m` that
+//!   ([`RoundCost::round`], whose one implementation, `zynq::RoundPricer`,
+//!   also prices the simulators' and the design-space sweep's rounds),
+//!   starting from the largest uniform `k = m` that
 //!   [`Totals::fit`] admits ([`max_equal_program_config`]) and leaving
 //!   it only for a strictly cheaper design. A single kernel keeps its
 //!   uniform pick; a program's slow stages get more accelerators than
@@ -98,5 +100,7 @@ pub use multi::{
 };
 pub use netlist::emit_system_verilog;
 pub use platform::{DmaSpec, HostCpuModel, Platform};
-pub use replicate::{best_program_config, next_doubling, Doubling, RoundCost, SEARCH_CAP};
+pub use replicate::{
+    best_program_config, next_doubling, Doubling, RoundCost, RoundTicks, SEARCH_CAP,
+};
 pub use system::{max_equal_config, IntegrationModel, SystemConfig, SystemDesign, Totals};

@@ -196,6 +196,13 @@ impl MultiSystemDesign {
         })
     }
 
+    /// Each stage's replication and HLS report: the banks
+    /// [`Totals::fit`] and [`RoundCost::round`](crate::RoundCost::round)
+    /// read.
+    pub fn banks(&self) -> impl Iterator<Item = (usize, &HlsReport)> + Clone {
+        (self.config.ks.iter().zip(&self.stages)).map(|(&k, s)| (k, &s.kernel))
+    }
+
     /// View a single-kernel design as the equivalent one-stage program
     /// system: same replication, same resource totals, same external
     /// byte interface, no handoffs. The flow builds the one-stage program

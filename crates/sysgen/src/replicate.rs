@@ -40,11 +40,13 @@
 //! `simulation_step(3)` on the zcu102 it stops at `[16, 32, 16]`, while
 //! `[32, 16, 32]` is cheaper.
 //!
-//! The search prices through [`RoundCost`], which `zynq::RoundPricer`
-//! implements with the tick formulas `zynq::ProgramRound::price` charges,
-//! so the search and the simulator agree by construction. It decodes
-//! each design's `ks` once, into a stack array, and allocates only the
-//! `ks` it returns (and one scratch `ks` past 16 stages).
+//! The search prices each design's whole round through
+//! [`RoundCost::round`], whose one implementation, `zynq::RoundPricer`,
+//! is the price `zynq::program_round` gives the simulators and
+//! `cfd_core::dse::score` gives the sweep, so the search, the simulator
+//! and the sweep agree by construction. It decodes each design's `ks`
+//! once, into a stack array, and allocates only the `ks` it returns (and
+//! one scratch `ks` past 16 stages).
 //!
 //! [`next_doubling`] explains a design after the fact: for each stage,
 //! what stops its next doubling.
@@ -64,29 +66,61 @@ use mnemosyne::MemorySubsystem;
 /// three stages have at most 7³ = 343.
 pub const SEARCH_CAP: usize = 1 << 16;
 
-/// The price of a main-loop round in simulator ticks, as the replication
-/// search reads it. At a fixed `m`, [`RoundCost::stage`] must not rise
-/// as `k` rises: the search's rung skip relies on it.
-pub trait RoundCost {
-    /// Ticks of one stage per round: `k` accelerators of `kernel_s`
-    /// seconds each over `m` PLM sets. `None` past the `u64` clock.
-    fn stage(&self, k: usize, kernel_s: f64, m: usize) -> Option<u64>;
-
-    /// Ticks of one round's external input and output transfers of `m`
-    /// elements. `None` past the `u64` clock.
-    fn transfers(&self, m: usize) -> Option<u64>;
+/// One main-loop round in simulator ticks, as [`RoundCost::round`]
+/// prices it: the external input transfer, the stages' summed
+/// execution and the external output transfer — all that a schedule
+/// reads of a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RoundTicks {
+    /// External-input DMA ticks (`m` elements, one burst per PLM set).
+    pub t_in: u64,
+    /// Kernel-execution ticks of the chained stages (`m/k_i` serial
+    /// batches each), or `None` when their sum passes the `u64` clock.
+    pub exec: Option<u64>,
+    /// External-output DMA ticks.
+    pub t_out: u64,
 }
 
-/// The round ticks of `banks` (replication and HLS report of each stage)
-/// over `m` PLM sets, or `None` past the `u64` clock.
-pub fn round_ticks<'a>(
-    cost: &impl RoundCost,
-    banks: impl IntoIterator<Item = (usize, &'a HlsReport)>,
-    m: usize,
-) -> Option<u64> {
-    (banks.into_iter()).try_fold(cost.transfers(m)?, |t, (k, kernel)| {
-        t.checked_add(cost.stage(k, kernel.latency_seconds(), m)?)
-    })
+impl RoundTicks {
+    /// `t_in + exec + t_out`, or `None` past the `u64` clock.
+    pub fn checked_total(&self) -> Option<u64> {
+        (self.t_in.checked_add(self.t_out)?).checked_add(self.exec?)
+    }
+
+    /// [`RoundTicks::checked_total`] as a bare tick count.
+    pub fn total(&self) -> u64 {
+        // A round past the clock lasts until its last tick.
+        self.checked_total().unwrap_or(u64::MAX)
+    }
+
+    /// The round's `(t_in, exec, t_out)` ticks, as the stream scheduler
+    /// takes them.
+    pub fn ticks(&self) -> (u64, u64, u64) {
+        // Stages past the clock execute until its last tick.
+        (self.t_in, self.exec.unwrap_or(u64::MAX), self.t_out)
+    }
+
+    /// End-to-end ticks of the serial schedule over `elements`
+    /// elements: `⌈elements / m⌉` identical rounds (the final partial
+    /// batch still costs a full round). `None` when a round or the run
+    /// does not fit the `u64` clock.
+    pub fn serial_ticks(&self, m: usize, elements: usize) -> Option<u64> {
+        (self.checked_total()?).checked_mul(elements.div_ceil(m) as u64)
+    }
+}
+
+/// The price of a main-loop round in simulator ticks, as the replication
+/// search and the design-space sweep read it. At a fixed `m`, a round
+/// must not cost more when a stage's `k` rises: the search's rung skip
+/// relies on it.
+pub trait RoundCost {
+    /// The round of `banks` (replication and HLS report of each stage,
+    /// the banks [`Totals::fit`] takes) over `m` PLM sets.
+    fn round<'a>(
+        &self,
+        banks: impl IntoIterator<Item = (usize, &'a HlsReport)>,
+        m: usize,
+    ) -> RoundTicks;
 }
 
 /// Whether `t_a` ticks per round of `m_a` elements cost less per element
@@ -121,9 +155,8 @@ pub(crate) fn search(
     };
     // With no stage, or an incumbent past the clock (which the simulator
     // reports), the uniform pick stands.
-    let Some(mut t_best) =
-        round_ticks(cost, banks(best.ks.iter().copied(), stages), k).filter(|_| !stages.is_empty())
-    else {
+    let incumbent = cost.round(banks(best.ks.iter().copied(), stages), k);
+    let Some(mut t_best) = incumbent.checked_total().filter(|_| !stages.is_empty()) else {
         return Some((best, 0));
     };
     // The incumbent enters with `Σ k = 0`, so a tie never replaces it.
@@ -145,7 +178,7 @@ pub(crate) fn search(
         // of them fits if every stage at `k = 1` does not, and none costs
         // less than every stage at `k = m` or has `Σ k` below `m + n - 1`.
         let least = Totals::fit(platform, banks(repeat_n(1, n), stages), memory, m);
-        let fastest = round_ticks(cost, banks(repeat_n(m, n), stages), m);
+        let fastest = cost.round(banks(repeat_n(m, n), stages), m).checked_total();
         let open = |&t: &u64| {
             cheaper(t, m, t_best, best.m)
                 || (!cheaper(t_best, best.m, t, m) && m + n - 1 <= sum_best)
@@ -163,8 +196,9 @@ pub(crate) fn search(
                 return Some((best, designs));
             }
             designs += 1;
-            let t = Totals::fit(platform, banks(ks.iter().copied(), stages), memory, m)
-                .and_then(|_| round_ticks(cost, banks(ks.iter().copied(), stages), m));
+            let fits = Totals::fit(platform, banks(ks.iter().copied(), stages), memory, m);
+            let round = |_| cost.round(banks(ks.iter().copied(), stages), m);
+            let t = fits.map(round).and_then(|round| round.checked_total());
             let sum: usize = ks.iter().sum();
             let wins = |&t: &u64| {
                 let first = sum < sum_best || (sum == sum_best && *ks < *best.ks);
@@ -248,15 +282,8 @@ pub fn next_doubling(design: &MultiSystemDesign, stage: usize, cost: &impl Round
     if !over.is_empty() {
         return Doubling::Exceeds(over);
     }
-    let now = round_ticks(
-        cost,
-        cfg.ks
-            .iter()
-            .zip(&design.stages)
-            .map(|(&k, s)| (k, &s.kernel)),
-        cfg.m,
-    );
-    match (now, round_ticks(cost, doubled(), m)) {
+    let now = cost.round(design.banks(), cfg.m).checked_total();
+    match (now, cost.round(doubled(), m).checked_total()) {
         (Some(a), Some(b)) if cheaper(b, m, a, cfg.m) => Doubling::Gains,
         (None, Some(_)) => Doubling::Gains,
         _ => Doubling::NoGain,
@@ -274,14 +301,21 @@ mod tests {
     struct Shaped;
 
     impl RoundCost for Shaped {
-        fn stage(&self, k: usize, kernel_s: f64, m: usize) -> Option<u64> {
-            let batch =
-                (2_500_000u64.checked_mul(k as u64)?).checked_add((kernel_s * 1e12) as u64)?;
-            batch.checked_mul((m / k) as u64)
-        }
-
-        fn transfers(&self, m: usize) -> Option<u64> {
-            9_000_000u64.checked_mul(m as u64)
+        fn round<'a>(
+            &self,
+            banks: impl IntoIterator<Item = (usize, &'a HlsReport)>,
+            m: usize,
+        ) -> RoundTicks {
+            let exec = (banks.into_iter()).try_fold(0, |t: u64, (k, kernel)| {
+                let kernel_ticks = (kernel.latency_seconds() * 1e12) as u64;
+                let batch = (2_500_000u64.checked_mul(k as u64)?).checked_add(kernel_ticks)?;
+                t.checked_add(batch.checked_mul((m / k) as u64)?)
+            });
+            RoundTicks {
+                t_in: 9_000_000 * m as u64,
+                exec,
+                t_out: 0,
+            }
         }
     }
 
@@ -323,7 +357,7 @@ mod tests {
     }
 
     fn price(stages: &[(String, HlsReport)], cfg: &ProgramSystemConfig) -> Option<u64> {
-        round_ticks(&Shaped, banks(cfg.ks.iter().copied(), stages), cfg.m)
+        (Shaped.round(banks(cfg.ks.iter().copied(), stages), cfg.m)).checked_total()
     }
 
     #[test]
@@ -374,8 +408,8 @@ mod tests {
             latency_cycles: 0,
             ..twins[0].1.clone()
         };
-        let stages = vec![twins[0].clone(), ("free".to_string(), free)];
-        let free_cost = |k: usize, m: usize| Shaped.stage(k, 0.0, m);
+        let stages = vec![twins[0].clone(), ("free".to_string(), free.clone())];
+        let free_cost = |k: usize, m: usize| Shaped.round([(k, &free)], m).exec;
         assert_eq!(free_cost(1, 8), Some(8 * 2_500_000));
         assert_eq!(free_cost(8, 8), Some(8 * 2_500_000));
         let platform = tight(&stages, &[16, 2], 16);

@@ -17,7 +17,7 @@
 //!   Figure 10,
 //! * the host↔PLM transfer model is the platform's own
 //!   [`sysgen::DmaSpec`] (setup latency per burst + bandwidth), which
-//!   [`ProgramRound::price`] charges per round,
+//!   the one round price, [`RoundPricer`], charges per round,
 //! * [`des`] — the virtual clock: integer-picosecond [`des::Time`] and
 //!   its conversions,
 //! * [`sim`] — the system simulation executing the generated host
@@ -25,9 +25,11 @@
 //!   broadcast start `m/k` times, collect done interrupts, transfer
 //!   outputs (Figure 7's architecture, including `k < m` batching). One
 //!   closed form prices a job, strictly serial like the paper's host
-//!   program; a single kernel is the one-stage program. Its per-stage
-//!   and transfer tick formulas also price the compiler's replication
-//!   search ([`RoundPricer`]). DMA/compute
+//!   program; a single kernel is the one-stage program. One function
+//!   prices a round, [`RoundPricer`]'s [`sysgen::RoundCost::round`]:
+//!   the simulators ([`program_round`]), the compiler's replication
+//!   search and the design-space sweep all read its
+//!   [`sysgen::RoundTicks`]. DMA/compute
 //!   overlap is modelled only by the request stream ([`online`],
 //!   [`stream`]),
 //! * [`online`] — the stream scheduler ([`simulate_online_stream`]): a
@@ -84,8 +86,7 @@ pub use fault::{FaultPlan, Outage, RecoverySpec};
 pub use online::{simulate_online_stream, simulate_round_stream, OnlineSpec};
 pub use par::{fan_out, resolve_jobs};
 pub use sim::{
-    program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, ProgramRound,
-    RoundPricer, RoundTicks, SimConfig,
+    program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, RoundPricer, SimConfig,
 };
 pub use stream::{
     simulate_batch_stream, simulate_faulty_stream, summarize_round_stream, StreamOutcome,

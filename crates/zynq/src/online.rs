@@ -70,7 +70,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use crate::des::Time;
 use crate::fault::{FaultPlan, Outage, RecoverySpec};
 use crate::resources::{Mode, Resources};
-use crate::sim::{program_round, ProgramRound, SimConfig};
+use crate::sim::{program_round, SimConfig};
 use crate::stream::{clean_fold, StreamOutcome, StreamStatus};
 use sysgen::MultiSystemDesign;
 
@@ -119,15 +119,16 @@ pub fn simulate_online_stream(
     rec: &RecoverySpec,
     spec: &OnlineSpec,
 ) -> StreamOutcome {
-    let round = program_round(design, cfg);
+    let ticks = program_round(design, cfg).ticks();
     let (ks, m) = (&design.config.ks, design.config.m);
-    simulate_round_stream(&round, ks, m, arrivals, capacity, overlap, plan, rec, spec)
+    simulate_round_stream(ticks, ks, m, arrivals, capacity, overlap, plan, rec, spec)
 }
 
-/// The scheduler on an already priced `round` of a system with `ks`
-/// accelerators per stage and `m` PLM sets — all it ever reads of a
-/// design, so a design-space sweep can ask it about a system it never
-/// built.
+/// The scheduler on an already priced round of `(t_in, exec, t_out)`
+/// ticks ([`RoundTicks::ticks`](sysgen::RoundTicks::ticks)) of a system
+/// with `ks` accelerators per stage and `m` PLM sets — all it ever
+/// reads of a design, so a design-space sweep can ask it about a system
+/// it never built.
 ///
 /// `capacity` is clamped to `[1, m]`; `overlap` degrades to the serial
 /// schedule unless every stage keeps a spare PLM set (`m >= 2·k_i`).
@@ -137,7 +138,7 @@ pub fn simulate_online_stream(
 /// otherwise the event core runs, serially under an armed outage.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_round_stream(
-    round: &ProgramRound,
+    ticks: (Time, Time, Time),
     ks: &[usize],
     m: usize,
     arrivals: &[Time],
@@ -158,9 +159,9 @@ pub fn simulate_round_stream(
     let capacity = capacity.clamp(1, m);
     let mode = Mode::pick(overlap && plan.outage.is_none(), ks, m);
     if !plan.armed() && rec.deadline_ticks.is_none() && !spec.armed() {
-        return clean_fold(arrivals, capacity, round.ticks(), mode);
+        return clean_fold(arrivals, capacity, ticks, mode);
     }
-    let mut core = Core::new(arrivals, capacity, round, plan, *rec, spec, mode);
+    let mut core = Core::new(arrivals, capacity, ticks, plan, *rec, spec, mode);
     core.run();
     core.finish()
 }
@@ -384,7 +385,7 @@ impl<'a> Core<'a> {
     fn new(
         arrivals: &'a [Time],
         capacity: usize,
-        round: &ProgramRound,
+        ticks: (Time, Time, Time),
         plan: &'a FaultPlan,
         rec: RecoverySpec,
         spec: &'a OnlineSpec,
@@ -401,8 +402,8 @@ impl<'a> Core<'a> {
                 ..rec
             },
             spec,
-            res: Resources::new(mode, round.ticks()),
-            exact_ready: round.exec() == 0 && round.t_out == 0,
+            res: Resources::new(mode, ticks),
+            exact_ready: ticks.1 == 0 && ticks.2 == 0,
             next: 0,
             queue: Queue::new(&spec.tiers, levels, bound, capacity),
             pending_out: None,
@@ -460,6 +461,7 @@ impl<'a> Core<'a> {
             // Backpressure can shed the very arrival that set `t_min`;
             // idle until the next queue eligibility or arrival.
             if self.queue.ready_len == 0 {
+                // Invariant: a non-empty queue with nothing ready holds a waiting entry.
                 self.floor = self.next_event().expect("the queue is not empty");
                 continue;
             }
@@ -630,6 +632,7 @@ impl<'a> Core<'a> {
             // Tail of the stream: nothing else is coming, dispatch.
             return Gate::Dispatch { early: false };
         };
+        // Invariant: `run` calls the gate only when `ready_len > 0`.
         let oldest =
             (self.queue.oldest_ready()).expect("gate runs only with at least one eligible request");
         let rt = self.res.round_ticks;
@@ -771,11 +774,7 @@ mod tests {
     #[test]
     fn one_pass_selection_takes_what_the_sort_took() {
         const START: Time = 1_000;
-        let round = ProgramRound {
-            t_in: 30,
-            stage_exec: vec![1_000],
-            t_out: 30,
-        };
+        let round = (30, 1_000, 30);
         let (plan, arrivals) = (FaultPlan::none(), vec![0; 400]);
         let mut seed = 0x5E1E_C7ED;
         let mut deep = 0;
@@ -797,7 +796,7 @@ mod tests {
             let mut core = Core::new(
                 &arrivals,
                 capacity,
-                &round,
+                round,
                 &plan,
                 RecoverySpec::default(),
                 &spec,
@@ -854,12 +853,8 @@ mod tests {
     #[test]
     fn decision_points_visit_a_bounded_share_of_a_deep_queue() {
         const N: usize = 65_536;
-        let round = ProgramRound {
-            t_in: 30,
-            stage_exec: vec![1_000],
-            t_out: 30,
-        };
-        let rt = round.total();
+        let round = (30, 1_000, 30);
+        let rt = round.0 + round.1 + round.2;
         let arrivals = vec![0; N];
         let fifo = OnlineSpec::fifo();
         let none = FaultPlan::none();
@@ -903,7 +898,7 @@ mod tests {
         for (name, plan, rec, spec) in cases {
             // Double-buffered with capacity 8, serial under the outage.
             let mode = Mode::pick(plan.outage.is_none(), &[1], 8);
-            let mut core = Core::new(&arrivals, 8, &round, plan, rec, spec, mode);
+            let mut core = Core::new(&arrivals, 8, round, plan, rec, spec, mode);
             core.run();
             let (visits, decisions) = (core.queue.visits.get(), core.decisions);
             let out = core.finish();
@@ -929,12 +924,8 @@ mod tests {
         let mut seed = 0xEA5E_D0E5;
         for case in 0..400 {
             let mut r = |n: u64| splitmix(&mut seed) % n;
-            let round = ProgramRound {
-                t_in: r(3) * 20,
-                stage_exec: vec![r(3) * 500],
-                t_out: 1 + r(2) * 30,
-            };
-            let rt = round.total().max(1);
+            let round = (r(3) * 20, r(3) * 500, 1 + r(2) * 30);
+            let rt = round.0 + round.1 + round.2;
             let n = 1 + r(60) as usize;
             let mut arrivals: Vec<Time> = (0..n).map(|_| r(rt * n as u64 / 4 + 1)).collect();
             arrivals.sort_unstable();
@@ -962,7 +953,7 @@ mod tests {
             let capacity = 1 + r(4) as usize;
             let mode = Mode::pick(r(2) == 0 && plan.outage.is_none(), &[1], 4);
             let outcomes = [false, true].map(|exact| {
-                let mut core = Core::new(&arrivals, capacity, &round, &plan, rec, &spec, mode);
+                let mut core = Core::new(&arrivals, capacity, round, &plan, rec, &spec, mode);
                 core.exact_ready = exact;
                 core.run();
                 core.finish()
@@ -1224,11 +1215,7 @@ mod tests {
         // rounds 1 and 2 ([30, 1030) and [1030, 2030)), and load 35,
         // [1020, 1050), overlaps both. The expected figures are what the
         // interval-list intersection gave for these schedules.
-        let round = ProgramRound {
-            t_in: 30,
-            stage_exec: vec![1_000],
-            t_out: 30,
-        };
+        let round = (30, 1_000, 30);
         let fifo = OnlineSpec::fifo();
         let run = |plan: FaultPlan, max_retries: u32, n: usize| {
             let rec = RecoverySpec {
@@ -1236,7 +1223,7 @@ mod tests {
                 ..RecoverySpec::default()
             };
             let arrivals = vec![0; n];
-            simulate_round_stream(&round, &[1], 2, &arrivals, 1, true, &plan, &rec, &fifo)
+            simulate_round_stream(round, &[1], 2, &arrivals, 1, true, &plan, &rec, &fifo)
         };
         let all = run(FaultPlan::transient(0, 1.0), 0, 40);
         assert!(all.double_buffered);

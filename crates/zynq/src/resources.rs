@@ -40,7 +40,7 @@ impl Mode {
 pub(crate) struct Resources {
     pub(crate) mode: Mode,
     /// Fault-free input, execution and output ticks of one round, and
-    /// their sum ([`ProgramRound::total`](crate::ProgramRound::total)).
+    /// their sum ([`RoundTicks::total`](sysgen::RoundTicks::total)).
     pub(crate) t_in: u64,
     exec: u64,
     t_out: u64,
@@ -63,7 +63,7 @@ pub(crate) struct Resources {
 
 impl Resources {
     /// Free resources for rounds of `(t_in, exec, t_out)` ticks
-    /// ([`ProgramRound::ticks`](crate::ProgramRound::ticks)), all that
+    /// ([`RoundTicks::ticks`](sysgen::RoundTicks::ticks)), all that
     /// a schedule reads of a round.
     pub(crate) fn new(mode: Mode, (t_in, exec, t_out): (Time, Time, Time)) -> Resources {
         Resources {

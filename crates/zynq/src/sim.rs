@@ -15,7 +15,8 @@
 //! PLM set).
 
 use crate::des::{secs, to_secs, Time};
-use sysgen::{DmaSpec, HostCpuModel, MultiSystemDesign, SystemDesign};
+use hls::HlsReport;
+use sysgen::{DmaSpec, HostCpuModel, MultiSystemDesign, RoundCost, RoundTicks, SystemDesign};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,127 +106,6 @@ impl ProgramHwResult {
     }
 }
 
-/// The closed-form tick costs of **one** main-loop round of a chained
-/// multi-kernel system: input DMA, per-stage serial batches, output
-/// DMA. [`simulate_program`] and the batch-stream runtime
-/// ([`crate::stream`]) both derive their schedules from this one
-/// function, so a runtime round is tick-identical to a `simulate_program`
-/// round by construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramRound {
-    /// External-input DMA ticks (`m` elements, one burst per PLM set).
-    pub t_in: u64,
-    /// Kernel-execution ticks per stage (`m/k_i` serial batches each).
-    pub stage_exec: Vec<u64>,
-    /// External-output DMA ticks.
-    pub t_out: u64,
-}
-
-impl ProgramRound {
-    /// Price one round from its parts: each stage's replication `k_i`
-    /// and kernel latency in seconds, the `m` PLM sets, and the
-    /// external byte interface per element. Each stage costs
-    /// [`stage_ticks`]; a stage past the `u64` clock prices at its last
-    /// tick, and [`ProgramRound::serial_ticks`] then reports the
-    /// overflow. Every simulator and the design-space sweep price their
-    /// rounds here, and the replication search ([`RoundPricer`]) prices
-    /// its candidates with the same two formulas.
-    pub fn price(
-        dma: &DmaSpec,
-        cfg: &SimConfig,
-        stages: impl IntoIterator<Item = (usize, f64)>,
-        m: usize,
-        bytes_in_per_element: usize,
-        bytes_out_per_element: usize,
-    ) -> ProgramRound {
-        let stage_exec = (stages.into_iter()).map(|(k, kernel_s)| stage_price(cfg, k, kernel_s, m));
-        ProgramRound {
-            t_in: transfer_ticks(dma, bytes_in_per_element, m),
-            stage_exec: stage_exec.collect(),
-            t_out: transfer_ticks(dma, bytes_out_per_element, m),
-        }
-    }
-
-    /// Total execution ticks of the chained stages.
-    pub fn exec(&self) -> u64 {
-        self.stage_exec.iter().sum()
-    }
-
-    /// The round's input, summed execution and output ticks: all that
-    /// the stream schedule reads of it.
-    pub fn ticks(&self) -> (Time, Time, Time) {
-        (self.t_in, self.exec(), self.t_out)
-    }
-
-    /// Total ticks of one serial round (`t_in + exec + t_out`).
-    pub fn total(&self) -> u64 {
-        self.t_in + self.exec() + self.t_out
-    }
-
-    /// End-to-end ticks of the serial schedule over `elements`
-    /// elements: `⌈elements / m⌉` identical rounds (the final partial
-    /// batch still costs a full round). `None` when a round or the run
-    /// does not fit the `u64` clock.
-    pub fn serial_ticks(&self, m: usize, elements: usize) -> Option<Time> {
-        let exec = (self.stage_exec.iter()).try_fold(0, |t: Time, &s| t.checked_add(s));
-        RoundTicks {
-            t_in: self.t_in,
-            exec,
-            t_out: self.t_out,
-        }
-        .serial_ticks(m, elements)
-    }
-}
-
-/// A round priced as [`ProgramRound::price`] prices it, without the
-/// per-stage split: the input, summed execution and output ticks, all
-/// that the stream schedule reads of a round. The design-space sweep
-/// prices thousands of rounds per sweep and keys its service probes by
-/// these three numbers, so it prices here and collects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RoundTicks {
-    /// External-input DMA ticks.
-    pub t_in: u64,
-    /// [`ProgramRound::exec`], or `None` when the stages' sum passes the
-    /// `u64` clock.
-    pub exec: Option<u64>,
-    /// External-output DMA ticks.
-    pub t_out: u64,
-}
-
-impl RoundTicks {
-    /// [`ProgramRound::price`] with the stages summed as they are priced.
-    pub fn price(
-        dma: &DmaSpec,
-        cfg: &SimConfig,
-        stages: impl IntoIterator<Item = (usize, f64)>,
-        m: usize,
-        bytes_in_per_element: usize,
-        bytes_out_per_element: usize,
-    ) -> RoundTicks {
-        let exec = (stages.into_iter()).try_fold(0, |t: Time, (k, kernel_s)| {
-            t.checked_add(stage_price(cfg, k, kernel_s, m))
-        });
-        RoundTicks {
-            t_in: transfer_ticks(dma, bytes_in_per_element, m),
-            exec,
-            t_out: transfer_ticks(dma, bytes_out_per_element, m),
-        }
-    }
-
-    /// [`ProgramRound::serial_ticks`] of the round these ticks sum.
-    pub fn serial_ticks(&self, m: usize, elements: usize) -> Option<Time> {
-        let round = (self.t_in.checked_add(self.t_out)?).checked_add(self.exec?)?;
-        round.checked_mul(elements.div_ceil(m) as u64)
-    }
-}
-
-/// [`stage_ticks`] as a round charges it: a stage past the `u64` clock
-/// at its last tick.
-fn stage_price(cfg: &SimConfig, k: usize, kernel_s: f64, m: usize) -> Time {
-    stage_ticks(cfg, k, kernel_s, m).unwrap_or(Time::MAX)
-}
-
 /// Ticks of one stage per round: `m/k` serial batches of its `k`
 /// accelerators. Each batch starts its accelerators through the AXI-lite
 /// peripheral (the broadcast is serialized on the AXI bus), all `k`
@@ -245,10 +125,12 @@ pub fn transfer_ticks(dma: &DmaSpec, bytes_per_element: usize, m: usize) -> Time
     secs(dma.transfer_bursts_s(bytes_per_element * m, m))
 }
 
-/// The replication search's price ([`sysgen::RoundCost`]): a round on
-/// `dma` under `cfg`'s host constants, with the external byte interface
-/// per element, priced by [`stage_ticks`] and [`transfer_ticks`] as
-/// [`ProgramRound::price`] prices it.
+/// The one price of a main-loop round ([`sysgen::RoundCost`]): a round
+/// on `dma` under `cfg`'s host constants, with the external byte
+/// interface per element, each stage charged [`stage_ticks`] and each
+/// transfer [`transfer_ticks`]. The simulators ([`program_round`]), the
+/// replication search (`sysgen::best_program_config`) and the
+/// design-space sweep all price their rounds here.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundPricer<'a> {
     pub dma: &'a DmaSpec,
@@ -269,33 +151,30 @@ impl<'a> RoundPricer<'a> {
     }
 }
 
-impl sysgen::RoundCost for RoundPricer<'_> {
-    fn stage(&self, k: usize, kernel_s: f64, m: usize) -> Option<u64> {
-        stage_ticks(self.cfg, k, kernel_s, m)
-    }
-
-    fn transfers(&self, m: usize) -> Option<u64> {
-        transfer_ticks(self.dma, self.bytes_in_per_element, m).checked_add(transfer_ticks(
-            self.dma,
-            self.bytes_out_per_element,
-            m,
-        ))
+impl RoundCost for RoundPricer<'_> {
+    fn round<'a>(
+        &self,
+        banks: impl IntoIterator<Item = (usize, &'a HlsReport)>,
+        m: usize,
+    ) -> RoundTicks {
+        let exec = (banks.into_iter()).try_fold(0, |t: Time, (k, kernel)| {
+            t.checked_add(stage_ticks(self.cfg, k, kernel.latency_seconds(), m)?)
+        });
+        RoundTicks {
+            t_in: transfer_ticks(self.dma, self.bytes_in_per_element, m),
+            exec,
+            t_out: transfer_ticks(self.dma, self.bytes_out_per_element, m),
+        }
     }
 }
 
-/// Compute the per-round tick costs of `design` under `cfg`'s host
-/// constants (`cfg.elements` is irrelevant here — a round always moves
-/// `m` elements).
-pub fn program_round(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramRound {
-    let stages = design.stages.iter().zip(&design.config.ks);
-    ProgramRound::price(
-        &design.platform.dma,
-        cfg,
-        stages.map(|(stage, &k)| (k, stage.kernel.latency_seconds())),
-        design.config.m,
-        design.host.bytes_in_per_element,
-        design.host.bytes_out_per_element,
-    )
+/// The round of `design` under `cfg`'s host constants, priced by
+/// [`RoundPricer`] (`cfg.elements` is irrelevant here — a round always
+/// moves `m` elements). [`simulate_program`] and the stream scheduler
+/// ([`crate::stream`]) both derive their schedules from it, so a served
+/// round is tick-identical to a simulated one by construction.
+pub fn program_round(design: &MultiSystemDesign, cfg: &SimConfig) -> RoundTicks {
+    RoundPricer::of(design, cfg).round(design.banks(), design.config.m)
 }
 
 /// Run the simulation of a chained multi-kernel system.
@@ -312,14 +191,19 @@ pub fn program_round(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramRoun
 /// cost. Transfers never overlap execution here; only the request
 /// stream ([`crate::stream`]) models that. The tick products are not
 /// checked: a caller whose element count may run past the `u64` clock
-/// asks [`ProgramRound::serial_ticks`] first.
+/// asks [`RoundTicks::serial_ticks`] first.
 pub fn simulate_program(design: &MultiSystemDesign, cfg: &SimConfig) -> ProgramHwResult {
     let m = design.config.m;
     let rounds = design.host.rounds(cfg.elements);
     let round = program_round(design, cfg);
 
     let n = rounds as u64;
-    let stage_exec_s: Vec<f64> = round.stage_exec.iter().map(|&t| to_secs(t * n)).collect();
+    // The one per-stage report: each stage's share of the round's exec.
+    let stage_exec_s: Vec<f64> = (design.banks())
+        .map(|(k, kernel)| stage_ticks(cfg, k, kernel.latency_seconds(), m))
+        // A stage past the clock executes until its last tick.
+        .map(|t| to_secs(t.unwrap_or(Time::MAX) * n))
+        .collect();
     ProgramHwResult {
         elements: cfg.elements,
         rounds,
@@ -612,50 +496,68 @@ mod tests {
         assert!((3.5..4.5).contains(&ratio), "ratio {ratio}");
     }
 
-    /// The summed price against the per-stage one, on every catalog DMA,
-    /// one to three stages, ordinary and overflowing kernels (a stage
-    /// past the clock, and stages that pass it only together) and
-    /// element counts whose runs do and do not fit.
+    /// The one price against the stage-by-stage checked definition, on
+    /// every catalog DMA, zero to three stages, ordinary and
+    /// overflowing kernels (a stage past the clock, and stages that pass
+    /// it only together) and element counts whose runs do and do not
+    /// fit.
     #[test]
-    fn round_ticks_sum_the_per_stage_price() {
+    fn the_round_price_is_the_checked_per_stage_sum() {
         let cfg = SimConfig::default();
-        let huge = 3.0e6; // seconds: one batch fits the clock, 64 do not
-        let kernels: [&[f64]; 5] = [
-            &[1.0e-3],
-            &[2.0e-4, 7.0e-3, 5.0e-5],
-            &[huge, 1.0e-3],
-            &[huge, huge, huge],
+        // 3e6 s at 200 MHz: one batch fits the clock, 16 do not.
+        const HUGE: u64 = 600_000_000_000_000;
+        let kernels: [&[u64]; 5] = [
+            &[200_000],
+            &[40_000, 1_400_000, 10_000],
+            &[HUGE, 200_000],
+            &[HUGE, HUGE, HUGE],
             &[],
         ];
+        let (bytes_in, bytes_out) = (21_296, 10_648);
+        let (mut stage_past, mut sum_past) = (0, 0);
         for platform in Platform::catalog() {
-            for stages in kernels {
+            let dma = &platform.dma;
+            let pricer = RoundPricer {
+                dma,
+                cfg: &cfg,
+                bytes_in_per_element: bytes_in,
+                bytes_out_per_element: bytes_out,
+            };
+            for latencies in kernels {
+                let reports: Vec<_> = latencies.iter().map(|&l| paper_report("s", l)).collect();
                 for (k, m) in [(1, 1), (1, 4), (2, 8), (4, 64)] {
-                    let priced = || stages.iter().map(|&s| (k, s));
-                    let (dma, bytes) = (&platform.dma, (21_296, 10_648));
-                    let round = ProgramRound::price(dma, &cfg, priced(), m, bytes.0, bytes.1);
-                    let ticks = RoundTicks::price(dma, &cfg, priced(), m, bytes.0, bytes.1);
-                    let at = format!("{} {stages:?} k={k} m={m}", platform.id);
-                    assert_eq!((ticks.t_in, ticks.t_out), (round.t_in, round.t_out), "{at}");
-                    let exec = round
-                        .stage_exec
-                        .iter()
-                        .try_fold(0u64, |t, &s| t.checked_add(s));
-                    assert_eq!(ticks.exec, exec, "{at}");
+                    let round = pricer.round(reports.iter().map(|r| (k, r)), m);
+                    let at = format!("{} {latencies:?} k={k} m={m}", platform.id);
+                    let (t_in, t_out) = (
+                        transfer_ticks(dma, bytes_in, m),
+                        transfer_ticks(dma, bytes_out, m),
+                    );
+                    let stages: Option<Vec<Time>> = (reports.iter())
+                        .map(|r| stage_ticks(&cfg, k, r.latency_seconds(), m))
+                        .collect();
+                    let exec = (stages.as_ref())
+                        .and_then(|s| s.iter().try_fold(0, |t: Time, &s| t.checked_add(s)));
+                    stage_past += stages.is_none() as usize;
+                    sum_past += (stages.is_some() && exec.is_none()) as usize;
+                    assert_eq!(round, RoundTicks { t_in, exec, t_out }, "{at}");
+                    assert_eq!(round.ticks(), (t_in, exec.unwrap_or(Time::MAX), t_out));
                     // The serial schedule as a stage-by-stage checked sum.
                     let serial = |elements: usize| {
-                        let first = round.t_in.checked_add(round.t_out)?;
+                        let first = t_in.checked_add(t_out)?;
                         let r =
-                            (round.stage_exec.iter()).try_fold(first, |t, &s| t.checked_add(s))?;
+                            (stages.as_ref()?.iter()).try_fold(first, |t, &s| t.checked_add(s))?;
                         r.checked_mul(elements.div_ceil(m) as u64)
                     };
+                    assert_eq!(round.checked_total(), serial(m), "{at}");
+                    assert_eq!(round.total(), serial(m).unwrap_or(Time::MAX), "{at}");
                     for elements in [1, 1_000, 50_000, usize::MAX] {
                         let want = serial(elements);
-                        assert_eq!(ticks.serial_ticks(m, elements), want, "{at} {elements}");
                         assert_eq!(round.serial_ticks(m, elements), want, "{at} {elements}");
                     }
                 }
             }
         }
+        assert!(stage_past > 0 && sum_past > 0, "{stage_past} / {sum_past}");
     }
 
     #[test]

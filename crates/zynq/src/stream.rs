@@ -289,7 +289,7 @@ pub struct StreamSummary {
 /// armed, keeping only the makespan and the completion tick of the
 /// request at arrival position `rank` instead of the per-request
 /// columns: no allocation per request, no sort. The round enters as its
-/// `(t_in, exec, t_out)` ticks ([`ProgramRound::ticks`](crate::ProgramRound::ticks)),
+/// `(t_in, exec, t_out)` ticks ([`RoundTicks::ticks`](sysgen::RoundTicks::ticks)),
 /// so a caller that priced only those three builds no round. With every
 /// arrival at tick 0 (a closed backlog) `rank_ticks` is a latency, and
 /// `rank` from the nearest-rank definition makes it that latency

@@ -46,7 +46,9 @@ fn walk_chain<'m, V: 'm>(
         for d in decls(module, TensorKind::Input) {
             let n = &d.name;
             let value = match outputs.iter_mut().rev().find(|(_, p, _)| p == n) {
-                Some((.., lent)) => lent.take().expect("a lent handoff is taken back"),
+                Some((.., lent)) => lent.take().ok_or_else(|| {
+                    format!("handoff '{n}' is bound twice in kernel '{}'", names[s])
+                })?,
                 None => external(d).ok_or_else(|| {
                     format!("missing external input '{n}' for kernel '{}'", names[s])
                 })?,
@@ -55,7 +57,8 @@ fn walk_chain<'m, V: 'm>(
         }
         stage(s, &mut bound)?;
         for (_, n, lent) in outputs.iter_mut().filter(|(.., v)| v.is_none()) {
-            *lent = bound.remove(*n);
+            let lost = || format!("kernel '{}' did not give back handoff '{n}'", names[s]);
+            *lent = Some(bound.remove(*n).ok_or_else(lost)?);
         }
         for d in decls(module, TensorKind::Output) {
             let missing = || format!("output '{}' missing in kernel '{}'", d.name, names[s]);
@@ -63,6 +66,7 @@ fn walk_chain<'m, V: 'm>(
         }
     }
     let key = move |(s, n, v): (usize, &str, Option<V>)| (format!("{}.{n}", names[s]), v);
+    // Invariant: each stage gives back every handoff it was lent, or the walk failed above.
     Ok((outputs.into_iter().map(key)).map(|(k, v)| (k, v.expect("a lent handoff is taken back"))))
 }
 
@@ -120,7 +124,9 @@ fn interpret_chain(
         let values = walk(&Interpreter::new(modules[s]), bound)?;
         for (t, d) in values.into_iter().zip(&modules[s].tensors) {
             if d.kind == TensorKind::Output {
-                bound.insert(d.name.clone(), t.expect("an output is computed"));
+                let missing =
+                    || format!("output '{}' not computed in kernel '{}'", d.name, names[s]);
+                bound.insert(d.name.clone(), t.ok_or_else(missing)?);
             }
         }
         Ok(())

@@ -8,17 +8,15 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use zynq::{FaultPlan, OnlineSpec, ProgramRound, RecoverySpec};
+use zynq::{FaultPlan, OnlineSpec, RecoverySpec};
 
-/// A round with input, execution and output ticks drawn from `rng`:
-/// transfers from negligible to several times the execution.
-fn random_round(rng: &mut StdRng) -> ProgramRound {
+/// The `(t_in, exec, t_out)` ticks of a two-stage round drawn from
+/// `rng`: transfers from negligible to several times the execution.
+fn random_round(rng: &mut StdRng) -> (u64, u64, u64) {
     let mut ticks = |max: u64| 1 + rng.next_u64() % max;
-    ProgramRound {
-        t_in: ticks(4_000),
-        stage_exec: vec![ticks(3_000), ticks(1_000)],
-        t_out: ticks(2_000),
-    }
+    let t_in = ticks(4_000);
+    let exec = ticks(3_000) + ticks(1_000);
+    (t_in, exec, ticks(2_000))
 }
 
 #[test]
@@ -41,14 +39,14 @@ fn summary_equals_the_columns() {
                     let round = random_round(&mut rng);
                     let arrivals = vec![0; n];
                     let columns = zynq::simulate_round_stream(
-                        &round, ks, m, &arrivals, capacity, true, &plan, &rec, &fifo,
+                        round, ks, m, &arrivals, capacity, true, &plan, &rec, &fifo,
                     );
                     assert_eq!(columns.double_buffered, m >= 2 * ks[0]);
                     let mut sorted = columns.completion_ticks.clone();
                     sorted.sort_unstable();
                     for q in [0.5, 0.99, 1.0] {
                         let summary = zynq::summarize_round_stream(
-                            round.ticks(),
+                            round,
                             ks,
                             m,
                             &arrivals,

@@ -312,13 +312,9 @@ fn slo_batching_beats_capacity_fill_p99_under_overload() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "a timing bound: release builds only")]
 fn a_late_tier_costs_a_small_multiple_of_the_untiered_stream() {
-    use zynq::{simulate_round_stream, FaultPlan, OnlineSpec, ProgramRound, RecoverySpec};
+    use zynq::{simulate_round_stream, FaultPlan, OnlineSpec, RecoverySpec};
     const N: usize = 262_144;
-    let round = ProgramRound {
-        t_in: 30,
-        stage_exec: vec![1_000],
-        t_out: 30,
-    };
+    let round = (30, 1_000, 30);
     // 16 requests per 1 060-tick serial round; one arrival every 53.
     let arrivals: Vec<u64> = (0..N as u64).map(|i| i * 53).collect();
     let mut last_only = vec![0u8; N];
@@ -332,7 +328,7 @@ fn a_late_tier_costs_a_small_multiple_of_the_untiered_stream() {
         let runs = (0..3).map(|_| {
             let t = std::time::Instant::now();
             let out = simulate_round_stream(
-                &round,
+                round,
                 &[1],
                 16,
                 &arrivals,

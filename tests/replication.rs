@@ -1,19 +1,20 @@
 //! The program flow's automatic replication against its definition.
 //!
 //! `sysgen::best_program_config` enumerates the designs of Eq. (3) up to
-//! a cap and prices them through `zynq::RoundPricer`. Here every compiled
-//! program's design is compared with the definition, written without
-//! either: every `ks` on the ladder (`m = max k_i`) that
-//! `Totals::fit` admits, each priced one round through
-//! `zynq::ProgramRound::price`: the cheapest per element among the
-//! designs strictly cheaper than the uniform pick, ties to the smaller
-//! `Σ k_i` and then the smaller `ks`, or else the uniform pick. Around
-//! it: the pick is never slower than the uniform one, its `m` never
-//! smaller, and a single kernel's pick and every builtin's pick on the
-//! zcu106 (the paper's board) are the uniform ones. The builtins run at
-//! every size from 3 to 12 on every catalog board, and so do the
-//! generated programs of `common/` (`CFD_GENERATED_PROGRAMS`, default
-//! 200).
+//! a cap and prices them through `zynq::RoundPricer`, the one round
+//! price. Here every compiled program's design is compared with the
+//! definition, written without either: every `ks` on the ladder
+//! (`m = max k_i`) that `Totals::fit` admits, each priced one round
+//! stage by stage from the simulator's two tick formulas
+//! (`zynq::sim::stage_ticks`, `transfer_ticks`): the cheapest per
+//! element among the designs strictly cheaper than the uniform pick,
+//! ties to the smaller `Σ k_i` and then the smaller `ks`, or else the
+//! uniform pick. Around it: the pick is never slower than the uniform
+//! one, its `m` never smaller, and a single kernel's pick and every
+//! builtin's pick on the zcu106 (the paper's board) are the uniform
+//! ones. The builtins run at every size from 3 to 12 on every catalog
+//! board, and so do the generated programs of `common/`
+//! (`CFD_GENERATED_PROGRAMS`, default 200).
 
 mod common;
 
@@ -21,33 +22,24 @@ use cfdfpga::cfdlang::examples as ex;
 use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
 use cfdfpga::hls::HlsReport;
 use cfdfpga::sysgen::{self, MultiSystemDesign, Platform, ProgramSystemConfig, Totals};
-use cfdfpga::zynq::{ProgramRound, SimConfig};
+use cfdfpga::zynq::sim::{stage_ticks, transfer_ticks};
+use cfdfpga::zynq::SimConfig;
 
 const LADDER: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// One round of `cfg` on `sys`'s platform and interface, in ticks, as the
-/// simulator prices it; `None` past the `u64` clock.
+/// One round of `cfg` on `sys`'s platform and interface, in ticks, as
+/// the simulator charges it stage by stage; `None` past the `u64` clock.
 fn round(
     sys: &MultiSystemDesign,
     stages: &[(String, HlsReport)],
     cfg: &ProgramSystemConfig,
 ) -> Option<u64> {
-    let banks = (cfg.ks.iter())
-        .zip(stages)
-        .map(|(&k, (_, r))| (k, r.latency_seconds()));
-    let (bytes_in, bytes_out) = (
-        sys.host.bytes_in_per_element,
-        sys.host.bytes_out_per_element,
-    );
-    ProgramRound::price(
-        &sys.platform.dma,
-        &SimConfig::default(),
-        banks,
-        cfg.m,
-        bytes_in,
-        bytes_out,
-    )
-    .serial_ticks(cfg.m, cfg.m)
+    let (sim, dma, m) = (SimConfig::default(), &sys.platform.dma, cfg.m);
+    let t_in = transfer_ticks(dma, sys.host.bytes_in_per_element, m);
+    let transfers = t_in.checked_add(transfer_ticks(dma, sys.host.bytes_out_per_element, m))?;
+    (cfg.ks.iter().zip(stages)).try_fold(transfers, |t, (&k, (_, r))| {
+        t.checked_add(stage_ticks(&sim, k, r.latency_seconds(), m)?)
+    })
 }
 
 /// `t_a / m_a < t_b / m_b`, exactly.
