@@ -365,6 +365,53 @@ fn kernel_cli_reproduces_the_committed_transcript() {
     );
 }
 
+/// A table's first line with its wall-clock `{:.3} s` field, the one
+/// figure that depends on the host, written `T s`.
+fn mask_table_wall_clock(table: &str) -> String {
+    let mut out = String::with_capacity(table.len());
+    for line in table.lines() {
+        match line.split_once(" jobs, ") {
+            Some((head, tail)) if line.starts_with("portfolio: ") => {
+                let (_, rest) = tail.split_once(" s, ").unwrap_or(("", tail));
+                out += &format!("{head} jobs, T s, {rest}");
+            }
+            _ => out += line,
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// `tests/golden/explore_tables.txt` is the text table, platform
+/// summaries and frontier sections of a kernel's `--grid` sweep and a
+/// program's `--boards all` portfolio, as the parent of the change that
+/// moved the frontier sections into `PortfolioReport::render_table`
+/// printed them (wall clock masked by [`mask_table_wall_clock`]):
+///
+/// ```sh
+/// for args in "helmholtz:11 --grid" "simstep:7 --boards all"; do
+///     echo "=== cfdc explore $args --jobs 1 --elements 2000 ==="
+///     cfdc explore $args --jobs 1 --elements 2000
+/// done | sed -E 's/^(portfolio: .* jobs, )[0-9]+\.[0-9]{3} s,/\1T s,/'
+/// ```
+#[test]
+fn explore_tables_reproduce_the_committed_transcript() {
+    let mut got = String::new();
+    for args in [
+        &["helmholtz:11", "--grid"][..],
+        &["simstep:7", "--boards", "all"],
+    ] {
+        let mut args = [&["explore"][..], args].concat();
+        args.extend_from_slice(&["--jobs", "1", "--elements", "2000"]);
+        got += &format!("=== cfdc {} ===\n", args.join(" "));
+        got += &mask_table_wall_clock(&run_cfdc(&args));
+    }
+    assert!(
+        got == explore_golden("explore_tables.txt"),
+        "cfdc explore's text tables no longer print tests/golden/explore_tables.txt"
+    );
+}
+
 /// A sweep's report does not depend on the worker count: rows are
 /// placed by combination index, so which of two tied points carries a
 /// Pareto flag cannot depend on thread timing.
