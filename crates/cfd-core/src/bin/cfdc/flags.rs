@@ -1,224 +1,17 @@
-//! `cfdc` — command-line driver for the CFDlang-to-FPGA flow.
-//!
-//! `cfdc --help` lists the commands and every option. Each option is
-//! declared once, in [`FLAGS`]: its name, its value, the commands that
-//! read it, its parser with the range it accepts, and its help line.
-//! Parsing, the "does not apply" error and the help text derive from
-//! that table, and a test holds README's option table to it.
-//!
-//! Every source compiles as a program through one function
-//! ([`compile_program`]), and every command prints the program format:
-//! a single-kernel source is the one-kernel program whose one stage is
-//! `main` (`--emit all` writes `main.c`, defining `main_body`).
-//! `simulate` prints the ARM A53 software baseline of every source, the
-//! sum of its stages' times.
-//!
-//! Malformed arguments never panic: every flag value routes through the
-//! structured [`CliError`] path (exit code 2 with a one-line
-//! diagnosis), mirroring the structured `FlowError::DoesNotFit`
-//! introduced for small-board compiles. Nor does a closed stdout:
-//! every command prints through [`write_out`], and a reader that stops
-//! early (`cfdc ... | head`) ends the process quietly with status 0.
+//! The option table, [`FLAGS`], and the parsing every command shares.
 
-#![forbid(unsafe_code)]
-
-use cfd_core::dse::{DseEngine, DseGrid};
-use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
-use cfd_core::{
-    Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, FlowError,
-    RoutePolicy, RuntimeOptions,
-};
-use std::io::{ErrorKind, Write};
-use std::process::exit;
 use std::sync::Arc;
+
+use cfd_core::program::ProgramOptions;
+use cfd_core::{Arrival, BatchPolicy, CompileCache, FaultPlan, RoutePolicy, RuntimeOptions};
 use sysgen::{Platform, ProgramSystemConfig};
-use zynq::SimConfig;
 
-/// Write to stdout through [`write_out`]: `print!`'s arguments.
-macro_rules! out {
-    ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
-}
-
-/// [`out!`] with a newline: `println!`'s arguments.
-macro_rules! outln {
-    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
-}
-
-/// The one writer of everything a command prints. A reader that closed
-/// its end early (`cfdc ... | head`) ends the process quietly with
-/// status 0; any other write error is a one-line error with status 1.
-fn write_out(args: std::fmt::Arguments) {
-    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-        if e.kind() == ErrorKind::BrokenPipe {
-            exit(0)
-        }
-        eprintln!("error: cannot write output: {e}");
-        exit(1)
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        usage_error()
-    };
-    let rest = &args[1..];
-    match command.as_str() {
-        "compile" => cmd_compile(rest),
-        "simulate" => cmd_simulate(rest),
-        "verify" => cmd_verify(rest),
-        "explore" => cmd_explore(rest),
-        "serve" => cmd_serve(rest),
-        "boards" => cmd_boards(rest),
-        "cache" => cmd_cache(rest),
-        "--help" | "-h" | "help" => out!("{}", usage()),
-        other => {
-            eprintln!("unknown command '{other}'");
-            usage_error()
-        }
-    }
-}
-
-/// The `--help` text: the commands, the sources, and every option of
-/// [`FLAGS`] with the commands that read it.
-fn usage() -> String {
-    let mut s = String::from(
-        "cfdc — CFDlang-to-FPGA flow\n\n\
-         USAGE:\n\
-         \tcfdc compile  <source> [OPTIONS]    emit C, host code, IR, memory plan and reports\n\
-         \tcfdc simulate <source> [OPTIONS]    simulate the system against the ARM A53 baseline\n\
-         \tcfdc verify   <source> [OPTIONS]    run the kernels bit-exact against the reference\n\
-         \tcfdc explore  <source> [OPTIONS]    list feasible replications, or sweep designs\n\
-         \tcfdc serve    <source> [OPTIONS]    serve a request stream on one board or a fleet\n\
-         \tcfdc cache    stats|clear OPTIONS   inspect or empty an on-disk compile cache\n\
-         \tcfdc boards                        list the platform catalog\n\n\
-         SOURCE: a .cfd file path, a kernel helmholtz[:p] | interpolation[:n:m] | sandwich[:n]\n\
-         \t| axpy[:n], or a multi-kernel program simstep[:p] | axpychain[:n]. Every source\n\
-         \tcompiles into ONE shared-memory accelerator system; a kernel is the one-kernel\n\
-         \tprogram whose stage is `main`.\n\n\
-         OPTIONS:\n",
-    );
-    for f in FLAGS {
-        s.push_str(&format!(
-            "\t{:<26} {}\n\t{:<26} read by: {}\n",
-            f.synopsis(),
-            f.help,
-            "",
-            f.commands.join(" ")
-        ));
-    }
-    s
-}
-
-/// The usage text on stderr with exit status 2: no command, an unknown
-/// one, or no source.
-fn usage_error() -> ! {
-    eprint!("{}", usage());
-    exit(2)
-}
-
-/// A structured CLI error: every malformed argument routes through this
-/// (printed as one line, exit code 2) instead of panicking or being
-/// silently ignored.
-#[derive(Debug, Clone, PartialEq)]
-enum CliError {
-    /// No kernel/file argument at all — fall back to the usage text.
-    MissingKernel,
-    MissingValue {
-        flag: String,
-    },
-    /// A required option was not given; names it with its value.
-    MissingOption(String),
-    InvalidValue {
-        flag: String,
-        value: String,
-        expected: &'static str,
-    },
-    UnknownOption(String),
-    /// A known option the command never reads.
-    NotApplicable {
-        flag: String,
-        command: &'static str,
-    },
-    /// `--k` or `--m` without the other.
-    Unpaired {
-        flag: &'static str,
-        partner: &'static str,
-    },
-    UnknownBoard {
-        name: String,
-        catalog: Vec<String>,
-    },
-    UnknownKernel {
-        name: String,
-        kernels: Vec<String>,
-    },
-    CannotRead {
-        path: String,
-        error: String,
-    },
-    /// The `--cache-dir` location cannot be created, probed for
-    /// writability, or enumerated.
-    CacheDir {
-        path: String,
-        error: String,
-    },
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::MissingKernel => write!(f, "missing kernel argument"),
-            CliError::MissingValue { flag } => write!(f, "option '{flag}' needs a value"),
-            CliError::MissingOption(synopsis) => write!(f, "missing required option '{synopsis}'"),
-            CliError::InvalidValue {
-                flag,
-                value,
-                expected,
-            } => write!(f, "invalid value '{value}' for {flag}: expected {expected}"),
-            CliError::UnknownOption(o) => write!(f, "unknown option '{o}'"),
-            CliError::NotApplicable { flag, command } => {
-                write!(f, "option '{flag}' does not apply to 'cfdc {command}'")
-            }
-            CliError::Unpaired { flag, partner } => {
-                write!(f, "option '{flag}' needs '{partner}' as well")
-            }
-            CliError::UnknownBoard { name, catalog } => write!(
-                f,
-                "unknown board '{name}' (catalog: {})",
-                catalog.join(", ")
-            ),
-            CliError::UnknownKernel { name, kernels } => write!(
-                f,
-                "no kernel '{name}' in program (kernels: {})",
-                kernels.join(", ")
-            ),
-            CliError::CannotRead { path, error } => write!(f, "cannot read '{path}': {error}"),
-            CliError::CacheDir { path, error } => {
-                write!(f, "cannot use cache directory '{path}': {error}")
-            }
-        }
-    }
-}
-
-/// Print the one-line usage error and exit 2.
-fn fail(e: CliError) -> ! {
-    eprintln!("error: {e}");
-    exit(2)
-}
-
-/// The value of `result`, or exit 1 with `"{what} failed: {error}"`.
-fn or_exit<T>(what: &str, result: Result<T, impl std::fmt::Display>) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("{what} failed: {e}");
-        exit(1)
-    })
-}
+use crate::{fail, usage_error, CliError};
 
 /// One option of the command line.
 #[derive(Debug)]
-struct Flag {
-    name: &'static str,
+pub(crate) struct Flag {
+    pub(crate) name: &'static str,
     /// The commands that read it; any other command rejects it.
     commands: &'static [&'static str],
     help: &'static str,
@@ -239,7 +32,7 @@ use Takes::{Parse, Switch, Text};
 
 impl Flag {
     /// The option as the help text writes it: `--k K`, `--json`.
-    fn synopsis(&self) -> String {
+    pub(crate) fn synopsis(&self) -> String {
         match self.takes {
             Switch(_) => self.name.to_string(),
             Text(value, _) | Parse(value, _) => format!("{} {value}", self.name),
@@ -304,10 +97,16 @@ const K: &str = "--k";
 const M: &str = "--m";
 const RATE: &str = "--rate";
 const ARRIVAL: &str = "--arrival";
-const CACHE_DIR: &str = "--cache-dir";
+/// The option `cfdc cache` requires.
+pub(crate) const CACHE_DIR: Flag = Flag {
+    name: "--cache-dir",
+    commands: &["compile", "simulate", "verify", "serve", "cache"],
+    help: "keep scheduling products in an on-disk compile cache (cache needs it)",
+    takes: Text("PATH", |p, v| p.cache_dir = Some(v)),
+};
 
 /// Every option of every command, in help order.
-static FLAGS: &[Flag] = &[
+pub(crate) static FLAGS: &[Flag] = &[
     Flag {
         name: "--board",
         commands: SOURCE,
@@ -399,12 +198,7 @@ static FLAGS: &[Flag] = &[
         help: "print the report as JSON (compile: stage timings and counters)",
         takes: Switch(|p| p.json = true),
     },
-    Flag {
-        name: CACHE_DIR,
-        commands: &["compile", "simulate", "verify", "serve", "cache"],
-        help: "keep scheduling products in an on-disk compile cache (cache needs it)",
-        takes: Text("PATH", |p, v| p.cache_dir = Some(v)),
-    },
+    CACHE_DIR,
     Flag {
         name: "--no-cache",
         commands: BUILT,
@@ -431,7 +225,16 @@ static FLAGS: &[Flag] = &[
         commands: &["explore"],
         help: "sweep the platform x clock x (k, m) portfolio and its Pareto frontiers",
         takes: Parse("all|A,B,..", |p, v| {
-            platforms(&v.value).map(|b| p.boards = Some(b))
+            let boards = platforms(&v.value)?;
+            // A portfolio sweeps each board once: a repeat would print
+            // its rows twice.
+            let twice = (boards.iter().enumerate())
+                .find(|&(i, b)| boards[..i].iter().any(|a| a.id == b.id));
+            if let Some((_, board)) = twice {
+                return Err(CliError::RepeatedBoard(board.id.to_string()));
+            }
+            p.boards = Some(boards);
+            Ok(())
         }),
     },
     Flag {
@@ -571,6 +374,37 @@ static FLAGS: &[Flag] = &[
     },
 ];
 
+/// The `--help` text: the commands, the sources, and every option of
+/// [`FLAGS`] with the commands that read it.
+pub(crate) fn usage() -> String {
+    let mut s = String::from(
+        "cfdc — CFDlang-to-FPGA flow\n\n\
+         USAGE:\n\
+         \tcfdc compile  <source> [OPTIONS]    emit C, host code, IR, memory plan and reports\n\
+         \tcfdc simulate <source> [OPTIONS]    simulate the system against the ARM A53 baseline\n\
+         \tcfdc verify   <source> [OPTIONS]    run the kernels bit-exact against the reference\n\
+         \tcfdc explore  <source> [OPTIONS]    list feasible replications, or sweep designs\n\
+         \tcfdc serve    <source> [OPTIONS]    serve a request stream on one board or a fleet\n\
+         \tcfdc cache    stats|clear OPTIONS   inspect or empty an on-disk compile cache\n\
+         \tcfdc boards                        list the platform catalog\n\n\
+         SOURCE: a .cfd file path, a kernel helmholtz[:p] | interpolation[:n:m] | sandwich[:n]\n\
+         \t| axpy[:n], or a multi-kernel program simstep[:p] | axpychain[:n]. Every source\n\
+         \tcompiles into ONE shared-memory accelerator system; a kernel is the one-kernel\n\
+         \tprogram whose stage is `main`.\n\n\
+         OPTIONS:\n",
+    );
+    for f in FLAGS {
+        s.push_str(&format!(
+            "\t{:<26} {}\n\t{:<26} read by: {}\n",
+            f.synopsis(),
+            f.help,
+            "",
+            f.commands.join(" ")
+        ));
+    }
+    s
+}
+
 fn load_source(spec: &str) -> Result<String, CliError> {
     let mut parts = spec.split(':');
     let head = parts.next().unwrap_or_default();
@@ -601,34 +435,34 @@ fn load_source(spec: &str) -> Result<String, CliError> {
 }
 
 #[derive(Debug, Default)]
-struct Parsed {
-    source: String,
+pub(crate) struct Parsed {
+    pub(crate) source: String,
     /// Compile options: the flow flags, `--no-cross-sharing`, and the
     /// uniform replication of every kernel from `--k`/`--m` (which
     /// come together or not at all).
-    program: ProgramOptions,
+    pub(crate) program: ProgramOptions,
     /// Serving options: requests, arrivals, batching, DMA overlap,
     /// seed, faults, recovery and online policy (the seed also drives
     /// `verify`).
-    runtime: RuntimeOptions,
+    pub(crate) runtime: RuntimeOptions,
     emit: String,
-    out_dir: Option<String>,
+    pub(crate) out_dir: Option<String>,
     /// Whether --elements was given explicitly (commands pick their own
     /// defaults otherwise); the count itself is `program.flow.elements`.
-    elements_set: bool,
-    grid: bool,
-    json: bool,
+    pub(crate) elements_set: bool,
+    pub(crate) grid: bool,
+    pub(crate) json: bool,
     /// On-disk compile-cache directory (`--cache-dir`); compiles run
     /// uncached when absent or when `--no-cache` is given.
-    cache_dir: Option<String>,
-    no_cache: bool,
+    pub(crate) cache_dir: Option<String>,
+    pub(crate) no_cache: bool,
     /// Portfolio platforms from `--boards` (explore only).
-    boards: Option<Vec<Platform>>,
+    pub(crate) boards: Option<Vec<Platform>>,
     /// Fleet platforms from `--fleet` (serve only): shard the request
     /// stream across this board set instead of serving one board.
-    fleet: Option<Vec<Platform>>,
+    pub(crate) fleet: Option<Vec<Platform>>,
     /// Dispatcher routing policy from `--route` (fleet serving).
-    route: RoutePolicy,
+    pub(crate) route: RoutePolicy,
     /// The values [`parse_common`] resolves once every option is read:
     /// `--kernel`, `--board`, `--k`, `--m`, `--arrival` and `--rate`.
     kernel: Option<String>,
@@ -639,20 +473,20 @@ struct Parsed {
     rate: Option<f64>,
     /// Every option given, in order (checked against the command by
     /// [`checked_or_exit`]).
-    flags: Vec<&'static Flag>,
+    pub(crate) flags: Vec<&'static Flag>,
 }
 
 impl Parsed {
     /// Whether `--emit` selects the section kind `what` (one of
     /// [`EMIT_KINDS`]).
-    fn wants(&self, what: &str) -> bool {
+    pub(crate) fn wants(&self, what: &str) -> bool {
         self.emit == what || self.emit == "all"
     }
 
     /// Build the compile cache requested by `--cache-dir` (none when
     /// absent or disabled with `--no-cache`). An unusable directory is
     /// the structured [`CliError::CacheDir`] — reported once, up front.
-    fn cache(&self) -> Result<Option<Arc<CompileCache>>, CliError> {
+    pub(crate) fn cache(&self) -> Result<Option<Arc<CompileCache>>, CliError> {
         match &self.cache_dir {
             Some(dir) if !self.no_cache => CompileCache::with_dir(dir)
                 .map(|c| Some(Arc::new(c)))
@@ -667,7 +501,7 @@ impl Parsed {
 
 /// Read `args` as options through [`FLAGS`]: an unknown option, a
 /// missing value or a malformed one is the first error.
-fn parse_options(args: &[String]) -> Result<Parsed, CliError> {
+pub(crate) fn parse_options(args: &[String]) -> Result<Parsed, CliError> {
     let mut p = Parsed {
         emit: "report".to_string(),
         arrival: "closed".to_string(),
@@ -701,7 +535,7 @@ fn parse_options(args: &[String]) -> Result<Parsed, CliError> {
 
 /// Read the source `args[0]` and its options, then resolve the options
 /// that depend on each other or on the source.
-fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
+pub(crate) fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
     let Some(spec) = args.first() else {
         return Err(CliError::MissingKernel);
     };
@@ -756,7 +590,7 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
 /// The parsed options of `cfdc command`, or exit with the structured
 /// one-line error (usage text when no source was named at all): a
 /// malformed argument, or an option the command never reads.
-fn checked_or_exit(command: &'static str, parsed: Result<Parsed, CliError>) -> Parsed {
+pub(crate) fn checked_or_exit(command: &'static str, parsed: Result<Parsed, CliError>) -> Parsed {
     let p = match parsed {
         Ok(p) => p,
         Err(CliError::MissingKernel) => usage_error(),
@@ -789,590 +623,6 @@ fn platforms(spec: &str) -> Result<Vec<Platform>, CliError> {
         return Ok(Platform::catalog());
     }
     spec.split(',').map(lookup_platform).collect()
-}
-
-/// `cfdc boards`: the platform catalog. It reads no option.
-fn cmd_boards(args: &[String]) {
-    checked_or_exit("boards", parse_options(args));
-    outln!("platform catalog (use with --board / --boards):");
-    outln!(
-        "  id          board                       LUT        FF    DSP  BRAM36  host CPU                fabric clocks (MHz)"
-    );
-    for p in Platform::catalog() {
-        let clocks: Vec<String> = p
-            .clock_ladder_mhz
-            .iter()
-            .map(|c| {
-                if (*c - p.default_clock_mhz).abs() < 1e-9 {
-                    format!("[{c:.0}]")
-                } else {
-                    format!("{c:.0}")
-                }
-            })
-            .collect();
-        outln!(
-            "  {:<10}  {:<22}  {:>9}  {:>8}  {:>5}  {:>6}  {:<22}  {}",
-            p.id,
-            p.board.name,
-            p.board.luts,
-            p.board.ffs,
-            p.board.dsps,
-            p.board.brams,
-            format!("{} @ {:.2} GHz", p.host.name, p.host.hz / 1e9),
-            clocks.join(" "),
-        );
-    }
-    outln!("  (default clock bracketed; default board: zcu106)");
-}
-
-/// Build the `--cache-dir` cache or exit with the structured error.
-fn cache_or_exit(p: &Parsed) -> Option<Arc<CompileCache>> {
-    p.cache().unwrap_or_else(|e| fail(e))
-}
-
-/// One-line cache summary on stderr — stdout stays bit-identical
-/// between cold and warm runs, which the CI cache-smoke job checks.
-fn report_cache(t: &cfd_core::StageTimings, enabled: bool) {
-    if enabled {
-        let c = &t.cache;
-        eprintln!(
-            "compile cache: {} memory hits, {} disk hits, {} misses, {} stored, {} invalidated",
-            c.hits, c.disk_hits, c.misses, c.stores, c.invalidations
-        );
-    }
-}
-
-/// The `--json` compile summary: stage timings plus cache counters.
-fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
-    format!(
-        "{{\n  \"kernels\": {},\n  \"timings_s\": {{\"frontend\": {:.6}, \"middle_end\": {:.6}, \
-         \"schedule\": {:.6}, \"link\": {:.6}, \"backend\": {:.6}, \"system\": {:.6}, \"total\": {:.6}}},\n  \
-         \"compile_cache\": {}\n}}",
-        kernels,
-        t.frontend_s,
-        t.middle_end_s,
-        t.schedule_s,
-        t.link_s,
-        t.backend_s,
-        t.system_s,
-        t.total_s(),
-        t.cache,
-    )
-}
-
-/// The one compile of every command: the source as a (possibly
-/// one-kernel) program under `opts`, through `cache` when given.
-fn compile_program(
-    p: &Parsed,
-    opts: &ProgramOptions,
-    cache: Option<Arc<CompileCache>>,
-) -> Result<ProgramArtifacts, FlowError> {
-    match cache {
-        Some(c) => ProgramFlow::compile_cached(&p.source, opts, c),
-        None => ProgramFlow::compile(&p.source, opts),
-    }
-}
-
-/// [`compile_program`] of the command line's options through the
-/// `--cache-dir` cache (its counters on stderr), or exit 1 with the
-/// compile error.
-fn compile_or_exit(p: &Parsed) -> ProgramArtifacts {
-    let cache = cache_or_exit(p);
-    let cached = cache.is_some();
-    let art = or_exit("compilation", compile_program(p, &p.program, cache));
-    report_cache(&art.timings, cached);
-    art
-}
-
-/// `cfdc cache stats|clear --cache-dir PATH`: inspect or empty the
-/// on-disk compile cache without running a compile.
-fn cmd_cache(args: &[String]) {
-    let sub = match args.first().map(String::as_str) {
-        Some(s @ ("stats" | "clear")) => s,
-        other => fail(CliError::InvalidValue {
-            flag: "cache".to_string(),
-            value: other.unwrap_or_default().to_string(),
-            expected: "stats | clear",
-        }),
-    };
-    let p = checked_or_exit("cache", parse_options(&args[1..]));
-    let Some(dir) = &p.cache_dir else {
-        let flag = FLAGS.iter().find(|f| f.name == CACHE_DIR);
-        let flag = flag.expect("the cache directory option is in FLAGS");
-        fail(CliError::MissingOption(flag.synopsis()))
-    };
-    let path = std::path::Path::new(dir);
-    let cache_err = |e: std::io::Error| -> ! {
-        fail(CliError::CacheDir {
-            path: dir.clone(),
-            error: e.to_string(),
-        })
-    };
-    if sub == "stats" {
-        let (entries, bytes) = CompileCache::disk_stats(path).unwrap_or_else(|e| cache_err(e));
-        outln!("cache at {dir}: {entries} entries, {bytes} bytes");
-    } else {
-        let removed = CompileCache::clear_disk(path).unwrap_or_else(|e| cache_err(e));
-        outln!("cache at {dir}: removed {removed} entries");
-    }
-}
-
-/// `n kernel(s)`.
-fn kernels(n: usize) -> String {
-    format!("{n} kernel{}", if n == 1 { "" } else { "s" })
-}
-
-/// Per-kernel + aggregate resource tables of a compiled program.
-fn program_report(art: &ProgramArtifacts) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "program: {}, {} handoffs, cross-kernel PLM edges: {}\n",
-        kernels(art.kernel_count()),
-        art.cross.handoffs.len(),
-        art.memory_plan.cross_edges,
-    ));
-    s.push_str("  kernel                  latency(cyc)      LUT      FF   DSP  PLM-BRAM(alone)\n");
-    for (name, a) in art.names.iter().zip(&art.kernels) {
-        s.push_str(&format!(
-            "  {:<22} {:>13}  {:>7}  {:>6}  {:>4}  {:>15}\n",
-            name,
-            a.hls_report.latency_cycles,
-            a.hls_report.luts,
-            a.hls_report.ffs,
-            a.hls_report.dsps,
-            a.memory.brams,
-        ));
-    }
-    s.push_str(&format!(
-        "  shared PLM set: {} BRAMs ({} if concatenated) in {} units\n",
-        art.memory.brams,
-        art.per_kernel_plm_brams(),
-        art.memory.units.len(),
-    ));
-    let routing = if art.options.cross_sharing {
-        "in-fabric"
-    } else {
-        "host-mediated copy"
-    };
-    for h in &art.cross.handoffs {
-        s.push_str(&format!(
-            "  handoff: {} --{}--> {} ({} words, {routing})\n",
-            art.names[h.from], h.name, art.names[h.to], h.words
-        ));
-    }
-    match &art.system {
-        Some(sys) => {
-            let ks: Vec<String> = sys.config.ks.iter().map(|k| k.to_string()).collect();
-            s.push_str(&format!(
-                "aggregate system: k=[{}] m={} | {} LUT {} FF {} DSP {} BRAM\n",
-                ks.join(","),
-                sys.config.m,
-                sys.luts,
-                sys.ffs,
-                sys.dsps,
-                sys.brams
-            ));
-            let (l, f, d, b) = sys.slack();
-            s.push_str(&format!(
-                "slack vs {}: {} LUT {} FF {} DSP {} BRAM\n",
-                sys.board().name,
-                l,
-                f,
-                d,
-                b
-            ));
-        }
-        None => s.push_str("aggregate system: no feasible configuration\n"),
-    }
-    s
-}
-
-/// What stops each stage's next doubling ([`sysgen::next_doubling`]),
-/// one line; empty when no system fits.
-fn next_doublings(art: &ProgramArtifacts) -> String {
-    let Some(sys) = &art.system else {
-        return String::new();
-    };
-    let sim = SimConfig::default();
-    let cost = zynq::RoundPricer::of(sys, &sim);
-    let stages: Vec<String> = (art.names.iter().enumerate())
-        .map(|(i, name)| format!("{name} {}", sysgen::next_doubling(sys, i, &cost)))
-        .collect();
-    format!("next doubling: {}\n", stages.join(", "))
-}
-
-fn cmd_compile(args: &[String]) {
-    let p = checked_or_exit("compile", parse_common(args));
-    let art = compile_or_exit(&p);
-    write_sections(&p, &sections(&p, &art));
-    if p.json {
-        outln!("{}", timings_json(art.kernel_count(), &art.timings));
-    }
-}
-
-/// The `--emit` sections of a compile: per stage its IR, its C under
-/// the program-unique symbol `<stage>_body` (so the sources link into
-/// one system) and its compatibility graph; `host.c` with the fixed
-/// `cfd_driver.h` it includes; the shared PLM units; and the report,
-/// the program tables followed by each stage's HLS report.
-fn sections(p: &Parsed, art: &ProgramArtifacts) -> Vec<(String, String)> {
-    let stages = || art.names.iter().zip(&art.kernels);
-    let mut sections: Vec<(String, String)> = Vec::new();
-    if p.wants("ir") {
-        for (name, a) in stages() {
-            sections.push((format!("{name}.ir"), a.module.to_string()));
-        }
-    }
-    if p.wants("c") {
-        for (i, name) in art.names.iter().enumerate() {
-            sections.push((format!("{name}.c"), art.stage_c_source(i)));
-        }
-    }
-    if p.wants("host") {
-        sections.push(("host.c".into(), art.host_source.clone()));
-        sections.push(("cfd_driver.h".into(), sysgen::CFD_DRIVER_H.into()));
-    }
-    if p.wants("dot") {
-        for (name, a) in stages() {
-            sections.push((format!("{name}.compat.dot"), a.compat.to_dot()));
-        }
-    }
-    if p.wants("memory") {
-        let mut s = String::new();
-        for u in &art.memory.units {
-            s.push_str(&format!(
-                "{}: {} words, {} BRAM36, {}R{}W, members {:?}\n",
-                u.name, u.words, u.brams, u.read_ports, u.write_ports, u.members
-            ));
-        }
-        s.push_str(&format!(
-            "total {} BRAMs ({} cross-kernel units)\n",
-            art.memory.brams,
-            art.memory_plan.cross_kernel_units(&art.memory)
-        ));
-        sections.push(("memory.txt".into(), s));
-    }
-    if p.wants("report") {
-        let mut s = program_report(art);
-        s.push_str(&next_doublings(art));
-        for (name, a) in stages() {
-            s.push_str(&format!("\n{}", a.hls_report.renamed(name.clone())));
-        }
-        sections.push(("report.txt".into(), s));
-    }
-    sections
-}
-
-/// Write each `(name, content)` section to `-o DIR/name`, or print it
-/// under a `=== name ===` header.
-fn write_sections(p: &Parsed, sections: &[(String, String)]) {
-    let Some(dir) = &p.out_dir else {
-        for (name, content) in sections {
-            outln!("=== {name} ===\n{content}");
-        }
-        return;
-    };
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        eprintln!("cannot create '{dir}': {e}");
-        exit(1)
-    });
-    for (name, content) in sections {
-        let path = format!("{dir}/{name}");
-        std::fs::write(&path, content).unwrap_or_else(|e| {
-            eprintln!("cannot write '{path}': {e}");
-            exit(1)
-        });
-        outln!("wrote {path}");
-    }
-}
-
-fn cmd_simulate(args: &[String]) {
-    let p = checked_or_exit("simulate", parse_common(args));
-    let art = compile_or_exit(&p);
-    let elements = p.program.flow.elements;
-    let r = or_exit(
-        "simulation",
-        art.simulate(&SimConfig {
-            elements,
-            ..Default::default()
-        }),
-    );
-    // The software baseline of a program runs its stages one after
-    // another on the host CPU.
-    let (mut sw_ref, mut sw_hls) = (0.0, 0.0);
-    for a in &art.kernels {
-        let (reference, hls_code) = or_exit("simulation", a.sw_times(elements));
-        sw_ref += reference.total_s;
-        sw_hls += hls_code.total_s;
-    }
-    let ks: Vec<String> = r.ks.iter().map(|k| k.to_string()).collect();
-    outln!(
-        "program k=[{}] m={} | {} elements in {} rounds",
-        ks.join(","),
-        r.m,
-        r.elements,
-        r.rounds
-    );
-    for (name, exec) in art.names.iter().zip(&r.stage_exec_s) {
-        outln!("  stage {name}: exec {exec:.4} s");
-    }
-    outln!(
-        "exec {:.4} s | transfers {:.4} s | total {:.4} s ({:.2} ms/element)",
-        r.exec_s,
-        r.transfer_s,
-        r.total_s,
-        r.total_per_element_s() * 1e3
-    );
-    outln!(
-        "ARM A53: reference {sw_ref:.4} s, HLS-style code {sw_hls:.4} s -> HW speedup {:.2}x",
-        sw_ref / r.total_s
-    );
-}
-
-fn cmd_verify(args: &[String]) {
-    let mut p = checked_or_exit("verify", parse_common(args));
-    if !p.elements_set {
-        p.program.flow.elements = 8; // verification default: a sample, not the full run
-    }
-    let art = compile_or_exit(&p);
-    let mut v = or_exit(
-        "verification",
-        art.verify(p.program.flow.elements, p.runtime.seed),
-    );
-    // The first element also holds the interpreter to its definition.
-    v.bitexact &= or_exit("verification", art.matches_the_definition(p.runtime.seed));
-    outln!(
-        "verified {} chained elements ({}): bitexact={}, max_rel_diff={:.3e}",
-        v.elements,
-        kernels(art.kernel_count()),
-        v.bitexact,
-        v.max_rel_diff
-    );
-    if !v.bitexact {
-        exit(1);
-    }
-}
-
-/// `cfdc serve`: batched multi-request runtime on the compiled system.
-fn cmd_serve(args: &[String]) {
-    let p = checked_or_exit("serve", parse_common(args));
-    if p.fleet.is_some() {
-        return cmd_serve_fleet(&p);
-    }
-    let art = compile_or_exit(&p);
-    let opts = &p.runtime;
-    let out = or_exit("serving", art.serve(opts));
-    if p.json {
-        outln!("{}", out.report.to_json());
-        return;
-    }
-    out!("{}", out.report.render_table());
-    // With --batch off the run IS the sequential baseline — comparing it
-    // against itself would just print a meaningless 1.00x.
-    if opts.batch == BatchPolicy::Disabled {
-        return;
-    }
-    let seq = or_exit("serving", art.serve_sequential_baseline(opts));
-    outln!(
-        "sequential baseline: {:.1} req/s -> batching speedup {:.2}x",
-        seq.throughput_rps,
-        out.report.throughput_rps / seq.throughput_rps
-    );
-}
-
-/// `cfdc serve --fleet`: shard the request stream across a board set.
-/// The program is compiled once per distinct platform; boards the
-/// program cannot target are skipped with a warning (a compile error
-/// there is not fatal; it is fatal only when no board remains). `--faults` arms
-/// board 0 only, so an outage always leaves survivors to requeue onto.
-fn cmd_serve_fleet(p: &Parsed) {
-    let platforms = p.fleet.as_ref().expect("fleet platforms");
-    // One compile per distinct platform id — repeated boards share it.
-    let mut compiled: Vec<(&str, Result<ProgramArtifacts, String>)> = Vec::new();
-    for platform in platforms {
-        if !compiled.iter().any(|(id, _)| *id == platform.id) {
-            // The platform and its default clock override `--board`.
-            let mut opts = p.program.clone();
-            opts.flow.platform = platform.clone();
-            opts.flow.hls.clock_mhz = platform.default_clock_mhz;
-            let art = compile_program(p, &opts, cache_or_exit(p)).map_err(|e| e.to_string());
-            compiled.push((platform.id, art));
-        }
-    }
-    let art_for = |id: &str| &compiled.iter().find(|(cid, _)| *cid == id).unwrap().1;
-    // Board list in catalog order, with repeats of one platform named
-    // id#2, id#3, ... and --faults armed on the first board only.
-    let mut boards: Vec<FleetBoard> = Vec::new();
-    let mut reference: Option<&ProgramArtifacts> = None;
-    for platform in platforms {
-        let art = match art_for(platform.id) {
-            Ok(art) => art,
-            Err(e) => {
-                eprintln!("warning: skipping {}: {e}", platform.id);
-                continue;
-            }
-        };
-        let Some(design) = art.system.clone() else {
-            eprintln!(
-                "warning: skipping {}: program has no system design for this board",
-                platform.id
-            );
-            continue;
-        };
-        reference.get_or_insert(art);
-        let mut board = FleetBoard::healthy(design);
-        let repeats = boards
-            .iter()
-            .filter(|b| b.name.starts_with(&board.name))
-            .count();
-        if repeats > 0 {
-            board.name = format!("{}#{}", board.name, repeats + 1);
-        }
-        if boards.is_empty() {
-            board.faults = p.runtime.faults.clone();
-        }
-        boards.push(board);
-    }
-    let Some(art) = reference else {
-        eprintln!("no fleet board fits the program");
-        exit(1)
-    };
-    let fopts = FleetOptions {
-        route: p.route,
-        parallel: true,
-        base: p.runtime.clone(),
-    };
-    let out = or_exit("fleet serving", art.serve_fleet(&boards, &fopts));
-    if p.json {
-        outln!("{}", out.report.to_json());
-        return;
-    }
-    out!("{}", out.report.render_table());
-}
-
-/// `cfdc explore`: the feasible-design listing, or a sweep of the
-/// default grid — over the `--boards` portfolio, or with `--grid` on
-/// the `--board` platform at its one default clock.
-fn cmd_explore(args: &[String]) {
-    let p = checked_or_exit("explore", parse_common(args));
-    if p.boards.is_some() {
-        // The portfolio sets its own boards and clocks.
-        let sweep = p
-            .flags
-            .iter()
-            .find(|f| ["--grid", "--board"].contains(&f.name));
-        if let Some(flag) = sweep {
-            fail(CliError::NotApplicable {
-                flag: flag.name.to_string(),
-                command: "explore --boards",
-            })
-        }
-    } else if !p.grid {
-        return explore_listing(&p);
-    }
-    let engine = or_exit("compilation", DseEngine::prepare(&p.source, &p.program));
-    // Sweep default: small enough to keep the simulations quick.
-    let elements = if p.elements_set {
-        p.program.flow.elements
-    } else {
-        10_000
-    };
-    let flow = &p.program.flow;
-    let board = [Platform {
-        clock_ladder_mhz: vec![flow.hls.clock_mhz],
-        ..flow.platform.clone()
-    }];
-    let platforms = p.boards.as_deref().unwrap_or(&board);
-    let report = engine.run_portfolio(platforms, &DseGrid::default(), flow.jobs, elements);
-    // A time past the simulator's clock would print wrong: exit 1.
-    if report.ticks_overflows > 0 {
-        or_exit("exploration", Err(FlowError::TicksOverflow { elements }))
-    }
-    print_portfolio(&report, p.json);
-}
-
-/// Render a portfolio sweep (table or JSON) with its Pareto frontier.
-fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
-    if json {
-        outln!("{}", report.to_json());
-        return;
-    }
-    out!("{}", report.render_table());
-    let frontier = report.pareto_frontier();
-    outln!("pareto frontier ({} points):", frontier.len());
-    for o in frontier {
-        outln!(
-            "  {} @ {:.0} MHz: k={} m={} -> {:.4} s ({:.0} el/s) at {:.1}% fit",
-            o.platform,
-            o.clock_mhz,
-            o.outcome.point.k,
-            o.outcome.point.m,
-            o.outcome.total_s,
-            o.outcome.throughput_eps,
-            o.utilization * 100.0
-        );
-    }
-    let service = report.service_frontier();
-    outln!("service frontier ({} points):", service.len());
-    for o in service {
-        outln!(
-            "  {} @ {:.0} MHz: k={} m={} -> {:.0} req/s at p99 {:.4} s, {:.1}% fit",
-            o.platform,
-            o.clock_mhz,
-            o.outcome.point.k,
-            o.outcome.point.m,
-            o.outcome.service_rps,
-            o.outcome.service_p99_s,
-            o.utilization * 100.0
-        );
-    }
-    let cost = report.cost_frontier();
-    outln!("cost-efficiency frontier ({} points):", cost.len());
-    for (o, per_kluts) in cost {
-        outln!(
-            "  {} @ {:.0} MHz: k={} m={} -> {:.0} req/s, {:.1} req/s per kLUT ({} LUTs)",
-            o.platform,
-            o.clock_mhz,
-            o.outcome.point.k,
-            o.outcome.point.m,
-            o.outcome.service_rps,
-            per_kluts,
-            o.outcome.luts
-        );
-    }
-}
-
-/// The feasibility listing: compile the program once, then list every
-/// uniform replication Eq. (3) admits on the board
-/// ([`sysgen::enumerate_program_designs`]). `--k`/`--m` do not apply.
-fn explore_listing(p: &Parsed) {
-    let art = or_exit("compilation", compile_program(p, &p.program, None));
-    let stages: Vec<(String, hls::HlsReport)> = art
-        .names
-        .iter()
-        .zip(&art.kernels)
-        .map(|(n, a)| (n.clone(), a.hls_report.clone()))
-        .collect();
-    let platform = &p.program.flow.platform;
-    let designs = sysgen::enumerate_program_designs(platform, &stages, &art.memory);
-    out!("{}", program_report(&art));
-    outln!(
-        "feasible uniform configurations on {}:",
-        platform.board.name
-    );
-    outln!("   k    m  batch     LUT   BRAM   slack(BRAM)");
-    for d in &designs {
-        let (_, _, _, slack_brams) = d.slack();
-        outln!(
-            "  {:>2}  {:>3}  {:>4}   {:>6}  {:>5}   {:>6}",
-            d.config.ks[0],
-            d.config.m,
-            d.config.batch(0),
-            d.luts,
-            d.brams,
-            slack_brams
-        );
-    }
 }
 
 #[cfg(test)]

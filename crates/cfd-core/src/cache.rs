@@ -69,7 +69,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pschedule::{CompatKind, CompatibilityGraph, Schedule};
 use teil::layout::ArrayId;
@@ -178,9 +178,15 @@ impl CompileCache {
         }
     }
 
+    /// The memory layer. Each use is one `get` or `insert`, which leaves
+    /// the map whole even when it panics, so a poisoned lock is reused.
+    fn mem(&self) -> MutexGuard<'_, HashMap<u128, Arc<CachedSchedule>>> {
+        self.mem.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of entries resident in memory.
     pub fn len(&self) -> usize {
-        self.mem.lock().unwrap().len()
+        self.mem().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -191,7 +197,7 @@ impl CompileCache {
     /// into memory; a corrupt disk entry is invalidated (counted and
     /// removed) and reported as a miss.
     pub fn lookup(&self, key: u128) -> Option<Arc<CachedSchedule>> {
-        if let Some(e) = self.mem.lock().unwrap().get(&key) {
+        if let Some(e) = self.mem().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(e));
         }
@@ -202,7 +208,7 @@ impl CompileCache {
                     Some(e) => {
                         let e = Arc::new(e);
                         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        self.mem.lock().unwrap().insert(key, Arc::clone(&e));
+                        self.mem().insert(key, Arc::clone(&e));
                         return Some(e);
                     }
                     None => {
@@ -220,7 +226,7 @@ impl CompileCache {
     /// Disk write failures are swallowed — the in-memory layer still
     /// serves the entry, and the next process recompiles.
     pub fn store(&self, key: u128, entry: Arc<CachedSchedule>) {
-        self.mem.lock().unwrap().insert(key, Arc::clone(&entry));
+        self.mem().insert(key, Arc::clone(&entry));
         self.stores.fetch_add(1, Ordering::Relaxed);
         if let Some(dir) = &self.dir {
             let text = write_entry(&entry);

@@ -63,6 +63,9 @@
 //! // Ranked fastest first.
 //! let best = &report.outcomes[0].outcome;
 //! assert!(best.feasible && best.throughput_eps > 0.0);
+//! // The shared stages ran once, regardless of grid size or jobs.
+//! assert_eq!(engine.pipeline().counters().frontend, 1);
+//! assert_eq!(engine.pipeline().counters().middle_end, 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -414,8 +414,9 @@ impl Pipeline {
             ..opts.clone().into()
         };
         let program = self.run_fronts(fronts, &popts)?;
-        let mut kernels = program.kernels.into_iter();
-        let mut kernel = kernels.next().expect("a parsed source has a kernel");
+        let Some(mut kernel) = program.kernels.into_iter().next() else {
+            return Err(FlowError::Backend("source has no kernel".into()));
+        };
         kernel.timings = program.timings;
         Ok(kernel)
     }

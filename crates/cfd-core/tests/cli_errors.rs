@@ -175,6 +175,38 @@ fn explore_boards_refuses_grid_and_board_with_one_line() {
     }
 }
 
+/// A `--boards` list that names a board twice used to sweep it twice:
+/// `--boards zcu106,zcu106` printed "2 platforms" and every row and
+/// summary twice. It is one line naming the board, exit 2. A `--fleet`
+/// list keeps its repeats: there they are separate boards.
+#[test]
+fn a_board_named_twice_in_boards_exits_two_with_one_line() {
+    for (boards, twice) in [("zcu106,zcu106", "zcu106"), ("u250,pynq-z2,u250", "u250")] {
+        for json in [&[][..], &["--json"]] {
+            let mut args = vec!["explore", "helmholtz:4", "--boards", boards];
+            args.extend_from_slice(json);
+            let (status, stdout, stderr) = cfdc(&args);
+            assert_eq!(status, Some(2), "{args:?}: {stderr}");
+            assert!(stdout.is_empty(), "{args:?} printed a result");
+            assert_eq!(
+                stderr,
+                format!("error: board '{twice}' is named twice in --boards\n"),
+                "{args:?}"
+            );
+        }
+    }
+    let (status, stdout, stderr) = cfdc(&[
+        "serve",
+        "axpy:2",
+        "--requests",
+        "8",
+        "--fleet",
+        "zcu106,zcu106",
+    ]);
+    assert_eq!(status, Some(0), "{stderr}");
+    assert!(stdout.contains("zcu106#2"), "{stdout}");
+}
+
 /// `cfdc compile --elements N` sizes the host program's main loop: a
 /// kernel's `host.c` and a program's run `ceil(N / m)` rounds of the
 /// automatic replication (m = 32 for helmholtz:5, m = 16 for simstep:7
