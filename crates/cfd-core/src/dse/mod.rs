@@ -33,9 +33,10 @@ pub use document::{PlatformSummary, PortfolioOutcome, PortfolioReport};
 pub use engine::{DseEngine, ProgramDseEngine};
 pub use scoring::{DseGrid, DseOutcome, DsePoint, SERVICE_PROBE_REQUESTS};
 
-/// Definitions and drawn inputs the parts' tests share.
 #[cfg(test)]
 mod fixtures {
+    //! Definitions and drawn inputs the parts' tests share.
+
     use std::cmp::Ordering;
     use std::iter::repeat_n;
 
