@@ -93,13 +93,14 @@ fn decimal_text_key(n: u64) -> u128 {
 }
 
 /// The cartesian exploration grid. `m` is derived as `k · batch`, so
-/// every generated point satisfies the paper's power-of-two batching
-/// constraint by construction.
+/// every point whose batch is a power of two satisfies the paper's
+/// power-of-two batching constraint by construction.
 #[derive(Debug, Clone)]
 pub struct DseGrid {
     pub k: Vec<usize>,
-    /// Batch factors (executions per accelerator per round); powers of
-    /// two.
+    /// Batch factors (executions per accelerator per round). A point
+    /// whose batch is not a power of two is swept and scores as
+    /// infeasible, as any invalid replication does.
     pub batch: Vec<usize>,
     pub sharing: Vec<bool>,
     pub decoupled: Vec<bool>,
@@ -126,10 +127,6 @@ impl DseGrid {
         let mut out = Vec::new();
         for &k in &self.k {
             for &batch in &self.batch {
-                assert!(
-                    batch.is_power_of_two(),
-                    "batch factors must be powers of two"
-                );
                 for &sharing in &self.sharing {
                     for &decoupled in &self.decoupled {
                         for &partition in &self.partition {
@@ -673,6 +670,23 @@ mod tests {
                 "k={k} m={m}"
             );
         }
+    }
+
+    #[test]
+    fn a_batch_that_is_no_power_of_two_sweeps_as_infeasible() {
+        let grid = DseGrid {
+            k: vec![1, 2],
+            batch: vec![3],
+            ..DseGrid::default()
+        };
+        assert!(grid.points().iter().all(|p| p.m == 3 * p.k));
+        let src = cfdlang::examples::inverse_helmholtz(4);
+        let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+        let report = engine.run_portfolio(&[FlowOptions::default().platform], &grid, 1, 100);
+        // Every point at every clock of the board's ladder, none fitting.
+        assert!(report.evaluated > 0 && report.evaluated.is_multiple_of(grid.points().len()));
+        assert_eq!(report.feasible, 0);
+        assert!(report.outcomes.iter().all(|o| !o.outcome.feasible));
     }
 
     /// Order of the decimal spellings of `a` and `b` as strings

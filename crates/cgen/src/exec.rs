@@ -6,7 +6,9 @@
 //! and the operation counts that parameterize the ARM cost model for the
 //! paper's *SW HLS code* measurement (Figure 10).
 //!
-//! Execution has three phases, all run once per call:
+//! Execution has three phases. The first two run once per
+//! [`PreparedKernel`], the walk once per run of it; [`run_kernel`]
+//! prepares and runs once:
 //!
 //! * **resolve** walks the [`CKernel`] in program order and turns every
 //!   name into a slot: arrays into positions of a `Vec<Vec<f64>>`,
@@ -31,7 +33,21 @@
 //!   order, unless [`teil::lane::across`] finds the reduction fuller —
 //!   then only the reduction nest runs lane-wise). A nest qualifies only
 //!   if its expression reads neither the scalar it accumulates nor the
-//!   array it stores to. [`kernel_counts`] skips this phase.
+//!   array it stores to. Each marked nest gets its [`lane::Table`], the
+//!   extents and per-access strides of its digits, built here once.
+//!   **Lane order:** the points of a store or accumulator nest are
+//!   independent when, besides that condition, its store's address is
+//!   injective over the lane digits. The planner proves that from the
+//!   store's strides: taken largest first, each lane digit's stride must
+//!   exceed the span of the digits after it. Such a nest's lane digits
+//!   are put in the store's order, largest stride first, which is the
+//!   order the interpreter's row-major result is written in, so its
+//!   chunks gather and scatter along consecutive words. An accumulation
+//!   nest, and a nest whose store is not proven injective, keeps program
+//!   order. Every point's own sum keeps its order, and the point whose
+//!   every lane digit is at its last value comes last in either order,
+//!   so an accumulator's scalar ends as program order leaves it.
+//!   [`kernel_counts`] skips this phase.
 //! * **walk** runs the resolved program. It cannot fail, allocates
 //!   nothing and sees no name. A marked nest runs through
 //!   [`teil::lane::run`]: each expression node over up to
@@ -66,51 +82,99 @@ pub struct ExecCounts {
     pub iters: u64,
 }
 
-/// Execute a kernel over named flat arrays. Arrays listed as parameters
-/// must be present in `mem` with the right size; locals are allocated and
-/// dropped internally. On an error `mem` is left as it came in.
+/// Execute a kernel over named flat arrays: [`PreparedKernel::new`], then
+/// one [`PreparedKernel::run`].
 pub fn run_kernel(k: &CKernel, mem: &mut HashMap<String, Vec<f64>>) -> Result<ExecCounts, String> {
-    for p in &k.params {
-        let a = mem
-            .get(&p.name)
-            .ok_or_else(|| format!("missing array '{}'", p.name))?;
-        if a.len() != p.words {
-            return Err(format!(
-                "array '{}' has {} words, expected {}",
-                p.name,
-                a.len(),
-                p.words
-            ));
-        }
-    }
-    let mut plan = resolve(k)?;
-    let most = plan_lanes(&mut plan);
-    let offsets = std::mem::take(&mut plan.offsets);
-    // The caller's arrays are taken out of the map for the walk and put
-    // back after it; nothing in between can fail.
-    let (caller, locals) = plan.arrays.split_at(plan.caller_arrays);
-    let mut walk = Walk {
-        plan: &plan,
-        arrays: caller
-            .iter()
-            .map(|p| std::mem::take(mem.get_mut(&p.name).expect("presence checked above")))
-            .chain(locals.iter().map(|l| vec![0.0; l.words]))
-            .collect(),
-        offsets,
-        scalars: vec![0.0; plan.scalars],
-        places: vec![lane::Place::new(0); most],
-    };
-    walk.run(0, plan.ops.len());
-    for (p, a) in caller.iter().zip(walk.arrays) {
-        *mem.get_mut(&p.name).expect("presence checked above") = a;
-    }
-    Ok(plan.counts)
+    PreparedKernel::new(k)?.run(mem)
 }
 
 /// The counts [`run_kernel`] returns for `k`, without executing it:
 /// array sizes come from the kernel's own `params` and `locals`.
 pub fn kernel_counts(k: &CKernel) -> Result<ExecCounts, String> {
     Ok(resolve(k)?.counts)
+}
+
+/// A kernel resolved and lane-planned once, to be run any number of
+/// times. It keeps the storage of the kernel's locals, its offsets and
+/// scalars between runs, and a run leaves them as a fresh kernel starts
+/// them (locals and scalars zero, offsets at the resolved origin), so
+/// every run equals a [`run_kernel`] call bit for bit.
+pub struct PreparedKernel<'k> {
+    params: &'k [CParam],
+    plan: Plan<'k>,
+    state: State,
+}
+
+impl<'k> PreparedKernel<'k> {
+    /// Resolve and plan `k`; fails where [`kernel_counts`] fails.
+    pub fn new(k: &'k CKernel) -> Result<PreparedKernel<'k>, String> {
+        let mut plan = resolve(k)?;
+        plan.most = plan_lanes(&mut plan);
+        compact(&mut plan);
+        let state = State {
+            arrays: (plan.arrays.iter().enumerate())
+                .map(|(slot, a)| match slot < plan.caller_arrays {
+                    true => Vec::new(),
+                    false => vec![0.0; a.words],
+                })
+                .collect(),
+            offsets: std::mem::take(&mut plan.offsets),
+            scalars: vec![0.0; plan.scalars],
+        };
+        Ok(PreparedKernel {
+            params: &k.params,
+            plan,
+            state,
+        })
+    }
+
+    /// Execute the kernel over named flat arrays. Arrays listed as
+    /// parameters must be present in `mem` with the right size; on an
+    /// error `mem` is left as it came in.
+    pub fn run(&mut self, mem: &mut HashMap<String, Vec<f64>>) -> Result<ExecCounts, String> {
+        for p in self.params {
+            let a = mem
+                .get(&p.name)
+                .ok_or_else(|| format!("missing array '{}'", p.name))?;
+            if a.len() != p.words {
+                return Err(format!(
+                    "array '{}' has {} words, expected {}",
+                    p.name,
+                    a.len(),
+                    p.words
+                ));
+            }
+        }
+        // The caller's arrays are taken out of the map for the walk and put
+        // back after it; nothing in between can fail.
+        let (plan, st) = (&self.plan, &mut self.state);
+        for (slot, p) in st.arrays.iter_mut().zip(&plan.arrays[..plan.caller_arrays]) {
+            *slot = std::mem::take(mem.get_mut(&p.name).expect("presence checked above"));
+        }
+        let places = vec![lane::Place::new(0); plan.most];
+        Walk { plan, st, places }.run(0, plan.ops.len());
+        // The state goes back to what a fresh kernel starts from; the walk
+        // has rewound every offset already.
+        let (caller, locals) = st.arrays.split_at_mut(plan.caller_arrays);
+        for (slot, p) in caller.iter_mut().zip(&plan.arrays) {
+            *mem.get_mut(&p.name).expect("presence checked above") = std::mem::take(slot);
+        }
+        locals.iter_mut().for_each(|l| l.fill(0.0));
+        st.scalars.fill(0.0);
+        Ok(plan.counts)
+    }
+}
+
+/// What one run of a [`PreparedKernel`] changes.
+struct State {
+    /// Every array by slot: a caller's is empty outside a run, a local
+    /// keeps its storage.
+    arrays: Vec<Vec<f64>>,
+    /// Current offset of every access; at the resolved origin outside a
+    /// run, since every loop rewinds what it added.
+    offsets: Vec<usize>,
+    /// Every scalar; zero outside a run.
+    scalars: Vec<f64>,
 }
 
 /// One statement of the resolved program. A loop's body follows its
@@ -126,8 +190,9 @@ enum Op {
         first: usize,
         last: usize,
         steps: usize,
-        /// The outermost loop of a nest that runs a lane at a time.
-        nest: Option<Nest>,
+        /// The outermost loop of a nest that runs a lane at a time: its
+        /// place in [`Plan::nests`].
+        nest: Option<usize>,
     },
     Decl {
         scalar: usize,
@@ -145,13 +210,36 @@ enum Op {
     },
 }
 
-/// A loop nest that runs a lane at a time ([`lane::run`]): the `lane`
-/// loops from its header on, and, in an accumulator nest, the `inner`
-/// reduction loops after the declaration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A loop nest that runs a lane at a time ([`lane::run`]), as
+/// [`plan_lanes`] found it: the `lane` loops from its header on and, in
+/// an accumulator nest, the reduction loops after the declaration.
 struct Nest {
     lane: usize,
-    inner: usize,
+    /// The lane digits in the order the lane walks them (see the module
+    /// docs), then the reduction digits; one stride row per access.
+    table: lane::Table,
+    /// The nest's accesses are the plan's `first..last`.
+    first: usize,
+    last: usize,
+    expr: usize,
+    /// What each point's accumulator starts from.
+    init: f64,
+    /// The scalar the nest accumulates into or leaves.
+    scalar: Option<usize>,
+    store: Option<Target>,
+}
+
+/// A nest's store: the array, the access and whether it adds.
+#[derive(Clone, Copy)]
+struct Target {
+    array: usize,
+    access: usize,
+    accumulate: bool,
+    /// The store is the nest's last access and writes lane point `i` `i`
+    /// words past its origin (its lane strides, in walk order, are those
+    /// of a row-major box): the walk does not place it, and writes each
+    /// chunk from its first point on.
+    dense: bool,
 }
 
 /// One expression node; operands precede their operator in [`Plan::nodes`].
@@ -169,11 +257,15 @@ struct Plan<'k> {
     arrays: Vec<&'k CParam>,
     caller_arrays: usize,
     ops: Vec<Op>,
+    nests: Vec<Nest>,
     nodes: Vec<Node>,
     steps: Vec<usize>,
-    /// Offset of every access with all loop variables at zero.
+    /// Offset of every access with all loop variables at zero (a
+    /// [`PreparedKernel`] moves them to its [`State`]).
     offsets: Vec<usize>,
     scalars: usize,
+    /// The most accesses a lane nest has.
+    most: usize,
     counts: ExecCounts,
 }
 
@@ -209,10 +301,12 @@ fn resolve(k: &CKernel) -> Result<Plan<'_>, String> {
             arrays,
             caller_arrays,
             ops: Vec::with_capacity(stmts),
+            nests: Vec::new(),
             nodes: Vec::new(),
             steps: Vec::new(),
             offsets: Vec::new(),
             scalars: 0,
+            most: 0,
             counts: ExecCounts::default(),
         },
         scalars: Vec::new(),
@@ -383,30 +477,71 @@ impl<'k> Resolver<'k> {
 }
 
 /// Mark every loop nest of `plan` that runs a lane at a time, outermost
-/// first ([`nest_at`]); returns the most accesses one of them has. Only
-/// [`run_kernel`] plans lanes: [`kernel_counts`] never pays for it.
+/// first, and plan it ([`nest_at`]); returns the most accesses one of
+/// them has. Only a [`PreparedKernel`] plans lanes: [`kernel_counts`]
+/// never pays for it.
 fn plan_lanes(plan: &mut Plan) -> usize {
     let (mut most, mut pc) = (0, 0);
     while pc < plan.ops.len() {
-        match (nest_at(&plan.ops, &plan.nodes, pc), &mut plan.ops[pc]) {
-            (
-                Some(found),
-                Op::For {
-                    end,
-                    first,
-                    last,
-                    nest,
-                    ..
-                },
-            ) => {
-                *nest = Some(found);
-                most = most.max(*last - *first);
-                pc = *end;
-            }
-            _ => pc += 1,
+        let Some(found) = nest_at(plan, pc) else {
+            pc += 1;
+            continue;
+        };
+        most = most.max(found.last - found.first);
+        if let Op::For { end, nest, .. } = &mut plan.ops[pc] {
+            *nest = Some(plan.nests.len());
+            pc = *end;
         }
+        plan.nests.push(found);
     }
     most
+}
+
+/// Keep of `plan`'s ops and steps only what the walk reads: a lane
+/// nest's header stays, the ops inside it and their loops' steps go (its
+/// table holds what it needs); `end` and `steps` are renumbered.
+fn compact(plan: &mut Plan) {
+    fn keep(plan: &Plan, pcs: std::ops::Range<usize>, ops: &mut Vec<Op>, steps: &mut Vec<usize>) {
+        let mut pc = pcs.start;
+        while pc < pcs.end {
+            let Op::For {
+                extent,
+                end,
+                first,
+                last,
+                steps: s,
+                nest,
+            } = plan.ops[pc]
+            else {
+                ops.push(plan.ops[pc]);
+                pc += 1;
+                continue;
+            };
+            let (header, at) = (ops.len(), steps.len());
+            ops.push(plan.ops[pc]);
+            if nest.is_none() {
+                steps.extend_from_slice(&plan.steps[s..s + (last - first)]);
+                keep(plan, pc + 1..end, ops, steps);
+            }
+            ops[header] = Op::For {
+                extent,
+                end: ops.len(),
+                first,
+                last,
+                steps: at,
+                nest,
+            };
+            pc = end;
+        }
+    }
+    let (mut ops, mut steps) = (Vec::new(), Vec::new());
+    keep(plan, 0..plan.ops.len(), &mut ops, &mut steps);
+    (plan.ops, plan.steps) = (ops, steps);
+    // A prepared kernel lives for many runs: no spare capacity.
+    plan.ops.shrink_to_fit();
+    plan.steps.shrink_to_fit();
+    plan.nodes.shrink_to_fit();
+    plan.nests.shrink_to_fit();
 }
 
 /// The nest whose outermost loop is `ops[pc]`, if it runs a lane at a
@@ -422,26 +557,56 @@ fn plan_lanes(plan: &mut Plan) -> usize {
 ///
 /// A lane evaluates several points' expressions before the first result
 /// lands, hence the conditions on what the expression reads.
-fn nest_at(ops: &[Op], nodes: &[Node], pc: usize) -> Option<Nest> {
+fn nest_at(plan: &Plan, pc: usize) -> Option<Nest> {
+    let ops = &plan.ops;
     let (lane, points, end) = chain(ops, pc);
     let body = pc + lane;
-    if lane == 0 || body == end {
+    let Op::For { first, last, .. } = ops[pc] else {
+        return None;
+    };
+    if body == end {
         return None;
     }
-    let reads = |expr, hit: &dyn Fn(Node) -> bool| reads(nodes, expr, hit);
-    match ops[body] {
-        Op::Store { array, expr, .. } if end == body + 1 => {
+    let reads = |expr, hit: &dyn Fn(Node) -> bool| reads(&plan.nodes, expr, hit);
+    let target = |array, access, accumulate| {
+        Some(Target {
+            array,
+            access,
+            accumulate,
+            dense: false,
+        })
+    };
+    let (inner, expr, init, scalar, store) = match ops[body] {
+        Op::Store {
+            array,
+            access,
+            expr,
+            accumulate,
+        } if end == body + 1 => {
             let own = |n| matches!(n, Node::Load { array: a, .. } if a == array);
-            (!reads(expr, &own)).then_some(Nest { lane, inner: 0 })
+            if reads(expr, &own) {
+                return None;
+            }
+            (0, expr, 0.0, None, target(array, access, accumulate))
         }
         Op::Accum { scalar, expr } if end == body + 1 => {
             let own = |n| matches!(n, Node::Scalar(s) if s == scalar);
-            (!reads(expr, &own)).then_some(Nest { lane, inner: 0 })
+            if reads(expr, &own) {
+                return None;
+            }
+            (0, expr, 0.0, Some(scalar), None)
         }
-        Op::Decl { scalar, .. } => {
+        Op::Decl { scalar, init } => {
             let (inner, red, inner_end) = chain(ops, body + 1);
-            let (Op::Accum { scalar: s, expr }, Op::Store { array, expr: x, .. }) =
-                (ops[inner_end - 1], *ops.get(inner_end)?)
+            let (
+                Op::Accum { scalar: s, expr },
+                Op::Store {
+                    array,
+                    access,
+                    expr: x,
+                    accumulate,
+                },
+            ) = (ops[inner_end - 1], *ops.get(inner_end)?)
             else {
                 return None;
             };
@@ -453,12 +618,124 @@ fn nest_at(ops: &[Op], nodes: &[Node], pc: usize) -> Option<Nest> {
                 && inner_end == body + inner + 2
                 && end == inner_end + 1
                 && s == scalar
-                && matches!(nodes[x], Node::Scalar(s) if s == scalar)
+                && matches!(plan.nodes[x], Node::Scalar(s) if s == scalar)
                 && !reads(expr, &own)
                 && lane::across(points, red);
-            holds.then_some(Nest { lane, inner })
+            if !holds {
+                return None;
+            }
+            let store = target(array, access, accumulate);
+            (inner, expr, init, Some(scalar), store)
         }
-        _ => None,
+        _ => return None,
+    };
+    let mut table = digits(plan, pc, lane, inner, first..last);
+    let mut store = store;
+    if let Some(t) = &mut store {
+        if let Some(order) = store_order(&table, lane, t.access - first) {
+            table = reorder(&table, &order);
+        }
+        t.dense = t.access + 1 == last && dense(&table, lane, t.access - first);
+    }
+    Some(Nest {
+        lane,
+        table,
+        first,
+        last,
+        expr,
+        init,
+        scalar,
+        store,
+    })
+}
+
+/// The digits of the nest at `ops[pc]`, whose accesses are `accesses`,
+/// in program order: the `lane` loops, then, past an accumulator's
+/// declaration, the `inner` reduction loops.
+fn digits(
+    plan: &Plan,
+    pc: usize,
+    lane: usize,
+    inner: usize,
+    accesses: std::ops::Range<usize>,
+) -> lane::Table {
+    let loops = (pc..pc + lane).chain(pc + lane + 1..pc + lane + 1 + inner);
+    let (n, first) = (lane + inner, accesses.start);
+    let mut t = lane::Table {
+        extents: Vec::with_capacity(n),
+        strides: vec![0; accesses.len() * n],
+    };
+    for (d, pc) in loops.enumerate() {
+        if let Op::For {
+            extent,
+            last,
+            steps,
+            ..
+        } = plan.ops[pc]
+        {
+            t.extents.push(extent);
+            // A reduction loop does not contain the write-back after it,
+            // whose stride along it stays zero.
+            for a in 0..last - first {
+                t.strides[a * n + d] = plan.steps[steps + a];
+            }
+        }
+    }
+    t
+}
+
+/// The lane digits `..lane` of `t` in the order of access `a`, the
+/// nest's store, largest stride first, if that order proves the store
+/// injective over them: each digit of extent above one must step
+/// further than the digits after it span together. Then no two lane
+/// points write one element.
+fn store_order(t: &lane::Table, lane: usize, a: usize) -> Option<Vec<usize>> {
+    let n = t.extents.len();
+    let stride = |d: usize| (t.strides[a * n + d] as isize).unsigned_abs();
+    let mut order: Vec<usize> = (0..lane).collect();
+    order.sort_by_key(|&d| std::cmp::Reverse(stride(d)));
+    let mut span = 0;
+    for &d in order.iter().rev().filter(|&&d| t.extents[d] > 1) {
+        if stride(d) <= span {
+            return None;
+        }
+        // In bounds: the resolver checked the address's extremes, which
+        // lie `span` apart.
+        span += stride(d) * (t.extents[d] - 1);
+    }
+    Some(order)
+}
+
+/// Whether access `a` of `t` steps through the lane digits `..lane` as
+/// through a row-major box: each digit of extent above one by the points
+/// of the digits after it.
+fn dense(t: &lane::Table, lane: usize, a: usize) -> bool {
+    let n = t.extents.len();
+    let mut points = 1;
+    for d in (0..lane).rev() {
+        let x = t.extents[d];
+        if x > 1 && t.strides[a * n + d] != points {
+            return false;
+        }
+        points *= x;
+    }
+    true
+}
+
+/// `t` with its first `order.len()` digits taken in `order`.
+fn reorder(t: &lane::Table, order: &[usize]) -> lane::Table {
+    let lane = order.len();
+    let permute = |row: &[usize]| -> Vec<usize> {
+        let rest = row[lane..].iter();
+        order.iter().map(|&d| row[d]).chain(rest.copied()).collect()
+    };
+    lane::Table {
+        extents: permute(&t.extents),
+        strides: t
+            .strides
+            .chunks(t.extents.len())
+            .flat_map(permute)
+            .collect(),
     }
 }
 
@@ -487,21 +764,19 @@ fn reads(nodes: &[Node], node: usize, hit: &dyn Fn(Node) -> bool) -> bool {
         || matches!(n, Node::Bin { lhs, rhs, .. } if reads(nodes, lhs, hit) || reads(nodes, rhs, hit))
 }
 
-/// The mutable state of one execution of a [`Plan`].
+/// One run of a [`Plan`] over its [`State`].
 struct Walk<'p> {
     plan: &'p Plan<'p>,
-    arrays: Vec<Vec<f64>>,
-    /// Current offset of every access.
-    offsets: Vec<usize>,
-    scalars: Vec<f64>,
+    st: &'p mut State,
     /// Room for every access of the largest lane nest.
     places: Vec<lane::Place>,
 }
 
 impl Walk<'_> {
     fn run(&mut self, mut pc: usize, end: usize) {
+        let plan = self.plan;
         while pc < end {
-            match self.plan.ops[pc] {
+            match plan.ops[pc] {
                 Op::For {
                     extent,
                     end: body_end,
@@ -511,28 +786,28 @@ impl Walk<'_> {
                     nest,
                 } => {
                     if let Some(nest) = nest {
-                        self.run_nest(pc, nest);
+                        self.run_nest(&plan.nests[nest]);
                         pc = body_end;
                         continue;
                     }
-                    let steps = &self.plan.steps[steps..steps + (last - first)];
+                    let steps = &plan.steps[steps..steps + (last - first)];
                     // Offsets wrap: past the last iteration an offset may
                     // leave the array (even go below zero) until the
                     // rewind brings it back; it is not read in between.
                     for _ in 0..extent {
                         self.run(pc + 1, body_end);
-                        for (o, s) in self.offsets[first..last].iter_mut().zip(steps) {
+                        for (o, s) in self.st.offsets[first..last].iter_mut().zip(steps) {
                             *o = o.wrapping_add(*s);
                         }
                     }
-                    for (o, s) in self.offsets[first..last].iter_mut().zip(steps) {
+                    for (o, s) in self.st.offsets[first..last].iter_mut().zip(steps) {
                         *o = o.wrapping_sub(s.wrapping_mul(extent));
                     }
                     pc = body_end;
                     continue;
                 }
-                Op::Decl { scalar, init } => self.scalars[scalar] = init,
-                Op::Accum { scalar, expr } => self.scalars[scalar] += self.eval(expr),
+                Op::Decl { scalar, init } => self.st.scalars[scalar] = init,
+                Op::Accum { scalar, expr } => self.st.scalars[scalar] += self.eval(expr),
                 Op::Store {
                     array,
                     access,
@@ -540,7 +815,7 @@ impl Walk<'_> {
                     accumulate,
                 } => {
                     let v = self.eval(expr);
-                    let slot = &mut self.arrays[array][self.offsets[access]];
+                    let slot = &mut self.st.arrays[array][self.st.offsets[access]];
                     if accumulate {
                         *slot += v;
                     } else {
@@ -552,90 +827,60 @@ impl Walk<'_> {
         }
     }
 
-    /// Run the nest whose outermost loop is `ops[pc]` a lane at a time
-    /// (see [`nest_at`] for its three shapes).
-    fn run_nest(&mut self, pc: usize, nest: Nest) {
-        let ops = &self.plan.ops;
-        let Op::For { first, last, .. } = ops[pc] else {
-            unreachable!("a nest starts at a loop")
-        };
-        let mut places = std::mem::take(&mut self.places);
-        for (p, &o) in places.iter_mut().zip(&self.offsets[first..last]) {
+    /// Run `nest` a lane at a time (see [`nest_at`] for its three
+    /// shapes).
+    fn run_nest(&mut self, nest: &Nest) {
+        let st = &mut *self.st;
+        let dense = nest.store.is_some_and(|t| t.dense);
+        let places_of_nest = &mut self.places[..nest.last - nest.first - usize::from(dense)];
+        for (p, &o) in places_of_nest.iter_mut().zip(&st.offsets[nest.first..]) {
             *p = lane::Place::new(o);
         }
-        // What the nest evaluates, from what each point's accumulator
-        // starts, the scalar it leaves, and the store it makes.
-        let body = pc + nest.lane + 1 + nest.inner;
-        let (expr, init, scalar, store) = match ops[pc + nest.lane] {
-            Op::Accum { scalar, expr } => (expr, 0.0, Some(scalar), None),
-            Op::Store {
-                array,
-                access,
-                expr,
-                accumulate,
-            } => (expr, 0.0, None, Some((array, access, accumulate))),
-            Op::Decl { scalar, init } => match (ops[body], ops[body + 1]) {
-                (
-                    Op::Accum { expr, .. },
-                    Op::Store {
-                        array,
-                        access,
-                        accumulate,
-                        ..
-                    },
-                ) => (expr, init, Some(scalar), Some((array, access, accumulate))),
-                _ => unreachable!("an accumulator nest accumulates and stores"),
-            },
-            Op::For { .. } => unreachable!("a nest's loops end in a statement"),
-        };
         // A store's target is set aside while the lanes are written: the
         // expression does not read it.
-        let mut target = store.map(|(array, ..)| std::mem::take(&mut self.arrays[array]));
-        let mut value = scalar.map_or(0.0, |s| self.scalars[s]);
-        let view = self.view(pc, nest, first);
-        let take = |_: usize, l: &[f64], at: &[lane::Place]| match (&mut target, store) {
-            (Some(target), Some((_, access, accumulate))) => {
-                lane::scatter(target, &at[access - first], l, accumulate);
+        let mut target = nest.store.map(|t| std::mem::take(&mut st.arrays[t.array]));
+        let origin = nest.store.map_or(0, |t| st.offsets[t.access]);
+        let mut value = nest.scalar.map_or(0.0, |s| st.scalars[s]);
+        let view = NestLanes {
+            nodes: &self.plan.nodes,
+            st,
+            first: nest.first,
+        };
+        let take = |start: usize, l: &[f64], at: &[lane::Place]| match (&mut target, nest.store) {
+            (Some(data), Some(t)) => {
+                if t.dense {
+                    lane::put(&mut data[origin + start..][..l.len()], l, t.accumulate);
+                } else {
+                    lane::scatter(data, &at[t.access - nest.first], l, t.accumulate);
+                }
                 // An accumulator ends as the last point left it.
                 value = l[l.len() - 1];
             }
             _ => value = lane::sum(value, l),
         };
-        let places_of_nest = &mut places[..last - first];
+        let (expr, init) = (nest.expr, nest.init);
         lane::run(
             &view,
+            &nest.table,
             expr,
             nest.lane,
-            nest.inner,
             places_of_nest,
             init,
             take,
         );
-        if let Some(scalar) = scalar {
-            self.scalars[scalar] = value;
+        if let Some(scalar) = nest.scalar {
+            st.scalars[scalar] = value;
         }
-        if let (Some((array, ..)), Some(target)) = (store, target) {
-            self.arrays[array] = target;
-        }
-        self.places = places;
-    }
-
-    /// The nest whose outermost loop is `ops[pc]` and whose accesses
-    /// start at `first`, as the lane kernel sees it.
-    fn view(&self, pc: usize, nest: Nest, first: usize) -> NestLanes<'_> {
-        NestLanes {
-            walk: self,
-            pc,
-            nest,
-            first,
+        if let (Some(t), Some(data)) = (nest.store, target) {
+            st.arrays[t.array] = data;
         }
     }
 
     fn eval(&self, node: usize) -> f64 {
         match self.plan.nodes[node] {
             Node::Const(c) => c,
-            Node::Scalar(scalar) => self.scalars[scalar],
-            Node::Load { array, access } => self.arrays[array][self.offsets[access]],
+            Node::Scalar(scalar) => self.st.scalars[scalar],
+            Node::Load { array, access } => self.st.arrays[array][self.st.offsets[access]],
             Node::Bin { op, lhs, rhs } => {
                 let (a, b) = (self.eval(lhs), self.eval(rhs));
                 match op {
@@ -649,60 +894,27 @@ impl Walk<'_> {
     }
 }
 
-/// A lane nest at the walk's current offsets, as the lane kernel sees it:
-/// digit `d` is the nest's `d`-th loop, skipping an accumulator's
-/// declaration; access `a` is the plan's access `first + a`.
+/// A lane nest's expression at the walk's current state, as the lane
+/// kernel sees it: access `a` is the plan's access `first + a`, row `a`
+/// of the nest's [`lane::Table`].
 struct NestLanes<'w> {
-    walk: &'w Walk<'w>,
-    pc: usize,
-    nest: Nest,
+    nodes: &'w [Node],
+    st: &'w State,
     first: usize,
-}
-
-impl NestLanes<'_> {
-    /// The loop of digit `d`: its extent, the accesses its body makes and
-    /// where their steps start.
-    fn digit(&self, d: usize) -> (usize, usize, usize) {
-        let pc = self.pc + d + usize::from(d >= self.nest.lane);
-        match self.walk.plan.ops[pc] {
-            Op::For {
-                extent,
-                last,
-                steps,
-                ..
-            } => (extent, last, steps),
-            _ => unreachable!("a nest's digits are loops"),
-        }
-    }
 }
 
 impl lane::Lanes for NestLanes<'_> {
     type Node = usize;
 
     fn term(&self, node: usize) -> lane::Term<'_, usize> {
-        let w = self.walk;
-        match w.plan.nodes[node] {
+        match self.nodes[node] {
             Node::Const(c) => lane::Term::Splat(c),
-            Node::Scalar(scalar) => lane::Term::Splat(w.scalars[scalar]),
+            Node::Scalar(scalar) => lane::Term::Splat(self.st.scalars[scalar]),
             Node::Load { array, access } => lane::Term::Gather {
-                data: &w.arrays[array],
+                data: &self.st.arrays[array],
                 access: access - self.first,
             },
             Node::Bin { op, lhs, rhs } => lane::Term::Bin(op, lhs, rhs),
-        }
-    }
-
-    fn extent(&self, d: usize) -> usize {
-        self.digit(d).0
-    }
-
-    fn stride(&self, a: usize, d: usize) -> usize {
-        // A reduction loop does not contain the write-back after it.
-        let (_, last, steps) = self.digit(d);
-        if self.first + a < last {
-            self.walk.plan.steps[steps + a]
-        } else {
-            0
         }
     }
 }
@@ -1251,7 +1463,7 @@ mod tests {
                     );
                     assert_meets_definition(k, &what);
                     kernels += 1;
-                    across += lane_nests(k).iter().filter(|n| n.inner > 0).count();
+                    across += lane_nests(k).iter().filter(|n| n.1 > 0).count();
                 }
             }
         }
@@ -1278,18 +1490,28 @@ mod tests {
             assert_meets_definition(&k, "simulation_step(7)");
             nests.extend(lane_nests(&k));
         }
-        let count = |lane, inner| nests.iter().filter(|n| **n == Nest { lane, inner }).count();
+        let count = |lane, inner| nests.iter().filter(|n| (n.0, n.1) == (lane, inner)).count();
         assert_eq!((count(3, 1), count(3, 0), nests.len()), (12, 1, 13));
+        // The rescheduled loop order is not the store's in 7 of them,
+        // whose lanes walk in store order.
+        assert_eq!(nests.iter().filter(|n| n.2).count(), 7);
     }
 
-    /// The nests of `k` that run a lane at a time, in program order.
-    fn lane_nests(k: &CKernel) -> Vec<Nest> {
+    /// The nests of `k` that run a lane at a time, in program order: their
+    /// lane and reduction digits, and whether the lane walks its points
+    /// in another order than the program's (the store's).
+    fn lane_nests(k: &CKernel) -> Vec<(usize, usize, bool)> {
         let mut plan = resolve(k).unwrap();
         plan_lanes(&mut plan);
-        (plan.ops.iter())
-            .filter_map(|op| match op {
-                Op::For { nest, .. } => *nest,
+        (plan.ops.iter().enumerate())
+            .filter_map(|(pc, op)| match *op {
+                Op::For { nest: Some(n), .. } => Some((pc, &plan.nests[n])),
                 _ => None,
+            })
+            .map(|(pc, n)| {
+                let inner = n.table.extents.len() - n.lane;
+                let program = digits(&plan, pc, n.lane, inner, n.first..n.last);
+                (n.lane, inner, n.table != program)
             })
             .collect()
     }
@@ -1563,8 +1785,7 @@ mod tests {
             ),
         ];
         for (what, k, nests) in cases {
-            let shapes: Vec<(usize, usize)> =
-                lane_nests(&k).iter().map(|n| (n.lane, n.inner)).collect();
+            let shapes: Vec<(usize, usize)> = lane_nests(&k).iter().map(|n| (n.0, n.1)).collect();
             assert_eq!(shapes, nests, "{what}: nests run lane-wise");
             assert_meets_definition(&k, what);
         }
@@ -1585,5 +1806,164 @@ mod tests {
         k.visit_stmts(&mut |st| accumulates |= matches!(st, CStmt::StoreAccum { .. }));
         assert!(accumulates);
         assert_meets_definition(&k, "reduction-outer matvec");
+    }
+
+    /// `k` with an input `x` of 80 words next to the hand-built `a`.
+    fn with_x(words: usize, body: Vec<CStmt>) -> CKernel {
+        let mut k = kernel(words, body);
+        k.params.push(CParam {
+            name: "x".into(),
+            words: 80,
+            role: crate::ir::ParamRole::Input,
+        });
+        k
+    }
+
+    fn load(array: &str, coeffs: &[i64], constant: i64) -> CExpr {
+        CExpr::Load(at(array, coeffs, constant))
+    }
+
+    #[test]
+    fn a_store_not_injective_over_its_lanes_keeps_program_order() {
+        let store = |accumulate: bool, target, expr| match accumulate {
+            true => CStmt::StoreAccum { target, expr },
+            false => CStmt::Store { target, expr },
+        };
+        for accumulate in [false, true] {
+            // A lane digit of stride 0, outermost and innermost, and two
+            // lane digits whose spans overlap (element 2 is written by the
+            // points (0, 1) and (2, 0), in another order in store order).
+            for (extents, coeffs) in [
+                (&[3, 6][..], &[0, 1][..]),
+                (&[6, 3], &[1, 0]),
+                (&[3, 2], &[1, 2]),
+            ] {
+                let expr = load("x", &[7, 1], 3);
+                let k = with_x(
+                    8,
+                    vec![nest(
+                        extents,
+                        vec![store(accumulate, at("a", coeffs, 0), expr)],
+                    )],
+                );
+                let what = format!("{extents:?} {coeffs:?} accumulate={accumulate}");
+                assert_eq!(lane_nests(&k), [(2, 0, false)], "{what}");
+                assert_meets_definition(&k, &what);
+            }
+            // Injective, but not in program order: the lane walks in the
+            // store's order.
+            let k = with_x(
+                12,
+                vec![nest(
+                    &[3, 4],
+                    vec![store(
+                        accumulate,
+                        at("a", &[1, 3], 0),
+                        load("x", &[1, 5], 2),
+                    )],
+                )],
+            );
+            assert_eq!(lane_nests(&k), [(2, 0, true)], "accumulate={accumulate}");
+            assert_meets_definition(&k, "a transposed store");
+            // Injective and in store order, with rows 8 words apart: the
+            // lane scatters through the store's place.
+            let k = with_x(
+                24,
+                vec![nest(
+                    &[3, 6],
+                    vec![store(
+                        accumulate,
+                        at("a", &[8, 1], 1),
+                        load("x", &[2, 9], 0),
+                    )],
+                )],
+            );
+            assert_eq!(lane_nests(&k), [(2, 0, false)], "accumulate={accumulate}");
+            assert_meets_definition(&k, "a store with padded rows");
+        }
+    }
+
+    #[test]
+    fn an_accumulator_in_store_order_ends_as_program_order_leaves_it() {
+        // The write-back is transposed against the output loops, so the
+        // lane walks them in store order; the scalar is read after the
+        // nest, and must hold the last point's sum in program order.
+        let acc = || CExpr::Var("acc".into());
+        let k = with_x(
+            13,
+            vec![
+                nest(
+                    &[3, 4],
+                    vec![
+                        CStmt::DeclScalar {
+                            name: "acc".into(),
+                            init: 0.5,
+                        },
+                        nest(
+                            &[5],
+                            vec![CStmt::AccumScalar {
+                                name: "acc".into(),
+                                expr: CExpr::Bin {
+                                    op: BinOp::Mul,
+                                    lhs: Box::new(load("x", &[20, 5, 1], 0)),
+                                    rhs: Box::new(load("x", &[0, 1, 7], 2)),
+                                },
+                            }],
+                        ),
+                        store(at("a", &[1, 3], 0), acc()),
+                    ],
+                ),
+                store(at("a", &[], 12), acc()),
+            ],
+        );
+        assert_eq!(lane_nests(&k), [(2, 1, true)]);
+        assert_meets_definition(&k, "a transposed accumulator nest read after it");
+    }
+
+    #[test]
+    fn a_prepared_kernel_runs_as_fresh_kernels_do() {
+        // Every stage of the served program, decoupled (locals) and not,
+        // run twice through one preparation on two input sets.
+        for decoupled in [true, false] {
+            let src = cfdlang::examples::simulation_step(5);
+            for (_m, k) in setup_flow(&src, true, true, decoupled, true) {
+                let mut prepared = PreparedKernel::new(&k).unwrap();
+                for seed in [3, 8] {
+                    let mut mem = filled_params(&k);
+                    for (i, p) in k.params.iter().enumerate() {
+                        mem.insert(p.name.clone(), rand_tensor(&[p.words], seed * 7 + i).data);
+                    }
+                    let mut fresh = mem.clone();
+                    let counts = prepared.run(&mut mem).unwrap();
+                    assert_eq!(counts, run_kernel(&k, &mut fresh).unwrap());
+                    for (name, got) in &mem {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(&fresh[name]), "{} '{name}'", k.name);
+                    }
+                    // The state is back where a fresh preparation starts.
+                    let (plan, st) = (&prepared.plan, &prepared.state);
+                    assert_eq!(st.offsets, PreparedKernel::new(&k).unwrap().state.offsets);
+                    assert!(st.scalars.iter().all(|&v| v.to_bits() == 0));
+                    let (caller, locals) = st.arrays.split_at(plan.caller_arrays);
+                    assert!(caller.iter().all(Vec::is_empty));
+                    assert!(locals.iter().flatten().all(|&v| v.to_bits() == 0));
+                    assert_eq!(locals.len(), k.locals.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn store_order_fires_on_the_verify_rows_of_ci() {
+        // CI verifies simstep:7 and helmholtz:11 --no-decouple bit for
+        // bit; both have nests whose lanes walk in store order.
+        for (src, decoupled, reordered) in [
+            (cfdlang::examples::simulation_step(7), true, 7),
+            (cfdlang::examples::inverse_helmholtz(11), false, 3),
+        ] {
+            let kernels = setup_flow(&src, true, true, decoupled, true);
+            let nests = kernels.iter().flat_map(|(_, k)| lane_nests(k));
+            assert_eq!(nests.filter(|n| n.2).count(), reordered);
+        }
     }
 }

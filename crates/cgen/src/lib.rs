@@ -26,7 +26,7 @@ pub mod ir;
 
 pub use build::{build_kernel, CodegenOptions};
 pub use emit::{emit_c99, emit_c99_as};
-pub use exec::{kernel_counts, run_kernel, ExecCounts};
+pub use exec::{kernel_counts, run_kernel, ExecCounts, PreparedKernel};
 pub use ir::{AffineAddr, ArrAccess, CExpr, CKernel, CParam, CStmt, ParamRole};
 
 /// The seeded program generator of the repository's integration tests,

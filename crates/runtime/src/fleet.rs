@@ -281,6 +281,7 @@ impl Dispatcher {
                         self.visits += passed + 1;
                     }
                 }
+                // Invariant: the dispatcher routes only while a board is live.
                 *live
                     .iter()
                     .min_by_key(|&&b| (self.queues[b].len(), b))
@@ -355,12 +356,14 @@ fn run_boards(
     let done: Vec<_> = if opts.parallel && waiting.len() > 1 {
         std::thread::scope(|s| {
             let workers: Vec<_> = (waiting.into_iter())
-                .map(|share| s.spawn(move || run(share)))
+                .map(|share| (share.0, s.spawn(move || run(share))))
                 .collect();
             (workers.into_iter())
-                .map(|worker| worker.join().expect("board worker panicked"))
-                .collect()
-        })
+                .map(|(board, worker)| {
+                    (worker.join()).map_err(|_| RuntimeError::WorkerPanicked { board })
+                })
+                .collect::<Result<_, _>>()
+        })?
     } else {
         waiting.into_iter().map(run).collect()
     };
@@ -684,6 +687,7 @@ impl FleetReport {
     /// byte-exact single-board report.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.json_capacity());
+        // Invariant: `fmt::Write` for a `String` never returns an error.
         self.write_json(&mut out)
             .expect("writing to a String cannot fail");
         out

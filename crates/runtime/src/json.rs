@@ -167,6 +167,7 @@ impl<'a> Line<'a> {
     /// Append what has collected to the document.
     #[inline]
     pub fn flush(&mut self) {
+        // Invariant: the buffer holds only whole `&str`s, ASCII and copies of document bytes.
         let row = std::str::from_utf8(&self.buf[..self.len]).expect("strs and ascii digits");
         self.out.push_str(row);
         self.len = 0;
@@ -208,6 +209,7 @@ impl<'a> Line<'a> {
     #[inline(never)]
     fn spill_fmt(&mut self, v: f64, prec: usize) {
         self.flush();
+        // Invariant: `fmt::Write` for a `String` never returns an error.
         write!(self.out, "{v:.prec$}").expect("writing to a String cannot fail");
     }
 

@@ -103,6 +103,10 @@ pub enum RuntimeError {
     /// arrival, the backoff or its 16x cap, the deadline, the SLO) at
     /// `seconds`.
     TimeOutOfRange { what: &'static str, seconds: f64 },
+    /// A request list longer than the 2^32 entries a stream orders.
+    TooManyRequests { requests: usize },
+    /// The thread serving board `board` of a fleet panicked.
+    WorkerPanicked { board: usize },
 }
 
 impl fmt::Display for RuntimeError {
@@ -123,6 +127,15 @@ impl fmt::Display for RuntimeError {
                 "{what} of {seconds:e} s does not fit the picosecond clock (0 to {:.0} s)",
                 to_secs(Time::MAX)
             ),
+            RuntimeError::TooManyRequests { requests } => {
+                write!(
+                    f,
+                    "{requests} requests exceed the 2^32 one stream can order"
+                )
+            }
+            RuntimeError::WorkerPanicked { board } => {
+                write!(f, "the worker serving board {board} panicked")
+            }
         }
     }
 }
@@ -549,7 +562,7 @@ impl<'a> Stream<'a> {
     /// admission order, so the first one past the clock is the one
     /// reported.
     fn of_requests(requests: &'a [Request]) -> Result<Stream<'a>, RuntimeError> {
-        let order = admission_order(requests);
+        let order = admission_order(requests)?;
         let mut arrivals = vec![0; requests.len()];
         for k in 0..requests.len() {
             let i = position(&order, k);
@@ -600,6 +613,7 @@ impl<'a> Stream<'a> {
     /// each caller position in `completed` runs through the generated
     /// chain once, its outputs landing at that position of `n`; every
     /// other request gets an empty map. Without `execute`, no outputs.
+    /// The chain's kernels are prepared once for the call.
     pub(crate) fn execute(
         &self,
         (names, modules, kernels): Stages,
@@ -611,11 +625,13 @@ impl<'a> Stream<'a> {
             return Ok(Vec::new());
         }
         let mut outputs = vec![HashMap::new(); n];
+        let mut chain = zynq::PreparedChain::new(names, modules, kernels);
         for i in completed {
             #[cfg(test)]
             self.chain_runs
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            outputs[i] = zynq::run_program_chain(names, modules, kernels, &self.inputs(modules, i))
+            outputs[i] = chain
+                .run(&self.inputs(modules, i))
                 .map_err(RuntimeError::Exec)?;
         }
         Ok(outputs)
@@ -894,15 +910,20 @@ pub(crate) fn latency_stats(ticks: &mut [u64]) -> [u64; 4] {
 /// by id (stable) — the one total order [`serve`] and the fleet
 /// dispatcher share. Empty when that is the caller's order, which one
 /// pass over the list tells.
-pub(crate) fn admission_order(requests: &[Request]) -> Vec<u32> {
+pub(crate) fn admission_order(requests: &[Request]) -> Result<Vec<u32>, RuntimeError> {
     let cmp = |a: &Request, b: &Request| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id));
     if requests.is_sorted_by(|a, b| cmp(a, b).is_le()) {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let n = u32::try_from(requests.len()).expect("fewer than 2^32 requests");
-    let mut order: Vec<u32> = (0..n).collect();
+    let mut order: Vec<u32> = (0..request_count(requests.len())?).collect();
     order.sort_by(|&a, &b| cmp(&requests[a as usize], &requests[b as usize]));
-    order
+    Ok(order)
+}
+
+/// `n` requests as the `u32` count an admission order indexes by, or
+/// [`RuntimeError::TooManyRequests`].
+fn request_count(n: usize) -> Result<u32, RuntimeError> {
+    u32::try_from(n).map_err(|_| RuntimeError::TooManyRequests { requests: n })
 }
 
 /// `seconds` on the picosecond clock, or [`RuntimeError::TimeOutOfRange`]
@@ -1171,6 +1192,7 @@ impl ServiceReport {
     /// filled by `write_json`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.json_capacity("") + 1);
+        // Invariant: `fmt::Write` for a `String` never returns an error.
         self.write_json(&mut out, "")
             .expect("writing to a String cannot fail");
         out.push('\n');
@@ -2346,8 +2368,8 @@ mod tests {
             let reqs = shuffled_requests(seed, 2 + (seed as usize * 11) % 120);
             let mut sorted = reqs.clone();
             sorted.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-            assert!(!admission_order(&reqs).is_empty(), "seed {seed}");
-            assert!(admission_order(&sorted).is_empty(), "seed {seed}");
+            assert!(!admission_order(&reqs).unwrap().is_empty(), "seed {seed}");
+            assert!(admission_order(&sorted).unwrap().is_empty(), "seed {seed}");
             let opts = generated_options(seed);
             let shuffled = serve(&d, &[], &[], &[], &reqs, &opts).unwrap().report;
             let in_order = serve(&d, &[], &[], &[], &sorted, &opts).unwrap().report;
@@ -2366,6 +2388,19 @@ mod tests {
             let in_order = serve_fleet(&boards, &[], &[], &[], &sorted, &fopts).unwrap();
             assert_eq!(shuffled.report, in_order.report, "seed {seed}");
             assert_eq!(shuffled.report.to_json(), in_order.report.to_json());
+        }
+    }
+
+    #[test]
+    fn a_list_past_two_to_the_32_requests_is_an_error() {
+        assert_eq!(request_count(7), Ok(7));
+        assert_eq!(request_count(u32::MAX as usize), Ok(u32::MAX));
+        #[cfg(target_pointer_width = "64")]
+        {
+            let requests = 1usize << 32;
+            let e = request_count(requests).unwrap_err();
+            assert_eq!(e, RuntimeError::TooManyRequests { requests });
+            assert!(e.to_string().starts_with("4294967296 requests exceed"));
         }
     }
 

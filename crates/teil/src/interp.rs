@@ -348,8 +348,10 @@ impl<'m> Interpreter<'m> {
         let view = StmtLanes {
             nodes: &nodes,
             values,
-            ext: &ext,
-            strides: &strides,
+        };
+        let table = lane::Table {
+            extents: ext,
+            strides,
         };
 
         let mut result = Tensor::zeros(m.shape(stmt.out));
@@ -358,20 +360,14 @@ impl<'m> Interpreter<'m> {
         // An element-wise statement has no reduction digit: its lane
         // runs across its outputs, which are its whole box.
         if lane::across(out.len(), red) {
-            lane::run(
-                &view,
-                root,
-                out_rank,
-                rank - out_rank,
-                places,
-                0.0,
-                |start, l, _| out[start..start + l.len()].copy_from_slice(l),
-            );
+            lane::run(&view, &table, root, out_rank, places, 0.0, |start, l, _| {
+                out[start..start + l.len()].copy_from_slice(l)
+            });
         } else {
             // Along the reduction: the whole box in point order, each
             // lane folded into the output points it covers.
             let (mut o, mut left) = (0, red);
-            lane::run(&view, root, rank, 0, places, 0.0, |_, l, _| {
+            lane::run(&view, &table, root, rank, places, 0.0, |_, l, _| {
                 for v in l {
                     out[o] += v;
                     left -= 1;
@@ -556,15 +552,11 @@ fn expr_size(e: &PointExpr) -> (usize, usize) {
     }
 }
 
-/// A compiled statement as the lane kernel sees it: its iteration
-/// digits, outermost first, and its accesses by slot.
+/// A compiled statement's expression as the lane kernel sees it, its
+/// accesses by slot (the rows of its [`lane::Table`]).
 struct StmtLanes<'a> {
     nodes: &'a [FlatNode],
     values: &'a [Cow<'a, Tensor>],
-    ext: &'a [usize],
-    /// `strides[slot · rank + d]`: what a step of digit `d` adds to the
-    /// offset of access `slot`.
-    strides: &'a [usize],
 }
 
 impl lane::Lanes for StmtLanes<'_> {
@@ -579,14 +571,6 @@ impl lane::Lanes for StmtLanes<'_> {
             },
             FlatNode::Bin { op, lhs, rhs } => lane::Term::Bin(op, lhs, rhs),
         }
-    }
-
-    fn extent(&self, d: usize) -> usize {
-        self.ext[d]
-    }
-
-    fn stride(&self, a: usize, d: usize) -> usize {
-        self.strides[a * self.ext.len() + d]
     }
 }
 

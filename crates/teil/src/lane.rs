@@ -8,11 +8,13 @@
 //! at each point's own offset, a constant or scalar a broadcast and an
 //! operator an element-wise step.
 //!
-//! A nest's digits are numbered outermost first and split in two: the
-//! *lane* digits, which the lane runs across in chunks of up to `W`
-//! points, and the *inner* digits, which [`run`] walks inside each chunk,
-//! in order, into one accumulator per lane element. The executors plan
-//! every statement this way:
+//! Both executors describe a nest to [`run`] by one concrete [`Table`]:
+//! its digits' extents, outermost first, and per access what one step of
+//! each digit adds to the access's offset. The digits are split in two:
+//! the *lane* digits, which the lane runs across in chunks of up to `W`
+//! points, and the *inner* digits after them, which [`run`] walks inside
+//! each chunk, in order, into one accumulator per lane element. The
+//! executors plan every statement this way:
 //! - a reduction runs its lane across its output points and walks its
 //!   reduction digits inside, so each element's sum is still
 //!   `init + e(r0) + e(r1) + …`, bit for bit;
@@ -22,11 +24,18 @@
 //!   instead, and the caller folds each lane into its accumulator in
 //!   point order ([`sum`]). A one-loop nest is the one-digit case.
 //!
+//! The order of the lane digits in the table is the order the lane
+//! walks the points in. Where no point reads what another writes and no
+//! two points write one element, the caller may put them in any order;
+//! `cgen` puts them in its store's order, largest stride first, as the
+//! interpreter's result is laid out.
+//!
 //! Per chunk, [`run`] *places* every access: it finds each lane point's
 //! offset relative to the access's base once per run of the last lane
 //! digit; the inner walk only moves the bases. A chunk whose offsets are
 //! all equal gathers by broadcast, one whose offsets are consecutive by a
-//! slice copy.
+//! slice copy, and [`scatter`] writes (or adds) a consecutive chunk as
+//! one slice.
 //!
 //! Every point still performs the same operations on the same operands,
 //! and every sum is still taken in the same order, so the results are
@@ -87,18 +96,31 @@ pub enum Term<'a, N> {
     Bin(BinOp, N, N),
 }
 
-/// A loop nest whose expression tree and accesses the lane evaluator can
-/// ask about. Digits are numbered outermost first; accesses as the
-/// caller's [`Place`] slice numbers them.
+/// A loop nest's expression tree as the lane evaluator asks about it;
+/// its accesses are numbered as the caller's [`Place`] slice and the
+/// [`Table`]'s stride rows number them.
 pub trait Lanes {
     type Node: Copy;
     /// `node` over the lane.
     fn term(&self, node: Self::Node) -> Term<'_, Self::Node>;
-    /// Extent of digit `d`.
-    fn extent(&self, d: usize) -> usize;
-    /// What one step of digit `d` adds to access `a`'s offset (a negative
-    /// stride arrives wrapped, two's complement).
-    fn stride(&self, a: usize, d: usize) -> usize;
+}
+
+/// A nest's digits as [`run`] walks them, outermost first: the lane
+/// digits, then the inner ones. Both executors fill one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Table {
+    /// Extent of every digit.
+    pub extents: Vec<usize>,
+    /// `strides[a · extents.len() + d]`: what one step of digit `d` adds
+    /// to access `a`'s offset (a negative stride arrives wrapped, two's
+    /// complement).
+    pub strides: Vec<usize>,
+}
+
+impl Table {
+    fn stride(&self, a: usize, d: usize) -> usize {
+        self.strides[a * self.extents.len() + d]
+    }
 }
 
 /// Whether a reduction of `out` output points, each summing `red`
@@ -109,32 +131,32 @@ pub fn across(out: usize, red: usize) -> bool {
     out >= W || out >= red
 }
 
-/// Run `root` over the nest a lane at a time: digits `..lane` in chunks
-/// of up to [`W`] consecutive points and, inside each chunk, digits
-/// `lane..lane + inner` walked in order into one accumulator per point,
+/// Run `root` over the nest `t` a lane at a time: digits `..lane` in
+/// chunks of up to [`W`] consecutive points and, inside each chunk, the
+/// digits after them walked in order into one accumulator per point,
 /// each starting at `init` (with no inner digit the lane is `root`'s
 /// value). `take(start, values, places)` receives every chunk with its
 /// first point and the accesses placed at it. `places` holds one place
 /// per access, at the nest's first point; they are back there on return.
 pub fn run<L: Lanes + ?Sized>(
     e: &L,
+    t: &Table,
     root: L::Node,
     lane: usize,
-    inner: usize,
     places: &mut [Place],
     init: f64,
     mut take: impl FnMut(usize, &[f64], &[Place]),
 ) {
-    let points: usize = (0..lane).map(|d| e.extent(d)).product();
+    let points: usize = t.extents[..lane].iter().product();
     let mut acc = [0.0; W];
     for start in (0..points).step_by(W) {
         let len = W.min(points - start);
-        place(e, lane, start, places, len);
-        if inner == 0 {
+        place(t, lane, start, places, len);
+        if lane == t.extents.len() {
             eval(e, root, places, len, &mut acc);
         } else {
             acc = [init; W];
-            walk(e, root, lane, lane + inner, places, len, &mut acc);
+            walk(e, t, root, lane, places, len, &mut acc);
         }
         take(start, &acc[..len], places);
     }
@@ -142,7 +164,7 @@ pub fn run<L: Lanes + ?Sized>(
 
 /// Place every access at the `len` points of the lane digits `..lane`
 /// from point `start` on.
-fn place<L: Lanes + ?Sized>(e: &L, lane: usize, start: usize, places: &mut [Place], len: usize) {
+fn place(t: &Table, lane: usize, start: usize, places: &mut [Place], len: usize) {
     let mut i = 0;
     while i < len {
         // The offsets of point `start + i`, digit by digit, and the run of
@@ -152,7 +174,7 @@ fn place<L: Lanes + ?Sized>(e: &L, lane: usize, start: usize, places: &mut [Plac
             p.at[i] = 0;
         }
         for d in (0..lane).rev() {
-            let x = e.extent(d);
+            let x = t.extents[d];
             let digit = q % x;
             q /= x;
             if d + 1 == lane {
@@ -160,13 +182,13 @@ fn place<L: Lanes + ?Sized>(e: &L, lane: usize, start: usize, places: &mut [Plac
             }
             if digit > 0 {
                 for (a, p) in places.iter_mut().enumerate() {
-                    p.at[i] = p.at[i].wrapping_add(digit.wrapping_mul(e.stride(a, d)));
+                    p.at[i] = p.at[i].wrapping_add(digit.wrapping_mul(t.stride(a, d)));
                 }
             }
         }
         if run > 1 {
             for (a, p) in places.iter_mut().enumerate() {
-                let step = e.stride(a, lane - 1);
+                let step = t.stride(a, lane - 1);
                 for j in i + 1..i + run {
                     p.at[j] = p.at[j - 1].wrapping_add(step);
                 }
@@ -190,32 +212,33 @@ fn place<L: Lanes + ?Sized>(e: &L, lane: usize, start: usize, places: &mut [Plac
     }
 }
 
-/// Walk digits `d..end` from the places' current bases, adding `root`'s
-/// lane at every point to `acc`; the bases end where they started.
+/// Walk digits `d..` of `t` from the places' current bases, adding
+/// `root`'s lane at every point to `acc`; the bases end where they
+/// started.
 fn walk<L: Lanes + ?Sized>(
     e: &L,
+    t: &Table,
     root: L::Node,
     d: usize,
-    end: usize,
     places: &mut [Place],
     len: usize,
     acc: &mut [f64; W],
 ) {
-    let extent = e.extent(d);
-    if d + 1 < end {
+    let extent = t.extents[d];
+    if d + 1 < t.extents.len() {
         for _ in 0..extent {
-            walk(e, root, d + 1, end, places, len, acc);
+            walk(e, t, root, d + 1, places, len, acc);
             for (a, p) in places.iter_mut().enumerate() {
-                p.base = p.base.wrapping_add(e.stride(a, d));
+                p.base = p.base.wrapping_add(t.stride(a, d));
             }
         }
         for (a, p) in places.iter_mut().enumerate() {
-            p.base = p.base.wrapping_sub(e.stride(a, d).wrapping_mul(extent));
+            p.base = p.base.wrapping_sub(t.stride(a, d).wrapping_mul(extent));
         }
         return;
     }
     for (a, p) in places.iter_mut().enumerate() {
-        p.step = e.stride(a, d);
+        p.step = t.stride(a, d);
     }
     let mut v = [0.0; W];
     for _ in 0..extent {
@@ -271,8 +294,13 @@ pub fn sum(acc: f64, lane: &[f64]) -> f64 {
 }
 
 /// Write `lane` to `data` at the points `place` is placed at, in order;
-/// with `accumulate` each element is added to what is there instead.
+/// with `accumulate` each element is added to what is there instead. A
+/// chunk at consecutive offsets is written as one slice.
 pub fn scatter(data: &mut [f64], place: &Place, lane: &[f64], accumulate: bool) {
+    if place.spread == Spread::Unit {
+        let first = place.base.wrapping_add(place.at[0]);
+        return put(&mut data[first..first + lane.len()], lane, accumulate);
+    }
     for (&at, &v) in place.at.iter().zip(lane) {
         let slot = &mut data[place.base.wrapping_add(at)];
         if accumulate {
@@ -280,6 +308,16 @@ pub fn scatter(data: &mut [f64], place: &Place, lane: &[f64], accumulate: bool) 
         } else {
             *slot = v;
         }
+    }
+}
+
+/// Write `lane` over `slots`, or with `accumulate` add each element to
+/// its slot.
+pub fn put(slots: &mut [f64], lane: &[f64], accumulate: bool) {
+    if accumulate {
+        slots.iter_mut().zip(lane).for_each(|(s, v)| *s += v);
+    } else {
+        slots.copy_from_slice(lane);
     }
 }
 
@@ -314,15 +352,17 @@ mod tests {
                 },
             }
         }
-        fn extent(&self, d: usize) -> usize {
-            self.extents[d]
-        }
-        fn stride(&self, a: usize, d: usize) -> usize {
-            self.strides[a][d] as usize
-        }
     }
 
     impl Example<'_> {
+        /// The nest's digits and both accesses' strides.
+        fn table(&self) -> Table {
+            Table {
+                extents: self.extents.to_vec(),
+                strides: self.strides.concat().iter().map(|&s| s as usize).collect(),
+            }
+        }
+
         /// The expression at the nest point `digits`, point by point.
         fn at(&self, digits: &[usize]) -> f64 {
             let load = |a: usize| {
@@ -435,18 +475,10 @@ mod tests {
             };
             let mut places = [Place::new(origin[0]), Place::new(origin[1])];
             let mut got = Vec::new();
-            run(
-                &e,
-                0,
-                lane,
-                extents.len() - lane,
-                &mut places,
-                0.25,
-                |start, l, _| {
-                    assert_eq!(start, got.len(), "{what}: chunks in order");
-                    got.extend_from_slice(l);
-                },
-            );
+            run(&e, &e.table(), 0, lane, &mut places, 0.25, |start, l, _| {
+                assert_eq!(start, got.len(), "{what}: chunks in order");
+                got.extend_from_slice(l);
+            });
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&got),
@@ -478,12 +510,50 @@ mod tests {
                 *slot = if accumulate { *slot + v } else { v };
             }
             let mut places = [Place::new(0), Place::new(40)];
-            run(&e, 0, 2, 0, &mut places, 0.0, |_, l, at| {
+            run(&e, &e.table(), 0, 2, &mut places, 0.0, |_, l, at| {
                 scatter(&mut target, &at[0], l, accumulate)
             });
             assert_eq!(target, want, "accumulate={accumulate}");
         }
         assert_eq!(sum(1.0, &[0.5, 0.25]), 1.75);
+    }
+
+    #[test]
+    fn scatter_writes_a_consecutive_chunk_as_one_slice() {
+        let data: Vec<f64> = (0..64).map(|i| 0.75 - i as f64 * 0.0625).collect();
+        // Access 1 places the target too: a dense 3 × 6 one, whose chunks
+        // are consecutive, and one with rows 8 apart, whose first chunk
+        // crosses a gap.
+        for (row, unit) in [(6, [true, true]), (8, [false, true])] {
+            let e = Example {
+                op: BinOp::Add,
+                data: &data,
+                extents: &[3, 6],
+                origin: [1, 0],
+                strides: [&[6, 1], &[row, 1]],
+            };
+            for accumulate in [false, true] {
+                let mut target = vec![0.5; 24];
+                let mut want = target.clone();
+                for (p, v) in e.definition(2, 0.0).into_iter().enumerate() {
+                    let slot = &mut want[(p / 6) * row as usize + p % 6];
+                    *slot = if accumulate { *slot + v } else { v };
+                }
+                let mut places = [Place::new(1), Place::new(0)];
+                let mut spreads = Vec::new();
+                run(&e, &e.table(), 0, 2, &mut places, 0.0, |_, l, at| {
+                    spreads.push(at[1].spread == Spread::Unit);
+                    scatter(&mut target, &at[1], l, accumulate)
+                });
+                assert_eq!(spreads, unit, "row {row}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&target),
+                    bits(&want),
+                    "row {row} accumulate={accumulate}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -94,5 +94,5 @@ pub use stream::{
 };
 pub use verify::{
     matches_the_definition, random_program_inputs, run_program_chain, run_program_reference,
-    verify_program, VerifyResult,
+    verify_program, PreparedChain, VerifyResult,
 };

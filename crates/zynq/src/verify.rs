@@ -9,8 +9,10 @@
 //! holds the interpreter itself to its multi-index walk
 //! ([`Interpreter::run_reference`]), the definition both lane executors
 //! are built against; `cfdc verify` runs it on its first element. Both
-//! runners are one chain walk; serving runs [`run_program_chain`] once
-//! per completed request, after the final schedule.
+//! runners are one chain walk. Serving runs each completed request, after
+//! the final schedule, through one [`PreparedChain`] per call, which
+//! prepares every stage's kernel once; so does each worker of
+//! [`verify_program`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,17 +89,61 @@ pub fn run_program_chain(
     kernels: &[&cgen::CKernel],
     external: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Vec<f64>>, String> {
-    assert_eq!(modules.len(), kernels.len());
-    let host = |d: &TensorDecl| external.get(&d.name).map(|t| t.data.clone());
-    let outputs = walk_chain(names, modules, host, |s, mem| {
-        for p in &kernels[s].params {
-            if !mem.contains_key(&p.name) {
-                mem.insert(p.name.clone(), vec![0.0; p.words]);
-            }
+    PreparedChain::new(names, modules, kernels).run(external)
+}
+
+/// A chained program to run on many input sets, as
+/// [`run_program_chain`] runs one: each stage's generated kernel is
+/// prepared once ([`cgen::PreparedKernel`]), by the first run that
+/// reaches it, and every later run reuses it. Serving and
+/// [`verify_program`] hold one for a call and drop it when the call
+/// returns.
+pub struct PreparedChain<'a> {
+    names: &'a [String],
+    modules: &'a [&'a Module],
+    kernels: &'a [&'a cgen::CKernel],
+    stages: Vec<Option<cgen::PreparedKernel<'a>>>,
+}
+
+impl<'a> PreparedChain<'a> {
+    /// The chain of `kernels`, one per module; nothing is prepared yet.
+    pub fn new(
+        names: &'a [String],
+        modules: &'a [&'a Module],
+        kernels: &'a [&'a cgen::CKernel],
+    ) -> PreparedChain<'a> {
+        assert_eq!(modules.len(), kernels.len());
+        PreparedChain {
+            names,
+            modules,
+            kernels,
+            stages: kernels.iter().map(|_| None).collect(),
         }
-        cgen::run_kernel(kernels[s], mem).map(drop)
-    });
-    Ok(outputs?.collect())
+    }
+
+    /// [`run_program_chain`] on `external`.
+    pub fn run(
+        &mut self,
+        external: &HashMap<String, Tensor>,
+    ) -> Result<HashMap<String, Vec<f64>>, String> {
+        let (kernels, stages) = (self.kernels, &mut self.stages);
+        let host = |d: &TensorDecl| external.get(&d.name).map(|t| t.data.clone());
+        let outputs = walk_chain(self.names, self.modules, host, |s, mem| {
+            for p in &kernels[s].params {
+                if !mem.contains_key(&p.name) {
+                    mem.insert(p.name.clone(), vec![0.0; p.words]);
+                }
+            }
+            let mut stage = match stages[s].take() {
+                Some(stage) => stage,
+                None => cgen::PreparedKernel::new(kernels[s])?,
+            };
+            let ran = stage.run(mem).map(drop);
+            stages[s] = Some(stage);
+            ran
+        });
+        Ok(outputs?.collect())
+    }
 }
 
 /// Run the reference interpreter over the chained program. Same handoff
@@ -200,8 +246,9 @@ pub fn verify_program(
     let threads = crate::resolve_jobs(0).clamp(1, n.max(1));
     let run = n.div_ceil(threads);
     let verify_run = |t: usize| {
+        let mut chain = PreparedChain::new(names, modules, kernels);
         (t * run..n.min((t + 1) * run)).try_fold((0.0, true), |acc, e| {
-            verify_element(names, modules, kernels, seed.wrapping_add(e as u64), acc)
+            verify_element(&mut chain, seed.wrapping_add(e as u64), acc)
         })
     };
     let runs = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -225,15 +272,13 @@ pub fn verify_program(
 /// largest relative difference over output words and whether all
 /// matched bit for bit.
 fn verify_element(
-    names: &[String],
-    modules: &[&Module],
-    kernels: &[&cgen::CKernel],
+    chain: &mut PreparedChain,
     seed: u64,
     acc: (f64, bool),
 ) -> Result<(f64, bool), String> {
-    let external = random_program_inputs(modules, seed);
-    let expect = run_program_reference(names, modules, &external)?;
-    let got = run_program_chain(names, modules, kernels, &external)?;
+    let external = random_program_inputs(chain.modules, seed);
+    let expect = run_program_reference(chain.names, chain.modules, &external)?;
+    let got = chain.run(&external)?;
     compare(&expect, |key| &got[key], acc)
 }
 
@@ -371,6 +416,27 @@ mod tests {
         let solo_w = &solo.values[w_id.0];
         let chained_w = &chained["project.w"];
         assert!(solo_w.max_rel_diff(chained_w) > 1e-12);
+    }
+
+    #[test]
+    fn a_prepared_chain_reruns_as_fresh_chains_do() {
+        // One preparation, three input sets: each run equals a fresh
+        // `run_program_chain` on the same inputs, key for key and bit for
+        // bit.
+        let (names, modules, kernels) = setup_program(5);
+        let mrefs: Vec<&Module> = modules.iter().collect();
+        let krefs: Vec<&cgen::CKernel> = kernels.iter().collect();
+        let mut chain = PreparedChain::new(&names, &mrefs, &krefs);
+        for seed in [4, 9, 4] {
+            let external = random_program_inputs(&mrefs, seed);
+            let got = chain.run(&external).unwrap();
+            let fresh = run_program_chain(&names, &mrefs, &krefs, &external).unwrap();
+            assert_eq!(got.len(), fresh.len());
+            for (key, values) in &fresh {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got[key]), bits(values), "seed {seed} '{key}'");
+            }
+        }
     }
 
     #[test]

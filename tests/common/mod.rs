@@ -8,7 +8,10 @@
 //! contracted again (`A # B . [[1 2]] . [[0 1]]`), down to a scalar, or
 //! inside an element-wise term; element-wise chains over tensors,
 //! scalars and literals; and a statement that reads its own output
-//! (`c = x + c # s . [[1 2]]`, or `c = c # s . [[1 2]]` alone).
+//! (`c = x + c # s . [[1 2]]`, or `c = c # s . [[1 2]]` alone). A
+//! tensor is zero where its own statement reads it, so the same shape
+//! also reads data in its place: the previous statement's result or an
+//! input (`c = x + y # s . [[1 2]]`, or `c = y # s . [[1 2]]`).
 //! [`Coverage`] counts what it wrote, so a weakened generator fails its
 //! test.
 
@@ -69,6 +72,9 @@ pub struct Coverage {
     pub elementwise: usize,
     pub self_reads: usize,
     pub pure_self_reads: usize,
+    /// Statements of the self-read shape whose contraction reads data:
+    /// an earlier statement's result or an input.
+    pub carried_reads: usize,
 }
 
 /// One kernel under construction.
@@ -380,8 +386,10 @@ fn kernel(
             // A statement that reads its own output: `c = x + c # s .
             // [[r-1 r]]`, where `s` is square over c's last extent, or
             // the pure self-contraction `c = c # s . [[r-1 r]]`, which
-            // alone lowers to one statement reading what it writes.
-            cov.self_reads += 1;
+            // alone lowers to one statement reading what it writes. Its
+            // own output reads as zeros, so half the time the contraction
+            // reads data of c's shape instead: the previous statement's
+            // result (a written tensor's earlier value) or an input.
             let c_shape = match &k.last {
                 Some((_, s)) if (1..=3).contains(&s.len()) && rng.chance(60) => s.clone(),
                 _ => {
@@ -392,9 +400,19 @@ fn kernel(
             let rank = c_shape.len();
             let m = c_shape[rank - 1];
             let square = k.input(&[m, m]);
-            let own = format!("{name} # {square} . [[{} {rank}]]", rank - 1);
+            let read = if rng.chance(50) {
+                cov.carried_reads += 1;
+                match &k.last {
+                    Some((last, shape)) if *shape == c_shape => last.clone(),
+                    _ => k.operand(rng, &c_shape),
+                }
+            } else {
+                cov.self_reads += 1;
+                name.clone()
+            };
+            let own = format!("{read} # {square} . [[{} {rank}]]", rank - 1);
             let rhs = if rng.chance(40) {
-                cov.pure_self_reads += 1;
+                cov.pure_self_reads += usize::from(read == name);
                 own
             } else {
                 let x = match &k.last {

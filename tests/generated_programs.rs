@@ -219,7 +219,8 @@ fn generated_programs_verify_bit_exact_on_every_board_they_fit() {
             && cov.traces > 0
             && cov.elementwise > 0
             && cov.self_reads > 0
-            && cov.pure_self_reads > 0,
+            && cov.pure_self_reads > 0
+            && cov.carried_reads > 0,
         "{cov:?}"
     );
 }
